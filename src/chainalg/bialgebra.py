@@ -442,7 +442,9 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
         if special:
             alt = (lam.eval_basis(name) + term1.eval_basis(name)
                    + insert_left(c_fwd, A).then(tensor_map(one, mu)).eval_basis(name))
-            assert alt == out, f"special-case cross-check failed on {name}"
+            if alt != out:
+                raise RuntimeError(
+                    f"special-case cross-check failed on {name}")
         return out
 
     return GradedMap(A, lam.target, lam.degree, fn, name="lam'")

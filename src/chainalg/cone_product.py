@@ -25,10 +25,18 @@ product places the [i,j;k]-shifted versions in the blocks
 
 The closed-form components are transcribed independently and cross-checked
 against the assembled blocks.
+
+The dual operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed
+form) are lookups into sparse transposes of mu and of the corrected
+coproducts: output basis name -> {input x: coefficient}.  Each transpose is
+built once per package, in one pass over the basis of A (the mu rows one
+fixed factor at a time, on first request).  The derived side and the closed
+form build their own tables from their own formulas.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .graded import (
@@ -40,10 +48,11 @@ from .graded import (
     shift,
     shift_map,
     dual_module,
+    dual_map,
     dual_pair,
     contract_first,
     contract_last_signed,
-    pair_two,
+    insert_middle,
     unapply_op_shift,
     insert_left,
     insert_right,
@@ -57,6 +66,16 @@ from .bialgebra import BialgebraData
 
 def _sign(exp: int) -> int:
     return -1 if exp % 2 else 1
+
+
+def _transpose(inputs, image) -> dict:
+    """Sparse transpose of x -> image(x) over the basis names `inputs`:
+    output basis name -> {x: coefficient}, each inner dict in input order."""
+    out = {}
+    for x in inputs:
+        for y, c in image(x).coeffs.items():
+            out.setdefault(y, {})[x] = c
+    return out
 
 
 def _tensor_differential(d: GradedMap) -> GradedMap:
@@ -115,15 +134,6 @@ class ConeProductData:
         self.name = name
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else A.basis_names())
-
-    def continuation_map(self) -> GradedMap:
-        """c: M -> A contracted from the continuation bivector."""
-        M = dual_side(self.A, self.n)
-
-        def fn(fname):
-            return contract_first(self.c0, M.el(fname))
-
-        return GradedMap(M, self.A, 0, fn, name="c")
 
 
 def cyclic_symmetrize(t: Vector) -> Vector:
@@ -187,7 +197,6 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     M = dual_side(A, n)
     Mbar = shift(M, -1)
     one = GradedMap.identity(A)
-    basis_A = A.basis()
 
     # coproducts corrected by the secondary bivector
     if Q0.is_zero():
@@ -204,44 +213,55 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     AM = tensor(A, M)
     MA = tensor(M, A)
     MM = tensor(M, M)
+    R = A.ring
+    names_A = [x.name for x in A.basis()]
 
     def el_M(name):
         return M.el(name)
 
+    # sparse transposes of mu and lam_rev; the mu rows are filled per fixed
+    # factor on first request, so mu is read on exactly the inputs a scan
+    # over the basis of A would read
+    @functools.cache
+    def mu_right_rows(b):
+        # y -> {x: <y^, mu(x (x) b)>}
+        return _transpose(names_A, lambda x: mu.eval_basis(f"{x}{TENSOR_SEP}{b}"))
+
+    @functools.cache
+    def mu_left_rows(a):
+        # y -> {x: <y^, mu(a (x) x)>}
+        return _transpose(names_A, lambda x: mu.eval_basis(f"{a}{TENSOR_SEP}{x}"))
+
+    @functools.cache
+    def lam_rev_table():
+        # w1 (x) w2 -> {x: coefficient of w1 (x) w2 in lam_rev(x)}
+        return _transpose(names_A, lam_rev.eval_basis)
+
     def m_L_fn(nm):
         b, f = AM.parts_of(nm)
-        fv = el_M(f)
-        db = A.degree_of(b)
+        odd_b = A.degree_of(b) % 2
         df = M.degree_of(f)
         out = {}
-        for x in basis_A:
-            c = dual_pair(fv, mu(A.el(x.name).tensor(A.el(b))))
-            if c != 0:
-                if (db % 2) and ((x.degree + df) % 2):
-                    c = A.ring.neg(c)
-                out[x.name + "^"] = c
+        for x, c in mu_right_rows(b).get(f[:-1], {}).items():
+            if odd_b and ((A.degree_of(x) + df) % 2):
+                c = R.neg(c)
+            out[x + "^"] = c
         return Vector(M, out)
 
     def m_R_fn(nm):
         f, a = MA.parts_of(nm)
-        fv = el_M(f)
-        out = {}
-        for x in basis_A:
-            c = dual_pair(fv, mu(A.el(a).tensor(A.el(x.name))))
-            if c != 0:
-                out[x.name + "^"] = c
-        return Vector(M, out)
+        col = mu_left_rows(a).get(f[:-1], {})
+        return Vector(M, {x + "^": c for x, c in col.items()})
 
     def sigma_fn(nm):
+        # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} for g = w1^, f = w2^
         f, g = MM.parts_of(nm)
-        fv, gv = el_M(f), el_M(g)
-        s = _sign((M.degree_of(f) + 1) * (M.degree_of(g) + 1))
-        out = {}
-        for x in basis_A:
-            c = pair_two(lam_rev.eval_basis(x.name), gv, fv)
-            if c != 0:
-                out[x.name + "^"] = A.ring.mul(A.ring.canon(s), c)
-        return Vector(M, out)
+        w1, w2 = g[:-1], f[:-1]
+        df = M.degree_of(f)
+        neg = ((df + 1) * (M.degree_of(g) + 1) + df * A.degree_of(w1)) % 2
+        col = lam_rev_table().get(f"{w1}{TENSOR_SEP}{w2}", {})
+        return Vector(M, {x + "^": R.neg(c) if neg else c
+                          for x, c in col.items()})
 
     def tau_R_fn(nm):
         b, f = AM.parts_of(nm)
@@ -295,7 +315,7 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     }
 
     # the cone of the continuation map, with the dual complex on the source
-    d_M = shift_map(dual_map_of_differential(data), 2 * n)
+    d_M = shift_map(dual_map(data.complex.d), 2 * n)
     M_complex = ChainComplex(M, d_M)
     c_map = ChainMap(M_complex, data.complex,
                      GradedMap(M, A, 0,
@@ -307,12 +327,6 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
                          barred, cone)
     ops.product = assemble_cone_product(ops)
     return ops
-
-
-def dual_map_of_differential(data: ConeProductData) -> GradedMap:
-    from .graded import dual_map
-
-    return dual_map(data.complex.d)
 
 
 def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
@@ -372,7 +386,6 @@ def closed_form_components(data: ConeProductData) -> dict:
     n = data.n
     M = dual_side(A, n)
     Mbar = shift(M, -1)
-    basis_A = A.basis()
 
     def mu_el(x: Vector, y: Vector) -> Vector:
         return mu(x.tensor(y))
@@ -402,22 +415,40 @@ def closed_form_components(data: ConeProductData) -> dict:
     def pp_p(nm):
         return mu.eval_basis(nm)
 
+    # the closed form's own sparse transposes, built from mu_el and W
+    names_A = [x.name for x in A.basis()]
+
+    def W(x):
+        # lam(a) + (-1)^{|a|}(mu(x)1)(a(x)c) + (1(x)mu)(c(x)a)
+        out = lam.eval_basis(x)
+        if not cbiv.is_zero():
+            a_el = A.el(x)
+            out = out + mu1_right(a_el).scale(_sign(A.degree_of(x))) \
+                + mu1_left(a_el)
+        return out
+
+    @functools.cache
+    def W_table():
+        return _transpose(names_A, W)
+
+    @functools.cache
+    def mu_el_left_rows(a):
+        return _transpose(names_A, lambda x: mu_el(A.el(a), A.el(x)))
+
+    @functools.cache
+    def mu_el_right_rows(b):
+        return _transpose(names_A, lambda x: mu_el(A.el(x), A.el(b)))
+
     def mm_m(nm):
         fb, gb = MbMb.parts_of(nm)
         df = M.degree_of(fb)      # |f| unbarred
         dg = M.degree_of(gb)
-        fv, gv = M.el(fb), M.el(gb)
-        s = _sign(dg + dg * df + 1)
-        out = {}
-        for x in basis_A:
-            W = lam.eval_basis(x.name)
-            if not cbiv.is_zero():
-                W = W + mu1_right(A.el(x.name)).scale(_sign(x.degree)) \
-                      + mu1_left(A.el(x.name))
-            c = pair_two(W, gv, fv)
-            if c != 0:
-                out[x.name + "^"] = R.mul(R.canon(s), c)
-        return Vector(Mbar, out)
+        w1, w2 = gb[:-1], fb[:-1]
+        # s times the pairing sign (-1)^{|f||w1|} of <g (x) f, w1 (x) w2>
+        s_exp = dg + dg * df + 1 + df * A.degree_of(w1)
+        col = W_table().get(f"{w1}{TENSOR_SEP}{w2}", {})
+        return Vector(Mbar, {x + "^": R.mul(R.canon(_sign(s_exp)), c)
+                             for x, c in col.items()})
 
     def mp_p(nm):
         fb, a = MbA.parts_of(nm)
@@ -438,27 +469,19 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     def mp_m(nm):
         fb, a = MbA.parts_of(nm)
-        fv = M.el(fb)
-        out = {}
-        for x in basis_A:
-            c = dual_pair(fv, mu_el(A.el(a), A.el(x.name)))
-            if c != 0:
-                out[x.name + "^"] = c
-        return Vector(Mbar, out)
+        col = mu_el_left_rows(a).get(fb[:-1], {})
+        return Vector(Mbar, {x + "^": c for x, c in col.items()})
 
     def pm_m(nm):
         bnm, fb = AMb.parts_of(nm)
         db = A.degree_of(bnm)
         df = M.degree_of(fb)
-        fv = M.el(fb)
         out = {}
-        for x in basis_A:
-            c = dual_pair(fv, mu_el(A.el(x.name), A.el(bnm)))
-            if c != 0:
-                # (-1)^{|b|} <mu(a,b), f> read through the element-first
-                # pairing and the functional of degree |b|+|f|
-                s_exp = db * (x.degree + df + 1)
-                out[x.name + "^"] = R.mul(R.canon(_sign(s_exp)), c)
+        for x, c in mu_el_right_rows(bnm).get(fb[:-1], {}).items():
+            # (-1)^{|b|} <mu(a,b), f> read through the element-first
+            # pairing and the functional of degree |b|+|f|
+            s_exp = db * (A.degree_of(x) + df + 1)
+            out[x + "^"] = R.mul(R.canon(_sign(s_exp)), c)
         return Vector(Mbar, out)
 
     A2 = tensor(A, A)
@@ -559,9 +582,10 @@ class InfinitesimalFromAssocResult:
     detail: str = ""
 
 
-def check_assoc_implies_infinitesimal(data: ConeProductData,
-                                      require_associativity: bool = True,
-                                      ) -> InfinitesimalFromAssocResult:
+def check_assoc_implies_infinitesimal(
+        data: ConeProductData,
+        require_associativity: bool | AssociativityResult = True,
+        ) -> InfinitesimalFromAssocResult:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
     (mu, lam) contracted against the dual input:
@@ -571,18 +595,22 @@ def check_assoc_implies_infinitesimal(data: ConeProductData,
         = (-1)^{|a|+|b|+1} <defect(a (x) b), 1 (x) f>
 
     where defect = lam mu - (1(x)mu)(lam(x)1) - (mu(x)1)(1(x)lam)
-    + (mu(x)mu)(1(x)lam eta(x)1), with eta recovered... the defect is
-    computed against the instance's unit-free form: the lam eta term uses
-    -Q0 in place of lam eta (the two agree exactly when the package came
-    from a unital instance satisfying the secondary-continuation identity).
+    + (mu(x)mu)(1(x)lam eta(x)1).  The package carries no unit, so the
+    defect is computed in unit-free form, with -Q0 in place of lam eta;
+    the two agree exactly when the package comes from a unital instance
+    satisfying the secondary-continuation identity.
+
+    Cone associativity is the precondition.  require_associativity=True
+    derives the cone product and checks it; an AssociativityResult already
+    computed for this package is used as the verdict instead; False skips
+    the precondition.
     """
-    if require_associativity:
-        ops = derive_secondary_ops(data)
-        assoc = check_cone_associativity(ops)
-        if not assoc.passed:
-            return InfinitesimalFromAssocResult(
-                False, False,
-                f"cone product is not associative: {assoc.witness}")
+    assoc = require_associativity
+    if assoc is True:
+        assoc = check_cone_associativity(derive_secondary_ops(data))
+    if assoc is not False and not assoc.passed:
+        return InfinitesimalFromAssocResult(
+            False, False, f"cone product is not associative: {assoc.witness}")
     comps = closed_form_components(data)
     A = data.A
     one = GradedMap.identity(A)
@@ -595,8 +623,6 @@ def check_assoc_implies_infinitesimal(data: ConeProductData,
     t2 = tensor_map(one, lam).then(tensor_map(mu, one))
     lam_eta_term = None
     if not data.Q0.is_zero():
-        from .graded import insert_middle
-
         lam_eta_term = insert_middle(-data.Q0, A, A).then(tensor_map(mu, mu))
 
     safe = data.safe_names

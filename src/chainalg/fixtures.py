@@ -83,13 +83,15 @@ def _parse_name(name: str):
         rest = name[1:]
         if not rest:
             return 1, 0
-        assert rest.startswith("*")
+        if not rest.startswith("*"):
+            raise ValueError(f"not a loop-homology basis name: {name!r}")
         return 1, _parse_name(rest[1:])[1]
     if name == "1":
         return 0, 0
     if name == "U":
         return 0, 1
-    assert name.startswith("U^")
+    if not name.startswith("U^"):
+        raise ValueError(f"not a loop-homology basis name: {name!r}")
     return 0, int(name[2:])
 
 

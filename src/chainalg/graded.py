@@ -397,38 +397,15 @@ class GradedMap:
     def identity(cls, module, name: str = "id"):
         return cls(module, module, 0, lambda n: module.el(n), name)
 
-    @classmethod
-    def from_blocks(cls, source, target, degree, blocks: dict, name: str = ""):
-        """Map given by one ExactMatrix per source degree (column convention).
-
-        blocks[k] sends the canonically ordered basis of source degree k to
-        the canonically ordered basis of target degree k + degree.
-        """
-        table = {}
-        for k, M in blocks.items():
-            src = source.basis_in_degree(k)
-            tgt = target.basis_in_degree(k + degree)
-            if M.rows != len(tgt) or M.cols != len(src):
-                raise ValueError(
-                    f"block at degree {k} is {M.rows}x{M.cols}, "
-                    f"expected {len(tgt)}x{len(src)}"
-                )
-            for j, e in enumerate(src):
-                col = M.col(j)
-                table[e.name] = Vector(target, {
-                    t.name: col[i] for i, t in enumerate(tgt) if col[i] != 0
-                })
-        return cls.from_table(source, target, degree, table, name)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_basis(self, name: str) -> Vector:
         v = self._memo.get(name)
         if v is None:
             v = self._fn(name)
-            assert isinstance(v, Vector) and v.module == self.target, (
-                f"{self.name or 'map'} returned a value outside its target on {name!r}"
-            )
+            if not isinstance(v, Vector) or v.module != self.target:
+                raise ValueError(f"{self.name or 'map'} returned a value "
+                                 f"outside its target on {name!r}")
             self._memo[name] = v
         return v
 
@@ -754,24 +731,6 @@ def contract_first(T: Vector, f: Vector) -> Vector:
         s = dual_pair(f, w1)
         if s != 0:
             key = TENSOR_SEP.join(parts[1:])
-            out[key] = R.add(out.get(key, R.zero()), R.mul(s, c))
-    return Vector(rest, out)
-
-
-def contract_last(T: Vector, f: Vector) -> Vector:
-    """<1 (x) ... (x) 1 (x) f-slot, T>: pair f against the last tensor slot."""
-    mod = T.module
-    if mod.arity < 2:
-        raise ValueError("contract_last needs a tensor of arity >= 2")
-    last = mod.factors[-1]
-    rest = tensor(*mod.factors[:-1]) if mod.arity > 2 else mod.factors[0]
-    R = mod.ring
-    out = {}
-    for name, c in T.coeffs.items():
-        parts = mod.parts_of(name)
-        s = dual_pair(f, last.el(parts[-1]))
-        if s != 0:
-            key = TENSOR_SEP.join(parts[:-1])
             out[key] = R.add(out.get(key, R.zero()), R.mul(s, c))
     return Vector(rest, out)
 

@@ -155,12 +155,20 @@ def cone_records(data: ConeProductData, checks, prefix: str = "",
                  timings: bool = False):
     out = []
     ops = None
+    assoc = None
 
+    # derived once per package and shared by the checks that need them
     def get_ops():
         nonlocal ops
         if ops is None:
             ops = derive_secondary_ops(data)
         return ops
+
+    def get_assoc():
+        nonlocal assoc
+        if assoc is None:
+            assoc = check_cone_associativity(get_ops())
+        return assoc
 
     for check in checks:
         if check == "components":
@@ -170,13 +178,13 @@ def cone_records(data: ConeProductData, checks, prefix: str = "",
             out.append(_timed(f"{prefix}components", run_components, timings))
         elif check == "associativity":
             def run_assoc():
-                res = check_cone_associativity(get_ops())
+                res = get_assoc()
                 return (("pass", "associative on the safe window")
                         if res.passed else ("fail", res.witness))
             out.append(_timed(f"{prefix}associativity", run_assoc, timings))
         elif check == "assoc-infinitesimal":
             def run_ai():
-                res = check_assoc_implies_infinitesimal(data)
+                res = check_assoc_implies_infinitesimal(data, get_assoc())
                 if not res.precondition_ok:
                     return "fail", f"precondition: {res.detail}"
                 return ("pass" if res.passed else "fail"), res.detail

@@ -189,6 +189,44 @@ def test_criterion_8_mutation_robustness():
                f"with witnesses (e.g. {sample})")
 
 
+def test_criterion_8_cone_mutation_robustness():
+    """The cone package catches single-sign flips of mu and lam as well:
+    each flipped copy is rejected by ConeProductData or fails the
+    components cross-check or cone associativity."""
+    window = fx.TruncationWindow(8)
+    rng = random.Random(8)
+    caught = {}
+    for name, n in (("lambda-s3", 3), ("lambda-s1-plus", 1),
+                    ("lambda-s1-minus", 1)):
+        inst = fx.make_fixture(name, window)
+        targets = list(fx.mutation_targets(inst, window))
+        for op_label, input_name, output_name in rng.sample(targets, 8):
+            if op_label == "mu":
+                bad = fx.mutate_mu(inst, input_name, output_name)
+            else:
+                bad = fx.mutate_lambda(inst, input_name, output_name)
+            flip = f"{name}: flipping {op_label}[{input_name} -> {output_name}]"
+            try:
+                data = cone_data_from_bialgebra(bad, n=n)
+            except ValueError:
+                caught["construction"] = caught.get("construction", 0) + 1
+                continue
+            ops = derive_secondary_ops(data)
+            if not cross_check_components(ops).passed:
+                caught["components"] = caught.get("components", 0) + 1
+                continue
+            assoc = check_cone_associativity(ops)
+            assert not assoc.passed, f"{flip} went undetected"
+            assert assoc.witness, flip
+            caught["associativity"] = caught.get("associativity", 0) + 1
+    total = sum(caught.values())
+    assert total == 24
+    by = ", ".join(f"{k} {v}" for k, v in sorted(caught.items()))
+    _report("8 (cone)", f"{total} sampled single-sign flips of mu and lam "
+                        f"on the 3 lambda fixtures all caught by the cone "
+                        f"package ({by})")
+
+
 def test_criterion_9_report_determinism():
     cli = [sys.executable, "-m", "chainalg.cli"]
 

@@ -85,19 +85,25 @@ def test_cyclic_symmetric_cubic_accepted():
     assert not got.is_zero()
 
 
-def test_pairing_identities_definitional(s3_ops):
+def test_pairing_identities_definitional(s3_ops, s1_ops):
     """The defining pairing identities of the derived operations, quantified
-    over safe inputs."""
-    data = s3_ops.data
+    over safe inputs; lambda-s1-plus has odd generators, so the Koszul
+    signs of the transposes are exercised."""
+    for ops in (s3_ops, s1_ops):
+        _check_m_L_pairing(ops)
+
+
+def _check_m_L_pairing(ops):
+    data = ops.data
     A = data.A
-    M = s3_ops.M
+    M = ops.M
     mu = data.mu
     for b in data.safe_names:
         for f in data.safe_names:
             fv = M.el(f + "^")
             # <a, m_L(b,f)> = <mu(a,b), f> for every safe a, under the
             # functional-first pairing dictionary
-            got = s3_ops.m_L.eval_basis(f"{b}{TENSOR_SEP}{f}^")
+            got = ops.m_L.eval_basis(f"{b}{TENSOR_SEP}{f}^")
             for a in data.safe_names:
                 da = A.degree_of(a)
                 dphi = M.degree_of(f + "^") + A.degree_of(b)
@@ -112,13 +118,18 @@ def test_pairing_identities_definitional(s3_ops):
                 assert lhs == rhs, (a, b, f)
 
 
-def test_mu_dualization_consistency(s3_ops):
+def test_mu_dualization_consistency(s3_ops, s1_ops):
+    for ops in (s3_ops, s1_ops):
+        _check_m_R_pairing(ops)
+
+
+def _check_m_R_pairing(ops):
     # <m_R(f,a), b> = <f, mu(a,b)> with the plain functional-first pairing
-    data = s3_ops.data
-    A, M = data.A, s3_ops.M
+    data = ops.data
+    A, M = data.A, ops.M
     for f in data.safe_names:
         for a in data.safe_names:
-            got = s3_ops.m_R.eval_basis(f"{f}^{TENSOR_SEP}{a}")
+            got = ops.m_R.eval_basis(f"{f}^{TENSOR_SEP}{a}")
             for b in data.safe_names:
                 lhs = dual_pair(got, A.el(b))
                 rhs = dual_pair(M.el(f + "^"),
@@ -146,6 +157,33 @@ def test_sigma_without_corrections_uses_plain_coproduct():
             for a in data.safe_names:
                 want = pair_two(inst.lam(A.el(a)), M.el(g + "^"), M.el(f + "^"))
                 assert dual_pair(got, A.el(a)) == (want if sign == 1 else -want)
+
+
+def test_sigma_pairs_against_corrected_coproduct(s1_ops):
+    """<sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)> with
+    lam_rev = lam + (mu(x)1)(1(x)Q0) + (1(x)mu)(Q0(x)1), here with Q0 != 0
+    and odd generators."""
+    from chainalg.graded import insert_left, insert_right, pair_two, tensor_map
+
+    data = s1_ops.data
+    A, M = data.A, s1_ops.M
+    assert not data.Q0.is_zero()
+    one = GradedMap.identity(A)
+    lam_rev = (data.lam
+               + insert_right(data.Q0, A).then(tensor_map(data.mu, one))
+               + insert_left(data.Q0, A).then(tensor_map(one, data.mu)))
+    nonzero = 0
+    for f in data.safe_names:
+        for g in data.safe_names:
+            got = s1_ops.sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
+            df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
+            sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
+            for a in data.safe_names:
+                want = pair_two(lam_rev.eval_basis(a), M.el(g + "^"),
+                                M.el(f + "^"))
+                assert dual_pair(got, A.el(a)) == sign * want, (f, g, a)
+                nonzero += want != 0
+    assert nonzero
 
 
 def test_shift_sign_table(s3_ops):

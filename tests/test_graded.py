@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +237,48 @@ def test_module_name_validation():
         GradedModule(ZZ, [BasisElement("a", 0), BasisElement("a", 1)])
     with pytest.raises(ValueError):
         GradedModule(ZZ, [BasisElement(f"a{TENSOR_SEP}b", 0)])
+
+
+def test_eval_basis_rejects_values_outside_target():
+    M = small_module()
+    N = small_module(degrees=(0,))
+    wrong_module = GradedMap(M, M, 0, lambda n: N.el("x0"), name="wrong")
+    with pytest.raises(ValueError, match="outside its target"):
+        wrong_module.eval_basis("x0")
+    not_a_vector = GradedMap(M, M, 0, lambda n: 0, name="scalar")
+    with pytest.raises(ValueError, match="outside its target"):
+        not_a_vector.eval_basis("x0")
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+if __debug__:
+    sys.exit("python -O is not in effect")
+from chainalg.rings import ZZ
+from chainalg.graded import BasisElement, GradedModule, GradedMap
+from chainalg.fixtures import _parse_name
+M = GradedModule(ZZ, [BasisElement("x", 0)])
+N = GradedModule(ZZ, [BasisElement("y", 0)])
+f = GradedMap(M, M, 0, lambda n: N.el("y"), name="f")
+for label, call in (("target", lambda: f.eval_basis("x")),
+                    ("name", lambda: _parse_name("AxU^3")),
+                    ("name", lambda: _parse_name("V^5"))):
+    try:
+        call()
+    except ValueError:
+        print(label, "raised")
+    else:
+        sys.exit(label + " check did not run")
+"""
+
+
+def test_correctness_checks_survive_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:3] == ["target raised", "name raised",
+                                         "name raised"]
