@@ -32,7 +32,6 @@ from .graded import (
 from .complexes import (
     ChainComplex,
     ChainMap,
-    Homotopy,
     HomologySummary,
     homology,
     mapping_cone,

@@ -35,12 +35,9 @@ from .graded import (
     insert_right,
     format_vector,
     TENSOR_SEP,
+    koszul_sign,
 )
 from .complexes import ChainComplex
-
-
-def _sign(exp: int) -> int:
-    return -1 if exp % 2 else 1
 
 
 @dataclass
@@ -118,7 +115,7 @@ class BialgebraData:
             ):
                 for nm in names:
                     lhs = cod_d(op.eval_basis(nm))
-                    rhs = op(dom_d.eval_basis(nm)).scale(_sign(op.degree))
+                    rhs = op(dom_d.eval_basis(nm)).scale(koszul_sign(op.degree))
                     if lhs != rhs:
                         raise ValueError(f"{label} is not a chain map (fails on {nm})")
 
@@ -136,7 +133,7 @@ class BialgebraData:
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
         tau = twist(self.module, self.module)
-        s = _sign(self.mu.degree)
+        s = koszul_sign(self.mu.degree)
         for x in self.safe_elements():
             for y in self.safe_elements():
                 v = x.tensor(y)
@@ -147,7 +144,7 @@ class BialgebraData:
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
         tau = twist(self.module, self.module)
-        s = _sign(self.lam.degree)
+        s = koszul_sign(self.lam.degree)
         for x in self.safe_elements():
             if twist_vector(self.lam(x)) != self.lam(x).scale(s):
                 return False
@@ -211,7 +208,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
         return _quantify(
             "unit (right)", safe,
             lambda n: inst.mu2(A.el(n), eta).scale(
-                _sign(mu.degree * A.degree_of(n))),
+                koszul_sign(mu.degree * A.degree_of(n))),
             lambda n: A.el(n), lambda n: n)
 
     def run_associativity():
@@ -226,7 +223,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
         # graded form: (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam
         co_l = lam.then(tensor_map(lam, one))
         co_r = lam.then(tensor_map(one, lam))
-        s = _sign(lam.degree)
+        s = koszul_sign(lam.degree)
         return _quantify("coassociativity", safe,
                          lambda n: co_r.eval_basis(n),
                          lambda n: co_l.eval_basis(n).scale(s),
@@ -237,8 +234,8 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
         lhs_map = mu.then(lam)
         t1 = tensor_map(lam, one).then(tensor_map(one, mu))
         t2 = tensor_map(one, lam).then(tensor_map(mu, one))
-        s_ll = _sign(lam.degree * mu.degree)
-        s_m = _sign(mu.degree)
+        s_ll = koszul_sign(lam.degree * mu.degree)
+        s_m = koszul_sign(mu.degree)
         if lam_eta.is_zero():
             def uir_rhs(n):
                 return (t1.eval_basis(n) + t2.eval_basis(n)).scale(s_ll)
@@ -297,18 +294,21 @@ def _antisymmetry_sides(inst: BialgebraData):
     mu_tau = tau.then(mu)
 
     lhs = [
-        (_sign(dm * (dl + 1)), tensor_map(tau_lam, one).then(tensor_map(one, mu))),
-        (_sign(dl * (dm + 1)), tensor_map(one, lam).then(tensor_map(mu_tau, one))),
+        (koszul_sign(dm * (dl + 1)),
+         tensor_map(tau_lam, one).then(tensor_map(one, mu))),
+        (koszul_sign(dl * (dm + 1)),
+         tensor_map(one, lam).then(tensor_map(mu_tau, one))),
     ]
     rhs = [
-        (_sign(dl * dm), tensor_map(lam, one).then(tensor_map(one, mu_tau)).then(tau)),
-        (-_sign((dl + 1) * (dm + 1)),
+        (koszul_sign(dl * dm),
+         tensor_map(lam, one).then(tensor_map(one, mu_tau)).then(tau)),
+        (-koszul_sign((dl + 1) * (dm + 1)),
          tensor_map(one, tau_lam).then(tensor_map(mu, one)).then(tau)),
     ]
     if not lam_eta.is_zero():
         mid = insert_middle(lam_eta, A, A)
-        lhs.append((-_sign(dl + dm), mid.then(tensor_map(mu_tau, mu))))
-        rhs.append((-_sign(dm), mid.then(tensor_map(mu, mu_tau)).then(tau)))
+        lhs.append((-koszul_sign(dl + dm), mid.then(tensor_map(mu_tau, mu))))
+        rhs.append((-koszul_sign(dm), mid.then(tensor_map(mu, mu_tau)).then(tau)))
     return lhs, rhs
 
 
@@ -324,7 +324,7 @@ class LambdaEtaResult:
 
 def lambda_eta(inst: BialgebraData) -> LambdaEtaResult:
     v = inst.lambda_eta()
-    expected = v.scale(_sign(inst.lam.degree))
+    expected = v.scale(koszul_sign(inst.lam.degree))
     got = twist_vector(v) if not v.is_zero() else v
     return LambdaEtaResult(v, got == expected)
 
@@ -400,10 +400,10 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> ConditionalReport:
             for sgn, op in rhs_terms:
                 rhs = rhs + op.eval_basis(n).scale(sgn)
             reduced = lam_mu.eval_basis(n)
-            if lhs != reduced.scale(_sign(dm + dl)):
+            if lhs != reduced.scale(koszul_sign(dm + dl)):
                 return ConditionalReport(True, False,
                                          f"left side does not reduce on {n}")
-            if rhs != tau(reduced).scale(_sign(dm)):
+            if rhs != tau(reduced).scale(koszul_sign(dm)):
                 return ConditionalReport(True, False,
                                          f"right side does not reduce on {n}")
     return ConditionalReport(True, True)
@@ -432,6 +432,8 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
         if not c_op.is_zero() else None
 
     special = (not c_fwd.is_zero()) and c_op == -c_fwd
+    term_alt = insert_left(c_fwd, A).then(tensor_map(one, mu)) \
+        if special else None
 
     def fn(name):
         out = lam.eval_basis(name)
@@ -441,7 +443,7 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
             out = out - term2.eval_basis(name)
         if special:
             alt = (lam.eval_basis(name) + term1.eval_basis(name)
-                   + insert_left(c_fwd, A).then(tensor_map(one, mu)).eval_basis(name))
+                   + term_alt.eval_basis(name))
             if alt != out:
                 raise RuntimeError(
                     f"special-case cross-check failed on {name}")

@@ -75,17 +75,6 @@ class ChainMap:
         return self.f(x)
 
 
-@dataclass
-class Homotopy:
-    """Degree +1 map used through the graded commutator."""
-
-    h: GradedMap
-
-    def __post_init__(self):
-        if self.h.degree != 1:
-            raise ValueError(f"homotopies have degree +1, got {self.h.degree}")
-
-
 def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) -> GradedMap:
     """[d, h] = d_target h - (-1)^{|h|} h d_source."""
     if h.source != source.module or h.target != target.module:
@@ -530,7 +519,9 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
     for name, complex_ in (("source", K1), ("target", K2)):
         if not is_essential(complex_, top, orientation="cochain"):
             raise ValueError(f"{name} complex is not essential for top degree {top}")
-    rep = is_chain_homotopic(c_prime, c, Homotopy(h).h)
+    if h.degree != 1:
+        raise ValueError(f"homotopies have degree +1, got {h.degree}")
+    rep = is_chain_homotopic(c_prime, c, h)
     if not rep:
         raise ValueError(f"h is not a homotopy from c to c': {rep.witness}")
     if c1.target.module != K1.module or c2.target.module != K2.module:

@@ -59,13 +59,10 @@ from .graded import (
     tensor_map,
     format_vector,
     TENSOR_SEP,
+    koszul_sign,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import BialgebraData
-
-
-def _sign(exp: int) -> int:
-    return -1 if exp % 2 else 1
 
 
 def _transpose(inputs, image) -> dict:
@@ -152,7 +149,7 @@ def _cyclic_rotate(B: Vector) -> Vector:
         x, y, z = mod.parts_of(name)
         dz = mod.factors[2].degree_of(z)
         dxy = mod.factors[0].degree_of(x) + mod.factors[1].degree_of(y)
-        s = _sign(dz * dxy)
+        s = koszul_sign(dz * dxy)
         key = f"{z}{TENSOR_SEP}{x}{TENSOR_SEP}{y}"
         new = R.mul(R.canon(s), c)
         out[key] = R.add(out.get(key, R.zero()), new)
@@ -269,7 +266,7 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
 
     def tau_L_fn(nm):
         f, a = MA.parts_of(nm)
-        s = _sign(M.degree_of(f) + 1)
+        s = koszul_sign(M.degree_of(f) + 1)
         out = contract_first(lam_rev_left.eval_basis(a), el_M(f))
         return out if s == 1 else -out
 
@@ -423,7 +420,7 @@ def closed_form_components(data: ConeProductData) -> dict:
         out = lam.eval_basis(x)
         if not cbiv.is_zero():
             a_el = A.el(x)
-            out = out + mu1_right(a_el).scale(_sign(A.degree_of(x))) \
+            out = out + mu1_right(a_el).scale(koszul_sign(A.degree_of(x))) \
                 + mu1_left(a_el)
         return out
 
@@ -447,7 +444,7 @@ def closed_form_components(data: ConeProductData) -> dict:
         # s times the pairing sign (-1)^{|f||w1|} of <g (x) f, w1 (x) w2>
         s_exp = dg + dg * df + 1 + df * A.degree_of(w1)
         col = W_table().get(f"{w1}{TENSOR_SEP}{w2}", {})
-        return Vector(Mbar, {x + "^": R.mul(R.canon(_sign(s_exp)), c)
+        return Vector(Mbar, {x + "^": R.mul(R.canon(koszul_sign(s_exp)), c)
                              for x, c in col.items()})
 
     def mp_p(nm):
@@ -457,15 +454,15 @@ def closed_form_components(data: ConeProductData) -> dict:
         if not cbiv.is_zero():
             W = W + mu1_left(A.el(a))
         out = contract_first(W, M.el(fb))
-        return out.scale(_sign(df + 1))
+        return out.scale(koszul_sign(df + 1))
 
     def pm_p(nm):
         bnm, fb = AMb.parts_of(nm)
         db = A.degree_of(bnm)
         W = lam.eval_basis(bnm)
         if not cbiv.is_zero():
-            W = W + mu1_right(A.el(bnm)).scale(_sign(db))
-        return contract_last_signed(W, M.el(fb)).scale(_sign(db))
+            W = W + mu1_right(A.el(bnm)).scale(koszul_sign(db))
+        return contract_last_signed(W, M.el(fb)).scale(koszul_sign(db))
 
     def mp_m(nm):
         fb, a = MbA.parts_of(nm)
@@ -481,7 +478,7 @@ def closed_form_components(data: ConeProductData) -> dict:
             # (-1)^{|b|} <mu(a,b), f> read through the element-first
             # pairing and the functional of degree |b|+|f|
             s_exp = db * (A.degree_of(x) + df + 1)
-            out[x + "^"] = R.mul(R.canon(_sign(s_exp)), c)
+            out[x + "^"] = R.mul(R.canon(koszul_sign(s_exp)), c)
         return Vector(Mbar, out)
 
     A2 = tensor(A, A)
@@ -633,7 +630,7 @@ def check_assoc_implies_infinitesimal(
                       - t2.eval_basis(ab))
             if lam_eta_term is not None:
                 defect = defect + lam_eta_term.eval_basis(ab)
-            sign = _sign(A.degree_of(a) + A.degree_of(b) + 1)
+            sign = koszul_sign(A.degree_of(a) + A.degree_of(b) + 1)
             av = A.el(a)
             for fname in safe:
                 fb = f"{fname}^"

@@ -28,7 +28,19 @@ Sign conventions (the single source of truth for the whole package):
   shift carries no sign.
 
 Tensor products are flattened: (A (x) B) (x) C and A (x) (B (x) C) are the
-same module, with basis names joined by the TENSOR_SEP character.
+same module, with basis names joined by the TENSOR_SEP character.  `tensor`
+returns one TensorModule per tuple of factor objects, cached on the first
+factor, so a product is kept while its first factor lives.
+
+Where values are checked: basis names and coefficients are validated where
+they enter the program, i.e. by the public `Vector(module, coeffs)`
+constructor, `GradedModule.el`/`.vector`, `GradedMap.from_table` and the
+scenario loader (which build on those), and by the target check of
+`GradedMap.eval_basis`.  Internal arithmetic (vector sums, differences,
+negation, scaling, tensors, map application, `tensor_map`, `shift_map` and
+the operation shifts) only combines values that are valid already, so it
+builds its results through the trusted constructor `Vector._trusted`,
+which drops zero coefficients and checks nothing else.
 """
 
 from __future__ import annotations
@@ -39,6 +51,11 @@ from .rings import Ring
 from .matrices import ExactMatrix
 
 TENSOR_SEP = "⊗"  # the (x) symbol used in tensor basis names
+
+
+def koszul_sign(exp: int) -> int:
+    """(-1)^exp."""
+    return -1 if exp % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,7 @@ class GradedModule:
         self._basis = tuple(elems)
         self._by_name = {e.name: e for e in elems}
         self.factors = (self,)
+        self._tensors = {}  # see `tensor`
 
     # -- basis access -------------------------------------------------------
 
@@ -133,31 +151,28 @@ class GradedModule:
     def el(self, name: str, coeff=1) -> "Vector":
         if not self.has(name):
             raise KeyError(f"no basis element {name!r}")
-        c = self.ring.canon(coeff)
-        return Vector(self, {name: c} if c != 0 else {})
+        return Vector._trusted(self, {name: self.ring.canon(coeff)})
 
     def vector(self, combo: dict) -> "Vector":
         return Vector(self, combo)
 
 
 class TensorModule(GradedModule):
-    """Flattened tensor product of atomic graded modules; basis is lazy."""
+    """Flattened tensor product of atomic graded modules; basis is lazy.
+
+    Build it with `tensor`, which flattens and interns it.  Each name that
+    `has` or `degree_of` has validated is remembered with its parts and
+    degree.
+    """
 
     def __init__(self, factors):
-        flat = []
-        for f in factors:
-            if isinstance(f, TensorModule):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        if not flat:
-            raise ValueError("empty tensor product")
-        ring = flat[0].ring
-        if any(f.ring != ring for f in flat):
+        ring = factors[0].ring
+        if any(f.ring != ring for f in factors):
             raise ValueError("ring mismatch in tensor product")
         self.ring = ring
-        self.name = TENSOR_SEP.join(f.name or "?" for f in flat)
-        self.factors = tuple(flat)
+        self.name = TENSOR_SEP.join(f.name or "?" for f in factors)
+        self.factors = tuple(factors)
+        self._known = {}  # validated name -> (parts, degree)
 
     def basis(self):
         out = []
@@ -187,20 +202,32 @@ class TensorModule(GradedModule):
     def dim(self, k) -> int:
         return len(self.basis_in_degree(k))
 
+    def _validate(self, name: str):
+        """(parts, degree) of a basis name, or None if it is not one."""
+        known = self._known.get(name)
+        if known is None:
+            parts = tuple(name.split(TENSOR_SEP))
+            if len(parts) != len(self.factors) or not all(
+                    f.has(p) for f, p in zip(self.factors, parts)):
+                return None
+            known = (parts, sum(f.degree_of(p)
+                                for f, p in zip(self.factors, parts)))
+            self._known[name] = known
+        return known
+
     def has(self, name: str) -> bool:
-        parts = name.split(TENSOR_SEP)
-        return len(parts) == len(self.factors) and all(
-            f.has(p) for f, p in zip(self.factors, parts)
-        )
+        return self._validate(name) is not None
 
     def degree_of(self, name: str) -> int:
-        parts = name.split(TENSOR_SEP)
-        if len(parts) != len(self.factors):
+        known = self._validate(name)
+        if known is None:
             raise KeyError(f"{name!r} is not a basis name of {self!r}")
-        return sum(f.degree_of(p) for f, p in zip(self.factors, parts))
+        return known[1]
 
     def parts_of(self, name: str):
-        return tuple(name.split(TENSOR_SEP))
+        """Split a name into its factor names; no validation."""
+        known = self._known.get(name)
+        return known[0] if known is not None else tuple(name.split(TENSOR_SEP))
 
     def _struct(self):
         s = getattr(self, "_struct_cache", None)
@@ -231,15 +258,36 @@ def _product(pools):
 
 
 def tensor(*modules) -> GradedModule:
+    """The tensor product of `modules`, one object per tuple of factors.
+
+    The product is cached on its first atomic factor, keyed by the
+    identities of the others (which it holds, so the ids stay valid).
+    Equal but distinct factors give equal, not identical, products.
+    """
     if len(modules) == 1:
         return modules[0]
-    return TensorModule(modules)
+    flat = [f for m in modules for f in m.factors]  # atomic: factors == (m,)
+    if not flat:
+        raise ValueError("empty tensor product")
+    cache = flat[0]._tensors
+    key = tuple(map(id, flat[1:]))
+    t = cache.get(key)
+    if t is None:
+        t = cache[key] = TensorModule(flat)
+    return t
 
 
 class Vector:
     """Sparse element of a graded module: basis name -> nonzero coefficient.
 
     Not required to be homogeneous; Koszul signs are taken per term.
+
+    `Vector(module, coeffs)` is the checked constructor for values that
+    come from outside: every coefficient is canonicalized (inexact values
+    raise TypeError) and every key with a nonzero coefficient must be a
+    basis name of `module` (KeyError otherwise).  The package's own
+    arithmetic builds through `Vector._trusted`, which assumes canonical
+    coefficients and valid names and only drops zeros.
     """
 
     __slots__ = ("module", "coeffs")
@@ -255,6 +303,14 @@ class Vector:
                 clean[name] = c
         self.module = module
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, module: GradedModule, coeffs: dict) -> "Vector":
+        """Vector from canonical coefficients on valid names of `module`."""
+        v = object.__new__(cls)
+        v.module = module
+        v.coeffs = {n: c for n, c in coeffs.items() if c != 0}
+        return v
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -279,25 +335,29 @@ class Vector:
         R = self.module.ring
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = R.add(out.get(n, R.zero()), c)
-        return Vector(self.module, out)
+            old = out.get(n)
+            out[n] = c if old is None else R.add(old, c)
+        return Vector._trusted(self.module, out)
 
     def __sub__(self, other):
         self._compatible(other)
         R = self.module.ring
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = R.sub(out.get(n, R.zero()), c)
-        return Vector(self.module, out)
+            old = out.get(n)
+            out[n] = R.neg(c) if old is None else R.sub(old, c)
+        return Vector._trusted(self.module, out)
 
     def __neg__(self):
         R = self.module.ring
-        return Vector(self.module, {n: R.neg(c) for n, c in self.coeffs.items()})
+        return Vector._trusted(self.module,
+                               {n: R.neg(c) for n, c in self.coeffs.items()})
 
     def scale(self, c):
         R = self.module.ring
         c = R.canon(c)
-        return Vector(self.module, {n: R.mul(c, v) for n, v in self.coeffs.items()})
+        return Vector._trusted(self.module,
+                               {n: R.mul(c, v) for n, v in self.coeffs.items()})
 
     def tensor(self, other: "Vector") -> "Vector":
         """Bilinear tensor of values; no signs (signs belong to maps)."""
@@ -306,8 +366,8 @@ class Vector:
         out = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
-                out[f"{n1}{TENSOR_SEP}{n2}"] = R.mul(c1, c2)
-        return Vector(target, out)
+                out[n1 + TENSOR_SEP + n2] = R.mul(c1, c2)
+        return Vector._trusted(target, out)
 
     def __eq__(self, other):
         return (
@@ -323,7 +383,7 @@ class Vector:
         return format_vector(self)
 
     def _compatible(self, other):
-        if self.module != other.module:
+        if self.module is not other.module and self.module != other.module:
             raise ValueError("vectors live in different modules")
 
 
@@ -403,7 +463,8 @@ class GradedMap:
         v = self._memo.get(name)
         if v is None:
             v = self._fn(name)
-            if not isinstance(v, Vector) or v.module != self.target:
+            if not isinstance(v, Vector) or (v.module is not self.target
+                                             and v.module != self.target):
                 raise ValueError(f"{self.name or 'map'} returned a value "
                                  f"outside its target on {name!r}")
             self._memo[name] = v
@@ -414,10 +475,15 @@ class GradedMap:
             return self.eval_basis(x)
         if isinstance(x, BasisElement):
             return self.eval_basis(x.name)
-        out = self.target.zero()
+        R = self.target.ring
+        out = {}
         for name, c in x.coeffs.items():
-            out = out + self.eval_basis(name).scale(c)
-        return out
+            c = R.canon(c)
+            for n, v in self.eval_basis(name).coeffs.items():
+                term = R.mul(c, v)
+                old = out.get(n)
+                out[n] = term if old is None else R.add(old, term)
+        return Vector._trusted(self.target, out)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -498,15 +564,24 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
     split = f.source.arity
+    R = target.ring
+    g_odd = g.degree % 2
 
     def fn(name):
         parts = source.parts_of(name)
         left = TENSOR_SEP.join(parts[:split])
         right = TENSOR_SEP.join(parts[split:])
-        degL = f.source.degree_of(left)
-        sign = -1 if (g.degree % 2) and (degL % 2) else 1
-        out = f.eval_basis(left).tensor(g.eval_basis(right))
-        return out if sign == 1 else -out
+        left_odd = f.source.degree_of(left) % 2
+        negate = g_odd and left_odd
+        fx = f.eval_basis(left).coeffs
+        gy = g.eval_basis(right).coeffs
+        out = {}
+        for n1, c1 in fx.items():
+            if negate:
+                c1 = R.neg(c1)
+            for n2, c2 in gy.items():
+                out[n1 + TENSOR_SEP + n2] = R.mul(c1, c2)
+        return Vector._trusted(target, out)
 
     return GradedMap(source, target, f.degree + g.degree, fn,
                      name=f"({f.name}(x){g.name})")
@@ -562,11 +637,18 @@ def shift_map(f: GradedMap, k: int) -> GradedMap:
     sign = -1 if (f.degree % 2) and (k % 2) else 1
 
     def fn(name):
-        v = f.eval_basis(name)
-        out = Vector(tgt, dict(v.coeffs))
-        return out if sign == 1 else -out
+        return _moved(f.eval_basis(name), tgt, sign)
 
     return GradedMap(src, tgt, f.degree, fn, name=f"{f.name}[{k}]")
+
+
+def _moved(v: Vector, module: GradedModule, sign: int) -> Vector:
+    """v's coefficients, times sign, on the same names of a shifted copy of
+    v's module (the names are unchanged by a shift, so stay valid)."""
+    if sign == 1:
+        return Vector._trusted(module, v.coeffs)
+    R = module.ring
+    return Vector._trusted(module, {n: R.neg(c) for n, c in v.coeffs.items()})
 
 
 def dual_module(M: GradedModule) -> GradedModule:
@@ -666,9 +748,7 @@ def apply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
     def fn(name):
         left, right = source.parts_of(name)
         sign = -1 if (j % 2) and (Xs.degree_of(left) % 2) else 1
-        v = op.eval_basis(name)
-        out = Vector(target, dict(v.coeffs))
-        return out if sign == 1 else -out
+        return _moved(op.eval_basis(name), target, sign)
 
     return GradedMap(source, target, op.degree + i + j - k, fn,
                      name=f"{op.name}[{i},{j};{k}]")
@@ -691,9 +771,7 @@ def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
     def fn(name):
         left, right = source.parts_of(name)
         sign = -1 if (j % 2) and ((Xs.degree_of(left) - i) % 2) else 1
-        v = op.eval_basis(name)
-        out = Vector(target, dict(v.coeffs))
-        return out if sign == 1 else -out
+        return _moved(op.eval_basis(name), target, sign)
 
     return GradedMap(source, target, op.degree - i - j + k, fn,
                      name=f"{op.name}[-{i},-{j};-{k}]")

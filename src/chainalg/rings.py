@@ -72,21 +72,35 @@ class Ring:
     # -- element arithmetic ------------------------------------------------
 
     def canon(self, x):
-        """Canonical form of x; accepts int, Fraction, or same-ring values."""
-        if self.kind == self.INT:
-            if isinstance(x, Fraction):
+        """Canonical form of an exact value: an int or a Fraction.
+
+        Anything else (bool, float, str, ...) raises TypeError; text goes
+        through `parse`.  The exact-type tests come first because they are
+        the hot path: canonical values return at once.
+        """
+        t = type(x)
+        if t is int:
+            if self.kind == self.INT:
+                return x
+            if self.kind == self.MOD:
+                return x % self.p
+            return Fraction(x)
+        if t is Fraction:
+            if self.kind == self.RAT:
+                return x
+            if self.kind == self.INT:
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return int(x)
-        if self.kind == self.RAT:
-            return Fraction(x)
-        if isinstance(x, Fraction):
+                return x.numerator
             den = x.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(den, -1, self.p)) % self.p
-        return int(x) % self.p
+        if isinstance(x, int) and not isinstance(x, bool):
+            return self.canon(int(x))
+        if isinstance(x, Fraction):
+            return self.canon(Fraction(x.numerator, x.denominator))
+        raise TypeError(f"{x!r} is not an exact ring element (int or Fraction)")
 
     def zero(self):
         return self.canon(0)

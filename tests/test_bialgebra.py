@@ -197,6 +197,28 @@ def test_secondary_relation_involutive():
         assert twice.eval_basis(n) == inst.lam.eval_basis(n)
 
 
+def test_secondary_relation_cross_check_is_built_once(monkeypatch):
+    # the reverse-data special case builds its cross-check map once, beside
+    # the two terms, and not once per basis name
+    import chainalg.bialgebra as bialgebra
+
+    calls = []
+    real = bialgebra.insert_left
+
+    def counting(v, M):
+        calls.append(v)
+        return real(v, M)
+
+    monkeypatch.setattr(bialgebra, "insert_left", counting)
+    plus = make_loop_circle(W, "plus")
+    minus = make_loop_circle(W, "minus")
+    c = reverse_data_bivector(plus)
+    rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
+    for n in plus.safe_names:
+        assert rebuilt.eval_basis(n) == minus.lam.eval_basis(n), n
+    assert len(calls) == 2  # c_op's term and the cross-check's
+
+
 def test_secondary_relation_degree_mismatch():
     inst = make_loop_circle(W, "plus")
     A2 = tensor(inst.module, inst.module)

@@ -224,7 +224,9 @@ def test_degree_bookkeeping_everywhere():
 
 def test_vector_algebra():
     M = small_module(QQ)
-    v = M.el("x0").scale("1") + M.el("x1")
+    v = M.el("x0").scale(QQ.parse("1")) + M.el("x1")
+    with pytest.raises(TypeError):
+        M.el("x0").scale("1")  # text goes through Ring.parse only
     w = v - M.el("x1")
     assert w == M.el("x0")
     assert (-w + w).is_zero()
@@ -255,17 +257,22 @@ import sys
 if __debug__:
     sys.exit("python -O is not in effect")
 from chainalg.rings import ZZ
-from chainalg.graded import BasisElement, GradedModule, GradedMap
+from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
 from chainalg.fixtures import _parse_name
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 N = GradedModule(ZZ, [BasisElement("y", 0)])
 f = GradedMap(M, M, 0, lambda n: N.el("y"), name="f")
-for label, call in (("target", lambda: f.eval_basis("x")),
-                    ("name", lambda: _parse_name("AxU^3")),
-                    ("name", lambda: _parse_name("V^5"))):
+for label, call, error in (
+        ("target", lambda: f.eval_basis("x"), ValueError),
+        ("name", lambda: _parse_name("AxU^3"), ValueError),
+        ("name", lambda: _parse_name("V^5"), ValueError),
+        ("float", lambda: ZZ.canon(2.5), TypeError),
+        ("vector", lambda: Vector(M, {"nope": 1}), KeyError),
+        ("table", lambda: GradedMap.from_table(M, M, 0, {"nope": M.el("x")}),
+         KeyError)):
     try:
         call()
-    except ValueError:
+    except error:
         print(label, "raised")
     else:
         sys.exit(label + " check did not run")
@@ -280,5 +287,6 @@ def test_correctness_checks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:3] == ["target raised", "name raised",
-                                         "name raised"]
+    assert r.stdout.split("\n")[:6] == ["target raised", "name raised",
+                                         "name raised", "float raised",
+                                         "vector raised", "table raised"]

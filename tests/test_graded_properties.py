@@ -1,0 +1,275 @@
+"""Property tests for the trusted construction path and the Koszul rules.
+
+Every value built by the package's own arithmetic must pass the public,
+checked `Vector` constructor unchanged, with coefficients of the ring's
+canonical type; the sign rules of `graded.py`'s docstring must hold on
+random maps over Z, Q and GF(5).
+"""
+
+import gc
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from chainalg.graded import (
+    BasisElement,
+    GradedModule,
+    GradedMap,
+    Vector,
+    apply_op_shift,
+    dual_map,
+    dual_module,
+    shift,
+    shift_map,
+    tensor,
+    tensor_map,
+    twist,
+    unapply_op_shift,
+    TENSOR_SEP,
+)
+from chainalg.rings import ZZ, QQ, GF
+
+RINGS = [ZZ, QQ, GF(5)]
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+ring_param = pytest.mark.parametrize("ring", RINGS, ids=repr)
+
+
+def coefficients(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(-4, 4)
+
+
+def modules(ring, prefix):
+    # few degrees, so that random composites are often nonzero
+    degrees = st.lists(st.integers(-1, 1), min_size=2, max_size=5)
+    return degrees.map(lambda ds: GradedModule(
+        ring, [BasisElement(f"{prefix}{i}", d) for i, d in enumerate(ds)],
+        name=prefix))
+
+
+def draw_vector(data, module):
+    names = module.basis_names()
+    combo = data.draw(st.dictionaries(st.sampled_from(names),
+                                      coefficients(module.ring),
+                                      max_size=len(names)))
+    return Vector(module, combo)
+
+
+def draw_map(data, source, target, degree=None):
+    if degree is None:
+        degree = data.draw(st.integers(-1, 1))
+    coeff = coefficients(source.ring)
+    table = {}
+    for e in source.basis():
+        combo = {t.name: data.draw(coeff)
+                 for t in target.basis_in_degree(e.degree + degree)}
+        table[e.name] = Vector(target, combo)
+    return GradedMap.from_table(source, target, degree, table)
+
+
+def assert_revalidates(v):
+    """v passes the checked constructor unchanged, in canonical form."""
+    assert Vector(v.module, v.coeffs).coeffs == v.coeffs
+    R = v.module.ring
+    for c in v.coeffs.values():
+        assert c != 0
+        if R == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int
+            if R.characteristic:
+                assert 0 <= c < R.characteristic
+
+
+def assert_maps_agree(f, g, names):
+    for n in names:
+        assert f.eval_basis(n) == g.eval_basis(n), n
+
+
+def sign(exp):
+    return -1 if exp % 2 else 1
+
+
+# -- the trusted path ---------------------------------------------------------
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_vector_arithmetic_revalidates(ring, data):
+    M = data.draw(modules(ring, "x"))
+    N = data.draw(modules(ring, "y"))
+    u, v = draw_vector(data, M), draw_vector(data, M)
+    w = draw_vector(data, N)
+    c = data.draw(coefficients(ring))
+    for out in (u + v, u - v, -u, u.scale(c), u.tensor(w), w.tensor(u),
+                u.tensor(w).tensor(u)):
+        assert_revalidates(out)
+    assert (u - u).is_zero()
+    assert (u + -u).is_zero()
+    assert (u - v) + v == u
+    assert u - v == u + (-v)
+    assert u.scale(0).is_zero()
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_map_results_revalidate(ring, data):
+    M = data.draw(modules(ring, "x"))
+    N = data.draw(modules(ring, "y"))
+    f = draw_map(data, M, N)
+    g = draw_map(data, N, M)
+    u = draw_vector(data, M)
+    assert_revalidates(f(u))
+    assert_revalidates(f.then(g)(u))
+    fg = tensor_map(f, g)
+    for e in fg.source.basis():
+        assert_revalidates(fg.eval_basis(e.name))
+    assert_revalidates(fg(u.tensor(draw_vector(data, N))))
+    k = data.draw(st.integers(-2, 2))
+    for e in M.basis():
+        assert_revalidates(shift_map(f, k).eval_basis(e.name))
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_op_shift_results_revalidate(ring, data):
+    M = data.draw(modules(ring, "x"))
+    op = draw_map(data, tensor(M, M), M)
+    i, j, k = (data.draw(st.integers(-1, 2)) for _ in range(3))
+    for shifted in (apply_op_shift(op, i, j, k), unapply_op_shift(op, i, j, k)):
+        for e in shifted.source.basis():
+            assert_revalidates(shifted.eval_basis(e.name))
+
+
+# -- Koszul rules -------------------------------------------------------------
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_tensor_map_interchange_law(ring, data):
+    # (f (x) g)(f' (x) g') = (-1)^{|g||f'|} (f f' (x) g g')
+    M = data.draw(modules(ring, "x"))
+    N = data.draw(modules(ring, "y"))
+    fp, gp = draw_map(data, M, N), draw_map(data, N, M)
+    f, g = draw_map(data, N, M), draw_map(data, M, N)
+    lhs = tensor_map(fp, gp).then(tensor_map(f, g))
+    rhs = tensor_map(fp.then(f), gp.then(g)).scale(sign(g.degree * fp.degree))
+    assert_maps_agree(lhs, rhs, tensor(M, N).basis_names())
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_twist_is_an_involution(ring, data):
+    M = data.draw(modules(ring, "x"))
+    N = data.draw(modules(ring, "y"))
+    back = twist(M, N).then(twist(N, M))
+    assert_maps_agree(back, GradedMap.identity(tensor(M, N)),
+                      tensor(M, N).basis_names())
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_shift_round_trips(ring, data):
+    M = data.draw(modules(ring, "x"))
+    f = draw_map(data, M, M)
+    k = data.draw(st.integers(-2, 2))
+    back = shift_map(shift_map(f, k), -k)
+    assert shift(shift(M, k), -k) == M
+    assert_maps_agree(back, f, M.basis_names())
+    op = draw_map(data, tensor(M, M), M)
+    i, j, k = (data.draw(st.integers(-1, 2)) for _ in range(3))
+    names = tensor(M, M).basis_names()
+    assert_maps_agree(unapply_op_shift(apply_op_shift(op, i, j, k), i, j, k),
+                      op, names)
+    assert_maps_agree(apply_op_shift(unapply_op_shift(op, i, j, k), i, j, k),
+                      op, names)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_dual_of_a_composite(ring, data):
+    # (f . g)^v = (-1)^{|f||g|} g^v . f^v
+    M = data.draw(modules(ring, "x"))
+    N = data.draw(modules(ring, "y"))
+    g = draw_map(data, M, N)
+    f = draw_map(data, N, M)
+    lhs = dual_map(g.then(f))
+    rhs = dual_map(f).then(dual_map(g)).scale(sign(f.degree * g.degree))
+    assert_maps_agree(lhs, rhs, dual_module(M).basis_names())
+
+
+# -- interned tensor modules ----------------------------------------------------
+
+def small(ring=ZZ, prefix="x", degrees=(0, 1, -1)):
+    return GradedModule(ring, [BasisElement(f"{prefix}{i}", d)
+                               for i, d in enumerate(degrees)], name=prefix)
+
+
+def test_tensor_is_interned_per_factor_objects():
+    M, N = small(), small(prefix="y")
+    assert tensor(M, N) is tensor(M, N)
+    assert tensor(tensor(M, N), M) is tensor(M, tensor(N, M))
+    assert tensor(M, N).factors == (M, N)
+    assert tensor(M, M).factors == (M, M)
+    assert tensor(M, N, M).factors == (M, N, M)
+    assert M.el("x0").tensor(N.el("y1")).module is tensor(M, N)
+    M_copy = small()
+    assert M_copy is not M and M_copy == M
+    assert tensor(M_copy, N) == tensor(M, N)
+    assert tensor(M_copy, N) is not tensor(M, N)
+
+
+def test_dropped_module_frees_its_tensor_products():
+    M, N = small(), small(prefix="y")
+    products = [weakref.ref(tensor(M, N)), weakref.ref(tensor(M, M, N))]
+    kept = tensor(N, N)
+    del M
+    gc.collect()
+    assert all(r() is None for r in products)
+    assert tensor(N, N) is kept
+    everything = [weakref.ref(N), weakref.ref(kept)]
+    del N, kept
+    gc.collect()
+    assert all(r() is None for r in everything)
+
+
+def test_parts_of_does_not_validate():
+    M = small()
+    T = tensor(M, M)
+    bogus = f"x0{TENSOR_SEP}nope"
+    assert T.parts_of(bogus) == ("x0", "nope")
+    assert not T.has(bogus)
+    assert not T.has("x0")
+    with pytest.raises(KeyError):
+        T.degree_of(bogus)
+    assert T.degree_of(f"x1{TENSOR_SEP}x2") == 0
+
+
+def test_public_constructors_still_check_names():
+    M = small()
+    T = tensor(M, M)
+    with pytest.raises(KeyError):
+        Vector(M, {"nope": 1})
+    with pytest.raises(KeyError):
+        Vector(T, {f"x0{TENSOR_SEP}nope": 1})
+    with pytest.raises(KeyError):
+        Vector(T, {"x0": 1})
+    with pytest.raises(KeyError):
+        M.el("nope")
+    with pytest.raises(KeyError):
+        M.vector({"nope": 1})
+    with pytest.raises(KeyError):
+        GradedMap.from_table(M, M, 0, {"nope": M.el("x0")})
+    # a zero coefficient drops the key before its name is looked at
+    assert Vector(M, {"nope": 0}).is_zero()
+

@@ -1,0 +1,56 @@
+"""Byte-identity gate for the JSON reports.
+
+`chainalg check <f> --ring R --window N --format json` on the six bialgebra
+fixtures over Z, Q and GF(5) at windows 8 and 12, and
+`chainalg demo <f> --window 8 --format json` on the three lambda fixtures,
+must reproduce the sha256 digests stored in tests/data/report_digests.json
+byte for byte.
+
+When a report is meant to change, regenerate the digests from a source
+tree with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from chainalg.cli import main
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+BIALGEBRA = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus",
+             "omega-s3", "omega-s1-plus", "omega-s1-minus")
+LAMBDA = BIALGEBRA[:3]
+
+CASES = [
+    ("check", f, "--ring", r, "--window", str(n), "--format", "json")
+    for f in BIALGEBRA for r in ("Z", "Q", "GF(5)") for n in (8, 12)
+] + [("demo", f, "--window", "8", "--format", "json") for f in LAMBDA]
+
+
+def report_digest(argv, workdir) -> str:
+    out = Path(workdir) / "report.json"
+    main([*argv, "--output", str(out)])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stored():
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_report_is_byte_identical(argv, stored, tmp_path):
+    assert report_digest(argv, tmp_path) == stored[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        digests = {" ".join(a): report_digest(a, work) for a in CASES}
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
