@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 from .matrices import (
     ExactMatrix,
+    ImageSolver,
     columns_matrix,
-    image_rank,
     kernel_basis,
     lattice_column_basis,
     smith_normal_form,
     diagonal_of,
-    solve_in_image,
+    _row_echelon,
 )
 from .graded import BasisElement, GradedModule, GradedMap, Vector
 
@@ -143,53 +143,9 @@ class HomologySummary:
         return ", ".join(parts)
 
 
-def _presented_quotient(R, gens_matrix: ExactMatrix, rel_cols):
-    """Invariant factors of (lattice spanned by gens) / (lattice by rels).
-
-    gens_matrix columns are an independent generating set; rel_cols are
-    columns in ambient coordinates known to lie in the generated lattice.
-    Returns (free_rank, torsion list).
-    """
-    ngen = gens_matrix.cols
-    if ngen == 0:
-        return 0, []
-    coords = []
-    for col in rel_cols:
-        w = solve_in_image(gens_matrix, col)
-        if w is None:
-            raise ValueError("relation outside the generated lattice")
-        coords.append(w)
-    if not coords:
-        return ngen, []
-    C = columns_matrix(R, ngen, coords)
-    if R.is_field:
-        return ngen - image_rank(C), []
-    _, D, _ = smith_normal_form(C)
-    diag = [d for d in diagonal_of(D) if d != 0]
-    free = ngen - len(diag)
-    return free, [d for d in diag if d > 1]
-
-
 def homology(C: ChainComplex) -> HomologySummary:
     """Kernel-mod-image in every degree; torsion via Smith normal form."""
-    R = C.ring
-    out = []
-    for k in C.degrees():
-        dim_k = C.module.dim(k)
-        if dim_k == 0:
-            continue
-        ker = kernel_basis(C.d.block(k))
-        if not ker:
-            continue
-        Z = columns_matrix(R, dim_k, ker)
-        boundary_cols = []
-        if C.module.dim(k + 1):
-            Bmat = C.d.block(k + 1)
-            boundary_cols = lattice_column_basis(Bmat)
-        free, tors = _presented_quotient(R, Z, boundary_cols)
-        if free or tors:
-            out.append((k, free, tuple(tors)))
-    return HomologySummary(tuple(out))
+    return _summary(_presentations(C, C.degrees()))
 
 
 def euler_characteristic(C: ChainComplex) -> int:
@@ -219,33 +175,31 @@ class HomologyClassMap:
 
 
 class _HomologyPresentation:
-    """Generators and class coordinates for H_k of one complex.
+    """Generators and class coordinates of (cycle lattice) / (relations).
 
-    `gen_columns` are ambient representative cycles of the kept generators;
-    `classify(ambient column)` returns the class coordinates of a cycle in
-    those generators, with torsion entries reduced modulo their orders.
+    `Z`'s columns are an independent generating set of the cycles;
+    `rel_cols` are columns in ambient coordinates that must lie in the
+    lattice they generate (each is solved exactly, and one outside raises
+    ValueError).  `gen_columns` are ambient representative cycles of the
+    kept generators; `classify(ambient column)` returns the class
+    coordinates of a cycle in those generators, with torsion entries reduced
+    modulo their orders.
     """
 
-    def __init__(self, C: ChainComplex, k):
-        R = C.ring
-        dim_k = C.module.dim(k)
-        ker = kernel_basis(C.d.block(k))
+    def __init__(self, R, Z: ExactMatrix, rel_cols):
         self.ring = R
-        self.Z = columns_matrix(R, dim_k, ker)
-        n = self.Z.cols
-        boundary_cols = (lattice_column_basis(C.d.block(k + 1))
-                         if C.module.dim(k + 1) else [])
+        self.Z = Z
+        self._cycles = None
+        n = Z.cols
         coords = []
-        for col in boundary_cols:
-            w = solve_in_image(self.Z, col)
+        for col in rel_cols:
+            w = self._cycle_coords(col)
             if w is None:
-                raise ValueError("boundary outside the cycle lattice")
+                raise ValueError("relation outside the cycle lattice")
             coords.append(w)
         if R.is_field:
             # relations span a subspace of the Z-coordinate space; reduce
             # against its reduced row echelon form, keep non-pivot coords
-            from .matrices import _row_echelon
-
             if coords:
                 rows, pivots = _row_echelon(
                     columns_matrix(R, n, coords).transpose())
@@ -267,34 +221,46 @@ class _HomologyPresentation:
             self._U = U
             self._keep = [i for i in range(n) if orders[i] != 1]
             self._orders = [orders[i] for i in self._keep]
-            self._Uinv_cols = None
 
-    @property
-    def orders(self):
-        return list(self._orders)
+    @classmethod
+    def of_degree(cls, C: ChainComplex, k):
+        """H_k(C): cycles ker d_k modulo the boundary lattice im d_{k+1}."""
+        R = C.ring
+        dim_k = C.module.dim(k)
+        ker = kernel_basis(C.d.block(k)) if dim_k else []
+        boundary_cols = (lattice_column_basis(C.d.block(k + 1))
+                         if ker and C.module.dim(k + 1) else [])
+        return cls(R, columns_matrix(R, dim_k, ker), boundary_cols)
+
+    def _cycle_coords(self, col):
+        """Coordinates of col in Z's columns, or None; Z is factored once,
+        on the first call."""
+        if self._cycles is None:
+            self._cycles = ImageSolver(self.Z)
+        return self._cycles.solve(col)
 
     @property
     def ngens(self) -> int:
         return len(self._keep)
 
+    def invariants(self):
+        """(free rank, torsion invariant factors) of the presented group."""
+        return (sum(1 for o in self._orders if o == 0),
+                tuple(o for o in self._orders if o > 1))
+
     def gen_columns(self):
         """Ambient representative cycles, one per kept generator."""
         R = self.ring
         n = self.Z.cols
-        out = []
-        if R.is_field or self._U is None:
-            for i in self._keep:
-                e = [R.one() if j == i else R.zero() for j in range(n)]
-                out.append(self.Z.apply(e))
-            return out
-        for i in self._keep:
-            e = [R.one() if j == i else R.zero() for j in range(n)]
-            w = solve_in_image(self._U, e)   # column i of U^{-1}
-            out.append(self.Z.apply(w))
-        return out
+        units = [[R.one() if j == i else R.zero() for j in range(n)]
+                 for i in self._keep]
+        if self._U is None:
+            return [self.Z.apply(e) for e in units]
+        U_inv = ImageSolver(self._U)     # solve(e_i) is column i of U^{-1}
+        return [self.Z.apply(U_inv.solve(e)) for e in units]
 
     def classify(self, ambient_col):
-        w = solve_in_image(self.Z, ambient_col)
+        w = self._cycle_coords(ambient_col)
         if w is None:
             raise ValueError("vector is not a cycle")
         R = self.ring
@@ -315,21 +281,31 @@ class _HomologyPresentation:
         return tuple(out)
 
 
+def _summary(presentations) -> HomologySummary:
+    """HomologySummary of {degree: presentation}, in the given order;
+    degrees that present the zero group are omitted."""
+    return HomologySummary(tuple((k, *p.invariants())
+                                 for k, p in presentations.items() if p.ngens))
+
+
+def _presentations(C: ChainComplex, degrees):
+    return {k: _HomologyPresentation.of_degree(C, k) for k in degrees}
+
+
 def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     """Matrices of H_k(f) in the presented generators of source and target."""
     R = f.source.ring
-    hs = homology(f.source)
-    ht = homology(f.target)
+    # a degree where a complex has no cells presents the zero group
+    all_degrees = sorted(set(f.source.degrees()) | set(f.target.degrees()))
+    ps = _presentations(f.source, all_degrees)
+    pt = _presentations(f.target, all_degrees)
+    hs, ht = _summary(ps), _summary(pt)
     degrees = sorted({d for d, _, _ in hs.by_degree} | {d for d, _, _ in ht.by_degree})
     blocks = {}
     for k in degrees:
-        ps = _HomologyPresentation(f.source, k)
-        pt = _HomologyPresentation(f.target, k)
-        cols_out = []
         blk = f.f.block(k)
-        for g in ps.gen_columns():
-            cols_out.append(pt.classify(blk.apply(g)))
-        blocks[k] = columns_matrix(R, pt.ngens, cols_out)
+        cols_out = [pt[k].classify(blk.apply(g)) for g in ps[k].gen_columns()]
+        blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
     return HomologyClassMap(blocks, hs, ht)
 
 
@@ -391,8 +367,8 @@ class QuotientComplex:
     def __init__(self, c: ChainMap):
         self.base = c.target
         self.map = c
-        R = self.base.ring
         self._image = {}
+        self._solvers = {}
         for k in self.base.degrees():
             if c.source.module.dim(k) == 0:
                 self._image[k] = []
@@ -408,8 +384,11 @@ class QuotientComplex:
         if v.is_zero():
             return True
         k = v.degree()
+        solver = self._solvers.get(k)
+        if solver is None:
+            solver = self._solvers[k] = ImageSolver(self.image_matrix(k))
         col = [v[e.name] for e in self.base.module.basis_in_degree(k)]
-        return solve_in_image(self.image_matrix(k), col) is not None
+        return solver.solve(col) is not None
 
     def same_class(self, v: Vector, w: Vector) -> bool:
         return self.reduces_to_zero(v - w)
@@ -428,11 +407,9 @@ class QuotientComplex:
 
     def homology(self) -> HomologySummary:
         R = self.base.ring
-        out = []
+        out = {}
         for k in self.base.degrees():
             dim_k = self.base.module.dim(k)
-            if dim_k == 0:
-                continue
             # Z = {x : dx in im(c)}: project the kernel of [d | -image-gens]
             d_blk = self.base.d.block(k)
             im_below = self._image.get(k - 1, [])
@@ -450,14 +427,11 @@ class QuotientComplex:
             Zgens = lattice_column_basis(columns_matrix(R, dim_k, proj)) if proj else []
             if not Zgens:
                 continue
-            Z = columns_matrix(R, dim_k, Zgens)
             rels = list(self._image.get(k, []))
             if self.base.module.dim(k + 1):
                 rels += lattice_column_basis(self.base.d.block(k + 1))
-            free, tors = _presented_quotient(R, Z, rels)
-            if free or tors:
-                out.append((k, free, tuple(tors)))
-        return HomologySummary(tuple(out))
+            out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, Zgens), rels)
+        return _summary(out)
 
 
 def quotient_by_image(c: ChainMap) -> QuotientComplex:

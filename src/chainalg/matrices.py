@@ -3,7 +3,8 @@
 Provides the linear-algebra kernel the rest of the package sits on: Smith
 normal form with unimodular certificates over Z, Gaussian elimination over
 the fields, saturated integer kernels, image ranks, and solvability-in-image
-queries.  Matrices are immutable after construction; zero-dimensional
+queries (`ImageSolver` factors a matrix once and answers any number of
+them).  Matrices are immutable after construction; zero-dimensional
 matrices are legal everywhere.
 """
 
@@ -167,8 +168,8 @@ def smith_normal_form(M: ExactMatrix):
         raise ValueError("Smith normal form requires integer entries")
     m, n = M.rows, M.cols
     A = M.to_rows()
-    U = ExactMatrix.identity(ZZ, m).to_rows()
-    V = ExactMatrix.identity(ZZ, n).to_rows()
+    U = _identity_rows(m)
+    V = _identity_rows(n)
 
     def row_op(i1, i2, a, b, c, d):
         # (row i1, row i2) <- (a*row i1 + b*row i2, c*row i1 + d*row i2);
@@ -263,6 +264,10 @@ def smith_normal_form(M: ExactMatrix):
     return U_out, D, V_out
 
 
+def _identity_rows(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _xgcd(a: int, b: int):
     """g, x, y with x*a + y*b = g = gcd(a, b) > 0."""
     x, next_x = 1, 0
@@ -288,26 +293,42 @@ def diagonal_of(D: ExactMatrix):
 
 def _row_echelon(M: ExactMatrix):
     """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    R = M.ring
     A = M.to_rows()
+    return A, _reduce_rows(M.ring, A, M.cols)
+
+
+def _reduce_rows(R: Ring, A, ncols):
+    """Bring the rows A (lists, changed in place) to reduced row echelon
+    form, searching pivots only among the first ncols columns; every column
+    takes part in the row operations.  Returns the pivot columns.
+
+    Each update runs over the pivot row's nonzero entries only, so sparse
+    rows (boundary matrices, identity blocks) cost what they hold.
+    """
     pivots = []
     r = 0
-    for c in range(M.cols):
-        pr = next((i for i in range(r, M.rows) if A[i][c] != 0), None)
+    nrows = len(A)
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if A[i][c] != 0), None)
         if pr is None:
             continue
         A[r], A[pr] = A[pr], A[r]
-        inv = R.inv(A[r][c])
-        A[r] = [R.mul(inv, x) for x in A[r]]
-        for i in range(M.rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(A[i], A[r])]
+        row = A[r]
+        inv = R.inv(row[c])
+        nonzero = [(j, R.mul(inv, y)) for j, y in enumerate(row) if y != 0]
+        for j, y in nonzero:
+            row[j] = y
+        for i in range(nrows):
+            other = A[i]
+            f = other[c]
+            if i != r and f != 0:
+                for j, y in nonzero:
+                    other[j] = R.sub(other[j], R.mul(f, y))
         pivots.append(c)
         r += 1
-        if r == M.rows:
-            break
-    return A, pivots
+    return pivots
 
 
 def image_rank(M: ExactMatrix) -> int:
@@ -349,40 +370,78 @@ def kernel_basis(M: ExactMatrix):
     return [V.col(j) for j in range(rank, M.cols)]
 
 
+class ImageSolver:
+    """M factored once; `solve(b)` is x with M*x = b, or None when b is not
+    in the image (lattice) of M.
+
+    Over Z the factorization is one Smith normal form U*M*V = D: b is in the
+    lattice iff each (U*b)_i is divisible by d_i (and vanishes where d_i = 0),
+    and then x = V*z with z_i = (U*b)_i / d_i.  Over a field it is one row
+    reduction of [M | I] with pivots taken among M's columns only, which
+    leaves the row transform T in the identity block: b is in the image iff
+    (T*b)_i = 0 beyond the rank, and then x carries (T*b)_r at the r-th pivot
+    column.  Both are exactly what eliminating [M | b] from scratch yields.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_U", "_diag", "_V", "_T", "_pivots")
+
+    def __init__(self, M: ExactMatrix):
+        R = M.ring
+        self.ring, self.rows, self.cols = R, M.rows, M.cols
+        if M.cols == 0:
+            return
+        if R.is_field:
+            one, zero = R.one(), R.zero()
+            A = [list(M.row(i)) + [one if j == i else zero for j in range(M.rows)]
+                 for i in range(M.rows)]
+            self._pivots = _reduce_rows(R, A, M.cols)
+            self._T = [[(j, t) for j, t in enumerate(row[M.cols:]) if t != 0]
+                       for row in A]
+            return
+        self._U, D, self._V = smith_normal_form(M)
+        self._diag = diagonal_of(D)
+
+    def solve(self, b):
+        R = self.ring
+        b = [R.canon(v) for v in b]
+        if len(b) != self.rows:
+            raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
+        if self.cols == 0:
+            return tuple() if all(v == 0 for v in b) else None
+        if R.is_field:
+            y = []
+            for t in self._T:
+                acc = R.zero()
+                for j, c in t:
+                    if b[j] != 0:
+                        acc = R.add(acc, R.mul(c, b[j]))
+                y.append(acc)
+            rank = len(self._pivots)
+            if any(v != 0 for v in y[rank:]):
+                return None
+            x = [R.zero()] * self.cols
+            for r, pc in enumerate(self._pivots):
+                x[pc] = y[r]
+            return tuple(x)
+        y = self._U.apply(b)
+        z = [0] * self.cols
+        diag = self._diag
+        for i in range(self.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if y[i] != 0:
+                    return None
+            else:
+                q, r = divmod(y[i], d)
+                if r != 0:
+                    return None
+                z[i] = q
+        return self._V.apply(z)
+
+
 def solve_in_image(M: ExactMatrix, b):
     """x with M*x = b, or None when b is not in the image (lattice) of M."""
-    R = M.ring
-    b = [R.canon(v) for v in b]
-    if len(b) != M.rows:
-        raise DimensionError(f"rhs length {len(b)} != rows {M.rows}")
-    if M.cols == 0:
-        return tuple() if all(v == 0 for v in b) else None
-    if R.is_field:
-        aug = ExactMatrix(R, M.rows, M.cols + 1,
-                          [x for i in range(M.rows) for x in (*M.row(i), b[i])])
-        A, pivots = _row_echelon(aug)
-        if M.cols in pivots:
-            return None
-        x = [R.zero()] * M.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = A[r][M.cols]
-        return tuple(x)
-    U, D, V = smith_normal_form(M)
-    y = U.apply(b)
-    z = [ZZ.zero()] * M.cols
-    diag = diagonal_of(D)
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            q, r = divmod(y[i], d)
-            if r != 0:
-                return None
-            if i < M.cols:
-                z[i] = q
-    return V.apply(z)
+    return ImageSolver(M).solve(b)
 
 
 def lattice_column_basis(M: ExactMatrix):

@@ -91,13 +91,18 @@ def _expect(cond, path, message):
         raise SchemaError(path, message)
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: bool is an int subclass but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _get(obj, key, path, required=True, typ=None):
     if key not in obj:
         if required:
             raise SchemaError(f"{path}.{key}", "missing required field")
         return None
     val = obj[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise SchemaError(f"{path}.{key}",
                           f"expected {typ.__name__}, got {type(val).__name__}")
     return val
@@ -222,9 +227,12 @@ def ingest(data) -> Scenario:
     safe = data.get("safe")
     if safe is not None:
         _expect(isinstance(safe, list), "$.safe", "expected a list of names")
+        seen = set()
         for i, nm in enumerate(safe):
             _expect(isinstance(nm, str) and module.has(nm), f"$.safe[{i}]",
                     f"unknown basis name {nm!r}")
+            _expect(nm not in seen, f"$.safe[{i}]", f"duplicate basis name {nm!r}")
+            seen.add(nm)
 
     if kind == "complex":
         payload = _ingest_complex(data, module, ring)
@@ -286,7 +294,7 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
         raise SchemaError("$.differential", str(e))
     top = data.get("top")
     if top is not None:
-        _expect(isinstance(top, int), "$.top", "expected an integer")
+        _expect(_is_int(top), "$.top", "expected an integer")
     pair_map = None
     secondary = None
     if "pair" in data:

@@ -18,6 +18,7 @@ from chainalg.complexes import (
     induced_map_on_homology,
 )
 from chainalg.fixtures import make_tstar_s1, make_fixture, TruncationWindow
+from chainalg.matrices import ExactMatrix
 
 
 def complex_from_spec(ring, gens, diff):
@@ -191,6 +192,20 @@ def test_quotient_presents_torsion():
         assert q.reduces_to_zero(cm(Z.module.el(e.name)))
 
 
+def test_quotient_membership_in_every_degree():
+    # one factored image per degree; queries alternate between degrees
+    C = complex_from_spec(ZZ, [("a", 0), ("b", 1), ("c", 1)], {"b": {"a": 2}})
+    f = GradedMap.from_table(C.module, C.module, 0, {
+        "a": C.module.el("a", 2), "b": C.module.el("b", 2),
+        "c": C.module.el("c", 3)})
+    q = quotient_by_image(ChainMap(C, C, f))
+    cases = [({"a": 2}, True), ({"b": 2}, True), ({"a": 1}, False),
+             ({"c": 3}, True), ({"b": 1}, False), ({"b": 6, "c": 3}, True),
+             ({"a": 4}, True), ({"b": 1, "c": 1}, False), ({"c": 2}, False)]
+    for coeffs, reduces in cases:
+        assert q.reduces_to_zero(Vector(C.module, coeffs)) is reduces, coeffs
+
+
 def test_graded_commutator_shapes():
     C = complex_from_spec(ZZ, [("a", 0), ("b", 1), ("c", 2)],
                           {"b": {"a": 2}, "c": {}})
@@ -339,3 +354,70 @@ def test_homology_over_all_rings_of_fixture_modules():
         for k in C.degrees():
             assert h.rank(k) == inst.module.dim(k)
             assert h.torsion(k) == []
+
+
+def _cubical_torus(ring, n):
+    """Cellular chains of the n x n cubical torus: vertices v, horizontal
+    and vertical edges h, w, squares s, all indices mod n."""
+    gens, diff = [], {}
+    for i in range(n):
+        for j in range(n):
+            i1, j1 = (i + 1) % n, (j + 1) % n
+            gens += [(f"v{i}_{j}", 0), (f"h{i}_{j}", 1), (f"w{i}_{j}", 1),
+                     (f"s{i}_{j}", 2)]
+            diff[f"h{i}_{j}"] = {f"v{i1}_{j}": 1, f"v{i}_{j}": -1}
+            diff[f"w{i}_{j}"] = {f"v{i}_{j1}": 1, f"v{i}_{j}": -1}
+            diff[f"s{i}_{j}"] = {f"h{i}_{j}": 1, f"w{i1}_{j}": 1,
+                                 f"h{i}_{j1}": -1, f"w{i}_{j}": -1}
+    return complex_from_spec(ring, gens, diff)
+
+
+def test_homology_factors_each_matrix_once(monkeypatch):
+    # per degree at most: kernel of d_k, boundary basis of d_{k+1}, the
+    # cycle matrix, and the relation coordinates; never one per relation
+    import chainalg.complexes as cx
+    import chainalg.matrices as mx
+
+    shapes = []
+    real = mx.smith_normal_form
+
+    def counting(M):
+        shapes.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(mx, "smith_normal_form", counting)
+    monkeypatch.setattr(cx, "smith_normal_form", counting)
+    C = _cubical_torus(ZZ, 4)
+    assert str(homology(C)) == "H_0 = R, H_1 = R^2, H_2 = R"
+    assert len(shapes) <= 4 * len(C.degrees()), shapes
+
+
+def test_relation_outside_the_cycle_lattice_raises():
+    from chainalg.complexes import _HomologyPresentation
+
+    Z = ExactMatrix.from_rows(ZZ, [[2], [0]])
+    assert _HomologyPresentation(ZZ, Z, [(4, 0)]).invariants() == (0, (2,))
+    for rel in [(1, 0), (2, 1)]:
+        with pytest.raises(ValueError, match="outside the cycle lattice"):
+            _HomologyPresentation(ZZ, Z, [(4, 0), rel])
+    Zq = ExactMatrix.from_rows(QQ, [[1], [0]])
+    with pytest.raises(ValueError, match="outside the cycle lattice"):
+        _HomologyPresentation(QQ, Zq, [(0, 1)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
+def test_cubical_torus_homology_and_induced_scalar(ring):
+    C = _cubical_torus(ring, 3)
+    assert str(homology(C)) == "H_0 = R, H_1 = R^2, H_2 = R"
+    # 2 * id, moved by a homotopy, still acts as 2 on every generator
+    rng = random.Random(4)
+    h = GradedMap.from_table(C.module, C.module, 1, {
+        e.name: Vector(C.module, {t.name: rng.choice((0, 1, -1))
+                                  for t in C.module.basis_in_degree(e.degree + 1)})
+        for e in C.module.basis()})
+    ident = GradedMap.identity(C.module)
+    f = ChainMap(C, C, ident + ident + graded_commutator(h, C, C))
+    act = induced_map_on_homology(f)
+    two = ring.canon(2)
+    for k, M in act.blocks.items():
+        assert M == ExactMatrix.identity(ring, M.rows).scale(two), k

@@ -14,6 +14,8 @@ from chainalg.matrices import (
     solve_in_image,
     lattice_column_basis,
     columns_matrix,
+    ImageSolver,
+    _row_echelon,
 )
 
 
@@ -138,6 +140,38 @@ def test_solve_in_image_divisibility():
     assert solve_in_image(M, [4]) == (2,)
 
 
+def _eliminate_from_scratch(M, b):
+    """One solve the way it is done without a factored solver: row-reduce
+    [M | b] over a field, or take the Smith form of M over Z, for this b."""
+    R = M.ring
+    b = [R.canon(v) for v in b]
+    if M.cols == 0:
+        return () if all(v == 0 for v in b) else None
+    if R.is_field:
+        aug = ExactMatrix(R, M.rows, M.cols + 1,
+                          [x for i in range(M.rows) for x in (*M.row(i), b[i])])
+        A, pivots = _row_echelon(aug)
+        if M.cols in pivots:
+            return None
+        x = [R.zero()] * M.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = A[r][M.cols]
+        return tuple(x)
+    U, D, V = smith_normal_form(M)
+    y, diag, z = U.apply(b), diagonal_of(D), [0] * M.cols
+    for i in range(M.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        else:
+            q, r = divmod(y[i], d)
+            if r != 0:
+                return None
+            z[i] = q
+    return V.apply(z)
+
+
 def test_solve_in_image_random():
     rng = random.Random(3)
     for ring in (ZZ, QQ, GF(5)):
@@ -150,6 +184,30 @@ def test_solve_in_image_random():
             sol = solve_in_image(M, b)
             assert sol is not None
             assert M.apply(sol) == tuple(ring.canon(v) for v in b)
+    # many solves against one factored solver, solvable and unsolvable
+    # right-hand sides mixed, empty shapes included
+    for ring in (ZZ, QQ, GF(5)):
+        outcomes = set()
+        shapes = [(0, 0), (0, 3), (3, 0)] + [
+            (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(25)]
+        for rows, cols in shapes:
+            M = ExactMatrix(ring, rows, cols,
+                            [rng.choice((0, 0, 0, 1, -1, 2, -3))
+                             for _ in range(rows * cols)])
+            solver = ImageSolver(M)
+            for _ in range(12):
+                if cols and rng.random() < 0.5:
+                    b = M.apply([rng.randint(-4, 4) for _ in range(cols)])
+                    if ring == ZZ and rng.random() < 0.5:
+                        b = [v + rng.choice((0, 1)) for v in b]
+                else:
+                    b = [rng.randint(-4, 4) for _ in range(rows)]
+                sol = solver.solve(b)
+                assert sol == solve_in_image(M, b) == _eliminate_from_scratch(M, b)
+                if sol is not None:
+                    assert M.apply(sol) == tuple(ring.canon(v) for v in b)
+                outcomes.add(sol is None)
+        assert outcomes == {True, False}
 
 
 def test_solve_reports_unsolvable():

@@ -3,8 +3,11 @@
 `chainalg check <f> --ring R --window N --format json` on the six bialgebra
 fixtures over Z, Q and GF(5) at windows 8 and 12, and
 `chainalg demo <f> --window 8 --format json` on the three lambda fixtures,
-must reproduce the sha256 digests stored in tests/data/report_digests.json
-byte for byte.
+`chainalg homology tstar-s1 --cone --ring R --format json` over Z, Q and
+GF(5), and `chainalg homology <f> --format json` on the 4x4 cubical Klein
+bottle scenarios in tests/data (over Z and over Q) must reproduce the sha256
+digests stored in tests/data/report_digests.json byte for byte.  Reports
+name their target, so every case runs from tests/data.
 
 When a report is meant to change, regenerate the digests from a source
 tree with
@@ -14,6 +17,7 @@ tree with
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -22,7 +26,8 @@ import pytest
 
 from chainalg.cli import main
 
-DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+DATA = Path(__file__).resolve().parent / "data"
+DIGESTS = DATA / "report_digests.json"
 BIALGEBRA = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus",
              "omega-s3", "omega-s1-plus", "omega-s1-minus")
 LAMBDA = BIALGEBRA[:3]
@@ -30,7 +35,10 @@ LAMBDA = BIALGEBRA[:3]
 CASES = [
     ("check", f, "--ring", r, "--window", str(n), "--format", "json")
     for f in BIALGEBRA for r in ("Z", "Q", "GF(5)") for n in (8, 12)
-] + [("demo", f, "--window", "8", "--format", "json") for f in LAMBDA]
+] + [("demo", f, "--window", "8", "--format", "json") for f in LAMBDA] + [
+    ("homology", "tstar-s1", "--cone", "--ring", r, "--format", "json")
+    for r in ("Z", "Q", "GF(5)")
+] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")]
 
 
 def report_digest(argv, workdir) -> str:
@@ -45,11 +53,13 @@ def stored():
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_report_is_byte_identical(argv, stored, tmp_path):
+def test_report_is_byte_identical(argv, stored, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA)
     assert report_digest(argv, tmp_path) == stored[" ".join(argv)]
 
 
 if __name__ == "__main__":
+    os.chdir(DATA)
     with tempfile.TemporaryDirectory() as work:
         digests = {" ".join(a): report_digest(a, work) for a in CASES}
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")

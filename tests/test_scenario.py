@@ -191,3 +191,63 @@ def test_reverse_bivector_gate():
     doc2["checks"] = ["reverse-bivector-gate"]
     with pytest.raises(sc.SchemaError, match="reverse_bivector"):
         sc.ingest(json.dumps(doc2))
+
+
+def _complex_doc():
+    return {
+        "schema_version": 1,
+        "kind": "complex",
+        "ring": "Z",
+        "module": {"basis": [{"name": "a", "degree": 0},
+                             {"name": "b", "degree": 1}]},
+        "differential": {"degree": -1,
+                         "entries": [{"in": ["b"], "out": [["2", "a"]]}]},
+        "top": 1,
+    }
+
+
+@pytest.mark.parametrize("where, path", [
+    (("module", "basis", 0, "degree"), "$.module.basis[0].degree"),
+    (("mu", "degree"), "$.mu.degree"),
+    (("lambda", "degree"), "$.lambda.degree"),
+    (("schema_version",), "$.schema_version"),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_is_not_an_integer(where, path, flag):
+    doc = json.loads(json.dumps(MINIMAL))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = flag
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert ei.value.path == path
+    assert "bool" in ei.value.message
+
+
+@pytest.mark.parametrize("field, path", [
+    ("top", "$.top"),
+    ("differential", "$.differential.degree"),
+])
+def test_bool_is_not_an_integer_in_complexes(field, path):
+    doc = _complex_doc()
+    if field == "top":
+        doc["top"] = False
+    else:
+        doc["differential"]["degree"] = True
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert ei.value.path == path
+    assert sc.ingest(json.dumps(_complex_doc())).payload.top == 1
+
+
+def test_duplicate_safe_name_rejected():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["module"]["basis"].append({"name": "x", "degree": 0})
+    doc["safe"] = ["e", "x", "e"]
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert ei.value.path == "$.safe[2]"
+    assert "duplicate" in ei.value.message
+    doc["safe"] = ["x", "e"]
+    assert tuple(sc.ingest(json.dumps(doc)).payload.safe_names) == ("x", "e")
