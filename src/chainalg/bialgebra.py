@@ -28,6 +28,7 @@ from .graded import (
     Vector,
     tensor,
     tensor_map,
+    associativity_witness,
     twist,
     twist_vector,
     insert_middle,
@@ -155,6 +156,17 @@ class BialgebraData:
 # Axiom checks
 # ---------------------------------------------------------------------------
 
+def _result(axiom, start, count, witness=None, lhs=None, rhs=None):
+    """The AxiomResult of a quantifier begun at monotonic time `start`."""
+    if witness is None:
+        res = AxiomResult(axiom, True, count)
+    else:
+        res = AxiomResult(axiom, False, count, witness,
+                          format_vector(lhs), format_vector(rhs))
+    res.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
+    return res
+
+
 def _quantify(axiom, inputs, lhs_fn, rhs_fn, describe) -> AxiomResult:
     start = time.monotonic()
     count = 0
@@ -163,13 +175,8 @@ def _quantify(axiom, inputs, lhs_fn, rhs_fn, describe) -> AxiomResult:
         lhs = lhs_fn(item)
         rhs = rhs_fn(item)
         if lhs != rhs:
-            res = AxiomResult(axiom, False, count, describe(item),
-                              format_vector(lhs), format_vector(rhs))
-            res.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
-            return res
-    res = AxiomResult(axiom, True, count)
-    res.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
-    return res
+            return _result(axiom, start, count, describe(item), lhs, rhs)
+    return _result(axiom, start, count)
 
 
 AXIOM_ORDER = ("unit (left)", "unit (right)", "associativity",
@@ -212,12 +219,10 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
             lambda n: A.el(n), lambda n: n)
 
     def run_associativity():
-        mu_l = tensor_map(mu, one).then(mu)
-        mu_r = tensor_map(one, mu).then(mu)
-        triples = [f"{a}{TENSOR_SEP}{b}{TENSOR_SEP}{c}"
-                   for a in safe for b in safe for c in safe]
-        return _quantify("associativity", triples,
-                         mu_l.eval_basis, mu_r.eval_basis, lambda n: n)
+        start = time.monotonic()
+        count, triple, lhs, rhs = associativity_witness(mu, safe)
+        return _result("associativity", start, count,
+                       triple and TENSOR_SEP.join(triple), lhs, rhs)
 
     def run_coassociativity():
         # graded form: (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam

@@ -18,6 +18,7 @@ from .matrices import (
     ImageSolver,
     columns_matrix,
     kernel_basis,
+    kernel_and_image,
     lattice_column_basis,
     smith_normal_form,
     diagonal_of,
@@ -222,16 +223,6 @@ class _HomologyPresentation:
             self._keep = [i for i in range(n) if orders[i] != 1]
             self._orders = [orders[i] for i in self._keep]
 
-    @classmethod
-    def of_degree(cls, C: ChainComplex, k):
-        """H_k(C): cycles ker d_k modulo the boundary lattice im d_{k+1}."""
-        R = C.ring
-        dim_k = C.module.dim(k)
-        ker = kernel_basis(C.d.block(k)) if dim_k else []
-        boundary_cols = (lattice_column_basis(C.d.block(k + 1))
-                         if ker and C.module.dim(k + 1) else [])
-        return cls(R, columns_matrix(R, dim_k, ker), boundary_cols)
-
     def _cycle_coords(self, col):
         """Coordinates of col in Z's columns, or None; Z is factored once,
         on the first call."""
@@ -289,7 +280,27 @@ def _summary(presentations) -> HomologySummary:
 
 
 def _presentations(C: ChainComplex, degrees):
-    return {k: _HomologyPresentation.of_degree(C, k) for k in degrees}
+    """{k: H_k(C)} as cycles ker d_k modulo the boundary lattice im d_{k+1}.
+
+    Each block of d is built once and, over Z, factored once: one Smith
+    normal form of d_{k+1} gives the cycles at k+1 and the boundaries at k.
+    """
+    R = C.ring
+    split = {}
+
+    def kernel_and_image_of_d(k):
+        if k not in split:
+            split[k] = kernel_and_image(C.d.block(k))
+        return split[k]
+
+    out = {}
+    for k in degrees:
+        dim_k = C.module.dim(k)
+        ker = kernel_and_image_of_d(k)[0] if dim_k else []
+        rels = (kernel_and_image_of_d(k + 1)[1]
+                if ker and C.module.dim(k + 1) else [])
+        out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, ker), rels)
+    return out
 
 
 def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:

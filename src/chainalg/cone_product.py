@@ -57,6 +57,7 @@ from .graded import (
     insert_left,
     insert_right,
     tensor_map,
+    associativity_witness,
     format_vector,
     TENSOR_SEP,
     koszul_sign,
@@ -555,21 +556,13 @@ class AssociativityResult:
 
 def check_cone_associativity(ops: ConeProductOps) -> AssociativityResult:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples."""
-    names = ops.safe_cone_names()
-    prod = ops.product
-    cone_mod = ops.cone.complex.module
-    for u in names:
-        for v in names:
-            uv = prod.eval_basis(f"{u}{TENSOR_SEP}{v}")
-            for w in names:
-                lhs = prod(uv.tensor(cone_mod.el(w)))
-                vw = prod.eval_basis(f"{v}{TENSOR_SEP}{w}")
-                rhs = prod(cone_mod.el(u).tensor(vw))
-                if lhs != rhs:
-                    return AssociativityResult(
-                        False,
-                        f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
-    return AssociativityResult(True)
+    _, triple, lhs, rhs = associativity_witness(ops.product,
+                                                ops.safe_cone_names())
+    if triple is None:
+        return AssociativityResult(True)
+    u, v, w = triple
+    return AssociativityResult(
+        False, f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
 
 
 @dataclass

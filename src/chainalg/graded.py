@@ -587,6 +587,50 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
                      name=f"({f.name}(x){g.name})")
 
 
+def associativity_witness(mu: GradedMap, names):
+    """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
+    mu(mu (x) 1) = mu(1 (x) mu) over names^3 in lexicographic order, with
+    both sides expanded from mu's memoized basis products:
+
+        lhs = sum_x <mu(a (x) b), x> mu(x (x) c),
+        rhs = (-1)^{|mu||a|} sum_y <mu(b (x) c), y> mu(a (x) y),
+
+    the sign being the one 1 (x) mu picks up on a.  The sides are Vectors
+    of mu's target on a failure, else None.
+    """
+    A = mu.target
+    mul, add, neg = A.ring.mul, A.ring.add, A.ring.neg
+    ev = mu.eval_basis
+
+    def expand(terms):  # sum of c * mu(key) over the (key, c) pairs
+        out = {}
+        for key, c in terms:
+            for n, v in ev(key).coeffs.items():
+                t = mul(c, v)
+                old = out.get(n)
+                out[n] = t if old is None else add(old, t)
+        return out
+
+    count = 0
+    for a in names:
+        negate = mu.degree % 2 and A.degree_of(a) % 2
+        a_ = a + TENSOR_SEP
+        for b in names:
+            ab = ev(a_ + b).coeffs.items()
+            b_ = b + TENSOR_SEP
+            for c in names:
+                count += 1
+                _c = TENSOR_SEP + c
+                lhs = expand([(x + _c, cx) for x, cx in ab])
+                rhs = expand([(a_ + y, neg(cy) if negate else cy)
+                              for y, cy in ev(b_ + c).coeffs.items()])
+                if lhs != rhs:  # equal dicts are equal Vectors; not conversely
+                    lhs, rhs = Vector._trusted(A, lhs), Vector._trusted(A, rhs)
+                    if lhs != rhs:
+                        return count, (a, b, c), lhs, rhs
+    return count, None, None, None
+
+
 def twist(M: GradedModule, N: GradedModule) -> GradedMap:
     """tau: M (x) N -> N (x) M, x (x) y -> (-1)^{|x||y|} y (x) x."""
     source = tensor(M, N)

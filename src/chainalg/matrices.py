@@ -364,10 +364,16 @@ def kernel_basis(M: ExactMatrix):
                 v[pc] = R.neg(A[r][fc])
             basis.append(tuple(v))
         return basis
-    _, D, V = smith_normal_form(M)
-    rank = sum(1 for d in diagonal_of(D) if d != 0)
-    # columns of V beyond the rank span ker(M) as a saturated lattice
+    V, rank = _smith_columns(M)
     return [V.col(j) for j in range(rank, M.cols)]
+
+
+def _smith_columns(M: ExactMatrix):
+    """(V, rank) from one Smith normal form U*M*V = D over Z: V's columns
+    beyond the rank span ker(M) as a saturated lattice, and M*V's columns
+    below it are a basis of M's column lattice."""
+    _, D, V = smith_normal_form(M)
+    return V, sum(1 for d in diagonal_of(D) if d != 0)
 
 
 class ImageSolver:
@@ -454,10 +460,22 @@ def lattice_column_basis(M: ExactMatrix):
         for r, _ in enumerate(pivots):
             basis.append(tuple(A[r]))
         return basis
-    _, D, V = smith_normal_form(M)
+    V, rank = _smith_columns(M)
     MV = M * V
-    rank = sum(1 for d in diagonal_of(D) if d != 0)
     return [MV.col(j) for j in range(rank)]
+
+
+def kernel_and_image(M: ExactMatrix):
+    """(kernel_basis(M), lattice_column_basis(M)), over Z from one Smith
+    normal form."""
+    if M.rows == 0 or M.cols == 0:
+        return kernel_basis(M), []
+    if M.ring.is_field:
+        return kernel_basis(M), lattice_column_basis(M)
+    V, rank = _smith_columns(M)
+    MV = M * V
+    return ([V.col(j) for j in range(rank, M.cols)],
+            [MV.col(j) for j in range(rank)])
 
 
 def columns_matrix(ring: Ring, nrows: int, cols) -> ExactMatrix:

@@ -44,6 +44,15 @@ from .bialgebra import BialgebraData
 from .cone_product import ConeProductData
 
 
+# Size caps.  A scenario beyond one is rejected before anything is built:
+# the basis sets the size of every matrix block, the quantifier window
+# (`safe`, or the whole basis without one) is cubed by the associativity
+# checks, and each operation's entry list is parsed and held in full.
+MAX_BASIS = 2048
+MAX_SAFE = 128
+MAX_ENTRIES = 50_000
+
+
 class SchemaError(ValueError):
     """Scenario violates the schema; `path` locates the offending field."""
 
@@ -96,6 +105,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _cap(items, limit, path, what):
+    _expect(len(items) <= limit, path,
+            f"{len(items)} {what}; at most {limit} are accepted")
+
+
 def _get(obj, key, path, required=True, typ=None):
     if key not in obj:
         if required:
@@ -110,6 +124,7 @@ def _get(obj, key, path, required=True, typ=None):
 
 def _parse_module(obj, ring, path) -> GradedModule:
     basis_raw = _get(obj, "basis", path, typ=list)
+    _cap(basis_raw, MAX_BASIS, path + ".basis", "basis elements")
     basis = []
     for i, b in enumerate(basis_raw):
         bp = f"{path}.basis[{i}]"
@@ -160,6 +175,7 @@ def _parse_combo(raw, module, path, arity=1) -> Vector:
 def _parse_operation(obj, module, path, in_arity, out_arity) -> GradedMap:
     degree = _get(obj, "degree", path, typ=int)
     entries = _get(obj, "entries", path, typ=list)
+    _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
     source = module if in_arity == 1 else tensor(*([module] * in_arity))
     target = module if out_arity == 1 else tensor(*([module] * out_arity))
     table = {}
@@ -227,6 +243,7 @@ def ingest(data) -> Scenario:
     safe = data.get("safe")
     if safe is not None:
         _expect(isinstance(safe, list), "$.safe", "expected a list of names")
+        _cap(safe, MAX_SAFE, "$.safe", "safe names")
         seen = set()
         for i, nm in enumerate(safe):
             _expect(isinstance(nm, str) and module.has(nm), f"$.safe[{i}]",
@@ -238,6 +255,9 @@ def ingest(data) -> Scenario:
         payload = _ingest_complex(data, module, ring)
         return Scenario(kind, name, ring, payload, checks, data)
 
+    if safe is None:   # the whole basis is the quantifier window
+        _cap(module.basis(), MAX_SAFE, "$.module.basis",
+             "basis elements and no safe list")
     mu = _parse_operation(_get(data, "mu", "$", typ=dict), module, "$.mu", 2, 1)
     lam = _parse_operation(_get(data, "lambda", "$", typ=dict), module,
                            "$.lambda", 1, 2)
@@ -326,6 +346,7 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
 def _parse_cross_map(obj, source, target, path) -> GradedMap:
     degree = _get(obj, "degree", path, typ=int)
     entries = _get(obj, "entries", path, typ=list)
+    _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
     table = {}
     for i, entry in enumerate(entries):
         ep = f"{path}.entries[{i}]"

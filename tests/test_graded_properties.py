@@ -3,7 +3,8 @@
 Every value built by the package's own arithmetic must pass the public,
 checked `Vector` constructor unchanged, with coefficients of the ring's
 canonical type; the sign rules of `graded.py`'s docstring must hold on
-random maps over Z, Q and GF(5).
+random maps over Z, Q and GF(5); and the associativity kernel must agree
+with the composite definition of both sides.
 """
 
 import gc
@@ -19,6 +20,7 @@ from chainalg.graded import (
     GradedMap,
     Vector,
     apply_op_shift,
+    associativity_witness,
     dual_map,
     dual_module,
     shift,
@@ -30,6 +32,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import ZZ, QQ, GF
+from chainalg.bialgebra import _quantify
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -206,6 +209,80 @@ def test_dual_of_a_composite(ring, data):
     lhs = dual_map(g.then(f))
     rhs = dual_map(f).then(dual_map(g)).scale(sign(f.degree * g.degree))
     assert_maps_agree(lhs, rhs, dual_module(M).basis_names())
+
+
+# -- the associativity kernel ---------------------------------------------------
+
+def draw_product(data, A):
+    """mu: A (x) A -> A of degree -1, 0 or 1; a sparse one is often
+    associative, a dense one seldom."""
+    R = A.ring
+    degree = data.draw(st.integers(-1, 1))
+    coeff = (st.sampled_from((0, 0, 0, 0, 1, -1, 2)).map(R.canon)
+             if data.draw(st.booleans()) else coefficients(R))
+    A2 = tensor(A, A)
+    table = {e.name: Vector(A, {t.name: data.draw(coeff)
+                                for t in A.basis_in_degree(e.degree + degree)})
+             for e in A2.basis()}
+    return GradedMap.from_table(A2, A, degree, table)
+
+
+def composite_reference(mu, names):
+    """What `_quantify` reads off mu(mu (x) 1) and mu(1 (x) mu): (inputs
+    checked, first failing triple or None, lhs, rhs)."""
+    one = GradedMap.identity(mu.target)
+    sides = {}
+
+    def side(composite, key):
+        def fn(n):
+            sides[key] = composite.eval_basis(n)
+            return sides[key]
+        return fn
+
+    triples = [TENSOR_SEP.join((a, b, c))
+               for a in names for b in names for c in names]
+    res = _quantify("associativity", triples,
+                    side(tensor_map(mu, one).then(mu), "lhs"),
+                    side(tensor_map(one, mu).then(mu), "rhs"), lambda n: n)
+    if res.passed:
+        return res.inputs_checked, None, None, None
+    return (res.inputs_checked, tuple(res.witness_input.split(TENSOR_SEP)),
+            sides["lhs"], sides["rhs"])
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_associativity_kernel_matches_the_composites(ring, data):
+    A = data.draw(modules(ring, "a"))
+    mu = draw_product(data, A)
+    order = data.draw(st.permutations(A.basis_names()))
+    names = order[:data.draw(st.integers(1, len(order)))]
+    assert associativity_witness(mu, names) == composite_reference(mu, names)
+
+
+def test_associativity_kernel_drops_cancelled_terms():
+    # lhs = mu(x1 (x) x0) + mu(x2 (x) x0) = x3 - x3 leaves a zero entry
+    A = small(degrees=(0, 0, 0, 0))
+    A2 = tensor(A, A)
+    table = {"x0⊗x0": A.vector({"x1": 1, "x2": 1}),
+             "x1⊗x0": A.el("x3"), "x2⊗x0": A.el("x3", -1)}
+    mu = GradedMap.from_table(A2, A, 0, table)
+    assert associativity_witness(mu, ["x0"]) == (1, None, None, None)
+    table["x0⊗x2"] = A.el("x0")
+    mu = GradedMap.from_table(A2, A, 0, table)
+    got = associativity_witness(mu, ["x0"])
+    assert got == (1, ("x0",) * 3, A.zero(), A.el("x0"))
+    assert got == composite_reference(mu, ["x0"])
+    assert got[2].coeffs == {}
+
+
+def test_associativity_kernel_checks_targets():
+    A = small()
+    other = small(prefix="y")
+    mu = GradedMap(tensor(A, A), A, 0, lambda n: other.el("y0"), name="mu")
+    with pytest.raises(ValueError, match="outside its target"):
+        associativity_witness(mu, A.basis_names())
 
 
 # -- interned tensor modules ----------------------------------------------------

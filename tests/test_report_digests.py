@@ -1,13 +1,17 @@
 """Byte-identity gate for the JSON reports.
 
 `chainalg check <f> --ring R --window N --format json` on the six bialgebra
-fixtures over Z, Q and GF(5) at windows 8 and 12, and
+fixtures over Z, Q and GF(5) at windows 8 and 12,
 `chainalg demo <f> --window 8 --format json` on the three lambda fixtures,
 `chainalg homology tstar-s1 --cone --ring R --format json` over Z, Q and
-GF(5), and `chainalg homology <f> --format json` on the 4x4 cubical Klein
-bottle scenarios in tests/data (over Z and over Q) must reproduce the sha256
-digests stored in tests/data/report_digests.json byte for byte.  Reports
-name their target, so every case runs from tests/data.
+GF(5), `chainalg homology <f> --format json` on the 4x4 cubical Klein
+bottle scenarios in tests/data (over Z and over Q), and
+`chainalg check <f> --format json` on two lambda-s1-plus scenarios at window
+8 with one mu structure constant negated (over Q and over GF(5)), whose
+associativity axiom fails, must reproduce the sha256 digests stored in
+tests/data/report_digests.json byte for byte.  The failing reports pin the
+witness text.  Reports name their target, so every case runs from
+tests/data.
 
 When a report is meant to change, regenerate the digests from a source
 tree with
@@ -38,7 +42,9 @@ CASES = [
 ] + [("demo", f, "--window", "8", "--format", "json") for f in LAMBDA] + [
     ("homology", "tstar-s1", "--cone", "--ring", r, "--format", "json")
     for r in ("Z", "Q", "GF(5)")
-] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")]
+] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")
+] + [("check", f"lambda-s1-plus-mu-{r}.json", "--format", "json")
+     for r in ("Q", "GF5")]
 
 
 def report_digest(argv, workdir) -> str:

@@ -251,3 +251,41 @@ def test_duplicate_safe_name_rejected():
     assert "duplicate" in ei.value.message
     doc["safe"] = ["x", "e"]
     assert tuple(sc.ingest(json.dumps(doc)).payload.safe_names) == ("x", "e")
+
+
+def _rejected_at(doc):
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert "at most" in ei.value.message
+    return ei.value.path
+
+
+def test_basis_size_cap():
+    doc = _complex_doc()
+    doc["module"]["basis"] = [{"name": f"c{i}", "degree": 0}
+                              for i in range(sc.MAX_BASIS + 1)]
+    doc["differential"]["entries"] = []
+    assert _rejected_at(doc) == "$.module.basis"
+    doc["module"]["basis"].pop()
+    assert sc.ingest(json.dumps(doc)).payload.complex.module.dim(0) == sc.MAX_BASIS
+
+
+def test_safe_length_cap():
+    # the cubic quantifier window: the safe list, or the whole basis
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["module"]["basis"] += [{"name": f"x{i}", "degree": 0}
+                               for i in range(sc.MAX_SAFE)]
+    assert _rejected_at(doc) == "$.module.basis"
+    doc["safe"] = [b["name"] for b in doc["module"]["basis"]]
+    assert _rejected_at(doc) == "$.safe"
+    doc["safe"].pop()
+    assert len(sc.ingest(json.dumps(doc)).payload.safe_names) == sc.MAX_SAFE
+
+
+def test_entry_count_cap():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["mu"]["entries"] *= sc.MAX_ENTRIES + 1
+    assert _rejected_at(doc) == "$.mu.entries"
+    cx = _complex_doc()
+    cx["differential"]["entries"] *= sc.MAX_ENTRIES + 1
+    assert _rejected_at(cx) == "$.differential.entries"
