@@ -418,29 +418,38 @@ class QuotientComplex:
 
     def homology(self) -> HomologySummary:
         R = self.base.ring
+        mod = self.base.module
+        split = {}
+
+        def kernel_and_image_of_d(k):
+            if k not in split:
+                split[k] = kernel_and_image(self.base.d.block(k))
+            return split[k]
+
         out = {}
         for k in self.base.degrees():
-            dim_k = self.base.module.dim(k)
-            # Z = {x : dx in im(c)}: project the kernel of [d | -image-gens]
-            d_blk = self.base.d.block(k)
+            dim_k = mod.dim(k)
             im_below = self._image.get(k - 1, [])
             if im_below:
-                G = columns_matrix(R, self.base.module.dim(k - 1), im_below)
+                # Z = {x : dx in im(c)}: project the kernel of [d | -image-gens]
+                d_blk = self.base.d.block(k)
+                G = columns_matrix(R, mod.dim(k - 1), im_below)
                 stacked = ExactMatrix(
                     R, d_blk.rows, d_blk.cols + G.cols,
                     [x for i in range(d_blk.rows)
                      for x in (*d_blk.row(i), *(R.neg(g) for g in G.row(i)))],
                 )
+                proj = [tuple(col[:dim_k]) for col in kernel_basis(stacked)]
+                Zgens = (lattice_column_basis(columns_matrix(R, dim_k, proj))
+                         if proj else [])
             else:
-                stacked = d_blk
-            ker = kernel_basis(stacked)
-            proj = [tuple(col[:dim_k]) for col in ker]
-            Zgens = lattice_column_basis(columns_matrix(R, dim_k, proj)) if proj else []
+                # Z = ker d_k, already an independent (saturated) basis
+                Zgens = kernel_and_image_of_d(k)[0] if dim_k else []
             if not Zgens:
                 continue
             rels = list(self._image.get(k, []))
-            if self.base.module.dim(k + 1):
-                rels += lattice_column_basis(self.base.d.block(k + 1))
+            if mod.dim(k + 1):
+                rels += kernel_and_image_of_d(k + 1)[1]
             out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, Zgens), rels)
         return _summary(out)
 

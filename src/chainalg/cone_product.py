@@ -49,10 +49,7 @@ from .graded import (
     shift_map,
     dual_module,
     dual_map,
-    dual_pair,
-    contract_first,
-    contract_last_signed,
-    insert_middle,
+    slot_table,
     unapply_op_shift,
     insert_left,
     insert_right,
@@ -63,7 +60,7 @@ from .graded import (
     koszul_sign,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
-from .bialgebra import BialgebraData
+from .bialgebra import BialgebraData, PairKernel
 
 
 def _transpose(inputs, image) -> dict:
@@ -74,6 +71,23 @@ def _transpose(inputs, image) -> dict:
         for y, c in image(x).coeffs.items():
             out.setdefault(y, {})[x] = c
     return out
+
+
+def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
+    """x (x) f -> sign(x, f) <W(x), 1 (x) f> on source = A (x) M' (last),
+    or f (x) x -> sign(x, f) <f (x) 1, W(x)> on source = M' (x) A, where
+    M' is M or a shift of it and f pairs as an element of M; one slot table
+    of each row W(x) serves every f."""
+    A = source.factors[0 if last else 1]
+    rows = functools.cache(lambda x: slot_table(W(x), M, last))
+
+    def fn(nm):
+        x, f = source.parts_of(nm)
+        if not last:
+            x, f = f, x
+        return Vector._trusted(A, rows(x).get(f, {})).scale(sign(x, f))
+
+    return GradedMap(source, A, degree, fn, name=name)
 
 
 def _tensor_differential(d: GradedMap) -> GradedMap:
@@ -132,6 +146,11 @@ class ConeProductData:
         self.name = name
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else A.basis_names())
+        if len(set(self.safe_names)) != len(self.safe_names):
+            raise ValueError("safe names repeat a basis element")
+        for nm in self.safe_names:
+            if not A.has(nm):
+                raise ValueError(f"safe name {nm!r} is not a basis element")
 
 
 def cyclic_symmetrize(t: Vector) -> Vector:
@@ -181,10 +200,8 @@ class ConeProductOps:
     product: GradedMap = None
 
     def safe_cone_names(self):
-        out = [f"+{n}" for n in self.data.safe_names]
-        out += [f"-{n}^" for n in self.data.safe_names]
-        cone_mod = self.cone.complex.module
-        return tuple(n for n in out if cone_mod.has(n))
+        return (tuple(f"+{n}" for n in self.data.safe_names)
+                + tuple(f"-{n}^" for n in self.data.safe_names))
 
 
 def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
@@ -213,9 +230,6 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     MM = tensor(M, M)
     R = A.ring
     names_A = [x.name for x in A.basis()]
-
-    def el_M(name):
-        return M.el(name)
 
     # sparse transposes of mu and lam_rev; the mu rows are filled per fixed
     # factor on first request, so mu is read on exactly the inputs a scan
@@ -261,44 +275,22 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         return Vector(M, {x + "^": R.neg(c) if neg else c
                           for x, c in col.items()})
 
-    def tau_R_fn(nm):
-        b, f = AM.parts_of(nm)
-        return contract_last_signed(lam_fwd.eval_basis(b), el_M(f))
-
-    def tau_L_fn(nm):
-        f, a = MA.parts_of(nm)
-        s = koszul_sign(M.degree_of(f) + 1)
-        out = contract_first(lam_rev_left.eval_basis(a), el_M(f))
-        return out if s == 1 else -out
+    # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
+    B_rows = {f: slot_table(Vector._trusted(tensor(A, A), T), M)
+              for f, T in slot_table(data.B, M).items()}
 
     def beta_fn(nm):
         f, g = MM.parts_of(nm)
-        if data.B.is_zero():
-            return A.zero()
-        # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
-        fv, gv = el_M(f), el_M(g)
-        dg = M.degree_of(g)
-        R3 = data.B.module
-        out = A.zero()
-        for name, c in data.B.coeffs.items():
-            b1, b2, b3 = R3.parts_of(name)
-            s1 = dual_pair(fv, A.el(b1))
-            if s1 == 0:
-                continue
-            s2 = dual_pair(gv, A.el(b2))
-            if s2 == 0:
-                continue
-            coeff = A.ring.mul(c, A.ring.mul(s1, s2))
-            if (dg % 2) and (A.degree_of(b1) % 2):
-                coeff = A.ring.neg(coeff)
-            out = out + A.el(b3, coeff)
-        return out
+        out = Vector._trusted(A, B_rows.get(f, {}).get(g, {}))
+        return -out if M.degree_of(g) % 2 and A.degree_of(f[:-1]) % 2 else out
 
     m_L = GradedMap(AM, M, 0, m_L_fn, name="m_L")
     m_R = GradedMap(MA, M, 0, m_R_fn, name="m_R")
     sigma = GradedMap(MM, M, 1, sigma_fn, name="sigma")
-    tau_R = GradedMap(AM, A, 1, tau_R_fn, name="tau_R")
-    tau_L = GradedMap(MA, A, 1, tau_L_fn, name="tau_L")
+    tau_R = _contraction(AM, M, lam_fwd.eval_basis, True, 1,
+                         lambda b, f: 1, "tau_R")
+    tau_L = _contraction(MA, M, lam_rev_left.eval_basis, False, 1,
+                         lambda a, f: koszul_sign(M.degree_of(f) + 1), "tau_L")
     beta = GradedMap(MM, A, 2, beta_fn, name="beta")
 
     # barred versions: op = barred[i,j;k] per the component placement, so
@@ -315,9 +307,10 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     # the cone of the continuation map, with the dual complex on the source
     d_M = shift_map(dual_map(data.complex.d), 2 * n)
     M_complex = ChainComplex(M, d_M)
+    c0_rows = slot_table(data.c0, M)
     c_map = ChainMap(M_complex, data.complex,
                      GradedMap(M, A, 0,
-                               lambda fn_: contract_first(data.c0, M.el(fn_)),
+                               lambda f: Vector._trusted(A, c0_rows.get(f, {})),
                                name="c"))
     cone = mapping_cone(c_map)
 
@@ -336,11 +329,13 @@ def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
     mu = ops.data.mu
     b = ops.barred
 
+    # the block values are valid names of A and M, so "+" and "-" of them
+    # are names of the cone
     def plus(v: Vector) -> Vector:
-        return Vector(cone_mod, {f"+{n}": c for n, c in v.coeffs.items()})
+        return Vector._trusted(cone_mod, {f"+{n}": c for n, c in v.coeffs.items()})
 
     def minus(v: Vector) -> Vector:
-        return Vector(cone_mod, {f"-{n}": c for n, c in v.coeffs.items()})
+        return Vector._trusted(cone_mod, {f"-{n}": c for n, c in v.coeffs.items()})
 
     def fn(nm):
         u, v = src.parts_of(nm)
@@ -390,21 +385,19 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     def mu1_right(a_el: Vector) -> Vector:
         # (mu (x) 1)(a (x) c)
-        acc = None
+        out = tensor(A, A).zero()
         for nm, c in cbiv.coeffs.items():
             c1, c2 = cbiv.module.parts_of(nm)
-            term = mu_el(a_el, A.el(c1)).tensor(A.el(c2)).scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else tensor(A, A).zero()
+            out = out + mu_el(a_el, A.el(c1)).tensor(A.el(c2)).scale(c)
+        return out
 
     def mu1_left(a_el: Vector) -> Vector:
         # (1 (x) mu)(c (x) a)
-        acc = None
+        out = tensor(A, A).zero()
         for nm, c in cbiv.coeffs.items():
             c1, c2 = cbiv.module.parts_of(nm)
-            term = A.el(c1).tensor(mu_el(A.el(c2), a_el)).scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else tensor(A, A).zero()
+            out = out + A.el(c1).tensor(mu_el(A.el(c2), a_el)).scale(c)
+        return out
 
     AMb = tensor(A, Mbar)
     MbA = tensor(Mbar, A)
@@ -416,14 +409,18 @@ def closed_form_components(data: ConeProductData) -> dict:
     # the closed form's own sparse transposes, built from mu_el and W
     names_A = [x.name for x in A.basis()]
 
+    def W_left(a):
+        # lam(a) + (1(x)mu)(c(x)a)
+        return lam.eval_basis(a) + mu1_left(A.el(a))
+
+    def W_right(b):
+        # lam(b) + (-1)^{|b|}(mu(x)1)(b(x)c)
+        return (lam.eval_basis(b)
+                + mu1_right(A.el(b)).scale(koszul_sign(A.degree_of(b))))
+
     def W(x):
         # lam(a) + (-1)^{|a|}(mu(x)1)(a(x)c) + (1(x)mu)(c(x)a)
-        out = lam.eval_basis(x)
-        if not cbiv.is_zero():
-            a_el = A.el(x)
-            out = out + mu1_right(a_el).scale(koszul_sign(A.degree_of(x))) \
-                + mu1_left(a_el)
-        return out
+        return W_right(x) + mu1_left(A.el(x))
 
     @functools.cache
     def W_table():
@@ -448,23 +445,6 @@ def closed_form_components(data: ConeProductData) -> dict:
         return Vector(Mbar, {x + "^": R.mul(R.canon(koszul_sign(s_exp)), c)
                              for x, c in col.items()})
 
-    def mp_p(nm):
-        fb, a = MbA.parts_of(nm)
-        df = M.degree_of(fb)
-        W = lam.eval_basis(a)
-        if not cbiv.is_zero():
-            W = W + mu1_left(A.el(a))
-        out = contract_first(W, M.el(fb))
-        return out.scale(koszul_sign(df + 1))
-
-    def pm_p(nm):
-        bnm, fb = AMb.parts_of(nm)
-        db = A.degree_of(bnm)
-        W = lam.eval_basis(bnm)
-        if not cbiv.is_zero():
-            W = W + mu1_right(A.el(bnm)).scale(koszul_sign(db))
-        return contract_last_signed(W, M.el(fb)).scale(koszul_sign(db))
-
     def mp_m(nm):
         fb, a = MbA.parts_of(nm)
         col = mu_el_left_rows(a).get(fb[:-1], {})
@@ -488,8 +468,11 @@ def closed_form_components(data: ConeProductData) -> dict:
         "pp_m": GradedMap.zero(A2, Mbar, 0, name="pp_m"),
         "mm_p": GradedMap.zero(MbMb, A, 0, name="mm_p"),
         "mm_m": GradedMap(MbMb, Mbar, 0, mm_m, name="mm_m"),
-        "mp_p": GradedMap(MbA, A, 0, mp_p, name="mp_p"),
-        "pm_p": GradedMap(AMb, A, 0, pm_p, name="pm_p"),
+        "mp_p": _contraction(MbA, M, W_left, False, 0,
+                             lambda a, f: koszul_sign(M.degree_of(f) + 1),
+                             "mp_p"),
+        "pm_p": _contraction(AMb, M, W_right, True, 0,
+                             lambda b, f: koszul_sign(A.degree_of(b)), "pm_p"),
         "mp_m": GradedMap(MbA, Mbar, 0, mp_m, name="mp_m"),
         "pm_m": GradedMap(AMb, Mbar, 0, pm_m, name="pm_m"),
     }
@@ -506,10 +489,13 @@ class CrossCheckResult:
         return "; ".join(self.failures[:5])
 
 
-def cross_check_components(ops: ConeProductOps) -> CrossCheckResult:
-    """Closed-form components == assembled blocks, on all safe inputs."""
+def cross_check_components(ops: ConeProductOps,
+                           comps: dict = None) -> CrossCheckResult:
+    """Closed-form components == assembled blocks, on all safe inputs.
+    `comps` is closed_form_components(ops.data), when already built."""
     data = ops.data
-    comps = closed_form_components(data)
+    if comps is None:
+        comps = closed_form_components(data)
     cone_mod = ops.cone.complex.module
     safe_plus = [n for n in data.safe_names]
     safe_minus = [f"{n}^" for n in data.safe_names]
@@ -575,6 +561,7 @@ class InfinitesimalFromAssocResult:
 def check_assoc_implies_infinitesimal(
         data: ConeProductData,
         require_associativity: bool | AssociativityResult = True,
+        comps: dict = None,
         ) -> InfinitesimalFromAssocResult:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
@@ -593,7 +580,12 @@ def check_assoc_implies_infinitesimal(
     Cone associativity is the precondition.  require_associativity=True
     derives the cone product and checks it; an AssociativityResult already
     computed for this package is used as the verdict instead; False skips
-    the precondition.
+    the precondition.  `comps` is closed_form_components(data), when
+    already built.
+
+    The triples (a, b, f) run over the safe names in lexicographic order;
+    both sides are read from the tables of mu and the closed-form
+    components, and each defect is contracted by its last slot once.
     """
     assoc = require_associativity
     if assoc is True:
@@ -601,45 +593,52 @@ def check_assoc_implies_infinitesimal(
     if assoc is not False and not assoc.passed:
         return InfinitesimalFromAssocResult(
             False, False, f"cone product is not associative: {assoc.witness}")
-    comps = closed_form_components(data)
+    if comps is None:
+        comps = closed_form_components(data)
     A = data.A
-    one = GradedMap.identity(A)
-    mu, lam = data.mu, data.lam
     M = dual_side(A, data.n)
-    Mbar = shift(M, -1)
+    idx = A.index()
+    R = A.ring
+    mul, add, neg = R.mul, R.add, R.neg
 
-    lam_mu = mu.then(lam)
-    t1 = tensor_map(lam, one).then(tensor_map(one, mu))
-    t2 = tensor_map(one, lam).then(tensor_map(mu, one))
-    lam_eta_term = None
-    if not data.Q0.is_zero():
-        lam_eta_term = insert_middle(-data.Q0, A, A).then(tensor_map(mu, mu))
+    def add_scaled(out, c, row):
+        for n, v in row:
+            t = mul(c, v)
+            old = out.get(n)
+            out[n] = t if old is None else add(old, t)
 
-    safe = data.safe_names
-    for a in safe:
-        for b in safe:
-            ab = f"{a}{TENSOR_SEP}{b}"
-            defect = (lam_mu.eval_basis(ab) - t1.eval_basis(ab)
-                      - t2.eval_basis(ab))
-            if lam_eta_term is not None:
-                defect = defect + lam_eta_term.eval_basis(ab)
-            sign = koszul_sign(A.degree_of(a) + A.degree_of(b) + 1)
-            av = A.el(a)
-            for fname in safe:
-                fb = f"{fname}^"
-                fv = M.el(fb)
-                term1 = mu(av.tensor(comps["pm_p"].eval_basis(f"{b}{TENSOR_SEP}{fb}")))
-                inner = comps["pm_m"].eval_basis(f"{b}{TENSOR_SEP}{fb}")
-                term2 = comps["pm_p"](av.tensor(inner))
-                term3 = comps["pm_p"](mu.eval_basis(ab).tensor(Mbar.el(fb)))
+    mu = data.mu.table().row
+    pm_p = comps["pm_p"].table().row
+    pm_m = comps["pm_m"].table().row
+    kernel = PairKernel(data.mu, data.lam, -data.Q0)
+    f_pos = comps["pm_p"].source.factors[1].index().pos
+
+    safe = [(n, idx.pos[n]) for n in data.safe_names]
+    duals = [(f"{n}^", f_pos[f"{n}^"]) for n in data.safe_names]
+    for a, i in safe:
+        for b, j in safe:
+            negate = not (idx.odd[i] + idx.odd[j]) % 2
+            contracted = slot_table(kernel.vector(kernel.defect(i, j)), M,
+                                    last=True)
+            ab = mu(i, j)
+            for fb, k in duals:
+                total = {}
+                for y, c in pm_p(j, k):     # m_pp_p(1 (x) m_pm_p)
+                    add_scaled(total, c, mu(i, y))
+                for g, c in pm_m(j, k):     # m_pm_p(1 (x) m_pm_m)
+                    add_scaled(total, c, pm_p(i, g))
+                for x, c in ab:             # - m_pm_p(m_pp_p (x) 1)
+                    add_scaled(total, neg(c), pm_p(x, k))
                 # m_mm_p(m_pp_m (x) 1) vanishes: m_pp_m = 0
-                total = term1 + term2 - term3
-                expected = contract_last_signed(defect, fv).scale(sign)
+                total = {idx.names[n]: c for n, c in total.items() if c != 0}
+                expected = {w: neg(c) if negate else c
+                            for w, c in contracted.get(fb, {}).items()}
                 if total != expected:
                     return InfinitesimalFromAssocResult(
                         True, False,
                         f"fails at a={a}, b={b}, f={fb}: "
-                        f"{format_vector(total)} vs {format_vector(expected)}")
+                        f"{format_vector(Vector._trusted(A, total))} vs "
+                        f"{format_vector(Vector._trusted(A, expected))}")
     return InfinitesimalFromAssocResult(True, True)
 
 

@@ -20,7 +20,7 @@ Sign conventions (the single source of truth for the whole package):
   <x, phi> = (-1)^{|x||phi|} <phi, x>.  Tensors of functionals evaluate by
   the map rule, e.g. <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} <g,w1><f,w2>,
   and element-first slot contractions such as <T, 1 (x) f> carry the
-  resulting per-term sign (-1)^{|f||w2|} (see contract_last_signed).
+  resulting per-term sign (-1)^{|f||w2|} (see slot_table).
 
 * Operation shift [i,j;k] (binary operations): shift the source factors by
   i and j and the target by k.  Evaluation on u (x) v picks up the Koszul
@@ -41,11 +41,19 @@ negation, scaling, tensors, map application, `tensor_map`, `shift_map` and
 the operation shifts) only combines values that are valid already, so it
 builds its results through the trusted constructor `Vector._trusted`,
 which drops zero coefficients and checks nothing else.
+
+Index tables: the quadratic and cubic quantifiers read structure constants
+from `GradedMap.table()`, an `OpTable` that keys each basis element of an
+atomic module by its position in the canonical order (`GradedModule.index`,
+which also holds each position's degree parity).  A table fills each row
+once, on first use, through `eval_basis`, so every value it holds has
+passed the map's target check; names come back only to build a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rings import Ring
 from .matrices import ExactMatrix
@@ -65,6 +73,15 @@ class BasisElement:
 
     def __repr__(self):
         return f"{self.name}[{self.degree}]"
+
+
+class BasisIndex(NamedTuple):
+    """A module's basis names by position, positions by name, and the
+    degree parity (0 or 1) at each position."""
+
+    names: tuple
+    pos: dict
+    odd: tuple
 
 
 class GradedModule:
@@ -121,6 +138,17 @@ class GradedModule:
 
     def parts_of(self, name: str):
         return (name,)
+
+    def index(self) -> "BasisIndex":
+        """Positions of the basis names in canonical order, built once."""
+        idx = getattr(self, "_index", None)
+        if idx is None:
+            basis = self.basis()
+            idx = self._index = BasisIndex(
+                tuple(e.name for e in basis),
+                {e.name: i for i, e in enumerate(basis)},
+                tuple(e.degree % 2 for e in basis))
+        return idx
 
     def __eq__(self, other):
         if self is other:
@@ -427,6 +455,7 @@ class GradedMap:
         self.degree = degree
         self._fn = fn
         self._memo = {}
+        self._table = None
         self.name = name
 
     # -- constructors --------------------------------------------------------
@@ -469,6 +498,12 @@ class GradedMap:
                                  f"outside its target on {name!r}")
             self._memo[name] = v
         return v
+
+    def table(self) -> "OpTable":
+        """The map's structure constants on integer indices (one per map)."""
+        if self._table is None:
+            self._table = OpTable(self)
+        return self._table
 
     def __call__(self, x) -> Vector:
         if isinstance(x, str):
@@ -553,6 +588,49 @@ class GradedMap:
                 f"{self.target.name or '?'}, degree {self.degree})")
 
 
+class OpTable:
+    """A map's structure constants on integer indices, filled lazily.
+
+    The map has a unary or binary source of atomic factors.  `row(i)`, or
+    `row(i, j)` for a binary source, is the image of the basis element at
+    those positions (see `GradedModule.index`) as a tuple of
+    (k, coefficient) pairs, where k is a position in an atomic target, or a
+    tuple of positions, one per factor, in a tensor target.  Each row is
+    read once, through `eval_basis`, and kept while the map lives.
+    """
+
+    def __init__(self, op: GradedMap):
+        if op.source.arity > 2:
+            raise ValueError("tables index unary and binary sources only")
+        self.op = op
+        self.source = tuple(f.index() for f in op.source.factors)
+        self.target = tuple(f.index() for f in op.target.factors)
+        self._stride = len(self.source[1].names) if op.source.arity == 2 else 1
+        self._rows = {}
+
+    def row(self, i: int, j: int = 0) -> tuple:
+        r = self._rows.get(i * self._stride + j)
+        if r is None:
+            r = self._fill(i, j)
+        return r
+
+    def _fill(self, i, j):
+        name = self.source[0].names[i]
+        if len(self.source) == 2:
+            name += TENSOR_SEP + self.source[1].names[j]
+        coeffs = self.op.eval_basis(name).coeffs
+        if len(self.target) == 1:
+            pos = self.target[0].pos
+            r = tuple((pos[n], c) for n, c in coeffs.items())
+        else:
+            parts_of = self.op.target.parts_of
+            poss = [t.pos for t in self.target]
+            r = tuple((tuple(p[x] for p, x in zip(poss, parts_of(n))), c)
+                      for n, c in coeffs.items())
+        self._rows[i * self._stride + j] = r
+        return r
+
+
 # ---------------------------------------------------------------------------
 # Koszul combinators
 # ---------------------------------------------------------------------------
@@ -590,7 +668,7 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
 def associativity_witness(mu: GradedMap, names):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
     mu(mu (x) 1) = mu(1 (x) mu) over names^3 in lexicographic order, with
-    both sides expanded from mu's memoized basis products:
+    both sides expanded from mu's table of basis products:
 
         lhs = sum_x <mu(a (x) b), x> mu(x (x) c),
         rhs = (-1)^{|mu||a|} sum_y <mu(b (x) c), y> mu(a (x) y),
@@ -599,35 +677,49 @@ def associativity_witness(mu: GradedMap, names):
     of mu's target on a failure, else None.
     """
     A = mu.target
+    if any(f != A for f in mu.source.factors):
+        raise ValueError("associativity needs a product A (x) A -> A")
     mul, add, neg = A.ring.mul, A.ring.add, A.ring.neg
-    ev = mu.eval_basis
+    idx = A.index()
+    row = mu.table().row
+    inputs = [(n, idx.pos[n]) for n in names]
+    with_inputs = {}   # x -> [mu(x (x) c) for c in names], on first use
 
-    def expand(terms):  # sum of c * mu(key) over the (key, c) pairs
-        out = {}
-        for key, c in terms:
-            for n, v in ev(key).coeffs.items():
-                t = mul(c, v)
-                old = out.get(n)
-                out[n] = t if old is None else add(old, t)
-        return out
+    def times_inputs(x):
+        r = with_inputs.get(x)
+        if r is None:
+            r = with_inputs[x] = [row(x, k) for _, k in inputs]
+        return r
 
     count = 0
-    for a in names:
-        negate = mu.degree % 2 and A.degree_of(a) % 2
-        a_ = a + TENSOR_SEP
-        for b in names:
-            ab = ev(a_ + b).coeffs.items()
-            b_ = b + TENSOR_SEP
-            for c in names:
+    for a, i in inputs:
+        negate = mu.degree % 2 and idx.odd[i]
+        for b, j in inputs:
+            ab = [(times_inputs(x), cx) for x, cx in row(i, j)]
+            for kk, bc in enumerate(times_inputs(j)):
                 count += 1
-                _c = TENSOR_SEP + c
-                lhs = expand([(x + _c, cx) for x, cx in ab])
-                rhs = expand([(a_ + y, neg(cy) if negate else cy)
-                              for y, cy in ev(b_ + c).coeffs.items()])
+                if not ab and not bc:   # both sides are 0
+                    continue
+                lhs = {}
+                for x_c, cx in ab:
+                    for n, v in x_c[kk]:
+                        t = mul(cx, v)
+                        old = lhs.get(n)
+                        lhs[n] = t if old is None else add(old, t)
+                rhs = {}
+                for y, cy in bc:
+                    if negate:
+                        cy = neg(cy)
+                    for n, v in row(i, y):
+                        t = mul(cy, v)
+                        old = rhs.get(n)
+                        rhs[n] = t if old is None else add(old, t)
                 if lhs != rhs:  # equal dicts are equal Vectors; not conversely
-                    lhs, rhs = Vector._trusted(A, lhs), Vector._trusted(A, rhs)
+                    lhs, rhs = (Vector._trusted(A, {idx.names[k]: v for k, v
+                                                    in side.items()})
+                                for side in (lhs, rhs))
                     if lhs != rhs:
-                        return count, (a, b, c), lhs, rhs
+                        return count, (a, b, inputs[kk][0]), lhs, rhs
     return count, None, None, None
 
 
@@ -747,24 +839,6 @@ def insert_right(v: Vector, M: GradedModule) -> GradedMap:
     return GradedMap(M, target, dv, fn, name="insR")
 
 
-def insert_middle(v: Vector, M: GradedModule, N: GradedModule) -> GradedMap:
-    """x (x) y -> (-1)^{|v| |x|} x (x) v (x) y  (1 (x) v (x) 1)."""
-    source = tensor(M, N)
-    target = tensor(M, v.module, N)
-    dv = _vector_degree(v)
-    split = M.arity
-
-    def fn(name):
-        parts = source.parts_of(name)
-        left = TENSOR_SEP.join(parts[:split])
-        right = TENSOR_SEP.join(parts[split:])
-        sign = -1 if (dv % 2) and (M.degree_of(left) % 2) else 1
-        out = M.el(left).tensor(v).tensor(N.el(right))
-        return out if sign == 1 else -out
-
-    return GradedMap(source, target, dv, fn, name="insM")
-
-
 def _vector_degree(v: Vector) -> int:
     d = v.degree()
     if d is None:
@@ -782,43 +856,37 @@ def apply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
     u (x) v picks up (-1)^{j |u|}, with |u| measured where u lives (the
     shifted module); the target shift carries no sign.
     """
-    if op.source.arity != 2:
-        raise ValueError("operation shifts apply to binary operations")
-    X, Y = op.source.factors
-    Xs, Ys = shift(X, i), shift(Y, j)
-    source = tensor(Xs, Ys)
-    target = shift(op.target, k)
-
-    def fn(name):
-        left, right = source.parts_of(name)
-        sign = -1 if (j % 2) and (Xs.degree_of(left) % 2) else 1
-        return _moved(op.eval_basis(name), target, sign)
-
-    return GradedMap(source, target, op.degree + i + j - k, fn,
-                     name=f"{op.name}[{i},{j};{k}]")
+    return _op_shift(op, i, j, k, True, f"{op.name}[{i},{j};{k}]")
 
 
 def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
     """The unique P with apply_op_shift(P, i, j, k) == op.
 
-    Not apply_op_shift with negated arguments: the Koszul sign of the
-    [i,j;k] rule is measured at shifted degree, so inverting it costs
-    (-1)^{j (|u| - i)} on the unshifted input instead.
+    The shift by (-i, -j, -k), but not apply_op_shift of it: the Koszul
+    sign of the [i,j;k] rule is measured at shifted degree, which is op's
+    source here, so inverting it costs (-1)^{j |u|} with |u| read in op's
+    source instead of in the result's.
     """
+    return _op_shift(op, -i, -j, -k, False, f"{op.name}[-{i},-{j};-{k}]")
+
+
+def _op_shift(op, i, j, k, sign_at_result, name):
+    """op with its source factors shifted by i and j and its target by k;
+    the sign (-1)^{j |u|} reads |u| in the result's source, or in op's."""
     if op.source.arity != 2:
         raise ValueError("operation shifts apply to binary operations")
-    S1, S2 = op.source.factors
-    Xs, Ys = shift(S1, -i), shift(S2, -j)
-    source = tensor(Xs, Ys)
-    target = shift(op.target, -k)
+    X, Y = op.source.factors
+    Xs = shift(X, i)
+    source = tensor(Xs, shift(Y, j))
+    target = shift(op.target, k)
+    U = Xs if sign_at_result else X
 
-    def fn(name):
-        left, right = source.parts_of(name)
-        sign = -1 if (j % 2) and ((Xs.degree_of(left) - i) % 2) else 1
-        return _moved(op.eval_basis(name), target, sign)
+    def fn(nm):
+        left = source.parts_of(nm)[0]
+        sign = -1 if (j % 2) and (U.degree_of(left) % 2) else 1
+        return _moved(op.eval_basis(nm), target, sign)
 
-    return GradedMap(source, target, op.degree - i - j + k, fn,
-                     name=f"{op.name}[-{i},-{j};-{k}]")
+    return GradedMap(source, target, op.degree + i + j - k, fn, name=name)
 
 
 # -- pairings -----------------------------------------------------------------
@@ -838,67 +906,33 @@ def dual_pair(f: Vector, a: Vector):
     return acc
 
 
-def contract_first(T: Vector, f: Vector) -> Vector:
-    """<f (x) 1, T>: pair f against the first tensor slot of T."""
+def slot_table(T: Vector, functionals: GradedModule, last: bool = False) -> dict:
+    """T contracted against every dual basis functional x^ of `functionals`
+    at once, by T's first slot or by its last, in one pass over T:
+    {x^: {name of the other slots: coefficient}}, without the functionals
+    whose contraction vanishes.
+
+        first slot:  table[x^] = <x^ (x) 1, T>    (functional first, no sign)
+        last slot:   table[x^] = <T, 1 (x) x^>    (element first: each term
+                     w1 (x) x carries (-1)^{|x^||x|})
+
+    Names of the other slots come from T and are not checked again.
+    """
     mod = T.module
     if mod.arity < 2:
-        raise ValueError("contract_first needs a tensor of arity >= 2")
-    first = mod.factors[0]
-    rest = tensor(*mod.factors[1:]) if mod.arity > 2 else mod.factors[1]
+        raise ValueError("slot_table needs a tensor of arity >= 2")
+    slot = mod.factors[-1 if last else 0]
     R = mod.ring
     out = {}
     for name, c in T.coeffs.items():
         parts = mod.parts_of(name)
-        w1 = first.el(parts[0])
-        s = dual_pair(f, w1)
-        if s != 0:
-            key = TENSOR_SEP.join(parts[1:])
-            out[key] = R.add(out.get(key, R.zero()), R.mul(s, c))
-    return Vector(rest, out)
-
-
-def pair_two(T: Vector, g: Vector, f: Vector):
-    """<g (x) f, T> for a binary tensor T, with the Koszul evaluation sign:
-    (g (x) f)(w1 (x) w2) = (-1)^{|f||w1|} <g, w1> <f, w2>."""
-    mod = T.module
-    if mod.arity != 2:
-        raise ValueError("pair_two needs a binary tensor")
-    R = mod.ring
-    df = f.degree()
-    acc = R.zero()
-    m1, m2 = mod.factors
-    for name, c in T.coeffs.items():
-        p1, p2 = mod.parts_of(name)
-        s1 = dual_pair(g, m1.el(p1))
-        if s1 == 0:
-            continue
-        s2 = dual_pair(f, m2.el(p2))
-        if s2 != 0:
-            term = R.mul(c, R.mul(s1, s2))
-            if df is not None and (df % 2) and (m1.degree_of(p1) % 2):
-                term = R.neg(term)
-            acc = R.add(acc, term)
-    return acc
-
-
-def contract_last_signed(T: Vector, f: Vector) -> Vector:
-    """<T, 1 (x) ... (x) f>: the element-first pairing against the last slot,
-    carrying the order sign: w1 (x) w2 -> (-1)^{|f||w2|} w1 <f, w2>."""
-    mod = T.module
-    if mod.arity < 2:
-        raise ValueError("contract_last_signed needs a tensor of arity >= 2")
-    last = mod.factors[-1]
-    rest = tensor(*mod.factors[:-1]) if mod.arity > 2 else mod.factors[0]
-    R = mod.ring
-    df = f.degree()
-    out = {}
-    for name, c in T.coeffs.items():
-        parts = mod.parts_of(name)
-        s = dual_pair(f, last.el(parts[-1]))
-        if s != 0:
-            term = R.mul(s, c)
-            if df is not None and (df % 2) and (last.degree_of(parts[-1]) % 2):
-                term = R.neg(term)
-            key = TENSOR_SEP.join(parts[:-1])
-            out[key] = R.add(out.get(key, R.zero()), term)
-    return Vector(rest, out)
+        if last:
+            w, rest = parts[-1], TENSOR_SEP.join(parts[:-1])
+            f = w + "^"
+            if functionals.degree_of(f) % 2 and slot.degree_of(w) % 2:
+                c = R.neg(c)
+        else:
+            w, rest = parts[0], TENSOR_SEP.join(parts[1:])
+            f = w + "^"
+        out.setdefault(f, {})[rest] = c
+    return out

@@ -7,6 +7,7 @@ break the byte-identity guarantee that CI relies on).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .bialgebra import (
 from .cone_product import (
     ConeProductData,
     derive_secondary_ops,
+    closed_form_components,
     cross_check_components,
     check_cone_associativity,
     check_assoc_implies_infinitesimal,
@@ -83,9 +85,8 @@ def _timed(record_id, fn, timings: bool) -> CheckRecord:
 # Check implementations
 # ---------------------------------------------------------------------------
 
-def _axioms_records(inst: BialgebraData, prefix: str, timings: bool):
+def _axioms_records(rep, prefix: str, timings: bool):
     out = []
-    rep = check_axioms(inst)
     for r in rep.results:
         detail = f"{r.inputs_checked} inputs"
         if not r.passed:
@@ -117,17 +118,20 @@ def _conditional_record(rec_id, rep):
 def bialgebra_records(inst: BialgebraData, checks, prefix: str = "",
                       timings: bool = False, reverse_bivector=None):
     out = []
+    axioms = None   # the check_axioms report, shared with cc-antisymmetry
     for check in checks:
         if check == "axioms":
-            out.extend(_axioms_records(inst, prefix, timings))
+            axioms = check_axioms(inst)
+            out.extend(_axioms_records(axioms, prefix, timings))
         elif check == "lambda-eta":
             out.append(_lambda_eta_record(inst, prefix))
         elif check == "involutivity":
             out.append(_conditional_record(f"{prefix}involutivity",
                                            check_involutivity(inst)))
         elif check == "cc-antisymmetry":
-            out.append(_conditional_record(f"{prefix}cc-antisymmetry",
-                                           check_cc_implies_antisymmetry(inst)))
+            out.append(_conditional_record(
+                f"{prefix}cc-antisymmetry",
+                check_cc_implies_antisymmetry(inst, axioms)))
         elif check == "loday-ronco":
             out.append(_timed(f"{prefix}loday-ronco",
                               lambda: _loday(inst), timings))
@@ -154,26 +158,15 @@ def _loday(inst):
 def cone_records(data: ConeProductData, checks, prefix: str = "",
                  timings: bool = False):
     out = []
-    ops = None
-    assoc = None
-
     # derived once per package and shared by the checks that need them
-    def get_ops():
-        nonlocal ops
-        if ops is None:
-            ops = derive_secondary_ops(data)
-        return ops
-
-    def get_assoc():
-        nonlocal assoc
-        if assoc is None:
-            assoc = check_cone_associativity(get_ops())
-        return assoc
+    get_ops = functools.cache(lambda: derive_secondary_ops(data))
+    get_assoc = functools.cache(lambda: check_cone_associativity(get_ops()))
+    get_comps = functools.cache(lambda: closed_form_components(data))
 
     for check in checks:
         if check == "components":
             def run_components():
-                res = cross_check_components(get_ops())
+                res = cross_check_components(get_ops(), get_comps())
                 return ("pass" if res.passed else "fail"), res.describe()
             out.append(_timed(f"{prefix}components", run_components, timings))
         elif check == "associativity":
@@ -184,7 +177,8 @@ def cone_records(data: ConeProductData, checks, prefix: str = "",
             out.append(_timed(f"{prefix}associativity", run_assoc, timings))
         elif check == "assoc-infinitesimal":
             def run_ai():
-                res = check_assoc_implies_infinitesimal(data, get_assoc())
+                res = check_assoc_implies_infinitesimal(data, get_assoc(),
+                                                        get_comps())
                 if not res.precondition_ok:
                     return "fail", f"precondition: {res.detail}"
                 return ("pass" if res.passed else "fail"), res.detail
@@ -258,14 +252,12 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
     if name == "tstar-s1":
         return _tstar_records(ring, prefix)
     inst = fx.make_fixture(name, window, ring)
+    checks = ("axioms", "lambda-eta")
+    if suite == "demo" and name in ("lambda-s3", "omega-s3"):
+        checks += ("involutivity", "cc-antisymmetry")
+    records = bialgebra_records(inst, checks, prefix, timings)
     if suite == "check":
-        return bialgebra_records(inst, ("axioms", "lambda-eta"), prefix, timings)
-    records = bialgebra_records(inst, ("axioms", "lambda-eta"), prefix, timings)
-    if name in ("lambda-s3", "omega-s3"):
-        records.append(_conditional_record(f"{prefix}involutivity",
-                                           check_involutivity(inst)))
-        records.append(_conditional_record(f"{prefix}cc-antisymmetry",
-                                           check_cc_implies_antisymmetry(inst)))
+        return records
     if name.startswith("omega-s1"):
         records.append(_timed(f"{prefix}loday-ronco", lambda: _loday(inst),
                               timings))

@@ -165,28 +165,30 @@ def test_criterion_8_mutation_robustness():
     total = 0
     witnesses = 0
     sample = None
-    for name in BIALGEBRA_FIXTURES:
-        inst = fx.make_fixture(name, WINDOW)
-        targets = list(fx.mutation_targets(inst, WINDOW))
-        assert targets, name
-        for op_label, input_name, output_name in targets:
-            if op_label == "mu":
-                bad = fx.mutate_mu(inst, input_name, output_name)
-            else:
-                bad = fx.mutate_lambda(inst, input_name, output_name)
-            rep = check_axioms(bad, fail_fast=True)
-            failures = rep.failures()
-            assert failures, (f"{name}: flipping {op_label}[{input_name} -> "
-                              f"{output_name}] went undetected")
-            assert failures[0].witness_input, name
-            total += 1
-            witnesses += 1
-            if sample is None:
-                f = failures[0]
-                sample = (f"{name} {op_label}[{input_name}] breaks "
-                          f"'{f.axiom}' at {f.witness_input}")
-    _report(8, f"{total} single-sign flips across 6 fixtures all detected "
-               f"with witnesses (e.g. {sample})")
+    for ring in RINGS:
+        for name in BIALGEBRA_FIXTURES:
+            inst = fx.make_fixture(name, WINDOW, ring)
+            targets = list(fx.mutation_targets(inst, WINDOW))
+            assert targets, name
+            for op_label, input_name, output_name in targets:
+                if op_label == "mu":
+                    bad = fx.mutate_mu(inst, input_name, output_name)
+                else:
+                    bad = fx.mutate_lambda(inst, input_name, output_name)
+                rep = check_axioms(bad, fail_fast=True)
+                failures = rep.failures()
+                assert failures, (f"{name} over {ring}: flipping {op_label}"
+                                  f"[{input_name} -> {output_name}] went "
+                                  f"undetected")
+                assert failures[0].witness_input, name
+                total += 1
+                witnesses += 1
+                if sample is None:
+                    f = failures[0]
+                    sample = (f"{name} {op_label}[{input_name}] breaks "
+                              f"'{f.axiom}' at {f.witness_input}")
+    _report(8, f"{total} single-sign flips across 6 fixtures over Z, Q and "
+               f"GF(5) all detected with witnesses (e.g. {sample})")
 
 
 def test_criterion_8_cone_mutation_robustness():

@@ -372,10 +372,8 @@ def _cubical_torus(ring, n):
     return complex_from_spec(ring, gens, diff)
 
 
-def test_homology_factors_each_matrix_once(monkeypatch):
-    # per degree at most: one factoring of d_k (its kernel here, its image
-    # lattice one degree down), the cycle matrix, and the relation
-    # coordinates; never one per relation, and no matrix twice
+def _count_snf(monkeypatch):
+    """List that records every smith_normal_form call's matrix."""
     import chainalg.complexes as cx
     import chainalg.matrices as mx
 
@@ -388,11 +386,32 @@ def test_homology_factors_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(mx, "smith_normal_form", counting)
     monkeypatch.setattr(cx, "smith_normal_form", counting)
+    return factored
+
+
+def test_homology_factors_each_matrix_once(monkeypatch):
+    # per degree at most: one factoring of d_k (its kernel here, its image
+    # lattice one degree down), the cycle matrix, and the relation
+    # coordinates; never one per relation, and no matrix twice
+    factored = _count_snf(monkeypatch)
     C = _cubical_torus(ZZ, 4)
     assert str(homology(C)) == "H_0 = R, H_1 = R^2, H_2 = R"
     shapes = [f[:2] for f in factored]
     assert len(factored) <= 3 * len(C.degrees()), shapes
     assert len(set(factored)) == len(factored), shapes
+
+
+def test_quotient_homology_factors_each_matrix_once(monkeypatch):
+    # with nothing to quotient by, each d_k gives the cycles at k and the
+    # boundaries at k - 1 from one factoring, as in homology()
+    C = _cubical_torus(ZZ, 3)
+    Z = complex_from_spec(ZZ, [("z", 0)], {})
+    q = quotient_by_image(ChainMap(Z, C, GradedMap.zero(Z.module, C.module, 0)))
+    factored = _count_snf(monkeypatch)
+    assert str(q.homology()) == "H_0 = R, H_1 = R^2, H_2 = R"
+    shapes = [f[:2] for f in factored]
+    assert len(set(factored)) == len(factored), shapes
+    assert len(factored) <= 3 * len(C.degrees()), shapes
 
 
 def test_relation_outside_the_cycle_lattice_raises():

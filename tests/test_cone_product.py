@@ -19,9 +19,29 @@ from chainalg.cone_product import (
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
 )
-from chainalg.fixtures import TruncationWindow, make_fixture
+from chainalg.fixtures import TruncationWindow, make_fixture, make_random_instance
+from chainalg.rings import ZZ, QQ, GF
 
 W = TruncationWindow(12)
+
+
+def pair_two(T: Vector, g: Vector, f: Vector):
+    """<g (x) f, T> for a binary tensor T, with the Koszul evaluation sign:
+    (g (x) f)(w1 (x) w2) = (-1)^{|f||w1|} <g, w1> <f, w2>."""
+    mod = T.module
+    R = mod.ring
+    df = f.degree()
+    acc = R.zero()
+    m1, m2 = mod.factors
+    for name, c in T.coeffs.items():
+        p1, p2 = mod.parts_of(name)
+        s1 = dual_pair(g, m1.el(p1))
+        s2 = dual_pair(f, m2.el(p2))
+        term = R.mul(c, R.mul(s1, s2))
+        if df is not None and (df % 2) and (m1.degree_of(p1) % 2):
+            term = R.neg(term)
+        acc = R.add(acc, term)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +86,22 @@ def test_data_invariants_enforced():
                         inst.lam(inst.eta).scale(-1), bad_B, n=1)
 
 
+def test_safe_window_names_basis_elements_once():
+    inst = make_fixture("lambda-s3", TruncationWindow(8))
+    A = inst.module
+    parts = (ChainComplex(A), inst.mu, inst.lam, tensor(A, A).zero(),
+             -inst.lambda_eta(), tensor(A, A, A).zero())
+    safe = list(inst.safe_names)
+    for bad, message in ((safe + ["nope"], "'nope' is not a basis element"),
+                         (safe + safe[:1], "repeat")):
+        with pytest.raises(ValueError, match=message):
+            ConeProductData(*parts, n=3, safe_names=bad)
+    ops = derive_secondary_ops(ConeProductData(*parts, n=3, safe_names=safe))
+    names = ops.safe_cone_names()
+    assert len(names) == 2 * len(safe)
+    assert all(ops.cone.complex.module.has(n) for n in names)
+
+
 def test_cyclic_symmetric_cubic_accepted():
     inst = make_fixture("lambda-s1-plus", W)
     A = inst.module
@@ -83,6 +119,31 @@ def test_cyclic_symmetric_cubic_accepted():
     # with B != 0 the (-,-) -> + block is the dualized cubic term
     got = ops.barred["beta"].eval_basis(f"A^{TENSOR_SEP}A^")
     assert not got.is_zero()
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_beta_contracts_the_cubic_vector(ring):
+    """beta(f, g) = <f (x) g (x) 1, B>
+                  = sum (-1)^{|g||B1|} <f, B1> <g, B2> B3, term by term."""
+    nonzero = 0
+    for seed in range(4):
+        data = make_random_instance(seed, 4, degrees=(0, -1, 1), ring=ring,
+                                    kind="cone", n=1)
+        ops = derive_secondary_ops(data)
+        A, M, B = data.A, ops.M, data.B
+        for f in M.basis_names():
+            for g in M.basis_names():
+                want = A.zero()
+                for name, c in B.coeffs.items():
+                    b1, b2, b3 = B.module.parts_of(name)
+                    s = dual_pair(M.el(f), A.el(b1)) * dual_pair(M.el(g), A.el(b2))
+                    if M.degree_of(g) % 2 and A.degree_of(b1) % 2:
+                        s = -s
+                    want = want + A.el(b3, c * s)
+                got = ops.beta.eval_basis(f"{f}{TENSOR_SEP}{g}")
+                assert got == want, (seed, f, g)
+                nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_pairing_identities_definitional(s3_ops, s1_ops):
@@ -147,7 +208,6 @@ def test_sigma_without_corrections_uses_plain_coproduct():
                            safe_names=inst.safe_names)
     ops = derive_secondary_ops(data)
     M = ops.M
-    from chainalg.graded import pair_two
 
     for f in data.safe_names:
         for g in data.safe_names:
@@ -163,7 +223,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_ops):
     """<sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)> with
     lam_rev = lam + (mu(x)1)(1(x)Q0) + (1(x)mu)(Q0(x)1), here with Q0 != 0
     and odd generators."""
-    from chainalg.graded import insert_left, insert_right, pair_two, tensor_map
+    from chainalg.graded import insert_left, insert_right, tensor_map
 
     data = s1_ops.data
     A, M = data.A, s1_ops.M

@@ -262,8 +262,10 @@ from chainalg.fixtures import _parse_name
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 N = GradedModule(ZZ, [BasisElement("y", 0)])
 f = GradedMap(M, M, 0, lambda n: N.el("y"), name="f")
+g = GradedMap(M, M, 0, lambda n: N.el("y"), name="g")
 for label, call, error in (
         ("target", lambda: f.eval_basis("x"), ValueError),
+        ("row", lambda: g.table().row(0), ValueError),
         ("name", lambda: _parse_name("AxU^3"), ValueError),
         ("name", lambda: _parse_name("V^5"), ValueError),
         ("float", lambda: ZZ.canon(2.5), TypeError),
@@ -287,6 +289,7 @@ def test_correctness_checks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:6] == ["target raised", "name raised",
-                                         "name raised", "float raised",
-                                         "vector raised", "table raised"]
+    assert r.stdout.split("\n")[:7] == ["target raised", "row raised",
+                                         "name raised", "name raised",
+                                         "float raised", "vector raised",
+                                         "table raised"]

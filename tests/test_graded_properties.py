@@ -3,8 +3,10 @@
 Every value built by the package's own arithmetic must pass the public,
 checked `Vector` constructor unchanged, with coefficients of the ring's
 canonical type; the sign rules of `graded.py`'s docstring must hold on
-random maps over Z, Q and GF(5); and the associativity kernel must agree
-with the composite definition of both sides.
+random maps over Z, Q and GF(5); and the table-based kernels (associativity,
+the slot table, the unital infinitesimal and anti-symmetry quantifiers, the
+assoc-infinitesimal loop) must agree with the composite definitions, which
+this file keeps as the reference.
 """
 
 import gc
@@ -32,7 +34,15 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import ZZ, QQ, GF
-from chainalg.bialgebra import _quantify
+from chainalg.bialgebra import BialgebraData, PairKernel, _quantify, check_axioms
+from chainalg.complexes import ChainComplex
+from chainalg.cone_product import (
+    ConeProductData,
+    check_assoc_implies_infinitesimal,
+    closed_form_components,
+    dual_side,
+)
+from chainalg.graded import dual_pair, format_vector, slot_table
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -213,18 +223,22 @@ def test_dual_of_a_composite(ring, data):
 
 # -- the associativity kernel ---------------------------------------------------
 
-def draw_product(data, A):
-    """mu: A (x) A -> A of degree -1, 0 or 1; a sparse one is often
-    associative, a dense one seldom."""
+def draw_product(data, A, degree=None, source=None, target=None):
+    """An operation source -> target (default mu: A (x) A -> A) of degree
+    -1, 0 or 1; a sparse one often satisfies an identity, a dense one
+    seldom."""
     R = A.ring
-    degree = data.draw(st.integers(-1, 1))
+    if degree is None:
+        degree = data.draw(st.integers(-1, 1))
+    source = source or tensor(A, A)
+    target = target or A
     coeff = (st.sampled_from((0, 0, 0, 0, 1, -1, 2)).map(R.canon)
              if data.draw(st.booleans()) else coefficients(R))
-    A2 = tensor(A, A)
-    table = {e.name: Vector(A, {t.name: data.draw(coeff)
-                                for t in A.basis_in_degree(e.degree + degree)})
-             for e in A2.basis()}
-    return GradedMap.from_table(A2, A, degree, table)
+    table = {e.name: Vector(target, {
+                 t.name: data.draw(coeff)
+                 for t in target.basis_in_degree(e.degree + degree)})
+             for e in source.basis()}
+    return GradedMap.from_table(source, target, degree, table)
 
 
 def composite_reference(mu, names):
@@ -241,9 +255,9 @@ def composite_reference(mu, names):
 
     triples = [TENSOR_SEP.join((a, b, c))
                for a in names for b in names for c in names]
-    res = _quantify("associativity", triples,
-                    side(tensor_map(mu, one).then(mu), "lhs"),
-                    side(tensor_map(one, mu).then(mu), "rhs"), lambda n: n)
+    lhs = side(tensor_map(mu, one).then(mu), "lhs")
+    rhs = side(tensor_map(one, mu).then(mu), "rhs")
+    res = _quantify("associativity", triples, lambda n: (lhs(n), rhs(n)))
     if res.passed:
         return res.inputs_checked, None, None, None
     return (res.inputs_checked, tuple(res.witness_input.split(TENSOR_SEP)),
@@ -283,6 +297,220 @@ def test_associativity_kernel_checks_targets():
     mu = GradedMap(tensor(A, A), A, 0, lambda n: other.el("y0"), name="mu")
     with pytest.raises(ValueError, match="outside its target"):
         associativity_witness(mu, A.basis_names())
+
+
+def test_table_reads_each_row_once_through_eval_basis():
+    A = small()
+    reads = []
+
+    def fn(n):
+        reads.append(n)
+        return A.el("x0") if n.startswith("x1") else A.zero()
+
+    mu = GradedMap(tensor(A, A), A, 0, fn, name="mu")
+    t = mu.table()
+    assert t is mu.table()
+    pos = A.index().pos
+    assert t.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
+    assert t.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
+    assert t.row(pos["x0"], pos["x0"]) == ()
+    assert reads == [f"x1{TENSOR_SEP}x2", f"x0{TENSOR_SEP}x0"]
+    assert mu.eval_basis(f"x1{TENSOR_SEP}x2") == A.el("x0")
+    assert len(reads) == 2
+
+
+# -- the slot table -------------------------------------------------------------
+
+def contract_reference(T, f, last):
+    """<f (x) 1, T>, or <T, 1 (x) f> with the element-first sign
+    (-1)^{|f||w2|} per term, read one term of T at a time."""
+    mod = T.module
+    slot = mod.factors[-1] if last else mod.factors[0]
+    rest = (tensor(*mod.factors[:-1]) if last else tensor(*mod.factors[1:]))
+    R = mod.ring
+    df = f.degree()
+    out = {}
+    for name, c in T.coeffs.items():
+        parts = mod.parts_of(name)
+        w = parts[-1] if last else parts[0]
+        s = dual_pair(f, slot.el(w))
+        if s != 0:
+            term = R.mul(s, c)
+            if last and df % 2 and slot.degree_of(w) % 2:
+                term = R.neg(term)
+            key = TENSOR_SEP.join(parts[:-1] if last else parts[1:])
+            out[key] = R.add(out.get(key, R.zero()), term)
+    return Vector(rest, out)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_slot_table_matches_the_contractions(ring, data):
+    A = data.draw(modules(ring, "a"))
+    arity = data.draw(st.integers(2, 3))
+    T = draw_vector(data, tensor(*[A] * arity))
+    M = shift(dual_module(A), data.draw(st.integers(-2, 2)))
+    for last in (False, True):
+        table = slot_table(T, M, last)
+        for f in M.basis_names():
+            want = contract_reference(T, M.el(f), last)
+            assert Vector(want.module, table.get(f, {})) == want, (f, last)
+
+
+# -- the unital infinitesimal and anti-symmetry quantifiers ------------------
+
+def insert_middle(v: Vector, M: GradedModule, N: GradedModule) -> GradedMap:
+    """x (x) y -> (-1)^{|v| |x|} x (x) v (x) y  (1 (x) v (x) 1)."""
+    source = tensor(M, N)
+    target = tensor(M, v.module, N)
+    dv = v.degree()
+    split = M.arity
+
+    def fn(name):
+        parts = source.parts_of(name)
+        left = TENSOR_SEP.join(parts[:split])
+        right = TENSOR_SEP.join(parts[split:])
+        sign = -1 if (dv % 2) and (M.degree_of(left) % 2) else 1
+        out = M.el(left).tensor(v).tensor(N.el(right))
+        return out if sign == 1 else -out
+
+    return GradedMap(source, target, dv, fn, name="insM")
+
+
+def quadratic_sides(inst):
+    """{axiom: (lhs, rhs)} of (unital infinitesimal) and (unital
+    anti-symmetry) as functions of a pair name, built from composite maps."""
+    A = inst.module
+    mu, lam = inst.mu, inst.lam
+    one = GradedMap.identity(A)
+    tau = twist(A, A)
+    dl, dm = lam.degree, mu.degree
+    lam_eta = inst.lambda_eta()
+
+    t1 = tensor_map(lam, one).then(tensor_map(one, mu))
+    t2 = tensor_map(one, lam).then(tensor_map(mu, one))
+    uir_rhs = [(sign(dl * dm), t1), (sign(dl * dm), t2)]
+    tau_lam, mu_tau = lam.then(tau), tau.then(mu)
+    lhs = [(sign(dm * (dl + 1)),
+            tensor_map(tau_lam, one).then(tensor_map(one, mu))),
+           (sign(dl * (dm + 1)),
+            tensor_map(one, lam).then(tensor_map(mu_tau, one)))]
+    rhs = [(sign(dl * dm),
+            tensor_map(lam, one).then(tensor_map(one, mu_tau)).then(tau)),
+           (-sign((dl + 1) * (dm + 1)),
+            tensor_map(one, tau_lam).then(tensor_map(mu, one)).then(tau))]
+    if not lam_eta.is_zero():
+        mid = insert_middle(lam_eta, A, A)
+        uir_rhs.append((-sign(dm), mid.then(tensor_map(mu, mu))))
+        lhs.append((-sign(dl + dm), mid.then(tensor_map(mu_tau, mu))))
+        rhs.append((-sign(dm), mid.then(tensor_map(mu, mu_tau)).then(tau)))
+
+    def side(terms):
+        def fn(n):
+            out = tensor(A, A).zero()
+            for sgn, op in terms:
+                out = out + op.eval_basis(n).scale(sgn)
+            return out
+        return fn
+
+    return {"unital infinitesimal": (mu.then(lam).eval_basis, side(uir_rhs)),
+            "unital anti-symmetry": (side(lhs), side(rhs))}
+
+
+def verdict(r):
+    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
+            r.witness_lhs, r.witness_rhs)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_quadratic_axioms_match_the_composites(ring, data):
+    A = data.draw(modules(ring, "a"))
+    mu = draw_product(data, A)
+    lam = draw_product(data, A, source=A, target=tensor(A, A))
+    units = [n for n in A.basis_names() if A.degree_of(n) == 0]
+    eta = Vector(A, {n: data.draw(coefficients(ring)) for n in units})
+    inst = BialgebraData(A, mu, lam, eta)
+    order = data.draw(st.permutations(A.basis_names()))
+    names = order[:data.draw(st.integers(1, len(order)))]
+    pairs = [f"{a}{TENSOR_SEP}{b}" for a in names for b in names]
+    got = {r.axiom: r for r in check_axioms(inst, window=names).results}
+    kernel = PairKernel(mu, lam, inst.lambda_eta())
+    pos = A.index().pos
+    for axiom, (lhs, rhs) in quadratic_sides(inst).items():
+        want = _quantify(axiom, pairs, lambda n: (lhs(n), rhs(n)))
+        assert verdict(got[axiom]) == verdict(want)
+        # both sides agree on every pair, not only up to the first failure
+        sides = (kernel.infinitesimal if axiom == "unital infinitesimal"
+                 else kernel.antisymmetry)
+        for n in pairs:
+            a, b = n.split(TENSOR_SEP)
+            got_l, got_r = sides(pos[a], pos[b])
+            assert (kernel.vector(got_l), kernel.vector(got_r)) == \
+                (lhs(n), rhs(n)), (axiom, n)
+
+
+# -- the assoc-infinitesimal loop -----------------------------------------------
+
+def assoc_infinitesimal_reference(data, comps):
+    """(passed, detail) of the (+,+,-) -> + identity, both sides built as
+    composites and Vectors for every (a, b, f)."""
+    A = data.A
+    one = GradedMap.identity(A)
+    mu, lam = data.mu, data.lam
+    M = dual_side(A, data.n)
+    Mbar = shift(M, -1)
+    lam_mu = mu.then(lam)
+    t1 = tensor_map(lam, one).then(tensor_map(one, mu))
+    t2 = tensor_map(one, lam).then(tensor_map(mu, one))
+    mid = None
+    if not data.Q0.is_zero():
+        mid = insert_middle(-data.Q0, A, A).then(tensor_map(mu, mu))
+    for a in data.safe_names:
+        for b in data.safe_names:
+            ab = f"{a}{TENSOR_SEP}{b}"
+            defect = (lam_mu.eval_basis(ab) - t1.eval_basis(ab)
+                      - t2.eval_basis(ab))
+            if mid is not None:
+                defect = defect + mid.eval_basis(ab)
+            s = sign(A.degree_of(a) + A.degree_of(b) + 1)
+            for f in data.safe_names:
+                fb = f"{f}^"
+                bf = f"{b}{TENSOR_SEP}{fb}"
+                total = (mu(A.el(a).tensor(comps["pm_p"].eval_basis(bf)))
+                         + comps["pm_p"](A.el(a).tensor(
+                             comps["pm_m"].eval_basis(bf)))
+                         - comps["pm_p"](mu.eval_basis(ab).tensor(
+                             Mbar.el(fb))))
+                expected = contract_reference(defect, M.el(fb), True).scale(s)
+                if total != expected:
+                    return False, (f"fails at a={a}, b={b}, f={fb}: "
+                                   f"{format_vector(total)} vs "
+                                   f"{format_vector(expected)}")
+    return True, ""
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_assoc_infinitesimal_matches_the_composites(ring, data):
+    A = data.draw(modules(ring, "a"))
+    n = data.draw(st.integers(0, 1))          # |lam| = 1 - 2n is odd
+    A2 = tensor(A, A)
+    mu = draw_product(data, A, degree=0)
+    lam = draw_product(data, A, degree=1 - 2 * n, source=A, target=A2)
+    Q0 = Vector(A2, {e.name: data.draw(coefficients(ring))
+                     for e in A2.basis_in_degree(1 - 2 * n)})
+    order = data.draw(st.permutations(A.basis_names()))
+    safe = order[:data.draw(st.integers(1, len(order)))]
+    cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
+                           tensor(A, A, A).zero(), n, safe_names=safe)
+    comps = closed_form_components(cone)
+    res = check_assoc_implies_infinitesimal(cone, False, comps)
+    assert res.precondition_ok
+    assert (res.passed, res.detail) == assoc_infinitesimal_reference(cone, comps)
 
 
 # -- interned tensor modules ----------------------------------------------------

@@ -22,7 +22,8 @@ def _counting(monkeypatch, name, calls):
 
 
 def test_cone_records_derive_and_check_associativity_once(monkeypatch):
-    calls = {"derive_secondary_ops": 0, "check_cone_associativity": 0}
+    calls = {"derive_secondary_ops": 0, "check_cone_associativity": 0,
+             "closed_form_components": 0}
     for name in calls:
         _counting(monkeypatch, name, calls)
     inst = make_fixture("lambda-s1-plus", TruncationWindow(8))
@@ -31,7 +32,8 @@ def test_cone_records_derive_and_check_associativity_once(monkeypatch):
     assert [(r.id, r.status) for r in records] == [
         ("s1.components", "pass"), ("s1.associativity", "pass"),
         ("s1.assoc-infinitesimal", "pass")]
-    assert calls == {"derive_secondary_ops": 1, "check_cone_associativity": 1}
+    assert calls == {"derive_secondary_ops": 1, "check_cone_associativity": 1,
+                     "closed_form_components": 1}
 
 
 def test_assoc_infinitesimal_alone_reports_failed_precondition():
@@ -56,3 +58,27 @@ def test_assoc_infinitesimal_alone_reports_failed_precondition():
     assert records[0].status == "fail"
     assert records[0].detail.startswith(
         "precondition: cone product is not associative"), records[0].detail
+
+
+def test_demo_runs_the_axioms_once(monkeypatch, tmp_path):
+    # cc-antisymmetry reads the unital infinitesimal verdict from the
+    # report the axioms check already computed
+    from chainalg import bialgebra as bl
+    from chainalg.cli import main
+
+    calls = []
+    original = bl.check_axioms
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for mod in (rp, bl):
+        monkeypatch.setattr(mod, "check_axioms", counting)
+    out = tmp_path / "report.json"
+    assert main(["demo", "lambda-s3", "--window", "8", "--format", "json",
+                 "--output", str(out)]) == 0
+    records = {r["id"]: r["status"]
+               for r in json.loads(out.read_text(encoding="utf-8"))["records"]}
+    assert records["lambda-s3.cc-antisymmetry"] == "pass"
+    assert len(calls) == 1, calls

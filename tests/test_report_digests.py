@@ -8,9 +8,12 @@ GF(5), `chainalg homology <f> --format json` on the 4x4 cubical Klein
 bottle scenarios in tests/data (over Z and over Q), and
 `chainalg check <f> --format json` on two lambda-s1-plus scenarios at window
 8 with one mu structure constant negated (over Q and over GF(5)), whose
-associativity axiom fails, must reproduce the sha256 digests stored in
-tests/data/report_digests.json byte for byte.  The failing reports pin the
-witness text.  Reports name their target, so every case runs from
+associativity axiom fails, and `chainalg cone <f> --format json` on two
+lambda-s1-plus cone scenarios at window 8 with one structure constant
+negated (a mu constant over Q, a lam constant over GF(5)), whose cone
+associativity and assoc-infinitesimal records fail, must reproduce the
+sha256 digests stored in tests/data/report_digests.json byte for byte.  The
+failing reports pin the witness text.  Reports name their target, so every case runs from
 tests/data.
 
 When a report is meant to change, regenerate the digests from a source
@@ -44,7 +47,9 @@ CASES = [
     for r in ("Z", "Q", "GF(5)")
 ] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")
 ] + [("check", f"lambda-s1-plus-mu-{r}.json", "--format", "json")
-     for r in ("Q", "GF5")]
+     for r in ("Q", "GF5")
+] + [("cone", f"lambda-s1-plus-cone-{m}.json", "--format", "json")
+     for m in ("mu-Q", "lam-GF5")]
 
 
 def report_digest(argv, workdir) -> str:
