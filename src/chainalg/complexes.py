@@ -20,6 +20,7 @@ from .matrices import (
     kernel_basis,
     kernel_and_image,
     lattice_column_basis,
+    rank_and_torsion,
     smith_normal_form,
     diagonal_of,
     _row_echelon,
@@ -145,8 +146,29 @@ class HomologySummary:
 
 
 def homology(C: ChainComplex) -> HomologySummary:
-    """Kernel-mod-image in every degree; torsion via Smith normal form."""
-    return _summary(_presentations(C, C.degrees()))
+    """Free rank and torsion of H_k(C) in every degree, read off the
+    boundary blocks: free_k = dim C_k - rank d_k - rank d_{k+1}, and the
+    torsion of H_k is the invariant factors > 1 of d_{k+1} (C_k / ker d_k
+    is free, so H_k has the torsion of C_k / im d_{k+1}).
+
+    Each cell's column is its boundary from `eval_basis` (so the target
+    check stays), keyed by basis positions; each block goes through the
+    sparse unit-pivot elimination `rank_and_torsion`, and over Z only the
+    residual without unit entries meets Smith normal form.
+    """
+    pos = C.module.index().pos
+    cells = {}
+    for e in C.module.basis():
+        col = {pos[n]: c for n, c in C.d.eval_basis(e.name).coeffs.items()}
+        cells.setdefault(e.degree, []).append(col)
+    blocks = {k: rank_and_torsion(C.ring, cols) for k, cols in cells.items()}
+    out = []
+    for k in C.degrees():
+        rank_up, torsion = blocks.get(k + 1, (0, ()))
+        free = len(cells[k]) - blocks[k][0] - rank_up
+        if free or torsion:
+            out.append((k, free, torsion))
+    return HomologySummary(tuple(out))
 
 
 def euler_characteristic(C: ChainComplex) -> int:
@@ -309,7 +331,7 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     # a degree where a complex has no cells presents the zero group
     all_degrees = sorted(set(f.source.degrees()) | set(f.target.degrees()))
     ps = _presentations(f.source, all_degrees)
-    pt = _presentations(f.target, all_degrees)
+    pt = ps if f.target is f.source else _presentations(f.target, all_degrees)
     hs, ht = _summary(ps), _summary(pt)
     degrees = sorted({d for d, _, _ in hs.by_degree} | {d for d, _, _ in ht.by_degree})
     blocks = {}

@@ -406,7 +406,7 @@ def closed_form_components(data: ConeProductData) -> dict:
     def pp_p(nm):
         return mu.eval_basis(nm)
 
-    # the closed form's own sparse transposes, built from mu_el and W
+    # the closed form's own sparse transposes of mu's basis values and of W
     names_A = [x.name for x in A.basis()]
 
     def W_left(a):
@@ -428,11 +428,11 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     @functools.cache
     def mu_el_left_rows(a):
-        return _transpose(names_A, lambda x: mu_el(A.el(a), A.el(x)))
+        return _transpose(names_A, lambda x: mu.eval_basis(f"{a}{TENSOR_SEP}{x}"))
 
     @functools.cache
     def mu_el_right_rows(b):
-        return _transpose(names_A, lambda x: mu_el(A.el(x), A.el(b)))
+        return _transpose(names_A, lambda x: mu.eval_basis(f"{x}{TENSOR_SEP}{b}"))
 
     def mm_m(nm):
         fb, gb = MbMb.parts_of(nm)

@@ -1,11 +1,14 @@
-"""Dense exact matrices over Z, Q, and GF(p).
+"""Exact matrices over Z, Q, and GF(p).
 
 Provides the linear-algebra kernel the rest of the package sits on: Smith
 normal form with unimodular certificates over Z, Gaussian elimination over
 the fields, saturated integer kernels, image ranks, and solvability-in-image
 queries (`ImageSolver` factors a matrix once and answers any number of
-them).  Matrices are immutable after construction; zero-dimensional
-matrices are legal everywhere.
+them), all on dense matrices; and `rank_and_torsion`, which reads a sparse
+matrix's rank and invariant factors by unit-pivot elimination, with Smith
+normal form only on the residual that has no unit entry.  Matrices are
+immutable after construction; zero-dimensional matrices are legal
+everywhere.
 """
 
 from __future__ import annotations
@@ -285,6 +288,85 @@ def _xgcd(a: int, b: int):
 
 def diagonal_of(D: ExactMatrix):
     return [D[i, i] for i in range(min(D.rows, D.cols))]
+
+
+# ---------------------------------------------------------------------------
+# Sparse unit-pivot elimination
+# ---------------------------------------------------------------------------
+
+def rank_and_torsion(R: Ring, columns):
+    """(rank, invariant factors > 1 in divisibility order) of the matrix
+    whose columns are given as {row position: coefficient} dicts.
+
+    Eliminates pivots on the sparse columns: any nonzero entry over a
+    field, only +-1 over Z, each time the one of least Markowitz cost
+    (entries in its row - 1) * (entries in its column - 1).  A pivot a at
+    (i, j) clears row i by adding multiples of column j to the others, then
+    row i and column j leave the matrix; the rest of column j could be
+    cleared by row operations that touch nothing else.  Over Z these steps
+    are unimodular with a = +-1, so the matrix is equivalent to the identity
+    on the pivots plus the residual, a block with no unit entry, and only
+    that residual goes through `smith_normal_form`.  Over a field nothing
+    is left.
+    """
+    field = R.is_field
+    cols = {}
+    rows = {}
+    for j, col in enumerate(columns):
+        col = {i: c for i, c in col.items() if c != 0}
+        if col:
+            cols[j] = col
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+    rank = 0
+    while True:
+        piv = _markowitz_pivot(cols, rows, field)
+        if piv is None:
+            break
+        i, j = piv
+        col = cols.pop(j)
+        f = R.inv(col.pop(i)) if field else col.pop(i)   # 1/a = a for a = +-1
+        for r in col:
+            rows[r].discard(j)
+        rows[i].discard(j)
+        for j2 in rows.pop(i):
+            c2 = cols[j2]
+            g = R.mul(c2.pop(i), f)
+            for r, v in col.items():
+                new = R.sub(c2.get(r, 0), R.mul(g, v))
+                if new != 0:
+                    c2[r] = new
+                    rows[r].add(j2)
+                elif r in c2:
+                    del c2[r]
+                    rows[r].discard(j2)
+            if not c2:
+                del cols[j2]
+        rank += 1
+    if not cols:
+        return rank, ()
+    left = sorted({i for col in cols.values() for i in col})
+    residual = ExactMatrix(R, len(left), len(cols),
+                           [col.get(i, 0) for i in left for col in cols.values()])
+    diag = diagonal_of(smith_normal_form(residual)[1])
+    return (rank + sum(1 for d in diag if d != 0),
+            tuple(d for d in diag if d > 1))
+
+
+def _markowitz_pivot(cols, rows, field):
+    """(row, column) of an admissible entry of least Markowitz cost, or
+    None when no entry is admissible."""
+    best, best_cost = None, None
+    for j, col in cols.items():
+        cost_j = len(col) - 1
+        for i, a in col.items():
+            if field or a == 1 or a == -1:
+                cost = cost_j * (len(rows[i]) - 1)
+                if best is None or cost < best_cost:
+                    if cost == 0:
+                        return i, j
+                    best, best_cost = (i, j), cost
+    return best
 
 
 # ---------------------------------------------------------------------------

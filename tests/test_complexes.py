@@ -36,6 +36,17 @@ def test_circle_morse_complex():
     assert h.rank(1) == 1 and h.torsion(1) == []
 
 
+def test_homology_of_a_complex_on_a_tensor_module():
+    from chainalg.graded import TENSOR_SEP, tensor
+
+    M = GradedModule(ZZ, [BasisElement("a", 0), BasisElement("b", 1)])
+    T = tensor(M, M)
+    ab, ba, bb = (TENSOR_SEP.join(p) for p in ("ab", "ba", "bb"))
+    d = GradedMap.from_table(T, T, -1, {bb: T.el(ab, 2) - T.el(ba, 2)})
+    assert str(homology(ChainComplex(T))) == "H_0 = R, H_1 = R^2, H_2 = R"
+    assert str(homology(ChainComplex(T, d))) == "H_0 = R, H_1 = R + R/2"
+
+
 def test_d_squared_enforced():
     with pytest.raises(ValueError, match="d\\*d"):
         complex_from_spec(ZZ, [("a", 0), ("b", 1), ("c", 2)],
@@ -356,19 +367,33 @@ def test_homology_over_all_rings_of_fixture_modules():
             assert h.torsion(k) == []
 
 
-def _cubical_torus(ring, n):
+def _cubical_torus(ring, n, klein=False):
     """Cellular chains of the n x n cubical torus: vertices v, horizontal
-    and vertical edges h, w, squares s, all indices mod n."""
+    and vertical edges h, w, squares s, all indices mod n.  With klein=True
+    row n is glued to row 0 through i -> -i instead, which reverses the
+    horizontal edges of that row: the cubical Klein bottle."""
+    def vertex(i, j):
+        if j == n and klein:
+            i = -i
+        return f"v{i % n}_{j % n}"
+
+    def row_edge(i, j):     # the edge (i, j) -> (i + 1, j) as {name: sign}
+        if j == n and klein:
+            return {f"h{(-i - 1) % n}_0": -1}
+        return {f"h{i % n}_{j % n}": 1}
+
     gens, diff = [], {}
     for i in range(n):
         for j in range(n):
-            i1, j1 = (i + 1) % n, (j + 1) % n
             gens += [(f"v{i}_{j}", 0), (f"h{i}_{j}", 1), (f"w{i}_{j}", 1),
                      (f"s{i}_{j}", 2)]
-            diff[f"h{i}_{j}"] = {f"v{i1}_{j}": 1, f"v{i}_{j}": -1}
-            diff[f"w{i}_{j}"] = {f"v{i}_{j1}": 1, f"v{i}_{j}": -1}
-            diff[f"s{i}_{j}"] = {f"h{i}_{j}": 1, f"w{i1}_{j}": 1,
-                                 f"h{i}_{j1}": -1, f"w{i}_{j}": -1}
+            diff[f"h{i}_{j}"] = {vertex(i + 1, j): 1, vertex(i, j): -1}
+            diff[f"w{i}_{j}"] = {vertex(i, j + 1): 1, vertex(i, j): -1}
+            square = {f"w{(i + 1) % n}_{j}": 1, f"w{i}_{j}": -1}
+            for sign, edges in ((1, row_edge(i, j)), (-1, row_edge(i, j + 1))):
+                for e, c in edges.items():
+                    square[e] = square.get(e, 0) + sign * c
+            diff[f"s{i}_{j}"] = square
     return complex_from_spec(ring, gens, diff)
 
 
@@ -403,7 +428,7 @@ def test_homology_factors_each_matrix_once(monkeypatch):
 
 def test_quotient_homology_factors_each_matrix_once(monkeypatch):
     # with nothing to quotient by, each d_k gives the cycles at k and the
-    # boundaries at k - 1 from one factoring, as in homology()
+    # boundaries at k - 1 from one factoring, as in _presentations
     C = _cubical_torus(ZZ, 3)
     Z = complex_from_spec(ZZ, [("z", 0)], {})
     q = quotient_by_image(ChainMap(Z, C, GradedMap.zero(Z.module, C.module, 0)))
@@ -443,3 +468,155 @@ def test_cubical_torus_homology_and_induced_scalar(ring):
     two = ring.canon(2)
     for k, M in act.blocks.items():
         assert M == ExactMatrix.identity(ring, M.rows).scale(two), k
+
+
+def test_homology_tstar_cone_presents_each_complex_once(monkeypatch, tmp_path):
+    # homology() builds no presentation; the transition automorphism maps
+    # the cone to itself, so its induced map presents the cone once
+    from chainalg.cli import main
+
+    factored = _count_snf(monkeypatch)
+    main(["homology", "tstar-s1", "--cone", "--output", str(tmp_path / "r")])
+    assert len(factored) <= 5, [f[:2] for f in factored]
+
+
+# ---------------------------------------------------------------------------
+# homology() against ground truth: direct sums of R --m--> R and free R
+# ---------------------------------------------------------------------------
+
+PIECES = (1, 2, 3, 4, 6, 12)
+
+
+def _invariant_factors(orders):
+    """Invariant factors > 1 of the direct sum of Z/m over `orders`."""
+    powers = {}
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    length = max(map(len, powers.values()), default=0)
+    out = [1] * length
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs)):
+            out[length - len(qs) + i] *= q
+    return tuple(out)
+
+
+def _unimodular_pair(n, rng):
+    """(P, P^-1), integer n x n, from 3n seeded row additions."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in Pinv:            # P^-1 (I - c e_i e_j^T)
+            row[j] -= c * row[i]
+    return P, Pinv
+
+
+def _matmul(A, B):
+    return [[sum(a * B[k][j] for k, a in enumerate(row) if a)
+             for j in range(len(B[0]))] for row in A]
+
+
+def _sum_of_pieces(seed):
+    """(gens, diff, pieces): a seeded direct sum of R --m--> R in degrees
+    k -> k - 1 (m from PIECES) and free R, each degree's basis changed by a
+    seeded unimodular integer matrix, as a complex_from_spec spec."""
+    rng = random.Random(seed)
+    pieces = [("free", rng.randint(0, 3)) if rng.random() < 0.3
+              else (rng.choice(PIECES), rng.randint(1, 3))
+              for _ in range(rng.randint(2, 9))]
+    dims = {}                            # degree -> cells so far
+
+    def new_cell(k):                     # (degree, index in degree)
+        dims[k] = dims.get(k, 0) + 1
+        return k, dims[k] - 1
+
+    arrows = []                          # (source cell, target cell, m)
+    for m, k in pieces:
+        if m == "free":
+            new_cell(k)
+        else:
+            arrows.append((new_cell(k), new_cell(k - 1), m))
+    d = {k: [[0] * dims[k] for _ in range(dims.get(k - 1, 0))] for k in dims}
+    for (k, j), (_, i), m in arrows:
+        d[k][i][j] = m
+    change = {k: _unimodular_pair(n, rng) for k, n in dims.items()}
+    gens = [(f"x{k}_{j}", k) for k, n in sorted(dims.items()) for j in range(n)]
+    diff = {}
+    for k, n in dims.items():
+        if k - 1 not in dims:
+            continue
+        dk = _matmul(_matmul(change[k - 1][0], d[k]), change[k][1])
+        for j in range(n):
+            diff[f"x{k}_{j}"] = {f"x{k - 1}_{i}": row[j]
+                                 for i, row in enumerate(dk) if row[j]}
+    return gens, diff, pieces
+
+
+def _expected_homology(pieces, ring):
+    """by_degree of the sum of pieces over `ring`: free R adds a rank; over
+    Z, R --m--> R adds Z/m one degree down; over a field of characteristic
+    p it adds a rank at both ends when p divides m."""
+    p = ring.characteristic
+    free, orders = {}, {}
+    for m, k in pieces:
+        if m == "free":
+            free[k] = free.get(k, 0) + 1
+        elif not ring.is_field:
+            orders.setdefault(k - 1, []).append(m)
+        elif p and m % p == 0:
+            for deg in (k, k - 1):
+                free[deg] = free.get(deg, 0) + 1
+    out = []
+    for k in sorted(set(free) | set(orders)):
+        tors = _invariant_factors(orders.get(k, ()))
+        if free.get(k) or tors:
+            out.append((k, free.get(k, 0), tors))
+    return tuple(out)
+
+
+def test_homology_matches_ground_truth_on_sums_of_pieces(monkeypatch):
+    from chainalg.complexes import _presentations, _summary
+
+    factored = _count_snf(monkeypatch)
+    residuals = 0
+    for seed in range(40):
+        gens, diff, pieces = _sum_of_pieces(seed)
+        for ring in (ZZ, QQ, GF(2), GF(5)):
+            C = complex_from_spec(ring, gens, diff)
+            before = len(factored)
+            h = homology(C)
+            residuals += len(factored) - before if ring is ZZ else 0
+            assert h.by_degree == _expected_homology(pieces, ring), (seed, ring)
+            assert h == _summary(_presentations(C, C.degrees())), (seed, ring)
+    # the basis changes leave non-unit entries for Smith normal form
+    assert residuals >= 10, residuals
+
+
+def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
+    factored = _count_snf(monkeypatch)
+    torus = _cubical_torus(ZZ, 10)
+    assert str(homology(torus)) == "H_0 = R, H_1 = R^2, H_2 = R"
+    assert factored == []
+    klein = _cubical_torus(ZZ, 10, klein=True)
+    assert str(homology(klein)) == "H_0 = R, H_1 = R + R/2"
+    assert len(factored) <= len(klein.degrees()), [f[:2] for f in factored]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
+def test_homology_of_surfaces_with_1936_cells(ring):
+    torus = _cubical_torus(ring, 22)
+    assert sum(map(torus.module.dim, torus.degrees())) == 1936
+    assert str(homology(torus)) == "H_0 = R, H_1 = R^2, H_2 = R"
+    klein = str(homology(_cubical_torus(ring, 22, klein=True)))
+    assert klein == {ZZ: "H_0 = R, H_1 = R + R/2", QQ: "H_0 = R, H_1 = R",
+                     GF(2): "H_0 = R, H_1 = R^2, H_2 = R"}[ring]

@@ -15,6 +15,7 @@ from chainalg.matrices import (
     lattice_column_basis,
     columns_matrix,
     ImageSolver,
+    rank_and_torsion,
     _row_echelon,
 )
 
@@ -88,6 +89,26 @@ def test_snf_random_matrices(data):
     entries = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols,
                                  max_size=rows * cols))
     _check_snf(ExactMatrix(ZZ, rows, cols, entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_and_torsion_matches_dense_factoring(data):
+    # sparse columns with units and non-units: the unit-pivot elimination
+    # and its Smith normal form residual give the dense invariants
+    rows = data.draw(st.integers(0, 7))
+    cols = data.draw(st.integers(0, 7))
+    entries = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4, 6)),
+                                 min_size=rows * cols, max_size=rows * cols))
+    M = ExactMatrix(ZZ, rows, cols, entries)
+    columns = [{i: M[i, j] for i in range(rows)} for j in range(cols)]
+    diag = diagonal_of(smith_normal_form(M)[1])
+    assert rank_and_torsion(ZZ, columns) == (
+        sum(1 for d in diag if d), tuple(d for d in diag if d > 1))
+    for ring in (QQ, GF(2), GF(5)):
+        assert rank_and_torsion(ring, [
+            {i: ring.canon(c) for i, c in col.items()} for col in columns]) == (
+            image_rank(ExactMatrix(ring, rows, cols, entries)), ())
 
 
 def test_kernel_is_saturated_over_Z():
