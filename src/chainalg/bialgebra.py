@@ -28,6 +28,7 @@ from .graded import (
     Vector,
     tensor,
     tensor_map,
+    tensor_differential,
     associativity_witness,
     twist,
     twist_vector,
@@ -107,8 +108,7 @@ class BialgebraData:
         self.differential = differential
         if differential is not None:
             ChainComplex(module, differential)  # validates d*d = 0
-            one = GradedMap.identity(module)
-            d2 = tensor_map(differential, one) + tensor_map(one, differential)
+            d2 = tensor_differential(differential)
             for label, op, dom_d, cod_d, names in (
                 ("mu", mu, d2, differential, A2.basis_names()),
                 ("lam", lam, differential, d2, module.basis_names()),
@@ -143,7 +143,6 @@ class BialgebraData:
 
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
-        tau = twist(self.module, self.module)
         s = koszul_sign(self.lam.degree)
         for x in self.safe_elements():
             if twist_vector(self.lam(x)) != self.lam(x).scale(s):

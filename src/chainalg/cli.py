@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .rings import ring_from_name
 from . import fixtures as fx
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="batch-run several targets")
     p.add_argument("targets", nargs="+", help="fixture names or scenario files")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run targets concurrently (default 1)")
+                   help="accepted for compatibility; targets run in order")
     _add_common(p)
 
     p = sub.add_parser("export", help="write a fixture as a scenario file")
@@ -168,16 +167,14 @@ def cmd_homology(args) -> int:
 def cmd_cone(args) -> int:
     window = fx.TruncationWindow(args.window)
     target = args.target
-    checks = ("components", "associativity", "assoc-infinitesimal")
     if _is_fixture(target):
         ring = ring_from_name(args.ring)
-        if target not in ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus"):
+        if target not in rp.CONE_FIXTURES:
             raise sc.SchemaError("$", f"fixture {target!r} has no cone-product "
                                       "data; use lambda-s3 or lambda-s1-*")
         inst = fx.make_fixture(target, window, ring)
-        n = 3 if target == "lambda-s3" else 1
-        data = rp.cone_data_from_bialgebra(inst, n=n)
-        records = rp.cone_records(data, checks, f"{target}.", args.timings)
+        records = rp.fixture_cone_records(target, inst, f"{target}.",
+                                          args.timings)
     else:
         scenario = _load_scenario(target)
         if scenario.kind != "cone":
@@ -190,15 +187,9 @@ def cmd_cone(args) -> int:
 
 
 def cmd_report(args) -> int:
-    def run(target):
-        return _records_for_target(target, args, suite="demo")
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, args.targets))
-    else:
-        results = [run(t) for t in args.targets]
-    records = [r for recs in results for r in recs]
+    # the checks are pure Python and hold the GIL, so targets run in order
+    records = [r for t in args.targets
+               for r in _records_for_target(t, args, suite="demo")]
     return _emit(rp.Report("report " + " ".join(args.targets), records), args)
 
 

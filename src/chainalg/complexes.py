@@ -17,9 +17,6 @@ from .matrices import (
     ExactMatrix,
     ImageSolver,
     columns_matrix,
-    kernel_basis,
-    kernel_and_image,
-    lattice_column_basis,
     rank_and_torsion,
     smith_normal_form,
     diagonal_of,
@@ -304,23 +301,22 @@ def _summary(presentations) -> HomologySummary:
 def _presentations(C: ChainComplex, degrees):
     """{k: H_k(C)} as cycles ker d_k modulo the boundary lattice im d_{k+1}.
 
-    Each block of d is built once and, over Z, factored once: one Smith
-    normal form of d_{k+1} gives the cycles at k+1 and the boundaries at k.
+    Each block of d is built and factored once: one `ImageSolver` of
+    d_{k+1} gives the cycles at k+1 and the boundaries at k.
     """
     R = C.ring
-    split = {}
+    solvers = {}
 
-    def kernel_and_image_of_d(k):
-        if k not in split:
-            split[k] = kernel_and_image(C.d.block(k))
-        return split[k]
+    def solver(k):
+        if k not in solvers:
+            solvers[k] = ImageSolver(C.d.block(k))
+        return solvers[k]
 
     out = {}
     for k in degrees:
         dim_k = C.module.dim(k)
-        ker = kernel_and_image_of_d(k)[0] if dim_k else []
-        rels = (kernel_and_image_of_d(k + 1)[1]
-                if ker and C.module.dim(k + 1) else [])
+        ker = solver(k).kernel() if dim_k else []
+        rels = solver(k + 1).image() if ker and C.module.dim(k + 1) else []
         out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, ker), rels)
     return out
 
@@ -391,89 +387,71 @@ def mapping_cone(c: ChainMap) -> Cone:
 class QuotientComplex:
     """C / im(c) for a chain map c into C, presented exactly.
 
-    Vectors of the base complex represent their cosets; `reduces_to_zero`
-    and `same_class` decide membership in the image lattice, and
-    `homology()` computes kernel-mod-image of the induced differential on
-    the quotient (torsion handled via Smith normal form).
+    Each block of c is factored once, by one `ImageSolver`.  Vectors of the
+    base complex represent their cosets; `reduces_to_zero` and `same_class`
+    decide membership in the image lattice, and `homology()` is the
+    homology of the mapping cone of the inclusion im(c) -> C.
     """
 
     def __init__(self, c: ChainMap):
         self.base = c.target
         self.map = c
-        self._image = {}
-        self._solvers = {}
-        for k in self.base.degrees():
-            if c.source.module.dim(k) == 0:
-                self._image[k] = []
-                continue
-            blk = c.f.block(k)
-            self._image[k] = lattice_column_basis(blk)
+        self._image = {k: ImageSolver(c.f.block(k)) for k in self.base.degrees()}
 
-    def image_matrix(self, k) -> ExactMatrix:
-        cols = self._image.get(k, [])
-        return columns_matrix(self.base.ring, self.base.module.dim(k), cols)
+    def _column(self, k, v: Vector):
+        return [v[e.name] for e in self.base.module.basis_in_degree(k)]
+
+    def _vector(self, k, col) -> Vector:
+        return Vector(self.base.module, {
+            e.name: x
+            for e, x in zip(self.base.module.basis_in_degree(k), col) if x != 0})
 
     def reduces_to_zero(self, v: Vector) -> bool:
         if v.is_zero():
             return True
         k = v.degree()
-        solver = self._solvers.get(k)
-        if solver is None:
-            solver = self._solvers[k] = ImageSolver(self.image_matrix(k))
-        col = [v[e.name] for e in self.base.module.basis_in_degree(k)]
-        return solver.solve(col) is not None
+        return self._image[k].solve(self._column(k, v)) is not None
 
     def same_class(self, v: Vector, w: Vector) -> bool:
         return self.reduces_to_zero(v - w)
 
     def projection_is_chain_map(self) -> bool:
         # d(im c) lies in im c  iff  the projection commutes with d
-        for k in self.base.degrees():
-            for col in self._image.get(k, []):
-                v = Vector(self.base.module, {
-                    e.name: col[i]
-                    for i, e in enumerate(self.base.module.basis_in_degree(k))
-                })
-                if not self.reduces_to_zero(self.base.d(v)):
-                    return False
-        return True
+        return all(self.reduces_to_zero(self.base.d(self._vector(k, col)))
+                   for k, solver in self._image.items() for col in solver.image())
 
     def homology(self) -> HomologySummary:
+        """H(C / im c) as H of the cone of the inclusion im(c) -> C.
+
+        The inclusion is injective, so its cone is quasi-isomorphic to the
+        cokernel (Weibel, *An Introduction to Homological Algebra*, 1.5),
+        and `homology` reads it with the sparse engine.  The subcomplex has
+        one basis element "k:j" per image generator; its differential holds
+        the coordinates of d(g) in the generators one degree down, each
+        degree's generators factored once.
+        """
         R = self.base.ring
-        mod = self.base.module
-        split = {}
-
-        def kernel_and_image_of_d(k):
-            if k not in split:
-                split[k] = kernel_and_image(self.base.d.block(k))
-            return split[k]
-
-        out = {}
-        for k in self.base.degrees():
-            dim_k = mod.dim(k)
-            im_below = self._image.get(k - 1, [])
-            if im_below:
-                # Z = {x : dx in im(c)}: project the kernel of [d | -image-gens]
-                d_blk = self.base.d.block(k)
-                G = columns_matrix(R, mod.dim(k - 1), im_below)
-                stacked = ExactMatrix(
-                    R, d_blk.rows, d_blk.cols + G.cols,
-                    [x for i in range(d_blk.rows)
-                     for x in (*d_blk.row(i), *(R.neg(g) for g in G.row(i)))],
-                )
-                proj = [tuple(col[:dim_k]) for col in kernel_basis(stacked)]
-                Zgens = (lattice_column_basis(columns_matrix(R, dim_k, proj))
-                         if proj else [])
-            else:
-                # Z = ker d_k, already an independent (saturated) basis
-                Zgens = kernel_and_image_of_d(k)[0] if dim_k else []
-            if not Zgens:
+        gens = {k: solver.image() for k, solver in self._image.items()}
+        names = {k: [f"{k}:{j}" for j in range(len(cols))]
+                 for k, cols in gens.items()}
+        sub = GradedModule(R, [BasisElement(n, k)
+                               for k, ns in names.items() for n in ns])
+        d_sub, incl = {}, {}
+        for k, cols in gens.items():
+            if not cols:
                 continue
-            rels = list(self._image.get(k, []))
-            if mod.dim(k + 1):
-                rels += kernel_and_image_of_d(k + 1)[1]
-            out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, Zgens), rels)
-        return _summary(out)
+            below = ImageSolver(columns_matrix(
+                R, self.base.module.dim(k - 1), gens.get(k - 1, [])))
+            for name, col in zip(names[k], cols):
+                incl[name] = g = self._vector(k, col)
+                x = below.solve(self._column(k - 1, self.base.d(g)))
+                d_sub[name] = Vector(sub, {names[k - 1][i]: a
+                                           for i, a in enumerate(x) if a != 0})
+        inclusion = ChainMap(
+            ChainComplex(sub, GradedMap.from_table(sub, sub, -1, d_sub, name="d")),
+            self.base,
+            GradedMap.from_table(sub, self.base.module, 0, incl, name="incl"))
+        return homology(mapping_cone(inclusion).complex)
 
 
 def quotient_by_image(c: ChainMap) -> QuotientComplex:

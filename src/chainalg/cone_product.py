@@ -54,6 +54,7 @@ from .graded import (
     insert_left,
     insert_right,
     tensor_map,
+    tensor_differential,
     associativity_witness,
     format_vector,
     TENSOR_SEP,
@@ -90,11 +91,6 @@ def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
     return GradedMap(source, A, degree, fn, name=name)
 
 
-def _tensor_differential(d: GradedMap) -> GradedMap:
-    one = GradedMap.identity(d.source)
-    return tensor_map(d, one) + tensor_map(one, d)
-
-
 class ConeProductData:
     """Product/coproduct/bivector package over a single complex.
 
@@ -124,7 +120,7 @@ class ConeProductData:
             if d is not None and d != want:
                 raise ValueError(f"{label} has degree {d}, expected {want}")
 
-        d2 = _tensor_differential(complex_.d)
+        d2 = tensor_differential(complex_.d)
         defect = twist_vector(c0) - c0 - d2(Q0)
         if not defect.is_zero():
             raise ValueError(

@@ -530,9 +530,6 @@ class GradedMap:
                          lambda n: g(self.eval_basis(n)),
                          name=f"({g.name}after{self.name})")
 
-    def __matmul__(self, other: "GradedMap") -> "GradedMap":
-        return other.then(self)
-
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._same_signature(other)
         return GradedMap(self.source, self.target, self.degree,
@@ -569,14 +566,6 @@ class GradedMap:
             for img in images:
                 entries.append(img[t.name])
         return ExactMatrix(R, len(tgt), len(src), entries)
-
-    def equals(self, other: "GradedMap", names=None) -> bool:
-        """Equality by evaluation (over `names`, default the whole basis)."""
-        if self.source != other.source or self.degree != other.degree:
-            return False
-        if names is None:
-            names = self.source.basis_names()
-        return all(self.eval_basis(n) == other.eval_basis(n) for n in names)
 
     def is_zero(self, names=None) -> bool:
         if names is None:
@@ -665,6 +654,12 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
                      name=f"({f.name}(x){g.name})")
 
 
+def tensor_differential(d: GradedMap) -> GradedMap:
+    """d (x) 1 + 1 (x) d, the differential of M (x) M for d on M."""
+    one = GradedMap.identity(d.source)
+    return tensor_map(d, one) + tensor_map(one, d)
+
+
 def associativity_witness(mu: GradedMap, names):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
     mu(mu (x) 1) = mu(1 (x) mu) over names^3 in lexicographic order, with
@@ -741,20 +736,11 @@ def twist(M: GradedModule, N: GradedModule) -> GradedMap:
     return GradedMap(source, target, 0, fn, name="tau")
 
 
-def twist_vector(v: Vector, split_module: GradedModule = None) -> Vector:
+def twist_vector(v: Vector) -> Vector:
     """Apply the twist to an element of a binary tensor module."""
-    mod = v.module
-    if split_module is None:
-        if mod.arity != 2:
-            raise ValueError("twist_vector needs a split point on higher tensors")
-        split = 1
-        M = mod.factors[0]
-        N = mod.factors[1]
-    else:
-        split = split_module.arity
-        M = tensor(*mod.factors[:split]) if split > 1 else mod.factors[0]
-        N = tensor(*mod.factors[split:]) if mod.arity - split > 1 else mod.factors[split]
-    return twist(M, N)(v)
+    if v.module.arity != 2:
+        raise ValueError("twist_vector needs a binary tensor module")
+    return twist(*v.module.factors)(v)
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:

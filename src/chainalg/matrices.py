@@ -1,14 +1,15 @@
 """Exact matrices over Z, Q, and GF(p).
 
-Provides the linear-algebra kernel the rest of the package sits on: Smith
-normal form with unimodular certificates over Z, Gaussian elimination over
-the fields, saturated integer kernels, image ranks, and solvability-in-image
-queries (`ImageSolver` factors a matrix once and answers any number of
-them), all on dense matrices; and `rank_and_torsion`, which reads a sparse
-matrix's rank and invariant factors by unit-pivot elimination, with Smith
-normal form only on the residual that has no unit entry.  Matrices are
-immutable after construction; zero-dimensional matrices are legal
-everywhere.
+Provides the linear-algebra kernel the rest of the package sits on.  On
+dense matrices: Smith normal form with unimodular certificates over Z,
+Gaussian elimination over the fields, and `ImageSolver`, which factors a
+matrix once and answers its rank, kernel, image and solvability-in-image
+queries (`image_rank`, `kernel_basis`, `lattice_column_basis` and
+`solve_in_image` each read one solver).  On sparse columns:
+`rank_and_torsion`, which reads a matrix's rank and invariant factors by
+unit-pivot elimination, with Smith normal form only on the residual that
+has no unit entry.  Matrices are immutable after construction;
+zero-dimensional matrices are legal everywhere.
 """
 
 from __future__ import annotations
@@ -413,89 +414,82 @@ def _reduce_rows(R: Ring, A, ncols):
     return pivots
 
 
-def image_rank(M: ExactMatrix) -> int:
-    """Rank of the image (= column rank, = number of nonzero SNF entries)."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.ring.is_field:
-        return len(_row_echelon(M)[1])
-    _, D, _ = smith_normal_form(M)
-    return sum(1 for d in diagonal_of(D) if d != 0)
-
-
-def kernel_basis(M: ExactMatrix):
-    """Columns spanning ker M.
-
-    Over a field: one vector per free column.  Over Z: a basis of the full
-    kernel lattice (saturated), obtained from the SNF column certificate.
-    """
-    R = M.ring
-    if M.cols == 0:
-        return []
-    if M.rows == 0:
-        return [tuple(R.one() if i == j else R.zero() for i in range(M.cols))
-                for j in range(M.cols)]
-    if R.is_field:
-        A, pivots = _row_echelon(M)
-        free = [c for c in range(M.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [R.zero()] * M.cols
-            v[fc] = R.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = R.neg(A[r][fc])
-            basis.append(tuple(v))
-        return basis
-    V, rank = _smith_columns(M)
-    return [V.col(j) for j in range(rank, M.cols)]
-
-
-def _smith_columns(M: ExactMatrix):
-    """(V, rank) from one Smith normal form U*M*V = D over Z: V's columns
-    beyond the rank span ker(M) as a saturated lattice, and M*V's columns
-    below it are a basis of M's column lattice."""
-    _, D, V = smith_normal_form(M)
-    return V, sum(1 for d in diagonal_of(D) if d != 0)
-
-
 class ImageSolver:
-    """M factored once; `solve(b)` is x with M*x = b, or None when b is not
-    in the image (lattice) of M.
+    """One factorization of M answering every dense question about it:
+    `rank`; `kernel()`, columns spanning ker M (a saturated lattice basis
+    over Z, one vector per free column over a field); `image()`,
+    independent columns spanning M's column space (its lattice over Z); and
+    `solve(b)`, x with M*x = b, or None when b is not in the image.
 
-    Over Z the factorization is one Smith normal form U*M*V = D: b is in the
-    lattice iff each (U*b)_i is divisible by d_i (and vanishes where d_i = 0),
-    and then x = V*z with z_i = (U*b)_i / d_i.  Over a field it is one row
-    reduction of [M | I] with pivots taken among M's columns only, which
-    leaves the row transform T in the identity block: b is in the image iff
-    (T*b)_i = 0 beyond the rank, and then x carries (T*b)_r at the r-th pivot
-    column.  Both are exactly what eliminating [M | b] from scratch yields.
+    Over Z the factorization is one Smith normal form U*M*V = D.  V's
+    columns beyond the rank span the kernel lattice and M*V's columns below
+    it are a basis of the column lattice; b is in the lattice iff each
+    (U*b)_i is divisible by d_i (and vanishes where d_i = 0), and then
+    x = V*z with z_i = (U*b)_i / d_i.  Over a field it is one row reduction
+    of [M | I] with pivots taken among M's columns only: the left block is
+    M's reduced row echelon form, whose free columns give the kernel, the
+    image is M's pivot columns, and the identity block keeps the row
+    transform T, so b is in the image iff (T*b)_i = 0 beyond the rank, and
+    then x carries (T*b)_r at the r-th pivot column.  Every answer is
+    exactly what eliminating M (or [M | b]) from scratch yields.  A matrix
+    with no rows or no columns is not factored: it has rank 0.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_U", "_diag", "_V", "_T", "_pivots")
+    __slots__ = ("ring", "rows", "cols", "rank", "_M", "_U", "_diag", "_V",
+                 "_T", "_pivots", "_echelon")
 
     def __init__(self, M: ExactMatrix):
         R = M.ring
-        self.ring, self.rows, self.cols = R, M.rows, M.cols
-        if M.cols == 0:
+        self.ring, self.rows, self.cols, self._M = R, M.rows, M.cols, M
+        self.rank = 0
+        if M.rows == 0 or M.cols == 0:
             return
         if R.is_field:
             one, zero = R.one(), R.zero()
             A = [list(M.row(i)) + [one if j == i else zero for j in range(M.rows)]
                  for i in range(M.rows)]
             self._pivots = _reduce_rows(R, A, M.cols)
+            self.rank = len(self._pivots)
+            self._echelon = [row[:M.cols] for row in A[:self.rank]]
             self._T = [[(j, t) for j, t in enumerate(row[M.cols:]) if t != 0]
                        for row in A]
             return
         self._U, D, self._V = smith_normal_form(M)
         self._diag = diagonal_of(D)
+        self.rank = sum(1 for d in self._diag if d != 0)
+
+    def kernel(self):
+        R, n = self.ring, self.cols
+        if self.rank == 0:
+            return [tuple(R.one() if i == j else R.zero() for i in range(n))
+                    for j in range(n)]
+        if not R.is_field:
+            return [self._V.col(j) for j in range(self.rank, n)]
+        basis = []
+        for fc in range(n):
+            if fc in self._pivots:
+                continue
+            v = [R.zero()] * n
+            v[fc] = R.one()
+            for row, pc in zip(self._echelon, self._pivots):
+                v[pc] = R.neg(row[fc])
+            basis.append(tuple(v))
+        return basis
+
+    def image(self):
+        if self.rank == 0:
+            return []
+        if self.ring.is_field:
+            return [self._M.col(pc) for pc in self._pivots]
+        return [self._M.apply(self._V.col(j)) for j in range(self.rank)]
 
     def solve(self, b):
         R = self.ring
         b = [R.canon(v) for v in b]
         if len(b) != self.rows:
             raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
-        if self.cols == 0:
-            return tuple() if all(v == 0 for v in b) else None
+        if self.rank == 0:
+            return (R.zero(),) * self.cols if all(v == 0 for v in b) else None
         if R.is_field:
             y = []
             for t in self._T:
@@ -504,8 +498,7 @@ class ImageSolver:
                     if b[j] != 0:
                         acc = R.add(acc, R.mul(c, b[j]))
                 y.append(acc)
-            rank = len(self._pivots)
-            if any(v != 0 for v in y[rank:]):
+            if any(v != 0 for v in y[self.rank:]):
                 return None
             x = [R.zero()] * self.cols
             for r, pc in enumerate(self._pivots):
@@ -527,37 +520,24 @@ class ImageSolver:
         return self._V.apply(z)
 
 
-def solve_in_image(M: ExactMatrix, b):
-    """x with M*x = b, or None when b is not in the image (lattice) of M."""
-    return ImageSolver(M).solve(b)
+def image_rank(M: ExactMatrix) -> int:
+    """Rank of the image (= column rank, = number of nonzero SNF entries)."""
+    return ImageSolver(M).rank
+
+
+def kernel_basis(M: ExactMatrix):
+    """Columns spanning ker M (`ImageSolver.kernel`)."""
+    return ImageSolver(M).kernel()
 
 
 def lattice_column_basis(M: ExactMatrix):
     """Independent columns generating the same column span (lattice over Z)."""
-    if M.cols == 0:
-        return []
-    if M.ring.is_field:
-        A, pivots = _row_echelon(M.transpose())
-        basis = []
-        for r, _ in enumerate(pivots):
-            basis.append(tuple(A[r]))
-        return basis
-    V, rank = _smith_columns(M)
-    MV = M * V
-    return [MV.col(j) for j in range(rank)]
+    return ImageSolver(M).image()
 
 
-def kernel_and_image(M: ExactMatrix):
-    """(kernel_basis(M), lattice_column_basis(M)), over Z from one Smith
-    normal form."""
-    if M.rows == 0 or M.cols == 0:
-        return kernel_basis(M), []
-    if M.ring.is_field:
-        return kernel_basis(M), lattice_column_basis(M)
-    V, rank = _smith_columns(M)
-    MV = M * V
-    return ([V.col(j) for j in range(rank, M.cols)],
-            [MV.col(j) for j in range(rank)])
+def solve_in_image(M: ExactMatrix, b):
+    """x with M*x = b, or None when b is not in the image (lattice) of M."""
+    return ImageSolver(M).solve(b)
 
 
 def columns_matrix(ring: Ring, nrows: int, cols) -> ExactMatrix:

@@ -243,6 +243,9 @@ def homology_records(bundle, with_cone: bool, prefix: str = ""):
 # Fixture suites
 # ---------------------------------------------------------------------------
 
+CONE_FIXTURES = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus")
+
+
 def fixture_records(name: str, ring: Ring = ZZ, window=None,
                     suite: str = "check", timings: bool = False):
     """Records for a shipped fixture.  suite: "check" (axioms only) or
@@ -265,13 +268,19 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
         records.append(_timed(f"{prefix}reverse-coproduct",
                               lambda: _reverse_coproduct(name, ring, window),
                               timings))
-    if name in ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus"):
-        n = 3 if name == "lambda-s3" else 1
-        data = cone_data_from_bialgebra(inst, n=n)
-        records.extend(cone_records(
-            data, ("components", "associativity", "assoc-infinitesimal"),
-            prefix, timings))
+    if name in CONE_FIXTURES:
+        records.extend(fixture_cone_records(name, inst, prefix, timings))
     return records
+
+
+def fixture_cone_records(name: str, inst: BialgebraData, prefix: str,
+                         timings: bool = False):
+    """The three cone-product checks on a lambda fixture's instance, with
+    n = 3 for the 3-sphere and n = 1 for the circle."""
+    data = cone_data_from_bialgebra(inst, n=3 if name == "lambda-s3" else 1)
+    return cone_records(
+        data, ("components", "associativity", "assoc-infinitesimal"),
+        prefix, timings)
 
 
 def _reverse_coproduct(name: str, ring: Ring, window):

@@ -172,25 +172,29 @@ def _parse_combo(raw, module, path, arity=1) -> Vector:
     return Vector(target, out)
 
 
-def _parse_operation(obj, module, path, in_arity, out_arity) -> GradedMap:
+def _parse_operation(obj, source, target, path) -> GradedMap:
+    """An operation table from `source` (an atomic module or a tensor power
+    of one) to `target` (likewise); each input lists one name per factor."""
+    _expect(isinstance(obj, dict), path, "expected an object")
     degree = _get(obj, "degree", path, typ=int)
     entries = _get(obj, "entries", path, typ=list)
     _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
-    source = module if in_arity == 1 else tensor(*([module] * in_arity))
-    target = module if out_arity == 1 else tensor(*([module] * out_arity))
+    in_factors = source.factors
+    out_module, out_arity = target.factors[0], target.arity
     table = {}
     for i, entry in enumerate(entries):
         ep = f"{path}.entries[{i}]"
         _expect(isinstance(entry, dict), ep, "expected an object")
         in_raw = _get(entry, "in", ep, typ=list)
-        _expect(len(in_raw) == in_arity, ep + ".in",
-                f"expected {in_arity} input name(s)")
-        for nm in in_raw:
-            _expect(isinstance(nm, str) and module.has(nm), ep + ".in",
+        _expect(len(in_raw) == len(in_factors), ep + ".in",
+                f"expected {len(in_factors)} input name(s)")
+        for nm, factor in zip(in_raw, in_factors):
+            _expect(isinstance(nm, str) and factor.has(nm), ep + ".in",
                     f"unknown basis name {nm!r}")
         key = TENSOR_SEP.join(in_raw)
         _expect(key not in table, ep + ".in", "duplicate entry for this input")
-        out = _parse_combo(entry["out"], module, ep + ".out", arity=out_arity)
+        out = _parse_combo(_get(entry, "out", ep), out_module, ep + ".out",
+                           arity=out_arity)
         in_degree = source.degree_of(key)
         d = out.degree()
         if d is not None and d != in_degree + degree:
@@ -232,7 +236,7 @@ def ingest(data) -> Scenario:
     kind = _get(data, "kind", "$", typ=str)
     _expect(kind in DEFAULT_CHECKS, "$.kind",
             f"unknown kind {kind!r}; expected one of {sorted(DEFAULT_CHECKS)}")
-    name = data.get("name", "")
+    name = _get(data, "name", "$", required=False, typ=str) or ""
     try:
         ring = ring_from_name(_get(data, "ring", "$", typ=str))
     except ValueError as e:
@@ -258,14 +262,15 @@ def ingest(data) -> Scenario:
     if safe is None:   # the whole basis is the quantifier window
         _cap(module.basis(), MAX_SAFE, "$.module.basis",
              "basis elements and no safe list")
-    mu = _parse_operation(_get(data, "mu", "$", typ=dict), module, "$.mu", 2, 1)
-    lam = _parse_operation(_get(data, "lambda", "$", typ=dict), module,
-                           "$.lambda", 1, 2)
+    A2 = tensor(module, module)
+    mu = _parse_operation(_get(data, "mu", "$", typ=dict), A2, module, "$.mu")
+    lam = _parse_operation(_get(data, "lambda", "$", typ=dict), module, A2,
+                           "$.lambda")
     eta = _parse_combo(_get(data, "eta", "$", typ=list), module, "$.eta")
     differential = None
     if "differential" in data:
-        differential = _parse_operation(data["differential"], module,
-                                        "$.differential", 1, 1)
+        differential = _parse_operation(data["differential"], module, module,
+                                        "$.differential")
         _expect(differential.degree == -1, "$.differential.degree",
                 "differentials have degree -1")
     try:
@@ -286,7 +291,6 @@ def ingest(data) -> Scenario:
         return Scenario(kind, name, ring, inst, checks, data, reverse_bivector)
 
     n = _get(data, "n", "$", typ=int)
-    A2 = tensor(module, module)
     A3 = tensor(module, module, module)
     c0 = (_parse_combo(data["c0"], module, "$.c0", arity=2)
           if "c0" in data else A2.zero())
@@ -305,7 +309,7 @@ def ingest(data) -> Scenario:
 
 def _ingest_complex(data, module, ring) -> ComplexBundle:
     differential = _parse_operation(_get(data, "differential", "$", typ=dict),
-                                    module, "$.differential", 1, 1)
+                                    module, module, "$.differential")
     _expect(differential.degree == -1, "$.differential.degree",
             "differentials have degree -1")
     try:
@@ -323,12 +327,12 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
         pmod = _parse_module(_get(p, "module", "$.pair", typ=dict), ring,
                              "$.pair.module")
         pdiff = _parse_operation(_get(p, "differential", "$.pair", typ=dict),
-                                 pmod, "$.pair.differential", 1, 1)
+                                 pmod, pmod, "$.pair.differential")
         try:
             pcx = ChainComplex(pmod, pdiff)
         except ValueError as e:
             raise SchemaError("$.pair.differential", str(e))
-        fmap = _parse_cross_map(_get(p, "map", "$.pair", typ=dict), pmod,
+        fmap = _parse_operation(_get(p, "map", "$.pair", typ=dict), pmod,
                                 module, "$.pair.map")
         _expect(fmap.degree == 0, "$.pair.map.degree", "chain maps have degree 0")
         try:
@@ -336,32 +340,11 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
         except ValueError as e:
             raise SchemaError("$.pair.map", str(e))
         if "secondary" in p:
-            secondary = _parse_cross_map(p["secondary"], pmod, module,
+            secondary = _parse_operation(p["secondary"], pmod, module,
                                          "$.pair.secondary")
             _expect(secondary.degree == 1, "$.pair.secondary.degree",
                     "secondary maps have degree +1")
     return ComplexBundle(cx, top, pair_map, secondary)
-
-
-def _parse_cross_map(obj, source, target, path) -> GradedMap:
-    degree = _get(obj, "degree", path, typ=int)
-    entries = _get(obj, "entries", path, typ=list)
-    _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
-    table = {}
-    for i, entry in enumerate(entries):
-        ep = f"{path}.entries[{i}]"
-        in_raw = _get(entry, "in", ep, typ=list)
-        _expect(len(in_raw) == 1 and isinstance(in_raw[0], str)
-                and source.has(in_raw[0]), ep + ".in", "unknown basis name")
-        out = _parse_combo(entry["out"], target, ep + ".out")
-        d = out.degree()
-        if d is not None and d != source.degree_of(in_raw[0]) + degree:
-            raise SchemaError(ep + ".out", "inhomogeneous value")
-        table[in_raw[0]] = out
-    try:
-        return GradedMap.from_table(source, target, degree, table)
-    except (ValueError, KeyError) as e:
-        raise SchemaError(path, str(e))
 
 
 def load(path: str) -> Scenario:

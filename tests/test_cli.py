@@ -49,6 +49,28 @@ def test_schema_error_path_reported(tmp_path):
     assert "$.mu.entries[0].out" in r.stderr
 
 
+@pytest.mark.parametrize("field, path", [
+    ("name", "$.name"), ("secondary", "$.pair.secondary")])
+def test_hostile_complex_scenario_exits_2(tmp_path, field, path):
+    doc = {
+        "schema_version": 1,
+        "kind": "complex",
+        "ring": "Z",
+        "module": {"basis": [{"name": "a", "degree": 0}]},
+        "differential": {"degree": -1, "entries": []},
+        "pair": {"module": {"basis": [{"name": "m", "degree": 0}]},
+                 "differential": {"degree": -1, "entries": []},
+                 "map": {"degree": 0, "entries": []}},
+    }
+    (doc if field == "name" else doc["pair"])[field] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run("check", str(bad))
+    assert r.returncode == 2
+    assert f"schema error at {path}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_failed_check_exits_1(tmp_path):
     # sign-flipped coproduct on a tiny free-loop circle window: the unital
     # infinitesimal relation must fail and the witness be printed

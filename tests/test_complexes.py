@@ -602,6 +602,46 @@ def test_homology_matches_ground_truth_on_sums_of_pieces(monkeypatch):
     assert residuals >= 10, residuals
 
 
+def _expected_quotient_by_multiple(pieces, m):
+    """by_degree of H(C / mC) over Z for the sum of pieces C, by universal
+    coefficients: H_k(C) (x) Z/m + Tor(H_{k-1}(C), Z/m)."""
+    from math import gcd
+
+    orders = {}
+    for a, k in pieces:
+        if a == "free":
+            orders.setdefault(k, []).append(m)
+        else:                            # Z/a in H_{k-1}: (x) at k-1, Tor at k
+            for deg in (k - 1, k):
+                orders.setdefault(deg, []).append(gcd(a, m))
+    out = []
+    for k in sorted(orders):
+        tors = _invariant_factors(orders[k])
+        if tors:
+            out.append((k, 0, tors))
+    return tuple(out)
+
+
+def test_quotient_homology_matches_universal_coefficients():
+    # C / im(m * id) = C / mC; over a field it is 0 when m is a unit and C
+    # itself when the characteristic divides m
+    for seed in range(20):
+        gens, diff, pieces = _sum_of_pieces(seed)
+        for ring in (ZZ, QQ, GF(2), GF(3), GF(5)):
+            C = complex_from_spec(ring, gens, diff)
+            ident = GradedMap.identity(C.module)
+            for m in (2, 3, 4, 6):
+                q = quotient_by_image(ChainMap(C, C, ident.scale(m)))
+                h = q.homology().by_degree
+                if ring is ZZ:
+                    want = _expected_quotient_by_multiple(pieces, m)
+                elif ring.characteristic and m % ring.characteristic == 0:
+                    want = homology(C).by_degree
+                else:
+                    want = ()
+                assert h == want, (seed, ring, m)
+
+
 def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
     factored = _count_snf(monkeypatch)
     torus = _cubical_torus(ZZ, 10)

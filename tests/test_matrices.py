@@ -239,12 +239,25 @@ def test_solve_reports_unsolvable():
 
 
 def test_lattice_column_basis_spans():
-    M = ExactMatrix.from_rows(ZZ, [[2, 4], [6, 8]])
-    basis = lattice_column_basis(M)
-    G = columns_matrix(ZZ, 2, basis)
-    # every original column is an integer combination of the basis
-    for j in range(M.cols):
-        assert solve_in_image(G, M.col(j)) is not None
+    rng = random.Random(5)
+    cases = [ExactMatrix.from_rows(ZZ, [[2, 4], [6, 8]])]
+    for ring in (ZZ, QQ, GF(5)):
+        for _ in range(25):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            cases.append(ExactMatrix(ring, rows, cols,
+                                     [rng.choice((0, 0, 1, -1, 2, -3, 6))
+                                      for _ in range(rows * cols)]))
+    for M in cases:
+        basis = lattice_column_basis(M)
+        assert basis == ImageSolver(M).image()
+        G = columns_matrix(M.ring, M.rows, basis)
+        # independent, as many as the rank, and the same lattice as M's
+        # columns: each side's columns are combinations of the other's
+        assert len(basis) == image_rank(G) == image_rank(M)
+        for j in range(M.cols):
+            assert solve_in_image(G, M.col(j)) is not None
+        for g in basis:
+            assert solve_in_image(M, g) is not None
 
 
 def test_dimension_mismatch_is_an_error():

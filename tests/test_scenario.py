@@ -289,3 +289,62 @@ def test_entry_count_cap():
     cx = _complex_doc()
     cx["differential"]["entries"] *= sc.MAX_ENTRIES + 1
     assert _rejected_at(cx) == "$.differential.entries"
+
+
+def _pair_doc():
+    doc = _complex_doc()
+    doc["pair"] = {
+        "module": {"basis": [{"name": "m", "degree": 0}]},
+        "differential": {"degree": -1, "entries": []},
+        "map": {"degree": 0, "entries": [{"in": ["m"], "out": [["2", "a"]]}]},
+    }
+    return doc
+
+
+def _schema_error(doc):
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    return ei.value
+
+
+def test_non_object_cross_map_entry_rejected_with_path():
+    doc = _pair_doc()
+    doc["pair"]["map"]["entries"].append(5)
+    assert _schema_error(doc).path == "$.pair.map.entries[1]"
+
+
+def test_non_object_secondary_rejected_with_path():
+    doc = _pair_doc()
+    doc["pair"]["secondary"] = 5
+    assert _schema_error(doc).path == "$.pair.secondary"
+
+
+@pytest.mark.parametrize("table, path", [
+    (("mu",), "$.mu.entries[0].out"),
+    (("differential",), "$.differential.entries[0].out"),
+    (("pair", "map"), "$.pair.map.entries[0].out"),
+])
+def test_missing_out_rejected_with_path(table, path):
+    doc = json.loads(json.dumps(MINIMAL)) if table == ("mu",) else _pair_doc()
+    node = doc
+    for key in table:
+        node = node[key]
+    del node["entries"][0]["out"]
+    err = _schema_error(doc)
+    assert (err.path, err.message) == (path, "missing required field")
+
+
+def test_repeated_cross_map_input_rejected():
+    doc = _pair_doc()
+    doc["pair"]["map"]["entries"].append({"in": ["m"], "out": []})
+    err = _schema_error(doc)
+    assert err.path == "$.pair.map.entries[1].in"
+    assert "duplicate" in err.message
+
+
+def test_non_string_name_rejected():
+    doc = _complex_doc()
+    doc["name"] = 5
+    assert _schema_error(doc).path == "$.name"
+    doc["name"] = "labelled"
+    assert sc.ingest(json.dumps(doc)).name == "labelled"
