@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import (
+from .matrices import (   # smith_normal_form: not called, a name tracers patch
     ExactMatrix,
     ImageSolver,
     columns_matrix,
     rank_and_torsion,
     smith_normal_form,
-    diagonal_of,
-    _row_echelon,
 )
 from .graded import BasisElement, GradedModule, GradedMap, Vector
 
@@ -126,9 +124,6 @@ class HomologySummary:
                 return list(tors)
         return []
 
-    def total_rank(self) -> int:
-        return sum(free for _, free, _ in self.by_degree)
-
     def __str__(self):
         if not self.by_degree:
             return "0"
@@ -176,9 +171,12 @@ def euler_characteristic(C: ChainComplex) -> int:
 class HomologyClassMap:
     """A chain map's action on homology, one matrix per degree.
 
-    Generators follow the presentation in `summary_source`/`summary_target`
-    order: free generators first, then torsion generators (entries for
-    torsion targets are reduced modulo the invariant factor).
+    Generators follow each degree's presentation, in the order of its
+    cokernel `orders` (entries for torsion targets are reduced modulo the
+    invariant factor).  They are one basis among many: another
+    factorization, over a field in particular, may change them by a change
+    of basis, so only basis-independent facts, such as whether an
+    endomorphism acts as the identity, belong in reports.
     """
 
     blocks: dict
@@ -195,100 +193,49 @@ class HomologyClassMap:
 
 
 class _HomologyPresentation:
-    """Generators and class coordinates of (cycle lattice) / (relations).
+    """(cycle lattice) / (relations), presented as the cokernel of the
+    relation matrix in cycle coordinates (Kaczynski-Mischaikow-Mrozek,
+    *Computational Homology*, 2004, ch. 3), by one path for every ring.
 
-    `Z`'s columns are an independent generating set of the cycles;
-    `rel_cols` are columns in ambient coordinates that must lie in the
-    lattice they generate (each is solved exactly, and one outside raises
-    ValueError).  `gen_columns` are ambient representative cycles of the
-    kept generators; `classify(ambient column)` returns the class
-    coordinates of a cycle in those generators, with torsion entries reduced
-    modulo their orders.
+    `Z`'s columns are an independent generating set of the cycles, and one
+    `ImageSolver` of Z gives a cycle its coordinates in them.  `rel_cols`
+    are columns in ambient coordinates that must lie in the lattice Z
+    generates (one outside raises ValueError); a second `ImageSolver`, of
+    their coordinates, presents the quotient.  `invariants` reads its
+    `orders`, `gen_columns` are Z times its `cokernel_generators()`, and
+    `classify(ambient cycle)` is the `cokernel` class of the cycle's
+    coordinates, torsion entries reduced modulo their orders.
     """
 
     def __init__(self, R, Z: ExactMatrix, rel_cols):
-        self.ring = R
         self.Z = Z
-        self._cycles = None
-        n = Z.cols
+        self._cycles = ImageSolver(Z)
         coords = []
         for col in rel_cols:
-            w = self._cycle_coords(col)
+            w = self._cycles.solve(col)
             if w is None:
                 raise ValueError("relation outside the cycle lattice")
             coords.append(w)
-        if R.is_field:
-            # relations span a subspace of the Z-coordinate space; reduce
-            # against its reduced row echelon form, keep non-pivot coords
-            if coords:
-                rows, pivots = _row_echelon(
-                    columns_matrix(R, n, coords).transpose())
-            else:
-                rows, pivots = [], []
-            self._ech_rows = rows[:len(pivots)]
-            self._pivots = list(pivots)
-            self._keep = [i for i in range(n) if i not in self._pivots]
-            self._orders = [0] * len(self._keep)
-            self._U = None
-        else:
-            if coords:
-                U, D, _ = smith_normal_form(columns_matrix(R, n, coords))
-                diag = diagonal_of(D)
-                orders = [(diag[i] if i < len(diag) else 0) for i in range(n)]
-            else:
-                U = ExactMatrix.identity(R, n)
-                orders = [0] * n
-            self._U = U
-            self._keep = [i for i in range(n) if orders[i] != 1]
-            self._orders = [orders[i] for i in self._keep]
-
-    def _cycle_coords(self, col):
-        """Coordinates of col in Z's columns, or None; Z is factored once,
-        on the first call."""
-        if self._cycles is None:
-            self._cycles = ImageSolver(self.Z)
-        return self._cycles.solve(col)
+        self._relations = ImageSolver(columns_matrix(R, Z.cols, coords))
 
     @property
     def ngens(self) -> int:
-        return len(self._keep)
+        return len(self._relations.orders)
 
     def invariants(self):
         """(free rank, torsion invariant factors) of the presented group."""
-        return (sum(1 for o in self._orders if o == 0),
-                tuple(o for o in self._orders if o > 1))
+        orders = self._relations.orders
+        return orders.count(0), tuple(o for o in orders if o != 0)
 
     def gen_columns(self):
-        """Ambient representative cycles, one per kept generator."""
-        R = self.ring
-        n = self.Z.cols
-        units = [[R.one() if j == i else R.zero() for j in range(n)]
-                 for i in self._keep]
-        if self._U is None:
-            return [self.Z.apply(e) for e in units]
-        U_inv = ImageSolver(self._U)     # solve(e_i) is column i of U^{-1}
-        return [self.Z.apply(U_inv.solve(e)) for e in units]
+        """Ambient representative cycles, one per generator."""
+        return [self.Z.apply(g) for g in self._relations.cokernel_generators()]
 
     def classify(self, ambient_col):
-        w = self._cycle_coords(ambient_col)
+        w = self._cycles.solve(ambient_col)
         if w is None:
             raise ValueError("vector is not a cycle")
-        R = self.ring
-        if R.is_field:
-            w = list(w)
-            for row, p in zip(self._ech_rows, self._pivots):
-                f = w[p]
-                if f != 0:
-                    w = [R.sub(x, R.mul(f, y)) for x, y in zip(w, row)]
-            return tuple(w[i] for i in self._keep)
-        y = self._U.apply(w)
-        out = []
-        for i, order in zip(self._keep, self._orders):
-            c = y[i]
-            if order > 1:
-                c = c % order
-            out.append(c)
-        return tuple(out)
+        return self._relations.cokernel(w)
 
 
 def _summary(presentations) -> HomologySummary:
@@ -427,8 +374,8 @@ class QuotientComplex:
         cokernel (Weibel, *An Introduction to Homological Algebra*, 1.5),
         and `homology` reads it with the sparse engine.  The subcomplex has
         one basis element "k:j" per image generator; its differential holds
-        the coordinates of d(g) in the generators one degree down, each
-        degree's generators factored once.
+        the coordinates of d(g) in the generators one degree down, read
+        from that degree's own factorization.
         """
         R = self.base.ring
         gens = {k: solver.image() for k, solver in self._image.items()}
@@ -438,13 +385,11 @@ class QuotientComplex:
                                for k, ns in names.items() for n in ns])
         d_sub, incl = {}, {}
         for k, cols in gens.items():
-            if not cols:
-                continue
-            below = ImageSolver(columns_matrix(
-                R, self.base.module.dim(k - 1), gens.get(k - 1, [])))
+            below = self._image.get(k - 1)
             for name, col in zip(names[k], cols):
                 incl[name] = g = self._vector(k, col)
-                x = below.solve(self._column(k - 1, self.base.d(g)))
+                x = () if below is None else below.coordinates(
+                    self._column(k - 1, self.base.d(g)))
                 d_sub[name] = Vector(sub, {names[k - 1][i]: a
                                            for i, a in enumerate(x) if a != 0})
         inclusion = ChainMap(
@@ -522,7 +467,8 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
         raise ValueError("c1/c2 must map into the source/target complexes")
     for ci in (c1, c2):
         for k in ci.source.degrees():
-            if k != -top and ci.source.module.dim(k) and not ci.f.block(k).is_zero():
+            if k != -top and not ci.f.is_zero(
+                    e.name for e in ci.source.module.basis_in_degree(k)):
                 raise ValueError("im(c_i) is not concentrated in the extreme degree")
 
     mod1 = K1.module

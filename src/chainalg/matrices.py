@@ -3,9 +3,10 @@
 Provides the linear-algebra kernel the rest of the package sits on.  On
 dense matrices: Smith normal form with unimodular certificates over Z,
 Gaussian elimination over the fields, and `ImageSolver`, which factors a
-matrix once and answers its rank, kernel, image and solvability-in-image
-queries (`image_rank`, `kernel_basis`, `lattice_column_basis` and
-`solve_in_image` each read one solver).  On sparse columns:
+matrix once as P*M*Q = D and answers its rank, kernel, image, coordinate,
+solvability and cokernel queries the same way over every ring
+(`image_rank`, `kernel_basis`, `lattice_column_basis` and `solve_in_image`
+each read one solver).  On sparse columns:
 `rank_and_torsion`, which reads a matrix's rank and invariant factors by
 unit-pivot elimination, with Smith normal form only on the residual that
 has no unit entry.  Matrices are immutable after construction;
@@ -415,110 +416,150 @@ def _reduce_rows(R: Ring, A, ncols):
 
 
 class ImageSolver:
-    """One factorization of M answering every dense question about it:
-    `rank`; `kernel()`, columns spanning ker M (a saturated lattice basis
-    over Z, one vector per free column over a field); `image()`,
-    independent columns spanning M's column space (its lattice over Z); and
-    `solve(b)`, x with M*x = b, or None when b is not in the image.
+    """One factorization P*M*Q = D of M, read the same way over every ring.
 
-    Over Z the factorization is one Smith normal form U*M*V = D.  V's
-    columns beyond the rank span the kernel lattice and M*V's columns below
-    it are a basis of the column lattice; b is in the lattice iff each
-    (U*b)_i is divisible by d_i (and vanishes where d_i = 0), and then
-    x = V*z with z_i = (U*b)_i / d_i.  Over a field it is one row reduction
-    of [M | I] with pivots taken among M's columns only: the left block is
-    M's reduced row echelon form, whose free columns give the kernel, the
-    image is M's pivot columns, and the identity block keeps the row
-    transform T, so b is in the image iff (T*b)_i = 0 beyond the rank, and
-    then x carries (T*b)_r at the r-th pivot column.  Every answer is
-    exactly what eliminating M (or [M | b]) from scratch yields.  A matrix
-    with no rows or no columns is not factored: it has rank 0.
+    D is diagonal with d_1 | d_2 | ... (d_i = 0 past the rank, rows beyond
+    the columns included); P is invertible and kept as sparse rows, Q is
+    invertible and kept as sparse columns.  Over Z it is the Smith normal
+    form, P = U and Q = V.  Over a field it is one row reduction of [M | I]
+    with pivots taken among M's columns: P is the row transform T kept in
+    the identity block, d_i = 1 up to the rank, and Q's columns are the
+    unit vectors at the pivot columns followed by one kernel vector per
+    free column, read off the reduced row echelon form.  A zero or identity
+    matrix (no rows or no columns included) is not factored: P = Q = I.
+
+    Only the factoring knows the ring; every query has one path:
+    `kernel()` is Q's columns beyond the rank (a saturated lattice basis of
+    ker M over Z); `image()` is M*Q's columns below the rank (a basis of
+    the column lattice over Z); `coordinates(b)` is z with
+    b = sum z_j image()[j], or None when b is not in the image: y = P*b
+    must vanish past the rank and d_i must divide y_i below it, and then
+    z_i = y_i / d_i; `solve(b)` is x = Q*z, with M*x = b.  `cokernel(b)` is
+    the class of b in coker M, (P*b)_i reduced modulo d_i on the rows with
+    d_i != 1; `orders` lists those d_i (0 for a free generator) and
+    `cokernel_generators()` the columns of P^-1 at those rows, read by
+    factoring P.  The kernel, image and solve answers are exactly what
+    eliminating M (or [M | b]) from scratch yields.
     """
 
-    __slots__ = ("ring", "rows", "cols", "rank", "_M", "_U", "_diag", "_V",
-                 "_T", "_pivots", "_echelon")
+    __slots__ = ("ring", "rows", "cols", "rank", "orders", "_M", "_P", "_Q",
+                 "_d", "_keep")
 
     def __init__(self, M: ExactMatrix):
         R = M.ring
         self.ring, self.rows, self.cols, self._M = R, M.rows, M.cols, M
-        self.rank = 0
-        if M.rows == 0 or M.cols == 0:
-            return
-        if R.is_field:
+        self._P = self._Q = None     # None stands for the identity
+        n = M.cols
+        if M.is_zero():
+            d = []
+        elif M.rows == n and all(x == (1 if i % (n + 1) == 0 else 0)
+                                 for i, x in enumerate(M.entries)):
+            d = [1] * n
+        elif R.is_field:
             one, zero = R.one(), R.zero()
             A = [list(M.row(i)) + [one if j == i else zero for j in range(M.rows)]
                  for i in range(M.rows)]
-            self._pivots = _reduce_rows(R, A, M.cols)
-            self.rank = len(self._pivots)
-            self._echelon = [row[:M.cols] for row in A[:self.rank]]
-            self._T = [[(j, t) for j, t in enumerate(row[M.cols:]) if t != 0]
+            pivots = _reduce_rows(R, A, n)
+            self._P = [[(j, t) for j, t in enumerate(row[n:]) if t != 0]
                        for row in A]
-            return
-        self._U, D, self._V = smith_normal_form(M)
-        self._diag = diagonal_of(D)
-        self.rank = sum(1 for d in self._diag if d != 0)
+            free = sorted(set(range(n)).difference(pivots))
+            self._Q = [{pc: one} for pc in pivots] + [
+                {fc: one, **{pc: R.neg(row[fc])
+                             for row, pc in zip(A, pivots) if row[fc] != 0}}
+                for fc in free]
+            d = [1] * len(pivots)
+        else:
+            U, D, V = smith_normal_form(M)
+            self._P = [[(j, u) for j, u in enumerate(U.row(i)) if u != 0]
+                       for i in range(M.rows)]
+            self._Q = [{i: v for i, v in enumerate(V.col(j)) if v != 0}
+                       for j in range(n)]
+            d = [x for x in diagonal_of(D) if x != 0]
+        self.rank = len(d)
+        self._d = d + [0] * (M.rows - len(d))
+        self._keep = [i for i, x in enumerate(self._d) if x != 1]
+        self.orders = tuple(self._d[i] for i in self._keep)
 
-    def kernel(self):
-        R, n = self.ring, self.cols
-        if self.rank == 0:
-            return [tuple(R.one() if i == j else R.zero() for i in range(n))
-                    for j in range(n)]
-        if not R.is_field:
-            return [self._V.col(j) for j in range(self.rank, n)]
-        basis = []
-        for fc in range(n):
-            if fc in self._pivots:
-                continue
-            v = [R.zero()] * n
-            v[fc] = R.one()
-            for row, pc in zip(self._echelon, self._pivots):
-                v[pc] = R.neg(row[fc])
-            basis.append(tuple(v))
-        return basis
+    def _q(self, j):
+        """Column j of Q as a {row: entry} dict."""
+        return {j: self.ring.one()} if self._Q is None else self._Q[j]
 
-    def image(self):
-        if self.rank == 0:
-            return []
-        if self.ring.is_field:
-            return [self._M.col(pc) for pc in self._pivots]
-        return [self._M.apply(self._V.col(j)) for j in range(self.rank)]
-
-    def solve(self, b):
+    def _p_times(self, b):
         R = self.ring
         b = [R.canon(v) for v in b]
         if len(b) != self.rows:
             raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
-        if self.rank == 0:
-            return (R.zero(),) * self.cols if all(v == 0 for v in b) else None
-        if R.is_field:
-            y = []
-            for t in self._T:
-                acc = R.zero()
-                for j, c in t:
-                    if b[j] != 0:
-                        acc = R.add(acc, R.mul(c, b[j]))
-                y.append(acc)
-            if any(v != 0 for v in y[self.rank:]):
-                return None
-            x = [R.zero()] * self.cols
-            for r, pc in enumerate(self._pivots):
-                x[pc] = y[r]
-            return tuple(x)
-        y = self._U.apply(b)
-        z = [0] * self.cols
-        diag = self._diag
-        for i in range(self.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return None
-            else:
-                q, r = divmod(y[i], d)
+        if self._P is None:
+            return b
+        out = []
+        for row in self._P:
+            acc = R.zero()
+            for j, t in row:
+                if b[j] != 0:
+                    acc = R.add(acc, R.mul(t, b[j]))
+            out.append(acc)
+        return out
+
+    def _combine(self, n, terms):
+        """sum of c*v over the (c, v) pairs, v given as (position, entry)
+        pairs, as a tuple of length n."""
+        R = self.ring
+        acc = [R.zero()] * n
+        for c, v in terms:
+            if c != 0:
+                for i, a in v:
+                    if a != 0:
+                        acc[i] = R.add(acc[i], R.mul(c, a))
+        return tuple(acc)
+
+    def kernel(self):
+        zero = self.ring.zero()
+        return [tuple(q.get(i, zero) for i in range(self.cols))
+                for q in map(self._q, range(self.rank, self.cols))]
+
+    def image(self):
+        M = self._M
+        return [self._combine(self.rows, ((c, enumerate(M.col(k)))
+                                          for k, c in self._q(j).items()))
+                for j in range(self.rank)]
+
+    def coordinates(self, b):
+        y = self._p_times(b)
+        if any(v != 0 for v in y[self.rank:]):
+            return None
+        z = y[:self.rank]
+        for i, d in enumerate(self._d[:self.rank]):
+            if d != 1:
+                z[i], r = divmod(z[i], d)
                 if r != 0:
                     return None
-                z[i] = q
-        return self._V.apply(z)
+        return tuple(z)
 
+    def solve(self, b):
+        z = self.coordinates(b)
+        if z is None:
+            return None
+        return self._combine(self.cols, ((c, self._q(j).items())
+                                         for j, c in enumerate(z)))
+
+    def cokernel(self, b):
+        y = self._p_times(b)
+        return tuple(y[i] % d if d else y[i]
+                     for i, d in zip(self._keep, self.orders))
+
+    def cokernel_generators(self):
+        R = self.ring
+        units = [[R.one() if j == i else R.zero() for j in range(self.rows)]
+                 for i in self._keep]
+        if self._P is None:
+            return [tuple(e) for e in units]
+        m = self.rows
+        P = [R.zero()] * (m * m)
+        for i, row in enumerate(self._P):
+            for j, t in row:
+                P[i * m + j] = t
+        P_inverse = ImageSolver(ExactMatrix(R, m, m, P))
+        return [P_inverse.solve(e) for e in units]
 
 def image_rank(M: ExactMatrix) -> int:
     """Rank of the image (= column rank, = number of nonzero SNF entries)."""

@@ -226,17 +226,22 @@ def homology_records(bundle, with_cone: bool, prefix: str = ""):
         out.append(CheckRecord(f"{prefix}homology.cone", "info",
                                str(homology(cone.complex))))
         if bundle.secondary is not None:
-            res = transition_automorphism(cone, bundle.secondary)
-            out.append(CheckRecord(
-                f"{prefix}transition.unipotent",
-                "pass" if res.unipotent else "fail",
-                "(phi - id)^2 = 0" if res.unipotent else "not unipotent"))
-            out.append(CheckRecord(
-                f"{prefix}transition.homology-action",
-                "pass" if res.nontrivial_on_homology else "fail",
-                "nontrivial on cone homology" if res.nontrivial_on_homology
-                else "acts as the identity on cone homology"))
+            out.extend(_transition_records(cone, bundle.secondary, prefix))
     return out
+
+
+def _transition_records(cone, secondary, prefix: str):
+    """Records of the transition automorphism built from `secondary`."""
+    res = transition_automorphism(cone, secondary)
+    return [
+        CheckRecord(f"{prefix}transition.unipotent",
+                    "pass" if res.unipotent else "fail",
+                    "(phi - id)^2 = 0" if res.unipotent else "not unipotent"),
+        CheckRecord(f"{prefix}transition.homology-action",
+                    "pass" if res.nontrivial_on_homology else "fail",
+                    "nontrivial on cone homology" if res.nontrivial_on_homology
+                    else "acts as the identity on cone homology"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +317,9 @@ def _tstar_records(ring: Ring, prefix: str):
     out.append(CheckRecord(f"{prefix}continuation-vanishes",
                            "pass" if c_zero else "fail",
                            "c = 0" if c_zero else "continuation map is nonzero"))
-    res = transition_automorphism(bundle.cone, bundle.secondary)
     out.append(CheckRecord(f"{prefix}transition.chain-map", "pass",
                            "verified at construction"))
-    out.append(CheckRecord(f"{prefix}transition.unipotent",
-                           "pass" if res.unipotent else "fail",
-                           "(phi - id)^2 = 0"))
-    out.append(CheckRecord(f"{prefix}transition.homology-action",
-                           "pass" if res.nontrivial_on_homology else "fail",
-                           "nontrivial on cone homology"
-                           if res.nontrivial_on_homology else
-                           "acts as the identity on cone homology"))
+    out.extend(_transition_records(bundle.cone, bundle.secondary, prefix))
     out.append(CheckRecord(f"{prefix}cone-homology", "info",
                            str(homology(bundle.cone.complex))))
     return out

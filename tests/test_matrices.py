@@ -206,16 +206,21 @@ def test_solve_in_image_random():
             assert sol is not None
             assert M.apply(sol) == tuple(ring.canon(v) for v in b)
     # many solves against one factored solver, solvable and unsolvable
-    # right-hand sides mixed, empty shapes included
+    # right-hand sides mixed, empty, zero and identity matrices included
     for ring in (ZZ, QQ, GF(5)):
         outcomes = set()
         shapes = [(0, 0), (0, 3), (3, 0)] + [
             (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(25)]
-        for rows, cols in shapes:
-            M = ExactMatrix(ring, rows, cols,
-                            [rng.choice((0, 0, 0, 1, -1, 2, -3))
-                             for _ in range(rows * cols)])
+        cases = [ExactMatrix(ring, rows, cols,
+                             [rng.choice((0, 0, 0, 1, -1, 2, -3))
+                              for _ in range(rows * cols)])
+                 for rows, cols in shapes]
+        cases += [ExactMatrix.zeros(ring, 3, 4), ExactMatrix.zeros(ring, 2, 2),
+                  ExactMatrix.identity(ring, 4), ExactMatrix.identity(ring, 1)]
+        for M in cases:
+            rows, cols = M.rows, M.cols
             solver = ImageSolver(M)
+            _check_cokernel(solver, M)
             for _ in range(12):
                 if cols and rng.random() < 0.5:
                     b = M.apply([rng.randint(-4, 4) for _ in range(cols)])
@@ -225,10 +230,53 @@ def test_solve_in_image_random():
                     b = [rng.randint(-4, 4) for _ in range(rows)]
                 sol = solver.solve(b)
                 assert sol == solve_in_image(M, b) == _eliminate_from_scratch(M, b)
+                b = tuple(ring.canon(v) for v in b)
                 if sol is not None:
-                    assert M.apply(sol) == tuple(ring.canon(v) for v in b)
+                    assert M.apply(sol) == b
                 outcomes.add(sol is None)
+                z = solver.coordinates(b)
+                assert (z is None) == (sol is None)
+                if z is not None:
+                    image = solver.image()
+                    assert len(z) == len(image)
+                    assert tuple(_sum(ring, rows, [
+                        [ring.mul(c, a) for a in g] for c, g in zip(z, image)])) == b
+                cls = solver.cokernel(b)
+                assert all(c == 0 for c in cls) == (sol is not None)
+                b2 = [ring.canon(rng.randint(-4, 4)) for _ in range(rows)]
+                assert solver.cokernel(_sum(ring, rows, [b, b2])) == tuple(
+                    x % d if d else x for x, d in zip(
+                        _sum(ring, len(cls), [cls, solver.cokernel(b2)]),
+                        solver.orders))
         assert outcomes == {True, False}
+
+
+def _sum(R, n, vectors):
+    out = [R.zero()] * n
+    for v in vectors:
+        out = [R.add(x, y) for x, y in zip(out, v)]
+    return out
+
+
+def _check_cokernel(solver, M):
+    """orders and cokernel_generators of one solver against M's rank from
+    sparse elimination and, over Z, against its Smith normal form."""
+    R = M.ring
+    orders = solver.orders
+    columns = [dict(enumerate(M.col(j))) for j in range(M.cols)]
+    assert solver.rank == rank_and_torsion(R, columns)[0]
+    assert orders.count(0) == M.rows - solver.rank
+    if R == ZZ and M.rows and M.cols:
+        diag = diagonal_of(smith_normal_form(M)[1])
+        assert [d for d in orders if d] == [d for d in diag if d > 1]
+    elif R.is_field:
+        assert set(orders) <= {0}
+    gens = solver.cokernel_generators()
+    assert len(gens) == len(orders)
+    for i, g in enumerate(gens):
+        assert len(g) == M.rows
+        assert solver.cokernel(g) == tuple(
+            R.one() if j == i else R.zero() for j in range(len(orders)))
 
 
 def test_solve_reports_unsolvable():

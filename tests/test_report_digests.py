@@ -3,6 +3,7 @@
 `chainalg check <f> --ring R --window N --format json` on the six bialgebra
 fixtures over Z, Q and GF(5) at windows 8 and 12,
 `chainalg demo <f> --window 8 --format json` on the three lambda fixtures,
+`chainalg demo tstar-s1 --ring R --format json` over Z, Q and GF(5),
 `chainalg homology tstar-s1 --cone --ring R --format json` over Z, Q and
 GF(5), `chainalg homology <f> --format json` on the 4x4 cubical Klein
 bottle scenarios in tests/data (over Z and over Q) and on seeded 10x10
@@ -44,6 +45,9 @@ CASES = [
     ("check", f, "--ring", r, "--window", str(n), "--format", "json")
     for f in BIALGEBRA for r in ("Z", "Q", "GF(5)") for n in (8, 12)
 ] + [("demo", f, "--window", "8", "--format", "json") for f in LAMBDA] + [
+    ("demo", "tstar-s1", "--ring", r, "--format", "json")
+    for r in ("Z", "Q", "GF(5)")
+] + [
     ("homology", "tstar-s1", "--cone", "--ring", r, "--format", "json")
     for r in ("Z", "Q", "GF(5)")
 ] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")
