@@ -17,10 +17,9 @@ from .matrices import (   # smith_normal_form: not called, a name tracers patch
     ExactMatrix,
     ImageSolver,
     columns_matrix,
-    rank_and_torsion,
     smith_normal_form,
 )
-from .graded import BasisElement, GradedModule, GradedMap, Vector
+from .graded import BasisElement, GradedModule, GradedMap, Vector, sparse_blocks
 
 
 class ChainComplex:
@@ -143,21 +142,17 @@ def homology(C: ChainComplex) -> HomologySummary:
     torsion of H_k is the invariant factors > 1 of d_{k+1} (C_k / ker d_k
     is free, so H_k has the torsion of C_k / im d_{k+1}).
 
-    Each cell's column is its boundary from `eval_basis` (so the target
-    check stays), keyed by basis positions; each block goes through the
-    sparse unit-pivot elimination `rank_and_torsion`, and over Z only the
-    residual without unit entries meets Smith normal form.
+    Each block is one `ImageSolver` of its sparse columns: unit-pivot
+    elimination, and over Z only the residual without unit entries meets
+    Smith normal form.
     """
-    pos = C.module.index().pos
-    cells = {}
-    for e in C.module.basis():
-        col = {pos[n]: c for n, c in C.d.eval_basis(e.name).coeffs.items()}
-        cells.setdefault(e.degree, []).append(col)
-    blocks = {k: rank_and_torsion(C.ring, cols) for k, cols in cells.items()}
+    block = sparse_blocks(C.d)
+    solvers = {k: ImageSolver(C.ring, *block(k)) for k in C.degrees()}
     out = []
-    for k in C.degrees():
-        rank_up, torsion = blocks.get(k + 1, (0, ()))
-        free = len(cells[k]) - blocks[k][0] - rank_up
+    for k, d_k in solvers.items():
+        up = solvers.get(k + 1)
+        torsion = () if up is None else tuple(o for o in up.orders if o != 0)
+        free = d_k.cols - d_k.rank - (0 if up is None else up.rank)
         if free or torsion:
             out.append((k, free, torsion))
     return HomologySummary(tuple(out))
@@ -173,9 +168,9 @@ class HomologyClassMap:
 
     Generators follow each degree's presentation, in the order of its
     cokernel `orders` (entries for torsion targets are reduced modulo the
-    invariant factor).  They are one basis among many: another
-    factorization, over a field in particular, may change them by a change
-    of basis, so only basis-independent facts, such as whether an
+    invariant factor).  They are one basis among many: another pivot order
+    or factorization may change them by a change of basis, over Z as over
+    a field, so only basis-independent facts, such as whether an
     endomorphism acts as the identity, belong in reports.
     """
 
@@ -209,14 +204,14 @@ class _HomologyPresentation:
 
     def __init__(self, R, Z: ExactMatrix, rel_cols):
         self.Z = Z
-        self._cycles = ImageSolver(Z)
+        self._cycles = ImageSolver(R, Z.rows, Z.column_dicts())
         coords = []
         for col in rel_cols:
             w = self._cycles.solve(col)
             if w is None:
                 raise ValueError("relation outside the cycle lattice")
-            coords.append(w)
-        self._relations = ImageSolver(columns_matrix(R, Z.cols, coords))
+            coords.append(dict(enumerate(w)))
+        self._relations = ImageSolver(R, Z.cols, coords)
 
     @property
     def ngens(self) -> int:
@@ -252,19 +247,20 @@ def _presentations(C: ChainComplex, degrees):
     d_{k+1} gives the cycles at k+1 and the boundaries at k.
     """
     R = C.ring
+    block = sparse_blocks(C.d)
     solvers = {}
 
     def solver(k):
         if k not in solvers:
-            solvers[k] = ImageSolver(C.d.block(k))
+            solvers[k] = ImageSolver(R, *block(k))
         return solvers[k]
 
     out = {}
     for k in degrees:
-        dim_k = C.module.dim(k)
-        ker = solver(k).kernel() if dim_k else []
-        rels = solver(k + 1).image() if ker and C.module.dim(k + 1) else []
-        out[k] = _HomologyPresentation(R, columns_matrix(R, dim_k, ker), rels)
+        ker = solver(k).kernel()
+        rels = solver(k + 1).image() if ker else []
+        out[k] = _HomologyPresentation(
+            R, columns_matrix(R, solver(k).cols, ker), rels)
     return out
 
 
@@ -277,10 +273,18 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     pt = ps if f.target is f.source else _presentations(f.target, all_degrees)
     hs, ht = _summary(ps), _summary(pt)
     degrees = sorted({d for d, _, _ in hs.by_degree} | {d for d, _, _ in ht.by_degree})
+    block = sparse_blocks(f.f)
     blocks = {}
     for k in degrees:
-        blk = f.f.block(k)
-        cols_out = [pt[k].classify(blk.apply(g)) for g in ps[k].gen_columns()]
+        rows, cols = block(k)
+        cols_out = []
+        for g in ps[k].gen_columns():
+            image = [R.zero()] * rows
+            for c, col in zip(g, cols):
+                if c != 0:
+                    for i, a in col.items():
+                        image[i] = R.add(image[i], R.mul(c, a))
+            cols_out.append(pt[k].classify(image))
         blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
     return HomologyClassMap(blocks, hs, ht)
 
@@ -343,7 +347,9 @@ class QuotientComplex:
     def __init__(self, c: ChainMap):
         self.base = c.target
         self.map = c
-        self._image = {k: ImageSolver(c.f.block(k)) for k in self.base.degrees()}
+        block = sparse_blocks(c.f)
+        self._image = {k: ImageSolver(self.base.ring, *block(k))
+                       for k in self.base.degrees()}
 
     def _column(self, k, v: Vector):
         return [v[e.name] for e in self.base.module.basis_in_degree(k)]

@@ -577,6 +577,23 @@ class GradedMap:
                 f"{self.target.name or '?'}, degree {self.degree})")
 
 
+def sparse_blocks(f: GradedMap):
+    """f's blocks as sparse columns, built in one pass over the source
+    basis: a function k -> (rows, columns) of the degree-k block, the rows
+    counted and positioned within target degree k + f.degree and each
+    column a {row position: coefficient} dict from `eval_basis` (the form
+    `matrices.ImageSolver` takes)."""
+    pos, dims = {}, {}
+    for e in f.target.basis():
+        pos[e.name] = dims.get(e.degree, 0)
+        dims[e.degree] = pos[e.name] + 1
+    cols = {}
+    for e in f.source.basis():
+        cols.setdefault(e.degree, []).append(
+            {pos[n]: c for n, c in f.eval_basis(e.name).coeffs.items()})
+    return lambda k: (dims.get(k + f.degree, 0), cols.get(k, []))
+
+
 class OpTable:
     """A map's structure constants on integer indices, filled lazily.
 

@@ -1,16 +1,15 @@
 """Exact matrices over Z, Q, and GF(p).
 
-Provides the linear-algebra kernel the rest of the package sits on.  On
-dense matrices: Smith normal form with unimodular certificates over Z,
-Gaussian elimination over the fields, and `ImageSolver`, which factors a
-matrix once as P*M*Q = D and answers its rank, kernel, image, coordinate,
-solvability and cokernel queries the same way over every ring
-(`image_rank`, `kernel_basis`, `lattice_column_basis` and `solve_in_image`
-each read one solver).  On sparse columns:
-`rank_and_torsion`, which reads a matrix's rank and invariant factors by
-unit-pivot elimination, with Smith normal form only on the residual that
-has no unit entry.  Matrices are immutable after construction;
-zero-dimensional matrices are legal everywhere.
+Provides the linear-algebra kernel the rest of the package sits on: dense
+`ExactMatrix` arithmetic, Smith normal form with unimodular certificates
+over Z, and `ImageSolver`, which factors a matrix given by its sparse
+columns once as P*M*Q = D, by unit-pivot elimination with Smith normal
+form only on the residual that has no unit entry, and answers its rank,
+kernel, image, coordinate, solvability and cokernel queries the same way
+over every ring (`image_rank`, `kernel_basis`, `lattice_column_basis` and
+`solve_in_image` each read one solver of a dense matrix's columns).
+Matrices are immutable after construction; zero-dimensional matrices are
+legal everywhere.
 """
 
 from __future__ import annotations
@@ -67,6 +66,10 @@ class ExactMatrix:
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def column_dicts(self):
+        """Columns as {row: entry} dicts, the form `ImageSolver` takes."""
+        return [dict(enumerate(self.col(j))) for j in range(self.cols)]
 
     def __eq__(self, other):
         return (
@@ -296,63 +299,221 @@ def diagonal_of(D: ExactMatrix):
 # Sparse unit-pivot elimination
 # ---------------------------------------------------------------------------
 
-def rank_and_torsion(R: Ring, columns):
-    """(rank, invariant factors > 1 in divisibility order) of the matrix
-    whose columns are given as {row position: coefficient} dicts.
+class ImageSolver:
+    """One factorization P*M*Q = D of the rows x len(columns) matrix M whose
+    columns are given as {row position: coefficient} dicts (zero entries
+    are dropped), read the same way over every ring.
 
-    Eliminates pivots on the sparse columns: any nonzero entry over a
-    field, only +-1 over Z, each time the one of least Markowitz cost
-    (entries in its row - 1) * (entries in its column - 1).  A pivot a at
-    (i, j) clears row i by adding multiples of column j to the others, then
-    row i and column j leave the matrix; the rest of column j could be
-    cleared by row operations that touch nothing else.  Over Z these steps
-    are unimodular with a = +-1, so the matrix is equivalent to the identity
-    on the pivots plus the residual, a block with no unit entry, and only
-    that residual goes through `smith_normal_form`.  Over a field nothing
-    is left.
+    D is diagonal with d_1 | d_2 | ... (d_i = 0 past the rank, rows beyond
+    the columns included).  It comes from eliminating pivots on the sparse
+    columns (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004,
+    ch. 3): any nonzero entry over a field, only +-1 over Z, each time the
+    one of least Markowitz cost (entries in its row - 1) * (entries in its
+    column - 1).  A pivot a at (i, j) clears row i by adding multiples of
+    column j to the others, recorded as the pairs (j2, g) of column
+    j2 -= g * column j; then row i and column j leave the matrix, and the
+    rest of column j, kept as it stands, is cleared by row operations that
+    touch nothing else.  Over Z every step is unimodular with a = +-1, and
+    only the residual, the block with no unit entry left, goes through
+    `smith_normal_form` (U * residual * V diagonal); over a field nothing is
+    left.  D's rows are the pivots in order, U's rows, then the rows that no
+    column reaches; its columns are the pivots, V's columns, then the zero
+    columns.  P and Q are never formed: P*b replays the row operations in
+    pivot order, scales pivot row i by 1/a and applies U to the residual
+    rows; Q*z places z on the pivot, residual (through V) and zero columns
+    and undoes the column operations in reverse pivot order.
+
+    `kernel()` is Q's columns beyond the rank (a saturated lattice basis of
+    ker M over Z, where Q is unimodular); `image()` is M*Q's columns below
+    the rank (a basis of the column lattice over Z): the pivot columns as
+    they were eliminated, then the residual's columns combined by V.
+    `coordinates(b)` is z with b = sum z_j image()[j], or None when b is
+    not in the image: y = P*b must vanish past the rank and d_i must divide
+    y_i below it, and then z_i = y_i / d_i; `solve(b)` is x = Q*z, with
+    M*x = b.  `cokernel(b)` is the class of b in coker M, (P*b)_i reduced
+    modulo d_i on the rows with d_i != 1; `orders` lists those d_i (0 for a
+    free generator) and `cokernel_generators()` the columns of P^-1 at
+    those rows.  None of them is a pivot row, and the row operations only
+    add multiples of pivot rows, so each generator is a unit vector or a
+    column of U^-1, read by an `ImageSolver` of U.
     """
-    field = R.is_field
-    cols = {}
-    rows = {}
-    for j, col in enumerate(columns):
-        col = {i: c for i, c in col.items() if c != 0}
-        if col:
-            cols[j] = col
-            for i in col:
-                rows.setdefault(i, set()).add(j)
-    rank = 0
-    while True:
-        piv = _markowitz_pivot(cols, rows, field)
-        if piv is None:
-            break
-        i, j = piv
-        col = cols.pop(j)
-        f = R.inv(col.pop(i)) if field else col.pop(i)   # 1/a = a for a = +-1
-        for r in col:
-            rows[r].discard(j)
-        rows[i].discard(j)
-        for j2 in rows.pop(i):
-            c2 = cols[j2]
-            g = R.mul(c2.pop(i), f)
-            for r, v in col.items():
-                new = R.sub(c2.get(r, 0), R.mul(g, v))
-                if new != 0:
-                    c2[r] = new
-                    rows[r].add(j2)
-                elif r in c2:
-                    del c2[r]
-                    rows[r].discard(j2)
-            if not c2:
-                del cols[j2]
-        rank += 1
-    if not cols:
-        return rank, ()
-    left = sorted({i for col in cols.values() for i in col})
-    residual = ExactMatrix(R, len(left), len(cols),
-                           [col.get(i, 0) for i in left for col in cols.values()])
-    diag = diagonal_of(smith_normal_form(residual)[1])
-    return (rank + sum(1 for d in diag if d != 0),
-            tuple(d for d in diag if d > 1))
+
+    __slots__ = ("ring", "rows", "cols", "rank", "orders", "_pivots",
+                 "_residual", "_left", "_U", "_V", "_free", "_Q0", "_d",
+                 "_ones")
+
+    def __init__(self, R: Ring, rows: int, columns):
+        field = R.is_field
+        self.ring, self.rows, self.cols = R, rows, len(columns)
+        cols = {}
+        by_row = {}
+        for j, col in enumerate(columns):
+            col = {i: c for i, c in col.items() if c != 0}
+            if col:
+                cols[j] = col
+                for i in col:
+                    by_row.setdefault(i, set()).add(j)
+        # (i, j, a, 1/a, rest of column j, column operations) per pivot
+        pivots = self._pivots = []
+        while True:
+            piv = _markowitz_pivot(cols, by_row, field)
+            if piv is None:
+                break
+            i, j = piv
+            col = cols.pop(j)
+            a = col.pop(i)
+            f = R.inv(a) if field else a   # 1/a = a for a = +-1
+            for r in col:
+                by_row[r].discard(j)
+            others = by_row.pop(i)
+            others.discard(j)
+            ops = []
+            for j2 in others:
+                c2 = cols[j2]
+                g = R.mul(c2.pop(i), f)
+                ops.append((j2, g))
+                for r, v in col.items():
+                    new = R.sub(c2.get(r, 0), R.mul(g, v))
+                    if new != 0:
+                        c2[r] = new
+                        by_row[r].add(j2)
+                    elif r in c2:
+                        del c2[r]
+                        by_row[r].discard(j2)
+                if not c2:
+                    del cols[j2]
+            pivots.append((i, j, a, f, col, ops))
+        one = R.one()
+        Q0 = [{p[1]: one} for p in pivots]
+        d = [1] * len(pivots)
+        self._residual = list(cols.values())
+        self._left = left = sorted({i for col in self._residual for i in col})
+        self._U = self._V = ()
+        if cols:
+            U, D, V = smith_normal_form(ExactMatrix(
+                R, len(left), len(cols),
+                [col.get(i, 0) for i in left for col in self._residual]))
+            self._U = [[(s, u) for s, u in enumerate(U.row(r)) if u != 0]
+                       for r in range(U.rows)]
+            self._V = [{c: v for c, v in enumerate(V.col(s)) if v != 0}
+                       for s in range(V.cols)]
+            right = list(cols)
+            Q0 += [{right[c]: v for c, v in vcol.items()} for vcol in self._V]
+            d += [x for x in diagonal_of(D) if x != 0]
+        reached = {p[0] for p in pivots}.union(left)
+        self._free = [i for i in range(rows) if i not in reached]
+        placed = {p[1] for p in pivots}.union(cols)
+        self._Q0 = Q0 + [{j: one} for j in range(self.cols) if j not in placed]
+        # d_1 | d_2 | ...: the d_i = 1 come first, the rows past the rank last
+        self._d, self.rank, self._ones = d, len(d), d.count(1)
+        self.orders = tuple(d[self._ones:]) + (0,) * (rows - self.rank)
+
+    def _p_times(self, b):
+        R = self.ring
+        b = [R.canon(v) for v in b]
+        if len(b) != self.rows:
+            raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
+        y = []
+        for i, _, _, f, rest, _ in self._pivots:
+            c = b[i]
+            if c != 0:
+                c = R.mul(f, c)
+                for r, v in rest.items():
+                    b[r] = R.sub(b[r], R.mul(v, c))
+            y.append(c)
+        for row in self._U:
+            acc = R.zero()
+            for s, u in row:
+                x = b[self._left[s]]
+                if x != 0:
+                    acc = R.add(acc, R.mul(u, x))
+            y.append(acc)
+        y.extend(b[i] for i in self._free)
+        return y
+
+    def _combine(self, n, terms):
+        """sum of c*v over the (c, v) pairs, v given as (position, entry)
+        pairs, as a list of length n."""
+        R = self.ring
+        acc = [R.zero()] * n
+        for c, v in terms:
+            if c != 0:
+                for i, a in v:
+                    if a != 0:
+                        acc[i] = R.add(acc[i], R.mul(c, a))
+        return acc
+
+    def _q_times(self, z):
+        """Q*z for z given as (position, entry) pairs."""
+        R = self.ring
+        x = self._combine(self.cols, ((c, self._Q0[p].items()) for p, c in z))
+        for _, j, _, _, _, ops in reversed(self._pivots):
+            acc = x[j]
+            for j2, g in ops:
+                if x[j2] != 0:
+                    acc = R.sub(acc, R.mul(g, x[j2]))
+            x[j] = acc
+        return tuple(x)
+
+    def kernel(self):
+        one = self.ring.one()
+        return [self._q_times([(p, one)]) for p in range(self.rank, self.cols)]
+
+    def image(self):
+        R = self.ring
+        out = []
+        for i, _, a, _, rest, _ in self._pivots:
+            col = [R.zero()] * self.rows
+            col[i] = a
+            for r, v in rest.items():
+                col[r] = v
+            out.append(tuple(col))
+        for vcol in self._V[:self.rank - len(self._pivots)]:
+            out.append(tuple(self._combine(self.rows, (
+                (v, self._residual[c].items()) for c, v in vcol.items()))))
+        return out
+
+    def coordinates(self, b):
+        y = self._p_times(b)
+        if any(v != 0 for v in y[self.rank:]):
+            return None
+        z = y[:self.rank]
+        for i in range(self._ones, self.rank):
+            z[i], r = divmod(z[i], self._d[i])
+            if r != 0:
+                return None
+        return tuple(z)
+
+    def solve(self, b):
+        z = self.coordinates(b)
+        return None if z is None else self._q_times(enumerate(z))
+
+    def cokernel(self, b):
+        y = self._p_times(b)
+        return tuple(x % d if d else x
+                     for x, d in zip(y[self._ones:], self.orders))
+
+    def cokernel_generators(self):
+        R = self.ring
+        left = self._left
+        if self._U:
+            columns = [{} for _ in left]
+            for r, row in enumerate(self._U):
+                for s, u in row:
+                    columns[s][r] = u
+            U_inverse = ImageSolver(R, len(left), columns)
+        out = []
+        for p in range(self._ones, self.rows):
+            g = [R.zero()] * self.rows
+            p -= len(self._pivots)
+            if p < len(left):
+                e = [int(r == p) for r in range(len(left))]
+                for s, x in enumerate(U_inverse.solve(e)):
+                    g[left[s]] = x
+            else:
+                g[self._free[p - len(left)]] = R.one()
+            out.append(tuple(g))
+        return out
 
 
 def _markowitz_pivot(cols, rows, field):
@@ -371,214 +532,24 @@ def _markowitz_pivot(cols, rows, field):
     return best
 
 
-# ---------------------------------------------------------------------------
-# Gaussian elimination over fields
-# ---------------------------------------------------------------------------
-
-def _row_echelon(M: ExactMatrix):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    A = M.to_rows()
-    return A, _reduce_rows(M.ring, A, M.cols)
-
-
-def _reduce_rows(R: Ring, A, ncols):
-    """Bring the rows A (lists, changed in place) to reduced row echelon
-    form, searching pivots only among the first ncols columns; every column
-    takes part in the row operations.  Returns the pivot columns.
-
-    Each update runs over the pivot row's nonzero entries only, so sparse
-    rows (boundary matrices, identity blocks) cost what they hold.
-    """
-    pivots = []
-    r = 0
-    nrows = len(A)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        row = A[r]
-        inv = R.inv(row[c])
-        nonzero = [(j, R.mul(inv, y)) for j, y in enumerate(row) if y != 0]
-        for j, y in nonzero:
-            row[j] = y
-        for i in range(nrows):
-            other = A[i]
-            f = other[c]
-            if i != r and f != 0:
-                for j, y in nonzero:
-                    other[j] = R.sub(other[j], R.mul(f, y))
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-class ImageSolver:
-    """One factorization P*M*Q = D of M, read the same way over every ring.
-
-    D is diagonal with d_1 | d_2 | ... (d_i = 0 past the rank, rows beyond
-    the columns included); P is invertible and kept as sparse rows, Q is
-    invertible and kept as sparse columns.  Over Z it is the Smith normal
-    form, P = U and Q = V.  Over a field it is one row reduction of [M | I]
-    with pivots taken among M's columns: P is the row transform T kept in
-    the identity block, d_i = 1 up to the rank, and Q's columns are the
-    unit vectors at the pivot columns followed by one kernel vector per
-    free column, read off the reduced row echelon form.  A zero or identity
-    matrix (no rows or no columns included) is not factored: P = Q = I.
-
-    Only the factoring knows the ring; every query has one path:
-    `kernel()` is Q's columns beyond the rank (a saturated lattice basis of
-    ker M over Z); `image()` is M*Q's columns below the rank (a basis of
-    the column lattice over Z); `coordinates(b)` is z with
-    b = sum z_j image()[j], or None when b is not in the image: y = P*b
-    must vanish past the rank and d_i must divide y_i below it, and then
-    z_i = y_i / d_i; `solve(b)` is x = Q*z, with M*x = b.  `cokernel(b)` is
-    the class of b in coker M, (P*b)_i reduced modulo d_i on the rows with
-    d_i != 1; `orders` lists those d_i (0 for a free generator) and
-    `cokernel_generators()` the columns of P^-1 at those rows, read by
-    factoring P.  The kernel, image and solve answers are exactly what
-    eliminating M (or [M | b]) from scratch yields.
-    """
-
-    __slots__ = ("ring", "rows", "cols", "rank", "orders", "_M", "_P", "_Q",
-                 "_d", "_keep")
-
-    def __init__(self, M: ExactMatrix):
-        R = M.ring
-        self.ring, self.rows, self.cols, self._M = R, M.rows, M.cols, M
-        self._P = self._Q = None     # None stands for the identity
-        n = M.cols
-        if M.is_zero():
-            d = []
-        elif M.rows == n and all(x == (1 if i % (n + 1) == 0 else 0)
-                                 for i, x in enumerate(M.entries)):
-            d = [1] * n
-        elif R.is_field:
-            one, zero = R.one(), R.zero()
-            A = [list(M.row(i)) + [one if j == i else zero for j in range(M.rows)]
-                 for i in range(M.rows)]
-            pivots = _reduce_rows(R, A, n)
-            self._P = [[(j, t) for j, t in enumerate(row[n:]) if t != 0]
-                       for row in A]
-            free = sorted(set(range(n)).difference(pivots))
-            self._Q = [{pc: one} for pc in pivots] + [
-                {fc: one, **{pc: R.neg(row[fc])
-                             for row, pc in zip(A, pivots) if row[fc] != 0}}
-                for fc in free]
-            d = [1] * len(pivots)
-        else:
-            U, D, V = smith_normal_form(M)
-            self._P = [[(j, u) for j, u in enumerate(U.row(i)) if u != 0]
-                       for i in range(M.rows)]
-            self._Q = [{i: v for i, v in enumerate(V.col(j)) if v != 0}
-                       for j in range(n)]
-            d = [x for x in diagonal_of(D) if x != 0]
-        self.rank = len(d)
-        self._d = d + [0] * (M.rows - len(d))
-        self._keep = [i for i, x in enumerate(self._d) if x != 1]
-        self.orders = tuple(self._d[i] for i in self._keep)
-
-    def _q(self, j):
-        """Column j of Q as a {row: entry} dict."""
-        return {j: self.ring.one()} if self._Q is None else self._Q[j]
-
-    def _p_times(self, b):
-        R = self.ring
-        b = [R.canon(v) for v in b]
-        if len(b) != self.rows:
-            raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
-        if self._P is None:
-            return b
-        out = []
-        for row in self._P:
-            acc = R.zero()
-            for j, t in row:
-                if b[j] != 0:
-                    acc = R.add(acc, R.mul(t, b[j]))
-            out.append(acc)
-        return out
-
-    def _combine(self, n, terms):
-        """sum of c*v over the (c, v) pairs, v given as (position, entry)
-        pairs, as a tuple of length n."""
-        R = self.ring
-        acc = [R.zero()] * n
-        for c, v in terms:
-            if c != 0:
-                for i, a in v:
-                    if a != 0:
-                        acc[i] = R.add(acc[i], R.mul(c, a))
-        return tuple(acc)
-
-    def kernel(self):
-        zero = self.ring.zero()
-        return [tuple(q.get(i, zero) for i in range(self.cols))
-                for q in map(self._q, range(self.rank, self.cols))]
-
-    def image(self):
-        M = self._M
-        return [self._combine(self.rows, ((c, enumerate(M.col(k)))
-                                          for k, c in self._q(j).items()))
-                for j in range(self.rank)]
-
-    def coordinates(self, b):
-        y = self._p_times(b)
-        if any(v != 0 for v in y[self.rank:]):
-            return None
-        z = y[:self.rank]
-        for i, d in enumerate(self._d[:self.rank]):
-            if d != 1:
-                z[i], r = divmod(z[i], d)
-                if r != 0:
-                    return None
-        return tuple(z)
-
-    def solve(self, b):
-        z = self.coordinates(b)
-        if z is None:
-            return None
-        return self._combine(self.cols, ((c, self._q(j).items())
-                                         for j, c in enumerate(z)))
-
-    def cokernel(self, b):
-        y = self._p_times(b)
-        return tuple(y[i] % d if d else y[i]
-                     for i, d in zip(self._keep, self.orders))
-
-    def cokernel_generators(self):
-        R = self.ring
-        units = [[R.one() if j == i else R.zero() for j in range(self.rows)]
-                 for i in self._keep]
-        if self._P is None:
-            return [tuple(e) for e in units]
-        m = self.rows
-        P = [R.zero()] * (m * m)
-        for i, row in enumerate(self._P):
-            for j, t in row:
-                P[i * m + j] = t
-        P_inverse = ImageSolver(ExactMatrix(R, m, m, P))
-        return [P_inverse.solve(e) for e in units]
-
 def image_rank(M: ExactMatrix) -> int:
     """Rank of the image (= column rank, = number of nonzero SNF entries)."""
-    return ImageSolver(M).rank
+    return ImageSolver(M.ring, M.rows, M.column_dicts()).rank
 
 
 def kernel_basis(M: ExactMatrix):
     """Columns spanning ker M (`ImageSolver.kernel`)."""
-    return ImageSolver(M).kernel()
+    return ImageSolver(M.ring, M.rows, M.column_dicts()).kernel()
 
 
 def lattice_column_basis(M: ExactMatrix):
     """Independent columns generating the same column span (lattice over Z)."""
-    return ImageSolver(M).image()
+    return ImageSolver(M.ring, M.rows, M.column_dicts()).image()
 
 
 def solve_in_image(M: ExactMatrix, b):
     """x with M*x = b, or None when b is not in the image (lattice) of M."""
-    return ImageSolver(M).solve(b)
+    return ImageSolver(M.ring, M.rows, M.column_dicts()).solve(b)
 
 
 def columns_matrix(ring: Ring, nrows: int, cols) -> ExactMatrix:

@@ -85,15 +85,18 @@ def _timed(record_id, fn, timings: bool) -> CheckRecord:
 # Check implementations
 # ---------------------------------------------------------------------------
 
+def _axiom_status(r):
+    """(status, detail) of an AxiomResult: its input count, or its witness."""
+    if r.passed:
+        return "pass", f"{r.inputs_checked} inputs"
+    return "fail", (f"witness {r.witness_input}: lhs = {r.witness_lhs}, "
+                    f"rhs = {r.witness_rhs}")
+
+
 def _axioms_records(rep, prefix: str, timings: bool):
     out = []
     for r in rep.results:
-        detail = f"{r.inputs_checked} inputs"
-        if not r.passed:
-            detail = (f"witness {r.witness_input}: lhs = {r.witness_lhs}, "
-                      f"rhs = {r.witness_rhs}")
-        rec = CheckRecord(f"{prefix}axioms.{r.axiom}",
-                          "pass" if r.passed else "fail", detail)
+        rec = CheckRecord(f"{prefix}axioms.{r.axiom}", *_axiom_status(r))
         if timings:
             rec.elapsed_ms = r.elapsed_ms
         out.append(rec)
@@ -133,8 +136,9 @@ def bialgebra_records(inst: BialgebraData, checks, prefix: str = "",
                 f"{prefix}cc-antisymmetry",
                 check_cc_implies_antisymmetry(inst, axioms)))
         elif check == "loday-ronco":
-            out.append(_timed(f"{prefix}loday-ronco",
-                              lambda: _loday(inst), timings))
+            out.append(_timed(
+                f"{prefix}loday-ronco",
+                lambda: _axiom_status(check_loday_ronco(inst)), timings))
         elif check == "reverse-bivector-gate":
             rep = check_lemma_c_lambda_eta(reverse_bivector, inst)
             out.append(CheckRecord(
@@ -145,14 +149,6 @@ def bialgebra_records(inst: BialgebraData, checks, prefix: str = "",
             out.append(CheckRecord(f"{prefix}{check}", "error",
                                    f"unknown check {check!r}"))
     return out
-
-
-def _loday(inst):
-    r = check_loday_ronco(inst)
-    if r.passed:
-        return "pass", f"{r.inputs_checked} inputs"
-    return "fail", (f"witness {r.witness_input}: lhs = {r.witness_lhs}, "
-                    f"rhs = {r.witness_rhs}")
 
 
 def cone_records(data: ConeProductData, checks, prefix: str = "",
@@ -267,8 +263,9 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
     if suite == "check":
         return records
     if name.startswith("omega-s1"):
-        records.append(_timed(f"{prefix}loday-ronco", lambda: _loday(inst),
-                              timings))
+        records.append(_timed(
+            f"{prefix}loday-ronco",
+            lambda: _axiom_status(check_loday_ronco(inst)), timings))
     if name.endswith("-plus") or name.endswith("-minus"):
         records.append(_timed(f"{prefix}reverse-coproduct",
                               lambda: _reverse_coproduct(name, ring, window),

@@ -473,20 +473,31 @@ def test_relation_outside_the_cycle_lattice_raises():
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
 def test_cubical_torus_homology_and_induced_scalar(ring):
-    C = _cubical_torus(ring, 3)
-    assert str(homology(C)) == "H_0 = R, H_1 = R^2, H_2 = R"
-    # 2 * id, moved by a homotopy, still acts as 2 on every generator
-    rng = random.Random(4)
-    h = GradedMap.from_table(C.module, C.module, 1, {
-        e.name: Vector(C.module, {t.name: rng.choice((0, 1, -1))
-                                  for t in C.module.basis_in_degree(e.degree + 1)})
-        for e in C.module.basis()})
-    ident = GradedMap.identity(C.module)
-    f = ChainMap(C, C, ident + ident + graded_commutator(h, C, C))
-    act = induced_map_on_homology(f)
-    two = ring.canon(2)
-    for k, M in act.blocks.items():
-        assert M == ExactMatrix.identity(ring, M.rows).scale(two), k
+    klein = {ZZ: "H_0 = R, H_1 = R + R/2", QQ: "H_0 = R, H_1 = R",
+             GF(2): "H_0 = R, H_1 = R^2, H_2 = R"}[ring]
+    for C, want in ((_cubical_torus(ring, 3), "H_0 = R, H_1 = R^2, H_2 = R"),
+                    (_cubical_torus(ring, 4, klein=True), klein)):
+        h_C = homology(C)
+        assert str(h_C) == want
+        # 2 * id, moved by a homotopy, still acts as 2 on every generator,
+        # torsion generators (listed first) modulo their order
+        rng = random.Random(4)
+        h = GradedMap.from_table(C.module, C.module, 1, {
+            e.name: Vector(C.module, {
+                t.name: rng.choice((0, 1, -1))
+                for t in C.module.basis_in_degree(e.degree + 1)})
+            for e in C.module.basis()})
+        ident = GradedMap.identity(C.module)
+        f = ChainMap(C, C, ident + ident + graded_commutator(h, C, C))
+        act = induced_map_on_homology(f)
+        assert sorted(act.blocks) == [k for k, _, _ in h_C.by_degree]
+        for k, free, torsion in h_C.by_degree:
+            two = [2 % t for t in torsion] + [2] * free
+            assert act.blocks[k] == ExactMatrix(ring, len(two), len(two), [
+                two[i] if i == j else 0
+                for i in range(len(two)) for j in range(len(two))]), (want, k)
+    if ring is ZZ:      # the Klein bottle's H_1 = Z/2 + Z
+        assert act.blocks[1] == ExactMatrix.from_rows(ZZ, [[0, 0], [0, 2]])
 
 
 def test_homology_tstar_cone_presents_each_complex_once(monkeypatch, tmp_path):
@@ -668,6 +679,12 @@ def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
     torus = _cubical_torus(ZZ, 10)
     assert str(homology(torus)) == "H_0 = R, H_1 = R^2, H_2 = R"
     assert factored == []
+    # presentations and induced maps go through the same unit pivots
+    torus = _cubical_torus(ZZ, 6)
+    ident = GradedMap.identity(torus.module)
+    act = induced_map_on_homology(ChainMap(torus, torus, ident + ident))
+    assert not act.is_identity()
+    assert factored == [], [f[:2] for f in factored]
     klein = _cubical_torus(ZZ, 10, klein=True)
     assert str(homology(klein)) == "H_0 = R, H_1 = R + R/2"
     assert len(factored) <= len(klein.degrees()), [f[:2] for f in factored]

@@ -15,8 +15,6 @@ from chainalg.matrices import (
     lattice_column_basis,
     columns_matrix,
     ImageSolver,
-    rank_and_torsion,
-    _row_echelon,
 )
 
 
@@ -91,24 +89,49 @@ def test_snf_random_matrices(data):
     _check_snf(ExactMatrix(ZZ, rows, cols, entries))
 
 
+def _solver(M):
+    return ImageSolver(M.ring, M.rows, M.column_dicts())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_rank_and_torsion_matches_dense_factoring(data):
+def test_image_solver_matches_dense_factoring(data):
     # sparse columns with units and non-units: the unit-pivot elimination
-    # and its Smith normal form residual give the dense invariants
+    # and its Smith normal form residual against the dense Smith normal
+    # form over Z and a reduced row echelon form over each field
     rows = data.draw(st.integers(0, 7))
     cols = data.draw(st.integers(0, 7))
     entries = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4, 6)),
                                  min_size=rows * cols, max_size=rows * cols))
-    M = ExactMatrix(ZZ, rows, cols, entries)
-    columns = [{i: M[i, j] for i in range(rows)} for j in range(cols)]
-    diag = diagonal_of(smith_normal_form(M)[1])
-    assert rank_and_torsion(ZZ, columns) == (
-        sum(1 for d in diag if d), tuple(d for d in diag if d > 1))
-    for ring in (QQ, GF(2), GF(5)):
-        assert rank_and_torsion(ring, [
-            {i: ring.canon(c) for i, c in col.items()} for col in columns]) == (
-            image_rank(ExactMatrix(ring, rows, cols, entries)), ())
+    for ring in (ZZ, QQ, GF(2), GF(5)):
+        M = ExactMatrix(ring, rows, cols, entries)
+        solver = _solver(M)
+        if ring is ZZ:
+            diag = diagonal_of(smith_normal_form(M)[1])
+            assert solver.rank == sum(1 for d in diag if d)
+            assert [d for d in solver.orders if d] == [d for d in diag if d > 1]
+        else:
+            assert solver.rank == _reference_rank(M)
+            assert set(solver.orders) <= {0}
+        kernel = solver.kernel()
+        assert len(kernel) == cols - solver.rank
+        for v in kernel:
+            assert all(x == 0 for x in M.apply(v))
+        if ring is ZZ and kernel:
+            # saturated: the kernel basis spans a direct summand of Z^cols
+            K = columns_matrix(ring, cols, kernel)
+            assert diagonal_of(smith_normal_form(K)[1]) == [1] * len(kernel)
+        # image() and M's columns span the same lattice, each side's
+        # columns being combinations of the other's
+        image = solver.image()
+        G = columns_matrix(ring, rows, image)
+        for g in image:
+            assert _eliminate_from_scratch(M, g) is not None
+        for j in range(cols):
+            assert _eliminate_from_scratch(G, M.col(j)) is not None
+        for t, g in enumerate(image):
+            assert solver.coordinates(g) == tuple(
+                ring.one() if s == t else ring.zero() for s in range(len(image)))
 
 
 def test_kernel_is_saturated_over_Z():
@@ -159,6 +182,34 @@ def test_solve_in_image_divisibility():
     M = ExactMatrix.from_rows(ZZ, [[2]])
     assert solve_in_image(M, [3]) is None
     assert solve_in_image(M, [4]) == (2,)
+
+
+def _row_echelon(M):
+    """Reduced row echelon form over a field, (rows, pivot columns), by
+    dense Gauss-Jordan elimination: the reference for the fields."""
+    R = M.ring
+    A = M.to_rows()
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, M.rows) if A[i][c] != 0), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = R.inv(A[r][c])
+        A[r] = [R.mul(inv, y) for y in A[r]]
+        for i in range(M.rows):
+            f = A[i][c]
+            if i != r and f != 0:
+                A[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def _reference_rank(M):
+    if M.ring.is_field:
+        return len(_row_echelon(M)[1])
+    return rank_oracle_over_Q(M.to_rows())
 
 
 def _eliminate_from_scratch(M, b):
@@ -219,7 +270,7 @@ def test_solve_in_image_random():
                   ExactMatrix.identity(ring, 4), ExactMatrix.identity(ring, 1)]
         for M in cases:
             rows, cols = M.rows, M.cols
-            solver = ImageSolver(M)
+            solver = _solver(M)
             _check_cokernel(solver, M)
             for _ in range(12):
                 if cols and rng.random() < 0.5:
@@ -229,7 +280,9 @@ def test_solve_in_image_random():
                 else:
                     b = [rng.randint(-4, 4) for _ in range(rows)]
                 sol = solver.solve(b)
-                assert sol == solve_in_image(M, b) == _eliminate_from_scratch(M, b)
+                # the particular solution is not a contract, solvability is
+                assert sol == solve_in_image(M, b)
+                assert (sol is None) == (_eliminate_from_scratch(M, b) is None)
                 b = tuple(ring.canon(v) for v in b)
                 if sol is not None:
                     assert M.apply(sol) == b
@@ -259,12 +312,11 @@ def _sum(R, n, vectors):
 
 
 def _check_cokernel(solver, M):
-    """orders and cokernel_generators of one solver against M's rank from
-    sparse elimination and, over Z, against its Smith normal form."""
+    """orders and cokernel_generators of one solver against M's reference
+    rank and, over Z, against its Smith normal form."""
     R = M.ring
     orders = solver.orders
-    columns = [dict(enumerate(M.col(j))) for j in range(M.cols)]
-    assert solver.rank == rank_and_torsion(R, columns)[0]
+    assert solver.rank == _reference_rank(M)
     assert orders.count(0) == M.rows - solver.rank
     if R == ZZ and M.rows and M.cols:
         diag = diagonal_of(smith_normal_form(M)[1])
@@ -297,7 +349,7 @@ def test_lattice_column_basis_spans():
                                       for _ in range(rows * cols)]))
     for M in cases:
         basis = lattice_column_basis(M)
-        assert basis == ImageSolver(M).image()
+        assert basis == _solver(M).image()
         G = columns_matrix(M.ring, M.rows, basis)
         # independent, as many as the rank, and the same lattice as M's
         # columns: each side's columns are combinations of the other's
