@@ -9,6 +9,7 @@ check failed, 2 schema/usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .rings import ring_from_name
@@ -35,6 +36,7 @@ def _add_common(p, with_ring=True):
                        help="coefficient ring for fixtures: Z, Q, GF(p)")
 
 
+@functools.cache   # one per process, built by the first call to `main`
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chainalg",
@@ -213,8 +215,7 @@ def cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "check": cmd_check,
         "homology": cmd_homology,

@@ -142,6 +142,8 @@ def test_criterion_6_transition_automorphism():
 
 
 def test_criterion_7_snf_oracle_equivalence():
+    from tests.test_matrices import bareiss, rank_oracle_over_Q
+
     rng = random.Random(20260809)
     count = 1000
     for i in range(count):
@@ -151,14 +153,44 @@ def test_criterion_7_snf_oracle_equivalence():
                         [rng.randint(-9, 9) for _ in range(rows * cols)])
         U, D, V = smith_normal_form(M)
         assert U * M * V == D, f"matrix {i}"
-        diag = [d for d in diagonal_of(D) if d != 0]
+        assert abs(bareiss(U)[1]) == 1, f"U not unimodular, matrix {i}"
+        assert abs(bareiss(V)[1]) == 1, f"V not unimodular, matrix {i}"
+        full = diagonal_of(D)
+        diag = [d for d in full if d != 0]
+        assert full[:len(diag)] == diag, f"zero entries not last, matrix {i}"
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0, f"divisibility fails on matrix {i}"
-        from tests.test_matrices import rank_oracle_over_Q
-
         assert len(diag) == rank_oracle_over_Q(M.to_rows()), f"rank, matrix {i}"
     _report(7, f"{count} random integer matrices up to 8x8: U*M*V = D, "
-               f"divisibility chain, rank equals the rational Gaussian oracle")
+               f"U and V unimodular (Bareiss determinants), zero entries "
+               f"last, divisibility chain, rank equals the rational "
+               f"Gaussian oracle")
+
+
+@pytest.mark.parametrize("n, entries, seconds, max_bits", [
+    (40, [s * a for s in (1, -1) for a in range(2, 10)], 1.0, 20_000),
+    (100, range(-9, 10), 60.0, 2_000),
+])
+def test_criterion_7_snf_stays_polynomial(n, entries, seconds, max_bits):
+    # dense seeded matrices; the 40x40 one has no unit entry.  The bounds
+    # are on the Smith normal form call alone, the oracle runs after it.
+    # Without size reduction the 100x100 certificates reach about 17,000
+    # bits; with it they stay near the determinant's size
+    from tests.test_matrices import check_snf_certificate
+
+    rng = random.Random(f"criterion 7:{n}")
+    entries = list(entries)
+    M = ExactMatrix(ZZ, n, n, [rng.choice(entries) for _ in range(n * n)])
+    start = time.perf_counter()
+    U, D, V = smith_normal_form(M)
+    elapsed = time.perf_counter() - start
+    bits = max(abs(x).bit_length() for X in (U, V) for x in X.entries)
+    check_snf_certificate(M, U, D, V)
+    assert elapsed < seconds, f"{n}x{n}: {elapsed:.2f} s"
+    assert bits < max_bits, f"{n}x{n}: certificate entries of {bits} bits"
+    _report(7, f"dense {n}x{n}: Smith normal form in {elapsed:.2f} s "
+               f"(bound {seconds:g} s), certificate entries of {bits} bits "
+               f"(bound {max_bits}), the full oracle holds")
 
 
 def test_criterion_8_mutation_robustness():

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from chainalg import cli
+
 CLI = [sys.executable, "-m", "chainalg.cli"]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(*args, **kw):
@@ -189,3 +194,44 @@ def test_homology_complex_scenario_with_cone(tmp_path):
     r = run("homology", str(path), "--cone")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "R/2" in r.stdout   # cone of multiplication by two
+
+
+def test_in_process_main_calls_match_separate_runs(tmp_path):
+    # one parser serves every `main` call of a process (parse_args leaves
+    # it as it was): subcommands and options given one after another must
+    # leave nothing for the next call (the last case drops the --ring and
+    # --cone of the first)
+    cases = [
+        ("homology", "tstar-s1", "--cone", "--ring", "Q", "--format", "json"),
+        ("check", "lambda-s3", "--window", "6", "--format", "json"),
+        ("homology", str(DATA / "klein4-Z.json")),
+        ("demo", "tstar-s1", "--ring", "GF(5)"),
+        ("cone", "lambda-s1-plus", "--window", "6", "--format", "json"),
+        ("homology", "tstar-s1", "--format", "json"),
+    ]
+    in_process = []
+    for k, argv in enumerate(cases):
+        out = tmp_path / f"in-process-{k}"
+        assert cli.main([*argv, "--output", str(out)]) == 0, argv
+        in_process.append(out.read_bytes())
+    assert cli.build_parser.cache_info().currsize == 1
+    for k, argv in enumerate(cases):
+        out = tmp_path / f"separate-{k}"
+        r = run(*argv, "--output", str(out))
+        assert r.returncode == 0, r.stderr
+        assert out.read_bytes() == in_process[k], argv
+
+
+def test_dense_unit_free_homology_bound(tmp_path, monkeypatch):
+    # 80 cells: d(e_k) = sum_i a_ki v_i for e_0..e_39 in degree 1 and
+    # v_0..v_39 in degree 0, each a_ki = choice((-1, 1)) * randint(2, 9)
+    # in turn from random.Random("dense40:1").  No entry is a unit, so the
+    # whole block goes through the Smith normal form
+    monkeypatch.chdir(DATA)
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert cli.main(["homology", "dense40-Z.json", "--format", "json",
+                     "--output", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    assert "dense40.homology" in out.read_text(encoding="utf-8")

@@ -40,6 +40,82 @@ def rank_oracle_over_Q(rows):
     return rank
 
 
+def bareiss(M):
+    """(rank, determinant) of an integer matrix by fraction-free Gaussian
+    elimination (Bareiss, Math. Comp. 22, 1968): every division is exact.
+    The determinant is that of a square M, 0 when it is singular."""
+    A = M.to_rows()
+    rank, sign, prev = 0, 1, 1
+    for c in range(M.cols):
+        piv = next((i for i in range(rank, M.rows) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            A[rank], A[piv], sign = A[piv], A[rank], -sign
+        p, top = A[rank][c], A[rank]
+        for row in A[rank + 1:]:
+            a = row[c]
+            for j in range(c + 1, M.cols):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev, rank = p, rank + 1
+    full = M.rows == M.cols == rank
+    return rank, sign * prev if full else 0
+
+
+def check_snf_certificate(M, U, D, V):
+    """The Smith normal form contract: U*M*V = D in plain integers, U and V
+    unimodular, D diagonal with nonnegative entries d_1 | d_2 | ... and its
+    zero entries last; the number of nonzero entries is M's rank over Q."""
+    assert U * M * V == D
+    assert abs(bareiss(U)[1]) == 1
+    assert abs(bareiss(V)[1]) == 1
+    for i in range(M.rows):
+        for j in range(M.cols):
+            if i != j:
+                assert D[i, j] == 0
+    diag = diagonal_of(D)
+    assert all(d >= 0 for d in diag)
+    nonzero = [d for d in diag if d != 0]
+    assert diag[:len(nonzero)] == nonzero, "zero diagonal entries come last"
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    assert bareiss(M)[0] == len(nonzero)
+
+
+def test_bareiss_against_cofactors_and_the_rational_rank():
+    def cofactor_det(rows):
+        return 1 if not rows else sum(
+            (-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            for j, a in enumerate(rows[0]))
+
+    assert bareiss(ExactMatrix(ZZ, 0, 0, [])) == (0, 1)
+    assert bareiss(ExactMatrix.from_rows(
+        ZZ, [[0, 2, 1], [3, 1, 4], [1, 5, 9]])) == (3, -32)
+    rng = random.Random(13)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        M = ExactMatrix(ZZ, rows, cols, [rng.choice((0, 0, 1, -1, 2, -3, 7))
+                                         for _ in range(rows * cols)])
+        rank, det = bareiss(M)
+        assert rank == rank_oracle_over_Q(M.to_rows())
+        if rows == cols:
+            assert det == cofactor_det(M.to_rows())
+
+
+def test_snf_oracle_rejects_a_certificate_that_is_not_unimodular():
+    # U*M*V = D holds and D is a Smith form, but U = (2) has no inverse
+    # over Z; and a zero diagonal entry may not come first
+    M = ExactMatrix.from_rows(ZZ, [[1]])
+    two = ExactMatrix.from_rows(ZZ, [[2]])
+    one = ExactMatrix.identity(ZZ, 1)
+    with pytest.raises(AssertionError):
+        check_snf_certificate(M, two, two, one)
+    M = ExactMatrix.from_rows(ZZ, [[0, 0], [0, 1]])
+    with pytest.raises(AssertionError):
+        check_snf_certificate(M, ExactMatrix.identity(ZZ, 2), M,
+                              ExactMatrix.identity(ZZ, 2))
+
+
 def test_snf_zero_matrix():
     M = ExactMatrix.from_rows(ZZ, [[0]])
     U, D, V = smith_normal_form(M)
@@ -66,17 +142,9 @@ def test_snf_hand_reduced_example():
 
 def _check_snf(M):
     U, D, V = smith_normal_form(M)
-    assert U * M * V == D
-    diag = diagonal_of(D)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if i != j:
-                assert D[i, j] == 0
-    assert all(d >= 0 for d in diag)
-    nonzero = [d for d in diag if d != 0]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    assert rank_oracle_over_Q(M.to_rows()) == len(nonzero)
+    check_snf_certificate(M, U, D, V)
+    assert rank_oracle_over_Q(M.to_rows()) == len(
+        [d for d in diagonal_of(D) if d != 0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,6 +200,24 @@ def test_image_solver_matches_dense_factoring(data):
         for t, g in enumerate(image):
             assert solver.coordinates(g) == tuple(
                 ring.one() if s == t else ring.zero() for s in range(len(image)))
+
+
+def test_image_solver_places_q_on_first_use():
+    # rank and orders (all that homology() reads) never build Q's
+    # placement; the first kernel or solve does
+    M = ExactMatrix.from_rows(ZZ, [[2, 4, 1, 0], [6, 8, 3, 0], [0, 0, 0, 0]])
+    b = M.apply([1, 1, 1, 1])
+    for first in ("kernel", "solve"):
+        solver = _solver(M)
+        assert (solver.rank, solver.orders) == (2, (4, 0))
+        assert solver._Q0 is None
+        if first == "kernel":
+            kernel = solver.kernel()
+            assert len(kernel) == 2
+            assert all(M.apply(v) == (0, 0, 0) for v in kernel)
+        else:
+            assert M.apply(solver.solve(b)) == b
+        assert solver._Q0 is not None
 
 
 def test_kernel_is_saturated_over_Z():

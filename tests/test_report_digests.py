@@ -7,7 +7,9 @@ fixtures over Z, Q and GF(5) at windows 8 and 12,
 `chainalg homology tstar-s1 --cone --ring R --format json` over Z, Q and
 GF(5), `chainalg homology <f> --format json` on the 4x4 cubical Klein
 bottle scenarios in tests/data (over Z and over Q) and on seeded 10x10
-torus, 10x10 Klein bottle and 14x14 Klein bottle scenarios over Z, and
+torus, 10x10 Klein bottle and 14x14 Klein bottle scenarios over Z and on
+a seeded dense complex over Z (80 cells, one 40x40 differential with
+entries +-2..+-9 and so no unit entry), and
 `chainalg check <f> --format json` on two lambda-s1-plus scenarios at window
 8 with one mu structure constant negated (over Q and over GF(5)), whose
 associativity axiom fails, and `chainalg cone <f> --format json` on two
@@ -52,7 +54,7 @@ CASES = [
     for r in ("Z", "Q", "GF(5)")
 ] + [("homology", f"klein4-{r}.json", "--format", "json") for r in ("Z", "Q")
 ] + [("homology", f"{s}-Z.json", "--format", "json")
-     for s in ("torus10", "klein10", "klein14")
+     for s in ("torus10", "klein10", "klein14", "dense40")
 ] + [("check", f"lambda-s1-plus-mu-{r}.json", "--format", "json")
      for r in ("Q", "GF5")
 ] + [("cone", f"lambda-s1-plus-cone-{m}.json", "--format", "json")
