@@ -6,14 +6,7 @@ relations against closed-form fixtures, entirely over Z, Q, or GF(p).
 """
 
 from .rings import ZZ, QQ, GF, Ring, ring_from_name
-from .matrices import (
-    ExactMatrix,
-    ImageSolver,
-    smith_normal_form,
-    kernel_basis,
-    image_rank,
-    solve_in_image,
-)
+from .matrices import ExactMatrix, ImageSolver, smith_normal_form, image_rank
 from .graded import (
     BasisElement,
     GradedModule,

@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="batch-run several targets")
     p.add_argument("targets", nargs="+", help="fixture names or scenario files")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted for compatibility; targets run in order")
     _add_common(p)
 
     p = sub.add_parser("export", help="write a fixture as a scenario file")
@@ -189,7 +187,6 @@ def cmd_cone(args) -> int:
 
 
 def cmd_report(args) -> int:
-    # the checks are pure Python and hold the GIL, so targets run in order
     records = [r for t in args.targets
                for r in _records_for_target(t, args, suite="demo")]
     return _emit(rp.Report("report " + " ".join(args.targets), records), args)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .matrices import (   # smith_normal_form: not called, a name tracers patch
     ExactMatrix,
     ImageSolver,
+    _combine,
     columns_matrix,
     smith_normal_form,
 )
@@ -78,6 +79,16 @@ def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) 
     first = h.then(target.d)
     second = source.d.then(h)
     return first - second if h.degree % 2 == 0 else first + second
+
+
+def _require_graded_chain_map(h: GradedMap, source: ChainComplex,
+                              target: ChainComplex, label: str):
+    """Raise ValueError, naming a basis element, unless [d, h] = 0."""
+    comm = graded_commutator(h, source, target)
+    for e in source.module.basis():
+        if not comm.eval_basis(e.name).is_zero():
+            raise ValueError(f"{label} is not a chain map: "
+                             f"[d, {label}] != 0 on {e.name}")
 
 
 @dataclass
@@ -192,26 +203,27 @@ class _HomologyPresentation:
     relation matrix in cycle coordinates (Kaczynski-Mischaikow-Mrozek,
     *Computational Homology*, 2004, ch. 3), by one path for every ring.
 
-    `Z`'s columns are an independent generating set of the cycles, and one
-    `ImageSolver` of Z gives a cycle its coordinates in them.  `rel_cols`
-    are columns in ambient coordinates that must lie in the lattice Z
-    generates (one outside raises ValueError); a second `ImageSolver`, of
-    their coordinates, presents the quotient.  `invariants` reads its
-    `orders`, `gen_columns` are Z times its `cokernel_generators()`, and
+    `cycles` are an independent generating set of the cycles in R^n (a
+    kernel basis, as `ImageSolver.kernel()` gives it), and one
+    `ImageSolver` of them gives a cycle its coordinates.  `rel_cols` are
+    columns in R^n that must lie in the lattice the cycles generate (one
+    outside raises ValueError); a second `ImageSolver`, of their
+    coordinates, presents the quotient.  `invariants` reads its `orders`,
+    `gen_columns` combines the cycles by its `cokernel_generators()`, and
     `classify(ambient cycle)` is the `cokernel` class of the cycle's
     coordinates, torsion entries reduced modulo their orders.
     """
 
-    def __init__(self, R, Z: ExactMatrix, rel_cols):
-        self.Z = Z
-        self._cycles = ImageSolver(R, Z.rows, Z.column_dicts())
+    def __init__(self, R, n, cycles, rel_cols):
+        self._basis = [{i: x for i, x in enumerate(z) if x != 0} for z in cycles]
+        self._cycles = ImageSolver(R, n, self._basis)
         coords = []
         for col in rel_cols:
             w = self._cycles.solve(col)
             if w is None:
                 raise ValueError("relation outside the cycle lattice")
             coords.append(dict(enumerate(w)))
-        self._relations = ImageSolver(R, Z.cols, coords)
+        self._relations = ImageSolver(R, len(self._basis), coords)
 
     @property
     def ngens(self) -> int:
@@ -224,7 +236,9 @@ class _HomologyPresentation:
 
     def gen_columns(self):
         """Ambient representative cycles, one per generator."""
-        return [self.Z.apply(g) for g in self._relations.cokernel_generators()]
+        cycles = self._cycles
+        return [_combine(cycles.ring, cycles.rows, zip(g, self._basis))
+                for g in self._relations.cokernel_generators()]
 
     def classify(self, ambient_col):
         w = self._cycles.solve(ambient_col)
@@ -259,8 +273,7 @@ def _presentations(C: ChainComplex, degrees):
     for k in degrees:
         ker = solver(k).kernel()
         rels = solver(k + 1).image() if ker else []
-        out[k] = _HomologyPresentation(
-            R, columns_matrix(R, solver(k).cols, ker), rels)
+        out[k] = _HomologyPresentation(R, solver(k).cols, ker, rels)
     return out
 
 
@@ -277,14 +290,8 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     blocks = {}
     for k in degrees:
         rows, cols = block(k)
-        cols_out = []
-        for g in ps[k].gen_columns():
-            image = [R.zero()] * rows
-            for c, col in zip(g, cols):
-                if c != 0:
-                    for i, a in col.items():
-                        image[i] = R.add(image[i], R.mul(c, a))
-            cols_out.append(pt[k].classify(image))
+        cols_out = [pt[k].classify(_combine(R, rows, zip(g, cols)))
+                    for g in ps[k].gen_columns()]
         blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
     return HomologyClassMap(blocks, hs, ht)
 
@@ -518,10 +525,7 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
     M, A = cone.source, cone.target
     if csec.source != M.module or csec.target != A.module or csec.degree != 1:
         raise ValueError("csec must map the cone source to its target with degree +1")
-    comm = graded_commutator(csec, M, A)
-    for e in M.module.basis():
-        if not comm.eval_basis(e.name).is_zero():
-            raise ValueError(f"csec is not a chain map: [d, csec] != 0 on {e.name}")
+    _require_graded_chain_map(csec, M, A, "csec")
 
     cone_mod = cone.complex.module
     R = cone_mod.ring

@@ -1,16 +1,17 @@
 """Exact matrices over Z, Q, and GF(p).
 
-The linear-algebra kernel the rest of the package sits on: dense
-`ExactMatrix` arithmetic; `smith_normal_form` over Z with unimodular
+The linear-algebra kernel the rest of the package sits on.  Inside the
+package a matrix is a list of sparse columns, {row position: entry}
+dicts; dense `ExactMatrix` values appear only where a caller hands one in
+or gets one back.  `smith_normal_form` works over Z with unimodular
 certificates, by alternating row and column Hermite passes with size
-reduction (Kannan-Bachem 1979), so coefficients stay polynomial in size;
-and `ImageSolver`, which factors a matrix given by its sparse columns once
-as P*M*Q = D, by unit-pivot elimination with Smith normal form only on the
+reduction (Kannan-Bachem 1979), so coefficients stay polynomial in size.
+`ImageSolver` factors a matrix given by its sparse columns once as
+P*M*Q = D, by unit-pivot elimination with Smith normal form only on the
 residual that has no unit entry, and answers its rank, kernel, image,
-coordinate, solvability and cokernel queries the same way over every ring
-(`image_rank`, `kernel_basis`, `lattice_column_basis` and `solve_in_image`
-each read one solver of a dense matrix's columns).  Matrices are immutable
-after construction; zero-dimensional matrices are legal everywhere.
+coordinate, solvability and cokernel queries the same way over every
+ring.  Matrices are immutable after construction; zero-dimensional
+matrices are legal everywhere.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class ExactMatrix:
         return cls(ring, n, n, [ring.one() if i == j else ring.zero()
                                 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "ExactMatrix":
-        z = ring.zero()
-        return cls(ring, rows, cols, [z] * (rows * cols))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -67,10 +63,6 @@ class ExactMatrix:
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def column_dicts(self):
-        """Columns as {row: entry} dicts, the form `ImageSolver` takes."""
-        return [dict(enumerate(self.col(j))) for j in range(self.cols)]
 
     def __eq__(self, other):
         return (
@@ -89,22 +81,6 @@ class ExactMatrix:
             " ".join(self.ring.format(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols}, [{body}])"
-
-    def __add__(self, other):
-        self._same_shape(other)
-        R = self.ring
-        return ExactMatrix(R, self.rows, self.cols,
-                           [R.add(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        R = self.ring
-        return ExactMatrix(R, self.rows, self.cols,
-                           [R.sub(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        R = self.ring
-        return ExactMatrix(R, self.rows, self.cols, [R.neg(a) for a in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -128,11 +104,6 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix(R, self.rows, other.cols, out)
 
-    def scale(self, c):
-        R = self.ring
-        c = R.canon(c)
-        return ExactMatrix(R, self.rows, self.cols, [R.mul(c, a) for a in self.entries])
-
     def transpose(self):
         return ExactMatrix(self.ring, self.cols, self.rows,
                            [self[i, j] for j in range(self.cols) for i in range(self.rows)])
@@ -146,13 +117,6 @@ class ExactMatrix:
         return tuple(
             _dot(R, self.row(i), vec) for i in range(self.rows)
         )
-
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
-
-    def _same_shape(self, other):
-        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape or ring mismatch")
 
 
 def _dot(R, u, v):
@@ -422,18 +386,6 @@ class ImageSolver:
         y.extend(b[i] for i in self._free)
         return y
 
-    def _combine(self, n, terms):
-        """sum of c*v over the (c, v) pairs, v given as (position, entry)
-        pairs, as a list of length n."""
-        R = self.ring
-        acc = [R.zero()] * n
-        for c, v in terms:
-            if c != 0:
-                for i, a in v:
-                    if a != 0:
-                        acc[i] = R.add(acc[i], R.mul(c, a))
-        return acc
-
     def _q_times(self, z):
         """Q*z for z given as (position, entry) pairs."""
         R, one = self.ring, self.ring.one()
@@ -445,7 +397,7 @@ class ImageSolver:
             self._Q0 = ([{p[1]: one} for p in self._pivots]
                         + [{right[c]: v for c, v in vc.items()} for vc in self._V]
                         + [{j: one} for j in range(self.cols) if j not in placed])
-        x = self._combine(self.cols, ((c, self._Q0[p].items()) for p, c in z))
+        x = _combine(R, self.cols, ((c, self._Q0[p]) for p, c in z))
         for _, j, _, _, _, ops in reversed(self._pivots):
             acc = x[j]
             for j2, g in ops:
@@ -468,8 +420,8 @@ class ImageSolver:
                 col[r] = v
             out.append(tuple(col))
         for vcol in self._V[:self.rank - len(self._pivots)]:
-            out.append(tuple(self._combine(self.rows, (
-                (v, self._residual[c][1].items()) for c, v in vcol.items()))))
+            out.append(tuple(_combine(R, self.rows, (
+                (v, self._residual[c][1]) for c, v in vcol.items()))))
         return out
 
     def coordinates(self, b):
@@ -531,24 +483,21 @@ def _markowitz_pivot(cols, rows, field):
     return best
 
 
+def _combine(R: Ring, n: int, terms):
+    """sum of c*v over the (c, v) pairs, each v a sparse column, as a list
+    of length n."""
+    acc = [R.zero()] * n
+    for c, v in terms:
+        if c != 0:
+            for i, a in v.items():
+                acc[i] = R.add(acc[i], R.mul(c, a))
+    return acc
+
+
 def image_rank(M: ExactMatrix) -> int:
     """Rank of the image (= column rank, = number of nonzero SNF entries)."""
-    return ImageSolver(M.ring, M.rows, M.column_dicts()).rank
-
-
-def kernel_basis(M: ExactMatrix):
-    """Columns spanning ker M (`ImageSolver.kernel`)."""
-    return ImageSolver(M.ring, M.rows, M.column_dicts()).kernel()
-
-
-def lattice_column_basis(M: ExactMatrix):
-    """Independent columns generating the same column span (lattice over Z)."""
-    return ImageSolver(M.ring, M.rows, M.column_dicts()).image()
-
-
-def solve_in_image(M: ExactMatrix, b):
-    """x with M*x = b, or None when b is not in the image (lattice) of M."""
-    return ImageSolver(M.ring, M.rows, M.column_dicts()).solve(b)
+    return ImageSolver(M.ring, M.rows,
+                       [dict(enumerate(M.col(j))) for j in range(M.cols)]).rank
 
 
 def columns_matrix(ring: Ring, nrows: int, cols) -> ExactMatrix:

@@ -191,15 +191,11 @@ def complex_records(bundle, checks, prefix: str = "", timings: bool = False):
         if check == "d-squared":
             out.append(CheckRecord(f"{prefix}d-squared", "pass",
                                    "verified at construction"))
-        elif check == "essential":
-            if bundle.top is None:
-                out.append(CheckRecord(f"{prefix}essential", "error",
-                                       "scenario has no 'top' field"))
-            else:
-                ok = is_essential(bundle.complex, bundle.top)
-                out.append(CheckRecord(f"{prefix}essential",
-                                       "pass" if ok else "fail",
-                                       f"top degree {bundle.top}"))
+        elif check == "essential":   # ingest ensures a top field
+            ok = is_essential(bundle.complex, bundle.top)
+            out.append(CheckRecord(f"{prefix}essential",
+                                   "pass" if ok else "fail",
+                                   f"top degree {bundle.top}"))
         else:
             out.append(CheckRecord(f"{prefix}{check}", "error",
                                    f"unknown check {check!r}"))

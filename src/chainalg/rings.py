@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# GF(p) needs p below this bound: primality is checked by trial division,
+# whose cost grows with sqrt(p) (2 ms at 2^31 - 1, 6 s at 10^16 + 61).
+MAX_MODULUS = 2 ** 31
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -37,6 +41,8 @@ class Ring:
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == self.MOD:
+            if p is not None and p >= MAX_MODULUS:
+                raise ValueError(f"GF({p}): modulus must be below 2^31")
             if p is None or not _is_prime(p):
                 raise ValueError(f"GF({p}): modulus must be prime")
         elif kind not in (self.INT, self.RAT):
@@ -122,9 +128,6 @@ class Ring:
 
     def neg(self, a):
         return (-a) % self.p if self.kind == self.MOD else -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def inv(self, a):
         """Multiplicative inverse; fields only."""

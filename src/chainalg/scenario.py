@@ -18,8 +18,9 @@ Top-level fields:
 bialgebra: mu, lambda (operation tables), eta (combination), optional
 differential.  cone: the bialgebra fields plus n and optional c0, Q0, B.
 complex: differential, optional top (extreme degree for the essential
-check), optional pair {module, differential, map, secondary} describing a
-second complex with a chain map into the main one.
+check, which needs it; the support must lie in [0, top]), optional pair
+{module, differential, map, secondary} describing a second complex with a
+chain map into the main one and a degree +1 chain map alongside it.
 
 Operation tables: {"degree": d, "entries": [{"in": [names...],
 "out": combination}, ...]}; inputs not listed map to zero.
@@ -39,7 +40,7 @@ from .graded import (
     tensor,
     TENSOR_SEP,
 )
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, _require_graded_chain_map
 from .bialgebra import BialgebraData
 from .cone_product import ConeProductData
 
@@ -230,6 +231,8 @@ def ingest(data) -> Scenario:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise SchemaError("$", f"invalid JSON: line {e.lineno} column {e.colno}")
+        except ValueError as e:   # an integer beyond int's digit limit
+            raise SchemaError("$", f"invalid JSON: {e}")
     _expect(isinstance(data, dict), "$", "scenario must be a JSON object")
     version = _get(data, "schema_version", "$", typ=int)
     _expect(version == 1, "$.schema_version", f"unsupported version {version}")
@@ -257,6 +260,8 @@ def ingest(data) -> Scenario:
 
     if kind == "complex":
         payload = _ingest_complex(data, module, ring)
+        if "essential" in checks and payload.top is None:
+            raise SchemaError("$.checks", "essential needs a top field")
         return Scenario(kind, name, ring, payload, checks, data)
 
     if safe is None:   # the whole basis is the quantifier window
@@ -319,6 +324,9 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
     top = data.get("top")
     if top is not None:
         _expect(_is_int(top), "$.top", "expected an integer")
+        degs = cx.degrees()
+        _expect(not degs or (degs[0] >= 0 and degs[-1] <= top), "$.top",
+                f"support {degs} outside [0, {top}]")
     pair_map = None
     secondary = None
     if "pair" in data:
@@ -344,6 +352,10 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
                                          "$.pair.secondary")
             _expect(secondary.degree == 1, "$.pair.secondary.degree",
                     "secondary maps have degree +1")
+            try:
+                _require_graded_chain_map(secondary, pcx, cx, "secondary")
+            except ValueError as e:
+                raise SchemaError("$.pair.secondary", str(e))
     return ComplexBundle(cx, top, pair_map, secondary)
 
 

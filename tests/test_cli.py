@@ -76,6 +76,58 @@ def test_hostile_complex_scenario_exits_2(tmp_path, field, path):
     assert "Traceback" not in r.stderr
 
 
+def _hostile(field):
+    """A complex scenario made hostile in one field, and that field's path."""
+    doc = {
+        "schema_version": 1,
+        "kind": "complex",
+        "ring": "Z",
+        "module": {"basis": [{"name": n, "degree": d}
+                             for n, d in (("a", 0), ("b", 1), ("c", 2))]},
+        "differential": {"degree": -1,
+                         "entries": [{"in": ["b"], "out": [["2", "a"]]}]},
+        "top": 2,
+        "checks": ["d-squared", "essential"],
+        "pair": {"module": {"basis": [{"name": "m", "degree": 0}]},
+                 "differential": {"degree": -1, "entries": []},
+                 "map": {"degree": 0, "entries": []}},
+    }
+    if field == "top":
+        doc["top"] = 1
+    elif field == "secondary":
+        doc["pair"]["secondary"] = {
+            "degree": 1, "entries": [{"in": ["m"], "out": [["1", "b"]]}]}
+    elif field == "checks":
+        del doc["top"]
+    elif field == "ring":
+        doc["ring"] = f"GF({2 ** 61 - 1})"
+    text = json.dumps(doc)
+    if field == "integer":
+        text = text.replace('"top": 2', '"top": ' + "7" * 5000)
+    path = {"secondary": "$.pair.secondary", "integer": "$"}.get(field,
+                                                                 f"$.{field}")
+    return text, path
+
+
+@pytest.mark.parametrize("field", ["top", "secondary", "checks", "ring",
+                                   "integer"])
+@pytest.mark.parametrize("command", [("check",), ("homology", "--cone")])
+def test_hostile_field_is_a_schema_error_within_a_second(
+        tmp_path, capsys, field, command):
+    text, path = _hostile(field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    start = time.perf_counter()
+    code = cli.main([*command, str(bad)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert f"schema error at {path}:" in capsys.readouterr().err
+    assert elapsed < 1.0, f"{field}: {elapsed:.2f} s"
+    text, _ = _hostile(None)
+    bad.write_text(text)
+    assert cli.main([*command, str(bad)]) == 0
+
+
 def test_failed_check_exits_1(tmp_path):
     # sign-flipped coproduct on a tiny free-loop circle window: the unital
     # infinitesimal relation must fail and the witness be printed
@@ -126,10 +178,14 @@ def test_json_format_and_determinism():
 def test_report_multi_target_and_jobs_determinism():
     args = ("report", "omega-s1-plus", "omega-s1-minus", "--window", "6",
             "--format", "json")
-    seq = run(*args, "--jobs", "1")
-    par = run(*args, "--jobs", "4")
-    assert seq.returncode == 0
-    assert seq.stdout == par.stdout
+    first = run(*args)
+    second = run(*args)
+    assert first.returncode == 0
+    assert first.stdout == second.stdout
+    # report runs its targets in order and has no --jobs option
+    jobs = run(*args, "--jobs", "4")
+    assert jobs.returncode == 2
+    assert "--jobs" in jobs.stderr
 
 
 def test_export_then_check_round_trip(tmp_path):

@@ -15,7 +15,10 @@ entries +-2..+-9 and so no unit entry), and
 associativity axiom fails, and `chainalg cone <f> --format json` on two
 lambda-s1-plus cone scenarios at window 8 with one structure constant
 negated (a mu constant over Q, a lam constant over GF(5)), whose cone
-associativity and assoc-infinitesimal records fail, must reproduce the
+associativity and assoc-infinitesimal records fail, and `chainalg check <f>
+--format json` on two small complex scenarios with a `top` field and the
+essential check, one whose top-degree differential vanishes and one whose
+does not, must reproduce the
 sha256 digests stored in tests/data/report_digests.json byte for byte.  The
 failing reports pin the witness text.  Reports name their target, so every case runs from
 tests/data.
@@ -58,7 +61,9 @@ CASES = [
 ] + [("check", f"lambda-s1-plus-mu-{r}.json", "--format", "json")
      for r in ("Q", "GF5")
 ] + [("cone", f"lambda-s1-plus-cone-{m}.json", "--format", "json")
-     for m in ("mu-Q", "lam-GF5")]
+     for m in ("mu-Q", "lam-GF5")
+] + [("check", f"essential-{s}-Z.json", "--format", "json")
+     for s in ("pass", "fail")]
 
 
 def report_digest(argv, workdir) -> str:

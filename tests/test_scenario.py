@@ -348,3 +348,60 @@ def test_non_string_name_rejected():
     assert _schema_error(doc).path == "$.name"
     doc["name"] = "labelled"
     assert sc.ingest(json.dumps(doc)).name == "labelled"
+
+
+def test_top_must_bound_the_support():
+    doc = _complex_doc()
+    doc["top"] = 0
+    err = _schema_error(doc)
+    assert (err.path, err.message) == ("$.top", "support [0, 1] outside [0, 0]")
+    doc["top"] = 2
+    assert sc.ingest(json.dumps(doc)).payload.top == 2
+    doc["module"]["basis"].append({"name": "z", "degree": -1})
+    assert _schema_error(doc).path == "$.top"
+
+
+def test_essential_check_needs_top():
+    doc = _complex_doc()
+    doc["checks"] = ["d-squared", "essential"]
+    assert sc.ingest(json.dumps(doc)).checks == ("d-squared", "essential")
+    del doc["top"]
+    err = _schema_error(doc)
+    assert err.path == "$.checks"
+    assert "top" in err.message
+    doc["checks"] = ["d-squared"]
+    assert sc.ingest(json.dumps(doc)).payload.top is None
+
+
+def test_secondary_must_be_a_chain_map():
+    # m (degree 0) -> b (degree 1) with d(b) = 2a gives [d, s](m) = 2a
+    doc = _pair_doc()
+    doc["pair"]["secondary"] = {"degree": 1, "entries": []}
+    assert sc.ingest(json.dumps(doc)).payload.secondary is not None
+    doc["pair"]["secondary"]["entries"] = [{"in": ["m"], "out": [["1", "b"]]}]
+    err = _schema_error(doc)
+    assert err.path == "$.pair.secondary"
+    assert err.message == "secondary is not a chain map: [d, secondary] != 0 on m"
+
+
+def test_oversized_json_integer_is_a_schema_error():
+    text = json.dumps(_complex_doc()).replace('"top": 1', '"top": ' + "9" * 5000)
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(text)
+    assert ei.value.path == "$"
+    assert "invalid JSON" in ei.value.message
+
+
+def test_gf_modulus_is_bounded():
+    import time
+
+    from chainalg.rings import MAX_MODULUS
+
+    assert GF(2 ** 31 - 1).p == 2 ** 31 - 1 < MAX_MODULUS
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["ring"] = f"GF({2 ** 61 - 1})"   # a prime, rejected by size alone
+    start = time.perf_counter()
+    err = _schema_error(doc)
+    assert time.perf_counter() - start < 0.1
+    assert err.path == "$.ring"
+    assert "2^31" in err.message
