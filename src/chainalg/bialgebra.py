@@ -37,6 +37,7 @@ from .graded import (
     format_vector,
     TENSOR_SEP,
     koszul_sign,
+    vector_terms,
 )
 from .complexes import ChainComplex
 
@@ -295,9 +296,7 @@ class PairKernel:
         self.mu_tau, self.tau_lam = tau.then(mu).table(), lam.then(tau).table()
         R = A.ring
         self._mul, self._add, self._neg = R.mul, R.add, R.neg
-        pos = self.idx.pos
-        self.v = tuple(((pos[x], pos[y]), c) for (x, y), c in
-                       ((self.A2.parts_of(n), c) for n, c in v.coeffs.items()))
+        self.v = vector_terms(v)
         self.dv = v.degree() if self.v else 0   # raises on a mixed v
 
     def vector(self, side: dict) -> Vector:

@@ -26,12 +26,16 @@ product places the [i,j;k]-shifted versions in the blocks
 The closed-form components are transcribed independently and cross-checked
 against the assembled blocks.
 
-The dual operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed
-form) are lookups into sparse transposes of mu and of the corrected
-coproducts: output basis name -> {input x: coefficient}.  Each transpose is
-built once per package, in one pass over the basis of A (the mu rows one
-fixed factor at a time, on first request).  The derived side and the closed
-form build their own tables from their own formulas.
+Every operation here is a row map on basis positions (`GradedMap.from_rows`),
+filled on first request from the integer rows of mu and lam.  The dual
+operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed form) read
+sparse transposes of those rows and of the corrected coproducts (output
+position -> [(input x, coefficient)]), built once per package, mu's per
+fixed factor and degree of the free one.  The contractions (tau_L, tau_R,
+beta, c; mp_p, pm_p) read position-keyed slot tables.  The barred
+operations are operation shifts of these rows, and the assembled product
+moves the block rows to the cone's positions.  The derived side and the
+closed form build their own tables from their own formulas.
 """
 
 from __future__ import annotations
@@ -50,10 +54,8 @@ from .graded import (
     dual_module,
     dual_map,
     slot_table,
+    vector_terms,
     unapply_op_shift,
-    insert_left,
-    insert_right,
-    tensor_map,
     tensor_differential,
     associativity_witness,
     format_vector,
@@ -64,31 +66,76 @@ from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import BialgebraData, PairKernel
 
 
+def _sum(ring, *parts) -> tuple:
+    """The sum of the (key, coefficient) sequences `parts`, as a row."""
+    out = {}
+    for part in parts:
+        for k, c in part:
+            out[k] = c if (old := out.get(k)) is None else ring.add(old, c)
+    return tuple((k, c) for k, c in out.items() if c != 0)
+
+
+def _row(items, negate: bool, neg) -> tuple:
+    """The (key, coefficient) pairs `items` as a row, negated if `negate`."""
+    return tuple((k, neg(c)) for k, c in items) if negate else tuple(items)
+
+
+def _format_row(module: GradedModule, row: dict) -> str:
+    """A row on the positions of an atomic module, formatted by names."""
+    names = module.index().names
+    return format_vector(Vector._trusted(module, {names[k]: c
+                                                  for k, c in row.items()}))
+
+
 def _transpose(inputs, image) -> dict:
-    """Sparse transpose of x -> image(x) over the basis names `inputs`:
-    output basis name -> {x: coefficient}, each inner dict in input order."""
+    """Sparse transpose of x -> image(x), a table row, over the positions
+    `inputs`: output key -> [(x, coefficient)], in input order."""
     out = {}
     for x in inputs:
-        for y, c in image(x).coeffs.items():
-            out.setdefault(y, {})[x] = c
+        for y, c in image(x):
+            out.setdefault(y, []).append((x, c))
     return out
+
+
+class _Layout:
+    """Positions of A and of M, a shift of A's dual: the degree at each
+    position of A, the positions of each degree, the position in M of x^
+    for each position x of A (dual), and its inverse (base)."""
+
+    def __init__(self, A: GradedModule, M: GradedModule):
+        pos = M.index().pos
+        self.deg = [e.degree for e in A.basis()]
+        self.of_degree = {}
+        for x, d in enumerate(self.deg):
+            self.of_degree.setdefault(d, []).append(x)
+        self.dual = [pos[x + "^"] for x in A.index().names]
+        self.base = [0] * len(self.dual)
+        for x, f in enumerate(self.dual):
+            self.base[f] = x
+
+    def columns(self, image):
+        """(fixed, d) -> the transpose of x -> image(fixed, x) over the
+        positions x of degree d, built on first request, so that an operation
+        of degree 0 is read only where its values can meet a given output."""
+        return functools.cache(lambda fixed, d: _transpose(
+            self.of_degree.get(d, ()), lambda x: image(fixed, x)))
 
 
 def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
     """x (x) f -> sign(x, f) <W(x), 1 (x) f> on source = A (x) M' (last),
     or f (x) x -> sign(x, f) <f (x) 1, W(x)> on source = M' (x) A, where
-    M' is M or a shift of it and f pairs as an element of M; one slot table
-    of each row W(x) serves every f."""
+    M' is M or a shift of it (the same positions) and f pairs as an element
+    of M.  W(x) is the row at position x of a map A -> A (x) A and sign(x, f)
+    is +1 or -1 on positions; one slot table of each row serves every f."""
     A = source.factors[0 if last else 1]
-    rows = functools.cache(lambda x: slot_table(W(x), M, last))
+    A2 = tensor(A, A)
+    rows = functools.cache(lambda x: slot_table(W(x), A2, M, last))
 
-    def fn(nm):
-        x, f = source.parts_of(nm)
-        if not last:
-            x, f = f, x
-        return Vector._trusted(A, rows(x).get(f, {})).scale(sign(x, f))
+    def row(i, j):
+        x, f = (i, j) if last else (j, i)
+        return _row(rows(x).get(f, {}).items(), sign(x, f) < 0, A.ring.neg)
 
-    return GradedMap(source, A, degree, fn, name=name)
+    return GradedMap.from_rows(source, A, degree, row, name=name)
 
 
 class ConeProductData:
@@ -203,91 +250,71 @@ class ConeProductOps:
 def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     """Construct all derived operations by exact dualization."""
     A = data.A
-    mu, lam, Q0 = data.mu, data.lam, data.Q0
     n = data.n
     M = dual_side(A, n)
     Mbar = shift(M, -1)
-    one = GradedMap.identity(A)
+    R = A.ring
+    mul, neg = R.mul, R.neg
+    odd, odd_M = A.index().odd, M.index().odd
+    at = _Layout(A, M)
+    deg, dual, base = at.deg, at.dual, at.base
+    mu, lam = data.mu.table().row, data.lam.table().row
+    Q0 = vector_terms(data.Q0)
 
     # coproducts corrected by the secondary bivector
-    if Q0.is_zero():
-        lam_fwd = lam
-        lam_rev_left = lam
-        lam_rev = lam
-    else:
-        corr_R = insert_right(Q0, A).then(tensor_map(mu, one))
-        corr_L = insert_left(Q0, A).then(tensor_map(one, mu))
-        lam_fwd = lam + corr_R
-        lam_rev_left = lam + corr_L
-        lam_rev = lam + corr_R + corr_L
+    def corr_R(x):
+        # (mu (x) 1)(x (x) Q0), with the sign of moving Q0 (odd) past x
+        for (q1, q2), c in Q0:
+            for y, m in mu(x, q1):
+                yield (y, q2), mul(neg(c) if odd[x] else c, m)
 
-    AM = tensor(A, M)
-    MA = tensor(M, A)
-    MM = tensor(M, M)
-    R = A.ring
-    names_A = [x.name for x in A.basis()]
+    def corr_L(x):
+        # (1 (x) mu)(Q0 (x) x)
+        for (q1, q2), c in Q0:
+            for y, m in mu(q2, x):
+                yield (q1, y), mul(c, m)
 
-    # sparse transposes of mu and lam_rev; the mu rows are filled per fixed
-    # factor on first request, so mu is read on exactly the inputs a scan
-    # over the basis of A would read
-    @functools.cache
-    def mu_right_rows(b):
-        # y -> {x: <y^, mu(x (x) b)>}
-        return _transpose(names_A, lambda x: mu.eval_basis(f"{x}{TENSOR_SEP}{b}"))
+    # sparse transposes of mu (per fixed factor and degree of the other) and
+    # of lam_rev, each built on first request
+    mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
+    mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
+    lam_rev_table = functools.cache(lambda: _transpose(
+        range(len(deg)), lambda x: _sum(R, lam(x), corr_R(x), corr_L(x))))
 
-    @functools.cache
-    def mu_left_rows(a):
-        # y -> {x: <y^, mu(a (x) x)>}
-        return _transpose(names_A, lambda x: mu.eval_basis(f"{a}{TENSOR_SEP}{x}"))
+    def m_L_row(b, f):
+        y, flip = base[f], odd[b]
+        return tuple((dual[x], neg(c) if flip and odd[x] != odd_M[f] else c)
+                     for x, c in mu_right_rows(b, deg[y] - deg[b]).get(y, ()))
 
-    @functools.cache
-    def lam_rev_table():
-        # w1 (x) w2 -> {x: coefficient of w1 (x) w2 in lam_rev(x)}
-        return _transpose(names_A, lam_rev.eval_basis)
+    def m_R_row(f, a):
+        y = base[f]
+        return tuple((dual[x], c)
+                     for x, c in mu_left_rows(a, deg[y] - deg[a]).get(y, ()))
 
-    def m_L_fn(nm):
-        b, f = AM.parts_of(nm)
-        odd_b = A.degree_of(b) % 2
-        df = M.degree_of(f)
-        out = {}
-        for x, c in mu_right_rows(b).get(f[:-1], {}).items():
-            if odd_b and ((A.degree_of(x) + df) % 2):
-                c = R.neg(c)
-            out[x + "^"] = c
-        return Vector(M, out)
-
-    def m_R_fn(nm):
-        f, a = MA.parts_of(nm)
-        col = mu_left_rows(a).get(f[:-1], {})
-        return Vector(M, {x + "^": c for x, c in col.items()})
-
-    def sigma_fn(nm):
+    def sigma_row(f, g):
         # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} for g = w1^, f = w2^
-        f, g = MM.parts_of(nm)
-        w1, w2 = g[:-1], f[:-1]
-        df = M.degree_of(f)
-        neg = ((df + 1) * (M.degree_of(g) + 1) + df * A.degree_of(w1)) % 2
-        col = lam_rev_table().get(f"{w1}{TENSOR_SEP}{w2}", {})
-        return Vector(M, {x + "^": R.neg(c) if neg else c
-                          for x, c in col.items()})
+        w1, w2 = base[g], base[f]
+        flip = ((odd_M[f] + 1) * (odd_M[g] + 1) + odd_M[f] * odd[w1]) % 2
+        return _row(((dual[x], c) for x, c in
+                     lam_rev_table().get((w1, w2), ())), flip, neg)
 
     # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
-    B_rows = {f: slot_table(Vector._trusted(tensor(A, A), T), M)
-              for f, T in slot_table(data.B, M).items()}
+    B_rows = {f: slot_table(T.items(), tensor(A, A), M) for f, T in
+              slot_table(vector_terms(data.B), data.B.module, M).items()}
 
-    def beta_fn(nm):
-        f, g = MM.parts_of(nm)
-        out = Vector._trusted(A, B_rows.get(f, {}).get(g, {}))
-        return -out if M.degree_of(g) % 2 and A.degree_of(f[:-1]) % 2 else out
+    def beta_row(f, g):
+        return _row(B_rows.get(f, {}).get(g, {}).items(),
+                    odd_M[g] and odd[base[f]], neg)
 
-    m_L = GradedMap(AM, M, 0, m_L_fn, name="m_L")
-    m_R = GradedMap(MA, M, 0, m_R_fn, name="m_R")
-    sigma = GradedMap(MM, M, 1, sigma_fn, name="sigma")
-    tau_R = _contraction(AM, M, lam_fwd.eval_basis, True, 1,
-                         lambda b, f: 1, "tau_R")
-    tau_L = _contraction(MA, M, lam_rev_left.eval_basis, False, 1,
-                         lambda a, f: koszul_sign(M.degree_of(f) + 1), "tau_L")
-    beta = GradedMap(MM, A, 2, beta_fn, name="beta")
+    AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
+    m_L = GradedMap.from_rows(AM, M, 0, m_L_row, name="m_L")
+    m_R = GradedMap.from_rows(MA, M, 0, m_R_row, name="m_R")
+    sigma = GradedMap.from_rows(MM, M, 1, sigma_row, name="sigma")
+    tau_R = _contraction(AM, M, lambda x: _sum(R, lam(x), corr_R(x)), True,
+                         1, lambda b, f: 1, "tau_R")
+    tau_L = _contraction(MA, M, lambda x: _sum(R, lam(x), corr_L(x)), False,
+                         1, lambda a, f: koszul_sign(odd_M[f] + 1), "tau_L")
+    beta = GradedMap.from_rows(MM, A, 2, beta_row, name="beta")
 
     # barred versions: op = barred[i,j;k] per the component placement, so
     # each barred operation is the [i,j;k]-unshift of its unbarred form
@@ -303,11 +330,10 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     # the cone of the continuation map, with the dual complex on the source
     d_M = shift_map(dual_map(data.complex.d), 2 * n)
     M_complex = ChainComplex(M, d_M)
-    c0_rows = slot_table(data.c0, M)
-    c_map = ChainMap(M_complex, data.complex,
-                     GradedMap(M, A, 0,
-                               lambda f: Vector._trusted(A, c0_rows.get(f, {})),
-                               name="c"))
+    c0_rows = slot_table(vector_terms(data.c0), data.c0.module, M)
+    c = GradedMap.from_rows(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
+                            name="c")
+    c_map = ChainMap(M_complex, data.complex, c)
     cone = mapping_cone(c_map)
 
     ops = ConeProductOps(data, M, Mbar, m_L, m_R, sigma, tau_L, tau_R, beta,
@@ -316,39 +342,44 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     return ops
 
 
+def _cone_layout(cone_mod: GradedModule, A: GradedModule, M: GradedModule):
+    """The cone positions of the positions of A ("+" block) and of M ("-"
+    block), and for each cone position (in the "-" block, position in A or
+    M), read once off the cone's basis names."""
+    plus, minus = [0] * len(A.index().names), [0] * len(M.index().names)
+    where = []
+    for k, name in enumerate(cone_mod.index().names):
+        block = name[0] == "-"
+        p = (M if block else A).index().pos[name[1:]]
+        (minus if block else plus)[p] = k
+        where.append((block, p))
+    return plus, minus, where
+
+
 def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
-    """Block product on Cone(c): dispatch each basis pair to its component."""
+    """Block product on Cone(c): each pair of cone positions reads the rows
+    of its components, mu or two barred operations, at the positions of
+    its factors, and moves them to the cone's positions."""
     cone_mod = ops.cone.complex.module
-    src = tensor(cone_mod, cone_mod)
-    A = ops.data.A
-    R = A.ring
-    mu = ops.data.mu
-    b = ops.barred
+    plus, minus, where = _cone_layout(cone_mod, ops.data.A, ops.M)
+    b = {name: op.row_fn for name, op in ops.barred.items()}
+    blocks = {   # (u in M, v in M) -> rows into the A and the M part
+        (False, False): (ops.data.mu.table().row, None),
+        (False, True): (b["tau_R"], b["m_L"]),
+        (True, False): (b["tau_L"], b["m_R"]),
+        (True, True): (b["beta"], b["sigma"]),
+    }
 
-    # the block values are valid names of A and M, so "+" and "-" of them
-    # are names of the cone
-    def plus(v: Vector) -> Vector:
-        return Vector._trusted(cone_mod, {f"+{n}": c for n, c in v.coeffs.items()})
+    def row(u, v):
+        (tu, i), (tv, j) = where[u], where[v]
+        to_plus, to_minus = blocks[tu, tv]
+        out = tuple((plus[k], c) for k, c in to_plus(i, j))
+        if to_minus is None:
+            return out
+        return out + tuple((minus[k], c) for k, c in to_minus(i, j))
 
-    def minus(v: Vector) -> Vector:
-        return Vector._trusted(cone_mod, {f"-{n}": c for n, c in v.coeffs.items()})
-
-    def fn(nm):
-        u, v = src.parts_of(nm)
-        tu, bu = u[0], u[1:]
-        tv, bv = v[0], v[1:]
-        if tu == "+" and tv == "+":
-            return plus(mu.eval_basis(f"{bu}{TENSOR_SEP}{bv}"))
-        if tu == "+" and tv == "-":
-            key = f"{bu}{TENSOR_SEP}{bv}"
-            return plus(b["tau_R"].eval_basis(key)) + minus(b["m_L"].eval_basis(key))
-        if tu == "-" and tv == "+":
-            key = f"{bu}{TENSOR_SEP}{bv}"
-            return plus(b["tau_L"].eval_basis(key)) + minus(b["m_R"].eval_basis(key))
-        key = f"{bu}{TENSOR_SEP}{bv}"
-        return plus(b["beta"].eval_basis(key)) + minus(b["sigma"].eval_basis(key))
-
-    return GradedMap(src, cone_mod, 0, fn, name="mu_cone")
+    return GradedMap.from_rows(tensor(cone_mod, cone_mod), cone_mod, 0, row,
+                               name="mu_cone")
 
 
 # ---------------------------------------------------------------------------
@@ -367,110 +398,83 @@ def closed_form_components(data: ConeProductData) -> dict:
     (pm->m)  <a, m(b,fbar)> = (-1)^{|b|} <mu(a,b), f>
 
     with c the secondary bivector.  Keys: "pp_p", "mm_m", "mp_p", "pm_p",
-    "mp_m", "pm_m", plus the vanishing blocks "pp_m" and "mm_p".
+    "mp_m", "pm_m", plus the vanishing blocks "pp_m" and "mm_p".  Each is a
+    row map, built from the rows of mu and lam and not from the derived
+    operations.
     """
     A = data.A
     R = A.ring
-    mu, lam, cbiv = data.mu, data.lam, data.Q0
-    n = data.n
-    M = dual_side(A, n)
+    mul, neg = R.mul, R.neg
+    cbiv = vector_terms(data.Q0)
+    M = dual_side(A, data.n)
     Mbar = shift(M, -1)
+    odd, odd_M = A.index().odd, M.index().odd
+    at = _Layout(A, M)
+    deg, dual, base = at.deg, at.dual, at.base
+    mu, lam = data.mu.table().row, data.lam.table().row
 
-    def mu_el(x: Vector, y: Vector) -> Vector:
-        return mu(x.tensor(y))
-
-    def mu1_right(a_el: Vector) -> Vector:
+    def mu1_right(a):
         # (mu (x) 1)(a (x) c)
-        out = tensor(A, A).zero()
-        for nm, c in cbiv.coeffs.items():
-            c1, c2 = cbiv.module.parts_of(nm)
-            out = out + mu_el(a_el, A.el(c1)).tensor(A.el(c2)).scale(c)
-        return out
+        for (c1, c2), c in cbiv:
+            for y, m in mu(a, c1):
+                yield (y, c2), mul(m, c)
 
-    def mu1_left(a_el: Vector) -> Vector:
+    def mu1_left(a):
         # (1 (x) mu)(c (x) a)
-        out = tensor(A, A).zero()
-        for nm, c in cbiv.coeffs.items():
-            c1, c2 = cbiv.module.parts_of(nm)
-            out = out + A.el(c1).tensor(mu_el(A.el(c2), a_el)).scale(c)
-        return out
-
-    AMb = tensor(A, Mbar)
-    MbA = tensor(Mbar, A)
-    MbMb = tensor(Mbar, Mbar)
-
-    def pp_p(nm):
-        return mu.eval_basis(nm)
-
-    # the closed form's own sparse transposes of mu's basis values and of W
-    names_A = [x.name for x in A.basis()]
+        for (c1, c2), c in cbiv:
+            for y, m in mu(c2, a):
+                yield (c1, y), mul(c, m)
 
     def W_left(a):
         # lam(a) + (1(x)mu)(c(x)a)
-        return lam.eval_basis(a) + mu1_left(A.el(a))
+        return _sum(R, lam(a), mu1_left(a))
 
     def W_right(b):
         # lam(b) + (-1)^{|b|}(mu(x)1)(b(x)c)
-        return (lam.eval_basis(b)
-                + mu1_right(A.el(b)).scale(koszul_sign(A.degree_of(b))))
+        return _sum(R, lam(b), _row(mu1_right(b), odd[b], neg))
 
     def W(x):
         # lam(a) + (-1)^{|a|}(mu(x)1)(a(x)c) + (1(x)mu)(c(x)a)
-        return W_right(x) + mu1_left(A.el(x))
+        return _sum(R, W_right(x), mu1_left(x))
 
-    @functools.cache
-    def W_table():
-        return _transpose(names_A, W)
+    # the closed form's own sparse transposes of mu's rows and of W
+    W_table = functools.cache(lambda: _transpose(range(len(deg)), W))
+    mu_el_left_rows = at.columns(mu)
+    mu_el_right_rows = at.columns(lambda b, x: mu(x, b))
 
-    @functools.cache
-    def mu_el_left_rows(a):
-        return _transpose(names_A, lambda x: mu.eval_basis(f"{a}{TENSOR_SEP}{x}"))
-
-    @functools.cache
-    def mu_el_right_rows(b):
-        return _transpose(names_A, lambda x: mu.eval_basis(f"{x}{TENSOR_SEP}{b}"))
-
-    def mm_m(nm):
-        fb, gb = MbMb.parts_of(nm)
-        df = M.degree_of(fb)      # |f| unbarred
-        dg = M.degree_of(gb)
-        w1, w2 = gb[:-1], fb[:-1]
+    def mm_m(fb, gb):
+        df, dg = odd_M[fb], odd_M[gb]      # |f|, |g| unbarred
+        w1, w2 = base[gb], base[fb]
         # s times the pairing sign (-1)^{|f||w1|} of <g (x) f, w1 (x) w2>
-        s_exp = dg + dg * df + 1 + df * A.degree_of(w1)
-        col = W_table().get(f"{w1}{TENSOR_SEP}{w2}", {})
-        return Vector(Mbar, {x + "^": R.mul(R.canon(koszul_sign(s_exp)), c)
-                             for x, c in col.items()})
+        flip = (dg + dg * df + 1 + df * odd[w1]) % 2
+        return _row(((dual[x], c) for x, c in W_table().get((w1, w2), ())),
+                    flip, neg)
 
-    def mp_m(nm):
-        fb, a = MbA.parts_of(nm)
-        col = mu_el_left_rows(a).get(fb[:-1], {})
-        return Vector(Mbar, {x + "^": c for x, c in col.items()})
+    def mp_m(fb, a):
+        y = base[fb]
+        return tuple((dual[x], c) for x, c in
+                     mu_el_left_rows(a, deg[y] - deg[a]).get(y, ()))
 
-    def pm_m(nm):
-        bnm, fb = AMb.parts_of(nm)
-        db = A.degree_of(bnm)
-        df = M.degree_of(fb)
-        out = {}
-        for x, c in mu_el_right_rows(bnm).get(fb[:-1], {}).items():
-            # (-1)^{|b|} <mu(a,b), f> read through the element-first
-            # pairing and the functional of degree |b|+|f|
-            s_exp = db * (A.degree_of(x) + df + 1)
-            out[x + "^"] = R.mul(R.canon(koszul_sign(s_exp)), c)
-        return Vector(Mbar, out)
+    def pm_m(b, fb):
+        # (-1)^{|b|} <mu(a,b), f> read through the element-first pairing
+        # and the functional of degree |b|+|f|
+        y, db, df = base[fb], odd[b], odd_M[fb]
+        return tuple((dual[x], neg(c) if db and (odd[x] + df + 1) % 2 else c)
+                     for x, c in mu_el_right_rows(b, deg[y] - deg[b]).get(y, ()))
 
     A2 = tensor(A, A)
+    AMb, MbA, MbMb = tensor(A, Mbar), tensor(Mbar, A), tensor(Mbar, Mbar)
     return {
-        "pp_p": GradedMap(A2, A, 0, pp_p, name="pp_p"),
-        "pp_m": GradedMap.zero(A2, Mbar, 0, name="pp_m"),
-        "mm_p": GradedMap.zero(MbMb, A, 0, name="mm_p"),
-        "mm_m": GradedMap(MbMb, Mbar, 0, mm_m, name="mm_m"),
+        "pp_p": GradedMap.from_rows(A2, A, 0, mu, name="pp_p"),
+        "pp_m": GradedMap.from_rows(A2, Mbar, 0, lambda i, j: (), name="pp_m"),
+        "mm_p": GradedMap.from_rows(MbMb, A, 0, lambda i, j: (), name="mm_p"),
+        "mm_m": GradedMap.from_rows(MbMb, Mbar, 0, mm_m, name="mm_m"),
         "mp_p": _contraction(MbA, M, W_left, False, 0,
-                             lambda a, f: koszul_sign(M.degree_of(f) + 1),
-                             "mp_p"),
+                             lambda a, f: koszul_sign(odd_M[f] + 1), "mp_p"),
         "pm_p": _contraction(AMb, M, W_right, True, 0,
-                             lambda b, f: koszul_sign(A.degree_of(b)), "pm_p"),
-        "mp_m": GradedMap(MbA, Mbar, 0, mp_m, name="mp_m"),
-        "pm_m": GradedMap(AMb, Mbar, 0, pm_m, name="pm_m"),
+                             lambda b, f: koszul_sign(odd[b]), "pm_p"),
+        "mp_m": GradedMap.from_rows(MbA, Mbar, 0, mp_m, name="mp_m"),
+        "pm_m": GradedMap.from_rows(AMb, Mbar, 0, pm_m, name="pm_m"),
     }
 
 
@@ -487,46 +491,41 @@ class CrossCheckResult:
 
 def cross_check_components(ops: ConeProductOps,
                            comps: dict = None) -> CrossCheckResult:
-    """Closed-form components == assembled blocks, on all safe inputs.
-    `comps` is closed_form_components(ops.data), when already built."""
+    """Closed-form components == assembled blocks, on all safe inputs,
+    compared row by row.  `comps` is closed_form_components(ops.data), when
+    already built."""
     data = ops.data
     if comps is None:
         comps = closed_form_components(data)
+    A, M = data.A, ops.M
     cone_mod = ops.cone.complex.module
-    safe_plus = [n for n in data.safe_names]
-    safe_minus = [f"{n}^" for n in data.safe_names]
+    plus, minus, where = _cone_layout(cone_mod, A, M)
+    assembled = ops.product.table().row
+    names = cone_mod.index().names
+    safe = {"p": [plus[A.index().pos[x]] for x in data.safe_names],
+            "m": [minus[M.index().pos[x + "^"]] for x in data.safe_names]}
+
+    def show(d_p, d_m):
+        return f"({_format_row(A, d_p)} | {_format_row(ops.Mbar, d_m)})"
+
     failures = []
-
-    def assembled(u, v):
-        return ops.product.eval_basis(f"{u}{TENSOR_SEP}{v}")
-
-    def split(v: Vector):
-        plus = {}
-        minus = {}
-        for n, c in v.coeffs.items():
-            (plus if n[0] == "+" else minus)[n[1:]] = c
-        return plus, minus
-
-    cases = [
-        ("pp", [("+" + a, "+" + b, f"{a}{TENSOR_SEP}{b}")
-                for a in safe_plus for b in safe_plus], "pp_p", "pp_m"),
-        ("pm", [("+" + a, "-" + f, f"{a}{TENSOR_SEP}{f}")
-                for a in safe_plus for f in safe_minus], "pm_p", "pm_m"),
-        ("mp", [("-" + f, "+" + a, f"{f}{TENSOR_SEP}{a}")
-                for f in safe_minus for a in safe_plus], "mp_p", "mp_m"),
-        ("mm", [("-" + f, "-" + g, f"{f}{TENSOR_SEP}{g}")
-                for f in safe_minus for g in safe_minus], "mm_p", "mm_m"),
-    ]
-    for label, triples, key_p, key_m in cases:
-        for u, v, key in triples:
-            got_p, got_m = split(assembled(u, v))
-            want_p = comps[key_p].eval_basis(key)
-            want_m = comps[key_m].eval_basis(key)
-            if got_p != want_p.coeffs or got_m != want_m.coeffs:
-                failures.append(
-                    f"{label} mismatch at {u}(x){v}: assembled "
-                    f"(+{got_p} | -{got_m}) vs closed form "
-                    f"(+{want_p.coeffs} | -{want_m.coeffs})")
+    for label in ("pp", "pm", "mp", "mm"):
+        keys = (f"{label}_p", f"{label}_m")
+        rows = [comps[key].table().row for key in keys]
+        for u in safe[label[0]]:
+            for v in safe[label[1]]:
+                got = ({}, {})
+                for k, c in assembled(u, v):
+                    block, p = where[k]
+                    got[block][p] = c
+                want = tuple(dict(r(where[u][1], where[v][1])) for r in rows)
+                if got != want:
+                    differ = ", ".join(k for k, g, w in zip(keys, got, want)
+                                       if g != w)
+                    failures.append(
+                        f"{label} mismatch at {names[u]}(x){names[v]} in "
+                        f"{differ}: assembled {show(*got)} vs closed form "
+                        f"{show(*want)}")
     return CrossCheckResult(not failures, failures)
 
 
@@ -596,13 +595,6 @@ def check_assoc_implies_infinitesimal(
     idx = A.index()
     R = A.ring
     mul, add, neg = R.mul, R.add, R.neg
-
-    def add_scaled(out, c, row):
-        for n, v in row:
-            t = mul(c, v)
-            old = out.get(n)
-            out[n] = t if old is None else add(old, t)
-
     mu = data.mu.table().row
     pm_p = comps["pm_p"].table().row
     pm_m = comps["pm_m"].table().row
@@ -614,27 +606,27 @@ def check_assoc_implies_infinitesimal(
     for a, i in safe:
         for b, j in safe:
             negate = not (idx.odd[i] + idx.odd[j]) % 2
-            contracted = slot_table(kernel.vector(kernel.defect(i, j)), M,
-                                    last=True)
+            # Mbar has M's positions, so k keys both
+            contracted = slot_table(kernel.defect(i, j).items(),
+                                    tensor(A, A), M, last=True)
             ab = mu(i, j)
             for fb, k in duals:
+                # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
+                # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
                 total = {}
-                for y, c in pm_p(j, k):     # m_pp_p(1 (x) m_pm_p)
-                    add_scaled(total, c, mu(i, y))
-                for g, c in pm_m(j, k):     # m_pm_p(1 (x) m_pm_m)
-                    add_scaled(total, c, pm_p(i, g))
-                for x, c in ab:             # - m_pm_p(m_pp_p (x) 1)
-                    add_scaled(total, neg(c), pm_p(x, k))
-                # m_mm_p(m_pp_m (x) 1) vanishes: m_pp_m = 0
-                total = {idx.names[n]: c for n, c in total.items() if c != 0}
+                for c, row in ([(c, mu(i, y)) for y, c in pm_p(j, k)]
+                               + [(c, pm_p(i, g)) for g, c in pm_m(j, k)]
+                               + [(neg(c), pm_p(x, k)) for x, c in ab]):
+                    for n, v in row:
+                        t = mul(c, v)
+                        total[n] = t if (o := total.get(n)) is None else add(o, t)
+                total = {n: v for n, v in total.items() if v != 0}
                 expected = {w: neg(c) if negate else c
-                            for w, c in contracted.get(fb, {}).items()}
+                            for w, c in contracted.get(k, {}).items()}
                 if total != expected:
                     return InfinitesimalFromAssocResult(
-                        True, False,
-                        f"fails at a={a}, b={b}, f={fb}: "
-                        f"{format_vector(Vector._trusted(A, total))} vs "
-                        f"{format_vector(Vector._trusted(A, expected))}")
+                        True, False, f"fails at a={a}, b={b}, f={fb}: "
+                        f"{_format_row(A, total)} vs {_format_row(A, expected)}")
     return InfinitesimalFromAssocResult(True, True)
 
 

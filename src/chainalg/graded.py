@@ -46,8 +46,11 @@ Index tables: the quadratic and cubic quantifiers read structure constants
 from `GradedMap.table()`, an `OpTable` that keys each basis element of an
 atomic module by its position in the canonical order (`GradedModule.index`,
 which also holds each position's degree parity).  A table fills each row
-once, on first use, through `eval_basis`, so every value it holds has
-passed the map's target check; names come back only to build a witness.
+once, on first use, through `eval_basis` (so every value it holds has
+passed the map's target check) or, for a map built by `GradedMap.from_rows`,
+from its row function on positions.  Operation shifts are row maps on the
+same positions, since a shift keeps names and order.  Names come back only
+to build a witness.
 """
 
 from __future__ import annotations
@@ -456,6 +459,7 @@ class GradedMap:
         self._fn = fn
         self._memo = {}
         self._table = None
+        self.row_fn = None   # the row function of a map from `from_rows`
         self.name = name
 
     # -- constructors --------------------------------------------------------
@@ -477,6 +481,30 @@ class GradedMap:
                     f"value for {n!r} has degree {d}, expected "
                     f"{source.degree_of(n) + degree}")
         return m
+
+    @classmethod
+    def from_rows(cls, source, target, degree, rows, name: str = ""):
+        """Map given by its rows on basis positions: rows(i), or rows(i, j)
+        on a binary source, is the image of the basis element at those
+        positions in the form of `OpTable.row`, without zero coefficients.
+        `table().row` serves each row once computed; `eval_basis` reads
+        names through it."""
+        m = cls(source, target, degree, None, name)
+        m.row_fn = rows
+        m._fn = m._named_row
+        return m
+
+    def _named_row(self, name: str) -> "Vector":
+        src, names = self.source, [f.index().names for f in self.target.factors]
+        parts = src.parts_of(name)
+        if len(parts) != src.arity:
+            raise KeyError(f"{name!r} is not a basis name of {src!r}")
+        row = self.table().row(*(f.index().pos[p]
+                                 for f, p in zip(src.factors, parts)))
+        return Vector._trusted(self.target, {
+            TENSOR_SEP.join(nm[x] for nm, x in zip(names, k if len(names) > 1
+                                                   else (k,))): c
+            for k, c in row})
 
     @classmethod
     def zero(cls, source, target, degree, name: str = "0"):
@@ -602,7 +630,8 @@ class OpTable:
     those positions (see `GradedModule.index`) as a tuple of
     (k, coefficient) pairs, where k is a position in an atomic target, or a
     tuple of positions, one per factor, in a tensor target.  Each row is
-    read once, through `eval_basis`, and kept while the map lives.
+    read once, from the map's row function or else through `eval_basis`,
+    and kept while the map lives.
     """
 
     def __init__(self, op: GradedMap):
@@ -621,6 +650,11 @@ class OpTable:
         return r
 
     def _fill(self, i, j):
+        rows = self.op.row_fn
+        if rows is not None:
+            r = self._rows[i * self._stride + j] = tuple(
+                rows(i, j) if len(self.source) == 2 else rows(i))
+            return r
         name = self.source[0].names[i]
         if len(self.source) == 2:
             name += TENSOR_SEP + self.source[1].names[j]
@@ -706,32 +740,47 @@ def associativity_witness(mu: GradedMap, names):
     count = 0
     for a, i in inputs:
         negate = mu.degree % 2 and idx.odd[i]
+        times_a = {}   # y -> mu(a (x) y), on first use
         for b, j in inputs:
             ab = [(times_inputs(x), cx) for x, cx in row(i, j)]
             for kk, bc in enumerate(times_inputs(j)):
                 count += 1
                 if not ab and not bc:   # both sides are 0
                     continue
+                # a key whose sum cancels is dropped, so both sides hold
+                # nonzero terms only and compare as vectors do
                 lhs = {}
                 for x_c, cx in ab:
                     for n, v in x_c[kk]:
                         t = mul(cx, v)
                         old = lhs.get(n)
-                        lhs[n] = t if old is None else add(old, t)
+                        if old is None:
+                            lhs[n] = t
+                        elif (t := add(old, t)) != 0:
+                            lhs[n] = t
+                        else:
+                            del lhs[n]
                 rhs = {}
                 for y, cy in bc:
                     if negate:
                         cy = neg(cy)
-                    for n, v in row(i, y):
+                    a_y = times_a.get(y)
+                    if a_y is None:
+                        a_y = times_a[y] = row(i, y)
+                    for n, v in a_y:
                         t = mul(cy, v)
                         old = rhs.get(n)
-                        rhs[n] = t if old is None else add(old, t)
-                if lhs != rhs:  # equal dicts are equal Vectors; not conversely
-                    lhs, rhs = (Vector._trusted(A, {idx.names[k]: v for k, v
-                                                    in side.items()})
-                                for side in (lhs, rhs))
-                    if lhs != rhs:
-                        return count, (a, b, inputs[kk][0]), lhs, rhs
+                        if old is None:
+                            rhs[n] = t
+                        elif (t := add(old, t)) != 0:
+                            rhs[n] = t
+                        else:
+                            del rhs[n]
+                if lhs != rhs:
+                    return count, (a, b, inputs[kk][0]), *(
+                        Vector._trusted(A, {idx.names[k]: v
+                                            for k, v in side.items()})
+                        for side in (lhs, rhs))
     return count, None, None, None
 
 
@@ -775,19 +824,12 @@ def shift_map(f: GradedMap, k: int) -> GradedMap:
     tgt = shift(f.target, k)
     sign = -1 if (f.degree % 2) and (k % 2) else 1
 
-    def fn(name):
-        return _moved(f.eval_basis(name), tgt, sign)
+    def fn(name):   # a shift keeps the names, so they stay valid
+        v = f.eval_basis(name).coeffs
+        return Vector._trusted(tgt, v if sign == 1 else
+                               {n: tgt.ring.neg(c) for n, c in v.items()})
 
     return GradedMap(src, tgt, f.degree, fn, name=f"{f.name}[{k}]")
-
-
-def _moved(v: Vector, module: GradedModule, sign: int) -> Vector:
-    """v's coefficients, times sign, on the same names of a shifted copy of
-    v's module (the names are unchanged by a shift, so stay valid)."""
-    if sign == 1:
-        return Vector._trusted(module, v.coeffs)
-    R = module.ring
-    return Vector._trusted(module, {n: R.neg(c) for n, c in v.coeffs.items()})
 
 
 def dual_module(M: GradedModule) -> GradedModule:
@@ -874,22 +916,27 @@ def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
 
 
 def _op_shift(op, i, j, k, sign_at_result, name):
-    """op with its source factors shifted by i and j and its target by k;
-    the sign (-1)^{j |u|} reads |u| in the result's source, or in op's."""
+    """op with its source factors shifted by i and j and its target by k, as
+    a row map on op's rows (a shift keeps names and order, so positions):
+    its row function, or its table for a map given by names.  The sign
+    (-1)^{j |u|} reads |u| in the result's source, or in op's."""
     if op.source.arity != 2:
         raise ValueError("operation shifts apply to binary operations")
     X, Y = op.source.factors
     Xs = shift(X, i)
     source = tensor(Xs, shift(Y, j))
     target = shift(op.target, k)
-    U = Xs if sign_at_result else X
+    odd = (Xs if sign_at_result else X).index().odd
+    row, neg = op.row_fn or op.table().row, op.target.ring.neg
 
-    def fn(nm):
-        left = source.parts_of(nm)[0]
-        sign = -1 if (j % 2) and (U.degree_of(left) % 2) else 1
-        return _moved(op.eval_basis(nm), target, sign)
+    def rows(a, b):
+        r = row(a, b)
+        if j % 2 and odd[a]:
+            return tuple((t, neg(c)) for t, c in r)
+        return r
 
-    return GradedMap(source, target, op.degree + i + j - k, fn, name=name)
+    return GradedMap.from_rows(source, target, op.degree + i + j - k, rows,
+                               name=name)
 
 
 # -- pairings -----------------------------------------------------------------
@@ -909,33 +956,42 @@ def dual_pair(f: Vector, a: Vector):
     return acc
 
 
-def slot_table(T: Vector, functionals: GradedModule, last: bool = False) -> dict:
-    """T contracted against every dual basis functional x^ of `functionals`
-    at once, by T's first slot or by its last, in one pass over T:
-    {x^: {name of the other slots: coefficient}}, without the functionals
-    whose contraction vanishes.
+def vector_terms(v: Vector) -> tuple:
+    """v's terms as (positions, coefficient), one position per factor of
+    v's tensor module (`GradedModule.index`): the entries of a table row."""
+    mod = v.module
+    pos = [f.index().pos for f in mod.factors]
+    return tuple((tuple(p[x] for p, x in zip(pos, mod.parts_of(n))), c)
+                 for n, c in v.coeffs.items())
+
+
+def slot_table(terms, module: GradedModule, functionals: GradedModule,
+               last: bool = False) -> dict:
+    """An element T of `module`, a tensor of arity >= 2 given by its terms
+    (positions, coefficient) as in `vector_terms`, contracted against every
+    dual basis functional x^ of `functionals` at once, by T's first slot or
+    by its last, in one pass over the terms:
+    {position of x^: {positions of the other slots: coefficient}}, without
+    the functionals whose contraction vanishes.  The other slots' positions
+    are one position when one slot is left, else a tuple.
 
         first slot:  table[x^] = <x^ (x) 1, T>    (functional first, no sign)
         last slot:   table[x^] = <T, 1 (x) x^>    (element first: each term
                      w1 (x) x carries (-1)^{|x^||x|})
-
-    Names of the other slots come from T and are not checked again.
     """
-    mod = T.module
-    if mod.arity < 2:
+    if module.arity < 2:
         raise ValueError("slot_table needs a tensor of arity >= 2")
-    slot = mod.factors[-1 if last else 0]
-    R = mod.ring
+    slot = module.factors[-1 if last else 0].index()
+    dual = functionals.index()
+    neg = module.ring.neg
     out = {}
-    for name, c in T.coeffs.items():
-        parts = mod.parts_of(name)
+    for ks, c in terms:
         if last:
-            w, rest = parts[-1], TENSOR_SEP.join(parts[:-1])
-            f = w + "^"
-            if functionals.degree_of(f) % 2 and slot.degree_of(w) % 2:
-                c = R.neg(c)
+            w, rest = ks[-1], ks[:-1]
         else:
-            w, rest = parts[0], TENSOR_SEP.join(parts[1:])
-            f = w + "^"
-        out.setdefault(f, {})[rest] = c
+            w, rest = ks[0], ks[1:]
+        f = dual.pos[slot.names[w] + "^"]
+        if last and dual.odd[f] and slot.odd[w]:
+            c = neg(c)
+        out.setdefault(f, {})[rest[0] if len(rest) == 1 else rest] = c
     return out

@@ -5,6 +5,7 @@ import pytest
 from chainalg.graded import (
     GradedMap,
     Vector,
+    shift,
     tensor,
     twist,
     dual_pair,
@@ -13,6 +14,8 @@ from chainalg.graded import (
 from chainalg.complexes import ChainComplex
 from chainalg.cone_product import (
     ConeProductData,
+    assemble_cone_product,
+    closed_form_components,
     derive_secondary_ops,
     cross_check_components,
     check_cone_associativity,
@@ -428,3 +431,134 @@ def test_degenerate_block_diagonal_case():
         for g in data.safe_names:
             # the secondary product vanishes entirely without lam
             assert prod.eval_basis(f"-{f}^{TENSOR_SEP}-{g}^").is_zero()
+
+
+# -- the compiled product against the string-keyed assembly ---------------------
+
+def unshift_reference(op, i, j, k):
+    """op's [i,j;k]-unshift read by names: the value of op on the same
+    names, times (-1)^{j |u|} with |u| read in op's source."""
+    X, Y = op.source.factors
+    source = tensor(shift(X, -i), shift(Y, -j))
+    target = shift(op.target, -k)
+    R = op.target.ring
+
+    def fn(nm):
+        negate = j % 2 and X.degree_of(source.parts_of(nm)[0]) % 2
+        return Vector(target, {n: R.neg(c) if negate else c
+                               for n, c in op.eval_basis(nm).coeffs.items()})
+
+    return GradedMap(source, target, op.degree - i - j + k, fn)
+
+
+def product_reference(ops):
+    """mu_cone by names: each block value of mu or of a barred operation,
+    its names prefixed with "+" or "-" for the cone."""
+    cone_mod = ops.cone.complex.module
+    src = tensor(cone_mod, cone_mod)
+    barred = {"m_L": unshift_reference(ops.m_L, 0, 1, 1),
+              "m_R": unshift_reference(ops.m_R, 1, 0, 1),
+              "sigma": unshift_reference(ops.sigma, 1, 1, 1),
+              "tau_R": unshift_reference(ops.tau_R, 0, 1, 0),
+              "tau_L": unshift_reference(ops.tau_L, 1, 0, 0),
+              "beta": unshift_reference(ops.beta, 1, 1, 0)}
+    blocks = {("+", "-"): ("tau_R", "m_L"), ("-", "+"): ("tau_L", "m_R"),
+              ("-", "-"): ("beta", "sigma")}
+
+    def fn(nm):
+        u, v = src.parts_of(nm)
+        key = f"{u[1:]}{TENSOR_SEP}{v[1:]}"
+        if u[0] == v[0] == "+":
+            return Vector(cone_mod, {f"+{n}": c for n, c in
+                                     ops.data.mu.eval_basis(key).coeffs.items()})
+        to_plus, to_minus = (barred[b].eval_basis(key)
+                             for b in blocks[u[0], v[0]])
+        return Vector(cone_mod,
+                      {**{f"+{n}": c for n, c in to_plus.coeffs.items()},
+                       **{f"-{n}": c for n, c in to_minus.coeffs.items()}})
+
+    return GradedMap(src, cone_mod, 0, fn, name="mu_cone reference")
+
+
+REFERENCE_PACKAGES = (
+    [(seed, ring) for ring in (ZZ, QQ, GF(5)) for seed in (0, 1)]
+    + [("lambda-s1-plus", 1), ("lambda-s1-minus", 1), ("lambda-s3", 3)])
+
+
+@pytest.mark.parametrize("which, arg", REFERENCE_PACKAGES,
+                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
+    """ops.product's rows agree with the name-keyed assembly on every pair
+    of cone basis elements, not only the safe ones: random cone packages
+    (Q0 and B nonzero) and the lambda fixtures."""
+    if isinstance(which, int):
+        data = make_random_instance(which, 4, degrees=(0, -1, 1), ring=arg,
+                                    kind="cone", n=1)
+        assert not data.Q0.is_zero() and not data.B.is_zero()
+    else:
+        data = cone_data_from_bialgebra(make_fixture(which, TruncationWindow(8)),
+                                        n=arg)
+    ops = derive_secondary_ops(data)
+    reference = product_reference(ops)
+    names = ops.cone.complex.module.index().names
+    row = ops.product.table().row
+    nonzero = set()
+    for u, un in enumerate(names):
+        for v, vn in enumerate(names):
+            got = {names[k]: c for k, c in row(u, v)}
+            want = reference.eval_basis(f"{un}{TENSOR_SEP}{vn}").coeffs
+            assert got == want, (un, vn)
+            nonzero.update((un[0], vn[0], k[0]) for k in got)
+    blocks = {("+", "+", "+"), ("+", "-", "+"), ("+", "-", "-"),
+              ("-", "+", "+"), ("-", "+", "-"), ("-", "-", "-")}
+    assert blocks <= nonzero   # the B block may be zero
+    assert ("+", "+", "-") not in nonzero
+
+
+# -- component witnesses ------------------------------------------------------------
+
+def patched(op, at):
+    """op as a row map with one more term, coefficient 1 at the first
+    target position its row at `at` lacks."""
+    row = op.table().row
+
+    def rows(i, j):
+        r = row(i, j)
+        if (i, j) != at:
+            return r
+        free = next(k for k in range(len(op.target.index().names))
+                    if k not in dict(r))
+        return r + ((free, 1),)
+
+    return GradedMap.from_rows(op.source, op.target, op.degree, rows,
+                               name=op.name)
+
+
+def _patched_pair(data, ops):
+    b, f = data.safe_names[1], data.safe_names[2]
+    at = (data.A.index().pos[b], ops.M.index().pos[f"{f}^"])
+    return f"+{b}(x)-{f}^", at
+
+
+def test_components_witness_names_a_patched_assembled_block(s1_data):
+    ops = derive_secondary_ops(s1_data)
+    pair, at = _patched_pair(s1_data, ops)
+    ops.barred["m_L"] = patched(ops.barred["m_L"], at)
+    ops.product = assemble_cone_product(ops)
+    res = cross_check_components(ops, closed_form_components(s1_data))
+    assert not res.passed
+    assert len(res.failures) == 1, res.failures
+    assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
+    assert res.describe() == res.failures[0]
+
+
+def test_components_witness_names_a_patched_closed_form_block(s1_data):
+    ops = derive_secondary_ops(s1_data)
+    pair, at = _patched_pair(s1_data, ops)
+    comps = closed_form_components(s1_data)
+    comps["pm_m"] = patched(comps["pm_m"], at)
+    res = cross_check_components(ops, comps)
+    assert not res.passed
+    assert len(res.failures) == 1, res.failures
+    assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
+    assert cross_check_components(ops, closed_form_components(s1_data)).passed
