@@ -332,14 +332,14 @@ class PairKernel:
         """(1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b)."""
         odd = self.idx.odd
         for (a1, a2), c in L.row(i):
-            if P.op.degree % 2 and odd[a1]:
+            if P.degree % 2 and odd[a1]:
                 c = self._neg(c)
             for z, m in P.row(a2, j):
                 yield (a1, z), self._mul(c, m)
 
     def _right(self, P, L, i, j):
         """(P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2."""
-        flip = L.op.degree % 2 and self.idx.odd[i]
+        flip = L.degree % 2 and self.idx.odd[i]
         for (b1, b2), c in L.row(j):
             if flip:
                 c = self._neg(c)
@@ -351,7 +351,7 @@ class PairKernel:
         (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b)."""
         mul, odd = self._mul, self.idx.odd
         for (v1, v2), e in self.v:
-            if (self.dv * odd[i] + Q.op.degree * (odd[i] + odd[v1])) % 2:
+            if (self.dv * odd[i] + Q.degree * (odd[i] + odd[v1])) % 2:
                 e = self._neg(e)
             right = Q.row(v2, j)
             for z1, m1 in P.row(i, v1):
@@ -363,11 +363,11 @@ class PairKernel:
         """(lhs, rhs) of lam mu = (-1)^{|lam||mu|} ((1 (x) mu)(lam (x) 1)
         + (mu (x) 1)(1 (x) lam)) - (-1)^{|mu|} (mu (x) mu)(1 (x) v (x) 1)."""
         mu, lam = self.mu, self.lam
-        s = koszul_sign(lam.op.degree * mu.op.degree)
+        s = koszul_sign(lam.degree * mu.degree)
         return (self.combine((1, self.lam_mu(i, j))),
                 self.combine((s, self._left(mu, lam, i, j)),
                              (s, self._right(mu, lam, i, j)),
-                             (-koszul_sign(mu.op.degree),
+                             (-koszul_sign(mu.degree),
                               self._middle(mu, mu, i, j))))
 
     def defect(self, i, j):
@@ -390,7 +390,7 @@ class PairKernel:
             - (-1)^{|mu|} (mu (x) mu tau)(1 (x) lam eta (x) 1)].
         """
         mu, lam, mu_tau, tau_lam = self.mu, self.lam, self.mu_tau, self.tau_lam
-        dl, dm = lam.op.degree, mu.op.degree
+        dl, dm = lam.degree, mu.degree
         return (self.combine(
                     (koszul_sign(dm * (dl + 1)), self._left(mu, tau_lam, i, j)),
                     (koszul_sign(dl * (dm + 1)), self._right(mu_tau, lam, i, j)),

@@ -121,25 +121,27 @@ def _exterior_mu(module: GradedModule, window: TruncationWindow,
                  laurent: bool, on_overflow: str) -> GradedMap:
     """A^a U^j * A^b U^k = A^{a+b} U^{j+k}, zero when a + b = 2.
 
-    No Koszul signs arise: U is even and the A-parts annihilate.
+    No Koszul signs arise: U is even and the A-parts annihilate.  A row map
+    on basis positions: each name is parsed once, here.
     """
-    A2 = tensor(module, module)
+    idx = module.index()
+    parsed = tuple(_parse_name(n) for n in idx.names)
     lo = -window.N if laurent else 0
+    one = module.ring.one()
 
-    def fn(name):
-        x, y = A2.parts_of(name)
-        a, j = _parse_name(x)
-        b, k = _parse_name(y)
+    def row(x, y):
+        (a, j), (b, k) = parsed[x], parsed[y]
         if a + b >= 2:
-            return module.zero()
+            return ()
         e = j + k
         if e > window.N or e < lo:
             if on_overflow == "raise":
-                raise TruncationOverflow(f"{x} * {y} leaves the window")
-            return module.zero()
-        return module.el(_au_name(e) if a + b else _u_name(e))
+                raise TruncationOverflow(
+                    f"{idx.names[x]} * {idx.names[y]} leaves the window")
+            return ()
+        return ((idx.pos[_au_name(e) if a + b else _u_name(e)], one),)
 
-    return GradedMap(A2, module, 0, fn, name="mu")
+    return GradedMap.from_rows(tensor(module, module), module, 0, row, name="mu")
 
 
 def _pair_terms(module, i, j, with_a: bool):

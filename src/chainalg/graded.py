@@ -491,7 +491,6 @@ class GradedMap:
         names through it."""
         m = cls(source, target, degree, None, name)
         m.row_fn = rows
-        m._fn = m._named_row
         return m
 
     def _named_row(self, name: str) -> "Vector":
@@ -519,7 +518,7 @@ class GradedMap:
     def eval_basis(self, name: str) -> Vector:
         v = self._memo.get(name)
         if v is None:
-            v = self._fn(name)
+            v = self._fn(name) if self.row_fn is None else self._named_row(name)
             if not isinstance(v, Vector) or (v.module is not self.target
                                              and v.module != self.target):
                 raise ValueError(f"{self.name or 'map'} returned a value "
@@ -637,11 +636,16 @@ class OpTable:
     def __init__(self, op: GradedMap):
         if op.source.arity > 2:
             raise ValueError("tables index unary and binary sources only")
-        self.op = op
+        self.degree = op.degree
         self.source = tuple(f.index() for f in op.source.factors)
         self.target = tuple(f.index() for f in op.target.factors)
         self._stride = len(self.source[1].names) if op.source.arity == 2 else 1
         self._rows = {}
+        # a row map's table holds no reference back to the map, so the map
+        # and its table form no reference cycle and are freed with their
+        # last user rather than at the next full garbage collection
+        self._row_fn = op.row_fn
+        self._map = op if op.row_fn is None else None
 
     def row(self, i: int, j: int = 0) -> tuple:
         r = self._rows.get(i * self._stride + j)
@@ -650,7 +654,7 @@ class OpTable:
         return r
 
     def _fill(self, i, j):
-        rows = self.op.row_fn
+        rows = self._row_fn
         if rows is not None:
             r = self._rows[i * self._stride + j] = tuple(
                 rows(i, j) if len(self.source) == 2 else rows(i))
@@ -658,12 +662,12 @@ class OpTable:
         name = self.source[0].names[i]
         if len(self.source) == 2:
             name += TENSOR_SEP + self.source[1].names[j]
-        coeffs = self.op.eval_basis(name).coeffs
+        coeffs = self._map.eval_basis(name).coeffs
         if len(self.target) == 1:
             pos = self.target[0].pos
             r = tuple((pos[n], c) for n, c in coeffs.items())
         else:
-            parts_of = self.op.target.parts_of
+            parts_of = self._map.target.parts_of
             poss = [t.pos for t in self.target]
             r = tuple((tuple(p[x] for p, x in zip(poss, parts_of(n))), c)
                       for n, c in coeffs.items())

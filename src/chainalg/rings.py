@@ -1,8 +1,10 @@
 """Exact coefficient rings: the integers, the rationals, and prime fields.
 
 Every value handled by this package is an element of one of these three
-rings, kept in canonical form at all times (Fractions in lowest terms,
-prime-field residues in [0, p)).  There is no floating point anywhere.
+rings, kept in canonical form at all times: an int for an integer (over Z,
+and over Q when the value is integral), a Fraction in lowest terms with
+denominator > 1 for any other rational, and a residue in [0, p) over
+GF(p).  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ class Ring:
     """One of Z, Q, or GF(p), with exact element arithmetic.
 
     Elements are plain Python objects: int for Z and GF(p) (residues in
-    [0, p)), Fraction for Q.  `canon` is the single entry point that maps
-    raw input to canonical form; all constructors route through it.
+    [0, p)); over Q, int for an integral value and Fraction (denominator
+    > 1, lowest terms) otherwise, so integral rationals cost what integers
+    cost.  The form is unique per value, and int and Fraction compare and
+    hash equal on equal values.  `canon` is the single entry point that
+    maps raw input to canonical form; all constructors route through it.
     """
 
     INT = "Z"
@@ -86,22 +91,19 @@ class Ring:
         """
         t = type(x)
         if t is int:
-            if self.kind == self.INT:
-                return x
-            if self.kind == self.MOD:
-                return x % self.p
-            return Fraction(x)
+            return x % self.p if self.kind == self.MOD else x
         if t is Fraction:
-            if self.kind == self.RAT:
-                return x
-            if self.kind == self.INT:
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
+            if self.kind == self.MOD:
+                den = x.denominator % self.p
+                if den == 0:
+                    raise ZeroDivisionError(
+                        f"denominator of {x} vanishes mod {self.p}")
+                return (x.numerator * pow(den, -1, self.p)) % self.p
+            if x.denominator == 1:
                 return x.numerator
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return (x.numerator * pow(den, -1, self.p)) % self.p
+            if self.kind == self.INT:
+                raise ValueError(f"{x} is not an integer")
+            return x
         if isinstance(x, int) and not isinstance(x, bool):
             return self.canon(int(x))
         if isinstance(x, Fraction):
@@ -114,17 +116,25 @@ class Ring:
     def one(self):
         return self.canon(1)
 
+    # add, sub and mul map an integral Fraction (over Q) back to its int
+
     def add(self, a, b):
         c = a + b
-        return c % self.p if self.kind == self.MOD else c
+        if type(c) is int:
+            return c % self.p if self.kind == self.MOD else c
+        return c.numerator if c.denominator == 1 else c
 
     def sub(self, a, b):
         c = a - b
-        return c % self.p if self.kind == self.MOD else c
+        if type(c) is int:
+            return c % self.p if self.kind == self.MOD else c
+        return c.numerator if c.denominator == 1 else c
 
     def mul(self, a, b):
         c = a * b
-        return c % self.p if self.kind == self.MOD else c
+        if type(c) is int:
+            return c % self.p if self.kind == self.MOD else c
+        return c.numerator if c.denominator == 1 else c
 
     def neg(self, a):
         return (-a) % self.p if self.kind == self.MOD else -a
@@ -132,7 +142,8 @@ class Ring:
     def inv(self, a):
         """Multiplicative inverse; fields only."""
         if self.kind == self.RAT:
-            return 1 / Fraction(a)
+            c = 1 / Fraction(a)
+            return c.numerator if c.denominator == 1 else c
         if self.kind == self.MOD:
             return pow(a, -1, self.p)
         raise ValueError("Z is not a field")
@@ -149,9 +160,7 @@ class Ring:
     # -- text form (used by the scenario files and reports) -----------------
 
     def format(self, a) -> str:
-        if self.kind == self.RAT:
-            f = Fraction(a)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        # str of a Fraction is "n/d", or "n" when it is integral
         return str(a)
 
     def parse(self, s: str):

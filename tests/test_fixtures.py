@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -102,6 +103,42 @@ def test_overflow_detection_outside_safe_window():
     A2 = tensor(inst.module, inst.module)
     with pytest.raises(TruncationOverflow):
         inst.mu.eval_basis(f"U^12{TENSOR_SEP}U^12")
+
+
+def _exponents(name):
+    """(a, k) of the basis name of A^a U^k, read off the name."""
+    a = name.startswith("A")
+    rest = name[2:] if name.startswith("A*") else ("1" if name == "A" else name)
+    k = {"1": 0, "U": 1}.get(rest)
+    return int(a), (int(rest[2:]) if k is None else k)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("name", ["lambda-s3", "lambda-s1-plus", "lambda-s1-minus",
+                                  "omega-s3", "omega-s1-plus", "omega-s1-minus"])
+def test_loop_mu_rows_match_the_name_formula(name, ring):
+    # A^a U^j * A^b U^k = A^{a+b} U^{j+k}: zero when a + b = 2 or when the
+    # product is not a basis element (it left the window)
+    inst = make_fixture(name, TruncationWindow(8), ring)
+    names = inst.module.index().names
+    at = {_exponents(n): p for p, n in enumerate(names)}
+    table = inst.mu.table()
+    for px, x in enumerate(names):
+        a, j = _exponents(x)
+        for py, y in enumerate(names):
+            b, k = _exponents(y)
+            p = at.get((a + b, j + k)) if a + b < 2 else None
+            want = () if p is None else ((p, ring.one()),)
+            assert table.row(px, py) == want, (x, y)
+            assert inst.mu.eval_basis(f"{x}{TENSOR_SEP}{y}") == (
+                inst.module.zero() if p is None else inst.module.el(names[p]))
+
+    strict = make_fixture(name, TruncationWindow(8), ring, on_overflow="raise")
+    top = "A*U^8" if "A*U^8" in names else "U^8"
+    with pytest.raises(TruncationOverflow, match=rf"^U\^8 \* {re.escape(top)} leaves the window$"):
+        strict.mu.eval_basis(f"U^8{TENSOR_SEP}{top}")
+    with pytest.raises(TruncationOverflow):  # not cached as a zero row
+        strict.mu.eval_basis(f"U^8{TENSOR_SEP}{top}")
 
 
 def test_safe_names_are_within_radius():

@@ -256,7 +256,8 @@ _OPTIMIZED_CHECKS = """
 import sys
 if __debug__:
     sys.exit("python -O is not in effect")
-from chainalg.rings import ZZ
+from fractions import Fraction
+from chainalg.rings import ZZ, QQ
 from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
 from chainalg.fixtures import _parse_name
 M = GradedModule(ZZ, [BasisElement("x", 0)])
@@ -269,6 +270,7 @@ for label, call, error in (
         ("name", lambda: _parse_name("AxU^3"), ValueError),
         ("name", lambda: _parse_name("V^5"), ValueError),
         ("float", lambda: ZZ.canon(2.5), TypeError),
+        ("float", lambda: QQ.canon(0.5), TypeError),
         ("vector", lambda: Vector(M, {"nope": 1}), KeyError),
         ("table", lambda: GradedMap.from_table(M, M, 0, {"nope": M.el("x")}),
          KeyError)):
@@ -278,6 +280,10 @@ for label, call, error in (
         print(label, "raised")
     else:
         sys.exit(label + " check did not run")
+half = QQ.inv(2)
+if half != Fraction(1, 2) or type(half) is not Fraction:
+    sys.exit(f"QQ.inv(2) is {half!r}")
+print("inverse exact")
 """
 
 
@@ -289,7 +295,8 @@ def test_correctness_checks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:7] == ["target raised", "row raised",
+    assert r.stdout.split("\n")[:9] == ["target raised", "row raised",
                                          "name raised", "name raised",
-                                         "float raised", "vector raised",
-                                         "table raised"]
+                                         "float raised", "float raised",
+                                         "vector raised", "table raised",
+                                         "inverse exact"]

@@ -1,7 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chainalg
 from chainalg.graded import BasisElement, GradedModule, Vector
 from chainalg.rings import ZZ, QQ, GF
 
@@ -11,8 +15,12 @@ GF5 = GF(5)
 def test_canon_returns_the_canonical_type():
     assert ZZ.canon(7) == 7 and type(ZZ.canon(7)) is int
     assert ZZ.canon(Fraction(6, 3)) == 2 and type(ZZ.canon(Fraction(6, 3))) is int
-    assert QQ.canon(3) == 3 and type(QQ.canon(3)) is Fraction
-    assert QQ.canon(Fraction(2, 4)) == Fraction(1, 2)
+    # over Q an integral value is an int, any other a Fraction in lowest terms
+    assert QQ.canon(3) == 3 and type(QQ.canon(3)) is int
+    assert QQ.canon(Fraction(6, 3)) == 2 and type(QQ.canon(Fraction(6, 3))) is int
+    half = QQ.canon(Fraction(2, 4))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert half.denominator == 2
     assert GF5.canon(-1) == 4
     assert GF5.canon(Fraction(1, 2)) == 3
     with pytest.raises(ValueError):
@@ -69,5 +77,103 @@ def test_canon_rejects_strings():
         QQ.canon("3")
     with pytest.raises(TypeError):
         ZZ.canon("3")
-    assert QQ.parse("3") == 3 and type(QQ.parse("3")) is Fraction
+    assert QQ.parse("3") == 3 and type(QQ.parse("3")) is int
+    assert QQ.parse("1/2") == Fraction(1, 2) and type(QQ.parse("1/2")) is Fraction
     assert GF5.parse("1/2") == 3
+
+
+# -- Q in canonical form: int when integral, else Fraction ---------------------
+
+def assert_canonical_q(c):
+    assert not isinstance(c, float)
+    if c.denominator == 1:
+        assert type(c) is int
+    else:
+        assert type(c) is Fraction and c.denominator > 1
+
+
+def test_q_canonical_form_cases():
+    class Whole(Fraction):
+        pass
+
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    assert QQ.div(3, 3) == 1 and type(QQ.div(3, 3)) is int
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert type(QQ.canon(Whole(4, 2))) is int and QQ.canon(Whole(4, 2)) == 2
+    assert type(QQ.one()) is int and type(QQ.zero()) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.sub(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert QQ.format(Fraction(-3, 4)) == "-3/4" and QQ.format(5) == "5"
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+_small_q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_Q_OPS = ("add", "sub", "mul", "neg", "inv", "div", "canon", "parse")
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_small_q,
+       steps=st.lists(st.tuples(st.sampled_from(_Q_OPS), _small_q), max_size=12))
+def test_q_arithmetic_matches_fraction_reference(start, steps):
+    """Each step's value equals plain Fraction arithmetic and is canonical."""
+    c, ref = QQ.canon(start), start
+    assert c == ref
+    assert_canonical_q(c)
+    for op, x in steps:
+        y = QQ.canon(x)
+        if op == "add":
+            c, ref = QQ.add(c, y), ref + x
+        elif op == "sub":
+            c, ref = QQ.sub(c, y), ref - x
+        elif op == "mul":
+            c, ref = QQ.mul(c, y), ref * x
+        elif op == "neg":
+            c, ref = QQ.neg(c), -ref
+        elif op == "inv":
+            if ref == 0:
+                with pytest.raises(ZeroDivisionError):
+                    QQ.inv(c)
+                continue
+            c, ref = QQ.inv(c), 1 / ref
+        elif op == "div":
+            if x == 0:
+                with pytest.raises(ZeroDivisionError):
+                    QQ.div(c, y)
+                continue
+            c, ref = QQ.div(c, y), ref / x
+        elif op == "canon":
+            assert QQ.canon(ref) == ref
+            assert_canonical_q(QQ.canon(ref))
+            c = QQ.canon(c)
+        else:
+            c = QQ.parse(QQ.format(c))
+        assert c == ref
+        assert_canonical_q(c)
+
+
+# -- no true division on ring values -------------------------------------------
+
+def _true_divisions():
+    """(module, enclosing class/function path, line) of every `/` or `/=`."""
+    found = []
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(getattr(node, "op", None), ast.Div):
+            found.append((path.name, ".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(Path(chainalg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), (), path)
+    return found
+
+
+def test_true_division_only_in_ring_inv():
+    # an int / int on two Q values would silently give a float
+    found = _true_divisions()
+    assert [(m, s) for m, s, _ in found] == [("rings.py", "Ring.inv")], found
