@@ -34,9 +34,12 @@ factor, so a product is kept while its first factor lives.
 
 Where values are checked: basis names and coefficients are validated where
 they enter the program, i.e. by the public `Vector(module, coeffs)`
-constructor, `GradedModule.el`/`.vector`, `GradedMap.from_table` and the
-scenario loader (which build on those), and by the target check of
-`GradedMap.eval_basis`.  Internal arithmetic (vector sums, differences,
+constructor, `GradedModule.el`/`.vector` and `GradedMap.from_table` (which
+build on it), by the target check of `GradedMap.eval_basis`, and by the
+scenario loader, which checks each operation-table entry and combination
+once (names by lookup in `GradedModule.index`, coefficients, homogeneity
+of table values) while parsing tables straight into `GradedMap.from_rows`
+row maps.  Internal arithmetic (vector sums, differences,
 negation, scaling, tensors, map application, `tensor_map`, `shift_map` and
 the operation shifts) only combines values that are valid already, so it
 builds its results through the trusted constructor `Vector._trusted`,

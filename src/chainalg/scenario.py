@@ -141,72 +141,146 @@ def _parse_module(obj, ring, path) -> GradedModule:
         raise SchemaError(path + ".basis", str(e))
 
 
+def _error(path, entry, field, message):
+    """SchemaError at `path` + `field`; with an entry number, `path` is
+    first extended to that entry of the operation table at `path`."""
+    if entry is not None:
+        path = f"{path}.entries[{entry}]"
+    return SchemaError(path + field, message)
+
+
+def _parse_terms(raw, pos, arity, ring, parsed, path, entry=None,
+                 field="") -> dict:
+    """[[coeff, name-or-names], ...] summed into {k: coefficient}, where k
+    is the position in `pos` of a name (arity 1) or the tuple of positions
+    of `arity` names.  `parsed` caches the coefficient texts already read.
+    The list sits at `path`, entry, `field` (see `_error`); field paths are
+    built only for an error."""
+    if not isinstance(raw, list):
+        raise _error(path, entry, field,
+                     "expected a list of [coeff, name] pairs")
+    acc = {}
+    for t, term in enumerate(raw):
+        if not (isinstance(term, list) and len(term) == 2):
+            raise _error(path, entry, f"{field}[{t}]",
+                         "expected [coefficient, name]")
+        coeff_raw, name_raw = term
+        if not isinstance(coeff_raw, str):
+            raise _error(path, entry, f"{field}[{t}][0]",
+                         "coefficients are strings")
+        c = parsed.get(coeff_raw)
+        if c is None:
+            try:
+                c = parsed[coeff_raw] = ring.parse(coeff_raw)
+            except (ValueError, ZeroDivisionError) as e:
+                raise _error(path, entry, f"{field}[{t}][0]",
+                             f"bad coefficient: {e}")
+        if arity == 1:
+            if not isinstance(name_raw, str):
+                raise _error(path, entry, f"{field}[{t}][1]",
+                             "expected a name")
+            k = pos.get(name_raw)
+            if k is None:
+                raise _error(path, entry, f"{field}[{t}][1]",
+                             f"unknown basis name {name_raw!r}")
+        else:
+            if not (isinstance(name_raw, list) and len(name_raw) == arity):
+                raise _error(path, entry, f"{field}[{t}][1]",
+                             f"expected a list of {arity} names")
+            # a name's type is checked before the lookup: a list is unhashable
+            k = tuple(pos.get(nm) if isinstance(nm, str) else None
+                      for nm in name_raw)
+            if None in k:
+                raise _error(path, entry, f"{field}[{t}][1]", "unknown basis "
+                             f"name {name_raw[k.index(None)]!r}")
+        old = acc.get(k)
+        acc[k] = c if old is None else ring.add(old, c)
+    return acc
+
+
 def _parse_combo(raw, module, path, arity=1) -> Vector:
     """[[coeff, name-or-names], ...] into a vector of module (tensor power)."""
-    _expect(isinstance(raw, list), path, "expected a list of [coeff, name] pairs")
-    target = module if arity == 1 else tensor(*([module] * arity))
-    R = module.ring
-    out = {}
-    for i, pair in enumerate(raw):
-        pp = f"{path}[{i}]"
-        _expect(isinstance(pair, list) and len(pair) == 2, pp,
-                "expected [coefficient, name]")
-        coeff_raw, name_raw = pair
-        _expect(isinstance(coeff_raw, str), pp + "[0]",
-                "coefficients are strings")
-        try:
-            coeff = R.parse(coeff_raw)
-        except (ValueError, ZeroDivisionError) as e:
-            raise SchemaError(pp + "[0]", f"bad coefficient: {e}")
-        if arity == 1:
-            _expect(isinstance(name_raw, str), pp + "[1]", "expected a name")
-            names = [name_raw]
-        else:
-            _expect(isinstance(name_raw, list) and len(name_raw) == arity,
-                    pp + "[1]", f"expected a list of {arity} names")
-            names = name_raw
-        for nm in names:
-            _expect(isinstance(nm, str) and module.has(nm), pp + "[1]",
-                    f"unknown basis name {nm!r}")
-        key = TENSOR_SEP.join(names)
-        out[key] = R.add(out.get(key, R.zero()), coeff)
-    return Vector(target, out)
+    idx = module.index()
+    acc = _parse_terms(raw, idx.pos, arity, module.ring, {}, path)
+    if arity == 1:
+        return Vector._trusted(module, {idx.names[k]: c
+                                        for k, c in acc.items()})
+    return Vector._trusted(tensor(*([module] * arity)), {
+        TENSOR_SEP.join(idx.names[x] for x in k): c for k, c in acc.items()})
+
+
+_MISSING = object()
+
+
+def _positions(module):
+    """Positions by name and degrees by position of an atomic module."""
+    return module.index().pos, tuple(e.degree for e in module.basis())
 
 
 def _parse_operation(obj, source, target, path) -> GradedMap:
     """An operation table from `source` (an atomic module or a tensor power
-    of one) to `target` (likewise); each input lists one name per factor."""
+    of one) to `target` (likewise); each input lists one name per factor.
+
+    Each entry is parsed once, straight into the row form of `OpTable.row`
+    keyed by its input positions, and the map is a `GradedMap.from_rows`
+    row map.  Names become positions by lookup in `GradedModule.index`,
+    degrees are read by position, each distinct coefficient text is parsed
+    once, and an entry's value is judged for homogeneity on the terms left
+    after repeated outputs are summed.  Field paths are built only for an
+    error."""
     _expect(isinstance(obj, dict), path, "expected an object")
     degree = _get(obj, "degree", path, typ=int)
     entries = _get(obj, "entries", path, typ=list)
     _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
-    in_factors = source.factors
-    out_module, out_arity = target.factors[0], target.arity
-    table = {}
+    R = source.ring
+    ins = [_positions(f) for f in source.factors]
+    out_pos, out_deg = _positions(target.factors[0])
+    in_arity, out_arity = len(ins), target.arity
+    degree_of = (out_deg.__getitem__ if out_arity == 1 else
+                 lambda k: sum(map(out_deg.__getitem__, k)))
+    parsed = {}   # each distinct coefficient text is parsed once
+    rows = {}
     for i, entry in enumerate(entries):
-        ep = f"{path}.entries[{i}]"
-        _expect(isinstance(entry, dict), ep, "expected an object")
-        in_raw = _get(entry, "in", ep, typ=list)
-        _expect(len(in_raw) == len(in_factors), ep + ".in",
-                f"expected {len(in_factors)} input name(s)")
-        for nm, factor in zip(in_raw, in_factors):
-            _expect(isinstance(nm, str) and factor.has(nm), ep + ".in",
-                    f"unknown basis name {nm!r}")
-        key = TENSOR_SEP.join(in_raw)
-        _expect(key not in table, ep + ".in", "duplicate entry for this input")
-        out = _parse_combo(_get(entry, "out", ep), out_module, ep + ".out",
-                           arity=out_arity)
-        in_degree = source.degree_of(key)
-        d = out.degree()
-        if d is not None and d != in_degree + degree:
-            raise SchemaError(
-                ep + ".out",
-                f"inhomogeneous value: degree {d}, expected {in_degree + degree}")
-        table[key] = out
-    try:
-        return GradedMap.from_table(source, target, degree, table)
-    except (ValueError, KeyError) as e:
-        raise SchemaError(path, str(e))
+        if not isinstance(entry, dict):
+            raise _error(path, i, "", "expected an object")
+        in_raw = entry.get("in", _MISSING)
+        if not isinstance(in_raw, list):
+            raise _error(path, i, ".in", "missing required field"
+                               if in_raw is _MISSING else
+                               f"expected list, got {type(in_raw).__name__}")
+        if len(in_raw) != in_arity:
+            raise _error(path, i, ".in",
+                               f"expected {in_arity} input name(s)")
+        key = []
+        expected = degree
+        for nm, (pos, degs) in zip(in_raw, ins):
+            p = pos.get(nm) if isinstance(nm, str) else None
+            if p is None:
+                raise _error(path, i, ".in", f"unknown basis name {nm!r}")
+            key.append(p)
+            expected += degs[p]
+        key = tuple(key)
+        if key in rows:
+            raise _error(path, i, ".in", "duplicate entry for this input")
+        out_raw = entry.get("out", _MISSING)
+        if out_raw is _MISSING:
+            raise _error(path, i, ".out", "missing required field")
+        acc = _parse_terms(out_raw, out_pos, out_arity, R, parsed, path, i,
+                           ".out")
+        if not set(map(degree_of, acc)) <= {expected}:
+            # judged on the terms left nonzero
+            degs = sorted({degree_of(k) for k, c in acc.items() if c != 0})
+            if degs and degs != [expected]:
+                raise _error(
+                    path, i, ".out",
+                    f"inhomogeneous value: degree {degs[0]}, "
+                    f"expected {expected}" if len(degs) == 1 else
+                    f"inhomogeneous value: degrees {degs}, "
+                    f"expected {expected}")
+        rows[key] = (tuple(acc.items()) if all(acc.values()) else
+                     tuple((k, c) for k, c in acc.items() if c != 0))
+    return GradedMap.from_rows(source, target, degree,
+                               lambda *ij: rows.get(ij, ()))
 
 
 def _parse_checks(obj, kind, path):

@@ -54,6 +54,25 @@ def test_schema_error_path_reported(tmp_path):
     assert "$.mu.entries[0].out" in r.stderr
 
 
+def test_mixed_degree_value_exits_2(tmp_path, capsys):
+    # mu(e (x) e) = e + x mixes degrees 0 and 1
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps({
+        "schema_version": 1,
+        "kind": "bialgebra",
+        "ring": "Z",
+        "module": {"basis": [{"name": "e", "degree": 0},
+                             {"name": "x", "degree": 1}]},
+        "mu": {"degree": 0, "entries": [{"in": ["e", "e"],
+                                         "out": [["1", "e"], ["1", "x"]]}]},
+        "lambda": {"degree": -1, "entries": []},
+        "eta": [["1", "e"]],
+    }))
+    assert cli.main(["check", str(bad)]) == 2
+    assert ("schema error at $.mu.entries[0].out: inhomogeneous value: "
+            "degrees [0, 1], expected 0") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, path", [
     ("name", "$.name"), ("secondary", "$.pair.secondary")])
 def test_hostile_complex_scenario_exits_2(tmp_path, field, path):

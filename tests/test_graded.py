@@ -260,8 +260,15 @@ from fractions import Fraction
 from chainalg.rings import ZZ, QQ
 from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
 from chainalg.fixtures import _parse_name
+from chainalg.scenario import SchemaError, ingest
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 N = GradedModule(ZZ, [BasisElement("y", 0)])
+def scenario(out):
+    return {"schema_version": 1, "kind": "bialgebra", "ring": "Z",
+            "module": {"basis": [{"name": "e", "degree": 0},
+                                 {"name": "x", "degree": 1}]},
+            "mu": {"degree": 0, "entries": [{"in": ["e", "e"], "out": out}]},
+            "lambda": {"degree": -1, "entries": []}, "eta": [["1", "e"]]}
 f = GradedMap(M, M, 0, lambda n: N.el("y"), name="f")
 g = GradedMap(M, M, 0, lambda n: N.el("y"), name="g")
 for label, call, error in (
@@ -273,7 +280,11 @@ for label, call, error in (
         ("float", lambda: QQ.canon(0.5), TypeError),
         ("vector", lambda: Vector(M, {"nope": 1}), KeyError),
         ("table", lambda: GradedMap.from_table(M, M, 0, {"nope": M.el("x")}),
-         KeyError)):
+         KeyError),
+        ("scenario", lambda: ingest(scenario([["1", "e"], ["1", "x"]])),
+         SchemaError),
+        ("scenario", lambda: ingest(scenario([["1", "ghost"]])),
+         SchemaError)):
     try:
         call()
     except error:
@@ -295,8 +306,10 @@ def test_correctness_checks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:9] == ["target raised", "row raised",
-                                         "name raised", "name raised",
-                                         "float raised", "float raised",
-                                         "vector raised", "table raised",
-                                         "inverse exact"]
+    assert r.stdout.split("\n")[:11] == ["target raised", "row raised",
+                                          "name raised", "name raised",
+                                          "float raised", "float raised",
+                                          "vector raised", "table raised",
+                                          "scenario raised",
+                                          "scenario raised",
+                                          "inverse exact"]

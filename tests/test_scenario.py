@@ -405,3 +405,295 @@ def test_gf_modulus_is_bounded():
     assert time.perf_counter() - start < 0.1
     assert err.path == "$.ring"
     assert "2^31" in err.message
+
+
+# ---------------------------------------------------------------------------
+# Operation tables: error paths, row maps and equivalence with the source
+# ---------------------------------------------------------------------------
+
+_TABLES_BIALGEBRA = {
+    "schema_version": 1,
+    "kind": "bialgebra",
+    "ring": "Z",
+    "module": {"basis": [{"name": "e", "degree": 0},
+                         {"name": "x", "degree": 1}]},
+    "mu": {"degree": 0, "entries": [{"in": ["e", "e"], "out": [["1", "e"]]}]},
+    "lambda": {"degree": -1, "entries": []},
+    "eta": [["1", "e"]],
+}
+
+_TABLES_COMPLEX = {
+    "schema_version": 1,
+    "kind": "complex",
+    "ring": "Z",
+    "module": {"basis": [{"name": "a", "degree": 0},
+                         {"name": "b", "degree": 1}]},
+    "differential": {"degree": -1,
+                     "entries": [{"in": ["b"], "out": [["2", "a"]]}]},
+    "pair": {"module": {"basis": [{"name": "m", "degree": 0}]},
+             "differential": {"degree": -1, "entries": []},
+             "map": {"degree": 0,
+                     "entries": [{"in": ["m"], "out": [["2", "a"]]}]},
+             "secondary": {"degree": 1, "entries": []}},
+}
+
+
+def _table_doc(where, table, ring="Z"):
+    """A copy of the bialgebra doc (basis e in degree 0, x in degree 1), or
+    with a "cx." prefix of the complex doc (a, b; pair module m), with the
+    operation table at `where` replaced: a list is its entries, anything
+    else the whole table.  A bialgebra "differential" starts out empty."""
+    base = _TABLES_COMPLEX if where.startswith("cx.") else _TABLES_BIALGEBRA
+    doc = json.loads(json.dumps(base))
+    doc["ring"] = ring
+    keys = where.removeprefix("cx.").split(".")
+    if keys == ["differential"] and base is _TABLES_BIALGEBRA:
+        doc["differential"] = {"degree": -1, "entries": []}
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if isinstance(table, list):
+        node[keys[-1]]["entries"] = table
+    else:
+        node[keys[-1]] = table
+    return doc
+
+
+def _e(names, out):
+    return {"in": names, "out": out}
+
+
+# Every SchemaError the operation-table parser raises, with the exact path
+# and message.  All but the two mixed-degree rows were recorded before the
+# parser built row maps directly; a value mixing degrees (as mu(e (x) e) =
+# e + x) escaped as a bare ValueError then.
+_OPERATION_ERRORS = [
+    ("mu", [5], "$.mu.entries[0]", "expected an object"),
+    ("mu", [{"out": []}], "$.mu.entries[0].in", "missing required field"),
+    ("mu", [_e("e", [])], "$.mu.entries[0].in", "expected list, got str"),
+    ("mu", [_e(None, [])], "$.mu.entries[0].in",
+     "expected list, got NoneType"),
+    ("mu", [_e(["e"], [])], "$.mu.entries[0].in", "expected 2 input name(s)"),
+    ("mu", [_e(["e", "e", "e"], [])], "$.mu.entries[0].in",
+     "expected 2 input name(s)"),
+    ("lambda", [_e(["x", "x"], [])], "$.lambda.entries[0].in",
+     "expected 1 input name(s)"),
+    ("mu", [_e(["e", "ghost"], [])], "$.mu.entries[0].in",
+     "unknown basis name 'ghost'"),
+    ("mu", [_e([["e"], "e"], [])], "$.mu.entries[0].in",
+     "unknown basis name ['e']"),
+    ("mu", [_e(["e", {"n": 1}], [])], "$.mu.entries[0].in",
+     "unknown basis name {'n': 1}"),
+    ("mu", [_e(["e", 5], [])], "$.mu.entries[0].in", "unknown basis name 5"),
+    ("differential", [_e(["ghost"], [])], "$.differential.entries[0].in",
+     "unknown basis name 'ghost'"),
+    ("cx.pair.differential", [_e(["a"], [])],
+     "$.pair.differential.entries[0].in", "unknown basis name 'a'"),
+    ("mu", [_e(["e", "e"], []), _e(["e", "e"], [["1", "e"]])],
+     "$.mu.entries[1].in", "duplicate entry for this input"),
+    ("mu", [{"in": ["e", "e"]}], "$.mu.entries[0].out",
+     "missing required field"),
+    ("mu", [_e(["e", "e"], "e")], "$.mu.entries[0].out",
+     "expected a list of [coeff, name] pairs"),
+    ("mu", [_e(["e", "e"], None)], "$.mu.entries[0].out",
+     "expected a list of [coeff, name] pairs"),
+    ("mu", [_e(["e", "e"], [["1", "e", "x"]])], "$.mu.entries[0].out[0]",
+     "expected [coefficient, name]"),
+    ("mu", [_e(["e", "e"], [5])], "$.mu.entries[0].out[0]",
+     "expected [coefficient, name]"),
+    ("mu", [_e(["e", "e"], [[1, "e"]])], "$.mu.entries[0].out[0][0]",
+     "coefficients are strings"),
+    ("mu", [_e(["e", "e"], [["seven", "e"]])], "$.mu.entries[0].out[0][0]",
+     "bad coefficient: invalid literal for int() with base 10: 'seven'"),
+    ("mu", [_e(["e", "e"], [["1/2", "e"]])], "$.mu.entries[0].out[0][0]",
+     "bad coefficient: 1/2 is not an integer"),
+    ("cx.pair.secondary", [_e(["m"], [["x", "b"]])],
+     "$.pair.secondary.entries[0].out[0][0]",
+     "bad coefficient: invalid literal for int() with base 10: 'x'"),
+    ("mu", [_e(["e", "e"], [["1", "ghost"]])], "$.mu.entries[0].out[0][1]",
+     "unknown basis name 'ghost'"),
+    ("mu", [_e(["e", "e"], [["1", ["e"]]])], "$.mu.entries[0].out[0][1]",
+     "expected a name"),
+    ("cx.differential", [_e(["b"], [["2", "m"]])],
+     "$.differential.entries[0].out[0][1]", "unknown basis name 'm'"),
+    ("cx.pair.map", [_e(["m"], [["1", "m"]])],
+     "$.pair.map.entries[0].out[0][1]", "unknown basis name 'm'"),
+    ("lambda", [_e(["x"], [["1", ["e", "ghost"]]])],
+     "$.lambda.entries[0].out[0][1]", "unknown basis name 'ghost'"),
+    ("lambda", [_e(["x"], [["1", ["e", ["e"]]]])],
+     "$.lambda.entries[0].out[0][1]", "unknown basis name ['e']"),
+    ("lambda", [_e(["x"], [["1", "e"]])], "$.lambda.entries[0].out[0][1]",
+     "expected a list of 2 names"),
+    ("lambda", [_e(["x"], [["1", ["e"]]])], "$.lambda.entries[0].out[0][1]",
+     "expected a list of 2 names"),
+    ("lambda", [_e(["x"], [["1", ["e", "e", "e"]]])],
+     "$.lambda.entries[0].out[0][1]", "expected a list of 2 names"),
+    ("mu", [_e(["x", "x"], [["1", "e"]])], "$.mu.entries[0].out",
+     "inhomogeneous value: degree 0, expected 2"),
+    ("mu", [_e(["e", "e"], [["1", "x"]])], "$.mu.entries[0].out",
+     "inhomogeneous value: degree 1, expected 0"),
+    ("mu", [_e(["e", "e"], [["1", "e"]]), _e(["e", "x"], [["1", "e"]])],
+     "$.mu.entries[1].out", "inhomogeneous value: degree 0, expected 1"),
+    ("lambda", [_e(["x"], [["1", ["x", "x"]]])], "$.lambda.entries[0].out",
+     "inhomogeneous value: degree 2, expected 0"),
+    ("differential", [_e(["x"], [["1", "x"]])],
+     "$.differential.entries[0].out",
+     "inhomogeneous value: degree 1, expected 0"),
+    ("cx.differential", [_e(["b"], [["2", "b"]])],
+     "$.differential.entries[0].out",
+     "inhomogeneous value: degree 1, expected 0"),
+    ("cx.pair.map", [_e(["m"], [["1", "b"]])], "$.pair.map.entries[0].out",
+     "inhomogeneous value: degree 1, expected 0"),
+    ("cx.pair.secondary", [_e(["m"], [["1", "a"]])],
+     "$.pair.secondary.entries[0].out",
+     "inhomogeneous value: degree 0, expected 1"),
+    ("mu", [_e(["e", "e"], [["1", "e"], ["1", "x"]])], "$.mu.entries[0].out",
+     "inhomogeneous value: degrees [0, 1], expected 0"),
+    ("lambda", [_e(["x"], [["1", ["e", "e"]], ["1", ["x", "e"]]])],
+     "$.lambda.entries[0].out",
+     "inhomogeneous value: degrees [0, 1], expected 0"),
+    ("differential", 5, "$.differential", "expected an object"),
+    ("mu", {"degree": "0", "entries": []}, "$.mu.degree",
+     "expected int, got str"),
+    ("mu", {"degree": 0, "entries": {}}, "$.mu.entries",
+     "expected list, got dict"),
+]
+
+
+@pytest.mark.parametrize("where, table, path, message", _OPERATION_ERRORS)
+def test_operation_table_errors_keep_path_and_message(where, table, path,
+                                                      message):
+    err = _schema_error(_table_doc(where, table))
+    assert (err.path, err.message) == (path, message)
+
+
+@pytest.mark.parametrize("ring, coeff, message", [
+    ("Q", "1/0", "bad coefficient: Fraction(1, 0)"),
+    ("GF(5)", "1/5", "bad coefficient: denominator of 1/5 vanishes mod 5"),
+])
+def test_operation_coefficient_errors_per_ring(ring, coeff, message):
+    doc = _table_doc("mu", [_e(["e", "e"], [[coeff, "e"]])], ring)
+    err = _schema_error(doc)
+    assert (err.path, err.message) == ("$.mu.entries[0].out[0][0]", message)
+
+
+# Combinations share the term parser of the operation tables; recorded
+# like the rows above.
+_COMBINATION_ERRORS = [
+    ("eta", [5], "$.eta[0]", "expected [coefficient, name]"),
+    ("eta", [["1"]], "$.eta[0]", "expected [coefficient, name]"),
+    ("eta", [[1, "e"]], "$.eta[0][0]", "coefficients are strings"),
+    ("eta", [["z", "e"]], "$.eta[0][0]",
+     "bad coefficient: invalid literal for int() with base 10: 'z'"),
+    ("eta", [["1", ["e"]]], "$.eta[0][1]", "expected a name"),
+    ("eta", [["1", "ghost"]], "$.eta[0][1]", "unknown basis name 'ghost'"),
+    ("eta", [["1", "e"], ["1", 5]], "$.eta[1][1]", "expected a name"),
+    ("reverse_bivector", {}, "$.reverse_bivector",
+     "expected a list of [coeff, name] pairs"),
+    ("reverse_bivector", [["1", "e"]], "$.reverse_bivector[0][1]",
+     "expected a list of 2 names"),
+    ("reverse_bivector", [["1", ["e", "ghost"]]], "$.reverse_bivector[0][1]",
+     "unknown basis name 'ghost'"),
+    ("reverse_bivector", [["1", ["e", 7]]], "$.reverse_bivector[0][1]",
+     "unknown basis name 7"),
+    ("reverse_bivector", [["1", [["e"], "e"]]], "$.reverse_bivector[0][1]",
+     "unknown basis name ['e']"),
+    ("B", [["1", ["e", "e"]]], "$.B[0][1]", "expected a list of 3 names"),
+    ("B", [["1", ["e", "e", "q"]]], "$.B[0][1]", "unknown basis name 'q'"),
+    ("Q0", [["1/2", ["e", "e"]]], "$.Q0[0][0]",
+     "bad coefficient: 1/2 is not an integer"),
+]
+
+
+def _combination_doc(field, value):
+    doc = json.loads(json.dumps(_TABLES_BIALGEBRA))
+    if field in ("B", "Q0"):
+        doc.update(kind="cone", n=1)
+    doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value, path, message", _COMBINATION_ERRORS)
+def test_combination_errors_keep_path_and_message(field, value, path,
+                                                  message):
+    err = _schema_error(_combination_doc(field, value))
+    assert (err.path, err.message) == (path, message)
+
+
+def test_combination_terms_are_summed():
+    eta = [["1", "e"], ["2", "e"]]
+    assert sc.ingest(_combination_doc("eta", eta)).payload.eta.coeffs == {
+        "e": 3}
+    eta = [["1", "x"], ["-1", "x"]]
+    assert sc.ingest(_combination_doc("eta", eta)).payload.eta.is_zero()
+
+
+def test_cancelling_terms_give_an_empty_row():
+    # the x terms cancel, so no degree is judged: mu(e (x) e) = 0
+    doc = _table_doc("mu", [_e(["e", "e"], [["1", "x"], ["-1", "x"]])])
+    mu = sc.ingest(json.dumps(doc)).payload.mu
+    assert mu.table().row(0, 0) == ()
+    assert mu.eval_basis("e⊗e").is_zero()
+    # a surviving term is still judged, a cancelled one is not
+    doc = _table_doc("mu", [_e(["e", "e"], [["1", "e"], ["1", "x"],
+                                            ["-1", "x"]])])
+    assert sc.ingest(json.dumps(doc)).payload.mu.table().row(0, 0) == ((0, 1),)
+
+
+def _instances_to_export():
+    from chainalg.fixtures import fixture_names, mutate_lambda, mutate_mu, \
+        mutation_targets
+    from chainalg.rings import QQ, ZZ
+
+    w = TruncationWindow(4)
+    for name in fixture_names():
+        if name == "tstar-s1":
+            continue
+        for ring in (ZZ, QQ, GF(5)):
+            inst = make_fixture(name, w, ring)
+            yield inst
+            targets = list(mutation_targets(inst, w))
+            _, i, o = next(t for t in targets if t[0] == "mu")
+            yield mutate_mu(inst, i, o)
+            _, i, o = next(t for t in targets if t[0] == "lambda")
+            yield mutate_lambda(inst, i, o)
+
+
+def test_exported_instances_ingest_to_the_same_rows():
+    count = 0
+    for inst in _instances_to_export():
+        scn = sc.ingest(json.dumps(sc.export_bialgebra(inst)))
+        got = scn.payload
+        assert sc.structurally_equal(inst, got), inst.name
+        dim = len(inst.module.basis())
+        for i in range(dim):
+            assert (dict(got.lam.table().row(i))
+                    == dict(inst.lam.table().row(i))), (inst.name, i)
+            for j in range(dim):
+                assert (dict(got.mu.table().row(i, j))
+                        == dict(inst.mu.table().row(i, j))), (inst.name, i, j)
+        count += 1
+    assert count == 6 * 3 * 3
+
+
+@pytest.mark.parametrize("source", [
+    "lambda-s1-plus-mu-Q.json", "lambda-s1-plus-cone-lam-GF5.json", "pair"])
+def test_scenario_operations_are_row_maps(monkeypatch, source):
+    from pathlib import Path
+
+    from chainalg.graded import GradedMap
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_table called during ingest")
+
+    monkeypatch.setattr(GradedMap, "from_table", refuse)
+    if source == "pair":
+        doc = _table_doc("cx.pair.secondary", [])
+        bundle = sc.ingest(json.dumps(doc)).payload
+        ops = [bundle.complex.d, bundle.pair_map.source.d, bundle.pair_map.f,
+               bundle.secondary]
+    else:
+        data = Path(__file__).resolve().parent / "data" / source
+        payload = sc.load(str(data)).payload
+        ops = [payload.mu, payload.lam]
+    assert all(op.row_fn is not None for op in ops)
