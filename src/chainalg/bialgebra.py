@@ -19,6 +19,7 @@ Failures carry the first offending input with both sides fully expanded.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -28,16 +29,15 @@ from .graded import (
     Vector,
     tensor,
     tensor_map,
-    tensor_differential,
     associativity_witness,
-    twist,
-    twist_vector,
     insert_left,
     insert_right,
     format_vector,
     TENSOR_SEP,
     koszul_sign,
-    vector_terms,
+    apply_rows,
+    basis_keys,
+    row_vector,
 )
 from .complexes import ChainComplex
 
@@ -109,46 +109,86 @@ class BialgebraData:
         self.differential = differential
         if differential is not None:
             ChainComplex(module, differential)  # validates d*d = 0
-            d2 = tensor_differential(differential)
-            for label, op, dom_d, cod_d, names in (
-                ("mu", mu, d2, differential, A2.basis_names()),
-                ("lam", lam, differential, d2, module.basis_names()),
-            ):
-                for nm in names:
-                    lhs = cod_d(op.eval_basis(nm))
-                    rhs = op(dom_d.eval_basis(nm)).scale(koszul_sign(op.degree))
-                    if lhs != rhs:
-                        raise ValueError(f"{label} is not a chain map (fails on {nm})")
+            _require_chain_maps(module, mu, lam, differential)
 
     # -- derived data ----------------------------------------------------------
 
+    def eta_terms(self) -> tuple:
+        """eta as (position in A, coefficient) pairs."""
+        pos = self.module.index().pos
+        return tuple((pos[n], c) for n, c in self.eta.coeffs.items())
+
+    def lambda_eta_terms(self) -> dict:
+        """lam eta on A (x) A, {(k1, k2): coefficient}, from lam's table."""
+        return apply_rows(self.lam.table().row, self.eta_terms(),
+                          self.module.ring)
+
     def lambda_eta(self) -> Vector:
-        return self.lam(self.eta)
+        return row_vector(tensor(self.module, self.module),
+                          self.lambda_eta_terms().items())
 
-    def safe_elements(self):
-        return [self.module.el(n) for n in self.safe_names]
-
-    def mu2(self, x: Vector, y: Vector) -> Vector:
-        return self.mu(x.tensor(y))
+    def safe_positions(self):
+        pos = self.module.index().pos
+        return [pos[n] for n in self.safe_names]
 
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
-        tau = twist(self.module, self.module)
-        s = koszul_sign(self.mu.degree)
-        for x in self.safe_elements():
-            for y in self.safe_elements():
-                v = x.tensor(y)
-                if self.mu(tau(v)).scale(s) != self.mu(v):
+        mu, odd = self.mu.table().row, self.module.index().odd
+        neg = self.module.ring.neg
+        safe = self.safe_positions()
+        for i in safe:
+            for j in safe:
+                flip = (self.mu.degree + odd[i] * odd[j]) % 2
+                if dict(mu(i, j)) != {k: neg(c) if flip else c
+                                      for k, c in mu(j, i)}:
                     return False
         return True
 
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
-        s = koszul_sign(self.lam.degree)
-        for x in self.safe_elements():
-            if twist_vector(self.lam(x)) != self.lam(x).scale(s):
+        lam, odd = self.lam.table().row, self.module.index().odd
+        neg = self.module.ring.neg
+        for x in self.safe_positions():
+            if _twisted(lam(x), odd, neg) != _scaled(
+                    lam(x), self.lam.degree % 2, neg):
                 return False
         return True
+
+
+def _twisted(terms, odd, neg) -> dict:
+    """tau of the A (x) A terms: tau(x (x) y) = (-1)^{|x||y|} y (x) x."""
+    return {(k2, k1): neg(c) if odd[k1] and odd[k2] else c
+            for (k1, k2), c in terms}
+
+
+def _scaled(terms, negate, neg) -> dict:
+    """The terms as a dict, negated if `negate`."""
+    return {k: neg(c) for k, c in terms} if negate else dict(terms)
+
+
+def _require_chain_maps(A: GradedModule, mu: GradedMap, lam: GradedMap,
+                        d: GradedMap):
+    """Raise ValueError, naming the first failing input, unless
+    d mu = (-1)^{|mu|} mu d2 and d2 lam = (-1)^{|lam|} lam d on the tables,
+    where d2 = d (x) 1 + 1 (x) d on A (x) A."""
+    R, odd, neg = A.ring, A.index().odd, A.ring.neg
+    d_row, mu_row, lam_row = d.table().row, mu.table().row, lam.table().row
+
+    def d2(key):
+        a1, a2 = key
+        return (tuple(((x, a2), c) for x, c in d_row(a1))
+                + tuple(((a1, x), neg(c) if odd[a1] else c)
+                        for x, c in d_row(a2)))
+
+    for label, op, key_sides in (
+            ("mu", mu, lambda k: (apply_rows(d_row, mu_row(*k), R),
+                                  apply_rows(lambda t: mu_row(*t), d2(k), R))),
+            ("lam", lam, lambda k: (apply_rows(d2, lam_row(k), R),
+                                    apply_rows(lam_row, d_row(k), R)))):
+        for name, key in basis_keys(op.source):
+            lhs, rhs = key_sides(key)
+            if lhs != _scaled(rhs.items(), op.degree % 2, neg):
+                raise ValueError(f"{label} is not a chain map (fails on {name})")
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +206,20 @@ def _result(axiom, start, count, witness=None, lhs=None, rhs=None):
     return res
 
 
-def _quantify(axiom, inputs, sides, describe=str) -> AxiomResult:
-    """The first input, in order, whose sides(input) = (lhs, rhs) differ."""
+def _quantify(axiom, keys, sides, module, describe) -> AxiomResult:
+    """The first key, in order, whose sides(key) = (lhs, rhs) differ, the
+    sides being {key: coefficient} dicts on the positions of `module`.
+    Names and Vectors come back only for a witness: describe(key) and the
+    two sides."""
     start = time.monotonic()
     count = 0
-    for item in inputs:
+    for key in keys:
         count += 1
-        lhs, rhs = sides(item)
+        lhs, rhs = sides(key)
         if lhs != rhs:
-            return _result(axiom, start, count, describe(item), lhs, rhs)
+            return _result(axiom, start, count, describe(key),
+                           row_vector(module, lhs.items()),
+                           row_vector(module, rhs.items()))
     return _result(axiom, start, count)
 
 
@@ -195,53 +240,59 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     this run.  With fail_fast the axioms run in a cheap-first order and
     the report stops at the first failure (used by mutation sweeps); the
     default runs and reports everything in the definition's order.
+
+    Every side is expanded from the tables of mu and lam on basis
+    positions; names are read once, here, and come back for a witness.
     """
     A = inst.module
-    mu, lam, eta = inst.mu, inst.lam, inst.eta
-    one = GradedMap.identity(A)
     safe = tuple(window) if window is not None else inst.safe_names
     for nm in safe:
         if not A.has(nm):
             raise ValueError(f"window name {nm!r} is not a basis element")
+    idx = A.index()
+    names, odd = idx.names, idx.odd
+    R = A.ring
+    neg, one = R.neg, R.one()
+    mu, lam = inst.mu.table().row, inst.lam.table().row
+    eta = inst.eta_terms()
+    at = [idx.pos[n] for n in safe]
+    kernel = functools.cache(lambda: PairKernel(inst.mu, inst.lam,
+                                                inst.lambda_eta_terms().items()))
 
     def run_unit_left():
-        return _quantify("unit (left)", safe,
-                         lambda n: (inst.mu2(eta, A.el(n)), A.el(n)))
+        return _quantify("unit (left)", at, lambda i: (
+            apply_rows(lambda e: mu(e, i), eta, R), {i: one}),
+            A, names.__getitem__)
 
     def run_unit_right():
-        return _quantify(
-            "unit (right)", safe,
-            lambda n: (inst.mu2(A.el(n), eta).scale(
-                koszul_sign(mu.degree * A.degree_of(n))), A.el(n)))
+        # (-1)^{|mu||x|} mu(x (x) eta) = x
+        return _quantify("unit (right)", at, lambda i: (
+            _scaled(apply_rows(lambda e: mu(i, e), eta, R).items(),
+                    inst.mu.degree % 2 and odd[i], neg), {i: one}),
+            A, names.__getitem__)
 
     def run_associativity():
         start = time.monotonic()
-        count, triple, lhs, rhs = associativity_witness(mu, safe)
+        count, triple, lhs, rhs = associativity_witness(inst.mu, safe)
         return _result("associativity", start, count,
                        triple and TENSOR_SEP.join(triple), lhs, rhs)
 
     def run_coassociativity():
-        # graded form: (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam
-        co_l = lam.then(tensor_map(lam, one))
-        co_r = lam.then(tensor_map(one, lam))
-        s = koszul_sign(lam.degree)
-        return _quantify("coassociativity", safe,
-                         lambda n: (co_r.eval_basis(n),
-                                    co_l.eval_basis(n).scale(s)))
+        return _quantify("coassociativity", at,
+                         functools.partial(_coassociativity, lam,
+                                           inst.lam.degree % 2, odd, R),
+                         tensor(A, A, A), names.__getitem__)
 
-    def run_infinitesimal():
-        return _pair_axiom(inst, safe, "unital infinitesimal")
-
-    def run_antisymmetry():
-        return _pair_axiom(inst, safe, "unital anti-symmetry")
+    def run_pairs(axiom):
+        return _quantify_pairs(axiom, kernel(), at)
 
     runners = {
         "unit (left)": run_unit_left,
         "unit (right)": run_unit_right,
         "associativity": run_associativity,
         "coassociativity": run_coassociativity,
-        "unital infinitesimal": run_infinitesimal,
-        "unital anti-symmetry": run_antisymmetry,
+        "unital infinitesimal": lambda: run_pairs("unital infinitesimal"),
+        "unital anti-symmetry": lambda: run_pairs("unital anti-symmetry"),
     }
     report = AxiomReport()
     order = _FAIL_FAST_ORDER if fail_fast else AXIOM_ORDER
@@ -255,25 +306,47 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     return report
 
 
+def _coassociativity(lam, lam_odd, odd, R, x):
+    """(lhs, rhs) of (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam at the
+    position x, on A (x) A (x) A, expanded from lam's rows:
+
+        lhs = sum (-1)^{|lam||a1|} a1 (x) lam(a2),
+        rhs = (-1)^{|lam|} sum lam(a1) (x) a2,
+
+    over the terms a1 (x) a2 of lam(x); the sign is the one 1 (x) lam
+    picks up on a1."""
+    mul, add, neg = R.mul, R.add, R.neg
+    lhs, rhs = {}, {}
+    for (a1, a2), c in lam(x):
+        left = neg(c) if lam_odd and odd[a1] else c
+        for (b1, b2), e in lam(a2):
+            t, k = mul(left, e), (a1, b1, b2)
+            lhs[k] = t if (old := lhs.get(k)) is None else add(old, t)
+        right = neg(c) if lam_odd else c
+        for (b1, b2), e in lam(a1):
+            t, k = mul(right, e), (b1, b2, a2)
+            rhs[k] = t if (old := rhs.get(k)) is None else add(old, t)
+    return ({k: c for k, c in lhs.items() if c != 0},
+            {k: c for k, c in rhs.items() if c != 0})
+
+
 def _pair_axiom(inst: BialgebraData, safe, axiom) -> AxiomResult:
-    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta())
-    return _quantify_pairs(axiom, kernel, safe, kernel.infinitesimal
-                           if axiom == "unital infinitesimal"
-                           else kernel.antisymmetry)
+    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
+    pos = inst.module.index().pos
+    return _quantify_pairs(axiom, kernel, [pos[n] for n in safe])
 
 
-def _quantify_pairs(axiom, kernel, safe, sides) -> AxiomResult:
-    """_quantify over the pairs a (x) b of safe names, in lexicographic
-    order, with both sides from sides(i, j) on basis positions."""
-    pos = kernel.idx.pos
-
-    def vectors(pair):
-        lhs, rhs = sides(pos[pair[0]], pos[pair[1]])
-        return (lhs, rhs) if lhs == rhs else (kernel.vector(lhs),
-                                              kernel.vector(rhs))
-
-    return _quantify(axiom, [(a, b) for a in safe for b in safe], vectors,
-                     TENSOR_SEP.join)
+def _quantify_pairs(axiom, kernel, at, sides=None) -> AxiomResult:
+    """_quantify over the pairs a (x) b of the positions `at`, in
+    lexicographic order, with both sides from sides(i, j), by default the
+    kernel's side function of `axiom`."""
+    if sides is None:
+        sides = (kernel.infinitesimal if axiom == "unital infinitesimal"
+                 else kernel.antisymmetry)
+    names = kernel.idx.names
+    return _quantify(axiom, [(i, j) for i in at for j in at],
+                     lambda k: sides(*k), kernel.A2,
+                     lambda k: names[k[0]] + TENSOR_SEP + names[k[1]])
 
 
 class PairKernel:
@@ -282,33 +355,41 @@ class PairKernel:
 
     Positions index A (`GradedModule.index`); a side is a dict
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the tables of
-    mu, lam, mu tau and tau lam.  `v` is the bivector put in the middle
-    (lam eta for the axioms).  The three shapes below carry the Koszul
-    signs of `tensor_map` and of inserting v, read per basis term.
+    mu, lam, mu tau and tau lam, the last two read off mu's and lam's rows
+    with the twist sign.  `v` is the bivector put in the middle (lam eta
+    for the axioms), given by its terms ((k1, k2), coefficient).  The three
+    shapes below carry the Koszul signs of `tensor_map` and of inserting v,
+    read per basis term.
     """
 
-    def __init__(self, mu: GradedMap, lam: GradedMap, v: Vector):
+    def __init__(self, mu: GradedMap, lam: GradedMap, v):
         A = mu.target
-        tau = twist(A, A)
         self.A2 = tensor(A, A)
         self.idx = A.index()
         self.mu, self.lam = mu.table(), lam.table()
-        self.mu_tau, self.tau_lam = tau.then(mu).table(), lam.then(tau).table()
         R = A.ring
         self._mul, self._add, self._neg = R.mul, R.add, R.neg
-        self.v = vector_terms(v)
-        self.dv = v.degree() if self.v else 0   # raises on a mixed v
+        odd, neg = self.idx.odd, R.neg
+        mu_row, lam_row = self.mu.row, self.lam.row
 
-    def vector(self, side: dict) -> Vector:
-        names = self.idx.names
-        return Vector._trusted(self.A2, {names[k1] + TENSOR_SEP + names[k2]: c
-                                         for (k1, k2), c in side.items()})
+        def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
+            r = mu_row(j, i)
+            return tuple((k, neg(c)) for k, c in r) if odd[i] and odd[j] else r
+
+        self.mu_tau = GradedMap.from_rows(self.A2, A, mu.degree, mu_tau).table()
+        self.tau_lam = GradedMap.from_rows(
+            A, self.A2, lam.degree,
+            lambda x: tuple(_twisted(lam_row(x), odd, neg).items())).table()
+        self.v = tuple(v)
+        deg = self.idx.degree
+        degrees = sorted({deg[k1] + deg[k2] for (k1, k2), _ in self.v})
+        if len(degrees) > 1:
+            raise ValueError(f"inhomogeneous vector with degrees {degrees}")
+        self.dv = degrees[0] if degrees else 0
 
     def twisted(self, side: dict) -> dict:
         """tau(side), tau(x (x) y) = (-1)^{|x||y|} y (x) x."""
-        neg, odd = self._neg, self.idx.odd
-        return {(k2, k1): neg(c) if odd[k1] and odd[k2] else c
-                for (k1, k2), c in side.items()}
+        return _twisted(side.items(), self.idx.odd, self._neg)
 
     def combine(self, *parts) -> dict:
         """sum of sign * terms over the (sign, terms) parts; zeros dropped."""
@@ -413,10 +494,11 @@ class LambdaEtaResult:
 
 
 def lambda_eta(inst: BialgebraData) -> LambdaEtaResult:
-    v = inst.lambda_eta()
-    expected = v.scale(koszul_sign(inst.lam.degree))
-    got = twist_vector(v) if not v.is_zero() else v
-    return LambdaEtaResult(v, got == expected)
+    terms = inst.lambda_eta_terms().items()
+    neg, odd = inst.module.ring.neg, inst.module.index().odd
+    return LambdaEtaResult(
+        row_vector(tensor(inst.module, inst.module), terms),
+        _twisted(terms, odd, neg) == _scaled(terms, inst.lam.degree % 2, neg))
 
 
 @dataclass
@@ -443,17 +525,23 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
         problems.append("mu is not commutative")
     if not inst.is_cocommutative():
         problems.append("lam is not cocommutative")
-    comp = inst.lam.then(inst.mu)
+    A = inst.module
+    mu, lam = inst.mu.table().row, inst.lam.table().row
+
+    def mu_lam(n):
+        return row_vector(A, apply_rows(lambda k: mu(*k),
+                                        lam(A.index().pos[n]), A.ring).items())
+
     if problems:
         values = "; ".join(
-            f"mu lam({n}) = {format_vector(comp.eval_basis(n))}"
+            f"mu lam({n}) = {format_vector(mu_lam(n))}"
             for n in inst.safe_names[:4]
         )
         return ConditionalReport(False, False,
                                  "hypotheses not met: " + ", ".join(problems)
                                  + ". raw values: " + values)
     for n in inst.safe_names:
-        v = comp.eval_basis(n)
+        v = mu_lam(n)
         if not v.is_zero():
             return ConditionalReport(True, False,
                                      f"mu lam({n}) = {format_vector(v)} != 0")
@@ -480,7 +568,7 @@ def check_cc_implies_antisymmetry(inst: BialgebraData,
         return ConditionalReport(False, False,
                                  "unital infinitesimal relation fails: " + uir.describe())
 
-    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta())
+    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
     s_lhs = koszul_sign(inst.mu.degree + inst.lam.degree)
     s_rhs = koszul_sign(inst.mu.degree)
     pos = kernel.idx.pos
@@ -574,7 +662,7 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
     else:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
-    kernel = PairKernel(inst.mu, inst.lam, tensor(A, A).zero())
+    kernel = PairKernel(inst.mu, inst.lam, ())
     one = A.ring.one()
 
     def sides(i, j):   # |lam| is even, so lam mu = t1 + t2 on the right
@@ -582,4 +670,4 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
         return lhs, kernel.combine((1, rhs.items()), (-sign, [((i, j), one)]))
 
     return _quantify_pairs("unital infinitesimal (identity-coproduct form)",
-                           kernel, inst.safe_names, sides)
+                           kernel, inst.safe_positions(), sides)

@@ -20,11 +20,21 @@ from .matrices import (   # smith_normal_form: not called, a name tracers patch
     columns_matrix,
     smith_normal_form,
 )
-from .graded import BasisElement, GradedModule, GradedMap, Vector, sparse_blocks
+from .graded import (
+    BasisElement,
+    GradedModule,
+    GradedMap,
+    Vector,
+    apply_rows,
+    basis_keys,
+    row_vector,
+    sparse_blocks,
+)
 
 
 class ChainComplex:
-    """Graded module with a degree -1 differential; d*d = 0 is checked."""
+    """Graded module with a degree -1 differential; d*d = 0 is checked on
+    the differential's table rows."""
 
     def __init__(self, module: GradedModule, differential: GradedMap = None):
         if differential is None:
@@ -33,10 +43,12 @@ class ChainComplex:
             raise ValueError("differential must be an endomorphism of the module")
         if differential.degree != -1:
             raise ValueError(f"differential has degree {differential.degree}, expected -1")
-        for e in module.basis():
-            dd = differential(differential.eval_basis(e.name))
-            if not dd.is_zero():
-                raise ValueError(f"d*d != 0 on {e.name}: d(d({e.name})) = {dd}")
+        d = differential.table()
+        for name, key in basis_keys(module):
+            dd = apply_rows(d.at, d.at(key), module.ring)
+            if dd:
+                raise ValueError(f"d*d != 0 on {name}: d(d({name})) = "
+                                 f"{row_vector(module, dd.items())}")
         self.module = module
         self.d = differential
 
@@ -59,11 +71,12 @@ class ChainMap:
             raise ValueError(f"chain maps have degree 0, got {f.degree}")
         if f.source != source.module or f.target != target.module:
             raise ValueError("map endpoints do not match the complexes")
-        for e in source.module.basis():
-            lhs = target.d(f.eval_basis(e.name))
-            rhs = f(source.d.eval_basis(e.name))
-            if lhs != rhs:
-                raise ValueError(f"not a chain map: fails on {e.name}")
+        R, f_t = source.ring, f.table()
+        d_s, d_t = source.d.table(), target.d.table()
+        for name, key in basis_keys(source.module):
+            if (apply_rows(d_t.at, f_t.at(key), R)
+                    != apply_rows(f_t.at, d_s.at(key), R)):
+                raise ValueError(f"not a chain map: fails on {name}")
         self.source = source
         self.target = target
         self.f = f
@@ -308,34 +321,44 @@ class Cone:
     source: ChainComplex
     target: ChainComplex
     chain_map: ChainMap
+    # positions in the cone of the positions of A ("+" part) and of M ("-"
+    # part), and for each cone position (in the "-" part, position in A or M)
+    layout: tuple = ()
 
 
 def mapping_cone(c: ChainMap) -> Cone:
+    """Cone(c) with d_cone, incl and proj as row maps on the rows of c and
+    of the two differentials."""
     M, A = c.source.module, c.target.module
     R = A.ring
     basis = [BasisElement("+" + e.name, e.degree) for e in A.basis()]
     basis += [BasisElement("-" + e.name, e.degree + 1) for e in M.basis()]
     cone_mod = GradedModule(R, basis, name=f"Cone({c.f.name})")
+    pos = cone_mod.index().pos
+    plus = [pos["+" + n] for n in A.index().names]
+    minus = [pos["-" + n] for n in M.index().names]
+    where = [None] * len(pos)
+    for block, ks in ((False, plus), (True, minus)):
+        for p, k in enumerate(ks):
+            where[k] = (block, p)
+    d_A, d_M, f = (m.table().row for m in (c.target.d, c.source.d, c.f))
+    neg, one = R.neg, R.one()
 
-    def d_fn(name):
-        tag, base = name[0], name[1:]
-        if tag == "+":
-            da = c.target.d.eval_basis(base)
-            return Vector(cone_mod, {"+" + n: v for n, v in da.coeffs.items()})
-        dm = c.source.d.eval_basis(base)
-        cm = c.f.eval_basis(base)
-        out = {"-" + n: -v for n, v in dm.coeffs.items()}
-        for n, v in cm.coeffs.items():
-            out["+" + n] = R.add(out.get("+" + n, R.zero()), v)
-        return Vector(cone_mod, out)
+    def d_row(u):   # d(a, m) = (d_A a + c(m), -d_M m)
+        block, p = where[u]
+        if not block:
+            return tuple((plus[k], x) for k, x in d_A(p))
+        return (tuple((minus[k], neg(x)) for k, x in d_M(p))
+                + tuple((plus[k], x) for k, x in f(p)))
 
-    cone = ChainComplex(cone_mod, GradedMap(cone_mod, cone_mod, -1, d_fn, name="d_cone"))
-
-    incl = GradedMap(A, cone_mod, 0, lambda n: cone_mod.el("+" + n), name="incl")
-    proj = GradedMap(cone_mod, M, -1,
-                     lambda n: M.el(n[1:]) if n.startswith("-") else M.zero(),
-                     name="proj")
-    return Cone(cone, incl, proj, c.source, c.target, c)
+    cone = ChainComplex(cone_mod, GradedMap.from_rows(cone_mod, cone_mod, -1,
+                                                      d_row, name="d_cone"))
+    incl = GradedMap.from_rows(A, cone_mod, 0, lambda p: ((plus[p], one),),
+                               name="incl")
+    proj = GradedMap.from_rows(
+        cone_mod, M, -1,
+        lambda u: ((where[u][1], one),) if where[u][0] else (), name="proj")
+    return Cone(cone, incl, proj, c.source, c.target, c, (plus, minus, where))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ from .graded import (
     dual_map,
     slot_table,
     vector_terms,
+    row_vector,
+    transpose_rows,
     unapply_op_shift,
     tensor_differential,
     associativity_witness,
@@ -82,19 +84,7 @@ def _row(items, negate: bool, neg) -> tuple:
 
 def _format_row(module: GradedModule, row: dict) -> str:
     """A row on the positions of an atomic module, formatted by names."""
-    names = module.index().names
-    return format_vector(Vector._trusted(module, {names[k]: c
-                                                  for k, c in row.items()}))
-
-
-def _transpose(inputs, image) -> dict:
-    """Sparse transpose of x -> image(x), a table row, over the positions
-    `inputs`: output key -> [(x, coefficient)], in input order."""
-    out = {}
-    for x in inputs:
-        for y, c in image(x):
-            out.setdefault(y, []).append((x, c))
-    return out
+    return format_vector(row_vector(module, row.items()))
 
 
 class _Layout:
@@ -104,7 +94,7 @@ class _Layout:
 
     def __init__(self, A: GradedModule, M: GradedModule):
         pos = M.index().pos
-        self.deg = [e.degree for e in A.basis()]
+        self.deg = A.index().degree
         self.of_degree = {}
         for x, d in enumerate(self.deg):
             self.of_degree.setdefault(d, []).append(x)
@@ -117,7 +107,7 @@ class _Layout:
         """(fixed, d) -> the transpose of x -> image(fixed, x) over the
         positions x of degree d, built on first request, so that an operation
         of degree 0 is read only where its values can meet a given output."""
-        return functools.cache(lambda fixed, d: _transpose(
+        return functools.cache(lambda fixed, d: transpose_rows(
             self.of_degree.get(d, ()), lambda x: image(fixed, x)))
 
 
@@ -278,7 +268,7 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     # of lam_rev, each built on first request
     mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
     mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
-    lam_rev_table = functools.cache(lambda: _transpose(
+    lam_rev_table = functools.cache(lambda: transpose_rows(
         range(len(deg)), lambda x: _sum(R, lam(x), corr_R(x), corr_L(x))))
 
     def m_L_row(b, f):
@@ -342,26 +332,12 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     return ops
 
 
-def _cone_layout(cone_mod: GradedModule, A: GradedModule, M: GradedModule):
-    """The cone positions of the positions of A ("+" block) and of M ("-"
-    block), and for each cone position (in the "-" block, position in A or
-    M), read once off the cone's basis names."""
-    plus, minus = [0] * len(A.index().names), [0] * len(M.index().names)
-    where = []
-    for k, name in enumerate(cone_mod.index().names):
-        block = name[0] == "-"
-        p = (M if block else A).index().pos[name[1:]]
-        (minus if block else plus)[p] = k
-        where.append((block, p))
-    return plus, minus, where
-
-
 def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
     """Block product on Cone(c): each pair of cone positions reads the rows
     of its components, mu or two barred operations, at the positions of
     its factors, and moves them to the cone's positions."""
     cone_mod = ops.cone.complex.module
-    plus, minus, where = _cone_layout(cone_mod, ops.data.A, ops.M)
+    plus, minus, where = ops.cone.layout
     b = {name: op.row_fn for name, op in ops.barred.items()}
     blocks = {   # (u in M, v in M) -> rows into the A and the M part
         (False, False): (ops.data.mu.table().row, None),
@@ -438,7 +414,7 @@ def closed_form_components(data: ConeProductData) -> dict:
         return _sum(R, W_right(x), mu1_left(x))
 
     # the closed form's own sparse transposes of mu's rows and of W
-    W_table = functools.cache(lambda: _transpose(range(len(deg)), W))
+    W_table = functools.cache(lambda: transpose_rows(range(len(deg)), W))
     mu_el_left_rows = at.columns(mu)
     mu_el_right_rows = at.columns(lambda b, x: mu(x, b))
 
@@ -499,7 +475,7 @@ def cross_check_components(ops: ConeProductOps,
         comps = closed_form_components(data)
     A, M = data.A, ops.M
     cone_mod = ops.cone.complex.module
-    plus, minus, where = _cone_layout(cone_mod, A, M)
+    plus, minus, where = ops.cone.layout
     assembled = ops.product.table().row
     names = cone_mod.index().names
     safe = {"p": [plus[A.index().pos[x]] for x in data.safe_names],
@@ -598,7 +574,8 @@ def check_assoc_implies_infinitesimal(
     mu = data.mu.table().row
     pm_p = comps["pm_p"].table().row
     pm_m = comps["pm_m"].table().row
-    kernel = PairKernel(data.mu, data.lam, -data.Q0)
+    kernel = PairKernel(data.mu, data.lam,
+                        ((k, neg(c)) for k, c in vector_terms(data.Q0)))
     f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]

@@ -108,24 +108,29 @@ def _loop_module(ring: Ring, n: int, window: TruncationWindow,
     return GradedModule(ring, basis, name=label)
 
 
-def _safe_names(module: GradedModule, radius: int):
-    out = []
-    for e in module.basis():
-        _, k = _parse_name(e.name)
-        if abs(k) <= radius:
-            out.append(e.name)
-    return tuple(out)
+def _safe_names(module: GradedModule, loops, radius: int):
+    """The basis names with |U-exponent| <= radius, read through `loops`
+    (`_loop_positions`)."""
+    return tuple(n for n, (_, k) in zip(module.index().names, loops[0])
+                 if abs(k) <= radius)
 
 
-def _exterior_mu(module: GradedModule, window: TruncationWindow,
+def _loop_positions(module: GradedModule):
+    """(a, k) of the element A^a U^k at each position, parsed from its name
+    once, and the position of each (a, k)."""
+    parsed = tuple(_parse_name(n) for n in module.index().names)
+    return parsed, {ak: p for p, ak in enumerate(parsed)}
+
+
+def _exterior_mu(module: GradedModule, loops, window: TruncationWindow,
                  laurent: bool, on_overflow: str) -> GradedMap:
     """A^a U^j * A^b U^k = A^{a+b} U^{j+k}, zero when a + b = 2.
 
     No Koszul signs arise: U is even and the A-parts annihilate.  A row map
-    on basis positions: each name is parsed once, here.
+    on basis positions, read through `loops` (`_loop_positions`).
     """
-    idx = module.index()
-    parsed = tuple(_parse_name(n) for n in idx.names)
+    parsed, at = loops
+    names = module.index().names
     lo = -window.N if laurent else 0
     one = module.ring.one()
 
@@ -137,32 +142,44 @@ def _exterior_mu(module: GradedModule, window: TruncationWindow,
         if e > window.N or e < lo:
             if on_overflow == "raise":
                 raise TruncationOverflow(
-                    f"{idx.names[x]} * {idx.names[y]} leaves the window")
+                    f"{names[x]} * {names[y]} leaves the window")
             return ()
-        return ((idx.pos[_au_name(e) if a + b else _u_name(e)], one),)
+        return ((at[a + b, e], one),)
 
     return GradedMap.from_rows(tensor(module, module), module, 0, row, name="mu")
 
 
-def _pair_terms(module, i, j, with_a: bool):
-    """Terms AU^i(x)U^j - U^i(x)AU^j, or U^i(x)U^j without A."""
+def _pair_terms(i, j, with_a: bool):
+    """Terms AU^i(x)U^j - U^i(x)AU^j, or U^i(x)U^j without A, each as
+    (sign, (a, k) of the left factor, (a, k) of the right one)."""
     if not with_a:
-        return [(1, _u_name(i), _u_name(j))]
-    return [(1, _au_name(i), _u_name(j)), (-1, _u_name(i), _au_name(j))]
+        return [(1, (0, i), (0, j))]
+    return [(1, (1, i), (0, j)), (-1, (0, i), (1, j))]
 
 
 def _a_terms(i, j):
-    return [(1, _au_name(i), _au_name(j))]
+    return [(1, (1, i), (1, j))]
 
 
-def _combine(module, terms) -> Vector:
-    A2 = tensor(module, module)
+def _coproduct(module: GradedModule, loops, degree: int,
+               terms_of) -> GradedMap:
+    """lam as a row map: terms_of(a, k) lists the terms of lam(A^a U^k) as
+    `_pair_terms` does, and `loops` (`_loop_positions`) turns them into
+    positions."""
+    parsed, at = loops
     R = module.ring
-    out = {}
-    for sgn, ln, rn in terms:
-        key = f"{ln}{TENSOR_SEP}{rn}"
-        out[key] = R.add(out.get(key, R.zero()), R.canon(sgn))
-    return Vector(A2, out)
+    sign = {1: R.one(), -1: R.neg(R.one())}
+
+    def row(x):
+        out = {}
+        for s, left, right in terms_of(*parsed[x]):
+            key = (at[left], at[right])
+            out[key] = (sign[s] if (old := out.get(key)) is None
+                        else R.add(old, sign[s]))
+        return tuple((k, c) for k, c in out.items() if c != 0)
+
+    return GradedMap.from_rows(module, tensor(module, module), degree, row,
+                               name="lam")
 
 
 def make_loop_sphere(n: int, window: TruncationWindow = TruncationWindow(),
@@ -172,23 +189,24 @@ def make_loop_sphere(n: int, window: TruncationWindow = TruncationWindow(),
         raise ValueError("free-loop sphere model needs odd n >= 3")
     module = _loop_module(ring, n, window, with_a=True, laurent=False,
                           label=f"loops(S^{n})")
-    mu = _exterior_mu(module, window, laurent=False, on_overflow=on_overflow)
+    loops = _loop_positions(module)
+    mu = _exterior_mu(module, loops, window, laurent=False,
+                      on_overflow=on_overflow)
 
-    def lam_fn(name):
-        a, k = _parse_name(name)
+    def lam_terms(a, k):
         terms = []
         for i in range(0, k):
             j = k - 1 - i
-            terms += _a_terms(i, j) if a else _pair_terms(module, i, j, True)
-        return _combine(module, terms)
+            terms += _a_terms(i, j) if a else _pair_terms(i, j, True)
+        return terms
 
-    lam = GradedMap(module, tensor(module, module), 1 - 2 * n, lam_fn, name="lam")
+    lam = _coproduct(module, loops, 1 - 2 * n, lam_terms)
     return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, window.safe_radius),
+                         safe_names=_safe_names(module, loops, window.safe_radius),
                          name=f"lambda-s{n}")
 
 
-def _circle_lambda_terms(variant: str, sign_a: int, k: int, with_a: bool, module):
+def _circle_lambda_terms(variant: str, sign_a: int, k: int, with_a: bool):
     """Index ranges of the circle coproducts; sign_a = 1 for the A-column."""
     if variant == "plus":
         rng = range(0, k + 1) if k >= 0 else range(k + 1, 0)
@@ -199,8 +217,8 @@ def _circle_lambda_terms(variant: str, sign_a: int, k: int, with_a: bool, module
     terms = []
     for i in rng:
         j = k - i
-        base = _a_terms(i, j) if sign_a else _pair_terms(module, i, j, with_a)
-        terms += [(outer * s, ln, rn) for s, ln, rn in base]
+        base = _a_terms(i, j) if sign_a else _pair_terms(i, j, with_a)
+        terms += [(outer * s, left, right) for s, left, right in base]
     return terms
 
 
@@ -212,16 +230,13 @@ def make_loop_circle(window: TruncationWindow = TruncationWindow(),
         raise ValueError("variant must be 'plus' or 'minus'")
     module = _loop_module(ring, 1, window, with_a=True, laurent=True,
                           label="loops(S^1)")
-    mu = _exterior_mu(module, window, laurent=True, on_overflow=on_overflow)
-
-    def lam_fn(name):
-        a, k = _parse_name(name)
-        return _combine(module,
-                        _circle_lambda_terms(variant, a, k, True, module))
-
-    lam = GradedMap(module, tensor(module, module), -1, lam_fn, name="lam")
+    loops = _loop_positions(module)
+    mu = _exterior_mu(module, loops, window, laurent=True,
+                      on_overflow=on_overflow)
+    lam = _coproduct(module, loops, -1, lambda a, k: _circle_lambda_terms(
+        variant, a, k, True))
     return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, window.safe_radius),
+                         safe_names=_safe_names(module, loops, window.safe_radius),
                          name=f"lambda-s1-{variant}")
 
 
@@ -234,33 +249,32 @@ def make_based_loop(n: int, window: TruncationWindow = TruncationWindow(),
     laurent = n == 1
     module = _loop_module(ring, n, window, with_a=False, laurent=laurent,
                           label=f"based_loops(S^{n})")
-    mu = _exterior_mu(module, window, laurent=laurent, on_overflow=on_overflow)
+    loops = _loop_positions(module)
+    mu = _exterior_mu(module, loops, window, laurent=laurent,
+                      on_overflow=on_overflow)
 
     if n == 1:
         if variant not in ("plus", "minus"):
             raise ValueError("variant must be 'plus' or 'minus'")
 
-        def lam_fn(name):
-            _, k = _parse_name(name)
-            return _combine(module,
-                            _circle_lambda_terms(variant, 0, k, False, module))
+        def lam_terms(_, k):
+            return _circle_lambda_terms(variant, 0, k, False)
 
         degree = 0
         label = f"omega-s1-{variant}"
     else:
-        def lam_fn(name):
-            _, k = _parse_name(name)
+        def lam_terms(_, k):
             terms = []
             for i in range(0, k):
-                terms += _pair_terms(module, i, k - 1 - i, False)
-            return _combine(module, terms)
+                terms += _pair_terms(i, k - 1 - i, False)
+            return terms
 
         degree = 1 - n
         label = f"omega-s{n}"
 
-    lam = GradedMap(module, tensor(module, module), degree, lam_fn, name="lam")
+    lam = _coproduct(module, loops, degree, lam_terms)
     return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, window.safe_radius),
+                         safe_names=_safe_names(module, loops, window.safe_radius),
                          name=label)
 
 
@@ -396,21 +410,24 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
 
 def flip_structure_constant(m: GradedMap, input_name: str,
                             output_name: str) -> GradedMap:
-    """Copy of m with the (input, output) structure constant negated."""
+    """Copy of m with the (input, output) structure constant negated, as a
+    row map on m's rows."""
     base = m.eval_basis(input_name)
     if base[output_name] == 0:
         raise KeyError(f"{output_name!r} does not occur in the image of {input_name!r}")
-    R = m.source.ring
+    at = [tuple(f.index().pos[p] for f, p in zip(mod.factors, mod.parts_of(n)))
+          for mod, n in ((m.source, input_name), (m.target, output_name))]
+    flipped, out = at[0], at[1] if m.target.arity > 1 else at[1][0]
+    row, neg = m.table().row, m.source.ring.neg
 
-    def fn(name):
-        v = m.eval_basis(name)
-        if name != input_name:
-            return v
-        out = dict(v.coeffs)
-        out[output_name] = R.neg(out[output_name])
-        return Vector(m.target, out)
+    def rows(*k):
+        r = row(*k)
+        if k != flipped:
+            return r
+        return tuple((t, neg(c) if t == out else c) for t, c in r)
 
-    return GradedMap(m.source, m.target, m.degree, fn, name=f"{m.name}!flip")
+    return GradedMap.from_rows(m.source, m.target, m.degree, rows,
+                               name=f"{m.name}!flip")
 
 
 def mutate_lambda(inst: BialgebraData, input_name: str, output_name: str) -> BialgebraData:

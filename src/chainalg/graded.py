@@ -38,22 +38,33 @@ constructor, `GradedModule.el`/`.vector` and `GradedMap.from_table` (which
 build on it), by the target check of `GradedMap.eval_basis`, and by the
 scenario loader, which checks each operation-table entry and combination
 once (names by lookup in `GradedModule.index`, coefficients, homogeneity
-of table values) while parsing tables straight into `GradedMap.from_rows`
-row maps.  Internal arithmetic (vector sums, differences,
-negation, scaling, tensors, map application, `tensor_map`, `shift_map` and
-the operation shifts) only combines values that are valid already, so it
-builds its results through the trusted constructor `Vector._trusted`,
-which drops zero coefficients and checks nothing else.
+of table values and combinations) while parsing tables straight into
+`GradedMap.from_rows` row maps.  Internal arithmetic (vector sums,
+differences, negation, scaling, tensors, map application, `tensor_map`,
+the row maps and their tables) only combines values that are valid
+already, so it builds its results through the trusted constructor
+`Vector._trusted`, which drops zero coefficients and checks nothing else.
+The structural checks (d*d = 0 in `ChainComplex`, commutation in
+`ChainMap` and the chain-map conditions of `BialgebraData`) read table
+rows and raise ValueError, never an assert, so they also run under
+`python -O`.
 
-Index tables: the quadratic and cubic quantifiers read structure constants
-from `GradedMap.table()`, an `OpTable` that keys each basis element of an
+Index tables: every check reads structure constants from
+`GradedMap.table()`, an `OpTable` that keys each basis element of an
 atomic module by its position in the canonical order (`GradedModule.index`,
-which also holds each position's degree parity).  A table fills each row
-once, on first use, through `eval_basis` (so every value it holds has
-passed the map's target check) or, for a map built by `GradedMap.from_rows`,
-from its row function on positions.  Operation shifts are row maps on the
-same positions, since a shift keeps names and order.  Names come back only
-to build a witness.
+which also holds each position's degree and its parity), and a pair of
+positions in a binary tensor module.  A table fills each row once, on
+first use, from the row function of a map built by `GradedMap.from_rows`,
+or else through `eval_basis` (so every value it holds has passed the map's
+target check).  The maps the checks build are row maps: the zero and
+identity maps, `shift_map` and the operation shifts (a shift keeps names
+and order, so positions), `dual_map` (one sparse transpose of the map's
+table), the cone's d_cone, incl and proj, the fixtures' mu and lam, and
+mu tau and tau lam read off the rows of mu and lam.  `apply_rows` applies
+a table to a row's terms.  Names come back, through `row_vector`, only to
+build a witness or to answer a name-keyed caller; the name-keyed
+combinators (`then`, `+`, `-`, `tensor_map`, `twist`, the insertions) stay
+as the public algebra and as the tests' references.
 """
 
 from __future__ import annotations
@@ -83,11 +94,12 @@ class BasisElement:
 
 class BasisIndex(NamedTuple):
     """A module's basis names by position, positions by name, and the
-    degree parity (0 or 1) at each position."""
+    degree parity (0 or 1) and degree at each position."""
 
     names: tuple
     pos: dict
     odd: tuple
+    degree: tuple
 
 
 class GradedModule:
@@ -153,7 +165,8 @@ class GradedModule:
             idx = self._index = BasisIndex(
                 tuple(e.name for e in basis),
                 {e.name: i for i, e in enumerate(basis)},
-                tuple(e.degree % 2 for e in basis))
+                tuple(e.degree % 2 for e in basis),
+                tuple(e.degree for e in basis))
         return idx
 
     def __eq__(self, other):
@@ -422,11 +435,16 @@ class Vector:
 
 
 def format_vector(v: Vector) -> str:
+    """Terms in name order, joined by " + " and " - ".  A name that begins
+    with "-" (the shifted source part of a cone) is parenthesised, so that
+    its own sign is never read as the term's."""
     if not v.coeffs:
         return "0"
     R = v.module.ring
     parts = []
     for name, c in sorted(v.coeffs.items()):
+        if name.startswith("-"):
+            name = f"({name})"
         cs = R.format(c)
         if cs == "1":
             parts.append(name)
@@ -447,9 +465,12 @@ def format_vector(v: Vector) -> str:
 class GradedMap:
     """Homogeneous linear map of a fixed degree offset between graded modules.
 
-    Backed by a per-basis-element evaluator with memoization, so composites
-    and tensor products stay lazy; dense matrix blocks are materialized on
-    demand per source degree (only sensible on small modules).
+    A map is given in one of two forms.  A row map (`from_rows`) has a row
+    function on basis positions, read through `table()`; every map the
+    checks read is one.  A map given by names has a function from basis
+    names to Vectors, memoized per name, so the name-keyed combinators
+    (`then`, `+`, `-`, `tensor_map`, `twist`, the insertions) stay lazy.
+    `eval_basis` serves both forms by name, and `table()` both by position.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
@@ -497,24 +518,22 @@ class GradedMap:
         return m
 
     def _named_row(self, name: str) -> "Vector":
-        src, names = self.source, [f.index().names for f in self.target.factors]
+        src = self.source
         parts = src.parts_of(name)
         if len(parts) != src.arity:
             raise KeyError(f"{name!r} is not a basis name of {src!r}")
-        row = self.table().row(*(f.index().pos[p]
-                                 for f, p in zip(src.factors, parts)))
-        return Vector._trusted(self.target, {
-            TENSOR_SEP.join(nm[x] for nm, x in zip(names, k if len(names) > 1
-                                                   else (k,))): c
-            for k, c in row})
+        return row_vector(self.target, self.table().row(
+            *(f.index().pos[p] for f, p in zip(src.factors, parts))))
 
     @classmethod
     def zero(cls, source, target, degree, name: str = "0"):
-        return cls(source, target, degree, lambda n: target.zero(), name)
+        return cls.from_rows(source, target, degree, lambda *k: (), name)
 
     @classmethod
     def identity(cls, module, name: str = "id"):
-        return cls(module, module, 0, lambda n: module.el(n), name)
+        one = module.ring.one()
+        return cls.from_rows(module, module, 0, lambda *k: (
+            (k if len(k) > 1 else k[0], one),), name)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -656,6 +675,11 @@ class OpTable:
             r = self._fill(i, j)
         return r
 
+    def at(self, key) -> tuple:
+        """The row at a key of the form the rows use: a position for an
+        atomic source, a pair of positions for a binary one."""
+        return self.row(*key) if len(self.source) == 2 else self.row(key)
+
     def _fill(self, i, j):
         rows = self._row_fn
         if rows is not None:
@@ -676,6 +700,29 @@ class OpTable:
                       for n, c in coeffs.items())
         self._rows[i * self._stride + j] = r
         return r
+
+
+def basis_keys(module: GradedModule):
+    """(name, key) for each basis element of `module` in canonical order,
+    the key being its position, or its tuple of positions in a tensor
+    module, as table rows key it."""
+    if module.arity == 1:
+        return [(n, i) for i, n in enumerate(module.index().names)]
+    pos = [f.index().pos for f in module.factors]
+    return [(e.name, tuple(p[x] for p, x in zip(pos, module.parts_of(e.name))))
+            for e in module.basis()]
+
+
+def apply_rows(at, terms, ring) -> dict:
+    """The sum of c * at(k) over the (k, c) pairs `terms`, where at(k) is a
+    table row: {key: coefficient}, without zero coefficients."""
+    mul, add = ring.mul, ring.add
+    out = {}
+    for k, c in terms:
+        for t, v in at(k):
+            v = mul(c, v)
+            out[t] = v if (old := out.get(t)) is None else add(old, v)
+    return {t: v for t, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +832,7 @@ def associativity_witness(mu: GradedMap, names):
                             del rhs[n]
                 if lhs != rhs:
                     return count, (a, b, inputs[kk][0]), *(
-                        Vector._trusted(A, {idx.names[k]: v
-                                            for k, v in side.items()})
-                        for side in (lhs, rhs))
+                        row_vector(A, side.items()) for side in (lhs, rhs))
     return count, None, None, None
 
 
@@ -826,17 +871,16 @@ def shift(M: GradedModule, k: int) -> GradedModule:
 
 
 def shift_map(f: GradedMap, k: int) -> GradedMap:
-    """f[k]: M[k] -> N[k], with the Koszul sign (-1)^{|f| k}."""
-    src = shift(f.source, k)
-    tgt = shift(f.target, k)
-    sign = -1 if (f.degree % 2) and (k % 2) else 1
-
-    def fn(name):   # a shift keeps the names, so they stay valid
-        v = f.eval_basis(name).coeffs
-        return Vector._trusted(tgt, v if sign == 1 else
-                               {n: tgt.ring.neg(c) for n, c in v.items()})
-
-    return GradedMap(src, tgt, f.degree, fn, name=f"{f.name}[{k}]")
+    """f[k]: M[k] -> N[k], with the Koszul sign (-1)^{|f| k}, as a row map
+    on f's rows (a shift keeps names and order, so positions)."""
+    row, neg = f.row_fn or f.table().row, f.target.ring.neg
+    if f.degree % 2 and k % 2:
+        def rows(i):
+            return tuple((t, neg(c)) for t, c in row(i))
+    else:
+        rows = row
+    return GradedMap.from_rows(shift(f.source, k), shift(f.target, k),
+                               f.degree, rows, name=f"{f.name}[{k}]")
 
 
 def dual_module(M: GradedModule) -> GradedModule:
@@ -849,21 +893,36 @@ def dual_module(M: GradedModule) -> GradedModule:
 
 
 def dual_map(f: GradedMap) -> GradedMap:
-    """f^v: N^v -> M^v with <f^v(phi), x> = (-1)^{|phi||f|} <phi, f(x)>."""
+    """f^v: N^v -> M^v with <f^v(phi), x> = (-1)^{|phi||f|} <phi, f(x)>.
+
+    A row map: the row at y^ is column y of f, read from one sparse
+    transpose of f's table, built on the first request."""
     src = dual_module(f.target)
     tgt = dual_module(f.source)
+    source_names, target_pos = f.source.index().names, f.target.index().pos
+    base = [target_pos[n[:-1]] for n in src.index().names]  # y^ -> y
+    dual = [tgt.index().pos[n + "^"] for n in source_names]  # x -> x^
+    odd, neg, row = src.index().odd, f.source.ring.neg, f.table().row
+    columns = []
 
-    def fn(phi_name):
-        y_name = phi_name[:-1]
-        sign = -1 if (src.degree_of(phi_name) % 2) and (f.degree % 2) else 1
-        out = {}
-        for x in f.source.basis():
-            c = f.eval_basis(x.name)[y_name]
-            if c != 0:
-                out[x.name + "^"] = c if sign == 1 else f.source.ring.neg(c)
-        return Vector(tgt, out)
+    def rows(p):
+        if not columns:
+            columns.append(transpose_rows(range(len(source_names)), row))
+        flip = f.degree % 2 and odd[p]
+        return tuple((dual[x], neg(c) if flip else c)
+                     for x, c in columns[0].get(base[p], ()))
 
-    return GradedMap(src, tgt, f.degree, fn, name=f"{f.name}^")
+    return GradedMap.from_rows(src, tgt, f.degree, rows, name=f"{f.name}^")
+
+
+def transpose_rows(inputs, image) -> dict:
+    """Sparse transpose of x -> image(x), a table row, over the positions
+    `inputs`: output key -> [(x, coefficient)], in input order."""
+    out = {}
+    for x in inputs:
+        for y, c in image(x):
+            out.setdefault(y, []).append((x, c))
+    return out
 
 
 # -- element insertions (elements of tensor modules used as 1 (x) v (x) 1 etc.)
@@ -970,6 +1029,19 @@ def vector_terms(v: Vector) -> tuple:
     pos = [f.index().pos for f in mod.factors]
     return tuple((tuple(p[x] for p, x in zip(pos, mod.parts_of(n))), c)
                  for n, c in v.coeffs.items())
+
+
+def row_vector(module: GradedModule, terms) -> Vector:
+    """The Vector of `module` with the (key, nonzero coefficient) pairs
+    `terms` in the form of `OpTable.row`: names come back here, for a
+    witness or a name-keyed caller."""
+    names = [f.index().names for f in module.factors]
+    if len(names) == 1:
+        nm = names[0]
+        return Vector._trusted(module, {nm[k]: c for k, c in terms})
+    return Vector._trusted(module, {
+        TENSOR_SEP.join(nm[x] for nm, x in zip(names, k)): c
+        for k, c in terms})
 
 
 def slot_table(terms, module: GradedModule, functionals: GradedModule,

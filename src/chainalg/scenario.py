@@ -198,10 +198,29 @@ def _parse_terms(raw, pos, arity, ring, parsed, path, entry=None,
     return acc
 
 
-def _parse_combo(raw, module, path, arity=1) -> Vector:
-    """[[coeff, name-or-names], ...] into a vector of module (tensor power)."""
+def _degree_error(acc, degree_of, expected):
+    """The message for summed terms {k: coefficient} whose nonzero terms do
+    not all have degree `expected`, or None; degree_of(k) reads a key's
+    degree."""
+    degs = sorted({degree_of(k) for k, c in acc.items() if c != 0})
+    if not degs or degs == [expected]:
+        return None
+    if len(degs) == 1:
+        return f"inhomogeneous value: degree {degs[0]}, expected {expected}"
+    return f"inhomogeneous value: degrees {degs}, expected {expected}"
+
+
+def _parse_combo(raw, module, path, arity=1, degree=None) -> Vector:
+    """[[coeff, name-or-names], ...] into a vector of module (tensor power),
+    whose nonzero terms must all have `degree` when it is given."""
     idx = module.index()
     acc = _parse_terms(raw, idx.pos, arity, module.ring, {}, path)
+    if degree is not None:
+        deg = idx.degree
+        message = _degree_error(acc, deg.__getitem__ if arity == 1 else
+                                lambda k: sum(map(deg.__getitem__, k)), degree)
+        if message:
+            raise SchemaError(path, message)
     if arity == 1:
         return Vector._trusted(module, {idx.names[k]: c
                                         for k, c in acc.items()})
@@ -214,7 +233,8 @@ _MISSING = object()
 
 def _positions(module):
     """Positions by name and degrees by position of an atomic module."""
-    return module.index().pos, tuple(e.degree for e in module.basis())
+    idx = module.index()
+    return idx.pos, idx.degree
 
 
 def _parse_operation(obj, source, target, path) -> GradedMap:
@@ -268,15 +288,9 @@ def _parse_operation(obj, source, target, path) -> GradedMap:
         acc = _parse_terms(out_raw, out_pos, out_arity, R, parsed, path, i,
                            ".out")
         if not set(map(degree_of, acc)) <= {expected}:
-            # judged on the terms left nonzero
-            degs = sorted({degree_of(k) for k, c in acc.items() if c != 0})
-            if degs and degs != [expected]:
-                raise _error(
-                    path, i, ".out",
-                    f"inhomogeneous value: degree {degs[0]}, "
-                    f"expected {expected}" if len(degs) == 1 else
-                    f"inhomogeneous value: degrees {degs}, "
-                    f"expected {expected}")
+            message = _degree_error(acc, degree_of, expected)
+            if message:
+                raise _error(path, i, ".out", message)
         rows[key] = (tuple(acc.items()) if all(acc.values()) else
                      tuple((k, c) for k, c in acc.items() if c != 0))
     return GradedMap.from_rows(source, target, degree,
@@ -345,7 +359,8 @@ def ingest(data) -> Scenario:
     mu = _parse_operation(_get(data, "mu", "$", typ=dict), A2, module, "$.mu")
     lam = _parse_operation(_get(data, "lambda", "$", typ=dict), module, A2,
                            "$.lambda")
-    eta = _parse_combo(_get(data, "eta", "$", typ=list), module, "$.eta")
+    eta = _parse_combo(_get(data, "eta", "$", typ=list), module, "$.eta",
+                       degree=0)
     differential = None
     if "differential" in data:
         differential = _parse_operation(data["differential"], module, module,
@@ -371,11 +386,11 @@ def ingest(data) -> Scenario:
 
     n = _get(data, "n", "$", typ=int)
     A3 = tensor(module, module, module)
-    c0 = (_parse_combo(data["c0"], module, "$.c0", arity=2)
+    c0 = (_parse_combo(data["c0"], module, "$.c0", arity=2, degree=-2 * n)
           if "c0" in data else A2.zero())
-    Q0 = (_parse_combo(data["Q0"], module, "$.Q0", arity=2)
+    Q0 = (_parse_combo(data["Q0"], module, "$.Q0", arity=2, degree=1 - 2 * n)
           if "Q0" in data else A2.zero())
-    B = (_parse_combo(data["B"], module, "$.B", arity=3)
+    B = (_parse_combo(data["B"], module, "$.B", arity=3, degree=2 - 4 * n)
          if "B" in data else A3.zero())
     try:
         cone_data = ConeProductData(

@@ -50,7 +50,8 @@ def test_sphere_rejects_even_or_small_n():
 def test_sphere_product_and_coproduct_values():
     inst = make_loop_sphere(3, W)
     # A*A = 0
-    assert inst.mu2(inst.module.el("A"), inst.module.el("A")).is_zero()
+    A = inst.module.el("A")
+    assert inst.mu(A.tensor(A)).is_zero()
     # lam(U^2) = A(x)U + A*U(x)1 - 1(x)A*U - U(x)A
     assert inst.lam("U^2") == T(inst, (1, "A", "U"), (1, "A*U", "1"),
                                 (-1, "1", "A*U"), (-1, "U", "A"))

@@ -23,6 +23,7 @@ from chainalg.graded import (
     apply_op_shift,
     unapply_op_shift,
     TENSOR_SEP,
+    format_vector,
 )
 
 
@@ -261,7 +262,12 @@ from chainalg.rings import ZZ, QQ
 from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
 from chainalg.fixtures import _parse_name
 from chainalg.scenario import SchemaError, ingest
+from chainalg.complexes import ChainComplex, ChainMap
 M = GradedModule(ZZ, [BasisElement("x", 0)])
+C = GradedModule(ZZ, [BasisElement(n, k) for k, n in enumerate("abc")])
+d = GradedMap.from_table(C, C, -1, {"b": C.el("a"), "c": C.el("b")})
+P = ChainComplex(C, GradedMap.from_table(C, C, -1, {"b": C.el("a")}))
+not_chain = GradedMap.from_table(C, C, 0, {"a": C.el("a")})
 N = GradedModule(ZZ, [BasisElement("y", 0)])
 def scenario(out):
     return {"schema_version": 1, "kind": "bialgebra", "ring": "Z",
@@ -284,7 +290,9 @@ for label, call, error in (
         ("scenario", lambda: ingest(scenario([["1", "e"], ["1", "x"]])),
          SchemaError),
         ("scenario", lambda: ingest(scenario([["1", "ghost"]])),
-         SchemaError)):
+         SchemaError),
+        ("d*d", lambda: ChainComplex(C, d), ValueError),
+        ("chain map", lambda: ChainMap(P, P, not_chain), ValueError)):
     try:
         call()
     except error:
@@ -306,10 +314,27 @@ def test_correctness_checks_survive_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:11] == ["target raised", "row raised",
+    assert r.stdout.split("\n")[:13] == ["target raised", "row raised",
                                           "name raised", "name raised",
                                           "float raised", "float raised",
                                           "vector raised", "table raised",
                                           "scenario raised",
                                           "scenario raised",
+                                          "d*d raised", "chain map raised",
                                           "inverse exact"]
+
+
+def test_format_vector_parenthesises_names_that_begin_with_a_minus():
+    # cone names: "+x" for the target part, "-x" for the shifted source
+    C = GradedModule(ZZ, [BasisElement("+A", 0), BasisElement("-1^", 0),
+                         BasisElement("x", 0)])
+    assert format_vector(C.vector({"+A": 1, "-1^": 1})) == "+A + (-1^)"
+    assert format_vector(C.vector({"+A": 4, "-1^": 1})) == "4*+A + (-1^)"
+    assert format_vector(C.vector({"-1^": 1})) == "(-1^)"
+    assert format_vector(C.vector({"-1^": -1})) == "-(-1^)"
+    assert format_vector(C.vector({"+A": 1, "-1^": -1})) == "+A - (-1^)"
+    assert format_vector(C.vector({"-1^": 2, "x": 1})) == "2*(-1^) + x"
+    # other names print as before
+    assert format_vector(C.vector({"+A": -1, "x": -1})) == "-+A - x"
+    assert format_vector(C.vector({"x": 3})) == "3*x"
+    assert format_vector(C.zero()) == "0"

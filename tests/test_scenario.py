@@ -602,12 +602,26 @@ _COMBINATION_ERRORS = [
     ("B", [["1", ["e", "e", "q"]]], "$.B[0][1]", "unknown basis name 'q'"),
     ("Q0", [["1/2", ["e", "e"]]], "$.Q0[0][0]",
      "bad coefficient: 1/2 is not an integer"),
+    # degrees are judged at the combination's own path (n = 1 for the cone
+    # fields: |c0| = -2, |Q0| = -1, |B| = -2); before, the BialgebraData and
+    # ConeProductData constructors raised them and ingest reported them at $
+    ("eta", [["1", "x"]], "$.eta", "inhomogeneous value: degree 1, expected 0"),
+    ("eta", [["1", "e"], ["1", "x"]], "$.eta",
+     "inhomogeneous value: degrees [0, 1], expected 0"),
+    ("c0", [["1", ["e", "e"]]], "$.c0",
+     "inhomogeneous value: degree 0, expected -2"),
+    ("c0", [["1", ["e", "e"]], ["1", ["e", "x"]]], "$.c0",
+     "inhomogeneous value: degrees [0, 1], expected -2"),
+    ("Q0", [["1", ["e", "e"]], ["2", ["x", "x"]]], "$.Q0",
+     "inhomogeneous value: degrees [0, 2], expected -1"),
+    ("B", [["1", ["e", "e", "x"]], ["1", ["e", "e", "e"]]], "$.B",
+     "inhomogeneous value: degrees [0, 1], expected -2"),
 ]
 
 
 def _combination_doc(field, value):
     doc = json.loads(json.dumps(_TABLES_BIALGEBRA))
-    if field in ("B", "Q0"):
+    if field in ("B", "Q0", "c0"):
         doc.update(kind="cone", n=1)
     doc[field] = value
     return doc
