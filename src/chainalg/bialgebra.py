@@ -29,6 +29,7 @@ from .graded import (
     Vector,
     tensor,
     tensor_map,
+    tensor_differential,
     associativity_witness,
     insert_left,
     insert_right,
@@ -170,19 +171,13 @@ def _require_chain_maps(A: GradedModule, mu: GradedMap, lam: GradedMap,
                         d: GradedMap):
     """Raise ValueError, naming the first failing input, unless
     d mu = (-1)^{|mu|} mu d2 and d2 lam = (-1)^{|lam|} lam d on the tables,
-    where d2 = d (x) 1 + 1 (x) d on A (x) A."""
-    R, odd, neg = A.ring, A.index().odd, A.ring.neg
-    d_row, mu_row, lam_row = d.table().row, mu.table().row, lam.table().row
-
-    def d2(key):
-        a1, a2 = key
-        return (tuple(((x, a2), c) for x, c in d_row(a1))
-                + tuple(((a1, x), neg(c) if odd[a1] else c)
-                        for x, c in d_row(a2)))
-
+    where d2 = d (x) 1 + 1 (x) d on A (x) A (`tensor_differential`)."""
+    R, neg = A.ring, A.ring.neg
+    d_row, mu_at, lam_row = d.table().row, mu.table().at, lam.table().row
+    d2 = tensor_differential(d).table().at
     for label, op, key_sides in (
-            ("mu", mu, lambda k: (apply_rows(d_row, mu_row(*k), R),
-                                  apply_rows(lambda t: mu_row(*t), d2(k), R))),
+            ("mu", mu, lambda k: (apply_rows(d_row, mu_at(k), R),
+                                  apply_rows(mu_at, d2(k), R))),
             ("lam", lam, lambda k: (apply_rows(d2, lam_row(k), R),
                                     apply_rows(lam_row, d_row(k), R)))):
         for name, key in basis_keys(op.source):

@@ -57,10 +57,11 @@ positions in a binary tensor module.  A table fills each row once, on
 first use, from the row function of a map built by `GradedMap.from_rows`,
 or else through `eval_basis` (so every value it holds has passed the map's
 target check).  The maps the checks build are row maps: the zero and
-identity maps, `shift_map` and the operation shifts (a shift keeps names
-and order, so positions), `dual_map` (one sparse transpose of the map's
-table), the cone's d_cone, incl and proj, the fixtures' mu and lam, and
-mu tau and tau lam read off the rows of mu and lam.  `apply_rows` applies
+identity maps, `tensor_differential`, `shift_map` and the operation shifts
+(a shift keeps names and order, so positions), `dual_map` (one sparse
+transpose of the map's table), the cone's d_cone, incl and proj, the
+fixtures' mu and lam, and mu tau and tau lam read off the rows of mu and
+lam.  `apply_rows` applies
 a table to a row's terms.  Names come back, through `row_vector`, only to
 build a witness or to answer a name-keyed caller; the name-keyed
 combinators (`then`, `+`, `-`, `tensor_map`, `twist`, the insertions) stay
@@ -760,9 +761,21 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
 
 
 def tensor_differential(d: GradedMap) -> GradedMap:
-    """d (x) 1 + 1 (x) d, the differential of M (x) M for d on M."""
-    one = GradedMap.identity(d.source)
-    return tensor_map(d, one) + tensor_map(one, d)
+    """d (x) 1 + 1 (x) d, the differential of M (x) M for d on M, as a row
+    map: x (x) y -> d(x) (x) y + (-1)^{|d||x|} x (x) d(y)."""
+    M = d.source
+    row, odd, add, neg = d.table().row, M.index().odd, M.ring.add, M.ring.neg
+
+    def rows(i, j):
+        flip = d.degree % 2 and odd[i]
+        out = {(x, j): c for x, c in row(i)}
+        for x, c in row(j):
+            c = neg(c) if flip else c
+            out[i, x] = c if (old := out.get((i, x))) is None else add(old, c)
+        return tuple((k, c) for k, c in out.items() if c != 0)
+
+    M2 = tensor(M, M)
+    return GradedMap.from_rows(M2, M2, d.degree, rows, name=f"({d.name}2)")
 
 
 def associativity_witness(mu: GradedMap, names):

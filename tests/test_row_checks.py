@@ -1,8 +1,9 @@
 """The check paths read position rows; the name-keyed maps are their reference.
 
 Every structure map a check reads is a row map on basis positions: mu tau
-and tau lam in `PairKernel`, both sides of coassociativity, `dual_map`,
-`shift_map`, the cone's d_cone, incl and proj.  Each is compared here, over
+and tau lam in `PairKernel`, both sides of coassociativity, the units,
+`tensor_differential`, `dual_map`, `shift_map`, the cone's d_cone, incl and
+proj.  Each is compared here, over
 Z, Q and GF(5), with a name-keyed reference built in this file from
 `twist`, `then`, `tensor_map` or the defining formula on names.  A guard
 counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`
@@ -40,6 +41,7 @@ from chainalg.graded import (
     shift,
     shift_map,
     tensor,
+    tensor_differential,
     tensor_map,
     twist,
 )
@@ -251,6 +253,10 @@ def test_chain_map_conditions_match_the_name_formulas(ring, data):
     # differential of its source and target: these must pass
     one = identity_by_names(A)
     d2 = tensor_map(d, one) + tensor_map(one, d)
+    rows = tensor_differential(d)
+    assert rows.row_fn is not None
+    for e in A2.basis():
+        assert rows.eval_basis(e.name) == d2.eval_basis(e.name), e.name
     g = draw_map(data, A2, A, data.draw(st.integers(0, 1)))
     h = draw_map(data, A, A2, data.draw(st.integers(1, 2)))
     mu = g.then(d) - d2.then(g) if g.degree % 2 == 0 else g.then(d) + d2.then(g)
