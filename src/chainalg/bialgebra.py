@@ -28,17 +28,16 @@ from .graded import (
     GradedMap,
     Vector,
     tensor,
-    tensor_map,
     tensor_differential,
     associativity_witness,
-    insert_left,
-    insert_right,
     format_vector,
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
     basis_keys,
     row_vector,
+    vector_terms,
+    _sum_rows,
 )
 from .complexes import ChainComplex
 
@@ -585,43 +584,70 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
                              c_fwd: Vector, c_op: Vector) -> GradedMap:
     """Change of coproduct along secondary continuation bivectors:
 
-        lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1).
+        lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1),
+
+    as a row map: the row at x is lam's row plus the two terms on x,
+    expanded from mu's table (`_times_right`, `_times_left`).
 
     When c_op = -c_fwd this is the reverse-data special case
-    lam' = lam + (mu (x) 1)(1 (x) c) + (1 (x) mu)(c (x) 1), and the two
-    evaluation routes are cross-checked against each other.
+    lam' = lam + (mu (x) 1)(1 (x) c) + (1 (x) mu)(c (x) 1), and every row
+    is cross-checked against that second evaluation route.
     """
     A = lam.source
-    one = GradedMap.identity(A)
     expected = lam.degree
     for c in (c_fwd, c_op):
         if not c.is_zero() and c.degree() != expected:
             raise ValueError(
                 f"bivector degree {c.degree()} does not match |lam| = {expected}")
-    term1 = insert_right(c_fwd, A).then(tensor_map(mu, one)) \
-        if not c_fwd.is_zero() else None
-    term2 = insert_left(c_op, A).then(tensor_map(one, mu)) \
-        if not c_op.is_zero() else None
-
+    R = A.ring
+    lam_row, neg = lam.table().row, R.neg
+    term1 = _times_right(mu, c_fwd)
+    term2 = _times_left(mu, c_op)
     special = (not c_fwd.is_zero()) and c_op == -c_fwd
-    term_alt = insert_left(c_fwd, A).then(tensor_map(one, mu)) \
-        if special else None
+    term_alt = _times_left(mu, c_fwd) if special else None
 
-    def fn(name):
-        out = lam.eval_basis(name)
-        if term1 is not None:
-            out = out + term1.eval_basis(name)
-        if term2 is not None:
-            out = out - term2.eval_basis(name)
-        if special:
-            alt = (lam.eval_basis(name) + term1.eval_basis(name)
-                   + term_alt.eval_basis(name))
-            if alt != out:
-                raise RuntimeError(
-                    f"special-case cross-check failed on {name}")
+    def rows(x):
+        out = _sum_rows(R, lam_row(x), term1(x),
+                        ((k, neg(c)) for k, c in term2(x)))
+        if special and dict(out) != dict(
+                _sum_rows(R, lam_row(x), term1(x), term_alt(x))):
+            raise RuntimeError("special-case cross-check failed on "
+                               f"{A.index().names[x]}")
         return out
 
-    return GradedMap(A, lam.target, lam.degree, fn, name="lam'")
+    return GradedMap.from_rows(A, lam.target, lam.degree, rows, name="lam'")
+
+
+def _times_right(mu: GradedMap, c: Vector):
+    """The row function x -> (mu (x) 1)(x (x) c) on A's positions: moving c
+    past x costs (-1)^{|c||x|}, |c| read off each term c1 (x) c2, and
+    mu (x) 1 carries no sign."""
+    terms, row, odd = vector_terms(c), mu.table().row, mu.target.index().odd
+    mul, neg = mu.target.ring.mul, mu.target.ring.neg
+
+    def rows(x):
+        for (c1, c2), v in terms:
+            v = neg(v) if odd[x] and odd[c1] != odd[c2] else v
+            for y, m in row(x, c1):
+                yield (y, c2), mul(v, m)
+
+    return rows
+
+
+def _times_left(mu: GradedMap, c: Vector):
+    """The row function x -> (1 (x) mu)(c (x) x) on A's positions: inserting
+    c on the left costs no sign, and 1 (x) mu carries (-1)^{|mu||c1|} on
+    each term c1 (x) c2."""
+    terms, row, odd = vector_terms(c), mu.table().row, mu.target.index().odd
+    mul, neg = mu.target.ring.mul, mu.target.ring.neg
+
+    def rows(x):
+        for (c1, c2), v in terms:
+            v = neg(v) if mu.degree % 2 and odd[c1] else v
+            for y, m in row(c2, x):
+                yield (c1, y), mul(v, m)
+
+    return rows
 
 
 @dataclass

@@ -41,6 +41,7 @@ closed form build their own tables from their own formulas.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .graded import (
@@ -60,21 +61,14 @@ from .graded import (
     unapply_op_shift,
     tensor_differential,
     associativity_witness,
+    SideIds,
     format_vector,
     TENSOR_SEP,
     koszul_sign,
+    _sum_rows,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
-from .bialgebra import BialgebraData, PairKernel
-
-
-def _sum(ring, *parts) -> tuple:
-    """The sum of the (key, coefficient) sequences `parts`, as a row."""
-    out = {}
-    for part in parts:
-        for k, c in part:
-            out[k] = c if (old := out.get(k)) is None else ring.add(old, c)
-    return tuple((k, c) for k, c in out.items() if c != 0)
+from .bialgebra import BialgebraData, PairKernel, _times_left, _times_right
 
 
 def _row(items, negate: bool, neg) -> tuple:
@@ -244,32 +238,23 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     M = dual_side(A, n)
     Mbar = shift(M, -1)
     R = A.ring
-    mul, neg = R.mul, R.neg
+    neg = R.neg
     odd, odd_M = A.index().odd, M.index().odd
     at = _Layout(A, M)
     deg, dual, base = at.deg, at.dual, at.base
     mu, lam = data.mu.table().row, data.lam.table().row
-    Q0 = vector_terms(data.Q0)
-
-    # coproducts corrected by the secondary bivector
-    def corr_R(x):
-        # (mu (x) 1)(x (x) Q0), with the sign of moving Q0 (odd) past x
-        for (q1, q2), c in Q0:
-            for y, m in mu(x, q1):
-                yield (y, q2), mul(neg(c) if odd[x] else c, m)
-
-    def corr_L(x):
-        # (1 (x) mu)(Q0 (x) x)
-        for (q1, q2), c in Q0:
-            for y, m in mu(q2, x):
-                yield (q1, y), mul(c, m)
+    # coproducts corrected by the secondary bivector: (mu (x) 1)(x (x) Q0)
+    # and (1 (x) mu)(Q0 (x) x), the terms of the change of coproduct
+    corr_R = _times_right(data.mu, data.Q0)
+    corr_L = _times_left(data.mu, data.Q0)
 
     # sparse transposes of mu (per fixed factor and degree of the other) and
     # of lam_rev, each built on first request
     mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
     mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
     lam_rev_table = functools.cache(lambda: transpose_rows(
-        range(len(deg)), lambda x: _sum(R, lam(x), corr_R(x), corr_L(x))))
+        range(len(deg)),
+        lambda x: _sum_rows(R, lam(x), corr_R(x), corr_L(x))))
 
     def m_L_row(b, f):
         y, flip = base[f], odd[b]
@@ -300,10 +285,11 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     m_L = GradedMap.from_rows(AM, M, 0, m_L_row, name="m_L")
     m_R = GradedMap.from_rows(MA, M, 0, m_R_row, name="m_R")
     sigma = GradedMap.from_rows(MM, M, 1, sigma_row, name="sigma")
-    tau_R = _contraction(AM, M, lambda x: _sum(R, lam(x), corr_R(x)), True,
-                         1, lambda b, f: 1, "tau_R")
-    tau_L = _contraction(MA, M, lambda x: _sum(R, lam(x), corr_L(x)), False,
-                         1, lambda a, f: koszul_sign(odd_M[f] + 1), "tau_L")
+    tau_R = _contraction(AM, M, lambda x: _sum_rows(R, lam(x), corr_R(x)),
+                         True, 1, lambda b, f: 1, "tau_R")
+    tau_L = _contraction(MA, M, lambda x: _sum_rows(R, lam(x), corr_L(x)),
+                         False, 1, lambda a, f: koszul_sign(odd_M[f] + 1),
+                         "tau_L")
     beta = GradedMap.from_rows(MM, A, 2, beta_row, name="beta")
 
     # barred versions: op = barred[i,j;k] per the component placement, so
@@ -403,15 +389,15 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     def W_left(a):
         # lam(a) + (1(x)mu)(c(x)a)
-        return _sum(R, lam(a), mu1_left(a))
+        return _sum_rows(R, lam(a), mu1_left(a))
 
     def W_right(b):
         # lam(b) + (-1)^{|b|}(mu(x)1)(b(x)c)
-        return _sum(R, lam(b), _row(mu1_right(b), odd[b], neg))
+        return _sum_rows(R, lam(b), _row(mu1_right(b), odd[b], neg))
 
     def W(x):
         # lam(a) + (-1)^{|a|}(mu(x)1)(a(x)c) + (1(x)mu)(c(x)a)
-        return _sum(R, W_right(x), mu1_left(x))
+        return _sum_rows(R, W_right(x), mu1_left(x))
 
     # the closed form's own sparse transposes of mu's rows and of W
     W_table = functools.cache(lambda: transpose_rows(range(len(deg)), W))
@@ -554,9 +540,21 @@ def check_assoc_implies_infinitesimal(
     the precondition.  `comps` is closed_form_components(data), when
     already built.
 
-    The triples (a, b, f) run over the safe names in lexicographic order;
-    both sides are read from the tables of mu and the closed-form
-    components, and each defect is contracted by its last slot once.
+    The triples (a, b, f) run over the safe names in lexicographic order,
+    and the verdict and the failing triple's text are those of comparing
+    both sides of every triple in turn.  The sides are regrouped so that
+    each is expanded once per distinct row, not once per triple:
+
+        mu(a, P) + m_pm_p(a, Q)  =  m_pm_p(mu(a, b), f) + expected
+
+    with P = m_pm_p(b, f) and Q = m_pm_m(b, f).  The left side depends on
+    (b, f) only through the rows P and Q, so each a keeps one memo of it
+    keyed by their ids; the right side is the list over f of m_pm_p(x, f)
+    summed over the row mu(a, b), kept per distinct row mu(a, b), with the
+    contracted defect added at the f where it is nonzero.  Sides are
+    interned by `SideIds`, whose ids are equal exactly when the sides are,
+    so each pair (a, b) compares two lists of ids over f; the failing
+    triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
     assoc = require_associativity
     if assoc is True:
@@ -567,10 +565,11 @@ def check_assoc_implies_infinitesimal(
     if comps is None:
         comps = closed_form_components(data)
     A = data.A
+    A2 = tensor(A, A)
     M = dual_side(A, data.n)
     idx = A.index()
     R = A.ring
-    mul, add, neg = R.mul, R.add, R.neg
+    mul, neg = R.mul, R.neg
     mu = data.mu.table().row
     pm_p = comps["pm_p"].table().row
     pm_m = comps["pm_m"].table().row
@@ -580,30 +579,53 @@ def check_assoc_implies_infinitesimal(
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
     duals = [(f"{n}^", f_pos[f"{n}^"]) for n in data.safe_names]
+    at_f = {k: kf for kf, (_, k) in enumerate(duals)}   # Mbar position -> f
+    ids = SideIds(R)
+    sides = ids.sides
+
+    @functools.cache
+    def rows_at(j):   # per b: the ids of (P, Q) for each f
+        return [(ids(pm_p(j, k)), ids(pm_m(j, k))) for _, k in duals]
+
+    @functools.cache
+    def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
+        terms = sides[ab]
+        return [ids.expand(terms, lambda x: pm_p(x, k)) for _, k in duals]
+
     for a, i in safe:
+        @functools.cache
+        def lhs_id(pq):   # the id of mu(a, P) + m_pm_p(a, Q)
+            P, Q = sides[pq[0]], sides[pq[1]]
+            return ids(itertools.chain(
+                ((n, mul(c, v)) for y, c in P for n, v in mu(i, y)),
+                ((n, mul(c, v)) for g, c in Q for n, v in pm_p(i, g))))
+
         for b, j in safe:
             negate = not (idx.odd[i] + idx.odd[j]) % 2
             # Mbar has M's positions, so k keys both
-            contracted = slot_table(kernel.defect(i, j).items(),
-                                    tensor(A, A), M, last=True)
-            ab = mu(i, j)
-            for fb, k in duals:
+            contracted = slot_table(kernel.defect(i, j).items(), A2, M,
+                                    last=True)
+            base = pm_p_of(ids(mu(i, j)))
+            rhs = list(base) if contracted else base
+            for k, terms in contracted.items():
+                if (kf := at_f.get(k)) is not None:
+                    rhs[kf] = ids(itertools.chain(sides[rhs[kf]], (
+                        (w, neg(c) if negate else c)
+                        for w, c in terms.items())))
+            lhs = list(map(lhs_id, rows_at(j)))
+            if lhs != rhs:
+                kf = next(f for f in range(len(lhs)) if lhs[f] != rhs[f])
+                fb, k = duals[kf]
                 # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
                 # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
-                total = {}
-                for c, row in ([(c, mu(i, y)) for y, c in pm_p(j, k)]
-                               + [(c, pm_p(i, g)) for g, c in pm_m(j, k)]
-                               + [(neg(c), pm_p(x, k)) for x, c in ab]):
-                    for n, v in row:
-                        t = mul(c, v)
-                        total[n] = t if (o := total.get(n)) is None else add(o, t)
-                total = {n: v for n, v in total.items() if v != 0}
+                total = sides[ids(itertools.chain(sides[lhs[kf]], (
+                    (n, neg(c)) for n, c in sides[base[kf]])))]
                 expected = {w: neg(c) if negate else c
                             for w, c in contracted.get(k, {}).items()}
-                if total != expected:
-                    return InfinitesimalFromAssocResult(
-                        True, False, f"fails at a={a}, b={b}, f={fb}: "
-                        f"{_format_row(A, total)} vs {_format_row(A, expected)}")
+                return InfinitesimalFromAssocResult(
+                    True, False, f"fails at a={a}, b={b}, f={fb}: "
+                    f"{_format_row(A, dict(total))} vs "
+                    f"{_format_row(A, expected)}")
     return InfinitesimalFromAssocResult(True, True)
 
 

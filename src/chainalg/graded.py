@@ -64,12 +64,16 @@ fixtures' mu and lam, and mu tau and tau lam read off the rows of mu and
 lam.  `apply_rows` applies
 a table to a row's terms.  Names come back, through `row_vector`, only to
 build a witness or to answer a name-keyed caller; the name-keyed
-combinators (`then`, `+`, `-`, `tensor_map`, `twist`, the insertions) stay
-as the public algebra and as the tests' references.
+combinators (`then`, `+`, `-`, `tensor_map`, `twist`) stay as the public
+algebra and as the tests' references.  The associativity-type checks
+(`associativity_witness`, and the assoc-infinitesimal check of
+`cone_product`) expand each side once per distinct row and compare sides
+as ids interned by `SideIds`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -470,7 +474,7 @@ class GradedMap:
     function on basis positions, read through `table()`; every map the
     checks read is one.  A map given by names has a function from basis
     names to Vectors, memoized per name, so the name-keyed combinators
-    (`then`, `+`, `-`, `tensor_map`, `twist`, the insertions) stay lazy.
+    (`then`, `+`, `-`, `tensor_map`, `twist`) stay lazy.
     `eval_basis` serves both forms by name, and `table()` both by position.
     """
 
@@ -590,14 +594,6 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree,
                          lambda n: self.eval_basis(n) - other.eval_basis(n))
 
-    def __neg__(self):
-        return GradedMap(self.source, self.target, self.degree,
-                         lambda n: -self.eval_basis(n))
-
-    def scale(self, c):
-        return GradedMap(self.source, self.target, self.degree,
-                         lambda n: self.eval_basis(n).scale(c))
-
     def _same_signature(self, other):
         if (self.source != other.source or self.target != other.target
                 or self.degree != other.degree):
@@ -628,19 +624,19 @@ class GradedMap:
 
 
 def sparse_blocks(f: GradedMap):
-    """f's blocks as sparse columns, built in one pass over the source
-    basis: a function k -> (rows, columns) of the degree-k block, the rows
-    counted and positioned within target degree k + f.degree and each
-    column a {row position: coefficient} dict from `eval_basis` (the form
+    """f's blocks as sparse columns, built in one pass over the rows of
+    f's table: a function k -> (rows, columns) of the degree-k block, the
+    rows counted and positioned within target degree k + f.degree and each
+    column a {row position: coefficient} dict (the form
     `matrices.ImageSolver` takes)."""
-    pos, dims = {}, {}
-    for e in f.target.basis():
-        pos[e.name] = dims.get(e.degree, 0)
-        dims[e.degree] = pos[e.name] + 1
-    cols = {}
-    for e in f.source.basis():
+    within, dims = {}, {}   # target row key -> position within its degree
+    for (_, key), e in zip(basis_keys(f.target), f.target.basis()):
+        within[key] = dims.get(e.degree, 0)
+        dims[e.degree] = within[key] + 1
+    at, cols = f.table().at, {}
+    for (_, key), e in zip(basis_keys(f.source), f.source.basis()):
         cols.setdefault(e.degree, []).append(
-            {pos[n]: c for n, c in f.eval_basis(e.name).coeffs.items()})
+            {within[t]: c for t, c in at(key)})
     return lambda k: (dims.get(k + f.degree, 0), cols.get(k, []))
 
 
@@ -726,6 +722,63 @@ def apply_rows(at, terms, ring) -> dict:
     return {t: v for t, v in out.items() if v != 0}
 
 
+def _sum_rows(ring, *parts) -> tuple:
+    """The sum of the (key, coefficient) sequences `parts`, as a row."""
+    out = {}
+    for part in parts:
+        for k, c in part:
+            out[k] = c if (old := out.get(k)) is None else ring.add(old, c)
+    return tuple((k, c) for k, c in out.items() if c != 0)
+
+
+class SideIds:
+    """Small integer ids of the sides an identity check compares, equal
+    exactly when the sides are equal.
+
+    `ids(terms)` sums the (key, coefficient) pairs `terms` per key, drops
+    the keys whose sum is 0 and returns the id of what is left;
+    `ids.sides[i]` is the side of id i, the frozenset of its
+    (key, nonzero coefficient) pairs.  That frozenset itself keys the id,
+    never its hash alone, so ids collide only for equal sets.  Ring values
+    are canonical (an int over Z, an int or a Fraction in lowest terms over
+    Q, a residue in [0, p) over GF(p)), equal values hash alike, and two
+    {key: coefficient} dicts are equal exactly when their item sets are:
+    equal ids mean equal sides over every ring, and a list of ids compares
+    a whole row of sides at once.
+    """
+
+    def __init__(self, ring: Ring):
+        self._add, self._mul, self._one = ring.add, ring.mul, ring.one()
+        self._ids = {}
+        self.sides = []
+
+    def __call__(self, terms) -> int:
+        terms = tuple(terms)
+        side = dict(terms)
+        if len(side) < len(terms) or 0 in side.values():
+            add, side = self._add, {}   # sum repeated keys, drop zero sums
+            for k, c in terms:
+                side[k] = c if (old := side.get(k)) is None else add(old, c)
+            terms = [kc for kc in side.items() if kc[1] != 0]
+        key = frozenset(terms)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.sides)
+            self.sides.append(key)
+        return i
+
+    def expand(self, terms, at) -> int:
+        """The id of the sum of c * at(k) over the (k, c) pairs `terms` (a
+        sized collection), at(k) being a table row; a single term with
+        coefficient 1 is interned as its row."""
+        if len(terms) == 1:
+            [(k, c)] = terms
+            if c == self._one:
+                return self(at(k))
+        mul = self._mul
+        return self((t, mul(c, v)) for k, c in terms for t, v in at(k))
+
+
 # ---------------------------------------------------------------------------
 # Koszul combinators
 # ---------------------------------------------------------------------------
@@ -788,64 +841,60 @@ def associativity_witness(mu: GradedMap, names):
 
     the sign being the one 1 (x) mu picks up on a.  The sides are Vectors
     of mu's target on a failure, else None.
+
+    Each side is expanded once per distinct product row, not once per
+    triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
+    the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
+    is interned by `SideIds`, so the lhs over all c is one list of ids per
+    distinct row mu(a (x) b), filled on first use, the rhs one id per a and
+    distinct row mu(b (x) c), and each pair (a, b) compares two lists of
+    ids.  Equal ids hold exactly when the sides are equal (see `SideIds`),
+    so the verdict, the count and the first failing triple are those of
+    comparing the two sides of every triple in turn.
     """
     A = mu.target
     if any(f != A for f in mu.source.factors):
         raise ValueError("associativity needs a product A (x) A -> A")
-    mul, add, neg = A.ring.mul, A.ring.add, A.ring.neg
+    neg, one = A.ring.neg, A.ring.one()
     idx = A.index()
     row = mu.table().row
     inputs = [(n, idx.pos[n]) for n in names]
-    with_inputs = {}   # x -> [mu(x (x) c) for c in names], on first use
+    ids = SideIds(A.ring)
+    sides = ids.sides
 
-    def times_inputs(x):
-        r = with_inputs.get(x)
-        if r is None:
-            r = with_inputs[x] = [row(x, k) for _, k in inputs]
-        return r
+    @functools.cache
+    def times_inputs(x):   # ids of mu(x (x) c) for the inputs c
+        return [ids(row(x, k)) for _, k in inputs]
+
+    @functools.cache
+    def lhs_ids(ab):   # ids of the lhs for the inputs c, per row id of ab
+        terms = sides[ab]
+        if len(terms) == 1:
+            [(x, c)] = terms
+            if c == one:
+                return times_inputs(x)
+        return [ids.expand(terms, lambda x: row(x, k)) for _, k in inputs]
 
     count = 0
     for a, i in inputs:
         negate = mu.degree % 2 and idx.odd[i]
-        times_a = {}   # y -> mu(a (x) y), on first use
-        for b, j in inputs:
-            ab = [(times_inputs(x), cx) for x, cx in row(i, j)]
-            for kk, bc in enumerate(times_inputs(j)):
-                count += 1
-                if not ab and not bc:   # both sides are 0
-                    continue
-                # a key whose sum cancels is dropped, so both sides hold
-                # nonzero terms only and compare as vectors do
-                lhs = {}
-                for x_c, cx in ab:
-                    for n, v in x_c[kk]:
-                        t = mul(cx, v)
-                        old = lhs.get(n)
-                        if old is None:
-                            lhs[n] = t
-                        elif (t := add(old, t)) != 0:
-                            lhs[n] = t
-                        else:
-                            del lhs[n]
-                rhs = {}
-                for y, cy in bc:
-                    if negate:
-                        cy = neg(cy)
-                    a_y = times_a.get(y)
-                    if a_y is None:
-                        a_y = times_a[y] = row(i, y)
-                    for n, v in a_y:
-                        t = mul(cy, v)
-                        old = rhs.get(n)
-                        if old is None:
-                            rhs[n] = t
-                        elif (t := add(old, t)) != 0:
-                            rhs[n] = t
-                        else:
-                            del rhs[n]
-                if lhs != rhs:
-                    return count, (a, b, inputs[kk][0]), *(
-                        row_vector(A, side.items()) for side in (lhs, rhs))
+
+        @functools.cache
+        def rhs_id(bc):   # the id of the rhs, per row id of bc
+            terms = sides[bc]
+            if negate:
+                terms = tuple((y, neg(c)) for y, c in terms)
+            return ids.expand(terms, lambda y: row(i, y))
+
+        for ab, (b, j) in zip(times_inputs(i), inputs):
+            lhs = lhs_ids(ab)
+            rhs = list(map(rhs_id, times_inputs(j)))
+            if lhs == rhs:
+                count += len(inputs)
+                continue
+            kk = next(k for k in range(len(lhs)) if lhs[k] != rhs[k])
+            return count + kk + 1, (a, b, inputs[kk][0]), *(
+                row_vector(A, sides[side]) for side in (lhs[kk], rhs[kk]))
     return count, None, None, None
 
 
@@ -936,38 +985,6 @@ def transpose_rows(inputs, image) -> dict:
         for y, c in image(x):
             out.setdefault(y, []).append((x, c))
     return out
-
-
-# -- element insertions (elements of tensor modules used as 1 (x) v (x) 1 etc.)
-
-def insert_left(v: Vector, M: GradedModule) -> GradedMap:
-    """x -> v (x) x (no sign: nothing moves past anything)."""
-    target = tensor(v.module, M)
-
-    def fn(name):
-        return v.tensor(M.el(name))
-
-    return GradedMap(M, target, _vector_degree(v), fn, name="insL")
-
-
-def insert_right(v: Vector, M: GradedModule) -> GradedMap:
-    """x -> (-1)^{|v| |x|} x (x) v (v moves past x)."""
-    target = tensor(M, v.module)
-    dv = _vector_degree(v)
-
-    def fn(name):
-        sign = -1 if (dv % 2) and (M.degree_of(name) % 2) else 1
-        out = M.el(name).tensor(v)
-        return out if sign == 1 else -out
-
-    return GradedMap(M, target, dv, fn, name="insR")
-
-
-def _vector_degree(v: Vector) -> int:
-    d = v.degree()
-    if d is None:
-        raise ValueError("cannot insert the zero vector without a declared degree")
-    return d
 
 
 # -- operation shifts ([i,j;k] on binary operations) -------------------------

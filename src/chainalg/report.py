@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .rings import Ring, ZZ
-from .graded import format_vector
+from .graded import format_vector, row_vector, tensor
 from .complexes import (
     homology,
     is_essential,
@@ -264,7 +264,8 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
             lambda: _axiom_status(check_loday_ronco(inst)), timings))
     if name.endswith("-plus") or name.endswith("-minus"):
         records.append(_timed(f"{prefix}reverse-coproduct",
-                              lambda: _reverse_coproduct(name, ring, window),
+                              lambda: _reverse_coproduct(name, inst, ring,
+                                                         window),
                               timings))
     if name in CONE_FIXTURES:
         records.extend(fixture_cone_records(name, inst, prefix, timings))
@@ -281,23 +282,26 @@ def fixture_cone_records(name: str, inst: BialgebraData, prefix: str,
         prefix, timings)
 
 
-def _reverse_coproduct(name: str, ring: Ring, window):
-    """Reconstruct the opposite-variant coproduct via the secondary
-    relation and compare with the directly built fixture."""
+def _reverse_coproduct(name: str, inst: BialgebraData, ring: Ring, window):
+    """Reconstruct the opposite-variant coproduct from the fixture `inst`
+    via the secondary relation and compare it with the directly built
+    fixture, row by row (both variants share one basis, so positions)."""
     base, variant = name.rsplit("-", 1)
     other = f"{base}-{'minus' if variant == 'plus' else 'plus'}"
-    inst = fx.make_fixture(name, window, ring)
     target = fx.make_fixture(other, window, ring)
     c = fx.reverse_data_bivector(inst)
     if variant == "minus":
         c = -c
-    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c)
+    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).table().row
+    direct = target.lam.table().row
+    A, B = inst.module, target.module
     for nm in inst.safe_names:
-        got = rebuilt.eval_basis(nm)
-        want = target.lam.eval_basis(nm)
-        if got != want:
-            return "fail", (f"mismatch at {nm}: rebuilt {format_vector(got)}, "
-                            f"direct {format_vector(want)}")
+        got, want = rebuilt(A.index().pos[nm]), direct(B.index().pos[nm])
+        if dict(got) != dict(want):
+            return "fail", (
+                f"mismatch at {nm}: rebuilt "
+                f"{format_vector(row_vector(tensor(A, A), got))}, direct "
+                f"{format_vector(row_vector(tensor(B, B), want))}")
     return "pass", (f"{other} reconstructed from {name} with "
                     f"c = {format_vector(c)} on {len(inst.safe_names)} inputs")
 

@@ -32,6 +32,13 @@ from chainalg.fixtures import (
 W = TruncationWindow(12)
 
 
+def negated(f: GradedMap) -> GradedMap:
+    """-f, evaluated by names: this file's copy of the former
+    GradedMap.__neg__."""
+    return GradedMap(f.source, f.target, f.degree,
+                     lambda n: -f.eval_basis(n))
+
+
 @pytest.fixture(scope="module")
 def s3():
     return make_loop_sphere(3, W)
@@ -198,25 +205,48 @@ def test_secondary_relation_involutive():
 
 
 def test_secondary_relation_cross_check_is_built_once(monkeypatch):
-    # the reverse-data special case builds its cross-check map once, beside
-    # the two terms, and not once per basis name
+    # the reverse-data special case builds its cross-check row function
+    # once, beside the two terms, and not once per row
     import chainalg.bialgebra as bialgebra
 
     calls = []
-    real = bialgebra.insert_left
+    real = bialgebra._times_left
 
-    def counting(v, M):
-        calls.append(v)
-        return real(v, M)
+    def counting(mu, c):
+        calls.append(c)
+        return real(mu, c)
 
-    monkeypatch.setattr(bialgebra, "insert_left", counting)
+    monkeypatch.setattr(bialgebra, "_times_left", counting)
     plus = make_loop_circle(W, "plus")
     minus = make_loop_circle(W, "minus")
     c = reverse_data_bivector(plus)
     rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
     for n in plus.safe_names:
         assert rebuilt.eval_basis(n) == minus.lam.eval_basis(n), n
-    assert len(calls) == 2  # c_op's term and the cross-check's
+    assert calls == [-c, c]  # c_op's term and the cross-check's
+
+
+def test_secondary_relation_cross_check_runs_on_every_row(monkeypatch):
+    # a cross-check route that disagrees on one row fails on that row
+    import chainalg.bialgebra as bialgebra
+
+    plus = make_loop_circle(W, "plus")
+    c = reverse_data_bivector(plus)
+    real = bialgebra._times_left
+    bad = plus.module.index().pos["U^-1"]
+
+    def skewed(mu, v):
+        rows = real(mu, v)
+        if v != c:
+            return rows
+        return lambda x: () if x == bad else rows(x)
+
+    monkeypatch.setattr(bialgebra, "_times_left", skewed)
+    rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
+    minus = make_loop_circle(W, "minus")
+    assert rebuilt.eval_basis("U") == minus.lam.eval_basis("U")
+    with pytest.raises(RuntimeError, match="cross-check failed on U\\^-1"):
+        rebuilt.eval_basis("U^-1")
 
 
 def test_secondary_relation_degree_mismatch():
@@ -250,8 +280,8 @@ def test_loday_ronco_on_based_circle():
     minus = make_based_loop(1, W, "minus")
     assert check_loday_ronco(minus).passed
 
-    neg_minus = BialgebraData(minus.module, minus.mu, -minus.lam, minus.eta,
-                              safe_names=minus.safe_names)
+    neg_minus = BialgebraData(minus.module, minus.mu, negated(minus.lam),
+                              minus.eta, safe_names=minus.safe_names)
     assert check_loday_ronco(neg_minus).passed
 
     free = make_loop_circle(W, "plus")

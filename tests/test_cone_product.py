@@ -226,15 +226,20 @@ def test_sigma_pairs_against_corrected_coproduct(s1_ops):
     """<sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)> with
     lam_rev = lam + (mu(x)1)(1(x)Q0) + (1(x)mu)(Q0(x)1), here with Q0 != 0
     and odd generators."""
-    from chainalg.graded import insert_left, insert_right, tensor_map
-
     data = s1_ops.data
-    A, M = data.A, s1_ops.M
+    A, M, mu = data.A, s1_ops.M, data.mu
     assert not data.Q0.is_zero()
-    one = GradedMap.identity(A)
-    lam_rev = (data.lam
-               + insert_right(data.Q0, A).then(tensor_map(data.mu, one))
-               + insert_left(data.Q0, A).then(tensor_map(one, data.mu)))
+
+    def lam_rev(a):   # by names; moving Q0 past a costs (-1)^{|Q0||a|}
+        out = data.lam.eval_basis(a)
+        for name, c in data.Q0.coeffs.items():
+            q1, q2 = name.split(TENSOR_SEP)
+            s = -1 if data.Q0.degree() % 2 and A.degree_of(a) % 2 else 1
+            right = mu(A.el(a).tensor(A.el(q1))).tensor(A.el(q2))
+            left = A.el(q1).tensor(mu(A.el(q2).tensor(A.el(a))))
+            out = out + right.scale(s * c) + left.scale(c)
+        return out
+
     nonzero = 0
     for f in data.safe_names:
         for g in data.safe_names:
@@ -242,7 +247,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_ops):
             df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
-                want = pair_two(lam_rev.eval_basis(a), M.el(g + "^"),
+                want = pair_two(lam_rev(a), M.el(g + "^"),
                                 M.el(f + "^"))
                 assert dual_pair(got, A.el(a)) == sign * want, (f, g, a)
                 nonzero += want != 0

@@ -62,6 +62,13 @@ SETTINGS = settings(max_examples=30, deadline=None,
 ring_param = pytest.mark.parametrize("ring", RINGS, ids=repr)
 
 
+def scaled(f: GradedMap, c) -> GradedMap:
+    """c * f, evaluated by names: this file's copy of the former
+    GradedMap.scale."""
+    return GradedMap(f.source, f.target, f.degree,
+                     lambda n: f.eval_basis(n).scale(c))
+
+
 def coefficients(ring):
     if ring == QQ:
         return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -188,7 +195,8 @@ def test_tensor_map_interchange_law(ring, data):
     fp, gp = draw_map(data, M, N), draw_map(data, N, M)
     f, g = draw_map(data, N, M), draw_map(data, M, N)
     lhs = tensor_map(fp, gp).then(tensor_map(f, g))
-    rhs = tensor_map(fp.then(f), gp.then(g)).scale(sign(g.degree * fp.degree))
+    rhs = scaled(tensor_map(fp.then(f), gp.then(g)),
+                 sign(g.degree * fp.degree))
     assert_maps_agree(lhs, rhs, tensor(M, N).basis_names())
 
 
@@ -232,7 +240,7 @@ def test_dual_of_a_composite(ring, data):
     g = draw_map(data, M, N)
     f = draw_map(data, N, M)
     lhs = dual_map(g.then(f))
-    rhs = dual_map(f).then(dual_map(g)).scale(sign(f.degree * g.degree))
+    rhs = scaled(dual_map(f).then(dual_map(g)), sign(f.degree * g.degree))
     assert_maps_agree(lhs, rhs, dual_module(M).basis_names())
 
 

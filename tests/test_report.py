@@ -3,7 +3,7 @@ import json
 from chainalg import cone_product as cp
 from chainalg import report as rp
 from chainalg import scenario as sc
-from chainalg.fixtures import TruncationWindow, make_fixture
+from chainalg.fixtures import TruncationWindow, make_fixture, mutate_lambda
 from chainalg.graded import TENSOR_SEP
 
 CONE_CHECKS = ("components", "associativity", "assoc-infinitesimal")
@@ -82,3 +82,19 @@ def test_demo_runs_the_axioms_once(monkeypatch, tmp_path):
                for r in json.loads(out.read_text(encoding="utf-8"))["records"]}
     assert records["lambda-s3.cc-antisymmetry"] == "pass"
     assert len(calls) == 1, calls
+
+
+def test_reverse_coproduct_names_the_first_mismatching_row():
+    # the plus fixture with one lam constant negated rebuilds a minus
+    # coproduct that differs from the direct one at that input
+    window = TruncationWindow(8)
+    plus = make_fixture("lambda-s1-plus", window)
+    assert rp._reverse_coproduct("lambda-s1-plus", plus, plus.module.ring,
+                                 window)[0] == "pass"
+    bad = mutate_lambda(plus, "U", f"A{TENSOR_SEP}U")
+    status, detail = rp._reverse_coproduct("lambda-s1-plus", bad,
+                                           plus.module.ring, window)
+    assert status == "fail"
+    assert detail.startswith("mismatch at U: rebuilt ")
+    direct = make_fixture("lambda-s1-minus", window).lam.eval_basis("U")
+    assert detail.endswith(f", direct {direct}")

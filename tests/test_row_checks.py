@@ -25,6 +25,7 @@ from chainalg.bialgebra import (
     PairKernel,
     _coassociativity,
     check_axioms,
+    secondary_relation_apply,
 )
 from chainalg.complexes import ChainComplex, ChainMap, mapping_cone
 from chainalg.cone_product import cone_data_from_bialgebra
@@ -340,6 +341,58 @@ def test_cone_maps_match_the_name_formulas(ring, data):
         assert got.row_fn is not None
         for e in got.source.basis():
             assert got.eval_basis(e.name) == ref.eval_basis(e.name), e.name
+
+
+# -- the change of coproduct ---------------------------------------------------
+
+def insert_left(v: Vector, M: GradedModule) -> GradedMap:
+    """x -> v (x) x by names (no sign: nothing moves past anything)."""
+    return GradedMap(M, tensor(v.module, M), v.degree(),
+                     lambda n: v.tensor(M.el(n)), name="insL")
+
+
+def insert_right(v: Vector, M: GradedModule) -> GradedMap:
+    """x -> (-1)^{|v| |x|} x (x) v by names (v moves past x)."""
+    def fn(n):
+        out = M.el(n).tensor(v)
+        return -out if v.degree() % 2 and M.degree_of(n) % 2 else out
+
+    return GradedMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
+
+
+def draw_bivector(data, A, degree):
+    A2 = tensor(A, A)
+    coeff = coefficients(A.ring)
+    return Vector(A2, {e.name: data.draw(coeff)
+                       for e in A2.basis_in_degree(degree)})
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_secondary_relation_matches_the_composites(ring, data):
+    # lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1), the
+    # reference built from the insertions and tensor_map on names; mu of
+    # odd degree exercises the sign 1 (x) mu picks up on c1
+    A = data.draw(modules(ring, "a"))
+    A2 = tensor(A, A)
+    mu = draw_map(data, A2, A)
+    lam = draw_map(data, A, A2)
+    c_fwd = draw_bivector(data, A, lam.degree)
+    c_op = (-c_fwd if data.draw(st.booleans())
+            else draw_bivector(data, A, lam.degree))
+    one = identity_by_names(A)
+    terms = [(1, lam)]
+    if not c_fwd.is_zero():
+        terms.append((1, insert_right(c_fwd, A).then(tensor_map(mu, one))))
+    if not c_op.is_zero():
+        terms.append((-1, insert_left(c_op, A).then(tensor_map(one, mu))))
+    got = secondary_relation_apply(mu, lam, c_fwd, c_op)
+    for e in A.basis():
+        want = A2.zero()
+        for s, op in terms:
+            want = want + op.eval_basis(e.name).scale(s)
+        assert got.eval_basis(e.name) == want, e.name
 
 
 # -- the guard: no name path on the check paths ---------------------------------

@@ -1,0 +1,380 @@
+"""The associativity-type kernels against their per-triple loops.
+
+`graded.associativity_witness` and
+`cone_product.check_assoc_implies_infinitesimal` expand each side once per
+distinct product row and compare interned ids (`graded.SideIds`).  The
+loops below are the former kernels, which compare the two sides of every
+triple in turn; they are the reference.  Both must
+give the same count, the same first failing (a, b, c) or (a, b, f) and the
+same witness, over Z, Q and GF(5): on random products, on random cone
+packages, on the lambda fixtures, and on copies of those with one Q0 entry,
+one product entry or one closed-form component entry negated.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from chainalg import cli
+from chainalg.bialgebra import PairKernel
+from chainalg.complexes import ChainComplex
+from chainalg.cone_product import (
+    ConeProductData,
+    check_assoc_implies_infinitesimal,
+    check_cone_associativity,
+    closed_form_components,
+    cone_data_from_bialgebra,
+    derive_secondary_ops,
+    dual_side,
+    _format_row,
+)
+from chainalg.fixtures import (
+    TruncationWindow,
+    flip_structure_constant,
+    make_fixture,
+    make_random_instance,
+)
+from chainalg.graded import (
+    BasisElement,
+    GradedMap,
+    GradedModule,
+    SideIds,
+    Vector,
+    associativity_witness,
+    format_vector,
+    row_vector,
+    slot_table,
+    tensor,
+    vector_terms,
+    TENSOR_SEP,
+)
+from chainalg.rings import GF, QQ, ZZ
+
+RINGS = [ZZ, QQ, GF(5)]
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+ring_param = pytest.mark.parametrize("ring", RINGS, ids=repr)
+
+
+# -- the per-triple loops (the reference) -------------------------------------
+
+def associativity_loop(mu, names):
+    """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
+    mu(mu (x) 1) = mu(1 (x) mu), both sides of each triple expanded and
+    compared in turn."""
+    A = mu.target
+    if any(f != A for f in mu.source.factors):
+        raise ValueError("associativity needs a product A (x) A -> A")
+    mul, add, neg = A.ring.mul, A.ring.add, A.ring.neg
+    idx = A.index()
+    row = mu.table().row
+    inputs = [(n, idx.pos[n]) for n in names]
+    with_inputs = {}   # x -> [mu(x (x) c) for c in names], on first use
+
+    def times_inputs(x):
+        r = with_inputs.get(x)
+        if r is None:
+            r = with_inputs[x] = [row(x, k) for _, k in inputs]
+        return r
+
+    count = 0
+    for a, i in inputs:
+        negate = mu.degree % 2 and idx.odd[i]
+        times_a = {}   # y -> mu(a (x) y), on first use
+        for b, j in inputs:
+            ab = [(times_inputs(x), cx) for x, cx in row(i, j)]
+            for kk, bc in enumerate(times_inputs(j)):
+                count += 1
+                if not ab and not bc:   # both sides are 0
+                    continue
+                lhs = {}
+                for x_c, cx in ab:
+                    for n, v in x_c[kk]:
+                        t = mul(cx, v)
+                        old = lhs.get(n)
+                        if old is None:
+                            lhs[n] = t
+                        elif (t := add(old, t)) != 0:
+                            lhs[n] = t
+                        else:
+                            del lhs[n]
+                rhs = {}
+                for y, cy in bc:
+                    if negate:
+                        cy = neg(cy)
+                    a_y = times_a.get(y)
+                    if a_y is None:
+                        a_y = times_a[y] = row(i, y)
+                    for n, v in a_y:
+                        t = mul(cy, v)
+                        old = rhs.get(n)
+                        if old is None:
+                            rhs[n] = t
+                        elif (t := add(old, t)) != 0:
+                            rhs[n] = t
+                        else:
+                            del rhs[n]
+                if lhs != rhs:
+                    return count, (a, b, inputs[kk][0]), *(
+                        row_vector(A, side.items()) for side in (lhs, rhs))
+    return count, None, None, None
+
+
+def assoc_infinitesimal_loop(data, comps):
+    """(passed, detail) of the (+,+,-) -> + identity, with the precondition
+    skipped, both sides of each (a, b, f) expanded and compared in turn."""
+    A = data.A
+    M = dual_side(A, data.n)
+    idx = A.index()
+    R = A.ring
+    mul, add, neg = R.mul, R.add, R.neg
+    mu = data.mu.table().row
+    pm_p = comps["pm_p"].table().row
+    pm_m = comps["pm_m"].table().row
+    kernel = PairKernel(data.mu, data.lam,
+                        ((k, neg(c)) for k, c in vector_terms(data.Q0)))
+    f_pos = comps["pm_p"].source.factors[1].index().pos
+
+    safe = [(n, idx.pos[n]) for n in data.safe_names]
+    duals = [(f"{n}^", f_pos[f"{n}^"]) for n in data.safe_names]
+    for a, i in safe:
+        for b, j in safe:
+            negate = not (idx.odd[i] + idx.odd[j]) % 2
+            contracted = slot_table(kernel.defect(i, j).items(),
+                                    tensor(A, A), M, last=True)
+            ab = mu(i, j)
+            for fb, k in duals:
+                total = {}
+                for c, row in ([(c, mu(i, y)) for y, c in pm_p(j, k)]
+                               + [(c, pm_p(i, g)) for g, c in pm_m(j, k)]
+                               + [(neg(c), pm_p(x, k)) for x, c in ab]):
+                    for n, v in row:
+                        t = mul(c, v)
+                        total[n] = t if (o := total.get(n)) is None else add(o, t)
+                total = {n: v for n, v in total.items() if v != 0}
+                expected = {w: neg(c) if negate else c
+                            for w, c in contracted.get(k, {}).items()}
+                if total != expected:
+                    return False, (f"fails at a={a}, b={b}, f={fb}: "
+                                   f"{_format_row(A, total)} vs "
+                                   f"{_format_row(A, expected)}")
+    return True, ""
+
+
+def assoc_infinitesimal(data, comps):
+    res = check_assoc_implies_infinitesimal(data, False, comps)
+    assert res.precondition_ok
+    return res.passed, res.detail
+
+
+# -- SideIds -------------------------------------------------------------------
+
+def coefficients(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(-6, 6)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_side_ids_are_equal_exactly_when_the_sums_are(ring, data):
+    terms = st.lists(st.tuples(st.integers(0, 3),
+                               coefficients(ring).map(ring.canon)), max_size=6)
+    ids = SideIds(ring)
+    drawn = [data.draw(terms) for _ in range(4)]
+
+    def summed(ts):
+        out = {}
+        for k, c in ts:
+            out[k] = ring.add(out.get(k, ring.zero()), c)
+        return {k: c for k, c in out.items() if c != 0}
+
+    got = [ids(ts) for ts in drawn]
+    for ts, i in zip(drawn, got):
+        assert ids.sides[i] == frozenset(summed(ts).items())
+        for us, j in zip(drawn, got):
+            assert (i == j) == (summed(ts) == summed(us))
+
+
+def test_side_ids_never_key_on_the_hash_alone():
+    # hash(-1) == hash(-2) in CPython, so these sides collide in hash
+    assert hash(frozenset({(0, -1)})) == hash(frozenset({(0, -2)}))
+    ids = SideIds(ZZ)
+    assert ids([(0, -1)]) != ids([(0, -2)])
+    assert ids([(0, -1)]) == ids([(0, 1), (0, -2)])
+    # canonical values that are equal share an id across representations
+    q = SideIds(QQ)
+    assert q([(1, QQ.canon(Fraction(4, 2)))]) == q([(1, 2)])
+    assert q([(1, Fraction(1, 2))]) != q([(1, Fraction(1, 3))])
+    g = SideIds(GF(5))
+    assert g([(0, 3), (0, 2)]) == g([])
+
+
+# -- associativity on random products ------------------------------------------
+
+def modules(ring):
+    degrees = st.lists(st.integers(-1, 1), min_size=2, max_size=5)
+    return degrees.map(lambda ds: GradedModule(
+        ring, [BasisElement(f"a{i}", d) for i, d in enumerate(ds)], name="a"))
+
+
+def draw_product(data, A, degree=None, source=None, target=None):
+    """An operation source -> target (default A (x) A -> A) of degree -1, 0
+    or 1; sparse ones share rows and often satisfy an identity, dense ones
+    seldom."""
+    R = A.ring
+    if degree is None:
+        degree = data.draw(st.integers(-1, 1))
+    source = source or tensor(A, A)
+    target = target or A
+    coeff = (st.sampled_from((0, 0, 0, 0, 1, 1, -1, 2)).map(R.canon)
+             if data.draw(st.booleans()) else coefficients(R))
+    table = {e.name: Vector(target, {
+                 t.name: data.draw(coeff)
+                 for t in target.basis_in_degree(e.degree + degree)})
+             for e in source.basis()}
+    return GradedMap.from_table(source, target, degree, table)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_associativity_kernel_matches_the_loop(ring, data):
+    A = data.draw(modules(ring))
+    mu = draw_product(data, A)
+    order = data.draw(st.permutations(A.basis_names()))
+    names = order[:data.draw(st.integers(1, len(order)))]
+    assert associativity_witness(mu, names) == associativity_loop(mu, names)
+
+
+@ring_param
+@SETTINGS
+@given(data=st.data())
+def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
+    A = data.draw(modules(ring))
+    n = data.draw(st.integers(0, 1))          # |lam| = 1 - 2n is odd
+    A2 = tensor(A, A)
+    mu = draw_product(data, A, degree=0)
+    lam = draw_product(data, A, degree=1 - 2 * n, source=A, target=A2)
+    Q0 = Vector(A2, {e.name: data.draw(coefficients(ring))
+                     for e in A2.basis_in_degree(1 - 2 * n)})
+    order = data.draw(st.permutations(A.basis_names()))
+    safe = order[:data.draw(st.integers(1, len(order)))]
+    cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
+                           tensor(A, A, A).zero(), n, safe_names=safe)
+    comps = closed_form_components(cone)
+    assert assoc_infinitesimal(cone, comps) == \
+        assoc_infinitesimal_loop(cone, comps)
+
+
+def test_associativity_kernel_reads_rows_in_any_order():
+    # equal rows written in different orders share one id
+    A = GradedModule(ZZ, [BasisElement(f"x{i}", 0) for i in range(3)], name="x")
+    one = ZZ.one()
+
+    def rows(i, j):
+        out = (((i + j) % 3, one), ((i + 2 * j) % 3, 2))
+        return out if i < j else out[::-1]
+
+    mu = GradedMap.from_rows(tensor(A, A), A, 0, rows)
+    names = A.basis_names()
+    assert associativity_witness(mu, names) == associativity_loop(mu, names)
+
+
+# -- cone packages with one entry negated --------------------------------------
+
+def flipped_Q0(data, rng):
+    """[data with one Q0 entry negated], or [] when Q0 = 0."""
+    Q0 = data.Q0
+    if Q0.is_zero():
+        return []
+    name = rng.choice(sorted(Q0.coeffs))
+    Q0 = Vector(Q0.module, {**Q0.coeffs, name: -Q0.coeffs[name]})
+    return [ConeProductData(data.complex, data.mu, data.lam, data.c0, Q0,
+                            data.B, data.n, safe_names=data.safe_names)]
+
+
+def flip_entry(op, inputs, rng):
+    """op with one nonzero structure constant on `inputs` negated."""
+    entries = [(n, out) for n in inputs
+               for out in sorted(op.eval_basis(n).coeffs)]
+    return flip_structure_constant(op, *rng.choice(entries))
+
+
+def packages():
+    for ring in RINGS:
+        for seed in range(3):
+            yield (f"random-{seed}-{ring}",
+                   make_random_instance(seed, 4, degrees=(0, -1, 1), ring=ring,
+                                        kind="cone", n=1))
+        for name, n in (("lambda-s1-plus", 1), ("lambda-s3", 3)):
+            yield (f"{name}-{ring}", cone_data_from_bialgebra(
+                make_fixture(name, TruncationWindow(8), ring), n=n))
+
+
+PACKAGES = list(packages())
+
+
+@pytest.mark.parametrize("label,data", PACKAGES, ids=[p[0] for p in PACKAGES])
+def test_cone_associativity_matches_the_loop(label, data):
+    rng = random.Random(label)
+    ops = derive_secondary_ops(data)
+    names = ops.safe_cone_names()
+    products = [ops.product] + [derive_secondary_ops(bad).product
+                                for bad in flipped_Q0(data, rng)]
+    pairs = [f"{u}{TENSOR_SEP}{v}" for u in names for v in names]
+    for _ in range(3):
+        products.append(flip_entry(ops.product, pairs, rng))
+    failures = []
+    for mu in products:
+        got = associativity_witness(mu, names)
+        assert got == associativity_loop(mu, names)
+        failures.append(got[1] is not None)
+        ops.product = mu
+        res = check_cone_associativity(ops)
+        assert res.passed == (got[1] is None)
+        if got[1] is not None:
+            assert res.witness == (f"{'(x)'.join(got[1])}: "
+                                   f"{format_vector(got[2])} vs "
+                                   f"{format_vector(got[3])}")
+    if label.startswith("lambda"):   # associative, and every flip is seen
+        assert failures == [False] + [True] * (len(products) - 1)
+
+
+@pytest.mark.parametrize("label,data", PACKAGES, ids=[p[0] for p in PACKAGES])
+def test_assoc_infinitesimal_matches_the_loop(label, data):
+    rng = random.Random(label)
+    comps = closed_form_components(data)
+    cases = [(data, comps)] + [(bad, closed_form_components(bad))
+                               for bad in flipped_Q0(data, rng)]
+    inputs = [f"{b}{TENSOR_SEP}{f}^" for b in data.safe_names
+              for f in data.safe_names]
+    for key in ("pm_p", "pm_m"):
+        flipped = flip_entry(comps[key], inputs, rng)
+        cases.append((data, {**comps, key: flipped}))
+    failures = 0
+    for pkg, cs in cases:
+        got = assoc_infinitesimal(pkg, cs)
+        assert got == assoc_infinitesimal_loop(pkg, cs)
+        failures += not got[0]
+    if label.startswith("lambda"):   # a passing package, and a flip is seen
+        assert assoc_infinitesimal(data, comps) == (True, "")
+        assert failures >= 1
+
+
+# -- end to end ----------------------------------------------------------------
+
+def test_demo_passes_every_record_at_window_36(tmp_path):
+    out = tmp_path / "demo.json"
+    assert cli.main(["demo", "lambda-s1-plus", "--window", "36",
+                     "--format", "json", "--output", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    checks = {r["id"].split(".", 1)[1]: r["status"] for r in records}
+    for check in ("axioms.associativity", "reverse-coproduct", "components",
+                  "associativity", "assoc-infinitesimal"):
+        assert checks[check] == "pass", check
+    assert all(r["status"] == "pass" for r in records)
