@@ -13,9 +13,6 @@ from .graded import (
     GradedMap,
     Vector,
     tensor,
-    tensor_map,
-    twist,
-    twist_vector,
     shift,
     shift_map,
     dual_module,

@@ -38,6 +38,7 @@ from .graded import (
     row_vector,
     vector_terms,
     _sum_rows,
+    _twisted,
 )
 from .complexes import ChainComplex
 
@@ -153,12 +154,6 @@ class BialgebraData:
                     lam(x), self.lam.degree % 2, neg):
                 return False
         return True
-
-
-def _twisted(terms, odd, neg) -> dict:
-    """tau of the A (x) A terms: tau(x (x) y) = (-1)^{|x||y|} y (x) x."""
-    return {(k2, k1): neg(c) if odd[k1] and odd[k2] else c
-            for (k1, k2), c in terms}
 
 
 def _scaled(terms, negate, neg) -> dict:
@@ -370,8 +365,8 @@ class PairKernel:
             r = mu_row(j, i)
             return tuple((k, neg(c)) for k, c in r) if odd[i] and odd[j] else r
 
-        self.mu_tau = GradedMap.from_rows(self.A2, A, mu.degree, mu_tau).table()
-        self.tau_lam = GradedMap.from_rows(
+        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau).table()
+        self.tau_lam = GradedMap(
             A, self.A2, lam.degree,
             lambda x: tuple(_twisted(lam_row(x), odd, neg).items())).table()
         self.v = tuple(v)
@@ -615,7 +610,7 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
                                f"{A.index().names[x]}")
         return out
 
-    return GradedMap.from_rows(A, lam.target, lam.degree, rows, name="lam'")
+    return GradedMap(A, lam.target, lam.degree, rows, name="lam'")
 
 
 def _times_right(mu: GradedMap, c: Vector):

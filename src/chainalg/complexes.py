@@ -25,6 +25,7 @@ from .graded import (
     GradedModule,
     GradedMap,
     Vector,
+    _sum_rows,
     apply_rows,
     basis_keys,
     row_vector,
@@ -86,22 +87,32 @@ class ChainMap:
 
 
 def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) -> GradedMap:
-    """[d, h] = d_target h - (-1)^{|h|} h d_source."""
+    """[d, h] = d_target h - (-1)^{|h|} h d_source, as a row map on the
+    rows of h and of the two differentials."""
     if h.source != source.module or h.target != target.module:
         raise ValueError("map endpoints do not match the complexes")
-    first = h.then(target.d)
-    second = source.d.then(h)
-    return first - second if h.degree % 2 == 0 else first + second
+    R = h.target.ring
+    h_row, h_at = h.table().row, h.table().at
+    d_s, d_t = source.d.table().row, target.d.table().at
+    sign = R.one() if h.degree % 2 else R.neg(R.one())
+    mul = R.mul
+
+    def rows(*k):
+        return _sum_rows(R, apply_rows(d_t, h_row(*k), R).items(), apply_rows(
+            h_at, ((x, mul(sign, c)) for x, c in d_s(*k)), R).items())
+
+    return GradedMap(h.source, h.target, h.degree - 1, rows,
+                     name=f"[d,{h.name}]")
 
 
 def _require_graded_chain_map(h: GradedMap, source: ChainComplex,
                               target: ChainComplex, label: str):
     """Raise ValueError, naming a basis element, unless [d, h] = 0."""
-    comm = graded_commutator(h, source, target)
-    for e in source.module.basis():
-        if not comm.eval_basis(e.name).is_zero():
+    comm = graded_commutator(h, source, target).table()
+    for name, key in basis_keys(source.module):
+        if comm.at(key):
             raise ValueError(f"{label} is not a chain map: "
-                             f"[d, {label}] != 0 on {e.name}")
+                             f"[d, {label}] != 0 on {name}")
 
 
 @dataclass
@@ -114,13 +125,17 @@ class HomotopyReport:
 
 
 def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> HomotopyReport:
-    """Does f - g = [d, h] hold exactly?"""
-    comm = graded_commutator(h, f.source, f.target)
-    for e in f.source.module.basis():
-        lhs = f.f.eval_basis(e.name) - g.f.eval_basis(e.name)
-        rhs = comm.eval_basis(e.name)
-        if lhs != rhs:
-            return HomotopyReport(False, f"fails on {e.name}: {lhs} vs {rhs}")
+    """Does f - g = [d, h] hold exactly?  Compared on table rows."""
+    R, module = f.target.ring, f.target.module
+    f_t, g_t = f.f.table(), g.f.table()
+    comm = graded_commutator(h, f.source, f.target).table()
+    for name, key in basis_keys(f.source.module):
+        lhs = _sum_rows(R, f_t.at(key), ((t, R.neg(c)) for t, c in g_t.at(key)))
+        rhs = comm.at(key)
+        if dict(lhs) != dict(rhs):
+            return HomotopyReport(False, f"fails on {name}: "
+                                  f"{row_vector(module, lhs)} vs "
+                                  f"{row_vector(module, rhs)}")
     return HomotopyReport(True)
 
 
@@ -351,11 +366,10 @@ def mapping_cone(c: ChainMap) -> Cone:
         return (tuple((minus[k], neg(x)) for k, x in d_M(p))
                 + tuple((plus[k], x) for k, x in f(p)))
 
-    cone = ChainComplex(cone_mod, GradedMap.from_rows(cone_mod, cone_mod, -1,
-                                                      d_row, name="d_cone"))
-    incl = GradedMap.from_rows(A, cone_mod, 0, lambda p: ((plus[p], one),),
-                               name="incl")
-    proj = GradedMap.from_rows(
+    cone = ChainComplex(cone_mod, GradedMap(cone_mod, cone_mod, -1, d_row,
+                                            name="d_cone"))
+    incl = GradedMap(A, cone_mod, 0, lambda p: ((plus[p], one),), name="incl")
+    proj = GradedMap(
         cone_mod, M, -1,
         lambda u: ((where[u][1], one),) if where[u][0] else (), name="proj")
     return Cone(cone, incl, proj, c.source, c.target, c, (plus, minus, where))
@@ -455,18 +469,21 @@ def is_essential(C: ChainComplex, top: int, orientation: str = "chain") -> bool:
     if orientation == "chain":
         if degs and (degs[0] < 0 or degs[-1] > top):
             raise ValueError(f"support {degs} outside [0, {top}]")
-        for e in C.module.basis_in_degree(top):
-            if not C.d.eval_basis(e.name).is_zero():
-                return False
-        return True
+        return _vanishes(C.d, lambda k: k == top)
     if orientation == "cochain":
         if degs and (degs[0] < -top or degs[-1] > 0):
             raise ValueError(f"support {degs} outside [-{top}, 0]")
-        for e in C.module.basis_in_degree(-top + 1):
-            if not C.d.eval_basis(e.name).is_zero():
-                return False
-        return True
+        return _vanishes(C.d, lambda k: k == -top + 1)
     raise ValueError(f"unknown orientation {orientation!r}")
+
+
+def _vanishes(f: GradedMap, in_degree) -> bool:
+    """Are the table rows of f empty on every basis element whose degree k
+    has in_degree(k)?"""
+    at = f.table().at
+    return not any(at(key) for (_, key), e in zip(basis_keys(f.source),
+                                                  f.source.basis())
+                   if in_degree(e.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +519,29 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
     if c1.target.module != K1.module or c2.target.module != K2.module:
         raise ValueError("c1/c2 must map into the source/target complexes")
     for ci in (c1, c2):
-        for k in ci.source.degrees():
-            if k != -top and not ci.f.is_zero(
-                    e.name for e in ci.source.module.basis_in_degree(k)):
-                raise ValueError("im(c_i) is not concentrated in the extreme degree")
+        if not _vanishes(ci.f, lambda k: k != -top):
+            raise ValueError("im(c_i) is not concentrated in the extreme degree")
 
-    mod1 = K1.module
+    mod1, mod2 = K1.module, K2.module
+    R, h_row = mod2.ring, h.table().row
+    degrees = [f.index().degree for f in mod1.factors]
 
-    def fn(name):
-        if mod1.degree_of(name) == -top:
-            return K2.module.zero()
-        return h.eval_basis(name)
+    def rows(*k):   # h away from degree -top, 0 there
+        if sum(deg[x] for deg, x in zip(degrees, k)) == -top:
+            return ()
+        return h_row(*k)
 
-    h_bar = GradedMap(mod1, K2.module, 1, fn, name="[h]")
+    h_bar = GradedMap(mod1, mod2, 1, rows, name="[h]")
     q2 = quotient_by_image(c2)
-    comm = graded_commutator(h_bar, K1, K2)
-    for e in mod1.basis():
-        defect = (c_prime.f.eval_basis(e.name) - c.f.eval_basis(e.name)
-                  - comm.eval_basis(e.name))
+    c_t, cp_t = c.f.table(), c_prime.f.table()
+    comm = graded_commutator(h_bar, K1, K2).table()
+    for name, key in basis_keys(mod1):
+        defect = row_vector(mod2, _sum_rows(
+            R, cp_t.at(key), ((t, R.neg(x)) for t, x in c_t.at(key)),
+            ((t, R.neg(x)) for t, x in comm.at(key))))
         if not q2.reduces_to_zero(defect):
             return QuotientHomotopyResult(h_bar, False,
-                                          f"defect on {e.name}: {defect}")
+                                          f"defect on {name}: {defect}")
     return QuotientHomotopyResult(h_bar, True)
 
 
@@ -552,23 +571,20 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
 
     cone_mod = cone.complex.module
     R = cone_mod.ring
+    one, plus, where = R.one(), cone.layout[0], cone.layout[2]
+    csec_row = csec.table().row
 
-    def fn(name):
-        tag, base = name[0], name[1:]
-        if tag == "+":
-            return cone_mod.el(name)
-        out = {name: R.one()}
-        for n, v in csec.eval_basis(base).coeffs.items():
-            out["+" + n] = R.add(out.get("+" + n, R.zero()), v)
-        return Vector(cone_mod, out)
+    def delta_row(u):   # Phi - id: the csec block, moved to the "+" positions
+        block, p = where[u]
+        return tuple((plus[k], c) for k, c in csec_row(p)) if block else ()
 
-    phi = GradedMap(cone_mod, cone_mod, 0, fn, name="Phi")
+    phi = GradedMap(cone_mod, cone_mod, 0,
+                    lambda u: ((u, one),) + delta_row(u), name="Phi")
     phi_chain = ChainMap(cone.complex, cone.complex, phi)
 
-    ident = GradedMap.identity(cone_mod)
-    delta = phi - ident
-    unipotent = all(delta(delta.eval_basis(e.name)).is_zero()
-                    for e in cone_mod.basis())
+    delta = GradedMap(cone_mod, cone_mod, 0, delta_row, name="Phi-id").table()
+    unipotent = not any(apply_rows(delta.row, delta.row(u), R)
+                        for u in range(len(where)))
 
     action = induced_map_on_homology(phi_chain)
     return TransitionResult(phi, unipotent, action, not action.is_identity())

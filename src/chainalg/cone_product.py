@@ -26,8 +26,8 @@ product places the [i,j;k]-shifted versions in the blocks
 The closed-form components are transcribed independently and cross-checked
 against the assembled blocks.
 
-Every operation here is a row map on basis positions (`GradedMap.from_rows`),
-filled on first request from the integer rows of mu and lam.  The dual
+Every operation here is a row map on basis positions (`GradedMap`), filled
+on first request from the integer rows of mu and lam.  The dual
 operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed form) read
 sparse transposes of those rows and of the corrected coproducts (output
 position -> [(input x, coefficient)]), built once per package, mu's per
@@ -49,7 +49,6 @@ from .graded import (
     GradedMap,
     Vector,
     tensor,
-    twist_vector,
     shift,
     shift_map,
     dual_module,
@@ -65,7 +64,9 @@ from .graded import (
     format_vector,
     TENSOR_SEP,
     koszul_sign,
+    apply_rows,
     _sum_rows,
+    _twisted,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import BialgebraData, PairKernel, _times_left, _times_right
@@ -119,7 +120,7 @@ def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
         x, f = (i, j) if last else (j, i)
         return _row(rows(x).get(f, {}).items(), sign(x, f) < 0, A.ring.neg)
 
-    return GradedMap.from_rows(source, A, degree, row, name=name)
+    return GradedMap(source, A, degree, row, name=name)
 
 
 class ConeProductData:
@@ -151,12 +152,17 @@ class ConeProductData:
             if d is not None and d != want:
                 raise ValueError(f"{label} has degree {d}, expected {want}")
 
-        d2 = tensor_differential(complex_.d)
-        defect = twist_vector(c0) - c0 - d2(Q0)
-        if not defect.is_zero():
+        R, c0_terms = A.ring, vector_terms(c0)
+        d2 = tensor_differential(complex_.d).table().at
+        defect = _sum_rows(
+            R, _twisted(c0_terms, A.index().odd, R.neg).items(),
+            ((k, R.neg(c)) for k, c in c0_terms),
+            ((k, R.neg(c)) for k, c in apply_rows(d2, vector_terms(Q0),
+                                                  R).items()))
+        if defect:
             raise ValueError(
                 "secondary bivector does not trivialize the twist defect: "
-                f"tau c0 - c0 - dQ0 = {format_vector(defect)}")
+                f"tau c0 - c0 - dQ0 = {format_vector(row_vector(A2, defect))}")
         if not B.is_zero():
             rotated = _cyclic_rotate(B)
             if rotated != B:
@@ -282,15 +288,15 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
                     odd_M[g] and odd[base[f]], neg)
 
     AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
-    m_L = GradedMap.from_rows(AM, M, 0, m_L_row, name="m_L")
-    m_R = GradedMap.from_rows(MA, M, 0, m_R_row, name="m_R")
-    sigma = GradedMap.from_rows(MM, M, 1, sigma_row, name="sigma")
+    m_L = GradedMap(AM, M, 0, m_L_row, name="m_L")
+    m_R = GradedMap(MA, M, 0, m_R_row, name="m_R")
+    sigma = GradedMap(MM, M, 1, sigma_row, name="sigma")
     tau_R = _contraction(AM, M, lambda x: _sum_rows(R, lam(x), corr_R(x)),
                          True, 1, lambda b, f: 1, "tau_R")
     tau_L = _contraction(MA, M, lambda x: _sum_rows(R, lam(x), corr_L(x)),
                          False, 1, lambda a, f: koszul_sign(odd_M[f] + 1),
                          "tau_L")
-    beta = GradedMap.from_rows(MM, A, 2, beta_row, name="beta")
+    beta = GradedMap(MM, A, 2, beta_row, name="beta")
 
     # barred versions: op = barred[i,j;k] per the component placement, so
     # each barred operation is the [i,j;k]-unshift of its unbarred form
@@ -307,8 +313,8 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     d_M = shift_map(dual_map(data.complex.d), 2 * n)
     M_complex = ChainComplex(M, d_M)
     c0_rows = slot_table(vector_terms(data.c0), data.c0.module, M)
-    c = GradedMap.from_rows(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
-                            name="c")
+    c = GradedMap(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
+                  name="c")
     c_map = ChainMap(M_complex, data.complex, c)
     cone = mapping_cone(c_map)
 
@@ -340,8 +346,8 @@ def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
             return out
         return out + tuple((minus[k], c) for k, c in to_minus(i, j))
 
-    return GradedMap.from_rows(tensor(cone_mod, cone_mod), cone_mod, 0, row,
-                               name="mu_cone")
+    return GradedMap(tensor(cone_mod, cone_mod), cone_mod, 0, row,
+                     name="mu_cone")
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +433,16 @@ def closed_form_components(data: ConeProductData) -> dict:
     A2 = tensor(A, A)
     AMb, MbA, MbMb = tensor(A, Mbar), tensor(Mbar, A), tensor(Mbar, Mbar)
     return {
-        "pp_p": GradedMap.from_rows(A2, A, 0, mu, name="pp_p"),
-        "pp_m": GradedMap.from_rows(A2, Mbar, 0, lambda i, j: (), name="pp_m"),
-        "mm_p": GradedMap.from_rows(MbMb, A, 0, lambda i, j: (), name="mm_p"),
-        "mm_m": GradedMap.from_rows(MbMb, Mbar, 0, mm_m, name="mm_m"),
+        "pp_p": GradedMap(A2, A, 0, mu, name="pp_p"),
+        "pp_m": GradedMap(A2, Mbar, 0, lambda i, j: (), name="pp_m"),
+        "mm_p": GradedMap(MbMb, A, 0, lambda i, j: (), name="mm_p"),
+        "mm_m": GradedMap(MbMb, Mbar, 0, mm_m, name="mm_m"),
         "mp_p": _contraction(MbA, M, W_left, False, 0,
                              lambda a, f: koszul_sign(odd_M[f] + 1), "mp_p"),
         "pm_p": _contraction(AMb, M, W_right, True, 0,
                              lambda b, f: koszul_sign(odd[b]), "pm_p"),
-        "mp_m": GradedMap.from_rows(MbA, Mbar, 0, mp_m, name="mp_m"),
-        "pm_m": GradedMap.from_rows(AMb, Mbar, 0, pm_m, name="pm_m"),
+        "mp_m": GradedMap(MbA, Mbar, 0, mp_m, name="mp_m"),
+        "pm_m": GradedMap(AMb, Mbar, 0, pm_m, name="pm_m"),
     }
 
 

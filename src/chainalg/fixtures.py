@@ -34,7 +34,12 @@ from .graded import (
     GradedMap,
     Vector,
     tensor,
+    row_vector,
+    vector_terms,
     TENSOR_SEP,
+    _positions,
+    _sum_rows,
+    _twisted,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import BialgebraData
@@ -146,7 +151,7 @@ def _exterior_mu(module: GradedModule, loops, window: TruncationWindow,
             return ()
         return ((at[a + b, e], one),)
 
-    return GradedMap.from_rows(tensor(module, module), module, 0, row, name="mu")
+    return GradedMap(tensor(module, module), module, 0, row, name="mu")
 
 
 def _pair_terms(i, j, with_a: bool):
@@ -178,8 +183,7 @@ def _coproduct(module: GradedModule, loops, degree: int,
                         else R.add(old, sign[s]))
         return tuple((k, c) for k, c in out.items() if c != 0)
 
-    return GradedMap.from_rows(module, tensor(module, module), degree, row,
-                               name="lam")
+    return GradedMap(module, tensor(module, module), degree, row, name="lam")
 
 
 def make_loop_sphere(n: int, window: TruncationWindow = TruncationWindow(),
@@ -387,10 +391,10 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
     from .complexes import ChainComplex
     from .cone_product import ConeProductData, cyclic_symmetrize
 
-    w = random_tensor_value(-2 * n, density=0.4)
-    from .graded import twist_vector
-
-    c0 = w + twist_vector(w)            # tau c0 = c0, so d Q0 = 0 suffices
+    w = vector_terms(random_tensor_value(-2 * n, density=0.4))
+    # c0 = w + tau w, so tau c0 = c0 and d Q0 = 0 suffices
+    c0 = row_vector(A2, _sum_rows(ring, w, _twisted(
+        w, module.index().odd, ring.neg).items()))
     Q0 = random_tensor_value(1 - 2 * n, density=0.4)
     A3 = tensor(module, module, module)
     t = {}
@@ -415,7 +419,7 @@ def flip_structure_constant(m: GradedMap, input_name: str,
     base = m.eval_basis(input_name)
     if base[output_name] == 0:
         raise KeyError(f"{output_name!r} does not occur in the image of {input_name!r}")
-    at = [tuple(f.index().pos[p] for f, p in zip(mod.factors, mod.parts_of(n)))
+    at = [_positions(mod, n)
           for mod, n in ((m.source, input_name), (m.target, output_name))]
     flipped, out = at[0], at[1] if m.target.arity > 1 else at[1][0]
     row, neg = m.table().row, m.source.ring.neg
@@ -426,8 +430,7 @@ def flip_structure_constant(m: GradedMap, input_name: str,
             return r
         return tuple((t, neg(c) if t == out else c) for t, c in r)
 
-    return GradedMap.from_rows(m.source, m.target, m.degree, rows,
-                               name=f"{m.name}!flip")
+    return GradedMap(m.source, m.target, m.degree, rows, name=f"{m.name}!flip")
 
 
 def mutate_lambda(inst: BialgebraData, input_name: str, output_name: str) -> BialgebraData:

@@ -34,39 +34,38 @@ factor, so a product is kept while its first factor lives.
 
 Where values are checked: basis names and coefficients are validated where
 they enter the program, i.e. by the public `Vector(module, coeffs)`
-constructor, `GradedModule.el`/`.vector` and `GradedMap.from_table` (which
-build on it), by the target check of `GradedMap.eval_basis`, and by the
-scenario loader, which checks each operation-table entry and combination
-once (names by lookup in `GradedModule.index`, coefficients, homogeneity
-of table values and combinations) while parsing tables straight into
-`GradedMap.from_rows` row maps.  Internal arithmetic (vector sums,
-differences, negation, scaling, tensors, map application, `tensor_map`,
-the row maps and their tables) only combines values that are valid
-already, so it builds its results through the trusted constructor
+constructor and `GradedModule.el`/`.vector`, by `GradedMap.from_table`, the
+checked constructor for a map given by values on names (names, target
+module and degree of every value), and by the scenario loader, which checks
+each operation-table entry and combination once (names by lookup in
+`GradedModule.index`, coefficients, homogeneity of table values and
+combinations) while parsing tables straight into row maps.  Internal
+arithmetic (vector sums, differences, negation, scaling, tensors, map
+application, the row maps and their tables) only combines values that are
+valid already, so it builds its results through the trusted constructor
 `Vector._trusted`, which drops zero coefficients and checks nothing else.
 The structural checks (d*d = 0 in `ChainComplex`, commutation in
 `ChainMap` and the chain-map conditions of `BialgebraData`) read table
 rows and raise ValueError, never an assert, so they also run under
 `python -O`.
 
-Index tables: every check reads structure constants from
-`GradedMap.table()`, an `OpTable` that keys each basis element of an
-atomic module by its position in the canonical order (`GradedModule.index`,
-which also holds each position's degree and its parity), and a pair of
-positions in a binary tensor module.  A table fills each row once, on
-first use, from the row function of a map built by `GradedMap.from_rows`,
-or else through `eval_basis` (so every value it holds has passed the map's
-target check).  The maps the checks build are row maps: the zero and
-identity maps, `tensor_differential`, `shift_map` and the operation shifts
-(a shift keeps names and order, so positions), `dual_map` (one sparse
-transpose of the map's table), the cone's d_cone, incl and proj, the
-fixtures' mu and lam, and mu tau and tau lam read off the rows of mu and
-lam.  `apply_rows` applies
-a table to a row's terms.  Names come back, through `row_vector`, only to
-build a witness or to answer a name-keyed caller; the name-keyed
-combinators (`then`, `+`, `-`, `tensor_map`, `twist`) stay as the public
-algebra and as the tests' references.  The associativity-type checks
-(`associativity_witness`, and the assoc-infinitesimal check of
+Index tables: every map is a row map, a function from basis positions to
+rows, and every check reads structure constants from `GradedMap.table()`,
+an `OpTable` that keys each basis element of an atomic module by its
+position in the canonical order (`GradedModule.index`, which also holds
+each position's degree and its parity), and a pair of positions in a
+binary tensor module.  A table fills each row once, on first use, from
+the map's row function.  `from_table` builds its rows once from the given
+values; the other maps compute theirs from the rows of the maps they are
+built from: `tensor_differential`, `shift_map` and the operation shifts (a
+shift keeps names and order, so positions), `dual_map` (one sparse
+transpose of the map's table), the cone's d_cone, incl, proj and
+transition automorphism, commutators [d, h], the fixtures' mu and lam, and
+mu tau and tau lam read off the rows of mu and lam with the one signed
+twist `_twisted`.  `apply_rows` applies a table to a row's terms.  Names
+come back, through `row_vector`, only to build a witness or to answer a
+name-keyed caller (`eval_basis`, calling a map).  The associativity-type
+checks (`associativity_witness`, and the assoc-infinitesimal check of
 `cone_product`) expand each side once per distinct row and compare sides
 as ids interned by `SideIds`.
 """
@@ -468,37 +467,43 @@ def format_vector(v: Vector) -> str:
 # ---------------------------------------------------------------------------
 
 class GradedMap:
-    """Homogeneous linear map of a fixed degree offset between graded modules.
+    """Homogeneous linear map of a fixed degree offset between graded modules,
+    given by its rows on basis positions.
 
-    A map is given in one of two forms.  A row map (`from_rows`) has a row
-    function on basis positions, read through `table()`; every map the
-    checks read is one.  A map given by names has a function from basis
-    names to Vectors, memoized per name, so the name-keyed combinators
-    (`then`, `+`, `-`, `tensor_map`, `twist`) stay lazy.
-    `eval_basis` serves both forms by name, and `table()` both by position.
+    rows(i), or rows(i, j) on a binary source, is the image of the basis
+    element at those positions in the form of `OpTable.row`, without zero
+    coefficients; the source is unary or binary, else ValueError here.
+    `table()` serves each row once computed.  Names come back only through
+    `eval_basis` and calling the map, which read the table rows, for a
+    witness or a name-keyed caller.  `from_table` is the checked
+    constructor for a map given by values on basis names.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
-                 fn, name: str = ""):
+                 rows, name: str = ""):
         if source.ring != target.ring:
             raise ValueError("ring mismatch between source and target")
+        if source.arity > 2:
+            raise ValueError("maps have unary or binary sources only")
         self.source = source
         self.target = target
         self.degree = degree
-        self._fn = fn
+        self.row_fn = rows
         self._memo = {}
         self._table = None
-        self.row_fn = None   # the row function of a map from `from_rows`
         self.name = name
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_table(cls, source, target, degree, table: dict, name: str = ""):
-        """Map given by explicit values on basis names; missing names -> 0."""
-        def fn(basis_name):
-            return table.get(basis_name, target.zero())
-        m = cls(source, target, degree, fn, name)
+        """Map given by explicit values on basis names; missing names -> 0.
+        Each name must be a basis name of the source (KeyError), each value
+        a Vector of the target (ValueError) of the map's degree on that name
+        (ValueError).  The rows are built here, once."""
+        rows = {}
+        m = cls(source, target, degree, lambda *k: rows.get(k, ()), name)
+        atomic = target.arity == 1
         for n, v in table.items():
             if not source.has(n):
                 raise KeyError(f"{n!r} is not a basis name of the source")
@@ -509,48 +514,32 @@ class GradedMap:
                 raise ValueError(
                     f"value for {n!r} has degree {d}, expected "
                     f"{source.degree_of(n) + degree}")
+            terms = vector_terms(v)
+            rows[_positions(source, n)] = (
+                tuple((k[0], c) for k, c in terms) if atomic else terms)
         return m
-
-    @classmethod
-    def from_rows(cls, source, target, degree, rows, name: str = ""):
-        """Map given by its rows on basis positions: rows(i), or rows(i, j)
-        on a binary source, is the image of the basis element at those
-        positions in the form of `OpTable.row`, without zero coefficients.
-        `table().row` serves each row once computed; `eval_basis` reads
-        names through it."""
-        m = cls(source, target, degree, None, name)
-        m.row_fn = rows
-        return m
-
-    def _named_row(self, name: str) -> "Vector":
-        src = self.source
-        parts = src.parts_of(name)
-        if len(parts) != src.arity:
-            raise KeyError(f"{name!r} is not a basis name of {src!r}")
-        return row_vector(self.target, self.table().row(
-            *(f.index().pos[p] for f, p in zip(src.factors, parts))))
 
     @classmethod
     def zero(cls, source, target, degree, name: str = "0"):
-        return cls.from_rows(source, target, degree, lambda *k: (), name)
+        return cls(source, target, degree, lambda *k: (), name)
 
     @classmethod
     def identity(cls, module, name: str = "id"):
         one = module.ring.one()
-        return cls.from_rows(module, module, 0, lambda *k: (
+        return cls(module, module, 0, lambda *k: (
             (k if len(k) > 1 else k[0], one),), name)
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_basis(self, name: str) -> Vector:
+        """The image of the basis element `name`: its table row, by name."""
         v = self._memo.get(name)
         if v is None:
-            v = self._fn(name) if self.row_fn is None else self._named_row(name)
-            if not isinstance(v, Vector) or (v.module is not self.target
-                                             and v.module != self.target):
-                raise ValueError(f"{self.name or 'map'} returned a value "
-                                 f"outside its target on {name!r}")
-            self._memo[name] = v
+            src = self.source
+            if len(src.parts_of(name)) != src.arity:
+                raise KeyError(f"{name!r} is not a basis name of {src!r}")
+            v = self._memo[name] = row_vector(
+                self.target, self.table().row(*_positions(src, name)))
         return v
 
     def table(self) -> "OpTable":
@@ -574,31 +563,6 @@ class GradedMap:
                 out[n] = term if old is None else R.add(old, term)
         return Vector._trusted(self.target, out)
 
-    # -- algebra ---------------------------------------------------------------
-
-    def then(self, g: "GradedMap") -> "GradedMap":
-        """g after self."""
-        if g.source != self.target:
-            raise ValueError("maps are not composable")
-        return GradedMap(self.source, g.target, self.degree + g.degree,
-                         lambda n: g(self.eval_basis(n)),
-                         name=f"({g.name}after{self.name})")
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        self._same_signature(other)
-        return GradedMap(self.source, self.target, self.degree,
-                         lambda n: self.eval_basis(n) + other.eval_basis(n))
-
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        self._same_signature(other)
-        return GradedMap(self.source, self.target, self.degree,
-                         lambda n: self.eval_basis(n) - other.eval_basis(n))
-
-    def _same_signature(self, other):
-        if (self.source != other.source or self.target != other.target
-                or self.degree != other.degree):
-            raise ValueError("maps have different signatures")
-
     # -- materialization ---------------------------------------------------------
 
     def block(self, k) -> ExactMatrix:
@@ -612,11 +576,6 @@ class GradedMap:
             for img in images:
                 entries.append(img[t.name])
         return ExactMatrix(R, len(tgt), len(src), entries)
-
-    def is_zero(self, names=None) -> bool:
-        if names is None:
-            names = self.source.basis_names()
-        return all(self.eval_basis(n).is_zero() for n in names)
 
     def __repr__(self):
         return (f"GradedMap({self.name or '?'}: {self.source.name or '?'} -> "
@@ -643,28 +602,23 @@ def sparse_blocks(f: GradedMap):
 class OpTable:
     """A map's structure constants on integer indices, filled lazily.
 
-    The map has a unary or binary source of atomic factors.  `row(i)`, or
-    `row(i, j)` for a binary source, is the image of the basis element at
-    those positions (see `GradedModule.index`) as a tuple of
+    `row(i)`, or `row(i, j)` for a binary source, is the image of the basis
+    element at those positions (see `GradedModule.index`) as a tuple of
     (k, coefficient) pairs, where k is a position in an atomic target, or a
     tuple of positions, one per factor, in a tensor target.  Each row is
-    read once, from the map's row function or else through `eval_basis`,
-    and kept while the map lives.
+    read once, from the map's row function, and kept while the map lives.
     """
 
     def __init__(self, op: GradedMap):
-        if op.source.arity > 2:
-            raise ValueError("tables index unary and binary sources only")
         self.degree = op.degree
         self.source = tuple(f.index() for f in op.source.factors)
         self.target = tuple(f.index() for f in op.target.factors)
         self._stride = len(self.source[1].names) if op.source.arity == 2 else 1
         self._rows = {}
-        # a row map's table holds no reference back to the map, so the map
-        # and its table form no reference cycle and are freed with their
-        # last user rather than at the next full garbage collection
+        # the table holds the row function and no reference back to the
+        # map, so the map and its table form no reference cycle and are
+        # freed with their last user rather than at the next full collection
         self._row_fn = op.row_fn
-        self._map = op if op.row_fn is None else None
 
     def row(self, i: int, j: int = 0) -> tuple:
         r = self._rows.get(i * self._stride + j)
@@ -679,23 +633,8 @@ class OpTable:
 
     def _fill(self, i, j):
         rows = self._row_fn
-        if rows is not None:
-            r = self._rows[i * self._stride + j] = tuple(
-                rows(i, j) if len(self.source) == 2 else rows(i))
-            return r
-        name = self.source[0].names[i]
-        if len(self.source) == 2:
-            name += TENSOR_SEP + self.source[1].names[j]
-        coeffs = self._map.eval_basis(name).coeffs
-        if len(self.target) == 1:
-            pos = self.target[0].pos
-            r = tuple((pos[n], c) for n, c in coeffs.items())
-        else:
-            parts_of = self._map.target.parts_of
-            poss = [t.pos for t in self.target]
-            r = tuple((tuple(p[x] for p, x in zip(poss, parts_of(n))), c)
-                      for n, c in coeffs.items())
-        self._rows[i * self._stride + j] = r
+        r = self._rows[i * self._stride + j] = tuple(
+            rows(i, j) if len(self.source) == 2 else rows(i))
         return r
 
 
@@ -705,9 +644,7 @@ def basis_keys(module: GradedModule):
     module, as table rows key it."""
     if module.arity == 1:
         return [(n, i) for i, n in enumerate(module.index().names)]
-    pos = [f.index().pos for f in module.factors]
-    return [(e.name, tuple(p[x] for p, x in zip(pos, module.parts_of(e.name))))
-            for e in module.basis()]
+    return [(e.name, _positions(module, e.name)) for e in module.basis()]
 
 
 def apply_rows(at, terms, ring) -> dict:
@@ -729,6 +666,14 @@ def _sum_rows(ring, *parts) -> tuple:
         for k, c in part:
             out[k] = c if (old := out.get(k)) is None else ring.add(old, c)
     return tuple((k, c) for k, c in out.items() if c != 0)
+
+
+def _twisted(terms, odd, neg) -> dict:
+    """The twist of the binary tensor terms ((k1, k2), coefficient), as
+    {(k2, k1): coefficient}: tau(x (x) y) = (-1)^{|x||y|} y (x) x, with the
+    degree parity of each position in `odd` (`GradedModule.index`)."""
+    return {(k2, k1): neg(c) if odd[k1] and odd[k2] else c
+            for (k1, k2), c in terms}
 
 
 class SideIds:
@@ -783,36 +728,6 @@ class SideIds:
 # Koszul combinators
 # ---------------------------------------------------------------------------
 
-def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    """f (x) g with the Koszul sign (-1)^{|g| |x|} on x (x) y."""
-    if f.source.ring != g.source.ring:
-        raise ValueError("ring mismatch")
-    source = tensor(f.source, g.source)
-    target = tensor(f.target, g.target)
-    split = f.source.arity
-    R = target.ring
-    g_odd = g.degree % 2
-
-    def fn(name):
-        parts = source.parts_of(name)
-        left = TENSOR_SEP.join(parts[:split])
-        right = TENSOR_SEP.join(parts[split:])
-        left_odd = f.source.degree_of(left) % 2
-        negate = g_odd and left_odd
-        fx = f.eval_basis(left).coeffs
-        gy = g.eval_basis(right).coeffs
-        out = {}
-        for n1, c1 in fx.items():
-            if negate:
-                c1 = R.neg(c1)
-            for n2, c2 in gy.items():
-                out[n1 + TENSOR_SEP + n2] = R.mul(c1, c2)
-        return Vector._trusted(target, out)
-
-    return GradedMap(source, target, f.degree + g.degree, fn,
-                     name=f"({f.name}(x){g.name})")
-
-
 def tensor_differential(d: GradedMap) -> GradedMap:
     """d (x) 1 + 1 (x) d, the differential of M (x) M for d on M, as a row
     map: x (x) y -> d(x) (x) y + (-1)^{|d||x|} x (x) d(y)."""
@@ -828,7 +743,7 @@ def tensor_differential(d: GradedMap) -> GradedMap:
         return tuple((k, c) for k, c in out.items() if c != 0)
 
     M2 = tensor(M, M)
-    return GradedMap.from_rows(M2, M2, d.degree, rows, name=f"({d.name}2)")
+    return GradedMap(M2, M2, d.degree, rows, name=f"({d.name}2)")
 
 
 def associativity_witness(mu: GradedMap, names):
@@ -898,31 +813,6 @@ def associativity_witness(mu: GradedMap, names):
     return count, None, None, None
 
 
-def twist(M: GradedModule, N: GradedModule) -> GradedMap:
-    """tau: M (x) N -> N (x) M, x (x) y -> (-1)^{|x||y|} y (x) x."""
-    source = tensor(M, N)
-    target = tensor(N, M)
-    split = M.arity
-
-    def fn(name):
-        parts = source.parts_of(name)
-        left = TENSOR_SEP.join(parts[:split])
-        right = TENSOR_SEP.join(parts[split:])
-        dl = M.degree_of(left)
-        dr = N.degree_of(right)
-        sign = -1 if (dl % 2) and (dr % 2) else 1
-        return target.el(f"{right}{TENSOR_SEP}{left}", sign)
-
-    return GradedMap(source, target, 0, fn, name="tau")
-
-
-def twist_vector(v: Vector) -> Vector:
-    """Apply the twist to an element of a binary tensor module."""
-    if v.module.arity != 2:
-        raise ValueError("twist_vector needs a binary tensor module")
-    return twist(*v.module.factors)(v)
-
-
 def shift(M: GradedModule, k: int) -> GradedModule:
     """M[k] with M[k]_n = M_{n+k}: each element drops in degree by k."""
     if k == 0:
@@ -935,14 +825,14 @@ def shift(M: GradedModule, k: int) -> GradedModule:
 def shift_map(f: GradedMap, k: int) -> GradedMap:
     """f[k]: M[k] -> N[k], with the Koszul sign (-1)^{|f| k}, as a row map
     on f's rows (a shift keeps names and order, so positions)."""
-    row, neg = f.row_fn or f.table().row, f.target.ring.neg
+    row, neg = f.row_fn, f.target.ring.neg
     if f.degree % 2 and k % 2:
         def rows(i):
             return tuple((t, neg(c)) for t, c in row(i))
     else:
         rows = row
-    return GradedMap.from_rows(shift(f.source, k), shift(f.target, k),
-                               f.degree, rows, name=f"{f.name}[{k}]")
+    return GradedMap(shift(f.source, k), shift(f.target, k), f.degree, rows,
+                     name=f"{f.name}[{k}]")
 
 
 def dual_module(M: GradedModule) -> GradedModule:
@@ -974,7 +864,7 @@ def dual_map(f: GradedMap) -> GradedMap:
         return tuple((dual[x], neg(c) if flip else c)
                      for x, c in columns[0].get(base[p], ()))
 
-    return GradedMap.from_rows(src, tgt, f.degree, rows, name=f"{f.name}^")
+    return GradedMap(src, tgt, f.degree, rows, name=f"{f.name}^")
 
 
 def transpose_rows(inputs, image) -> dict:
@@ -1013,9 +903,8 @@ def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
 
 def _op_shift(op, i, j, k, sign_at_result, name):
     """op with its source factors shifted by i and j and its target by k, as
-    a row map on op's rows (a shift keeps names and order, so positions):
-    its row function, or its table for a map given by names.  The sign
-    (-1)^{j |u|} reads |u| in the result's source, or in op's."""
+    a row map on op's rows (a shift keeps names and order, so positions).
+    The sign (-1)^{j |u|} reads |u| in the result's source, or in op's."""
     if op.source.arity != 2:
         raise ValueError("operation shifts apply to binary operations")
     X, Y = op.source.factors
@@ -1023,7 +912,7 @@ def _op_shift(op, i, j, k, sign_at_result, name):
     source = tensor(Xs, shift(Y, j))
     target = shift(op.target, k)
     odd = (Xs if sign_at_result else X).index().odd
-    row, neg = op.row_fn or op.table().row, op.target.ring.neg
+    row, neg = op.row_fn, op.target.ring.neg
 
     def rows(a, b):
         r = row(a, b)
@@ -1031,8 +920,7 @@ def _op_shift(op, i, j, k, sign_at_result, name):
             return tuple((t, neg(c)) for t, c in r)
         return r
 
-    return GradedMap.from_rows(source, target, op.degree + i + j - k, rows,
-                               name=name)
+    return GradedMap(source, target, op.degree + i + j - k, rows, name=name)
 
 
 # -- pairings -----------------------------------------------------------------
@@ -1052,13 +940,17 @@ def dual_pair(f: Vector, a: Vector):
     return acc
 
 
+def _positions(module: GradedModule, name: str) -> tuple:
+    """The positions of a basis name's parts, one per factor of `module`
+    (`GradedModule.index`)."""
+    return tuple(f.index().pos[x]
+                 for f, x in zip(module.factors, module.parts_of(name)))
+
+
 def vector_terms(v: Vector) -> tuple:
     """v's terms as (positions, coefficient), one position per factor of
     v's tensor module (`GradedModule.index`): the entries of a table row."""
-    mod = v.module
-    pos = [f.index().pos for f in mod.factors]
-    return tuple((tuple(p[x] for p, x in zip(pos, mod.parts_of(n))), c)
-                 for n, c in v.coeffs.items())
+    return tuple((_positions(v.module, n), c) for n, c in v.coeffs.items())
 
 
 def row_vector(module: GradedModule, terms) -> Vector:

@@ -242,8 +242,7 @@ def _parse_operation(obj, source, target, path) -> GradedMap:
     of one) to `target` (likewise); each input lists one name per factor.
 
     Each entry is parsed once, straight into the row form of `OpTable.row`
-    keyed by its input positions, and the map is a `GradedMap.from_rows`
-    row map.  Names become positions by lookup in `GradedModule.index`,
+    keyed by its input positions, and the map is a row map on them.  Names become positions by lookup in `GradedModule.index`,
     degrees are read by position, each distinct coefficient text is parsed
     once, and an entry's value is judged for homogeneity on the terms left
     after repeated outputs are summed.  Field paths are built only for an
@@ -293,8 +292,7 @@ def _parse_operation(obj, source, target, path) -> GradedMap:
                 raise _error(path, i, ".out", message)
         rows[key] = (tuple(acc.items()) if all(acc.values()) else
                      tuple((k, c) for k, c in acc.items() if c != 0))
-    return GradedMap.from_rows(source, target, degree,
-                               lambda *ij: rows.get(ij, ()))
+    return GradedMap(source, target, degree, lambda *ij: rows.get(ij, ()))
 
 
 def _parse_checks(obj, kind, path):

@@ -28,15 +28,9 @@ from chainalg.fixtures import (
     reverse_data_bivector,
     mutate_lambda,
 )
+from name_keyed import negated
 
 W = TruncationWindow(12)
-
-
-def negated(f: GradedMap) -> GradedMap:
-    """-f, evaluated by names: this file's copy of the former
-    GradedMap.__neg__."""
-    return GradedMap(f.source, f.target, f.degree,
-                     lambda n: -f.eval_basis(n))
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +274,8 @@ def test_loday_ronco_on_based_circle():
     minus = make_based_loop(1, W, "minus")
     assert check_loday_ronco(minus).passed
 
-    neg_minus = BialgebraData(minus.module, minus.mu, negated(minus.lam),
+    neg_minus = BialgebraData(minus.module, minus.mu,
+                              negated(minus.lam).row_map(),
                               minus.eta, safe_names=minus.safe_names)
     assert check_loday_ronco(neg_minus).passed
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chainalg.rings import ZZ, QQ, GF
 from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
@@ -19,13 +20,7 @@ from chainalg.complexes import (
 )
 from chainalg.fixtures import make_tstar_s1, make_fixture, TruncationWindow
 from chainalg.matrices import ExactMatrix
-
-
-def scaled(f: GradedMap, c) -> GradedMap:
-    """c * f, evaluated by names: this file's copy of the former
-    GradedMap.scale."""
-    return GradedMap(f.source, f.target, f.degree,
-                     lambda n: f.eval_basis(n).scale(c))
+from name_keyed import NameMap, is_zero_map, named, scaled
 
 
 def complex_from_spec(ring, gens, diff):
@@ -238,7 +233,7 @@ def test_graded_commutator_shapes():
         h = GradedMap.from_table(C.module, C.module, 1, table)
         inner = graded_commutator(h, C, C)
         outer = graded_commutator(inner, C, C)
-        assert outer.is_zero()
+        assert is_zero_map(outer)
 
 
 def test_is_chain_homotopic_zero_homotopy():
@@ -300,7 +295,7 @@ def test_induced_quotient_homotopy_trivial():
     z = GradedMap.zero(K1.module, K2.module, 1)
     res = induced_quotient_homotopy(c, c, z, c1, c2, top=2)
     assert res.verified
-    assert res.h_bar.is_zero()
+    assert is_zero_map(res.h_bar)
 
 
 def test_induced_quotient_homotopy_nontrivial():
@@ -316,7 +311,7 @@ def test_induced_quotient_homotopy_nontrivial():
                              {"a1": K2.module.el("b0"), "a2": K2.module.zero(),
                               "a0": K2.module.zero()})
     comm = graded_commutator(h, K1, K2)
-    cp = ChainMap(K1, K2, c_map + comm)
+    cp = ChainMap(K1, K2, (named(c_map) + comm).row_map())
     res = induced_quotient_homotopy(c, cp, h, c1, c2, top=2)
     assert res.verified
     # forced to zero at the extreme degree regardless of h
@@ -351,7 +346,7 @@ def test_transition_action_on_tstar_cone_is_unipotent(ring, sign):
     bundle = make_tstar_s1(ring, sign=sign)
     act = transition_automorphism(bundle.cone, bundle.secondary).homology_action
     inv = transition_automorphism(
-        bundle.cone, scaled(bundle.secondary, -1)).homology_action
+        bundle.cone, scaled(bundle.secondary, -1).row_map()).homology_action
     assert act.blocks.keys() == inv.blocks.keys()
 
     def minus_identity(M):
@@ -501,7 +496,8 @@ def test_cubical_torus_homology_and_induced_scalar(ring):
                 for t in C.module.basis_in_degree(e.degree + 1)})
             for e in C.module.basis()})
         ident = GradedMap.identity(C.module)
-        f = ChainMap(C, C, ident + ident + graded_commutator(h, C, C))
+        f = ChainMap(C, C, (named(ident) + ident
+                            + graded_commutator(h, C, C)).row_map())
         act = induced_map_on_homology(f)
         assert sorted(act.blocks) == [k for k, _, _ in h_C.by_degree]
         for k, free, torsion in h_C.by_degree:
@@ -676,7 +672,7 @@ def test_quotient_homology_matches_universal_coefficients():
             C = complex_from_spec(ring, gens, diff)
             ident = GradedMap.identity(C.module)
             for m in (2, 3, 4, 6):
-                q = quotient_by_image(ChainMap(C, C, scaled(ident, m)))
+                q = quotient_by_image(ChainMap(C, C, scaled(ident, m).row_map()))
                 h = q.homology().by_degree
                 if ring is ZZ:
                     want = _expected_quotient_by_multiple(pieces, m)
@@ -695,7 +691,8 @@ def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
     # presentations and induced maps go through the same unit pivots
     torus = _cubical_torus(ZZ, 6)
     ident = GradedMap.identity(torus.module)
-    act = induced_map_on_homology(ChainMap(torus, torus, ident + ident))
+    act = induced_map_on_homology(ChainMap(torus, torus,
+                                           scaled(ident, 2).row_map()))
     assert not act.is_identity()
     assert factored == [], [f[:2] for f in factored]
     klein = _cubical_torus(ZZ, 10, klein=True)
@@ -711,3 +708,128 @@ def test_homology_of_surfaces_with_1936_cells(ring):
     klein = str(homology(_cubical_torus(ring, 22, klein=True)))
     assert klein == {ZZ: "H_0 = R, H_1 = R + R/2", QQ: "H_0 = R, H_1 = R",
                      GF(2): "H_0 = R, H_1 = R^2, H_2 = R"}[ring]
+
+
+# ---------------------------------------------------------------------------
+# The row maps of commutators, homotopies and the transition automorphism
+# against the name-keyed references, on random complexes
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=12, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+ring_param = pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+
+
+def draw_complex(data, ring):
+    """A seeded sum of pieces (see `_sum_of_pieces`): its differential has
+    entries beyond 0 and 1 once the basis changes are applied."""
+    gens, diff, _ = _sum_of_pieces(data.draw(st.integers(0, 10 ** 6)))
+    return complex_from_spec(ring, gens, diff)
+
+
+def draw_map(data, C, D, degree):
+    """A map of complexes' modules of the given degree, given by names."""
+    coeff = st.sampled_from((0, 0, 1, -1, 2))
+    return GradedMap.from_table(C.module, D.module, degree, {
+        e.name: Vector(D.module, {
+            t.name: data.draw(coeff)
+            for t in D.module.basis_in_degree(e.degree + degree)})
+        for e in C.module.basis()})
+
+
+def commutator_reference(h, C, D):
+    """[d, h] = d h - (-1)^{|h|} h d by names."""
+    first, second = named(h).then(D.d), named(C.d).then(h)
+    return first - second if h.degree % 2 == 0 else first + second
+
+
+def homotopy_reference(f, g, h):
+    """The witness of f - g = [d, h] by names: "" when it holds, else the
+    first basis element where it fails, with both sides."""
+    comm = commutator_reference(h, f.source, f.target)
+    for n in f.source.module.basis_names():
+        lhs = f.f.eval_basis(n) - g.f.eval_basis(n)
+        if lhs != comm.eval_basis(n):
+            return f"fails on {n}: {lhs} vs {comm.eval_basis(n)}"
+    return ""
+
+
+@ring_param
+@PROPERTY
+@given(data=st.data())
+def test_graded_commutator_matches_the_name_keyed_reference(ring, data):
+    C, D = draw_complex(data, ring), draw_complex(data, ring)
+    for degree in (-1, 0, 1, 2):     # maps h of both parities
+        h = draw_map(data, C, D, degree)
+        got, want = graded_commutator(h, C, D), commutator_reference(h, C, D)
+        assert got.degree == want.degree == degree - 1
+        for n in C.module.basis_names():
+            assert got.eval_basis(n) == want.eval_basis(n), (degree, n)
+
+
+@ring_param
+@PROPERTY
+@given(data=st.data())
+def test_is_chain_homotopic_matches_the_name_keyed_reference(ring, data):
+    C, D = draw_complex(data, ring), draw_complex(data, ring)
+    f = ChainMap(C, D, commutator_reference(draw_map(data, C, D, 1), C, D)
+                 .row_map())
+    h = draw_map(data, C, D, 1)
+    g = ChainMap(C, D, (named(f.f) - commutator_reference(h, C, D)).row_map())
+    assert is_chain_homotopic(f, g, h)
+    # another map, of either parity: the same verdict and witness
+    other = draw_map(data, C, D, data.draw(st.sampled_from((0, 1, 2))))
+    rep = is_chain_homotopic(f, g, other)
+    want = homotopy_reference(f, g, other)
+    assert (rep.homotopic, rep.witness) == (not want, want)
+
+
+def test_a_map_that_is_not_a_homotopy_names_the_failing_element():
+    # d b = 2a; with f = g = id and h(a) = b, [d, h](a) = d h a = 2a
+    C = complex_from_spec(ZZ, [("a", 0), ("b", 1)], {"b": {"a": 2}})
+    ident = ChainMap(C, C, GradedMap.identity(C.module))
+    h = GradedMap.from_table(C.module, C.module, 1, {"a": C.module.el("b")})
+    rep = is_chain_homotopic(ident, ident, h)
+    assert not rep
+    assert rep.witness == "fails on a: 0 vs 2*a"
+
+
+def phi_reference(cone_mod, csec):
+    """Phi(a, m) = (a + csec(m), m) by names."""
+    def fn(name):
+        out = cone_mod.el(name)
+        if name.startswith("-"):
+            out = out + Vector(cone_mod, {
+                "+" + n: c for n, c in csec.eval_basis(name[1:]).coeffs.items()})
+        return out
+
+    return NameMap(cone_mod, cone_mod, 0, fn, name="Phi reference")
+
+
+@ring_param
+@PROPERTY
+@given(data=st.data())
+def test_transition_automorphism_matches_the_name_keyed_reference(ring, data):
+    M, A = draw_complex(data, ring), draw_complex(data, ring)
+    c = commutator_reference(draw_map(data, M, A, 1), M, A).row_map()
+    cone = mapping_cone(ChainMap(M, A, c))
+    cone_mod = cone.complex.module
+    csec = commutator_reference(draw_map(data, M, A, 2), M, A).row_map()
+    res = transition_automorphism(cone, csec)
+    phi = phi_reference(cone_mod, csec)
+    for n in cone_mod.basis_names():
+        assert res.phi.eval_basis(n) == phi.eval_basis(n), n
+    delta = phi - GradedMap.identity(cone_mod)
+    assert res.unipotent is is_zero_map(delta.then(delta)) is True
+    # a degree +1 map that is not a chain map is refused, naming the first
+    # basis element where [d, csec] does not vanish
+    bad = draw_map(data, M, A, 1)
+    comm = commutator_reference(bad, M, A)
+    first = next((n for n in M.module.basis_names()
+                  if not comm.eval_basis(n).is_zero()), None)
+    if first is None:
+        transition_automorphism(cone, bad)
+        return
+    with pytest.raises(ValueError) as err:
+        transition_automorphism(cone, bad)
+    assert str(err.value) == f"csec is not a chain map: [d, csec] != 0 on {first}"

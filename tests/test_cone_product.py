@@ -3,11 +3,12 @@ import random
 import pytest
 
 from chainalg.graded import (
+    BasisElement,
     GradedMap,
+    GradedModule,
     Vector,
     shift,
     tensor,
-    twist,
     dual_pair,
     TENSOR_SEP,
 )
@@ -24,6 +25,7 @@ from chainalg.cone_product import (
 )
 from chainalg.fixtures import TruncationWindow, make_fixture, make_random_instance
 from chainalg.rings import ZZ, QQ, GF
+from name_keyed import NameMap, named, tensor_map, twist
 
 W = TruncationWindow(12)
 
@@ -362,7 +364,7 @@ def test_assoc_implies_infinitesimal_nonvacuous():
                         out[f"{e1.name}{TENSOR_SEP}{e2.name}"] = c
         return Vector(A2, out)
 
-    lam = GradedMap(A, A2, -1, random_lam_fn, name="random-lam")
+    lam = NameMap(A, A2, -1, random_lam_fn, name="random-lam").row_map()
     Q0 = -lam(inst.eta)
     A3 = tensor(A, A, A)
     data = ConeProductData(ChainComplex(A), inst.mu, lam, A2.zero(), Q0,
@@ -379,6 +381,35 @@ def test_assoc_implies_infinitesimal_nonvacuous():
     assert res.passed, res.detail
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_twist_defect_check_with_a_differential(ring):
+    # c0 = d2 P and Q0 = tau P - P give tau c0 - c0 = d2 Q0 != 0, since tau
+    # commutes with d2 = d (x) 1 + 1 (x) d; one more Q0 term leaves a
+    # defect, printed as tau c0 - c0 - d2 Q0 of the name-keyed maps
+    A = GradedModule(ring, [BasisElement(f"x{i}", k) for i, k in
+                            enumerate((0, 0, -1, -1, -2))], name="x")
+    A2, A3 = tensor(A, A), tensor(A, A, A)
+    d = GradedMap.from_table(A, A, -1, {
+        "x0": A.vector({"x2": 1, "x3": 2}), "x1": A.vector({"x2": -1, "x3": -2}),
+        "x2": A.el("x4", 2), "x3": A.el("x4", -1)})
+    one = named(GradedMap.identity(A))
+    d2 = tensor_map(d, one) + tensor_map(one, d)
+    tau = twist(A, A)
+    P = A2.vector({"x0⊗x2": 1, "x3⊗x1": -2, "x1⊗x3": 1})
+    c0, Q0 = d2(P), tau(P) - P
+    assert not (tau(c0) - c0).is_zero()
+    zero_mu, zero_lam = GradedMap.zero(A2, A, 0), GradedMap.zero(A, A2, -1)
+    ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, Q0, A3.zero(),
+                    n=1)
+    bad = Q0 + A2.el("x0⊗x2")
+    with pytest.raises(ValueError) as err:
+        ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, bad,
+                        A3.zero(), n=1)
+    assert str(err.value) == (
+        "secondary bivector does not trivialize the twist defect: "
+        f"tau c0 - c0 - dQ0 = {tau(c0) - c0 - d2(bad)}")
+
+
 def test_assoc_precondition_failure_reported():
     # breaking the Q0 invariant is caught at construction; a non-associative
     # product is caught by the precondition of the component identity
@@ -393,7 +424,7 @@ def test_assoc_precondition_failure_reported():
             return v.scale(2)
         return v
 
-    broken_mu = GradedMap(A2, A, 0, broken_mu_fn)
+    broken_mu = NameMap(A2, A, 0, broken_mu_fn).row_map()
     data = ConeProductData(ChainComplex(A), broken_mu, inst.lam, A2.zero(),
                            -inst.lam(inst.eta), A3.zero(), n=1,
                            safe_names=inst.safe_names)
@@ -453,7 +484,7 @@ def unshift_reference(op, i, j, k):
         return Vector(target, {n: R.neg(c) if negate else c
                                for n, c in op.eval_basis(nm).coeffs.items()})
 
-    return GradedMap(source, target, op.degree - i - j + k, fn)
+    return NameMap(source, target, op.degree - i - j + k, fn)
 
 
 def product_reference(ops):
@@ -482,7 +513,7 @@ def product_reference(ops):
                       {**{f"+{n}": c for n, c in to_plus.coeffs.items()},
                        **{f"-{n}": c for n, c in to_minus.coeffs.items()}})
 
-    return GradedMap(src, cone_mod, 0, fn, name="mu_cone reference")
+    return NameMap(src, cone_mod, 0, fn, name="mu_cone reference")
 
 
 REFERENCE_PACKAGES = (
@@ -535,8 +566,7 @@ def patched(op, at):
                     if k not in dict(r))
         return r + ((free, 1),)
 
-    return GradedMap.from_rows(op.source, op.target, op.degree, rows,
-                               name=op.name)
+    return GradedMap(op.source, op.target, op.degree, rows, name=op.name)
 
 
 def _patched_pair(data, ops):

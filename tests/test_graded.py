@@ -2,19 +2,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chainalg.rings import ZZ, QQ
+from chainalg.rings import ZZ, QQ, GF
 from chainalg.graded import (
     BasisElement,
     GradedModule,
     GradedMap,
     Vector,
     tensor,
-    tensor_map,
-    twist,
     shift,
     shift_map,
     dual_module,
@@ -24,14 +23,10 @@ from chainalg.graded import (
     unapply_op_shift,
     TENSOR_SEP,
     format_vector,
+    basis_keys,
+    vector_terms,
 )
-
-
-def scaled(f: GradedMap, c) -> GradedMap:
-    """c * f, evaluated by names: this file's copy of the former
-    GradedMap.scale."""
-    return GradedMap(f.source, f.target, f.degree,
-                     lambda n: f.eval_basis(n).scale(c))
+from name_keyed import is_zero_map, named, scaled, tensor_map, twist
 
 
 def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):
@@ -84,7 +79,7 @@ def test_tensor_interchange_law():
         gp = random_map(rng, M, M, dgp)
         lhs = tensor_map(fp, gp).then(tensor_map(f, g))
         sign = -1 if (dg % 2) and (dfp % 2) else 1
-        rhs = scaled(tensor_map(fp.then(f), gp.then(g)), sign)
+        rhs = scaled(tensor_map(named(fp).then(f), named(gp).then(g)), sign)
         M2 = tensor(M, M)
         for e in M2.basis():
             assert lhs.eval_basis(e.name) == rhs.eval_basis(e.name), e.name
@@ -155,7 +150,7 @@ def test_dual_basis_pairing():
     # dual of the zero map is zero
     z = GradedMap.zero(M, M, 1)
     dz = dual_map(z)
-    assert dz.is_zero()
+    assert is_zero_map(dz)
 
 
 def test_dual_map_pairing_identity():
@@ -182,9 +177,9 @@ def test_dual_of_composition():
         for dg in (-1, 0, 1):
             f = random_map(rng, M, M, df)
             g = random_map(rng, M, M, dg)
-            lhs = dual_map(g.then(f))
+            lhs = dual_map(named(g).then(f).row_map())
             sign = -1 if (df % 2) and (dg % 2) else 1
-            rhs = scaled(dual_map(f).then(dual_map(g)), sign)
+            rhs = scaled(named(dual_map(f)).then(dual_map(g)), sign)
             for e in dual_module(M).basis():
                 assert lhs.eval_basis(e.name) == rhs.eval_basis(e.name)
 
@@ -249,15 +244,52 @@ def test_module_name_validation():
         GradedModule(ZZ, [BasisElement(f"a{TENSOR_SEP}b", 0)])
 
 
-def test_eval_basis_rejects_values_outside_target():
+def test_from_table_rejects_values_outside_target():
     M = small_module()
     N = small_module(degrees=(0,))
-    wrong_module = GradedMap(M, M, 0, lambda n: N.el("x0"), name="wrong")
-    with pytest.raises(ValueError, match="outside its target"):
-        wrong_module.eval_basis("x0")
-    not_a_vector = GradedMap(M, M, 0, lambda n: 0, name="scalar")
-    with pytest.raises(ValueError, match="outside its target"):
-        not_a_vector.eval_basis("x0")
+    with pytest.raises(ValueError, match="does not live in the target"):
+        GradedMap.from_table(M, M, 0, {"x0": N.el("x0")})
+    with pytest.raises(ValueError, match="does not live in the target"):
+        GradedMap.from_table(M, M, 0, {"x0": 0})
+    with pytest.raises(ValueError, match="has degree 1, expected 0"):
+        GradedMap.from_table(M, M, 0, {"x0": M.el("x1")})
+    with pytest.raises(KeyError):
+        GradedMap.from_table(M, M, 0, {"nope": M.el("x0")})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_from_table_rows_are_the_terms_of_the_values(ring):
+    # unary and binary sources, atomic and tensor targets: each row is keyed
+    # as OpTable.row keys it (a position in an atomic target, a tuple of
+    # positions in a tensor one) and equals vector_terms of its value; a
+    # name the table leaves out has the empty row
+    rng = random.Random(repr(ring))
+    M = small_module(ring)
+    M2 = tensor(M, M)
+    for source, target in ((M, M), (M, M2), (M2, M), (M2, M2)):
+        for degree in (-1, 0, 1):
+            table = {e.name: Vector(target, {
+                         t.name: Fraction(rng.randint(-3, 3),
+                                          1 if ring == ZZ else rng.randint(1, 3))
+                         for t in target.basis_in_degree(e.degree + degree)})
+                     for e in source.basis() if rng.random() < 0.8}
+            f = GradedMap.from_table(source, target, degree, table)
+            rows = f.table()
+            for name, key in basis_keys(source):
+                want = vector_terms(table.get(name, target.zero()))
+                if target.arity == 1:
+                    want = tuple((k[0], c) for k, c in want)
+                assert rows.at(key) == want, (name, degree)
+                assert f.eval_basis(name) == table.get(name, target.zero())
+
+
+def test_a_source_of_arity_three_is_rejected_at_construction():
+    M = small_module()
+    M3 = tensor(M, M, M)
+    with pytest.raises(ValueError, match="unary or binary"):
+        GradedMap.from_table(M3, M, 0, {})
+    with pytest.raises(ValueError, match="unary or binary"):
+        GradedMap(M3, M, 0, lambda *k: ())
 
 
 _OPTIMIZED_CHECKS = """
@@ -270,6 +302,7 @@ from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
 from chainalg.fixtures import _parse_name
 from chainalg.scenario import SchemaError, ingest
 from chainalg.complexes import ChainComplex, ChainMap
+from chainalg.graded import tensor
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 C = GradedModule(ZZ, [BasisElement(n, k) for k, n in enumerate("abc")])
 d = GradedMap.from_table(C, C, -1, {"b": C.el("a"), "c": C.el("b")})
@@ -282,11 +315,12 @@ def scenario(out):
                                  {"name": "x", "degree": 1}]},
             "mu": {"degree": 0, "entries": [{"in": ["e", "e"], "out": out}]},
             "lambda": {"degree": -1, "entries": []}, "eta": [["1", "e"]]}
-f = GradedMap(M, M, 0, lambda n: N.el("y"), name="f")
-g = GradedMap(M, M, 0, lambda n: N.el("y"), name="g")
 for label, call, error in (
-        ("target", lambda: f.eval_basis("x"), ValueError),
-        ("row", lambda: g.table().row(0), ValueError),
+        ("target", lambda: GradedMap.from_table(M, M, 0, {"x": N.el("y")}),
+         ValueError),
+        ("degree", lambda: GradedMap.from_table(M, M, 1, {"x": M.el("x")}),
+         ValueError),
+        ("arity", lambda: GradedMap.zero(tensor(M, M, M), M, 0), ValueError),
         ("name", lambda: _parse_name("AxU^3"), ValueError),
         ("name", lambda: _parse_name("V^5"), ValueError),
         ("float", lambda: ZZ.canon(2.5), TypeError),
@@ -343,8 +377,9 @@ def test_correctness_checks_survive_python_O():
                         _OPTIMIZED_CHECKS + _CONE_FAILURES],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:15] == [
-        "target raised", "row raised", "name raised", "name raised",
+    assert r.stdout.split("\n")[:16] == [
+        "target raised", "degree raised", "arity raised", "name raised",
+        "name raised",
         "float raised", "float raised", "vector raised", "table raised",
         "scenario raised", "scenario raised", "d*d raised",
         "chain map raised", "inverse exact",

@@ -4,8 +4,8 @@ Every structure map a check reads is a row map on basis positions: mu tau
 and tau lam in `PairKernel`, both sides of coassociativity, the units,
 `tensor_differential`, `dual_map`, `shift_map`, the cone's d_cone, incl and
 proj.  Each is compared here, over
-Z, Q and GF(5), with a name-keyed reference built in this file from
-`twist`, `then`, `tensor_map` or the defining formula on names.  A guard
+Z, Q and GF(5), with a name-keyed reference built from `twist`, `then` and
+`tensor_map` of `name_keyed`, or from the defining formula on names.  A guard
 counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`
 and the checked `Vector` constructor) that `check_axioms` and
 `cone_records` make on built fixtures: none.
@@ -43,11 +43,17 @@ from chainalg.graded import (
     shift_map,
     tensor,
     tensor_differential,
-    tensor_map,
-    twist,
 )
 from chainalg.report import cone_records
 from chainalg.rings import GF, QQ, ZZ
+from name_keyed import (
+    NameMap,
+    insert_left,
+    insert_right,
+    named,
+    tensor_map,
+    twist,
+)
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -69,8 +75,8 @@ def modules(ring, prefix, degrees=(-1, 0, 1)):
 
 
 def draw_map(data, source, target, degree=None):
-    """A map given by names (`from_table`), so its rows come through
-    `eval_basis`; sparse often enough that identities can hold."""
+    """A map given by names (`from_table`); sparse often enough that
+    identities can hold."""
     if degree is None:
         degree = data.draw(st.integers(-1, 1))
     coeff = (st.sampled_from((0, 0, 0, 1, -1)) if data.draw(st.booleans())
@@ -83,7 +89,7 @@ def draw_map(data, source, target, degree=None):
 
 
 def identity_by_names(M):
-    return GradedMap(M, M, 0, M.el, name="id")
+    return NameMap(M, M, 0, M.el, name="id")
 
 
 def sign(exp):
@@ -101,7 +107,7 @@ def test_twisted_tables_match_the_composites(ring, data):
     mu = draw_map(data, A2, A)
     lam = draw_map(data, A, A2)
     kernel = PairKernel(mu, lam, ())
-    mu_tau, tau_lam = twist(A, A).then(mu), lam.then(twist(A, A))
+    mu_tau, tau_lam = twist(A, A).then(mu), named(lam).then(twist(A, A))
     pos = A.index().pos
     for e in A2.basis():
         a, b = e.name.split("⊗")
@@ -131,8 +137,8 @@ def coassociativity_reference(lam, names):
     """The quantifier of (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam,
     with both sides composed by `then` and `tensor_map`."""
     one = identity_by_names(lam.source)
-    co_r = lam.then(tensor_map(one, lam))
-    co_l = lam.then(tensor_map(lam, one))
+    co_r = named(lam).then(tensor_map(one, lam))
+    co_l = named(lam).then(tensor_map(lam, one))
     return quantify_reference("coassociativity", names, lambda n: (
         co_r.eval_basis(n), co_l.eval_basis(n).scale(sign(lam.degree))))
 
@@ -150,8 +156,8 @@ def test_coassociativity_sides_match_the_composites(ring, data):
     A2, A3 = tensor(A, A), tensor(A, A, A)
     lam = draw_map(data, A, A2)
     one = identity_by_names(A)
-    co_r = lam.then(tensor_map(one, lam))
-    co_l = lam.then(tensor_map(lam, one))
+    co_r = named(lam).then(tensor_map(one, lam))
+    co_l = named(lam).then(tensor_map(lam, one))
     odd = A.index().odd
     for x, n in enumerate(A.index().names):
         lhs, rhs = _coassociativity(lam.table().row, lam.degree % 2, odd,
@@ -260,10 +266,12 @@ def test_chain_map_conditions_match_the_name_formulas(ring, data):
         assert rows.eval_basis(e.name) == d2.eval_basis(e.name), e.name
     g = draw_map(data, A2, A, data.draw(st.integers(0, 1)))
     h = draw_map(data, A, A2, data.draw(st.integers(1, 2)))
+    g, h, d = named(g), named(h), named(d)
     mu = g.then(d) - d2.then(g) if g.degree % 2 == 0 else g.then(d) + d2.then(g)
     lam = h.then(d2) - d.then(h) if h.degree % 2 == 0 else h.then(d2) + d.then(h)
     assert chain_map_reference(A, mu, lam, d) is None
-    BialgebraData(A, mu, lam, A.zero(), differential=d)
+    BialgebraData(A, mu.row_map(), lam.row_map(), A.zero(),
+                  differential=d.row_map())
 
 
 # -- dual and shift -------------------------------------------------------------
@@ -277,7 +285,7 @@ def dual_reference(f):
         return Vector(tgt, {x.name + "^": s * f.eval_basis(x.name)[phi[:-1]]
                             for x in f.source.basis()})
 
-    return GradedMap(src, tgt, f.degree, fn)
+    return NameMap(src, tgt, f.degree, fn)
 
 
 @ring_param
@@ -316,10 +324,10 @@ def cone_reference(c, cone_mod):
             out["+" + n] = v
         return Vector(cone_mod, out)
 
-    return (GradedMap(cone_mod, cone_mod, -1, d_fn),
-            GradedMap(A, cone_mod, 0, lambda n: cone_mod.el("+" + n)),
-            GradedMap(cone_mod, M, -1, lambda n: M.el(n[1:])
-                      if n.startswith("-") else M.zero()))
+    return (NameMap(cone_mod, cone_mod, -1, d_fn),
+            NameMap(A, cone_mod, 0, lambda n: cone_mod.el("+" + n)),
+            NameMap(cone_mod, M, -1, lambda n: M.el(n[1:])
+                    if n.startswith("-") else M.zero()))
 
 
 @ring_param
@@ -333,7 +341,8 @@ def test_cone_maps_match_the_name_formulas(ring, data):
     CM = ChainComplex(M, draw_map(data, M, M, -1))
     CA = ChainComplex(A, draw_map(data, A, A, -1))
     h = draw_map(data, M, A, 1)
-    cone = mapping_cone(ChainMap(CM, CA, h.then(CA.d) + CM.d.then(h)))
+    c = named(h).then(CA.d) + named(CM.d).then(h)
+    cone = mapping_cone(ChainMap(CM, CA, c.row_map()))
     cone_mod = cone.complex.module
     refs = cone_reference(cone.chain_map, cone_mod)
     for got, ref in zip((cone.complex.d, cone.include_target,
@@ -344,21 +353,6 @@ def test_cone_maps_match_the_name_formulas(ring, data):
 
 
 # -- the change of coproduct ---------------------------------------------------
-
-def insert_left(v: Vector, M: GradedModule) -> GradedMap:
-    """x -> v (x) x by names (no sign: nothing moves past anything)."""
-    return GradedMap(M, tensor(v.module, M), v.degree(),
-                     lambda n: v.tensor(M.el(n)), name="insL")
-
-
-def insert_right(v: Vector, M: GradedModule) -> GradedMap:
-    """x -> (-1)^{|v| |x|} x (x) v by names (v moves past x)."""
-    def fn(n):
-        out = M.el(n).tensor(v)
-        return -out if v.degree() % 2 and M.degree_of(n) % 2 else out
-
-    return GradedMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
-
 
 def draw_bivector(data, A, degree):
     A2 = tensor(A, A)

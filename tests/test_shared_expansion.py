@@ -280,7 +280,7 @@ def test_associativity_kernel_reads_rows_in_any_order():
         out = (((i + j) % 3, one), ((i + 2 * j) % 3, 2))
         return out if i < j else out[::-1]
 
-    mu = GradedMap.from_rows(tensor(A, A), A, 0, rows)
+    mu = GradedMap(tensor(A, A), A, 0, rows)
     names = A.basis_names()
     assert associativity_witness(mu, names) == associativity_loop(mu, names)
 
