@@ -33,9 +33,7 @@ class NameMap:
             v = self._memo[name] = self._fn(name)
         return v
 
-    def __call__(self, x) -> Vector:
-        if isinstance(x, str):
-            return self.eval_basis(x)
+    def __call__(self, x: Vector) -> Vector:
         out = self.target.zero()
         for name, c in x.coeffs.items():
             out = out + self.eval_basis(name).scale(c)
