@@ -104,9 +104,7 @@ class BialgebraData:
         self.name = name
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else module.basis_names())
-        for n in self.safe_names:
-            if not module.has(n):
-                raise ValueError(f"safe name {n!r} is not a basis element")
+        _require_basis_names(module, self.safe_names, "safe")
         self.differential = differential
         if differential is not None:
             ChainComplex(module, differential)  # validates d*d = 0
@@ -154,6 +152,19 @@ class BialgebraData:
                     lam(x), self.lam.degree % 2, neg):
                 return False
         return True
+
+
+def _require_basis_names(module: GradedModule, names, label: str):
+    """Raise ValueError at the first of `names` that is not a basis name of
+    `module` or that repeats an earlier one, naming it: a repeat would
+    count its inputs twice in every quantifier."""
+    seen = set()
+    for n in names:
+        if not module.has(n):
+            raise ValueError(f"{label} name {n!r} is not a basis element")
+        if n in seen:
+            raise ValueError(f"{label} name {n!r} repeats a basis element")
+        seen.add(n)
 
 
 def _scaled(terms, negate, neg) -> dict:
@@ -235,9 +246,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     """
     A = inst.module
     safe = tuple(window) if window is not None else inst.safe_names
-    for nm in safe:
-        if not A.has(nm):
-            raise ValueError(f"window name {nm!r} is not a basis element")
+    _require_basis_names(A, safe, "window")
     idx = A.index()
     names, odd = idx.names, idx.odd
     R = A.ring

@@ -11,6 +11,7 @@ target part and "-" for the shifted source part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .matrices import (   # smith_normal_form: not called, a name tracers patch
@@ -24,7 +25,6 @@ from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
-    Vector,
     _sum_rows,
     apply_rows,
     basis_keys,
@@ -218,12 +218,8 @@ class HomologyClassMap:
     summary_target: HomologySummary
 
     def is_identity(self) -> bool:
-        for M in self.blocks.values():
-            if M.rows != M.cols:
-                return False
-            if M != ExactMatrix.identity(M.ring, M.rows):
-                return False
-        return True
+        return all(M == ExactMatrix.identity(M.ring, M.rows)
+                   for M in self.blocks.values())
 
 
 class _HomologyPresentation:
@@ -231,6 +227,7 @@ class _HomologyPresentation:
     relation matrix in cycle coordinates (Kaczynski-Mischaikow-Mrozek,
     *Computational Homology*, 2004, ch. 3), by one path for every ring.
 
+    Vectors are sparse columns, as `ImageSolver` takes and returns them.
     `cycles` are an independent generating set of the cycles in R^n (a
     kernel basis, as `ImageSolver.kernel()` gives it), and one
     `ImageSolver` of them gives a cycle its coordinates.  `rel_cols` are
@@ -239,19 +236,16 @@ class _HomologyPresentation:
     coordinates, presents the quotient.  `invariants` reads its `orders`,
     `gen_columns` combines the cycles by its `cokernel_generators()`, and
     `classify(ambient cycle)` is the `cokernel` class of the cycle's
-    coordinates, torsion entries reduced modulo their orders.
+    coordinates, a tuple with torsion entries reduced modulo their orders.
     """
 
     def __init__(self, R, n, cycles, rel_cols):
-        self._basis = [{i: x for i, x in enumerate(z) if x != 0} for z in cycles]
-        self._cycles = ImageSolver(R, n, self._basis)
-        coords = []
-        for col in rel_cols:
-            w = self._cycles.solve(col)
-            if w is None:
-                raise ValueError("relation outside the cycle lattice")
-            coords.append(dict(enumerate(w)))
-        self._relations = ImageSolver(R, len(self._basis), coords)
+        self._basis = cycles
+        self._cycles = ImageSolver(R, n, cycles)
+        coords = [self._cycles.solve(col) for col in rel_cols]
+        if None in coords:
+            raise ValueError("relation outside the cycle lattice")
+        self._relations = ImageSolver(R, len(cycles), coords)
 
     @property
     def ngens(self) -> int:
@@ -264,8 +258,8 @@ class _HomologyPresentation:
 
     def gen_columns(self):
         """Ambient representative cycles, one per generator."""
-        cycles = self._cycles
-        return [_combine(cycles.ring, cycles.rows, zip(g, self._basis))
+        return [_combine(self._cycles.ring,
+                         ((c, self._basis[i]) for i, c in g.items()))
                 for g in self._relations.cokernel_generators()]
 
     def classify(self, ambient_col):
@@ -288,15 +282,8 @@ def _presentations(C: ChainComplex, degrees):
     Each block of d is built and factored once: one `ImageSolver` of
     d_{k+1} gives the cycles at k+1 and the boundaries at k.
     """
-    R = C.ring
-    block = sparse_blocks(C.d)
-    solvers = {}
-
-    def solver(k):
-        if k not in solvers:
-            solvers[k] = ImageSolver(R, *block(k))
-        return solvers[k]
-
+    R, block = C.ring, sparse_blocks(C.d)
+    solver = functools.cache(lambda k: ImageSolver(R, *block(k)))
     out = {}
     for k in degrees:
         ker = solver(k).kernel()
@@ -317,8 +304,9 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     block = sparse_blocks(f.f)
     blocks = {}
     for k in degrees:
-        rows, cols = block(k)
-        cols_out = [pt[k].classify(_combine(R, rows, zip(g, cols)))
+        cols = block(k)[1]
+        cols_out = [pt[k].classify(_combine(R, ((c, cols[i])
+                                                for i, c in g.items())))
                     for g in ps[k].gen_columns()]
         blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
     return HomologyClassMap(blocks, hs, ht)
@@ -382,40 +370,48 @@ def mapping_cone(c: ChainMap) -> Cone:
 class QuotientComplex:
     """C / im(c) for a chain map c into C, presented exactly.
 
-    Each block of c is factored once, by one `ImageSolver`.  Vectors of the
-    base complex represent their cosets; `reduces_to_zero` and `same_class`
-    decide membership in the image lattice, and `homology()` is the
-    homology of the mapping cone of the inclusion im(c) -> C.
+    Each block of c is factored once, by one `ImageSolver`.  A coset is
+    represented by a table row of the base, (basis key, coefficient) pairs;
+    `reduces_to_zero` decides membership in the image lattice, and
+    `homology()` is the homology of the mapping cone of the inclusion
+    im(c) -> C.
     """
 
     def __init__(self, c: ChainMap):
         self.base = c.target
-        self.map = c
         block = sparse_blocks(c.f)
         self._image = {k: ImageSolver(self.base.ring, *block(k))
                        for k in self.base.degrees()}
 
-    def _column(self, k, v: Vector):
-        return [v[e.name] for e in self.base.module.basis_in_degree(k)]
+    def _coordinates(self, row):
+        """The coordinates of a homogeneous row in the image generators of
+        its degree, or None outside the image lattice."""
+        at, col, degrees = self.base.module.layout().at, {}, set()
+        for key, c in row:
+            k, r = at[key]
+            col[r] = c
+            degrees.add(k)
+        if len(degrees) > 1:
+            raise ValueError(f"inhomogeneous row with degrees {sorted(degrees)}")
+        return self._image[k].coordinates(col) if col else {}
 
-    def _vector(self, k, col) -> Vector:
-        return Vector(self.base.module, {
-            e.name: x
-            for e, x in zip(self.base.module.basis_in_degree(k), col) if x != 0})
+    def reduces_to_zero(self, row) -> bool:
+        return self._coordinates(row) is not None
 
-    def reduces_to_zero(self, v: Vector) -> bool:
-        if v.is_zero():
-            return True
-        k = v.degree()
-        return self._image[k].solve(self._column(k, v)) is not None
+    def _generators(self):
+        """{k: the image generators of degree k, as rows of the base}."""
+        keys = self.base.module.layout().keys
+        return {k: [tuple((keys[k][r], c) for r, c in col.items())
+                    for col in solver.image()]
+                for k, solver in self._image.items()}
 
-    def same_class(self, v: Vector, w: Vector) -> bool:
-        return self.reduces_to_zero(v - w)
+    def _boundary(self, row):
+        return apply_rows(self.base.d.table().at, row, self.base.ring).items()
 
     def projection_is_chain_map(self) -> bool:
         # d(im c) lies in im c  iff  the projection commutes with d
-        return all(self.reduces_to_zero(self.base.d(self._vector(k, col)))
-                   for k, solver in self._image.items() for col in solver.image())
+        return all(self.reduces_to_zero(self._boundary(g))
+                   for gens in self._generators().values() for g in gens)
 
     def homology(self) -> HomologySummary:
         """H(C / im c) as H of the cone of the inclusion im(c) -> C.
@@ -427,25 +423,23 @@ class QuotientComplex:
         the coordinates of d(g) in the generators one degree down, read
         from that degree's own factorization.
         """
-        R = self.base.ring
-        gens = {k: solver.image() for k, solver in self._image.items()}
-        names = {k: [f"{k}:{j}" for j in range(len(cols))]
-                 for k, cols in gens.items()}
-        sub = GradedModule(R, [BasisElement(n, k)
-                               for k, ns in names.items() for n in ns])
+        gens = self._generators()
+        sub = GradedModule(self.base.ring, [
+            BasisElement(f"{k}:{j}", k) for k, gs in gens.items()
+            for j in range(len(gs))])
+        pos = sub.index().pos
         d_sub, incl = {}, {}
-        for k, cols in gens.items():
-            below = self._image.get(k - 1)
-            for name, col in zip(names[k], cols):
-                incl[name] = g = self._vector(k, col)
-                x = () if below is None else below.coordinates(
-                    self._column(k - 1, self.base.d(g)))
-                d_sub[name] = Vector(sub, {names[k - 1][i]: a
-                                           for i, a in enumerate(x) if a != 0})
+        for k, gs in gens.items():
+            for j, g in enumerate(gs):
+                incl[pos[f"{k}:{j}"]] = g
+                d_sub[pos[f"{k}:{j}"]] = tuple(
+                    (pos[f"{k - 1}:{i}"], a)
+                    for i, a in self._coordinates(self._boundary(g)).items())
         inclusion = ChainMap(
-            ChainComplex(sub, GradedMap.from_table(sub, sub, -1, d_sub, name="d")),
+            ChainComplex(sub, GradedMap(sub, sub, -1, d_sub.__getitem__,
+                                        name="d")),
             self.base,
-            GradedMap.from_table(sub, self.base.module, 0, incl, name="incl"))
+            GradedMap(sub, self.base.module, 0, incl.__getitem__, name="incl"))
         return homology(mapping_cone(inclusion).complex)
 
 
@@ -481,9 +475,8 @@ def _vanishes(f: GradedMap, in_degree) -> bool:
     """Are the table rows of f empty on every basis element whose degree k
     has in_degree(k)?"""
     at = f.table().at
-    return not any(at(key) for (_, key), e in zip(basis_keys(f.source),
-                                                  f.source.basis())
-                   if in_degree(e.degree))
+    return not any(at(key) for k, keys in f.source.layout().keys.items()
+                   if in_degree(k) for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +516,22 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
             raise ValueError("im(c_i) is not concentrated in the extreme degree")
 
     mod1, mod2 = K1.module, K2.module
-    R, h_row = mod2.ring, h.table().row
-    degrees = [f.index().degree for f in mod1.factors]
+    R, h_row, at = mod2.ring, h.table().row, mod1.layout().at
 
     def rows(*k):   # h away from degree -top, 0 there
-        if sum(deg[x] for deg, x in zip(degrees, k)) == -top:
-            return ()
-        return h_row(*k)
+        return () if at[k if len(k) > 1 else k[0]][0] == -top else h_row(*k)
 
     h_bar = GradedMap(mod1, mod2, 1, rows, name="[h]")
     q2 = quotient_by_image(c2)
     c_t, cp_t = c.f.table(), c_prime.f.table()
     comm = graded_commutator(h_bar, K1, K2).table()
     for name, key in basis_keys(mod1):
-        defect = row_vector(mod2, _sum_rows(
+        defect = _sum_rows(
             R, cp_t.at(key), ((t, R.neg(x)) for t, x in c_t.at(key)),
-            ((t, R.neg(x)) for t, x in comm.at(key))))
+            ((t, R.neg(x)) for t, x in comm.at(key)))
         if not q2.reduces_to_zero(defect):
-            return QuotientHomotopyResult(h_bar, False,
-                                          f"defect on {name}: {defect}")
+            return QuotientHomotopyResult(
+                h_bar, False, f"defect on {name}: {row_vector(mod2, defect)}")
     return QuotientHomotopyResult(h_bar, True)
 
 

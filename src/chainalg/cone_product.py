@@ -69,7 +69,8 @@ from .graded import (
     _twisted,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
-from .bialgebra import BialgebraData, PairKernel, _times_left, _times_right
+from .bialgebra import (BialgebraData, PairKernel, _require_basis_names,
+                        _times_left, _times_right)
 
 
 def _row(items, negate: bool, neg) -> tuple:
@@ -90,9 +91,7 @@ class _Layout:
     def __init__(self, A: GradedModule, M: GradedModule):
         pos = M.index().pos
         self.deg = A.index().degree
-        self.of_degree = {}
-        for x, d in enumerate(self.deg):
-            self.of_degree.setdefault(d, []).append(x)
+        self.of_degree = A.layout().keys
         self.dual = [pos[x + "^"] for x in A.index().names]
         self.base = [0] * len(self.dual)
         for x, f in enumerate(self.dual):
@@ -179,11 +178,7 @@ class ConeProductData:
         self.name = name
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else A.basis_names())
-        if len(set(self.safe_names)) != len(self.safe_names):
-            raise ValueError("safe names repeat a basis element")
-        for nm in self.safe_names:
-            if not A.has(nm):
-                raise ValueError(f"safe name {nm!r} is not a basis element")
+        _require_basis_names(A, self.safe_names, "safe")
 
 
 def cyclic_symmetrize(t: Vector) -> Vector:

@@ -106,6 +106,15 @@ class BasisIndex(NamedTuple):
     degree: tuple
 
 
+class DegreeLayout(NamedTuple):
+    """A module's basis keys (`basis_keys`) by degree, in canonical order
+    (`keys[k]`), and back: each key's degree and its row within that degree
+    (`at[key]`), where a block of a map places it."""
+
+    keys: dict
+    at: dict
+
+
 class GradedModule:
     """Free graded module with a named, canonically ordered basis.
 
@@ -141,10 +150,10 @@ class GradedModule:
         return self._basis
 
     def basis_names(self):
-        return tuple(e.name for e in self._basis)
+        return tuple(e.name for e in self.basis())
 
     def basis_in_degree(self, k):
-        return tuple(e for e in self._basis if e.degree == k)
+        return tuple(e for e in self.basis() if e.degree == k)
 
     def degrees(self):
         return sorted({e.degree for e in self._basis})
@@ -172,6 +181,17 @@ class GradedModule:
                 tuple(e.degree % 2 for e in basis),
                 tuple(e.degree for e in basis))
         return idx
+
+    def layout(self) -> "DegreeLayout":
+        """The basis keys by degree and back, built once."""
+        lay = getattr(self, "_layout", None)
+        if lay is None:
+            lay = self._layout = DegreeLayout({}, {})
+            for (_, key), e in zip(basis_keys(self), self.basis()):
+                keys = lay.keys.setdefault(e.degree, [])
+                lay.at[key] = (e.degree, len(keys))
+                keys.append(key)
+        return lay
 
     def __eq__(self, other):
         if self is other:
@@ -235,23 +255,12 @@ class TensorModule(GradedModule):
         out.sort(key=lambda e: (e.degree, e.name))
         return tuple(out)
 
-    def basis_names(self):
-        return tuple(e.name for e in self.basis())
-
-    def basis_in_degree(self, k):
-        return tuple(e for e in self.basis() if e.degree == k)
-
     def degrees(self):
         degs = {0}
-        first = True
         for f in self.factors:
-            fd = set(f.degrees())
-            degs = {a + b for a in (degs if not first else {0}) for b in fd}
-            first = False
+            fd = f.degrees()
+            degs = {a + b for a in degs for b in fd}
         return sorted(degs)
-
-    def dim(self, k) -> int:
-        return len(self.basis_in_degree(k))
 
     def _validate(self, name: str):
         """(parts, degree) of a basis name, or None if it is not one."""
@@ -585,18 +594,13 @@ class GradedMap:
 def sparse_blocks(f: GradedMap):
     """f's blocks as sparse columns, built in one pass over the rows of
     f's table: a function k -> (rows, columns) of the degree-k block, the
-    rows counted and positioned within target degree k + f.degree and each
-    column a {row position: coefficient} dict (the form
-    `matrices.ImageSolver` takes)."""
-    within, dims = {}, {}   # target row key -> position within its degree
-    for (_, key), e in zip(basis_keys(f.target), f.target.basis()):
-        within[key] = dims.get(e.degree, 0)
-        dims[e.degree] = within[key] + 1
-    at, cols = f.table().at, {}
-    for (_, key), e in zip(basis_keys(f.source), f.source.basis()):
-        cols.setdefault(e.degree, []).append(
-            {within[t]: c for t, c in at(key)})
-    return lambda k: (dims.get(k + f.degree, 0), cols.get(k, []))
+    rows counted and positioned within target degree k + f.degree
+    (`GradedModule.layout`) and each column a {row: coefficient} dict (the
+    form `matrices.ImageSolver` takes)."""
+    at, target = f.table().at, f.target.layout()
+    cols = {k: [{target.at[t][1]: c for t, c in at(key)} for key in keys]
+            for k, keys in f.source.layout().keys.items()}
+    return lambda k: (len(target.keys.get(k + f.degree, ())), cols.get(k, []))
 
 
 class OpTable:

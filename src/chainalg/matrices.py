@@ -9,9 +9,9 @@ reduction (Kannan-Bachem 1979), so coefficients stay polynomial in size.
 `ImageSolver` factors a matrix given by its sparse columns once as
 P*M*Q = D, by unit-pivot elimination with Smith normal form only on the
 residual that has no unit entry, and answers its rank, kernel, image,
-coordinate, solvability and cokernel queries the same way over every
-ring.  Matrices are immutable after construction; zero-dimensional
-matrices are legal everywhere.
+coordinate, solvability and cokernel queries on sparse columns, the same
+way over every ring.  Matrices are immutable after construction;
+zero-dimensional matrices are legal everywhere.
 """
 
 from __future__ import annotations
@@ -260,8 +260,10 @@ def diagonal_of(D: ExactMatrix):
 
 class ImageSolver:
     """One factorization P*M*Q = D of the rows x len(columns) matrix M whose
-    columns are given as {row position: coefficient} dicts (zero entries
-    are dropped), read the same way over every ring.
+    columns are given as sparse columns, {row position: coefficient} dicts
+    (zero entries are dropped, a key outside [0, rows) raises
+    DimensionError), read the same way over every ring.  Every query takes
+    and returns vectors in that form, without zero entries.
 
     D is diagonal with d_1 | d_2 | ... (d_i = 0 past the rank, rows beyond
     the columns included).  It comes from eliminating pivots on the sparse
@@ -290,12 +292,12 @@ class ImageSolver:
     `coordinates(b)` is z with b = sum z_j image()[j], or None when b is
     not in the image: y = P*b must vanish past the rank and d_i must divide
     y_i below it, and then z_i = y_i / d_i; `solve(b)` is x = Q*z, with
-    M*x = b.  `cokernel(b)` is the class of b in coker M, (P*b)_i reduced
-    modulo d_i on the rows with d_i != 1; `orders` lists those d_i (0 for a
-    free generator) and `cokernel_generators()` the columns of P^-1 at
-    those rows.  None of them is a pivot row, and the row operations only
-    add multiples of pivot rows, so each generator is a unit vector or a
-    column of U^-1, read by an `ImageSolver` of U.
+    M*x = b.  `cokernel(b)` is the class of b in coker M, a tuple with one
+    entry per row of D with d_i != 1: (P*b)_i reduced modulo d_i.  `orders`
+    lists those d_i (0 for a free generator) and `cokernel_generators()`
+    the columns of P^-1 at those rows.  None of them is a pivot row, and
+    the row operations only add multiples of pivot rows, so each generator
+    is a unit vector or a column of U^-1, read by an `ImageSolver` of U.
     """
 
     __slots__ = ("ring", "rows", "cols", "rank", "orders", "_pivots",
@@ -308,6 +310,7 @@ class ImageSolver:
         cols = {}
         by_row = {}
         for j, col in enumerate(columns):
+            _check_rows(col, rows)
             col = {i: c for i, c in col.items() if c != 0}
             if col:
                 cols[j] = col
@@ -356,34 +359,38 @@ class ImageSolver:
             self._V = [{c: v for c, v in enumerate(V.col(s)) if v != 0}
                        for s in range(V.cols)]
             d += [x for x in diagonal_of(D) if x != 0]
+        # the rows that no column reaches, each with its row of D
         reached = {p[0] for p in pivots}.union(left)
-        self._free = [i for i in range(rows) if i not in reached]
+        free = [i for i in range(rows) if i not in reached]
+        self._free = dict(zip(free, range(len(pivots) + len(left), rows)))
         self._Q0 = None   # built by the first `_q_times`
         # d_1 | d_2 | ...: the d_i = 1 come first, the rows past the rank last
         self._d, self.rank, self._ones = d, len(d), d.count(1)
         self.orders = tuple(d[self._ones:]) + (0,) * (rows - self.rank)
 
     def _p_times(self, b):
+        """P*b as {row of D: entry}."""
         R = self.ring
-        b = [R.canon(v) for v in b]
-        if len(b) != self.rows:
-            raise DimensionError(f"rhs length {len(b)} != rows {self.rows}")
-        y = []
-        for i, _, _, f, rest, _ in self._pivots:
-            c = b[i]
+        _check_rows(b, self.rows)
+        b = {i: c for i, x in b.items() if (c := R.canon(x)) != 0}
+        y = {}
+        for k, (i, _, _, f, rest, _) in enumerate(self._pivots):
+            c = b.pop(i, 0)
             if c != 0:
-                c = R.mul(f, c)
+                c = y[k] = R.mul(f, c)
                 for r, v in rest.items():
-                    b[r] = R.sub(b[r], R.mul(v, c))
-            y.append(c)
-        for row in self._U:
-            acc = R.zero()
+                    b[r] = R.sub(b.get(r, 0), R.mul(v, c))
+        for k, row in enumerate(self._U, len(self._pivots)):
+            acc = 0
             for s, u in row:
-                x = b[self._left[s]]
+                x = b.get(self._left[s], 0)
                 if x != 0:
                     acc = R.add(acc, R.mul(u, x))
-            y.append(acc)
-        y.extend(b[i] for i in self._free)
+            if acc != 0:
+                y[k] = acc
+        for i, x in b.items():
+            if x != 0 and i in self._free:
+                y[self._free[i]] = x
         return y
 
     def _q_times(self, z):
@@ -397,74 +404,66 @@ class ImageSolver:
             self._Q0 = ([{p[1]: one} for p in self._pivots]
                         + [{right[c]: v for c, v in vc.items()} for vc in self._V]
                         + [{j: one} for j in range(self.cols) if j not in placed])
-        x = _combine(R, self.cols, ((c, self._Q0[p]) for p, c in z))
+        x = _combine(R, ((c, self._Q0[p]) for p, c in z))
         for _, j, _, _, _, ops in reversed(self._pivots):
-            acc = x[j]
+            acc = x.get(j, 0)
             for j2, g in ops:
-                if x[j2] != 0:
+                if j2 in x:
                     acc = R.sub(acc, R.mul(g, x[j2]))
-            x[j] = acc
-        return tuple(x)
+            if acc != 0:
+                x[j] = acc
+            else:
+                x.pop(j, None)
+        return x
 
     def kernel(self):
         one = self.ring.one()
         return [self._q_times([(p, one)]) for p in range(self.rank, self.cols)]
 
     def image(self):
-        R = self.ring
-        out = []
-        for i, _, a, _, rest, _ in self._pivots:
-            col = [R.zero()] * self.rows
-            col[i] = a
-            for r, v in rest.items():
-                col[r] = v
-            out.append(tuple(col))
-        for vcol in self._V[:self.rank - len(self._pivots)]:
-            out.append(tuple(_combine(R, self.rows, (
-                (v, self._residual[c][1]) for c, v in vcol.items()))))
-        return out
+        return [{i: a, **rest} for i, _, a, _, rest, _ in self._pivots] + [
+            _combine(self.ring, ((v, self._residual[c][1]) for c, v in vc.items()))
+            for vc in self._V[:self.rank - len(self._pivots)]]
 
     def coordinates(self, b):
-        y = self._p_times(b)
-        if any(v != 0 for v in y[self.rank:]):
-            return None
-        z = y[:self.rank]
-        for i in range(self._ones, self.rank):
-            z[i], r = divmod(z[i], self._d[i])
-            if r != 0:
+        z = self._p_times(b)
+        for k, y in z.items():
+            if k >= self.rank:
                 return None
-        return tuple(z)
+            if k >= self._ones:
+                z[k], r = divmod(y, self._d[k])
+                if r != 0:
+                    return None
+        return z
 
     def solve(self, b):
         z = self.coordinates(b)
-        return None if z is None else self._q_times(enumerate(z))
+        return None if z is None else self._q_times(z.items())
 
     def cokernel(self, b):
         y = self._p_times(b)
-        return tuple(x % d if d else x
-                     for x, d in zip(y[self._ones:], self.orders))
+        return tuple(x % d if d else x for x, d in zip(
+            (y.get(k, 0) for k in range(self._ones, self.rows)), self.orders))
 
     def cokernel_generators(self):
-        R = self.ring
-        left = self._left
+        R, left, out = self.ring, self._left, []
         if self._U:
             columns = [{} for _ in left]
             for r, row in enumerate(self._U):
                 for s, u in row:
                     columns[s][r] = u
             U_inverse = ImageSolver(R, len(left), columns)
-        out = []
-        for p in range(self._ones, self.rows):
-            g = [R.zero()] * self.rows
-            p -= len(self._pivots)
-            if p < len(left):
-                e = [int(r == p) for r in range(len(left))]
-                for s, x in enumerate(U_inverse.solve(e)):
-                    g[left[s]] = x
-            else:
-                g[self._free[p - len(left)]] = R.one()
-            out.append(tuple(g))
-        return out
+            out = [{left[s]: x for s, x in U_inverse.solve({r: 1}).items()}
+                   for r in range(self._ones - len(self._pivots), len(left))]
+        return out + [{i: R.one()} for i in self._free]
+
+
+def _check_rows(col, rows):
+    """DimensionError unless every key of the sparse column is in [0, rows)."""
+    positions = range(rows)
+    for i in col:
+        if i not in positions:
+            raise DimensionError(f"row {i!r} outside [0, {rows})")
 
 
 def _markowitz_pivot(cols, rows, field):
@@ -483,15 +482,16 @@ def _markowitz_pivot(cols, rows, field):
     return best
 
 
-def _combine(R: Ring, n: int, terms):
-    """sum of c*v over the (c, v) pairs, each v a sparse column, as a list
-    of length n."""
-    acc = [R.zero()] * n
+def _combine(R: Ring, terms):
+    """sum of c*v over the (c, v) pairs, each v a sparse column, as a sparse
+    column."""
+    acc = {}
     for c, v in terms:
         if c != 0:
             for i, a in v.items():
-                acc[i] = R.add(acc[i], R.mul(c, a))
-    return acc
+                t = R.mul(c, a)
+                acc[i] = t if (old := acc.get(i)) is None else R.add(old, t)
+    return {i: a for i, a in acc.items() if a != 0}
 
 
 def image_rank(M: ExactMatrix) -> int:

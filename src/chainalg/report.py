@@ -255,13 +255,11 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
     checks = ("axioms", "lambda-eta")
     if suite == "demo" and name in ("lambda-s3", "omega-s3"):
         checks += ("involutivity", "cc-antisymmetry")
+    if suite == "demo" and name.startswith("omega-s1"):
+        checks += ("loday-ronco",)
     records = bialgebra_records(inst, checks, prefix, timings)
     if suite == "check":
         return records
-    if name.startswith("omega-s1"):
-        records.append(_timed(
-            f"{prefix}loday-ronco",
-            lambda: _axiom_status(check_loday_ronco(inst)), timings))
     if name.endswith("-plus") or name.endswith("-minus"):
         records.append(_timed(f"{prefix}reverse-coproduct",
                               lambda: _reverse_coproduct(name, inst, ring,

@@ -331,3 +331,15 @@ def test_chain_map_requirement_with_differential():
     })
     with pytest.raises(ValueError, match="chain map"):
         BialgebraData(module, mu, bad_lam, module.el("e"), differential=bad_d)
+
+
+def test_repeated_safe_or_window_name_raises():
+    # a repeat counted its inputs twice: on omega-s3 at N = 8, repeating
+    # "1" checked associativity on 64 inputs instead of 27
+    inst = make_fixture("omega-s3", TruncationWindow(8))
+    twice = list(inst.safe_names) + ["1"]
+    with pytest.raises(ValueError, match="safe name '1' repeats"):
+        BialgebraData(inst.module, inst.mu, inst.lam, inst.eta,
+                      safe_names=twice)
+    with pytest.raises(ValueError, match="window name '1' repeats"):
+        check_axioms(inst, window=twice)

@@ -303,6 +303,8 @@ from chainalg.fixtures import _parse_name
 from chainalg.scenario import SchemaError, ingest
 from chainalg.complexes import ChainComplex, ChainMap
 from chainalg.graded import tensor
+from chainalg.matrices import DimensionError, ImageSolver
+from chainalg.bialgebra import BialgebraData
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 C = GradedModule(ZZ, [BasisElement(n, k) for k, n in enumerate("abc")])
 d = GradedMap.from_table(C, C, -1, {"b": C.el("a"), "c": C.el("b")})
@@ -333,7 +335,12 @@ for label, call, error in (
         ("scenario", lambda: ingest(scenario([["1", "ghost"]])),
          SchemaError),
         ("d*d", lambda: ChainComplex(C, d), ValueError),
-        ("chain map", lambda: ChainMap(P, P, not_chain), ValueError)):
+        ("chain map", lambda: ChainMap(P, P, not_chain), ValueError),
+        ("rows", lambda: ImageSolver(ZZ, 2, [{5: 1}]), DimensionError),
+        ("safe", lambda: BialgebraData(
+            M, GradedMap.zero(tensor(M, M), M, 0),
+            GradedMap.zero(M, tensor(M, M), 0), M.el("x"),
+            safe_names=["x", "x"]), ValueError)):
     try:
         call()
     except error:
@@ -377,12 +384,12 @@ def test_correctness_checks_survive_python_O():
                         _OPTIMIZED_CHECKS + _CONE_FAILURES],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:16] == [
+    assert r.stdout.split("\n")[:18] == [
         "target raised", "degree raised", "arity raised", "name raised",
         "name raised",
         "float raised", "float raised", "vector raised", "table raised",
         "scenario raised", "scenario raised", "d*d raised",
-        "chain map raised", "inverse exact",
+        "chain map raised", "rows raised", "safe raised", "inverse exact",
         "cone associativity False +A(x)+U(x)+U: +A*U^2 vs -+A*U^2",
         "assoc-infinitesimal False fails at a=U, b=U, f=U^2^: 2*A vs 0"]
 

@@ -155,8 +155,20 @@ def test_snf_random_matrices(data):
 
 
 def _solver(M):
-    return ImageSolver(M.ring, M.rows,
-                       [dict(enumerate(M.col(j))) for j in range(M.cols)])
+    return ImageSolver(M.ring, M.rows, [_sparse(M.col(j)) for j in range(M.cols)])
+
+
+def _sparse(v):
+    """A dense vector as the sparse column `ImageSolver` reads."""
+    return {i: x for i, x in enumerate(v) if x != 0}
+
+
+def _dense(col, n):
+    """A sparse column that `ImageSolver` returned, as a dense tuple of
+    length n (for `ExactMatrix.apply`); its keys must be positions below n
+    and its entries nonzero."""
+    assert all(i in range(n) and x != 0 for i, x in col.items()), col
+    return tuple(col.get(i, 0) for i in range(n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,7 +191,7 @@ def test_image_solver_matches_dense_factoring(data):
         else:
             assert solver.rank == _reference_rank(M)
             assert set(solver.orders) <= {0}
-        kernel = solver.kernel()
+        kernel = [_dense(v, cols) for v in solver.kernel()]
         assert len(kernel) == cols - solver.rank
         for v in kernel:
             assert all(x == 0 for x in M.apply(v))
@@ -190,14 +202,13 @@ def test_image_solver_matches_dense_factoring(data):
         # image() and M's columns span the same lattice, each side's
         # columns being combinations of the other's
         image = solver.image()
-        G = columns_matrix(ring, rows, image)
+        G = columns_matrix(ring, rows, [_dense(g, rows) for g in image])
         for g in image:
-            assert _eliminate_from_scratch(M, g) is not None
+            assert _eliminate_from_scratch(M, _dense(g, rows)) is not None
         for j in range(cols):
             assert _eliminate_from_scratch(G, M.col(j)) is not None
         for t, g in enumerate(image):
-            assert solver.coordinates(g) == tuple(
-                ring.one() if s == t else ring.zero() for s in range(len(image)))
+            assert solver.coordinates(g) == {t: ring.one()}
 
 
 def test_image_solver_places_q_on_first_use():
@@ -212,9 +223,9 @@ def test_image_solver_places_q_on_first_use():
         if first == "kernel":
             kernel = solver.kernel()
             assert len(kernel) == 2
-            assert all(M.apply(v) == (0, 0, 0) for v in kernel)
+            assert all(M.apply(_dense(v, 4)) == (0, 0, 0) for v in kernel)
         else:
-            assert M.apply(solver.solve(b)) == b
+            assert M.apply(_dense(solver.solve(_sparse(b)), 4)) == b
         assert solver._Q0 is not None
 
 
@@ -224,7 +235,7 @@ def test_kernel_is_saturated_over_Z():
     M = ExactMatrix.from_rows(ZZ, [[2, 4]])
     ker = _solver(M).kernel()
     assert len(ker) == 1
-    v = ker[0]
+    v = _dense(ker[0], 2)
     assert 2 * v[0] + 4 * v[1] == 0
     from math import gcd
 
@@ -240,7 +251,7 @@ def test_kernel_orthogonality_fields(ring):
                         [rng.randint(-9, 9) for _ in range(rows * cols)])
         ker = _solver(M).kernel()
         for v in ker:
-            assert all(x == 0 for x in M.apply(v))
+            assert all(x == 0 for x in M.apply(_dense(v, cols)))
         assert image_rank(M) + len(ker) == cols
 
 
@@ -251,21 +262,21 @@ def test_kernel_orthogonality_integers():
         M = ExactMatrix(ZZ, rows, cols,
                         [rng.randint(-9, 9) for _ in range(rows * cols)])
         for v in _solver(M).kernel():
-            assert all(x == 0 for x in M.apply(v))
+            assert all(x == 0 for x in M.apply(_dense(v, cols)))
 
 
 def test_kernel_over_Q_example():
     M = ExactMatrix.from_rows(QQ, [[1, 1]])
     ker = _solver(M).kernel()
     assert len(ker) == 1
-    a, b = ker[0]
+    a, b = _dense(ker[0], 2)
     assert a == -b and a != 0
 
 
 def test_solve_in_image_divisibility():
     solver = _solver(ExactMatrix.from_rows(ZZ, [[2]]))
-    assert solver.solve([3]) is None
-    assert solver.solve([4]) == (2,)
+    assert solver.solve({0: 3}) is None
+    assert solver.solve({0: 4}) == {0: 2}
 
 
 def _row_echelon(M):
@@ -330,19 +341,19 @@ def _eliminate_from_scratch(M, b):
 
 def test_solve_in_image_random():
     rng = random.Random(3)
-    for ring in (ZZ, QQ, GF(5)):
+    for ring in (ZZ, QQ, GF(2), GF(5)):
         for _ in range(30):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             M = ExactMatrix(ring, rows, cols,
                             [rng.randint(-5, 5) for _ in range(rows * cols)])
             x = [rng.randint(-4, 4) for _ in range(cols)]
             b = M.apply(x)
-            sol = _solver(M).solve(b)
+            sol = _solver(M).solve(_sparse(b))
             assert sol is not None
-            assert M.apply(sol) == tuple(ring.canon(v) for v in b)
+            assert M.apply(_dense(sol, cols)) == tuple(ring.canon(v) for v in b)
     # many solves against one factored solver, solvable and unsolvable
     # right-hand sides mixed, empty, zero and identity matrices included
-    for ring in (ZZ, QQ, GF(5)):
+    for ring in (ZZ, QQ, GF(2), GF(5)):
         outcomes = set()
         shapes = [(0, 0), (0, 3), (3, 0)] + [
             (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(25)]
@@ -363,26 +374,26 @@ def test_solve_in_image_random():
                         b = [v + rng.choice((0, 1)) for v in b]
                 else:
                     b = [rng.randint(-4, 4) for _ in range(rows)]
-                sol = solver.solve(b)
+                sol = solver.solve(_sparse(b))
                 # the particular solution is not a contract, solvability is
                 assert (sol is None) == (_eliminate_from_scratch(M, b) is None)
                 b = tuple(ring.canon(v) for v in b)
                 if sol is not None:
-                    assert M.apply(sol) == b
+                    assert M.apply(_dense(sol, cols)) == b
                 outcomes.add(sol is None)
-                z = solver.coordinates(b)
+                z = solver.coordinates(_sparse(b))
                 assert (z is None) == (sol is None)
                 if z is not None:
-                    image = solver.image()
-                    assert len(z) == len(image)
+                    image = [_dense(g, rows) for g in solver.image()]
+                    z = _dense(z, len(image))
                     assert tuple(_sum(ring, rows, [
                         [ring.mul(c, a) for a in g] for c, g in zip(z, image)])) == b
-                cls = solver.cokernel(b)
+                cls = solver.cokernel(_sparse(b))
                 assert all(c == 0 for c in cls) == (sol is not None)
                 b2 = [ring.canon(rng.randint(-4, 4)) for _ in range(rows)]
-                assert solver.cokernel(_sum(ring, rows, [b, b2])) == tuple(
+                assert solver.cokernel(_sparse(_sum(ring, rows, [b, b2]))) == tuple(
                     x % d if d else x for x, d in zip(
-                        _sum(ring, len(cls), [cls, solver.cokernel(b2)]),
+                        _sum(ring, len(cls), [cls, solver.cokernel(_sparse(b2))]),
                         solver.orders))
         assert outcomes == {True, False}
 
@@ -409,22 +420,35 @@ def _check_cokernel(solver, M):
     gens = solver.cokernel_generators()
     assert len(gens) == len(orders)
     for i, g in enumerate(gens):
-        assert len(g) == M.rows
+        _dense(g, M.rows)
         assert solver.cokernel(g) == tuple(
             R.one() if j == i else R.zero() for j in range(len(orders)))
 
 
 def test_solve_reports_unsolvable():
     M = ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]])
-    assert _solver(M).solve([1, 1]) is None
+    assert _solver(M).solve({0: 1, 1: 1}) is None
     Mq = ExactMatrix.from_rows(QQ, [[1, 0], [0, 0]])
-    assert _solver(Mq).solve([0, 1]) is None
+    assert _solver(Mq).solve({1: 1}) is None
+
+
+def test_image_solver_rejects_rows_outside_the_matrix():
+    # a key outside [0, rows) in a column or a right-hand side raised
+    # nothing, or an IndexError at the first query
+    for ring, columns in ((ZZ, [{5: 1}]), (QQ, [{-1: 1}]), (GF(5), [{0: 1}, {2: 3}])):
+        with pytest.raises(DimensionError, match="outside"):
+            ImageSolver(ring, 2, columns)
+    solver = ImageSolver(ZZ, 2, [{0: 1}])
+    for query in (solver.solve, solver.coordinates, solver.cokernel):
+        for b in ({2: 1}, {-1: 1}, {"0": 1}):
+            with pytest.raises(DimensionError, match="outside"):
+                query(b)
 
 
 def test_lattice_column_basis_spans():
     rng = random.Random(5)
     cases = [ExactMatrix.from_rows(ZZ, [[2, 4], [6, 8]])]
-    for ring in (ZZ, QQ, GF(5)):
+    for ring in (ZZ, QQ, GF(2), GF(5)):
         for _ in range(25):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             cases.append(ExactMatrix(ring, rows, cols,
@@ -433,12 +457,13 @@ def test_lattice_column_basis_spans():
     for M in cases:
         solver = _solver(M)
         basis = solver.image()
-        G = _solver(columns_matrix(M.ring, M.rows, basis))
+        G = _solver(columns_matrix(M.ring, M.rows,
+                                   [_dense(g, M.rows) for g in basis]))
         # independent, as many as the rank, and the same lattice as M's
         # columns: each side's columns are combinations of the other's
         assert len(basis) == G.rank == solver.rank
         for j in range(M.cols):
-            assert G.solve(M.col(j)) is not None
+            assert G.solve(_sparse(M.col(j))) is not None
         for g in basis:
             assert solver.solve(g) is not None
 

@@ -6,9 +6,11 @@ and tau lam in `PairKernel`, both sides of coassociativity, the units,
 proj.  Each is compared here, over
 Z, Q and GF(5), with a name-keyed reference built from `twist`, `then` and
 `tensor_map` of `name_keyed`, or from the defining formula on names.  A guard
-counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`
-and the checked `Vector` constructor) that `check_axioms` and
-`cone_records` make on built fixtures: none.
+counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`,
+the checked `Vector` constructor, `GradedMap.from_table` and
+`GradedModule.basis_in_degree`) that `check_axioms` and `cone_records` make
+on built fixtures, and that a quotient complex's homology and an induced
+quotient homotopy make: none.
 """
 
 import random
@@ -27,7 +29,13 @@ from chainalg.bialgebra import (
     check_axioms,
     secondary_relation_apply,
 )
-from chainalg.complexes import ChainComplex, ChainMap, mapping_cone
+from chainalg.complexes import (
+    ChainComplex,
+    ChainMap,
+    induced_quotient_homotopy,
+    mapping_cone,
+    quotient_by_image,
+)
 from chainalg.cone_product import cone_data_from_bialgebra
 from chainalg.graded import (
     BasisElement,
@@ -51,9 +59,11 @@ from name_keyed import (
     insert_left,
     insert_right,
     named,
+    scaled,
     tensor_map,
     twist,
 )
+from test_complexes import _cubical_torus, _lemma_homotopy
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -392,7 +402,8 @@ def test_secondary_relation_matches_the_composites(ring, data):
 # -- the guard: no name path on the check paths ---------------------------------
 
 NAME_PATH = ((TensorModule, "_validate"), (GradedMap, "eval_basis"),
-             (Vector, "__init__"))
+             (Vector, "__init__"), (GradedMap, "from_table"),
+             (GradedModule, "basis_in_degree"))
 
 
 @pytest.fixture
@@ -400,12 +411,14 @@ def name_path_calls(monkeypatch):
     counts = Counter()
     for cls, attr in NAME_PATH:
         original = cls.__dict__[attr]
+        bound = isinstance(original, classmethod)
 
-        def counted(*args, _original=original, _attr=attr, **kwargs):
+        def counted(*args, _original=original.__func__ if bound else original,
+                    _attr=attr, **kwargs):
             counts[_attr] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, attr, counted)
+        monkeypatch.setattr(cls, attr, classmethod(counted) if bound else counted)
     return counts
 
 
@@ -423,4 +436,15 @@ def test_check_paths_make_no_name_path_calls(ring, name_path_calls):
     records = cone_records(data, ("components", "associativity",
                                   "assoc-infinitesimal"))
     assert [r.status for r in records] == ["pass"] * 3
+    assert dict(name_path_calls) == {}
+
+
+def test_quotient_paths_make_no_name_path_calls(name_path_calls):
+    C = _cubical_torus(ZZ, 4)
+    two = ChainMap(C, C, scaled(GradedMap.identity(C.module), 2).row_map())
+    lemma = _lemma_homotopy()
+    name_path_calls.clear()
+    assert str(quotient_by_image(two).homology()) == \
+        "H_0 = R/2, H_1 = R/2 + R/2, H_2 = R/2"
+    assert induced_quotient_homotopy(*lemma, top=2).verified
     assert dict(name_path_calls) == {}
