@@ -334,8 +334,8 @@ def test_chain_map_requirement_with_differential():
 
 
 def test_repeated_safe_or_window_name_raises():
-    # a repeat counted its inputs twice: on omega-s3 at N = 8, repeating
-    # "1" checked associativity on 64 inputs instead of 27
+    # a repeat would count its inputs twice: on omega-s3 at N = 8,
+    # repeating "1" would check associativity on 64 inputs instead of 27
     inst = make_fixture("omega-s3", TruncationWindow(8))
     twice = list(inst.safe_names) + ["1"]
     with pytest.raises(ValueError, match="safe name '1' repeats"):

@@ -433,8 +433,8 @@ def test_solve_reports_unsolvable():
 
 
 def test_image_solver_rejects_rows_outside_the_matrix():
-    # a key outside [0, rows) in a column or a right-hand side raised
-    # nothing, or an IndexError at the first query
+    # a key outside [0, rows), in a column or in a right-hand side, is
+    # refused before it can be read as a row
     for ring, columns in ((ZZ, [{5: 1}]), (QQ, [{-1: 1}]), (GF(5), [{0: 1}, {2: 3}])):
         with pytest.raises(DimensionError, match="outside"):
             ImageSolver(ring, 2, columns)
