@@ -355,9 +355,16 @@ class PairKernel:
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the tables of
     mu, lam, mu tau and tau lam, the last two read off mu's and lam's rows
     with the twist sign.  `v` is the bivector put in the middle (lam eta
-    for the axioms), given by its terms ((k1, k2), coefficient).  The three
-    shapes below carry the Koszul signs of `tensor_map` and of inserting v,
-    read per basis term.
+    for the axioms), given by its terms ((k1, k2), coefficient).
+
+    Each side is summed in one pass into one dict: the pieces `lam_mu`,
+    `left`, `right` and `middle` add sign * their terms into `out` and
+    return it, and `_nonzero` drops the zeros of the finished side.  A
+    piece decides its Koszul sign (of `tensor_map`, and of inserting v)
+    once per term of L's row or of v.  With `tau` it writes the twist of
+    its terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, with the twist sign
+    decided in the same place: maps are homogeneous, so the degrees of a
+    row's inputs fix the degrees of its outputs.
     """
 
     def __init__(self, mu: GradedMap, lam: GradedMap, v):
@@ -385,78 +392,85 @@ class PairKernel:
             raise ValueError(f"inhomogeneous vector with degrees {degrees}")
         self.dv = degrees[0] if degrees else 0
 
-    def twisted(self, side: dict) -> dict:
-        """tau(side), tau(x (x) y) = (-1)^{|x||y|} y (x) x."""
-        return _twisted(side.items(), self.idx.odd, self._neg)
-
-    def combine(self, *parts) -> dict:
-        """sum of sign * terms over the (sign, terms) parts; zeros dropped."""
-        add, neg = self._add, self._neg
-        out = {}
-        for sign, terms in parts:
-            for k, c in terms:
-                if sign < 0:
-                    c = neg(c)
-                old = out.get(k)
-                out[k] = c if old is None else add(old, c)
-        return {k: c for k, c in out.items() if c != 0}
-
-    def lam_mu(self, i, j):
-        """lam mu (a (x) b)."""
+    def lam_mu(self, out, sign, L, i, j):
+        """out += sign * L mu (a (x) b), L being lam or tau lam."""
+        mul, add = self._mul, self._add
         for x, m in self.mu.row(i, j):
-            for k, c in self.lam.row(x):
-                yield k, self._mul(m, c)
+            if sign < 0:
+                m = self._neg(m)
+            for k, c in L.row(x):
+                t = mul(m, c)
+                out[k] = t if (old := out.get(k)) is None else add(old, t)
+        return out
 
-    def _left(self, P, L, i, j):
-        """(1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b)."""
-        odd = self.idx.odd
+    def left(self, out, sign, P, L, i, j, tau=False):
+        """out += sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it:
+        (1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b)."""
+        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
+        p, b = P.degree % 2, odd[j]
         for (a1, a2), c in L.row(i):
-            if P.degree % 2 and odd[a1]:
-                c = self._neg(c)
+            # tau(a1 (x) z) costs (-1)^{|a1||z|}, |z| = |a2| + |b| + |P|
+            if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:
+                c = neg(c)
             for z, m in P.row(a2, j):
-                yield (a1, z), self._mul(c, m)
+                t, k = mul(c, m), ((z, a1) if tau else (a1, z))
+                out[k] = t if (old := out.get(k)) is None else add(old, t)
+        return out
 
-    def _right(self, P, L, i, j):
-        """(P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2."""
-        flip = L.degree % 2 and self.idx.odd[i]
+    def right(self, out, sign, P, L, i, j, tau=False):
+        """out += sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it:
+        (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2."""
+        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
+        a, p = odd[i], P.degree % 2
+        base = (sign < 0) + L.degree * a
         for (b1, b2), c in L.row(j):
-            if flip:
-                c = self._neg(c)
+            # tau(z (x) b2) costs (-1)^{|z||b2|}, |z| = |a| + |b1| + |P|
+            if base + tau * odd[b2] * (a + odd[b1] + p) & 1:
+                c = neg(c)
             for z, m in P.row(i, b1):
-                yield (z, b2), self._mul(c, m)
+                t, k = mul(c, m), ((b2, z) if tau else (z, b2))
+                out[k] = t if (old := out.get(k)) is None else add(old, t)
+        return out
 
-    def _middle(self, P, Q, i, j):
-        """(P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
+    def middle(self, out, sign, P, Q, i, j, tau=False):
+        """out += sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it:
+        (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
         (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b)."""
-        mul, odd = self._mul, self.idx.odd
+        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
+        a, b, p, q = odd[i], odd[j], P.degree % 2, Q.degree % 2
+        base = (sign < 0) + self.dv * a
         for (v1, v2), e in self.v:
-            if (self.dv * odd[i] + Q.degree * (odd[i] + odd[v1])) % 2:
-                e = self._neg(e)
+            # tau(z1 (x) z2) costs (-1)^{|z1||z2|},
+            # |z1| = |a| + |v1| + |P|, |z2| = |v2| + |b| + |Q|
+            if (base + q * (a + odd[v1])
+                    + tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:
+                e = neg(e)
             right = Q.row(v2, j)
             for z1, m1 in P.row(i, v1):
                 c1 = mul(e, m1)
                 for z2, m2 in right:
-                    yield (z1, z2), mul(c1, m2)
+                    t, k = mul(c1, m2), ((z2, z1) if tau else (z1, z2))
+                    out[k] = t if (old := out.get(k)) is None else add(old, t)
+        return out
 
     def infinitesimal(self, i, j):
         """(lhs, rhs) of lam mu = (-1)^{|lam||mu|} ((1 (x) mu)(lam (x) 1)
         + (mu (x) 1)(1 (x) lam)) - (-1)^{|mu|} (mu (x) mu)(1 (x) v (x) 1)."""
         mu, lam = self.mu, self.lam
         s = koszul_sign(lam.degree * mu.degree)
-        return (self.combine((1, self.lam_mu(i, j))),
-                self.combine((s, self._left(mu, lam, i, j)),
-                             (s, self._right(mu, lam, i, j)),
-                             (-koszul_sign(mu.degree),
-                              self._middle(mu, mu, i, j))))
+        rhs = self.left({}, s, mu, lam, i, j)
+        self.right(rhs, s, mu, lam, i, j)
+        self.middle(rhs, -koszul_sign(mu.degree), mu, mu, i, j)
+        return _nonzero(self.lam_mu({}, 1, lam, i, j)), _nonzero(rhs)
 
     def defect(self, i, j):
         """lam mu - (1 (x) mu)(lam (x) 1) - (mu (x) 1)(1 (x) lam)
         + (mu (x) mu)(1 (x) v (x) 1)."""
         mu, lam = self.mu, self.lam
-        return self.combine((1, self.lam_mu(i, j)),
-                            (-1, self._left(mu, lam, i, j)),
-                            (-1, self._right(mu, lam, i, j)),
-                            (1, self._middle(mu, mu, i, j)))
+        out = self.lam_mu({}, 1, lam, i, j)
+        self.left(out, -1, mu, lam, i, j)
+        self.right(out, -1, mu, lam, i, j)
+        return _nonzero(self.middle(out, 1, mu, mu, i, j))
 
     def antisymmetry(self, i, j):
         """(lhs, rhs) of (unital anti-symmetry):
@@ -470,15 +484,19 @@ class PairKernel:
         """
         mu, lam, mu_tau, tau_lam = self.mu, self.lam, self.mu_tau, self.tau_lam
         dl, dm = lam.degree, mu.degree
-        return (self.combine(
-                    (koszul_sign(dm * (dl + 1)), self._left(mu, tau_lam, i, j)),
-                    (koszul_sign(dl * (dm + 1)), self._right(mu_tau, lam, i, j)),
-                    (-koszul_sign(dl + dm), self._middle(mu_tau, mu, i, j))),
-                self.twisted(self.combine(
-                    (koszul_sign(dl * dm), self._left(mu_tau, lam, i, j)),
-                    (-koszul_sign((dl + 1) * (dm + 1)),
-                     self._right(mu, tau_lam, i, j)),
-                    (-koszul_sign(dm), self._middle(mu, mu_tau, i, j)))))
+        lhs = self.left({}, koszul_sign(dm * (dl + 1)), mu, tau_lam, i, j)
+        self.right(lhs, koszul_sign(dl * (dm + 1)), mu_tau, lam, i, j)
+        self.middle(lhs, -koszul_sign(dl + dm), mu_tau, mu, i, j)
+        rhs = self.left({}, koszul_sign(dl * dm), mu_tau, lam, i, j, True)
+        self.right(rhs, -koszul_sign((dl + 1) * (dm + 1)), mu, tau_lam, i, j,
+                   True)
+        self.middle(rhs, -koszul_sign(dm), mu, mu_tau, i, j, True)
+        return _nonzero(lhs), _nonzero(rhs)
+
+
+def _nonzero(side: dict) -> dict:
+    """The side without its zero coefficients."""
+    return {k: c for k, c in side.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +592,10 @@ def check_cc_implies_antisymmetry(inst: BialgebraData,
         for b in inst.safe_names:
             i, j = pos[a], pos[b]
             lhs, rhs = kernel.antisymmetry(i, j)
-            reduced = kernel.combine((1, kernel.lam_mu(i, j)))
-            if lhs != kernel.combine((s_lhs, reduced.items())):
+            if lhs != _nonzero(kernel.lam_mu({}, s_lhs, kernel.lam, i, j)):
                 return ConditionalReport(True, False,
                                          f"left side does not reduce on {a}{TENSOR_SEP}{b}")
-            if rhs != kernel.twisted(kernel.combine((s_rhs, reduced.items()))):
+            if rhs != _nonzero(kernel.lam_mu({}, s_rhs, kernel.tau_lam, i, j)):
                 return ConditionalReport(True, False,
                                          f"right side does not reduce on {a}{TENSOR_SEP}{b}")
     return ConditionalReport(True, True)
@@ -688,11 +705,12 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
     kernel = PairKernel(inst.mu, inst.lam, ())
-    one = A.ring.one()
+    mu, lam, minus_sign = kernel.mu, kernel.lam, A.ring.canon(-sign)
 
-    def sides(i, j):   # |lam| is even, so lam mu = t1 + t2 on the right
-        lhs, rhs = kernel.infinitesimal(i, j)
-        return lhs, kernel.combine((1, rhs.items()), (-sign, [((i, j), one)]))
+    def sides(i, j):   # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
+        rhs = kernel.left({(i, j): minus_sign}, 1, mu, lam, i, j)
+        return (_nonzero(kernel.lam_mu({}, 1, lam, i, j)),
+                _nonzero(kernel.right(rhs, 1, mu, lam, i, j)))
 
     return _quantify_pairs("unital infinitesimal (identity-coproduct form)",
                            kernel, inst.safe_positions(), sides)

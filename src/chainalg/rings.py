@@ -5,10 +5,16 @@ rings, kept in canonical form at all times: an int for an integer (over Z,
 and over Q when the value is integral), a Fraction in lowest terms with
 denominator > 1 for any other rational, and a residue in [0, p) over
 GF(p).  There is no floating point anywhere.
+
+The ring's kind is dispatched once, when the ring is built: `add`, `sub`,
+`mul` and `neg` are bound on each Z and GF(p) instance (the `operator`
+builtins over Z, closures that reduce mod p over GF(p)), so element
+arithmetic never tests the kind; Q uses the class methods.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 # GF(p) needs p below this bound: primality is checked by trial division,
@@ -38,6 +44,10 @@ class Ring:
     cost.  The form is unique per value, and int and Fraction compare and
     hash equal on equal values.  `canon` is the single entry point that
     maps raw input to canonical form; all constructors route through it.
+
+    `__init__` binds `add`, `sub`, `mul` and `neg` on Z and GF(p)
+    instances; the class methods of those names are Q's, which map an
+    integral Fraction back to its int.
     """
 
     INT = "Z"
@@ -54,6 +64,14 @@ class Ring:
             raise ValueError(f"unknown ring kind {kind!r}")
         self.kind = kind
         self.p = p
+        if kind == self.INT:
+            self.add, self.sub = operator.add, operator.sub
+            self.mul, self.neg = operator.mul, operator.neg
+        elif kind == self.MOD:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
 
     # -- identity ---------------------------------------------------------
 
@@ -116,28 +134,28 @@ class Ring:
     def one(self):
         return self.canon(1)
 
-    # add, sub and mul map an integral Fraction (over Q) back to its int
+    # Q's operations (see __init__): an integral Fraction goes back to its int
 
     def add(self, a, b):
         c = a + b
         if type(c) is int:
-            return c % self.p if self.kind == self.MOD else c
+            return c
         return c.numerator if c.denominator == 1 else c
 
     def sub(self, a, b):
         c = a - b
         if type(c) is int:
-            return c % self.p if self.kind == self.MOD else c
+            return c
         return c.numerator if c.denominator == 1 else c
 
     def mul(self, a, b):
         c = a * b
         if type(c) is int:
-            return c % self.p if self.kind == self.MOD else c
+            return c
         return c.numerator if c.denominator == 1 else c
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == self.MOD else -a
+        return -a
 
     def inv(self, a):
         """Multiplicative inverse; fields only."""
@@ -145,6 +163,8 @@ class Ring:
             c = 1 / Fraction(a)
             return c.numerator if c.denominator == 1 else c
         if self.kind == self.MOD:
+            if a % self.p == 0:
+                raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
             return pow(a, -1, self.p)
         raise ValueError("Z is not a field")
 

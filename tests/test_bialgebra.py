@@ -27,6 +27,8 @@ from chainalg.fixtures import (
     make_loop_sphere,
     reverse_data_bivector,
     mutate_lambda,
+    mutate_mu,
+    mutation_targets,
 )
 from name_keyed import negated
 
@@ -285,6 +287,55 @@ def test_loday_ronco_on_based_circle():
     s3_based = make_based_loop(3, W)
     with pytest.raises(ValueError, match="eta"):
         check_loday_ronco(s3_based)
+
+
+# Six one-constant mutants per fixture, drawn by random.Random(20).sample
+# from mutation_targets at N = 8, over Z: (operation, input, output,
+# inputs_checked, witness input, lhs, rhs) of the identity-coproduct form.
+LODAY_RONCO_MUTANTS = {
+    "omega-s1-plus": [
+        ("lambda", "U^4", "U^3⊗U", 25, "U^2⊗U^2",
+         "1⊗U^4 + U^2⊗U^2 - U^3⊗U + U^4⊗1 + U⊗U^3",
+         "1⊗U^4 + U^2⊗U^2 + U^3⊗U + U^4⊗1 + U⊗U^3"),
+        ("mu", "U⊗U^2", "U^3", 10, "U⊗U^2",
+         "-1⊗U^3 - U^2⊗U - U^3⊗1 - U⊗U^2",
+         "-1⊗U^3 + U^2⊗U - U^3⊗1 + U⊗U^2"),
+        ("mu", "U^-2⊗U", "U^-1", 17, "U^-2⊗U", "0", "-2*U^-1⊗1"),
+        ("lambda", "U^3", "U⊗U^2", 10, "U⊗U^2",
+         "1⊗U^3 + U^2⊗U + U^3⊗1 - U⊗U^2",
+         "1⊗U^3 + U^2⊗U + U^3⊗1 + U⊗U^2"),
+        ("mu", "U⊗U", "U^2", 7, "U⊗U",
+         "-1⊗U^2 - U^2⊗1 - U⊗U", "-1⊗U^2 - U^2⊗1 + U⊗U"),
+        ("mu", "U^2⊗1", "U^2", 21, "U^2⊗1",
+         "-1⊗U^2 - U^2⊗1 - U⊗U", "-1⊗U^2 - U^2⊗1 + U⊗U"),
+    ],
+    "omega-s1-minus": [
+        ("lambda", "U^4", "U^2⊗U^2", 25, "U^2⊗U^2",
+         "-U^2⊗U^2 + U^3⊗U + U⊗U^3", "U^2⊗U^2 + U^3⊗U + U⊗U^3"),
+        ("mu", "U⊗U^2", "U^3", 10, "U⊗U^2",
+         "-U^2⊗U - U⊗U^2", "U^2⊗U + U⊗U^2"),
+        ("mu", "U^-2⊗U", "U^-1", 17, "U^-2⊗U",
+         "1⊗U^-1 + U^-1⊗1", "1⊗U^-1 - U^-1⊗1"),
+        ("lambda", "U^2", "U⊗U", 7, "U⊗U", "-U⊗U", "U⊗U"),
+        ("mu", "U⊗U", "U^2", 7, "U⊗U", "-U⊗U", "U⊗U"),
+        ("mu", "U^2⊗1", "U^2", 21, "U^2⊗1", "-U⊗U", "2*U^2⊗1 + U⊗U"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LODAY_RONCO_MUTANTS))
+def test_loday_ronco_fails_on_one_constant_mutants(name):
+    W8 = TruncationWindow(8)
+    base = make_fixture(name, W8)
+    assert check_loday_ronco(base).passed
+    targets = set(mutation_targets(base, W8))
+    for op, key, out, count, *witness in LODAY_RONCO_MUTANTS[name]:
+        assert (op, key, out) in targets
+        mutate = mutate_mu if op == "mu" else mutate_lambda
+        r = check_loday_ronco(mutate(base, key, out))
+        assert not r.passed, (op, key, out)
+        assert (r.inputs_checked, r.witness_input, r.witness_lhs,
+                r.witness_rhs) == (count, *witness), (op, key, out)
 
 
 def test_unit_axiom_fails_without_unit():

@@ -1,4 +1,5 @@
 import ast
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainalg
 from chainalg.graded import BasisElement, GradedModule, Vector
-from chainalg.rings import ZZ, QQ, GF
+from chainalg.rings import ZZ, QQ, GF, Ring
 
 GF5 = GF(5)
 
@@ -152,6 +153,43 @@ def test_q_arithmetic_matches_fraction_reference(start, steps):
             c = QQ.parse(QQ.format(c))
         assert c == ref
         assert_canonical_q(c)
+
+
+# -- Z and GF(p): the operations bound at construction ----------------------
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF5], ids=repr)
+def test_division_by_zero_raises_zero_division_error(ring):
+    with pytest.raises(ZeroDivisionError):
+        ring.div(ring.one(), ring.zero())
+    if ring.is_field:
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(ring.zero())
+
+
+_INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_big = st.integers(-10 ** 12, 10 ** 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((None, 2, 5, 2 ** 31 - 1)), start=_big,
+       steps=st.lists(st.tuples(st.sampled_from(("add", "sub", "mul", "neg")),
+                                _big), max_size=12))
+def test_bound_operations_match_integer_reference(p, start, steps):
+    """Over Z (p None) and GF(p) each step equals plain int arithmetic,
+    reduced mod p, and is an int; a separately built equal ring gives the
+    same results."""
+    R, twin = (ZZ, Ring(Ring.INT)) if p is None else (GF(p), GF(p))
+    assert twin == R and hash(twin) == hash(R)
+    c, ref = R.canon(start), start
+    for op, x in steps:
+        y = R.canon(x)
+        if op == "neg":
+            c, again, ref = R.neg(c), twin.neg(c), -ref
+        else:
+            c, again, ref = (getattr(R, op)(c, y), getattr(twin, op)(c, y),
+                             _INT_OPS[op](ref, x))
+        assert type(c) is int and c == again
+        assert c == ref if p is None else 0 <= c < p and c == ref % p
 
 
 # -- no true division on ring values -------------------------------------------
