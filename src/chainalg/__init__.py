@@ -23,6 +23,7 @@ from .graded import (
 from .complexes import (
     ChainComplex,
     ChainMap,
+    ComplexBundle,
     HomologySummary,
     homology,
     mapping_cone,
@@ -66,7 +67,8 @@ from .fixtures import (
     make_fixture,
     fixture_names,
 )
-from .scenario import Scenario, SchemaError, ingest, load, export_bialgebra
+from .scenario import (Scenario, SchemaError, ingest, load, export_bialgebra,
+                       export_complex)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import functools
 import sys
 
 from .rings import ring_from_name
+from .complexes import ChainComplex, ComplexBundle
 from . import fixtures as fx
 from . import scenario as sc
 from . import report as rp
@@ -141,17 +142,10 @@ def cmd_homology(args) -> int:
     ring = ring_from_name(args.ring)
     target = args.target
     if _is_fixture(target):
-        if target == "tstar-s1":
-            bundle = fx.make_tstar_s1(ring)
-            wrapped = sc.ComplexBundle(bundle.plus, None, bundle.continuation,
-                                       bundle.secondary)
-            records = rp.homology_records(wrapped, args.cone, f"{target}.")
-        else:
-            inst = fx.make_fixture(target, window, ring)
-            from .complexes import ChainComplex
-
-            wrapped = sc.ComplexBundle(ChainComplex(inst.module))
-            records = rp.homology_records(wrapped, args.cone, f"{target}.")
+        inst = fx.make_fixture(target, window, ring)
+        bundle = (inst if isinstance(inst, ComplexBundle)
+                  else ComplexBundle(ChainComplex(inst.module)))
+        records = rp.homology_records(bundle, args.cone, f"{target}.")
     else:
         scenario = _load_scenario(target)
         if scenario.kind != "complex":
@@ -197,11 +191,13 @@ def cmd_export(args) -> int:
 
     window = fx.TruncationWindow(args.window)
     ring = ring_from_name(args.ring)
-    if not _is_fixture(args.target) or args.target == "tstar-s1":
-        raise sc.SchemaError("$", f"export supports the bialgebra fixtures, "
+    if not _is_fixture(args.target):
+        raise sc.SchemaError("$", f"export supports the shipped fixtures, "
                                   f"not {args.target!r}")
     inst = fx.make_fixture(args.target, window, ring)
-    doc = sc.export_bialgebra(inst, args.ring)
+    doc = (sc.export_complex(inst, args.target, rp.PAIR_CHECKS)
+           if isinstance(inst, ComplexBundle)
+           else sc.export_bialgebra(inst, args.ring))
     text = _json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -197,10 +197,6 @@ def homology(C: ChainComplex) -> HomologySummary:
     return HomologySummary(tuple(out))
 
 
-def euler_characteristic(C: ChainComplex) -> int:
-    return sum((-1) ** (k % 2) * C.module.dim(k) for k in C.degrees())
-
-
 @dataclass(frozen=True)
 class HomologyClassMap:
     """A chain map's action on homology, one matrix per degree.
@@ -327,6 +323,17 @@ class Cone:
     # positions in the cone of the positions of A ("+" part) and of M ("-"
     # part), and for each cone position (in the "-" part, position in A or M)
     layout: tuple = ()
+
+
+@dataclass
+class ComplexBundle:
+    """A complex, the top degree of its `essential` check, and a pair: a
+    chain map c: M -> complex and a degree +1 map M -> complex beside it."""
+
+    complex: ChainComplex
+    top: int = None
+    pair_map: ChainMap = None
+    secondary: GradedMap = None
 
 
 def mapping_cone(c: ChainMap) -> Cone:

@@ -41,7 +41,7 @@ from .graded import (
     _sum_rows,
     _twisted,
 )
-from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
+from .complexes import ChainComplex, ChainMap, ComplexBundle
 from .bialgebra import BialgebraData
 
 
@@ -293,39 +293,26 @@ def reverse_data_bivector(inst: BialgebraData) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# The T*S^1 bundle (cone of a vanishing continuation map)
+# The T*S^1 package (a vanishing continuation map and its secondary map)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CotangentCircleBundle:
-    """Two 2-generator complexes in negated cochain degrees, the vanishing
-    continuation map between them, the degree +1 secondary map, and the
-    cone of the continuation map."""
-
-    plus: ChainComplex       # functions side: p in degree 0, q in degree -1
-    minus: ChainComplex      # reversed side: q in degree -1, p in degree -2
-    continuation: ChainMap   # zero map minus -> plus
-    secondary: GradedMap     # degree +1, p -> q and q -> p (sign configurable)
-    cone: Cone
-
-
-def make_tstar_s1(ring: Ring = ZZ, sign: int = 1) -> CotangentCircleBundle:
-    """Cotangent-bundle-of-the-circle example: c = 0, secondary map swaps
-    the two generators."""
+def make_tstar_s1(ring: Ring = ZZ, sign: int = 1) -> ComplexBundle:
+    """Cotangent-bundle-of-the-circle example in negated cochain degrees:
+    the vanishing continuation map c: MC(-K) -> MC(K) as the pair map, and
+    the degree +1 secondary map swapping the two generators."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     plus_mod = GradedModule(ring, [BasisElement("p", 0), BasisElement("q", -1)],
                             name="MC(K)")
     minus_mod = GradedModule(ring, [BasisElement("q", -1), BasisElement("p", -2)],
                              name="MC(-K)")
-    plus = ChainComplex(plus_mod)
-    minus = ChainComplex(minus_mod)
-    c = ChainMap(minus, plus, GradedMap.zero(minus_mod, plus_mod, 0, name="c"))
+    c = ChainMap(ChainComplex(minus_mod), ChainComplex(plus_mod),
+                 GradedMap.zero(minus_mod, plus_mod, 0, name="c"))
     csec = GradedMap.from_table(minus_mod, plus_mod, 1, {
         "p": plus_mod.el("q", sign),
         "q": plus_mod.el("p", sign),
     }, name="csec")
-    return CotangentCircleBundle(plus, minus, c, csec, mapping_cone(c))
+    return ComplexBundle(c.target, None, c, csec)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from .rings import Ring, ZZ
 from .graded import basis_keys, format_vector, row_vector, tensor
 from .complexes import (
+    ComplexBundle,
     homology,
     is_essential,
+    mapping_cone,
     transition_automorphism,
 )
 from .bialgebra import (
@@ -196,15 +198,26 @@ def complex_records(bundle, checks, prefix: str = "", timings: bool = False):
             out.append(CheckRecord(f"{prefix}essential",
                                    "pass" if ok else "fail",
                                    f"top degree {bundle.top}"))
+        elif check == "continuation-vanishes":   # ingest ensures a pair
+            out.append(_continuation_record(bundle.pair_map, prefix))
         else:
             out.append(CheckRecord(f"{prefix}{check}", "error",
                                    f"unknown check {check!r}"))
     return out
 
 
-def homology_records(bundle, with_cone: bool, prefix: str = ""):
-    from .complexes import mapping_cone
+def _continuation_record(c, prefix: str) -> CheckRecord:
+    """Pass when the chain map c is zero; a failure names the first basis
+    element x of c's source, in canonical order, with c(x) != 0."""
+    rec_id, row = f"{prefix}continuation-vanishes", c.f.table().row
+    for name, p in basis_keys(c.source.module):
+        if row(p):
+            return CheckRecord(rec_id, "fail", f"c({name}) = " + format_vector(
+                row_vector(c.target.module, row(p))))
+    return CheckRecord(rec_id, "pass", "c = 0")
 
+
+def homology_records(bundle, with_cone: bool, prefix: str = ""):
     out = [CheckRecord(f"{prefix}homology", "info", str(homology(bundle.complex)))]
     if bundle.pair_map is not None:
         out.append(CheckRecord(f"{prefix}homology.pair", "info",
@@ -218,22 +231,17 @@ def homology_records(bundle, with_cone: bool, prefix: str = ""):
         out.append(CheckRecord(f"{prefix}homology.cone", "info",
                                str(homology(cone.complex))))
         if bundle.secondary is not None:
-            out.extend(_transition_records(cone, bundle.secondary, prefix))
+            res = transition_automorphism(cone, bundle.secondary)
+            out.append(CheckRecord(
+                f"{prefix}transition.unipotent",
+                "pass" if res.unipotent else "fail",
+                "(phi - id)^2 = 0" if res.unipotent else "not unipotent"))
+            out.append(CheckRecord(
+                f"{prefix}transition.homology-action",
+                "pass" if res.nontrivial_on_homology else "fail",
+                "nontrivial on cone homology" if res.nontrivial_on_homology
+                else "acts as the identity on cone homology"))
     return out
-
-
-def _transition_records(cone, secondary, prefix: str):
-    """Records of the transition automorphism built from `secondary`."""
-    res = transition_automorphism(cone, secondary)
-    return [
-        CheckRecord(f"{prefix}transition.unipotent",
-                    "pass" if res.unipotent else "fail",
-                    "(phi - id)^2 = 0" if res.unipotent else "not unipotent"),
-        CheckRecord(f"{prefix}transition.homology-action",
-                    "pass" if res.nontrivial_on_homology else "fail",
-                    "nontrivial on cone homology" if res.nontrivial_on_homology
-                    else "acts as the identity on cone homology"),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +249,21 @@ def _transition_records(cone, secondary, prefix: str):
 # ---------------------------------------------------------------------------
 
 CONE_FIXTURES = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus")
+PAIR_CHECKS = ("continuation-vanishes",)   # a complex fixture's checks
 
 
 def fixture_records(name: str, ring: Ring = ZZ, window=None,
                     suite: str = "check", timings: bool = False):
     """Records for a shipped fixture.  suite: "check" (axioms only) or
-    "demo" (the full canned suite for that fixture)."""
+    "demo" (the full canned suite for that fixture).  A complex fixture
+    gets the records of `homology --cone` and PAIR_CHECKS in either suite,
+    as its exported scenario file does."""
     window = window or fx.TruncationWindow()
     prefix = f"{name}."
-    if name == "tstar-s1":
-        return _tstar_records(ring, prefix)
     inst = fx.make_fixture(name, window, ring)
+    if isinstance(inst, ComplexBundle):
+        return (homology_records(inst, True, prefix)
+                + complex_records(inst, PAIR_CHECKS, prefix, timings))
     checks = ("axioms", "lambda-eta")
     if suite == "demo" and name in ("lambda-s3", "omega-s3"):
         checks += ("involutivity", "cc-antisymmetry")
@@ -302,22 +314,6 @@ def _reverse_coproduct(name: str, inst: BialgebraData, ring: Ring, window):
                 f"{format_vector(row_vector(tensor(B, B), want))}")
     return "pass", (f"{other} reconstructed from {name} with "
                     f"c = {format_vector(c)} on {len(inst.safe_names)} inputs")
-
-
-def _tstar_records(ring: Ring, prefix: str):
-    bundle = fx.make_tstar_s1(ring)
-    out = []
-    c_at = bundle.continuation.f.table().at
-    c_zero = not any(c_at(key) for _, key in basis_keys(bundle.minus.module))
-    out.append(CheckRecord(f"{prefix}continuation-vanishes",
-                           "pass" if c_zero else "fail",
-                           "c = 0" if c_zero else "continuation map is nonzero"))
-    out.append(CheckRecord(f"{prefix}transition.chain-map", "pass",
-                           "verified at construction"))
-    out.extend(_transition_records(bundle.cone, bundle.secondary, prefix))
-    out.append(CheckRecord(f"{prefix}cone-homology", "info",
-                           str(homology(bundle.cone.complex))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ differential.  cone: the bialgebra fields plus n and optional c0, Q0, B.
 complex: differential, optional top (extreme degree for the essential
 check, which needs it; the support must lie in [0, top]), optional pair
 {module, differential, map, secondary} describing a second complex with a
-chain map into the main one and a degree +1 chain map alongside it.
+chain map into the main one and a degree +1 chain map alongside it; the
+continuation-vanishes check needs the pair and passes when its map is 0.
 
 Operation tables: {"degree": d, "entries": [{"in": [names...],
 "out": combination}, ...]}; inputs not listed map to zero.
@@ -40,7 +41,8 @@ from .graded import (
     tensor,
     TENSOR_SEP,
 )
-from .complexes import ChainComplex, ChainMap, _require_graded_chain_map
+from .complexes import (ChainComplex, ChainMap, ComplexBundle,
+                        _require_graded_chain_map)
 from .bialgebra import BialgebraData
 from .cone_product import ConeProductData
 
@@ -73,7 +75,7 @@ KNOWN_CHECKS = {
     "bialgebra": {"axioms", "lambda-eta", "involutivity", "cc-antisymmetry",
                   "loday-ronco", "reverse-bivector-gate"},
     "cone": {"components", "associativity", "assoc-infinitesimal"},
-    "complex": {"d-squared", "essential"},
+    "complex": {"d-squared", "essential", "continuation-vanishes"},
 }
 
 
@@ -82,18 +84,10 @@ class Scenario:
     kind: str
     name: str
     ring: Ring
-    payload: object            # BialgebraData, ConeProductData, or complex bundle
+    payload: object            # BialgebraData, ConeProductData or ComplexBundle
     checks: tuple
     raw: dict = field(repr=False, default=None)
     reverse_bivector: object = None   # optional claimed value of lam(eta)
-
-
-@dataclass
-class ComplexBundle:
-    complex: ChainComplex
-    top: int = None
-    pair_map: ChainMap = None          # second complex -> main complex
-    secondary: GradedMap = None        # degree +1 map alongside pair_map
 
 
 def _expect(cond, path, message):
@@ -348,6 +342,9 @@ def ingest(data) -> Scenario:
         payload = _ingest_complex(data, module, ring)
         if "essential" in checks and payload.top is None:
             raise SchemaError("$.checks", "essential needs a top field")
+        if "continuation-vanishes" in checks and payload.pair_map is None:
+            raise SchemaError("$.checks",
+                              "continuation-vanishes needs a pair field")
         return Scenario(kind, name, ring, payload, checks, data)
 
     if safe is None:   # the whole basis is the quantifier window
@@ -456,47 +453,59 @@ def load(path: str) -> Scenario:
 # Export (fixtures and instances back to scenario JSON)
 # ---------------------------------------------------------------------------
 
-def _combo_to_json(v: Vector, arity=1):
-    R = v.module.ring
-    out = []
-    for name, c in sorted(v.coeffs.items()):
-        label = name if arity == 1 else name.split(TENSOR_SEP)
-        out.append([R.format(c), label])
-    return out
+def _combo_to_json(v: Vector):
+    fmt, split = v.module.ring.format, v.module.arity > 1
+    return [[fmt(c), name.split(TENSOR_SEP) if split else name]
+            for name, c in sorted(v.coeffs.items())]
 
 
-def _operation_to_json(m: GradedMap, in_arity, out_arity):
-    entries = []
-    for e in m.source.basis():
-        v = m.eval_basis(e.name)
-        if v.is_zero():
-            continue
-        entries.append({
-            "in": list(m.source.parts_of(e.name)),
-            "out": _combo_to_json(v, out_arity),
-        })
-    return {"degree": m.degree, "entries": entries}
+def _operation_to_json(m: GradedMap):
+    """An operation table of `m`: one entry per basis element with a
+    nonzero value, as `_parse_operation` reads it back."""
+    values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
+    return {"degree": m.degree, "entries": [
+        {"in": list(m.source.parts_of(n)), "out": _combo_to_json(v)}
+        for n, v in values if not v.is_zero()]}
+
+
+def _module_to_json(module: GradedModule):
+    return {"basis": [{"name": e.name, "degree": e.degree}
+                      for e in module.basis()]}
 
 
 def export_bialgebra(inst: BialgebraData, ring_name: str = None) -> dict:
     """Scenario dict reproducing the instance (drop semantics included)."""
     module = inst.module
-    ring_label = ring_name or repr(module.ring)
-    doc = {
-        "schema_version": 1,
-        "kind": "bialgebra",
-        "name": inst.name,
-        "ring": ring_label,
-        "module": {"basis": [{"name": e.name, "degree": e.degree}
-                             for e in module.basis()]},
-        "mu": _operation_to_json(inst.mu, 2, 1),
-        "lambda": _operation_to_json(inst.lam, 1, 2),
-        "eta": _combo_to_json(inst.eta),
-    }
+    doc = {"schema_version": 1, "kind": "bialgebra", "name": inst.name,
+           "ring": ring_name or repr(module.ring),
+           "module": _module_to_json(module),
+           "mu": _operation_to_json(inst.mu),
+           "lambda": _operation_to_json(inst.lam),
+           "eta": _combo_to_json(inst.eta)}
     if inst.safe_names != module.basis_names():
         doc["safe"] = list(inst.safe_names)
     if inst.differential is not None:
-        doc["differential"] = _operation_to_json(inst.differential, 1, 1)
+        doc["differential"] = _operation_to_json(inst.differential)
+    return doc
+
+
+def export_complex(bundle: ComplexBundle, name: str, checks) -> dict:
+    """Complex scenario dict reproducing the bundle (its differential, top
+    and pair: module, differential, chain map and secondary map), named
+    `name` and running `checks`."""
+    cx = bundle.complex
+    doc = {"schema_version": 1, "kind": "complex", "name": name,
+           "ring": repr(cx.ring), "module": _module_to_json(cx.module),
+           "differential": _operation_to_json(cx.d), "checks": list(checks)}
+    if bundle.top is not None:
+        doc["top"] = bundle.top
+    c = bundle.pair_map
+    if c is not None:
+        doc["pair"] = {"module": _module_to_json(c.source.module),
+                       "differential": _operation_to_json(c.source.d),
+                       "map": _operation_to_json(c.f)}
+        if bundle.secondary is not None:
+            doc["pair"]["secondary"] = _operation_to_json(bundle.secondary)
     return doc
 
 

@@ -18,7 +18,7 @@ from chainalg.matrices import (
     diagonal_of,
 )
 from chainalg.graded import Vector, tensor, TENSOR_SEP
-from chainalg.complexes import transition_automorphism
+from chainalg.complexes import mapping_cone, transition_automorphism
 from chainalg.bialgebra import check_axioms, lambda_eta, secondary_relation_apply
 from chainalg.cone_product import (
     derive_secondary_ops,
@@ -131,9 +131,10 @@ def test_criterion_5_associativity_component_identity():
 def test_criterion_6_transition_automorphism():
     for ring in RINGS:
         bundle = fx.make_tstar_s1(ring)
-        for e in bundle.minus.module.basis():
-            assert bundle.continuation(bundle.minus.module.el(e.name)).is_zero()
-        res = transition_automorphism(bundle.cone, bundle.secondary)
+        c = bundle.pair_map
+        for e in c.source.module.basis():
+            assert c(c.source.module.el(e.name)).is_zero()
+        res = transition_automorphism(mapping_cone(c), bundle.secondary)
         assert res.unipotent
         assert res.nontrivial_on_homology
     _report(6, "c = 0, the transition automorphism is a unipotent chain "

@@ -215,6 +215,34 @@ def test_export_then_check_round_trip(tmp_path):
     assert r2.returncode == 0, r2.stdout + r2.stderr
 
 
+def test_export_tstar_s1_then_homology_cone(tmp_path):
+    out = tmp_path / "f.json"
+    assert run("export", "tstar-s1", "-o", str(out)).returncode == 0
+    r = run("homology", str(out), "--cone")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "tstar-s1.continuation-vanishes" in r.stdout
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "GF(5)"])
+def test_exported_tstar_s1_reports_what_its_demo_reports(tmp_path, ring):
+    # the scenario file that `export` writes is the fixture: its `homology
+    # --cone` records are the demo's, id, status and detail
+    scenario, demo, homology = (tmp_path / n for n in ("f.json", "d", "h"))
+    assert cli.main(["export", "tstar-s1", "--ring", ring,
+                     "-o", str(scenario)]) == 0
+    assert cli.main(["demo", "tstar-s1", "--ring", ring, "--format", "json",
+                     "-o", str(demo)]) == 0
+    assert cli.main(["homology", str(scenario), "--cone", "--format", "json",
+                     "-o", str(homology)]) == 0
+    records = [json.loads(p.read_text())["records"] for p in (demo, homology)]
+    assert records[0] == records[1]
+    assert [r["id"] for r in records[0]] == [
+        f"tstar-s1.{i}" for i in (
+            "homology", "homology.pair", "homology.cone",
+            "transition.unipotent", "transition.homology-action",
+            "continuation-vanishes")]
+
+
 def test_demo_list():
     r = run("demo", "--list")
     assert r.returncode == 0

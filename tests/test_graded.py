@@ -305,6 +305,7 @@ from chainalg.complexes import ChainComplex, ChainMap
 from chainalg.graded import tensor
 from chainalg.matrices import DimensionError, ImageSolver
 from chainalg.bialgebra import BialgebraData
+from chainalg.report import complex_records
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 C = GradedModule(ZZ, [BasisElement(n, k) for k, n in enumerate("abc")])
 d = GradedMap.from_table(C, C, -1, {"b": C.el("a"), "c": C.el("b")})
@@ -317,6 +318,18 @@ def scenario(out):
                                  {"name": "x", "degree": 1}]},
             "mu": {"degree": 0, "entries": [{"in": ["e", "e"], "out": out}]},
             "lambda": {"degree": -1, "entries": []}, "eta": [["1", "e"]]}
+def continuation(pair):   # the continuation-vanishes check, c(m) = 2a
+    doc = {"schema_version": 1, "kind": "complex", "ring": "Z",
+           "module": {"basis": [{"name": "a", "degree": 0}]},
+           "differential": {"degree": -1, "entries": []},
+           "checks": ["continuation-vanishes"]}
+    if pair:
+        doc["pair"] = {
+            "module": {"basis": [{"name": "m", "degree": 0}]},
+            "differential": {"degree": -1, "entries": []},
+            "map": {"degree": 0,
+                    "entries": [{"in": ["m"], "out": [["2", "a"]]}]}}
+    return doc
 for label, call, error in (
         ("target", lambda: GradedMap.from_table(M, M, 0, {"x": N.el("y")}),
          ValueError),
@@ -340,7 +353,8 @@ for label, call, error in (
         ("safe", lambda: BialgebraData(
             M, GradedMap.zero(tensor(M, M), M, 0),
             GradedMap.zero(M, tensor(M, M), 0), M.el("x"),
-            safe_names=["x", "x"]), ValueError)):
+            safe_names=["x", "x"]), ValueError),
+        ("pair", lambda: ingest(continuation(False)), SchemaError)):
     try:
         call()
     except error:
@@ -351,6 +365,9 @@ half = QQ.inv(2)
 if half != Fraction(1, 2) or type(half) is not Fraction:
     sys.exit(f"QQ.inv(2) is {half!r}")
 print("inverse exact")
+scn = ingest(continuation(True))
+for rec in complex_records(scn.payload, scn.checks):
+    print(rec.id, rec.status, rec.detail)
 """
 
 
@@ -384,12 +401,13 @@ def test_correctness_checks_survive_python_O():
                         _OPTIMIZED_CHECKS + _CONE_FAILURES],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:18] == [
+    assert r.stdout.split("\n")[:20] == [
         "target raised", "degree raised", "arity raised", "name raised",
         "name raised",
         "float raised", "float raised", "vector raised", "table raised",
         "scenario raised", "scenario raised", "d*d raised",
-        "chain map raised", "rows raised", "safe raised", "inverse exact",
+        "chain map raised", "rows raised", "safe raised", "pair raised",
+        "inverse exact", "continuation-vanishes fail c(m) = 2*a",
         "cone associativity False +A(x)+U(x)+U: +A*U^2 vs -+A*U^2",
         "assoc-infinitesimal False fails at a=U, b=U, f=U^2^: 2*A vs 0"]
 

@@ -1,11 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from chainalg.rings import GF
+from chainalg.rings import GF, QQ, ZZ
 from chainalg import scenario as sc
-from chainalg.fixtures import TruncationWindow, make_fixture
+from chainalg.fixtures import TruncationWindow, make_fixture, make_tstar_s1
 from chainalg.bialgebra import check_axioms
+from chainalg.graded import basis_keys
+from chainalg.report import CheckRecord, complex_records
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 MINIMAL = {
@@ -373,6 +378,72 @@ def test_essential_check_needs_top():
     assert sc.ingest(json.dumps(doc)).payload.top is None
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_continuation_vanishes_passes_on_tstar_s1(ring, sign):
+    records = complex_records(make_tstar_s1(ring, sign),
+                              ("continuation-vanishes",), "tstar-s1.")
+    assert records == [
+        CheckRecord("tstar-s1.continuation-vanishes", "pass", "c = 0")]
+
+
+def test_continuation_vanishes_fails_with_its_witness():
+    # the document of test_complex_scenario_with_pair, where c(m) = 2a
+    doc = _pair_doc()
+    doc["checks"] = ["continuation-vanishes"]
+    scn = sc.ingest(json.dumps(doc))
+    assert complex_records(scn.payload, scn.checks) == [
+        CheckRecord("continuation-vanishes", "fail", "c(m) = 2*a")]
+    # the witness is the first nonzero input in canonical order, (degree,
+    # name), not in the order the document lists the basis
+    doc["pair"]["module"]["basis"].insert(0, {"name": "n", "degree": 0})
+    doc["pair"]["map"]["entries"].insert(
+        0, {"in": ["n"], "out": [["-1", "a"]]})
+    scn = sc.ingest(json.dumps(doc))
+    assert complex_records(scn.payload, scn.checks)[0].detail == "c(m) = 2*a"
+    del doc["pair"]["map"]["entries"][1]
+    scn = sc.ingest(json.dumps(doc))
+    assert complex_records(scn.payload, scn.checks)[0].detail == "c(n) = -a"
+
+
+def test_continuation_vanishes_needs_a_pair():
+    doc = _complex_doc()
+    doc["checks"] = ["continuation-vanishes"]
+    err = _schema_error(doc)
+    assert (err.path, err.message) == (
+        "$.checks", "continuation-vanishes needs a pair field")
+
+
+def _complex_bundles_to_export():
+    for ring in (ZZ, QQ, GF(5)):
+        for sign in (1, -1):
+            yield make_tstar_s1(ring, sign)
+    yield sc.load(str(DATA / "klein4-Z.json")).payload
+    doc = _pair_doc()   # a nonzero pair map
+    doc["pair"]["secondary"] = {"degree": 1, "entries": []}
+    yield sc.ingest(json.dumps(doc)).payload
+
+
+def test_exported_complexes_ingest_to_the_same_rows():
+    count = 0
+    for bundle in _complex_bundles_to_export():
+        doc = sc.export_complex(bundle, "exported", ("d-squared",))
+        got = sc.ingest(json.dumps(doc)).payload
+        assert got.top == bundle.top
+        maps = [(bundle.complex.d, got.complex.d)]
+        if bundle.pair_map is not None:
+            maps += [(bundle.pair_map.f, got.pair_map.f),
+                     (bundle.secondary, got.secondary)]
+        for want, have in maps:
+            assert (have.source, have.target, have.degree) == (
+                want.source, want.target, want.degree)
+            for name, k in basis_keys(want.source):
+                assert (dict(have.table().at(k))
+                        == dict(want.table().at(k))), name
+        count += len(maps)
+    assert count == 6 * 3 + 1 + 3
+
+
 def test_secondary_must_be_a_chain_map():
     # m (degree 0) -> b (degree 1) with d(b) = 2a gives [d, s](m) = 2a
     doc = _pair_doc()
@@ -657,8 +728,6 @@ def test_cancelling_terms_give_an_empty_row():
 def _instances_to_export():
     from chainalg.fixtures import fixture_names, mutate_lambda, mutate_mu, \
         mutation_targets
-    from chainalg.rings import QQ, ZZ
-
     w = TruncationWindow(4)
     for name in fixture_names():
         if name == "tstar-s1":
