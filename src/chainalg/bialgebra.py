@@ -34,13 +34,14 @@ from .graded import (
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
-    basis_keys,
     row_vector,
     vector_terms,
+    _first_difference,
+    _signed_row,
     _sum_rows,
     _twisted,
 )
-from .complexes import ChainComplex
+from .complexes import ChainComplex, _require_chain_map
 
 
 @dataclass
@@ -108,7 +109,11 @@ class BialgebraData:
         self.differential = differential
         if differential is not None:
             ChainComplex(module, differential)  # validates d*d = 0
-            _require_chain_maps(module, mu, lam, differential)
+            d, d2 = differential, tensor_differential(differential)
+            _require_chain_map(mu, d2, d,
+                               "mu is not a chain map (fails on {})")
+            _require_chain_map(lam, d, d2,
+                               "lam is not a chain map (fails on {})")
 
     # -- derived data ----------------------------------------------------------
 
@@ -133,25 +138,23 @@ class BialgebraData:
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
         mu, odd = self.mu.table().row, self.module.index().odd
-        neg = self.module.ring.neg
-        safe = self.safe_positions()
-        for i in safe:
-            for j in safe:
-                flip = (self.mu.degree + odd[i] * odd[j]) % 2
-                if dict(mu(i, j)) != {k: neg(c) if flip else c
-                                      for k, c in mu(j, i)}:
-                    return False
-        return True
+        neg, safe = self.module.ring.neg, self.safe_positions()
+
+        def sides(p):
+            i, j = p
+            flip = (self.mu.degree + odd[i] * odd[j]) % 2
+            return dict(mu(i, j)), dict(_signed_row(mu(j, i), flip, neg))
+
+        pairs = [(i, j) for i in safe for j in safe]
+        return _first_difference(pairs, sides)[1] is None
 
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
         lam, odd = self.lam.table().row, self.module.index().odd
-        neg = self.module.ring.neg
-        for x in self.safe_positions():
-            if _twisted(lam(x), odd, neg) != _scaled(
-                    lam(x), self.lam.degree % 2, neg):
-                return False
-        return True
+        neg, flip = self.module.ring.neg, self.lam.degree % 2
+        return _first_difference(self.safe_positions(), lambda x: (
+            _twisted(lam(x), odd, neg),
+            dict(_signed_row(lam(x), flip, neg))))[1] is None
 
 
 def _require_basis_names(module: GradedModule, names, label: str):
@@ -167,60 +170,26 @@ def _require_basis_names(module: GradedModule, names, label: str):
         seen.add(n)
 
 
-def _scaled(terms, negate, neg) -> dict:
-    """The terms as a dict, negated if `negate`."""
-    return {k: neg(c) for k, c in terms} if negate else dict(terms)
-
-
-def _require_chain_maps(A: GradedModule, mu: GradedMap, lam: GradedMap,
-                        d: GradedMap):
-    """Raise ValueError, naming the first failing input, unless
-    d mu = (-1)^{|mu|} mu d2 and d2 lam = (-1)^{|lam|} lam d on the tables,
-    where d2 = d (x) 1 + 1 (x) d on A (x) A (`tensor_differential`)."""
-    R, neg = A.ring, A.ring.neg
-    d_row, mu_at, lam_row = d.table().row, mu.table().at, lam.table().row
-    d2 = tensor_differential(d).table().at
-    for label, op, key_sides in (
-            ("mu", mu, lambda k: (apply_rows(d_row, mu_at(k), R),
-                                  apply_rows(mu_at, d2(k), R))),
-            ("lam", lam, lambda k: (apply_rows(d2, lam_row(k), R),
-                                    apply_rows(lam_row, d_row(k), R)))):
-        for name, key in basis_keys(op.source):
-            lhs, rhs = key_sides(key)
-            if lhs != _scaled(rhs.items(), op.degree % 2, neg):
-                raise ValueError(f"{label} is not a chain map (fails on {name})")
-
-
 # ---------------------------------------------------------------------------
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def _result(axiom, start, count, witness=None, lhs=None, rhs=None):
-    """The AxiomResult of a quantifier begun at monotonic time `start`."""
-    if witness is None:
-        res = AxiomResult(axiom, True, count)
-    else:
-        res = AxiomResult(axiom, False, count, witness,
-                          format_vector(lhs), format_vector(rhs))
-    res.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
-    return res
+def _result(axiom, found, describe, module=None) -> AxiomResult:
+    """The AxiomResult of `_first_difference`'s (count, input, lhs, rhs):
+    describe(input) and the sides as Vectors (of `module`, when they are
+    {key: coefficient} dicts) come back only for a witness."""
+    count, x, lhs, rhs = found
+    if x is None:
+        return AxiomResult(axiom, True, count)
+    if module is not None:
+        lhs, rhs = (row_vector(module, side.items()) for side in (lhs, rhs))
+    return AxiomResult(axiom, False, count, describe(x),
+                       format_vector(lhs), format_vector(rhs))
 
 
-def _quantify(axiom, keys, sides, module, describe) -> AxiomResult:
-    """The first key, in order, whose sides(key) = (lhs, rhs) differ, the
-    sides being {key: coefficient} dicts on the positions of `module`.
-    Names and Vectors come back only for a witness: describe(key) and the
-    two sides."""
-    start = time.monotonic()
-    count = 0
-    for key in keys:
-        count += 1
-        lhs, rhs = sides(key)
-        if lhs != rhs:
-            return _result(axiom, start, count, describe(key),
-                           row_vector(module, lhs.items()),
-                           row_vector(module, rhs.items()))
-    return _result(axiom, start, count)
+def _pair_name(names):
+    """describe for pair inputs (i, j): "a (x) b" by the names."""
+    return lambda k: names[k[0]] + TENSOR_SEP + names[k[1]]
 
 
 AXIOM_ORDER = ("unit (left)", "unit (right)", "associativity",
@@ -254,35 +223,37 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     mu, lam = inst.mu.table().row, inst.lam.table().row
     eta = inst.eta_terms()
     at = [idx.pos[n] for n in safe]
+    pairs = [(i, j) for i in at for j in at]
     kernel = functools.cache(lambda: PairKernel(inst.mu, inst.lam,
                                                 inst.lambda_eta_terms().items()))
 
     def run_unit_left():
-        return _quantify("unit (left)", at, lambda i: (
-            apply_rows(lambda e: mu(e, i), eta, R), {i: one}),
-            A, names.__getitem__)
+        return _result("unit (left)", _first_difference(at, lambda i: (
+            apply_rows(lambda e: mu(e, i), eta, R), {i: one})),
+            names.__getitem__, A)
 
     def run_unit_right():
         # (-1)^{|mu||x|} mu(x (x) eta) = x
-        return _quantify("unit (right)", at, lambda i: (
-            _scaled(apply_rows(lambda e: mu(i, e), eta, R).items(),
-                    inst.mu.degree % 2 and odd[i], neg), {i: one}),
-            A, names.__getitem__)
+        return _result("unit (right)", _first_difference(at, lambda i: (
+            dict(_signed_row(apply_rows(lambda e: mu(i, e), eta, R).items(),
+                             inst.mu.degree % 2 and odd[i], neg)),
+            {i: one})), names.__getitem__, A)
 
     def run_associativity():
-        start = time.monotonic()
-        count, triple, lhs, rhs = associativity_witness(inst.mu, safe)
-        return _result("associativity", start, count,
-                       triple and TENSOR_SEP.join(triple), lhs, rhs)
+        return _result("associativity", associativity_witness(inst.mu, safe),
+                       TENSOR_SEP.join)
 
     def run_coassociativity():
-        return _quantify("coassociativity", at,
-                         functools.partial(_coassociativity, lam,
-                                           inst.lam.degree % 2, odd, R),
-                         tensor(A, A, A), names.__getitem__)
+        return _result("coassociativity", _first_difference(
+            at, functools.partial(_coassociativity, lam, inst.lam.degree % 2,
+                                  odd, R)), names.__getitem__, tensor(A, A, A))
 
     def run_pairs(axiom):
-        return _quantify_pairs(axiom, kernel(), at)
+        k = kernel()
+        sides = (k.infinitesimal if axiom == "unital infinitesimal"
+                 else k.antisymmetry)
+        return _result(axiom, _first_difference(pairs, lambda p: sides(*p)),
+                       _pair_name(names), k.A2)
 
     runners = {
         "unit (left)": run_unit_left,
@@ -296,8 +267,9 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     order = _FAIL_FAST_ORDER if fail_fast else AXIOM_ORDER
     results = {}
     for axiom in order:
-        r = runners[axiom]()
-        results[axiom] = r
+        start = time.monotonic()
+        r = results[axiom] = runners[axiom]()
+        r.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
         if fail_fast and not r.passed:
             break
     report.results = [results[a] for a in AXIOM_ORDER if a in results]
@@ -326,25 +298,6 @@ def _coassociativity(lam, lam_odd, odd, R, x):
             rhs[k] = t if (old := rhs.get(k)) is None else add(old, t)
     return ({k: c for k, c in lhs.items() if c != 0},
             {k: c for k, c in rhs.items() if c != 0})
-
-
-def _pair_axiom(inst: BialgebraData, safe, axiom) -> AxiomResult:
-    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
-    pos = inst.module.index().pos
-    return _quantify_pairs(axiom, kernel, [pos[n] for n in safe])
-
-
-def _quantify_pairs(axiom, kernel, at, sides=None) -> AxiomResult:
-    """_quantify over the pairs a (x) b of the positions `at`, in
-    lexicographic order, with both sides from sides(i, j), by default the
-    kernel's side function of `axiom`."""
-    if sides is None:
-        sides = (kernel.infinitesimal if axiom == "unital infinitesimal"
-                 else kernel.antisymmetry)
-    names = kernel.idx.names
-    return _quantify(axiom, [(i, j) for i in at for j in at],
-                     lambda k: sides(*k), kernel.A2,
-                     lambda k: names[k[0]] + TENSOR_SEP + names[k[1]])
 
 
 class PairKernel:
@@ -378,8 +331,7 @@ class PairKernel:
         mu_row, lam_row = self.mu.row, self.lam.row
 
         def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
-            r = mu_row(j, i)
-            return tuple((k, neg(c)) for k, c in r) if odd[i] and odd[j] else r
+            return _signed_row(mu_row(j, i), odd[i] and odd[j], neg)
 
         self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau).table()
         self.tau_lam = GradedMap(
@@ -514,7 +466,8 @@ def lambda_eta(inst: BialgebraData) -> LambdaEtaResult:
     neg, odd = inst.module.ring.neg, inst.module.index().odd
     return LambdaEtaResult(
         row_vector(tensor(inst.module, inst.module), terms),
-        _twisted(terms, odd, neg) == _scaled(terms, inst.lam.degree % 2, neg))
+        _twisted(terms, odd, neg) == dict(
+            _signed_row(terms, inst.lam.degree % 2, neg)))
 
 
 @dataclass
@@ -544,24 +497,24 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
     A = inst.module
     mu, lam = inst.mu.table().row, inst.lam.table().row
 
-    def mu_lam(n):
-        return row_vector(A, apply_rows(lambda k: mu(*k),
-                                        lam(A.index().pos[n]), A.ring).items())
+    def mu_lam(n):   # {position: coefficient}
+        return apply_rows(lambda k: mu(*k), lam(A.index().pos[n]), A.ring)
+
+    def show(v):
+        return format_vector(row_vector(A, v.items()))
 
     if problems:
         values = "; ".join(
-            f"mu lam({n}) = {format_vector(mu_lam(n))}"
+            f"mu lam({n}) = {show(mu_lam(n))}"
             for n in inst.safe_names[:4]
         )
         return ConditionalReport(False, False,
                                  "hypotheses not met: " + ", ".join(problems)
                                  + ". raw values: " + values)
-    for n in inst.safe_names:
-        v = mu_lam(n)
-        if not v.is_zero():
-            return ConditionalReport(True, False,
-                                     f"mu lam({n}) = {format_vector(v)} != 0")
-    return ConditionalReport(True, True)
+    _, n, v, _ = _first_difference(inst.safe_names, lambda n: (mu_lam(n), {}))
+    if n is None:
+        return ConditionalReport(True, True)
+    return ConditionalReport(True, False, f"mu lam({n}) = {show(v)} != 0")
 
 
 def check_cc_implies_antisymmetry(inst: BialgebraData,
@@ -575,8 +528,12 @@ def check_cc_implies_antisymmetry(inst: BialgebraData,
         return ConditionalReport(False, False, "mu is not commutative")
     if not inst.is_cocommutative():
         return ConditionalReport(False, False, "lam is not cocommutative")
+    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
+    safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
+    pairs = [(i, j) for i in safe for j in safe]
     if axioms is None:
-        uir = _pair_axiom(inst, inst.safe_names, "unital infinitesimal")
+        uir = _result("unital infinitesimal", _first_difference(
+            pairs, lambda p: kernel.infinitesimal(*p)), name, kernel.A2)
     else:
         uir = next(r for r in axioms.results
                    if r.axiom == "unital infinitesimal")
@@ -584,21 +541,17 @@ def check_cc_implies_antisymmetry(inst: BialgebraData,
         return ConditionalReport(False, False,
                                  "unital infinitesimal relation fails: " + uir.describe())
 
-    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
     s_lhs = koszul_sign(inst.mu.degree + inst.lam.degree)
     s_rhs = koszul_sign(inst.mu.degree)
-    pos = kernel.idx.pos
-    for a in inst.safe_names:
-        for b in inst.safe_names:
-            i, j = pos[a], pos[b]
-            lhs, rhs = kernel.antisymmetry(i, j)
-            if lhs != _nonzero(kernel.lam_mu({}, s_lhs, kernel.lam, i, j)):
-                return ConditionalReport(True, False,
-                                         f"left side does not reduce on {a}{TENSOR_SEP}{b}")
-            if rhs != _nonzero(kernel.lam_mu({}, s_rhs, kernel.tau_lam, i, j)):
-                return ConditionalReport(True, False,
-                                         f"right side does not reduce on {a}{TENSOR_SEP}{b}")
-    return ConditionalReport(True, True)
+    _, p, got, want = _first_difference(pairs, lambda p: (
+        kernel.antisymmetry(*p),
+        (_nonzero(kernel.lam_mu({}, s_lhs, kernel.lam, *p)),
+         _nonzero(kernel.lam_mu({}, s_rhs, kernel.tau_lam, *p)))))
+    if p is None:
+        return ConditionalReport(True, True)
+    side = "left" if got[0] != want[0] else "right"
+    return ConditionalReport(True, False,
+                             f"{side} side does not reduce on {name(p)}")
 
 
 def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
@@ -629,7 +582,7 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
 
     def rows(x):
         out = _sum_rows(R, lam_row(x), term1(x),
-                        ((k, neg(c)) for k, c in term2(x)))
+                        _signed_row(term2(x), True, neg))
         if special and dict(out) != dict(
                 _sum_rows(R, lam_row(x), term1(x), term_alt(x))):
             raise RuntimeError("special-case cross-check failed on "
@@ -707,10 +660,13 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
     kernel = PairKernel(inst.mu, inst.lam, ())
     mu, lam, minus_sign = kernel.mu, kernel.lam, A.ring.canon(-sign)
 
-    def sides(i, j):   # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
-        rhs = kernel.left({(i, j): minus_sign}, 1, mu, lam, i, j)
-        return (_nonzero(kernel.lam_mu({}, 1, lam, i, j)),
-                _nonzero(kernel.right(rhs, 1, mu, lam, i, j)))
+    def sides(p):   # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
+        rhs = kernel.left({p: minus_sign}, 1, mu, lam, *p)
+        return (_nonzero(kernel.lam_mu({}, 1, lam, *p)),
+                _nonzero(kernel.right(rhs, 1, mu, lam, *p)))
 
-    return _quantify_pairs("unital infinitesimal (identity-coproduct form)",
-                           kernel, inst.safe_positions(), sides)
+    safe = inst.safe_positions()
+    return _result("unital infinitesimal (identity-coproduct form)",
+                   _first_difference([(i, j) for i in safe for j in safe],
+                                     sides),
+                   _pair_name(kernel.idx.names), kernel.A2)

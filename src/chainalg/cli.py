@@ -145,14 +145,16 @@ def cmd_homology(args) -> int:
         inst = fx.make_fixture(target, window, ring)
         bundle = (inst if isinstance(inst, ComplexBundle)
                   else ComplexBundle(ChainComplex(inst.module)))
-        records = rp.homology_records(bundle, args.cone, f"{target}.")
+        records = rp.homology_records(bundle, args.cone, f"{target}.",
+                                      args.timings)
     else:
         scenario = _load_scenario(target)
         if scenario.kind != "complex":
             raise sc.SchemaError("$.kind",
                                  "homology needs a complex scenario or fixture")
         prefix = (scenario.name or target) + "."
-        records = rp.homology_records(scenario.payload, args.cone, prefix)
+        records = rp.homology_records(scenario.payload, args.cone, prefix,
+                                      args.timings)
         records += rp.complex_records(scenario.payload, scenario.checks, prefix,
                                       args.timings)
     return _emit(rp.Report(f"homology {target}", records), args)

@@ -25,6 +25,8 @@ from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
+    _first_difference,
+    _signed_row,
     _sum_rows,
     apply_rows,
     basis_keys,
@@ -45,11 +47,11 @@ class ChainComplex:
         if differential.degree != -1:
             raise ValueError(f"differential has degree {differential.degree}, expected -1")
         d = differential.table()
-        for name, key in basis_keys(module):
-            dd = apply_rows(d.at, d.at(key), module.ring)
-            if dd:
-                raise ValueError(f"d*d != 0 on {name}: d(d({name})) = "
-                                 f"{row_vector(module, dd.items())}")
+        _, x, dd, _ = _first_difference(basis_keys(module), lambda x: (
+            apply_rows(d.at, d.at(x[1]), module.ring), {}))
+        if x is not None:
+            raise ValueError(f"d*d != 0 on {x[0]}: d(d({x[0]})) = "
+                             f"{row_vector(module, dd.items())}")
         self.module = module
         self.d = differential
 
@@ -72,12 +74,8 @@ class ChainMap:
             raise ValueError(f"chain maps have degree 0, got {f.degree}")
         if f.source != source.module or f.target != target.module:
             raise ValueError("map endpoints do not match the complexes")
-        R, f_t = source.ring, f.table()
-        d_s, d_t = source.d.table(), target.d.table()
-        for name, key in basis_keys(source.module):
-            if (apply_rows(d_t.at, f_t.at(key), R)
-                    != apply_rows(f_t.at, d_s.at(key), R)):
-                raise ValueError(f"not a chain map: fails on {name}")
+        _require_chain_map(f, source.d, target.d,
+                           "not a chain map: fails on {}")
         self.source = source
         self.target = target
         self.f = f
@@ -91,9 +89,16 @@ def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) 
     rows of h and of the two differentials."""
     if h.source != source.module or h.target != target.module:
         raise ValueError("map endpoints do not match the complexes")
+    return GradedMap(h.source, h.target, h.degree - 1,
+                     _commutator_rows(h, source.d, target.d),
+                     name=f"[d,{h.name}]")
+
+
+def _commutator_rows(h: GradedMap, d_source: GradedMap, d_target: GradedMap):
+    """The row function of `graded_commutator`, from the differentials."""
     R = h.target.ring
     h_row, h_at = h.table().row, h.table().at
-    d_s, d_t = source.d.table().row, target.d.table().at
+    d_s, d_t = d_source.table().row, d_target.table().at
     sign = R.one() if h.degree % 2 else R.neg(R.one())
     mul = R.mul
 
@@ -101,18 +106,21 @@ def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) 
         return _sum_rows(R, apply_rows(d_t, h_row(*k), R).items(), apply_rows(
             h_at, ((x, mul(sign, c)) for x, c in d_s(*k)), R).items())
 
-    return GradedMap(h.source, h.target, h.degree - 1, rows,
-                     name=f"[d,{h.name}]")
+    return rows
 
 
-def _require_graded_chain_map(h: GradedMap, source: ChainComplex,
-                              target: ChainComplex, label: str):
-    """Raise ValueError, naming a basis element, unless [d, h] = 0."""
-    comm = graded_commutator(h, source, target).table()
-    for name, key in basis_keys(source.module):
-        if comm.at(key):
-            raise ValueError(f"{label} is not a chain map: "
-                             f"[d, {label}] != 0 on {name}")
+def _require_chain_map(h: GradedMap, d_source: GradedMap,
+                       d_target: GradedMap, message: str):
+    """Raise ValueError(message.format(name)), `name` the first basis
+    element of h's source in canonical order where [d, h] does not vanish:
+    the one test that h is a chain map, of any degree, for differentials
+    d_source and d_target on its source and target."""
+    rows = _commutator_rows(h, d_source, d_target)
+    at = (lambda k: rows(*k)) if h.source.arity == 2 else rows
+    _, x, _, _ = _first_difference(basis_keys(h.source),
+                                   lambda x: (at(x[1]), ()))
+    if x is not None:
+        raise ValueError(message.format(x[0]))
 
 
 @dataclass
@@ -127,16 +135,16 @@ class HomotopyReport:
 def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> HomotopyReport:
     """Does f - g = [d, h] hold exactly?  Compared on table rows."""
     R, module = f.target.ring, f.target.module
-    f_t, g_t = f.f.table(), g.f.table()
-    comm = graded_commutator(h, f.source, f.target).table()
-    for name, key in basis_keys(f.source.module):
-        lhs = _sum_rows(R, f_t.at(key), ((t, R.neg(c)) for t, c in g_t.at(key)))
-        rhs = comm.at(key)
-        if dict(lhs) != dict(rhs):
-            return HomotopyReport(False, f"fails on {name}: "
-                                  f"{row_vector(module, lhs)} vs "
-                                  f"{row_vector(module, rhs)}")
-    return HomotopyReport(True)
+    f_t, g_t = f.f.table().at, g.f.table().at
+    comm = graded_commutator(h, f.source, f.target).table().at
+    _, x, lhs, rhs = _first_difference(basis_keys(f.source.module), lambda x: (
+        dict(_sum_rows(R, f_t(x[1]), _signed_row(g_t(x[1]), True, R.neg))),
+        dict(comm(x[1]))))
+    if x is None:
+        return HomotopyReport(True)
+    return HomotopyReport(False, f"fails on {x[0]}: "
+                          f"{row_vector(module, lhs.items())} vs "
+                          f"{row_vector(module, rhs.items())}")
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +538,19 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
 
     h_bar = GradedMap(mod1, mod2, 1, rows, name="[h]")
     q2 = quotient_by_image(c2)
-    c_t, cp_t = c.f.table(), c_prime.f.table()
-    comm = graded_commutator(h_bar, K1, K2).table()
-    for name, key in basis_keys(mod1):
-        defect = _sum_rows(
-            R, cp_t.at(key), ((t, R.neg(x)) for t, x in c_t.at(key)),
-            ((t, R.neg(x)) for t, x in comm.at(key)))
-        if not q2.reduces_to_zero(defect):
-            return QuotientHomotopyResult(
-                h_bar, False, f"defect on {name}: {row_vector(mod2, defect)}")
-    return QuotientHomotopyResult(h_bar, True)
+    c_t, cp_t = c.f.table().at, c_prime.f.table().at
+    comm = graded_commutator(h_bar, K1, K2).table().at
+
+    def sides(x):   # (the defect, ()) where it leaves the image lattice
+        defect = _sum_rows(R, cp_t(x[1]), _signed_row(c_t(x[1]), True, R.neg),
+                           _signed_row(comm(x[1]), True, R.neg))
+        return (() if q2.reduces_to_zero(defect) else defect), ()
+
+    _, x, defect, _ = _first_difference(basis_keys(mod1), sides)
+    if x is None:
+        return QuotientHomotopyResult(h_bar, True)
+    return QuotientHomotopyResult(
+        h_bar, False, f"defect on {x[0]}: {row_vector(mod2, defect)}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +575,8 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
     M, A = cone.source, cone.target
     if csec.source != M.module or csec.target != A.module or csec.degree != 1:
         raise ValueError("csec must map the cone source to its target with degree +1")
-    _require_graded_chain_map(csec, M, A, "csec")
+    _require_chain_map(csec, M.d, A.d,
+                       "csec is not a chain map: [d, csec] != 0 on {}")
 
     cone_mod = cone.complex.module
     R = cone_mod.ring

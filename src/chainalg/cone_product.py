@@ -65,17 +65,14 @@ from .graded import (
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
+    _first_difference,
+    _signed_row,
     _sum_rows,
     _twisted,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import (BialgebraData, PairKernel, _require_basis_names,
                         _times_left, _times_right)
-
-
-def _row(items, negate: bool, neg) -> tuple:
-    """The (key, coefficient) pairs `items` as a row, negated if `negate`."""
-    return tuple((k, neg(c)) for k, c in items) if negate else tuple(items)
 
 
 def _format_row(module: GradedModule, row: dict) -> str:
@@ -117,7 +114,8 @@ def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
 
     def row(i, j):
         x, f = (i, j) if last else (j, i)
-        return _row(rows(x).get(f, {}).items(), sign(x, f) < 0, A.ring.neg)
+        return _signed_row(rows(x).get(f, {}).items(), sign(x, f) < 0,
+                           A.ring.neg)
 
     return GradedMap(source, A, degree, row, name=name)
 
@@ -155,9 +153,9 @@ class ConeProductData:
         d2 = tensor_differential(complex_.d).table().at
         defect = _sum_rows(
             R, _twisted(c0_terms, A.index().odd, R.neg).items(),
-            ((k, R.neg(c)) for k, c in c0_terms),
-            ((k, R.neg(c)) for k, c in apply_rows(d2, vector_terms(Q0),
-                                                  R).items()))
+            _signed_row(c0_terms, True, R.neg),
+            _signed_row(apply_rows(d2, vector_terms(Q0), R).items(), True,
+                        R.neg))
         if defect:
             raise ValueError(
                 "secondary bivector does not trivialize the twist defect: "
@@ -271,16 +269,16 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} for g = w1^, f = w2^
         w1, w2 = base[g], base[f]
         flip = ((odd_M[f] + 1) * (odd_M[g] + 1) + odd_M[f] * odd[w1]) % 2
-        return _row(((dual[x], c) for x, c in
-                     lam_rev_table().get((w1, w2), ())), flip, neg)
+        return _signed_row(((dual[x], c) for x, c in
+                            lam_rev_table().get((w1, w2), ())), flip, neg)
 
     # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
     B_rows = {f: slot_table(T.items(), tensor(A, A), M) for f, T in
               slot_table(vector_terms(data.B), data.B.module, M).items()}
 
     def beta_row(f, g):
-        return _row(B_rows.get(f, {}).get(g, {}).items(),
-                    odd_M[g] and odd[base[f]], neg)
+        return _signed_row(B_rows.get(f, {}).get(g, {}).items(),
+                           odd_M[g] and odd[base[f]], neg)
 
     AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
     m_L = GradedMap(AM, M, 0, m_L_row, name="m_L")
@@ -394,7 +392,7 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     def W_right(b):
         # lam(b) + (-1)^{|b|}(mu(x)1)(b(x)c)
-        return _sum_rows(R, lam(b), _row(mu1_right(b), odd[b], neg))
+        return _sum_rows(R, lam(b), _signed_row(mu1_right(b), odd[b], neg))
 
     def W(x):
         # lam(a) + (-1)^{|a|}(mu(x)1)(a(x)c) + (1(x)mu)(c(x)a)
@@ -410,8 +408,8 @@ def closed_form_components(data: ConeProductData) -> dict:
         w1, w2 = base[gb], base[fb]
         # s times the pairing sign (-1)^{|f||w1|} of <g (x) f, w1 (x) w2>
         flip = (dg + dg * df + 1 + df * odd[w1]) % 2
-        return _row(((dual[x], c) for x, c in W_table().get((w1, w2), ())),
-                    flip, neg)
+        return _signed_row(((dual[x], c)
+                            for x, c in W_table().get((w1, w2), ())), flip, neg)
 
     def mp_m(fb, a):
         y = base[fb]
@@ -554,7 +552,8 @@ def check_assoc_implies_infinitesimal(
     summed over the row mu(a, b), kept per distinct row mu(a, b), with the
     contracted defect added at the f where it is nonzero.  Sides are
     interned by `SideIds`, whose ids are equal exactly when the sides are,
-    so each pair (a, b) compares two lists of ids over f; the failing
+    and `_first_difference` compares the two lists of ids over f of each
+    pair (a, b), then the entries of a failing pair's lists; the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
     assoc = require_associativity
@@ -575,7 +574,7 @@ def check_assoc_implies_infinitesimal(
     pm_p = comps["pm_p"].table().row
     pm_m = comps["pm_m"].table().row
     kernel = PairKernel(data.mu, data.lam,
-                        ((k, neg(c)) for k, c in vector_terms(data.Q0)))
+                        _signed_row(vector_terms(data.Q0), True, neg))
     f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
@@ -593,41 +592,45 @@ def check_assoc_implies_infinitesimal(
         terms = sides[ab]
         return [ids.expand(terms, lambda x: pm_p(x, k)) for _, k in duals]
 
-    for a, i in safe:
-        @functools.cache
-        def lhs_id(pq):   # the id of mu(a, P) + m_pm_p(a, Q)
-            P, Q = sides[pq[0]], sides[pq[1]]
-            return ids(itertools.chain(
-                ((n, mul(c, v)) for y, c in P for n, v in mu(i, y)),
-                ((n, mul(c, v)) for g, c in Q for n, v in pm_p(i, g))))
+    def lhs_ids(i):   # per a: the id of mu(a, P) + m_pm_p(a, Q), per ids
+        return functools.cache(lambda pq: ids(itertools.chain(
+            ((n, mul(c, v)) for y, c in sides[pq[0]] for n, v in mu(i, y)),
+            ((n, mul(c, v)) for g, c in sides[pq[1]] for n, v in pm_p(i, g)))))
 
-        for b, j in safe:
-            negate = not (idx.odd[i] + idx.odd[j]) % 2
-            # Mbar has M's positions, so k keys both
-            contracted = slot_table(kernel.defect(i, j).items(), A2, M,
-                                    last=True)
-            base = pm_p_of(ids(mu(i, j)))
-            rhs = list(base) if contracted else base
-            for k, terms in contracted.items():
-                if (kf := at_f.get(k)) is not None:
-                    rhs[kf] = ids(itertools.chain(sides[rhs[kf]], (
-                        (w, neg(c) if negate else c)
-                        for w, c in terms.items())))
-            lhs = list(map(lhs_id, rows_at(j)))
-            if lhs != rhs:
-                kf = next(f for f in range(len(lhs)) if lhs[f] != rhs[f])
-                fb, k = duals[kf]
-                # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
-                # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
-                total = sides[ids(itertools.chain(sides[lhs[kf]], (
-                    (n, neg(c)) for n, c in sides[base[kf]])))]
-                expected = {w: neg(c) if negate else c
-                            for w, c in contracted.get(k, {}).items()}
-                return InfinitesimalFromAssocResult(
-                    True, False, f"fails at a={a}, b={b}, f={fb}: "
-                    f"{_format_row(A, dict(total))} vs "
-                    f"{_format_row(A, expected)}")
-    return InfinitesimalFromAssocResult(True, True)
+    def expected(i, j):   # the signed contracted defect, per safe f
+        negate = not (idx.odd[i] + idx.odd[j]) % 2
+        # Mbar has M's positions, so k keys both
+        return {at_f[k]: dict(_signed_row(terms.items(), negate, neg))
+                for k, terms in slot_table(kernel.defect(i, j).items(), A2, M,
+                                           last=True).items() if k in at_f}
+
+    def rhs_ids(i, j):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
+        rhs, contracted = pm_p_of(ids(mu(i, j))), expected(i, j)
+        rhs = list(rhs) if contracted else rhs
+        for kf, terms in contracted.items():
+            rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
+        return rhs
+
+    def pairs():   # (a, b, position of a, position of b, a's lhs ids)
+        for a, i in safe:
+            lhs_id = lhs_ids(i)
+            for b, j in safe:
+                yield a, b, i, j, lhs_id
+
+    _, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
+        list(map(p[4], rows_at(p[3]))), rhs_ids(p[2], p[3])))
+    if ab is None:
+        return InfinitesimalFromAssocResult(True, True)
+    a, b, i, j, _ = ab
+    kf = _first_difference(range(len(lhs)), lambda f: (lhs[f], rhs[f]))[1]
+    # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
+    # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
+    total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
+        sides[pm_p_of(ids(mu(i, j)))[kf]], True, neg)))]
+    return InfinitesimalFromAssocResult(
+        True, False, f"fails at a={a}, b={b}, f={duals[kf][0]}: "
+        f"{_format_row(A, dict(total))} vs "
+        f"{_format_row(A, expected(i, j).get(kf, {}))}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ arithmetic (vector sums, differences, negation, scaling, tensors, map
 application, the row maps and their tables) only combines values that are
 valid already, so it builds its results through the trusted constructor
 `Vector._trusted`, which drops zero coefficients and checks nothing else.
-The structural checks (d*d = 0 in `ChainComplex`, commutation in
-`ChainMap` and the chain-map conditions of `BialgebraData`) read table
-rows and raise ValueError, never an assert, so they also run under
-`python -O`.
+The structural checks (d*d = 0 in `ChainComplex`, and the one test of
+[d, f] = 0 in `complexes` for `ChainMap`, a pair's secondary map and mu
+and lam of a `BialgebraData` with a differential) read table rows and
+raise ValueError, never an assert, so they also run under `python -O`.
 
 Index tables: every map is a row map, a function from basis positions to
 rows, and every check reads structure constants from `GradedMap.table()`,
@@ -672,6 +672,26 @@ def _sum_rows(ring, *parts) -> tuple:
     return tuple((k, c) for k, c in out.items() if c != 0)
 
 
+def _signed_row(items, negate, neg) -> tuple:
+    """The (key, coefficient) pairs `items` as a row, negated if `negate`."""
+    return tuple((k, neg(c)) for k, c in items) if negate else tuple(items)
+
+
+def _first_difference(inputs, sides):
+    """(count, first failing input or None, lhs, rhs): the `inputs` in
+    order, each with sides(x) = (lhs, rhs) compared exactly (==), up to and
+    including the first whose sides differ, and its sides, else None.  The
+    one loop of every check that names its first counterexample; private,
+    so a tracer of the public functions records no span per check."""
+    count = 0
+    for x in inputs:
+        count += 1
+        lhs, rhs = sides(x)
+        if lhs != rhs:
+            return count, x, lhs, rhs
+    return count, None, None, None
+
+
 def _twisted(terms, odd, neg) -> dict:
     """The twist of the binary tensor terms ((k1, k2), coefficient), as
     {(k2, k1): coefficient}: tau(x (x) y) = (-1)^{|x||y|} y (x) x, with the
@@ -766,8 +786,9 @@ def associativity_witness(mu: GradedMap, names):
     the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
     is interned by `SideIds`, so the lhs over all c is one list of ids per
     distinct row mu(a (x) b), filled on first use, the rhs one id per a and
-    distinct row mu(b (x) c), and each pair (a, b) compares two lists of
-    ids.  Equal ids hold exactly when the sides are equal (see `SideIds`),
+    distinct row mu(b (x) c), and `_first_difference` compares the two
+    lists of ids of each pair (a, b), then the entries of a failing pair's
+    lists.  Equal ids hold exactly when the sides are equal (see `SideIds`),
     so the verdict, the count and the first failing triple are those of
     comparing the two sides of every triple in turn.
     """
@@ -794,27 +815,25 @@ def associativity_witness(mu: GradedMap, names):
                 return times_inputs(x)
         return [ids.expand(terms, lambda x: row(x, k)) for _, k in inputs]
 
-    count = 0
-    for a, i in inputs:
+    def rhs_ids(i):   # the id of the rhs per row id of bc, for a at i
         negate = mu.degree % 2 and idx.odd[i]
+        return functools.cache(lambda bc: ids.expand(
+            _signed_row(sides[bc], negate, neg), lambda y: row(i, y)))
 
-        @functools.cache
-        def rhs_id(bc):   # the id of the rhs, per row id of bc
-            terms = sides[bc]
-            if negate:
-                terms = tuple((y, neg(c)) for y, c in terms)
-            return ids.expand(terms, lambda y: row(i, y))
+    def pairs():   # (a, b, row id of ab, position of b, a's rhs ids)
+        for a, i in inputs:
+            rhs_id = rhs_ids(i)
+            for ab, (b, j) in zip(times_inputs(i), inputs):
+                yield a, b, ab, j, rhs_id
 
-        for ab, (b, j) in zip(times_inputs(i), inputs):
-            lhs = lhs_ids(ab)
-            rhs = list(map(rhs_id, times_inputs(j)))
-            if lhs == rhs:
-                count += len(inputs)
-                continue
-            kk = next(k for k in range(len(lhs)) if lhs[k] != rhs[k])
-            return count + kk + 1, (a, b, inputs[kk][0]), *(
-                row_vector(A, sides[side]) for side in (lhs[kk], rhs[kk]))
-    return count, None, None, None
+    n, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
+        lhs_ids(p[2]), list(map(p[4], times_inputs(p[3])))))
+    if ab is None:
+        return n * len(inputs), None, None, None
+    k, _, lhs, rhs = _first_difference(range(len(lhs)),
+                                       lambda c: (lhs[c], rhs[c]))
+    return ((n - 1) * len(inputs) + k, (ab[0], ab[1], inputs[k - 1][0]),
+            row_vector(A, sides[lhs]), row_vector(A, sides[rhs]))
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:
@@ -832,7 +851,7 @@ def shift_map(f: GradedMap, k: int) -> GradedMap:
     row, neg = f.row_fn, f.target.ring.neg
     if f.degree % 2 and k % 2:
         def rows(i):
-            return tuple((t, neg(c)) for t, c in row(i))
+            return _signed_row(row(i), True, neg)
     else:
         rows = row
     return GradedMap(shift(f.source, k), shift(f.target, k), f.degree, rows,
@@ -919,10 +938,7 @@ def _op_shift(op, i, j, k, sign_at_result, name):
     row, neg = op.row_fn, op.target.ring.neg
 
     def rows(a, b):
-        r = row(a, b)
-        if j % 2 and odd[a]:
-            return tuple((t, neg(c)) for t, c in r)
-        return r
+        return _signed_row(row(a, b), j % 2 and odd[a], neg)
 
     return GradedMap(source, target, op.degree + i + j - k, rows, name=name)
 

@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .rings import Ring, ZZ
-from .graded import basis_keys, format_vector, row_vector, tensor
+from .graded import (_first_difference, basis_keys, format_vector,
+                     row_vector, tensor)
 from .complexes import (
     ComplexBundle,
     homology,
@@ -188,59 +189,66 @@ def cone_records(data: ConeProductData, checks, prefix: str = "",
 
 
 def complex_records(bundle, checks, prefix: str = "", timings: bool = False):
-    out = []
-    for check in checks:
-        if check == "d-squared":
-            out.append(CheckRecord(f"{prefix}d-squared", "pass",
-                                   "verified at construction"))
-        elif check == "essential":   # ingest ensures a top field
-            ok = is_essential(bundle.complex, bundle.top)
-            out.append(CheckRecord(f"{prefix}essential",
-                                   "pass" if ok else "fail",
-                                   f"top degree {bundle.top}"))
-        elif check == "continuation-vanishes":   # ingest ensures a pair
-            out.append(_continuation_record(bundle.pair_map, prefix))
-        else:
-            out.append(CheckRecord(f"{prefix}{check}", "error",
-                                   f"unknown check {check!r}"))
-    return out
+    runs = {
+        "d-squared": lambda: ("pass", "verified at construction"),
+        # ingest ensures a top field for essential, a pair for
+        # continuation-vanishes
+        "essential": lambda: (
+            "pass" if is_essential(bundle.complex, bundle.top) else "fail",
+            f"top degree {bundle.top}"),
+        "continuation-vanishes": lambda: _continuation_status(bundle.pair_map),
+    }
+    return [_timed(f"{prefix}{check}", runs[check], timings) if check in runs
+            else CheckRecord(f"{prefix}{check}", "error",
+                             f"unknown check {check!r}")
+            for check in checks]
 
 
-def _continuation_record(c, prefix: str) -> CheckRecord:
+def _continuation_status(c):
     """Pass when the chain map c is zero; a failure names the first basis
     element x of c's source, in canonical order, with c(x) != 0."""
-    rec_id, row = f"{prefix}continuation-vanishes", c.f.table().row
-    for name, p in basis_keys(c.source.module):
-        if row(p):
-            return CheckRecord(rec_id, "fail", f"c({name}) = " + format_vector(
-                row_vector(c.target.module, row(p))))
-    return CheckRecord(rec_id, "pass", "c = 0")
+    row = c.f.table().row
+    _, x, image, _ = _first_difference(basis_keys(c.source.module),
+                                       lambda x: (row(x[1]), ()))
+    if x is None:
+        return "pass", "c = 0"
+    return "fail", f"c({x[0]}) = " + format_vector(
+        row_vector(c.target.module, image))
 
 
-def homology_records(bundle, with_cone: bool, prefix: str = ""):
-    out = [CheckRecord(f"{prefix}homology", "info", str(homology(bundle.complex)))]
+def homology_records(bundle, with_cone: bool, prefix: str = "",
+                     timings: bool = False):
+    """The homology of the complex and of the pair's source, and with
+    `with_cone` the homology of the pair's cone and, given a secondary map,
+    its transition automorphism.  Each record is timed by `_timed`; the
+    cone and the automorphism are built once, by the first record that
+    needs them."""
+    def record(rec_id, run):
+        out.append(_timed(f"{prefix}{rec_id}", run, timings))
+
+    out = []
+    record("homology", lambda: ("info", str(homology(bundle.complex))))
     if bundle.pair_map is not None:
-        out.append(CheckRecord(f"{prefix}homology.pair", "info",
-                               str(homology(bundle.pair_map.source))))
-    if with_cone:
-        if bundle.pair_map is None:
-            out.append(CheckRecord(f"{prefix}cone", "error",
-                                   "no chain map available to build a cone"))
-            return out
-        cone = mapping_cone(bundle.pair_map)
-        out.append(CheckRecord(f"{prefix}homology.cone", "info",
-                               str(homology(cone.complex))))
-        if bundle.secondary is not None:
-            res = transition_automorphism(cone, bundle.secondary)
-            out.append(CheckRecord(
-                f"{prefix}transition.unipotent",
-                "pass" if res.unipotent else "fail",
-                "(phi - id)^2 = 0" if res.unipotent else "not unipotent"))
-            out.append(CheckRecord(
-                f"{prefix}transition.homology-action",
-                "pass" if res.nontrivial_on_homology else "fail",
-                "nontrivial on cone homology" if res.nontrivial_on_homology
-                else "acts as the identity on cone homology"))
+        record("homology.pair",
+               lambda: ("info", str(homology(bundle.pair_map.source))))
+    if not with_cone:
+        return out
+    if bundle.pair_map is None:
+        out.append(CheckRecord(f"{prefix}cone", "error",
+                               "no chain map available to build a cone"))
+        return out
+    cone = functools.cache(lambda: mapping_cone(bundle.pair_map))
+    record("homology.cone", lambda: ("info", str(homology(cone().complex))))
+    if bundle.secondary is not None:
+        transition = functools.cache(
+            lambda: transition_automorphism(cone(), bundle.secondary))
+        record("transition.unipotent", lambda: (
+            ("pass", "(phi - id)^2 = 0") if transition().unipotent
+            else ("fail", "not unipotent")))
+        record("transition.homology-action", lambda: (
+            ("pass", "nontrivial on cone homology")
+            if transition().nontrivial_on_homology
+            else ("fail", "acts as the identity on cone homology")))
     return out
 
 
@@ -262,7 +270,7 @@ def fixture_records(name: str, ring: Ring = ZZ, window=None,
     prefix = f"{name}."
     inst = fx.make_fixture(name, window, ring)
     if isinstance(inst, ComplexBundle):
-        return (homology_records(inst, True, prefix)
+        return (homology_records(inst, True, prefix, timings)
                 + complex_records(inst, PAIR_CHECKS, prefix, timings))
     checks = ("axioms", "lambda-eta")
     if suite == "demo" and name in ("lambda-s3", "omega-s3"):
@@ -305,15 +313,15 @@ def _reverse_coproduct(name: str, inst: BialgebraData, ring: Ring, window):
     rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).table().row
     direct = target.lam.table().row
     A, B = inst.module, target.module
-    for nm in inst.safe_names:
-        got, want = rebuilt(A.index().pos[nm]), direct(B.index().pos[nm])
-        if dict(got) != dict(want):
-            return "fail", (
-                f"mismatch at {nm}: rebuilt "
-                f"{format_vector(row_vector(tensor(A, A), got))}, direct "
-                f"{format_vector(row_vector(tensor(B, B), want))}")
-    return "pass", (f"{other} reconstructed from {name} with "
-                    f"c = {format_vector(c)} on {len(inst.safe_names)} inputs")
+    _, nm, got, want = _first_difference(inst.safe_names, lambda nm: (
+        dict(rebuilt(A.index().pos[nm])), dict(direct(B.index().pos[nm]))))
+    if nm is None:
+        return "pass", (f"{other} reconstructed from {name} with c = "
+                        f"{format_vector(c)} on {len(inst.safe_names)} inputs")
+    return "fail", (
+        f"mismatch at {nm}: rebuilt "
+        f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
+        f"{format_vector(row_vector(tensor(B, B), want.items()))}")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .graded import (
     TENSOR_SEP,
 )
 from .complexes import (ChainComplex, ChainMap, ComplexBundle,
-                        _require_graded_chain_map)
+                        _require_chain_map)
 from .bialgebra import BialgebraData
 from .cone_product import ConeProductData
 
@@ -437,7 +437,9 @@ def _ingest_complex(data, module, ring) -> ComplexBundle:
             _expect(secondary.degree == 1, "$.pair.secondary.degree",
                     "secondary maps have degree +1")
             try:
-                _require_graded_chain_map(secondary, pcx, cx, "secondary")
+                _require_chain_map(
+                    secondary, pdiff, differential,
+                    "secondary is not a chain map: [d, secondary] != 0 on {}")
             except ValueError as e:
                 raise SchemaError("$.pair.secondary", str(e))
     return ComplexBundle(cx, top, pair_map, secondary)

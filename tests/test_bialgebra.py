@@ -120,6 +120,65 @@ def test_cc_implies_antisymmetry_needs_cocommutativity():
     inst = _noncocommutative_instance()
     r = check_cc_implies_antisymmetry(inst)
     assert not r.hypotheses_met
+    assert r.detail == "lam is not cocommutative"
+    assert not inst.is_cocommutative()
+    # cocommutativity is decided on the safe elements only
+    assert BialgebraData(inst.module, inst.mu, inst.lam, inst.eta,
+                         safe_names=["g0", "g1"]).is_cocommutative()
+
+
+def _table_instance(ring, degrees, products, coproducts, lam_degree, safe):
+    """A unital instance on `degrees` ({name: degree}) with unit "e": mu
+    and lam from {"x*y": {name: c}} and {name: {"x*y": c}} ("*" standing
+    for the tensor sign), zero elsewhere."""
+    A = GradedModule(ring, [BasisElement(n, k) for n, k in degrees.items()])
+    A2 = tensor(A, A)
+    table = {}
+    for x in degrees:
+        for y in degrees:
+            unit = {y: 1} if x == "e" else {x: 1} if y == "e" else {}
+            table[x + TENSOR_SEP + y] = Vector(
+                A, products.get(f"{x}*{y}", unit))
+    mu = GradedMap.from_table(A2, A, 0, table)
+    lam = GradedMap.from_table(A, A2, lam_degree, {
+        n: Vector(A2, {k.replace("*", TENSOR_SEP): c for k, c in v.items()})
+        for n, v in coproducts.items()})
+    return BialgebraData(A, mu, lam, A.el("e"), safe_names=safe)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+def test_involutivity_names_the_first_nonzero_mu_lam(ring):
+    # the hypotheses hold on the safe window {e, f}; mu is not commutative
+    # on the pair (a, b) outside it, so mu lam(f) = mu(a, b) - mu(b, a) = 3b
+    inst = _table_instance(
+        ring, {"e": 0, "f": 0, "a": 0, "b": 1}, {"a*b": {"b": 1}},
+        {"f": {"a*b": 3, "b*a": -3}}, 1, ["e", "f"])
+    r = check_involutivity(inst)
+    assert (r.hypotheses_met, r.passed) == (True, False)
+    assert r.detail == "mu lam(f) = 3*b != 0"
+
+
+# mu and lam commutative and cocommutative on the safe window {e, x} and
+# satisfying the unital infinitesimal relation there, but not commutative
+# outside it (u (x) x against x (x) u), so one side of the anti-symmetry
+# does not reduce to lam mu; found by a seeded search of such tables
+CC_SIDE_FAILURES = {
+    "left": ({"x*x": {}, "x*u": {"u": 1}, "u*x": {"u": -1}, "u*u": {"x": -1}},
+             {"x": {"u*u": 1}, "u": {"e*e": -1, "u*u": -1, "x*e": -1}}),
+    "right": ({"x*x": {"x": 1}, "x*u": {"e": 1}, "u*x": {}, "u*u": {"u": 1}},
+              {"e": {"u*u": 1}, "u": {"u*x": 1, "x*u": -1}}),
+}
+
+
+@pytest.mark.parametrize("side", sorted(CC_SIDE_FAILURES))
+def test_cc_implies_antisymmetry_names_the_side_that_does_not_reduce(side):
+    products, coproducts = CC_SIDE_FAILURES[side]
+    inst = _table_instance(ZZ, {"e": 0, "x": 0, "u": 0}, products,
+                           coproducts, 0, ["e", "x"])
+    assert check_axioms(inst).results[4].passed   # unital infinitesimal
+    r = check_cc_implies_antisymmetry(inst)
+    assert (r.hypotheses_met, r.passed) == (True, False)
+    assert r.detail == f"{side} side does not reduce on x{TENSOR_SEP}x"
 
 
 def _noncocommutative_instance():

@@ -258,6 +258,22 @@ def test_timings_flag_adds_timing():
     assert any("elapsed_ms" in rec for rec in doc["records"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "tstar-s1"], ["homology", "tstar-s1", "--cone"],
+    ["homology", str(DATA / "essential-pass-Z.json")]],
+    ids=["demo", "homology-cone", "homology-scenario"])
+def test_timings_flag_times_every_complex_record(argv, capsys):
+    docs = []
+    for extra in ([], ["--timings"]):
+        assert cli.main(argv + ["--format", "json"] + extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    plain, timed = (doc["records"] for doc in docs)
+    assert len(plain) >= 3
+    assert not any("elapsed_ms" in rec for rec in plain)
+    assert all(rec.pop("elapsed_ms") >= 0 for rec in timed)
+    assert timed == plain
+
+
 def test_reverse_bivector_gate_via_cli(tmp_path):
     from chainalg.fixtures import make_loop_circle, TruncationWindow
     from chainalg import scenario as sc

@@ -330,6 +330,20 @@ def continuation(pair):   # the continuation-vanishes check, c(m) = 2a
             "map": {"degree": 0,
                     "entries": [{"in": ["m"], "out": [["2", "a"]]}]}}
     return doc
+def secondary():   # s(m) = b with d(b) = a, so [d, s](m) = a
+    doc = continuation(True)
+    doc["module"]["basis"].append({"name": "b", "degree": 1})
+    doc["differential"]["entries"] = [{"in": ["b"], "out": [["1", "a"]]}]
+    doc["pair"]["secondary"] = {
+        "degree": 1, "entries": [{"in": ["m"], "out": [["1", "b"]]}]}
+    return doc
+E = GradedModule(ZZ, [BasisElement("e", 0), BasisElement("x", 1)])
+E2 = tensor(E, E)
+# mu(e (x) e) = e and 0 elsewhere, d(x) = e: mu d2(e (x) x) = e, d mu = 0
+not_chain_mu = lambda: BialgebraData(
+    E, GradedMap.from_table(E2, E, 0, {"e\u2297e": E.el("e")}),
+    GradedMap.zero(E, E2, 0), E.el("e"),
+    differential=GradedMap.from_table(E, E, -1, {"x": E.el("e")}))
 for label, call, error in (
         ("target", lambda: GradedMap.from_table(M, M, 0, {"x": N.el("y")}),
          ValueError),
@@ -354,7 +368,9 @@ for label, call, error in (
             M, GradedMap.zero(tensor(M, M), M, 0),
             GradedMap.zero(M, tensor(M, M), 0), M.el("x"),
             safe_names=["x", "x"]), ValueError),
-        ("pair", lambda: ingest(continuation(False)), SchemaError)):
+        ("pair", lambda: ingest(continuation(False)), SchemaError),
+        ("mu chain map", not_chain_mu, ValueError),
+        ("secondary", lambda: ingest(secondary()), SchemaError)):
     try:
         call()
     except error:
@@ -401,13 +417,14 @@ def test_correctness_checks_survive_python_O():
                         _OPTIMIZED_CHECKS + _CONE_FAILURES],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:20] == [
+    assert r.stdout.split("\n")[:22] == [
         "target raised", "degree raised", "arity raised", "name raised",
         "name raised",
         "float raised", "float raised", "vector raised", "table raised",
         "scenario raised", "scenario raised", "d*d raised",
         "chain map raised", "rows raised", "safe raised", "pair raised",
-        "inverse exact", "continuation-vanishes fail c(m) = 2*a",
+        "mu chain map raised", "secondary raised", "inverse exact",
+        "continuation-vanishes fail c(m) = 2*a",
         "cone associativity False +A(x)+U(x)+U: +A*U^2 vs -+A*U^2",
         "assoc-infinitesimal False fails at a=U, b=U, f=U^2^: 2*A vs 0"]
 

@@ -1,0 +1,202 @@
+"""Reach of the library from the command line.
+
+A fixed list of `chainalg` commands runs in one fresh interpreter under
+`sys.settrace`, which records every Python function called (its global
+hook sees Python calls only, so it costs less than `sys.setprofile`, which
+also reports each call into C).  Each `def`
+in `src/chainalg` must be among them or on ALLOWED, with the reason it is
+not reached.  ALLOWED may only shrink: an entry whose `def` now runs, or no
+longer exists, fails the test as well, so that the list stays exact.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from chainalg.fixtures import fixture_names
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+PERFBENCH = ("pinned by perfbench/layertrace.py METHODS until the "
+             "benchmark change (ROADMAP item 1)")
+DENSE = "the dense reference of perfbench/ and the tests (ROADMAP item 1)"
+REDUCED = "reduced homology, ROADMAP item 3"
+TEST_ONLY = "test-only helper"
+API = "public API that only the tests call"
+FAILURE = "formats a failure; no shipped fixture or scenario fails"
+REPR = "debugging aid; no report prints it"
+HASH = "no command hashes it"
+
+# "module.qualified name" of a def that no command reaches -> why
+ALLOWED = {
+    "bialgebra.AxiomResult.describe": FAILURE,
+    "bialgebra.AxiomReport.passed": API,
+    "bialgebra.AxiomReport.failures": API,
+    "bialgebra.AxiomReport.describe": API,
+    "bialgebra.ConditionalReport.holds": API,
+    "bialgebra.check_lemma_c_lambda_eta":
+        "reverse-bivector-gate; no shipped scenario carries a reverse "
+        "bivector (ROADMAP item 5)",
+    "complexes.ChainComplex.__repr__": REPR,
+    "complexes.ChainMap.__call__": API,
+    "complexes.HomotopyReport.__bool__": REDUCED,
+    "complexes.is_chain_homotopic": REDUCED,
+    "complexes.graded_commutator": REDUCED,
+    "complexes.HomologySummary.rank": API,
+    "complexes.HomologySummary.torsion": API,
+    "complexes.QuotientComplex.__init__": REDUCED,
+    "complexes.QuotientComplex._coordinates": REDUCED,
+    "complexes.QuotientComplex.reduces_to_zero": REDUCED,
+    "complexes.QuotientComplex._generators": REDUCED,
+    "complexes.QuotientComplex._boundary": REDUCED,
+    "complexes.QuotientComplex.projection_is_chain_map": REDUCED,
+    "complexes.QuotientComplex.homology": REDUCED,
+    "complexes.quotient_by_image": REDUCED,
+    "complexes.induced_quotient_homotopy": REDUCED,
+    "complexes.induced_quotient_homotopy.rows": REDUCED,
+    "complexes.induced_quotient_homotopy.sides": REDUCED,
+    "cone_product._format_row": FAILURE,
+    "cone_product.cyclic_symmetrize":
+        "cone packages with B != 0; none ships (ROADMAP item 6)",
+    "cone_product._cyclic_rotate":
+        "cone packages with B != 0; none ships (ROADMAP item 6)",
+    "cone_product.cross_check_components.show": FAILURE,
+    "fixtures.make_random_instance": TEST_ONLY,
+    "fixtures.make_random_instance.random_value": TEST_ONLY,
+    "fixtures.make_random_instance.random_tensor_value": TEST_ONLY,
+    "fixtures.flip_structure_constant": TEST_ONLY,
+    "fixtures.flip_structure_constant.rows": TEST_ONLY,
+    "fixtures.mutate_lambda": TEST_ONLY,
+    "fixtures.mutate_mu": TEST_ONLY,
+    "fixtures.mutation_targets": TEST_ONLY,
+    "graded.BasisElement.__repr__": REPR,
+    "graded.GradedModule.basis_in_degree": API,
+    "graded.GradedModule.dim": API,
+    "graded.GradedModule.__hash__": HASH,
+    "graded.GradedModule.__repr__": REPR,
+    "graded.GradedModule.vector": API,
+    "graded.TensorModule.degrees": API,
+    "graded.TensorModule._struct":
+        "compares equal but distinct tensor modules; commands build "
+        "each product once",
+    "graded.TensorModule.__hash__": HASH,
+    "graded.TensorModule.__repr__": REPR,
+    "graded.Vector.__iter__": API,
+    "graded.Vector.__getitem__": API,
+    "graded.Vector.__add__": API,
+    "graded.Vector.__sub__": API,
+    "graded.Vector.scale": API,
+    "graded.Vector.__hash__": HASH,
+    "graded.Vector.__repr__": REPR,
+    "graded.Vector._compatible": API,
+    "graded.GradedMap.identity": API,
+    "graded.GradedMap.__call__": API,
+    "graded.GradedMap.block": PERFBENCH,
+    "graded.GradedMap.__repr__": REPR,
+    "graded.shift_map.rows":
+        "an odd map shifted by an odd k; every shipped shift is even",
+    "graded.apply_op_shift": API,
+    "graded.dual_pair": API,
+    "matrices.ExactMatrix.from_rows": DENSE,
+    "matrices.ExactMatrix.to_rows": DENSE,
+    "matrices.ExactMatrix.__hash__": HASH,
+    "matrices.ExactMatrix.__repr__": REPR,
+    "matrices.ExactMatrix.__mul__": PERFBENCH,
+    "matrices.ExactMatrix.transpose": PERFBENCH,
+    "matrices.ExactMatrix.apply": PERFBENCH,
+    "matrices._dot": PERFBENCH,
+    "matrices._combine_rows":
+        "an integer block that needs a non-unit gcd step; no shipped "
+        "scenario has one, the tests do",
+    "matrices._xgcd":
+        "an integer block that needs a non-unit gcd step; no shipped "
+        "scenario has one, the tests do",
+    "matrices.image_rank":
+        "pinned by perfbench/test_perfbench.py's image_rank span "
+        "(ROADMAP item 1)",
+    "rings.Ring.__hash__": HASH,
+    "rings.Ring.div": API,
+    "scenario._error": "raises on a malformed scenario; the shipped ones "
+                       "are valid",
+    "scenario.structurally_equal": API,
+}
+
+# Runs the commands given as JSON in argv[1] with the tracer on from
+# before the first import, and prints the (file, first line) of every code
+# object of the package that was called.
+_RUN = """
+import contextlib, io, json, os, sys
+reached = set()
+sys.settrace(lambda frame, event, arg: reached.add(frame.f_code))
+from chainalg import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        cli.main(argv)
+sys.settrace(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
+                         for c in reached
+                         if os.path.dirname(c.co_filename) == package})))
+"""
+
+
+def commands():
+    """demo, check on three rings and export on every fixture at window 8;
+    check, homology --cone and cone on every scenario file, in JSON (plain
+    homology runs nothing that homology --cone does not); the cone of
+    tstar-s1; one Markdown report."""
+    out = []
+    for name in fixture_names():
+        out.append(["demo", name, "--window", "8"])
+        out += [["check", name, "--window", "8", "--ring", ring]
+                for ring in ("Z", "Q", "GF(5)")]
+        out.append(["export", name, "--window", "8"])
+    for path in sorted(DATA.glob("*.json")):
+        if path.name != "report_digests.json":
+            for command in (["check"], ["homology", "--cone"], ["cone"]):
+                out.append([command[0], str(path), *command[1:],
+                            "--format", "json"])
+    out.append(["homology", "tstar-s1", "--cone"])
+    out.append(["report", "omega-s1-minus", "tstar-s1", "--window", "8"])
+    return out
+
+
+def defs():
+    """{(file name, first line): "module.qualified name"} of every def in
+    the package, the first line being that of its first decorator."""
+    out = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    out[path.name, first] = f"{module}.{name}"
+                visit(child, module, name + ".")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted((SRC / "chainalg").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return out
+
+
+def test_every_def_is_reached_or_allowed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", _RUN, json.dumps(commands())],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    reached = {tuple(x) for x in json.loads(r.stdout)}
+    names = defs()
+    unreached = {names[k] for k in names.keys() - reached}
+    assert sorted(unreached - ALLOWED.keys()) == [], "not reached, not allowed"
+    assert sorted(ALLOWED.keys() - unreached) == [], "allowed, but reached or gone"
