@@ -38,9 +38,6 @@ ALLOWED = {
     "bialgebra.AxiomReport.failures": API,
     "bialgebra.AxiomReport.describe": API,
     "bialgebra.ConditionalReport.holds": API,
-    "bialgebra.check_lemma_c_lambda_eta":
-        "reverse-bivector-gate; no shipped scenario carries a reverse "
-        "bivector (ROADMAP item 5)",
     "complexes.ChainComplex.__repr__": REPR,
     "complexes.ChainMap.__call__": API,
     "complexes.HomotopyReport.__bool__": REDUCED,

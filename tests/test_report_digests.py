@@ -18,7 +18,12 @@ negated (a mu constant over Q, a lam constant over GF(5)), whose cone
 associativity and assoc-infinitesimal records fail, and `chainalg check <f>
 --format json` on two small complex scenarios with a `top` field and the
 essential check, one whose top-degree differential vanishes and one whose
-does not, must reproduce the
+does not, `chainalg demo <f> --window 8 --format json` on the three omega
+fixtures, `chainalg cone lambda-s3`, `chainalg homology lambda-s3` and
+`chainalg report omega-s1-minus tstar-s1`, each at window 8 in JSON, and
+`chainalg check omega-s1-minus-gate-Z.json --format json`, whose loop
+fixture runs Loday-Ronco, cc-antisymmetry and the reverse-bivector gate,
+must reproduce the
 sha256 digests stored in tests/data/report_digests.json byte for byte.  The
 failing reports pin the witness text.  Reports name their target, so every case runs from
 tests/data.
@@ -45,6 +50,7 @@ DIGESTS = DATA / "report_digests.json"
 BIALGEBRA = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus",
              "omega-s3", "omega-s1-plus", "omega-s1-minus")
 LAMBDA = BIALGEBRA[:3]
+OMEGA = BIALGEBRA[3:]
 
 CASES = [
     ("check", f, "--ring", r, "--window", str(n), "--format", "json")
@@ -63,7 +69,14 @@ CASES = [
 ] + [("cone", f"lambda-s1-plus-cone-{m}.json", "--format", "json")
      for m in ("mu-Q", "lam-GF5")
 ] + [("check", f"essential-{s}-Z.json", "--format", "json")
-     for s in ("pass", "fail")]
+     for s in ("pass", "fail")
+] + [("demo", f, "--window", "8", "--format", "json") for f in OMEGA] + [
+    ("cone", "lambda-s3", "--window", "8", "--format", "json"),
+    ("homology", "lambda-s3", "--window", "8", "--format", "json"),
+    ("report", "omega-s1-minus", "tstar-s1", "--window", "8", "--format",
+     "json"),
+    ("check", "omega-s1-minus-gate-Z.json", "--format", "json"),
+]
 
 
 def report_digest(argv, workdir) -> str:
