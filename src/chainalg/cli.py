@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from .rings import ring_from_name
-from .complexes import ChainComplex, ComplexBundle
+from .complexes import ComplexBundle
 from . import fixtures as fx
 from . import scenario as sc
 from . import report as rp
@@ -78,11 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _is_fixture(target: str) -> bool:
-    return target in fx.fixture_names()
-
-
-def _load_scenario(target: str) -> sc.Scenario:
+def _scenario(target: str, args, demo: bool) -> sc.Scenario:
+    """A scenario file, or a fixture as the kind and payload its exported
+    file gives, running its demo or else its check suite."""
+    window = fx.TruncationWindow(args.window)
+    if target in fx.fixture_names():
+        ring = ring_from_name(args.ring)
+        payload = fx.make_fixture(target, window, ring)
+        kind = "complex" if isinstance(payload, ComplexBundle) else "bialgebra"
+        return sc.Scenario(kind, target, ring, payload,
+                           rp.FIXTURES[target][demo], window)
     try:
         return sc.load(target)
     except FileNotFoundError:
@@ -90,39 +96,38 @@ def _load_scenario(target: str) -> sc.Scenario:
                                   f"fixtures: {', '.join(fx.fixture_names())}")
 
 
-def _records_for_target(target: str, args, suite: str = "check"):
-    window = fx.TruncationWindow(args.window)
-    if _is_fixture(target):
-        ring = ring_from_name(args.ring)
-        return rp.fixture_records(target, ring, window, suite=suite,
-                                  timings=args.timings)
-    scenario = _load_scenario(target)
-    prefix = (scenario.name or target) + "."
-    if scenario.kind == "bialgebra":
-        return rp.bialgebra_records(scenario.payload, scenario.checks, prefix,
-                                    args.timings,
-                                    reverse_bivector=scenario.reverse_bivector)
-    if scenario.kind == "cone":
-        return rp.cone_records(scenario.payload, scenario.checks, prefix,
-                               args.timings)
-    return rp.complex_records(scenario.payload, scenario.checks, prefix,
+def _own_checks(scn):
+    return scn.checks
+
+
+def _report(args, targets, demo: bool, select) -> int:
+    """Emit the records of select(scenario), the checks to run, for each
+    target in order."""
+    records = []
+    for target in targets:
+        scn = _scenario(target, args, demo)
+        records += rp.records(scn, select(scn), (scn.name or target) + ".",
                               args.timings)
+    return _emit(rp.Report(f"{args.command} {' '.join(targets)}", records),
+                 args)
 
 
-def _emit(report: rp.Report, args) -> int:
-    text = (rp.render_json(report) if args.format == "json"
-            else rp.render_markdown(report))
+def _write(text: str, args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: rp.Report, args) -> int:
+    _write(rp.render_json(report) if args.format == "json"
+           else rp.render_markdown(report), args)
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
 def cmd_check(args) -> int:
-    records = _records_for_target(args.target, args, suite="check")
-    return _emit(rp.Report(f"check {args.target}", records), args)
+    return _report(args, [args.target], False, _own_checks)
 
 
 def cmd_demo(args) -> int:
@@ -130,82 +135,52 @@ def cmd_demo(args) -> int:
         for name in fx.fixture_names():
             print(name)
         return EXIT_OK
-    if not _is_fixture(args.target):
+    if args.target not in fx.fixture_names():
         raise sc.SchemaError("$", f"unknown fixture {args.target!r}; "
                                   f"fixtures: {', '.join(fx.fixture_names())}")
-    records = _records_for_target(args.target, args, suite="demo")
-    return _emit(rp.Report(f"demo {args.target}", records), args)
+    return _report(args, [args.target], True, _own_checks)
 
 
 def cmd_homology(args) -> int:
-    window = fx.TruncationWindow(args.window)
-    ring = ring_from_name(args.ring)
-    target = args.target
-    if _is_fixture(target):
-        inst = fx.make_fixture(target, window, ring)
-        bundle = (inst if isinstance(inst, ComplexBundle)
-                  else ComplexBundle(ChainComplex(inst.module)))
-        records = rp.homology_records(bundle, args.cone, f"{target}.",
-                                      args.timings)
-    else:
-        scenario = _load_scenario(target)
-        if scenario.kind != "complex":
+    def select(scn):
+        if scn.window is None and scn.kind != "complex":
             raise sc.SchemaError("$.kind",
                                  "homology needs a complex scenario or fixture")
-        prefix = (scenario.name or target) + "."
-        records = rp.homology_records(scenario.payload, args.cone, prefix,
-                                      args.timings)
-        records += rp.complex_records(scenario.payload, scenario.checks, prefix,
-                                      args.timings)
-    return _emit(rp.Report(f"homology {target}", records), args)
+        return ((rp.HOMOLOGY if args.cone else rp.HOMOLOGY[:1])
+                + (scn.checks if scn.window is None else ()))
+    return _report(args, [args.target], False, select)
 
 
 def cmd_cone(args) -> int:
-    window = fx.TruncationWindow(args.window)
-    target = args.target
-    if _is_fixture(target):
-        ring = ring_from_name(args.ring)
-        if target not in rp.CONE_FIXTURES:
-            raise sc.SchemaError("$", f"fixture {target!r} has no cone-product "
-                                      "data; use lambda-s3 or lambda-s1-*")
-        inst = fx.make_fixture(target, window, ring)
-        records = rp.fixture_cone_records(target, inst, f"{target}.",
-                                          args.timings)
-    else:
-        scenario = _load_scenario(target)
-        if scenario.kind != "cone":
-            raise sc.SchemaError("$.kind", "cone needs a cone scenario or a "
-                                           "lambda fixture")
-        prefix = (scenario.name or target) + "."
-        records = rp.cone_records(scenario.payload, scenario.checks, prefix,
-                                  args.timings)
-    return _emit(rp.Report(f"cone {target}", records), args)
+    def select(scn):
+        if scn.window is None:
+            if scn.kind != "cone":
+                raise sc.SchemaError("$.kind", "cone needs a cone scenario "
+                                               "or a lambda fixture")
+            return scn.checks
+        checks = tuple(c for c in scn.checks if rp.CHECKS[c][0] == "cone")
+        if not checks:
+            raise sc.SchemaError("$", f"fixture {scn.name!r} has no "
+                                      "cone-product data; use lambda-s3 or "
+                                      "lambda-s1-*")
+        return checks
+    return _report(args, [args.target], True, select)
 
 
 def cmd_report(args) -> int:
-    records = [r for t in args.targets
-               for r in _records_for_target(t, args, suite="demo")]
-    return _emit(rp.Report("report " + " ".join(args.targets), records), args)
+    return _report(args, args.targets, True, _own_checks)
 
 
 def cmd_export(args) -> int:
-    import json as _json
-
-    window = fx.TruncationWindow(args.window)
-    ring = ring_from_name(args.ring)
-    if not _is_fixture(args.target):
+    if args.target not in fx.fixture_names():
         raise sc.SchemaError("$", f"export supports the shipped fixtures, "
                                   f"not {args.target!r}")
-    inst = fx.make_fixture(args.target, window, ring)
-    doc = (sc.export_complex(inst, args.target, rp.PAIR_CHECKS)
-           if isinstance(inst, ComplexBundle)
-           else sc.export_bialgebra(inst, args.ring))
-    text = _json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    scn = _scenario(args.target, args, False)
+    doc = (sc.export_complex(scn.payload, scn.name,
+                             [c for c in scn.checks if rp.CHECKS[c][0]])
+           if scn.kind == "complex"
+           else sc.export_bialgebra(scn.payload, args.ring))
+    _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args)
     return EXIT_OK
 
 

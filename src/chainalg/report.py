@@ -1,4 +1,11 @@
-"""Check execution and report rendering (JSON and Markdown).
+"""The check registry, check execution and report rendering (JSON and
+Markdown).
+
+`CHECKS` names every check: the scenario kind that may list it, the
+scenario field it needs and the records it makes.  `DEFAULT_CHECKS` holds
+each kind's defaults and `FIXTURES` the suites of the shipped fixtures.
+Scenario ingest validates against these tables, and every command builds
+its records through `records`.
 
 Reports are deterministic: records keep a canonical order and carry no
 timing unless explicitly requested (timings vary across runs and would
@@ -12,10 +19,10 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .rings import Ring, ZZ
 from .graded import (_first_difference, basis_keys, format_vector,
                      row_vector, tensor)
 from .complexes import (
+    ChainComplex,
     ComplexBundle,
     homology,
     is_essential,
@@ -23,7 +30,7 @@ from .complexes import (
     transition_automorphism,
 )
 from .bialgebra import (
-    BialgebraData,
+    AXIOM_ORDER,
     check_axioms,
     lambda_eta,
     check_involutivity,
@@ -73,20 +80,64 @@ class Report:
 
 
 def _timed(record_id, fn, timings: bool) -> CheckRecord:
+    """The record of fn() -> (status, detail), or (status, detail,
+    elapsed_ms) for work timed inside a computation that several records
+    share (each axiom of `check_axioms`); otherwise a record's time is
+    fn's, with the shared intermediates it builds first."""
     start = time.monotonic()
     try:
-        status, detail = fn()
+        status, detail, *own = fn()
     except Exception as e:  # surfaced as a check error, never a crash
-        status, detail = "error", f"{type(e).__name__}: {e}"
+        status, detail, own = "error", f"{type(e).__name__}: {e}", ()
     rec = CheckRecord(record_id, status, detail)
     if timings:
-        rec.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
+        rec.elapsed_ms = (own[0] if own else
+                          round((time.monotonic() - start) * 1000, 3))
     return rec
 
 
 # ---------------------------------------------------------------------------
-# Check implementations
+# The check registry
 # ---------------------------------------------------------------------------
+
+class _Target:
+    """A scenario's payload as the checks see it, with the intermediates
+    they share: each is built by the first check that reads it."""
+
+    def __init__(self, scn):
+        self.scn, self.data = scn, scn.payload
+
+    @functools.cached_property
+    def axioms(self):
+        return check_axioms(self.data)
+
+    @functools.cached_property
+    def cone(self):
+        """The cone package: a cone scenario's own, or a bialgebra's with
+        c0 = 0, Q0 = -lam(eta), B = 0 and n read off |lam| = 1 - 2n."""
+        d = self.data
+        return (d if isinstance(d, ConeProductData)
+                else cone_data_from_bialgebra(d, (1 - d.lam.degree) // 2))
+
+    @functools.cached_property
+    def ops(self):
+        return derive_secondary_ops(self.cone)
+
+    @functools.cached_property
+    def assoc(self):
+        return check_cone_associativity(self.ops)
+
+    @functools.cached_property
+    def comps(self):
+        return closed_form_components(self.cone)
+
+    @functools.cached_property
+    def bundle(self):
+        """A complex's bundle, or a bialgebra's module with d = 0."""
+        d = self.data
+        return (d if isinstance(d, ComplexBundle)
+                else ComplexBundle(ChainComplex(d.module)))
+
 
 def _axiom_status(r):
     """(status, detail) of an AxiomResult: its input count, or its witness."""
@@ -96,219 +147,41 @@ def _axiom_status(r):
                     f"rhs = {r.witness_rhs}")
 
 
-def _axioms_records(rep, prefix: str, timings: bool):
-    out = []
-    for r in rep.results:
-        rec = CheckRecord(f"{prefix}axioms.{r.axiom}", *_axiom_status(r))
-        if timings:
-            rec.elapsed_ms = r.elapsed_ms
-        out.append(rec)
-    return out
+def _axiom_timed(r):
+    """An axiom's record, with the time `check_axioms` measured for it."""
+    return (*_axiom_status(r), r.elapsed_ms)
 
 
-def _lambda_eta_record(inst: BialgebraData, prefix: str):
-    res = lambda_eta(inst)
-    status = "pass" if res.symmetric else "fail"
+def _lambda_eta_status(t):
+    res = lambda_eta(t.data)
     detail = f"lam(eta) = {format_vector(res.value)}"
-    if not res.symmetric:
-        detail += "; twist symmetry fails"
-    return CheckRecord(f"{prefix}lambda-eta", status, detail)
+    if res.symmetric:
+        return "pass", detail
+    return "fail", detail + "; twist symmetry fails"
 
 
-def _conditional_record(rec_id, rep):
+def _conditional_status(rep):
     if not rep.hypotheses_met:
-        return CheckRecord(rec_id, "skip", rep.detail)
-    return CheckRecord(rec_id, "pass" if rep.passed else "fail", rep.detail)
+        return "skip", rep.detail
+    return ("pass" if rep.passed else "fail"), rep.detail
 
 
-def bialgebra_records(inst: BialgebraData, checks, prefix: str = "",
-                      timings: bool = False, reverse_bivector=None):
-    out = []
-    axioms = None   # the check_axioms report, shared with cc-antisymmetry
-    for check in checks:
-        if check == "axioms":
-            axioms = check_axioms(inst)
-            out.extend(_axioms_records(axioms, prefix, timings))
-        elif check == "lambda-eta":
-            out.append(_lambda_eta_record(inst, prefix))
-        elif check == "involutivity":
-            out.append(_conditional_record(f"{prefix}involutivity",
-                                           check_involutivity(inst)))
-        elif check == "cc-antisymmetry":
-            out.append(_conditional_record(
-                f"{prefix}cc-antisymmetry",
-                check_cc_implies_antisymmetry(inst, axioms)))
-        elif check == "loday-ronco":
-            out.append(_timed(
-                f"{prefix}loday-ronco",
-                lambda: _axiom_status(check_loday_ronco(inst)), timings))
-        elif check == "reverse-bivector-gate":
-            rep = check_lemma_c_lambda_eta(reverse_bivector, inst)
-            out.append(CheckRecord(
-                f"{prefix}reverse-bivector-gate",
-                "pass" if rep.passed else "fail",
-                "supplied bivector equals lam(eta)" if rep.passed else rep.detail))
-        else:
-            out.append(CheckRecord(f"{prefix}{check}", "error",
-                                   f"unknown check {check!r}"))
-    return out
+def _gate_status(t):
+    rep = check_lemma_c_lambda_eta(t.scn.reverse_bivector, t.data)
+    return (("pass", "supplied bivector equals lam(eta)") if rep.passed
+            else ("fail", rep.detail))
 
 
-def cone_records(data: ConeProductData, checks, prefix: str = "",
-                 timings: bool = False):
-    out = []
-    # derived once per package and shared by the checks that need them
-    get_ops = functools.cache(lambda: derive_secondary_ops(data))
-    get_assoc = functools.cache(lambda: check_cone_associativity(get_ops()))
-    get_comps = functools.cache(lambda: closed_form_components(data))
-
-    for check in checks:
-        if check == "components":
-            def run_components():
-                res = cross_check_components(get_ops(), get_comps())
-                return ("pass" if res.passed else "fail"), res.describe()
-            out.append(_timed(f"{prefix}components", run_components, timings))
-        elif check == "associativity":
-            def run_assoc():
-                res = get_assoc()
-                return (("pass", "associative on the safe window")
-                        if res.passed else ("fail", res.witness))
-            out.append(_timed(f"{prefix}associativity", run_assoc, timings))
-        elif check == "assoc-infinitesimal":
-            def run_ai():
-                res = check_assoc_implies_infinitesimal(data, get_assoc(),
-                                                        get_comps())
-                if not res.precondition_ok:
-                    return "fail", f"precondition: {res.detail}"
-                return ("pass" if res.passed else "fail"), res.detail
-            out.append(_timed(f"{prefix}assoc-infinitesimal", run_ai, timings))
-        else:
-            out.append(CheckRecord(f"{prefix}{check}", "error",
-                                   f"unknown check {check!r}"))
-    return out
-
-
-def complex_records(bundle, checks, prefix: str = "", timings: bool = False):
-    runs = {
-        "d-squared": lambda: ("pass", "verified at construction"),
-        # ingest ensures a top field for essential, a pair for
-        # continuation-vanishes
-        "essential": lambda: (
-            "pass" if is_essential(bundle.complex, bundle.top) else "fail",
-            f"top degree {bundle.top}"),
-        "continuation-vanishes": lambda: _continuation_status(bundle.pair_map),
-    }
-    return [_timed(f"{prefix}{check}", runs[check], timings) if check in runs
-            else CheckRecord(f"{prefix}{check}", "error",
-                             f"unknown check {check!r}")
-            for check in checks]
-
-
-def _continuation_status(c):
-    """Pass when the chain map c is zero; a failure names the first basis
-    element x of c's source, in canonical order, with c(x) != 0."""
-    row = c.f.table().row
-    _, x, image, _ = _first_difference(basis_keys(c.source.module),
-                                       lambda x: (row(x[1]), ()))
-    if x is None:
-        return "pass", "c = 0"
-    return "fail", f"c({x[0]}) = " + format_vector(
-        row_vector(c.target.module, image))
-
-
-def homology_records(bundle, with_cone: bool, prefix: str = "",
-                     timings: bool = False):
-    """The homology of the complex and of the pair's source, and with
-    `with_cone` the homology of the pair's cone and, given a secondary map,
-    its transition automorphism.  Each record is timed by `_timed`; the
-    cone and the automorphism are built once, by the first record that
-    needs them."""
-    def record(rec_id, run):
-        out.append(_timed(f"{prefix}{rec_id}", run, timings))
-
-    out = []
-    record("homology", lambda: ("info", str(homology(bundle.complex))))
-    if bundle.pair_map is not None:
-        record("homology.pair",
-               lambda: ("info", str(homology(bundle.pair_map.source))))
-    if not with_cone:
-        return out
-    if bundle.pair_map is None:
-        out.append(CheckRecord(f"{prefix}cone", "error",
-                               "no chain map available to build a cone"))
-        return out
-    cone = functools.cache(lambda: mapping_cone(bundle.pair_map))
-    record("homology.cone", lambda: ("info", str(homology(cone().complex))))
-    if bundle.secondary is not None:
-        transition = functools.cache(
-            lambda: transition_automorphism(cone(), bundle.secondary))
-        record("transition.unipotent", lambda: (
-            ("pass", "(phi - id)^2 = 0") if transition().unipotent
-            else ("fail", "not unipotent")))
-        record("transition.homology-action", lambda: (
-            ("pass", "nontrivial on cone homology")
-            if transition().nontrivial_on_homology
-            else ("fail", "acts as the identity on cone homology")))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Fixture suites
-# ---------------------------------------------------------------------------
-
-CONE_FIXTURES = ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus")
-PAIR_CHECKS = ("continuation-vanishes",)   # a complex fixture's checks
-
-
-def fixture_records(name: str, ring: Ring = ZZ, window=None,
-                    suite: str = "check", timings: bool = False):
-    """Records for a shipped fixture.  suite: "check" (axioms only) or
-    "demo" (the full canned suite for that fixture).  A complex fixture
-    gets the records of `homology --cone` and PAIR_CHECKS in either suite,
-    as its exported scenario file does."""
-    window = window or fx.TruncationWindow()
-    prefix = f"{name}."
-    inst = fx.make_fixture(name, window, ring)
-    if isinstance(inst, ComplexBundle):
-        return (homology_records(inst, True, prefix, timings)
-                + complex_records(inst, PAIR_CHECKS, prefix, timings))
-    checks = ("axioms", "lambda-eta")
-    if suite == "demo" and name in ("lambda-s3", "omega-s3"):
-        checks += ("involutivity", "cc-antisymmetry")
-    if suite == "demo" and name.startswith("omega-s1"):
-        checks += ("loday-ronco",)
-    records = bialgebra_records(inst, checks, prefix, timings)
-    if suite == "check":
-        return records
-    if name.endswith("-plus") or name.endswith("-minus"):
-        records.append(_timed(f"{prefix}reverse-coproduct",
-                              lambda: _reverse_coproduct(name, inst, ring,
-                                                         window),
-                              timings))
-    if name in CONE_FIXTURES:
-        records.extend(fixture_cone_records(name, inst, prefix, timings))
-    return records
-
-
-def fixture_cone_records(name: str, inst: BialgebraData, prefix: str,
-                         timings: bool = False):
-    """The three cone-product checks on a lambda fixture's instance, with
-    n = 3 for the 3-sphere and n = 1 for the circle."""
-    data = cone_data_from_bialgebra(inst, n=3 if name == "lambda-s3" else 1)
-    return cone_records(
-        data, ("components", "associativity", "assoc-infinitesimal"),
-        prefix, timings)
-
-
-def _reverse_coproduct(name: str, inst: BialgebraData, ring: Ring, window):
-    """Reconstruct the opposite-variant coproduct from the fixture `inst`
-    via the secondary relation and compare it with the directly built
-    fixture, row by row (both variants share one basis, so positions)."""
-    base, variant = name.rsplit("-", 1)
-    other = f"{base}-{'minus' if variant == 'plus' else 'plus'}"
-    target = fx.make_fixture(other, window, ring)
+def _reverse_coproduct(t):
+    """Reconstruct the opposite-variant coproduct from the fixture's
+    instance via the secondary relation and compare it with the directly
+    built fixture, row by row (both variants share one basis, so
+    positions)."""
+    inst, name = t.data, t.scn.name
+    other, sign = OPPOSITE[name]
+    target = fx.make_fixture(other, t.scn.window, t.scn.ring)
     c = fx.reverse_data_bivector(inst)
-    if variant == "minus":
+    if sign < 0:
         c = -c
     rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).table().row
     direct = target.lam.table().row
@@ -322,6 +195,142 @@ def _reverse_coproduct(name: str, inst: BialgebraData, ring: Ring, window):
         f"mismatch at {nm}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
         f"{format_vector(row_vector(tensor(B, B), want.items()))}")
+
+
+def _components_status(t):
+    res = cross_check_components(t.ops, t.comps)
+    return ("pass" if res.passed else "fail"), res.describe()
+
+
+def _assoc_infinitesimal_status(t):
+    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps)
+    if not res.precondition_ok:
+        return "fail", f"precondition: {res.detail}"
+    return ("pass" if res.passed else "fail"), res.detail
+
+
+def _continuation_status(t):
+    """Pass when the pair's chain map c is zero; a failure names the first
+    basis element x of c's source, in canonical order, with c(x) != 0."""
+    c = t.data.pair_map
+    row = c.f.table().row
+    _, x, image, _ = _first_difference(basis_keys(c.source.module),
+                                       lambda x: (row(x[1]), ()))
+    if x is None:
+        return "pass", "c = 0"
+    return "fail", f"c({x[0]}) = " + format_vector(
+        row_vector(c.target.module, image))
+
+
+def _homology_records(t, _):
+    """The homology of the complex and of the pair's source."""
+    b = t.bundle
+    out = [("homology", lambda: ("info", str(homology(b.complex))))]
+    if b.pair_map is not None:
+        out.append(("homology.pair",
+                    lambda: ("info", str(homology(b.pair_map.source)))))
+    return out
+
+
+def _cone_records(t, _):
+    """The homology of the pair's cone and, given a secondary map, its
+    transition automorphism; the cone and the automorphism are built once,
+    by the first record that needs them."""
+    b = t.bundle
+    if b.pair_map is None:
+        return [("cone", lambda: ("error",
+                                  "no chain map available to build a cone"))]
+    cone = functools.cache(lambda: mapping_cone(b.pair_map))
+    out = [("homology.cone", lambda: ("info", str(homology(cone().complex))))]
+    if b.secondary is not None:
+        transition = functools.cache(
+            lambda: transition_automorphism(cone(), b.secondary))
+        out += [("transition.unipotent", lambda: (
+                    ("pass", "(phi - id)^2 = 0") if transition().unipotent
+                    else ("fail", "not unipotent"))),
+                ("transition.homology-action", lambda: (
+                    ("pass", "nontrivial on cone homology")
+                    if transition().nontrivial_on_homology
+                    else ("fail", "acts as the identity on cone homology")))]
+    return out
+
+
+def _one(status):
+    """A check with one record, named by the check: status(t) -> (status,
+    detail)."""
+    return lambda t, check: [(check, lambda: status(t))]
+
+
+# check id -> (the scenario kind that may list it, or None for a check only
+# a fixture runs; the scenario field it needs, or None; records(t, id) ->
+# [(record id, run)], where run() -> (status, detail))
+CHECKS = {
+    "axioms": ("bialgebra", None, lambda t, _: [
+        (f"axioms.{a}", lambda i=i: _axiom_timed(t.axioms.results[i]))
+        for i, a in enumerate(AXIOM_ORDER)]),
+    "lambda-eta": ("bialgebra", None, _one(_lambda_eta_status)),
+    "involutivity": ("bialgebra", None, _one(
+        lambda t: _conditional_status(check_involutivity(t.data)))),
+    # reads the axioms report when the axioms check has already made it
+    "cc-antisymmetry": ("bialgebra", None, _one(
+        lambda t: _conditional_status(check_cc_implies_antisymmetry(
+            t.data, vars(t).get("axioms"))))),
+    "loday-ronco": ("bialgebra", None, _one(
+        lambda t: _axiom_status(check_loday_ronco(t.data)))),
+    "reverse-bivector-gate": ("bialgebra", "reverse_bivector",
+                              _one(_gate_status)),
+    "reverse-coproduct": (None, None, _one(_reverse_coproduct)),
+    "components": ("cone", None, _one(_components_status)),
+    "associativity": ("cone", None, _one(
+        lambda t: ("pass", "associative on the safe window")
+        if t.assoc.passed else ("fail", t.assoc.witness))),
+    "assoc-infinitesimal": ("cone", None, _one(_assoc_infinitesimal_status)),
+    "d-squared": ("complex", None, _one(
+        lambda t: ("pass", "verified at construction"))),
+    "essential": ("complex", "top", _one(lambda t: (
+        "pass" if is_essential(t.data.complex, t.data.top) else "fail",
+        f"top degree {t.data.top}"))),
+    "continuation-vanishes": ("complex", "pair", _one(_continuation_status)),
+    "homology-summary": (None, None, _homology_records),
+    "cone-transition": (None, None, _cone_records),
+}
+
+_LOOP = ("axioms", "lambda-eta")
+_CC = ("involutivity", "cc-antisymmetry")
+_CONE = ("components", "associativity", "assoc-infinitesimal")
+# what `homology` runs; with --cone, the cone's records too
+HOMOLOGY = ("homology-summary", "cone-transition")
+_PAIR = HOMOLOGY + ("continuation-vanishes",)
+DEFAULT_CHECKS = {"bialgebra": _LOOP, "cone": _CONE, "complex": ("d-squared",)}
+
+# fixture -> (the checks of `check`, the checks of `demo`)
+FIXTURES = {
+    "lambda-s3": (_LOOP, _LOOP + _CC + _CONE),
+    "lambda-s1-plus": (_LOOP, _LOOP + ("reverse-coproduct",) + _CONE),
+    "lambda-s1-minus": (_LOOP, _LOOP + ("reverse-coproduct",) + _CONE),
+    "omega-s3": (_LOOP, _LOOP + _CC),
+    "omega-s1-plus": (_LOOP, _LOOP + ("loday-ronco", "reverse-coproduct")),
+    "omega-s1-minus": (_LOOP, _LOOP + ("loday-ronco", "reverse-coproduct")),
+    "tstar-s1": (_PAIR, _PAIR),
+}
+
+# variant fixture -> (its opposite variant, the sign s for which the
+# bivector c = s * fixtures.reverse_data_bivector rebuilds the opposite
+# coproduct from this one)
+OPPOSITE = {
+    "lambda-s1-plus": ("lambda-s1-minus", 1),
+    "lambda-s1-minus": ("lambda-s1-plus", -1),
+    "omega-s1-plus": ("omega-s1-minus", 1),
+    "omega-s1-minus": ("omega-s1-plus", -1),
+}
+
+
+def records(scn, checks, prefix: str, timings: bool):
+    """The records of `checks`, in order, on the scenario or fixture `scn`
+    (a `scenario.Scenario`), each run and timed by `_timed`."""
+    t = _Target(scn)
+    return [_timed(prefix + rid, run, timings)
+            for check in checks for rid, run in CHECKS[check][2](t, check)]
 
 
 # ---------------------------------------------------------------------------

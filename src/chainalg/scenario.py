@@ -65,20 +65,6 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-DEFAULT_CHECKS = {
-    "bialgebra": ("axioms", "lambda-eta"),
-    "cone": ("components", "associativity", "assoc-infinitesimal"),
-    "complex": ("d-squared",),
-}
-
-KNOWN_CHECKS = {
-    "bialgebra": {"axioms", "lambda-eta", "involutivity", "cc-antisymmetry",
-                  "loday-ronco", "reverse-bivector-gate"},
-    "cone": {"components", "associativity", "assoc-infinitesimal"},
-    "complex": {"d-squared", "essential", "continuation-vanishes"},
-}
-
-
 @dataclass
 class Scenario:
     kind: str
@@ -86,6 +72,7 @@ class Scenario:
     ring: Ring
     payload: object            # BialgebraData, ConeProductData or ComplexBundle
     checks: tuple
+    window: object             # a shipped fixture's TruncationWindow, or None
     raw: dict = field(repr=False, default=None)
     reverse_bivector: object = None   # optional claimed value of lam(eta)
 
@@ -289,23 +276,12 @@ def _parse_operation(obj, source, target, path) -> GradedMap:
     return GradedMap(source, target, degree, lambda *ij: rows.get(ij, ()))
 
 
-def _parse_checks(obj, kind, path):
-    raw = obj.get("checks")
-    if raw is None:
-        return DEFAULT_CHECKS[kind]
-    _expect(isinstance(raw, list), f"{path}.checks", "expected a list")
-    out = []
-    for i, c in enumerate(raw):
-        _expect(isinstance(c, str) and c in KNOWN_CHECKS[kind],
-                f"{path}.checks[{i}]",
-                f"unknown check {c!r} for kind {kind!r}; "
-                f"known: {sorted(KNOWN_CHECKS[kind])}")
-        out.append(c)
-    return tuple(out)
-
-
 def ingest(data) -> Scenario:
     """Validate a scenario (dict or JSON text) into typed objects."""
+    # the check registry, imported on first use so that `import chainalg`
+    # does not also load the report module
+    from .report import CHECKS, DEFAULT_CHECKS
+
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -325,7 +301,16 @@ def ingest(data) -> Scenario:
     except ValueError as e:
         raise SchemaError("$.ring", str(e))
     module = _parse_module(_get(data, "module", "$", typ=dict), ring, "$.module")
-    checks = _parse_checks(data, kind, "$")
+    checks = data.get("checks")
+    if checks is None:
+        checks = DEFAULT_CHECKS[kind]
+    else:
+        _expect(isinstance(checks, list), "$.checks", "expected a list")
+        known = sorted(c for c, (k, _, _) in CHECKS.items() if k == kind)
+        for i, c in enumerate(checks):
+            _expect(isinstance(c, str) and c in known, f"$.checks[{i}]",
+                    f"unknown check {c!r} for kind {kind!r}; known: {known}")
+        checks = tuple(checks)
 
     safe = data.get("safe")
     if safe is not None:
@@ -338,15 +323,23 @@ def ingest(data) -> Scenario:
             _expect(nm not in seen, f"$.safe[{i}]", f"duplicate basis name {nm!r}")
             seen.add(nm)
 
+    reverse_bivector = None
     if kind == "complex":
         payload = _ingest_complex(data, module, ring)
-        if "essential" in checks and payload.top is None:
-            raise SchemaError("$.checks", "essential needs a top field")
-        if "continuation-vanishes" in checks and payload.pair_map is None:
-            raise SchemaError("$.checks",
-                              "continuation-vanishes needs a pair field")
-        return Scenario(kind, name, ring, payload, checks, data)
+    else:
+        payload, reverse_bivector = _ingest_operations(data, kind, module,
+                                                       safe, name)
+    for check in checks:
+        need = CHECKS[check][1]
+        _expect(need is None or data.get(need) is not None, "$.checks",
+                f"{check} needs a {need} field")
+    return Scenario(kind, name, ring, payload, checks, None, data,
+                    reverse_bivector)
 
+
+def _ingest_operations(data, kind, module, safe, name):
+    """The BialgebraData or ConeProductData of a bialgebra or cone
+    scenario, and its reverse_bivector (None without one)."""
     if safe is None:   # the whole basis is the quantifier window
         _cap(module.basis(), MAX_SAFE, "$.module.basis",
              "basis elements and no safe list")
@@ -358,6 +351,9 @@ def ingest(data) -> Scenario:
                        degree=0)
     differential = None
     if "differential" in data:
+        # mu is then checked as a chain map on all of A (x) A
+        _cap(module.basis(), MAX_SAFE, "$.differential",
+             "basis elements with a differential")
         differential = _parse_operation(data["differential"], module, module,
                                         "$.differential")
         _expect(differential.degree == -1, "$.differential.degree",
@@ -372,12 +368,8 @@ def ingest(data) -> Scenario:
     if "reverse_bivector" in data:
         reverse_bivector = _parse_combo(data["reverse_bivector"], module,
                                         "$.reverse_bivector", arity=2)
-    if "reverse-bivector-gate" in checks and reverse_bivector is None:
-        raise SchemaError("$.checks",
-                          "reverse-bivector-gate needs a reverse_bivector field")
-
     if kind == "bialgebra":
-        return Scenario(kind, name, ring, inst, checks, data, reverse_bivector)
+        return inst, reverse_bivector
 
     n = _get(data, "n", "$", typ=int)
     A3 = tensor(module, module, module)
@@ -388,12 +380,11 @@ def ingest(data) -> Scenario:
     B = (_parse_combo(data["B"], module, "$.B", arity=3, degree=2 - 4 * n)
          if "B" in data else A3.zero())
     try:
-        cone_data = ConeProductData(
+        return ConeProductData(
             ChainComplex(module, differential), mu, lam, c0, Q0, B, n,
-            safe_names=safe, name=name)
+            safe_names=safe, name=name), reverse_bivector
     except ValueError as e:
         raise SchemaError("$", str(e))
-    return Scenario(kind, name, ring, cone_data, checks, data)
 
 
 def _ingest_complex(data, module, ring) -> ComplexBundle:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from chainalg import cli
+from chainalg import report as rp
+from chainalg.bialgebra import AXIOM_ORDER
 
 CLI = [sys.executable, "-m", "chainalg.cli"]
 DATA = Path(__file__).resolve().parent / "data"
@@ -272,6 +274,50 @@ def test_timings_flag_times_every_complex_record(argv, capsys):
     assert not any("elapsed_ms" in rec for rec in plain)
     assert all(rec.pop("elapsed_ms") >= 0 for rec in timed)
     assert timed == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "lambda-s3", "--window", "8"],
+    ["check", str(DATA / "omega-s1-minus-gate-Z.json")]],
+    ids=["demo", "check-gate-scenario"])
+def test_timings_flag_times_every_bialgebra_record(argv, capsys):
+    docs = []
+    for extra in ([], ["--timings"]):
+        assert cli.main(argv + ["--format", "json"] + extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    plain, timed = (doc["records"] for doc in docs)
+    assert {"lambda-eta", "cc-antisymmetry"} <= {
+        rec["id"].split(".", 1)[1] for rec in plain}
+    assert not any("elapsed_ms" in rec for rec in plain)
+    assert all(rec.pop("elapsed_ms") >= 0 for rec in timed)
+    assert timed == plain
+
+
+@pytest.mark.parametrize("name, argv, broken", [
+    ("check_axioms", ["demo", "lambda-s3", "--window", "8"],
+     [f"lambda-s3.axioms.{a}" for a in AXIOM_ORDER]),
+    ("lambda_eta", ["demo", "lambda-s3", "--window", "8"],
+     ["lambda-s3.lambda-eta"]),
+    ("check_involutivity", ["demo", "lambda-s3", "--window", "8"],
+     ["lambda-s3.involutivity"]),
+    ("check_cc_implies_antisymmetry", ["demo", "lambda-s3", "--window", "8"],
+     ["lambda-s3.cc-antisymmetry"]),
+    ("check_lemma_c_lambda_eta",
+     ["check", str(DATA / "omega-s1-minus-gate-Z.json")],
+     ["omega-s1-minus-gate.reverse-bivector-gate"])])
+def test_an_exception_in_a_check_is_an_error_record(monkeypatch, capsys,
+                                                    name, argv, broken):
+    def fail(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(rp, name, fail)
+    assert cli.main(argv + ["--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    errors = [rec for rec in records if rec["status"] == "error"]
+    assert [rec["id"] for rec in errors] == broken
+    assert {rec["detail"] for rec in errors} == {"RuntimeError: broken"}
+    assert all(rec["status"] in ("pass", "skip") for rec in records
+               if rec not in errors)
 
 
 def test_reverse_bivector_gate_via_cli(tmp_path):

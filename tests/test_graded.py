@@ -305,7 +305,7 @@ from chainalg.complexes import ChainComplex, ChainMap
 from chainalg.graded import tensor
 from chainalg.matrices import DimensionError, ImageSolver
 from chainalg.bialgebra import BialgebraData
-from chainalg.report import complex_records
+from chainalg.report import records
 M = GradedModule(ZZ, [BasisElement("x", 0)])
 C = GradedModule(ZZ, [BasisElement(n, k) for k, n in enumerate("abc")])
 d = GradedMap.from_table(C, C, -1, {"b": C.el("a"), "c": C.el("b")})
@@ -382,7 +382,7 @@ if half != Fraction(1, 2) or type(half) is not Fraction:
     sys.exit(f"QQ.inv(2) is {half!r}")
 print("inverse exact")
 scn = ingest(continuation(True))
-for rec in complex_records(scn.payload, scn.checks):
+for rec in records(scn, scn.checks, "", False):
     print(rec.id, rec.status, rec.detail)
 """
 

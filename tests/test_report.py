@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 from chainalg import cone_product as cp
 from chainalg import report as rp
@@ -28,7 +30,8 @@ def test_cone_records_derive_and_check_associativity_once(monkeypatch):
         _counting(monkeypatch, name, calls)
     inst = make_fixture("lambda-s1-plus", TruncationWindow(8))
     data = cp.cone_data_from_bialgebra(inst, n=1)
-    records = rp.cone_records(data, CONE_CHECKS, "s1.")
+    scn = sc.Scenario("cone", "s1", data.complex.ring, data, (), None)
+    records = rp.records(scn, CONE_CHECKS, "s1.", False)
     assert [(r.id, r.status) for r in records] == [
         ("s1.components", "pass"), ("s1.associativity", "pass"),
         ("s1.assoc-infinitesimal", "pass")]
@@ -53,7 +56,7 @@ def test_assoc_infinitesimal_alone_reports_failed_precondition():
                  for name, c in (-inst.lambda_eta()).coeffs.items()]
     doc["checks"] = ["assoc-infinitesimal"]
     scn = sc.ingest(json.dumps(doc))
-    records = rp.cone_records(scn.payload, scn.checks)
+    records = rp.records(scn, scn.checks, "", False)
     assert len(records) == 1
     assert records[0].status == "fail"
     assert records[0].detail.startswith(
@@ -84,17 +87,56 @@ def test_demo_runs_the_axioms_once(monkeypatch, tmp_path):
     assert len(calls) == 1, calls
 
 
+def test_axiom_records_carry_the_time_check_axioms_measured(monkeypatch):
+    # the six records share one report; each reports its own axiom's time
+    original = rp.check_axioms
+
+    def timed(inst):
+        report = original(inst)
+        for i, r in enumerate(report.results):
+            r.elapsed_ms = 1000.0 + i
+        return report
+
+    monkeypatch.setattr(rp, "check_axioms", timed)
+    inst = make_fixture("omega-s3", TruncationWindow(4))
+    scn = sc.Scenario("bialgebra", "omega-s3", inst.module.ring, inst, (),
+                      None)
+    records = rp.records(scn, ("axioms",), "", True)
+    assert [r.elapsed_ms for r in records] == [1000.0 + i for i in range(6)]
+
+
 def test_reverse_coproduct_names_the_first_mismatching_row():
     # the plus fixture with one lam constant negated rebuilds a minus
     # coproduct that differs from the direct one at that input
     window = TruncationWindow(8)
     plus = make_fixture("lambda-s1-plus", window)
-    assert rp._reverse_coproduct("lambda-s1-plus", plus, plus.module.ring,
-                                 window)[0] == "pass"
-    bad = mutate_lambda(plus, "U", f"A{TENSOR_SEP}U")
-    status, detail = rp._reverse_coproduct("lambda-s1-plus", bad,
-                                           plus.module.ring, window)
+
+    def reverse_coproduct(inst):
+        scn = sc.Scenario("bialgebra", "lambda-s1-plus", inst.module.ring,
+                          inst, (), window)
+        [rec] = rp.records(scn, ("reverse-coproduct",), "", False)
+        return rec.status, rec.detail
+
+    assert reverse_coproduct(plus)[0] == "pass"
+    status, detail = reverse_coproduct(
+        mutate_lambda(plus, "U", f"A{TENSOR_SEP}U"))
     assert status == "fail"
     assert detail.startswith("mismatch at U: rebuilt ")
     direct = make_fixture("lambda-s1-minus", window).lam.eval_basis("U")
     assert detail.endswith(f", direct {direct}")
+
+
+def test_readme_lists_the_registry_checks_of_each_kind():
+    # the bullets of README's scenario section name each kind's checks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    listed = {kind: set(re.findall(r"`([a-z-]+)`",
+                                   re.search(r"\{([^}]*)\}", text).group(1)))
+              for kind, text in re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\Z)",
+                                           section, re.M | re.S)}
+    registry = {}
+    for check, (kind, _, _) in rp.CHECKS.items():
+        if kind is not None:
+            registry.setdefault(kind, set()).add(check)
+    assert listed == registry

@@ -52,7 +52,8 @@ from chainalg.graded import (
     tensor,
     tensor_differential,
 )
-from chainalg.report import cone_records
+from chainalg.report import records
+from chainalg.scenario import Scenario
 from chainalg.rings import GF, QQ, ZZ
 from name_keyed import (
     NameMap,
@@ -433,9 +434,10 @@ def test_check_paths_make_no_name_path_calls(ring, name_path_calls):
     data = cone_data_from_bialgebra(
         fx.make_fixture("lambda-s1-plus", fx.TruncationWindow(8), ring), n=1)
     name_path_calls.clear()
-    records = cone_records(data, ("components", "associativity",
-                                  "assoc-infinitesimal"))
-    assert [r.status for r in records] == ["pass"] * 3
+    out = records(Scenario("cone", "", ring, data, (), None),
+                  ("components", "associativity", "assoc-infinitesimal"), "",
+                  False)
+    assert [r.status for r in out] == ["pass"] * 3
     assert dict(name_path_calls) == {}
 
 

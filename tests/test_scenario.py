@@ -8,7 +8,7 @@ from chainalg import scenario as sc
 from chainalg.fixtures import TruncationWindow, make_fixture, make_tstar_s1
 from chainalg.bialgebra import check_axioms
 from chainalg.graded import basis_keys
-from chainalg.report import CheckRecord, complex_records
+from chainalg.report import CheckRecord, records
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -287,6 +287,23 @@ def test_safe_length_cap():
     assert len(sc.ingest(json.dumps(doc)).payload.safe_names) == sc.MAX_SAFE
 
 
+@pytest.mark.parametrize("kind", ["bialgebra", "cone"])
+def test_differential_basis_cap(kind):
+    # with a differential, mu is checked as a chain map on every element of
+    # A (x) A, so the basis is held to the quantifier window's cap even
+    # with a short safe list
+    doc = json.loads(json.dumps(MINIMAL))
+    doc.update(kind=kind, n=1, safe=["e"],
+               differential={"degree": -1, "entries": []})
+    doc["module"]["basis"] += [{"name": f"x{i}", "degree": 0}
+                               for i in range(sc.MAX_SAFE)]
+    assert _rejected_at(doc) == "$.differential"
+    assert str(sc.MAX_SAFE) in _schema_error(doc).message
+    doc["module"]["basis"].pop()
+    assert len(sc.ingest(json.dumps(doc)).payload.mu.source.basis()) == \
+        sc.MAX_SAFE ** 2
+
+
 def test_entry_count_cap():
     doc = json.loads(json.dumps(MINIMAL))
     doc["mu"]["entries"] *= sc.MAX_ENTRIES + 1
@@ -381,9 +398,9 @@ def test_essential_check_needs_top():
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
 def test_continuation_vanishes_passes_on_tstar_s1(ring, sign):
-    records = complex_records(make_tstar_s1(ring, sign),
-                              ("continuation-vanishes",), "tstar-s1.")
-    assert records == [
+    scn = sc.Scenario("complex", "tstar-s1", ring, make_tstar_s1(ring, sign),
+                      (), None)
+    assert records(scn, ("continuation-vanishes",), "tstar-s1.", False) == [
         CheckRecord("tstar-s1.continuation-vanishes", "pass", "c = 0")]
 
 
@@ -392,7 +409,7 @@ def test_continuation_vanishes_fails_with_its_witness():
     doc = _pair_doc()
     doc["checks"] = ["continuation-vanishes"]
     scn = sc.ingest(json.dumps(doc))
-    assert complex_records(scn.payload, scn.checks) == [
+    assert records(scn, scn.checks, "", False) == [
         CheckRecord("continuation-vanishes", "fail", "c(m) = 2*a")]
     # the witness is the first nonzero input in canonical order, (degree,
     # name), not in the order the document lists the basis
@@ -400,10 +417,10 @@ def test_continuation_vanishes_fails_with_its_witness():
     doc["pair"]["map"]["entries"].insert(
         0, {"in": ["n"], "out": [["-1", "a"]]})
     scn = sc.ingest(json.dumps(doc))
-    assert complex_records(scn.payload, scn.checks)[0].detail == "c(m) = 2*a"
+    assert records(scn, scn.checks, "", False)[0].detail == "c(m) = 2*a"
     del doc["pair"]["map"]["entries"][1]
     scn = sc.ingest(json.dumps(doc))
-    assert complex_records(scn.payload, scn.checks)[0].detail == "c(n) = -a"
+    assert records(scn, scn.checks, "", False)[0].detail == "c(n) = -a"
 
 
 def test_continuation_vanishes_needs_a_pair():
