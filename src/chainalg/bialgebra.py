@@ -202,13 +202,15 @@ _FAIL_FAST_ORDER = ("unit (left)", "unit (right)", "unital infinitesimal",
 
 
 def check_axioms(inst: BialgebraData, fail_fast: bool = False,
-                 window=None) -> AxiomReport:
+                 window=None, kernel: "PairKernel" = None) -> AxiomReport:
     """Exact verification of all five axioms over the safe window.
 
     `window`, when given, overrides the instance's safe basis names for
     this run.  With fail_fast the axioms run in a cheap-first order and
     the report stops at the first failure (used by mutation sweeps); the
     default runs and reports everything in the definition's order.
+    `kernel` is a `pair_kernel(inst)` that a caller shares; else the pair
+    axioms build their own.
 
     Every side is expanded from the tables of mu and lam on basis
     positions; names are read once, here, and come back for a witness.
@@ -224,8 +226,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     eta = inst.eta_terms()
     at = [idx.pos[n] for n in safe]
     pairs = [(i, j) for i in at for j in at]
-    kernel = functools.cache(lambda: PairKernel(inst.mu, inst.lam,
-                                                inst.lambda_eta_terms().items()))
+    pair_sums = functools.cache(lambda: pair_kernel(inst, kernel))
 
     def run_unit_left():
         return _result("unit (left)", _first_difference(at, lambda i: (
@@ -249,10 +250,8 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
                                   odd, R)), names.__getitem__, tensor(A, A, A))
 
     def run_pairs(axiom):
-        k = kernel()
-        sides = (k.infinitesimal if axiom == "unital infinitesimal"
-                 else k.antisymmetry)
-        return _result(axiom, _first_difference(pairs, lambda p: sides(*p)),
+        k = pair_sums()
+        return _result(axiom, k.first_failure(axiom, pairs),
                        _pair_name(names), k.A2)
 
     runners = {
@@ -274,6 +273,24 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
             break
     report.results = [results[a] for a in AXIOM_ORDER if a in results]
     return report
+
+
+def pair_kernel(inst: BialgebraData, kernel=None) -> "PairKernel":
+    """The `PairKernel` of an instance's pair axioms (v = lam eta): `kernel`
+    when a caller shares one, else a new one."""
+    return shared_kernel(kernel, inst.mu, inst.lam,
+                         inst.lambda_eta_terms().items())
+
+
+def shared_kernel(kernel, mu: GradedMap, lam: GradedMap, v) -> "PairKernel":
+    """`kernel`, checked to read the tables of mu and lam with the terms v
+    in the middle (ValueError), or a new `PairKernel` of them."""
+    if kernel is None:
+        return PairKernel(mu, lam, v)
+    if (kernel.mu is not mu.table() or kernel.lam is not lam.table()
+            or dict(kernel.v) != dict(v)):
+        raise ValueError("the pair kernel was built for other operations")
+    return kernel
 
 
 def _coassociativity(lam, lam_odd, odd, R, x):
@@ -302,7 +319,8 @@ def _coassociativity(lam, lam_odd, odd, R, x):
 
 class PairKernel:
     """Both sides of (unital infinitesimal) and (unital anti-symmetry), and
-    the unit-free infinitesimal defect, on basis pairs a (x) b.
+    the unit-free infinitesimal defect, on basis pairs a (x) b, from one
+    list of signed pieces per identity.
 
     Positions index A (`GradedModule.index`); a side is a dict
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the tables of
@@ -310,14 +328,28 @@ class PairKernel:
     with the twist sign.  `v` is the bivector put in the middle (lam eta
     for the axioms), given by its terms ((k1, k2), coefficient).
 
-    Each side is summed in one pass into one dict: the pieces `lam_mu`,
-    `left`, `right` and `middle` add sign * their terms into `out` and
-    return it, and `_nonzero` drops the zeros of the finished side.  A
-    piece decides its Koszul sign (of `tensor_map`, and of inserting v)
-    once per term of L's row or of v.  With `tau` it writes the twist of
-    its terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, with the twist sign
-    decided in the same place: maps are homogeneous, so the degrees of a
-    row's inputs fix the degrees of its outputs.
+    A piece is one of the composites lam mu (`_lam_mu`), left, right and
+    middle, with a sign and, for the last three, optionally the twist tau
+    of its terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, written into the
+    keys.  It adds sign * its terms at (a, b) into the caller's dict.  Maps
+    are homogeneous, so the degrees of a row's inputs fix the degrees of
+    its outputs, and a piece decides its Koszul signs (of `tensor_map`, of
+    inserting v and of tau) once per a, for the rows of L(a) and the
+    products P(a (x) v1) * e, or once per b, for the rows of L(b), for each
+    parity of the other factor that a sign depends on.  It reads table rows
+    by one dict lookup (`OpTable.rows`).
+
+    `identities` lists each identity's pieces, lhs and rhs (a caller may
+    add one, as `check_loday_ronco` does).  `difference` adds the lhs
+    pieces and the rhs pieces negated into one dict per pair,
+    which is empty exactly when the pair passes; `sides` sums each side on
+    its own, for the witness of a failing pair; `first_failure` runs the
+    quantifier.  With |mu| even the defect's pieces are those of the unital
+    infinitesimal difference, so the differences that quantifier finds are
+    kept per pair and `defect` reads them: a package from
+    `cone_data_from_bialgebra` (v = lam eta = -Q0) that shares one kernel
+    between its axioms and its assoc-infinitesimal check expands each safe
+    pair's defect once.
     """
 
     def __init__(self, mu: GradedMap, lam: GradedMap, v):
@@ -326,7 +358,7 @@ class PairKernel:
         self.idx = A.index()
         self.mu, self.lam = mu.table(), lam.table()
         R = A.ring
-        self._mul, self._add, self._neg = R.mul, R.add, R.neg
+        self._ring = R
         odd, neg = self.idx.odd, R.neg
         mu_row, lam_row = self.mu.row, self.lam.row
 
@@ -343,112 +375,241 @@ class PairKernel:
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous vector with degrees {degrees}")
         self.dv = degrees[0] if degrees else 0
+        self.identities = self._identities()
+        self._pieces = {}        # (kind, sign, *arguments) -> piece
+        self._differences = {}   # identity -> its `_difference` function
+        self._defects = {} if mu.degree % 2 == 0 else None
 
-    def lam_mu(self, out, sign, L, i, j):
-        """out += sign * L mu (a (x) b), L being lam or tau lam."""
-        mul, add = self._mul, self._add
-        for x, m in self.mu.row(i, j):
-            if sign < 0:
-                m = self._neg(m)
-            for k, c in L.row(x):
-                t = mul(m, c)
-                out[k] = t if (old := out.get(k)) is None else add(old, t)
-        return out
+    def _identities(self):
+        """identity -> (lhs pieces, rhs pieces), a piece written as
+        (kind, sign, *arguments):
 
-    def left(self, out, sign, P, L, i, j, tau=False):
-        """out += sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it:
-        (1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b)."""
-        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
-        p, b = P.degree % 2, odd[j]
-        for (a1, a2), c in L.row(i):
-            # tau(a1 (x) z) costs (-1)^{|a1||z|}, |z| = |a2| + |b| + |P|
-            if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:
-                c = neg(c)
-            for z, m in P.row(a2, j):
-                t, k = mul(c, m), ((z, a1) if tau else (a1, z))
-                out[k] = t if (old := out.get(k)) is None else add(old, t)
-        return out
-
-    def right(self, out, sign, P, L, i, j, tau=False):
-        """out += sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it:
-        (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2."""
-        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
-        a, p = odd[i], P.degree % 2
-        base = (sign < 0) + L.degree * a
-        for (b1, b2), c in L.row(j):
-            # tau(z (x) b2) costs (-1)^{|z||b2|}, |z| = |a| + |b1| + |P|
-            if base + tau * odd[b2] * (a + odd[b1] + p) & 1:
-                c = neg(c)
-            for z, m in P.row(i, b1):
-                t, k = mul(c, m), ((b2, z) if tau else (z, b2))
-                out[k] = t if (old := out.get(k)) is None else add(old, t)
-        return out
-
-    def middle(self, out, sign, P, Q, i, j, tau=False):
-        """out += sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it:
-        (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
-        (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b)."""
-        mul, add, neg, odd = self._mul, self._add, self._neg, self.idx.odd
-        a, b, p, q = odd[i], odd[j], P.degree % 2, Q.degree % 2
-        base = (sign < 0) + self.dv * a
-        for (v1, v2), e in self.v:
-            # tau(z1 (x) z2) costs (-1)^{|z1||z2|},
-            # |z1| = |a| + |v1| + |P|, |z2| = |v2| + |b| + |Q|
-            if (base + q * (a + odd[v1])
-                    + tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:
-                e = neg(e)
-            right = Q.row(v2, j)
-            for z1, m1 in P.row(i, v1):
-                c1 = mul(e, m1)
-                for z2, m2 in right:
-                    t, k = mul(c1, m2), ((z2, z1) if tau else (z1, z2))
-                    out[k] = t if (old := out.get(k)) is None else add(old, t)
-        return out
-
-    def infinitesimal(self, i, j):
-        """(lhs, rhs) of lam mu = (-1)^{|lam||mu|} ((1 (x) mu)(lam (x) 1)
-        + (mu (x) 1)(1 (x) lam)) - (-1)^{|mu|} (mu (x) mu)(1 (x) v (x) 1)."""
-        mu, lam = self.mu, self.lam
-        s = koszul_sign(lam.degree * mu.degree)
-        rhs = self.left({}, s, mu, lam, i, j)
-        self.right(rhs, s, mu, lam, i, j)
-        self.middle(rhs, -koszul_sign(mu.degree), mu, mu, i, j)
-        return _nonzero(self.lam_mu({}, 1, lam, i, j)), _nonzero(rhs)
-
-    def defect(self, i, j):
-        """lam mu - (1 (x) mu)(lam (x) 1) - (mu (x) 1)(1 (x) lam)
-        + (mu (x) mu)(1 (x) v (x) 1)."""
-        mu, lam = self.mu, self.lam
-        out = self.lam_mu({}, 1, lam, i, j)
-        self.left(out, -1, mu, lam, i, j)
-        self.right(out, -1, mu, lam, i, j)
-        return _nonzero(self.middle(out, 1, mu, mu, i, j))
-
-    def antisymmetry(self, i, j):
-        """(lhs, rhs) of (unital anti-symmetry):
-
-        lhs = (-1)^{|mu|(|lam|+1)} (1 (x) mu)(tau lam (x) 1)
+        unital infinitesimal: lam mu = (-1)^{|lam||mu|} ((1 (x) mu)(lam (x) 1)
+            + (mu (x) 1)(1 (x) lam)) - (-1)^{|mu|} (mu (x) mu)(1 (x) v (x) 1);
+        unital anti-symmetry:
+            (-1)^{|mu|(|lam|+1)} (1 (x) mu)(tau lam (x) 1)
             + (-1)^{|lam|(|mu|+1)} (mu tau (x) 1)(1 (x) lam)
-            - (-1)^{|lam|+|mu|} (mu tau (x) mu)(1 (x) lam eta (x) 1),
-        rhs = tau [(-1)^{|lam||mu|} (1 (x) mu tau)(lam (x) 1)
+            - (-1)^{|lam|+|mu|} (mu tau (x) mu)(1 (x) lam eta (x) 1)
+          = tau [(-1)^{|lam||mu|} (1 (x) mu tau)(lam (x) 1)
             - (-1)^{(|lam|+1)(|mu|+1)} (mu (x) 1)(1 (x) tau lam)
-            - (-1)^{|mu|} (mu (x) mu tau)(1 (x) lam eta (x) 1)].
+            - (-1)^{|mu|} (mu (x) mu tau)(1 (x) lam eta (x) 1)];
+        defect: lam mu - (1 (x) mu)(lam (x) 1) - (mu (x) 1)(1 (x) lam)
+            + (mu (x) mu)(1 (x) v (x) 1) = 0;
+        cc left / cc right: the lhs / rhs of anti-symmetry equal
+            (-1)^{|lam|+|mu|} lam mu / (-1)^{|mu|} tau lam mu.
         """
         mu, lam, mu_tau, tau_lam = self.mu, self.lam, self.mu_tau, self.tau_lam
         dl, dm = lam.degree, mu.degree
-        lhs = self.left({}, koszul_sign(dm * (dl + 1)), mu, tau_lam, i, j)
-        self.right(lhs, koszul_sign(dl * (dm + 1)), mu_tau, lam, i, j)
-        self.middle(lhs, -koszul_sign(dl + dm), mu_tau, mu, i, j)
-        rhs = self.left({}, koszul_sign(dl * dm), mu_tau, lam, i, j, True)
-        self.right(rhs, -koszul_sign((dl + 1) * (dm + 1)), mu, tau_lam, i, j,
-                   True)
-        self.middle(rhs, -koszul_sign(dm), mu, mu_tau, i, j, True)
-        return _nonzero(lhs), _nonzero(rhs)
+        s = koszul_sign(dl * dm)
+        anti_lhs = (("left", koszul_sign(dm * (dl + 1)), mu, tau_lam),
+                    ("right", koszul_sign(dl * (dm + 1)), mu_tau, lam),
+                    ("middle", -koszul_sign(dl + dm), mu_tau, mu))
+        anti_rhs = (("left", koszul_sign(dl * dm), mu_tau, lam, True),
+                    ("right", -koszul_sign((dl + 1) * (dm + 1)), mu, tau_lam,
+                     True),
+                    ("middle", -koszul_sign(dm), mu, mu_tau, True))
+        return {
+            "unital infinitesimal": (
+                (("lam_mu", 1, lam),),
+                (("left", s, mu, lam), ("right", s, mu, lam),
+                 ("middle", -koszul_sign(dm), mu, mu))),
+            "unital anti-symmetry": (anti_lhs, anti_rhs),
+            "defect": ((("lam_mu", 1, lam), ("left", -1, mu, lam),
+                        ("right", -1, mu, lam), ("middle", 1, mu, mu)), ()),
+            "cc left": (anti_lhs, (("lam_mu", koszul_sign(dl + dm), lam),)),
+            "cc right": (anti_rhs, (("lam_mu", koszul_sign(dm), tau_lam),)),
+        }
+
+    # -- sums ----------------------------------------------------------------
+
+    def difference(self, identity, i, j) -> dict:
+        """lhs - rhs of `identity` at (a, b), summed in one dict, without
+        its zero coefficients: empty exactly when the pair passes."""
+        return self._difference(identity)(i, j)
+
+    def sides(self, identity, i, j):
+        """(lhs, rhs) of `identity` at (a, b), each summed on its own."""
+        return tuple(_sum(tuple(map(self._piece, side)), i, j)
+                     for side in self.identities[identity])
+
+    def defect(self, i, j) -> dict:
+        """The defect at (a, b), as the unital infinitesimal quantifier
+        found it when |mu| is even, else summed here."""
+        found = None if self._defects is None else self._defects.get((i, j))
+        return self.difference("defect", i, j) if found is None else found
+
+    def first_failure(self, identity, pairs):
+        """`_first_difference` over `pairs` of `identity`'s one-dict
+        difference; the first failing pair alone is expanded again, into
+        its two sides."""
+        difference = self._difference(identity)
+        found = _first_difference(pairs, lambda p: (difference(*p), {}))
+        if found[1] is None:
+            return found
+        return (*found[:2], *self.sides(identity, *found[1]))
+
+    def _difference(self, identity):
+        """(i, j) -> the difference of `identity`, built once: its lhs
+        pieces and its rhs pieces with the sign negated, summed by `_sum`;
+        the unital infinitesimal one keeps each pair's difference for
+        `defect` when |mu| is even."""
+        fn = self._differences.get(identity)
+        if fn is None:
+            lhs, rhs = self.identities[identity]
+            pieces = tuple(map(self._piece, lhs)) + tuple(
+                self._piece((kind, -sign, *args)) for kind, sign, *args in rhs)
+            keep = (self._defects if identity == "unital infinitesimal"
+                    else None)
+
+            def fn(i, j):
+                out = _sum(pieces, i, j)
+                if keep is not None:
+                    keep[i, j] = out
+                return out
+
+            fn = self._differences[identity] = fn
+        return fn
+
+    def _piece(self, spec):
+        """The piece (kind, sign, *arguments), built once per kernel."""
+        piece = self._pieces.get(spec)
+        if piece is None:
+            kind, sign, *args = spec
+            piece = self._pieces[spec] = getattr(self, "_" + kind)(sign,
+                                                                   *args)
+        return piece
+
+    # -- pieces: piece(out, i, j) adds sign * the composite at (a, b) ---------
+
+    def _lam_mu(self, sign, L):
+        """sign * L mu (a (x) b), L being lam or tau lam."""
+        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        mu_rows, stride, L_rows = self.mu.rows, self.mu.stride, L.rows
+        negate = sign < 0
+
+        def piece(out, i, j):
+            for x, m in mu_rows[i * stride + j]:
+                if negate:
+                    m = neg(m)
+                for k, c in L_rows[x]:
+                    t = mul(m, c)
+                    out[k] = t if (old := out.get(k)) is None else add(old, t)
+        return piece
+
+    def _left(self, sign, P, L, tau=False):
+        """sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it:
+        (1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b).
+        Per a and parity of b: (row key of a2, a1, signed c) over L(a)."""
+        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        odd, p = self.idx.odd, P.degree % 2
+        L_rows, P_rows, stride = L.rows, P.rows, P.stride
+
+        @functools.cache
+        def hoisted(i):   # the parity of b matters only to tau
+            out = [[] for b in range(1 + tau)]
+            for b, terms in enumerate(out):
+                for (a1, a2), c in L_rows[i]:
+                    # tau(a1 (x) z) costs (-1)^{|a1||z|}, |z| = |a2| + |b| + |P|
+                    if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:
+                        c = neg(c)
+                    terms.append((a2 * stride, a1, c))
+            return out * (2 - tau)
+
+        def piece(out, i, j):
+            get = out.get
+            for key, a1, c in hoisted(i)[odd[j]]:
+                for z, m in P_rows[key + j]:
+                    t, k = mul(c, m), ((z, a1) if tau else (a1, z))
+                    out[k] = t if (old := get(k)) is None else add(old, t)
+        return piece
+
+    def _right(self, sign, P, L, tau=False):
+        """sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it:
+        (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2.
+        Per b and parity of a: (b1, b2, signed c) over L(b)."""
+        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        odd, p, dl = self.idx.odd, P.degree % 2, L.degree
+        L_rows, P_rows, stride = L.rows, P.rows, P.stride
+
+        @functools.cache
+        def hoisted(j):   # the parity of a matters only to |L| odd or tau
+            out = [[] for a in range(1 + (dl % 2 or tau))]
+            for a, terms in enumerate(out):
+                for (b1, b2), c in L_rows[j]:
+                    # tau(z (x) b2) costs (-1)^{|z||b2|}, |z| = |a| + |b1| + |P|
+                    if ((sign < 0) + dl * a
+                            + tau * odd[b2] * (a + odd[b1] + p)) & 1:
+                        c = neg(c)
+                    terms.append((b1, b2, c))
+            return out * (3 - len(out))
+
+        def piece(out, i, j):
+            key, get = i * stride, out.get
+            for b1, b2, c in hoisted(j)[odd[i]]:
+                for z, m in P_rows[key + b1]:
+                    t, k = mul(c, m), ((b2, z) if tau else (z, b2))
+                    out[k] = t if (old := get(k)) is None else add(old, t)
+        return piece
+
+    def _middle(self, sign, P, Q, tau=False):
+        """sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it:
+        (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
+        (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b).
+        Per a and parity of b: (row key of v2, the signed sum over the v1
+        of v2 of e * P(a (x) v1))."""
+        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        odd, p, q, dv, v = (self.idx.odd, P.degree % 2, Q.degree % 2, self.dv,
+                            self.v)
+        P_rows, P_stride, Q_rows, Q_stride = P.rows, P.stride, Q.rows, Q.stride
+
+        @functools.cache
+        def hoisted(i):   # the parity of b matters only to tau
+            a, out = odd[i], [[] for b in range(1 + tau)]
+            for b, terms in enumerate(out):
+                by_v2 = {}
+                for (v1, v2), e in v:
+                    # tau(z1 (x) z2) costs (-1)^{|z1||z2|},
+                    # |z1| = |a| + |v1| + |P|, |z2| = |v2| + |b| + |Q|
+                    if ((sign < 0) + dv * a + q * (a + odd[v1])
+                            + tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:
+                        e = neg(e)
+                    z1s = by_v2.setdefault(v2, {})
+                    for z1, m in P_rows[i * P_stride + v1]:
+                        t = mul(e, m)
+                        z1s[z1] = t if (old := z1s.get(z1)) is None \
+                            else add(old, t)
+                terms.extend((v2 * Q_stride, tuple(
+                    (z1, c) for z1, c in z1s.items() if c != 0))
+                    for v2, z1s in by_v2.items())
+            return out * (2 - tau)
+
+        def piece(out, i, j):
+            for key, z1s in hoisted(i)[odd[j]]:
+                for z2, m in Q_rows[key + j]:
+                    for z1, c in z1s:
+                        t, k = mul(c, m), ((z2, z1) if tau else (z1, z2))
+                        out[k] = t if (old := out.get(k)) is None \
+                            else add(old, t)
+        return piece
+
+    def _point(self, sign):
+        """sign * a (x) b."""
+        add, c = self._ring.add, self._ring.canon(sign)
+
+        def piece(out, i, j):
+            out[i, j] = c if (old := out.get((i, j))) is None else add(old, c)
+        return piece
 
 
-def _nonzero(side: dict) -> dict:
-    """The side without its zero coefficients."""
-    return {k: c for k, c in side.items() if c != 0}
+def _sum(pieces, i, j) -> dict:
+    """The pieces' terms at (a, b) in one dict, without zero coefficients.
+    Canonical ring values are ints and Fractions, false exactly at 0, so
+    `any` finds a nonzero coefficient exactly when there is one."""
+    out = {}
+    for piece in pieces:
+        piece(out, i, j)
+    return {k: c for k, c in out.items() if c != 0} if any(out.values()) \
+        else {}
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +679,25 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
 
 
 def check_cc_implies_antisymmetry(inst: BialgebraData,
-                                  axioms: AxiomReport = None) -> ConditionalReport:
+                                  axioms: AxiomReport = None,
+                                  kernel: PairKernel = None
+                                  ) -> ConditionalReport:
     """In the commutative/cocommutative case, both sides of (unital
     anti-symmetry) reduce to signed multiples of lam mu; verified by exact
     expansion.  Requires the unital infinitesimal relation to hold: its
     verdict is read from `axioms`, a check_axioms report already computed
-    for this instance, or else checked on its own."""
+    for this instance, or else checked on its own.  `kernel` is a
+    `pair_kernel(inst)` that a caller shares."""
     if not inst.is_commutative():
         return ConditionalReport(False, False, "mu is not commutative")
     if not inst.is_cocommutative():
         return ConditionalReport(False, False, "lam is not cocommutative")
-    kernel = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
+    kernel = pair_kernel(inst, kernel)
     safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
     pairs = [(i, j) for i in safe for j in safe]
     if axioms is None:
-        uir = _result("unital infinitesimal", _first_difference(
-            pairs, lambda p: kernel.infinitesimal(*p)), name, kernel.A2)
+        uir = _result("unital infinitesimal", kernel.first_failure(
+            "unital infinitesimal", pairs), name, kernel.A2)
     else:
         uir = next(r for r in axioms.results
                    if r.axiom == "unital infinitesimal")
@@ -541,15 +705,12 @@ def check_cc_implies_antisymmetry(inst: BialgebraData,
         return ConditionalReport(False, False,
                                  "unital infinitesimal relation fails: " + uir.describe())
 
-    s_lhs = koszul_sign(inst.mu.degree + inst.lam.degree)
-    s_rhs = koszul_sign(inst.mu.degree)
-    _, p, got, want = _first_difference(pairs, lambda p: (
-        kernel.antisymmetry(*p),
-        (_nonzero(kernel.lam_mu({}, s_lhs, kernel.lam, *p)),
-         _nonzero(kernel.lam_mu({}, s_rhs, kernel.tau_lam, *p)))))
+    _, p, left, _ = _first_difference(pairs, lambda p: (
+        (kernel.difference("cc left", *p), kernel.difference("cc right", *p)),
+        ({}, {})))
     if p is None:
         return ConditionalReport(True, True)
-    side = "left" if got[0] != want[0] else "right"
+    side = "left" if left[0] else "right"
     return ConditionalReport(True, False,
                              f"{side} side does not reduce on {name(p)}")
 
@@ -648,7 +809,6 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
     if inst.lam.degree % 2:
         raise ValueError("the identity-coproduct form needs |lam| even")
     lam_eta = inst.lambda_eta()
-    A = inst.module
     ee = inst.eta.tensor(inst.eta)
     if lam_eta == ee:
         sign = 1
@@ -658,15 +818,13 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
     kernel = PairKernel(inst.mu, inst.lam, ())
-    mu, lam, minus_sign = kernel.mu, kernel.lam, A.ring.canon(-sign)
-
-    def sides(p):   # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
-        rhs = kernel.left({p: minus_sign}, 1, mu, lam, *p)
-        return (_nonzero(kernel.lam_mu({}, 1, lam, *p)),
-                _nonzero(kernel.right(rhs, 1, mu, lam, *p)))
-
+    mu, lam = kernel.mu, kernel.lam
+    # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
+    kernel.identities["identity-coproduct form"] = (
+        (("lam_mu", 1, lam),),
+        (("left", 1, mu, lam), ("right", 1, mu, lam), ("point", -sign)))
     safe = inst.safe_positions()
     return _result("unital infinitesimal (identity-coproduct form)",
-                   _first_difference([(i, j) for i in safe for j in safe],
-                                     sides),
+                   kernel.first_failure("identity-coproduct form",
+                                        [(i, j) for i in safe for j in safe]),
                    _pair_name(kernel.idx.names), kernel.A2)

@@ -72,7 +72,7 @@ from .graded import (
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import (BialgebraData, PairKernel, _require_basis_names,
-                        _times_left, _times_right)
+                        _times_left, _times_right, shared_kernel)
 
 
 def _format_row(module: GradedModule, row: dict) -> str:
@@ -507,6 +507,13 @@ def check_cone_associativity(ops: ConeProductOps) -> AssociativityResult:
         False, f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
 
 
+def defect_kernel(data: ConeProductData, kernel=None) -> PairKernel:
+    """The `PairKernel` of the package's defect (v = -Q0): `kernel` when a
+    caller shares one, else a new one."""
+    return shared_kernel(kernel, data.mu, data.lam, _signed_row(
+        vector_terms(data.Q0), True, data.A.ring.neg))
+
+
 @dataclass
 class InfinitesimalFromAssocResult:
     precondition_ok: bool
@@ -518,6 +525,7 @@ def check_assoc_implies_infinitesimal(
         data: ConeProductData,
         require_associativity: bool | AssociativityResult = True,
         comps: dict = None,
+        kernel: PairKernel = None,
         ) -> InfinitesimalFromAssocResult:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
@@ -537,7 +545,11 @@ def check_assoc_implies_infinitesimal(
     derives the cone product and checks it; an AssociativityResult already
     computed for this package is used as the verdict instead; False skips
     the precondition.  `comps` is closed_form_components(data), when
-    already built.
+    already built, and `kernel` a `PairKernel` of (mu, lam, -Q0), when one
+    is shared: a package from `cone_data_from_bialgebra` shares the one of
+    its instance's axioms (`bialgebra.pair_kernel`), whose unital
+    infinitesimal quantifier has already expanded the defect of each pair
+    it checked when |mu| is even.
 
     The triples (a, b, f) run over the safe names in lexicographic order,
     and the verdict and the failing triple's text are those of comparing
@@ -573,8 +585,7 @@ def check_assoc_implies_infinitesimal(
     mu = data.mu.table().row
     pm_p = comps["pm_p"].table().row
     pm_m = comps["pm_m"].table().row
-    kernel = PairKernel(data.mu, data.lam,
-                        _signed_row(vector_terms(data.Q0), True, neg))
+    kernel = defect_kernel(data, kernel)
     f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
@@ -585,7 +596,7 @@ def check_assoc_implies_infinitesimal(
 
     @functools.cache
     def rows_at(j):   # per b: the ids of (P, Q) for each f
-        return [(ids(pm_p(j, k)), ids(pm_m(j, k))) for _, k in duals]
+        return [(ids.row(pm_p(j, k)), ids.row(pm_m(j, k))) for _, k in duals]
 
     @functools.cache
     def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
@@ -605,7 +616,7 @@ def check_assoc_implies_infinitesimal(
                                            last=True).items() if k in at_f}
 
     def rhs_ids(i, j):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
-        rhs, contracted = pm_p_of(ids(mu(i, j))), expected(i, j)
+        rhs, contracted = pm_p_of(ids.row(mu(i, j))), expected(i, j)
         rhs = list(rhs) if contracted else rhs
         for kf, terms in contracted.items():
             rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
@@ -626,7 +637,7 @@ def check_assoc_implies_infinitesimal(
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
-        sides[pm_p_of(ids(mu(i, j)))[kf]], True, neg)))]
+        sides[pm_p_of(ids.row(mu(i, j)))[kf]], True, neg)))]
     return InfinitesimalFromAssocResult(
         True, False, f"fails at a={a}, b={b}, f={duals[kf][0]}: "
         f"{_format_row(A, dict(total))} vs "

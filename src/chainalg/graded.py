@@ -64,10 +64,20 @@ transition automorphism, commutators [d, h], the fixtures' mu and lam, and
 mu tau and tau lam read off the rows of mu and lam with the one signed
 twist `_twisted`.  `apply_rows` applies a table to a row's terms.  Names
 come back, through `row_vector`, only to build a witness or to answer a
-name-keyed caller (`eval_basis`, calling a map).  The associativity-type
+name-keyed caller (`eval_basis`, calling a map).  A row has distinct keys
+and no zero coefficient (the row contract of `OpTable`), and a hot loop
+reads it by one dict lookup (`OpTable.rows`).
+
+Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
 `cone_product`) expand each side once per distinct row and compare sides
-as ids interned by `SideIds`.
+as ids interned by `SideIds`, a table row as its set of terms.  The pair
+identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
+rhs, into one dict per pair a (x) b, which is empty exactly when the pair
+passes, and expand the two sides again only for the first failing pair;
+one kernel per package serves the axioms, cc-antisymmetry and the cone's
+assoc-infinitesimal check.  Both stop at the first failing input through
+`_first_difference`.
 """
 
 from __future__ import annotations
@@ -480,8 +490,9 @@ class GradedMap:
     given by its rows on basis positions.
 
     rows(i), or rows(i, j) on a binary source, is the image of the basis
-    element at those positions in the form of `OpTable.row`, without zero
-    coefficients; the source is unary or binary, else ValueError here.
+    element at those positions in the form of `OpTable.row`, keeping the
+    row contract: distinct keys and no zero coefficient.  The source is
+    unary or binary, else ValueError here.
     `table()` serves each row once computed.  Names come back only through
     `eval_basis` and calling the map, which read the table rows, for a
     witness or a name-keyed caller.  `from_table` is the checked
@@ -611,35 +622,55 @@ class OpTable:
     (k, coefficient) pairs, where k is a position in an atomic target, or a
     tuple of positions, one per factor, in a tensor target.  Each row is
     read once, from the map's row function, and kept while the map lives.
+
+    `rows[i * stride + j]` (`rows[i]` for an atomic source, where stride
+    is 1) is the same row read by one dict lookup, for the hot loops that
+    hoist the stride product out of their inner loop; a missing row is
+    filled by that lookup.
+
+    Row contract: a row has distinct keys and no zero coefficient.  Every
+    row function keeps it (`GradedMap`), and `SideIds.row` relies on it.
     """
 
     def __init__(self, op: GradedMap):
         self.degree = op.degree
         self.source = tuple(f.index() for f in op.source.factors)
         self.target = tuple(f.index() for f in op.target.factors)
-        self._stride = len(self.source[1].names) if op.source.arity == 2 else 1
-        self._rows = {}
         # the table holds the row function and no reference back to the
         # map, so the map and its table form no reference cycle and are
         # freed with their last user rather than at the next full collection
-        self._row_fn = op.row_fn
+        binary = op.source.arity == 2
+        self.stride = len(self.source[1].names) if binary else 1
+        self.rows = _Rows(op.row_fn, self.stride, binary)
 
     def row(self, i: int, j: int = 0) -> tuple:
-        r = self._rows.get(i * self._stride + j)
-        if r is None:
-            r = self._fill(i, j)
-        return r
+        r = self.rows.get(i * self.stride + j)
+        return self.rows.fill(i, j) if r is None else r
 
     def at(self, key) -> tuple:
         """The row at a key of the form the rows use: a position for an
         atomic source, a pair of positions for a binary one."""
         return self.row(*key) if len(self.source) == 2 else self.row(key)
 
-    def _fill(self, i, j):
-        rows = self._row_fn
-        r = self._rows[i * self._stride + j] = tuple(
-            rows(i, j) if len(self.source) == 2 else rows(i))
+
+class _Rows(dict):
+    """Table rows by the key i * stride + j: `fill(i, j)` computes and keeps
+    the row fn(i, j), or fn(i) for an atomic source, and a lookup of a
+    missing key fills it."""
+
+    __slots__ = ("fn", "stride", "binary")
+
+    def __init__(self, fn, stride, binary):
+        super().__init__()
+        self.fn, self.stride, self.binary = fn, stride, binary
+
+    def fill(self, i, j):
+        r = self[i * self.stride + j] = tuple(
+            self.fn(i, j) if self.binary else self.fn(i))
         return r
+
+    def __missing__(self, key):
+        return self.fill(*divmod(key, self.stride))
 
 
 def basis_keys(module: GradedModule):
@@ -714,6 +745,14 @@ class SideIds:
     {key: coefficient} dicts are equal exactly when their item sets are:
     equal ids mean equal sides over every ring, and a list of ids compares
     a whole row of sides at once.
+
+    `ids.row(r)` interns a table row as frozenset(r), without summing it
+    again: rows keep the row contract of `OpTable` (distinct keys, no zero
+    coefficient), so that set is already the row's side.  A row breaking
+    the contract can only make equal sides look different, never the
+    reverse: a row with a repeated (key, coefficient) pair is summed, and
+    otherwise equal sets are equal multisets of terms, so equal ids still
+    mean equal sums.
     """
 
     def __init__(self, ring: Ring):
@@ -729,7 +768,14 @@ class SideIds:
             for k, c in terms:
                 side[k] = c if (old := side.get(k)) is None else add(old, c)
             terms = [kc for kc in side.items() if kc[1] != 0]
-        key = frozenset(terms)
+        return self._id(frozenset(terms))
+
+    def row(self, r) -> int:
+        """The id of the table row `r` (a tuple)."""
+        key = frozenset(r)
+        return self(r) if len(key) < len(r) else self._id(key)
+
+    def _id(self, key) -> int:
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self.sides)
@@ -743,7 +789,7 @@ class SideIds:
         if len(terms) == 1:
             [(k, c)] = terms
             if c == self._one:
-                return self(at(k))
+                return self.row(at(k))
         mul = self._mul
         return self((t, mul(c, v)) for k, c in terms for t, v in at(k))
 
@@ -784,7 +830,8 @@ def associativity_witness(mu: GradedMap, names):
     Each side is expanded once per distinct product row, not once per
     triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
     the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
-    is interned by `SideIds`, so the lhs over all c is one list of ids per
+    is interned by `SideIds` (a table row as its set of terms, `SideIds.row`),
+    so the lhs over all c is one list of ids per
     distinct row mu(a (x) b), filled on first use, the rhs one id per a and
     distinct row mu(b (x) c), and `_first_difference` compares the two
     lists of ids of each pair (a, b), then the entries of a failing pair's
@@ -804,7 +851,7 @@ def associativity_witness(mu: GradedMap, names):
 
     @functools.cache
     def times_inputs(x):   # ids of mu(x (x) c) for the inputs c
-        return [ids(row(x, k)) for _, k in inputs]
+        return [ids.row(row(x, k)) for _, k in inputs]
 
     @functools.cache
     def lhs_ids(ab):   # ids of the lhs for the inputs c, per row id of ab

@@ -14,7 +14,6 @@ break the byte-identity guarantee that CI relies on).
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .complexes import (
 from .bialgebra import (
     AXIOM_ORDER,
     check_axioms,
+    pair_kernel,
     lambda_eta,
     check_involutivity,
     check_cc_implies_antisymmetry,
@@ -47,6 +47,7 @@ from .cone_product import (
     check_cone_associativity,
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
+    defect_kernel,
 )
 from . import fixtures as fx
 
@@ -100,18 +101,60 @@ def _timed(record_id, fn, timings: bool) -> CheckRecord:
 # The check registry
 # ---------------------------------------------------------------------------
 
+class _shared:
+    """A `_Target` property computed by the first check that reads it and
+    kept, value or exception: `functools.cached_property` keeps no
+    exception, so every record that reads a raising intermediate would
+    compute it again.  Each reader of a kept exception raises it again, so
+    its records are `error`s with one text."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, t, owner=None):
+        if t is None:
+            return self
+        kept = t.kept.get(self.name)
+        if kept is None:
+            try:
+                kept = t.kept[self.name] = (True, self.fn(t))
+            except Exception as e:
+                kept = t.kept[self.name] = (False, e)
+        ok, value = kept
+        if ok:
+            return value
+        raise value
+
+
 class _Target:
     """A scenario's payload as the checks see it, with the intermediates
     they share: each is built by the first check that reads it."""
 
     def __init__(self, scn):
         self.scn, self.data = scn, scn.payload
+        self.kept = {}   # name -> (True, value) or (False, exception)
 
-    @functools.cached_property
+    def built(self, name):
+        """The intermediate `name` if a check has already built it without
+        an error, else None."""
+        ok, value = self.kept.get(name, (False, None))
+        return value if ok else None
+
+    @_shared
+    def kernel(self):
+        """The package's one `PairKernel`: a bialgebra's lam eta in the
+        middle, or a cone scenario's -Q0; a cone package built from a
+        bialgebra (Q0 = -lam eta) shares its instance's."""
+        d = self.data
+        return (defect_kernel(d) if isinstance(d, ConeProductData)
+                else pair_kernel(d))
+
+    @_shared
     def axioms(self):
-        return check_axioms(self.data)
+        return check_axioms(self.data, kernel=self.kernel)
 
-    @functools.cached_property
+    @_shared
     def cone(self):
         """The cone package: a cone scenario's own, or a bialgebra's with
         c0 = 0, Q0 = -lam(eta), B = 0 and n read off |lam| = 1 - 2n."""
@@ -119,24 +162,34 @@ class _Target:
         return (d if isinstance(d, ConeProductData)
                 else cone_data_from_bialgebra(d, (1 - d.lam.degree) // 2))
 
-    @functools.cached_property
+    @_shared
     def ops(self):
         return derive_secondary_ops(self.cone)
 
-    @functools.cached_property
+    @_shared
     def assoc(self):
         return check_cone_associativity(self.ops)
 
-    @functools.cached_property
+    @_shared
     def comps(self):
         return closed_form_components(self.cone)
 
-    @functools.cached_property
+    @_shared
     def bundle(self):
         """A complex's bundle, or a bialgebra's module with d = 0."""
         d = self.data
         return (d if isinstance(d, ComplexBundle)
                 else ComplexBundle(ChainComplex(d.module)))
+
+    @_shared
+    def pair_cone(self):
+        """The mapping cone of the bundle's pair."""
+        return mapping_cone(self.bundle.pair_map)
+
+    @_shared
+    def transition(self):
+        """The pair cone's transition automorphism."""
+        return transition_automorphism(self.pair_cone, self.bundle.secondary)
 
 
 def _axiom_status(r):
@@ -203,7 +256,8 @@ def _components_status(t):
 
 
 def _assoc_infinitesimal_status(t):
-    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps)
+    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps,
+                                            t.kernel)
     if not res.precondition_ok:
         return "fail", f"precondition: {res.detail}"
     return ("pass" if res.passed else "fail"), res.detail
@@ -234,23 +288,20 @@ def _homology_records(t, _):
 
 def _cone_records(t, _):
     """The homology of the pair's cone and, given a secondary map, its
-    transition automorphism; the cone and the automorphism are built once,
-    by the first record that needs them."""
+    transition automorphism (`_Target.pair_cone`, `.transition`)."""
     b = t.bundle
     if b.pair_map is None:
         return [("cone", lambda: ("error",
                                   "no chain map available to build a cone"))]
-    cone = functools.cache(lambda: mapping_cone(b.pair_map))
-    out = [("homology.cone", lambda: ("info", str(homology(cone().complex))))]
+    out = [("homology.cone",
+            lambda: ("info", str(homology(t.pair_cone.complex))))]
     if b.secondary is not None:
-        transition = functools.cache(
-            lambda: transition_automorphism(cone(), b.secondary))
         out += [("transition.unipotent", lambda: (
-                    ("pass", "(phi - id)^2 = 0") if transition().unipotent
+                    ("pass", "(phi - id)^2 = 0") if t.transition.unipotent
                     else ("fail", "not unipotent"))),
                 ("transition.homology-action", lambda: (
                     ("pass", "nontrivial on cone homology")
-                    if transition().nontrivial_on_homology
+                    if t.transition.nontrivial_on_homology
                     else ("fail", "acts as the identity on cone homology")))]
     return out
 
@@ -274,7 +325,7 @@ CHECKS = {
     # reads the axioms report when the axioms check has already made it
     "cc-antisymmetry": ("bialgebra", None, _one(
         lambda t: _conditional_status(check_cc_implies_antisymmetry(
-            t.data, vars(t).get("axioms"))))),
+            t.data, t.built("axioms"), t.kernel)))),
     "loday-ronco": ("bialgebra", None, _one(
         lambda t: _axiom_status(check_loday_ronco(t.data)))),
     "reverse-bivector-gate": ("bialgebra", "reverse_bivector",

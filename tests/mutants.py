@@ -1,0 +1,137 @@
+"""A checked-in mutation gate for the pair kernel and the shared expansions.
+
+Each mutant is (file under src/chainalg, a snippet that occurs exactly once
+in it, its replacement, the test that must kill it: a pytest node id under
+tests/).  `python tests/mutants.py` applies each mutant in turn to a
+temporary copy of src/, runs its test there in a subprocess with that copy
+first on PYTHONPATH, and prints one line per mutant.  It exits 1 when a
+mutant survives (its test passes), when its test cannot run (pytest exits
+with neither 0 nor 1), or when a snippet no longer occurs exactly once.
+`python tests/mutants.py 3 7` runs the mutants at those indices only.
+
+Only the standard library is used; the subprocess runs pytest with the
+interpreter that runs this script.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+PIECES = "tests/test_pair_pieces.py::test_one_pass_difference_matches_the_reference"
+QUANTIFIER = ("tests/test_pair_pieces.py::"
+              "test_fixture_mutants_match_the_reference_quantifier")
+ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_terms"
+ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
+ONCE = "tests/test_report.py::test_demo_forms_each_pair_defect_once"
+KEPT = "tests/test_report.py::test_a_raising_intermediate_runs_once"
+
+# (file, snippet, replacement, killing test)
+MUTANTS = [
+    # every sign decision of the pieces
+    ("bialgebra.py",
+     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:",
+     "if (sign < 0) + odd[a1] * (tau * (odd[a2] + b + p)) & 1:", PIECES),
+    ("bialgebra.py",
+     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:",
+     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + p)) & 1:", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dl * a\n", "if ((sign < 0)\n", PIECES),
+    ("bialgebra.py", "+ tau * odd[b2] * (a + odd[b1] + p)) & 1:",
+     "+ tau * odd[b2] * (odd[b1] + p)) & 1:", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dv * a + q * (a + odd[v1])",
+     "if ((sign < 0) + q * (a + odd[v1])", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dv * a + q * (a + odd[v1])",
+     "if ((sign < 0) + dv * a + q * a", PIECES),
+    ("bialgebra.py", "+ tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:",
+     "+ tau * (a + odd[v1] + p) * (odd[v2] + q)) & 1:", PIECES),
+    ("bialgebra.py", "                if negate:\n",
+     "                if not negate:\n", PIECES),
+    # the a/b parity choice of a hoisted coefficient
+    ("bialgebra.py", "for key, a1, c in hoisted(i)[odd[j]]:",
+     "for key, a1, c in hoisted(i)[odd[i]]:", PIECES),
+    ("bialgebra.py", "for b1, b2, c in hoisted(j)[odd[i]]:",
+     "for b1, b2, c in hoisted(j)[odd[j]]:", PIECES),
+    ("bialgebra.py", "for key, z1s in hoisted(i)[odd[j]]:",
+     "for key, z1s in hoisted(i)[odd[i]]:", PIECES),
+    # the rhs subtraction
+    ("bialgebra.py", "self._piece((kind, -sign, *args)) for kind, sign",
+     "self._piece((kind, sign, *args)) for kind, sign", PIECES),
+    # the witness re-expansion
+    ("bialgebra.py", "return (*found[:2], *self.sides(identity, *found[1]))",
+     "return found", QUANTIFIER),
+    # defect reuse when |mu| is odd, and for the wrong identity
+    ("bialgebra.py",
+     "self._defects = {} if mu.degree % 2 == 0 else None",
+     "self._defects = {}", PIECES),
+    ("bialgebra.py",
+     'keep = (self._defects if identity == "unital infinitesimal"',
+     'keep = (self._defects if identity == "unital anti-symmetry"', PIECES),
+    # SideIds.row on a summed side, and without its repeated-pair guard
+    ("graded.py",
+     "return self((t, mul(c, v)) for k, c in terms for t, v in at(k))",
+     "return self.row(tuple((t, mul(c, v)) for k, c in terms "
+     "for t, v in at(k)))", ASSOC),
+    ("graded.py", "return self(r) if len(key) < len(r) else self._id(key)",
+     "return self._id(key)", ROW_IDS),
+    # one kernel per package, and a raising intermediate kept
+    ("report.py", 't.data, t.built("axioms"), t.kernel)',
+     "t.data, None, t.kernel)", ONCE),
+    ("report.py", "t.comps,\n                                            t.kernel)",
+     "t.comps,\n                                            None)", ONCE),
+    ("report.py", "kept = t.kept[self.name] = (False, e)", "raise", KEPT),
+]
+
+
+def mutated(mutant) -> str | None:
+    """The mutated text of the mutant's file, or None when its snippet does
+    not occur exactly once."""
+    name, snippet, replacement, _ = mutant
+    text = (SRC / "chainalg" / name).read_text(encoding="utf-8")
+    if text.count(snippet) != 1:
+        return None
+    return text.replace(snippet, replacement)
+
+
+def run(mutant) -> str:
+    """"killed", "survived", "unmatched" or "broken" (the test could not
+    run: pytest exited with neither 0 nor 1)."""
+    text = mutated(mutant)
+    if text is None:
+        return "unmatched"
+    with tempfile.TemporaryDirectory(prefix="chainalg-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "chainalg" / mutant[0]).write_text(text, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", str(ROOT / mutant[3])],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "killed"}.get(code, "broken")
+
+
+def main(argv) -> int:
+    indices = [int(a) for a in argv] or range(len(MUTANTS))
+    outcomes = []
+    for k in indices:
+        outcome = run(MUTANTS[k])
+        outcomes.append(outcome)
+        name, snippet, _, test = MUTANTS[k]
+        print(f"{k:2d} {outcome:9s} {name}: {snippet.strip()[:60]!r} "
+              f"({test.split('::')[-1]})", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed} of {len(outcomes)} mutants killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 from chainalg import cone_product as cp
@@ -91,8 +92,8 @@ def test_axiom_records_carry_the_time_check_axioms_measured(monkeypatch):
     # the six records share one report; each reports its own axiom's time
     original = rp.check_axioms
 
-    def timed(inst):
-        report = original(inst)
+    def timed(inst, **kwargs):
+        report = original(inst, **kwargs)
         for i, r in enumerate(report.results):
             r.elapsed_ms = 1000.0 + i
         return report
@@ -140,3 +141,101 @@ def test_readme_lists_the_registry_checks_of_each_kind():
         if kind is not None:
             registry.setdefault(kind, set()).add(check)
     assert listed == registry
+
+
+def _cli_records(tmp_path, argv):
+    from chainalg.cli import main
+
+    out = tmp_path / "report.json"
+    code = main(argv + ["--format", "json", "--output", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))["records"]
+
+
+def _demo(tmp_path, name, window):
+    return _cli_records(tmp_path, ["demo", name, "--window", str(window)])
+
+
+def _raising(monkeypatch, modules, name, calls):
+    """Make <name> raise in each of `modules`, counting its calls."""
+    def broken(*args, **kwargs):
+        calls.append(name)
+        raise RuntimeError(f"{name} broke")
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, broken)
+
+
+def test_a_raising_intermediate_runs_once(monkeypatch, tmp_path):
+    # every record that reads a raising intermediate is an error with its
+    # text, and the intermediate runs once
+    from chainalg import bialgebra as bl
+
+    calls = []
+    _raising(monkeypatch, (rp, bl), "check_axioms", calls)
+    _raising(monkeypatch, (rp, cp), "derive_secondary_ops", calls)
+    code, records = _demo(tmp_path, "lambda-s3", 8)
+    assert code == 1
+    assert calls == ["check_axioms", "derive_secondary_ops"]
+    status = {r["id"].split(".", 1)[1]: (r["status"], r["detail"])
+              for r in records}
+    errors = {rid: detail for rid, (s, detail) in status.items()
+              if s == "error"}
+    assert set(errors) == {f"axioms.{a}" for a in rp.AXIOM_ORDER} | {
+        "components", "associativity", "assoc-infinitesimal"}
+    assert set(errors.values()) == {"RuntimeError: check_axioms broke",
+                                    "RuntimeError: derive_secondary_ops broke"}
+    # cc-antisymmetry then checks the unital infinitesimal relation itself
+    assert status["cc-antisymmetry"][0] == "pass"
+
+
+def test_a_raising_pair_kernel_is_built_once(monkeypatch, tmp_path):
+    from chainalg import bialgebra as bl
+
+    calls = []
+    _raising(monkeypatch, (rp, bl), "pair_kernel", calls)
+    code, records = _demo(tmp_path, "lambda-s3", 8)
+    assert code == 1 and calls == ["pair_kernel"]
+    errors = [r for r in records if r["status"] == "error"]
+    assert len(errors) == 6 + 2   # the axioms, cc-antisymmetry, and
+    assert {r["detail"] for r in errors} == {    # assoc-infinitesimal
+        "RuntimeError: pair_kernel broke"}
+
+
+def test_demo_forms_each_pair_defect_once(monkeypatch, tmp_path):
+    # one kernel per package: the unital infinitesimal difference of each
+    # safe pair is summed once, by the axioms quantifier; cc-antisymmetry
+    # reads the axioms report, and assoc-infinitesimal the kept defects
+    from chainalg.bialgebra import PairKernel
+
+    formed = Counter()
+    original = PairKernel._difference
+
+    def counting(kernel, identity):
+        fn = original(kernel, identity)
+        if identity not in ("unital infinitesimal", "defect"):
+            return fn
+
+        def counted(i, j):
+            formed[i, j] += 1
+            return fn(i, j)
+        return counted
+
+    monkeypatch.setattr(PairKernel, "_difference", counting)
+    for name, window in (("lambda-s3", 8), ("lambda-s1-plus", 12)):
+        formed.clear()
+        code, records = _demo(tmp_path, name, window)
+        assert code == 0, [r for r in records if r["status"] != "pass"]
+        safe = make_fixture(name, TruncationWindow(window)).safe_positions()
+        assert set(formed) == {(i, j) for i in safe for j in safe}, name
+        assert set(formed.values()) == {1}, name
+
+
+def test_a_raising_pair_cone_is_built_once(monkeypatch, tmp_path):
+    calls = []
+    _raising(monkeypatch, (rp,), "mapping_cone", calls)
+    code, records = _cli_records(tmp_path, ["demo", "tstar-s1"])
+    assert code == 1 and calls == ["mapping_cone"]
+    assert {r["id"]: r["detail"] for r in records if r["status"] == "error"} \
+        == {f"tstar-s1.{rid}": "RuntimeError: mapping_cone broke"
+            for rid in ("homology.cone", "transition.unipotent",
+                        "transition.homology-action")}

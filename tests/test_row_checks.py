@@ -450,3 +450,52 @@ def test_quotient_paths_make_no_name_path_calls(name_path_calls):
         "H_0 = R/2, H_1 = R/2 + R/2, H_2 = R/2"
     assert induced_quotient_homotopy(*lemma, top=2).verified
     assert dict(name_path_calls) == {}
+
+
+# -- the row contract ------------------------------------------------------------
+
+def _breaks_the_row_contract(table, keys):
+    """The first (key, row) of `table` among `keys` whose row repeats a key
+    or has a zero coefficient, else None."""
+    for key in keys:
+        row = table.at(key)
+        if len({k for k, _ in row}) < len(row) or any(c == 0 for _, c in row):
+            return key, row
+    return None
+
+
+LAMBDA_CASES = [(name, ring) for name in ("lambda-s3", "lambda-s1-plus",
+                                          "lambda-s1-minus")
+                for ring in RINGS]
+
+
+@pytest.mark.parametrize("name,ring", LAMBDA_CASES,
+                         ids=[f"{n}-{r}" for n, r in LAMBDA_CASES])
+def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
+    # `SideIds.row` interns a row as its set of terms: distinct keys and
+    # no zero coefficient (`OpTable`)
+    from chainalg.bialgebra import pair_kernel
+    from chainalg.cone_product import (closed_form_components,
+                                       derive_secondary_ops)
+    from chainalg.graded import basis_keys
+
+    inst = fx.make_fixture(name, fx.TruncationWindow(8), ring)
+    data = cone_data_from_bialgebra(inst, 3 if name == "lambda-s3" else 1)
+    ops = derive_secondary_ops(data)
+    kernel = pair_kernel(inst)
+    maps = {"mu": inst.mu, "lam": inst.lam, "m_L": ops.m_L, "m_R": ops.m_R,
+            "sigma": ops.sigma, "tau_L": ops.tau_L, "tau_R": ops.tau_R,
+            "beta": ops.beta, "product": ops.product,
+            **{f"barred {k}": op for k, op in ops.barred.items()},
+            **{f"component {k}": op
+               for k, op in closed_form_components(data).items()}}
+    A = inst.module
+    tables = {"mu tau": (kernel.mu_tau, tensor(A, A)),
+              "tau lam": (kernel.tau_lam, A),
+              **{k: (m.table(), m.source) for k, m in maps.items()}}
+    rows = 0
+    for label, (table, source) in tables.items():
+        keys = [key for _, key in basis_keys(source)]
+        assert _breaks_the_row_contract(table, keys) is None, label
+        rows += len(keys)
+    assert rows > 5_000

@@ -214,6 +214,21 @@ def test_side_ids_never_key_on_the_hash_alone():
     assert g([(0, 3), (0, 2)]) == g([])
 
 
+def test_side_ids_intern_a_row_as_its_terms():
+    ids = SideIds(ZZ)
+    row = ((0, 1), (2, -3))
+    assert ids.row(row) == ids(row) == ids(row[::-1]) == ids.row(row[::-1])
+    assert ids.sides[ids.row(row)] == frozenset(row)
+    # a row breaking the contract (a repeated pair) is summed, so its id
+    # is never that of a different sum: 1 + 1 + 2 = 4, not 1 + 2
+    assert ids.row(((0, 1), (0, 1), (0, 2))) == ids([(0, 4)])
+    assert ids.row(((0, 1), (0, 1), (0, 2))) != ids.row(((0, 1), (0, 2)))
+    # a repeated key or a zero coefficient can only make equal sides look
+    # different
+    assert ids.row(((0, 1), (0, 2))) != ids([(0, 3)])
+    assert ids.row(((0, 0),)) != ids([])
+
+
 # -- associativity on random products ------------------------------------------
 
 def modules(ring):
