@@ -83,6 +83,7 @@ assoc-infinitesimal check.  Both stop at the first failing input through
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -257,7 +258,7 @@ class TensorModule(GradedModule):
 
     def basis(self):
         out = []
-        for combo in _product([f.basis() for f in self.factors]):
+        for combo in itertools.product(*(f.basis() for f in self.factors)):
             out.append(BasisElement(
                 TENSOR_SEP.join(e.name for e in combo),
                 sum(e.degree for e in combo),
@@ -316,15 +317,6 @@ class TensorModule(GradedModule):
 
     def __repr__(self):
         return f"TensorModule({self.name})"
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head, *rest)
 
 
 def tensor(*modules) -> GradedModule:

@@ -109,12 +109,13 @@ def _parse_module(obj, ring, path) -> GradedModule:
     _cap(basis_raw, MAX_BASIS, path + ".basis", "basis elements")
     basis = []
     for i, b in enumerate(basis_raw):
-        bp = f"{path}.basis[{i}]"
-        _expect(isinstance(b, dict), bp, "expected an object")
-        name = _get(b, "name", bp, typ=str)
-        degree = _get(b, "degree", bp, typ=int)
-        _expect(TENSOR_SEP not in name and name, bp + ".name",
-                "names must be nonempty and free of the tensor separator")
+        name = degree = None
+        if isinstance(b, dict):
+            name, degree = b.get("name"), b.get("degree")
+        if not (isinstance(name, str) and name and TENSOR_SEP not in name
+                and isinstance(degree, int)
+                and not isinstance(degree, bool)):
+            raise _basis_error(b, f"{path}.basis[{i}]")
         basis.append(BasisElement(name, degree))
     try:
         return GradedModule(ring, basis)
@@ -122,61 +123,18 @@ def _parse_module(obj, ring, path) -> GradedModule:
         raise SchemaError(path + ".basis", str(e))
 
 
-def _error(path, entry, field, message):
-    """SchemaError at `path` + `field`; with an entry number, `path` is
-    first extended to that entry of the operation table at `path`."""
-    if entry is not None:
-        path = f"{path}.entries[{entry}]"
-    return SchemaError(path + field, message)
-
-
-def _parse_terms(raw, pos, arity, ring, parsed, path, entry=None,
-                 field="") -> dict:
-    """[[coeff, name-or-names], ...] summed into {k: coefficient}, where k
-    is the position in `pos` of a name (arity 1) or the tuple of positions
-    of `arity` names.  `parsed` caches the coefficient texts already read.
-    The list sits at `path`, entry, `field` (see `_error`); field paths are
-    built only for an error."""
-    if not isinstance(raw, list):
-        raise _error(path, entry, field,
-                     "expected a list of [coeff, name] pairs")
-    acc = {}
-    for t, term in enumerate(raw):
-        if not (isinstance(term, list) and len(term) == 2):
-            raise _error(path, entry, f"{field}[{t}]",
-                         "expected [coefficient, name]")
-        coeff_raw, name_raw = term
-        if not isinstance(coeff_raw, str):
-            raise _error(path, entry, f"{field}[{t}][0]",
-                         "coefficients are strings")
-        c = parsed.get(coeff_raw)
-        if c is None:
-            try:
-                c = parsed[coeff_raw] = ring.parse(coeff_raw)
-            except (ValueError, ZeroDivisionError) as e:
-                raise _error(path, entry, f"{field}[{t}][0]",
-                             f"bad coefficient: {e}")
-        if arity == 1:
-            if not isinstance(name_raw, str):
-                raise _error(path, entry, f"{field}[{t}][1]",
-                             "expected a name")
-            k = pos.get(name_raw)
-            if k is None:
-                raise _error(path, entry, f"{field}[{t}][1]",
-                             f"unknown basis name {name_raw!r}")
-        else:
-            if not (isinstance(name_raw, list) and len(name_raw) == arity):
-                raise _error(path, entry, f"{field}[{t}][1]",
-                             f"expected a list of {arity} names")
-            # a name's type is checked before the lookup: a list is unhashable
-            k = tuple(pos.get(nm) if isinstance(nm, str) else None
-                      for nm in name_raw)
-            if None in k:
-                raise _error(path, entry, f"{field}[{t}][1]", "unknown basis "
-                             f"name {name_raw[k.index(None)]!r}")
-        old = acc.get(k)
-        acc[k] = c if old is None else ring.add(old, c)
-    return acc
+def _basis_error(b, path) -> SchemaError:
+    """The error of a basis element at `path` that `_parse_module` refused:
+    its first fault, in the order object, name, degree, the name's form."""
+    if not isinstance(b, dict):
+        return SchemaError(path, "expected an object")
+    try:
+        _get(b, "name", path, typ=str)
+        _get(b, "degree", path, typ=int)
+    except SchemaError as e:
+        return e
+    return SchemaError(path + ".name",
+                       "names must be nonempty and free of the tensor separator")
 
 
 def _degree_error(acc, degree_of, expected):
@@ -191,88 +149,166 @@ def _degree_error(acc, degree_of, expected):
     return f"inhomogeneous value: degrees {degs}, expected {expected}"
 
 
-def _parse_combo(raw, module, path, arity=1, degree=None) -> Vector:
-    """[[coeff, name-or-names], ...] into a vector of module (tensor power),
-    whose nonzero terms must all have `degree` when it is given."""
-    idx = module.index()
-    acc = _parse_terms(raw, idx.pos, arity, module.ring, {}, path)
-    if degree is not None:
-        deg = idx.degree
-        message = _degree_error(acc, deg.__getitem__ if arity == 1 else
-                                lambda k: sum(map(deg.__getitem__, k)), degree)
-        if message:
-            raise SchemaError(path, message)
+def _name_error(name, arity, pos) -> str:
+    """The message for a term's `name`, a name or a list of `arity` names,
+    that is not all in `pos`."""
     if arity == 1:
-        return Vector._trusted(module, {idx.names[k]: c
-                                        for k, c in acc.items()})
-    return Vector._trusted(tensor(*([module] * arity)), {
-        TENSOR_SEP.join(idx.names[x] for x in k): c for k, c in acc.items()})
+        return (f"unknown basis name {name!r}" if isinstance(name, str) else
+                "expected a name")
+    name = next(nm for nm in name if not (isinstance(nm, str) and nm in pos))
+    return f"unknown basis name {name!r}"
 
 
 _MISSING = object()
 
 
-def _positions(module):
-    """Positions by name and degrees by position of an atomic module."""
-    idx = module.index()
-    return idx.pos, idx.degree
+def _parse_rows(entries, ins, target, degree, path, combo=False) -> dict:
+    """The rows of the operation table `entries` at `path`, by input.
+
+    An input's key is the tuple of its names' positions in the `BasisIndex`
+    of each input factor, `ins`; its row is in the form of `OpTable.row`,
+    on positions of the atomic `target` or of the atomic factor of a tensor
+    power `target`.  A repeated input is refused.  A combination is the
+    one entry {"in": [], "out": terms}, with no inputs and `combo` set, and
+    its field paths are those of the terms at `path`.
+
+    One loop reads every entry and term, with no Python-level call on a
+    well-formed entry: names become positions by lookup, each distinct
+    coefficient text is parsed once, and each term's degree is compared
+    with the entry's (`degree` plus the inputs' degrees) as it is read.
+    Only an entry with a term of another degree is judged, on the terms
+    left after repeated outputs are summed: terms that cancel leave a zero
+    value, which has no degree.  With `degree` None nothing is judged.
+    Field paths are built only for an error."""
+    parse, add = target.ring.parse, target.ring.add
+    out = target.factors[0].index()
+    out_pos, out_deg, arity = out.pos, out.degree, target.arity
+    degree_of = out_deg.__getitem__ if arity == 1 else (
+        lambda k: sum(map(out_deg.__getitem__, k)))
+    n_in = len(ins)
+    (pos1, deg1), (pos2, deg2) = [(f.pos, f.degree) for f in ins] + [
+        (None, None)] * (2 - n_in)
+
+    def error(i, field, message):
+        if combo:   # the terms of a combination: `field` is ".out..."
+            return SchemaError(path + field[len(".out"):], message)
+        return SchemaError(f"{path}.entries[{i}]{field}", message)
+
+    def term_error(i, terms, term, field, message):
+        # a term's fault depends on its value alone and every earlier term
+        # passed, so the first term equal to `term` is the one that failed
+        return error(i, f".out[{terms.index(term)}]{field}", message)
+
+    parsed = {}     # each distinct coefficient text is parsed once
+    zero = False    # some text parsed to zero: rows drop zero coefficients
+    rows = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise error(i, "", "expected an object")
+        in_raw = entry.get("in", _MISSING)
+        if not isinstance(in_raw, list):
+            raise error(i, ".in", "missing required field"
+                        if in_raw is _MISSING else
+                        f"expected list, got {type(in_raw).__name__}")
+        if len(in_raw) != n_in:
+            raise error(i, ".in", f"expected {n_in} input name(s)")
+        try:
+            if n_in == 2:
+                a, b = in_raw
+                a, b = pos1[a], pos2[b]
+                key, expected = (a, b), degree + deg1[a] + deg2[b]
+            elif n_in:
+                a = pos1[in_raw[0]]
+                key, expected = (a,), degree + deg1[a]
+            else:
+                key, expected = (), degree
+        except (KeyError, TypeError):   # a list or dict name is unhashable
+            name = next(nm for nm, pos in zip(in_raw, (pos1, pos2))
+                        if not (isinstance(nm, str) and nm in pos))
+            raise error(i, ".in", f"unknown basis name {name!r}") from None
+        if key in rows:
+            raise error(i, ".in", "duplicate entry for this input")
+        out_raw = entry.get("out", _MISSING)
+        if not isinstance(out_raw, list):
+            raise error(i, ".out", "missing required field"
+                        if out_raw is _MISSING else
+                        "expected a list of [coeff, name] pairs")
+        acc = {}
+        mixed = False
+        for term in out_raw:
+            if not (isinstance(term, list) and len(term) == 2):
+                raise term_error(i, out_raw, term, "",
+                                 "expected [coefficient, name]")
+            text, name = term
+            try:
+                c = parsed[text]
+            except (KeyError, TypeError):
+                if not isinstance(text, str):
+                    raise term_error(i, out_raw, term, "[0]",
+                                     "coefficients are strings") from None
+                try:
+                    c = parsed[text] = parse(text)
+                except (ValueError, ZeroDivisionError) as e:
+                    raise term_error(i, out_raw, term, "[0]",
+                                     f"bad coefficient: {e}") from None
+                zero = zero or c == 0
+            try:
+                if arity == 1:
+                    k = out_pos[name]
+                    d = out_deg[k]
+                elif arity == 2 and isinstance(name, list) and len(name) == 2:
+                    x, y = name
+                    x, y = out_pos[x], out_pos[y]
+                    k, d = (x, y), out_deg[x] + out_deg[y]
+                elif isinstance(name, list) and len(name) == arity:
+                    k = tuple(map(out_pos.__getitem__, name))
+                    d = degree_of(k)
+                else:
+                    raise term_error(i, out_raw, term, "[1]",
+                                     f"expected a list of {arity} names")
+            except (KeyError, TypeError):   # unhashable names included
+                raise term_error(i, out_raw, term, "[1]", _name_error(
+                    name, arity, out_pos)) from None
+            if d != expected:
+                mixed = True
+            if k in acc:
+                acc[k] = add(acc[k], c)
+            else:
+                acc[k] = c
+        if mixed and expected is not None:
+            message = _degree_error(acc, degree_of, expected)
+            if message:
+                raise error(i, ".out", message)
+        rows[key] = (tuple(acc.items()) if len(acc) == len(out_raw) and not zero
+                     else tuple((k, c) for k, c in acc.items() if c != 0))
+    return rows
+
+
+def _parse_combo(raw, module, path, arity=1, degree=None) -> Vector:
+    """[[coeff, name-or-names], ...] into a vector of module (tensor power),
+    whose nonzero terms must all have `degree` when it is given: the one
+    row of a table with no inputs."""
+    target = tensor(*([module] * arity))
+    (row,) = _parse_rows([{"in": [], "out": raw}], (), target, degree, path,
+                         combo=True).values()
+    names = module.index().names
+    if arity == 1:
+        return Vector._trusted(module, {names[k]: c for k, c in row})
+    return Vector._trusted(target, {TENSOR_SEP.join(names[x] for x in k): c
+                                    for k, c in row})
 
 
 def _parse_operation(obj, source, target, path) -> GradedMap:
     """An operation table from `source` (an atomic module or a tensor power
     of one) to `target` (likewise); each input lists one name per factor.
-
-    Each entry is parsed once, straight into the row form of `OpTable.row`
-    keyed by its input positions, and the map is a row map on them.  Names become positions by lookup in `GradedModule.index`,
-    degrees are read by position, each distinct coefficient text is parsed
-    once, and an entry's value is judged for homogeneity on the terms left
-    after repeated outputs are summed.  Field paths are built only for an
-    error."""
+    The entries are parsed in one pass (`_parse_rows`) straight into the
+    rows of a row map keyed by input positions."""
     _expect(isinstance(obj, dict), path, "expected an object")
     degree = _get(obj, "degree", path, typ=int)
     entries = _get(obj, "entries", path, typ=list)
     _cap(entries, MAX_ENTRIES, path + ".entries", "entries")
-    R = source.ring
-    ins = [_positions(f) for f in source.factors]
-    out_pos, out_deg = _positions(target.factors[0])
-    in_arity, out_arity = len(ins), target.arity
-    degree_of = (out_deg.__getitem__ if out_arity == 1 else
-                 lambda k: sum(map(out_deg.__getitem__, k)))
-    parsed = {}   # each distinct coefficient text is parsed once
-    rows = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise _error(path, i, "", "expected an object")
-        in_raw = entry.get("in", _MISSING)
-        if not isinstance(in_raw, list):
-            raise _error(path, i, ".in", "missing required field"
-                               if in_raw is _MISSING else
-                               f"expected list, got {type(in_raw).__name__}")
-        if len(in_raw) != in_arity:
-            raise _error(path, i, ".in",
-                               f"expected {in_arity} input name(s)")
-        key = []
-        expected = degree
-        for nm, (pos, degs) in zip(in_raw, ins):
-            p = pos.get(nm) if isinstance(nm, str) else None
-            if p is None:
-                raise _error(path, i, ".in", f"unknown basis name {nm!r}")
-            key.append(p)
-            expected += degs[p]
-        key = tuple(key)
-        if key in rows:
-            raise _error(path, i, ".in", "duplicate entry for this input")
-        out_raw = entry.get("out", _MISSING)
-        if out_raw is _MISSING:
-            raise _error(path, i, ".out", "missing required field")
-        acc = _parse_terms(out_raw, out_pos, out_arity, R, parsed, path, i,
-                           ".out")
-        if not set(map(degree_of, acc)) <= {expected}:
-            message = _degree_error(acc, degree_of, expected)
-            if message:
-                raise _error(path, i, ".out", message)
-        rows[key] = (tuple(acc.items()) if all(acc.values()) else
-                     tuple((k, c) for k, c in acc.items() if c != 0))
+    rows = _parse_rows(entries, [f.index() for f in source.factors], target,
+                       degree, path)
     return GradedMap(source, target, degree, lambda *ij: rows.get(ij, ()))
 
 
@@ -289,6 +325,8 @@ def ingest(data) -> Scenario:
             raise SchemaError("$", f"invalid JSON: line {e.lineno} column {e.colno}")
         except ValueError as e:   # an integer beyond int's digit limit
             raise SchemaError("$", f"invalid JSON: {e}")
+        except RecursionError:   # nesting beyond the decoder's depth limit
+            raise SchemaError("$", "invalid JSON: nested too deeply")
     _expect(isinstance(data, dict), "$", "scenario must be a JSON object")
     version = _get(data, "schema_version", "$", typ=int)
     _expect(version == 1, "$.schema_version", f"unsupported version {version}")
@@ -453,12 +491,32 @@ def _combo_to_json(v: Vector):
 
 
 def _operation_to_json(m: GradedMap):
-    """An operation table of `m`: one entry per basis element with a
-    nonzero value, as `_parse_operation` reads it back."""
-    values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
+    """An operation table of `m`, as `_parse_operation` reads it back: one
+    entry per source basis element with a nonzero row, in the source's
+    canonical order (degree, name), each value's terms sorted by name (the
+    joined name in a tensor target).  Rows are read by position from
+    `m.table()`; names are joined only to sort a tensor's."""
+    table, fmt = m.table(), m.target.ring.format
+    ins = [f.index() for f in m.source.factors]
+    if len(ins) == 1:
+        rows = [([n], table.row(i)) for i, n in enumerate(ins[0].names)]
+    else:
+        (a_names, _, _, a_deg), (b_names, _, _, b_deg) = ins
+        keyed = sorted(   # by degree, then by the joined name
+            (a_deg[i] + b_deg[j], a + TENSOR_SEP + b, [a, b], row)
+            for i, a in enumerate(a_names) for j, b in enumerate(b_names)
+            if (row := table.row(i, j)))
+        rows = [(parts, row) for _, _, parts, row in keyed]
+    names, split = m.target.factors[0].index().names, m.target.arity > 1
+
+    def out(row):
+        terms = [([names[x] for x in k] if split else names[k], c)
+                 for k, c in row]
+        terms.sort(key=lambda t: TENSOR_SEP.join(t[0]) if split else t[0])
+        return [[fmt(c), name] for name, c in terms]
+
     return {"degree": m.degree, "entries": [
-        {"in": list(m.source.parts_of(n)), "out": _combo_to_json(v)}
-        for n, v in values if not v.is_zero()]}
+        {"in": parts, "out": out(row)} for parts, row in rows if row]}
 
 
 def _module_to_json(module: GradedModule):

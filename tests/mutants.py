@@ -1,4 +1,5 @@
-"""A checked-in mutation gate for the pair kernel and the shared expansions.
+"""A checked-in mutation gate for the pair kernel, the shared expansions, and
+the scenario parser and exporter.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -32,6 +33,17 @@ ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_ter
 ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
 ONCE = "tests/test_report.py::test_demo_forms_each_pair_defect_once"
 KEPT = "tests/test_report.py::test_a_raising_intermediate_runs_once"
+TABLE_ERRORS = ("tests/test_scenario.py::"
+                "test_operation_table_errors_keep_path_and_message")
+COMBO_ERRORS = ("tests/test_scenario.py::"
+                "test_combination_errors_keep_path_and_message")
+BASIS_ERRORS = ("tests/test_scenario.py::"
+                "test_module_basis_errors_keep_path_and_message")
+CANCEL = "tests/test_scenario.py::test_cancelling_terms_give_an_empty_row"
+FIRST_TERM = ("tests/test_scenario.py::"
+              "test_a_term_error_names_the_first_failing_term")
+EXPORT_ORDER = ("tests/test_export.py::"
+                "test_export_sorts_tensor_inputs_and_terms_by_joined_name")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -86,6 +98,42 @@ MUTANTS = [
     ("report.py", "t.comps,\n                                            t.kernel)",
      "t.comps,\n                                            None)", ONCE),
     ("report.py", "kept = t.kept[self.name] = (False, e)", "raise", KEPT),
+    # the one-pass table parser: a repeated input, the degree of each
+    # input and output factor, homogeneity judged after summing, zero
+    # coefficients, the coefficient cache, and the field paths
+    ("scenario.py", "        if key in rows:\n", "        if False:\n",
+     "tests/test_scenario.py::test_repeated_cross_map_input_rejected"),
+    ("scenario.py", "degree + deg1[a] + deg2[b]", "degree + deg1[a]",
+     TABLE_ERRORS),
+    ("scenario.py", "out_deg[x] + out_deg[y]", "out_deg[x] + out_deg[x]",
+     "tests/test_scenario.py::"
+     "test_a_tensor_term_has_the_degree_of_both_factors"),
+    ("scenario.py", "            if d != expected:\n                mixed = True",
+     "            if d != expected:\n"
+     "                raise error(i, \".out\", \"inhomogeneous value\")",
+     CANCEL),
+    ("scenario.py", "tuple((k, c) for k, c in acc.items() if c != 0)",
+     "tuple(acc.items())", CANCEL),
+    ("scenario.py", "zero = zero or c == 0", "zero = False",
+     "tests/test_scenario.py::test_zero_coefficients_leave_no_term"),
+    ("scenario.py", "    parsed = {}     # each distinct coefficient text",
+     "    parsed = _parse_rows.__dict__.setdefault(\"parsed\", {})  #",
+     "tests/test_scenario.py::test_coefficients_are_parsed_per_ring"),
+    ("scenario.py", "for i, entry in enumerate(entries):",
+     "for i, entry in enumerate(entries, 1):", TABLE_ERRORS),
+    ("scenario.py", "terms.index(term)", "len(terms) - 1", FIRST_TERM),
+    ("scenario.py", "path + field[len(\".out\"):]", "path + field",
+     COMBO_ERRORS),
+    ("scenario.py", "and not isinstance(degree, bool)", "", BASIS_ERRORS),
+    ("scenario.py", "        _get(b, \"name\", path, typ=str)\n"
+     "        _get(b, \"degree\", path, typ=int)\n",
+     "        _get(b, \"degree\", path, typ=int)\n"
+     "        _get(b, \"name\", path, typ=str)\n", BASIS_ERRORS),
+    # the exporter: inputs and terms of a tensor in joined-name order
+    ("scenario.py", "        terms.sort(key=", "        terms.sort or (",
+     EXPORT_ORDER),
+    ("scenario.py", "b_deg[j], a + TENSOR_SEP + b, [a, b]",
+     "b_deg[j], (a, b), [a, b]", EXPORT_ORDER),
 ]
 
 

@@ -10,10 +10,12 @@ Vector, so a library `GradedMap` may stand wherever a map is expected
 (`named` wraps one to compose it).  `NameMap.row_map` turns a reference with
 a source of arity <= 2 into a library map, by `GradedMap.from_table` over
 the source basis; references of arity 3, such as mu (mu (x) 1), stay
-name-keyed.
+name-keyed.  `operation_to_json` is the exporter that read every table by
+names, kept as the reference of the one that reads rows.
 """
 
 from chainalg.graded import TENSOR_SEP, GradedMap, GradedModule, Vector, tensor
+from chainalg.scenario import _combo_to_json
 
 
 class NameMap:
@@ -147,3 +149,13 @@ def insert_right(v: Vector, M: GradedModule) -> NameMap:
         return -out if v.degree() % 2 and M.degree_of(n) % 2 else out
 
     return NameMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
+
+
+def operation_to_json(m):
+    """An operation table of `m` read by names: `eval_basis` on every name
+    of the source basis in canonical order, one entry per nonzero value.
+    The reference of `chainalg.scenario._operation_to_json`."""
+    values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
+    return {"degree": m.degree, "entries": [
+        {"in": list(m.source.parts_of(n)), "out": _combo_to_json(v)}
+        for n, v in values if not v.is_zero()]}

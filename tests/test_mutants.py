@@ -1,11 +1,11 @@
 """The mutation gate of `mutants.py`: every snippet still matches, and a
-fixed sample of its mutants is killed (about 5 s on 2 CPUs; the whole gate
+fixed sample of its mutants is killed (about 6 s on 2 CPUs; the whole gate
 runs with `python tests/mutants.py`)."""
 
 import mutants
 
-SAMPLE = (11, 16, 17)   # the rhs subtraction, SideIds.row's guard, and
-# cc-antisymmetry given no axioms report
+SAMPLE = (11, 16, 17, 28)   # the rhs subtraction, SideIds.row's guard,
+# cc-antisymmetry given no axioms report, and a term error's index
 
 
 def test_every_mutant_snippet_occurs_once():

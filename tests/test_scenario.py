@@ -480,6 +480,15 @@ def test_oversized_json_integer_is_a_schema_error():
     assert "invalid JSON" in ei.value.message
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000,
+                                  '{"module": ' + "[" * 100_000])
+def test_deeply_nested_json_is_a_schema_error(text):
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(text)
+    assert (ei.value.path, ei.value.message) == (
+        "$", "invalid JSON: nested too deeply")
+
+
 def test_gf_modulus_is_bounded():
     import time
 
@@ -722,6 +731,76 @@ def test_combination_errors_keep_path_and_message(field, value, path,
     assert (err.path, err.message) == (path, message)
 
 
+# Every SchemaError of a module basis, with the exact path and message:
+# (which module, its basis, path, message).  The checks run in a fixed
+# order per element (object, name present and a string, degree present and
+# an integer, then the name's form), so an element with two faults reports
+# the first; a repeated name is judged on the whole basis.
+_BASIS_ERRORS = [
+    ("module", [{"name": "e", "degree": 0}, 5], "$.module.basis[1]",
+     "expected an object"),
+    ("module", [["e", 0]], "$.module.basis[0]", "expected an object"),
+    ("module", [{"degree": 0}], "$.module.basis[0].name",
+     "missing required field"),
+    ("module", [{"name": 5, "degree": 0}], "$.module.basis[0].name",
+     "expected str, got int"),
+    ("module", [{"name": ["e"], "degree": 0}], "$.module.basis[0].name",
+     "expected str, got list"),
+    ("module", [{"name": None, "degree": 0}], "$.module.basis[0].name",
+     "expected str, got NoneType"),
+    ("module", [{"name": "", "degree": 0}], "$.module.basis[0].name",
+     "names must be nonempty and free of the tensor separator"),
+    ("module", [{"name": "e", "degree": 0}, {"name": "x⊗y", "degree": 1}],
+     "$.module.basis[1].name",
+     "names must be nonempty and free of the tensor separator"),
+    ("module", [{"name": "e"}], "$.module.basis[0].degree",
+     "missing required field"),
+    ("module", [{"name": "e", "degree": 1.0}], "$.module.basis[0].degree",
+     "expected int, got float"),
+    ("module", [{"name": "e", "degree": "0"}], "$.module.basis[0].degree",
+     "expected int, got str"),
+    ("module", [{"name": "e", "degree": False}], "$.module.basis[0].degree",
+     "expected int, got bool"),
+    ("module", [{}], "$.module.basis[0].name", "missing required field"),
+    ("module", [{"name": "", "degree": 1.5}], "$.module.basis[0].degree",
+     "expected int, got float"),
+    ("module", [{"name": 7}], "$.module.basis[0].name",
+     "expected str, got int"),
+    ("module", [{"name": "e", "degree": 0}, {"name": "e", "degree": 1}],
+     "$.module.basis", "duplicate basis name 'e'"),
+    ("module", {"name": "e"}, "$.module.basis", "expected list, got dict"),
+    ("pair", [7], "$.pair.module.basis[0]", "expected an object"),
+    ("pair", [{"degree": 0}], "$.pair.module.basis[0].name",
+     "missing required field"),
+    ("pair", [{"name": 5, "degree": 0}], "$.pair.module.basis[0].name",
+     "expected str, got int"),
+    ("pair", [{"name": "", "degree": 0}], "$.pair.module.basis[0].name",
+     "names must be nonempty and free of the tensor separator"),
+    ("pair", [{"name": "m⊗", "degree": 0}], "$.pair.module.basis[0].name",
+     "names must be nonempty and free of the tensor separator"),
+    ("pair", [{"name": "m"}], "$.pair.module.basis[0].degree",
+     "missing required field"),
+    ("pair", [{"name": "m", "degree": 0.5}], "$.pair.module.basis[0].degree",
+     "expected int, got float"),
+    ("pair", [{"name": "m", "degree": 0}, {"name": "m", "degree": 0}],
+     "$.pair.module.basis", "duplicate basis name 'm'"),
+]
+
+
+@pytest.mark.parametrize("module, basis, path, message", _BASIS_ERRORS)
+def test_module_basis_errors_keep_path_and_message(module, basis, path,
+                                                   message):
+    if module == "module":
+        doc = json.loads(json.dumps(_TABLES_BIALGEBRA))
+        doc["mu"]["entries"] = doc["eta"] = []
+        doc["module"]["basis"] = basis
+    else:
+        doc = _table_doc("cx.pair.map", [])
+        doc["pair"]["module"]["basis"] = basis
+    err = _schema_error(doc)
+    assert (err.path, err.message) == (path, message)
+
+
 def test_combination_terms_are_summed():
     eta = [["1", "e"], ["2", "e"]]
     assert sc.ingest(_combination_doc("eta", eta)).payload.eta.coeffs == {
@@ -740,6 +819,65 @@ def test_cancelling_terms_give_an_empty_row():
     doc = _table_doc("mu", [_e(["e", "e"], [["1", "e"], ["1", "x"],
                                             ["-1", "x"]])])
     assert sc.ingest(json.dumps(doc)).payload.mu.table().row(0, 0) == ((0, 1),)
+
+
+@pytest.mark.parametrize("ring, zero", [("Z", "0"), ("Q", "0/3"),
+                                        ("GF(5)", "10")])
+def test_zero_coefficients_leave_no_term(ring, zero):
+    # a coefficient text that reads as zero in the ring adds no term, in a
+    # table and in a combination alike
+    doc = _table_doc("mu", [_e(["e", "e"], [[zero, "e"]]),
+                            _e(["x", "e"], [["1", "x"], [zero, "x"]]),
+                            _e(["e", "x"], [[zero, "x"], ["2", "x"]])], ring)
+    doc["eta"] = [["1", "e"], [zero, "e"], [zero, "x"]]
+    scn = sc.ingest(json.dumps(doc))
+    mu = scn.payload.mu.table()
+    assert [mu.row(0, 0), mu.row(1, 0), mu.row(0, 1)] == [(), ((1, 1),),
+                                                          ((1, 2),)]
+    assert scn.payload.eta.coeffs == {"e": 1}
+
+
+@pytest.mark.parametrize("names", [["e", "x"], ["x", "e"]])
+def test_a_tensor_term_has_the_degree_of_both_factors(names):
+    # lam has degree -1, so lam(x) has degree 0; e (x) x and x (x) e have
+    # degree 1, which reading one factor twice would miss for one of them
+    err = _schema_error(_table_doc("lambda", [_e(["x"], [["1", names]])]))
+    assert (err.path, err.message) == (
+        "$.lambda.entries[0].out", "inhomogeneous value: degree 1, expected 0")
+
+
+def test_coefficients_are_parsed_per_ring():
+    # the same texts read in each ring in turn, twice over: no value read
+    # in one ring is reused in another
+    want = {"Z": -1, "Q": -1, "GF(5)": 4, "GF(3)": 2, "GF(2)": 1}
+    for ring, value in list(want.items()) * 2:
+        doc = _table_doc("mu", [_e(["e", "e"], [["-1", "e"]])], ring)
+        doc["eta"] = [["-1", "e"]]
+        payload = sc.ingest(json.dumps(doc)).payload
+        assert payload.mu.table().row(0, 0) == ((0, value),), ring
+        assert payload.eta.coeffs == {"e": value}, ring
+
+
+@pytest.mark.parametrize("where, value, path", [
+    ("mu", [_e(["e", "e"], [["1", "e"]]), _e(["e", "x"], []),
+            _e(["x", "e"], [["1", "x"], ["1", "ghost"], ["1", "ghost"],
+                            ["1", "x"]])],
+     "$.mu.entries[2].out[1][1]"),
+    ("mu", [_e(["e", "e"], [["1", "e"], ["1", "e"], [1, "e"], ["1", "e"],
+                            [1, "e"]])],
+     "$.mu.entries[0].out[2][0]"),
+    ("lambda", [_e(["x"], [["1", ["e", "x"]], ["1", ["e", "x"]],
+                           ["1", ["e", "x", "e"]], ["1", ["e", "x"]]])],
+     "$.lambda.entries[0].out[2][1]"),
+    ("eta", [["1", "e"], ["2", "e"], ["z", "e"], ["z", "e"]], "$.eta[2][0]"),
+])
+def test_a_term_error_names_the_first_failing_term(where, value, path):
+    if where == "eta":
+        doc = json.loads(json.dumps(_TABLES_BIALGEBRA))
+        doc["eta"] = value
+    else:
+        doc = _table_doc(where, value)
+    assert _schema_error(doc).path == path
 
 
 def _instances_to_export():
