@@ -16,6 +16,8 @@ zero-dimensional matrices are legal everywhere.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .rings import Ring, ZZ
 
 
@@ -261,21 +263,26 @@ def diagonal_of(D: ExactMatrix):
 class ImageSolver:
     """One factorization P*M*Q = D of the rows x len(columns) matrix M whose
     columns are given as sparse columns, {row position: coefficient} dicts
-    (zero entries are dropped, a key outside [0, rows) raises
-    DimensionError), read the same way over every ring.  Every query takes
-    and returns vectors in that form, without zero entries.
+    (each entry goes through the ring's `canon`, so an inexact one raises
+    TypeError and a residue is reduced; zero entries are dropped, and a key
+    outside [0, rows) raises DimensionError), read the same way over every
+    ring.  Every query takes and returns vectors in that form, without zero
+    entries.
 
     D is diagonal with d_1 | d_2 | ... (d_i = 0 past the rank, rows beyond
     the columns included).  It comes from eliminating pivots on the sparse
     columns (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004,
     ch. 3): any nonzero entry over a field, only +-1 over Z, each time the
-    one of least Markowitz cost (entries in its row - 1) * (entries in its
-    column - 1).  A pivot a at (i, j) clears row i by adding multiples of
-    column j to the others, recorded as the pairs (j2, g) of column
-    j2 -= g * column j; then row i and column j leave the matrix, and the
-    rest of column j, kept as it stands, is cleared by row operations that
-    touch nothing else.  Over Z every step is unimodular with a = +-1, and
-    only the residual, the block with no unit entry left, goes through
+    first in column order of least Markowitz cost (entries in its row - 1) *
+    (entries in its column - 1).  No entry costs less than the floor (fewest
+    entries in a column - 1) * (fewest entries in a nonempty row - 1), so
+    the search stops at the first admissible entry that attains it.  A
+    pivot a at (i, j) clears row i by adding multiples of column j to the
+    others, recorded as the pairs (j2, g) of column j2 -= g * column j;
+    then row i and column j leave the matrix, and the rest of column j,
+    kept as it stands, is cleared by row operations that touch nothing
+    else.  Over Z every step is unimodular with a = +-1, and only the
+    residual, the block with no unit entry left, goes through
     `smith_normal_form` (U * residual * V diagonal); over a field nothing is
     left.  D's rows are the pivots in order, U's rows, then the rows that no
     column reaches; its columns are the pivots, V's columns, then the zero
@@ -308,16 +315,22 @@ class ImageSolver:
         field = R.is_field
         self.ring, self.rows, self.cols = R, rows, len(columns)
         cols = {}
-        by_row = {}
+        by_row = defaultdict(set)
+        canon, positions = R.canon, range(rows)
         for j, col in enumerate(columns):
-            _check_rows(col, rows)
-            col = {i: c for i, c in col.items() if c != 0}
-            if col:
-                cols[j] = col
-                for i in col:
-                    by_row.setdefault(i, set()).add(j)
+            live = {}
+            for i, x in col.items():
+                if i not in positions:
+                    _check_rows(col, rows)   # raises DimensionError
+                c = canon(x)
+                if c != 0:
+                    live[i] = c
+                    by_row[i].add(j)
+            if live:
+                cols[j] = live
         # (i, j, a, 1/a, rest of column j, column operations) per pivot
         pivots = self._pivots = []
+        mul, sub = R.mul, R.sub
         while True:
             piv = _markowitz_pivot(cols, by_row, field)
             if piv is None:
@@ -325,7 +338,7 @@ class ImageSolver:
             i, j = piv
             col = cols.pop(j)
             a = col.pop(i)
-            f = R.inv(a) if field else a   # 1/a = a for a = +-1
+            f = a if a == 1 or a == -1 else R.inv(a)   # 1/a = a for +-1
             for r in col:
                 by_row[r].discard(j)
             others = by_row.pop(i)
@@ -333,10 +346,10 @@ class ImageSolver:
             ops = []
             for j2 in others:
                 c2 = cols[j2]
-                g = R.mul(c2.pop(i), f)
+                g = mul(c2.pop(i), f)
                 ops.append((j2, g))
                 for r, v in col.items():
-                    new = R.sub(c2.get(r, 0), R.mul(g, v))
+                    new = sub(c2.get(r, 0), mul(g, v))
                     if new != 0:
                         c2[r] = new
                         by_row[r].add(j2)
@@ -467,8 +480,17 @@ def _check_rows(col, rows):
 
 
 def _markowitz_pivot(cols, rows, field):
-    """(row, column) of an admissible entry of least Markowitz cost, or
-    None when no entry is admissible."""
+    """(row, column) of the first admissible entry of least Markowitz cost
+    in column order, or None when no entry is admissible.
+
+    No entry costs less than the floor (fewest entries in a column - 1) *
+    (fewest entries in a nonempty row - 1), so the first admissible entry
+    that attains it is the first of least cost, and the search stops there.
+    Only when no admissible entry attains the floor is every entry read."""
+    if not cols:
+        return None
+    row_floor = min(filter(None, map(len, rows.values()))) - 1
+    floor = (min(map(len, cols.values())) - 1) * row_floor
     best, best_cost = None, None
     for j, col in cols.items():
         cost_j = len(col) - 1
@@ -476,7 +498,7 @@ def _markowitz_pivot(cols, rows, field):
             if field or a == 1 or a == -1:
                 cost = cost_j * (len(rows[i]) - 1)
                 if best is None or cost < best_cost:
-                    if cost == 0:
+                    if cost == floor:
                         return i, j
                     best, best_cost = (i, j), cost
     return best

@@ -1,5 +1,5 @@
-"""A checked-in mutation gate for the pair kernel, the shared expansions, and
-the scenario parser and exporter.
+"""A checked-in mutation gate for the pair kernel, the shared expansions, the
+scenario parser and exporter, and the sparse elimination's pivot search.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -44,6 +44,11 @@ FIRST_TERM = ("tests/test_scenario.py::"
               "test_a_term_error_names_the_first_failing_term")
 EXPORT_ORDER = ("tests/test_export.py::"
                 "test_export_sorts_tensor_inputs_and_terms_by_joined_name")
+FLOOR = "tests/test_matrices.py::test_pivot_search_stops_at_the_floor"
+SAME_PIVOTS = ("tests/test_matrices.py::"
+               "test_pivot_search_matches_the_full_scan_on_random_matrices")
+UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
+CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -134,6 +139,27 @@ MUTANTS = [
      EXPORT_ORDER),
     ("scenario.py", "b_deg[j], a + TENSOR_SEP + b, [a, b]",
      "b_deg[j], (a, b), [a, b]", EXPORT_ORDER),
+    # the pivot search's floor: each factor too low (never attained, so
+    # the search only slows down) and too high (not a lower bound), and
+    # the comparison that stops the search
+    ("matrices.py", "min(filter(None, map(len, rows.values()))) - 1",
+     "min(map(len, rows.values())) - 1", FLOOR),
+    ("matrices.py", "min(filter(None, map(len, rows.values()))) - 1",
+     "min(filter(None, map(len, rows.values())))", SAME_PIVOTS),
+    ("matrices.py", "floor = (min(map(len, cols.values())) - 1)",
+     "floor = (min(map(len, cols.values())) - 2)", FLOOR),
+    ("matrices.py", "floor = (min(map(len, cols.values())) - 1)",
+     "floor = (max(map(len, cols.values())) - 1)", SAME_PIVOTS),
+    ("matrices.py", "if cost == floor:", "if cost == 0:", FLOOR),
+    ("matrices.py", "if cost == floor:", "if cost >= floor:", SAME_PIVOTS),
+    # the unit inverse, and the entries' canonical form and row check
+    ("matrices.py", "f = a if a == 1 or a == -1 else R.inv(a)",
+     "f = a if a == 1 else R.inv(a)", UNIT),
+    ("matrices.py", "f = a if a == 1 or a == -1 else R.inv(a)", "f = a", UNIT),
+    ("matrices.py", "c = canon(x)", "c = x", CANON),
+    ("matrices.py", "                if i not in positions:\n",
+     "                if False:\n",
+     "tests/test_matrices.py::test_image_solver_rejects_rows_outside_the_matrix"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -492,3 +493,194 @@ def test_canonical_forms():
     assert ZZ.canon(Fraction(4, 2)) == 2
     with pytest.raises(ValueError):
         ZZ.canon(Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The Markowitz pivot search against the full scan
+# ---------------------------------------------------------------------------
+
+def _full_scan_pivot(cols, rows, field):
+    """The first admissible entry of least Markowitz cost in column order,
+    found by reading every admissible entry: the reference for
+    `matrices._markowitz_pivot`."""
+    best, best_cost = None, None
+    for j, col in cols.items():
+        cost_j = len(col) - 1
+        for i, a in col.items():
+            if field or a == 1 or a == -1:
+                cost = cost_j * (len(rows[i]) - 1)
+                if best is None or cost < best_cost:
+                    best, best_cost = (i, j), cost
+    return best
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Every pivot search checked against the full scan; the list records
+    each pivot found."""
+    import chainalg.matrices as mx
+
+    search, found = mx._markowitz_pivot, []
+
+    def checked(cols, rows, field):
+        pivot = search(cols, rows, field)
+        assert pivot == _full_scan_pivot(cols, rows, field)
+        found.append(pivot)
+        return pivot
+
+    monkeypatch.setattr(mx, "_markowitz_pivot", checked)
+    return found
+
+
+def test_pivot_search_matches_the_full_scan_on_random_matrices(checked_pivots):
+    rng = random.Random(27)
+    shapes = [(0, 0), (12, 12), (1, 12), (12, 1)] + [
+        (rng.randint(0, 12), rng.randint(0, 12)) for _ in range(56)]
+    values = ((1, -1), (1, -1, 2, -3), (1, -1, 2, -2, 3, 4, 6))
+    for rows, cols in shapes:
+        for density in (0.15, 0.35, 0.7):
+            for pool in values:
+                columns = [{i: rng.choice(pool) for i in range(rows)
+                            if rng.random() < density} for _ in range(cols)]
+                for ring in (ZZ, QQ, GF(2), GF(5)):
+                    solver = ImageSolver(ring, rows, columns)
+                    M = ExactMatrix(ring, rows, cols, [
+                        c.get(i, 0) for i in range(rows) for c in columns])
+                    assert solver.rank == _reference_rank(M)
+    assert sum(p is not None for p in checked_pivots) > 5_000
+
+
+def test_pivot_search_matches_the_full_scan_on_scenarios(checked_pivots,
+                                                         tmp_path):
+    import json
+    from pathlib import Path
+
+    from chainalg.cli import main
+
+    data = Path(__file__).resolve().parent / "data"
+    files = sorted(f for f in data.glob("*.json") if f.name != "report_digests.json"
+                   and json.loads(f.read_text())["kind"] == "complex")
+    assert len(files) >= 8
+    for f in files:
+        for command in ("homology", "check"):
+            main([command, str(f), "--format", "json",
+                  "--output", str(tmp_path / "report.json")])
+    assert len(checked_pivots) > 800
+
+
+def _surface(n, klein, rng):
+    """The boundaries d1 and d2 of the cubical n x n torus, or with
+    klein=True the Klein bottle, as sparse columns (rows, columns).
+    Vertices v, horizontal and vertical edges h, w and squares s are
+    indexed (i, j) mod n; the Klein bottle glues row n to row 0 through
+    i -> -i, which reverses that row's horizontal edges.  Each kind of cell
+    is numbered in a seeded order and each cell has a seeded orientation."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    at = {}
+    for kind in ("v", "e", "s"):
+        names = [(k, c) for k in ("h", "w") for c in cells] if kind == "e" \
+            else [(kind, c) for c in cells]
+        rng.shuffle(names)
+        at.update((x, p) for p, x in enumerate(names))
+    flip = {x: rng.choice((1, -1)) for x in at}
+
+    def vertex(i, j):
+        return ("v", ((-i if klein and j == n else i) % n, j % n))
+
+    def row_edge(i, j):
+        if klein and j == n:
+            return -1, ("h", ((-i - 1) % n, 0))
+        return 1, ("h", (i % n, j % n))
+
+    def column(cell, faces):
+        col = {}
+        for c, face in faces:
+            col[at[face]] = col.get(at[face], 0) + c * flip[cell] * flip[face]
+        return {p: c for p, c in col.items() if c}
+
+    d1, d2 = [None] * (2 * n * n), [None] * (n * n)
+    for i, j in cells:
+        for k, top in (("h", vertex(i + 1, j)), ("w", vertex(i, j + 1))):
+            d1[at[k, (i, j)]] = column((k, (i, j)),
+                                       [(1, top), (-1, ("v", (i, j)))])
+        (c0, e0), (c1, e1) = row_edge(i, j), row_edge(i, j + 1)
+        d2[at["s", (i, j)]] = column(("s", (i, j)), [
+            (c0, e0), (-c1, e1), (1, ("w", ((i + 1) % n, j))),
+            (-1, ("w", (i, j)))])
+    return (n * n, d1), (2 * n * n, d2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
+def test_pivot_search_matches_the_full_scan_on_surfaces(checked_pivots, ring):
+    # fill-in moves the floor as the elimination goes; the homology is the
+    # closed form: (free rank, torsion) of H_0, H_1, H_2
+    rng = random.Random(6)
+    klein = {ZZ: [(1, ()), (1, (2,)), (0, ())], QQ: [(1, ()), (1, ()), (0, ())],
+             GF(2): [(1, ()), (2, ()), (1, ())]}[ring]
+    for n in (4, 6, 10):
+        for is_klein, want in ((False, [(1, ()), (2, ()), (1, ())]),
+                               (True, klein)):
+            (n0, d1), (n1, d2) = _surface(n, is_klein, rng)
+            s1, s2 = ImageSolver(ring, n0, d1), ImageSolver(ring, n1, d2)
+            assert [(n0 - s1.rank, tuple(d for d in s1.orders if d)),
+                    (n1 - s1.rank - s2.rank, tuple(d for d in s2.orders if d)),
+                    (n * n - s2.rank, ())] == want, (n, is_klein)
+    assert len(checked_pivots) > 500
+
+
+class _Unread(dict):
+    """A sparse column whose length can be read but not its entries."""
+
+    def _unread(self, *_):
+        raise AssertionError("column read past the floor")
+
+    __iter__ = items = keys = values = __getitem__ = get = _unread
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=repr)
+def test_pivot_search_stops_at_the_floor(ring):
+    # a cycle of columns with two entries each, one row emptied by an
+    # earlier pivot: the floor is (2 - 1) * (2 - 1), and column 0's first
+    # admissible entry attains it (over Z its first entry, 2, is not
+    # admissible), so no later column is read
+    from chainalg.matrices import _markowitz_pivot
+
+    n = 5
+    cols = {j: (dict if j == 0 else _Unread)({j: 2 if j == 0 else 1,
+                                              (j + 1) % n: 1})
+            for j in range(n)}
+    rows = {i: {i, (i - 1) % n} for i in range(n)}
+    rows[n] = set()
+    want = (0, 0) if ring.is_field else (1, 0)
+    assert _markowitz_pivot(cols, rows, ring.is_field) == want
+    cols[0] = _Unread(cols[0])
+    with pytest.raises(AssertionError, match="past the floor"):
+        _markowitz_pivot(cols, rows, ring.is_field)
+
+
+def test_unit_pivots_over_a_field_skip_the_inverse(monkeypatch):
+    # over Q a +-1 pivot is its own inverse; any other pivot is inverted
+    from chainalg.rings import Ring
+
+    inverted = []
+    inverse = Ring.inv
+    monkeypatch.setattr(Ring, "inv",
+                        lambda R, a: inverted.append(a) or inverse(R, a))
+    solver = ImageSolver(QQ, 2, [{0: -1}, {0: 1, 1: -1}])
+    assert (solver.rank, inverted) == (2, [])
+    assert solver.solve({0: 2, 1: 1}) == {0: -3, 1: -1}
+    solver = ImageSolver(QQ, 1, [{0: 2}])
+    assert inverted == [2]
+    assert solver.solve({0: 1}) == {0: Fraction(1, 2)}
+
+
+def test_image_solver_canonicalises_its_entries():
+    # entries go through the ring's canon: inexact ones are refused, and a
+    # residue is reduced, dropped when it vanishes
+    for bad in (1.0, 2.5, True):
+        with pytest.raises(TypeError, match="not an exact"):
+            ImageSolver(ZZ, 2, [{0: 1, 1: bad}])
+    assert ImageSolver(GF(5), 1, [{0: 5}]).rank == 0
+    solver = ImageSolver(GF(5), 1, [{0: 7}])
+    assert (solver.rank, solver.image()) == (1, [{0: 2}])
+    assert ImageSolver(QQ, 1, [{0: Fraction(4, 2)}]).image() == [{0: 2}]

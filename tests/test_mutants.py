@@ -4,8 +4,9 @@ runs with `python tests/mutants.py`)."""
 
 import mutants
 
-SAMPLE = (11, 16, 17, 28)   # the rhs subtraction, SideIds.row's guard,
-# cc-antisymmetry given no axioms report, and a term error's index
+SAMPLE = (11, 16, 17, 28, 38)   # the rhs subtraction, SideIds.row's guard,
+# cc-antisymmetry given no axioms report, a term error's index, and the
+# pivot search's stop at its floor
 
 
 def test_every_mutant_snippet_occurs_once():
