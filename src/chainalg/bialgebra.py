@@ -123,8 +123,8 @@ class BialgebraData:
         return tuple((pos[n], c) for n, c in self.eta.coeffs.items())
 
     def lambda_eta_terms(self) -> dict:
-        """lam eta on A (x) A, {(k1, k2): coefficient}, from lam's table."""
-        return apply_rows(self.lam.table().row, self.eta_terms(),
+        """lam eta on A (x) A, {(k1, k2): coefficient}, from lam's rows."""
+        return apply_rows(self.lam.row, self.eta_terms(),
                           self.module.ring)
 
     def lambda_eta(self) -> Vector:
@@ -137,7 +137,7 @@ class BialgebraData:
 
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
-        mu, odd = self.mu.table().row, self.module.index().odd
+        mu, odd = self.mu.row, self.module.index().odd
         neg, safe = self.module.ring.neg, self.safe_positions()
 
         def sides(p):
@@ -150,7 +150,7 @@ class BialgebraData:
 
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
-        lam, odd = self.lam.table().row, self.module.index().odd
+        lam, odd = self.lam.row, self.module.index().odd
         neg, flip = self.module.ring.neg, self.lam.degree % 2
         return _first_difference(self.safe_positions(), lambda x: (
             _twisted(lam(x), odd, neg),
@@ -212,7 +212,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     `kernel` is a `pair_kernel(inst)` that a caller shares; else the pair
     axioms build their own.
 
-    Every side is expanded from the tables of mu and lam on basis
+    Every side is expanded from the rows of mu and lam on basis
     positions; names are read once, here, and come back for a witness.
     """
     A = inst.module
@@ -222,7 +222,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
     names, odd = idx.names, idx.odd
     R = A.ring
     neg, one = R.neg, R.one()
-    mu, lam = inst.mu.table().row, inst.lam.table().row
+    mu, lam = inst.mu.row, inst.lam.row
     eta = inst.eta_terms()
     at = [idx.pos[n] for n in safe]
     pairs = [(i, j) for i in at for j in at]
@@ -283,12 +283,11 @@ def pair_kernel(inst: BialgebraData, kernel=None) -> "PairKernel":
 
 
 def shared_kernel(kernel, mu: GradedMap, lam: GradedMap, v) -> "PairKernel":
-    """`kernel`, checked to read the tables of mu and lam with the terms v
+    """`kernel`, checked to read the rows of mu and lam with the terms v
     in the middle (ValueError), or a new `PairKernel` of them."""
     if kernel is None:
         return PairKernel(mu, lam, v)
-    if (kernel.mu is not mu.table() or kernel.lam is not lam.table()
-            or dict(kernel.v) != dict(v)):
+    if kernel.mu is not mu or kernel.lam is not lam or dict(kernel.v) != dict(v):
         raise ValueError("the pair kernel was built for other operations")
     return kernel
 
@@ -323,7 +322,7 @@ class PairKernel:
     list of signed pieces per identity.
 
     Positions index A (`GradedModule.index`); a side is a dict
-    {(k1, k2): nonzero coefficient} on A (x) A, expanded from the tables of
+    {(k1, k2): nonzero coefficient} on A (x) A, expanded from the rows of
     mu, lam, mu tau and tau lam, the last two read off mu's and lam's rows
     with the twist sign.  `v` is the bivector put in the middle (lam eta
     for the axioms), given by its terms ((k1, k2), coefficient).
@@ -336,8 +335,8 @@ class PairKernel:
     its outputs, and a piece decides its Koszul signs (of `tensor_map`, of
     inserting v and of tau) once per a, for the rows of L(a) and the
     products P(a (x) v1) * e, or once per b, for the rows of L(b), for each
-    parity of the other factor that a sign depends on.  It reads table rows
-    by one dict lookup (`OpTable.rows`).
+    parity of the other factor that a sign depends on.  It reads a map's
+    rows by one dict lookup (`GradedMap.rows`).
 
     `identities` lists each identity's pieces, lhs and rhs (a caller may
     add one, as `check_loday_ronco` does).  `difference` adds the lhs
@@ -356,7 +355,7 @@ class PairKernel:
         A = mu.target
         self.A2 = tensor(A, A)
         self.idx = A.index()
-        self.mu, self.lam = mu.table(), lam.table()
+        self.mu, self.lam = mu, lam
         R = A.ring
         self._ring = R
         odd, neg = self.idx.odd, R.neg
@@ -365,10 +364,10 @@ class PairKernel:
         def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
             return _signed_row(mu_row(j, i), odd[i] and odd[j], neg)
 
-        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau).table()
+        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau)
         self.tau_lam = GradedMap(
             A, self.A2, lam.degree,
-            lambda x: tuple(_twisted(lam_row(x), odd, neg).items())).table()
+            lambda x: tuple(_twisted(lam_row(x), odd, neg).items()))
         self.v = tuple(v)
         deg = self.idx.degree
         degrees = sorted({deg[k1] + deg[k2] for (k1, k2), _ in self.v})
@@ -656,7 +655,7 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
     if not inst.is_cocommutative():
         problems.append("lam is not cocommutative")
     A = inst.module
-    mu, lam = inst.mu.table().row, inst.lam.table().row
+    mu, lam = inst.mu.row, inst.lam.row
 
     def mu_lam(n):   # {position: coefficient}
         return apply_rows(lambda k: mu(*k), lam(A.index().pos[n]), A.ring)
@@ -722,7 +721,7 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
         lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1),
 
     as a row map: the row at x is lam's row plus the two terms on x,
-    expanded from mu's table (`_times_right`, `_times_left`).
+    expanded from mu's rows (`_times_right`, `_times_left`).
 
     When c_op = -c_fwd this is the reverse-data special case
     lam' = lam + (mu (x) 1)(1 (x) c) + (1 (x) mu)(c (x) 1), and every row
@@ -735,7 +734,7 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
             raise ValueError(
                 f"bivector degree {c.degree()} does not match |lam| = {expected}")
     R = A.ring
-    lam_row, neg = lam.table().row, R.neg
+    lam_row, neg = lam.row, R.neg
     term1 = _times_right(mu, c_fwd)
     term2 = _times_left(mu, c_op)
     special = (not c_fwd.is_zero()) and c_op == -c_fwd
@@ -757,7 +756,7 @@ def _times_right(mu: GradedMap, c: Vector):
     """The row function x -> (mu (x) 1)(x (x) c) on A's positions: moving c
     past x costs (-1)^{|c||x|}, |c| read off each term c1 (x) c2, and
     mu (x) 1 carries no sign."""
-    terms, row, odd = vector_terms(c), mu.table().row, mu.target.index().odd
+    terms, row, odd = vector_terms(c), mu.row, mu.target.index().odd
     mul, neg = mu.target.ring.mul, mu.target.ring.neg
 
     def rows(x):
@@ -773,7 +772,7 @@ def _times_left(mu: GradedMap, c: Vector):
     """The row function x -> (1 (x) mu)(c (x) x) on A's positions: inserting
     c on the left costs no sign, and 1 (x) mu carries (-1)^{|mu||c1|} on
     each term c1 (x) c2."""
-    terms, row, odd = vector_terms(c), mu.table().row, mu.target.index().odd
+    terms, row, odd = vector_terms(c), mu.row, mu.target.index().odd
     mul, neg = mu.target.ring.mul, mu.target.ring.neg
 
     def rows(x):

@@ -3,7 +3,8 @@
 Subcommands: check, homology, cone, demo, report, export.  Targets are
 either shipped fixture names (see `chainalg demo --list`) or paths to
 scenario JSON files.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 schema/usage errors.
+check failed, 2 schema/usage errors and files that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def cmd_export(args) -> int:
                              [c for c in scn.checks if rp.CHECKS[c][0]])
            if scn.kind == "complex"
            else sc.export_bialgebra(scn.payload, args.ring))
+    sc.ingest(doc)   # refuse, writing nothing, what `check` would refuse
     _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args)
     return EXIT_OK
 
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
     except sc.SchemaError as e:
         print(f"schema error at {e.path}: {e.message}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
 

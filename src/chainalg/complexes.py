@@ -37,7 +37,7 @@ from .graded import (
 
 class ChainComplex:
     """Graded module with a degree -1 differential; d*d = 0 is checked on
-    the differential's table rows."""
+    the differential's rows."""
 
     def __init__(self, module: GradedModule, differential: GradedMap = None):
         if differential is None:
@@ -46,9 +46,9 @@ class ChainComplex:
             raise ValueError("differential must be an endomorphism of the module")
         if differential.degree != -1:
             raise ValueError(f"differential has degree {differential.degree}, expected -1")
-        d = differential.table()
+        at = differential.at
         _, x, dd, _ = _first_difference(basis_keys(module), lambda x: (
-            apply_rows(d.at, d.at(x[1]), module.ring), {}))
+            apply_rows(at, at(x[1]), module.ring), {}))
         if x is not None:
             raise ValueError(f"d*d != 0 on {x[0]}: d(d({x[0]})) = "
                              f"{row_vector(module, dd.items())}")
@@ -97,8 +97,8 @@ def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) 
 def _commutator_rows(h: GradedMap, d_source: GradedMap, d_target: GradedMap):
     """The row function of `graded_commutator`, from the differentials."""
     R = h.target.ring
-    h_row, h_at = h.table().row, h.table().at
-    d_s, d_t = d_source.table().row, d_target.table().at
+    h_row, h_at = h.row, h.at
+    d_s, d_t = d_source.row, d_target.at
     sign = R.one() if h.degree % 2 else R.neg(R.one())
     mul = R.mul
 
@@ -133,10 +133,10 @@ class HomotopyReport:
 
 
 def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> HomotopyReport:
-    """Does f - g = [d, h] hold exactly?  Compared on table rows."""
+    """Does f - g = [d, h] hold exactly?  Compared on their rows."""
     R, module = f.target.ring, f.target.module
-    f_t, g_t = f.f.table().at, g.f.table().at
-    comm = graded_commutator(h, f.source, f.target).table().at
+    f_t, g_t = f.f.at, g.f.at
+    comm = graded_commutator(h, f.source, f.target).at
     _, x, lhs, rhs = _first_difference(basis_keys(f.source.module), lambda x: (
         dict(_sum_rows(R, f_t(x[1]), _signed_row(g_t(x[1]), True, R.neg))),
         dict(comm(x[1]))))
@@ -359,7 +359,7 @@ def mapping_cone(c: ChainMap) -> Cone:
     for block, ks in ((False, plus), (True, minus)):
         for p, k in enumerate(ks):
             where[k] = (block, p)
-    d_A, d_M, f = (m.table().row for m in (c.target.d, c.source.d, c.f))
+    d_A, d_M, f = (m.row for m in (c.target.d, c.source.d, c.f))
     neg, one = R.neg, R.one()
 
     def d_row(u):   # d(a, m) = (d_A a + c(m), -d_M m)
@@ -386,7 +386,7 @@ class QuotientComplex:
     """C / im(c) for a chain map c into C, presented exactly.
 
     Each block of c is factored once, by one `ImageSolver`.  A coset is
-    represented by a table row of the base, (basis key, coefficient) pairs;
+    represented by a row of the base, (basis key, coefficient) pairs;
     `reduces_to_zero` decides membership in the image lattice, and
     `homology()` is the homology of the mapping cone of the inclusion
     im(c) -> C.
@@ -421,7 +421,7 @@ class QuotientComplex:
                 for k, solver in self._image.items()}
 
     def _boundary(self, row):
-        return apply_rows(self.base.d.table().at, row, self.base.ring).items()
+        return apply_rows(self.base.d.at, row, self.base.ring).items()
 
     def projection_is_chain_map(self) -> bool:
         # d(im c) lies in im c  iff  the projection commutes with d
@@ -487,9 +487,9 @@ def is_essential(C: ChainComplex, top: int, orientation: str = "chain") -> bool:
 
 
 def _vanishes(f: GradedMap, in_degree) -> bool:
-    """Are the table rows of f empty on every basis element whose degree k
+    """Are the rows of f empty on every basis element whose degree k
     has in_degree(k)?"""
-    at = f.table().at
+    at = f.at
     return not any(at(key) for k, keys in f.source.layout().keys.items()
                    if in_degree(k) for key in keys)
 
@@ -531,15 +531,15 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
             raise ValueError("im(c_i) is not concentrated in the extreme degree")
 
     mod1, mod2 = K1.module, K2.module
-    R, h_row, at = mod2.ring, h.table().row, mod1.layout().at
+    R, h_row, at = mod2.ring, h.row, mod1.layout().at
 
     def rows(*k):   # h away from degree -top, 0 there
         return () if at[k if len(k) > 1 else k[0]][0] == -top else h_row(*k)
 
     h_bar = GradedMap(mod1, mod2, 1, rows, name="[h]")
     q2 = quotient_by_image(c2)
-    c_t, cp_t = c.f.table().at, c_prime.f.table().at
-    comm = graded_commutator(h_bar, K1, K2).table().at
+    c_t, cp_t = c.f.at, c_prime.f.at
+    comm = graded_commutator(h_bar, K1, K2).at
 
     def sides(x):   # (the defect, ()) where it leaves the image lattice
         defect = _sum_rows(R, cp_t(x[1]), _signed_row(c_t(x[1]), True, R.neg),
@@ -581,7 +581,7 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
     cone_mod = cone.complex.module
     R = cone_mod.ring
     one, plus, where = R.one(), cone.layout[0], cone.layout[2]
-    csec_row = csec.table().row
+    csec_row = csec.row
 
     def delta_row(u):   # Phi - id: the csec block, moved to the "+" positions
         block, p = where[u]
@@ -591,7 +591,7 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
                     lambda u: ((u, one),) + delta_row(u), name="Phi")
     phi_chain = ChainMap(cone.complex, cone.complex, phi)
 
-    delta = GradedMap(cone_mod, cone_mod, 0, delta_row, name="Phi-id").table()
+    delta = GradedMap(cone_mod, cone_mod, 0, delta_row, name="Phi-id")
     unipotent = not any(apply_rows(delta.row, delta.row(u), R)
                         for u in range(len(where)))
 

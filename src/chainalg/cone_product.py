@@ -150,7 +150,7 @@ class ConeProductData:
                 raise ValueError(f"{label} has degree {d}, expected {want}")
 
         R, c0_terms = A.ring, vector_terms(c0)
-        d2 = tensor_differential(complex_.d).table().at
+        d2 = tensor_differential(complex_.d).at
         defect = _sum_rows(
             R, _twisted(c0_terms, A.index().odd, R.neg).items(),
             _signed_row(c0_terms, True, R.neg),
@@ -241,7 +241,7 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     odd, odd_M = A.index().odd, M.index().odd
     at = _Layout(A, M)
     deg, dual, base = at.deg, at.dual, at.base
-    mu, lam = data.mu.table().row, data.lam.table().row
+    mu, lam = data.mu.row, data.lam.row
     # coproducts corrected by the secondary bivector: (mu (x) 1)(x (x) Q0)
     # and (1 (x) mu)(Q0 (x) x), the terms of the change of coproduct
     corr_R = _times_right(data.mu, data.Q0)
@@ -325,7 +325,7 @@ def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
     plus, minus, where = ops.cone.layout
     b = {name: op.row_fn for name, op in ops.barred.items()}
     blocks = {   # (u in M, v in M) -> rows into the A and the M part
-        (False, False): (ops.data.mu.table().row, None),
+        (False, False): (ops.data.mu.row, None),
         (False, True): (b["tau_R"], b["m_L"]),
         (True, False): (b["tau_L"], b["m_R"]),
         (True, True): (b["beta"], b["sigma"]),
@@ -372,7 +372,7 @@ def closed_form_components(data: ConeProductData) -> dict:
     odd, odd_M = A.index().odd, M.index().odd
     at = _Layout(A, M)
     deg, dual, base = at.deg, at.dual, at.base
-    mu, lam = data.mu.table().row, data.lam.table().row
+    mu, lam = data.mu.row, data.lam.row
 
     def mu1_right(a):
         # (mu (x) 1)(a (x) c)
@@ -461,7 +461,7 @@ def cross_check_components(ops: ConeProductOps,
     A, M = data.A, ops.M
     cone_mod = ops.cone.complex.module
     plus, minus, where = ops.cone.layout
-    assembled = ops.product.table().row
+    assembled = ops.product.row
     names = cone_mod.index().names
     safe = {"p": [plus[A.index().pos[x]] for x in data.safe_names],
             "m": [minus[M.index().pos[x + "^"]] for x in data.safe_names]}
@@ -472,7 +472,7 @@ def cross_check_components(ops: ConeProductOps,
     failures = []
     for label in ("pp", "pm", "mp", "mm"):
         keys = (f"{label}_p", f"{label}_m")
-        rows = [comps[key].table().row for key in keys]
+        rows = [comps[key].row for key in keys]
         for u in safe[label[0]]:
             for v in safe[label[1]]:
                 got = ({}, {})
@@ -582,9 +582,9 @@ def check_assoc_implies_infinitesimal(
     idx = A.index()
     R = A.ring
     mul, neg = R.mul, R.neg
-    mu = data.mu.table().row
-    pm_p = comps["pm_p"].table().row
-    pm_m = comps["pm_m"].table().row
+    mu = data.mu.row
+    pm_p = comps["pm_p"].row
+    pm_m = comps["pm_m"].row
     kernel = defect_kernel(data, kernel)
     f_pos = comps["pm_p"].source.factors[1].index().pos
 

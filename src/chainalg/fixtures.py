@@ -43,6 +43,7 @@ from .graded import (
 )
 from .complexes import ChainComplex, ChainMap, ComplexBundle
 from .bialgebra import BialgebraData
+from .scenario import MAX_BASIS
 
 
 class TruncationOverflow(RuntimeError):
@@ -105,6 +106,11 @@ def _loop_module(ring: Ring, n: int, window: TruncationWindow,
     deg_u = n - 1
     deg_a = -n
     lo = -window.N if laurent else 0
+    size = (window.N + 1 - lo) * (2 if with_a else 1)
+    if size > MAX_BASIS:   # refused before anything is built
+        raise ValueError(f"window {window.N} gives {label} {size} basis "
+                         f"elements, more than the {MAX_BASIS} a module "
+                         "may have")
     basis = []
     for k in range(lo, window.N + 1):
         basis.append(BasisElement(_u_name(k), k * deg_u))
@@ -409,7 +415,7 @@ def flip_structure_constant(m: GradedMap, input_name: str,
     at = [_positions(mod, n)
           for mod, n in ((m.source, input_name), (m.target, output_name))]
     flipped, out = at[0], at[1] if m.target.arity > 1 else at[1][0]
-    row, neg = m.table().row, m.source.ring.neg
+    row, neg = m.row, m.source.ring.neg
 
     def rows(*k):
         r = row(*k)

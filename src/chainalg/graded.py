@@ -41,37 +41,34 @@ each operation-table entry and combination once (names by lookup in
 `GradedModule.index`, coefficients, homogeneity of table values and
 combinations) while parsing tables straight into row maps.  Internal
 arithmetic (vector sums, differences, negation, scaling, tensors, map
-application, the row maps and their tables) only combines values that are
-valid already, so it builds its results through the trusted constructor
+application and the row maps) only combines values that are valid
+already, so it builds its results through the trusted constructor
 `Vector._trusted`, which drops zero coefficients and checks nothing else.
 The structural checks (d*d = 0 in `ChainComplex`, and the one test of
 [d, f] = 0 in `complexes` for `ChainMap`, a pair's secondary map and mu
-and lam of a `BialgebraData` with a differential) read table rows and
+and lam of a `BialgebraData` with a differential) read map rows and
 raise ValueError, never an assert, so they also run under `python -O`.
 
-Index tables: every map is a row map, a function from basis positions to
-rows, and every check reads structure constants from `GradedMap.table()`,
-an `OpTable` that keys each basis element of an atomic module by its
-position in the canonical order (`GradedModule.index`, which also holds
-each position's degree and its parity), and a pair of positions in a
-binary tensor module.  A table fills each row once, on first use, from
-the map's row function.  `from_table` builds its rows once from the given
-values; the other maps compute theirs from the rows of the maps they are
-built from: `tensor_differential`, `shift_map` and the operation shifts (a
+Rows: every map is a row map, a function from basis positions to rows,
+and every check reads structure constants as a map's rows (`GradedMap.row`
+and `.at`), keyed by the position of a basis element of an atomic module
+in the canonical order (`GradedModule.index`, which also holds each
+position's degree and its parity), or by a pair of positions in a binary
+tensor module.  `from_table` builds its rows once from the given values;
+the other maps compute theirs from the rows of the maps they are built
+from: `tensor_differential`, `shift_map` and the operation shifts (a
 shift keeps names and order, so positions), `dual_map` (one sparse
-transpose of the map's table), the cone's d_cone, incl, proj and
+transpose of the map's rows), the cone's d_cone, incl, proj and
 transition automorphism, commutators [d, h], the fixtures' mu and lam, and
 mu tau and tau lam read off the rows of mu and lam with the one signed
-twist `_twisted`.  `apply_rows` applies a table to a row's terms.  Names
-come back, through `row_vector`, only to build a witness or to answer a
-name-keyed caller (`eval_basis`, calling a map).  A row has distinct keys
-and no zero coefficient (the row contract of `OpTable`), and a hot loop
-reads it by one dict lookup (`OpTable.rows`).
+twist `_twisted`.  `apply_rows` applies a map's rows to a row's terms.
+Names come back, through `row_vector`, only to build a witness or to
+answer a name-keyed caller (`eval_basis`, calling a map).
 
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
 `cone_product`) expand each side once per distinct row and compare sides
-as ids interned by `SideIds`, a table row as its set of terms.  The pair
+as ids interned by `SideIds`, a map's row as its set of terms.  The pair
 identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
 rhs, into one dict per pair a (x) b, which is empty exactly when the pair
 passes, and expand the two sides again only for the first failing pair;
@@ -482,13 +479,25 @@ class GradedMap:
     given by its rows on basis positions.
 
     rows(i), or rows(i, j) on a binary source, is the image of the basis
-    element at those positions in the form of `OpTable.row`, keeping the
-    row contract: distinct keys and no zero coefficient.  The source is
-    unary or binary, else ValueError here.
-    `table()` serves each row once computed.  Names come back only through
-    `eval_basis` and calling the map, which read the table rows, for a
-    witness or a name-keyed caller.  `from_table` is the checked
-    constructor for a map given by values on basis names.
+    element at those positions (`GradedModule.index`): (k, coefficient)
+    pairs, where k is a position in an atomic target, or a tuple of
+    positions, one per factor, in a tensor target.  The source is unary or
+    binary, else ValueError here.  Row contract: a row has distinct keys
+    and no zero coefficient; every row function keeps it, and
+    `SideIds.row` relies on it.
+
+    `row(i)`, or `row(i, j)`, serves the row, computed by the row function
+    (`row_fn`) on first use and kept while the map lives; `at(key)` reads
+    it at a key of the form the rows use.  `rows[i * stride + j]`
+    (`rows[i]` on an atomic source, where `stride` is 1) is the same row
+    read by one dict lookup, for the hot loops that hoist the stride
+    product out of their inner loop; a missing row is filled by that
+    lookup.  No row function refers to its own map, so a map forms no
+    reference cycle and is freed with its last user.
+
+    Names come back only through `eval_basis` and calling the map, which
+    read the rows, for a witness or a name-keyed caller.  `from_table` is
+    the checked constructor for a map given by values on basis names.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
@@ -501,8 +510,10 @@ class GradedMap:
         self.target = target
         self.degree = degree
         self.row_fn = rows
+        self._binary = binary = source.arity == 2
+        self.stride = len(source.factors[1].basis()) if binary else 1
+        self.rows = _Rows(rows, self.stride, binary)
         self._memo = {}
-        self._table = None
         self.name = name
 
     # -- constructors --------------------------------------------------------
@@ -544,21 +555,28 @@ class GradedMap:
     # -- evaluation -----------------------------------------------------------
 
     def eval_basis(self, name: str) -> Vector:
-        """The image of the basis element `name`: its table row, by name."""
+        """The image of the basis element `name`: its row, by name."""
         v = self._memo.get(name)
         if v is None:
             src = self.source
             if len(src.parts_of(name)) != src.arity:
                 raise KeyError(f"{name!r} is not a basis name of {src!r}")
             v = self._memo[name] = row_vector(
-                self.target, self.table().row(*_positions(src, name)))
+                self.target, self.row(*_positions(src, name)))
         return v
 
-    def table(self) -> "OpTable":
-        """The map's structure constants on integer indices (one per map)."""
-        if self._table is None:
-            self._table = OpTable(self)
-        return self._table
+    def row(self, i: int, j: int = 0) -> tuple:
+        """The row at position i, or at (i, j) on a binary source."""
+        r = self.rows.get(i * self.stride + j)
+        return self.rows.fill(i, j) if r is None else r
+
+    def at(self, key) -> tuple:
+        """The row at a key of the form the rows use: a position for an
+        atomic source, a pair of positions for a binary one."""
+        if self._binary:
+            i, j = key
+            return self.rows[i * self.stride + j]
+        return self.rows[key]
 
     def __call__(self, x) -> Vector:
         if isinstance(x, str):
@@ -595,58 +613,19 @@ class GradedMap:
 
 
 def sparse_blocks(f: GradedMap):
-    """f's blocks as sparse columns, built in one pass over the rows of
-    f's table: a function k -> (rows, columns) of the degree-k block, the
-    rows counted and positioned within target degree k + f.degree
-    (`GradedModule.layout`) and each column a {row: coefficient} dict (the
-    form `matrices.ImageSolver` takes)."""
-    at, target = f.table().at, f.target.layout()
+    """f's blocks as sparse columns, built in one pass over f's rows: a
+    function k -> (rows, columns) of the degree-k block, the rows counted
+    and positioned within target degree k + f.degree (`GradedModule.layout`)
+    and each column a {row: coefficient} dict (the form
+    `matrices.ImageSolver` takes)."""
+    at, target = f.at, f.target.layout()
     cols = {k: [{target.at[t][1]: c for t, c in at(key)} for key in keys]
             for k, keys in f.source.layout().keys.items()}
     return lambda k: (len(target.keys.get(k + f.degree, ())), cols.get(k, []))
 
 
-class OpTable:
-    """A map's structure constants on integer indices, filled lazily.
-
-    `row(i)`, or `row(i, j)` for a binary source, is the image of the basis
-    element at those positions (see `GradedModule.index`) as a tuple of
-    (k, coefficient) pairs, where k is a position in an atomic target, or a
-    tuple of positions, one per factor, in a tensor target.  Each row is
-    read once, from the map's row function, and kept while the map lives.
-
-    `rows[i * stride + j]` (`rows[i]` for an atomic source, where stride
-    is 1) is the same row read by one dict lookup, for the hot loops that
-    hoist the stride product out of their inner loop; a missing row is
-    filled by that lookup.
-
-    Row contract: a row has distinct keys and no zero coefficient.  Every
-    row function keeps it (`GradedMap`), and `SideIds.row` relies on it.
-    """
-
-    def __init__(self, op: GradedMap):
-        self.degree = op.degree
-        self.source = tuple(f.index() for f in op.source.factors)
-        self.target = tuple(f.index() for f in op.target.factors)
-        # the table holds the row function and no reference back to the
-        # map, so the map and its table form no reference cycle and are
-        # freed with their last user rather than at the next full collection
-        binary = op.source.arity == 2
-        self.stride = len(self.source[1].names) if binary else 1
-        self.rows = _Rows(op.row_fn, self.stride, binary)
-
-    def row(self, i: int, j: int = 0) -> tuple:
-        r = self.rows.get(i * self.stride + j)
-        return self.rows.fill(i, j) if r is None else r
-
-    def at(self, key) -> tuple:
-        """The row at a key of the form the rows use: a position for an
-        atomic source, a pair of positions for a binary one."""
-        return self.row(*key) if len(self.source) == 2 else self.row(key)
-
-
 class _Rows(dict):
-    """Table rows by the key i * stride + j: `fill(i, j)` computes and keeps
+    """A map's rows by the key i * stride + j: `fill(i, j)` computes and keeps
     the row fn(i, j), or fn(i) for an atomic source, and a lookup of a
     missing key fills it."""
 
@@ -668,7 +647,7 @@ class _Rows(dict):
 def basis_keys(module: GradedModule):
     """(name, key) for each basis element of `module` in canonical order,
     the key being its position, or its tuple of positions in a tensor
-    module, as table rows key it."""
+    module, as map rows key it."""
     if module.arity == 1:
         return [(n, i) for i, n in enumerate(module.index().names)]
     return [(e.name, _positions(module, e.name)) for e in module.basis()]
@@ -676,7 +655,7 @@ def basis_keys(module: GradedModule):
 
 def apply_rows(at, terms, ring) -> dict:
     """The sum of c * at(k) over the (k, c) pairs `terms`, where at(k) is a
-    table row: {key: coefficient}, without zero coefficients."""
+    map's row: {key: coefficient}, without zero coefficients."""
     mul, add = ring.mul, ring.add
     out = {}
     for k, c in terms:
@@ -738,13 +717,13 @@ class SideIds:
     equal ids mean equal sides over every ring, and a list of ids compares
     a whole row of sides at once.
 
-    `ids.row(r)` interns a table row as frozenset(r), without summing it
-    again: rows keep the row contract of `OpTable` (distinct keys, no zero
-    coefficient), so that set is already the row's side.  A row breaking
-    the contract can only make equal sides look different, never the
-    reverse: a row with a repeated (key, coefficient) pair is summed, and
-    otherwise equal sets are equal multisets of terms, so equal ids still
-    mean equal sums.
+    `ids.row(r)` interns a map's row as frozenset(r), without summing it
+    again: rows keep the row contract of `GradedMap` (distinct keys, no
+    zero coefficient), so that set is already the row's side.  A row
+    breaking the contract can only make equal sides look different, never
+    the reverse: a row with a repeated (key, coefficient) pair is summed,
+    and otherwise equal sets are equal multisets of terms, so equal ids
+    still mean equal sums.
     """
 
     def __init__(self, ring: Ring):
@@ -763,7 +742,7 @@ class SideIds:
         return self._id(frozenset(terms))
 
     def row(self, r) -> int:
-        """The id of the table row `r` (a tuple)."""
+        """The id of the map row `r` (a tuple)."""
         key = frozenset(r)
         return self(r) if len(key) < len(r) else self._id(key)
 
@@ -776,7 +755,7 @@ class SideIds:
 
     def expand(self, terms, at) -> int:
         """The id of the sum of c * at(k) over the (k, c) pairs `terms` (a
-        sized collection), at(k) being a table row; a single term with
+        sized collection), at(k) being a map's row; a single term with
         coefficient 1 is interned as its row."""
         if len(terms) == 1:
             [(k, c)] = terms
@@ -794,7 +773,7 @@ def tensor_differential(d: GradedMap) -> GradedMap:
     """d (x) 1 + 1 (x) d, the differential of M (x) M for d on M, as a row
     map: x (x) y -> d(x) (x) y + (-1)^{|d||x|} x (x) d(y)."""
     M = d.source
-    row, odd, add, neg = d.table().row, M.index().odd, M.ring.add, M.ring.neg
+    row, odd, add, neg = d.row, M.index().odd, M.ring.add, M.ring.neg
 
     def rows(i, j):
         flip = d.degree % 2 and odd[i]
@@ -811,7 +790,7 @@ def tensor_differential(d: GradedMap) -> GradedMap:
 def associativity_witness(mu: GradedMap, names):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
     mu(mu (x) 1) = mu(1 (x) mu) over names^3 in lexicographic order, with
-    both sides expanded from mu's table of basis products:
+    both sides expanded from mu's rows of basis products:
 
         lhs = sum_x <mu(a (x) b), x> mu(x (x) c),
         rhs = (-1)^{|mu||a|} sum_y <mu(b (x) c), y> mu(a (x) y),
@@ -822,7 +801,7 @@ def associativity_witness(mu: GradedMap, names):
     Each side is expanded once per distinct product row, not once per
     triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
     the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
-    is interned by `SideIds` (a table row as its set of terms, `SideIds.row`),
+    is interned by `SideIds` (a row as its set of terms, `SideIds.row`),
     so the lhs over all c is one list of ids per
     distinct row mu(a (x) b), filled on first use, the rhs one id per a and
     distinct row mu(b (x) c), and `_first_difference` compares the two
@@ -836,7 +815,7 @@ def associativity_witness(mu: GradedMap, names):
         raise ValueError("associativity needs a product A (x) A -> A")
     neg, one = A.ring.neg, A.ring.one()
     idx = A.index()
-    row = mu.table().row
+    row = mu.row
     inputs = [(n, idx.pos[n]) for n in names]
     ids = SideIds(A.ring)
     sides = ids.sides
@@ -910,13 +889,13 @@ def dual_map(f: GradedMap) -> GradedMap:
     """f^v: N^v -> M^v with <f^v(phi), x> = (-1)^{|phi||f|} <phi, f(x)>.
 
     A row map: the row at y^ is column y of f, read from one sparse
-    transpose of f's table, built on the first request."""
+    transpose of f's rows, built on the first request."""
     src = dual_module(f.target)
     tgt = dual_module(f.source)
     source_names, target_pos = f.source.index().names, f.target.index().pos
     base = [target_pos[n[:-1]] for n in src.index().names]  # y^ -> y
     dual = [tgt.index().pos[n + "^"] for n in source_names]  # x -> x^
-    odd, neg, row = src.index().odd, f.source.ring.neg, f.table().row
+    odd, neg, row = src.index().odd, f.source.ring.neg, f.row
     columns = []
 
     def rows(p):
@@ -930,7 +909,7 @@ def dual_map(f: GradedMap) -> GradedMap:
 
 
 def transpose_rows(inputs, image) -> dict:
-    """Sparse transpose of x -> image(x), a table row, over the positions
+    """Sparse transpose of x -> image(x), a map's row, over the positions
     `inputs`: output key -> [(x, coefficient)], in input order."""
     out = {}
     for x in inputs:
@@ -1008,13 +987,13 @@ def _positions(module: GradedModule, name: str) -> tuple:
 
 def vector_terms(v: Vector) -> tuple:
     """v's terms as (positions, coefficient), one position per factor of
-    v's tensor module (`GradedModule.index`): the entries of a table row."""
+    v's tensor module (`GradedModule.index`): the entries of a map's row."""
     return tuple((_positions(v.module, n), c) for n, c in v.coeffs.items())
 
 
 def row_vector(module: GradedModule, terms) -> Vector:
     """The Vector of `module` with the (key, nonzero coefficient) pairs
-    `terms` in the form of `OpTable.row`: names come back here, for a
+    `terms` in the form of `GradedMap.row`: names come back here, for a
     witness or a name-keyed caller."""
     names = [f.index().names for f in module.factors]
     if len(names) == 1:

@@ -236,8 +236,8 @@ def _reverse_coproduct(t):
     c = fx.reverse_data_bivector(inst)
     if sign < 0:
         c = -c
-    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).table().row
-    direct = target.lam.table().row
+    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).row
+    direct = target.lam.row
     A, B = inst.module, target.module
     _, nm, got, want = _first_difference(inst.safe_names, lambda nm: (
         dict(rebuilt(A.index().pos[nm])), dict(direct(B.index().pos[nm]))))
@@ -267,7 +267,7 @@ def _continuation_status(t):
     """Pass when the pair's chain map c is zero; a failure names the first
     basis element x of c's source, in canonical order, with c(x) != 0."""
     c = t.data.pair_map
-    row = c.f.table().row
+    row = c.f.row
     _, x, image, _ = _first_difference(basis_keys(c.source.module),
                                        lambda x: (row(x[1]), ()))
     if x is None:

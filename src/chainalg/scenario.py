@@ -166,7 +166,7 @@ def _parse_rows(entries, ins, target, degree, path, combo=False) -> dict:
     """The rows of the operation table `entries` at `path`, by input.
 
     An input's key is the tuple of its names' positions in the `BasisIndex`
-    of each input factor, `ins`; its row is in the form of `OpTable.row`,
+    of each input factor, `ins`; its row is in the form of `GradedMap.row`,
     on positions of the atomic `target` or of the atomic factor of a tensor
     power `target`.  A repeated input is refused.  A combination is the
     one entry {"in": [], "out": terms}, with no inputs and `combo` set, and
@@ -494,18 +494,18 @@ def _operation_to_json(m: GradedMap):
     """An operation table of `m`, as `_parse_operation` reads it back: one
     entry per source basis element with a nonzero row, in the source's
     canonical order (degree, name), each value's terms sorted by name (the
-    joined name in a tensor target).  Rows are read by position from
-    `m.table()`; names are joined only to sort a tensor's."""
-    table, fmt = m.table(), m.target.ring.format
+    joined name in a tensor target).  Rows are read by position from `m`;
+    names are joined only to sort a tensor's."""
+    fmt = m.target.ring.format
     ins = [f.index() for f in m.source.factors]
     if len(ins) == 1:
-        rows = [([n], table.row(i)) for i, n in enumerate(ins[0].names)]
+        rows = [([n], m.row(i)) for i, n in enumerate(ins[0].names)]
     else:
         (a_names, _, _, a_deg), (b_names, _, _, b_deg) = ins
         keyed = sorted(   # by degree, then by the joined name
             (a_deg[i] + b_deg[j], a + TENSOR_SEP + b, [a, b], row)
             for i, a in enumerate(a_names) for j, b in enumerate(b_names)
-            if (row := table.row(i, j)))
+            if (row := m.row(i, j)))
         rows = [(parts, row) for _, _, parts, row in keyed]
     names, split = m.target.factors[0].index().names, m.target.arity > 1
 

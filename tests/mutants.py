@@ -1,5 +1,6 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
-scenario parser and exporter, and the sparse elimination's pivot search.
+scenario parser and exporter, the sparse elimination's pivot search, and
+the sign decisions and structural checks of the row maps.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -49,6 +50,14 @@ SAME_PIVOTS = ("tests/test_matrices.py::"
                "test_pivot_search_matches_the_full_scan_on_random_matrices")
 UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
 CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
+TWIST = "tests/test_row_checks.py::test_twisted_tables_match_the_composites"
+DUAL_SHIFT = ("tests/test_row_checks.py::"
+              "test_dual_and_shift_rows_match_the_name_formulas")
+CHAIN_MAPS = ("tests/test_row_checks.py::"
+              "test_chain_map_conditions_match_the_name_formulas")
+CONE_MAPS = "tests/test_row_checks.py::test_cone_maps_match_the_name_formulas"
+COASSOC = ("tests/test_row_checks.py::"
+           "test_coassociativity_sides_match_the_composites")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -160,6 +169,53 @@ MUTANTS = [
     ("matrices.py", "                if i not in positions:\n",
      "                if False:\n",
      "tests/test_matrices.py::test_image_solver_rejects_rows_outside_the_matrix"),
+    # the sign decisions of the row maps: the twist, the dual, a shifted
+    # map, an operation shift and d (x) 1 + 1 (x) d
+    ("graded.py", "return {(k2, k1): neg(c) if odd[k1] and odd[k2] else c",
+     "return {(k2, k1): neg(c) if odd[k1] else c", TWIST),
+    ("graded.py", "flip = f.degree % 2 and odd[p]", "flip = f.degree % 2",
+     DUAL_SHIFT),
+    ("graded.py", "if f.degree % 2 and k % 2:", "if k % 2:", DUAL_SHIFT),
+    ("graded.py", "_signed_row(row(a, b), j % 2 and odd[a], neg)",
+     "_signed_row(row(a, b), i % 2 and odd[a], neg)",
+     "tests/test_cone_product.py::test_shift_sign_table"),
+    ("graded.py", "flip = d.degree % 2 and odd[i]",
+     "flip = d.degree % 2 and odd[j]", CHAIN_MAPS),
+    # the cone's differential, and csec in the transition automorphism
+    ("complexes.py", "(minus[k], neg(x)) for k, x in d_M(p)",
+     "(minus[k], x) for k, x in d_M(p)", CONE_MAPS),
+    ("complexes.py", "((plus[k], c) for k, c in csec_row(p))",
+     "((plus[k], R.neg(c)) for k, c in csec_row(p))",
+     "tests/test_complexes.py::"
+     "test_transition_automorphism_matches_the_name_keyed_reference"),
+    # both signs of coassociativity
+    ("bialgebra.py", "left = neg(c) if lam_odd and odd[a1] else c",
+     "left = neg(c) if lam_odd else c", COASSOC),
+    ("bialgebra.py", "right = neg(c) if lam_odd else c", "right = c",
+     COASSOC),
+    # the one test of [d, h] = 0, and of d*d = 0, skipped
+    ("complexes.py", "        raise ValueError(message.format(x[0]))\n",
+     "        pass\n",
+     "tests/test_complexes.py::test_cone_rejects_non_chain_map"),
+    ("complexes.py", "        if x is not None:\n"
+     "            raise ValueError(f\"d*d != 0",
+     "        if False:\n            raise ValueError(f\"d*d != 0",
+     "tests/test_complexes.py::test_d_squared_enforced"),
+    # SideIds keyed by the hash of a side instead of the side
+    ("graded.py", "        i = self._ids.get(key)\n        if i is None:\n"
+     "            i = self._ids[key] = len(self.sides)",
+     "        i = self._ids.get(hash(key))\n        if i is None:\n"
+     "            i = self._ids[hash(key)] = len(self.sides)",
+     "tests/test_shared_expansion.py::"
+     "test_side_ids_never_key_on_the_hash_alone"),
+    # the registry's check that a scenario has the field a check needs
+    ("scenario.py", "_expect(need is None or data.get(need) is not None,",
+     "_expect(True,",
+     "tests/test_scenario.py::test_continuation_vanishes_needs_a_pair"),
+    # a map's rows read at a key through the wrong arity's branch
+    ("graded.py", "        if self._binary:\n            i, j = key",
+     "        if not self._binary:\n            i, j = key",
+     "tests/test_graded.py::test_from_table_rows_are_the_terms_of_the_values"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from chainalg import cli
 from chainalg import report as rp
+from chainalg import scenario as sc
 from chainalg.bialgebra import AXIOM_ORDER
 
 CLI = [sys.executable, "-m", "chainalg.cli"]
@@ -165,6 +166,48 @@ def test_failed_check_exits_1(tmp_path):
     assert r.returncode == 1
     assert "FAIL" in r.stdout
     assert "witness" in r.stdout
+
+
+@pytest.mark.parametrize("case", ["output is a directory",
+                                  "output in a missing directory",
+                                  "target is a directory"])
+def test_an_os_error_exits_2_without_a_traceback(tmp_path, case):
+    # exit 1 means a check failed (test_failed_check_exits_1); a file that
+    # cannot be read or written is an error, one line on stderr
+    args = {"output is a directory": ("omega-s3", "-o", str(tmp_path)),
+            "output in a missing directory": (
+                "omega-s3", "-o", str(tmp_path / "missing" / "x.md")),
+            "target is a directory": (str(tmp_path),)}[case]
+    r = run("check", *args)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_an_oversized_window_exits_2_before_anything_is_built(capsys):
+    start = time.perf_counter()
+    assert cli.main(["demo", "omega-s3", "--window", "100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "more than the 2048" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,window", [
+    ("lambda-s1-plus", 74), ("omega-s1-minus", 128), ("lambda-s3", 181),
+    ("omega-s3", 314)])
+def test_export_writes_only_what_check_accepts(tmp_path, capsys, name,
+                                               window):
+    # the largest window whose export `check` reads back, and the next one,
+    # whose mu has more entries than ingest accepts: refused, no file
+    # (the plus and minus variants share their modules and entry counts)
+    out = tmp_path / "f.json"
+    assert cli.main(["export", name, "--window", str(window),
+                     "-o", str(out)]) == 0
+    sc.load(str(out))
+    out.unlink()
+    assert cli.main(["export", name, "--window", str(window + 1),
+                     "-o", str(out)]) == 2
+    assert "schema error at $.mu.entries:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_homology_tstar_cone():

@@ -200,7 +200,7 @@ def test_quotient_presents_torsion():
     assert q.projection_is_chain_map()
     # projection . c = 0 exactly, on the table rows of c
     for i in range(len(Z.module.basis())):
-        assert q.reduces_to_zero(cm.f.table().row(i))
+        assert q.reduces_to_zero(cm.f.row(i))
 
 
 def test_quotient_membership_in_every_degree():

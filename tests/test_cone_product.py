@@ -537,7 +537,7 @@ def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
     ops = derive_secondary_ops(data)
     reference = product_reference(ops)
     names = ops.cone.complex.module.index().names
-    row = ops.product.table().row
+    row = ops.product.row
     nonzero = set()
     for u, un in enumerate(names):
         for v, vn in enumerate(names):
@@ -556,7 +556,7 @@ def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
 def patched(op, at):
     """op as a row map with one more term, coefficient 1 at the first
     target position its row at `at` lacks."""
-    row = op.table().row
+    row = op.row
 
     def rows(i, j):
         r = row(i, j)

@@ -41,6 +41,18 @@ def test_window_validation():
     assert TruncationWindow(4).safe_radius == 1
 
 
+@pytest.mark.parametrize("name,N", [("lambda-s1-minus", 511),
+                                    ("omega-s1-plus", 1023),
+                                    ("lambda-s3", 1023), ("omega-s3", 2047)])
+def test_a_window_at_the_basis_cap_builds_and_one_more_is_refused(name, N):
+    # the cap ingest applies to a module, MAX_BASIS basis elements: N is
+    # the largest window whose module has at most that many
+    inst = make_fixture(name, TruncationWindow(N))
+    assert len(inst.module.basis()) <= sc.MAX_BASIS
+    with pytest.raises(ValueError, match=f"more than the {sc.MAX_BASIS}"):
+        make_fixture(name, TruncationWindow(N + 1))
+
+
 def test_sphere_rejects_even_or_small_n():
     for bad in (2, 4, 1, -3):
         with pytest.raises(ValueError):
@@ -123,14 +135,13 @@ def test_loop_mu_rows_match_the_name_formula(name, ring):
     inst = make_fixture(name, TruncationWindow(8), ring)
     names = inst.module.index().names
     at = {_exponents(n): p for p, n in enumerate(names)}
-    table = inst.mu.table()
     for px, x in enumerate(names):
         a, j = _exponents(x)
         for py, y in enumerate(names):
             b, k = _exponents(y)
             p = at.get((a + b, j + k)) if a + b < 2 else None
             want = () if p is None else ((p, ring.one()),)
-            assert table.row(px, py) == want, (x, y)
+            assert inst.mu.row(px, py) == want, (x, y)
             assert inst.mu.eval_basis(f"{x}{TENSOR_SEP}{y}") == (
                 inst.module.zero() if p is None else inst.module.el(names[p]))
 

@@ -260,7 +260,7 @@ def test_from_table_rejects_values_outside_target():
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
 def test_from_table_rows_are_the_terms_of_the_values(ring):
     # unary and binary sources, atomic and tensor targets: each row is keyed
-    # as OpTable.row keys it (a position in an atomic target, a tuple of
+    # as GradedMap.row keys it (a position in an atomic target, a tuple of
     # positions in a tensor one) and equals vector_terms of its value; a
     # name the table leaves out has the empty row
     rng = random.Random(repr(ring))
@@ -274,12 +274,11 @@ def test_from_table_rows_are_the_terms_of_the_values(ring):
                          for t in target.basis_in_degree(e.degree + degree)})
                      for e in source.basis() if rng.random() < 0.8}
             f = GradedMap.from_table(source, target, degree, table)
-            rows = f.table()
             for name, key in basis_keys(source):
                 want = vector_terms(table.get(name, target.zero()))
                 if target.arity == 1:
                     want = tuple((k[0], c) for k, c in want)
-                assert rows.at(key) == want, (name, degree)
+                assert f.at(key) == want, (name, degree)
                 assert f.eval_basis(name) == table.get(name, target.zero())
 
 

@@ -374,11 +374,9 @@ def test_table_reads_each_row_once_through_the_row_function():
         return ((pos["x0"], 1),) if i == pos["x1"] else ()
 
     mu = GradedMap(tensor(A, A), A, 0, rows, name="mu")
-    t = mu.table()
-    assert t is mu.table()
-    assert t.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
-    assert t.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
-    assert t.row(pos["x0"], pos["x0"]) == ()
+    assert mu.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
+    assert mu.row(pos["x1"], pos["x2"]) == ((pos["x0"], 1),)
+    assert mu.row(pos["x0"], pos["x0"]) == ()
     assert reads == [(pos["x1"], pos["x2"]), (pos["x0"], pos["x0"])]
     assert mu.eval_basis(f"x1{TENSOR_SEP}x2") == A.el("x0")
     assert len(reads) == 2
@@ -622,7 +620,7 @@ def test_row_map_is_freed_without_a_collection():
     # read and dropped goes at once, with its rows and memo
     M = small()
     f = GradedMap(M, M, 0, lambda i: ((i, M.ring.one()),), name="id")
-    assert f.table().row(0) == ((0, 1),)
+    assert f.row(0) == ((0, 1),)
     assert f.eval_basis("x1") == M.el("x1")
     ref = weakref.ref(f)
     gc.disable()

@@ -46,13 +46,13 @@ PAIR_AXIOMS = ("unital infinitesimal", "unital anti-symmetry")
 class ReferencePairKernel:
     """The pair kernel before its pieces were hoisted: each side summed on
     its own, a piece deciding its Koszul sign once per term of L's row or
-    of v, on every pair, and reading each row through `OpTable.row`."""
+    of v, on every pair, and reading each row through `GradedMap.row`."""
 
     def __init__(self, mu: GradedMap, lam: GradedMap, v):
         A = mu.target
         self.A2 = tensor(A, A)
         self.idx = A.index()
-        self.mu, self.lam = mu.table(), lam.table()
+        self.mu, self.lam = mu, lam
         R = A.ring
         self._mul, self._add, self._neg = R.mul, R.add, R.neg
         odd, neg = self.idx.odd, R.neg
@@ -61,10 +61,10 @@ class ReferencePairKernel:
         def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
             return _signed_row(mu_row(j, i), odd[i] and odd[j], neg)
 
-        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau).table()
+        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau)
         self.tau_lam = GradedMap(
             A, self.A2, lam.degree,
-            lambda x: tuple(_twisted(lam_row(x), odd, neg).items())).table()
+            lambda x: tuple(_twisted(lam_row(x), odd, neg).items()))
         self.v = tuple(v)
         deg = self.idx.degree
         degrees = sorted({deg[k1] + deg[k2] for (k1, k2), _ in self.v})

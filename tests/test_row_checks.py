@@ -171,7 +171,7 @@ def test_coassociativity_sides_match_the_composites(ring, data):
     co_l = named(lam).then(tensor_map(lam, one))
     odd = A.index().odd
     for x, n in enumerate(A.index().names):
-        lhs, rhs = _coassociativity(lam.table().row, lam.degree % 2, odd,
+        lhs, rhs = _coassociativity(lam.row, lam.degree % 2, odd,
                                     ring, x)
         assert row_vector(A3, lhs.items()) == co_r.eval_basis(n)
         assert row_vector(A3, rhs.items()) == \
@@ -454,11 +454,11 @@ def test_quotient_paths_make_no_name_path_calls(name_path_calls):
 
 # -- the row contract ------------------------------------------------------------
 
-def _breaks_the_row_contract(table, keys):
-    """The first (key, row) of `table` among `keys` whose row repeats a key
-    or has a zero coefficient, else None."""
+def _breaks_the_row_contract(m, keys):
+    """The first (key, row) of the map `m` among `keys` whose row repeats a
+    key or has a zero coefficient, else None."""
     for key in keys:
-        row = table.at(key)
+        row = m.at(key)
         if len({k for k, _ in row}) < len(row) or any(c == 0 for _, c in row):
             return key, row
     return None
@@ -473,7 +473,7 @@ LAMBDA_CASES = [(name, ring) for name in ("lambda-s3", "lambda-s1-plus",
                          ids=[f"{n}-{r}" for n, r in LAMBDA_CASES])
 def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
     # `SideIds.row` interns a row as its set of terms: distinct keys and
-    # no zero coefficient (`OpTable`)
+    # no zero coefficient (the row contract of `GradedMap`)
     from chainalg.bialgebra import pair_kernel
     from chainalg.cone_product import (closed_form_components,
                                        derive_secondary_ops)
@@ -483,19 +483,16 @@ def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
     data = cone_data_from_bialgebra(inst, 3 if name == "lambda-s3" else 1)
     ops = derive_secondary_ops(data)
     kernel = pair_kernel(inst)
-    maps = {"mu": inst.mu, "lam": inst.lam, "m_L": ops.m_L, "m_R": ops.m_R,
+    maps = {"mu tau": kernel.mu_tau, "tau lam": kernel.tau_lam,
+            "mu": inst.mu, "lam": inst.lam, "m_L": ops.m_L, "m_R": ops.m_R,
             "sigma": ops.sigma, "tau_L": ops.tau_L, "tau_R": ops.tau_R,
             "beta": ops.beta, "product": ops.product,
             **{f"barred {k}": op for k, op in ops.barred.items()},
             **{f"component {k}": op
                for k, op in closed_form_components(data).items()}}
-    A = inst.module
-    tables = {"mu tau": (kernel.mu_tau, tensor(A, A)),
-              "tau lam": (kernel.tau_lam, A),
-              **{k: (m.table(), m.source) for k, m in maps.items()}}
     rows = 0
-    for label, (table, source) in tables.items():
-        keys = [key for _, key in basis_keys(source)]
-        assert _breaks_the_row_contract(table, keys) is None, label
+    for label, m in maps.items():
+        keys = [key for _, key in basis_keys(m.source)]
+        assert _breaks_the_row_contract(m, keys) is None, label
         rows += len(keys)
     assert rows > 5_000

@@ -455,8 +455,7 @@ def test_exported_complexes_ingest_to_the_same_rows():
             assert (have.source, have.target, have.degree) == (
                 want.source, want.target, want.degree)
             for name, k in basis_keys(want.source):
-                assert (dict(have.table().at(k))
-                        == dict(want.table().at(k))), name
+                assert dict(have.at(k)) == dict(want.at(k)), name
         count += len(maps)
     assert count == 6 * 3 + 1 + 3
 
@@ -813,12 +812,12 @@ def test_cancelling_terms_give_an_empty_row():
     # the x terms cancel, so no degree is judged: mu(e (x) e) = 0
     doc = _table_doc("mu", [_e(["e", "e"], [["1", "x"], ["-1", "x"]])])
     mu = sc.ingest(json.dumps(doc)).payload.mu
-    assert mu.table().row(0, 0) == ()
+    assert mu.row(0, 0) == ()
     assert mu.eval_basis("e⊗e").is_zero()
     # a surviving term is still judged, a cancelled one is not
     doc = _table_doc("mu", [_e(["e", "e"], [["1", "e"], ["1", "x"],
                                             ["-1", "x"]])])
-    assert sc.ingest(json.dumps(doc)).payload.mu.table().row(0, 0) == ((0, 1),)
+    assert sc.ingest(json.dumps(doc)).payload.mu.row(0, 0) == ((0, 1),)
 
 
 @pytest.mark.parametrize("ring, zero", [("Z", "0"), ("Q", "0/3"),
@@ -831,7 +830,7 @@ def test_zero_coefficients_leave_no_term(ring, zero):
                             _e(["e", "x"], [[zero, "x"], ["2", "x"]])], ring)
     doc["eta"] = [["1", "e"], [zero, "e"], [zero, "x"]]
     scn = sc.ingest(json.dumps(doc))
-    mu = scn.payload.mu.table()
+    mu = scn.payload.mu
     assert [mu.row(0, 0), mu.row(1, 0), mu.row(0, 1)] == [(), ((1, 1),),
                                                           ((1, 2),)]
     assert scn.payload.eta.coeffs == {"e": 1}
@@ -854,7 +853,7 @@ def test_coefficients_are_parsed_per_ring():
         doc = _table_doc("mu", [_e(["e", "e"], [["-1", "e"]])], ring)
         doc["eta"] = [["-1", "e"]]
         payload = sc.ingest(json.dumps(doc)).payload
-        assert payload.mu.table().row(0, 0) == ((0, value),), ring
+        assert payload.mu.row(0, 0) == ((0, value),), ring
         assert payload.eta.coeffs == {"e": value}, ring
 
 
@@ -905,11 +904,11 @@ def test_exported_instances_ingest_to_the_same_rows():
         assert sc.structurally_equal(inst, got), inst.name
         dim = len(inst.module.basis())
         for i in range(dim):
-            assert (dict(got.lam.table().row(i))
-                    == dict(inst.lam.table().row(i))), (inst.name, i)
+            assert (dict(got.lam.row(i))
+                    == dict(inst.lam.row(i))), (inst.name, i)
             for j in range(dim):
-                assert (dict(got.mu.table().row(i, j))
-                        == dict(inst.mu.table().row(i, j))), (inst.name, i, j)
+                assert (dict(got.mu.row(i, j))
+                        == dict(inst.mu.row(i, j))), (inst.name, i, j)
         count += 1
     assert count == 6 * 3 * 3
 

@@ -70,7 +70,7 @@ def associativity_loop(mu, names):
         raise ValueError("associativity needs a product A (x) A -> A")
     mul, add, neg = A.ring.mul, A.ring.add, A.ring.neg
     idx = A.index()
-    row = mu.table().row
+    row = mu.row
     inputs = [(n, idx.pos[n]) for n in names]
     with_inputs = {}   # x -> [mu(x (x) c) for c in names], on first use
 
@@ -131,9 +131,9 @@ def assoc_infinitesimal_loop(data, comps):
     idx = A.index()
     R = A.ring
     mul, add, neg = R.mul, R.add, R.neg
-    mu = data.mu.table().row
-    pm_p = comps["pm_p"].table().row
-    pm_m = comps["pm_m"].table().row
+    mu = data.mu.row
+    pm_p = comps["pm_p"].row
+    pm_m = comps["pm_m"].row
     kernel = PairKernel(data.mu, data.lam,
                         ((k, neg(c)) for k, c in vector_terms(data.Q0)))
     f_pos = comps["pm_p"].source.factors[1].index().pos
