@@ -135,6 +135,12 @@ class BialgebraData:
         pos = self.module.index().pos
         return [pos[n] for n in self.safe_names]
 
+    @functools.cached_property
+    def kernel(self) -> "PairKernel":
+        """The `PairKernel` of the pair identities, v = lam eta, built on
+        first use and read by every check of this instance."""
+        return PairKernel(self.mu, self.lam, self.lambda_eta_terms().items())
+
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
         mu, odd = self.mu.row, self.module.index().odd
@@ -201,32 +207,27 @@ _FAIL_FAST_ORDER = ("unit (left)", "unit (right)", "unital infinitesimal",
                     "coassociativity", "unital anti-symmetry", "associativity")
 
 
-def check_axioms(inst: BialgebraData, fail_fast: bool = False,
-                 window=None, kernel: "PairKernel" = None) -> AxiomReport:
+def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
     """Exact verification of all five axioms over the safe window.
 
-    `window`, when given, overrides the instance's safe basis names for
-    this run.  With fail_fast the axioms run in a cheap-first order and
-    the report stops at the first failure (used by mutation sweeps); the
-    default runs and reports everything in the definition's order.
-    `kernel` is a `pair_kernel(inst)` that a caller shares; else the pair
-    axioms build their own.
+    With fail_fast the axioms run in a cheap-first order and the report
+    stops at the first failure (used by mutation sweeps); the default runs
+    and reports everything in the definition's order.  The pair axioms are
+    read from `inst.kernel`, which keeps each verdict for the other checks
+    of the instance.
 
     Every side is expanded from the rows of mu and lam on basis
     positions; names are read once, here, and come back for a witness.
     """
     A = inst.module
-    safe = tuple(window) if window is not None else inst.safe_names
-    _require_basis_names(A, safe, "window")
     idx = A.index()
     names, odd = idx.names, idx.odd
     R = A.ring
     neg, one = R.neg, R.one()
     mu, lam = inst.mu.row, inst.lam.row
     eta = inst.eta_terms()
-    at = [idx.pos[n] for n in safe]
+    at = inst.safe_positions()
     pairs = [(i, j) for i in at for j in at]
-    pair_sums = functools.cache(lambda: pair_kernel(inst, kernel))
 
     def run_unit_left():
         return _result("unit (left)", _first_difference(at, lambda i: (
@@ -241,8 +242,8 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
             {i: one})), names.__getitem__, A)
 
     def run_associativity():
-        return _result("associativity", associativity_witness(inst.mu, safe),
-                       TENSOR_SEP.join)
+        return _result("associativity", associativity_witness(
+            inst.mu, inst.safe_names), TENSOR_SEP.join)
 
     def run_coassociativity():
         return _result("coassociativity", _first_difference(
@@ -250,7 +251,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
                                   odd, R)), names.__getitem__, tensor(A, A, A))
 
     def run_pairs(axiom):
-        k = pair_sums()
+        k = inst.kernel
         return _result(axiom, k.first_failure(axiom, pairs),
                        _pair_name(names), k.A2)
 
@@ -273,23 +274,6 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False,
             break
     report.results = [results[a] for a in AXIOM_ORDER if a in results]
     return report
-
-
-def pair_kernel(inst: BialgebraData, kernel=None) -> "PairKernel":
-    """The `PairKernel` of an instance's pair axioms (v = lam eta): `kernel`
-    when a caller shares one, else a new one."""
-    return shared_kernel(kernel, inst.mu, inst.lam,
-                         inst.lambda_eta_terms().items())
-
-
-def shared_kernel(kernel, mu: GradedMap, lam: GradedMap, v) -> "PairKernel":
-    """`kernel`, checked to read the rows of mu and lam with the terms v
-    in the middle (ValueError), or a new `PairKernel` of them."""
-    if kernel is None:
-        return PairKernel(mu, lam, v)
-    if kernel.mu is not mu or kernel.lam is not lam or dict(kernel.v) != dict(v):
-        raise ValueError("the pair kernel was built for other operations")
-    return kernel
 
 
 def _coassociativity(lam, lam_odd, odd, R, x):
@@ -338,17 +322,18 @@ class PairKernel:
     parity of the other factor that a sign depends on.  It reads a map's
     rows by one dict lookup (`GradedMap.rows`).
 
-    `identities` lists each identity's pieces, lhs and rhs (a caller may
-    add one, as `check_loday_ronco` does).  `difference` adds the lhs
-    pieces and the rhs pieces negated into one dict per pair,
-    which is empty exactly when the pair passes; `sides` sums each side on
-    its own, for the witness of a failing pair; `first_failure` runs the
-    quantifier.  With |mu| even the defect's pieces are those of the unital
-    infinitesimal difference, so the differences that quantifier finds are
-    kept per pair and `defect` reads them: a package from
-    `cone_data_from_bialgebra` (v = lam eta = -Q0) that shares one kernel
-    between its axioms and its assoc-infinitesimal check expands each safe
-    pair's defect once.
+    `identities` lists each identity's pieces, lhs and rhs; it is fixed
+    at construction.  `difference` adds the lhs pieces and the rhs pieces
+    negated into one dict per pair, which is empty exactly when the pair
+    passes; `sides` sums each side on its own, for the witness of a
+    failing pair; `first_failure` runs the quantifier and keeps its result
+    per (identity, pairs), so the checks of one package that quantify the
+    same identity over the same pairs run it once.  With |mu| even the
+    defect's pieces are those of the unital infinitesimal difference, so
+    the differences that quantifier finds are kept per pair and `defect`
+    reads them: a package from `cone_data_from_bialgebra` (v = lam eta =
+    -Q0) reads its instance's kernel and expands each safe pair's defect
+    once.
     """
 
     def __init__(self, mu: GradedMap, lam: GradedMap, v):
@@ -377,6 +362,7 @@ class PairKernel:
         self.identities = self._identities()
         self._pieces = {}        # (kind, sign, *arguments) -> piece
         self._differences = {}   # identity -> its `_difference` function
+        self._failures = {}      # (identity, pairs) -> `first_failure`
         self._defects = {} if mu.degree % 2 == 0 else None
 
     def _identities(self):
@@ -395,7 +381,11 @@ class PairKernel:
         defect: lam mu - (1 (x) mu)(lam (x) 1) - (mu (x) 1)(1 (x) lam)
             + (mu (x) mu)(1 (x) v (x) 1) = 0;
         cc left / cc right: the lhs / rhs of anti-symmetry equal
-            (-1)^{|lam|+|mu|} lam mu / (-1)^{|mu|} tau lam mu.
+            (-1)^{|lam|+|mu|} lam mu / (-1)^{|mu|} tau lam mu;
+        identity-coproduct form +1 / -1, for |lam| even and
+            lam eta = +/- eta (x) eta:
+            lam mu = (1 (x) mu)(lam (x) 1) + (mu (x) 1)(1 (x) lam)
+                     -/+ a (x) b.
         """
         mu, lam, mu_tau, tau_lam = self.mu, self.lam, self.mu_tau, self.tau_lam
         dl, dm = lam.degree, mu.degree
@@ -417,6 +407,10 @@ class PairKernel:
                         ("right", -1, mu, lam), ("middle", 1, mu, mu)), ()),
             "cc left": (anti_lhs, (("lam_mu", koszul_sign(dl + dm), lam),)),
             "cc right": (anti_rhs, (("lam_mu", koszul_sign(dm), tau_lam),)),
+            **{f"identity-coproduct form {sign:+d}": (
+                (("lam_mu", 1, lam),),
+                (("left", 1, mu, lam), ("right", 1, mu, lam),
+                 ("point", -sign))) for sign in (1, -1)},
         }
 
     # -- sums ----------------------------------------------------------------
@@ -440,12 +434,16 @@ class PairKernel:
     def first_failure(self, identity, pairs):
         """`_first_difference` over `pairs` of `identity`'s one-dict
         difference; the first failing pair alone is expanded again, into
-        its two sides."""
-        difference = self._difference(identity)
-        found = _first_difference(pairs, lambda p: (difference(*p), {}))
-        if found[1] is None:
-            return found
-        return (*found[:2], *self.sides(identity, *found[1]))
+        its two sides.  Kept per (identity, pairs)."""
+        key = identity, tuple(pairs)
+        found = self._failures.get(key)
+        if found is None:
+            difference = self._difference(identity)
+            found = _first_difference(pairs, lambda p: (difference(*p), {}))
+            if found[1] is not None:
+                found = (*found[:2], *self.sides(identity, *found[1]))
+            self._failures[key] = found
+        return found
 
     def _difference(self, identity):
         """(i, j) -> the difference of `identity`, built once: its lhs
@@ -677,29 +675,21 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
     return ConditionalReport(True, False, f"mu lam({n}) = {show(v)} != 0")
 
 
-def check_cc_implies_antisymmetry(inst: BialgebraData,
-                                  axioms: AxiomReport = None,
-                                  kernel: PairKernel = None
-                                  ) -> ConditionalReport:
+def check_cc_implies_antisymmetry(inst: BialgebraData) -> ConditionalReport:
     """In the commutative/cocommutative case, both sides of (unital
     anti-symmetry) reduce to signed multiples of lam mu; verified by exact
     expansion.  Requires the unital infinitesimal relation to hold: its
-    verdict is read from `axioms`, a check_axioms report already computed
-    for this instance, or else checked on its own.  `kernel` is a
-    `pair_kernel(inst)` that a caller shares."""
+    verdict is read from `inst.kernel`, which has kept it when
+    `check_axioms` has already run on the instance."""
     if not inst.is_commutative():
         return ConditionalReport(False, False, "mu is not commutative")
     if not inst.is_cocommutative():
         return ConditionalReport(False, False, "lam is not cocommutative")
-    kernel = pair_kernel(inst, kernel)
+    kernel = inst.kernel
     safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
     pairs = [(i, j) for i in safe for j in safe]
-    if axioms is None:
-        uir = _result("unital infinitesimal", kernel.first_failure(
-            "unital infinitesimal", pairs), name, kernel.A2)
-    else:
-        uir = next(r for r in axioms.results
-                   if r.axiom == "unital infinitesimal")
+    uir = _result("unital infinitesimal", kernel.first_failure(
+        "unital infinitesimal", pairs), name, kernel.A2)
     if not uir.passed:
         return ConditionalReport(False, False,
                                  "unital infinitesimal relation fails: " + uir.describe())
@@ -816,14 +806,8 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
     else:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
-    kernel = PairKernel(inst.mu, inst.lam, ())
-    mu, lam = kernel.mu, kernel.lam
-    # |lam| is even and v = 0: lam mu = t1 + t2 -/+ a (x) b
-    kernel.identities["identity-coproduct form"] = (
-        (("lam_mu", 1, lam),),
-        (("left", 1, mu, lam), ("right", 1, mu, lam), ("point", -sign)))
-    safe = inst.safe_positions()
+    kernel, safe = inst.kernel, inst.safe_positions()
     return _result("unital infinitesimal (identity-coproduct form)",
-                   kernel.first_failure("identity-coproduct form",
+                   kernel.first_failure(f"identity-coproduct form {sign:+d}",
                                         [(i, j) for i in safe for j in safe]),
                    _pair_name(kernel.idx.names), kernel.A2)

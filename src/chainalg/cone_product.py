@@ -72,7 +72,7 @@ from .graded import (
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import (BialgebraData, PairKernel, _require_basis_names,
-                        _times_left, _times_right, shared_kernel)
+                        _times_left, _times_right)
 
 
 def _format_row(module: GradedModule, row: dict) -> str:
@@ -177,6 +177,13 @@ class ConeProductData:
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else A.basis_names())
         _require_basis_names(A, self.safe_names, "safe")
+
+    @functools.cached_property
+    def kernel(self) -> PairKernel:
+        """The `PairKernel` of the defect, v = -Q0, built on first use; a
+        package from `cone_data_from_bialgebra` holds its instance's."""
+        return PairKernel(self.mu, self.lam, _signed_row(
+            vector_terms(self.Q0), True, self.A.ring.neg))
 
 
 def cyclic_symmetrize(t: Vector) -> Vector:
@@ -507,13 +514,6 @@ def check_cone_associativity(ops: ConeProductOps) -> AssociativityResult:
         False, f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
 
 
-def defect_kernel(data: ConeProductData, kernel=None) -> PairKernel:
-    """The `PairKernel` of the package's defect (v = -Q0): `kernel` when a
-    caller shares one, else a new one."""
-    return shared_kernel(kernel, data.mu, data.lam, _signed_row(
-        vector_terms(data.Q0), True, data.A.ring.neg))
-
-
 @dataclass
 class InfinitesimalFromAssocResult:
     precondition_ok: bool
@@ -525,7 +525,6 @@ def check_assoc_implies_infinitesimal(
         data: ConeProductData,
         require_associativity: bool | AssociativityResult = True,
         comps: dict = None,
-        kernel: PairKernel = None,
         ) -> InfinitesimalFromAssocResult:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
@@ -545,9 +544,8 @@ def check_assoc_implies_infinitesimal(
     derives the cone product and checks it; an AssociativityResult already
     computed for this package is used as the verdict instead; False skips
     the precondition.  `comps` is closed_form_components(data), when
-    already built, and `kernel` a `PairKernel` of (mu, lam, -Q0), when one
-    is shared: a package from `cone_data_from_bialgebra` shares the one of
-    its instance's axioms (`bialgebra.pair_kernel`), whose unital
+    already built.  The defect is read from `data.kernel`: a package from
+    `cone_data_from_bialgebra` holds its instance's, whose unital
     infinitesimal quantifier has already expanded the defect of each pair
     it checked when |mu| is even.
 
@@ -568,6 +566,7 @@ def check_assoc_implies_infinitesimal(
     pair (a, b), then the entries of a failing pair's lists; the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
+    kernel = data.kernel
     assoc = require_associativity
     if assoc is True:
         assoc = check_cone_associativity(derive_secondary_ops(data))
@@ -585,7 +584,6 @@ def check_assoc_implies_infinitesimal(
     mu = data.mu.row
     pm_p = comps["pm_p"].row
     pm_m = comps["pm_m"].row
-    kernel = defect_kernel(data, kernel)
     f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
@@ -650,12 +648,15 @@ def check_assoc_implies_infinitesimal(
 
 def cone_data_from_bialgebra(inst: BialgebraData, n: int,
                              name: str = "") -> ConeProductData:
-    """Package a d = 0 unital instance: c0 = 0, Q0 = -lam(eta), B = 0."""
+    """Package a d = 0 unital instance: c0 = 0, Q0 = -lam(eta), B = 0,
+    holding the instance's kernel (v = lam eta = -Q0)."""
     A = inst.module
     complex_ = ChainComplex(A)
     A2 = tensor(A, A)
     A3 = tensor(A, A, A)
-    return ConeProductData(complex_, inst.mu, inst.lam,
+    data = ConeProductData(complex_, inst.mu, inst.lam,
                            c0=A2.zero(), Q0=-inst.lambda_eta(), B=A3.zero(),
                            n=n, safe_names=inst.safe_names,
                            name=name or inst.name)
+    data.kernel = inst.kernel
+    return data

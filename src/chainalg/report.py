@@ -31,7 +31,6 @@ from .complexes import (
 from .bialgebra import (
     AXIOM_ORDER,
     check_axioms,
-    pair_kernel,
     lambda_eta,
     check_involutivity,
     check_cc_implies_antisymmetry,
@@ -47,7 +46,6 @@ from .cone_product import (
     check_cone_associativity,
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
-    defect_kernel,
 )
 from . import fixtures as fx
 
@@ -135,24 +133,9 @@ class _Target:
         self.scn, self.data = scn, scn.payload
         self.kept = {}   # name -> (True, value) or (False, exception)
 
-    def built(self, name):
-        """The intermediate `name` if a check has already built it without
-        an error, else None."""
-        ok, value = self.kept.get(name, (False, None))
-        return value if ok else None
-
-    @_shared
-    def kernel(self):
-        """The package's one `PairKernel`: a bialgebra's lam eta in the
-        middle, or a cone scenario's -Q0; a cone package built from a
-        bialgebra (Q0 = -lam eta) shares its instance's."""
-        d = self.data
-        return (defect_kernel(d) if isinstance(d, ConeProductData)
-                else pair_kernel(d))
-
     @_shared
     def axioms(self):
-        return check_axioms(self.data, kernel=self.kernel)
+        return check_axioms(self.data)
 
     @_shared
     def cone(self):
@@ -256,8 +239,7 @@ def _components_status(t):
 
 
 def _assoc_infinitesimal_status(t):
-    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps,
-                                            t.kernel)
+    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps)
     if not res.precondition_ok:
         return "fail", f"precondition: {res.detail}"
     return ("pass" if res.passed else "fail"), res.detail
@@ -322,10 +304,8 @@ CHECKS = {
     "lambda-eta": ("bialgebra", None, _one(_lambda_eta_status)),
     "involutivity": ("bialgebra", None, _one(
         lambda t: _conditional_status(check_involutivity(t.data)))),
-    # reads the axioms report when the axioms check has already made it
     "cc-antisymmetry": ("bialgebra", None, _one(
-        lambda t: _conditional_status(check_cc_implies_antisymmetry(
-            t.data, t.built("axioms"), t.kernel)))),
+        lambda t: _conditional_status(check_cc_implies_antisymmetry(t.data)))),
     "loday-ronco": ("bialgebra", None, _one(
         lambda t: _axiom_status(check_loday_ronco(t.data)))),
     "reverse-bivector-gate": ("bialgebra", "reverse_bivector",

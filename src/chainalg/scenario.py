@@ -353,6 +353,7 @@ def ingest(data) -> Scenario:
     safe = data.get("safe")
     if safe is not None:
         _expect(isinstance(safe, list), "$.safe", "expected a list of names")
+        _expect(safe, "$.safe", "expected at least one basis name")
         _cap(safe, MAX_SAFE, "$.safe", "safe names")
         seen = set()
         for i, nm in enumerate(safe):

@@ -33,6 +33,11 @@ QUANTIFIER = ("tests/test_pair_pieces.py::"
 ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_terms"
 ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
 ONCE = "tests/test_report.py::test_demo_forms_each_pair_defect_once"
+ONE_KERNEL = ("tests/test_report.py::"
+              "test_demo_builds_one_pair_kernel_per_package")
+KEPT_PAIRS = ("tests/test_pair_pieces.py::"
+              "test_first_failure_over_other_pairs_is_computed_anew")
+LODAY = "tests/test_bialgebra.py::test_loday_ronco_on_based_circle"
 KEPT = "tests/test_report.py::test_a_raising_intermediate_runs_once"
 TABLE_ERRORS = ("tests/test_scenario.py::"
                 "test_operation_table_errors_keep_path_and_message")
@@ -90,8 +95,9 @@ MUTANTS = [
     ("bialgebra.py", "self._piece((kind, -sign, *args)) for kind, sign",
      "self._piece((kind, sign, *args)) for kind, sign", PIECES),
     # the witness re-expansion
-    ("bialgebra.py", "return (*found[:2], *self.sides(identity, *found[1]))",
-     "return found", QUANTIFIER),
+    ("bialgebra.py",
+     "                found = (*found[:2], *self.sides(identity, *found[1]))",
+     "                pass", QUANTIFIER),
     # defect reuse when |mu| is odd, and for the wrong identity
     ("bialgebra.py",
      "self._defects = {} if mu.degree % 2 == 0 else None",
@@ -106,11 +112,16 @@ MUTANTS = [
      "for t, v in at(k)))", ASSOC),
     ("graded.py", "return self(r) if len(key) < len(r) else self._id(key)",
      "return self._id(key)", ROW_IDS),
-    # one kernel per package, and a raising intermediate kept
-    ("report.py", 't.data, t.built("axioms"), t.kernel)',
-     "t.data, None, t.kernel)", ONCE),
-    ("report.py", "t.comps,\n                                            t.kernel)",
-     "t.comps,\n                                            None)", ONCE),
+    # one kernel per package: a quantifier's verdict kept per (identity,
+    # pairs), the instance's kernel handed to its cone package, and the
+    # identity-coproduct form of the sign of lam eta
+    ("bialgebra.py", "found = self._failures.get(key)", "found = None", ONCE),
+    ("bialgebra.py", "key = identity, tuple(pairs)", "key = identity",
+     KEPT_PAIRS),
+    ("cone_product.py", "    data.kernel = inst.kernel\n", "", ONE_KERNEL),
+    ("bialgebra.py", 'first_failure(f"identity-coproduct form {sign:+d}"',
+     'first_failure(f"identity-coproduct form {-sign:+d}"', LODAY),
+    # a raising intermediate kept
     ("report.py", "kept = t.kept[self.name] = (False, e)", "raise", KEPT),
     # the one-pass table parser: a repeated input, the degree of each
     # input and output factor, homogeneity judged after summing, zero

@@ -451,5 +451,3 @@ def test_repeated_safe_or_window_name_raises():
     with pytest.raises(ValueError, match="safe name '1' repeats"):
         BialgebraData(inst.module, inst.mu, inst.lam, inst.eta,
                       safe_names=twice)
-    with pytest.raises(ValueError, match="window name '1' repeats"):
-        check_axioms(inst, window=twice)

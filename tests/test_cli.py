@@ -168,6 +168,19 @@ def test_failed_check_exits_1(tmp_path):
     assert "witness" in r.stdout
 
 
+def test_an_empty_safe_list_exits_2(tmp_path, capsys):
+    # the scenario fails 3 axioms; with no safe names it would pass them all
+    doc = json.loads((DATA / "lambda-s1-plus-mu-Q.json").read_text(
+        encoding="utf-8"))
+    path = tmp_path / "empty-safe.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 1
+    doc["safe"] = []
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 2
+    assert "$.safe" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["output is a directory",
                                   "output in a missing directory",
                                   "target is a directory"])

@@ -4,8 +4,8 @@ runs with `python tests/mutants.py`)."""
 
 import mutants
 
-SAMPLE = (11, 16, 17, 28, 38)   # the rhs subtraction, SideIds.row's guard,
-# cc-antisymmetry given no axioms report, a term error's index, and the
+SAMPLE = (11, 16, 17, 30, 40)   # the rhs subtraction, SideIds.row's guard,
+# the pair kernel's kept verdicts not read, a term error's index, and the
 # pivot search's stop at its floor
 
 

@@ -19,9 +19,8 @@ import pytest
 from chainalg import fixtures as fx
 from chainalg.bialgebra import (
     AxiomResult,
+    PairKernel,
     check_axioms,
-    check_cc_implies_antisymmetry,
-    pair_kernel,
 )
 from chainalg.graded import (
     GradedMap,
@@ -242,7 +241,7 @@ INSTANCES = [(ring, dm, dl, k) for ring in RINGS for dm in MU_DEGREES
                               for r, dm, dl, s in INSTANCES])
 def test_one_pass_difference_matches_the_reference(ring, dm, dl, seed):
     inst = random_instance(ring, dm, dl, seed)
-    kernel = pair_kernel(inst)
+    kernel = inst.kernel
     ref = ReferencePairKernel(inst.mu, inst.lam,
                               inst.lambda_eta_terms().items())
     positions = range(len(kernel.idx.names))
@@ -264,7 +263,7 @@ def test_one_pass_difference_matches_the_reference(ring, dm, dl, seed):
     for p in pairs:
         assert kernel.defect(*p) == ref.defect(*p), p
     # a fresh kernel sums the defect itself
-    fresh = pair_kernel(inst)
+    fresh = PairKernel(inst.mu, inst.lam, inst.lambda_eta_terms().items())
     assert [fresh.defect(*p) for p in pairs] == [ref.defect(*p) for p in pairs]
 
 
@@ -275,8 +274,8 @@ def test_pair_axioms_match_the_reference_quantifier(ring, dm, dl, seed):
     inst = random_instance(ring, dm, dl, seed)
     want = [verdict(reference_result(inst, a)) for a in PAIR_AXIOMS]
     assert pair_verdicts(check_axioms(inst)) == want
-    # the same through a shared kernel
-    assert pair_verdicts(check_axioms(inst, kernel=pair_kernel(inst))) == want
+    # the same again, from the verdicts the instance's kernel kept
+    assert pair_verdicts(check_axioms(inst)) == want
 
 
 # -- one-constant mutants of the fixtures --------------------------------------
@@ -311,10 +310,19 @@ def test_fixture_mutants_match_the_reference_quantifier(name, ring):
     assert failures >= 2   # some mutant fails a pair axiom, with a witness
 
 
-def test_shared_kernel_must_match_the_instance():
-    inst = fx.make_fixture("lambda-s3", fx.TruncationWindow(8), ZZ)
-    other = fx.make_fixture("lambda-s3", fx.TruncationWindow(8), ZZ)
-    with pytest.raises(ValueError, match="other operations"):
-        check_axioms(inst, kernel=pair_kernel(other))
-    with pytest.raises(ValueError, match="other operations"):
-        check_cc_implies_antisymmetry(inst, kernel=pair_kernel(other))
+def test_first_failure_over_other_pairs_is_computed_anew():
+    # the kept verdict is keyed by the pairs as well as the identity
+    inst = next(m for name in BIALGEBRA_FIXTURES for m in mutants(name, ZZ)
+                if any(r.axiom == "unital infinitesimal" and not r.passed
+                       and r.inputs_checked > 1
+                       for r in check_axioms(m).results))
+    kernel, safe = inst.kernel, inst.safe_positions()
+    pairs = [(i, j) for i in safe for j in safe]
+    count, p, _, _ = kernel.first_failure("unital infinitesimal", pairs)
+    assert p is not None and count > 1
+    before = pairs[:pairs.index(p)]
+    assert kernel.first_failure("unital infinitesimal", before)[:2] == \
+        (len(before), None)
+    assert kernel.first_failure("unital infinitesimal", [p])[:2] == (1, p)
+    assert kernel.first_failure("unital infinitesimal", pairs)[:2] == \
+        (count, p)

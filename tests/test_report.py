@@ -188,23 +188,37 @@ def test_a_raising_intermediate_runs_once(monkeypatch, tmp_path):
     assert status["cc-antisymmetry"][0] == "pass"
 
 
-def test_a_raising_pair_kernel_is_built_once(monkeypatch, tmp_path):
-    from chainalg import bialgebra as bl
+def test_demo_builds_one_pair_kernel_per_package(monkeypatch, tmp_path):
+    # lambda-s3's axioms, cc-antisymmetry and cone, and omega-s1-plus's
+    # axioms and loday-ronco, each read their package's one kernel
+    from chainalg.bialgebra import PairKernel
 
-    calls = []
-    _raising(monkeypatch, (rp, bl), "pair_kernel", calls)
-    code, records = _demo(tmp_path, "lambda-s3", 8)
-    assert code == 1 and calls == ["pair_kernel"]
-    errors = [r for r in records if r["status"] == "error"]
-    assert len(errors) == 6 + 2   # the axioms, cc-antisymmetry, and
-    assert {r["detail"] for r in errors} == {    # assoc-infinitesimal
-        "RuntimeError: pair_kernel broke"}
+    built = []
+    original = PairKernel.__init__
+
+    def counting(kernel, *args):
+        built.append(kernel)
+        original(kernel, *args)
+
+    monkeypatch.setattr(PairKernel, "__init__", counting)
+    for name, checks in (("lambda-s3", ("axioms.unital infinitesimal",
+                                        "cc-antisymmetry",
+                                        "assoc-infinitesimal")),
+                         ("omega-s1-plus", ("axioms.unital infinitesimal",
+                                            "loday-ronco"))):
+        built.clear()
+        code, records = _demo(tmp_path, name, 8)
+        assert code == 0, [r for r in records if r["status"] != "pass"]
+        ran = {r["id"].split(".", 1)[1] for r in records}
+        assert set(checks) <= ran, name
+        assert len(built) == 1, name
 
 
 def test_demo_forms_each_pair_defect_once(monkeypatch, tmp_path):
     # one kernel per package: the unital infinitesimal difference of each
     # safe pair is summed once, by the axioms quantifier; cc-antisymmetry
-    # reads the axioms report, and assoc-infinitesimal the kept defects
+    # reads the verdict the kernel kept, and assoc-infinitesimal the kept
+    # defects
     from chainalg.bialgebra import PairKernel
 
     formed = Counter()

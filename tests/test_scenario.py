@@ -258,6 +258,18 @@ def test_duplicate_safe_name_rejected():
     assert tuple(sc.ingest(json.dumps(doc)).payload.safe_names) == ("x", "e")
 
 
+@pytest.mark.parametrize("source", ["lambda-s1-plus-mu-Q.json",
+                                    "lambda-s1-plus-cone-mu-Q.json"])
+def test_empty_safe_list_rejected(source):
+    # an empty window would pass every axiom on 0 inputs
+    doc = json.loads((DATA / source).read_text(encoding="utf-8"))
+    doc["safe"] = []
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert (ei.value.path, ei.value.message) == (
+        "$.safe", "expected at least one basis name")
+
+
 def _rejected_at(doc):
     with pytest.raises(sc.SchemaError) as ei:
         sc.ingest(json.dumps(doc))
