@@ -126,8 +126,11 @@ class ConeProductData:
     Invariants enforced at construction: operation degrees match the
     half-dimension parameter n (|mu| = 0, |lam| = 1-2n, |c0| = -2n,
     |Q0| = 1-2n, |B| = 2-4n when the values are nonzero), the secondary
-    bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), and
-    B is invariant under the graded cyclic rotation.
+    bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), B
+    is invariant under the graded cyclic rotation, and the continuation
+    map c: M -> A read off c0 is a chain map (`continuation`).  Each of
+    `ops`, `components`, `associativity` and `kernel` is built on first
+    use and kept, and none raises on a constructed package.
     """
 
     def __init__(self, complex_: ChainComplex, mu: GradedMap, lam: GradedMap,
@@ -164,6 +167,14 @@ class ConeProductData:
             rotated = _cyclic_rotate(B)
             if rotated != B:
                 raise ValueError("cubic vector is not cyclically symmetric")
+        # the continuation map c(f) = <f (x) 1, c0> on M, the dual side
+        M = dual_side(A, n)
+        c0_rows = slot_table(c0_terms, A2, M)
+        c = GradedMap(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
+                      name="c")
+        self.continuation = ChainMap(
+            ChainComplex(M, shift_map(dual_map(complex_.d), 2 * n)),
+            complex_, c)
 
         self.complex = complex_
         self.A = A
@@ -177,6 +188,21 @@ class ConeProductData:
         self.safe_names = (tuple(safe_names) if safe_names is not None
                            else A.basis_names())
         _require_basis_names(A, self.safe_names, "safe")
+
+    @functools.cached_property
+    def ops(self) -> ConeProductOps:
+        """The derived operations, `derive_secondary_ops(self)`."""
+        return derive_secondary_ops(self)
+
+    @functools.cached_property
+    def components(self) -> dict:
+        """The closed-form components, `closed_form_components(self)`."""
+        return closed_form_components(self)
+
+    @functools.cached_property
+    def associativity(self) -> AssociativityResult:
+        """The verdict of `check_cone_associativity(self.ops)`."""
+        return check_cone_associativity(self.ops)
 
     @functools.cached_property
     def kernel(self) -> PairKernel:
@@ -238,10 +264,10 @@ class ConeProductOps:
 
 
 def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
-    """Construct all derived operations by exact dualization."""
+    """Construct all derived operations by exact dualization, and the cone
+    of the package's continuation map."""
     A = data.A
-    n = data.n
-    M = dual_side(A, n)
+    M = data.continuation.source.module
     Mbar = shift(M, -1)
     R = A.ring
     neg = R.neg
@@ -309,17 +335,8 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         "beta": unapply_op_shift(beta, 1, 1, 0),
     }
 
-    # the cone of the continuation map, with the dual complex on the source
-    d_M = shift_map(dual_map(data.complex.d), 2 * n)
-    M_complex = ChainComplex(M, d_M)
-    c0_rows = slot_table(vector_terms(data.c0), data.c0.module, M)
-    c = GradedMap(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
-                  name="c")
-    c_map = ChainMap(M_complex, data.complex, c)
-    cone = mapping_cone(c_map)
-
     ops = ConeProductOps(data, M, Mbar, m_L, m_R, sigma, tau_L, tau_R, beta,
-                         barred, cone)
+                         barred, mapping_cone(data.continuation))
     ops.product = assemble_cone_product(ops)
     return ops
 
@@ -457,14 +474,12 @@ class CrossCheckResult:
         return "; ".join(self.failures[:5])
 
 
-def cross_check_components(ops: ConeProductOps,
-                           comps: dict = None) -> CrossCheckResult:
-    """Closed-form components == assembled blocks, on all safe inputs,
-    compared row by row.  `comps` is closed_form_components(ops.data), when
-    already built."""
+def cross_check_components(ops: ConeProductOps) -> CrossCheckResult:
+    """The package's closed-form components (`ops.data.components`) ==
+    the assembled blocks of `ops`, on all safe inputs, compared row by
+    row."""
     data = ops.data
-    if comps is None:
-        comps = closed_form_components(data)
+    comps = data.components
     A, M = data.A, ops.M
     cone_mod = ops.cone.complex.module
     plus, minus, where = ops.cone.layout
@@ -522,9 +537,7 @@ class InfinitesimalFromAssocResult:
 
 
 def check_assoc_implies_infinitesimal(
-        data: ConeProductData,
-        require_associativity: bool | AssociativityResult = True,
-        comps: dict = None,
+        data: ConeProductData, require_associativity: bool = True,
         ) -> InfinitesimalFromAssocResult:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
@@ -540,11 +553,10 @@ def check_assoc_implies_infinitesimal(
     the two agree exactly when the package comes from a unital instance
     satisfying the secondary-continuation identity.
 
-    Cone associativity is the precondition.  require_associativity=True
-    derives the cone product and checks it; an AssociativityResult already
-    computed for this package is used as the verdict instead; False skips
-    the precondition.  `comps` is closed_form_components(data), when
-    already built.  The defect is read from `data.kernel`: a package from
+    Cone associativity is the precondition: require_associativity=True
+    reads the package's verdict (`data.associativity`), False skips it.
+    The components are the package's (`data.components`).  The defect is
+    read from `data.kernel`, past the precondition: a package from
     `cone_data_from_bialgebra` holds its instance's, whose unital
     infinitesimal quantifier has already expanded the defect of each pair
     it checked when |mu| is even.
@@ -566,15 +578,10 @@ def check_assoc_implies_infinitesimal(
     pair (a, b), then the entries of a failing pair's lists; the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
-    kernel = data.kernel
-    assoc = require_associativity
-    if assoc is True:
-        assoc = check_cone_associativity(derive_secondary_ops(data))
-    if assoc is not False and not assoc.passed:
+    if require_associativity and not (assoc := data.associativity).passed:
         return InfinitesimalFromAssocResult(
             False, False, f"cone product is not associative: {assoc.witness}")
-    if comps is None:
-        comps = closed_form_components(data)
+    comps, kernel = data.components, data.kernel
     A = data.A
     A2 = tensor(A, A)
     M = dual_side(A, data.n)

@@ -14,6 +14,7 @@ break the byte-identity guarantee that CI relies on).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -40,10 +41,7 @@ from .bialgebra import (
 )
 from .cone_product import (
     ConeProductData,
-    derive_secondary_ops,
-    closed_form_components,
     cross_check_components,
-    check_cone_associativity,
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
 )
@@ -99,45 +97,21 @@ def _timed(record_id, fn, timings: bool) -> CheckRecord:
 # The check registry
 # ---------------------------------------------------------------------------
 
-class _shared:
-    """A `_Target` property computed by the first check that reads it and
-    kept, value or exception: `functools.cached_property` keeps no
-    exception, so every record that reads a raising intermediate would
-    compute it again.  Each reader of a kept exception raises it again, so
-    its records are `error`s with one text."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, t, owner=None):
-        if t is None:
-            return self
-        kept = t.kept.get(self.name)
-        if kept is None:
-            try:
-                kept = t.kept[self.name] = (True, self.fn(t))
-            except Exception as e:
-                kept = t.kept[self.name] = (False, e)
-        ok, value = kept
-        if ok:
-            return value
-        raise value
-
-
 class _Target:
     """A scenario's payload as the checks see it, with the intermediates
-    they share: each is built by the first check that reads it."""
+    they share: each is built by the first check that reads it and kept.
+    None raises on an admitted scenario or fixture, since what each needs
+    (d*d = 0, and chain maps for a pair's map and secondary map and for a
+    cone package's continuation) was checked when the payload was built."""
 
     def __init__(self, scn):
         self.scn, self.data = scn, scn.payload
-        self.kept = {}   # name -> (True, value) or (False, exception)
 
-    @_shared
+    @functools.cached_property
     def axioms(self):
         return check_axioms(self.data)
 
-    @_shared
+    @functools.cached_property
     def cone(self):
         """The cone package: a cone scenario's own, or a bialgebra's with
         c0 = 0, Q0 = -lam(eta), B = 0 and n read off |lam| = 1 - 2n."""
@@ -145,31 +119,19 @@ class _Target:
         return (d if isinstance(d, ConeProductData)
                 else cone_data_from_bialgebra(d, (1 - d.lam.degree) // 2))
 
-    @_shared
-    def ops(self):
-        return derive_secondary_ops(self.cone)
-
-    @_shared
-    def assoc(self):
-        return check_cone_associativity(self.ops)
-
-    @_shared
-    def comps(self):
-        return closed_form_components(self.cone)
-
-    @_shared
+    @functools.cached_property
     def bundle(self):
         """A complex's bundle, or a bialgebra's module with d = 0."""
         d = self.data
         return (d if isinstance(d, ComplexBundle)
                 else ComplexBundle(ChainComplex(d.module)))
 
-    @_shared
+    @functools.cached_property
     def pair_cone(self):
         """The mapping cone of the bundle's pair."""
         return mapping_cone(self.bundle.pair_map)
 
-    @_shared
+    @functools.cached_property
     def transition(self):
         """The pair cone's transition automorphism."""
         return transition_automorphism(self.pair_cone, self.bundle.secondary)
@@ -234,12 +196,12 @@ def _reverse_coproduct(t):
 
 
 def _components_status(t):
-    res = cross_check_components(t.ops, t.comps)
+    res = cross_check_components(t.cone.ops)
     return ("pass" if res.passed else "fail"), res.describe()
 
 
 def _assoc_infinitesimal_status(t):
-    res = check_assoc_implies_infinitesimal(t.cone, t.assoc, t.comps)
+    res = check_assoc_implies_infinitesimal(t.cone)
     if not res.precondition_ok:
         return "fail", f"precondition: {res.detail}"
     return ("pass" if res.passed else "fail"), res.detail
@@ -314,7 +276,7 @@ CHECKS = {
     "components": ("cone", None, _one(_components_status)),
     "associativity": ("cone", None, _one(
         lambda t: ("pass", "associative on the safe window")
-        if t.assoc.passed else ("fail", t.assoc.witness))),
+        if (r := t.cone.associativity).passed else ("fail", r.witness))),
     "assoc-infinitesimal": ("cone", None, _one(_assoc_infinitesimal_status)),
     "d-squared": ("complex", None, _one(
         lambda t: ("pass", "verified at construction"))),

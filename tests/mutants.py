@@ -1,12 +1,15 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
-scenario parser and exporter, the sparse elimination's pivot search, and
-the sign decisions and structural checks of the row maps.
+cone package's construction check and kept intermediates, the scenario
+parser and exporter, the sparse elimination's pivot search, and the sign
+decisions and structural checks of the row maps.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
 tests/).  `python tests/mutants.py` applies each mutant in turn to a
 temporary copy of src/, runs its test there in a subprocess with that copy
-first on PYTHONPATH, and prints one line per mutant.  It exits 1 when a
+first on PYTHONPATH, and prints one line per mutant.  The subprocess
+runs without pytest's hypothesis plugin, whose import is most of a short
+run's start-up; a killing test that uses hypothesis imports it itself.  It exits 1 when a
 mutant survives (its test passes), when its test cannot run (pytest exits
 with neither 0 nor 1), or when a snippet no longer occurs exactly once.
 `python tests/mutants.py 3 7` runs the mutants at those indices only.
@@ -38,7 +41,12 @@ ONE_KERNEL = ("tests/test_report.py::"
 KEPT_PAIRS = ("tests/test_pair_pieces.py::"
               "test_first_failure_over_other_pairs_is_computed_anew")
 LODAY = "tests/test_bialgebra.py::test_loday_ronco_on_based_circle"
-KEPT = "tests/test_report.py::test_a_raising_intermediate_runs_once"
+CONE_ONCE = ("tests/test_report.py::"
+             "test_cone_records_derive_and_check_associativity_once")
+CONTINUATION = ("tests/test_cone_product.py::"
+                "test_a_continuation_that_is_not_a_chain_map_is_refused")
+CLOSED_FORM = ("tests/test_cone_product.py::"
+               "test_components_witness_names_a_patched_closed_form_block")
 TABLE_ERRORS = ("tests/test_scenario.py::"
                 "test_operation_table_errors_keep_path_and_message")
 COMBO_ERRORS = ("tests/test_scenario.py::"
@@ -121,8 +129,18 @@ MUTANTS = [
     ("cone_product.py", "    data.kernel = inst.kernel\n", "", ONE_KERNEL),
     ("bialgebra.py", 'first_failure(f"identity-coproduct form {sign:+d}"',
      'first_failure(f"identity-coproduct form {-sign:+d}"', LODAY),
-    # a raising intermediate kept
-    ("report.py", "kept = t.kept[self.name] = (False, e)", "raise", KEPT),
+    # the cone package: its continuation map built without the chain-map
+    # check, and its associativity verdict and closed forms computed anew
+    # instead of read from the package
+    ("cone_product.py", "        self.continuation = ChainMap(\n",
+     "        self.continuation = type(\"Unchecked\", (), {\"__init__\": "
+     "lambda m, *a: vars(m).update(zip((\"source\", \"target\", \"f\"), "
+     "a))})(\n", CONTINUATION),
+    ("cone_product.py", "not (assoc := data.associativity).passed:",
+     "not (assoc := check_cone_associativity(\n"
+     "            derive_secondary_ops(data))).passed:", CONE_ONCE),
+    ("cone_product.py", "    comps = data.components\n",
+     "    comps = closed_form_components(data)\n", CLOSED_FORM),
     # the one-pass table parser: a repeated input, the degree of each
     # input and output factor, homogeneity judged after summing, zero
     # coefficients, the coefficient cache, and the field paths
@@ -254,7 +272,8 @@ def run(mutant) -> str:
                "PYTHONDONTWRITEBYTECODE": "1"}
         code = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", str(ROOT / mutant[3])],
+             "no:cacheprovider", "-p", "no:hypothesispytest",
+             str(ROOT / mutant[3])],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL).returncode
     return {0: "survived", 1: "killed"}.get(code, "broken")

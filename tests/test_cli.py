@@ -181,6 +181,30 @@ def test_an_empty_safe_list_exits_2(tmp_path, capsys):
     assert "$.safe" in capsys.readouterr().err
 
 
+# a cone scenario whose continuation map c(x0^) = x0 is not a chain map:
+# d(x0) = x1, while d_M(x0^) = 0
+BAD_CONE = {"schema_version": 1, "kind": "cone", "name": "badcone",
+            "ring": "Z",
+            "module": {"basis": [{"name": "x0", "degree": 0},
+                                 {"name": "x1", "degree": -1}]},
+            "differential": {"degree": -1, "entries": [
+                {"in": ["x0"], "out": [["1", "x1"]]}]},
+            "mu": {"degree": 0, "entries": []},
+            "lambda": {"degree": 1, "entries": []},
+            "eta": [], "n": 0, "c0": [["1", ["x0", "x0"]]]}
+
+
+@pytest.mark.parametrize("command", ["check", "cone"])
+def test_a_continuation_that_is_not_a_chain_map_exits_2(tmp_path, capsys,
+                                                        command):
+    path, out = tmp_path / "badcone.json", tmp_path / "report.json"
+    path.write_text(json.dumps(BAD_CONE))
+    assert cli.main([command, str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "schema error at $: not a chain map: fails on x0^\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["output is a directory",
                                   "output in a missing directory",
                                   "target is a directory"])

@@ -16,7 +16,6 @@ from chainalg.complexes import ChainComplex
 from chainalg.cone_product import (
     ConeProductData,
     assemble_cone_product,
-    closed_form_components,
     derive_secondary_ops,
     cross_check_components,
     check_cone_associativity,
@@ -399,8 +398,11 @@ def test_twist_defect_check_with_a_differential(ring):
     c0, Q0 = d2(P), tau(P) - P
     assert not (tau(c0) - c0).is_zero()
     zero_mu, zero_lam = GradedMap.zero(A2, A, 0), GradedMap.zero(A, A2, -1)
-    ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, Q0, A3.zero(),
-                    n=1)
+    # the twist defect is trivialized, but c(f) = <f (x) 1, c0> of the
+    # d2-cycle c0 anticommutes with the differentials, so no cone exists
+    with pytest.raises(ValueError, match=r"^not a chain map: fails on x2\^$"):
+        ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, Q0,
+                        A3.zero(), n=1)
     bad = Q0 + A2.el("x0⊗x2")
     with pytest.raises(ValueError) as err:
         ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, bad,
@@ -580,7 +582,7 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
     pair, at = _patched_pair(s1_data, ops)
     ops.barred["m_L"] = patched(ops.barred["m_L"], at)
     ops.product = assemble_cone_product(ops)
-    res = cross_check_components(ops, closed_form_components(s1_data))
+    res = cross_check_components(ops)
     assert not res.passed
     assert len(res.failures) == 1, res.failures
     assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
@@ -588,12 +590,30 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
 
 
 def test_components_witness_names_a_patched_closed_form_block(s1_data):
-    ops = derive_secondary_ops(s1_data)
-    pair, at = _patched_pair(s1_data, ops)
-    comps = closed_form_components(s1_data)
-    comps["pm_m"] = patched(comps["pm_m"], at)
-    res = cross_check_components(ops, comps)
+    # the cross-check reads the package's own components, patched here on
+    # a fresh package so that the shared fixture keeps its own
+    data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
+    pair, at = _patched_pair(data, data.ops)
+    data.components["pm_m"] = patched(data.components["pm_m"], at)
+    res = cross_check_components(data.ops)
     assert not res.passed
     assert len(res.failures) == 1, res.failures
     assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
-    assert cross_check_components(ops, closed_form_components(s1_data)).passed
+    assert cross_check_components(derive_secondary_ops(s1_data)).passed
+
+
+def test_a_continuation_that_is_not_a_chain_map_is_refused():
+    # c(x0^) = x0, but d(x0) = x1 while d_M(x0^) = 0: the package is
+    # refused at construction, naming the first failing basis element
+    A = GradedModule(ZZ, [BasisElement("x0", 0), BasisElement("x1", -1)],
+                     name="x")
+    A2 = tensor(A, A)
+    d = GradedMap.from_table(A, A, -1, {"x0": A.el("x1")})
+    args = (ChainComplex(A, d), GradedMap.zero(A2, A, 0),
+            GradedMap.zero(A, A2, 1))
+    with pytest.raises(ValueError, match=r"^not a chain map: fails on x0\^$"):
+        ConeProductData(*args, A2.el("x0⊗x0"), A2.zero(),
+                        tensor(A, A, A).zero(), n=0)
+    good = ConeProductData(*args, A2.zero(), A2.zero(),
+                           tensor(A, A, A).zero(), n=0)
+    assert good.continuation.f.row(0) == ()

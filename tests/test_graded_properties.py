@@ -43,7 +43,6 @@ from chainalg.complexes import ChainComplex
 from chainalg.cone_product import (
     ConeProductData,
     check_assoc_implies_infinitesimal,
-    closed_form_components,
     dual_side,
 )
 from chainalg.graded import (
@@ -575,10 +574,10 @@ def test_assoc_infinitesimal_matches_the_composites(ring, data):
     safe = order[:data.draw(st.integers(1, len(order)))]
     cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
                            tensor(A, A, A).zero(), n, safe_names=safe)
-    comps = closed_form_components(cone)
-    res = check_assoc_implies_infinitesimal(cone, False, comps)
+    res = check_assoc_implies_infinitesimal(cone, False)
     assert res.precondition_ok
-    assert (res.passed, res.detail) == assoc_infinitesimal_reference(cone, comps)
+    assert (res.passed, res.detail) == assoc_infinitesimal_reference(
+        cone, cone.components)
 
 
 # -- interned tensor modules ----------------------------------------------------

@@ -4,7 +4,7 @@ runs with `python tests/mutants.py`)."""
 
 import mutants
 
-SAMPLE = (11, 16, 17, 30, 40)   # the rhs subtraction, SideIds.row's guard,
+SAMPLE = (11, 16, 17, 32, 42)   # the rhs subtraction, SideIds.row's guard,
 # the pair kernel's kept verdicts not read, a term error's index, and the
 # pivot search's stop at its floor
 

@@ -15,7 +15,8 @@ entries +-2..+-9 and so no unit entry), and
 associativity axiom fails, and `chainalg cone <f> --format json` on two
 lambda-s1-plus cone scenarios at window 8 with one structure constant
 negated (a mu constant over Q, a lam constant over GF(5)), whose cone
-associativity and assoc-infinitesimal records fail, and `chainalg check <f>
+associativity and assoc-infinitesimal records fail, and on the unmutated
+one over Z (Q0 = -lam(eta)), whose three records pass, and `chainalg check <f>
 --format json` on two small complex scenarios with a `top` field and the
 essential check, one whose top-degree differential vanishes and one whose
 does not, `chainalg demo <f> --window 8 --format json` on the three omega
@@ -67,7 +68,7 @@ CASES = [
 ] + [("check", f"lambda-s1-plus-mu-{r}.json", "--format", "json")
      for r in ("Q", "GF5")
 ] + [("cone", f"lambda-s1-plus-cone-{m}.json", "--format", "json")
-     for m in ("mu-Q", "lam-GF5")
+     for m in ("mu-Q", "lam-GF5", "Z")
 ] + [("check", f"essential-{s}-Z.json", "--format", "json")
      for s in ("pass", "fail")
 ] + [("demo", f, "--window", "8", "--format", "json") for f in OMEGA] + [

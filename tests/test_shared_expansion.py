@@ -11,6 +11,7 @@ packages, on the lambda fixtures, and on copies of those with one Q0 entry,
 one product entry or one closed-form component entry negated.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -165,7 +166,11 @@ def assoc_infinitesimal_loop(data, comps):
 
 
 def assoc_infinitesimal(data, comps):
-    res = check_assoc_implies_infinitesimal(data, False, comps)
+    """(passed, detail) of the identity read through the components `comps`,
+    set on a copy of the package, so that `data` keeps its own."""
+    package = copy.copy(data)
+    package.components = comps
+    res = check_assoc_implies_infinitesimal(package, False)
     assert res.precondition_ok
     return res.passed, res.detail
 
