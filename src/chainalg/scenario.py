@@ -314,8 +314,8 @@ def _parse_operation(obj, source, target, path) -> GradedMap:
 
 def ingest(data) -> Scenario:
     """Validate a scenario (dict or JSON text) into typed objects."""
-    # the check registry, imported on first use so that `import chainalg`
-    # does not also load the report module
+    # the check registry, imported on first use: report imports fixtures,
+    # which imports this module
     from .report import CHECKS, DEFAULT_CHECKS
 
     if isinstance(data, str):

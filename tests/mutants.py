@@ -9,9 +9,11 @@ tests/).  `python tests/mutants.py` applies each mutant in turn to a
 temporary copy of src/, runs its test there in a subprocess with that copy
 first on PYTHONPATH, and prints one line per mutant.  The subprocess
 runs without pytest's hypothesis plugin, whose import is most of a short
-run's start-up; a killing test that uses hypothesis imports it itself.  It exits 1 when a
-mutant survives (its test passes), when its test cannot run (pytest exits
-with neither 0 nor 1), or when a snippet no longer occurs exactly once.
+run's start-up (a killing test that uses hypothesis imports it itself), and
+without the pytest-benchmark plugin, whose fixture no test uses.  It exits
+1 when a mutant survives (its test passes), when its test cannot run
+(pytest exits with neither 0 nor 1), or when a snippet no longer occurs
+exactly once.
 `python tests/mutants.py 3 7` runs the mutants at those indices only.
 
 Only the standard library is used; the subprocess runs pytest with the
@@ -272,8 +274,8 @@ def run(mutant) -> str:
                "PYTHONDONTWRITEBYTECODE": "1"}
         code = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "-p", "no:hypothesispytest",
-             str(ROOT / mutant[3])],
+             "no:cacheprovider", "-p", "no:hypothesispytest", "-p",
+             "no:benchmark", str(ROOT / mutant[3])],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL).returncode
     return {0: "survived", 1: "killed"}.get(code, "broken")

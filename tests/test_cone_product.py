@@ -22,9 +22,10 @@ from chainalg.cone_product import (
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
 )
-from chainalg.fixtures import TruncationWindow, make_fixture, make_random_instance
+from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
 from name_keyed import NameMap, named, tensor_map, twist
+from random_instances import make_random_instance
 
 W = TruncationWindow(12)
 

@@ -14,12 +14,12 @@ from chainalg.fixtures import (
     make_loop_sphere,
     make_loop_circle,
     make_based_loop,
-    make_random_instance,
     fixture_names,
     mutate_lambda,
     mutate_mu,
 )
 from chainalg import scenario as sc
+from random_instances import make_random_instance
 
 W = TruncationWindow(12)
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -1,5 +1,5 @@
 """The mutation gate of `mutants.py`: every snippet still matches, and a
-fixed sample of its mutants is killed (about 6 s on 2 CPUs; the whole gate
+fixed sample of its mutants is killed (about 5.5 s on 2 CPUs; the whole gate
 runs with `python tests/mutants.py`)."""
 
 import mutants

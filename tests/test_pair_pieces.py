@@ -33,6 +33,7 @@ from chainalg.graded import (
     tensor,
 )
 from chainalg.rings import GF, QQ, ZZ
+from random_instances import make_random_instance
 
 RINGS = [ZZ, QQ, GF(5)]
 MU_DEGREES = (-1, 0, 1, 2)
@@ -223,7 +224,7 @@ def random_instance(ring, dm, dl, k):
     middle pieces have terms."""
     found = 0
     for seed in range(100):
-        inst = fx.make_random_instance(seed, 4, degrees=(0, -1, 1),
+        inst = make_random_instance(seed, 4, degrees=(0, -1, 1),
                                        mu_degree=dm, lam_degree=dl, ring=ring)
         if inst.lambda_eta_terms():
             if found == k:

@@ -63,9 +63,6 @@ ALLOWED = {
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
-    "fixtures.make_random_instance": TEST_ONLY,
-    "fixtures.make_random_instance.random_value": TEST_ONLY,
-    "fixtures.make_random_instance.random_tensor_value": TEST_ONLY,
     "fixtures.flip_structure_constant": TEST_ONLY,
     "fixtures.flip_structure_constant.rows": TEST_ONLY,
     "fixtures.mutate_lambda": TEST_ONLY,

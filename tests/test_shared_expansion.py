@@ -36,7 +36,6 @@ from chainalg.fixtures import (
     TruncationWindow,
     flip_structure_constant,
     make_fixture,
-    make_random_instance,
 )
 from chainalg.graded import (
     BasisElement,
@@ -53,6 +52,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import GF, QQ, ZZ
+from random_instances import make_random_instance
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=30, deadline=None,
