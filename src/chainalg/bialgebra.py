@@ -31,6 +31,7 @@ from .graded import (
     tensor_differential,
     associativity_witness,
     format_vector,
+    Outcome,
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
@@ -613,35 +614,21 @@ def _sum(pieces, i, j) -> dict:
 # Derived checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LambdaEtaResult:
-    value: Vector
-    symmetric: bool   # tau(lam eta) = (-1)^{|lam|} lam eta
-
-
-def lambda_eta(inst: BialgebraData) -> LambdaEtaResult:
+def lambda_eta(inst: BialgebraData) -> Outcome:
+    """lam(eta), passing when tau(lam eta) = (-1)^{|lam|} lam eta."""
     terms = inst.lambda_eta_terms().items()
     neg, odd = inst.module.ring.neg, inst.module.index().odd
-    return LambdaEtaResult(
-        row_vector(tensor(inst.module, inst.module), terms),
-        _twisted(terms, odd, neg) == dict(
-            _signed_row(terms, inst.lam.degree % 2, neg)))
+    detail = "lam(eta) = " + format_vector(
+        row_vector(tensor(inst.module, inst.module), terms))
+    if _twisted(terms, odd, neg) == dict(
+            _signed_row(terms, inst.lam.degree % 2, neg)):
+        return Outcome("pass", detail)
+    return Outcome("fail", detail + "; twist symmetry fails")
 
 
-@dataclass
-class ConditionalReport:
-    hypotheses_met: bool
-    passed: bool
-    detail: str = ""
-
-    @property
-    def holds(self):
-        return self.hypotheses_met and self.passed
-
-
-def check_involutivity(inst: BialgebraData) -> ConditionalReport:
+def check_involutivity(inst: BialgebraData) -> Outcome:
     """mu lam = 0, valid when 2 != 0, mu commutative, lam cocommutative,
-    and the operation degrees have opposite parity."""
+    and the operation degrees have opposite parity; a skip otherwise."""
     ring = inst.module.ring
     problems = []
     if ring.characteristic == 2:
@@ -666,42 +653,41 @@ def check_involutivity(inst: BialgebraData) -> ConditionalReport:
             f"mu lam({n}) = {show(mu_lam(n))}"
             for n in inst.safe_names[:4]
         )
-        return ConditionalReport(False, False,
-                                 "hypotheses not met: " + ", ".join(problems)
-                                 + ". raw values: " + values)
+        return Outcome("skip", "hypotheses not met: " + ", ".join(problems)
+                       + ". raw values: " + values)
     _, n, v, _ = _first_difference(inst.safe_names, lambda n: (mu_lam(n), {}))
     if n is None:
-        return ConditionalReport(True, True)
-    return ConditionalReport(True, False, f"mu lam({n}) = {show(v)} != 0")
+        return Outcome("pass", "")
+    return Outcome("fail", f"mu lam({n}) = {show(v)} != 0")
 
 
-def check_cc_implies_antisymmetry(inst: BialgebraData) -> ConditionalReport:
+def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
     """In the commutative/cocommutative case, both sides of (unital
     anti-symmetry) reduce to signed multiples of lam mu; verified by exact
     expansion.  Requires the unital infinitesimal relation to hold: its
     verdict is read from `inst.kernel`, which has kept it when
-    `check_axioms` has already run on the instance."""
+    `check_axioms` has already run on the instance.  A skip when a
+    hypothesis fails."""
     if not inst.is_commutative():
-        return ConditionalReport(False, False, "mu is not commutative")
+        return Outcome("skip", "mu is not commutative")
     if not inst.is_cocommutative():
-        return ConditionalReport(False, False, "lam is not cocommutative")
+        return Outcome("skip", "lam is not cocommutative")
     kernel = inst.kernel
     safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
     pairs = [(i, j) for i in safe for j in safe]
     uir = _result("unital infinitesimal", kernel.first_failure(
         "unital infinitesimal", pairs), name, kernel.A2)
     if not uir.passed:
-        return ConditionalReport(False, False,
-                                 "unital infinitesimal relation fails: " + uir.describe())
+        return Outcome("skip", "unital infinitesimal relation fails: "
+                       + uir.describe())
 
     _, p, left, _ = _first_difference(pairs, lambda p: (
         (kernel.difference("cc left", *p), kernel.difference("cc right", *p)),
         ({}, {})))
     if p is None:
-        return ConditionalReport(True, True)
+        return Outcome("pass", "")
     side = "left" if left[0] else "right"
-    return ConditionalReport(True, False,
-                             f"{side} side does not reduce on {name(p)}")
+    return Outcome("fail", f"{side} side does not reduce on {name(p)}")
 
 
 def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
@@ -774,22 +760,14 @@ def _times_left(mu: GradedMap, c: Vector):
     return rows
 
 
-@dataclass
-class EqualityReport:
-    passed: bool
-    difference: Vector = None
-    detail: str = ""
-
-
-def check_lemma_c_lambda_eta(c_op_fwd: Vector, inst: BialgebraData) -> EqualityReport:
+def check_lemma_c_lambda_eta(c_op_fwd: Vector, inst: BialgebraData) -> Outcome:
     """Consistency gate: a supplied reverse-data continuation bivector must
     equal lam(eta)."""
     expected = inst.lambda_eta()
     if c_op_fwd == expected:
-        return EqualityReport(True)
-    return EqualityReport(False, c_op_fwd - expected,
-                          f"bivector differs from lam(eta) by "
-                          f"{format_vector(c_op_fwd - expected)}")
+        return Outcome("pass", "supplied bivector equals lam(eta)")
+    return Outcome("fail", "bivector differs from lam(eta) by "
+                   + format_vector(c_op_fwd - expected))
 
 
 def check_loday_ronco(inst: BialgebraData) -> AxiomResult:

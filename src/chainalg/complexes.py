@@ -25,6 +25,7 @@ from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
+    Outcome,
     _first_difference,
     _signed_row,
     _sum_rows,
@@ -123,16 +124,7 @@ def _require_chain_map(h: GradedMap, d_source: GradedMap,
         raise ValueError(message.format(x[0]))
 
 
-@dataclass
-class HomotopyReport:
-    homotopic: bool
-    witness: str = ""
-
-    def __bool__(self):
-        return self.homotopic
-
-
-def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> HomotopyReport:
+def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> Outcome:
     """Does f - g = [d, h] hold exactly?  Compared on their rows."""
     R, module = f.target.ring, f.target.module
     f_t, g_t = f.f.at, g.f.at
@@ -141,8 +133,8 @@ def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> HomotopyReport
         dict(_sum_rows(R, f_t(x[1]), _signed_row(g_t(x[1]), True, R.neg))),
         dict(comm(x[1]))))
     if x is None:
-        return HomotopyReport(True)
-    return HomotopyReport(False, f"fails on {x[0]}: "
+        return Outcome("pass", "")
+    return Outcome("fail", f"fails on {x[0]}: "
                           f"{row_vector(module, lhs.items())} vs "
                           f"{row_vector(module, rhs.items())}")
 
@@ -522,8 +514,8 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
     if h.degree != 1:
         raise ValueError(f"homotopies have degree +1, got {h.degree}")
     rep = is_chain_homotopic(c_prime, c, h)
-    if not rep:
-        raise ValueError(f"h is not a homotopy from c to c': {rep.witness}")
+    if rep.status != "pass":
+        raise ValueError(f"h is not a homotopy from c to c': {rep.detail}")
     if c1.target.module != K1.module or c2.target.module != K2.module:
         raise ValueError("c1/c2 must map into the source/target complexes")
     for ci in (c1, c2):

@@ -62,6 +62,7 @@ from .graded import (
     associativity_witness,
     SideIds,
     format_vector,
+    Outcome,
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
@@ -200,7 +201,7 @@ class ConeProductData:
         return closed_form_components(self)
 
     @functools.cached_property
-    def associativity(self) -> AssociativityResult:
+    def associativity(self) -> Outcome:
         """The verdict of `check_cone_associativity(self.ops)`."""
         return check_cone_associativity(self.ops)
 
@@ -463,21 +464,10 @@ def closed_form_components(data: ConeProductData) -> dict:
     }
 
 
-@dataclass
-class CrossCheckResult:
-    passed: bool
-    failures: list
-
-    def describe(self) -> str:
-        if self.passed:
-            return "all components agree with the assembled product"
-        return "; ".join(self.failures[:5])
-
-
-def cross_check_components(ops: ConeProductOps) -> CrossCheckResult:
+def cross_check_components(ops: ConeProductOps) -> Outcome:
     """The package's closed-form components (`ops.data.components`) ==
     the assembled blocks of `ops`, on all safe inputs, compared row by
-    row."""
+    row; a failure names the first five mismatches."""
     data = ops.data
     comps = data.components
     A, M = data.A, ops.M
@@ -509,36 +499,23 @@ def cross_check_components(ops: ConeProductOps) -> CrossCheckResult:
                         f"{label} mismatch at {names[u]}(x){names[v]} in "
                         f"{differ}: assembled {show(*got)} vs closed form "
                         f"{show(*want)}")
-    return CrossCheckResult(not failures, failures)
+    if failures:
+        return Outcome("fail", "; ".join(failures[:5]))
+    return Outcome("pass", "all components agree with the assembled product")
 
 
-@dataclass
-class AssociativityResult:
-    passed: bool
-    witness: str = ""
-
-
-def check_cone_associativity(ops: ConeProductOps) -> AssociativityResult:
+def check_cone_associativity(ops: ConeProductOps) -> Outcome:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples."""
     _, triple, lhs, rhs = associativity_witness(ops.product,
                                                 ops.safe_cone_names())
     if triple is None:
-        return AssociativityResult(True)
+        return Outcome("pass", "associative on the safe window")
     u, v, w = triple
-    return AssociativityResult(
-        False, f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
+    return Outcome(
+        "fail", f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
 
 
-@dataclass
-class InfinitesimalFromAssocResult:
-    precondition_ok: bool
-    passed: bool
-    detail: str = ""
-
-
-def check_assoc_implies_infinitesimal(
-        data: ConeProductData, require_associativity: bool = True,
-        ) -> InfinitesimalFromAssocResult:
+def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     """The (+,+,-) -> + associativity component, expanded through the
     closed-form components, must equal the unital-infinitesimal defect of
     (mu, lam) contracted against the dual input:
@@ -553,9 +530,10 @@ def check_assoc_implies_infinitesimal(
     the two agree exactly when the package comes from a unital instance
     satisfying the secondary-continuation identity.
 
-    Cone associativity is the precondition: require_associativity=True
-    reads the package's verdict (`data.associativity`), False skips it.
-    The components are the package's (`data.components`).  The defect is
+    Cone associativity is the precondition, read from the package's
+    verdict (`data.associativity`); a failing one fails the check with a
+    "precondition: " detail.  The components are the package's
+    (`data.components`).  The defect is
     read from `data.kernel`, past the precondition: a package from
     `cone_data_from_bialgebra` holds its instance's, whose unital
     infinitesimal quantifier has already expanded the defect of each pair
@@ -578,9 +556,9 @@ def check_assoc_implies_infinitesimal(
     pair (a, b), then the entries of a failing pair's lists; the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
-    if require_associativity and not (assoc := data.associativity).passed:
-        return InfinitesimalFromAssocResult(
-            False, False, f"cone product is not associative: {assoc.witness}")
+    if (assoc := data.associativity).status != "pass":
+        return Outcome("fail", "precondition: cone product is not "
+                       f"associative: {assoc.detail}")
     comps, kernel = data.components, data.kernel
     A = data.A
     A2 = tensor(A, A)
@@ -636,15 +614,15 @@ def check_assoc_implies_infinitesimal(
     _, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
         list(map(p[4], rows_at(p[3]))), rhs_ids(p[2], p[3])))
     if ab is None:
-        return InfinitesimalFromAssocResult(True, True)
+        return Outcome("pass", "")
     a, b, i, j, _ = ab
     kf = _first_difference(range(len(lhs)), lambda f: (lhs[f], rhs[f]))[1]
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
         sides[pm_p_of(ids.row(mu(i, j)))[kf]], True, neg)))]
-    return InfinitesimalFromAssocResult(
-        True, False, f"fails at a={a}, b={b}, f={duals[kf][0]}: "
+    return Outcome(
+        "fail", f"fails at a={a}, b={b}, f={duals[kf][0]}: "
         f"{_format_row(A, dict(total))} vs "
         f"{_format_row(A, expected(i, j).get(kf, {}))}")
 

@@ -384,23 +384,25 @@ def mutation_targets(inst: BialgebraData, window: TruncationWindow):
 # Catalog
 # ---------------------------------------------------------------------------
 
+# catalog name -> its builder(window, ring, on_overflow), in catalog order
+_BUILDERS = {
+    "lambda-s3": lambda w, r, o: make_loop_sphere(3, w, r, o),
+    "lambda-s1-plus": lambda w, r, o: make_loop_circle(w, "plus", r, o),
+    "lambda-s1-minus": lambda w, r, o: make_loop_circle(w, "minus", r, o),
+    "omega-s3": lambda w, r, o: make_based_loop(3, w, "plus", r, o),
+    "omega-s1-plus": lambda w, r, o: make_based_loop(1, w, "plus", r, o),
+    "omega-s1-minus": lambda w, r, o: make_based_loop(1, w, "minus", r, o),
+    "tstar-s1": lambda w, r, o: make_tstar_s1(r),
+}
+
+
 def fixture_names():
-    return ("lambda-s3", "lambda-s1-plus", "lambda-s1-minus",
-            "omega-s3", "omega-s1-plus", "omega-s1-minus", "tstar-s1")
+    return tuple(_BUILDERS)
 
 
 def make_fixture(name: str, window: TruncationWindow = TruncationWindow(),
                  ring: Ring = ZZ, on_overflow: str = "drop"):
     """Build a shipped fixture by its catalog name."""
-    builders = {
-        "lambda-s3": lambda: make_loop_sphere(3, window, ring, on_overflow),
-        "lambda-s1-plus": lambda: make_loop_circle(window, "plus", ring, on_overflow),
-        "lambda-s1-minus": lambda: make_loop_circle(window, "minus", ring, on_overflow),
-        "omega-s3": lambda: make_based_loop(3, window, "plus", ring, on_overflow),
-        "omega-s1-plus": lambda: make_based_loop(1, window, "plus", ring, on_overflow),
-        "omega-s1-minus": lambda: make_based_loop(1, window, "minus", ring, on_overflow),
-        "tstar-s1": lambda: make_tstar_s1(ring),
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; catalog: {', '.join(fixture_names())}")
-    return builders[name]()
+    return _BUILDERS[name](window, ring, on_overflow)

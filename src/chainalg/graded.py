@@ -74,7 +74,8 @@ rhs, into one dict per pair a (x) b, which is empty exactly when the pair
 passes, and expand the two sides again only for the first failing pair;
 one kernel per package serves the axioms, cc-antisymmetry and the cone's
 assoc-infinitesimal check.  Both stop at the first failing input through
-`_first_difference`.
+`_first_difference`; every check but the axiom quantifiers returns an
+`Outcome`.
 """
 
 from __future__ import annotations
@@ -677,6 +678,14 @@ def _sum_rows(ring, *parts) -> tuple:
 def _signed_row(items, negate, neg) -> tuple:
     """The (key, coefficient) pairs `items` as a row, negated if `negate`."""
     return tuple((k, neg(c)) for k, c in items) if negate else tuple(items)
+
+
+class Outcome(NamedTuple):
+    """The verdict of every check but the axiom quantifiers: status "pass",
+    "fail" or "skip" (hypotheses not met), and the detail a report prints."""
+
+    status: str
+    detail: str
 
 
 def _first_difference(inputs, sides):

@@ -150,26 +150,6 @@ def _axiom_timed(r):
     return (*_axiom_status(r), r.elapsed_ms)
 
 
-def _lambda_eta_status(t):
-    res = lambda_eta(t.data)
-    detail = f"lam(eta) = {format_vector(res.value)}"
-    if res.symmetric:
-        return "pass", detail
-    return "fail", detail + "; twist symmetry fails"
-
-
-def _conditional_status(rep):
-    if not rep.hypotheses_met:
-        return "skip", rep.detail
-    return ("pass" if rep.passed else "fail"), rep.detail
-
-
-def _gate_status(t):
-    rep = check_lemma_c_lambda_eta(t.scn.reverse_bivector, t.data)
-    return (("pass", "supplied bivector equals lam(eta)") if rep.passed
-            else ("fail", rep.detail))
-
-
 def _reverse_coproduct(t):
     """Reconstruct the opposite-variant coproduct from the fixture's
     instance via the secondary relation and compare it with the directly
@@ -193,18 +173,6 @@ def _reverse_coproduct(t):
         f"mismatch at {nm}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
         f"{format_vector(row_vector(tensor(B, B), want.items()))}")
-
-
-def _components_status(t):
-    res = cross_check_components(t.cone.ops)
-    return ("pass" if res.passed else "fail"), res.describe()
-
-
-def _assoc_infinitesimal_status(t):
-    res = check_assoc_implies_infinitesimal(t.cone)
-    if not res.precondition_ok:
-        return "fail", f"precondition: {res.detail}"
-    return ("pass" if res.passed else "fail"), res.detail
 
 
 def _continuation_status(t):
@@ -252,32 +220,33 @@ def _cone_records(t, _):
 
 def _one(status):
     """A check with one record, named by the check: status(t) -> (status,
-    detail)."""
+    detail), an `Outcome` or a pair."""
     return lambda t, check: [(check, lambda: status(t))]
 
 
 # check id -> (the scenario kind that may list it, or None for a check only
 # a fixture runs; the scenario field it needs, or None; records(t, id) ->
-# [(record id, run)], where run() -> (status, detail))
+# [(record id, run)], where run() -> (status, detail)); the checks are
+# looked up as module globals when they run, so a patch or tracer sees them
 CHECKS = {
     "axioms": ("bialgebra", None, lambda t, _: [
         (f"axioms.{a}", lambda i=i: _axiom_timed(t.axioms.results[i]))
         for i, a in enumerate(AXIOM_ORDER)]),
-    "lambda-eta": ("bialgebra", None, _one(_lambda_eta_status)),
+    "lambda-eta": ("bialgebra", None, _one(lambda t: lambda_eta(t.data))),
     "involutivity": ("bialgebra", None, _one(
-        lambda t: _conditional_status(check_involutivity(t.data)))),
+        lambda t: check_involutivity(t.data))),
     "cc-antisymmetry": ("bialgebra", None, _one(
-        lambda t: _conditional_status(check_cc_implies_antisymmetry(t.data)))),
+        lambda t: check_cc_implies_antisymmetry(t.data))),
     "loday-ronco": ("bialgebra", None, _one(
         lambda t: _axiom_status(check_loday_ronco(t.data)))),
-    "reverse-bivector-gate": ("bialgebra", "reverse_bivector",
-                              _one(_gate_status)),
+    "reverse-bivector-gate": ("bialgebra", "reverse_bivector", _one(
+        lambda t: check_lemma_c_lambda_eta(t.scn.reverse_bivector, t.data))),
     "reverse-coproduct": (None, None, _one(_reverse_coproduct)),
-    "components": ("cone", None, _one(_components_status)),
-    "associativity": ("cone", None, _one(
-        lambda t: ("pass", "associative on the safe window")
-        if (r := t.cone.associativity).passed else ("fail", r.witness))),
-    "assoc-infinitesimal": ("cone", None, _one(_assoc_infinitesimal_status)),
+    "components": ("cone", None, _one(
+        lambda t: cross_check_components(t.cone.ops))),
+    "associativity": ("cone", None, _one(lambda t: t.cone.associativity)),
+    "assoc-infinitesimal": ("cone", None, _one(
+        lambda t: check_assoc_implies_infinitesimal(t.cone))),
     "d-squared": ("complex", None, _one(
         lambda t: ("pass", "verified at construction"))),
     "essential": ("complex", "top", _one(lambda t: (

@@ -1,7 +1,8 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
 cone package's construction check and kept intermediates, the scenario
-parser and exporter, the sparse elimination's pivot search, and the sign
-decisions and structural checks of the row maps.
+parser and exporter, the sparse elimination's pivot search, the sign
+decisions and structural checks of the row maps, and the status and detail
+of each check that returns an `Outcome`.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -45,6 +46,7 @@ KEPT_PAIRS = ("tests/test_pair_pieces.py::"
 LODAY = "tests/test_bialgebra.py::test_loday_ronco_on_based_circle"
 CONE_ONCE = ("tests/test_report.py::"
              "test_cone_records_derive_and_check_associativity_once")
+PINNED = "tests/test_report.py::test_each_outcome_check_keeps_its_failing_record"
 CONTINUATION = ("tests/test_cone_product.py::"
                 "test_a_continuation_that_is_not_a_chain_map_is_refused")
 CLOSED_FORM = ("tests/test_cone_product.py::"
@@ -138,9 +140,9 @@ MUTANTS = [
      "        self.continuation = type(\"Unchecked\", (), {\"__init__\": "
      "lambda m, *a: vars(m).update(zip((\"source\", \"target\", \"f\"), "
      "a))})(\n", CONTINUATION),
-    ("cone_product.py", "not (assoc := data.associativity).passed:",
-     "not (assoc := check_cone_associativity(\n"
-     "            derive_secondary_ops(data))).passed:", CONE_ONCE),
+    ("cone_product.py", "if (assoc := data.associativity).status",
+     "if (assoc := check_cone_associativity(\n"
+     "            derive_secondary_ops(data))).status", CONE_ONCE),
     ("cone_product.py", "    comps = data.components\n",
      "    comps = closed_form_components(data)\n", CLOSED_FORM),
     # the one-pass table parser: a repeated input, the degree of each
@@ -247,6 +249,31 @@ MUTANTS = [
     ("graded.py", "        if self._binary:\n            i, j = key",
      "        if not self._binary:\n            i, j = key",
      "tests/test_graded.py::test_from_table_rows_are_the_terms_of_the_values"),
+    # the status and detail each check gives its Outcome: a skip where the
+    # hypotheses fail, a fail on a witness, the components' first five
+    # mismatches and the precondition's prefix
+    ("bialgebra.py", 'return Outcome("skip", "hypotheses not met: "',
+     'return Outcome("fail", "hypotheses not met: "', PINNED),
+    ("bialgebra.py", 'return Outcome("skip", "unital infinitesimal relation',
+     'return Outcome("fail", "unital infinitesimal relation', PINNED),
+    ("bialgebra.py", 'return Outcome("fail", detail + "; twist symmetry',
+     'return Outcome("pass", detail + "; twist symmetry', PINNED),
+    ("bialgebra.py", 'return Outcome("fail", "bivector differs from',
+     'return Outcome("pass", "bivector differs from', PINNED),
+    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5]))',
+     'return Outcome("pass", "; ".join(failures[:5]))', PINNED),
+    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5]))',
+     'return Outcome("fail", "; ".join(failures[:6]))', PINNED),
+    ("cone_product.py", '    return Outcome(\n        "fail", f"{u}(x){v}(x){w}: ',
+     '    return Outcome(\n        "pass", f"{u}(x){v}(x){w}: ', PINNED),
+    ("cone_product.py", 'return Outcome("fail", "precondition: cone product',
+     'return Outcome("fail", "cone product', PINNED),
+    ("cone_product.py", 'if (assoc := data.associativity).status != "pass":',
+     'if False:', PINNED),
+    ("complexes.py", 'return Outcome("fail", f"fails on {x[0]}: "',
+     'return Outcome("pass", f"fails on {x[0]}: "',
+     "tests/test_complexes.py::"
+     "test_a_map_that_is_not_a_homotopy_names_the_failing_element"),
 ]
 
 

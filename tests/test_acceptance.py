@@ -17,7 +17,7 @@ from chainalg.matrices import (
     smith_normal_form,
     diagonal_of,
 )
-from chainalg.graded import Vector, tensor, TENSOR_SEP
+from chainalg.graded import Vector, format_vector, tensor, TENSOR_SEP
 from chainalg.complexes import mapping_cone, transition_automorphism
 from chainalg.bialgebra import check_axioms, lambda_eta, secondary_relation_apply
 from chainalg.cone_product import (
@@ -60,20 +60,23 @@ def test_criterion_2_lambda_eta_values():
         A2 = tensor(inst.module, inst.module)
         return Vector(A2, {f"{l}{TENSOR_SEP}{r}": c for c, l, r in pairs})
 
+    def value(v):   # the outcome of a twist-symmetric lam(eta) = v
+        return "pass", f"lam(eta) = {format_vector(v)}"
+
     for ring in RINGS:
         for name in ("lambda-s3", "omega-s3"):
             inst = fx.make_fixture(name, WINDOW, ring)
-            assert lambda_eta(inst).value.is_zero(), (name, ring)
+            assert lambda_eta(inst) == value(T(inst)), (name, ring)
         plus = fx.make_fixture("lambda-s1-plus", WINDOW, ring)
         want = T(plus, (1, "A", "1"), (-1, "1", "A"))
-        assert lambda_eta(plus).value == want, ring
+        assert lambda_eta(plus) == value(want), ring
         minus = fx.make_fixture("lambda-s1-minus", WINDOW, ring)
-        assert lambda_eta(minus).value == -want, ring
+        assert lambda_eta(minus) == value(-want), ring
         oplus = fx.make_fixture("omega-s1-plus", WINDOW, ring)
         one_one = T(oplus, (1, "1", "1"))
-        assert lambda_eta(oplus).value == one_one, ring
+        assert lambda_eta(oplus) == value(one_one), ring
         ominus = fx.make_fixture("omega-s1-minus", WINDOW, ring)
-        assert lambda_eta(ominus).value == -one_one, ring
+        assert lambda_eta(ominus) == value(-one_one), ring
     _report(2, "lam(eta) = 0 on spheres, +-(A(x)1 - 1(x)A) on the free-loop "
                "circle, +-(1(x)1) on the based circle, over Z, Q, GF(5)")
 
@@ -109,9 +112,9 @@ def test_criterion_4_cone_components_and_associativity():
     for name, data in _cone_fixture_data():
         ops = derive_secondary_ops(data)
         cc = cross_check_components(ops)
-        assert cc.passed, f"{name}: {cc.describe()}"
+        assert cc.status == "pass", f"{name}: {cc.detail}"
         assoc = check_cone_associativity(ops)
-        assert assoc.passed, f"{name}: {assoc.witness}"
+        assert assoc.status == "pass", f"{name}: {assoc.detail}"
         n_safe = len(ops.safe_cone_names())
         details.append(f"{name} ({n_safe} safe cone generators)")
     _report(4, "closed-form components equal the assembled blocks and the "
@@ -121,8 +124,7 @@ def test_criterion_4_cone_components_and_associativity():
 def test_criterion_5_associativity_component_identity():
     for name, data in _cone_fixture_data():
         res = check_assoc_implies_infinitesimal(data)
-        assert res.precondition_ok, f"{name}: {res.detail}"
-        assert res.passed, f"{name}: {res.detail}"
+        assert res.status == "pass", f"{name}: {res.detail}"
     _report(5, "the (+,+,-) -> + associativity component equals the unital "
                "infinitesimal defect contracted against the dual input, "
                "exactly, on both cone fixtures")
@@ -247,12 +249,12 @@ def test_criterion_8_cone_mutation_robustness():
                 caught["construction"] = caught.get("construction", 0) + 1
                 continue
             ops = derive_secondary_ops(data)
-            if not cross_check_components(ops).passed:
+            if cross_check_components(ops).status != "pass":
                 caught["components"] = caught.get("components", 0) + 1
                 continue
             assoc = check_cone_associativity(ops)
-            assert not assoc.passed, f"{flip} went undetected"
-            assert assoc.witness, flip
+            assert assoc.status == "fail", f"{flip} went undetected"
+            assert assoc.detail, flip
             caught["associativity"] = caught.get("associativity", 0) + 1
     total = sum(caught.values())
     assert total == 24

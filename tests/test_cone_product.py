@@ -6,6 +6,7 @@ from chainalg.graded import (
     BasisElement,
     GradedMap,
     GradedModule,
+    Outcome,
     Vector,
     shift,
     tensor,
@@ -287,8 +288,9 @@ def test_shift_sign_table(s3_ops):
 
 
 def test_components_cross_check(s3_ops, s1_ops):
-    assert cross_check_components(s3_ops).passed
-    assert cross_check_components(s1_ops).passed
+    agree = ("pass", "all components agree with the assembled product")
+    assert cross_check_components(s3_ops) == agree
+    assert cross_check_components(s1_ops) == agree
 
 
 def test_block_placement(s3_ops):
@@ -309,8 +311,9 @@ def test_block_placement(s3_ops):
 
 
 def test_cone_associativity(s3_ops, s1_ops):
-    assert check_cone_associativity(s3_ops).passed
-    assert check_cone_associativity(s1_ops).passed
+    associative = ("pass", "associative on the safe window")
+    assert check_cone_associativity(s3_ops) == associative
+    assert check_cone_associativity(s1_ops) == associative
 
 
 def test_commutativity_relations(s1_ops):
@@ -329,8 +332,8 @@ def test_commutativity_relations(s1_ops):
 
 
 def test_assoc_implies_infinitesimal(s3_data, s1_data):
-    assert check_assoc_implies_infinitesimal(s3_data).passed
-    assert check_assoc_implies_infinitesimal(s1_data).passed
+    assert check_assoc_implies_infinitesimal(s3_data) == ("pass", "")
+    assert check_assoc_implies_infinitesimal(s1_data) == ("pass", "")
 
 
 def test_assoc_implies_infinitesimal_nonvacuous():
@@ -376,9 +379,11 @@ def test_assoc_implies_infinitesimal_nonvacuous():
     assert not uir.passed  # the random coproduct is not a bialgebra
     # full cone associativity fails for a random coproduct (the other
     # component identities need more structure), so check the component
-    # identity directly
-    res = check_assoc_implies_infinitesimal(data, require_associativity=False)
-    assert res.passed, res.detail
+    # identity directly: a passing associativity verdict set on the package
+    # stands in for its precondition, which the check reads from there
+    data.associativity = Outcome("pass", "associative on the safe window")
+    res = check_assoc_implies_infinitesimal(data)
+    assert res.status == "pass", res.detail
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
@@ -432,8 +437,9 @@ def test_assoc_precondition_failure_reported():
                            -inst.lam(inst.eta), A3.zero(), n=1,
                            safe_names=inst.safe_names)
     res = check_assoc_implies_infinitesimal(data)
-    assert not res.precondition_ok
-    assert "not associative" in res.detail
+    assert res.status == "fail"
+    assert res.detail.startswith(
+        "precondition: cone product is not associative: "), res.detail
 
 
 def test_cone_machinery_over_fields():
@@ -444,8 +450,8 @@ def test_cone_machinery_over_fields():
         inst = make_fixture("lambda-s1-plus", w, ring)
         data = cone_data_from_bialgebra(inst, n=1)
         ops = derive_secondary_ops(data)
-        assert cross_check_components(ops).passed, ring
-        assert check_cone_associativity(ops).passed, ring
+        assert cross_check_components(ops).status == "pass", ring
+        assert check_cone_associativity(ops).status == "pass", ring
 
 
 def test_degenerate_block_diagonal_case():
@@ -583,11 +589,9 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
     pair, at = _patched_pair(s1_data, ops)
     ops.barred["m_L"] = patched(ops.barred["m_L"], at)
     ops.product = assemble_cone_product(ops)
-    res = cross_check_components(ops)
-    assert not res.passed
-    assert len(res.failures) == 1, res.failures
-    assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
-    assert res.describe() == res.failures[0]
+    assert cross_check_components(ops) == (
+        "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
+        "vs closed form (0 | U^-2^)")
 
 
 def test_components_witness_names_a_patched_closed_form_block(s1_data):
@@ -596,11 +600,11 @@ def test_components_witness_names_a_patched_closed_form_block(s1_data):
     data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
     pair, at = _patched_pair(data, data.ops)
     data.components["pm_m"] = patched(data.components["pm_m"], at)
-    res = cross_check_components(data.ops)
-    assert not res.passed
-    assert len(res.failures) == 1, res.failures
-    assert res.failures[0].startswith(f"pm mismatch at {pair} in pm_m: ")
-    assert cross_check_components(derive_secondary_ops(s1_data)).passed
+    assert cross_check_components(data.ops) == (
+        "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
+        "closed form (0 | 1^ + U^-2^)")
+    assert cross_check_components(
+        derive_secondary_ops(s1_data)).status == "pass"
 
 
 def test_a_continuation_that_is_not_a_chain_map_is_refused():

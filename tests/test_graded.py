@@ -391,6 +391,7 @@ for rec in records(scn, scn.checks, "", False):
 _CONE_FAILURES = """
 from chainalg.fixtures import (TruncationWindow, flip_structure_constant,
                                make_fixture)
+from chainalg.graded import Outcome
 from chainalg.cone_product import (
     check_assoc_implies_infinitesimal, check_cone_associativity,
     cone_data_from_bialgebra, derive_secondary_ops)
@@ -398,12 +399,12 @@ data = cone_data_from_bialgebra(
     make_fixture("lambda-s1-plus", TruncationWindow(8)), n=1)
 ops = derive_secondary_ops(data)
 ops.product = flip_structure_constant(ops.product, "+U\u2297+U", "+U^2")
-res = check_cone_associativity(ops)
-print("cone associativity", res.passed, res.witness)
+print("cone associativity", *check_cone_associativity(ops))
 comps = data.components
 comps["pm_p"] = flip_structure_constant(comps["pm_p"], "U^2\u2297U^2^", "A")
-res = check_assoc_implies_infinitesimal(data, False)
-print("assoc-infinitesimal", res.passed, res.detail)
+# the precondition, read from the package, is met without computing it
+data.associativity = Outcome("pass", "associative on the safe window")
+print("assoc-infinitesimal", *check_assoc_implies_infinitesimal(data))
 """
 
 
@@ -424,8 +425,8 @@ def test_correctness_checks_survive_python_O():
         "chain map raised", "rows raised", "safe raised", "pair raised",
         "mu chain map raised", "secondary raised", "inverse exact",
         "continuation-vanishes fail c(m) = 2*a",
-        "cone associativity False +A(x)+U(x)+U: +A*U^2 vs -+A*U^2",
-        "assoc-infinitesimal False fails at a=U, b=U, f=U^2^: 2*A vs 0"]
+        "cone associativity fail +A(x)+U(x)+U: +A*U^2 vs -+A*U^2",
+        "assoc-infinitesimal fail fails at a=U, b=U, f=U^2^: 2*A vs 0"]
 
 
 def test_format_vector_parenthesises_names_that_begin_with_a_minus():

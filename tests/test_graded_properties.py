@@ -46,6 +46,7 @@ from chainalg.cone_product import (
     dual_side,
 )
 from chainalg.graded import (
+    Outcome,
     dual_pair,
     format_vector,
     row_vector,
@@ -574,9 +575,13 @@ def test_assoc_infinitesimal_matches_the_composites(ring, data):
     safe = order[:data.draw(st.integers(1, len(order)))]
     cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
                            tensor(A, A, A).zero(), n, safe_names=safe)
-    res = check_assoc_implies_infinitesimal(cone, False)
-    assert res.precondition_ok
-    assert (res.passed, res.detail) == assoc_infinitesimal_reference(
+    # a passing associativity verdict stands in for the precondition, which
+    # the check reads from the package: the identity is compared whether
+    # or not the drawn cone product is associative
+    cone.associativity = Outcome("pass", "associative on the safe window")
+    res = check_assoc_implies_infinitesimal(cone)
+    assert not res.detail.startswith("precondition: "), res.detail
+    assert (res.status == "pass", res.detail) == assoc_infinitesimal_reference(
         cone, cone.components)
 
 

@@ -38,10 +38,8 @@ ALLOWED = {
     "bialgebra.AxiomReport.passed": API,
     "bialgebra.AxiomReport.failures": API,
     "bialgebra.AxiomReport.describe": API,
-    "bialgebra.ConditionalReport.holds": API,
     "complexes.ChainComplex.__repr__": REPR,
     "complexes.ChainMap.__call__": API,
-    "complexes.HomotopyReport.__bool__": REDUCED,
     "complexes.is_chain_homotopic": REDUCED,
     "complexes.graded_commutator": REDUCED,
     "complexes.HomologySummary.rank": API,

@@ -6,8 +6,11 @@ from pathlib import Path
 from chainalg import cone_product as cp
 from chainalg import report as rp
 from chainalg import scenario as sc
-from chainalg.fixtures import TruncationWindow, make_fixture, mutate_lambda
-from chainalg.graded import TENSOR_SEP
+from chainalg.bialgebra import BialgebraData
+from chainalg.fixtures import (TruncationWindow, fixture_names,
+                               flip_structure_constant, make_fixture,
+                               mutate_lambda, mutate_mu, reverse_data_bivector)
+from chainalg.graded import TENSOR_SEP, GradedMap
 
 CONE_CHECKS = ("components", "associativity", "assoc-infinitesimal")
 
@@ -62,6 +65,85 @@ def test_assoc_infinitesimal_alone_reports_failed_precondition():
     assert records[0].status == "fail"
     assert records[0].detail.startswith(
         "precondition: cone product is not associative"), records[0].detail
+
+
+def _failing_targets():
+    """check -> a scenario on which it fails or skips: lam(eta) broken by
+    one flip, omega-s3 (|mu| and |lam| both even), lambda-s3 with lam(U^2)
+    flipped at A(x)U and U(x)A (cocommutative, but the unital
+    infinitesimal relation fails), the minus variant's bivector supplied
+    to the plus variant, a cone package with a zero pm_m closed form, and
+    one with mu(U, U) negated (not associative)."""
+    w, sep = TruncationWindow(8), TENSOR_SEP
+    plus, s3 = make_fixture("lambda-s1-plus", w), make_fixture("lambda-s3", w)
+    lam = s3.lam
+    for out in (f"A{sep}U", f"U{sep}A"):
+        lam = flip_structure_constant(lam, "U^2", out)
+    zero_pm_m = cp.cone_data_from_bialgebra(plus, n=1)
+    pm_m = zero_pm_m.components["pm_m"]
+    zero_pm_m.components["pm_m"] = GradedMap.zero(pm_m.source, pm_m.target, 0)
+    nonassoc = cp.cone_data_from_bialgebra(
+        mutate_mu(plus, f"U{sep}U", "U^2"), n=1)
+
+    def bialgebra(inst, bivector=None):
+        return sc.Scenario("bialgebra", inst.name, inst.module.ring, inst, (),
+                           w, reverse_bivector=bivector)
+
+    def cone(data):
+        return sc.Scenario("cone", data.name, data.complex.ring, data, (),
+                           None)
+
+    return {
+        "lambda-eta": bialgebra(mutate_lambda(plus, "1", f"A{sep}1")),
+        "involutivity": bialgebra(make_fixture("omega-s3", w)),
+        "cc-antisymmetry": bialgebra(BialgebraData(
+            s3.module, s3.mu, lam, s3.eta, safe_names=s3.safe_names)),
+        "reverse-bivector-gate": bialgebra(plus, reverse_data_bivector(
+            make_fixture("lambda-s1-minus", w))),
+        "components": cone(zero_pm_m),
+        "associativity": cone(nonassoc),
+        "assoc-infinitesimal": cone(nonassoc),
+    }
+
+
+_WITNESS = "+A(x)+U(x)+U: +A*U^2 vs -+A*U^2"
+PINNED = {
+    "lambda-eta": ("fail", "lam(eta) = -1⊗A - A⊗1; twist symmetry fails"),
+    "involutivity": (
+        "skip", "hypotheses not met: mu and lam do not have opposite parity."
+        " raw values: mu lam(1) = 0; mu lam(U) = 1; mu lam(U^2) = 2*U"),
+    "cc-antisymmetry": (
+        "skip", "unital infinitesimal relation fails: unital infinitesimal: "
+        "FAIL at A⊗U^2; lhs = A*U⊗A + A⊗A*U; rhs = -A*U⊗A + A⊗A*U"),
+    "reverse-bivector-gate": (
+        "fail", "bivector differs from lam(eta) by 2*1⊗A - 2*A⊗1"),
+    "components": ("fail", "; ".join(
+        f"pm mismatch at +A(x)-{f} in pm_m: assembled (0 | {g}) vs closed "
+        f"form (0 | 0)" for f, g in (("A^", "1^"), ("A*U^", "U^"),
+                                     ("A*U^-1^", "U^-1^"),
+                                     ("A*U^-2^", "U^-2^"),
+                                     ("A*U^2^", "U^2^")))),
+    "associativity": ("fail", _WITNESS),
+    "assoc-infinitesimal": (
+        "fail", f"precondition: cone product is not associative: {_WITNESS}"),
+}
+
+
+def test_each_outcome_check_keeps_its_failing_record():
+    # the (status, detail) of one failing or skipped input per check that
+    # returns an Outcome, as the per-class adapters of the report printed
+    # them; components shows its first five mismatches only
+    targets = _failing_targets()
+    assert {check: [(r.status, r.detail) for r in
+                    rp.records(targets[check], (check,), "", False)]
+            for check in PINNED} == {c: [want] for c, want in PINNED.items()}
+
+
+def test_every_fixture_has_a_suite_and_every_variant_an_opposite():
+    # `cli` reads a fixture's suites from FIXTURES by its catalog name
+    assert set(rp.FIXTURES) == set(fixture_names())
+    assert set(rp.OPPOSITE) | {other for other, _ in rp.OPPOSITE.values()} \
+        <= set(fixture_names())
 
 
 def test_demo_runs_the_axioms_once(monkeypatch, tmp_path):

@@ -130,7 +130,8 @@ def test_cone_scenario():
     assert scn.checks == ("components", "associativity", "assoc-infinitesimal")
     from chainalg.cone_product import derive_secondary_ops, cross_check_components
 
-    assert cross_check_components(derive_secondary_ops(scn.payload)).passed
+    assert cross_check_components(
+        derive_secondary_ops(scn.payload)).status == "pass"
 
 
 def test_complex_scenario_with_pair():
@@ -190,7 +191,8 @@ def test_reverse_bivector_gate():
     assert scn.reverse_bivector is not None
     from chainalg.bialgebra import check_lemma_c_lambda_eta
 
-    assert check_lemma_c_lambda_eta(scn.reverse_bivector, scn.payload).passed
+    assert check_lemma_c_lambda_eta(scn.reverse_bivector,
+                                    scn.payload).status == "pass"
     # requesting the gate without the field is a schema error
     doc2 = sc.export_bialgebra(inst)
     doc2["checks"] = ["reverse-bivector-gate"]

@@ -41,6 +41,7 @@ from chainalg.graded import (
     BasisElement,
     GradedMap,
     GradedModule,
+    Outcome,
     SideIds,
     Vector,
     associativity_witness,
@@ -167,12 +168,17 @@ def assoc_infinitesimal_loop(data, comps):
 
 def assoc_infinitesimal(data, comps):
     """(passed, detail) of the identity read through the components `comps`,
-    set on a copy of the package, so that `data` keeps its own."""
+    set on a copy of the package, so that `data` keeps its own.  The copy
+    also gets a passing associativity verdict, which stands in for the
+    precondition the check reads from the package: the identity is
+    compared whether or not the cone product is associative."""
     package = copy.copy(data)
     package.components = comps
-    res = check_assoc_implies_infinitesimal(package, False)
-    assert res.precondition_ok
-    return res.passed, res.detail
+    package.associativity = Outcome("pass", "associative on the safe window")
+    status, detail = check_assoc_implies_infinitesimal(package)
+    assert status in ("pass", "fail")
+    assert not detail.startswith("precondition: "), detail
+    return status == "pass", detail
 
 
 # -- SideIds -------------------------------------------------------------------
@@ -356,9 +362,10 @@ def test_cone_associativity_matches_the_loop(label, data):
         failures.append(got[1] is not None)
         ops.product = mu
         res = check_cone_associativity(ops)
-        assert res.passed == (got[1] is None)
-        if got[1] is not None:
-            assert res.witness == (f"{'(x)'.join(got[1])}: "
+        if got[1] is None:
+            assert res == ("pass", "associative on the safe window")
+        else:
+            assert res == ("fail", f"{'(x)'.join(got[1])}: "
                                    f"{format_vector(got[2])} vs "
                                    f"{format_vector(got[3])}")
     if label.startswith("lambda"):   # associative, and every flip is seen
