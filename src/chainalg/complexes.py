@@ -210,8 +210,6 @@ class HomologyClassMap:
     """
 
     blocks: dict
-    summary_source: HomologySummary
-    summary_target: HomologySummary
 
     def is_identity(self) -> bool:
         return all(M == ExactMatrix.identity(M.ring, M.rows)
@@ -245,7 +243,8 @@ class _HomologyPresentation:
 
     @property
     def ngens(self) -> int:
-        return len(self._relations.orders)
+        free, torsion = self.invariants()
+        return free + len(torsion)
 
     def invariants(self):
         """(free rank, torsion invariant factors) of the presented group."""
@@ -263,13 +262,6 @@ class _HomologyPresentation:
         if w is None:
             raise ValueError("vector is not a cycle")
         return self._relations.cokernel(w)
-
-
-def _summary(presentations) -> HomologySummary:
-    """HomologySummary of {degree: presentation}, in the given order;
-    degrees that present the zero group are omitted."""
-    return HomologySummary(tuple((k, *p.invariants())
-                                 for k, p in presentations.items() if p.ngens))
 
 
 def _presentations(C: ChainComplex, degrees):
@@ -295,8 +287,7 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
     all_degrees = sorted(set(f.source.degrees()) | set(f.target.degrees()))
     ps = _presentations(f.source, all_degrees)
     pt = ps if f.target is f.source else _presentations(f.target, all_degrees)
-    hs, ht = _summary(ps), _summary(pt)
-    degrees = sorted({d for d, _, _ in hs.by_degree} | {d for d, _, _ in ht.by_degree})
+    degrees = [k for k in all_degrees if ps[k].ngens or pt[k].ngens]
     block = sparse_blocks(f.f)
     blocks = {}
     for k in degrees:
@@ -305,7 +296,7 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
                                                 for i, c in g.items())))
                     for g in ps[k].gen_columns()]
         blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
-    return HomologyClassMap(blocks, hs, ht)
+    return HomologyClassMap(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ position -> [(input x, coefficient)]), built once per package, mu's per
 fixed factor and degree of the free one.  The contractions (tau_L, tau_R,
 beta, c; mp_p, pm_p) read position-keyed slot tables.  The barred
 operations are operation shifts of these rows, and the assembled product
-moves the block rows to the cone's positions.  The derived side and the
-closed form build their own tables from their own formulas.
+moves the block rows to the cone's positions.  M, Mbar and the layout of
+A and M are built once, with the package; the derived side and the closed
+form build their own tables from their own formulas through that layout.
 """
 
 from __future__ import annotations
@@ -129,9 +130,11 @@ class ConeProductData:
     |Q0| = 1-2n, |B| = 2-4n when the values are nonzero), the secondary
     bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), B
     is invariant under the graded cyclic rotation, and the continuation
-    map c: M -> A read off c0 is a chain map (`continuation`).  Each of
-    `ops`, `components`, `associativity` and `kernel` is built on first
-    use and kept, and none raises on a constructed package.
+    map c: M -> A read off c0 is a chain map (`continuation`).  It holds
+    M = `dual_side(A, n)`, Mbar = M[-1] and their `layout`.  Each of `ops`,
+    `components`, `associativity` and `kernel` is built on first use and
+    kept, none raises on a constructed package, and none refers back to
+    the package, so reference counting frees it.
     """
 
     def __init__(self, complex_: ChainComplex, mu: GradedMap, lam: GradedMap,
@@ -176,6 +179,8 @@ class ConeProductData:
         self.continuation = ChainMap(
             ChainComplex(M, shift_map(dual_map(complex_.d), 2 * n)),
             complex_, c)
+        self.M, self.Mbar = M, shift(M, -1)
+        self.layout = _Layout(A, M)
 
         self.complex = complex_
         self.A = A
@@ -190,6 +195,11 @@ class ConeProductData:
                            else A.basis_names())
         _require_basis_names(A, self.safe_names, "safe")
 
+    def safe_cone_names(self):
+        """The cone's names of the safe window: each "+x", then each "-x^"."""
+        return (tuple(f"+{n}" for n in self.safe_names)
+                + tuple(f"-{n}^" for n in self.safe_names))
+
     @functools.cached_property
     def ops(self) -> ConeProductOps:
         """The derived operations, `derive_secondary_ops(self)`."""
@@ -202,8 +212,8 @@ class ConeProductData:
 
     @functools.cached_property
     def associativity(self) -> Outcome:
-        """The verdict of `check_cone_associativity(self.ops)`."""
-        return check_cone_associativity(self.ops)
+        """The verdict of `check_cone_associativity(self)`."""
+        return check_cone_associativity(self)
 
     @functools.cached_property
     def kernel(self) -> PairKernel:
@@ -244,11 +254,9 @@ def dual_side(A: GradedModule, n: int) -> GradedModule:
 @dataclass
 class ConeProductOps:
     """Derived operations of a cone-product package, unbarred and barred,
-    the assembled product on the cone, and the cone itself."""
+    the assembled product on the cone, and the cone itself, on the
+    package's M and Mbar."""
 
-    data: ConeProductData
-    M: GradedModule
-    Mbar: GradedModule
     m_L: GradedMap
     m_R: GradedMap
     sigma: GradedMap
@@ -259,21 +267,14 @@ class ConeProductOps:
     cone: Cone = None
     product: GradedMap = None
 
-    def safe_cone_names(self):
-        return (tuple(f"+{n}" for n in self.data.safe_names)
-                + tuple(f"-{n}^" for n in self.data.safe_names))
-
 
 def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     """Construct all derived operations by exact dualization, and the cone
     of the package's continuation map."""
-    A = data.A
-    M = data.continuation.source.module
-    Mbar = shift(M, -1)
+    A, M, at = data.A, data.M, data.layout
     R = A.ring
     neg = R.neg
     odd, odd_M = A.index().odd, M.index().odd
-    at = _Layout(A, M)
     deg, dual, base = at.deg, at.dual, at.base
     mu, lam = data.mu.row, data.lam.row
     # coproducts corrected by the secondary bivector: (mu (x) 1)(x (x) Q0)
@@ -336,13 +337,13 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         "beta": unapply_op_shift(beta, 1, 1, 0),
     }
 
-    ops = ConeProductOps(data, M, Mbar, m_L, m_R, sigma, tau_L, tau_R, beta,
-                         barred, mapping_cone(data.continuation))
-    ops.product = assemble_cone_product(ops)
+    ops = ConeProductOps(m_L, m_R, sigma, tau_L, tau_R, beta, barred,
+                         mapping_cone(data.continuation))
+    ops.product = assemble_cone_product(ops, data.mu)
     return ops
 
 
-def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
+def assemble_cone_product(ops: ConeProductOps, mu: GradedMap) -> GradedMap:
     """Block product on Cone(c): each pair of cone positions reads the rows
     of its components, mu or two barred operations, at the positions of
     its factors, and moves them to the cone's positions."""
@@ -350,7 +351,7 @@ def assemble_cone_product(ops: ConeProductOps) -> GradedMap:
     plus, minus, where = ops.cone.layout
     b = {name: op.row_fn for name, op in ops.barred.items()}
     blocks = {   # (u in M, v in M) -> rows into the A and the M part
-        (False, False): (ops.data.mu.row, None),
+        (False, False): (mu.row, None),
         (False, True): (b["tau_R"], b["m_L"]),
         (True, False): (b["tau_L"], b["m_R"]),
         (True, True): (b["beta"], b["sigma"]),
@@ -392,10 +393,8 @@ def closed_form_components(data: ConeProductData) -> dict:
     R = A.ring
     mul, neg = R.mul, R.neg
     cbiv = vector_terms(data.Q0)
-    M = dual_side(A, data.n)
-    Mbar = shift(M, -1)
+    M, Mbar, at = data.M, data.Mbar, data.layout
     odd, odd_M = A.index().odd, M.index().odd
-    at = _Layout(A, M)
     deg, dual, base = at.deg, at.dual, at.base
     mu, lam = data.mu.row, data.lam.row
 
@@ -464,22 +463,22 @@ def closed_form_components(data: ConeProductData) -> dict:
     }
 
 
-def cross_check_components(ops: ConeProductOps) -> Outcome:
-    """The package's closed-form components (`ops.data.components`) ==
-    the assembled blocks of `ops`, on all safe inputs, compared row by
-    row; a failure names the first five mismatches."""
-    data = ops.data
+def cross_check_components(data: ConeProductData) -> Outcome:
+    """The package's closed-form components (`data.components`) == the
+    assembled blocks of its operations (`data.ops`), on all safe inputs,
+    compared row by row; a failure names the first five mismatches."""
+    ops = data.ops
     comps = data.components
-    A, M = data.A, ops.M
-    cone_mod = ops.cone.complex.module
+    A = data.A
     plus, minus, where = ops.cone.layout
     assembled = ops.product.row
-    names = cone_mod.index().names
-    safe = {"p": [plus[A.index().pos[x]] for x in data.safe_names],
-            "m": [minus[M.index().pos[x + "^"]] for x in data.safe_names]}
+    names = ops.cone.complex.module.index().names
+    pos, dual = A.index().pos, data.layout.dual
+    safe = {"p": [plus[pos[x]] for x in data.safe_names],
+            "m": [minus[dual[pos[x]]] for x in data.safe_names]}
 
     def show(d_p, d_m):
-        return f"({_format_row(A, d_p)} | {_format_row(ops.Mbar, d_m)})"
+        return f"({_format_row(A, d_p)} | {_format_row(data.Mbar, d_m)})"
 
     failures = []
     for label in ("pp", "pm", "mp", "mm"):
@@ -504,10 +503,11 @@ def cross_check_components(ops: ConeProductOps) -> Outcome:
     return Outcome("pass", "all components agree with the assembled product")
 
 
-def check_cone_associativity(ops: ConeProductOps) -> Outcome:
-    """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples."""
-    _, triple, lhs, rhs = associativity_witness(ops.product,
-                                                ops.safe_cone_names())
+def check_cone_associativity(data: ConeProductData) -> Outcome:
+    """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples,
+    for the package's assembled product (`data.ops.product`)."""
+    _, triple, lhs, rhs = associativity_witness(data.ops.product,
+                                                data.safe_cone_names())
     if triple is None:
         return Outcome("pass", "associative on the safe window")
     u, v, w = triple
@@ -560,31 +560,30 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
         return Outcome("fail", "precondition: cone product is not "
                        f"associative: {assoc.detail}")
     comps, kernel = data.components, data.kernel
-    A = data.A
+    A, M = data.A, data.M
     A2 = tensor(A, A)
-    M = dual_side(A, data.n)
     idx = A.index()
     R = A.ring
     mul, neg = R.mul, R.neg
     mu = data.mu.row
     pm_p = comps["pm_p"].row
     pm_m = comps["pm_m"].row
-    f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
-    duals = [(f"{n}^", f_pos[f"{n}^"]) for n in data.safe_names]
-    at_f = {k: kf for kf, (_, k) in enumerate(duals)}   # Mbar position -> f
+    # Mbar has M's positions, so the position of f^ keys both
+    duals = [data.layout.dual[i] for _, i in safe]
+    at_f = {k: kf for kf, k in enumerate(duals)}   # Mbar position -> f
     ids = SideIds(R)
     sides = ids.sides
 
     @functools.cache
     def rows_at(j):   # per b: the ids of (P, Q) for each f
-        return [(ids.row(pm_p(j, k)), ids.row(pm_m(j, k))) for _, k in duals]
+        return [(ids.row(pm_p(j, k)), ids.row(pm_m(j, k))) for k in duals]
 
     @functools.cache
     def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
         terms = sides[ab]
-        return [ids.expand(terms, lambda x: pm_p(x, k)) for _, k in duals]
+        return [ids.expand(terms, lambda x: pm_p(x, k)) for k in duals]
 
     def lhs_ids(i):   # per a: the id of mu(a, P) + m_pm_p(a, Q), per ids
         return functools.cache(lambda pq: ids(itertools.chain(
@@ -593,7 +592,6 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 
     def expected(i, j):   # the signed contracted defect, per safe f
         negate = not (idx.odd[i] + idx.odd[j]) % 2
-        # Mbar has M's positions, so k keys both
         return {at_f[k]: dict(_signed_row(terms.items(), negate, neg))
                 for k, terms in slot_table(kernel.defect(i, j).items(), A2, M,
                                            last=True).items() if k in at_f}
@@ -622,7 +620,7 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
         sides[pm_p_of(ids.row(mu(i, j)))[kf]], True, neg)))]
     return Outcome(
-        "fail", f"fails at a={a}, b={b}, f={duals[kf][0]}: "
+        "fail", f"fails at a={a}, b={b}, f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "
         f"{_format_row(A, expected(i, j).get(kf, {}))}")
 

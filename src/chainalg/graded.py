@@ -30,7 +30,8 @@ Sign conventions (the single source of truth for the whole package):
 Tensor products are flattened: (A (x) B) (x) C and A (x) (B (x) C) are the
 same module, with basis names joined by the TENSOR_SEP character.  `tensor`
 returns one TensorModule per tuple of factor objects, cached on the first
-factor, so a product is kept while its first factor lives.
+factor, so a product is kept while its first factor lives; the two refer
+to each other, so only the cyclic collector frees them.
 
 Where values are checked: basis names and coefficients are validated where
 they enter the program, i.e. by the public `Vector(module, coeffs)`
@@ -322,7 +323,9 @@ def tensor(*modules) -> GradedModule:
 
     The product is cached on its first atomic factor, keyed by the
     identities of the others (which it holds, so the ids stay valid).
-    Equal but distinct factors give equal, not identical, products.
+    Equal but distinct factors give equal, not identical, products.  The
+    cache and the product refer to each other: both wait for the cyclic
+    collector.
     """
     if len(modules) == 1:
         return modules[0]
@@ -887,11 +890,9 @@ def shift_map(f: GradedMap, k: int) -> GradedMap:
 
 def dual_module(M: GradedModule) -> GradedModule:
     """M^v with dual basis "name^" in degree -|name|."""
-    dual = GradedModule(M.ring,
+    return GradedModule(M.ring,
                         [BasisElement(e.name + "^", -e.degree) for e in M.basis()],
                         name=f"{M.name}^" if M.name else "")
-    dual.dual_of = M
-    return dual
 
 
 def dual_map(f: GradedMap) -> GradedMap:

@@ -243,7 +243,7 @@ CHECKS = {
         lambda t: check_lemma_c_lambda_eta(t.scn.reverse_bivector, t.data))),
     "reverse-coproduct": (None, None, _one(_reverse_coproduct)),
     "components": ("cone", None, _one(
-        lambda t: cross_check_components(t.cone.ops))),
+        lambda t: cross_check_components(t.cone))),
     "associativity": ("cone", None, _one(lambda t: t.cone.associativity)),
     "assoc-infinitesimal": ("cone", None, _one(
         lambda t: check_assoc_implies_infinitesimal(t.cone))),

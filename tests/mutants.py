@@ -1,8 +1,8 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
-cone package's construction check and kept intermediates, the scenario
-parser and exporter, the sparse elimination's pivot search, the sign
-decisions and structural checks of the row maps, and the status and detail
-of each check that returns an `Outcome`.
+cone package's construction check, kept intermediates and dual side, the
+scenario parser and exporter, the sparse elimination's pivot search, the
+sign decisions and structural checks of the row maps, and the status and
+detail of each check that returns an `Outcome`.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -75,6 +75,12 @@ CHAIN_MAPS = ("tests/test_row_checks.py::"
 CONE_MAPS = "tests/test_row_checks.py::test_cone_maps_match_the_name_formulas"
 COASSOC = ("tests/test_row_checks.py::"
            "test_coassociativity_sides_match_the_composites")
+INF_LOOP = ("tests/test_shared_expansion.py::"
+            "test_assoc_infinitesimal_kernel_matches_the_loop")
+DEGREES = ("tests/test_cone_product.py::"
+           "test_closed_form_components_preserve_degree")
+DUAL_ONCE = ("tests/test_cone_product.py::"
+             "test_a_package_builds_its_dual_side_once")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -141,8 +147,7 @@ MUTANTS = [
      "lambda m, *a: vars(m).update(zip((\"source\", \"target\", \"f\"), "
      "a))})(\n", CONTINUATION),
     ("cone_product.py", "if (assoc := data.associativity).status",
-     "if (assoc := check_cone_associativity(\n"
-     "            derive_secondary_ops(data))).status", CONE_ONCE),
+     "if (assoc := check_cone_associativity(data)).status", CONE_ONCE),
     ("cone_product.py", "    comps = data.components\n",
      "    comps = closed_form_components(data)\n", CLOSED_FORM),
     # the one-pass table parser: a repeated input, the degree of each
@@ -274,6 +279,21 @@ MUTANTS = [
      'return Outcome("pass", f"fails on {x[0]}: "',
      "tests/test_complexes.py::"
      "test_a_map_that_is_not_a_homotopy_names_the_failing_element"),
+    # the package's dual side: Mbar shifted the wrong way or left unbarred
+    # in the closed form, M and Mbar built anew by a check, and the dual
+    # positions of the safe names read through the inverse permutation
+    ("cone_product.py", "self.M, self.Mbar = M, shift(M, -1)",
+     "self.M, self.Mbar = M, shift(M, 1)", DEGREES),
+    ("cone_product.py", "M, Mbar, at = data.M, data.Mbar, data.layout",
+     "M, Mbar, at = data.M, data.M, data.layout", DEGREES),
+    ("cone_product.py", "    A, M, at = data.A, data.M, data.layout\n",
+     "    A, at = data.A, data.layout\n    M = dual_side(A, data.n)\n",
+     DUAL_ONCE),
+    ("cone_product.py", '"m": [minus[dual[pos[x]]] for x in data.safe_names]',
+     '"m": [minus[data.layout.base[pos[x]]] for x in data.safe_names]',
+     CLOSED_FORM),
+    ("cone_product.py", "duals = [data.layout.dual[i] for _, i in safe]",
+     "duals = [data.layout.base[i] for _, i in safe]", INF_LOOP),
 ]
 
 

@@ -21,7 +21,6 @@ from chainalg.graded import Vector, format_vector, tensor, TENSOR_SEP
 from chainalg.complexes import mapping_cone, transition_automorphism
 from chainalg.bialgebra import check_axioms, lambda_eta, secondary_relation_apply
 from chainalg.cone_product import (
-    derive_secondary_ops,
     cross_check_components,
     check_cone_associativity,
     check_assoc_implies_infinitesimal,
@@ -110,12 +109,11 @@ def _cone_fixture_data():
 def test_criterion_4_cone_components_and_associativity():
     details = []
     for name, data in _cone_fixture_data():
-        ops = derive_secondary_ops(data)
-        cc = cross_check_components(ops)
+        cc = cross_check_components(data)
         assert cc.status == "pass", f"{name}: {cc.detail}"
-        assoc = check_cone_associativity(ops)
+        assoc = check_cone_associativity(data)
         assert assoc.status == "pass", f"{name}: {assoc.detail}"
-        n_safe = len(ops.safe_cone_names())
+        n_safe = len(data.safe_cone_names())
         details.append(f"{name} ({n_safe} safe cone generators)")
     _report(4, "closed-form components equal the assembled blocks and the "
                "cone product is associative for " + ", ".join(details))
@@ -248,11 +246,10 @@ def test_criterion_8_cone_mutation_robustness():
             except ValueError:
                 caught["construction"] = caught.get("construction", 0) + 1
                 continue
-            ops = derive_secondary_ops(data)
-            if cross_check_components(ops).status != "pass":
+            if cross_check_components(data).status != "pass":
                 caught["components"] = caught.get("components", 0) + 1
                 continue
-            assoc = check_cone_associativity(ops)
+            assoc = check_cone_associativity(data)
             assert assoc.status == "fail", f"{flip} went undetected"
             assert assoc.detail, flip
             caught["associativity"] = caught.get("associativity", 0) + 1

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.complexes import ChainComplex
+from chainalg import cone_product as cp
 from chainalg.cone_product import (
     ConeProductData,
     assemble_cone_product,
@@ -62,12 +65,12 @@ def s1_data():
 
 @pytest.fixture(scope="module")
 def s3_ops(s3_data):
-    return derive_secondary_ops(s3_data)
+    return s3_data.ops
 
 
 @pytest.fixture(scope="module")
 def s1_ops(s1_data):
-    return derive_secondary_ops(s1_data)
+    return s1_data.ops
 
 
 def test_data_invariants_enforced():
@@ -102,10 +105,10 @@ def test_safe_window_names_basis_elements_once():
                          (safe + safe[:1], "repeat")):
         with pytest.raises(ValueError, match=message):
             ConeProductData(*parts, n=3, safe_names=bad)
-    ops = derive_secondary_ops(ConeProductData(*parts, n=3, safe_names=safe))
-    names = ops.safe_cone_names()
+    data = ConeProductData(*parts, n=3, safe_names=safe)
+    names = data.safe_cone_names()
     assert len(names) == 2 * len(safe)
-    assert all(ops.cone.complex.module.has(n) for n in names)
+    assert all(data.ops.cone.complex.module.has(n) for n in names)
 
 
 def test_cyclic_symmetric_cubic_accepted():
@@ -136,7 +139,7 @@ def test_beta_contracts_the_cubic_vector(ring):
         data = make_random_instance(seed, 4, degrees=(0, -1, 1), ring=ring,
                                     kind="cone", n=1)
         ops = derive_secondary_ops(data)
-        A, M, B = data.A, ops.M, data.B
+        A, M, B = data.A, data.M, data.B
         for f in M.basis_names():
             for g in M.basis_names():
                 want = A.zero()
@@ -152,19 +155,17 @@ def test_beta_contracts_the_cubic_vector(ring):
     assert nonzero
 
 
-def test_pairing_identities_definitional(s3_ops, s1_ops):
+def test_pairing_identities_definitional(s3_data, s1_data):
     """The defining pairing identities of the derived operations, quantified
     over safe inputs; lambda-s1-plus has odd generators, so the Koszul
     signs of the transposes are exercised."""
-    for ops in (s3_ops, s1_ops):
-        _check_m_L_pairing(ops)
+    for data in (s3_data, s1_data):
+        _check_m_L_pairing(data)
 
 
-def _check_m_L_pairing(ops):
-    data = ops.data
-    A = data.A
-    M = ops.M
-    mu = data.mu
+def _check_m_L_pairing(data):
+    ops = data.ops
+    A, M, mu = data.A, data.M, data.mu
     for b in data.safe_names:
         for f in data.safe_names:
             fv = M.el(f + "^")
@@ -185,15 +186,15 @@ def _check_m_L_pairing(ops):
                 assert lhs == rhs, (a, b, f)
 
 
-def test_mu_dualization_consistency(s3_ops, s1_ops):
-    for ops in (s3_ops, s1_ops):
-        _check_m_R_pairing(ops)
+def test_mu_dualization_consistency(s3_data, s1_data):
+    for data in (s3_data, s1_data):
+        _check_m_R_pairing(data)
 
 
-def _check_m_R_pairing(ops):
+def _check_m_R_pairing(data):
     # <m_R(f,a), b> = <f, mu(a,b)> with the plain functional-first pairing
-    data = ops.data
-    A, M = data.A, ops.M
+    ops = data.ops
+    A, M = data.A, data.M
     for f in data.safe_names:
         for a in data.safe_names:
             got = ops.m_R.eval_basis(f"{f}^{TENSOR_SEP}{a}")
@@ -213,7 +214,7 @@ def test_sigma_without_corrections_uses_plain_coproduct():
                            A2.zero(), A3.zero(), n=3,
                            safe_names=inst.safe_names)
     ops = derive_secondary_ops(data)
-    M = ops.M
+    M = data.M
 
     for f in data.safe_names:
         for g in data.safe_names:
@@ -225,12 +226,12 @@ def test_sigma_without_corrections_uses_plain_coproduct():
                 assert dual_pair(got, A.el(a)) == (want if sign == 1 else -want)
 
 
-def test_sigma_pairs_against_corrected_coproduct(s1_ops):
+def test_sigma_pairs_against_corrected_coproduct(s1_data, s1_ops):
     """<sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)> with
     lam_rev = lam + (mu(x)1)(1(x)Q0) + (1(x)mu)(Q0(x)1), here with Q0 != 0
     and odd generators."""
-    data = s1_ops.data
-    A, M, mu = data.A, s1_ops.M, data.mu
+    data = s1_data
+    A, M, mu = data.A, data.M, data.mu
     assert not data.Q0.is_zero()
 
     def lam_rev(a):   # by names; moving Q0 past a costs (-1)^{|Q0||a|}
@@ -257,10 +258,10 @@ def test_sigma_pairs_against_corrected_coproduct(s1_ops):
     assert nonzero
 
 
-def test_shift_sign_table(s3_ops):
+def test_shift_sign_table(s3_data, s3_ops):
     """The five barred/unbarred relations of the component dictionary."""
-    data = s3_ops.data
-    A, M = data.A, s3_ops.M
+    data = s3_data
+    A, M = data.A, data.M
     b = s3_ops.barred
     for x in data.safe_names:
         dx = A.degree_of(x)
@@ -287,14 +288,14 @@ def test_shift_sign_table(s3_ops):
                 s3_ops.sigma.eval_basis(key).scale(sf).coeffs
 
 
-def test_components_cross_check(s3_ops, s1_ops):
+def test_components_cross_check(s3_data, s1_data):
     agree = ("pass", "all components agree with the assembled product")
-    assert cross_check_components(s3_ops) == agree
-    assert cross_check_components(s1_ops) == agree
+    assert cross_check_components(s3_data) == agree
+    assert cross_check_components(s1_data) == agree
 
 
-def test_block_placement(s3_ops):
-    data = s3_ops.data
+def test_block_placement(s3_data, s3_ops):
+    data = s3_data
     prod = s3_ops.product
     # (+,+) -> + equals mu, and the (+,+) -> - block vanishes
     for a in data.safe_names:
@@ -310,17 +311,17 @@ def test_block_placement(s3_ops):
             assert all(k.startswith("-") for k in v.coeffs)
 
 
-def test_cone_associativity(s3_ops, s1_ops):
+def test_cone_associativity(s3_data, s1_data):
     associative = ("pass", "associative on the safe window")
-    assert check_cone_associativity(s3_ops) == associative
-    assert check_cone_associativity(s1_ops) == associative
+    assert check_cone_associativity(s3_data) == associative
+    assert check_cone_associativity(s1_data) == associative
 
 
-def test_commutativity_relations(s1_ops):
+def test_commutativity_relations(s1_data, s1_ops):
     # m^{-+}_+ = m^{+-}_+ . tau and m^{-+}_- = m^{+-}_- . tau on
     # commutative/cocommutative data
-    data = s1_ops.data
-    A, Mbar = data.A, s1_ops.Mbar
+    data = s1_data
+    A, Mbar = data.A, data.Mbar
     tau = twist(Mbar, A)
     b = s1_ops.barred
     for f in data.safe_names:
@@ -449,9 +450,8 @@ def test_cone_machinery_over_fields():
     for ring in (QQ, GF(5)):
         inst = make_fixture("lambda-s1-plus", w, ring)
         data = cone_data_from_bialgebra(inst, n=1)
-        ops = derive_secondary_ops(data)
-        assert cross_check_components(ops).status == "pass", ring
-        assert check_cone_associativity(ops).status == "pass", ring
+        assert cross_check_components(data).status == "pass", ring
+        assert check_cone_associativity(data).status == "pass", ring
 
 
 def test_degenerate_block_diagonal_case():
@@ -470,7 +470,7 @@ def test_degenerate_block_diagonal_case():
             # the product preserves the splitting: mixed inputs stay in the
             # minus block (module structure), nothing crosses back to plus
             assert prod.eval_basis(f"-{f}^{TENSOR_SEP}+{a}").coeffs.keys() <= \
-                {f"-{k}" for k in ops.M.basis_names()}
+                {f"-{k}" for k in data.M.basis_names()}
             v = prod.eval_basis(f"+{a}{TENSOR_SEP}-{f}^")
             assert all(k.startswith("-") for k in v.coeffs)
         for g in data.safe_names:
@@ -496,7 +496,7 @@ def unshift_reference(op, i, j, k):
     return NameMap(source, target, op.degree - i - j + k, fn)
 
 
-def product_reference(ops):
+def product_reference(data, ops):
     """mu_cone by names: each block value of mu or of a barred operation,
     its names prefixed with "+" or "-" for the cone."""
     cone_mod = ops.cone.complex.module
@@ -515,7 +515,7 @@ def product_reference(ops):
         key = f"{u[1:]}{TENSOR_SEP}{v[1:]}"
         if u[0] == v[0] == "+":
             return Vector(cone_mod, {f"+{n}": c for n, c in
-                                     ops.data.mu.eval_basis(key).coeffs.items()})
+                                     data.mu.eval_basis(key).coeffs.items()})
         to_plus, to_minus = (barred[b].eval_basis(key)
                              for b in blocks[u[0], v[0]])
         return Vector(cone_mod,
@@ -544,7 +544,7 @@ def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
         data = cone_data_from_bialgebra(make_fixture(which, TruncationWindow(8)),
                                         n=arg)
     ops = derive_secondary_ops(data)
-    reference = product_reference(ops)
+    reference = product_reference(data, ops)
     names = ops.cone.complex.module.index().names
     row = ops.product.row
     nonzero = set()
@@ -578,33 +578,36 @@ def patched(op, at):
     return GradedMap(op.source, op.target, op.degree, rows, name=op.name)
 
 
-def _patched_pair(data, ops):
+def _patched_pair(data):
     b, f = data.safe_names[1], data.safe_names[2]
-    at = (data.A.index().pos[b], ops.M.index().pos[f"{f}^"])
+    at = (data.A.index().pos[b], data.M.index().pos[f"{f}^"])
     return f"+{b}(x)-{f}^", at
 
 
 def test_components_witness_names_a_patched_assembled_block(s1_data):
-    ops = derive_secondary_ops(s1_data)
-    pair, at = _patched_pair(s1_data, ops)
+    # the cross-check reads the package's own operations, patched here on
+    # a fresh package so that the shared fixture keeps its own
+    data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
+    pair, at = _patched_pair(data)
+    ops = data.ops
     ops.barred["m_L"] = patched(ops.barred["m_L"], at)
-    ops.product = assemble_cone_product(ops)
-    assert cross_check_components(ops) == (
+    ops.product = assemble_cone_product(ops, data.mu)
+    assert cross_check_components(data) == (
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
         "vs closed form (0 | U^-2^)")
+    assert cross_check_components(s1_data).status == "pass"
 
 
 def test_components_witness_names_a_patched_closed_form_block(s1_data):
     # the cross-check reads the package's own components, patched here on
     # a fresh package so that the shared fixture keeps its own
     data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
-    pair, at = _patched_pair(data, data.ops)
+    pair, at = _patched_pair(data)
     data.components["pm_m"] = patched(data.components["pm_m"], at)
-    assert cross_check_components(data.ops) == (
+    assert cross_check_components(data) == (
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
         "closed form (0 | 1^ + U^-2^)")
-    assert cross_check_components(
-        derive_secondary_ops(s1_data)).status == "pass"
+    assert cross_check_components(s1_data).status == "pass"
 
 
 def test_a_continuation_that_is_not_a_chain_map_is_refused():
@@ -622,3 +625,72 @@ def test_a_continuation_that_is_not_a_chain_map_is_refused():
     good = ConeProductData(*args, A2.zero(), A2.zero(),
                            tensor(A, A, A).zero(), n=0)
     assert good.continuation.f.row(0) == ()
+
+
+# -- the package's dual side and lifetime --------------------------------------
+
+def _run_the_cone_checks(data):
+    """The statuses of the components, associativity and assoc-infinitesimal
+    checks on the package."""
+    return [cross_check_components(data).status, data.associativity.status,
+            check_assoc_implies_infinitesimal(data).status]
+
+
+def test_a_package_builds_its_dual_side_once(monkeypatch):
+    # M = dual_side(A, n) and Mbar = M[-1] are built where the package is,
+    # and the operations, the closed forms and every check read them there
+    calls = {"dual_side": 0, "Mbar": 0}
+    dual_side, shift_ = cp.dual_side, cp.shift
+
+    def counting_dual_side(*args):
+        calls["dual_side"] += 1
+        return dual_side(*args)
+
+    def counting_shift(M, k):
+        calls["Mbar"] += k == -1
+        return shift_(M, k)
+
+    monkeypatch.setattr(cp, "dual_side", counting_dual_side)
+    monkeypatch.setattr(cp, "shift", counting_shift)
+    data = cone_data_from_bialgebra(
+        make_fixture("lambda-s1-plus", TruncationWindow(8)), n=1)
+    assert _run_the_cone_checks(data) == ["pass"] * 3
+    assert calls == {"dual_side": 1, "Mbar": 1}
+    assert data.components["mm_m"].target is data.Mbar
+
+
+def test_closed_form_components_preserve_degree(s3_data, s1_data):
+    # barred elements sit one degree above their unbarred ones (Mbar =
+    # M[-1]), and each closed-form component is of degree 0 on A and Mbar
+    for data in (s3_data, s1_data):
+        assert [data.Mbar.degree_of(f) for f in data.M.basis_names()] == \
+            [data.M.degree_of(f) + 1 for f in data.M.basis_names()]
+        nonzero = 0
+        for key, comp in data.components.items():
+            X, Y = (f.index().degree for f in comp.source.factors)
+            out = comp.target.index().degree
+            assert comp.degree == 0, key
+            for i in range(len(X)):
+                for j in range(len(Y)):
+                    terms = comp.row(i, j)
+                    assert all(out[k] == X[i] + Y[j] for k, _ in terms), \
+                        (key, i, j)
+                    nonzero += len(terms)
+        assert nonzero
+
+
+def test_a_package_is_freed_by_reference_counting():
+    # nothing the package builds (operations, cone, components, verdicts)
+    # refers back to it, so its last reference frees it without the
+    # cyclic collector
+    inst = make_fixture("lambda-s1-plus", TruncationWindow(8))
+    gc.collect()
+    gc.disable()
+    try:
+        data = cone_data_from_bialgebra(inst, n=1)
+        assert _run_the_cone_checks(data) == ["pass"] * 3
+        package = weakref.ref(data)
+        del data
+        assert package() is None
+    finally:
+        gc.enable()

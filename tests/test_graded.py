@@ -394,12 +394,12 @@ from chainalg.fixtures import (TruncationWindow, flip_structure_constant,
 from chainalg.graded import Outcome
 from chainalg.cone_product import (
     check_assoc_implies_infinitesimal, check_cone_associativity,
-    cone_data_from_bialgebra, derive_secondary_ops)
+    cone_data_from_bialgebra)
 data = cone_data_from_bialgebra(
     make_fixture("lambda-s1-plus", TruncationWindow(8)), n=1)
-ops = derive_secondary_ops(data)
+ops = data.ops
 ops.product = flip_structure_constant(ops.product, "+U\u2297+U", "+U^2")
-print("cone associativity", *check_cone_associativity(ops))
+print("cone associativity", *check_cone_associativity(data))
 comps = data.components
 comps["pm_p"] = flip_structure_constant(comps["pm_p"], "U^2\u2297U^2^", "A")
 # the precondition, read from the package, is met without computing it

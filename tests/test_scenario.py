@@ -128,10 +128,9 @@ def test_cone_scenario():
     scn = sc.ingest(json.dumps(doc))
     assert scn.kind == "cone"
     assert scn.checks == ("components", "associativity", "assoc-infinitesimal")
-    from chainalg.cone_product import derive_secondary_ops, cross_check_components
+    from chainalg.cone_product import cross_check_components
 
-    assert cross_check_components(
-        derive_secondary_ops(scn.payload)).status == "pass"
+    assert cross_check_components(scn.payload).status == "pass"
 
 
 def test_complex_scenario_with_pair():
