@@ -628,7 +628,8 @@ def lambda_eta(inst: BialgebraData) -> Outcome:
 
 def check_involutivity(inst: BialgebraData) -> Outcome:
     """mu lam = 0, valid when 2 != 0, mu commutative, lam cocommutative,
-    and the operation degrees have opposite parity; a skip otherwise."""
+    and the operation degrees have opposite parity; a skip otherwise.
+    The hypotheses are decided on the safe window only."""
     ring = inst.module.ring
     problems = []
     if ring.characteristic == 2:
@@ -667,7 +668,7 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
     expansion.  Requires the unital infinitesimal relation to hold: its
     verdict is read from `inst.kernel`, which has kept it when
     `check_axioms` has already run on the instance.  A skip when a
-    hypothesis fails."""
+    hypothesis fails.  The hypotheses are decided on the safe window only."""
     if not inst.is_commutative():
         return Outcome("skip", "mu is not commutative")
     if not inst.is_cocommutative():

@@ -32,18 +32,18 @@ operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed form) read
 sparse transposes of those rows and of the corrected coproducts (output
 position -> [(input x, coefficient)]), built once per package, mu's per
 fixed factor and degree of the free one.  The contractions (tau_L, tau_R,
-beta, c; mp_p, pm_p) read position-keyed slot tables.  The barred
-operations are operation shifts of these rows, and the assembled product
-moves the block rows to the cone's positions.  M, Mbar and the layout of
-A and M are built once, with the package; the derived side and the closed
-form build their own tables from their own formulas through that layout.
+beta, c; mp_p, pm_p) read position-keyed slot tables.  The cone product
+reads the same tables, one row function per block, with each [i,j;k]
+unshift's sign folded into its part's.  M, Mbar and the layout of A and
+M are built once, with the package; the derived side and the closed form
+build their own tables from their own formulas through that layout.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graded import (
     GradedModule,
@@ -58,7 +58,6 @@ from .graded import (
     vector_terms,
     row_vector,
     transpose_rows,
-    unapply_op_shift,
     tensor_differential,
     associativity_witness,
     SideIds,
@@ -68,6 +67,7 @@ from .graded import (
     koszul_sign,
     apply_rows,
     _first_difference,
+    _op_shift_signs,
     _signed_row,
     _sum_rows,
     _twisted,
@@ -105,11 +105,10 @@ class _Layout:
 
 
 def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
-    """x (x) f -> sign(x, f) <W(x), 1 (x) f> on source = A (x) M' (last),
-    or f (x) x -> sign(x, f) <f (x) 1, W(x)> on source = M' (x) A, where
-    M' is M or a shift of it (the same positions) and f pairs as an element
-    of M.  W(x) is the row at position x of a map A -> A (x) A and sign(x, f)
-    is +1 or -1 on positions; one slot table of each row serves every f."""
+    """x (x) f -> sign(x, f) <W(x), 1 (x) f> on A (x) Mbar (last), or
+    f (x) x -> sign(x, f) <f (x) 1, W(x)> on Mbar (x) A, f pairing as an
+    element of M, W(x) the row at x of a map A -> A (x) A and sign(x, f)
+    +1 or -1 on positions; one slot table of each row serves every f."""
     A = source.factors[0 if last else 1]
     A2 = tensor(A, A)
     rows = functools.cache(lambda x: slot_table(W(x), A2, M, last))
@@ -253,9 +252,7 @@ def dual_side(A: GradedModule, n: int) -> GradedModule:
 
 @dataclass
 class ConeProductOps:
-    """Derived operations of a cone-product package, unbarred and barred,
-    the assembled product on the cone, and the cone itself, on the
-    package's M and Mbar."""
+    """A package's derived operations, its cone and the product on it."""
 
     m_L: GradedMap
     m_R: GradedMap
@@ -263,32 +260,38 @@ class ConeProductOps:
     tau_L: GradedMap
     tau_R: GradedMap
     beta: GradedMap
-    barred: dict = field(default_factory=dict)
-    cone: Cone = None
-    product: GradedMap = None
+    cone: Cone
+    product: GradedMap
 
 
 def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
-    """Construct all derived operations by exact dualization, and the cone
-    of the package's continuation map."""
+    """The derived operations by exact dualization, the cone, its product."""
     A, M, at = data.A, data.M, data.layout
     R = A.ring
     neg = R.neg
     odd, odd_M = A.index().odd, M.index().odd
     deg, dual, base = at.deg, at.dual, at.base
     mu, lam = data.mu.row, data.lam.row
+    A2 = tensor(A, A)
     # coproducts corrected by the secondary bivector: (mu (x) 1)(x (x) Q0)
     # and (1 (x) mu)(Q0 (x) x), the terms of the change of coproduct
     corr_R = _times_right(data.mu, data.Q0)
     corr_L = _times_left(data.mu, data.Q0)
 
-    # sparse transposes of mu (per fixed factor and degree of the other) and
-    # of lam_rev, each built on first request
+    # built on first request: sparse transposes of mu (per fixed factor and
+    # degree of the other) and of lam_rev, slot tables of lam_fwd, lam_rev_left
     mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
     mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
     lam_rev_table = functools.cache(lambda: transpose_rows(
         range(len(deg)),
         lambda x: _sum_rows(R, lam(x), corr_R(x), corr_L(x))))
+    tau_R_table = functools.cache(lambda x: slot_table(
+        _sum_rows(R, lam(x), corr_R(x)), A2, M, last=True))
+    tau_L_table = functools.cache(lambda x: slot_table(
+        _sum_rows(R, lam(x), corr_L(x)), A2, M))
+    # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
+    B_rows = {f: slot_table(T.items(), A2, M) for f, T in
+              slot_table(vector_terms(data.B), data.B.module, M).items()}
 
     def m_L_row(b, f):
         y, flip = base[f], odd[b]
@@ -307,66 +310,60 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         return _signed_row(((dual[x], c) for x, c in
                             lam_rev_table().get((w1, w2), ())), flip, neg)
 
-    # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
-    B_rows = {f: slot_table(T.items(), tensor(A, A), M) for f, T in
-              slot_table(vector_terms(data.B), data.B.module, M).items()}
-
-    def beta_row(f, g):
-        return _signed_row(B_rows.get(f, {}).get(g, {}).items(),
-                           odd_M[g] and odd[base[f]], neg)
-
     AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
     m_L = GradedMap(AM, M, 0, m_L_row, name="m_L")
     m_R = GradedMap(MA, M, 0, m_R_row, name="m_R")
     sigma = GradedMap(MM, M, 1, sigma_row, name="sigma")
-    tau_R = _contraction(AM, M, lambda x: _sum_rows(R, lam(x), corr_R(x)),
-                         True, 1, lambda b, f: 1, "tau_R")
-    tau_L = _contraction(MA, M, lambda x: _sum_rows(R, lam(x), corr_L(x)),
-                         False, 1, lambda a, f: koszul_sign(odd_M[f] + 1),
-                         "tau_L")
-    beta = GradedMap(MM, A, 2, beta_row, name="beta")
+    tau_R = GradedMap(AM, A, 1, lambda b, f: tuple(
+        tau_R_table(b).get(f, {}).items()), name="tau_R")
+    tau_L = GradedMap(MA, A, 1, lambda f, a: _signed_row(
+        tau_L_table(a).get(f, {}).items(), not odd_M[f], neg), name="tau_L")
+    beta = GradedMap(MM, A, 2, lambda f, g: _signed_row(
+        B_rows.get(f, {}).get(g, {}).items(), odd_M[g] and odd[base[f]], neg),
+        name="beta")
 
-    # barred versions: op = barred[i,j;k] per the component placement, so
-    # each barred operation is the [i,j;k]-unshift of its unbarred form
-    barred = {
-        "m_L": unapply_op_shift(m_L, 0, 1, 1),
-        "m_R": unapply_op_shift(m_R, 1, 0, 1),
-        "sigma": unapply_op_shift(sigma, 1, 1, 1),
-        "tau_R": unapply_op_shift(tau_R, 0, 1, 0),
-        "tau_L": unapply_op_shift(tau_L, 1, 0, 0),
-        "beta": unapply_op_shift(beta, 1, 1, 0),
-    }
+    # the product, one row function per block on the same tables, a part's
+    # sign being its operation's times (-1)^{j |u|} per row: x and x^ have
+    # one parity and a row's x one degree, so m_L's sign is (-1)^{|b|},
+    # sigma's (-1)^{|f|+|g|+1} and beta's (-1)^{|f||g|}
+    cone = mapping_cone(data.continuation)
+    plus, minus, where = cone.layout
+    minus_dual = [minus[f] for f in dual]   # A's x -> the cone's -x^
+    shift_A, shift_M = _op_shift_signs(odd, 1), _op_shift_signs(odd_M, 1)
 
-    ops = ConeProductOps(m_L, m_R, sigma, tau_L, tau_R, beta, barred,
-                         mapping_cone(data.continuation))
-    ops.product = assemble_cone_product(ops, data.mu)
-    return ops
+    def plus_minus(b, f):   # tau_R[0,1;0] and m_L[0,1;1]: m_L's signs cancel
+        y, s = base[f], shift_A[b]
+        return ([(plus[w], neg(c) if s else c)
+                 for w, c in tau_R_table(b).get(f, {}).items()]
+                + [(minus_dual[x], c) for x, c in
+                   mu_right_rows(b, deg[y] - deg[b]).get(y, ())])
 
+    def minus_plus(f, a):   # tau_L[1,0;0] and m_R[1,0;1]: j = 0, no shift sign
+        y = base[f]
+        return ([(plus[w], c if odd_M[f] else neg(c))
+                 for w, c in tau_L_table(a).get(f, {}).items()]
+                + [(minus_dual[x], c) for x, c in
+                   mu_left_rows(a, deg[y] - deg[a]).get(y, ())])
 
-def assemble_cone_product(ops: ConeProductOps, mu: GradedMap) -> GradedMap:
-    """Block product on Cone(c): each pair of cone positions reads the rows
-    of its components, mu or two barred operations, at the positions of
-    its factors, and moves them to the cone's positions."""
-    cone_mod = ops.cone.complex.module
-    plus, minus, where = ops.cone.layout
-    b = {name: op.row_fn for name, op in ops.barred.items()}
-    blocks = {   # (u in M, v in M) -> rows into the A and the M part
-        (False, False): (mu.row, None),
-        (False, True): (b["tau_R"], b["m_L"]),
-        (True, False): (b["tau_L"], b["m_R"]),
-        (True, True): (b["beta"], b["sigma"]),
-    }
+    def minus_minus(f, g):   # beta[1,1;0] and sigma[1,1;1]
+        s = shift_M[f]
+        s_p = s != (odd_M[g] and odd_M[f])
+        s_m = s != (odd_M[f] == odd_M[g])
+        return ([(plus[x], neg(c) if s_p else c)
+                 for x, c in B_rows.get(f, {}).get(g, {}).items()]
+                + [(minus_dual[x], neg(c) if s_m else c) for x, c in
+                   lam_rev_table().get((base[g], base[f]), ())])
+
+    blocks = ((lambda a, b: [(plus[k], c) for k, c in mu(a, b)], plus_minus),
+              (minus_plus, minus_minus))
 
     def row(u, v):
         (tu, i), (tv, j) = where[u], where[v]
-        to_plus, to_minus = blocks[tu, tv]
-        out = tuple((plus[k], c) for k, c in to_plus(i, j))
-        if to_minus is None:
-            return out
-        return out + tuple((minus[k], c) for k, c in to_minus(i, j))
+        return blocks[tu][tv](i, j)
 
-    return GradedMap(tensor(cone_mod, cone_mod), cone_mod, 0, row,
-                     name="mu_cone")
+    C = cone.complex.module
+    product = GradedMap(tensor(C, C), C, 0, row, name="mu_cone")
+    return ConeProductOps(m_L, m_R, sigma, tau_L, tau_R, beta, cone, product)
 
 
 # ---------------------------------------------------------------------------

@@ -960,15 +960,17 @@ def _op_shift(op, i, j, k, sign_at_result, name):
         raise ValueError("operation shifts apply to binary operations")
     X, Y = op.source.factors
     Xs = shift(X, i)
-    source = tensor(Xs, shift(Y, j))
-    target = shift(op.target, k)
-    odd = (Xs if sign_at_result else X).index().odd
+    negate = _op_shift_signs((Xs if sign_at_result else X).index().odd, j)
     row, neg = op.row_fn, op.target.ring.neg
+    return GradedMap(tensor(Xs, shift(Y, j)), shift(op.target, k),
+                     op.degree + i + j - k,
+                     lambda a, b: _signed_row(row(a, b), negate[a], neg),
+                     name=name)
 
-    def rows(a, b):
-        return _signed_row(row(a, b), j % 2 and odd[a], neg)
 
-    return GradedMap(source, target, op.degree + i + j - k, rows, name=name)
+def _op_shift_signs(odd, j) -> list:
+    """Per position u, whether the [i,j;k] rule's (-1)^{j |u|} is -1."""
+    return [bool(j % 2 and o) for o in odd]
 
 
 # -- pairings -----------------------------------------------------------------

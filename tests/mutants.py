@@ -75,12 +75,13 @@ CHAIN_MAPS = ("tests/test_row_checks.py::"
 CONE_MAPS = "tests/test_row_checks.py::test_cone_maps_match_the_name_formulas"
 COASSOC = ("tests/test_row_checks.py::"
            "test_coassociativity_sides_match_the_composites")
-INF_LOOP = ("tests/test_shared_expansion.py::"
-            "test_assoc_infinitesimal_kernel_matches_the_loop")
 DEGREES = ("tests/test_cone_product.py::"
            "test_closed_form_components_preserve_degree")
 DUAL_ONCE = ("tests/test_cone_product.py::"
              "test_a_package_builds_its_dual_side_once")
+OPTIMIZED = "tests/test_graded.py::test_correctness_checks_survive_python_O"
+PRODUCT = ("tests/test_cone_product.py::"
+           "test_compiled_product_matches_the_string_keyed_assembly")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -214,8 +215,8 @@ MUTANTS = [
     ("graded.py", "flip = f.degree % 2 and odd[p]", "flip = f.degree % 2",
      DUAL_SHIFT),
     ("graded.py", "if f.degree % 2 and k % 2:", "if k % 2:", DUAL_SHIFT),
-    ("graded.py", "_signed_row(row(a, b), j % 2 and odd[a], neg)",
-     "_signed_row(row(a, b), i % 2 and odd[a], neg)",
+    ("graded.py", "return [bool(j % 2 and o) for o in odd]",
+     "return [bool(o) for o in odd]",
      "tests/test_cone_product.py::test_shift_sign_table"),
     ("graded.py", "flip = d.degree % 2 and odd[i]",
      "flip = d.degree % 2 and odd[j]", CHAIN_MAPS),
@@ -293,7 +294,28 @@ MUTANTS = [
      '"m": [minus[data.layout.base[pos[x]]] for x in data.safe_names]',
      CLOSED_FORM),
     ("cone_product.py", "duals = [data.layout.dual[i] for _, i in safe]",
-     "duals = [data.layout.base[i] for _, i in safe]", INF_LOOP),
+     "duals = [data.layout.base[i] for _, i in safe]", OPTIMIZED),
+    # the cone product's rows: each part's folded sign, its operation's
+    # sign times its [i,j;k] unshift's, and the placement of the blocks
+    ("cone_product.py", "[(plus[w], neg(c) if s else c)",
+     "[(plus[w], c)", PRODUCT),
+    ("cone_product.py",
+     "(minus_dual[x], c) for x, c in\n                   mu_right",
+     "(minus_dual[x], neg(c) if s else c) for x, c in\n"
+     "                   mu_right", PRODUCT),
+    ("cone_product.py", "(plus[w], c if odd_M[f] else neg(c))",
+     "(plus[w], neg(c) if odd_M[f] else c)", PRODUCT),
+    ("cone_product.py",
+     "(minus_dual[x], c) for x, c in\n                   mu_left",
+     "(minus_dual[x], neg(c) if odd_M[f] else c) for x, c in\n"
+     "                   mu_left", PRODUCT),
+    ("cone_product.py", "s_p = s != (odd_M[g] and odd_M[f])",
+     "s_p = odd_M[g] and odd_M[f]", PRODUCT),
+    ("cone_product.py", "s_m = s != (odd_M[f] == odd_M[g])",
+     "s_m = odd_M[f] == odd_M[g]", PRODUCT),
+    ("cone_product.py",
+     "plus_minus),\n              (minus_plus, minus_minus))",
+     "minus_plus),\n              (plus_minus, minus_minus))", PRODUCT),
 ]
 
 

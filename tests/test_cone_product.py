@@ -13,13 +13,13 @@ from chainalg.graded import (
     shift,
     tensor,
     dual_pair,
+    unapply_op_shift,
     TENSOR_SEP,
 )
 from chainalg.complexes import ChainComplex
 from chainalg import cone_product as cp
 from chainalg.cone_product import (
     ConeProductData,
-    assemble_cone_product,
     derive_secondary_ops,
     cross_check_components,
     check_cone_associativity,
@@ -32,6 +32,16 @@ from name_keyed import NameMap, named, tensor_map, twist
 from random_instances import make_random_instance
 
 W = TruncationWindow(12)
+
+# [i,j;k] of each derived operation as the cone product places it
+PLACEMENT = {"m_L": (0, 1, 1), "m_R": (1, 0, 1), "sigma": (1, 1, 1),
+             "tau_R": (0, 1, 0), "tau_L": (1, 0, 0), "beta": (1, 1, 0)}
+
+
+def barred(ops):
+    """Each derived operation's [i,j;k]-unshift, per its placement."""
+    return {name: unapply_op_shift(getattr(ops, name), *ijk)
+            for name, ijk in PLACEMENT.items()}
 
 
 def pair_two(T: Vector, g: Vector, f: Vector):
@@ -126,8 +136,8 @@ def test_cyclic_symmetric_cubic_accepted():
                            safe_names=inst.safe_names)
     ops = derive_secondary_ops(data)
     # with B != 0 the (-,-) -> + block is the dualized cubic term
-    got = ops.barred["beta"].eval_basis(f"A^{TENSOR_SEP}A^")
-    assert not got.is_zero()
+    got = ops.product.eval_basis(f"-A^{TENSOR_SEP}-A^")
+    assert any(k.startswith("+") for k in got.coeffs)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
@@ -262,7 +272,7 @@ def test_shift_sign_table(s3_data, s3_ops):
     """The five barred/unbarred relations of the component dictionary."""
     data = s3_data
     A, M = data.A, data.M
-    b = s3_ops.barred
+    b = barred(s3_ops)
     for x in data.safe_names:
         dx = A.degree_of(x)
         for f in data.safe_names:
@@ -323,7 +333,7 @@ def test_commutativity_relations(s1_data, s1_ops):
     data = s1_data
     A, Mbar = data.A, data.Mbar
     tau = twist(Mbar, A)
-    b = s1_ops.barred
+    b = barred(s1_ops)
     for f in data.safe_names:
         for a in data.safe_names:
             key = f"{f}^{TENSOR_SEP}{a}"
@@ -497,16 +507,12 @@ def unshift_reference(op, i, j, k):
 
 
 def product_reference(data, ops):
-    """mu_cone by names: each block value of mu or of a barred operation,
-    its names prefixed with "+" or "-" for the cone."""
+    """mu_cone by names: each block value of mu or of an operation's
+    [i,j;k]-unshift, its names prefixed with "+" or "-" for the cone."""
     cone_mod = ops.cone.complex.module
     src = tensor(cone_mod, cone_mod)
-    barred = {"m_L": unshift_reference(ops.m_L, 0, 1, 1),
-              "m_R": unshift_reference(ops.m_R, 1, 0, 1),
-              "sigma": unshift_reference(ops.sigma, 1, 1, 1),
-              "tau_R": unshift_reference(ops.tau_R, 0, 1, 0),
-              "tau_L": unshift_reference(ops.tau_L, 1, 0, 0),
-              "beta": unshift_reference(ops.beta, 1, 1, 0)}
+    unshifted = {name: unshift_reference(getattr(ops, name), *ijk)
+                 for name, ijk in PLACEMENT.items()}
     blocks = {("+", "-"): ("tau_R", "m_L"), ("-", "+"): ("tau_L", "m_R"),
               ("-", "-"): ("beta", "sigma")}
 
@@ -516,7 +522,7 @@ def product_reference(data, ops):
         if u[0] == v[0] == "+":
             return Vector(cone_mod, {f"+{n}": c for n, c in
                                      data.mu.eval_basis(key).coeffs.items()})
-        to_plus, to_minus = (barred[b].eval_basis(key)
+        to_plus, to_minus = (unshifted[b].eval_basis(key)
                              for b in blocks[u[0], v[0]])
         return Vector(cone_mod,
                       {**{f"+{n}": c for n, c in to_plus.coeffs.items()},
@@ -530,19 +536,25 @@ REFERENCE_PACKAGES = (
     + [("lambda-s1-plus", 1), ("lambda-s1-minus", 1), ("lambda-s3", 3)])
 
 
+def reference_package(which, arg):
+    """A random cone package (Q0 and B nonzero) by seed and ring, or a
+    lambda fixture's package by name and n."""
+    if isinstance(which, int):
+        data = make_random_instance(which, 4, degrees=(0, -1, 1), ring=arg,
+                                    kind="cone", n=1)
+        assert not data.Q0.is_zero() and not data.B.is_zero()
+        return data
+    return cone_data_from_bialgebra(make_fixture(which, TruncationWindow(8)),
+                                    n=arg)
+
+
 @pytest.mark.parametrize("which, arg", REFERENCE_PACKAGES,
                          ids=lambda v: repr(v) if not isinstance(v, str) else v)
 def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
     """ops.product's rows agree with the name-keyed assembly on every pair
     of cone basis elements, not only the safe ones: random cone packages
     (Q0 and B nonzero) and the lambda fixtures."""
-    if isinstance(which, int):
-        data = make_random_instance(which, 4, degrees=(0, -1, 1), ring=arg,
-                                    kind="cone", n=1)
-        assert not data.Q0.is_zero() and not data.B.is_zero()
-    else:
-        data = cone_data_from_bialgebra(make_fixture(which, TruncationWindow(8)),
-                                        n=arg)
+    data = reference_package(which, arg)
     ops = derive_secondary_ops(data)
     reference = product_reference(data, ops)
     names = ops.cone.complex.module.index().names
@@ -560,18 +572,52 @@ def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
     assert ("+", "+", "-") not in nonzero
 
 
+def test_the_reference_packages_meet_every_folded_sign_both_ways():
+    """Each part of a mixed block is its operation's row times the
+    unshift's sign (-1)^{j |u|}, one folded sign per part, decided by the
+    parities of the factors.  Over the packages of the reference test,
+    every part with a sign has nonzero terms where it negates and where it
+    does not, so the reference test decides each sign.  Folded, the
+    (+,-) -> - part carries none (m_L's sign is (-1)^{|b|}, the unshift's
+    too) and neither does (-,+) -> - (m_R has none, and j = 0 there)."""
+    folded = {   # (|u|, |v|) mod 2 as elements of A and M -> negated
+        ("+", "-", "+"): lambda u, v: u,             # tau_R: (-1)^{|b|}
+        ("+", "-", "-"): lambda u, v: False,
+        ("-", "+", "+"): lambda u, v: not u,         # tau_L: (-1)^{|f|+1}
+        ("-", "+", "-"): lambda u, v: False,
+        ("-", "-", "+"): lambda u, v: u and not v,   # beta: (-1)^{|f||g|+|f|}
+        ("-", "-", "-"): lambda u, v: not v,         # sigma: (-1)^{|g|+1}
+    }
+    seen = {part: set() for part in folded}
+    for which, arg in REFERENCE_PACKAGES:
+        ops = derive_secondary_ops(reference_package(which, arg))
+        idx = ops.cone.complex.module.index()
+        # a "-" element sits one degree above its element of M
+        odd = [o if n[0] == "+" else not o for n, o in zip(idx.names, idx.odd)]
+        for u, un in enumerate(idx.names):
+            for v, vn in enumerate(idx.names):
+                for k, _ in ops.product.row(u, v):
+                    part = un[0], vn[0], idx.names[k][0]
+                    if part in folded:
+                        seen[part].add(bool(folded[part](odd[u], odd[v])))
+    both = {True, False}
+    assert seen == {("+", "-", "+"): both, ("+", "-", "-"): {False},
+                    ("-", "+", "+"): both, ("-", "+", "-"): {False},
+                    ("-", "-", "+"): both, ("-", "-", "-"): both}
+
+
 # -- component witnesses ------------------------------------------------------------
 
-def patched(op, at):
-    """op as a row map with one more term, coefficient 1 at the first
-    target position its row at `at` lacks."""
+def patched(op, at, targets=None):
+    """op as a row map with one more term, coefficient 1 at the first of
+    the target positions `targets` (default all) its row at `at` lacks."""
     row = op.row
 
     def rows(i, j):
         r = row(i, j)
         if (i, j) != at:
             return r
-        free = next(k for k in range(len(op.target.index().names))
+        free = next(k for k in targets or range(len(op.target.index().names))
                     if k not in dict(r))
         return r + ((free, 1),)
 
@@ -588,10 +634,10 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
     # the cross-check reads the package's own operations, patched here on
     # a fresh package so that the shared fixture keeps its own
     data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
-    pair, at = _patched_pair(data)
+    pair, (b, f) = _patched_pair(data)
     ops = data.ops
-    ops.barred["m_L"] = patched(ops.barred["m_L"], at)
-    ops.product = assemble_cone_product(ops, data.mu)
+    plus, minus, _ = ops.cone.layout
+    ops.product = patched(ops.product, (plus[b], minus[f]), minus)
     assert cross_check_components(data) == (
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
         "vs closed form (0 | U^-2^)")

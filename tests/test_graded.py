@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import chainalg
 from chainalg.rings import ZZ, QQ, GF
 from chainalg.graded import (
     BasisElement,
@@ -409,7 +410,7 @@ print("assoc-infinitesimal", *check_assoc_implies_infinitesimal(data))
 
 
 def test_correctness_checks_survive_python_O():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = Path(chainalg.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)

@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import chainalg
+
+SRC = Path(chainalg.__file__).resolve().parents[1]
 
 _LOADED = """
 import json, sys

@@ -16,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import chainalg
 from chainalg.fixtures import fixture_names
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the src/ that the tests import, which is a mutated copy under mutants.py
+SRC = Path(chainalg.__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
 
 PERFBENCH = ("pinned by perfbench/layertrace.py METHODS until the "
@@ -31,6 +33,9 @@ FAILURE = "formats a failure; no shipped fixture or scenario fails"
 REPR = "debugging aid; no report prints it"
 HASH = "no command hashes it"
 MALFORMED = "raises on a malformed scenario; the shipped ones are valid"
+OP_SHIFT = "the body of apply_op_shift and unapply_op_shift, " + API
+DERIVED = ("the rows of a derived operation, " + API + "; the cone "
+           "product reads the tables they read")
 
 # "module.qualified name" of a def that no command reaches -> why
 ALLOWED = {
@@ -61,6 +66,9 @@ ALLOWED = {
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
+    "cone_product.derive_secondary_ops.m_L_row": DERIVED,
+    "cone_product.derive_secondary_ops.m_R_row": DERIVED,
+    "cone_product.derive_secondary_ops.sigma_row": DERIVED,
     "fixtures.flip_structure_constant": TEST_ONLY,
     "fixtures.flip_structure_constant.rows": TEST_ONLY,
     "fixtures.mutate_lambda": TEST_ONLY,
@@ -100,6 +108,8 @@ ALLOWED = {
     "graded.shift_map.rows":
         "an odd map shifted by an odd k; every shipped shift is even",
     "graded.apply_op_shift": API,
+    "graded.unapply_op_shift": API,
+    "graded._op_shift": OP_SHIFT,
     "graded.dual_pair": API,
     "matrices.ExactMatrix.from_rows": DENSE,
     "matrices.ExactMatrix.to_rows": DENSE,

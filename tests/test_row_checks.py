@@ -489,7 +489,6 @@ def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
             "mu": inst.mu, "lam": inst.lam, "m_L": ops.m_L, "m_R": ops.m_R,
             "sigma": ops.sigma, "tau_L": ops.tau_L, "tau_R": ops.tau_R,
             "beta": ops.beta, "product": ops.product,
-            **{f"barred {k}": op for k, op in ops.barred.items()},
             **{f"component {k}": op
                for k, op in closed_form_components(data).items()}}
     rows = 0
