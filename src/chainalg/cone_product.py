@@ -2,8 +2,8 @@
 
 Given a complex A with product mu, coproduct lam of degree 1-2n, a
 continuation bivector c0, a secondary continuation bivector Q0 (the "c" of
-the component formulas), and a cyclically symmetric cubic vector B, the
-derived operations are fixed by exact dualization against the dual-basis
+the component formulas), and a cyclically symmetric cubic vector B, six
+secondary operations are fixed by exact dualization against the dual-basis
 pairing (M denotes the 2n-shifted dual of A, Mbar its further shift by -1,
 so barred elements sit one degree higher):
 
@@ -16,34 +16,35 @@ so barred elements sit one degree higher):
 
 with lam_fwd = lam + (mu (x) 1)(1 (x) Q0), lam_rev_left = lam +
 (1 (x) mu)(Q0 (x) 1), and lam_rev carrying both corrections.  The cone
-product places the [i,j;k]-shifted versions in the blocks
+product's parts are these operations, [i,j;k]-shifted into the blocks
 
     (+,+)->+ : mu        (+,-)->+ : tau_R[0,1;0]   (+,-)->- : m_L[0,1;1]
     (-,+)->+ : tau_L[1,0;0]                        (-,+)->- : m_R[1,0;1]
     (-,-)->- : sigma[1,1;1]                        (-,-)->+ : beta[1,1;0]
     (+,+)->- : 0
 
-The closed-form components are transcribed independently and cross-checked
-against the assembled blocks.
+so an operation is its part, shifted back by `graded.apply_op_shift` at
+its [i,j;k]; nothing builds the operations on their own.  The closed-form
+components are transcribed independently and cross-checked against the
+product's blocks.
 
-Every operation here is a row map on basis positions (`GradedMap`), filled
-on first request from the integer rows of mu and lam.  The dual
-operations (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the closed form) read
-sparse transposes of those rows and of the corrected coproducts (output
-position -> [(input x, coefficient)]), built once per package, mu's per
-fixed factor and degree of the free one.  The contractions (tau_L, tau_R,
-beta, c; mp_p, pm_p) read position-keyed slot tables.  The cone product
-reads the same tables, one row function per block, with each [i,j;k]
-unshift's sign folded into its part's.  M, Mbar and the layout of A and
-M are built once, with the package; the derived side and the closed form
-build their own tables from their own formulas through that layout.
+The product and each component are row maps on basis positions
+(`GradedMap`), filled on first request from the integer rows of mu, lam
+and B.  The dual parts (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the
+closed form) read sparse transposes of those rows and of the corrected
+coproducts (output position -> [(input x, coefficient)]), built once per
+package, mu's per fixed factor and degree of the free one.  The
+contractions (tau_L, tau_R, beta; mp_p, pm_p, mm_p) read position-keyed
+tables.  The product has one row function per block, each [i,j;k]
+shift's sign folded into its part's.  M, Mbar and the layout of A and M
+are built once, with the package; the product and the closed form build
+their own tables from their own formulas through that layout.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .graded import (
     GradedModule,
@@ -130,7 +131,8 @@ class ConeProductData:
     bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), B
     is invariant under the graded cyclic rotation, and the continuation
     map c: M -> A read off c0 is a chain map (`continuation`).  It holds
-    M = `dual_side(A, n)`, Mbar = M[-1] and their `layout`.  Each of `ops`,
+    M = `dual_side(A, n)`, Mbar = M[-1] and their `layout`.  Each of
+    `cone` (the mapping cone of c), `product` (the cone product on it),
     `components`, `associativity` and `kernel` is built on first use and
     kept, none raises on a constructed package, and none refers back to
     the package, so reference counting frees it.
@@ -200,8 +202,13 @@ class ConeProductData:
                 + tuple(f"-{n}^" for n in self.safe_names))
 
     @functools.cached_property
-    def ops(self) -> ConeProductOps:
-        """The derived operations, `derive_secondary_ops(self)`."""
+    def cone(self) -> Cone:
+        """The mapping cone of the continuation map."""
+        return mapping_cone(self.continuation)
+
+    @functools.cached_property
+    def product(self) -> GradedMap:
+        """The cone product, `derive_secondary_ops(self)`."""
         return derive_secondary_ops(self)
 
     @functools.cached_property
@@ -250,22 +257,10 @@ def dual_side(A: GradedModule, n: int) -> GradedModule:
     return shift(dual_module(A), 2 * n)
 
 
-@dataclass
-class ConeProductOps:
-    """A package's derived operations, its cone and the product on it."""
-
-    m_L: GradedMap
-    m_R: GradedMap
-    sigma: GradedMap
-    tau_L: GradedMap
-    tau_R: GradedMap
-    beta: GradedMap
-    cone: Cone
-    product: GradedMap
-
-
-def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
-    """The derived operations by exact dualization, the cone, its product."""
+def derive_secondary_ops(data: ConeProductData) -> GradedMap:
+    """The cone product on `data.cone`, its parts the secondary operations
+    of the module docstring, each read from its tables by exact
+    dualization and [i,j;k]-shifted into its block."""
     A, M, at = data.A, data.M, data.layout
     R = A.ring
     neg = R.neg
@@ -293,41 +288,11 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
     B_rows = {f: slot_table(T.items(), A2, M) for f, T in
               slot_table(vector_terms(data.B), data.B.module, M).items()}
 
-    def m_L_row(b, f):
-        y, flip = base[f], odd[b]
-        return tuple((dual[x], neg(c) if flip and odd[x] != odd_M[f] else c)
-                     for x, c in mu_right_rows(b, deg[y] - deg[b]).get(y, ()))
-
-    def m_R_row(f, a):
-        y = base[f]
-        return tuple((dual[x], c)
-                     for x, c in mu_left_rows(a, deg[y] - deg[a]).get(y, ()))
-
-    def sigma_row(f, g):
-        # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} for g = w1^, f = w2^
-        w1, w2 = base[g], base[f]
-        flip = ((odd_M[f] + 1) * (odd_M[g] + 1) + odd_M[f] * odd[w1]) % 2
-        return _signed_row(((dual[x], c) for x, c in
-                            lam_rev_table().get((w1, w2), ())), flip, neg)
-
-    AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
-    m_L = GradedMap(AM, M, 0, m_L_row, name="m_L")
-    m_R = GradedMap(MA, M, 0, m_R_row, name="m_R")
-    sigma = GradedMap(MM, M, 1, sigma_row, name="sigma")
-    tau_R = GradedMap(AM, A, 1, lambda b, f: tuple(
-        tau_R_table(b).get(f, {}).items()), name="tau_R")
-    tau_L = GradedMap(MA, A, 1, lambda f, a: _signed_row(
-        tau_L_table(a).get(f, {}).items(), not odd_M[f], neg), name="tau_L")
-    beta = GradedMap(MM, A, 2, lambda f, g: _signed_row(
-        B_rows.get(f, {}).get(g, {}).items(), odd_M[g] and odd[base[f]], neg),
-        name="beta")
-
-    # the product, one row function per block on the same tables, a part's
-    # sign being its operation's times (-1)^{j |u|} per row: x and x^ have
-    # one parity and a row's x one degree, so m_L's sign is (-1)^{|b|},
-    # sigma's (-1)^{|f|+|g|+1} and beta's (-1)^{|f||g|}
-    cone = mapping_cone(data.continuation)
-    plus, minus, where = cone.layout
+    # one row function per block, a part's sign being its operation's times
+    # (-1)^{j |u|} per row: x and x^ have one parity and a row's x one
+    # degree, so m_L's sign is (-1)^{|b|}, sigma's (-1)^{|f|+|g|+1} and
+    # beta's (-1)^{|f||g|}
+    plus, minus, where = data.cone.layout
     minus_dual = [minus[f] for f in dual]   # A's x -> the cone's -x^
     shift_A, shift_M = _op_shift_signs(odd, 1), _op_shift_signs(odd_M, 1)
 
@@ -361,9 +326,8 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
         (tu, i), (tv, j) = where[u], where[v]
         return blocks[tu][tv](i, j)
 
-    C = cone.complex.module
-    product = GradedMap(tensor(C, C), C, 0, row, name="mu_cone")
-    return ConeProductOps(m_L, m_R, sigma, tau_L, tau_R, beta, cone, product)
+    C = data.cone.complex.module
+    return GradedMap(tensor(C, C), C, 0, row, name="mu_cone")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +335,8 @@ def derive_secondary_ops(data: ConeProductData) -> ConeProductOps:
 # ---------------------------------------------------------------------------
 
 def closed_form_components(data: ConeProductData) -> dict:
-    """The six nonzero product components, transcribed directly:
+    """The seven product components that need not vanish, transcribed
+    directly:
 
     (pp->p)  mu
     (mm->m)  <m(fbar,gbar), a> = (-1)^{|g|+|g||f|+1}
@@ -380,11 +345,15 @@ def closed_form_components(data: ConeProductData) -> dict:
     (pm->p)  m(b,fbar) = (-1)^{|b|} <lam(b) + (-1)^{|b|}(mu(x)1)(b(x)c), 1(x)f>
     (mp->m)  <m(fbar,a), b> = <f, mu(a,b)>
     (pm->m)  <a, m(b,fbar)> = (-1)^{|b|} <mu(a,b), f>
+    (mm->p)  m(fbar,gbar) = (-1)^{|f|(|g|+1)} sum <f,B1> <g,B2> B3
 
-    with c the secondary bivector.  Keys: "pp_p", "mm_m", "mp_p", "pm_p",
-    "mp_m", "pm_m", plus the vanishing blocks "pp_m" and "mm_p".  Each is a
-    row map, built from the rows of mu and lam and not from the derived
-    operations.
+    with c the secondary bivector and B = sum B1 (x) B2 (x) B3 the cubic
+    vector.  The last is (-1)^{|f|} <f (x) g (x) 1, B>: the shift of the
+    second factor moves past f ([i,j;k] rule, j = 1), and g moves past B1
+    in the evaluation, with |B1| = |f| where <f,B1> != 0: (-1)^{|f||g|}.
+    Keys: "pp_p", "mm_m", "mp_p", "pm_p", "mp_m", "pm_m", "mm_p", plus the
+    vanishing block "pp_m".  Each is a row map, built from the rows of mu,
+    lam and B and not from the cone product.
     """
     A = data.A
     R = A.ring
@@ -423,6 +392,11 @@ def closed_form_components(data: ConeProductData) -> dict:
     W_table = functools.cache(lambda: transpose_rows(range(len(deg)), W))
     mu_el_left_rows = at.columns(mu)
     mu_el_right_rows = at.columns(lambda b, x: mu(x, b))
+    # (fbar, gbar) -> [(B3, signed coefficient)], one entry per term of B
+    B_at = {}
+    for (b1, b2, b3), c in vector_terms(data.B):
+        B_at.setdefault((dual[b1], dual[b2]), []).append(
+            (b3, neg(c) if odd[b1] and not odd[b2] else c))
 
     def mm_m(fb, gb):
         df, dg = odd_M[fb], odd_M[gb]      # |f|, |g| unbarred
@@ -449,7 +423,8 @@ def closed_form_components(data: ConeProductData) -> dict:
     return {
         "pp_p": GradedMap(A2, A, 0, mu, name="pp_p"),
         "pp_m": GradedMap(A2, Mbar, 0, lambda i, j: (), name="pp_m"),
-        "mm_p": GradedMap(MbMb, A, 0, lambda i, j: (), name="mm_p"),
+        "mm_p": GradedMap(MbMb, A, 0, lambda i, j: B_at.get((i, j), ()),
+                          name="mm_p"),
         "mm_m": GradedMap(MbMb, Mbar, 0, mm_m, name="mm_m"),
         "mp_p": _contraction(MbA, M, W_left, False, 0,
                              lambda a, f: koszul_sign(odd_M[f] + 1), "mp_p"),
@@ -462,14 +437,13 @@ def closed_form_components(data: ConeProductData) -> dict:
 
 def cross_check_components(data: ConeProductData) -> Outcome:
     """The package's closed-form components (`data.components`) == the
-    assembled blocks of its operations (`data.ops`), on all safe inputs,
+    blocks of its cone product (`data.product`), on all safe inputs,
     compared row by row; a failure names the first five mismatches."""
-    ops = data.ops
     comps = data.components
     A = data.A
-    plus, minus, where = ops.cone.layout
-    assembled = ops.product.row
-    names = ops.cone.complex.module.index().names
+    plus, minus, where = data.cone.layout
+    assembled = data.product.row
+    names = data.cone.complex.module.index().names
     pos, dual = A.index().pos, data.layout.dual
     safe = {"p": [plus[pos[x]] for x in data.safe_names],
             "m": [minus[dual[pos[x]]] for x in data.safe_names]}
@@ -502,8 +476,8 @@ def cross_check_components(data: ConeProductData) -> Outcome:
 
 def check_cone_associativity(data: ConeProductData) -> Outcome:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples,
-    for the package's assembled product (`data.ops.product`)."""
-    _, triple, lhs, rhs = associativity_witness(data.ops.product,
+    for the package's product (`data.product`)."""
+    _, triple, lhs, rhs = associativity_witness(data.product,
                                                 data.safe_cone_names())
     if triple is None:
         return Outcome("pass", "associative on the safe window")

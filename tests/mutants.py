@@ -82,6 +82,8 @@ DUAL_ONCE = ("tests/test_cone_product.py::"
 OPTIMIZED = "tests/test_graded.py::test_correctness_checks_survive_python_O"
 PRODUCT = ("tests/test_cone_product.py::"
            "test_compiled_product_matches_the_string_keyed_assembly")
+CUBIC = ("tests/test_cone_product.py::"
+         "test_the_closed_form_covers_the_cubic_vector")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -316,6 +318,11 @@ MUTANTS = [
     ("cone_product.py",
      "plus_minus),\n              (minus_plus, minus_minus))",
      "minus_plus),\n              (plus_minus, minus_minus))", PRODUCT),
+    # the closed form's cubic component: its sign, and B's terms dropped
+    ("cone_product.py", "neg(c) if odd[b1] and not odd[b2] else c)",
+     "c if odd[b1] and not odd[b2] else neg(c))", CUBIC),
+    ("cone_product.py", "for (b1, b2, b3), c in vector_terms(data.B):",
+     "for (b1, b2, b3), c in ():", CUBIC),
 ]
 
 

@@ -12,9 +12,13 @@ a source of arity <= 2 into a library map, by `GradedMap.from_table` over
 the source basis; references of arity 3, such as mu (mu (x) 1), stay
 name-keyed.  `operation_to_json` is the exporter that read every table by
 names, kept as the reference of the one that reads rows.
+`secondary_operations` gives a cone package's six secondary operations by
+names, from the pairing formulas of the `chainalg.cone_product` docstring,
+and `PLACEMENT` the [i,j;k] at which its product places each.
 """
 
-from chainalg.graded import TENSOR_SEP, GradedMap, GradedModule, Vector, tensor
+from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Vector,
+                             dual_pair, tensor)
 from chainalg.scenario import _combo_to_json
 
 
@@ -159,3 +163,123 @@ def operation_to_json(m):
     return {"degree": m.degree, "entries": [
         {"in": list(m.source.parts_of(n)), "out": _combo_to_json(v)}
         for n, v in values if not v.is_zero()]}
+
+
+# -- the secondary operations of a cone package ------------------------------
+
+# [i,j;k] of each secondary operation as the cone product places it: i and
+# j give its factors' blocks and k its value's, 0 for "+" (A), 1 for "-"
+PLACEMENT = {"m_L": (0, 1, 1), "m_R": (1, 0, 1), "sigma": (1, 1, 1),
+             "tau_R": (0, 1, 0), "tau_L": (1, 0, 0), "beta": (1, 1, 0)}
+
+
+def secondary_operations(data) -> dict:
+    """The six secondary operations of the cone package `data`, by names:
+    {name: NameMap} on A (x) M, M (x) A or M (x) M, from the pairing
+    formulas of the `chainalg.cone_product` docstring.  A functional f of M
+    pairs with a of A functional first, <f, a> (no sign), or element
+    first, <a, f> = (-1)^{|a||f|} <f, a>; a tensor of functionals meets a
+    tensor of elements slot by slot, with the Koszul sign of the elements
+    it moves past."""
+    A, M, mu, Q0, B = data.A, data.M, data.mu, data.Q0, data.B
+    R, deg, deg_M = A.ring, A.degree_of, M.degree_of
+    AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
+
+    def sign(k):   # (-1)^k in the ring
+        return R.canon(-1 if k % 2 else 1)
+
+    def product(a, b):
+        return mu(A.el(a).tensor(A.el(b)))
+
+    def pair(f, v):   # <f, v> for f a name of M, v a Vector of A
+        return dual_pair(M.el(f), v)
+
+    def pair_with(f, a):   # <f, a> for names
+        return R.one() if f == a + "^" else R.zero()
+
+    def functional(value, degree, element_first):
+        """The f in M with <f, a> (or <a, f>) = value(a) for every a."""
+        out = {}
+        for a in A.basis_names():
+            c = value(a)
+            if element_first and deg(a) * degree % 2:
+                c = R.neg(c)
+            if c != R.zero():
+                out[a + "^"] = c
+        return Vector(M, out)
+
+    def corrections(x, right, left):
+        """The terms of (mu (x) 1)(x (x) Q0), moving Q0 past x, and of
+        (1 (x) mu)(Q0 (x) x), as (w1, w2, coefficient)."""
+        for nm, c in Q0.coeffs.items():
+            q1, q2 = nm.split(TENSOR_SEP)
+            if right:
+                c1 = R.mul(c, sign(deg(x) * (deg(q1) + deg(q2))))
+                for y, m in product(x, q1).coeffs.items():
+                    yield y, q2, R.mul(c1, m)
+            if left:
+                for y, m in product(q2, x).coeffs.items():
+                    yield q1, y, R.mul(c, m)
+
+    def coproduct(x, right, left):
+        """lam(x) plus the chosen corrections, as (w1, w2, coefficient)."""
+        for nm, c in data.lam.eval_basis(x).coeffs.items():
+            yield (*nm.split(TENSOR_SEP), c)
+        yield from corrections(x, right, left)
+
+    def m_L(nm):   # <a, m_L(b,f)> = <mu(a,b), f>, both element first
+        b, f = AM.parts_of(nm)
+        return functional(lambda a: R.mul(
+            sign((deg(a) + deg(b)) * deg_M(f)), pair(f, product(a, b))),
+            deg(b) + deg_M(f), True)
+
+    def m_R(nm):   # <m_R(f,a), b> = <f, mu(a,b)>
+        f, a = MA.parts_of(nm)
+        return functional(lambda b: pair(f, product(a, b)), 0, False)
+
+    def sigma(nm):
+        # <sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)>,
+        # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} <g,w1> <f,w2>
+        f, g = MM.parts_of(nm)
+
+        def value(a):
+            acc = R.zero()
+            for w1, w2, c in coproduct(a, True, True):
+                s = sign(deg_M(f) * deg(w1))
+                acc = R.add(acc, R.mul(R.mul(c, s), R.mul(
+                    pair_with(g, w1), pair_with(f, w2))))
+            return R.mul(sign((deg_M(f) + 1) * (deg_M(g) + 1)), acc)
+
+        return functional(value, 0, False)
+
+    def tau_R(nm):   # <lam_fwd(b), 1 (x) f> = sum w1 <w2, f>, element first
+        b, f = AM.parts_of(nm)
+        out = A.zero()
+        for w1, w2, c in coproduct(b, True, False):
+            s = sign(deg(w2) * deg_M(f))
+            out = out + A.el(w1, R.mul(R.mul(c, s), pair_with(f, w2)))
+        return out
+
+    def tau_L(nm):   # (-1)^{|f|+1} <f (x) 1, lam_rev_left(a)>
+        f, a = MA.parts_of(nm)
+        out = A.zero()
+        for w1, w2, c in coproduct(a, False, True):
+            out = out + A.el(w2, R.mul(c, pair_with(f, w1)))
+        return out.scale(sign(deg_M(f) + 1))
+
+    def beta(nm):   # <f (x) g (x) 1, B>: g moves past B1
+        f, g = MM.parts_of(nm)
+        out = A.zero()
+        for term, c in B.coeffs.items():
+            b1, b2, b3 = B.module.parts_of(term)
+            s = R.mul(sign(deg_M(g) * deg(b1)),
+                      R.mul(pair_with(f, b1), pair_with(g, b2)))
+            out = out + A.el(b3, R.mul(c, s))
+        return out
+
+    return {"m_L": NameMap(AM, M, 0, m_L, "m_L"),
+            "m_R": NameMap(MA, M, 0, m_R, "m_R"),
+            "sigma": NameMap(MM, M, 1, sigma, "sigma"),
+            "tau_R": NameMap(AM, A, 1, tau_R, "tau_R"),
+            "tau_L": NameMap(MA, A, 1, tau_L, "tau_L"),
+            "beta": NameMap(MM, A, 2, beta, "beta")}

@@ -16,31 +16,47 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(*args, **kw):
+    """A separate `python -m chainalg.cli` run."""
     return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
 
 
-def test_demo_fixture_passes():
-    r = run("demo", "lambda-s3", "--window", "6")
+@pytest.fixture
+def main(capsys):
+    """`cli.main` called in this process, with a result shaped as `run`'s:
+    its exit code (argparse's own exit included), stdout and stderr."""
+    def call(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out.out, out.err)
+
+    return call
+
+
+def test_demo_fixture_passes(main):
+    r = main("demo", "lambda-s3", "--window", "6")
     assert r.returncode == 0, r.stderr
     assert "axioms.unit" in r.stdout
     assert "FAIL" not in r.stdout
 
 
-def test_demo_prints_lambda_eta_value():
-    r = run("demo", "lambda-s1-plus", "--window", "6")
+def test_demo_prints_lambda_eta_value(main):
+    r = main("demo", "lambda-s1-plus", "--window", "6")
     assert r.returncode == 0
     assert "lam(eta)" in r.stdout
     assert "A" in r.stdout
 
 
-def test_check_unknown_target_exits_2():
-    r = run("check", "no-such-fixture.json")
+def test_check_unknown_target_exits_2(main):
+    r = main("check", "no-such-fixture.json")
     assert r.returncode == 2
     assert "schema error" in r.stderr
     assert "lambda-s3" in r.stderr  # catalog listed
 
 
-def test_schema_error_path_reported(tmp_path):
+def test_schema_error_path_reported(tmp_path, main):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "schema_version": 1,
@@ -52,7 +68,7 @@ def test_schema_error_path_reported(tmp_path):
         "lambda": {"degree": -1, "entries": []},
         "eta": [["1", "e"]],
     }))
-    r = run("check", str(bad))
+    r = main("check", str(bad))
     assert r.returncode == 2
     assert "$.mu.entries[0].out" in r.stderr
 
@@ -78,7 +94,7 @@ def test_mixed_degree_value_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, path", [
     ("name", "$.name"), ("secondary", "$.pair.secondary")])
-def test_hostile_complex_scenario_exits_2(tmp_path, field, path):
+def test_hostile_complex_scenario_exits_2(tmp_path, field, path, main):
     doc = {
         "schema_version": 1,
         "kind": "complex",
@@ -92,7 +108,7 @@ def test_hostile_complex_scenario_exits_2(tmp_path, field, path):
     (doc if field == "name" else doc["pair"])[field] = 5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    r = run("check", str(bad))
+    r = main("check", str(bad))
     assert r.returncode == 2
     assert f"schema error at {path}" in r.stderr
     assert "Traceback" not in r.stderr
@@ -150,7 +166,7 @@ def test_hostile_field_is_a_schema_error_within_a_second(
     assert cli.main([*command, str(bad)]) == 0
 
 
-def test_failed_check_exits_1(tmp_path):
+def test_failed_check_exits_1(tmp_path, main):
     # sign-flipped coproduct on a tiny free-loop circle window: the unital
     # infinitesimal relation must fail and the witness be printed
     from chainalg.fixtures import make_fixture, TruncationWindow, mutate_lambda
@@ -162,7 +178,7 @@ def test_failed_check_exits_1(tmp_path):
     doc = sc.export_bialgebra(bad)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    r = run("check", str(path))
+    r = main("check", str(path))
     assert r.returncode == 1
     assert "FAIL" in r.stdout
     assert "witness" in r.stdout
@@ -208,14 +224,14 @@ def test_a_continuation_that_is_not_a_chain_map_exits_2(tmp_path, capsys,
 @pytest.mark.parametrize("case", ["output is a directory",
                                   "output in a missing directory",
                                   "target is a directory"])
-def test_an_os_error_exits_2_without_a_traceback(tmp_path, case):
+def test_an_os_error_exits_2_without_a_traceback(tmp_path, case, main):
     # exit 1 means a check failed (test_failed_check_exits_1); a file that
     # cannot be read or written is an error, one line on stderr
     args = {"output is a directory": ("omega-s3", "-o", str(tmp_path)),
             "output in a missing directory": (
                 "omega-s3", "-o", str(tmp_path / "missing" / "x.md")),
             "target is a directory": (str(tmp_path),)}[case]
-    r = run("check", *args)
+    r = main("check", *args)
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -247,26 +263,28 @@ def test_export_writes_only_what_check_accepts(tmp_path, capsys, name,
     assert not out.exists()
 
 
-def test_homology_tstar_cone():
-    r = run("homology", "tstar-s1", "--cone")
+def test_homology_tstar_cone(main):
+    r = main("homology", "tstar-s1", "--cone")
     assert r.returncode == 0
     assert "nontrivial on cone homology" in r.stdout
 
 
-def test_cone_subcommand():
-    r = run("cone", "lambda-s1-plus", "--window", "6")
+def test_cone_subcommand(main):
+    r = main("cone", "lambda-s1-plus", "--window", "6")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "components" in r.stdout
     assert "associativity" in r.stdout
 
 
-def test_cone_rejects_non_cone_fixture():
-    r = run("cone", "omega-s3")
+def test_cone_rejects_non_cone_fixture(main):
+    r = main("cone", "omega-s3")
     assert r.returncode == 2
 
 
-def test_json_format_and_determinism():
-    a = run("check", "omega-s1-plus", "--window", "6", "--format", "json")
+def test_json_format_and_determinism(main):
+    # one run in this process and one separate run: the output depends on
+    # neither the process nor its hash seed
+    a = main("check", "omega-s1-plus", "--window", "6", "--format", "json")
     b = run("check", "omega-s1-plus", "--window", "6", "--format", "json")
     assert a.returncode == 0
     assert a.stdout == b.stdout
@@ -276,31 +294,31 @@ def test_json_format_and_determinism():
                for r in doc["records"])
 
 
-def test_report_multi_target_and_jobs_determinism():
+def test_report_multi_target_and_jobs_determinism(main):
     args = ("report", "omega-s1-plus", "omega-s1-minus", "--window", "6",
             "--format", "json")
-    first = run(*args)
-    second = run(*args)
+    first = main(*args)
+    second = run(*args)   # a separate process, as above
     assert first.returncode == 0
     assert first.stdout == second.stdout
     # report runs its targets in order and has no --jobs option
-    jobs = run(*args, "--jobs", "4")
+    jobs = main(*args, "--jobs", "4")
     assert jobs.returncode == 2
     assert "--jobs" in jobs.stderr
 
 
-def test_export_then_check_round_trip(tmp_path):
+def test_export_then_check_round_trip(tmp_path, main):
     out = tmp_path / "fixture.json"
-    r = run("export", "omega-s1-minus", "--window", "6", "-o", str(out))
+    r = main("export", "omega-s1-minus", "--window", "6", "-o", str(out))
     assert r.returncode == 0
-    r2 = run("check", str(out))
+    r2 = main("check", str(out))
     assert r2.returncode == 0, r2.stdout + r2.stderr
 
 
-def test_export_tstar_s1_then_homology_cone(tmp_path):
+def test_export_tstar_s1_then_homology_cone(tmp_path, main):
     out = tmp_path / "f.json"
-    assert run("export", "tstar-s1", "-o", str(out)).returncode == 0
-    r = run("homology", str(out), "--cone")
+    assert main("export", "tstar-s1", "-o", str(out)).returncode == 0
+    r = main("homology", str(out), "--cone")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "tstar-s1.continuation-vanishes" in r.stdout
 
@@ -325,15 +343,15 @@ def test_exported_tstar_s1_reports_what_its_demo_reports(tmp_path, ring):
             "continuation-vanishes")]
 
 
-def test_demo_list():
-    r = run("demo", "--list")
+def test_demo_list(main):
+    r = main("demo", "--list")
     assert r.returncode == 0
     for name in ("lambda-s3", "tstar-s1"):
         assert name in r.stdout
 
 
-def test_timings_flag_adds_timing():
-    r = run("check", "omega-s1-plus", "--window", "6", "--timings",
+def test_timings_flag_adds_timing(main):
+    r = main("check", "omega-s1-plus", "--window", "6", "--timings",
             "--format", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
@@ -400,7 +418,7 @@ def test_an_exception_in_a_check_is_an_error_record(monkeypatch, capsys,
                if rec not in errors)
 
 
-def test_reverse_bivector_gate_via_cli(tmp_path):
+def test_reverse_bivector_gate_via_cli(tmp_path, main):
     from chainalg.fixtures import make_loop_circle, TruncationWindow
     from chainalg import scenario as sc
 
@@ -410,18 +428,18 @@ def test_reverse_bivector_gate_via_cli(tmp_path):
     doc["reverse_bivector"] = [["1", ["1", "A"]], ["-1", ["A", "1"]]]
     good = tmp_path / "gate.json"
     good.write_text(json.dumps(doc))
-    r = run("check", str(good))
+    r = main("check", str(good))
     assert r.returncode == 0, r.stdout + r.stderr
     # a deliberately wrong bivector fails with the difference reported
     doc["reverse_bivector"] = [["1", ["1", "A"]]]
     bad = tmp_path / "gate-bad.json"
     bad.write_text(json.dumps(doc))
-    r2 = run("check", str(bad))
+    r2 = main("check", str(bad))
     assert r2.returncode == 1
     assert "differs from lam(eta)" in r2.stdout
 
 
-def test_homology_complex_scenario_with_cone(tmp_path):
+def test_homology_complex_scenario_with_cone(tmp_path, main):
     doc = {
         "schema_version": 1,
         "kind": "complex",
@@ -436,7 +454,7 @@ def test_homology_complex_scenario_with_cone(tmp_path):
     }
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
-    r = run("homology", str(path), "--cone")
+    r = main("homology", str(path), "--cone")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "R/2" in r.stdout   # cone of multiplication by two
 

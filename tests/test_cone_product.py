@@ -13,14 +13,13 @@ from chainalg.graded import (
     shift,
     tensor,
     dual_pair,
-    unapply_op_shift,
+    apply_op_shift,
     TENSOR_SEP,
 )
 from chainalg.complexes import ChainComplex
 from chainalg import cone_product as cp
 from chainalg.cone_product import (
     ConeProductData,
-    derive_secondary_ops,
     cross_check_components,
     check_cone_associativity,
     check_assoc_implies_infinitesimal,
@@ -28,20 +27,35 @@ from chainalg.cone_product import (
 )
 from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
-from name_keyed import NameMap, named, tensor_map, twist
+from name_keyed import (PLACEMENT, NameMap, named, secondary_operations,
+                        tensor_map, twist)
 from random_instances import make_random_instance
 
 W = TruncationWindow(12)
 
-# [i,j;k] of each derived operation as the cone product places it
-PLACEMENT = {"m_L": (0, 1, 1), "m_R": (1, 0, 1), "sigma": (1, 1, 1),
-             "tau_R": (0, 1, 0), "tau_L": (1, 0, 0), "beta": (1, 1, 0)}
+
+def block_parts(data):
+    """The parts of the package's cone product, one per secondary operation:
+    for [i,j;k] = PLACEMENT[name], the rows of block (i, j) in block k, as a
+    map on A (index 0) or Mbar (index 1) per factor and value."""
+    plus, minus, where = data.cone.layout
+    blocks = ((data.A, plus), (data.Mbar, minus))
+    row = data.product.row
+
+    def part(name, i, j, k):
+        (X, at_i), (Y, at_j), Z = blocks[i], blocks[j], blocks[k][0]
+        return GradedMap(tensor(X, Y), Z, 0, lambda u, v: tuple(
+            (p, c) for w, c in row(at_i[u], at_j[v])
+            for b, p in (where[w],) if b == k), name=name)
+
+    return {name: part(name, *ijk) for name, ijk in PLACEMENT.items()}
 
 
-def barred(ops):
-    """Each derived operation's [i,j;k]-unshift, per its placement."""
-    return {name: unapply_op_shift(getattr(ops, name), *ijk)
-            for name, ijk in PLACEMENT.items()}
+def unbarred(data):
+    """Each secondary operation as the package's product holds it: its
+    part shifted back by `apply_op_shift` at its [i,j;k]."""
+    return {name: apply_op_shift(part, *PLACEMENT[name])
+            for name, part in block_parts(data).items()}
 
 
 def pair_two(T: Vector, g: Vector, f: Vector):
@@ -71,16 +85,6 @@ def s3_data():
 @pytest.fixture(scope="module")
 def s1_data():
     return cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
-
-
-@pytest.fixture(scope="module")
-def s3_ops(s3_data):
-    return s3_data.ops
-
-
-@pytest.fixture(scope="module")
-def s1_ops(s1_data):
-    return s1_data.ops
 
 
 def test_data_invariants_enforced():
@@ -118,7 +122,7 @@ def test_safe_window_names_basis_elements_once():
     data = ConeProductData(*parts, n=3, safe_names=safe)
     names = data.safe_cone_names()
     assert len(names) == 2 * len(safe)
-    assert all(data.ops.cone.complex.module.has(n) for n in names)
+    assert all(data.cone.complex.module.has(n) for n in names)
 
 
 def test_cyclic_symmetric_cubic_accepted():
@@ -134,10 +138,38 @@ def test_cyclic_symmetric_cubic_accepted():
     data = ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
                            inst.lam(inst.eta).scale(-1), B, n=1,
                            safe_names=inst.safe_names)
-    ops = derive_secondary_ops(data)
     # with B != 0 the (-,-) -> + block is the dualized cubic term
-    got = ops.product.eval_basis(f"-A^{TENSOR_SEP}-A^")
+    got = data.product.eval_basis(f"-A^{TENSOR_SEP}-A^")
     assert any(k.startswith("+") for k in got.coeffs)
+
+
+def cubic_packages():
+    """The packages with B != 0: lambda-s1-plus with the cyclically
+    symmetric B of the test above, and the random reference packages."""
+    inst = make_fixture("lambda-s1-plus", W)
+    A = inst.module
+    B = Vector(tensor(A, A, A), {f"A{TENSOR_SEP}A{TENSOR_SEP}1": 1,
+                                 f"1{TENSOR_SEP}A{TENSOR_SEP}A": 1,
+                                 f"A{TENSOR_SEP}1{TENSOR_SEP}A": -1})
+    yield ConeProductData(ChainComplex(A), inst.mu, inst.lam,
+                          tensor(A, A).zero(), inst.lam(inst.eta).scale(-1),
+                          B, n=1, safe_names=inst.safe_names)
+    for which, arg in REFERENCE_PACKAGES:
+        if isinstance(which, int):
+            yield reference_package(which, arg)
+
+
+def test_the_closed_form_covers_the_cubic_vector():
+    # the closed form's (-,-) -> + component reads B, so the components
+    # agree with the product on every package with B != 0, and that
+    # component is nonzero on each
+    packages = list(cubic_packages())
+    assert len(packages) == 7
+    for data in packages:
+        assert cross_check_components(data) == (
+            "pass", "all components agree with the assembled product")
+        mm_p, size = data.components["mm_p"].row, len(data.M.index().names)
+        assert any(mm_p(i, j) for i in range(size) for j in range(size))
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
@@ -148,7 +180,7 @@ def test_beta_contracts_the_cubic_vector(ring):
     for seed in range(4):
         data = make_random_instance(seed, 4, degrees=(0, -1, 1), ring=ring,
                                     kind="cone", n=1)
-        ops = derive_secondary_ops(data)
+        beta = unbarred(data)["beta"]
         A, M, B = data.A, data.M, data.B
         for f in M.basis_names():
             for g in M.basis_names():
@@ -159,29 +191,29 @@ def test_beta_contracts_the_cubic_vector(ring):
                     if M.degree_of(g) % 2 and A.degree_of(b1) % 2:
                         s = -s
                     want = want + A.el(b3, c * s)
-                got = ops.beta.eval_basis(f"{f}{TENSOR_SEP}{g}")
+                got = beta.eval_basis(f"{f}{TENSOR_SEP}{g}")
                 assert got == want, (seed, f, g)
                 nonzero += not got.is_zero()
     assert nonzero
 
 
 def test_pairing_identities_definitional(s3_data, s1_data):
-    """The defining pairing identities of the derived operations, quantified
-    over safe inputs; lambda-s1-plus has odd generators, so the Koszul
-    signs of the transposes are exercised."""
+    """The defining pairing identities of the secondary operations, as the
+    product holds them, quantified over safe inputs; lambda-s1-plus has odd
+    generators, so the Koszul signs of the transposes are exercised."""
     for data in (s3_data, s1_data):
         _check_m_L_pairing(data)
 
 
 def _check_m_L_pairing(data):
-    ops = data.ops
+    m_L = unbarred(data)["m_L"]
     A, M, mu = data.A, data.M, data.mu
     for b in data.safe_names:
         for f in data.safe_names:
             fv = M.el(f + "^")
             # <a, m_L(b,f)> = <mu(a,b), f> for every safe a, under the
             # functional-first pairing dictionary
-            got = ops.m_L.eval_basis(f"{b}{TENSOR_SEP}{f}^")
+            got = m_L.eval_basis(f"{b}{TENSOR_SEP}{f}^")
             for a in data.safe_names:
                 da = A.degree_of(a)
                 dphi = M.degree_of(f + "^") + A.degree_of(b)
@@ -203,11 +235,11 @@ def test_mu_dualization_consistency(s3_data, s1_data):
 
 def _check_m_R_pairing(data):
     # <m_R(f,a), b> = <f, mu(a,b)> with the plain functional-first pairing
-    ops = data.ops
+    m_R = unbarred(data)["m_R"]
     A, M = data.A, data.M
     for f in data.safe_names:
         for a in data.safe_names:
-            got = ops.m_R.eval_basis(f"{f}^{TENSOR_SEP}{a}")
+            got = m_R.eval_basis(f"{f}^{TENSOR_SEP}{a}")
             for b in data.safe_names:
                 lhs = dual_pair(got, A.el(b))
                 rhs = dual_pair(M.el(f + "^"),
@@ -223,12 +255,12 @@ def test_sigma_without_corrections_uses_plain_coproduct():
     data = ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
                            A2.zero(), A3.zero(), n=3,
                            safe_names=inst.safe_names)
-    ops = derive_secondary_ops(data)
+    sigma = unbarred(data)["sigma"]
     M = data.M
 
     for f in data.safe_names:
         for g in data.safe_names:
-            got = ops.sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
+            got = sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
             df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
@@ -236,12 +268,13 @@ def test_sigma_without_corrections_uses_plain_coproduct():
                 assert dual_pair(got, A.el(a)) == (want if sign == 1 else -want)
 
 
-def test_sigma_pairs_against_corrected_coproduct(s1_data, s1_ops):
+def test_sigma_pairs_against_corrected_coproduct(s1_data):
     """<sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)> with
     lam_rev = lam + (mu(x)1)(1(x)Q0) + (1(x)mu)(Q0(x)1), here with Q0 != 0
     and odd generators."""
     data = s1_data
     A, M, mu = data.A, data.M, data.mu
+    sigma = unbarred(data)["sigma"]
     assert not data.Q0.is_zero()
 
     def lam_rev(a):   # by names; moving Q0 past a costs (-1)^{|Q0||a|}
@@ -257,7 +290,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data, s1_ops):
     nonzero = 0
     for f in data.safe_names:
         for g in data.safe_names:
-            got = s1_ops.sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
+            got = sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
             df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
@@ -268,11 +301,12 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data, s1_ops):
     assert nonzero
 
 
-def test_shift_sign_table(s3_data, s3_ops):
-    """The five barred/unbarred relations of the component dictionary."""
+def test_shift_sign_table(s3_data):
+    """The five barred/unbarred relations of the component dictionary,
+    between the product's parts and the operations shifted back from them."""
     data = s3_data
     A, M = data.A, data.M
-    b = barred(s3_ops)
+    b, ops = block_parts(data), unbarred(data)
     for x in data.safe_names:
         dx = A.degree_of(x)
         for f in data.safe_names:
@@ -281,21 +315,21 @@ def test_shift_sign_table(s3_data, s3_ops):
             sx = -1 if dx % 2 else 1
             # <a, m-bar_L(b, fbar)> = (-1)^{|b|} <a, m_L(b,f)>
             assert b["m_L"].eval_basis(key).coeffs == \
-                s3_ops.m_L.eval_basis(key).scale(sx).coeffs
+                ops["m_L"].eval_basis(key).scale(sx).coeffs
             # m-bar_R carries no sign
             assert b["m_R"].eval_basis(key_rev).coeffs == \
-                s3_ops.m_R.eval_basis(key_rev).coeffs
+                ops["m_R"].eval_basis(key_rev).coeffs
             # tau-bar_R: (-1)^{|b|}; tau-bar_L: no sign
             assert b["tau_R"].eval_basis(key).coeffs == \
-                s3_ops.tau_R.eval_basis(key).scale(sx).coeffs
+                ops["tau_R"].eval_basis(key).scale(sx).coeffs
             assert b["tau_L"].eval_basis(key_rev).coeffs == \
-                s3_ops.tau_L.eval_basis(key_rev).coeffs
+                ops["tau_L"].eval_basis(key_rev).coeffs
         for g in data.safe_names:
             key = f"{x}^{TENSOR_SEP}{g}^"
             sf = -1 if M.degree_of(x + "^") % 2 else 1
             # <m-bar(fbar, gbar), a> = (-1)^{|f|} <sigma(f,g), a>
             assert b["sigma"].eval_basis(key).coeffs == \
-                s3_ops.sigma.eval_basis(key).scale(sf).coeffs
+                ops["sigma"].eval_basis(key).scale(sf).coeffs
 
 
 def test_components_cross_check(s3_data, s1_data):
@@ -304,9 +338,9 @@ def test_components_cross_check(s3_data, s1_data):
     assert cross_check_components(s1_data) == agree
 
 
-def test_block_placement(s3_data, s3_ops):
+def test_block_placement(s3_data):
     data = s3_data
-    prod = s3_ops.product
+    prod = data.product
     # (+,+) -> + equals mu, and the (+,+) -> - block vanishes
     for a in data.safe_names:
         for b in data.safe_names:
@@ -327,13 +361,13 @@ def test_cone_associativity(s3_data, s1_data):
     assert check_cone_associativity(s1_data) == associative
 
 
-def test_commutativity_relations(s1_data, s1_ops):
+def test_commutativity_relations(s1_data):
     # m^{-+}_+ = m^{+-}_+ . tau and m^{-+}_- = m^{+-}_- . tau on
-    # commutative/cocommutative data
+    # commutative/cocommutative data, read from the product's parts
     data = s1_data
     A, Mbar = data.A, data.Mbar
     tau = twist(Mbar, A)
-    b = barred(s1_ops)
+    b = block_parts(data)
     for f in data.safe_names:
         for a in data.safe_names:
             key = f"{f}^{TENSOR_SEP}{a}"
@@ -473,8 +507,7 @@ def test_degenerate_block_diagonal_case():
     data = ConeProductData(ChainComplex(A), inst.mu,
                            GradedMap.zero(A, A2, -5), A2.zero(), A2.zero(),
                            A3.zero(), n=3, safe_names=inst.safe_names)
-    ops = derive_secondary_ops(data)
-    prod = ops.product
+    prod = data.product
     for f in data.safe_names:
         for a in data.safe_names:
             # the product preserves the splitting: mixed inputs stay in the
@@ -506,13 +539,14 @@ def unshift_reference(op, i, j, k):
     return NameMap(source, target, op.degree - i - j + k, fn)
 
 
-def product_reference(data, ops):
-    """mu_cone by names: each block value of mu or of an operation's
-    [i,j;k]-unshift, its names prefixed with "+" or "-" for the cone."""
-    cone_mod = ops.cone.complex.module
+def product_reference(data):
+    """mu_cone by names: each block value of mu or of the [i,j;k]-unshift of
+    a name-keyed secondary operation (`name_keyed.secondary_operations`),
+    its names prefixed with "+" or "-" for the cone."""
+    cone_mod = data.cone.complex.module
     src = tensor(cone_mod, cone_mod)
-    unshifted = {name: unshift_reference(getattr(ops, name), *ijk)
-                 for name, ijk in PLACEMENT.items()}
+    unshifted = {name: unshift_reference(op, *PLACEMENT[name])
+                 for name, op in secondary_operations(data).items()}
     blocks = {("+", "-"): ("tau_R", "m_L"), ("-", "+"): ("tau_L", "m_R"),
               ("-", "-"): ("beta", "sigma")}
 
@@ -551,14 +585,13 @@ def reference_package(which, arg):
 @pytest.mark.parametrize("which, arg", REFERENCE_PACKAGES,
                          ids=lambda v: repr(v) if not isinstance(v, str) else v)
 def test_compiled_product_matches_the_string_keyed_assembly(which, arg):
-    """ops.product's rows agree with the name-keyed assembly on every pair
+    """The product's rows agree with the name-keyed assembly on every pair
     of cone basis elements, not only the safe ones: random cone packages
     (Q0 and B nonzero) and the lambda fixtures."""
     data = reference_package(which, arg)
-    ops = derive_secondary_ops(data)
-    reference = product_reference(data, ops)
-    names = ops.cone.complex.module.index().names
-    row = ops.product.row
+    reference = product_reference(data)
+    names = data.cone.complex.module.index().names
+    row = data.product.row
     nonzero = set()
     for u, un in enumerate(names):
         for v, vn in enumerate(names):
@@ -590,13 +623,13 @@ def test_the_reference_packages_meet_every_folded_sign_both_ways():
     }
     seen = {part: set() for part in folded}
     for which, arg in REFERENCE_PACKAGES:
-        ops = derive_secondary_ops(reference_package(which, arg))
-        idx = ops.cone.complex.module.index()
+        data = reference_package(which, arg)
+        idx = data.cone.complex.module.index()
         # a "-" element sits one degree above its element of M
         odd = [o if n[0] == "+" else not o for n, o in zip(idx.names, idx.odd)]
         for u, un in enumerate(idx.names):
             for v, vn in enumerate(idx.names):
-                for k, _ in ops.product.row(u, v):
+                for k, _ in data.product.row(u, v):
                     part = un[0], vn[0], idx.names[k][0]
                     if part in folded:
                         seen[part].add(bool(folded[part](odd[u], odd[v])))
@@ -631,13 +664,12 @@ def _patched_pair(data):
 
 
 def test_components_witness_names_a_patched_assembled_block(s1_data):
-    # the cross-check reads the package's own operations, patched here on
+    # the cross-check reads the package's own product, patched here on
     # a fresh package so that the shared fixture keeps its own
     data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
     pair, (b, f) = _patched_pair(data)
-    ops = data.ops
-    plus, minus, _ = ops.cone.layout
-    ops.product = patched(ops.product, (plus[b], minus[f]), minus)
+    plus, minus, _ = data.cone.layout
+    data.product = patched(data.product, (plus[b], minus[f]), minus)
     assert cross_check_components(data) == (
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
         "vs closed form (0 | U^-2^)")
@@ -684,7 +716,7 @@ def _run_the_cone_checks(data):
 
 def test_a_package_builds_its_dual_side_once(monkeypatch):
     # M = dual_side(A, n) and Mbar = M[-1] are built where the package is,
-    # and the operations, the closed forms and every check read them there
+    # and the product, the closed forms and every check read them there
     calls = {"dual_side": 0, "Mbar": 0}
     dual_side, shift_ = cp.dual_side, cp.shift
 
@@ -726,7 +758,7 @@ def test_closed_form_components_preserve_degree(s3_data, s1_data):
 
 
 def test_a_package_is_freed_by_reference_counting():
-    # nothing the package builds (operations, cone, components, verdicts)
+    # nothing the package builds (cone, product, components, verdicts)
     # refers back to it, so its last reference frees it without the
     # cyclic collector
     inst = make_fixture("lambda-s1-plus", TruncationWindow(8))

@@ -398,8 +398,7 @@ from chainalg.cone_product import (
     cone_data_from_bialgebra)
 data = cone_data_from_bialgebra(
     make_fixture("lambda-s1-plus", TruncationWindow(8)), n=1)
-ops = data.ops
-ops.product = flip_structure_constant(ops.product, "+U\u2297+U", "+U^2")
+data.product = flip_structure_constant(data.product, "+U\u2297+U", "+U^2")
 print("cone associativity", *check_cone_associativity(data))
 comps = data.components
 comps["pm_p"] = flip_structure_constant(comps["pm_p"], "U^2\u2297U^2^", "A")

@@ -3,9 +3,9 @@
 A fixed list of `chainalg` commands runs in one fresh interpreter under
 `sys.settrace`, which records every Python function called (its global
 hook sees Python calls only, so it costs less than `sys.setprofile`, which
-also reports each call into C).  Each `def`
-in `src/chainalg` must be among them or on ALLOWED, with the reason it is
-not reached.  ALLOWED may only shrink: an entry whose `def` now runs, or no
+also reports each call into C).  Each `def` and each `lambda` in
+`src/chainalg` must be among them or on ALLOWED, with the reason it is not
+reached.  ALLOWED may only shrink: an entry whose code now runs, or no
 longer exists, fails the test as well, so that the list stays exact.
 """
 
@@ -34,10 +34,10 @@ REPR = "debugging aid; no report prints it"
 HASH = "no command hashes it"
 MALFORMED = "raises on a malformed scenario; the shipped ones are valid"
 OP_SHIFT = "the body of apply_op_shift and unapply_op_shift, " + API
-DERIVED = ("the rows of a derived operation, " + API + "; the cone "
-           "product reads the tables they read")
+CHAIN_MU = ("mu as a chain map on a bialgebra with a differential, which no "
+            "shipped scenario has")
 
-# "module.qualified name" of a def that no command reaches -> why
+# "module.qualified name" of a def or lambda that no command reaches -> why
 ALLOWED = {
     "bialgebra.AxiomResult.describe": FAILURE,
     "bialgebra.AxiomReport.passed": API,
@@ -45,7 +45,9 @@ ALLOWED = {
     "bialgebra.AxiomReport.describe": API,
     "complexes.ChainComplex.__repr__": REPR,
     "complexes.ChainMap.__call__": API,
+    "complexes._require_chain_map.<lambda 1>": CHAIN_MU,
     "complexes.is_chain_homotopic": REDUCED,
+    "complexes.is_chain_homotopic.<lambda 1>": REDUCED,
     "complexes.graded_commutator": REDUCED,
     "complexes.HomologySummary.rank": API,
     "complexes.HomologySummary.torsion": API,
@@ -58,17 +60,22 @@ ALLOWED = {
     "complexes.QuotientComplex.homology": REDUCED,
     "complexes.quotient_by_image": REDUCED,
     "complexes.induced_quotient_homotopy": REDUCED,
+    "complexes.induced_quotient_homotopy.<lambda 1>": REDUCED,
     "complexes.induced_quotient_homotopy.rows": REDUCED,
     "complexes.induced_quotient_homotopy.sides": REDUCED,
+    "complexes.is_essential.<lambda 2>":
+        "a cochain-oriented complex, only in " + REDUCED,
+    "complexes.mapping_cone.<lambda 1>": "the rows of the cone's "
+        "inclusion, " + API,
+    "complexes.mapping_cone.<lambda 2>": "the rows of the cone's "
+        "projection, " + API,
     "cone_product._format_row": FAILURE,
     "cone_product.cyclic_symmetrize":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
-    "cone_product.derive_secondary_ops.m_L_row": DERIVED,
-    "cone_product.derive_secondary_ops.m_R_row": DERIVED,
-    "cone_product.derive_secondary_ops.sigma_row": DERIVED,
+    "cone_product.check_assoc_implies_infinitesimal.<lambda 2>": FAILURE,
     "fixtures.flip_structure_constant": TEST_ONLY,
     "fixtures.flip_structure_constant.rows": TEST_ONLY,
     "fixtures.mutate_lambda": TEST_ONLY,
@@ -81,9 +88,10 @@ ALLOWED = {
     "graded.GradedModule.__repr__": REPR,
     "graded.GradedModule.vector": API,
     "graded.TensorModule.basis":
-        "lists a tensor basis: mu as a chain map on a bialgebra with a "
-        "differential, which no shipped scenario has, and the tests' "
-        "random instances",
+        "lists a tensor basis: " + CHAIN_MU + ", and the tests' random "
+        "instances",
+    "graded.TensorModule.basis.<lambda 1>": "sorts a tensor basis, as "
+        "graded.TensorModule.basis",
     "graded.TensorModule.degrees": API,
     "graded.TensorModule._struct":
         "compares equal but distinct tensor modules; commands build "
@@ -99,6 +107,7 @@ ALLOWED = {
     "graded.Vector.__repr__": REPR,
     "graded.Vector._compatible": API,
     "graded.GradedMap.identity": API,
+    "graded.GradedMap.identity.<lambda 1>": API,
     "graded.GradedMap.__call__": API,
     "graded.GradedMap.eval_basis":
         "pinned by perfbench/layertrace.py METHODS; the mutant helpers of "
@@ -110,6 +119,7 @@ ALLOWED = {
     "graded.apply_op_shift": API,
     "graded.unapply_op_shift": API,
     "graded._op_shift": OP_SHIFT,
+    "graded._op_shift.<lambda 1>": OP_SHIFT,
     "graded.dual_pair": API,
     "matrices.ExactMatrix.from_rows": DENSE,
     "matrices.ExactMatrix.to_rows": DENSE,
@@ -130,11 +140,17 @@ ALLOWED = {
         "(ROADMAP item 1)",
     "rings.Ring.__hash__": HASH,
     "rings.Ring.div": API,
+    "rings.Ring.__init__.<lambda 2>":
+        "subtraction over GF(p), as in elimination; no command here "
+        "eliminates or subtracts Vectors over GF(p)",
     "scenario._basis_error": MALFORMED,
     "scenario._degree_error": MALFORMED,
     "scenario._name_error": MALFORMED,
     "scenario._parse_rows.error": MALFORMED,
     "scenario._parse_rows.term_error": MALFORMED,
+    "scenario._parse_rows.<lambda 1>":
+        "the degree of a term of three or more names, or of a tensor "
+        "term in an inhomogeneous value; no shipped scenario has either",
     "scenario.structurally_equal": API,
 }
 
@@ -180,9 +196,13 @@ def commands():
 
 
 def defs():
-    """{(file name, first line): "module.qualified name"} of every def in
-    the package, the first line being that of its first decorator."""
+    """{(file name, first line): "module.qualified name"} of every def and
+    lambda in the package, the first line of a def being that of its first
+    decorator.  The k-th lambda in source order directly inside a def or
+    class (or at module level) is named "<lambda k>" there; lambdas that
+    start on one line share its entry, the last one's name."""
     out = {}
+    lambdas = {}   # (module, prefix) -> lambdas named there so far
 
     def visit(node, module, prefix):
         for child in ast.iter_child_nodes(node):
@@ -193,8 +213,12 @@ def defs():
                                                   child.decorator_list])
                     out[path.name, first] = f"{module}.{name}"
                 visit(child, module, name + ".")
-            else:
-                visit(child, module, prefix)
+                continue
+            if isinstance(child, ast.Lambda):
+                k = lambdas[module, prefix] = lambdas.get((module, prefix),
+                                                          0) + 1
+                out[path.name, child.lineno] = f"{module}.{prefix}<lambda {k}>"
+            visit(child, module, prefix)
 
     for path in sorted((SRC / "chainalg").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")

@@ -65,6 +65,7 @@ from name_keyed import (
     twist,
 )
 from test_complexes import _cubical_torus, _lemma_homotopy
+from test_cone_product import block_parts
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -477,18 +478,15 @@ LAMBDA_CASES = [(name, ring) for name in ("lambda-s3", "lambda-s1-plus",
 def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
     # `SideIds.row` interns a row as its set of terms: distinct keys and
     # no zero coefficient (the row contract of `GradedMap`)
-    from chainalg.cone_product import (closed_form_components,
-                                       derive_secondary_ops)
+    from chainalg.cone_product import closed_form_components
     from chainalg.graded import basis_keys
 
     inst = fx.make_fixture(name, fx.TruncationWindow(8), ring)
     data = cone_data_from_bialgebra(inst, 3 if name == "lambda-s3" else 1)
-    ops = derive_secondary_ops(data)
     kernel = inst.kernel
     maps = {"mu tau": kernel.mu_tau, "tau lam": kernel.tau_lam,
-            "mu": inst.mu, "lam": inst.lam, "m_L": ops.m_L, "m_R": ops.m_R,
-            "sigma": ops.sigma, "tau_L": ops.tau_L, "tau_R": ops.tau_R,
-            "beta": ops.beta, "product": ops.product,
+            "mu": inst.mu, "lam": inst.lam, "product": data.product,
+            **{f"part {k}": op for k, op in block_parts(data).items()},
             **{f"component {k}": op
                for k, op in closed_form_components(data).items()}}
     rows = 0

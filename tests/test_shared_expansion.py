@@ -348,20 +348,19 @@ PACKAGES = list(packages())
 @pytest.mark.parametrize("label,data", PACKAGES, ids=[p[0] for p in PACKAGES])
 def test_cone_associativity_matches_the_loop(label, data):
     rng = random.Random(label)
-    ops = data.ops
     names = data.safe_cone_names()
-    products = [ops.product] + [derive_secondary_ops(bad).product
-                                for bad in flipped_Q0(data, rng)]
+    products = [data.product] + [derive_secondary_ops(bad)
+                                 for bad in flipped_Q0(data, rng)]
     pairs = [f"{u}{TENSOR_SEP}{v}" for u in names for v in names]
     for _ in range(3):
-        products.append(flip_entry(ops.product, pairs, rng))
+        products.append(flip_entry(data.product, pairs, rng))
     failures = []
     try:
         for mu in products:
             got = associativity_witness(mu, names)
             assert got == associativity_loop(mu, names)
             failures.append(got[1] is not None)
-            ops.product = mu
+            data.product = mu
             res = check_cone_associativity(data)
             if got[1] is None:
                 assert res == ("pass", "associative on the safe window")
@@ -370,7 +369,7 @@ def test_cone_associativity_matches_the_loop(label, data):
                                        f"{format_vector(got[2])} vs "
                                        f"{format_vector(got[3])}")
     finally:   # the package is shared with the other tests
-        ops.product = products[0]
+        data.product = products[0]
     if label.startswith("lambda"):   # associative, and every flip is seen
         assert failures == [False] + [True] * (len(products) - 1)
 
