@@ -306,8 +306,6 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
 @dataclass
 class Cone:
     complex: ChainComplex
-    include_target: GradedMap   # A -> Cone, degree 0
-    project_source: GradedMap   # Cone -> M, degree -1 (reads the "-" part)
     source: ChainComplex
     target: ChainComplex
     chain_map: ChainMap
@@ -328,8 +326,8 @@ class ComplexBundle:
 
 
 def mapping_cone(c: ChainMap) -> Cone:
-    """Cone(c) with d_cone, incl and proj as row maps on the rows of c and
-    of the two differentials."""
+    """Cone(c) with d_cone a row map on the rows of c and of the two
+    differentials; the layout places A's and M's positions in the cone."""
     M, A = c.source.module, c.target.module
     R = A.ring
     basis = [BasisElement("+" + e.name, e.degree) for e in A.basis()]
@@ -343,7 +341,7 @@ def mapping_cone(c: ChainMap) -> Cone:
         for p, k in enumerate(ks):
             where[k] = (block, p)
     d_A, d_M, f = (m.row for m in (c.target.d, c.source.d, c.f))
-    neg, one = R.neg, R.one()
+    neg = R.neg
 
     def d_row(u):   # d(a, m) = (d_A a + c(m), -d_M m)
         block, p = where[u]
@@ -354,11 +352,7 @@ def mapping_cone(c: ChainMap) -> Cone:
 
     cone = ChainComplex(cone_mod, GradedMap(cone_mod, cone_mod, -1, d_row,
                                             name="d_cone"))
-    incl = GradedMap(A, cone_mod, 0, lambda p: ((plus[p], one),), name="incl")
-    proj = GradedMap(
-        cone_mod, M, -1,
-        lambda u: ((where[u][1], one),) if where[u][0] else (), name="proj")
-    return Cone(cone, incl, proj, c.source, c.target, c, (plus, minus, where))
+    return Cone(cone, c.source, c.target, c, (plus, minus, where))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,19 @@ class _Layout:
 
     def columns(self, image):
         """(fixed, d) -> the transpose of x -> image(fixed, x) over the
-        positions x of degree d, built on first request, so that an operation
-        of degree 0 is read only where its values can meet a given output."""
-        return functools.cache(lambda fixed, d: transpose_rows(
-            self.of_degree.get(d, ()), lambda x: image(fixed, x)))
+        positions x of degree d, built on first request and kept in a dict,
+        so that an operation of degree 0 is read only where its values can
+        meet a given output."""
+        tables, of_degree = {}, self.of_degree
+
+        def columns(fixed, d):
+            out = tables.get((fixed, d))
+            if out is None:
+                out = tables[fixed, d] = transpose_rows(
+                    of_degree.get(d, ()), functools.partial(image, fixed))
+            return out
+
+        return columns
 
 
 def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
@@ -454,20 +463,27 @@ def cross_check_components(data: ConeProductData) -> Outcome:
     failures = []
     for label in ("pp", "pm", "mp", "mm"):
         keys = (f"{label}_p", f"{label}_m")
-        rows = [comps[key].row for key in keys]
+        row_p, row_m = (comps[key].row for key in keys)
         for u in safe[label[0]]:
+            i = where[u][1]
             for v in safe[label[1]]:
-                got = ({}, {})
-                for k, c in assembled(u, v):
+                # the closed form's rows in cone positions, in their order:
+                # rows that agree term by term need no dicts
+                j, got = where[v][1], assembled(u, v)
+                if got == tuple([(plus[k], c) for k, c in row_p(i, j)]
+                                + [(minus[k], c) for k, c in row_m(i, j)]):
+                    continue
+                split = ({}, {})
+                for k, c in got:
                     block, p = where[k]
-                    got[block][p] = c
-                want = tuple(dict(r(where[u][1], where[v][1])) for r in rows)
-                if got != want:
-                    differ = ", ".join(k for k, g, w in zip(keys, got, want)
+                    split[block][p] = c
+                want = dict(row_p(i, j)), dict(row_m(i, j))
+                if split != want:
+                    differ = ", ".join(k for k, g, w in zip(keys, split, want)
                                        if g != w)
                     failures.append(
                         f"{label} mismatch at {names[u]}(x){names[v]} in "
-                        f"{differ}: assembled {show(*got)} vs closed form "
+                        f"{differ}: assembled {show(*split)} vs closed form "
                         f"{show(*want)}")
     if failures:
         return Outcome("fail", "; ".join(failures[:5]))
@@ -522,9 +538,12 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     keyed by their ids; the right side is the list over f of m_pm_p(x, f)
     summed over the row mu(a, b), kept per distinct row mu(a, b), with the
     contracted defect added at the f where it is nonzero.  Sides are
-    interned by `SideIds`, whose ids are equal exactly when the sides are,
-    and `_first_difference` compares the two lists of ids over f of each
-    pair (a, b), then the entries of a failing pair's lists; the failing
+    interned by `SideIds`, whose ids are equal exactly when the sides are;
+    the ids of the rows of mu, m_pm_p and m_pm_m are read by position
+    (`SideIds.row_ids`), and a right side that is one row of m_pm_p times 1
+    or -1 is that row's id or its negation, not summed.
+    `_first_difference` compares the two lists of ids over f of each pair
+    (a, b), then the entries of a failing pair's lists; the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
     if (assoc := data.associativity).status != "pass":
@@ -538,23 +557,24 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     mul, neg = R.mul, R.neg
     mu = data.mu.row
     pm_p = comps["pm_p"].row
-    pm_m = comps["pm_m"].row
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
     # Mbar has M's positions, so the position of f^ keys both
     duals = [data.layout.dual[i] for _, i in safe]
     at_f = {k: kf for kf, k in enumerate(duals)}   # Mbar position -> f
     ids = SideIds(R)
-    sides = ids.sides
+    sides, mu_id = ids.sides, ids.row_ids(data.mu)
+    pm_p_id, pm_m_id = ids.row_ids(comps["pm_p"]), ids.row_ids(comps["pm_m"])
 
     @functools.cache
     def rows_at(j):   # per b: the ids of (P, Q) for each f
-        return [(ids.row(pm_p(j, k)), ids.row(pm_m(j, k))) for k in duals]
+        return [(pm_p_id(j, k), pm_m_id(j, k)) for k in duals]
 
     @functools.cache
     def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
         terms = sides[ab]
-        return [ids.expand(terms, lambda x: pm_p(x, k)) for k in duals]
+        return [ids.expand(terms, lambda x: pm_p(x, k), lambda x: pm_p_id(x, k))
+                for k in duals]
 
     def lhs_ids(i):   # per a: the id of mu(a, P) + m_pm_p(a, Q), per ids
         return functools.cache(lambda pq: ids(itertools.chain(
@@ -568,7 +588,7 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
                                            last=True).items() if k in at_f}
 
     def rhs_ids(i, j):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
-        rhs, contracted = pm_p_of(ids.row(mu(i, j))), expected(i, j)
+        rhs, contracted = pm_p_of(mu_id(i, j)), expected(i, j)
         rhs = list(rhs) if contracted else rhs
         for kf, terms in contracted.items():
             rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
@@ -589,7 +609,7 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
-        sides[pm_p_of(ids.row(mu(i, j)))[kf]], True, neg)))]
+        sides[pm_p_of(mu_id(i, j))[kf]], True, neg)))]
     return Outcome(
         "fail", f"fails at a={a}, b={b}, f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "

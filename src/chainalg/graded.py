@@ -59,17 +59,21 @@ tensor module.  `from_table` builds its rows once from the given values;
 the other maps compute theirs from the rows of the maps they are built
 from: `tensor_differential`, `shift_map` and the operation shifts (a
 shift keeps names and order, so positions), `dual_map` (one sparse
-transpose of the map's rows), the cone's d_cone, incl, proj and
-transition automorphism, commutators [d, h], the fixtures' mu and lam, and
-mu tau and tau lam read off the rows of mu and lam with the one signed
-twist `_twisted`.  `apply_rows` applies a map's rows to a row's terms.
+transpose of the map's rows), the cone's d_cone and transition
+automorphism, commutators [d, h], the fixtures' mu and lam, and mu tau
+and tau lam read off the rows of mu and lam with the one signed twist
+`_twisted`.  `apply_rows` applies a map's rows to a row's terms.
 Names come back, through `row_vector`, only to build a witness or to
 answer a name-keyed caller (`eval_basis`, calling a map).
 
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
 `cone_product`) expand each side once per distinct row and compare sides
-as ids interned by `SideIds`, a map's row as its set of terms.  The pair
+as ids interned by `SideIds`, a map's row as its set of terms.  A row's id
+is kept by the row tuple and, in one table per map, by its position
+i * stride + j (`SideIds.row_ids`), so a side of one term with
+coefficient 1 or -1 is a lookup, or two with its negation (`SideIds.neg`),
+and only longer sides are summed.  The pair
 identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
 rhs, into one dict per pair a (x) b, which is empty exactly when the pair
 passes, and expand the two sides again only for the first failing pair;
@@ -491,13 +495,14 @@ class GradedMap:
     `SideIds.row` relies on it.
 
     `row(i)`, or `row(i, j)`, serves the row, computed by the row function
-    (`row_fn`) on first use and kept while the map lives; `at(key)` reads
-    it at a key of the form the rows use.  `rows[i * stride + j]`
-    (`rows[i]` on an atomic source, where `stride` is 1) is the same row
-    read by one dict lookup, for the hot loops that hoist the stride
-    product out of their inner loop; a missing row is filled by that
-    lookup.  No row function refers to its own map, so a map forms no
-    reference cycle and is freed with its last user.
+    (`row_fn`) on first use, straight from the (i, j) it is given, and kept
+    while the map lives; `at(key)` reads it at a key of the form the rows
+    use.  `rows[i * stride + j]` (`rows[i]` on an atomic source, where
+    `stride` is 1) is the same row read by one dict lookup, for the hot
+    loops that hoist the stride product out of their inner loop; a missing
+    row is filled by that lookup, which on a binary source first divides
+    the key back into (i, j).  No row function refers to its own map, so a
+    map forms no reference cycle and is freed with its last user.
 
     Names come back only through `eval_basis` and calling the map, which
     read the rows, for a witness or a name-keyed caller.  `from_table` is
@@ -570,9 +575,16 @@ class GradedMap:
         return v
 
     def row(self, i: int, j: int = 0) -> tuple:
-        """The row at position i, or at (i, j) on a binary source."""
-        r = self.rows.get(i * self.stride + j)
-        return self.rows.fill(i, j) if r is None else r
+        """The row at position i, or at (i, j) on a binary source.  A
+        missing row is filled here from the (i, j) at hand, by the same rule
+        as `_Rows.__missing__` (which fills lookups by key): a change to how
+        rows are made or kept edits both."""
+        key = i * self.stride + j
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = tuple(
+                self.row_fn(i, j) if self._binary else self.row_fn(i))
+        return r
 
     def at(self, key) -> tuple:
         """The row at a key of the form the rows use: a position for an
@@ -629,9 +641,11 @@ def sparse_blocks(f: GradedMap):
 
 
 class _Rows(dict):
-    """A map's rows by the key i * stride + j: `fill(i, j)` computes and keeps
-    the row fn(i, j), or fn(i) for an atomic source, and a lookup of a
-    missing key fills it."""
+    """A map's rows by the key i * stride + j: a lookup of a missing key
+    computes and keeps the row fn(i, j), or fn(key) for an atomic source.
+    `GradedMap.row` fills a missing row itself, from the (i, j) it has, by
+    the same rule, so that its first read divides no key: a change to how
+    rows are made or kept edits both."""
 
     __slots__ = ("fn", "stride", "binary")
 
@@ -639,13 +653,10 @@ class _Rows(dict):
         super().__init__()
         self.fn, self.stride, self.binary = fn, stride, binary
 
-    def fill(self, i, j):
-        r = self[i * self.stride + j] = tuple(
-            self.fn(i, j) if self.binary else self.fn(i))
-        return r
-
     def __missing__(self, key):
-        return self.fill(*divmod(key, self.stride))
+        r = self[key] = tuple(self.fn(*divmod(key, self.stride)) if self.binary
+                              else self.fn(key))
+        return r
 
 
 def basis_keys(module: GradedModule):
@@ -735,12 +746,28 @@ class SideIds:
     breaking the contract can only make equal sides look different, never
     the reverse: a row with a repeated (key, coefficient) pair is summed,
     and otherwise equal sets are equal multisets of terms, so equal ids
-    still mean equal sums.
+    still mean equal sums.  The id is also kept keyed by the row tuple
+    itself, so an equal row met again, at another position or in another
+    map, costs one tuple lookup: tuples are equal only when their pairs
+    are, in order, so a hit is the id the frozenset would give, and a row
+    in another order misses and takes the frozenset's path.
+    `ids.row_ids(m)` keeps the ids of a map's rows by position, so each
+    position of m is read once.
+
+    `ids.neg(i)` is the id of side i with every coefficient negated, kept
+    per id both ways: negating canonical nonzero coefficients on distinct
+    keys gives canonical nonzero coefficients on the same keys, so that set
+    is the negated side, interned like any other (over GF(2), side i
+    itself).
     """
 
     def __init__(self, ring: Ring):
-        self._add, self._mul, self._one = ring.add, ring.mul, ring.one()
+        self._add, self._mul, self._neg = ring.add, ring.mul, ring.neg
+        self._one = ring.one()
+        self._minus_one = ring.neg(self._one)
         self._ids = {}
+        self._by_row = {}   # row tuple -> id
+        self._negs = {}     # id -> id of the negated side
         self.sides = []
 
     def __call__(self, terms) -> int:
@@ -755,8 +782,21 @@ class SideIds:
 
     def row(self, r) -> int:
         """The id of the map row `r` (a tuple)."""
-        key = frozenset(r)
-        return self(r) if len(key) < len(r) else self._id(key)
+        i = self._by_row.get(r)
+        if i is None:
+            key = frozenset(r)
+            i = self._by_row[r] = self(r) if len(key) < len(r) else self._id(key)
+        return i
+
+    def neg(self, i: int) -> int:
+        """The id of side i negated."""
+        j = self._negs.get(i)
+        if j is None:
+            neg = self._neg
+            j = self._negs[i] = self._id(
+                frozenset((k, neg(c)) for k, c in self.sides[i]))
+            self._negs[j] = i
+        return j
 
     def _id(self, key) -> int:
         i = self._ids.get(key)
@@ -765,16 +805,38 @@ class SideIds:
             self.sides.append(key)
         return i
 
-    def expand(self, terms, at) -> int:
-        """The id of the sum of c * at(k) over the (k, c) pairs `terms` (a
-        sized collection), at(k) being a map's row; a single term with
-        coefficient 1 is interned as its row."""
+    def row_ids(self, m: GradedMap):
+        """(i, j) -> the id of m's row at (i, j), kept in one table keyed by
+        the position i * m.stride + j, so each row is interned once."""
+        table, stride, row, intern = {}, m.stride, m.row, self.row
+
+        def row_id(i, j):
+            key = i * stride + j
+            r = table.get(key)
+            if r is None:
+                r = table[key] = intern(row(i, j))
+            return r
+
+        return row_id
+
+    def combine(self, terms, at) -> int:
+        """The id of the sum of c * at(k) over the (k, c) pairs `terms`,
+        at(k) being a map's row."""
+        mul = self._mul
+        return self((t, mul(c, v)) for k, c in terms for t, v in at(k))
+
+    def expand(self, terms, at, id_at) -> int:
+        """`combine(terms, at)` for a sized collection `terms`, given also
+        id_at(k), the id of at(k): a single term with coefficient 1 is
+        id_at(k), one with coefficient -1 its negation, and only other
+        sides are summed."""
         if len(terms) == 1:
             [(k, c)] = terms
             if c == self._one:
-                return self.row(at(k))
-        mul = self._mul
-        return self((t, mul(c, v)) for k, c in terms for t, v in at(k))
+                return id_at(k)
+            if c == self._minus_one:
+                return self.neg(id_at(k))
+        return self.combine(terms, at)
 
 
 # ---------------------------------------------------------------------------
@@ -813,28 +875,31 @@ def associativity_witness(mu: GradedMap, names):
     Each side is expanded once per distinct product row, not once per
     triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
     the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
-    is interned by `SideIds` (a row as its set of terms, `SideIds.row`),
-    so the lhs over all c is one list of ids per
-    distinct row mu(a (x) b), filled on first use, the rhs one id per a and
-    distinct row mu(b (x) c), and `_first_difference` compares the two
-    lists of ids of each pair (a, b), then the entries of a failing pair's
-    lists.  Equal ids hold exactly when the sides are equal (see `SideIds`),
-    so the verdict, the count and the first failing triple are those of
-    comparing the two sides of every triple in turn.
+    is interned by `SideIds` (a row as its set of terms, `SideIds.row`, its
+    id kept by position, `SideIds.row_ids`), so the lhs over all c is one
+    list of ids per distinct row mu(a (x) b), filled on first use, the rhs
+    one id per a and distinct row mu(b (x) c), and `_first_difference`
+    compares the two lists of ids of each pair (a, b), then the entries of
+    a failing pair's lists.  A side of one term with coefficient 1 or -1 is
+    a row's id or its negation (`SideIds.neg`), and only other sides are
+    summed.  Equal ids hold exactly when the sides are equal (see
+    `SideIds`), so the verdict, the count and the first failing triple are
+    those of comparing the two sides of every triple in turn.
     """
     A = mu.target
     if any(f != A for f in mu.source.factors):
         raise ValueError("associativity needs a product A (x) A -> A")
     neg, one = A.ring.neg, A.ring.one()
+    minus_one = neg(one)
     idx = A.index()
     row = mu.row
     inputs = [(n, idx.pos[n]) for n in names]
     ids = SideIds(A.ring)
-    sides = ids.sides
+    sides, row_id = ids.sides, ids.row_ids(mu)
 
     @functools.cache
     def times_inputs(x):   # ids of mu(x (x) c) for the inputs c
-        return [ids.row(row(x, k)) for _, k in inputs]
+        return [row_id(x, k) for _, k in inputs]
 
     @functools.cache
     def lhs_ids(ab):   # ids of the lhs for the inputs c, per row id of ab
@@ -843,12 +908,16 @@ def associativity_witness(mu: GradedMap, names):
             [(x, c)] = terms
             if c == one:
                 return times_inputs(x)
-        return [ids.expand(terms, lambda x: row(x, k)) for _, k in inputs]
+            if c == minus_one:
+                return list(map(ids.neg, times_inputs(x)))
+        return [ids.combine(terms, lambda x: row(x, k)) for _, k in inputs]
 
     def rhs_ids(i):   # the id of the rhs per row id of bc, for a at i
         negate = mu.degree % 2 and idx.odd[i]
+        at, id_at = functools.partial(row, i), functools.partial(row_id, i)
         return functools.cache(lambda bc: ids.expand(
-            _signed_row(sides[bc], negate, neg), lambda y: row(i, y)))
+            _signed_row(sides[bc], True, neg) if negate else sides[bc],
+            at, id_at))
 
     def pairs():   # (a, b, row id of ab, position of b, a's rhs ids)
         for a, i in inputs:
@@ -924,7 +993,10 @@ def transpose_rows(inputs, image) -> dict:
     out = {}
     for x in inputs:
         for y, c in image(x):
-            out.setdefault(y, []).append((x, c))
+            if (col := out.get(y)) is None:
+                out[y] = [(x, c)]
+            else:
+                col.append((x, c))
     return out
 
 

@@ -37,6 +37,7 @@ PIECES = "tests/test_pair_pieces.py::test_one_pass_difference_matches_the_refere
 QUANTIFIER = ("tests/test_pair_pieces.py::"
               "test_fixture_mutants_match_the_reference_quantifier")
 ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_terms"
+NEG_IDS = "tests/test_shared_expansion.py::test_negated_side_ids_negate_every_coefficient"
 ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
 ONCE = "tests/test_report.py::test_demo_forms_each_pair_defect_once"
 ONE_KERNEL = ("tests/test_report.py::"
@@ -131,8 +132,9 @@ MUTANTS = [
      "return self((t, mul(c, v)) for k, c in terms for t, v in at(k))",
      "return self.row(tuple((t, mul(c, v)) for k, c in terms "
      "for t, v in at(k)))", ASSOC),
-    ("graded.py", "return self(r) if len(key) < len(r) else self._id(key)",
-     "return self._id(key)", ROW_IDS),
+    ("graded.py",
+     "self._by_row[r] = self(r) if len(key) < len(r) else self._id(key)",
+     "self._by_row[r] = self._id(key)", ROW_IDS),
     # one kernel per package: a quantifier's verdict kept per (identity,
     # pairs), the instance's kernel handed to its cone package, and the
     # identity-coproduct form of the sign of lam eta
@@ -323,6 +325,26 @@ MUTANTS = [
      "c if odd[b1] and not odd[b2] else neg(c))", CUBIC),
     ("cone_product.py", "for (b1, b2, b3), c in vector_terms(data.B):",
      "for (b1, b2, b3), c in ():", CUBIC),
+    # SideIds' negation and its single-term fast paths: neg(i) is i, the
+    # -1 path of expand does not negate, the position table's key drops
+    # the stride, so rows at different positions share an id, and a lhs
+    # of one row times -1 is not negated
+    ("graded.py", "frozenset((k, neg(c)) for k, c in self.sides[i]))",
+     "self.sides[i])", NEG_IDS),
+    ("graded.py", "                return self.neg(id_at(k))",
+     "                return id_at(k)", ASSOC),
+    ("graded.py", "key = i * stride + j\n            r = table.get(key)",
+     "key = i + j\n            r = table.get(key)", ASSOC),
+    ("graded.py", "return list(map(ids.neg, times_inputs(x)))",
+     "return times_inputs(x)", ASSOC),
+    # the product's transpose of mu read with the fixed factor on the wrong
+    # side
+    ("cone_product.py", "mu_right_rows = at.columns(lambda b, x: mu(x, b))",
+     "mu_right_rows = at.columns(mu)", PRODUCT),
+    # the components' term-by-term comparison passing rows of equal length
+    ("cone_product.py", "if got == tuple([(plus[k], c)",
+     "if len(got) == len([(plus[k], c)",
+     "tests/test_cone_product.py::test_components_compare_each_coefficient"),
 ]
 
 

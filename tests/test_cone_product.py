@@ -688,6 +688,21 @@ def test_components_witness_names_a_patched_closed_form_block(s1_data):
     assert cross_check_components(s1_data).status == "pass"
 
 
+def test_components_compare_each_coefficient():
+    # a closed-form row with its coefficients negated keeps its keys and
+    # its length, and the cross-check still names it
+    data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
+    pair, at = _patched_pair(data)
+    op, neg = data.components["pm_m"], data.A.ring.neg
+    row = op.row
+    data.components["pm_m"] = GradedMap(
+        op.source, op.target, op.degree, lambda i, j: tuple(
+            (k, neg(c)) for k, c in row(i, j)) if (i, j) == at else row(i, j))
+    assert cross_check_components(data) == (
+        "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
+        "closed form (0 | -U^-2^)")
+
+
 def test_a_continuation_that_is_not_a_chain_map_is_refused():
     # c(x0^) = x0, but d(x0) = x1 while d_M(x0^) = 0: the package is
     # refused at construction, naming the first failing basis element

@@ -65,10 +65,6 @@ ALLOWED = {
     "complexes.induced_quotient_homotopy.sides": REDUCED,
     "complexes.is_essential.<lambda 2>":
         "a cochain-oriented complex, only in " + REDUCED,
-    "complexes.mapping_cone.<lambda 1>": "the rows of the cone's "
-        "inclusion, " + API,
-    "complexes.mapping_cone.<lambda 2>": "the rows of the cone's "
-        "projection, " + API,
     "cone_product._format_row": FAILURE,
     "cone_product.cyclic_symmetrize":
         "cone packages with B != 0; none ships (ROADMAP item 6)",

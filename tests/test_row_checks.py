@@ -2,8 +2,9 @@
 
 Every structure map a check reads is a row map on basis positions: mu tau
 and tau lam in `PairKernel`, both sides of coassociativity, the units,
-`tensor_differential`, `dual_map`, `shift_map`, the cone's d_cone, incl and
-proj.  Each is compared here, over
+`tensor_differential`, `dual_map`, `shift_map`, the cone's d_cone, and the
+inclusion and projection read through the cone's layout.  Each is compared
+here, over
 Z, Q and GF(5), with a name-keyed reference built from `twist`, `then` and
 `tensor_map` of `name_keyed`, or from the defining formula on names.  A guard
 counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`,
@@ -360,8 +361,13 @@ def test_cone_maps_match_the_name_formulas(ring, data):
     cone = mapping_cone(ChainMap(CM, CA, c.row_map()))
     cone_mod = cone.complex.module
     refs = cone_reference(cone.chain_map, cone_mod)
-    for got, ref in zip((cone.complex.d, cone.include_target,
-                         cone.project_source), refs):
+    # incl and proj as row maps on the layout's positions of A and of M
+    plus, _, where = cone.layout
+    one = ring.one()
+    incl = GradedMap(A, cone_mod, 0, lambda p: ((plus[p], one),))
+    proj = GradedMap(cone_mod, M, -1, lambda u: (
+        ((where[u][1], one),) if where[u][0] else ()))
+    for got, ref in zip((cone.complex.d, incl, proj), refs):
         assert got.row_fn is not None
         for e in got.source.basis():
             assert got.eval_basis(e.name) == ref.eval_basis(e.name), e.name

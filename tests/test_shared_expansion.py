@@ -240,6 +240,83 @@ def test_side_ids_intern_a_row_as_its_terms():
     assert ids.row(((0, 0),)) != ids([])
 
 
+NEG_RINGS = [ZZ, QQ, GF(2), GF(5)]
+
+
+def rows(ring):
+    """Rows of up to four terms on keys 0..3, and up to two more that
+    repeat a term or cancel one (c and -c on one key)."""
+    term = st.tuples(st.integers(0, 3), coefficients(ring).map(ring.canon))
+
+    def with_repeats(ts):
+        if not ts:
+            return st.just(())
+        again = st.sampled_from(ts + [(k, ring.neg(c)) for k, c in ts])
+        return st.lists(again, max_size=2).map(lambda more: tuple(ts + more))
+
+    return st.lists(term, max_size=4).flatmap(with_repeats)
+
+
+@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_negated_side_ids_negate_every_coefficient(ring, data):
+    ids = SideIds(ring)
+    drawn = [data.draw(rows(ring)) for _ in range(4)]
+    for r in drawn:
+        assert ids.neg(ids(r)) == ids((k, ring.neg(c)) for k, c in r)
+    for i in [ids(r) for r in drawn] + [ids.row(r) for r in drawn]:
+        j = ids.neg(i)
+        negated = frozenset((k, ring.neg(c)) for k, c in ids.sides[i])
+        assert ids.sides[j] == negated
+        assert (j == i) == (negated == ids.sides[i])
+        assert ids.neg(j) == i
+        if ring == GF(2):
+            assert j == i
+
+
+def frozenset_path(ids, r):
+    """The id of the row r as its set of terms, or as its sum when a
+    (key, coefficient) pair repeats: the id `SideIds.row` gives r."""
+    key = frozenset(r)
+    return ids(r) if len(key) < len(r) else ids._id(key)
+
+
+@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_row_ids_by_tuple_match_the_frozenset_path(ring, data):
+    ids = SideIds(ring)
+    drawn = [data.draw(rows(ring)) for _ in range(3)]
+    drawn += [tuple(data.draw(st.permutations(r))) for r in drawn]
+    for r in drawn + drawn:   # each row a miss, then a hit of the tuple cache
+        assert ids.row(r) == frozenset_path(ids, r)
+    for r in drawn:           # a permutation of a row shares its id
+        assert ids.row(tuple(reversed(r))) == ids.row(r)
+
+
+@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_row_ids_by_position_match_the_frozenset_path(ring, data):
+    """`SideIds.row_ids` on a map whose rows are drawn rows and their
+    permutations: each position's id, read twice, is the frozenset path's,
+    and a row shares its id with its permutation at another position."""
+    A = GradedModule(ring, [BasisElement(f"a{k}", 0) for k in range(4)],
+                     name="a")
+    drawn = [data.draw(rows(ring)) for _ in range(3)]
+    at = {(0, k): r for k, r in enumerate(drawn)}   # a row at (0, k), and
+    at.update({(k + 1, 0): tuple(data.draw(st.permutations(r)))   # its
+               for k, r in enumerate(drawn)})      # permutation at (k + 1, 0)
+    m = GradedMap(tensor(A, A), A, 0, lambda i, j: at.get((i, j), ()))
+    ids = SideIds(ring)
+    row_id = ids.row_ids(m)
+    for i, j in list(at) + list(at):   # each position filled, then kept
+        assert row_id(i, j) == frozenset_path(ids, at[i, j])
+    for k, r in enumerate(drawn):
+        assert row_id(0, k) == row_id(k + 1, 0) == ids.row(r[::-1])
+
+
 # -- associativity on random products ------------------------------------------
 
 def modules(ring):
