@@ -5,21 +5,26 @@ generators A and U (or U alone for based loops).  Truncation keeps
 |exponent| <= N; products that would leave the window are dropped, and
 every axiom quantifier runs over the safe radius r = (N-1)//3, chosen so
 that no intermediate of any shipped check ever reaches a dropped term
-(constructors accept on_overflow="raise" to assert that).
+(make_fixture accepts on_overflow="raise" to assert that).
 
-Closed-form coproducts, with 1 = U^0 the unit:
+Each loop model is one catalog row (n, "free" or "based", variant): the
+odd sphere S^n, free loops (with A) or based loops (without), and on the
+circle, n = 1, the variant "plus" or "minus" that picks the coproduct's
+index range and sign.  |U| = n-1 and |A| = -n; the module is Laurent
+exactly when n = 1.  Closed-form coproducts, with 1 = U^0 the unit:
 
-  free loops, n odd >= 3 (|U| = n-1, |A| = -n):
+  free loops, row (n, "free", None), n odd >= 3, |lam| = 1-2n:
       lam(A U^k) = sum_{i+j=k-1} A U^i (x) A U^j
       lam(U^k)   = sum_{i+j=k-1} (A U^i (x) U^j - U^i (x) A U^j)
-  free loops on the circle (|U| = 0, |A| = -1), two variants:
+  free loops on the circle, row (1, "free", variant), |lam| = -1:
       lam_plus(A U^k)  = sum_{i=0..k} A U^i (x) A U^{k-i}          (k >= 0)
                        = -sum_{i=k+1..-1} A U^i (x) A U^{k-i}      (k < 0)
       lam_minus(A U^k) = sum_{i=1..k-1} A U^i (x) A U^{k-i}        (k > 0)
                        = -sum_{i=k..0} A U^i (x) A U^{k-i}         (k <= 0)
       (same index ranges for lam(U^k), with AU^i (x) U^j - U^i (x) AU^j)
-  based loops: drop A; lam(U^k) = sum_{i+j=k-1} U^i (x) U^j, and the
-  circle variants use the same index ranges as above.
+  based loops, row (n, "based", variant), |lam| = 1-n: drop A;
+  lam(U^k) = sum_{i+j=k-1} U^i (x) U^j, and the circle variants use the
+  same index ranges as above.
 """
 
 from __future__ import annotations
@@ -114,13 +119,6 @@ def _loop_module(ring: Ring, n: int, window: TruncationWindow,
     return GradedModule(ring, basis, name=label)
 
 
-def _safe_names(module: GradedModule, loops, radius: int):
-    """The basis names with |U-exponent| <= radius, read through `loops`
-    (`_loop_positions`)."""
-    return tuple(n for n, (_, k) in zip(module.index().names, loops[0])
-                 if abs(k) <= radius)
-
-
 def _loop_positions(module: GradedModule):
     """(a, k) of the element A^a U^k at each position, parsed from its name
     once, and the position of each (a, k)."""
@@ -155,23 +153,11 @@ def _exterior_mu(module: GradedModule, loops, window: TruncationWindow,
     return GradedMap(tensor(module, module), module, 0, row, name="mu")
 
 
-def _pair_terms(i, j, with_a: bool):
-    """Terms AU^i(x)U^j - U^i(x)AU^j, or U^i(x)U^j without A, each as
-    (sign, (a, k) of the left factor, (a, k) of the right one)."""
-    if not with_a:
-        return [(1, (0, i), (0, j))]
-    return [(1, (1, i), (0, j)), (-1, (0, i), (1, j))]
-
-
-def _a_terms(i, j):
-    return [(1, (1, i), (1, j))]
-
-
 def _coproduct(module: GradedModule, loops, degree: int,
                terms_of) -> GradedMap:
-    """lam as a row map: terms_of(a, k) lists the terms of lam(A^a U^k) as
-    `_pair_terms` does, and `loops` (`_loop_positions`) turns them into
-    positions."""
+    """lam as a row map: terms_of(a, k) lists the terms of lam(A^a U^k),
+    each as (sign, (a, k) of the left factor, (a, k) of the right one), and
+    `loops` (`_loop_positions`) turns them into positions."""
     parsed, at = loops
     R = module.ring
     sign = {1: R.one(), -1: R.neg(R.one())}
@@ -187,100 +173,49 @@ def _coproduct(module: GradedModule, loops, degree: int,
     return GradedMap(module, tensor(module, module), degree, row, name="lam")
 
 
-def make_loop_sphere(n: int, window: TruncationWindow = TruncationWindow(),
-                     ring: Ring = ZZ, on_overflow: str = "drop") -> BialgebraData:
-    """Free-loop model of an odd-dimensional sphere, n odd >= 3."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("free-loop sphere model needs odd n >= 3")
-    module = _loop_module(ring, n, window, with_a=True, laurent=False,
-                          label=f"loops(S^{n})")
-    loops = _loop_positions(module)
-    mu = _exterior_mu(module, loops, window, laurent=False,
-                      on_overflow=on_overflow)
-
-    def lam_terms(a, k):
-        terms = []
-        for i in range(0, k):
-            j = k - 1 - i
-            terms += _a_terms(i, j) if a else _pair_terms(i, j, True)
-        return terms
-
-    lam = _coproduct(module, loops, 1 - 2 * n, lam_terms)
-    return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, loops, window.safe_radius),
-                         name=f"lambda-s{n}")
-
-
-def _circle_lambda_terms(variant: str, sign_a: int, k: int, with_a: bool):
-    """Index ranges of the circle coproducts; sign_a = 1 for the A-column."""
-    if variant == "plus":
-        rng = range(0, k + 1) if k >= 0 else range(k + 1, 0)
-        outer = 1 if k >= 0 else -1
-    else:
-        rng = range(1, k) if k > 0 else range(k, 1)
-        outer = 1 if k > 0 else -1
-    terms = []
-    for i in rng:
-        j = k - i
-        base = _a_terms(i, j) if sign_a else _pair_terms(i, j, with_a)
-        terms += [(outer * s, left, right) for s, left, right in base]
-    return terms
-
-
-def make_loop_circle(window: TruncationWindow = TruncationWindow(),
-                     variant: str = "plus", ring: Ring = ZZ,
-                     on_overflow: str = "drop") -> BialgebraData:
-    """Free-loop model of the circle; variant picks the coproduct sign."""
-    if variant not in ("plus", "minus"):
-        raise ValueError("variant must be 'plus' or 'minus'")
-    module = _loop_module(ring, 1, window, with_a=True, laurent=True,
-                          label="loops(S^1)")
-    loops = _loop_positions(module)
-    mu = _exterior_mu(module, loops, window, laurent=True,
-                      on_overflow=on_overflow)
-    lam = _coproduct(module, loops, -1, lambda a, k: _circle_lambda_terms(
-        variant, a, k, True))
-    return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, loops, window.safe_radius),
-                         name=f"lambda-s1-{variant}")
-
-
-def make_based_loop(n: int, window: TruncationWindow = TruncationWindow(),
-                    variant: str = "plus", ring: Ring = ZZ,
-                    on_overflow: str = "drop") -> BialgebraData:
-    """Based-loop model of an odd sphere; the circle needs a variant."""
-    if n % 2 == 0 or n < 1:
-        raise ValueError("based-loop sphere model needs odd n >= 1")
+def _loop_fixture(name: str, n: int, kind: str, variant,
+                  window: TruncationWindow, ring: Ring,
+                  on_overflow: str) -> BialgebraData:
+    """The loop model of the catalog row (n, kind, variant), as the module
+    docstring states it: free loops carry the A-column, based ones do not,
+    and on the circle (n = 1) the variant picks the index range."""
+    based = kind == "based"
     laurent = n == 1
-    module = _loop_module(ring, n, window, with_a=False, laurent=laurent,
-                          label=f"based_loops(S^{n})")
+    module = _loop_module(ring, n, window, with_a=not based, laurent=laurent,
+                          label=f"{'based_loops' if based else 'loops'}(S^{n})")
     loops = _loop_positions(module)
     mu = _exterior_mu(module, loops, window, laurent=laurent,
                       on_overflow=on_overflow)
 
-    if n == 1:
-        if variant not in ("plus", "minus"):
-            raise ValueError("variant must be 'plus' or 'minus'")
+    def pairs(k):
+        """(sign, i, j) for each index pair of lam(A^a U^k)."""
+        if not laurent:
+            return [(1, i, k - 1 - i) for i in range(k)]
+        if variant == "plus":
+            rng = range(0, k + 1) if k >= 0 else range(k + 1, 0)
+            outer = 1 if k >= 0 else -1
+        else:
+            rng = range(1, k) if k > 0 else range(k, 1)
+            outer = 1 if k > 0 else -1
+        return [(outer, i, k - i) for i in rng]
 
-        def lam_terms(_, k):
-            return _circle_lambda_terms(variant, 0, k, False)
+    def terms(a, k):
+        out = []
+        for s, i, j in pairs(k):
+            if a:
+                out.append((s, (1, i), (1, j)))
+            elif based:
+                out.append((s, (0, i), (0, j)))
+            else:
+                out += [(s, (1, i), (0, j)), (-s, (0, i), (1, j))]
+        return out
 
-        degree = 0
-        label = f"omega-s1-{variant}"
-    else:
-        def lam_terms(_, k):
-            terms = []
-            for i in range(0, k):
-                terms += _pair_terms(i, k - 1 - i, False)
-            return terms
-
-        degree = 1 - n
-        label = f"omega-s{n}"
-
-    lam = _coproduct(module, loops, degree, lam_terms)
-    return BialgebraData(module, mu, lam, module.el("1"),
-                         safe_names=_safe_names(module, loops, window.safe_radius),
-                         name=label)
+    lam = _coproduct(module, loops, 1 - n if based else 1 - 2 * n, terms)
+    r = window.safe_radius
+    safe = tuple(nm for nm, (_, k) in zip(module.index().names, loops[0])
+                 if abs(k) <= r)
+    return BialgebraData(module, mu, lam, module.el("1"), safe_names=safe,
+                         name=name)
 
 
 def reverse_data_bivector(inst: BialgebraData) -> Vector:
@@ -384,25 +319,30 @@ def mutation_targets(inst: BialgebraData, window: TruncationWindow):
 # Catalog
 # ---------------------------------------------------------------------------
 
-# catalog name -> its builder(window, ring, on_overflow), in catalog order
-_BUILDERS = {
-    "lambda-s3": lambda w, r, o: make_loop_sphere(3, w, r, o),
-    "lambda-s1-plus": lambda w, r, o: make_loop_circle(w, "plus", r, o),
-    "lambda-s1-minus": lambda w, r, o: make_loop_circle(w, "minus", r, o),
-    "omega-s3": lambda w, r, o: make_based_loop(3, w, "plus", r, o),
-    "omega-s1-plus": lambda w, r, o: make_based_loop(1, w, "plus", r, o),
-    "omega-s1-minus": lambda w, r, o: make_based_loop(1, w, "minus", r, o),
+# catalog name -> the row (n, "free" or "based", variant) of a loop model,
+# or the builder(window, ring, on_overflow) of any other fixture; in
+# catalog order
+_CATALOG = {
+    "lambda-s3": (3, "free", None),
+    "lambda-s1-plus": (1, "free", "plus"),
+    "lambda-s1-minus": (1, "free", "minus"),
+    "omega-s3": (3, "based", None),
+    "omega-s1-plus": (1, "based", "plus"),
+    "omega-s1-minus": (1, "based", "minus"),
     "tstar-s1": lambda w, r, o: make_tstar_s1(r),
 }
 
 
 def fixture_names():
-    return tuple(_BUILDERS)
+    return tuple(_CATALOG)
 
 
 def make_fixture(name: str, window: TruncationWindow = TruncationWindow(),
                  ring: Ring = ZZ, on_overflow: str = "drop"):
     """Build a shipped fixture by its catalog name."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise KeyError(f"unknown fixture {name!r}; catalog: {', '.join(fixture_names())}")
-    return _BUILDERS[name](window, ring, on_overflow)
+    row = _CATALOG[name]
+    if callable(row):
+        return row(window, ring, on_overflow)
+    return _loop_fixture(name, *row, window, ring, on_overflow)

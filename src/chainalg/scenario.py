@@ -13,7 +13,7 @@ Top-level fields:
     ring             "Z" | "Q" | "GF(p)"
     module           {"basis": [{"name": ..., "degree": ...}, ...]}
     safe             optional list of basis names (quantifier window)
-    checks           optional list of check ids (defaults per kind)
+    checks           optional list of distinct check ids (defaults per kind)
 
 bialgebra: mu, lambda (operation tables), eta (combination), optional
 differential.  cone: the bialgebra fields plus n and optional c0, Q0, B.
@@ -348,6 +348,8 @@ def ingest(data) -> Scenario:
         for i, c in enumerate(checks):
             _expect(isinstance(c, str) and c in known, f"$.checks[{i}]",
                     f"unknown check {c!r} for kind {kind!r}; known: {known}")
+            _expect(c not in checks[:i], f"$.checks[{i}]",
+                    f"duplicate check {c!r}")
         checks = tuple(checks)
 
     safe = data.get("safe")

@@ -1,8 +1,9 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
 cone package's construction check, kept intermediates and dual side, the
 scenario parser and exporter, the sparse elimination's pivot search, the
-sign decisions and structural checks of the row maps, and the status and
-detail of each check that returns an `Outcome`.
+sign decisions and structural checks of the row maps, the status and
+detail of each check that returns an `Outcome`, and the closed forms of
+the loop fixtures.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -345,6 +346,17 @@ MUTANTS = [
     ("cone_product.py", "if got == tuple([(plus[k], c)",
      "if len(got) == len([(plus[k], c)",
      "tests/test_cone_product.py::test_components_compare_each_coefficient"),
+    # a repeated check id accepted
+    ("scenario.py", "_expect(c not in checks[:i],", "_expect(True,",
+     "tests/test_scenario.py::test_repeated_check_rejected_with_path"),
+    # the loop fixtures' closed forms: the sphere's index pairs, the minus
+    # circle's index range, and the based-loop coproduct's degree
+    ("fixtures.py", "(1, i, k - 1 - i)", "(1, i, k - i)",
+     "tests/test_fixtures.py::test_sphere_product_and_coproduct_values"),
+    ("fixtures.py", "rng = range(1, k) if k > 0", "rng = range(0, k) if k > 0",
+     "tests/test_fixtures.py::test_circle_coproduct_branch_values"),
+    ("fixtures.py", "1 - n if based", "1 - 2 * n if based",
+     "tests/test_fixtures.py::test_based_loop_values"),
 ]
 
 

@@ -12,13 +12,16 @@ a source of arity <= 2 into a library map, by `GradedMap.from_table` over
 the source basis; references of arity 3, such as mu (mu (x) 1), stay
 name-keyed.  `operation_to_json` is the exporter that read every table by
 names, kept as the reference of the one that reads rows.
+`quantify_reference` is the name-keyed axiom quantifier, and `verdict`
+the fields of an AxiomResult that a reference must match.
 `secondary_operations` gives a cone package's six secondary operations by
 names, from the pairing formulas of the `chainalg.cone_product` docstring,
 and `PLACEMENT` the [i,j;k] at which its product places each.
 """
 
+from chainalg.bialgebra import AxiomResult
 from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Vector,
-                             dual_pair, tensor)
+                             dual_pair, format_vector, tensor)
 from chainalg.scenario import _combo_to_json
 
 
@@ -153,6 +156,24 @@ def insert_right(v: Vector, M: GradedModule) -> NameMap:
         return -out if v.degree() % 2 and M.degree_of(n) % 2 else out
 
     return NameMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
+
+
+def quantify_reference(axiom, inputs, sides):
+    """The name-keyed quantifier: the first input, in order, whose Vector
+    sides(input) = (lhs, rhs) differ, as an AxiomResult."""
+    count = 0
+    for item in inputs:
+        count += 1
+        lhs, rhs = sides(item)
+        if lhs != rhs:
+            return AxiomResult(axiom, False, count, item, format_vector(lhs),
+                               format_vector(rhs))
+    return AxiomResult(axiom, True, count)
+
+
+def verdict(r):
+    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
+            r.witness_lhs, r.witness_rhs)
 
 
 def operation_to_json(m):

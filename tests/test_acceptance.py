@@ -83,10 +83,9 @@ def test_criterion_2_lambda_eta_values():
 def test_criterion_3_reverse_coproduct_reconstruction():
     checked = 0
     for ring in RINGS:
-        for maker in (fx.make_loop_circle,
-                      lambda w, v, r: fx.make_based_loop(1, w, v, r)):
-            plus = maker(WINDOW, "plus", ring)
-            minus = maker(WINDOW, "minus", ring)
+        for prefix in ("lambda-s1", "omega-s1"):
+            plus = fx.make_fixture(f"{prefix}-plus", WINDOW, ring)
+            minus = fx.make_fixture(f"{prefix}-minus", WINDOW, ring)
             c = fx.reverse_data_bivector(plus)
             rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
             for n in plus.safe_names:

@@ -23,9 +23,6 @@ from chainalg.bialgebra import (
 from chainalg.fixtures import (
     TruncationWindow,
     make_fixture,
-    make_loop_circle,
-    make_based_loop,
-    make_loop_sphere,
     reverse_data_bivector,
     mutate_lambda,
     mutate_mu,
@@ -38,7 +35,7 @@ W = TruncationWindow(12)
 
 @pytest.fixture(scope="module")
 def s3():
-    return make_loop_sphere(3, W)
+    return make_fixture("lambda-s3", W)
 
 
 def test_all_axioms_pass_on_sphere(s3):
@@ -52,24 +49,24 @@ def test_lambda_eta_values_match_closed_forms():
     def value(v):   # the outcome of a twist-symmetric lam(eta) = v
         return "pass", f"lam(eta) = {format_vector(v)}"
 
-    inst = make_loop_sphere(3, W)
+    inst = make_fixture("lambda-s3", W)
     assert lambda_eta(inst) == value(A2(inst).zero())
 
-    inst = make_based_loop(3, W)
+    inst = make_fixture("omega-s3", W)
     assert lambda_eta(inst) == value(A2(inst).zero())
 
-    inst = make_loop_circle(W, "plus")
+    inst = make_fixture("lambda-s1-plus", W)
     expect = Vector(A2(inst), {f"A{TENSOR_SEP}1": 1, f"1{TENSOR_SEP}A": -1})
     assert lambda_eta(inst) == value(expect)
 
-    inst = make_loop_circle(W, "minus")
+    inst = make_fixture("lambda-s1-minus", W)
     assert lambda_eta(inst) == value(-expect)
 
-    inst = make_based_loop(1, W, "plus")
+    inst = make_fixture("omega-s1-plus", W)
     one_one = Vector(A2(inst), {f"1{TENSOR_SEP}1": 1})
     assert lambda_eta(inst) == value(one_one)
 
-    inst = make_based_loop(1, W, "minus")
+    inst = make_fixture("omega-s1-minus", W)
     assert lambda_eta(inst) == value(-one_one)
 
 
@@ -93,29 +90,29 @@ def test_sign_flip_breaks_an_axiom_with_witness(s3):
 
 
 def test_involutivity_sphere_cases():
-    assert check_involutivity(make_loop_sphere(3, W)).status == "pass"
-    r = check_involutivity(make_based_loop(3, W))
+    assert check_involutivity(make_fixture("lambda-s3", W)).status == "pass"
+    r = check_involutivity(make_fixture("omega-s3", W))
     assert r.status == "skip"
     assert "parity" in r.detail
     assert "raw values" in r.detail
 
 
 def test_involutivity_mod_two_hypothesis():
-    r = check_involutivity(make_loop_sphere(3, W, ring=GF(2)))
+    r = check_involutivity(make_fixture("lambda-s3", W, GF(2)))
     assert r.status == "skip"
     assert "2 = 0" in r.detail
 
 
 def test_involutivity_free_loop_circle():
     # odd coproduct against the even product: mu lam = 0 on free loops
-    assert check_involutivity(make_loop_circle(W, "plus")).status == "pass"
-    assert check_involutivity(make_loop_circle(W, "minus")).status == "pass"
+    assert check_involutivity(make_fixture("lambda-s1-plus", W)).status == "pass"
+    assert check_involutivity(make_fixture("lambda-s1-minus", W)).status == "pass"
 
 
 def test_cc_implies_antisymmetry():
-    for inst in (make_loop_sphere(3, W), make_loop_circle(W, "plus"),
+    for inst in (make_fixture("lambda-s3", W), make_fixture("lambda-s1-plus", W),
                  # even-coproduct commutative cases reduce as well
-                 make_based_loop(3, W), make_based_loop(1, W, "minus")):
+                 make_fixture("omega-s3", W), make_fixture("omega-s1-minus", W)):
         assert check_cc_implies_antisymmetry(inst).status == "pass", inst.name
 
 
@@ -230,10 +227,9 @@ def test_noncommutative_instance_passes_axioms():
 
 
 def test_secondary_relation_on_circles():
-    for maker, prefix in ((make_loop_circle, "lambda-s1"),
-                          (lambda w, v: make_based_loop(1, w, v), "omega-s1")):
-        plus = maker(W, "plus")
-        minus = maker(W, "minus")
+    for prefix in ("lambda-s1", "omega-s1"):
+        plus = make_fixture(f"{prefix}-plus", W)
+        minus = make_fixture(f"{prefix}-minus", W)
         c = reverse_data_bivector(plus)
         rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
         for n in plus.safe_names:
@@ -241,7 +237,7 @@ def test_secondary_relation_on_circles():
 
 
 def test_secondary_relation_zero_bivector_is_identity():
-    inst = make_loop_circle(W, "plus")
+    inst = make_fixture("lambda-s1-plus", W)
     A2 = tensor(inst.module, inst.module)
     z = A2.zero()
     out = secondary_relation_apply(inst.mu, inst.lam, z, z)
@@ -251,7 +247,7 @@ def test_secondary_relation_zero_bivector_is_identity():
 
 def test_secondary_relation_involutive():
     # applying the reverse-data relation twice with c then -c returns lam
-    inst = make_loop_circle(W, "plus")
+    inst = make_fixture("lambda-s1-plus", W)
     c = reverse_data_bivector(inst)
     once = secondary_relation_apply(inst.mu, inst.lam, c, -c)
     twice = secondary_relation_apply(inst.mu, once, -c, c)
@@ -272,8 +268,8 @@ def test_secondary_relation_cross_check_is_built_once(monkeypatch):
         return real(mu, c)
 
     monkeypatch.setattr(bialgebra, "_times_left", counting)
-    plus = make_loop_circle(W, "plus")
-    minus = make_loop_circle(W, "minus")
+    plus = make_fixture("lambda-s1-plus", W)
+    minus = make_fixture("lambda-s1-minus", W)
     c = reverse_data_bivector(plus)
     rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
     for n in plus.safe_names:
@@ -285,7 +281,7 @@ def test_secondary_relation_cross_check_runs_on_every_row(monkeypatch):
     # a cross-check route that disagrees on one row fails on that row
     import chainalg.bialgebra as bialgebra
 
-    plus = make_loop_circle(W, "plus")
+    plus = make_fixture("lambda-s1-plus", W)
     c = reverse_data_bivector(plus)
     real = bialgebra._times_left
     bad = plus.module.index().pos["U^-1"]
@@ -298,14 +294,14 @@ def test_secondary_relation_cross_check_runs_on_every_row(monkeypatch):
 
     monkeypatch.setattr(bialgebra, "_times_left", skewed)
     rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
-    minus = make_loop_circle(W, "minus")
+    minus = make_fixture("lambda-s1-minus", W)
     assert rebuilt.eval_basis("U") == minus.lam.eval_basis("U")
     with pytest.raises(RuntimeError, match="cross-check failed on U\\^-1"):
         rebuilt.eval_basis("U^-1")
 
 
 def test_secondary_relation_degree_mismatch():
-    inst = make_loop_circle(W, "plus")
+    inst = make_fixture("lambda-s1-plus", W)
     A2 = tensor(inst.module, inst.module)
     wrong = Vector(A2, {f"1{TENSOR_SEP}1": 1})  # degree 0, |lam| = -1
     with pytest.raises(ValueError, match="degree"):
@@ -313,18 +309,18 @@ def test_secondary_relation_degree_mismatch():
 
 
 def test_continuation_bivector_gate():
-    minus = make_loop_circle(W, "minus")
+    minus = make_fixture("lambda-s1-minus", W)
     # for the minus variant the reverse-data bivector equals lam_minus(eta)
     c = reverse_data_bivector(minus)
     equal = ("pass", "supplied bivector equals lam(eta)")
     assert check_lemma_c_lambda_eta(c, minus) == equal
-    plus = make_loop_circle(W, "plus")
+    plus = make_fixture("lambda-s1-plus", W)
     difference = c - plus.lambda_eta()
     assert not difference.is_zero()
     assert check_lemma_c_lambda_eta(c, plus) == (
         "fail", f"bivector differs from lam(eta) by {format_vector(difference)}")
     # on a lam(eta) = 0 instance only c = 0 passes
-    s3 = make_loop_sphere(3, W)
+    s3 = make_fixture("lambda-s3", W)
     A2 = tensor(s3.module, s3.module)
     assert check_lemma_c_lambda_eta(A2.zero(), s3) == equal
     nonzero = Vector(A2, {f"A{TENSOR_SEP}1": 1})
@@ -332,9 +328,9 @@ def test_continuation_bivector_gate():
 
 
 def test_loday_ronco_on_based_circle():
-    plus = make_based_loop(1, W, "plus")
+    plus = make_fixture("omega-s1-plus", W)
     assert check_loday_ronco(plus).passed
-    minus = make_based_loop(1, W, "minus")
+    minus = make_fixture("omega-s1-minus", W)
     assert check_loday_ronco(minus).passed
 
     neg_minus = BialgebraData(minus.module, minus.mu,
@@ -342,10 +338,10 @@ def test_loday_ronco_on_based_circle():
                               minus.eta, safe_names=minus.safe_names)
     assert check_loday_ronco(neg_minus).passed
 
-    free = make_loop_circle(W, "plus")
+    free = make_fixture("lambda-s1-plus", W)
     with pytest.raises(ValueError, match="even"):
         check_loday_ronco(free)
-    s3_based = make_based_loop(3, W)
+    s3_based = make_fixture("omega-s3", W)
     with pytest.raises(ValueError, match="eta"):
         check_loday_ronco(s3_based)
 
@@ -412,7 +408,7 @@ def test_unit_axiom_fails_without_unit():
 
 def test_axioms_across_rings():
     for ring in (ZZ, QQ, GF(5)):
-        inst = make_loop_sphere(3, TruncationWindow(6), ring)
+        inst = make_fixture("lambda-s3", TruncationWindow(6), ring)
         assert check_axioms(inst).passed, ring
 
 

@@ -419,10 +419,10 @@ def test_an_exception_in_a_check_is_an_error_record(monkeypatch, capsys,
 
 
 def test_reverse_bivector_gate_via_cli(tmp_path, main):
-    from chainalg.fixtures import make_loop_circle, TruncationWindow
+    from chainalg.fixtures import make_fixture, TruncationWindow
     from chainalg import scenario as sc
 
-    inst = make_loop_circle(TruncationWindow(4), "minus")
+    inst = make_fixture("lambda-s1-minus", TruncationWindow(4))
     doc = sc.export_bialgebra(inst)
     doc["checks"] = ["reverse-bivector-gate"]
     doc["reverse_bivector"] = [["1", ["1", "A"]], ["-1", ["A", "1"]]]

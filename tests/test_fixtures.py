@@ -11,9 +11,6 @@ from chainalg.fixtures import (
     TruncationWindow,
     TruncationOverflow,
     make_fixture,
-    make_loop_sphere,
-    make_loop_circle,
-    make_based_loop,
     fixture_names,
     mutate_lambda,
     mutate_mu,
@@ -53,14 +50,8 @@ def test_a_window_at_the_basis_cap_builds_and_one_more_is_refused(name, N):
         make_fixture(name, TruncationWindow(N + 1))
 
 
-def test_sphere_rejects_even_or_small_n():
-    for bad in (2, 4, 1, -3):
-        with pytest.raises(ValueError):
-            make_loop_sphere(bad, W)
-
-
 def test_sphere_product_and_coproduct_values():
-    inst = make_loop_sphere(3, W)
+    inst = make_fixture("lambda-s3", W)
     # A*A = 0
     A = inst.module.el("A")
     assert inst.mu(A.tensor(A)).is_zero()
@@ -76,8 +67,8 @@ def test_sphere_product_and_coproduct_values():
 
 
 def test_circle_coproduct_branch_values():
-    plus = make_loop_circle(W, "plus")
-    minus = make_loop_circle(W, "minus")
+    plus = make_fixture("lambda-s1-plus", W)
+    minus = make_fixture("lambda-s1-minus", W)
     # k = 0 cases
     assert plus.lam("1") == T(plus, (1, "A", "1"), (-1, "1", "A"))
     assert minus.lam("1") == T(minus, (-1, "A", "1"), (1, "1", "A"))
@@ -90,14 +81,14 @@ def test_circle_coproduct_branch_values():
 
 
 def test_based_loop_values():
-    s3 = make_based_loop(3, W)
+    s3 = make_fixture("omega-s3", W)
     assert s3.lam("U") == T(s3, (1, "1", "1"))
     assert s3.module.degree_of("U") == 2
     assert s3.lam.degree == -2
 
-    plus = make_based_loop(1, W, "plus")
+    plus = make_fixture("omega-s1-plus", W)
     assert plus.lam("1") == T(plus, (1, "1", "1"))
-    minus = make_based_loop(1, W, "minus")
+    minus = make_fixture("omega-s1-minus", W)
     assert minus.lam("U").is_zero()
     assert minus.lam("1") == T(minus, (-1, "1", "1"))
 
@@ -112,7 +103,7 @@ def test_truncation_soundness(name):
 
 
 def test_overflow_detection_outside_safe_window():
-    inst = make_loop_circle(W, "plus", on_overflow="raise")
+    inst = make_fixture("lambda-s1-plus", W, on_overflow="raise")
     A2 = tensor(inst.module, inst.module)
     with pytest.raises(TruncationOverflow):
         inst.mu.eval_basis(f"U^12{TENSOR_SEP}U^12")
@@ -154,7 +145,7 @@ def test_loop_mu_rows_match_the_name_formula(name, ring):
 
 
 def test_safe_names_are_within_radius():
-    inst = make_loop_circle(W, "plus")
+    inst = make_fixture("lambda-s1-plus", W)
     assert "U^3" in inst.safe_names
     assert "U^4" not in inst.safe_names
     assert "A*U^-3" in inst.safe_names
@@ -222,7 +213,7 @@ def test_fixture_rings():
 
 def test_cc_antisymmetry_on_circle_plus():
     assert check_cc_implies_antisymmetry(
-        make_loop_circle(W, "plus")).status == "pass"
+        make_fixture("lambda-s1-plus", W)).status == "pass"
 
 
 @pytest.mark.parametrize("name", [n for n in fixture_names() if n != "tstar-s1"])

@@ -34,7 +34,6 @@ from chainalg.graded import (
 )
 from chainalg.rings import ZZ, QQ, GF
 from chainalg.bialgebra import (
-    AxiomResult,
     BialgebraData,
     PairKernel,
     check_axioms,
@@ -53,7 +52,15 @@ from chainalg.graded import (
     slot_table,
     vector_terms,
 )
-from name_keyed import NameMap, named, scaled, tensor_map, twist
+from name_keyed import (
+    NameMap,
+    named,
+    quantify_reference,
+    scaled,
+    tensor_map,
+    twist,
+    verdict,
+)
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -256,19 +263,6 @@ def draw_product(data, A, degree=None, source=None, target=None):
                  for t in target.basis_in_degree(e.degree + degree)})
              for e in source.basis()}
     return GradedMap.from_table(source, target, degree, table)
-
-
-def quantify_reference(axiom, inputs, sides):
-    """The name-keyed quantifier: the first input, in order, whose Vector
-    sides(input) = (lhs, rhs) differ, as an AxiomResult."""
-    count = 0
-    for item in inputs:
-        count += 1
-        lhs, rhs = sides(item)
-        if lhs != rhs:
-            return AxiomResult(axiom, False, count, item, format_vector(lhs),
-                               format_vector(rhs))
-    return AxiomResult(axiom, True, count)
 
 
 def composite_reference(mu, names):
@@ -484,11 +478,6 @@ def quadratic_sides(inst):
     return {"unital infinitesimal": (named(mu).then(lam).eval_basis,
                                      side(uir_rhs)),
             "unital anti-symmetry": (side(lhs), side(rhs))}
-
-
-def verdict(r):
-    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
-            r.witness_lhs, r.witness_rhs)
 
 
 @ring_param

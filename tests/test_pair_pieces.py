@@ -33,6 +33,7 @@ from chainalg.graded import (
     tensor,
 )
 from chainalg.rings import GF, QQ, ZZ
+from name_keyed import verdict
 from random_instances import make_random_instance
 
 RINGS = [ZZ, QQ, GF(5)]
@@ -206,11 +207,6 @@ def reference_result(inst, axiom):
                     *(format_vector(row_vector(kernel.A2, side.items()))
                       for side in (lhs, rhs)))
     return AxiomResult(axiom, True, count)
-
-
-def verdict(r):
-    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
-            r.witness_lhs, r.witness_rhs)
 
 
 def pair_verdicts(report):

@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chainalg import fixtures as fx
 from chainalg.bialgebra import (
-    AxiomResult,
     BialgebraData,
     PairKernel,
     _coassociativity,
@@ -46,7 +45,6 @@ from chainalg.graded import (
     Vector,
     dual_map,
     dual_module,
-    format_vector,
     row_vector,
     shift,
     shift_map,
@@ -61,9 +59,11 @@ from name_keyed import (
     insert_left,
     insert_right,
     named,
+    quantify_reference,
     scaled,
     tensor_map,
     twist,
+    verdict,
 )
 from test_complexes import _cubical_torus, _lemma_homotopy
 from test_cone_product import block_parts
@@ -133,19 +133,6 @@ def test_twisted_tables_match_the_composites(ring, data):
 
 # -- coassociativity ------------------------------------------------------------
 
-def quantify_reference(axiom, inputs, sides):
-    """The name-keyed quantifier: the first input, in order, whose Vector
-    sides(input) = (lhs, rhs) differ, as an AxiomResult."""
-    count = 0
-    for item in inputs:
-        count += 1
-        lhs, rhs = sides(item)
-        if lhs != rhs:
-            return AxiomResult(axiom, False, count, item, format_vector(lhs),
-                               format_vector(rhs))
-    return AxiomResult(axiom, True, count)
-
-
 def coassociativity_reference(lam, names):
     """The quantifier of (1 (x) lam) lam = (-1)^{|lam|} (lam (x) 1) lam,
     with both sides composed by `then` and `tensor_map`."""
@@ -154,11 +141,6 @@ def coassociativity_reference(lam, names):
     co_l = named(lam).then(tensor_map(lam, one))
     return quantify_reference("coassociativity", names, lambda n: (
         co_r.eval_basis(n), co_l.eval_basis(n).scale(sign(lam.degree))))
-
-
-def verdict(r):
-    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
-            r.witness_lhs, r.witness_rhs)
 
 
 @ring_param

@@ -44,6 +44,16 @@ def test_unknown_check_rejected_with_path():
     assert ei.value.path == "$.checks[1]"
 
 
+def test_repeated_check_rejected_with_path():
+    # run twice, a repeated check would count twice in the summary
+    doc = dict(MINIMAL)
+    doc["checks"] = ["axioms", "lambda-eta", "axioms"]
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(doc)
+    assert (ei.value.path, ei.value.message) == (
+        "$.checks[2]", "duplicate check 'axioms'")
+
+
 def test_inhomogeneous_entry_rejected_with_path():
     doc = json.loads(json.dumps(MINIMAL))
     doc["module"]["basis"].append({"name": "x", "degree": 2})
@@ -179,9 +189,7 @@ def test_non_chain_pair_map_rejected():
 
 
 def test_reverse_bivector_gate():
-    from chainalg.fixtures import make_loop_circle
-
-    inst = make_loop_circle(TruncationWindow(4), "minus")
+    inst = make_fixture("lambda-s1-minus", TruncationWindow(4))
     doc = sc.export_bialgebra(inst)
     doc["checks"] = ["axioms", "reverse-bivector-gate"]
     # lam_minus(eta) = 1(x)A - A(x)1
