@@ -66,16 +66,6 @@ class AxiomResult:
 class AxiomReport:
     results: list = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.passed]
-
-    def describe(self) -> str:
-        return "\n".join(r.describe() for r in self.results)
-
 
 class BialgebraData:
     """Module + product + coproduct + unit, with recorded degrees.

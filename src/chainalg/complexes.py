@@ -81,9 +81,6 @@ class ChainMap:
         self.target = target
         self.f = f
 
-    def __call__(self, x):
-        return self.f(x)
-
 
 def graded_commutator(h: GradedMap, source: ChainComplex, target: ChainComplex) -> GradedMap:
     """[d, h] = d_target h - (-1)^{|h|} h d_source, as a row map on the
@@ -149,18 +146,6 @@ class HomologySummary:
     over fields); degrees with trivial homology are omitted."""
 
     by_degree: tuple
-
-    def rank(self, k) -> int:
-        for deg, free, _ in self.by_degree:
-            if deg == k:
-                return free
-        return 0
-
-    def torsion(self, k):
-        for deg, _, tors in self.by_degree:
-            if deg == k:
-                return list(tors)
-        return []
 
     def __str__(self):
         if not self.by_degree:

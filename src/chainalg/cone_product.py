@@ -23,10 +23,10 @@ product's parts are these operations, [i,j;k]-shifted into the blocks
     (-,-)->- : sigma[1,1;1]                        (-,-)->+ : beta[1,1;0]
     (+,+)->- : 0
 
-so an operation is its part, shifted back by `graded.apply_op_shift` at
-its [i,j;k]; nothing builds the operations on their own.  The closed-form
-components are transcribed independently and cross-checked against the
-product's blocks.
+so an operation is its part, shifted back at its [i,j;k] by the rule of
+the `graded` docstring; nothing builds the operations on their own.  The
+closed-form components are transcribed independently and cross-checked
+against the product's blocks.
 
 The product and each component are row maps on basis positions
 (`GradedMap`), filled on first request from the integer rows of mu, lam

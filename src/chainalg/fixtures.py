@@ -260,7 +260,7 @@ def flip_structure_constant(m: GradedMap, input_name: str,
     """Copy of m with the (input, output) structure constant negated, as a
     row map on m's rows."""
     base = m.eval_basis(input_name)
-    if base[output_name] == 0:
+    if output_name not in base.coeffs:
         raise KeyError(f"{output_name!r} does not occur in the image of {input_name!r}")
     at = [_positions(mod, n)
           for mod, n in ((m.source, input_name), (m.target, output_name))]

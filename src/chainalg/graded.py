@@ -35,7 +35,7 @@ to each other, so only the cyclic collector frees them.
 
 Where values are checked: basis names and coefficients are validated where
 they enter the program, i.e. by the public `Vector(module, coeffs)`
-constructor and `GradedModule.el`/`.vector`, by `GradedMap.from_table`, the
+constructor and `GradedModule.el`, by `GradedMap.from_table`, the
 checked constructor for a map given by values on names (names, target
 module and degree of every value), and by the scenario loader, which checks
 each operation-table entry and combination once (names by lookup in
@@ -57,14 +57,14 @@ in the canonical order (`GradedModule.index`, which also holds each
 position's degree and its parity), or by a pair of positions in a binary
 tensor module.  `from_table` builds its rows once from the given values;
 the other maps compute theirs from the rows of the maps they are built
-from: `tensor_differential`, `shift_map` and the operation shifts (a
-shift keeps names and order, so positions), `dual_map` (one sparse
-transpose of the map's rows), the cone's d_cone and transition
-automorphism, commutators [d, h], the fixtures' mu and lam, and mu tau
-and tau lam read off the rows of mu and lam with the one signed twist
-`_twisted`.  `apply_rows` applies a map's rows to a row's terms.
+from: `tensor_differential`, `shift_map` (a shift keeps names and
+order, so positions), `dual_map` (one sparse transpose of the map's
+rows), the cone's d_cone and transition automorphism, commutators
+[d, h], the fixtures' mu and lam, and mu tau and tau lam read off the
+rows of mu and lam with the one signed twist `_twisted`.  `apply_rows`
+applies a map's rows to a row's terms.
 Names come back, through `row_vector`, only to build a witness or to
-answer a name-keyed caller (`eval_basis`, calling a map).
+answer a name-keyed caller (`eval_basis`).
 
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
@@ -172,9 +172,6 @@ class GradedModule:
     def degrees(self):
         return sorted({e.degree for e in self._basis})
 
-    def dim(self, k) -> int:
-        return len(self.basis_in_degree(k))
-
     def has(self, name: str) -> bool:
         return name in self._by_name
 
@@ -237,9 +234,6 @@ class GradedModule:
         if not self.has(name):
             raise KeyError(f"no basis element {name!r}")
         return Vector._trusted(self, {name: self.ring.canon(coeff)})
-
-    def vector(self, combo: dict) -> "Vector":
-        return Vector(self, combo)
 
 
 class TensorModule(GradedModule):
@@ -382,12 +376,6 @@ class Vector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __iter__(self):
-        return iter(sorted(self.coeffs.items()))
-
-    def __getitem__(self, name):
-        return self.coeffs.get(name, self.module.ring.zero())
-
     def degree(self):
         """Degree if homogeneous, None for 0, error if mixed."""
         degs = {self.module.degree_of(n) for n in self.coeffs}
@@ -504,9 +492,9 @@ class GradedMap:
     the key back into (i, j).  No row function refers to its own map, so a
     map forms no reference cycle and is freed with its last user.
 
-    Names come back only through `eval_basis` and calling the map, which
-    read the rows, for a witness or a name-keyed caller.  `from_table` is
-    the checked constructor for a map given by values on basis names.
+    Names come back only through `eval_basis`, which reads the rows, for
+    a witness or a name-keyed caller.  `from_table` is the checked
+    constructor for a map given by values on basis names.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
@@ -555,12 +543,6 @@ class GradedMap:
     def zero(cls, source, target, degree, name: str = "0"):
         return cls(source, target, degree, lambda *k: (), name)
 
-    @classmethod
-    def identity(cls, module, name: str = "id"):
-        one = module.ring.one()
-        return cls(module, module, 0, lambda *k: (
-            (k if len(k) > 1 else k[0], one),), name)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_basis(self, name: str) -> Vector:
@@ -594,21 +576,6 @@ class GradedMap:
             return self.rows[i * self.stride + j]
         return self.rows[key]
 
-    def __call__(self, x) -> Vector:
-        if isinstance(x, str):
-            return self.eval_basis(x)
-        if isinstance(x, BasisElement):
-            return self.eval_basis(x.name)
-        R = self.target.ring
-        out = {}
-        for name, c in x.coeffs.items():
-            c = R.canon(c)
-            for n, v in self.eval_basis(name).coeffs.items():
-                term = R.mul(c, v)
-                old = out.get(n)
-                out[n] = term if old is None else R.add(old, term)
-        return Vector._trusted(self.target, out)
-
     # -- materialization ---------------------------------------------------------
 
     def block(self, k) -> ExactMatrix:
@@ -620,7 +587,7 @@ class GradedMap:
         images = [self.eval_basis(e.name) for e in src]
         for t in tgt:
             for img in images:
-                entries.append(img[t.name])
+                entries.append(img.coeffs.get(t.name, R.zero()))
         return ExactMatrix(R, len(tgt), len(src), entries)
 
     def __repr__(self):
@@ -998,46 +965,6 @@ def transpose_rows(inputs, image) -> dict:
             else:
                 col.append((x, c))
     return out
-
-
-# -- operation shifts ([i,j;k] on binary operations) -------------------------
-
-def apply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
-    """The [i,j;k]-shift of a binary operation P, i.e. s_k P (s_i^v (x) s_j^v).
-
-    op must have a binary tensor source; the result acts on
-    shift(X, i) (x) shift(Y, j) with values in shift(Z, k).  Evaluation on
-    u (x) v picks up (-1)^{j |u|}, with |u| measured where u lives (the
-    shifted module); the target shift carries no sign.
-    """
-    return _op_shift(op, i, j, k, True, f"{op.name}[{i},{j};{k}]")
-
-
-def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
-    """The unique P with apply_op_shift(P, i, j, k) == op.
-
-    The shift by (-i, -j, -k), but not apply_op_shift of it: the Koszul
-    sign of the [i,j;k] rule is measured at shifted degree, which is op's
-    source here, so inverting it costs (-1)^{j |u|} with |u| read in op's
-    source instead of in the result's.
-    """
-    return _op_shift(op, -i, -j, -k, False, f"{op.name}[-{i},-{j};-{k}]")
-
-
-def _op_shift(op, i, j, k, sign_at_result, name):
-    """op with its source factors shifted by i and j and its target by k, as
-    a row map on op's rows (a shift keeps names and order, so positions).
-    The sign (-1)^{j |u|} reads |u| in the result's source, or in op's."""
-    if op.source.arity != 2:
-        raise ValueError("operation shifts apply to binary operations")
-    X, Y = op.source.factors
-    Xs = shift(X, i)
-    negate = _op_shift_signs((Xs if sign_at_result else X).index().odd, j)
-    row, neg = op.row_fn, op.target.ring.neg
-    return GradedMap(tensor(Xs, shift(Y, j)), shift(op.target, k),
-                     op.degree + i + j - k,
-                     lambda a, b: _signed_row(row(a, b), negate[a], neg),
-                     name=name)
 
 
 def _op_shift_signs(odd, j) -> list:

@@ -562,17 +562,3 @@ def export_complex(bundle: ComplexBundle, name: str, checks) -> dict:
             doc["pair"]["secondary"] = _operation_to_json(bundle.secondary)
     return doc
 
-
-def structurally_equal(a: BialgebraData, b: BialgebraData) -> bool:
-    """Same basis, degrees, unit, window, and full operation tables."""
-    if a.module != b.module or a.eta != b.eta:
-        return False
-    if tuple(a.safe_names) != tuple(b.safe_names):
-        return False
-    if a.mu.degree != b.mu.degree or a.lam.degree != b.lam.degree:
-        return False
-    A2 = tensor(a.module, a.module)
-    return (all(a.mu.eval_basis(e.name) == b.mu.eval_basis(e.name)
-                for e in A2.basis())
-            and all(a.lam.eval_basis(e.name) == b.lam.eval_basis(e.name)
-                    for e in a.module.basis()))

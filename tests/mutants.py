@@ -2,8 +2,8 @@
 cone package's construction check, kept intermediates and dual side, the
 scenario parser and exporter, the sparse elimination's pivot search, the
 sign decisions and structural checks of the row maps, the status and
-detail of each check that returns an `Outcome`, and the closed forms of
-the loop fixtures.
+detail of each check that returns an `Outcome`, the closed forms of the
+loop fixtures, and the sign normalisation of the extended gcd.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -40,6 +40,9 @@ QUANTIFIER = ("tests/test_pair_pieces.py::"
 ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_terms"
 NEG_IDS = "tests/test_shared_expansion.py::test_negated_side_ids_negate_every_coefficient"
 ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
+MINUS_ONE_ROW = (
+    "tests/test_shared_expansion.py::"
+    "test_associativity_kernel_negates_a_product_row_of_minus_one")
 ONCE = "tests/test_report.py::test_demo_forms_each_pair_defect_once"
 ONE_KERNEL = ("tests/test_report.py::"
               "test_demo_builds_one_pair_kernel_per_package")
@@ -68,6 +71,7 @@ FLOOR = "tests/test_matrices.py::test_pivot_search_stops_at_the_floor"
 SAME_PIVOTS = ("tests/test_matrices.py::"
                "test_pivot_search_matches_the_full_scan_on_random_matrices")
 UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
+XGCD = "tests/test_matrices.py::test_xgcd_is_positive_on_mixed_signs_and_zeros"
 CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
 TWIST = "tests/test_row_checks.py::test_twisted_tables_match_the_composites"
 DUAL_SHIFT = ("tests/test_row_checks.py::"
@@ -337,7 +341,7 @@ MUTANTS = [
     ("graded.py", "key = i * stride + j\n            r = table.get(key)",
      "key = i + j\n            r = table.get(key)", ASSOC),
     ("graded.py", "return list(map(ids.neg, times_inputs(x)))",
-     "return times_inputs(x)", ASSOC),
+     "return times_inputs(x)", MINUS_ONE_ROW),
     # the product's transpose of mu read with the fixed factor on the wrong
     # side
     ("cone_product.py", "mu_right_rows = at.columns(lambda b, x: mu(x, b))",
@@ -357,6 +361,13 @@ MUTANTS = [
      "tests/test_fixtures.py::test_circle_coproduct_branch_values"),
     ("fixtures.py", "1 - n if based", "1 - 2 * n if based",
      "tests/test_fixtures.py::test_based_loop_values"),
+    # the sign normalisation of the extended gcd, each sign dropped in turn
+    ("matrices.py", "return (a, x, y) if a > 0 else (-a, -x, -y)",
+     "return (a, x, y) if a > 0 else (a, -x, -y)", XGCD),
+    ("matrices.py", "return (a, x, y) if a > 0 else (-a, -x, -y)",
+     "return (a, x, y) if a > 0 else (-a, x, -y)", XGCD),
+    ("matrices.py", "return (a, x, y) if a > 0 else (-a, -x, -y)",
+     "return (a, x, y) if a > 0 else (-a, -x, y)", XGCD),
 ]
 
 

@@ -5,9 +5,9 @@ with maps built here by names: a `NameMap` is given by a function from basis
 names to Vectors, memoized per name, and composes with `then`, `+` and `-`;
 `tensor_map` and `twist` carry the Koszul signs of the `chainalg.graded`
 docstring.  Every function here reads its arguments only through `source`,
-`target`, `degree`, `name` and `eval_basis`, or by calling them on a
-Vector, so a library `GradedMap` may stand wherever a map is expected
-(`named` wraps one to compose it).  `NameMap.row_map` turns a reference with
+`target`, `degree`, `name` and `eval_basis`, so a library `GradedMap` may
+stand wherever a map is expected (`named` wraps one to apply it to a
+Vector or to compose it).  `NameMap.row_map` turns a reference with
 a source of arity <= 2 into a library map, by `GradedMap.from_table` over
 the source basis; references of arity 3, such as mu (mu (x) 1), stay
 name-keyed.  `operation_to_json` is the exporter that read every table by
@@ -16,12 +16,17 @@ names, kept as the reference of the one that reads rows.
 the fields of an AxiomResult that a reference must match.
 `secondary_operations` gives a cone package's six secondary operations by
 names, from the pairing formulas of the `chainalg.cone_product` docstring,
-and `PLACEMENT` the [i,j;k] at which its product places each.
+and `PLACEMENT` the [i,j;k] at which its product places each;
+`apply_op_shift` and `unapply_op_shift` are the [i,j;k] rule of the
+`chainalg.graded` docstring as row maps, the reference the cone product's
+parts are shifted back by.  `identity` is the identity row map of a module
+and `structurally_equal` compares two bialgebras table by table.
 """
 
 from chainalg.bialgebra import AxiomResult
 from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Vector,
-                             dual_pair, format_vector, tensor)
+                             _op_shift_signs, _signed_row, dual_pair,
+                             format_vector, shift, tensor)
 from chainalg.scenario import _combo_to_json
 
 
@@ -52,8 +57,9 @@ class NameMap:
         """g after self."""
         if g.source != self.target:
             raise ValueError("maps are not composable")
+        g_named = named(g)
         return NameMap(self.source, g.target, self.degree + g.degree,
-                       lambda n: g(self.eval_basis(n)),
+                       lambda n: g_named(self.eval_basis(n)),
                        name=f"({g.name}after{self.name})")
 
     def __add__(self, other) -> "NameMap":
@@ -83,6 +89,13 @@ def _same_signature(f, g):
 def named(f) -> NameMap:
     """f, read by names, as a NameMap that composes."""
     return NameMap(f.source, f.target, f.degree, f.eval_basis, f.name)
+
+
+def identity(module, name: str = "id") -> GradedMap:
+    """The identity of `module`, as a library row map."""
+    one = module.ring.one()
+    return GradedMap(module, module, 0, lambda *k: (
+        (k if len(k) > 1 else k[0], one),), name)
 
 
 def is_zero_map(f) -> bool:
@@ -186,6 +199,62 @@ def operation_to_json(m):
         for n, v in values if not v.is_zero()]}
 
 
+def structurally_equal(a, b) -> bool:
+    """Same basis, degrees, unit, window, and full operation tables of the
+    BialgebraData a and b."""
+    if a.module != b.module or a.eta != b.eta:
+        return False
+    if tuple(a.safe_names) != tuple(b.safe_names):
+        return False
+    if a.mu.degree != b.mu.degree or a.lam.degree != b.lam.degree:
+        return False
+    A2 = tensor(a.module, a.module)
+    return (all(a.mu.eval_basis(e.name) == b.mu.eval_basis(e.name)
+                for e in A2.basis())
+            and all(a.lam.eval_basis(e.name) == b.lam.eval_basis(e.name)
+                    for e in a.module.basis()))
+
+
+# -- operation shifts ([i,j;k] on binary operations) -------------------------
+
+def apply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
+    """The [i,j;k]-shift of a binary operation P, i.e. s_k P (s_i^v (x) s_j^v).
+
+    op must have a binary tensor source; the result acts on
+    shift(X, i) (x) shift(Y, j) with values in shift(Z, k).  Evaluation on
+    u (x) v picks up (-1)^{j |u|}, with |u| measured where u lives (the
+    shifted module); the target shift carries no sign.
+    """
+    return _op_shift(op, i, j, k, True, f"{op.name}[{i},{j};{k}]")
+
+
+def unapply_op_shift(op: GradedMap, i: int, j: int, k: int) -> GradedMap:
+    """The unique P with apply_op_shift(P, i, j, k) == op.
+
+    The shift by (-i, -j, -k), but not apply_op_shift of it: the Koszul
+    sign of the [i,j;k] rule is measured at shifted degree, which is op's
+    source here, so inverting it costs (-1)^{j |u|} with |u| read in op's
+    source instead of in the result's.
+    """
+    return _op_shift(op, -i, -j, -k, False, f"{op.name}[-{i},-{j};-{k}]")
+
+
+def _op_shift(op, i, j, k, sign_at_result, name):
+    """op with its source factors shifted by i and j and its target by k, as
+    a row map on op's rows (a shift keeps names and order, so positions).
+    The sign (-1)^{j |u|} reads |u| in the result's source, or in op's."""
+    if op.source.arity != 2:
+        raise ValueError("operation shifts apply to binary operations")
+    X, Y = op.source.factors
+    Xs = shift(X, i)
+    negate = _op_shift_signs((Xs if sign_at_result else X).index().odd, j)
+    row, neg = op.row_fn, op.target.ring.neg
+    return GradedMap(tensor(Xs, shift(Y, j)), shift(op.target, k),
+                     op.degree + i + j - k,
+                     lambda a, b: _signed_row(row(a, b), negate[a], neg),
+                     name=name)
+
+
 # -- the secondary operations of a cone package ------------------------------
 
 # [i,j;k] of each secondary operation as the cone product places it: i and
@@ -210,7 +279,7 @@ def secondary_operations(data) -> dict:
         return R.canon(-1 if k % 2 else 1)
 
     def product(a, b):
-        return mu(A.el(a).tensor(A.el(b)))
+        return mu.eval_basis(a + TENSOR_SEP + b)
 
     def pair(f, v):   # <f, v> for f a name of M, v a Vector of A
         return dual_pair(M.el(f), v)

@@ -20,7 +20,7 @@ from chainalg.complexes import (
 )
 from chainalg.fixtures import make_tstar_s1, make_fixture, TruncationWindow
 from chainalg.matrices import ExactMatrix
-from name_keyed import NameMap, is_zero_map, named, scaled
+from name_keyed import NameMap, identity, is_zero_map, named, scaled
 
 
 def complex_from_spec(ring, gens, diff):
@@ -34,8 +34,7 @@ def complex_from_spec(ring, gens, diff):
 def test_circle_morse_complex():
     C = complex_from_spec(ZZ, [("p", 0), ("q", 1)], {})
     h = homology(C)
-    assert h.rank(0) == 1 and h.torsion(0) == []
-    assert h.rank(1) == 1 and h.torsion(1) == []
+    assert h.by_degree == ((0, 1, ()), (1, 1, ()))
 
 
 def test_homology_of_a_complex_on_a_tensor_module():
@@ -59,8 +58,7 @@ def test_homology_with_torsion():
     # Z --2--> Z in degrees 1 -> 0
     C = complex_from_spec(ZZ, [("a", 0), ("b", 1)], {"b": {"a": 2}})
     h = homology(C)
-    assert h.rank(0) == 0 and h.torsion(0) == [2]
-    assert h.rank(1) == 0 and h.torsion(1) == []
+    assert h.by_degree == ((0, 0, (2,)),)
 
 
 def test_homology_field_kills_odd_torsion():
@@ -68,7 +66,7 @@ def test_homology_field_kills_odd_torsion():
     assert homology(C_q).by_degree == ()
     C_2 = complex_from_spec(GF(2), [("a", 0), ("b", 1)], {"b": {"a": 2}})
     h = homology(C_2)
-    assert h.rank(0) == 1 and h.rank(1) == 1
+    assert h.by_degree == ((0, 1, ()), (1, 1, ()))
 
 
 def test_projective_plane_style_homology():
@@ -76,18 +74,17 @@ def test_projective_plane_style_homology():
     C = complex_from_spec(ZZ, [("v", 0), ("e", 1), ("f", 2)],
                           {"e": {}, "f": {"e": 2}})
     h = homology(C)
-    assert h.rank(0) == 1
-    assert h.torsion(1) == [2]
-    assert h.rank(2) == 0
+    assert h.by_degree == ((0, 1, ()), (1, 0, (2,)))
 
 
 def test_euler_characteristic_matches_homology():
     rng = random.Random(2)
     for _ in range(15):
         C = _random_complex(rng, QQ)
-        chi_chain = sum((-1) ** (k % 2) * C.module.dim(k) for k in C.degrees())
+        chi_chain = sum((-1) ** (k % 2) * len(C.module.basis_in_degree(k))
+                        for k in C.degrees())
         h = homology(C)
-        chi_hom = sum((-1) ** (k % 2) * h.rank(k) for k in C.degrees())
+        chi_hom = sum((-1) ** (k % 2) * free for k, free, _ in h.by_degree)
         assert chi_chain == chi_hom
 
 
@@ -118,7 +115,7 @@ def _random_complex(rng, ring, max_gens=5):
 
 def test_cone_of_identity_is_acyclic():
     C = complex_from_spec(ZZ, [("a", 0), ("b", 1)], {"b": {"a": 3}})
-    cone = mapping_cone(ChainMap(C, C, GradedMap.identity(C.module)))
+    cone = mapping_cone(ChainMap(C, C, identity(C.module)))
     assert homology(cone.complex).by_degree == ()
 
 
@@ -128,8 +125,7 @@ def test_cone_of_zero_splits():
     cone = mapping_cone(ChainMap(C, D, GradedMap.zero(C.module, D.module, 0)))
     h = homology(cone.complex)
     # H(D) + H(C)[-1]: ranks 1 at degrees 0 and 1 from D, 1 at degree 1 from C
-    assert h.rank(0) == 1
-    assert h.rank(1) == 2
+    assert h.by_degree == ((0, 1, ()), (1, 2, ()))
 
 
 def test_cone_of_multiplication_by_two():
@@ -139,8 +135,7 @@ def test_cone_of_multiplication_by_two():
                              {"z": C2.module.el("w", 2)})
     cone = mapping_cone(ChainMap(C1, C2, f))
     h = homology(cone.complex)
-    assert h.torsion(0) == [2] and h.rank(0) == 0
-    assert h.rank(1) == 0 and h.torsion(1) == []
+    assert h.by_degree == ((0, 0, (2,)),)
 
 
 def test_cone_rejects_non_chain_map():
@@ -170,8 +165,8 @@ def test_cone_long_exact_sequence_rank_sanity():
 
         r = image_rank(f.block(0))
         h = homology(cone.complex)
-        assert h.rank(0) == n2 - r
-        assert h.rank(1) == n1 - r
+        assert h.by_degree == tuple(
+            (k, free, ()) for k, free in ((0, n2 - r), (1, n1 - r)) if free)
 
 
 def test_quotient_by_zero_map_is_original():
@@ -196,7 +191,7 @@ def test_quotient_presents_torsion():
     f = GradedMap.from_table(Z.module, C.module, 0, {"z": C.module.el("a", 2)})
     cm = ChainMap(Z, C, f)
     q = quotient_by_image(cm)
-    assert q.homology().torsion(0) == [2]
+    assert q.homology().by_degree == ((0, 0, (2,)),)
     assert q.projection_is_chain_map()
     # projection . c = 0 exactly, on the table rows of c
     for i in range(len(Z.module.basis())):
@@ -240,7 +235,7 @@ def test_graded_commutator_shapes():
 
 def test_is_chain_homotopic_zero_homotopy():
     C = complex_from_spec(ZZ, [("a", 0), ("b", 1)], {"b": {"a": 2}})
-    ident = ChainMap(C, C, GradedMap.identity(C.module))
+    ident = ChainMap(C, C, identity(C.module))
     z = GradedMap.zero(C.module, C.module, 1)
     assert is_chain_homotopic(ident, ident, z).status == "pass"
     zero_map = ChainMap(C, C, GradedMap.zero(C.module, C.module, 0))
@@ -341,7 +336,7 @@ def test_transition_automorphism_tstar_circle(sign):
     c = bundle.pair_map
     # continuation map vanishes
     for e in c.source.module.basis():
-        assert c(c.source.module.el(e.name)).is_zero()
+        assert c.f.eval_basis(e.name).is_zero()
     res = transition_automorphism(mapping_cone(c), bundle.secondary)
     assert res.unipotent
     assert res.nontrivial_on_homology
@@ -402,9 +397,8 @@ def test_homology_over_all_rings_of_fixture_modules():
         C = ChainComplex(inst.module)
         h = homology(C)
         # zero differential: homology equals the chain module, rank per degree
-        for k in C.degrees():
-            assert h.rank(k) == inst.module.dim(k)
-            assert h.torsion(k) == []
+        assert h.by_degree == tuple(
+            (k, len(inst.module.basis_in_degree(k)), ()) for k in C.degrees())
 
 
 def _cubical_torus(ring, n, klein=False):
@@ -506,7 +500,7 @@ def test_cubical_torus_homology_and_induced_scalar(ring):
                 t.name: rng.choice((0, 1, -1))
                 for t in C.module.basis_in_degree(e.degree + 1)})
             for e in C.module.basis()})
-        ident = GradedMap.identity(C.module)
+        ident = identity(C.module)
         f = ChainMap(C, C, (named(ident) + ident
                             + graded_commutator(h, C, C)).row_map())
         act = induced_map_on_homology(f)
@@ -684,7 +678,7 @@ def test_quotient_homology_matches_universal_coefficients():
         gens, diff, pieces = _sum_of_pieces(seed)
         for ring in (ZZ, QQ, GF(2), GF(3), GF(5)):
             C = complex_from_spec(ring, gens, diff)
-            ident = GradedMap.identity(C.module)
+            ident = identity(C.module)
             for m in (2, 3, 4, 6):
                 q = quotient_by_image(ChainMap(C, C, scaled(ident, m).row_map()))
                 h = q.homology().by_degree
@@ -704,7 +698,7 @@ def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
     assert factored == []
     # presentations and induced maps go through the same unit pivots
     torus = _cubical_torus(ZZ, 6)
-    ident = GradedMap.identity(torus.module)
+    ident = identity(torus.module)
     act = induced_map_on_homology(ChainMap(torus, torus,
                                            scaled(ident, 2).row_map()))
     assert not act.is_identity()
@@ -717,7 +711,7 @@ def test_homology_at_scale_over_z_factors_only_residuals(monkeypatch):
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
 def test_homology_of_surfaces_with_1936_cells(ring):
     torus = _cubical_torus(ring, 22)
-    assert sum(map(torus.module.dim, torus.degrees())) == 1936
+    assert len(torus.module.basis()) == 1936
     assert str(homology(torus)) == "H_0 = R, H_1 = R^2, H_2 = R"
     klein = str(homology(_cubical_torus(ring, 22, klein=True)))
     assert klein == {ZZ: "H_0 = R, H_1 = R + R/2", QQ: "H_0 = R, H_1 = R",
@@ -801,7 +795,7 @@ def test_is_chain_homotopic_matches_the_name_keyed_reference(ring, data):
 def test_a_map_that_is_not_a_homotopy_names_the_failing_element():
     # d b = 2a; with f = g = id and h(a) = b, [d, h](a) = d h a = 2a
     C = complex_from_spec(ZZ, [("a", 0), ("b", 1)], {"b": {"a": 2}})
-    ident = ChainMap(C, C, GradedMap.identity(C.module))
+    ident = ChainMap(C, C, identity(C.module))
     h = GradedMap.from_table(C.module, C.module, 1, {"a": C.module.el("b")})
     rep = is_chain_homotopic(ident, ident, h)
     assert rep == ("fail", "fails on a: 0 vs 2*a")
@@ -832,7 +826,7 @@ def test_transition_automorphism_matches_the_name_keyed_reference(ring, data):
     phi = phi_reference(cone_mod, csec)
     for n in cone_mod.basis_names():
         assert res.phi.eval_basis(n) == phi.eval_basis(n), n
-    delta = phi - GradedMap.identity(cone_mod)
+    delta = phi - identity(cone_mod)
     assert res.unipotent is is_zero_map(delta.then(delta)) is True
     # a degree +1 map that is not a chain map is refused, naming the first
     # basis element where [d, csec] does not vanish

@@ -13,7 +13,6 @@ from chainalg.graded import (
     shift,
     tensor,
     dual_pair,
-    apply_op_shift,
     TENSOR_SEP,
 )
 from chainalg.complexes import ChainComplex
@@ -27,8 +26,8 @@ from chainalg.cone_product import (
 )
 from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
-from name_keyed import (PLACEMENT, NameMap, named, secondary_operations,
-                        tensor_map, twist)
+from name_keyed import (PLACEMENT, NameMap, apply_op_shift, identity,
+                        named, secondary_operations, tensor_map, twist)
 from random_instances import make_random_instance
 
 W = TruncationWindow(12)
@@ -106,7 +105,7 @@ def test_data_invariants_enforced():
     bad_B = Vector(A3, {f"A{TENSOR_SEP}A{TENSOR_SEP}1": 1})
     with pytest.raises(ValueError, match="cyclic"):
         ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
-                        inst.lam(inst.eta).scale(-1), bad_B, n=1)
+                        named(inst.lam)(inst.eta).scale(-1), bad_B, n=1)
 
 
 def test_safe_window_names_basis_elements_once():
@@ -136,7 +135,7 @@ def test_cyclic_symmetric_cubic_accepted():
             f"A{TENSOR_SEP}1{TENSOR_SEP}A": -1}
     B = Vector(A3, base)
     data = ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
-                           inst.lam(inst.eta).scale(-1), B, n=1,
+                           named(inst.lam)(inst.eta).scale(-1), B, n=1,
                            safe_names=inst.safe_names)
     # with B != 0 the (-,-) -> + block is the dualized cubic term
     got = data.product.eval_basis(f"-A^{TENSOR_SEP}-A^")
@@ -152,7 +151,8 @@ def cubic_packages():
                                  f"1{TENSOR_SEP}A{TENSOR_SEP}A": 1,
                                  f"A{TENSOR_SEP}1{TENSOR_SEP}A": -1})
     yield ConeProductData(ChainComplex(A), inst.mu, inst.lam,
-                          tensor(A, A).zero(), inst.lam(inst.eta).scale(-1),
+                          tensor(A, A).zero(),
+                          named(inst.lam)(inst.eta).scale(-1),
                           B, n=1, safe_names=inst.safe_names)
     for which, arg in REFERENCE_PACKAGES:
         if isinstance(which, int):
@@ -220,7 +220,7 @@ def _check_m_L_pairing(data):
                 lhs = dual_pair(got, A.el(a))
                 if (da % 2) and (dphi % 2):
                     lhs = -lhs
-                prod = mu(A.el(a).tensor(A.el(b)))
+                prod = named(mu)(A.el(a).tensor(A.el(b)))
                 rhs = dual_pair(fv, prod)
                 dprod = da + A.degree_of(b)
                 if (dprod % 2) and (M.degree_of(f + "^") % 2):
@@ -243,7 +243,7 @@ def _check_m_R_pairing(data):
             for b in data.safe_names:
                 lhs = dual_pair(got, A.el(b))
                 rhs = dual_pair(M.el(f + "^"),
-                                data.mu(A.el(a).tensor(A.el(b))))
+                                named(data.mu)(A.el(a).tensor(A.el(b))))
                 assert lhs == rhs
 
 
@@ -264,7 +264,8 @@ def test_sigma_without_corrections_uses_plain_coproduct():
             df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
-                want = pair_two(inst.lam(A.el(a)), M.el(g + "^"), M.el(f + "^"))
+                want = pair_two(inst.lam.eval_basis(a), M.el(g + "^"),
+                                M.el(f + "^"))
                 assert dual_pair(got, A.el(a)) == (want if sign == 1 else -want)
 
 
@@ -282,8 +283,8 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data):
         for name, c in data.Q0.coeffs.items():
             q1, q2 = name.split(TENSOR_SEP)
             s = -1 if data.Q0.degree() % 2 and A.degree_of(a) % 2 else 1
-            right = mu(A.el(a).tensor(A.el(q1))).tensor(A.el(q2))
-            left = A.el(q1).tensor(mu(A.el(q2).tensor(A.el(a))))
+            right = named(mu)(A.el(a).tensor(A.el(q1))).tensor(A.el(q2))
+            left = A.el(q1).tensor(named(mu)(A.el(q2).tensor(A.el(a))))
             out = out + right.scale(s * c) + left.scale(c)
         return out
 
@@ -372,8 +373,8 @@ def test_commutativity_relations(s1_data):
         for a in data.safe_names:
             key = f"{f}^{TENSOR_SEP}{a}"
             tv = tau.eval_basis(key)
-            assert b["tau_L"].eval_basis(key) == b["tau_R"](tv)
-            assert b["m_R"].eval_basis(key) == b["m_L"](tv)
+            assert b["tau_L"].eval_basis(key) == named(b["tau_R"])(tv)
+            assert b["m_R"].eval_basis(key) == named(b["m_L"])(tv)
 
 
 def test_assoc_implies_infinitesimal(s3_data, s1_data):
@@ -413,7 +414,7 @@ def test_assoc_implies_infinitesimal_nonvacuous():
         return Vector(A2, out)
 
     lam = NameMap(A, A2, -1, random_lam_fn, name="random-lam").row_map()
-    Q0 = -lam(inst.eta)
+    Q0 = -named(lam)(inst.eta)
     A3 = tensor(A, A, A)
     data = ConeProductData(ChainComplex(A), inst.mu, lam, A2.zero(), Q0,
                            A3.zero(), n=1, safe_names=inst.safe_names)
@@ -421,7 +422,8 @@ def test_assoc_implies_infinitesimal_nonvacuous():
 
     uir = check_axioms(BialgebraData(A, inst.mu, lam, inst.eta,
                                      safe_names=inst.safe_names))
-    assert not uir.passed  # the random coproduct is not a bialgebra
+    # the random coproduct is not a bialgebra
+    assert not all(r.passed for r in uir.results)
     # full cone associativity fails for a random coproduct (the other
     # component identities need more structure), so check the component
     # identity directly: a passing associativity verdict set on the package
@@ -440,12 +442,13 @@ def test_twist_defect_check_with_a_differential(ring):
                             enumerate((0, 0, -1, -1, -2))], name="x")
     A2, A3 = tensor(A, A), tensor(A, A, A)
     d = GradedMap.from_table(A, A, -1, {
-        "x0": A.vector({"x2": 1, "x3": 2}), "x1": A.vector({"x2": -1, "x3": -2}),
+        "x0": Vector(A, {"x2": 1, "x3": 2}),
+        "x1": Vector(A, {"x2": -1, "x3": -2}),
         "x2": A.el("x4", 2), "x3": A.el("x4", -1)})
-    one = named(GradedMap.identity(A))
+    one = named(identity(A))
     d2 = tensor_map(d, one) + tensor_map(one, d)
     tau = twist(A, A)
-    P = A2.vector({"x0⊗x2": 1, "x3⊗x1": -2, "x1⊗x3": 1})
+    P = Vector(A2, {"x0⊗x2": 1, "x3⊗x1": -2, "x1⊗x3": 1})
     c0, Q0 = d2(P), tau(P) - P
     assert not (tau(c0) - c0).is_zero()
     zero_mu, zero_lam = GradedMap.zero(A2, A, 0), GradedMap.zero(A, A2, -1)
@@ -479,7 +482,7 @@ def test_assoc_precondition_failure_reported():
 
     broken_mu = NameMap(A2, A, 0, broken_mu_fn).row_map()
     data = ConeProductData(ChainComplex(A), broken_mu, inst.lam, A2.zero(),
-                           -inst.lam(inst.eta), A3.zero(), n=1,
+                           -named(inst.lam)(inst.eta), A3.zero(), n=1,
                            safe_names=inst.safe_names)
     res = check_assoc_implies_infinitesimal(data)
     assert res.status == "fail"

@@ -53,13 +53,12 @@ def test_a_window_at_the_basis_cap_builds_and_one_more_is_refused(name, N):
 def test_sphere_product_and_coproduct_values():
     inst = make_fixture("lambda-s3", W)
     # A*A = 0
-    A = inst.module.el("A")
-    assert inst.mu(A.tensor(A)).is_zero()
+    assert inst.mu.eval_basis(f"A{TENSOR_SEP}A").is_zero()
     # lam(U^2) = A(x)U + A*U(x)1 - 1(x)A*U - U(x)A
-    assert inst.lam("U^2") == T(inst, (1, "A", "U"), (1, "A*U", "1"),
-                                (-1, "1", "A*U"), (-1, "U", "A"))
+    assert inst.lam.eval_basis("U^2") == T(
+        inst, (1, "A", "U"), (1, "A*U", "1"), (-1, "1", "A*U"), (-1, "U", "A"))
     # lam(1) = 0 (empty sum)
-    assert inst.lam("1").is_zero()
+    assert inst.lam.eval_basis("1").is_zero()
     # degrees: |U| = n-1, |A| = -n
     assert inst.module.degree_of("U") == 2
     assert inst.module.degree_of("A") == -3
@@ -70,27 +69,29 @@ def test_circle_coproduct_branch_values():
     plus = make_fixture("lambda-s1-plus", W)
     minus = make_fixture("lambda-s1-minus", W)
     # k = 0 cases
-    assert plus.lam("1") == T(plus, (1, "A", "1"), (-1, "1", "A"))
-    assert minus.lam("1") == T(minus, (-1, "A", "1"), (1, "1", "A"))
+    assert plus.lam.eval_basis("1") == T(plus, (1, "A", "1"),
+                                         (-1, "1", "A"))
+    assert minus.lam.eval_basis("1") == T(minus, (-1, "A", "1"),
+                                          (1, "1", "A"))
     # empty-sum branches
-    assert plus.lam("A*U^-1").is_zero()
-    assert minus.lam("U").is_zero()
+    assert plus.lam.eval_basis("A*U^-1").is_zero()
+    assert minus.lam.eval_basis("U").is_zero()
     # a negative-branch value: lam_plus(U^-2) = -sum_{i=-1}^{-1}(...)
-    assert plus.lam("U^-2") == T(plus, (-1, "A*U^-1", "U^-1"),
-                                 (1, "U^-1", "A*U^-1"))
+    assert plus.lam.eval_basis("U^-2") == T(plus, (-1, "A*U^-1", "U^-1"),
+                                            (1, "U^-1", "A*U^-1"))
 
 
 def test_based_loop_values():
     s3 = make_fixture("omega-s3", W)
-    assert s3.lam("U") == T(s3, (1, "1", "1"))
+    assert s3.lam.eval_basis("U") == T(s3, (1, "1", "1"))
     assert s3.module.degree_of("U") == 2
     assert s3.lam.degree == -2
 
     plus = make_fixture("omega-s1-plus", W)
-    assert plus.lam("1") == T(plus, (1, "1", "1"))
+    assert plus.lam.eval_basis("1") == T(plus, (1, "1", "1"))
     minus = make_fixture("omega-s1-minus", W)
-    assert minus.lam("U").is_zero()
-    assert minus.lam("1") == T(minus, (-1, "1", "1"))
+    assert minus.lam.eval_basis("U").is_zero()
+    assert minus.lam.eval_basis("1") == T(minus, (-1, "1", "1"))
 
 
 @pytest.mark.parametrize("name", [n for n in fixture_names() if n != "tstar-s1"])
@@ -99,7 +100,7 @@ def test_truncation_soundness(name):
     # the safe window must never touch a dropped structure constant
     inst = make_fixture(name, W, ZZ, on_overflow="raise")
     rep = check_axioms(inst)
-    assert rep.passed, rep.describe()
+    assert [r for r in rep.results if not r.passed] == []
 
 
 def test_overflow_detection_outside_safe_window():
@@ -156,9 +157,9 @@ def test_mutation_catalog_is_detected_quickly():
     # one spot check per operation; the full sweep lives in acceptance
     inst = make_fixture("omega-s3", W)
     bad = mutate_lambda(inst, "U^2", f"1{TENSOR_SEP}U")
-    assert not check_axioms(bad).passed
+    assert not all(r.passed for r in check_axioms(bad).results)
     bad2 = mutate_mu(inst, f"U{TENSOR_SEP}U", "U^2")
-    assert not check_axioms(bad2).passed
+    assert not all(r.passed for r in check_axioms(bad2).results)
 
 
 def test_unknown_fixture_lists_catalog():
@@ -202,13 +203,13 @@ def test_random_instance_mu_zero_fails_unit():
     broken = BialgebraData(inst.module, GradedMap.zero(A2, inst.module, 0),
                            inst.lam, inst.eta)
     rep = check_axioms(broken)
-    assert any("unit" in r.axiom for r in rep.failures())
+    assert any("unit" in r.axiom and not r.passed for r in rep.results)
 
 
 def test_fixture_rings():
     for ring in (ZZ, QQ, GF(5)):
         inst = make_fixture("lambda-s1-minus", TruncationWindow(6), ring)
-        assert check_axioms(inst).passed, ring
+        assert all(r.passed for r in check_axioms(inst).results), ring
 
 
 def test_cc_antisymmetry_on_circle_plus():

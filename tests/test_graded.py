@@ -20,14 +20,13 @@ from chainalg.graded import (
     dual_module,
     dual_map,
     dual_pair,
-    apply_op_shift,
-    unapply_op_shift,
     TENSOR_SEP,
     format_vector,
     basis_keys,
     vector_terms,
 )
-from name_keyed import is_zero_map, named, scaled, tensor_map, twist
+from name_keyed import (apply_op_shift, identity, is_zero_map, named, scaled,
+                        tensor_map, twist, unapply_op_shift)
 
 
 def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):
@@ -50,7 +49,7 @@ def random_map(rng, source, target, degree, ring=ZZ):
 
 def test_identity_tensor_identity():
     M = small_module()
-    one = GradedMap.identity(M)
+    one = identity(M)
     both = tensor_map(one, one)
     M2 = tensor(M, M)
     for e in M2.basis():
@@ -60,7 +59,7 @@ def test_identity_tensor_identity():
 def test_tensor_map_koszul_sign():
     # |g| = 1 and |x| = 1 forces (f (x) g)(x (x) y) = -f(x) (x) g(y)
     M = GradedModule(ZZ, [BasisElement("x", 1), BasisElement("y", 2)])
-    f = GradedMap.identity(M)
+    f = identity(M)
     g = random_map(random.Random(0), M, M, 1)
     fg = tensor_map(f, g)
     v = fg.eval_basis(f"x{TENSOR_SEP}x")
@@ -108,7 +107,7 @@ def test_twist_is_chain_map_for_tensor_differential():
     # build a differential-like degree -1 map with d^2 = 0 (nilpotent by
     # grading: route everything to one lowest generator)
     d = random_map(rng, M, M, -1)
-    one = GradedMap.identity(M)
+    one = identity(M)
     dM2 = tensor_map(d, one) + tensor_map(one, d)
     t = twist(M, M)
     lhs = t.then(dM2)
@@ -202,6 +201,8 @@ def test_op_shift_round_trip():
             for k in (0, 1):
                 barred = unapply_op_shift(op, i, j, k)
                 back = apply_op_shift(barred, i, j, k)
+                assert back.source == op.source
+                assert back.target == op.target
                 for e in M2.basis():
                     assert back.eval_basis(e.name) == op.eval_basis(e.name)
 
@@ -433,13 +434,13 @@ def test_format_vector_parenthesises_names_that_begin_with_a_minus():
     # cone names: "+x" for the target part, "-x" for the shifted source
     C = GradedModule(ZZ, [BasisElement("+A", 0), BasisElement("-1^", 0),
                          BasisElement("x", 0)])
-    assert format_vector(C.vector({"+A": 1, "-1^": 1})) == "+A + (-1^)"
-    assert format_vector(C.vector({"+A": 4, "-1^": 1})) == "4*+A + (-1^)"
-    assert format_vector(C.vector({"-1^": 1})) == "(-1^)"
-    assert format_vector(C.vector({"-1^": -1})) == "-(-1^)"
-    assert format_vector(C.vector({"+A": 1, "-1^": -1})) == "+A - (-1^)"
-    assert format_vector(C.vector({"-1^": 2, "x": 1})) == "2*(-1^) + x"
+    assert format_vector(Vector(C, {"+A": 1, "-1^": 1})) == "+A + (-1^)"
+    assert format_vector(Vector(C, {"+A": 4, "-1^": 1})) == "4*+A + (-1^)"
+    assert format_vector(Vector(C, {"-1^": 1})) == "(-1^)"
+    assert format_vector(Vector(C, {"-1^": -1})) == "-(-1^)"
+    assert format_vector(Vector(C, {"+A": 1, "-1^": -1})) == "+A - (-1^)"
+    assert format_vector(Vector(C, {"-1^": 2, "x": 1})) == "2*(-1^) + x"
     # other names print as before
-    assert format_vector(C.vector({"+A": -1, "x": -1})) == "-+A - x"
-    assert format_vector(C.vector({"x": 3})) == "3*x"
+    assert format_vector(Vector(C, {"+A": -1, "x": -1})) == "-+A - x"
+    assert format_vector(Vector(C, {"x": 3})) == "3*x"
     assert format_vector(C.zero()) == "0"

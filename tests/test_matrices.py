@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from chainalg.matrices import (
     image_rank,
     columns_matrix,
     ImageSolver,
+    _xgcd,
 )
 
 
@@ -112,6 +114,14 @@ def test_snf_oracle_rejects_a_certificate_that_is_not_unimodular():
     with pytest.raises(AssertionError):
         check_snf_certificate(M, ExactMatrix.identity(ZZ, 2), M,
                               ExactMatrix.identity(ZZ, 2))
+
+
+def test_xgcd_is_positive_on_mixed_signs_and_zeros():
+    # Euclid ends each of these at a negative remainder, so _xgcd negates
+    # the gcd and both Bezout coefficients
+    for a, b in ((4, -6), (6, -4), (-4, -6), (0, -3), (-3, 0)):
+        g, x, y = _xgcd(a, b)
+        assert x * a + y * b == g == gcd(abs(a), abs(b)) > 0, (a, b)
 
 
 def test_snf_zero_matrix():

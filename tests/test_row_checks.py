@@ -56,6 +56,7 @@ from chainalg.scenario import Scenario
 from chainalg.rings import GF, QQ, ZZ
 from name_keyed import (
     NameMap,
+    identity,
     insert_left,
     insert_right,
     named,
@@ -197,10 +198,12 @@ def unit_reference(inst, names):
     """The two unit axioms by names: mu(eta (x) x) = x and
     (-1)^{|mu||x|} mu(x (x) eta) = x."""
     A, mu, eta = inst.module, inst.mu, inst.eta
+    mu_named = named(mu)
     left = quantify_reference("unit (left)", names, lambda n: (
-        mu(eta.tensor(A.el(n))), A.el(n)))
+        mu_named(eta.tensor(A.el(n))), A.el(n)))
     right = quantify_reference("unit (right)", names, lambda n: (
-        mu(A.el(n).tensor(eta)).scale(sign(mu.degree * A.degree_of(n))),
+        mu_named(A.el(n).tensor(eta)).scale(
+            sign(mu.degree * A.degree_of(n))),
         A.el(n)))
     return left, right
 
@@ -230,8 +233,8 @@ def chain_map_reference(A, mu, lam, d):
     d2 = tensor_map(d, one) + tensor_map(one, d)
     for label, op, dom_d, cod_d in (("mu", mu, d2, d), ("lam", lam, d, d2)):
         for e in op.source.basis():
-            lhs = cod_d(op.eval_basis(e.name))
-            rhs = op(dom_d.eval_basis(e.name)).scale(sign(op.degree))
+            lhs = named(cod_d)(op.eval_basis(e.name))
+            rhs = named(op)(dom_d.eval_basis(e.name)).scale(sign(op.degree))
             if lhs != rhs:
                 return f"{label} is not a chain map (fails on {e.name})"
     return None
@@ -280,8 +283,9 @@ def dual_reference(f):
 
     def fn(phi):
         s = sign(src.degree_of(phi) * f.degree)
-        return Vector(tgt, {x.name + "^": s * f.eval_basis(x.name)[phi[:-1]]
-                            for x in f.source.basis()})
+        return Vector(tgt, {
+            x.name + "^": s * f.eval_basis(x.name).coeffs.get(phi[:-1], 0)
+            for x in f.source.basis()})
 
     return NameMap(src, tgt, f.degree, fn)
 
@@ -421,7 +425,7 @@ def test_check_paths_make_no_name_path_calls(ring, name_path_calls):
         inst = fx.make_fixture(name, fx.TruncationWindow(8), ring)
         name_path_calls.clear()
         report = check_axioms(inst)
-        assert report.passed
+        assert all(r.passed for r in report.results)
         assert dict(name_path_calls) == {}, name
     data = cone_data_from_bialgebra(
         fx.make_fixture("lambda-s1-plus", fx.TruncationWindow(8), ring), n=1)
@@ -435,7 +439,7 @@ def test_check_paths_make_no_name_path_calls(ring, name_path_calls):
 
 def test_quotient_paths_make_no_name_path_calls(name_path_calls):
     C = _cubical_torus(ZZ, 4)
-    two = ChainMap(C, C, scaled(GradedMap.identity(C.module), 2).row_map())
+    two = ChainMap(C, C, scaled(identity(C.module), 2).row_map())
     lemma = _lemma_homotopy()
     name_path_calls.clear()
     assert str(quotient_by_image(two).homology()) == \

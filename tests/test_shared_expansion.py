@@ -388,6 +388,25 @@ def test_associativity_kernel_reads_rows_in_any_order():
     assert associativity_witness(mu, names) == associativity_loop(mu, names)
 
 
+def test_associativity_kernel_negates_a_product_row_of_minus_one():
+    # the Gaussian integers: mu(i (x) i) = -1 is one term with coefficient
+    # -1, so the lhs over (i, i, c) is the negated row of mu(1 (x) c); then
+    # the same product with mu(i (x) 1) = -i, which is not associative: its
+    # lhs over (i, 1, c) is the negated row of mu(i (x) c), and
+    # (i 1) 1 = i differs from i (1 1) = -i
+    A = GradedModule(ZZ, [BasisElement("1", 0), BasisElement("i", 0)],
+                     name="g")
+    names = A.basis_names()
+    for i_times_1, verdict in ((1, (8, None)), (-1, (5, ("i", "1", "1")))):
+        table = {("1", "1"): A.el("1"), ("1", "i"): A.el("i"),
+                 ("i", "1"): A.el("i", i_times_1), ("i", "i"): A.el("1", -1)}
+        mu = GradedMap.from_table(tensor(A, A), A, 0, {
+            TENSOR_SEP.join(ab): v for ab, v in table.items()})
+        got = associativity_witness(mu, names)
+        assert got == associativity_loop(mu, names)
+        assert got[:2] == verdict
+
+
 # -- cone packages with one entry negated --------------------------------------
 
 def flipped_Q0(data, rng):
