@@ -46,24 +46,9 @@ from .complexes import ChainComplex, _require_chain_map
 
 
 @dataclass
-class AxiomResult:
-    axiom: str
-    passed: bool
-    inputs_checked: int
-    witness_input: str = ""
-    witness_lhs: str = ""
-    witness_rhs: str = ""
-    elapsed_ms: float = 0.0
-
-    def describe(self) -> str:
-        if self.passed:
-            return f"{self.axiom}: pass ({self.inputs_checked} inputs)"
-        return (f"{self.axiom}: FAIL at {self.witness_input}; "
-                f"lhs = {self.witness_lhs}; rhs = {self.witness_rhs}")
-
-
-@dataclass
 class AxiomReport:
+    """The Outcome of each axiom, results[i] being AXIOM_ORDER[i]'s."""
+
     results: list = field(default_factory=list)
 
 
@@ -171,17 +156,19 @@ def _require_basis_names(module: GradedModule, names, label: str):
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def _result(axiom, found, describe, module=None) -> AxiomResult:
-    """The AxiomResult of `_first_difference`'s (count, input, lhs, rhs):
-    describe(input) and the sides as Vectors (of `module`, when they are
-    {key: coefficient} dicts) come back only for a witness."""
+def _result(found, describe, module=None) -> Outcome:
+    """The Outcome of `_first_difference`'s (count, input, lhs, rhs), with
+    its detail: the input count, or the witness.  describe(input) and the
+    sides as Vectors (of `module`, when they are {key: coefficient} dicts)
+    come back only for a witness."""
     count, x, lhs, rhs = found
     if x is None:
-        return AxiomResult(axiom, True, count)
+        return Outcome("pass", f"{count} inputs", count)
     if module is not None:
         lhs, rhs = (row_vector(module, side.items()) for side in (lhs, rhs))
-    return AxiomResult(axiom, False, count, describe(x),
-                       format_vector(lhs), format_vector(rhs))
+    witness = describe(x), format_vector(lhs), format_vector(rhs)
+    return Outcome("fail", "witness {}: lhs = {}, rhs = {}".format(*witness),
+                   count, witness)
 
 
 def _pair_name(names):
@@ -196,16 +183,18 @@ AXIOM_ORDER = ("unit (left)", "unit (right)", "associativity",
 # cheap and mutation-sensitive axioms first; used by fail_fast sweeps
 _FAIL_FAST_ORDER = ("unit (left)", "unit (right)", "unital infinitesimal",
                     "coassociativity", "unital anti-symmetry", "associativity")
+_NOT_RUN = Outcome("skip", "not run: an earlier axiom failed", 0)
 
 
 def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
     """Exact verification of all five axioms over the safe window.
 
-    With fail_fast the axioms run in a cheap-first order and the report
-    stops at the first failure (used by mutation sweeps); the default runs
-    and reports everything in the definition's order.  The pair axioms are
-    read from `inst.kernel`, which keeps each verdict for the other checks
-    of the instance.
+    The report holds one Outcome per axiom, in AXIOM_ORDER, each with the
+    time its axiom took.  With fail_fast the axioms run in a cheap-first
+    order and stop at the first failure (used by mutation sweeps), and an
+    axiom that did not run is a skip; the default runs everything.  The
+    pair axioms are read from `inst.kernel`, which keeps each verdict for
+    the other checks of the instance.
 
     Every side is expanded from the rows of mu and lam on basis
     positions; names are read once, here, and come back for a witness.
@@ -221,30 +210,29 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
     pairs = [(i, j) for i in at for j in at]
 
     def run_unit_left():
-        return _result("unit (left)", _first_difference(at, lambda i: (
+        return _result(_first_difference(at, lambda i: (
             apply_rows(lambda e: mu(e, i), eta, R), {i: one})),
             names.__getitem__, A)
 
     def run_unit_right():
         # (-1)^{|mu||x|} mu(x (x) eta) = x
-        return _result("unit (right)", _first_difference(at, lambda i: (
+        return _result(_first_difference(at, lambda i: (
             dict(_signed_row(apply_rows(lambda e: mu(i, e), eta, R).items(),
                              inst.mu.degree % 2 and odd[i], neg)),
             {i: one})), names.__getitem__, A)
 
     def run_associativity():
-        return _result("associativity", associativity_witness(
-            inst.mu, inst.safe_names), TENSOR_SEP.join)
+        return _result(associativity_witness(inst.mu, inst.safe_names),
+                       TENSOR_SEP.join)
 
     def run_coassociativity():
-        return _result("coassociativity", _first_difference(
+        return _result(_first_difference(
             at, functools.partial(_coassociativity, lam, inst.lam.degree % 2,
                                   odd, R)), names.__getitem__, tensor(A, A, A))
 
     def run_pairs(axiom):
         k = inst.kernel
-        return _result(axiom, k.first_failure(axiom, pairs),
-                       _pair_name(names), k.A2)
+        return _result(k.first_failure(axiom, pairs), _pair_name(names), k.A2)
 
     runners = {
         "unit (left)": run_unit_left,
@@ -254,17 +242,14 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
         "unital infinitesimal": lambda: run_pairs("unital infinitesimal"),
         "unital anti-symmetry": lambda: run_pairs("unital anti-symmetry"),
     }
-    report = AxiomReport()
-    order = _FAIL_FAST_ORDER if fail_fast else AXIOM_ORDER
     results = {}
-    for axiom in order:
+    for axiom in _FAIL_FAST_ORDER if fail_fast else AXIOM_ORDER:
         start = time.monotonic()
-        r = results[axiom] = runners[axiom]()
-        r.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
-        if fail_fast and not r.passed:
+        r = results[axiom] = runners[axiom]()._replace(
+            elapsed_ms=round((time.monotonic() - start) * 1000, 3))
+        if fail_fast and r.status != "pass":
             break
-    report.results = [results[a] for a in AXIOM_ORDER if a in results]
-    return report
+    return AxiomReport([results.get(a, _NOT_RUN) for a in AXIOM_ORDER])
 
 
 def _coassociativity(lam, lam_odd, odd, R, x):
@@ -666,11 +651,12 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
     kernel = inst.kernel
     safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
     pairs = [(i, j) for i in safe for j in safe]
-    uir = _result("unital infinitesimal", kernel.first_failure(
-        "unital infinitesimal", pairs), name, kernel.A2)
-    if not uir.passed:
-        return Outcome("skip", "unital infinitesimal relation fails: "
-                       + uir.describe())
+    uir = _result(kernel.first_failure("unital infinitesimal", pairs), name,
+                  kernel.A2)
+    if uir.status != "pass":
+        x, lhs, rhs = uir.witness
+        return Outcome("skip", "unital infinitesimal relation fails: unital "
+                       f"infinitesimal: FAIL at {x}; lhs = {lhs}; rhs = {rhs}")
 
     _, p, left, _ = _first_difference(pairs, lambda p: (
         (kernel.difference("cc left", *p), kernel.difference("cc right", *p)),
@@ -761,7 +747,7 @@ def check_lemma_c_lambda_eta(c_op_fwd: Vector, inst: BialgebraData) -> Outcome:
                    + format_vector(c_op_fwd - expected))
 
 
-def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
+def check_loday_ronco(inst: BialgebraData) -> Outcome:
     """Even-coproduct form lam mu = (1(x)mu)(lam(x)1) + (mu(x)1)(1(x)lam)
     -/+ identity, for instances with lam(eta) = +/- eta (x) eta."""
     if inst.lam.degree % 2:
@@ -776,7 +762,6 @@ def check_loday_ronco(inst: BialgebraData) -> AxiomResult:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
     kernel, safe = inst.kernel, inst.safe_positions()
-    return _result("unital infinitesimal (identity-coproduct form)",
-                   kernel.first_failure(f"identity-coproduct form {sign:+d}",
+    return _result(kernel.first_failure(f"identity-coproduct form {sign:+d}",
                                         [(i, j) for i in safe for j in safe]),
                    _pair_name(kernel.idx.names), kernel.A2)

@@ -25,7 +25,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_SCHEMA = 2
 
 
-def _add_common(p, with_ring=True):
+def _add_common(p):
     p.add_argument("--format", choices=("md", "json"), default="md",
                    help="report rendering (default md)")
     p.add_argument("--output", "-o", metavar="FILE",
@@ -34,9 +34,8 @@ def _add_common(p, with_ring=True):
                    help="include per-check timings (breaks byte-determinism)")
     p.add_argument("--window", type=int, default=12, metavar="N",
                    help="truncation window for fixtures (default 12)")
-    if with_ring:
-        p.add_argument("--ring", default="Z", metavar="RING",
-                       help="coefficient ring for fixtures: Z, Q, GF(p)")
+    p.add_argument("--ring", default="Z", metavar="RING",
+                   help="coefficient ring for fixtures: Z, Q, GF(p)")
 
 
 @functools.cache   # one per process, built by the first call to `main`

@@ -460,16 +460,10 @@ def _vanishes(f: GradedMap, in_degree) -> bool:
 # Homotopies induced on quotients
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuotientHomotopyResult:
-    h_bar: GradedMap
-    verified: bool
-    witness: str = ""
-
-
 def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
-                              c1: ChainMap, c2: ChainMap, top: int) -> QuotientHomotopyResult:
-    """Homotopy between the maps induced on C/im(c1) -> C'/im(c2).
+                              c1: ChainMap, c2: ChainMap, top: int) -> tuple:
+    """(h_bar, Outcome): the homotopy h_bar between the maps induced on
+    C/im(c1) -> C'/im(c2), and its verdict.
 
     Inputs are in cochain orientation (negated degrees, support [-top, 0]);
     h satisfies c' - c = [d, h] on the nose, im(c_i) is concentrated in the
@@ -510,9 +504,9 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
 
     _, x, defect, _ = _first_difference(basis_keys(mod1), sides)
     if x is None:
-        return QuotientHomotopyResult(h_bar, True)
-    return QuotientHomotopyResult(
-        h_bar, False, f"defect on {x[0]}: {row_vector(mod2, defect)}")
+        return h_bar, Outcome("pass", "")
+    return h_bar, Outcome("fail",
+                          f"defect on {x[0]}: {row_vector(mod2, defect)}")
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ rhs, into one dict per pair a (x) b, which is empty exactly when the pair
 passes, and expand the two sides again only for the first failing pair;
 one kernel per package serves the axioms, cc-antisymmetry and the cone's
 assoc-infinitesimal check.  Both stop at the first failing input through
-`_first_difference`; every check but the axiom quantifiers returns an
-`Outcome`.
+`_first_difference`.  Every check returns an `Outcome`, and every report
+record is made from one.
 """
 
 from __future__ import annotations
@@ -662,11 +662,17 @@ def _signed_row(items, negate, neg) -> tuple:
 
 
 class Outcome(NamedTuple):
-    """The verdict of every check but the axiom quantifiers: status "pass",
-    "fail" or "skip" (hypotheses not met), and the detail a report prints."""
+    """The verdict of every check: status "pass", "fail", "skip"
+    (hypotheses not met) or "info", and the detail a report prints.  A
+    quantifier also gives the number of inputs it checked and, when it
+    fails, its witness as text (input, lhs, rhs); a check timed inside a
+    computation that several records share gives its own time in ms."""
 
     status: str
     detail: str
+    inputs_checked: int = None
+    witness: tuple = None
+    elapsed_ms: float = None
 
 
 def _first_difference(inputs, sides):

@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .graded import (_first_difference, basis_keys, format_vector,
+from .graded import (Outcome, _first_difference, basis_keys, format_vector,
                      row_vector, tensor)
 from .complexes import (
     ChainComplex,
@@ -77,19 +77,20 @@ class Report:
 
 
 def _timed(record_id, fn, timings: bool) -> CheckRecord:
-    """The record of fn() -> (status, detail), or (status, detail,
-    elapsed_ms) for work timed inside a computation that several records
-    share (each axiom of `check_axioms`); otherwise a record's time is
-    fn's, with the shared intermediates it builds first."""
+    """The record of the Outcome fn() gives.  Its time is the Outcome's
+    `elapsed_ms` when set, for work timed inside a computation that several
+    records share (each axiom of `check_axioms`), else fn's, with the
+    shared intermediates it builds first."""
     start = time.monotonic()
     try:
-        status, detail, *own = fn()
+        out = fn()
     except Exception as e:  # surfaced as a check error, never a crash
-        status, detail, own = "error", f"{type(e).__name__}: {e}", ()
-    rec = CheckRecord(record_id, status, detail)
+        out = Outcome("error", f"{type(e).__name__}: {e}")
+    rec = CheckRecord(record_id, out.status, out.detail)
     if timings:
-        rec.elapsed_ms = (own[0] if own else
-                          round((time.monotonic() - start) * 1000, 3))
+        rec.elapsed_ms = out.elapsed_ms
+        if rec.elapsed_ms is None:
+            rec.elapsed_ms = round((time.monotonic() - start) * 1000, 3)
     return rec
 
 
@@ -137,19 +138,6 @@ class _Target:
         return transition_automorphism(self.pair_cone, self.bundle.secondary)
 
 
-def _axiom_status(r):
-    """(status, detail) of an AxiomResult: its input count, or its witness."""
-    if r.passed:
-        return "pass", f"{r.inputs_checked} inputs"
-    return "fail", (f"witness {r.witness_input}: lhs = {r.witness_lhs}, "
-                    f"rhs = {r.witness_rhs}")
-
-
-def _axiom_timed(r):
-    """An axiom's record, with the time `check_axioms` measured for it."""
-    return (*_axiom_status(r), r.elapsed_ms)
-
-
 def _reverse_coproduct(t):
     """Reconstruct the opposite-variant coproduct from the fixture's
     instance via the secondary relation and compare it with the directly
@@ -167,12 +155,12 @@ def _reverse_coproduct(t):
     _, nm, got, want = _first_difference(inst.safe_names, lambda nm: (
         dict(rebuilt(A.index().pos[nm])), dict(direct(B.index().pos[nm]))))
     if nm is None:
-        return "pass", (f"{other} reconstructed from {name} with c = "
-                        f"{format_vector(c)} on {len(inst.safe_names)} inputs")
-    return "fail", (
+        return Outcome("pass", f"{other} reconstructed from {name} with c = "
+                       f"{format_vector(c)} on {len(inst.safe_names)} inputs")
+    return Outcome("fail", (
         f"mismatch at {nm}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
-        f"{format_vector(row_vector(tensor(B, B), want.items()))}")
+        f"{format_vector(row_vector(tensor(B, B), want.items()))}"))
 
 
 def _continuation_status(t):
@@ -183,18 +171,18 @@ def _continuation_status(t):
     _, x, image, _ = _first_difference(basis_keys(c.source.module),
                                        lambda x: (row(x[1]), ()))
     if x is None:
-        return "pass", "c = 0"
-    return "fail", f"c({x[0]}) = " + format_vector(
-        row_vector(c.target.module, image))
+        return Outcome("pass", "c = 0")
+    return Outcome("fail", f"c({x[0]}) = " + format_vector(
+        row_vector(c.target.module, image)))
 
 
 def _homology_records(t, _):
     """The homology of the complex and of the pair's source."""
     b = t.bundle
-    out = [("homology", lambda: ("info", str(homology(b.complex))))]
+    out = [("homology", lambda: Outcome("info", str(homology(b.complex))))]
     if b.pair_map is not None:
-        out.append(("homology.pair",
-                    lambda: ("info", str(homology(b.pair_map.source)))))
+        out.append(("homology.pair", lambda: Outcome(
+            "info", str(homology(b.pair_map.source)))))
     return out
 
 
@@ -203,34 +191,35 @@ def _cone_records(t, _):
     transition automorphism (`_Target.pair_cone`, `.transition`)."""
     b = t.bundle
     if b.pair_map is None:
-        return [("cone", lambda: ("error",
-                                  "no chain map available to build a cone"))]
+        return [("cone", lambda: Outcome(
+            "error", "no chain map available to build a cone"))]
     out = [("homology.cone",
-            lambda: ("info", str(homology(t.pair_cone.complex))))]
+            lambda: Outcome("info", str(homology(t.pair_cone.complex))))]
     if b.secondary is not None:
         out += [("transition.unipotent", lambda: (
-                    ("pass", "(phi - id)^2 = 0") if t.transition.unipotent
-                    else ("fail", "not unipotent"))),
+                    Outcome("pass", "(phi - id)^2 = 0")
+                    if t.transition.unipotent
+                    else Outcome("fail", "not unipotent"))),
                 ("transition.homology-action", lambda: (
-                    ("pass", "nontrivial on cone homology")
+                    Outcome("pass", "nontrivial on cone homology")
                     if t.transition.nontrivial_on_homology
-                    else ("fail", "acts as the identity on cone homology")))]
+                    else Outcome("fail",
+                                 "acts as the identity on cone homology")))]
     return out
 
 
 def _one(status):
-    """A check with one record, named by the check: status(t) -> (status,
-    detail), an `Outcome` or a pair."""
+    """A check with one record, named by the check: status(t) -> Outcome."""
     return lambda t, check: [(check, lambda: status(t))]
 
 
 # check id -> (the scenario kind that may list it, or None for a check only
 # a fixture runs; the scenario field it needs, or None; records(t, id) ->
-# [(record id, run)], where run() -> (status, detail)); the checks are
+# [(record id, run)], where run() -> Outcome); the checks are
 # looked up as module globals when they run, so a patch or tracer sees them
 CHECKS = {
     "axioms": ("bialgebra", None, lambda t, _: [
-        (f"axioms.{a}", lambda i=i: _axiom_timed(t.axioms.results[i]))
+        (f"axioms.{a}", lambda i=i: t.axioms.results[i])
         for i, a in enumerate(AXIOM_ORDER)]),
     "lambda-eta": ("bialgebra", None, _one(lambda t: lambda_eta(t.data))),
     "involutivity": ("bialgebra", None, _one(
@@ -238,7 +227,7 @@ CHECKS = {
     "cc-antisymmetry": ("bialgebra", None, _one(
         lambda t: check_cc_implies_antisymmetry(t.data))),
     "loday-ronco": ("bialgebra", None, _one(
-        lambda t: _axiom_status(check_loday_ronco(t.data)))),
+        lambda t: check_loday_ronco(t.data))),
     "reverse-bivector-gate": ("bialgebra", "reverse_bivector", _one(
         lambda t: check_lemma_c_lambda_eta(t.scn.reverse_bivector, t.data))),
     "reverse-coproduct": (None, None, _one(_reverse_coproduct)),
@@ -248,8 +237,8 @@ CHECKS = {
     "assoc-infinitesimal": ("cone", None, _one(
         lambda t: check_assoc_implies_infinitesimal(t.cone))),
     "d-squared": ("complex", None, _one(
-        lambda t: ("pass", "verified at construction"))),
-    "essential": ("complex", "top", _one(lambda t: (
+        lambda t: Outcome("pass", "verified at construction"))),
+    "essential": ("complex", "top", _one(lambda t: Outcome(
         "pass" if is_essential(t.data.complex, t.data.top) else "fail",
         f"top degree {t.data.top}"))),
     "continuation-vanishes": ("complex", "pair", _one(_continuation_status)),

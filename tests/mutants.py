@@ -2,8 +2,10 @@
 cone package's construction check, kept intermediates and dual side, the
 scenario parser and exporter, the sparse elimination's pivot search, the
 sign decisions and structural checks of the row maps, the status and
-detail of each check that returns an `Outcome`, the closed forms of the
-loop fixtures, and the sign normalisation of the extended gcd.
+detail of each check's `Outcome`, an axiom's input count and the time a
+record reads from its Outcome, the closed forms of the loop fixtures, the
+sign normalisation of the extended gcd, and the extreme degree at which
+the induced quotient homotopy vanishes.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -52,6 +54,8 @@ LODAY = "tests/test_bialgebra.py::test_loday_ronco_on_based_circle"
 CONE_ONCE = ("tests/test_report.py::"
              "test_cone_records_derive_and_check_associativity_once")
 PINNED = "tests/test_report.py::test_each_outcome_check_keeps_its_failing_record"
+AXIOM_OUTCOMES = ("tests/test_bialgebra.py::"
+                  "test_check_axioms_gives_one_outcome_per_axiom_in_order")
 CONTINUATION = ("tests/test_cone_product.py::"
                 "test_a_continuation_that_is_not_a_chain_map_is_refused")
 CLOSED_FORM = ("tests/test_cone_product.py::"
@@ -289,6 +293,17 @@ MUTANTS = [
      'return Outcome("pass", f"fails on {x[0]}: "',
      "tests/test_complexes.py::"
      "test_a_map_that_is_not_a_homotopy_names_the_failing_element"),
+    # the one verdict type: an axiom's pass without its input count, a
+    # record's time taken by its own timer over the Outcome's, and the
+    # witness's sides read in the wrong order by cc-antisymmetry's skip
+    ("bialgebra.py", 'return Outcome("pass", f"{count} inputs", count)',
+     'return Outcome("pass", f"{count} inputs")', AXIOM_OUTCOMES),
+    ("report.py", "        rec.elapsed_ms = out.elapsed_ms\n",
+     "        rec.elapsed_ms = None\n",
+     "tests/test_report.py::"
+     "test_axiom_records_carry_the_time_check_axioms_measured"),
+    ("bialgebra.py", "x, lhs, rhs = uir.witness", "x, rhs, lhs = uir.witness",
+     PINNED),
     # the package's dual side: Mbar shifted the wrong way or left unbarred
     # in the closed form, M and Mbar built anew by a check, and the dual
     # positions of the safe names read through the inverse permutation
@@ -368,6 +383,9 @@ MUTANTS = [
      "return (a, x, y) if a > 0 else (-a, x, -y)", XGCD),
     ("matrices.py", "return (a, x, y) if a > 0 else (-a, -x, -y)",
      "return (a, x, y) if a > 0 else (-a, -x, y)", XGCD),
+    # the induced quotient homotopy zeroed at degree top instead of -top
+    ("complexes.py", "[0] == -top else h_row(*k)", "[0] == top else h_row(*k)",
+     "tests/test_complexes.py::test_induced_quotient_homotopy_nontrivial"),
 ]
 
 

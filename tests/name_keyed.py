@@ -12,8 +12,9 @@ a source of arity <= 2 into a library map, by `GradedMap.from_table` over
 the source basis; references of arity 3, such as mu (mu (x) 1), stay
 name-keyed.  `operation_to_json` is the exporter that read every table by
 names, kept as the reference of the one that reads rows.
-`quantify_reference` is the name-keyed axiom quantifier, and `verdict`
-the fields of an AxiomResult that a reference must match.
+`quantify_reference` is the name-keyed axiom quantifier, `passing` and
+`failing` the Outcomes it gives, and `verdict` an Outcome without its
+time, which a reference must match.
 `secondary_operations` gives a cone package's six secondary operations by
 names, from the pairing formulas of the `chainalg.cone_product` docstring,
 and `PLACEMENT` the [i,j;k] at which its product places each;
@@ -23,9 +24,8 @@ parts are shifted back by.  `identity` is the identity row map of a module
 and `structurally_equal` compares two bialgebras table by table.
 """
 
-from chainalg.bialgebra import AxiomResult
-from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Vector,
-                             _op_shift_signs, _signed_row, dual_pair,
+from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
+                             Vector, _op_shift_signs, _signed_row, dual_pair,
                              format_vector, shift, tensor)
 from chainalg.scenario import _combo_to_json
 
@@ -171,22 +171,34 @@ def insert_right(v: Vector, M: GradedModule) -> NameMap:
     return NameMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
 
 
-def quantify_reference(axiom, inputs, sides):
+def quantify_reference(inputs, sides):
     """The name-keyed quantifier: the first input, in order, whose Vector
-    sides(input) = (lhs, rhs) differ, as an AxiomResult."""
+    sides(input) = (lhs, rhs) differ, as the Outcome of an axiom."""
     count = 0
     for item in inputs:
         count += 1
         lhs, rhs = sides(item)
         if lhs != rhs:
-            return AxiomResult(axiom, False, count, item, format_vector(lhs),
-                               format_vector(rhs))
-    return AxiomResult(axiom, True, count)
+            return failing(count, item, format_vector(lhs),
+                           format_vector(rhs))
+    return passing(count)
+
+
+def passing(count):
+    """The Outcome of an axiom that holds on its `count` inputs."""
+    return Outcome("pass", f"{count} inputs", count)
+
+
+def failing(count, item, lhs, rhs):
+    """The Outcome of an axiom that fails at its `count`-th input, `item`,
+    with the sides' text `lhs` and `rhs`."""
+    return Outcome("fail", f"witness {item}: lhs = {lhs}, rhs = {rhs}", count,
+                   (item, lhs, rhs))
 
 
 def verdict(r):
-    return (r.axiom, r.passed, r.inputs_checked, r.witness_input,
-            r.witness_lhs, r.witness_rhs)
+    """The Outcome `r` without its time, which no reference has."""
+    return r._replace(elapsed_ms=None)
 
 
 def operation_to_json(m):

@@ -17,9 +17,11 @@ from chainalg.matrices import (
     smith_normal_form,
     diagonal_of,
 )
-from chainalg.graded import Vector, format_vector, tensor, TENSOR_SEP
+from chainalg.graded import (Outcome, Vector, format_vector, tensor,
+                             TENSOR_SEP)
 from chainalg.complexes import mapping_cone, transition_automorphism
-from chainalg.bialgebra import check_axioms, lambda_eta, secondary_relation_apply
+from chainalg.bialgebra import (AXIOM_ORDER, check_axioms, lambda_eta,
+                                 secondary_relation_apply)
 from chainalg.cone_product import (
     cross_check_components,
     check_cone_associativity,
@@ -45,9 +47,10 @@ def test_criterion_1_fixture_suite_all_rings():
         for ring in RINGS:
             inst = fx.make_fixture(name, WINDOW, ring)
             rep = check_axioms(inst)
-            assert all(r.passed for r in rep.results), (
+            assert all(r.status == "pass" for r in rep.results), (
                 f"{name} over {ring}:\n"
-                + "\n".join(r.describe() for r in rep.results))
+                + "\n".join(f"{a}: {r.status} {r.detail}"
+                            for a, r in zip(AXIOM_ORDER, rep.results)))
             total += len(rep.results)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"suite took {elapsed:.1f}s, budget is 60s"
@@ -62,7 +65,7 @@ def test_criterion_2_lambda_eta_values():
         return Vector(A2, {f"{l}{TENSOR_SEP}{r}": c for c, l, r in pairs})
 
     def value(v):   # the outcome of a twist-symmetric lam(eta) = v
-        return "pass", f"lam(eta) = {format_vector(v)}"
+        return Outcome("pass", f"lam(eta) = {format_vector(v)}")
 
     for ring in RINGS:
         for name in ("lambda-s3", "omega-s3"):
@@ -210,17 +213,18 @@ def test_criterion_8_mutation_robustness():
                 else:
                     bad = fx.mutate_lambda(inst, input_name, output_name)
                 rep = check_axioms(bad, fail_fast=True)
-                failures = [r for r in rep.results if not r.passed]
+                failures = [(a, r) for a, r in zip(AXIOM_ORDER, rep.results)
+                            if r.status == "fail"]
                 assert failures, (f"{name} over {ring}: flipping {op_label}"
                                   f"[{input_name} -> {output_name}] went "
                                   f"undetected")
-                assert failures[0].witness_input, name
+                assert failures[0][1].witness[0], name
                 total += 1
                 witnesses += 1
                 if sample is None:
-                    f = failures[0]
+                    axiom, f = failures[0]
                     sample = (f"{name} {op_label}[{input_name}] breaks "
-                              f"'{f.axiom}' at {f.witness_input}")
+                              f"'{axiom}' at {f.witness[0]}")
     _report(8, f"{total} single-sign flips across 6 fixtures over Z, Q and "
                f"GF(5) all detected with witnesses (e.g. {sample})")
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chainalg.rings import ZZ, QQ, GF
-from chainalg.graded import BasisElement, GradedModule, GradedMap, Vector
+from chainalg.graded import (BasisElement, GradedModule, GradedMap, Outcome,
+                             Vector)
 from chainalg.complexes import (
     ChainComplex,
     ChainMap,
@@ -290,21 +291,24 @@ def test_induced_quotient_homotopy_trivial():
         {"a0": K2.module.el("b0"), "a1": K2.module.el("b1"),
          "a2": K2.module.el("b2")}))
     z = GradedMap.zero(K1.module, K2.module, 1)
-    res = induced_quotient_homotopy(c, c, z, c1, c2, top=2)
-    assert res.verified
-    assert is_zero_map(res.h_bar)
+    h_bar, res = induced_quotient_homotopy(c, c, z, c1, c2, top=2)
+    assert res == Outcome("pass", "")
+    assert is_zero_map(h_bar)
 
 
-def _lemma_homotopy():
+def _lemma_homotopy(extreme=False):
     """c, c' = c + [d, h], h and c1, c2 on `_lemma_setup`, with h nonzero
-    in the middle degree."""
+    in the middle degree and, if `extreme`, in the extreme degree too:
+    h(a2) = b1."""
     K1, K2, c1, c2 = _lemma_setup()
     c_map = GradedMap.from_table(
         K1.module, K2.module, 0,
         {"a0": K2.module.el("b0"), "a1": K2.module.el("b1"),
          "a2": K2.module.el("b2")})
     h = GradedMap.from_table(K1.module, K2.module, 1,
-                             {"a1": K2.module.el("b0"), "a2": K2.module.zero(),
+                             {"a1": K2.module.el("b0"),
+                              "a2": (K2.module.el("b1") if extreme
+                                     else K2.module.zero()),
                               "a0": K2.module.zero()})
     comm = graded_commutator(h, K1, K2)
     return (ChainMap(K1, K2, c_map),
@@ -312,13 +316,18 @@ def _lemma_homotopy():
 
 
 def test_induced_quotient_homotopy_nontrivial():
-    # c' - c = [d, h] with h nonzero in the middle degree; the induced
-    # homotopy is forced to vanish at the extreme degree yet still works
-    c, cp, h, c1, c2 = _lemma_homotopy()
-    res = induced_quotient_homotopy(c, cp, h, c1, c2, top=2)
-    assert res.verified
-    # forced to zero at the extreme degree regardless of h
-    assert res.h_bar.eval_basis("a2").is_zero()
+    # c' - c = [d, h] with h nonzero in the middle degree, and then also in
+    # the extreme degree (h(a2) = b1); the induced homotopy is forced to
+    # vanish at the extreme degree yet still works
+    for extreme in (False, True):
+        c, cp, h, c1, c2 = _lemma_homotopy(extreme)
+        assert h.eval_basis("a2").is_zero() != extreme
+        h_bar, res = induced_quotient_homotopy(c, cp, h, c1, c2, top=2)
+        assert res == Outcome("pass", "")
+        # forced to zero at the extreme degree regardless of h, h elsewhere
+        assert h_bar.eval_basis("a2").is_zero()
+        assert [h_bar.eval_basis(n) for n in ("a0", "a1")] == \
+            [h.eval_basis(n) for n in ("a0", "a1")]
 
 
 def test_transition_automorphism_trivial_when_zero():
@@ -789,7 +798,7 @@ def test_is_chain_homotopic_matches_the_name_keyed_reference(ring, data):
     other = draw_map(data, C, D, data.draw(st.sampled_from((0, 1, 2))))
     rep = is_chain_homotopic(f, g, other)
     want = homotopy_reference(f, g, other)
-    assert rep == (("fail" if want else "pass"), want)
+    assert rep == Outcome("fail" if want else "pass", want)
 
 
 def test_a_map_that_is_not_a_homotopy_names_the_failing_element():
@@ -798,7 +807,7 @@ def test_a_map_that_is_not_a_homotopy_names_the_failing_element():
     ident = ChainMap(C, C, identity(C.module))
     h = GradedMap.from_table(C.module, C.module, 1, {"a": C.module.el("b")})
     rep = is_chain_homotopic(ident, ident, h)
-    assert rep == ("fail", "fails on a: 0 vs 2*a")
+    assert rep == Outcome("fail", "fails on a: 0 vs 2*a")
 
 
 def phi_reference(cone_mod, csec):

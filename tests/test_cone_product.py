@@ -166,7 +166,7 @@ def test_the_closed_form_covers_the_cubic_vector():
     packages = list(cubic_packages())
     assert len(packages) == 7
     for data in packages:
-        assert cross_check_components(data) == (
+        assert cross_check_components(data) == Outcome(
             "pass", "all components agree with the assembled product")
         mm_p, size = data.components["mm_p"].row, len(data.M.index().names)
         assert any(mm_p(i, j) for i in range(size) for j in range(size))
@@ -334,7 +334,8 @@ def test_shift_sign_table(s3_data):
 
 
 def test_components_cross_check(s3_data, s1_data):
-    agree = ("pass", "all components agree with the assembled product")
+    agree = Outcome("pass",
+                    "all components agree with the assembled product")
     assert cross_check_components(s3_data) == agree
     assert cross_check_components(s1_data) == agree
 
@@ -357,7 +358,7 @@ def test_block_placement(s3_data):
 
 
 def test_cone_associativity(s3_data, s1_data):
-    associative = ("pass", "associative on the safe window")
+    associative = Outcome("pass", "associative on the safe window")
     assert check_cone_associativity(s3_data) == associative
     assert check_cone_associativity(s1_data) == associative
 
@@ -378,8 +379,8 @@ def test_commutativity_relations(s1_data):
 
 
 def test_assoc_implies_infinitesimal(s3_data, s1_data):
-    assert check_assoc_implies_infinitesimal(s3_data) == ("pass", "")
-    assert check_assoc_implies_infinitesimal(s1_data) == ("pass", "")
+    assert check_assoc_implies_infinitesimal(s3_data) == Outcome("pass", "")
+    assert check_assoc_implies_infinitesimal(s1_data) == Outcome("pass", "")
 
 
 def test_assoc_implies_infinitesimal_nonvacuous():
@@ -423,7 +424,7 @@ def test_assoc_implies_infinitesimal_nonvacuous():
     uir = check_axioms(BialgebraData(A, inst.mu, lam, inst.eta,
                                      safe_names=inst.safe_names))
     # the random coproduct is not a bialgebra
-    assert not all(r.passed for r in uir.results)
+    assert not all(r.status == "pass" for r in uir.results)
     # full cone associativity fails for a random coproduct (the other
     # component identities need more structure), so check the component
     # identity directly: a passing associativity verdict set on the package
@@ -673,7 +674,7 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
     pair, (b, f) = _patched_pair(data)
     plus, minus, _ = data.cone.layout
     data.product = patched(data.product, (plus[b], minus[f]), minus)
-    assert cross_check_components(data) == (
+    assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
         "vs closed form (0 | U^-2^)")
     assert cross_check_components(s1_data).status == "pass"
@@ -685,7 +686,7 @@ def test_components_witness_names_a_patched_closed_form_block(s1_data):
     data = cone_data_from_bialgebra(make_fixture("lambda-s1-plus", W), n=1)
     pair, at = _patched_pair(data)
     data.components["pm_m"] = patched(data.components["pm_m"], at)
-    assert cross_check_components(data) == (
+    assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
         "closed form (0 | 1^ + U^-2^)")
     assert cross_check_components(s1_data).status == "pass"
@@ -701,7 +702,7 @@ def test_components_compare_each_coefficient():
     data.components["pm_m"] = GradedMap(
         op.source, op.target, op.degree, lambda i, j: tuple(
             (k, neg(c)) for k, c in row(i, j)) if (i, j) == at else row(i, j))
-    assert cross_check_components(data) == (
+    assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
         "closed form (0 | -U^-2^)")
 

@@ -42,7 +42,6 @@ CHAIN_MU = ("mu as a chain map on a bialgebra with a differential, which no "
 
 # "module.qualified name" of a def or lambda that no command reaches -> why
 ALLOWED = {
-    "bialgebra.AxiomResult.describe": FAILURE,
     "complexes.ChainComplex.__repr__": REPR,
     "complexes._require_chain_map.<lambda 1>": CHAIN_MU,
     "complexes.is_chain_homotopic": REDUCED,

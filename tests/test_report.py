@@ -176,8 +176,8 @@ def test_axiom_records_carry_the_time_check_axioms_measured(monkeypatch):
 
     def timed(inst, **kwargs):
         report = original(inst, **kwargs)
-        for i, r in enumerate(report.results):
-            r.elapsed_ms = 1000.0 + i
+        report.results = [r._replace(elapsed_ms=1000.0 + i)
+                          for i, r in enumerate(report.results)]
         return report
 
     monkeypatch.setattr(rp, "check_axioms", timed)

@@ -175,10 +175,10 @@ def assoc_infinitesimal(data, comps):
     package = copy.copy(data)
     package.components = comps
     package.associativity = Outcome("pass", "associative on the safe window")
-    status, detail = check_assoc_implies_infinitesimal(package)
-    assert status in ("pass", "fail")
-    assert not detail.startswith("precondition: "), detail
-    return status == "pass", detail
+    out = check_assoc_implies_infinitesimal(package)
+    assert out.status in ("pass", "fail")
+    assert not out.detail.startswith("precondition: "), out.detail
+    return out.status == "pass", out.detail
 
 
 # -- SideIds -------------------------------------------------------------------
@@ -459,11 +459,12 @@ def test_cone_associativity_matches_the_loop(label, data):
             data.product = mu
             res = check_cone_associativity(data)
             if got[1] is None:
-                assert res == ("pass", "associative on the safe window")
+                assert res == Outcome("pass",
+                                      "associative on the safe window")
             else:
-                assert res == ("fail", f"{'(x)'.join(got[1])}: "
-                                       f"{format_vector(got[2])} vs "
-                                       f"{format_vector(got[3])}")
+                assert res == Outcome("fail", f"{'(x)'.join(got[1])}: "
+                                              f"{format_vector(got[2])} vs "
+                                              f"{format_vector(got[3])}")
     finally:   # the package is shared with the other tests
         data.product = products[0]
     if label.startswith("lambda"):   # associative, and every flip is seen
