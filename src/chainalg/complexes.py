@@ -47,12 +47,21 @@ class ChainComplex:
             raise ValueError("differential must be an endomorphism of the module")
         if differential.degree != -1:
             raise ValueError(f"differential has degree {differential.degree}, expected -1")
-        at = differential.at
-        _, x, dd, _ = _first_difference(basis_keys(module), lambda x: (
-            apply_rows(at, at(x[1]), module.ring), {}))
-        if x is not None:
-            raise ValueError(f"d*d != 0 on {x[0]}: d(d({x[0]})) = "
-                             f"{row_vector(module, dd.items())}")
+        # d(d(x)) summed straight from the rows, keyed i * stride + j on a
+        # tensor source, whose row terms are keyed (i, j)
+        rows, stride = differential.rows, differential.stride
+        binary = module.arity == 2
+        mul, add = module.ring.mul, module.ring.add
+        for name, key in basis_keys(module):
+            dd = {}
+            for k, c in rows[key[0] * stride + key[1] if binary else key]:
+                for t, v in rows[k[0] * stride + k[1] if binary else k]:
+                    v = mul(c, v)
+                    dd[t] = v if (old := dd.get(t)) is None else add(old, v)
+            if any(dd.values()):
+                dd = [(t, v) for t, v in dd.items() if v != 0]
+                raise ValueError(f"d*d != 0 on {name}: d(d({name})) = "
+                                 f"{row_vector(module, dd)}")
         self.module = module
         self.d = differential
 

@@ -276,7 +276,13 @@ class ImageSolver:
     first in column order of least Markowitz cost (entries in its row - 1) *
     (entries in its column - 1).  No entry costs less than the floor (fewest
     entries in a column - 1) * (fewest entries in a nonempty row - 1), so
-    the search stops at the first admissible entry that attains it.  A
+    the search stops at the first admissible entry that attains it; and no
+    entry of a column costs less than (entries in it - 1) * (fewest entries
+    in a nonempty row - 1), so a column whose bound is not below the least
+    cost found so far is skipped unread.  The floor is read from two count
+    arrays, how many live columns and how many rows have each number of
+    entries, which the elimination keeps up to date wherever it changes a
+    length, so no pivot rescans the matrix for it.  A
     pivot a at (i, j) clears row i by adding multiples of column j to the
     others, recorded as the pairs (j2, g) of column j2 -= g * column j;
     then row i and column j leave the matrix, and the rest of column j,
@@ -287,10 +293,12 @@ class ImageSolver:
     left.  D's rows are the pivots in order, U's rows, then the rows that no
     column reaches; its columns are the pivots, V's columns, then the zero
     columns.  P and Q are never formed: P*b replays the row operations in
-    pivot order, scales pivot row i by 1/a and applies U to the residual
-    rows; Q*z places z on the pivot, residual (through V) and zero columns,
-    a placement built on the first `kernel` or `solve`, and undoes the
-    column operations in reverse pivot order.
+    pivot order, scales pivot row i by 1/a, applies U to the residual rows
+    and places the rows that no column reaches, a placement built on the
+    first `_p_times` or `cokernel_generators`; Q*z places z on the pivot,
+    residual (through V) and zero columns, a placement built on the first
+    `kernel` or `solve`, and undoes the column operations in reverse pivot
+    order.
 
     `kernel()` is Q's columns beyond the rank (a saturated lattice basis of
     ker M over Z, where Q is unimodular); `image()` is M*Q's columns below
@@ -328,35 +336,61 @@ class ImageSolver:
                     by_row[i].add(j)
             if live:
                 cols[j] = live
+        # how many live columns, and how many rows, have each length: kept
+        # wherever the elimination changes a length
+        col_counts, row_counts = [0] * (rows + 1), [0] * (len(columns) + 1)
+        for col in cols.values():
+            col_counts[len(col)] += 1
+        for row in by_row.values():
+            row_counts[len(row)] += 1
         # (i, j, a, 1/a, rest of column j, column operations) per pivot
         pivots = self._pivots = []
         mul, sub = R.mul, R.sub
         while True:
-            piv = _markowitz_pivot(cols, by_row, field)
+            piv = _markowitz_pivot(cols, by_row, col_counts, row_counts, field)
             if piv is None:
                 break
             i, j = piv
             col = cols.pop(j)
+            col_counts[len(col)] -= 1
             a = col.pop(i)
             f = a if a == 1 or a == -1 else R.inv(a)   # 1/a = a for +-1
             for r in col:
-                by_row[r].discard(j)
+                row = by_row[r]
+                n = len(row)
+                row_counts[n] -= 1
+                row_counts[n - 1] += 1
+                row.discard(j)
             others = by_row.pop(i)
+            row_counts[len(others)] -= 1
             others.discard(j)
             ops = []
             for j2 in others:
                 c2 = cols[j2]
+                col_counts[len(c2)] -= 1
                 g = mul(c2.pop(i), f)
                 ops.append((j2, g))
                 for r, v in col.items():
-                    new = sub(c2.get(r, 0), mul(g, v))
-                    if new != 0:
+                    old = c2.get(r)
+                    if old is None:   # a fill-in: g * v != 0
+                        c2[r] = sub(0, mul(g, v))
+                        row = by_row[r]
+                        n = len(row)
+                        row_counts[n] -= 1
+                        row_counts[n + 1] += 1
+                        row.add(j2)
+                    elif (new := sub(old, mul(g, v))) != 0:
                         c2[r] = new
-                        by_row[r].add(j2)
-                    elif r in c2:
+                    else:
                         del c2[r]
-                        by_row[r].discard(j2)
-                if not c2:
+                        row = by_row[r]
+                        n = len(row)
+                        row_counts[n] -= 1
+                        row_counts[n - 1] += 1
+                        row.discard(j2)
+                if c2:
+                    col_counts[len(c2)] += 1
+                else:
                     del cols[j2]
             pivots.append((i, j, a, f, col, ops))
         d = [1] * len(pivots)
@@ -372,14 +406,20 @@ class ImageSolver:
             self._V = [{c: v for c, v in enumerate(V.col(s)) if v != 0}
                        for s in range(V.cols)]
             d += [x for x in diagonal_of(D) if x != 0]
-        # the rows that no column reaches, each with its row of D
-        reached = {p[0] for p in pivots}.union(left)
-        free = [i for i in range(rows) if i not in reached]
-        self._free = dict(zip(free, range(len(pivots) + len(left), rows)))
+        self._free = None   # built by the first `_free_rows`
         self._Q0 = None   # built by the first `_q_times`
         # d_1 | d_2 | ...: the d_i = 1 come first, the rows past the rank last
         self._d, self.rank, self._ones = d, len(d), d.count(1)
         self.orders = tuple(d[self._ones:]) + (0,) * (rows - self.rank)
+
+    def _free_rows(self):
+        """The rows that no column reaches, each with its row of D."""
+        if self._free is None:
+            reached = {p[0] for p in self._pivots}.union(self._left)
+            free = [i for i in range(self.rows) if i not in reached]
+            self._free = dict(zip(free, range(
+                len(self._pivots) + len(self._left), self.rows)))
+        return self._free
 
     def _p_times(self, b):
         """P*b as {row of D: entry}."""
@@ -401,9 +441,10 @@ class ImageSolver:
                     acc = R.add(acc, R.mul(u, x))
             if acc != 0:
                 y[k] = acc
+        free = self._free_rows()
         for i, x in b.items():
-            if x != 0 and i in self._free:
-                y[self._free[i]] = x
+            if x != 0 and i in free:
+                y[free[i]] = x
         return y
 
     def _q_times(self, z):
@@ -468,7 +509,7 @@ class ImageSolver:
             U_inverse = ImageSolver(R, len(left), columns)
             out = [{left[s]: x for s, x in U_inverse.solve({r: 1}).items()}
                    for r in range(self._ones - len(self._pivots), len(left))]
-        return out + [{i: R.one()} for i in self._free]
+        return out + [{i: R.one()} for i in self._free_rows()]
 
 
 def _check_rows(col, rows):
@@ -479,21 +520,27 @@ def _check_rows(col, rows):
             raise DimensionError(f"row {i!r} outside [0, {rows})")
 
 
-def _markowitz_pivot(cols, rows, field):
+def _markowitz_pivot(cols, rows, col_counts, row_counts, field):
     """(row, column) of the first admissible entry of least Markowitz cost
     in column order, or None when no entry is admissible.
 
-    No entry costs less than the floor (fewest entries in a column - 1) *
-    (fewest entries in a nonempty row - 1), so the first admissible entry
-    that attains it is the first of least cost, and the search stops there.
-    Only when no admissible entry attains the floor is every entry read."""
+    `col_counts[n]` and `row_counts[n]` are how many live columns and how
+    many rows have n entries.  No entry costs less than the floor (fewest
+    entries in a column - 1) * (fewest entries in a nonempty row - 1), so
+    the first admissible entry that attains it is the first of least cost,
+    and the search stops there.  No entry of a column costs less than
+    (entries in it - 1) * (fewest entries in a nonempty row - 1), so a
+    column whose bound is not below the least cost found so far is not
+    read: it holds no entry that costs strictly less."""
     if not cols:
         return None
-    row_floor = min(filter(None, map(len, rows.values()))) - 1
-    floor = (min(map(len, cols.values())) - 1) * row_floor
+    row_floor = _least(row_counts) - 1
+    floor = (_least(col_counts) - 1) * row_floor
     best, best_cost = None, None
     for j, col in cols.items():
         cost_j = len(col) - 1
+        if best is not None and cost_j * row_floor >= best_cost:
+            continue
         for i, a in col.items():
             if field or a == 1 or a == -1:
                 cost = cost_j * (len(rows[i]) - 1)
@@ -502,6 +549,14 @@ def _markowitz_pivot(cols, rows, field):
                         return i, j
                     best, best_cost = (i, j), cost
     return best
+
+
+def _least(counts):
+    """The least n > 0 with counts[n] != 0 (one exists)."""
+    n = 1
+    while not counts[n]:
+        n += 1
+    return n
 
 
 def _combine(R: Ring, terms):

@@ -1,11 +1,12 @@
 """A checked-in mutation gate for the pair kernel, the shared expansions, the
 cone package's construction check, kept intermediates and dual side, the
-scenario parser and exporter, the sparse elimination's pivot search, the
-sign decisions and structural checks of the row maps, the status and
-detail of each check's `Outcome`, an axiom's input count and the time a
-record reads from its Outcome, the closed forms of the loop fixtures, the
-sign normalisation of the extended gcd, and the extreme degree at which
-the induced quotient homotopy vanishes.
+scenario parser and exporter, the sparse elimination's pivot search and
+the length counts it reads, the d*d = 0 check, the sign decisions and
+structural checks of the row maps, the status and detail of each check's
+`Outcome`, an axiom's input count and the time a record reads from its
+Outcome, the closed forms of the loop fixtures, the sign normalisation of
+the extended gcd, and the extreme degree at which the induced quotient
+homotopy vanishes.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -74,6 +75,9 @@ EXPORT_ORDER = ("tests/test_export.py::"
 FLOOR = "tests/test_matrices.py::test_pivot_search_stops_at_the_floor"
 SAME_PIVOTS = ("tests/test_matrices.py::"
                "test_pivot_search_matches_the_full_scan_on_random_matrices")
+COUNTS = "tests/test_matrices.py::test_elimination_keeps_its_length_counts"
+BOUND = ("tests/test_matrices.py::"
+         "test_pivot_search_skips_a_column_that_cannot_beat_the_best")
 UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
 XGCD = "tests/test_matrices.py::test_xgcd_is_positive_on_mixed_signs_and_zeros"
 CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
@@ -200,16 +204,15 @@ MUTANTS = [
      EXPORT_ORDER),
     ("scenario.py", "b_deg[j], a + TENSOR_SEP + b, [a, b]",
      "b_deg[j], (a, b), [a, b]", EXPORT_ORDER),
-    # the pivot search's floor: each factor too low (never attained, so
-    # the search only slows down) and too high (not a lower bound), and
-    # the comparison that stops the search
-    ("matrices.py", "min(filter(None, map(len, rows.values()))) - 1",
-     "min(map(len, rows.values())) - 1", FLOOR),
-    ("matrices.py", "min(filter(None, map(len, rows.values()))) - 1",
-     "min(filter(None, map(len, rows.values())))", SAME_PIVOTS),
-    ("matrices.py", "floor = (min(map(len, cols.values())) - 1)",
-     "floor = (min(map(len, cols.values())) - 2)", FLOOR),
-    ("matrices.py", "floor = (min(map(len, cols.values())) - 1)",
+    # the pivot search's floor, read from the length counts: each factor
+    # too low (never attained, so the search only slows down) and too high
+    # (not a lower bound), and the comparison that stops the search
+    ("matrices.py", "    n = 1\n", "    n = 0\n", FLOOR),
+    ("matrices.py", "row_floor = _least(row_counts) - 1",
+     "row_floor = _least(row_counts)", SAME_PIVOTS),
+    ("matrices.py", "floor = (_least(col_counts) - 1)",
+     "floor = (_least(col_counts) - 2)", FLOOR),
+    ("matrices.py", "floor = (_least(col_counts) - 1)",
      "floor = (max(map(len, cols.values())) - 1)", SAME_PIVOTS),
     ("matrices.py", "if cost == floor:", "if cost == 0:", FLOOR),
     ("matrices.py", "if cost == floor:", "if cost >= floor:", SAME_PIVOTS),
@@ -249,9 +252,7 @@ MUTANTS = [
     ("complexes.py", "        raise ValueError(message.format(x[0]))\n",
      "        pass\n",
      "tests/test_complexes.py::test_cone_rejects_non_chain_map"),
-    ("complexes.py", "        if x is not None:\n"
-     "            raise ValueError(f\"d*d != 0",
-     "        if False:\n            raise ValueError(f\"d*d != 0",
+    ("complexes.py", "if any(dd.values()):", "if False:",
      "tests/test_complexes.py::test_d_squared_enforced"),
     # SideIds keyed by the hash of a side instead of the side
     ("graded.py", "        i = self._ids.get(key)\n        if i is None:\n"
@@ -386,6 +387,23 @@ MUTANTS = [
     # the induced quotient homotopy zeroed at degree top instead of -top
     ("complexes.py", "[0] == -top else h_row(*k)", "[0] == top else h_row(*k)",
      "tests/test_complexes.py::test_induced_quotient_homotopy_nontrivial"),
+    # the elimination's length counts not kept: a row that loses the pivot
+    # column, the pivot row leaving, a row gaining or losing a fill-in
+    # entry, a column that keeps entries; and the search's column bound
+    # read from the shortest column instead of the column's own length
+    ("matrices.py", "                row_counts[n] -= 1\n"
+     "                row_counts[n - 1] += 1\n                row.discard(j)\n",
+     "                row.discard(j)\n", COUNTS),
+    ("matrices.py", "            row_counts[len(others)] -= 1\n", "", COUNTS),
+    ("matrices.py", "                        row_counts[n + 1] += 1\n", "",
+     COUNTS),
+    ("matrices.py", "                        row_counts[n - 1] += 1\n", "",
+     COUNTS),
+    ("matrices.py", "                if c2:\n"
+     "                    col_counts[len(c2)] += 1\n                else:\n",
+     "                if not c2:\n", COUNTS),
+    ("matrices.py", "cost_j * row_floor >= best_cost",
+     "(_least(col_counts) - 1) * row_floor >= best_cost", BOUND),
 ]
 
 

@@ -50,9 +50,51 @@ def test_homology_of_a_complex_on_a_tensor_module():
 
 
 def test_d_squared_enforced():
-    with pytest.raises(ValueError, match="d\\*d"):
+    # the refusal names the first failing basis element in canonical
+    # (degree, name) order, not in the order of the table, and d(d(x))
+    with pytest.raises(ValueError) as ei:
         complex_from_spec(ZZ, [("a", 0), ("b", 1), ("c", 2)],
                           {"c": {"b": 1}, "b": {"a": 1}})
+    assert str(ei.value) == "d*d != 0 on c: d(d(c)) = a"
+    with pytest.raises(ValueError) as ei:
+        complex_from_spec(ZZ, [("x", 0), ("y", 1), ("z", 2), ("w", 2)],
+                          {"z": {"y": 1}, "w": {"y": -1}, "y": {"x": 2}})
+    assert str(ei.value) == "d*d != 0 on w: d(d(w)) = -2*x"
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_d_squared_enforced_on_a_tensor_module(ring):
+    from chainalg.graded import TENSOR_SEP, tensor
+
+    M = GradedModule(ring, [BasisElement(n, d) for n, d in
+                            (("a", 0), ("b", 1), ("c", 2))])
+    T = tensor(M, M)
+    j = TENSOR_SEP.join
+    # c(x)b fails in degree 3, c(x)a and b(x)b in degree 2: b(x)b is first
+    d = GradedMap.from_table(T, T, -1, {
+        j("cb"): T.el(j("bb")), j("ca"): T.el(j("ba"), 2),
+        j("bb"): T.el(j("ab"), 3) + T.el(j("ba")), j("ba"): T.el(j("aa"), -1)})
+    with pytest.raises(ValueError) as ei:
+        ChainComplex(T, d)
+    minus = "4*" if ring == GF(5) else "-"
+    assert str(ei.value) == f"d*d != 0 on b⊗b: d(d(b⊗b)) = {minus}a⊗a"
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=repr)
+def test_d_squared_accepts_cancelling_terms(ring):
+    # d(d(x)) has two terms that cancel, atomic and on a tensor module
+    from chainalg.graded import TENSOR_SEP, tensor
+
+    C = complex_from_spec(ring, [("a", 0), ("b", 1), ("e", 1), ("c", 2)],
+                          {"c": {"b": 1, "e": 1}, "b": {"a": 1}, "e": {"a": -1}})
+    assert homology(C).by_degree == ()
+    M = GradedModule(ring, [BasisElement("a", 0), BasisElement("b", 1)])
+    T = tensor(M, M)
+    j = TENSOR_SEP.join
+    d = GradedMap.from_table(T, T, -1, {
+        j("bb"): T.el(j("ab")) + T.el(j("ba")), j("ab"): T.el(j("aa")),
+        j("ba"): T.el(j("aa"), -1)})
+    assert ChainComplex(T, d).d is d
 
 
 def test_homology_with_torsion():

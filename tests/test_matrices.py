@@ -532,8 +532,8 @@ def checked_pivots(monkeypatch):
 
     search, found = mx._markowitz_pivot, []
 
-    def checked(cols, rows, field):
-        pivot = search(cols, rows, field)
+    def checked(cols, rows, col_counts, row_counts, field):
+        pivot = search(cols, rows, col_counts, row_counts, field)
         assert pivot == _full_scan_pivot(cols, rows, field)
         found.append(pivot)
         return pivot
@@ -638,6 +638,43 @@ def test_pivot_search_matches_the_full_scan_on_surfaces(checked_pivots, ring):
     assert len(checked_pivots) > 500
 
 
+def _counts(cols, rows, n_rows, n_cols):
+    """How many columns, and how many rows, have each length: the counts
+    that `ImageSolver` keeps during its elimination, counted anew."""
+    col_counts, row_counts = [0] * (n_rows + 1), [0] * (n_cols + 1)
+    for col in cols.values():
+        col_counts[len(col)] += 1
+    for row in rows.values():
+        row_counts[len(row)] += 1
+    return col_counts, row_counts
+
+
+def test_elimination_keeps_its_length_counts(monkeypatch):
+    # before each pivot, both count arrays equal a recount from the live
+    # columns and the rows
+    import chainalg.matrices as mx
+
+    search, searches = mx._markowitz_pivot, []
+
+    def recounted(cols, rows, col_counts, row_counts, field):
+        shape = len(col_counts) - 1, len(row_counts) - 1
+        assert (col_counts, row_counts) == _counts(cols, rows, *shape)
+        searches.append(shape)
+        return search(cols, rows, col_counts, row_counts, field)
+
+    monkeypatch.setattr(mx, "_markowitz_pivot", recounted)
+    rng = random.Random(3)
+    values = ((1, -1), (1, -1, 2, -3), (1, -1, 2, -2, 3, 4, 6))
+    for _ in range(80):
+        rows, cols = rng.randint(0, 14), rng.randint(0, 14)
+        density, pool = rng.choice((0.15, 0.35, 0.7)), rng.choice(values)
+        columns = [{i: rng.choice(pool) for i in range(rows)
+                    if rng.random() < density} for _ in range(cols)]
+        for ring in (ZZ, QQ, GF(2), GF(5)):
+            ImageSolver(ring, rows, columns)
+    assert len(searches) > 1_000
+
+
 class _Unread(dict):
     """A sparse column whose length can be read but not its entries."""
 
@@ -647,25 +684,48 @@ class _Unread(dict):
     __iter__ = items = keys = values = __getitem__ = get = _unread
 
 
+class _Unseen(_Unread):
+    """A sparse column whose length cannot be read either."""
+
+    __len__ = _Unread._unread
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=repr)
 def test_pivot_search_stops_at_the_floor(ring):
     # a cycle of columns with two entries each, one row emptied by an
     # earlier pivot: the floor is (2 - 1) * (2 - 1), and column 0's first
     # admissible entry attains it (over Z its first entry, 2, is not
-    # admissible), so no later column is read
+    # admissible), so no later column is read, not even its length
     from chainalg.matrices import _markowitz_pivot
 
     n = 5
-    cols = {j: (dict if j == 0 else _Unread)({j: 2 if j == 0 else 1,
-                                              (j + 1) % n: 1})
-            for j in range(n)}
+    cols = {j: {j: 2 if j == 0 else 1, (j + 1) % n: 1} for j in range(n)}
     rows = {i: {i, (i - 1) % n} for i in range(n)}
     rows[n] = set()
+    counts = _counts(cols, rows, n + 1, n)
+    cols.update((j, _Unseen(cols[j])) for j in range(1, n))
     want = (0, 0) if ring.is_field else (1, 0)
-    assert _markowitz_pivot(cols, rows, ring.is_field) == want
-    cols[0] = _Unread(cols[0])
+    assert _markowitz_pivot(cols, rows, *counts, ring.is_field) == want
+    cols[0] = _Unseen(cols[0])
     with pytest.raises(AssertionError, match="past the floor"):
-        _markowitz_pivot(cols, rows, ring.is_field)
+        _markowitz_pivot(cols, rows, *counts, ring.is_field)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=repr)
+def test_pivot_search_skips_a_column_that_cannot_beat_the_best(ring):
+    # the floor is (2 - 1) * (2 - 1); column 0's entries cost (2 - 1) *
+    # (3 - 1) = 2, column 1's bound is (3 - 1) * (2 - 1) = 2, no less, so
+    # its entries are not read, and column 2's entry in row 2 attains the
+    # floor
+    from chainalg.matrices import _markowitz_pivot
+
+    cols = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 1, 2: 1}, 2: {2: 1, 3: 1},
+            3: {0: 1, 1: 1, 3: 1}}
+    rows = {0: {0, 1, 3}, 1: {0, 1, 3}, 2: {1, 2}, 3: {2, 3}}
+    counts = _counts(cols, rows, 4, 4)
+    assert _full_scan_pivot(cols, rows, ring.is_field) == (2, 2)
+    cols[1] = _Unread(cols[1])
+    assert _markowitz_pivot(cols, rows, *counts, ring.is_field) == (2, 2)
 
 
 def test_unit_pivots_over_a_field_skip_the_inverse(monkeypatch):

@@ -222,6 +222,17 @@ def _complex_doc():
     }
 
 
+def test_a_differential_that_does_not_square_to_zero_is_refused():
+    doc = _complex_doc()
+    doc["module"]["basis"].append({"name": "c", "degree": 2})
+    doc["differential"]["entries"].append({"in": ["c"], "out": [["1", "b"]]})
+    del doc["top"]
+    with pytest.raises(sc.SchemaError) as ei:
+        sc.ingest(json.dumps(doc))
+    assert (ei.value.path, ei.value.message) == (
+        "$.differential", "d*d != 0 on c: d(d(c)) = 2*a")
+
+
 @pytest.mark.parametrize("where, path", [
     (("module", "basis", 0, "degree"), "$.module.basis[0].degree"),
     (("mu", "degree"), "$.mu.degree"),
