@@ -20,8 +20,10 @@ Failures carry the first offending input with both sides fully expanded.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graded import (
     GradedModule,
@@ -279,7 +281,7 @@ def _coassociativity(lam, lam_odd, odd, R, x):
 class PairKernel:
     """Both sides of (unital infinitesimal) and (unital anti-symmetry), and
     the unit-free infinitesimal defect, on basis pairs a (x) b, from one
-    list of signed pieces per identity.
+    list of signed pieces per identity, evaluated a row at a time.
 
     Positions index A (`GradedModule.index`); a side is a dict
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the rows of
@@ -287,43 +289,55 @@ class PairKernel:
     with the twist sign.  `v` is the bivector put in the middle (lam eta
     for the axioms), given by its terms ((k1, k2), coefficient).
 
-    A piece is one of the composites lam mu (`_lam_mu`), left, right and
-    middle, with a sign and, for the last three, optionally the twist tau
-    of its terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, written into the
-    keys.  It adds sign * its terms at (a, b) into the caller's dict.  Maps
+    A row is one a with the tuple js of its b's.  A piece is one of the
+    composites lam mu (`_lam_mu`), left, right, middle and point, with a
+    sign and, for left, right and middle, optionally the twist tau of its
+    terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, written into the keys.
+    piece(acc, i, js) adds sign * its terms at (a, b), for every b of the
+    row, into one accumulator: the term at (k1, k2) of the b at place t of
+    js is keyed by the int (t * n + k1) * n + k2, n the rank of A.  Maps
     are homogeneous, so the degrees of a row's inputs fix the degrees of
     its outputs, and a piece decides its Koszul signs (of `tensor_map`, of
-    inserting v and of tau) once per a, for the rows of L(a) and the
+    inserting v and of tau) once per row, for the rows of L(a) and the
     products P(a (x) v1) * e, or once per b, for the rows of L(b), for each
-    parity of the other factor that a sign depends on.  It reads a map's
-    rows by one dict lookup (`GradedMap.rows`).
+    parity of the other factor that a sign depends on; the per-b tables of
+    a row are a list aligned with js, built once per js.  It reads a map's
+    rows by one dict lookup (`GradedMap.rows`).  Pieces add and multiply
+    canonical ring values with Python's + and *, which are exact on ints
+    and Fractions; a sum is brought back to canonical form (`Ring.canon`:
+    a residue mod p, an int for an integral rational) when it is read, and
+    a row's nonzero test reads its sums mod p over GF(p).
 
     `identities` lists each identity's pieces, lhs and rhs; it is fixed
-    at construction.  `difference` adds the lhs pieces and the rhs pieces
-    negated into one dict per pair, which is empty exactly when the pair
-    passes; `sides` sums each side on its own, for the witness of a
-    failing pair; `first_failure` runs the quantifier and keeps its result
-    per (identity, pairs), so the checks of one package that quantify the
-    same identity over the same pairs run it once.  With |mu| even the
-    defect's pieces are those of the unital infinitesimal difference, so
-    the differences that quantifier finds are kept per pair and `defect`
-    reads them: a package from `cone_data_from_bialgebra` (v = lam eta =
-    -Q0) reads its instance's kernel and expands each safe pair's defect
-    once.
+    at construction.  `first_failure` adds the lhs pieces and the rhs
+    pieces negated into one accumulator per row; a row passes when no
+    coefficient in it is nonzero, and otherwise its first b with a nonzero
+    coefficient is the failing pair, whose two sides `sides` sums each on
+    its own, for the witness.  `difference` is the same sum on the one-pair
+    row.  `first_failure` keeps its result per (identity, pairs), so the
+    checks of one package that quantify the same identity over the same
+    pairs run it once.  With |mu| even the defect's pieces are those of the
+    unital infinitesimal difference, so that quantifier keeps each checked
+    pair's difference and `defect` reads it: a package from
+    `cone_data_from_bialgebra` (v = lam eta = -Q0) reads its instance's
+    kernel and expands each safe pair's defect once.
     """
 
     def __init__(self, mu: GradedMap, lam: GradedMap, v):
         A = mu.target
         self.A2 = tensor(A, A)
         self.idx = A.index()
+        self.n = len(self.idx.names)
+        self.nn = self.n * self.n
         self.mu, self.lam = mu, lam
         R = A.ring
         self._ring = R
         odd, neg = self.idx.odd, R.neg
-        mu_row, lam_row = self.mu.row, self.lam.row
+        mu_rows, stride, lam_row = mu.rows, mu.stride, self.lam.row
 
         def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
-            return _signed_row(mu_row(j, i), odd[i] and odd[j], neg)
+            return _signed_row(mu_rows[j * stride + i], odd[i] and odd[j],
+                               neg)
 
         self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau)
         self.tau_lam = GradedMap(
@@ -337,7 +351,7 @@ class PairKernel:
         self.dv = degrees[0] if degrees else 0
         self.identities = self._identities()
         self._pieces = {}        # (kind, sign, *arguments) -> piece
-        self._differences = {}   # identity -> its `_difference` function
+        self._differences = {}   # identity -> its lhs and negated rhs pieces
         self._failures = {}      # (identity, pairs) -> `first_failure`
         self._defects = {} if mu.degree % 2 == 0 else None
 
@@ -392,14 +406,16 @@ class PairKernel:
     # -- sums ----------------------------------------------------------------
 
     def difference(self, identity, i, j) -> dict:
-        """lhs - rhs of `identity` at (a, b), summed in one dict, without
-        its zero coefficients: empty exactly when the pair passes."""
-        return self._difference(identity)(i, j)
+        """lhs - rhs of `identity` at (a, b), summed on the one-pair row,
+        without its zero coefficients: empty exactly when the pair
+        passes."""
+        return self._split(self._row(identity, i, (j,)), 1)[0]
 
     def sides(self, identity, i, j):
         """(lhs, rhs) of `identity` at (a, b), each summed on its own."""
-        return tuple(_sum(tuple(map(self._piece, side)), i, j)
-                     for side in self.identities[identity])
+        return tuple(
+            self._split(_sum_row(tuple(map(self._piece, side)), i, (j,)), 1)[0]
+            for side in self.identities[identity])
 
     def defect(self, i, j) -> dict:
         """The defect at (a, b), as the unital infinitesimal quantifier
@@ -408,40 +424,60 @@ class PairKernel:
         return self.difference("defect", i, j) if found is None else found
 
     def first_failure(self, identity, pairs):
-        """`_first_difference` over `pairs` of `identity`'s one-dict
-        difference; the first failing pair alone is expanded again, into
-        its two sides.  Kept per (identity, pairs)."""
+        """(count, first failing pair or None, lhs, rhs) of `identity` over
+        `pairs`, in order, a row (a maximal run of pairs with the same a) at
+        a time; the count runs up to and including the failing pair, which
+        alone is expanded again, into its two sides.  The unital
+        infinitesimal quantifier keeps each counted pair's difference for
+        `defect` when |mu| is even.  Kept per (identity, pairs)."""
         key = identity, tuple(pairs)
         found = self._failures.get(key)
         if found is None:
-            difference = self._difference(identity)
-            found = _first_difference(pairs, lambda p: (difference(*p), {}))
-            if found[1] is not None:
-                found = (*found[:2], *self.sides(identity, *found[1]))
-            self._failures[key] = found
+            found = self._failures[key] = self._quantify(identity, key[1])
         return found
 
-    def _difference(self, identity):
-        """(i, j) -> the difference of `identity`, built once: its lhs
-        pieces and its rhs pieces with the sign negated, summed by `_sum`;
-        the unital infinitesimal one keeps each pair's difference for
-        `defect` when |mu| is even."""
-        fn = self._differences.get(identity)
-        if fn is None:
-            lhs, rhs = self.identities[identity]
-            pieces = tuple(map(self._piece, lhs)) + tuple(
-                self._piece((kind, -sign, *args)) for kind, sign, *args in rhs)
-            keep = (self._defects if identity == "unital infinitesimal"
-                    else None)
-
-            def fn(i, j):
-                out = _sum(pieces, i, j)
+    def _quantify(self, identity, pairs):
+        keep = (self._defects if identity == "unital infinitesimal"
+                else None)
+        p, count = self._ring.characteristic, 0
+        for i, row in itertools.groupby(pairs, itemgetter(0)):
+            js = tuple(j for _, j in row)
+            acc = self._row(identity, i, js)
+            values = acc.values()   # sums of raw values: read mod p over GF(p)
+            if not any(values if not p else (c % p for c in values)):
+                count += len(js)
                 if keep is not None:
-                    keep[i, j] = out
-                return out
+                    keep.update(((i, j), {}) for j in js)
+                continue
+            parts = self._split(acc, len(js))
+            t = next(t for t, part in enumerate(parts) if part)   # first b
+            count += t + 1
+            if keep is not None:
+                keep.update(zip([(i, j) for j in js[:t + 1]], parts))
+            return count, (i, js[t]), *self.sides(identity, i, js[t])
+        return count, None, None, None
 
-            fn = self._differences[identity] = fn
-        return fn
+    def _row(self, identity, i, js) -> dict:
+        """The accumulator of lhs - rhs of `identity` on the row (a, js):
+        its lhs pieces and its rhs pieces with the sign negated, built once
+        per identity."""
+        pieces = self._differences.get(identity)
+        if pieces is None:
+            lhs, rhs = self.identities[identity]
+            pieces = self._differences[identity] = tuple(
+                map(self._piece, lhs)) + tuple(
+                self._piece((kind, -sign, *args)) for kind, sign, *args in rhs)
+        return _sum_row(pieces, i, js)
+
+    def _split(self, acc, count) -> list:
+        """A row's accumulator as one {(k1, k2): nonzero coefficient} dict
+        per place of its `count` b's, each coefficient in canonical form."""
+        out, n, canon = [{} for _ in range(count)], self.n, self._ring.canon
+        for k, c in acc.items():
+            if c := canon(c):
+                t, k = divmod(k, self.nn)
+                out[t][divmod(k, n)] = c
+        return out
 
     def _piece(self, spec):
         """The piece (kind, sign, *arguments), built once per kernel."""
@@ -452,59 +488,65 @@ class PairKernel:
                                                                    *args)
         return piece
 
-    # -- pieces: piece(out, i, j) adds sign * the composite at (a, b) ---------
+    # -- pieces: piece(acc, i, js) adds sign * the composite on a row ---------
 
     def _lam_mu(self, sign, L):
-        """sign * L mu (a (x) b), L being lam or tau lam."""
-        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        """sign * L mu (a (x) b), L being lam or tau lam, with L's rows read
+        with their keys packed."""
         mu_rows, stride, L_rows = self.mu.rows, self.mu.stride, L.rows
-        negate = sign < 0
+        n, nn, negate = self.n, self.nn, sign < 0
+        packed = _Table(lambda x: tuple((k1 * n + k2, c)
+                                        for (k1, k2), c in L_rows[x]))
 
-        def piece(out, i, j):
-            for x, m in mu_rows[i * stride + j]:
-                if negate:
-                    m = neg(m)
-                for k, c in L_rows[x]:
-                    t = mul(m, c)
-                    out[k] = t if (old := out.get(k)) is None else add(old, t)
+        def piece(acc, i, js):
+            key, get, base = i * stride, acc.get, 0
+            for j in js:
+                for x, m in mu_rows[key + j]:
+                    if negate:
+                        m = -m
+                    for k, c in packed[x]:
+                        k += base
+                        acc[k] = get(k, 0) + m * c
+                base += nn
         return piece
 
     def _left(self, sign, P, L, tau=False):
         """sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it:
         (1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b).
-        Per a and parity of b: (row key of a2, a1, signed c) over L(a)."""
-        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
-        odd, p = self.idx.odd, P.degree % 2
-        L_rows, P_rows, stride = L.rows, P.rows, P.stride
+        Per row and parity of b: (row key of a2, a1's part of the output
+        key, signed c) over L(a)."""
+        odd, p, n = self.idx.odd, P.degree % 2, self.n
+        L_rows, P_rows, stride, nn = L.rows, P.rows, P.stride, self.nn
+        a1_scale, z_scale = (1, n) if tau else (n, 1)
 
-        @functools.cache
-        def hoisted(i):   # the parity of b matters only to tau
-            out = [[] for b in range(1 + tau)]
-            for b, terms in enumerate(out):
+        def piece(acc, i, js):
+            hoisted = [[] for b in range(1 + tau)]   # b's parity: tau only
+            for b, terms in enumerate(hoisted):
                 for (a1, a2), c in L_rows[i]:
                     # tau(a1 (x) z) costs (-1)^{|a1||z|}, |z| = |a2| + |b| + |P|
                     if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:
-                        c = neg(c)
-                    terms.append((a2 * stride, a1, c))
-            return out * (2 - tau)
-
-        def piece(out, i, j):
-            get = out.get
-            for key, a1, c in hoisted(i)[odd[j]]:
-                for z, m in P_rows[key + j]:
-                    t, k = mul(c, m), ((z, a1) if tau else (a1, z))
-                    out[k] = t if (old := get(k)) is None else add(old, t)
+                        c = -c
+                    terms.append((a2 * stride, a1 * a1_scale, c))
+            hoisted *= 2 - tau
+            get, base = acc.get, 0
+            for j in js:
+                for key, a1, c in hoisted[odd[j]]:
+                    a1 += base
+                    for z, m in P_rows[key + j]:
+                        k = a1 + z * z_scale
+                        acc[k] = get(k, 0) + c * m
+                base += nn
         return piece
 
     def _right(self, sign, P, L, tau=False):
         """sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it:
         (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2.
-        Per b and parity of a: (b1, b2, signed c) over L(b)."""
-        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
-        odd, p, dl = self.idx.odd, P.degree % 2, L.degree
-        L_rows, P_rows, stride = L.rows, P.rows, P.stride
+        Per b and parity of a: (b1, b2's part of the output key, signed c)
+        over L(b), in a list aligned with the js of a row."""
+        odd, p, dl, n = self.idx.odd, P.degree % 2, L.degree, self.n
+        L_rows, P_rows, stride, nn = L.rows, P.rows, P.stride, self.nn
+        b2_scale, z_scale = (n, 1) if tau else (1, n)
 
-        @functools.cache
         def hoisted(j):   # the parity of a matters only to |L| odd or tau
             out = [[] for a in range(1 + (dl % 2 or tau))]
             for a, terms in enumerate(out):
@@ -512,77 +554,98 @@ class PairKernel:
                     # tau(z (x) b2) costs (-1)^{|z||b2|}, |z| = |a| + |b1| + |P|
                     if ((sign < 0) + dl * a
                             + tau * odd[b2] * (a + odd[b1] + p)) & 1:
-                        c = neg(c)
-                    terms.append((b1, b2, c))
+                        c = -c
+                    terms.append((b1, b2 * b2_scale, c))
             return out * (3 - len(out))
 
-        def piece(out, i, j):
-            key, get = i * stride, out.get
-            for b1, b2, c in hoisted(j)[odd[i]]:
-                for z, m in P_rows[key + b1]:
-                    t, k = mul(c, m), ((b2, z) if tau else (z, b2))
-                    out[k] = t if (old := get(k)) is None else add(old, t)
+        tables = _Table(lambda js: tuple(zip(*map(hoisted, js))))
+
+        def piece(acc, i, js):
+            key, get, base = i * stride, acc.get, 0
+            for terms in tables[js][odd[i]]:
+                for b1, b2, c in terms:
+                    b2 += base
+                    for z, m in P_rows[key + b1]:
+                        k = b2 + z * z_scale
+                        acc[k] = get(k, 0) + c * m
+                base += nn
         return piece
 
     def _middle(self, sign, P, Q, tau=False):
         """sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it:
         (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
         (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b).
-        Per a and parity of b: (row key of v2, the signed sum over the v1
-        of v2 of e * P(a (x) v1))."""
-        mul, add, neg = self._ring.mul, self._ring.add, self._ring.neg
+        Per row and parity of b: (row key of v2, the signed sum over the v1
+        of v2 of e * P(a (x) v1), by z1's part of the output key)."""
         odd, p, q, dv, v = (self.idx.odd, P.degree % 2, Q.degree % 2, self.dv,
                             self.v)
         P_rows, P_stride, Q_rows, Q_stride = P.rows, P.stride, Q.rows, Q.stride
+        n, nn = self.n, self.nn
+        z1_scale, z2_scale = (1, n) if tau else (n, 1)
 
-        @functools.cache
-        def hoisted(i):   # the parity of b matters only to tau
-            a, out = odd[i], [[] for b in range(1 + tau)]
-            for b, terms in enumerate(out):
+        def piece(acc, i, js):
+            a, hoisted = odd[i], [[] for b in range(1 + tau)]
+            for b, terms in enumerate(hoisted):   # b's parity: tau only
                 by_v2 = {}
                 for (v1, v2), e in v:
                     # tau(z1 (x) z2) costs (-1)^{|z1||z2|},
                     # |z1| = |a| + |v1| + |P|, |z2| = |v2| + |b| + |Q|
                     if ((sign < 0) + dv * a + q * (a + odd[v1])
                             + tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:
-                        e = neg(e)
+                        e = -e
                     z1s = by_v2.setdefault(v2, {})
                     for z1, m in P_rows[i * P_stride + v1]:
-                        t = mul(e, m)
-                        z1s[z1] = t if (old := z1s.get(z1)) is None \
-                            else add(old, t)
+                        z1 *= z1_scale
+                        z1s[z1] = z1s.get(z1, 0) + e * m
                 terms.extend((v2 * Q_stride, tuple(
-                    (z1, c) for z1, c in z1s.items() if c != 0))
+                    (z1, c) for z1, c in z1s.items() if c))
                     for v2, z1s in by_v2.items())
-            return out * (2 - tau)
-
-        def piece(out, i, j):
-            for key, z1s in hoisted(i)[odd[j]]:
-                for z2, m in Q_rows[key + j]:
-                    for z1, c in z1s:
-                        t, k = mul(c, m), ((z2, z1) if tau else (z1, z2))
-                        out[k] = t if (old := out.get(k)) is None \
-                            else add(old, t)
+            hoisted *= 2 - tau
+            get, base = acc.get, 0
+            for j in js:
+                for key, z1s in hoisted[odd[j]]:
+                    for z2, m in Q_rows[key + j]:
+                        z2 = base + z2 * z2_scale
+                        for z1, c in z1s:
+                            k = z1 + z2
+                            acc[k] = get(k, 0) + c * m
+                base += nn
         return piece
 
     def _point(self, sign):
         """sign * a (x) b."""
-        add, c = self._ring.add, self._ring.canon(sign)
+        n, nn = self.n, self.nn
 
-        def piece(out, i, j):
-            out[i, j] = c if (old := out.get((i, j))) is None else add(old, c)
+        def piece(acc, i, js):
+            k = i * n
+            for j in js:
+                acc[k + j] = acc.get(k + j, 0) + sign
+                k += nn
         return piece
 
 
-def _sum(pieces, i, j) -> dict:
-    """The pieces' terms at (a, b) in one dict, without zero coefficients.
-    Canonical ring values are ints and Fractions, false exactly at 0, so
-    `any` finds a nonzero coefficient exactly when there is one."""
-    out = {}
+class _Table(dict):
+    """fn(key), computed on the first lookup of key and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        r = self[key] = self.fn(key)
+        return r
+
+
+def _sum_row(pieces, i, js) -> dict:
+    """The pieces' terms on the row (a, js) in one accumulator (see
+    `PairKernel`), zero coefficients included.  Canonical ring values are
+    ints and Fractions, false exactly at 0."""
+    acc = {}
     for piece in pieces:
-        piece(out, i, j)
-    return {k: c for k, c in out.items() if c != 0} if any(out.values()) \
-        else {}
+        piece(acc, i, js)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +721,12 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
         return Outcome("skip", "unital infinitesimal relation fails: unital "
                        f"infinitesimal: FAIL at {x}; lhs = {lhs}; rhs = {rhs}")
 
-    _, p, left, _ = _first_difference(pairs, lambda p: (
-        (kernel.difference("cc left", *p), kernel.difference("cc right", *p)),
-        ({}, {})))
-    if p is None:
+    # the first pair on which either side fails; on a tie, the left side
+    failed = [(found[0], side, found[1]) for side in ("left", "right")
+              if (found := kernel.first_failure(f"cc {side}", pairs))[1]]
+    if not failed:
         return Outcome("pass", "")
-    side = "left" if left[0] else "right"
+    _, side, p = min(failed, key=itemgetter(0))
     return Outcome("fail", f"{side} side does not reduce on {name(p)}")
 
 

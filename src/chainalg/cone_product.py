@@ -460,8 +460,9 @@ def cross_check_components(data: ConeProductData) -> Outcome:
     def show(d_p, d_m):
         return f"({_format_row(A, d_p)} | {_format_row(data.Mbar, d_m)})"
 
-    failures = []
+    failures, count = [], 0
     for label in ("pp", "pm", "mp", "mm"):
+        count += len(safe[label[0]]) * len(safe[label[1]])
         keys = (f"{label}_p", f"{label}_m")
         row_p, row_m = (comps[key].row for key in keys)
         for u in safe[label[0]]:
@@ -486,20 +487,22 @@ def cross_check_components(data: ConeProductData) -> Outcome:
                         f"{differ}: assembled {show(*split)} vs closed form "
                         f"{show(*want)}")
     if failures:
-        return Outcome("fail", "; ".join(failures[:5]))
-    return Outcome("pass", "all components agree with the assembled product")
+        return Outcome("fail", "; ".join(failures[:5]), count)
+    return Outcome("pass", "all components agree with the assembled product",
+                   count)
 
 
 def check_cone_associativity(data: ConeProductData) -> Outcome:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples,
     for the package's product (`data.product`)."""
-    _, triple, lhs, rhs = associativity_witness(data.product,
-                                                data.safe_cone_names())
+    count, triple, lhs, rhs = associativity_witness(data.product,
+                                                    data.safe_cone_names())
     if triple is None:
-        return Outcome("pass", "associative on the safe window")
+        return Outcome("pass", "associative on the safe window", count)
     u, v, w = triple
     return Outcome(
-        "fail", f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}")
+        "fail", f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}",
+        count)
 
 
 def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
@@ -548,7 +551,7 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     """
     if (assoc := data.associativity).status != "pass":
         return Outcome("fail", "precondition: cone product is not "
-                       f"associative: {assoc.detail}")
+                       f"associative: {assoc.detail}", 0)
     comps, kernel = data.components, data.kernel
     A, M = data.A, data.M
     A2 = tensor(A, A)
@@ -600,12 +603,13 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
             for b, j in safe:
                 yield a, b, i, j, lhs_id
 
-    _, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
+    count, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
         list(map(p[4], rows_at(p[3]))), rhs_ids(p[2], p[3])))
     if ab is None:
-        return Outcome("pass", "")
+        return Outcome("pass", "", count * len(duals))
     a, b, i, j, _ = ab
     kf = _first_difference(range(len(lhs)), lambda f: (lhs[f], rhs[f]))[1]
+    count = (count - 1) * len(duals) + kf + 1   # triples up to (a, b, f)
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
@@ -613,7 +617,7 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     return Outcome(
         "fail", f"fails at a={a}, b={b}, f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "
-        f"{_format_row(A, expected(i, j).get(kf, {}))}")
+        f"{_format_row(A, expected(i, j).get(kf, {}))}", count)
 
 
 # ---------------------------------------------------------------------------

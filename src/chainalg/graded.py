@@ -73,14 +73,14 @@ as ids interned by `SideIds`, a map's row as its set of terms.  A row's id
 is kept by the row tuple and, in one table per map, by its position
 i * stride + j (`SideIds.row_ids`), so a side of one term with
 coefficient 1 or -1 is a lookup, or two with its negation (`SideIds.neg`),
-and only longer sides are summed.  The pair
-identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
-rhs, into one dict per pair a (x) b, which is empty exactly when the pair
-passes, and expand the two sides again only for the first failing pair;
-one kernel per package serves the axioms, cc-antisymmetry and the cone's
-assoc-infinitesimal check.  Both stop at the first failing input through
-`_first_difference`.  Every check returns an `Outcome`, and every report
-record is made from one.
+and only longer sides are summed; they stop at the first failing input
+through `_first_difference`.  The pair identities (`bialgebra.PairKernel`)
+add hoisted signed pieces, lhs minus rhs, into one accumulator per row
+(one a with all its b), which passes when no sum in it is nonzero, stop
+at the first failing b, and expand the two sides again only for that
+pair; one kernel per package serves the axioms, cc-antisymmetry and the
+cone's assoc-infinitesimal check.  Every check returns an `Outcome`, and
+every report record is made from one.
 """
 
 from __future__ import annotations

@@ -150,7 +150,21 @@ def smith_normal_form(M: ExactMatrix):
     if M.ring != ZZ:
         raise ValueError("Smith normal form requires integer entries")
     m, n = M.rows, M.cols
-    A = [{j: x for j, x in enumerate(M.row(i)) if x} for i in range(m)]
+    T, d, S = _smith([{j: x for j, x in enumerate(M.row(i)) if x}
+                      for i in range(m)], n)
+    d += [0] * (min(m, n) - len(d))
+    return (ExactMatrix(ZZ, m, m, [row.get(j, 0) for row in T for j in range(m)]),
+            ExactMatrix(ZZ, m, n, [d[i] if i == j else 0
+                                   for i in range(m) for j in range(n)]),
+            ExactMatrix(ZZ, n, n, [row.get(i, 0) for i in range(n) for row in S]))
+
+
+def _smith(A, n):
+    """`smith_normal_form` of the integer matrix with the sparse rows A
+    ({column: nonzero entry}) and n columns, on sparse rows: (U's rows,
+    the nonzero d_i in order, V's columns), each row or column a
+    {position: nonzero entry} dict.  A is consumed."""
+    m = len(A)
     # T * M * S^T = A, or T * M^T * S^T = A when flipped
     T, S = [{i: 1} for i in range(m)], [{j: 1} for j in range(n)]
     width, flipped = n, False
@@ -180,11 +194,7 @@ def smith_normal_form(M: ExactMatrix):
                 T[i], T[j] = _combine_rows(T[i], T[j], x, y, -b // g, a // g)
                 S[i], S[j] = _combine_rows(S[i], S[j], 1, 1, -y * b // g, x * a // g)
                 d[i], d[j] = g, a * b // g
-    d += [0] * (min(m, n) - len(d))
-    return (ExactMatrix(ZZ, m, m, [row.get(j, 0) for row in T for j in range(m)]),
-            ExactMatrix(ZZ, m, n, [d[i] if i == j else 0
-                                   for i in range(m) for j in range(n)]),
-            ExactMatrix(ZZ, n, n, [row.get(i, 0) for i in range(n) for row in S]))
+    return T, d, S
 
 
 def _hermite(A, T, width):
@@ -288,8 +298,9 @@ class ImageSolver:
     then row i and column j leave the matrix, and the rest of column j,
     kept as it stands, is cleared by row operations that touch nothing
     else.  Over Z every step is unimodular with a = +-1, and only the
-    residual, the block with no unit entry left, goes through
-    `smith_normal_form` (U * residual * V diagonal); over a field nothing is
+    residual, the block with no unit entry left, goes through `_smith`
+    (U * residual * V diagonal, `smith_normal_form`'s elimination on the
+    residual's sparse rows, read off its columns); over a field nothing is
     left.  D's rows are the pivots in order, U's rows, then the rows that no
     column reaches; its columns are the pivots, V's columns, then the zero
     columns.  P and Q are never formed: P*b replays the row operations in
@@ -398,14 +409,14 @@ class ImageSolver:
         self._left = left = sorted({i for col in cols.values() for i in col})
         self._U = self._V = ()
         if cols:
-            U, D, V = smith_normal_form(ExactMatrix(
-                R, len(left), len(cols),
-                [col.get(i, 0) for i in left for col in cols.values()]))
-            self._U = [[(s, u) for s, u in enumerate(U.row(r)) if u != 0]
-                       for r in range(U.rows)]
-            self._V = [{c: v for c, v in enumerate(V.col(s)) if v != 0}
-                       for s in range(V.cols)]
-            d += [x for x in diagonal_of(D) if x != 0]
+            at, by_left = {i: r for r, i in enumerate(left)}, [{} for _ in left]
+            for c, col in enumerate(cols.values()):
+                for i, x in col.items():
+                    by_left[at[i]][c] = x
+            T, diagonal, S = _smith(by_left, len(cols))
+            self._U = [sorted(row.items()) for row in T]
+            self._V = [dict(sorted(col.items())) for col in S]
+            d += diagonal
         self._free = None   # built by the first `_free_rows`
         self._Q0 = None   # built by the first `_q_times`
         # d_1 | d_2 | ...: the d_i = 1 come first, the rows past the rank last
@@ -572,7 +583,11 @@ def _combine(R: Ring, terms):
 
 
 def image_rank(M: ExactMatrix) -> int:
-    """Rank of the image (= column rank, = number of nonzero SNF entries)."""
+    """Rank of the image (= column rank): over Z the number of nonzero
+    entries of `smith_normal_form`'s D, over a field an `ImageSolver`'s
+    rank."""
+    if M.ring == ZZ:
+        return sum(1 for d in diagonal_of(smith_normal_form(M)[1]) if d)
     return ImageSolver(M.ring, M.rows,
                        [dict(enumerate(M.col(j))) for j in range(M.cols)]).rank
 

@@ -51,6 +51,10 @@ ONE_KERNEL = ("tests/test_report.py::"
               "test_demo_builds_one_pair_kernel_per_package")
 KEPT_PAIRS = ("tests/test_pair_pieces.py::"
               "test_first_failure_over_other_pairs_is_computed_anew")
+GF_ROWS = ("tests/test_pair_pieces.py::"
+           "test_a_row_reads_its_sums_mod_p")
+LAST_B = ("tests/test_pair_pieces.py::"
+          "test_the_witness_is_the_first_failing_b_of_its_row")
 LODAY = "tests/test_bialgebra.py::test_loday_ronco_on_based_circle"
 CONE_ONCE = ("tests/test_report.py::"
              "test_cone_records_derive_and_check_associativity_once")
@@ -117,22 +121,23 @@ MUTANTS = [
      "if ((sign < 0) + dv * a + q * a", PIECES),
     ("bialgebra.py", "+ tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:",
      "+ tau * (a + odd[v1] + p) * (odd[v2] + q)) & 1:", PIECES),
-    ("bialgebra.py", "                if negate:\n",
-     "                if not negate:\n", PIECES),
+    ("bialgebra.py", "                    if negate:\n",
+     "                    if not negate:\n", PIECES),
     # the a/b parity choice of a hoisted coefficient
-    ("bialgebra.py", "for key, a1, c in hoisted(i)[odd[j]]:",
-     "for key, a1, c in hoisted(i)[odd[i]]:", PIECES),
-    ("bialgebra.py", "for b1, b2, c in hoisted(j)[odd[i]]:",
-     "for b1, b2, c in hoisted(j)[odd[j]]:", PIECES),
-    ("bialgebra.py", "for key, z1s in hoisted(i)[odd[j]]:",
-     "for key, z1s in hoisted(i)[odd[i]]:", PIECES),
+    ("bialgebra.py", "for key, a1, c in hoisted[odd[j]]:",
+     "for key, a1, c in hoisted[odd[i]]:", PIECES),
+    ("bialgebra.py", "for terms in tables[js][odd[i]]:",
+     "for terms in tables[js][odd[js[0]]]:", PIECES),
+    ("bialgebra.py", "for key, z1s in hoisted[odd[j]]:",
+     "for key, z1s in hoisted[odd[i]]:", PIECES),
     # the rhs subtraction
     ("bialgebra.py", "self._piece((kind, -sign, *args)) for kind, sign",
      "self._piece((kind, sign, *args)) for kind, sign", PIECES),
     # the witness re-expansion
     ("bialgebra.py",
-     "                found = (*found[:2], *self.sides(identity, *found[1]))",
-     "                pass", QUANTIFIER),
+     "return count, (i, js[t]), *self.sides(identity, i, js[t])",
+     "return count, (i, js[t]), parts[t], {}",
+     QUANTIFIER),
     # defect reuse when |mu| is odd, and for the wrong identity
     ("bialgebra.py",
      "self._defects = {} if mu.degree % 2 == 0 else None",
@@ -280,10 +285,10 @@ MUTANTS = [
      'return Outcome("pass", detail + "; twist symmetry', PINNED),
     ("bialgebra.py", 'return Outcome("fail", "bivector differs from',
      'return Outcome("pass", "bivector differs from', PINNED),
-    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5]))',
-     'return Outcome("pass", "; ".join(failures[:5]))', PINNED),
-    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5]))',
-     'return Outcome("fail", "; ".join(failures[:6]))', PINNED),
+    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5])',
+     'return Outcome("pass", "; ".join(failures[:5])', PINNED),
+    ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5])',
+     'return Outcome("fail", "; ".join(failures[:6])', PINNED),
     ("cone_product.py", '    return Outcome(\n        "fail", f"{u}(x){v}(x){w}: ',
      '    return Outcome(\n        "pass", f"{u}(x){v}(x){w}: ', PINNED),
     ("cone_product.py", 'return Outcome("fail", "precondition: cone product',
@@ -404,6 +409,23 @@ MUTANTS = [
      "                if not c2:\n", COUNTS),
     ("matrices.py", "cost_j * row_floor >= best_cost",
      "(_least(col_counts) - 1) * row_floor >= best_cost", BOUND),
+    # the pair kernel's rows: an output key packed with its factors
+    # swapped, the row's nonzero test skipped or read without reducing mod
+    # p, the witness taken as the last failing b of its row, and a kept
+    # defect unpacked with its factors swapped
+    ("bialgebra.py", "packed = _Table(lambda x: tuple((k1 * n + k2, c)",
+     "packed = _Table(lambda x: tuple((k2 * n + k1, c)", PIECES),
+    ("bialgebra.py",
+     "if not any(values if not p else (c % p for c in values)):",
+     "if True:", QUANTIFIER),
+    ("bialgebra.py",
+     "if not any(values if not p else (c % p for c in values)):",
+     "if not any(values):", GF_ROWS),
+    ("bialgebra.py",
+     "t = next(t for t, part in enumerate(parts) if part)",
+     "t = max(t for t, part in enumerate(parts) if part)", LAST_B),
+    ("bialgebra.py", "out[t][divmod(k, n)] = c", "out[t][divmod(k, n)[::-1]] = c",
+     PIECES),
 ]
 
 

@@ -167,7 +167,8 @@ def test_the_closed_form_covers_the_cubic_vector():
     assert len(packages) == 7
     for data in packages:
         assert cross_check_components(data) == Outcome(
-            "pass", "all components agree with the assembled product")
+            "pass", "all components agree with the assembled product",
+            4 * len(data.safe_names) ** 2)
         mm_p, size = data.components["mm_p"].row, len(data.M.index().names)
         assert any(mm_p(i, j) for i in range(size) for j in range(size))
 
@@ -334,10 +335,10 @@ def test_shift_sign_table(s3_data):
 
 
 def test_components_cross_check(s3_data, s1_data):
-    agree = Outcome("pass",
-                    "all components agree with the assembled product")
-    assert cross_check_components(s3_data) == agree
-    assert cross_check_components(s1_data) == agree
+    for data in (s3_data, s1_data):   # the 4 s^2 inputs of the four blocks
+        assert cross_check_components(data) == Outcome(
+            "pass", "all components agree with the assembled product",
+            4 * len(data.safe_names) ** 2)
 
 
 def test_block_placement(s3_data):
@@ -358,9 +359,10 @@ def test_block_placement(s3_data):
 
 
 def test_cone_associativity(s3_data, s1_data):
-    associative = Outcome("pass", "associative on the safe window")
-    assert check_cone_associativity(s3_data) == associative
-    assert check_cone_associativity(s1_data) == associative
+    for data in (s3_data, s1_data):   # every safe cone triple
+        assert check_cone_associativity(data) == Outcome(
+            "pass", "associative on the safe window",
+            len(data.safe_cone_names()) ** 3)
 
 
 def test_commutativity_relations(s1_data):
@@ -379,8 +381,9 @@ def test_commutativity_relations(s1_data):
 
 
 def test_assoc_implies_infinitesimal(s3_data, s1_data):
-    assert check_assoc_implies_infinitesimal(s3_data) == Outcome("pass", "")
-    assert check_assoc_implies_infinitesimal(s1_data) == Outcome("pass", "")
+    for data in (s3_data, s1_data):   # every safe triple (a, b, f)
+        assert check_assoc_implies_infinitesimal(data) == Outcome(
+            "pass", "", len(data.safe_names) ** 3)
 
 
 def test_assoc_implies_infinitesimal_nonvacuous():
@@ -676,7 +679,7 @@ def test_components_witness_names_a_patched_assembled_block(s1_data):
     data.product = patched(data.product, (plus[b], minus[f]), minus)
     assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | 1^ + U^-2^) "
-        "vs closed form (0 | U^-2^)")
+        "vs closed form (0 | U^-2^)", 4 * len(data.safe_names) ** 2)
     assert cross_check_components(s1_data).status == "pass"
 
 
@@ -688,7 +691,7 @@ def test_components_witness_names_a_patched_closed_form_block(s1_data):
     data.components["pm_m"] = patched(data.components["pm_m"], at)
     assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
-        "closed form (0 | 1^ + U^-2^)")
+        "closed form (0 | 1^ + U^-2^)", 4 * len(data.safe_names) ** 2)
     assert cross_check_components(s1_data).status == "pass"
 
 
@@ -704,7 +707,7 @@ def test_components_compare_each_coefficient():
             (k, neg(c)) for k, c in row(i, j)) if (i, j) == at else row(i, j))
     assert cross_check_components(data) == Outcome(
         "fail", f"pm mismatch at {pair} in pm_m: assembled (0 | U^-2^) vs "
-        "closed form (0 | -U^-2^)")
+        "closed form (0 | -U^-2^)", 4 * len(data.safe_names) ** 2)
 
 
 def test_a_continuation_that_is_not_a_chain_map_is_refused():
@@ -791,3 +794,36 @@ def test_a_package_is_freed_by_reference_counting():
         assert package() is None
     finally:
         gc.enable()
+
+
+def test_cone_checks_count_their_inputs():
+    # components: the 4 s^2 blocks' inputs, all of them even when some
+    # fail; associativity: the safe cone triples up to and including the
+    # witness; assoc-infinitesimal: the triples (a, b, f) in order up to
+    # and including the failing one, none when the precondition fails
+    from chainalg.fixtures import flip_structure_constant, mutate_mu
+
+    plus = make_fixture("lambda-s1-plus", TruncationWindow(8))
+    data = cone_data_from_bialgebra(plus, n=1)
+    s = len(data.safe_names)
+    assert (s, len(data.safe_cone_names())) == (10, 20)
+    assert [cross_check_components(data).inputs_checked,
+            data.associativity.inputs_checked,
+            check_assoc_implies_infinitesimal(data).inputs_checked] == \
+        [4 * s * s, 8000, s ** 3]
+    nonassoc = cone_data_from_bialgebra(
+        mutate_mu(plus, f"U{TENSOR_SEP}U", "U^2"), n=1)
+    assert (nonassoc.associativity.status,
+            nonassoc.associativity.inputs_checked) == ("fail", 127)
+    assert check_assoc_implies_infinitesimal(nonassoc)[:3:2] == ("fail", 0)
+    # a pm_p constant flipped fails the first triple (U, U, U^2^) that
+    # reads it, with the precondition kept as passing
+    data = cone_data_from_bialgebra(plus, n=1)
+    data.components["pm_p"] = flip_structure_constant(
+        data.components["pm_p"], f"U^2{TENSOR_SEP}U^2^", "A")
+    data.associativity = Outcome("pass", "associative on the safe window")
+    out = check_assoc_implies_infinitesimal(data)
+    at = data.safe_names.index
+    assert out.detail.startswith("fails at a=U, b=U, f=U^2^: ")
+    assert out.inputs_checked == (at("U") * s + at("U")) * s + at("U^2") + 1
+    assert cross_check_components(data)[:3:2] == ("fail", 4 * s * s)

@@ -222,6 +222,41 @@ def test_image_solver_matches_dense_factoring(data):
             assert solver.coordinates(g) == {t: ring.one()}
 
 
+def test_a_residual_is_factored_on_its_sparse_columns(monkeypatch):
+    # no unit entry: the whole matrix is the residual, whose Smith normal
+    # form is taken straight from its sparse columns: no dense matrix is
+    # built, and U, V and D are those of the dense smith_normal_form
+    built = []
+    real_init = ExactMatrix.__init__
+
+    def counting(self, *args):
+        built.append(args[:3])
+        real_init(self, *args)
+
+    k = 6
+    monkeypatch.setattr(ExactMatrix, "__init__", counting)
+    solver = ImageSolver(ZZ, k, [{i: 2} for i in range(k)])
+    assert built == []
+    assert (solver.rank, solver.orders) == (k, (2,) * k)
+    monkeypatch.undo()
+    rng = random.Random(46)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        M = ExactMatrix(ZZ, rows, cols, [rng.choice((0, 0, 2, -2, 3, 4, -6))
+                                         for _ in range(rows * cols)])
+        solver = _solver(M)
+        left = solver._left
+        right = [j for j, _ in solver._residual]
+        U, D, V = smith_normal_form(ExactMatrix(
+            ZZ, len(left), len(right), [M[i, j] for i in left for j in right]))
+        assert list(solver._U) == [
+            [(s, u) for s, u in enumerate(U.row(r)) if u] for r in range(U.rows)]
+        assert [list(col.items()) for col in solver._V] == [   # in order
+            [(c, v) for c, v in enumerate(V.col(s)) if v]
+            for s in range(V.cols)]
+        assert solver._d == [x for x in diagonal_of(D) if x]
+
+
 def test_image_solver_places_q_on_first_use():
     # rank and orders (all that homology() reads) never build Q's
     # placement; the first kernel or solve does

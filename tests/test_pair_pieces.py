@@ -256,8 +256,12 @@ def test_one_pass_difference_matches_the_reference(ring, dm, dl, seed):
             ring, lhs, _nonzero(ref.lam_mu({}, s_lhs, ref.lam, *p)))
         assert kernel.difference("cc right", *p) == minus(
             ring, rhs, _nonzero(ref.lam_mu({}, s_rhs, ref.tau_lam, *p)))
-    # after the quantifier has formed every pair's unital infinitesimal
-    # difference, the defect is still the defect, whatever the parity of mu
+    # after each pair axiom's quantifier has formed every pair's difference
+    # (on one-pair rows, so that a failing pair stops none of the others),
+    # the defect is still the defect, whatever the parity of mu
+    for p in pairs:
+        for axiom in PAIR_AXIOMS:
+            kernel.first_failure(axiom, [p])
     for p in pairs:
         assert kernel.defect(*p) == ref.defect(*p), p
     # a fresh kernel sums the defect itself
@@ -324,3 +328,39 @@ def test_first_failure_over_other_pairs_is_computed_anew():
     assert kernel.first_failure("unital infinitesimal", [p])[:2] == (1, p)
     assert kernel.first_failure("unital infinitesimal", pairs)[:2] == \
         (count, p)
+
+
+# -- the row: its test mod p and its first failing b ----------------------------
+
+def test_a_row_reads_its_sums_mod_p():
+    # the pieces add raw ints; over GF(5) a passing fixture's rows hold
+    # nonzero multiples of 5, which the row's test reads as 0
+    inst = fx.make_fixture("lambda-s1-plus", fx.TruncationWindow(8), GF(5))
+    kernel, safe = inst.kernel, inst.safe_positions()
+    pairs = [(i, j) for i in safe for j in safe]
+    for axiom in PAIR_AXIOMS:
+        raw = [c for i in safe
+               for c in kernel._row(axiom, i, tuple(safe)).values()]
+        assert any(c and c % 5 == 0 for c in raw), axiom
+        assert kernel.first_failure(axiom, pairs)[:2] == (len(pairs), None)
+
+
+def test_the_witness_is_the_first_failing_b_of_its_row():
+    # the quantifier's witness is the first pair, in order, whose one-pair
+    # difference is nonzero, also when later b's of its row fail too
+    later = 0
+    for name in BIALGEBRA_FIXTURES:
+        for inst in mutants(name, ZZ)[1:]:
+            kernel, safe = inst.kernel, inst.safe_positions()
+            pairs = [(i, j) for i in safe for j in safe]
+            for axiom in PAIR_AXIOMS:
+                fails = [k for k, p in enumerate(pairs)
+                         if kernel.difference(axiom, *p)]
+                count, p, lhs, rhs = kernel.first_failure(axiom, pairs)
+                if not fails:
+                    assert (count, p) == (len(pairs), None)
+                    continue
+                assert (count, p) == (fails[0] + 1, pairs[fails[0]])
+                assert (lhs, rhs) == kernel.sides(axiom, *p) and lhs != rhs
+                later += sum(pairs[k][0] == p[0] for k in fails[1:])
+    assert later > 0

@@ -110,6 +110,11 @@ ALLOWED = {
     "matrices.ExactMatrix.transpose": PERFBENCH,
     "matrices.ExactMatrix.apply": PERFBENCH,
     "matrices._dot": PERFBENCH,
+    "matrices.ExactMatrix.__getitem__": DENSE,
+    "matrices.ExactMatrix.row": DENSE,
+    "matrices.ExactMatrix.col": DENSE,
+    "matrices.smith_normal_form": DENSE,
+    "matrices.diagonal_of": DENSE,
     "matrices._combine_rows":
         "an integer block that needs a non-unit gcd step; no shipped "
         "scenario has one, the tests do",

@@ -296,25 +296,20 @@ def test_demo_builds_one_pair_kernel_per_package(monkeypatch, tmp_path):
 
 def test_demo_forms_each_pair_defect_once(monkeypatch, tmp_path):
     # one kernel per package: the unital infinitesimal difference of each
-    # safe pair is summed once, by the axioms quantifier; cc-antisymmetry
-    # reads the verdict the kernel kept, and assoc-infinitesimal the kept
-    # defects
+    # safe pair is summed once, on its row, by the axioms quantifier;
+    # cc-antisymmetry reads the verdict the kernel kept, and
+    # assoc-infinitesimal the kept defects
     from chainalg.bialgebra import PairKernel
 
     formed = Counter()
-    original = PairKernel._difference
+    original = PairKernel._row
 
-    def counting(kernel, identity):
-        fn = original(kernel, identity)
-        if identity not in ("unital infinitesimal", "defect"):
-            return fn
+    def counting(kernel, identity, i, js):
+        if identity in ("unital infinitesimal", "defect"):
+            formed.update((i, j) for j in js)
+        return original(kernel, identity, i, js)
 
-        def counted(i, j):
-            formed[i, j] += 1
-            return fn(i, j)
-        return counted
-
-    monkeypatch.setattr(PairKernel, "_difference", counting)
+    monkeypatch.setattr(PairKernel, "_row", counting)
     for name, window in (("lambda-s3", 8), ("lambda-s1-plus", 12)):
         formed.clear()
         code, records = _demo(tmp_path, name, window)

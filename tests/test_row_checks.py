@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chainalg import fixtures as fx
 from chainalg.bialgebra import (
@@ -55,6 +55,7 @@ from chainalg.graded import (
 from chainalg.report import records
 from chainalg.scenario import Scenario
 from chainalg.rings import GF, QQ, ZZ
+from replay import Replay
 from name_keyed import (
     NameMap,
     identity,
@@ -82,11 +83,12 @@ def coefficients(ring):
     return st.integers(-3, 3)
 
 
-def modules(ring, prefix, degrees=(-1, 0, 1)):
-    return st.lists(st.sampled_from(degrees), min_size=2, max_size=4).map(
-        lambda ds: GradedModule(ring, [BasisElement(f"{prefix}{i}", d)
-                                       for i, d in enumerate(ds)],
-                                name=prefix))
+def draw_module(data, ring, prefix, degrees=(-1, 0, 1)):
+    """A module of two to four basis elements, their degrees drawn as one
+    list from `degrees`."""
+    ds = data.draw(st.lists(st.sampled_from(degrees), min_size=2, max_size=4))
+    return GradedModule(ring, [BasisElement(f"{prefix}{i}", d)
+                               for i, d in enumerate(ds)], name=prefix)
 
 
 def draw_map(data, source, target, degree=None):
@@ -116,8 +118,12 @@ def sign(exp):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([-1, -1, 0], -1, False, 0, 0, 0, False, 0, 0, 0, 0, 0, 1,
+                     0, 0, 0))
 def test_twisted_tables_match_the_composites(ring, data):
-    A = data.draw(modules(ring, "a"))
+    A = draw_module(data, ring, "a")
     A2 = tensor(A, A)
     mu = draw_map(data, A2, A)
     lam = draw_map(data, A, A2)
@@ -148,8 +154,14 @@ def coassociativity_reference(lam, names):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([-1, 0, 1], 1, False, 0, 1, 0, 0, 1, 0,
+                     ['a0', 'a1', 'a2'], 1))
+@example(data=Replay([-1, 0, 1], 1, False, 0, 0, 0, 0, 0, 1,
+                     ['a0', 'a1', 'a2'], 1))
 def test_coassociativity_sides_match_the_composites(ring, data):
-    A = data.draw(modules(ring, "a"))
+    A = draw_module(data, ring, "a")
     A2, A3 = tensor(A, A), tensor(A, A, A)
     lam = draw_map(data, A, A2)
     one = identity_by_names(A)
@@ -212,7 +224,7 @@ def unit_reference(inst, names):
 @SETTINGS
 @given(data=st.data())
 def test_unit_axioms_match_the_name_formulas(ring, data):
-    A = data.draw(modules(ring, "a"))
+    A = draw_module(data, ring, "a")
     A2 = tensor(A, A)
     mu = draw_map(data, A2, A)
     eta = Vector(A, {e.name: data.draw(st.sampled_from((0, 1, 1, -1)))
@@ -243,9 +255,13 @@ def chain_map_reference(A, mu, lam, d):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([0, 1], False, 1, 0, False, 0, 0, 0, 0, False, 0, 0, 0, 0,
+                     False, 0, 0, 0, 1, False, 0, 0, 0))
 def test_chain_map_conditions_match_the_name_formulas(ring, data):
     # degrees 0 and 1 only, so every degree -1 map squares to zero
-    A = data.draw(modules(ring, "a", degrees=(0, 1)))
+    A = draw_module(data, ring, "a", degrees=(0, 1))
     A2 = tensor(A, A)
     d = draw_map(data, A, A, -1)
     mu = draw_map(data, A2, A, data.draw(st.integers(-1, 0)))
@@ -293,9 +309,13 @@ def dual_reference(f):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([-1, 1], [-2, -1], -1, False, 1))
+@example(data=Replay([-1, -1], [-2, -1], 0, False, 0, 1))
 def test_dual_and_shift_rows_match_the_name_formulas(ring, data):
-    M = data.draw(modules(ring, "m"))
-    N = data.draw(modules(ring, "n", degrees=(-2, -1, 0, 1)))
+    M = draw_module(data, ring, "m")
+    N = draw_module(data, ring, "n", degrees=(-2, -1, 0, 1))
     f = draw_map(data, M, N)
     fd, ref = dual_map(f), dual_reference(f)
     assert fd.row_fn is not None
@@ -335,11 +355,14 @@ def cone_reference(c, cone_mod):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([0, 1], [0, 0], False, 1, False, False))
 def test_cone_maps_match_the_name_formulas(ring, data):
     # degrees 0 and 1 only, so every degree -1 map squares to zero, and
     # c = d_A h + h d_M is a chain map for any degree +1 map h
-    M = data.draw(modules(ring, "m", degrees=(0, 1)))
-    A = data.draw(modules(ring, "a", degrees=(0, 1)))
+    M = draw_module(data, ring, "m", degrees=(0, 1))
+    A = draw_module(data, ring, "a", degrees=(0, 1))
     CM = ChainComplex(M, draw_map(data, M, M, -1))
     CA = ChainComplex(A, draw_map(data, A, A, -1))
     h = draw_map(data, M, A, 1)
@@ -375,7 +398,7 @@ def test_secondary_relation_matches_the_composites(ring, data):
     # lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1), the
     # reference built from the insertions and tensor_map on names; mu of
     # odd degree exercises the sign 1 (x) mu picks up on c1
-    A = data.draw(modules(ring, "a"))
+    A = draw_module(data, ring, "a")
     A2 = tensor(A, A)
     mu = draw_map(data, A2, A)
     lam = draw_map(data, A, A2)

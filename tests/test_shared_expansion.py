@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chainalg import cli
 from chainalg.bialgebra import PairKernel
@@ -54,6 +54,7 @@ from chainalg.graded import (
 )
 from chainalg.rings import GF, QQ, ZZ
 from random_instances import make_random_instance
+from replay import Replay
 
 RINGS = [ZZ, QQ, GF(5)]
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -260,6 +261,9 @@ def rows(ring):
 @pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay((), (), (), ((0, 1),)))
 def test_negated_side_ids_negate_every_coefficient(ring, data):
     ids = SideIds(ring)
     drawn = [data.draw(rows(ring)) for _ in range(4)]
@@ -319,10 +323,12 @@ def test_row_ids_by_position_match_the_frozenset_path(ring, data):
 
 # -- associativity on random products ------------------------------------------
 
-def modules(ring):
-    degrees = st.lists(st.integers(-1, 1), min_size=2, max_size=5)
-    return degrees.map(lambda ds: GradedModule(
-        ring, [BasisElement(f"a{i}", d) for i, d in enumerate(ds)], name="a"))
+def draw_module(data, ring):
+    """A module of two to five basis elements, their degrees drawn as one
+    list."""
+    ds = data.draw(st.lists(st.integers(-1, 1), min_size=2, max_size=5))
+    return GradedModule(ring, [BasisElement(f"a{i}", d)
+                               for i, d in enumerate(ds)], name="a")
 
 
 def draw_product(data, A, degree=None, source=None, target=None):
@@ -346,8 +352,15 @@ def draw_product(data, A, degree=None, source=None, target=None):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay([0, 1, 1, -1], -1, False, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                     0, 0, 0, 1, -1, 1, ['a2', 'a0', 'a1', 'a3'], 1))
+@example(data=Replay([0, -1], 1, False, 1, 0, 0, ['a1', 'a0'], 1))
+@example(data=Replay([0, 0, 1, 1], 1, True, 0, 0, 0, 0, 1, 0, 0, 1,
+                     ['a1', 'a0', 'a2', 'a3'], 2))
 def test_associativity_kernel_matches_the_loop(ring, data):
-    A = data.draw(modules(ring))
+    A = draw_module(data, ring)
     mu = draw_product(data, A)
     order = data.draw(st.permutations(A.basis_names()))
     names = order[:data.draw(st.integers(1, len(order)))]
@@ -358,7 +371,7 @@ def test_associativity_kernel_matches_the_loop(ring, data):
 @SETTINGS
 @given(data=st.data())
 def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
-    A = data.draw(modules(ring))
+    A = draw_module(data, ring)
     n = data.draw(st.integers(0, 1))          # |lam| = 1 - 2n is odd
     A2 = tensor(A, A)
     mu = draw_product(data, A, degree=0)
@@ -460,11 +473,13 @@ def test_cone_associativity_matches_the_loop(label, data):
             res = check_cone_associativity(data)
             if got[1] is None:
                 assert res == Outcome("pass",
-                                      "associative on the safe window")
+                                      "associative on the safe window",
+                                      got[0])
             else:
                 assert res == Outcome("fail", f"{'(x)'.join(got[1])}: "
                                               f"{format_vector(got[2])} vs "
-                                              f"{format_vector(got[3])}")
+                                              f"{format_vector(got[3])}",
+                                      got[0])
     finally:   # the package is shared with the other tests
         data.product = products[0]
     if label.startswith("lambda"):   # associative, and every flip is seen
