@@ -39,6 +39,7 @@ from .graded import (
     apply_rows,
     row_vector,
     vector_terms,
+    _Rows,
     _first_difference,
     _signed_row,
     _sum_rows,
@@ -57,10 +58,10 @@ class AxiomReport:
 class BialgebraData:
     """Module + product + coproduct + unit, with recorded degrees.
 
-    `safe_names`, when given, restricts every axiom quantifier to those
-    basis elements (used by truncated fixtures so that dropped structure
-    constants are never mistaken for counterexamples).  A differential may
-    be supplied; mu and lam are then required to be chain maps.
+    `safe_names` (default: the basis) restricts every quantifier to those
+    basis elements, kept as `safe`, their positions in the given order, so
+    that a truncated fixture's dropped constants never look like
+    counterexamples.  With a differential, mu and lam must be chain maps.
     """
 
     def __init__(self, module: GradedModule, mu: GradedMap, lam: GradedMap,
@@ -81,9 +82,7 @@ class BialgebraData:
         self.lam = lam
         self.eta = eta
         self.name = name
-        self.safe_names = (tuple(safe_names) if safe_names is not None
-                           else module.basis_names())
-        _require_basis_names(module, self.safe_names, "safe")
+        self.safe_names, self.safe = _safe_window(module, safe_names)
         self.differential = differential
         if differential is not None:
             ChainComplex(module, differential)  # validates d*d = 0
@@ -109,9 +108,10 @@ class BialgebraData:
         return row_vector(tensor(self.module, self.module),
                           self.lambda_eta_terms().items())
 
-    def safe_positions(self):
-        pos = self.module.index().pos
-        return [pos[n] for n in self.safe_names]
+    @functools.cached_property
+    def safe_pairs(self) -> tuple:
+        """The safe pairs (a, b), as positions, with a the outer loop."""
+        return tuple((i, j) for i in self.safe for j in self.safe)
 
     @functools.cached_property
     def kernel(self) -> "PairKernel":
@@ -122,36 +122,39 @@ class BialgebraData:
     def is_commutative(self) -> bool:
         """mu tau = (-1)^{|mu|} mu on safe pairs."""
         mu, odd = self.mu.row, self.module.index().odd
-        neg, safe = self.module.ring.neg, self.safe_positions()
+        neg = self.module.ring.neg
 
         def sides(p):
             i, j = p
             flip = (self.mu.degree + odd[i] * odd[j]) % 2
             return dict(mu(i, j)), dict(_signed_row(mu(j, i), flip, neg))
 
-        pairs = [(i, j) for i in safe for j in safe]
-        return _first_difference(pairs, sides)[1] is None
+        return _first_difference(self.safe_pairs, sides)[1] is None
 
     def is_cocommutative(self) -> bool:
         """tau lam = (-1)^{|lam|} lam on safe elements."""
         lam, odd = self.lam.row, self.module.index().odd
         neg, flip = self.module.ring.neg, self.lam.degree % 2
-        return _first_difference(self.safe_positions(), lambda x: (
+        return _first_difference(self.safe, lambda x: (
             _twisted(lam(x), odd, neg),
             dict(_signed_row(lam(x), flip, neg))))[1] is None
 
 
-def _require_basis_names(module: GradedModule, names, label: str):
-    """Raise ValueError at the first of `names` that is not a basis name of
-    `module` or that repeats an earlier one, naming it: a repeat would
+def _safe_window(module: GradedModule, names) -> tuple:
+    """(names, positions): the safe window `names` of `module` (every basis
+    name when None) as a tuple, and the position of each, in the given
+    order.  Raises ValueError at the first name that is not a basis name
+    of `module` or that repeats an earlier one, naming it: a repeat would
     count its inputs twice in every quantifier."""
-    seen = set()
+    names = module.basis_names() if names is None else tuple(names)
+    pos, positions = module.index().pos, {}
     for n in names:
         if not module.has(n):
-            raise ValueError(f"{label} name {n!r} is not a basis element")
-        if n in seen:
-            raise ValueError(f"{label} name {n!r} repeats a basis element")
-        seen.add(n)
+            raise ValueError(f"safe name {n!r} is not a basis element")
+        if n in positions:
+            raise ValueError(f"safe name {n!r} repeats a basis element")
+        positions[n] = pos[n]
+    return names, tuple(positions.values())
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +211,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
     neg, one = R.neg, R.one()
     mu, lam = inst.mu.row, inst.lam.row
     eta = inst.eta_terms()
-    at = inst.safe_positions()
-    pairs = [(i, j) for i in at for j in at]
+    at = inst.safe
 
     def run_unit_left():
         return _result(_first_difference(at, lambda i: (
@@ -224,7 +226,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
             {i: one})), names.__getitem__, A)
 
     def run_associativity():
-        return _result(associativity_witness(inst.mu, inst.safe_names),
+        return _result(associativity_witness(inst.mu, at),
                        TENSOR_SEP.join)
 
     def run_coassociativity():
@@ -234,7 +236,8 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
 
     def run_pairs(axiom):
         k = inst.kernel
-        return _result(k.first_failure(axiom, pairs), _pair_name(names), k.A2)
+        return _result(k.first_failure(axiom, inst.safe_pairs),
+                       _pair_name(names), k.A2)
 
     runners = {
         "unit (left)": run_unit_left,
@@ -495,8 +498,8 @@ class PairKernel:
         with their keys packed."""
         mu_rows, stride, L_rows = self.mu.rows, self.mu.stride, L.rows
         n, nn, negate = self.n, self.nn, sign < 0
-        packed = _Table(lambda x: tuple((k1 * n + k2, c)
-                                        for (k1, k2), c in L_rows[x]))
+        packed = _Rows(lambda x: tuple((k1 * n + k2, c)
+                                       for (k1, k2), c in L_rows[x]), 1, False)
 
         def piece(acc, i, js):
             key, get, base = i * stride, acc.get, 0
@@ -558,7 +561,7 @@ class PairKernel:
                     terms.append((b1, b2 * b2_scale, c))
             return out * (3 - len(out))
 
-        tables = _Table(lambda js: tuple(zip(*map(hoisted, js))))
+        tables = _Rows(lambda js: tuple(zip(*map(hoisted, js))), 1, False)
 
         def piece(acc, i, js):
             key, get, base = i * stride, acc.get, 0
@@ -624,20 +627,6 @@ class PairKernel:
         return piece
 
 
-class _Table(dict):
-    """fn(key), computed on the first lookup of key and kept."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        r = self[key] = self.fn(key)
-        return r
-
-
 def _sum_row(pieces, i, js) -> dict:
     """The pieces' terms on the row (a, js) in one accumulator (see
     `PairKernel`), zero coefficients included.  Canonical ring values are
@@ -679,25 +668,25 @@ def check_involutivity(inst: BialgebraData) -> Outcome:
     if not inst.is_cocommutative():
         problems.append("lam is not cocommutative")
     A = inst.module
-    mu, lam = inst.mu.row, inst.lam.row
+    mu, lam, names = inst.mu.row, inst.lam.row, A.index().names
 
-    def mu_lam(n):   # {position: coefficient}
-        return apply_rows(lambda k: mu(*k), lam(A.index().pos[n]), A.ring)
+    def mu_lam(x):   # {position: coefficient}
+        return apply_rows(lambda k: mu(*k), lam(x), A.ring)
 
     def show(v):
         return format_vector(row_vector(A, v.items()))
 
     if problems:
         values = "; ".join(
-            f"mu lam({n}) = {show(mu_lam(n))}"
-            for n in inst.safe_names[:4]
+            f"mu lam({names[x]}) = {show(mu_lam(x))}"
+            for x in inst.safe[:4]
         )
         return Outcome("skip", "hypotheses not met: " + ", ".join(problems)
                        + ". raw values: " + values)
-    _, n, v, _ = _first_difference(inst.safe_names, lambda n: (mu_lam(n), {}))
-    if n is None:
+    _, x, v, _ = _first_difference(inst.safe, lambda x: (mu_lam(x), {}))
+    if x is None:
         return Outcome("pass", "")
-    return Outcome("fail", f"mu lam({n}) = {show(v)} != 0")
+    return Outcome("fail", f"mu lam({names[x]}) = {show(v)} != 0")
 
 
 def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
@@ -711,9 +700,8 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
         return Outcome("skip", "mu is not commutative")
     if not inst.is_cocommutative():
         return Outcome("skip", "lam is not cocommutative")
-    kernel = inst.kernel
-    safe, name = inst.safe_positions(), _pair_name(kernel.idx.names)
-    pairs = [(i, j) for i in safe for j in safe]
+    kernel, pairs = inst.kernel, inst.safe_pairs
+    name = _pair_name(kernel.idx.names)
     uir = _result(kernel.first_failure("unital infinitesimal", pairs), name,
                   kernel.A2)
     if uir.status != "pass":
@@ -744,11 +732,12 @@ def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
     is cross-checked against that second evaluation route.
     """
     A = lam.source
-    expected = lam.degree
-    for c in (c_fwd, c_op):
-        if not c.is_zero() and c.degree() != expected:
-            raise ValueError(
-                f"bivector degree {c.degree()} does not match |lam| = {expected}")
+    expected, deg = lam.degree, A.index().degree
+    for c in (c_fwd, c_op):   # degrees read off positions, not names
+        d = {deg[k1] + deg[k2] for (k1, k2), _ in vector_terms(c)}
+        if d - {expected}:
+            raise ValueError(f"bivector degrees {sorted(d)} do not match "
+                             f"|lam| = {expected}")
     R = A.ring
     lam_row, neg = lam.row, R.neg
     term1 = _times_right(mu, c_fwd)
@@ -824,7 +813,7 @@ def check_loday_ronco(inst: BialgebraData) -> Outcome:
     else:
         raise ValueError(
             f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
-    kernel, safe = inst.kernel, inst.safe_positions()
+    kernel = inst.kernel
     return _result(kernel.first_failure(f"identity-coproduct form {sign:+d}",
-                                        [(i, j) for i in safe for j in safe]),
+                                        inst.safe_pairs),
                    _pair_name(kernel.idx.names), kernel.A2)

@@ -15,7 +15,8 @@ so barred elements sit one degree higher):
     beta(f,g)       = <f (x) g (x) 1, B>
 
 with lam_fwd = lam + (mu (x) 1)(1 (x) Q0), lam_rev_left = lam +
-(1 (x) mu)(Q0 (x) 1), and lam_rev carrying both corrections.  The cone
+(1 (x) mu)(Q0 (x) 1), and lam_rev carrying both corrections, each a
+change of coproduct (`bialgebra.secondary_relation_apply`).  The cone
 product's parts are these operations, [i,j;k]-shifted into the blocks
 
     (+,+)->+ : mu        (+,-)->+ : tau_R[0,1;0]   (+,-)->- : m_L[0,1;1]
@@ -74,8 +75,8 @@ from .graded import (
     _twisted,
 )
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
-from .bialgebra import (BialgebraData, PairKernel, _require_basis_names,
-                        _times_left, _times_right)
+from .bialgebra import (BialgebraData, PairKernel, _safe_window,
+                        secondary_relation_apply)
 
 
 def _format_row(module: GradedModule, row: dict) -> str:
@@ -140,11 +141,12 @@ class ConeProductData:
     bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), B
     is invariant under the graded cyclic rotation, and the continuation
     map c: M -> A read off c0 is a chain map (`continuation`).  It holds
-    M = `dual_side(A, n)`, Mbar = M[-1] and their `layout`.  Each of
-    `cone` (the mapping cone of c), `product` (the cone product on it),
-    `components`, `associativity` and `kernel` is built on first use and
-    kept, none raises on a constructed package, and none refers back to
-    the package, so reference counting frees it.
+    M = `dual_side(A, n)`, Mbar = M[-1], their `layout` and `safe`, the
+    positions in A of `safe_names` in their order, which the checks walk.
+    Each of `cone` (the mapping cone of c), `product` (the cone product on
+    it), `components`, `associativity` and `kernel` is built on first use
+    and kept, none raises on a constructed package, and none refers back
+    to the package, so reference counting frees it.
     """
 
     def __init__(self, complex_: ChainComplex, mu: GradedMap, lam: GradedMap,
@@ -201,14 +203,7 @@ class ConeProductData:
         self.B = B
         self.n = n
         self.name = name
-        self.safe_names = (tuple(safe_names) if safe_names is not None
-                           else A.basis_names())
-        _require_basis_names(A, self.safe_names, "safe")
-
-    def safe_cone_names(self):
-        """The cone's names of the safe window: each "+x", then each "-x^"."""
-        return (tuple(f"+{n}" for n in self.safe_names)
-                + tuple(f"-{n}^" for n in self.safe_names))
+        self.safe_names, self.safe = _safe_window(A, safe_names)
 
     @functools.cached_property
     def cone(self) -> Cone:
@@ -271,28 +266,29 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     of the module docstring, each read from its tables by exact
     dualization and [i,j;k]-shifted into its block."""
     A, M, at = data.A, data.M, data.layout
-    R = A.ring
-    neg = R.neg
+    neg = A.ring.neg
     odd, odd_M = A.index().odd, M.index().odd
     deg, dual, base = at.deg, at.dual, at.base
-    mu, lam = data.mu.row, data.lam.row
+    mu = data.mu.row
     A2 = tensor(A, A)
-    # coproducts corrected by the secondary bivector: (mu (x) 1)(x (x) Q0)
-    # and (1 (x) mu)(Q0 (x) x), the terms of the change of coproduct
-    corr_R = _times_right(data.mu, data.Q0)
-    corr_L = _times_left(data.mu, data.Q0)
+    # the changes of coproduct by Q0 on the right, on the left and on both
+    # sides; lam_rev changes lam_fwd, so that no row takes the reverse-data
+    # cross-check's second route
+    zero, minus_Q0 = A2.zero(), -data.Q0
+    lam_fwd = secondary_relation_apply(data.mu, data.lam, data.Q0, zero)
+    lam_rev_left = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)
+    lam_rev = secondary_relation_apply(data.mu, lam_fwd, zero, minus_Q0).row
 
     # built on first request: sparse transposes of mu (per fixed factor and
     # degree of the other) and of lam_rev, slot tables of lam_fwd, lam_rev_left
     mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
     mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
     lam_rev_table = functools.cache(lambda: transpose_rows(
-        range(len(deg)),
-        lambda x: _sum_rows(R, lam(x), corr_R(x), corr_L(x))))
+        range(len(deg)), lam_rev))
     tau_R_table = functools.cache(lambda x: slot_table(
-        _sum_rows(R, lam(x), corr_R(x)), A2, M, last=True))
+        lam_fwd.row(x), A2, M, last=True))
     tau_L_table = functools.cache(lambda x: slot_table(
-        _sum_rows(R, lam(x), corr_L(x)), A2, M))
+        lam_rev_left.row(x), A2, M))
     # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
     B_rows = {f: slot_table(T.items(), A2, M) for f, T in
               slot_table(vector_terms(data.B), data.B.module, M).items()}
@@ -453,9 +449,9 @@ def cross_check_components(data: ConeProductData) -> Outcome:
     plus, minus, where = data.cone.layout
     assembled = data.product.row
     names = data.cone.complex.module.index().names
-    pos, dual = A.index().pos, data.layout.dual
-    safe = {"p": [plus[pos[x]] for x in data.safe_names],
-            "m": [minus[dual[pos[x]]] for x in data.safe_names]}
+    dual = data.layout.dual
+    safe = {"p": [plus[x] for x in data.safe],
+            "m": [minus[dual[x]] for x in data.safe]}
 
     def show(d_p, d_m):
         return f"({_format_row(A, d_p)} | {_format_row(data.Mbar, d_m)})"
@@ -495,8 +491,11 @@ def cross_check_components(data: ConeProductData) -> Outcome:
 def check_cone_associativity(data: ConeProductData) -> Outcome:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples,
     for the package's product (`data.product`)."""
-    count, triple, lhs, rhs = associativity_witness(data.product,
-                                                    data.safe_cone_names())
+    plus, minus, _ = data.cone.layout
+    dual = data.layout.dual
+    count, triple, lhs, rhs = associativity_witness(
+        data.product, [plus[x] for x in data.safe]
+        + [minus[dual[x]] for x in data.safe])
     if triple is None:
         return Outcome("pass", "associative on the safe window", count)
     u, v, w = triple
@@ -561,9 +560,8 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     mu = data.mu.row
     pm_p = comps["pm_p"].row
 
-    safe = [(n, idx.pos[n]) for n in data.safe_names]
     # Mbar has M's positions, so the position of f^ keys both
-    duals = [data.layout.dual[i] for _, i in safe]
+    duals = [data.layout.dual[i] for i in data.safe]
     at_f = {k: kf for kf, k in enumerate(duals)}   # Mbar position -> f
     ids = SideIds(R)
     sides, mu_id = ids.sides, ids.row_ids(data.mu)
@@ -597,17 +595,17 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
             rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
         return rhs
 
-    def pairs():   # (a, b, position of a, position of b, a's lhs ids)
-        for a, i in safe:
+    def pairs():   # (position of a, position of b, a's lhs ids)
+        for i in data.safe:
             lhs_id = lhs_ids(i)
-            for b, j in safe:
-                yield a, b, i, j, lhs_id
+            for j in data.safe:
+                yield i, j, lhs_id
 
     count, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
-        list(map(p[4], rows_at(p[3]))), rhs_ids(p[2], p[3])))
+        list(map(p[2], rows_at(p[1]))), rhs_ids(p[0], p[1])))
     if ab is None:
         return Outcome("pass", "", count * len(duals))
-    a, b, i, j, _ = ab
+    i, j, _ = ab
     kf = _first_difference(range(len(lhs)), lambda f: (lhs[f], rhs[f]))[1]
     count = (count - 1) * len(duals) + kf + 1   # triples up to (a, b, f)
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
@@ -615,7 +613,8 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
         sides[pm_p_of(mu_id(i, j))[kf]], True, neg)))]
     return Outcome(
-        "fail", f"fails at a={a}, b={b}, f={M.index().names[duals[kf]]}: "
+        "fail", f"fails at a={idx.names[i]}, b={idx.names[j]}, "
+        f"f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "
         f"{_format_row(A, expected(i, j).get(kf, {}))}", count)
 
@@ -627,8 +626,12 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 def cone_data_from_bialgebra(inst: BialgebraData, n: int,
                              name: str = "") -> ConeProductData:
     """Package a d = 0 unital instance: c0 = 0, Q0 = -lam(eta), B = 0,
-    holding the instance's kernel (v = lam eta = -Q0)."""
+    holding the instance's kernel (v = lam eta = -Q0); an instance with a
+    nonzero differential is refused (ValueError)."""
     A = inst.module
+    d = inst.differential
+    if d is not None and any(map(d.row, range(len(A.index().names)))):
+        raise ValueError("a cone needs d = 0; the differential is nonzero")
     complex_ = ChainComplex(A)
     A2 = tensor(A, A)
     A3 = tensor(A, A, A)

@@ -68,8 +68,10 @@ answer a name-keyed caller (`eval_basis`).
 
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
-`cone_product`) expand each side once per distinct row and compare sides
-as ids interned by `SideIds`, a map's row as its set of terms.  A row's id
+`cone_product`) quantify over positions, a package's safe window as the
+positions it fixed at construction, expand each side once per distinct
+row and compare sides as ids interned by `SideIds`, a map's row as its
+set of terms.  A row's id
 is kept by the row tuple and, in one table per map, by its position
 i * stride + j (`SideIds.row_ids`), so a side of one term with
 coefficient 1 or -1 is a lookup, or two with its negation (`SideIds.neg`),
@@ -228,7 +230,7 @@ class GradedModule:
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "Vector":
-        return Vector(self, {})
+        return Vector._trusted(self, {})
 
     def el(self, name: str, coeff=1) -> "Vector":
         if not self.has(name):
@@ -612,7 +614,8 @@ class _Rows(dict):
     computes and keeps the row fn(i, j), or fn(key) for an atomic source.
     `GradedMap.row` fills a missing row itself, from the (i, j) it has, by
     the same rule, so that its first read divides no key: a change to how
-    rows are made or kept edits both."""
+    rows are made or kept edits both.  With stride 1 on an atomic key it is
+    the library's one lazily filled table, the pair pieces' tables too."""
 
     __slots__ = ("fn", "stride", "binary")
 
@@ -834,16 +837,18 @@ def tensor_differential(d: GradedMap) -> GradedMap:
     return GradedMap(M2, M2, d.degree, rows, name=f"({d.name}2)")
 
 
-def associativity_witness(mu: GradedMap, names):
+def associativity_witness(mu: GradedMap, inputs):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
-    mu(mu (x) 1) = mu(1 (x) mu) over names^3 in lexicographic order, with
+    mu(mu (x) 1) = mu(1 (x) mu) over inputs^3 in lexicographic order, the
+    `inputs` being positions of mu's target (`GradedModule.index`), with
     both sides expanded from mu's rows of basis products:
 
         lhs = sum_x <mu(a (x) b), x> mu(x (x) c),
         rhs = (-1)^{|mu||a|} sum_y <mu(b (x) c), y> mu(a (x) y),
 
-    the sign being the one 1 (x) mu picks up on a.  The sides are Vectors
-    of mu's target on a failure, else None.
+    the sign being the one 1 (x) mu picks up on a.  The failing triple is
+    named, and the sides are Vectors of mu's target, on a failure; else
+    both are None.
 
     Each side is expanded once per distinct product row, not once per
     triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
@@ -866,13 +871,12 @@ def associativity_witness(mu: GradedMap, names):
     minus_one = neg(one)
     idx = A.index()
     row = mu.row
-    inputs = [(n, idx.pos[n]) for n in names]
     ids = SideIds(A.ring)
     sides, row_id = ids.sides, ids.row_ids(mu)
 
     @functools.cache
     def times_inputs(x):   # ids of mu(x (x) c) for the inputs c
-        return [row_id(x, k) for _, k in inputs]
+        return [row_id(x, k) for k in inputs]
 
     @functools.cache
     def lhs_ids(ab):   # ids of the lhs for the inputs c, per row id of ab
@@ -883,7 +887,7 @@ def associativity_witness(mu: GradedMap, names):
                 return times_inputs(x)
             if c == minus_one:
                 return list(map(ids.neg, times_inputs(x)))
-        return [ids.combine(terms, lambda x: row(x, k)) for _, k in inputs]
+        return [ids.combine(terms, lambda x: row(x, k)) for k in inputs]
 
     def rhs_ids(i):   # the id of the rhs per row id of bc, for a at i
         negate = mu.degree % 2 and idx.odd[i]
@@ -892,19 +896,21 @@ def associativity_witness(mu: GradedMap, names):
             _signed_row(sides[bc], True, neg) if negate else sides[bc],
             at, id_at))
 
-    def pairs():   # (a, b, row id of ab, position of b, a's rhs ids)
-        for a, i in inputs:
+    def pairs():   # (a, b, row id of ab, a's rhs ids), a and b positions
+        for i in inputs:
             rhs_id = rhs_ids(i)
-            for ab, (b, j) in zip(times_inputs(i), inputs):
-                yield a, b, ab, j, rhs_id
+            for ab, j in zip(times_inputs(i), inputs):
+                yield i, j, ab, rhs_id
 
     n, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
-        lhs_ids(p[2]), list(map(p[4], times_inputs(p[3])))))
+        lhs_ids(p[2]), list(map(p[3], times_inputs(p[1])))))
     if ab is None:
         return n * len(inputs), None, None, None
     k, _, lhs, rhs = _first_difference(range(len(lhs)),
                                        lambda c: (lhs[c], rhs[c]))
-    return ((n - 1) * len(inputs) + k, (ab[0], ab[1], inputs[k - 1][0]),
+    names = idx.names
+    return ((n - 1) * len(inputs) + k,
+            (names[ab[0]], names[ab[1]], names[inputs[k - 1]]),
             row_vector(A, sides[lhs]), row_vector(A, sides[rhs]))
 
 
@@ -976,23 +982,6 @@ def transpose_rows(inputs, image) -> dict:
 def _op_shift_signs(odd, j) -> list:
     """Per position u, whether the [i,j;k] rule's (-1)^{j |u|} is -1."""
     return [bool(j % 2 and o) for o in odd]
-
-
-# -- pairings -----------------------------------------------------------------
-
-def dual_pair(f: Vector, a: Vector):
-    """<f, a> for f in a dual-basis module (names "x^") and a in the base.
-
-    Symmetric in usage: the pairing reads matching names, no degree signs.
-    """
-    R = a.module.ring
-    acc = R.zero()
-    for name, c in f.coeffs.items():
-        base = name[:-1] if name.endswith("^") else name
-        ca = a.coeffs.get(base)
-        if ca is not None:
-            acc = R.add(acc, R.mul(c, ca))
-    return acc
 
 
 def _positions(module: GradedModule, name: str) -> tuple:

@@ -152,13 +152,13 @@ def _reverse_coproduct(t):
     rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).row
     direct = target.lam.row
     A, B = inst.module, target.module
-    _, nm, got, want = _first_difference(inst.safe_names, lambda nm: (
-        dict(rebuilt(A.index().pos[nm])), dict(direct(B.index().pos[nm]))))
-    if nm is None:
+    _, x, got, want = _first_difference(inst.safe, lambda x: (
+        dict(rebuilt(x)), dict(direct(x))))
+    if x is None:
         return Outcome("pass", f"{other} reconstructed from {name} with c = "
-                       f"{format_vector(c)} on {len(inst.safe_names)} inputs")
+                       f"{format_vector(c)} on {len(inst.safe)} inputs")
     return Outcome("fail", (
-        f"mismatch at {nm}: rebuilt "
+        f"mismatch at {A.index().names[x]}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
         f"{format_vector(row_vector(tensor(B, B), want.items()))}"))
 

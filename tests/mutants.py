@@ -5,8 +5,10 @@ the length counts it reads, the d*d = 0 check, the sign decisions and
 structural checks of the row maps, the status and detail of each check's
 `Outcome`, an axiom's input count and the time a record reads from its
 Outcome, the closed forms of the loop fixtures, the sign normalisation of
-the extended gcd, and the extreme degree at which the induced quotient
-homotopy vanishes.
+the extended gcd, the extreme degree at which the induced quotient
+homotopy vanishes, the cone's changed coproducts, the order in which a
+safe window is kept, and the refusal to package a bialgebra with a
+differential as a cone with d = 0.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -320,11 +322,10 @@ MUTANTS = [
     ("cone_product.py", "    A, M, at = data.A, data.M, data.layout\n",
      "    A, at = data.A, data.layout\n    M = dual_side(A, data.n)\n",
      DUAL_ONCE),
-    ("cone_product.py", '"m": [minus[dual[pos[x]]] for x in data.safe_names]',
-     '"m": [minus[data.layout.base[pos[x]]] for x in data.safe_names]',
-     CLOSED_FORM),
-    ("cone_product.py", "duals = [data.layout.dual[i] for _, i in safe]",
-     "duals = [data.layout.base[i] for _, i in safe]", OPTIMIZED),
+    ("cone_product.py", '"m": [minus[dual[x]] for x in data.safe]}',
+     '"m": [minus[data.layout.base[x]] for x in data.safe]}', CLOSED_FORM),
+    ("cone_product.py", "duals = [data.layout.dual[i] for i in data.safe]",
+     "duals = [data.layout.base[i] for i in data.safe]", OPTIMIZED),
     # the cone product's rows: each part's folded sign, its operation's
     # sign times its [i,j;k] unshift's, and the placement of the blocks
     ("cone_product.py", "[(plus[w], neg(c) if s else c)",
@@ -413,8 +414,8 @@ MUTANTS = [
     # swapped, the row's nonzero test skipped or read without reducing mod
     # p, the witness taken as the last failing b of its row, and a kept
     # defect unpacked with its factors swapped
-    ("bialgebra.py", "packed = _Table(lambda x: tuple((k1 * n + k2, c)",
-     "packed = _Table(lambda x: tuple((k2 * n + k1, c)", PIECES),
+    ("bialgebra.py", "packed = _Rows(lambda x: tuple((k1 * n + k2, c)",
+     "packed = _Rows(lambda x: tuple((k2 * n + k1, c)", PIECES),
     ("bialgebra.py",
      "if not any(values if not p else (c % p for c in values)):",
      "if True:", QUANTIFIER),
@@ -426,6 +427,23 @@ MUTANTS = [
      "t = max(t for t, part in enumerate(parts) if part)", LAST_B),
     ("bialgebra.py", "out[t][divmod(k, n)] = c", "out[t][divmod(k, n)[::-1]] = c",
      PIECES),
+    # the cone's lam_rev built on lam instead of lam_fwd, which drops Q0's
+    # right correction from sigma; the safe window's positions sorted
+    # instead of kept in the given order; and a bialgebra with a nonzero
+    # differential packaged as a cone with d = 0
+    ("cone_product.py",
+     "lam_rev = secondary_relation_apply(data.mu, lam_fwd, zero, minus_Q0)",
+     "lam_rev = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)",
+     PRODUCT),
+    ("bialgebra.py", "return names, tuple(positions.values())",
+     "return names, tuple(sorted(positions.values()))",
+     "tests/test_window_order.py::"
+     "test_a_window_out_of_canonical_order_is_walked_in_its_order"),
+    ("cone_product.py",
+     "if d is not None and any(map(d.row, range(len(A.index().names)))):",
+     "if False:",
+     "tests/test_cone_product.py::"
+     "test_a_bialgebra_with_a_differential_is_not_packaged"),
 ]
 
 

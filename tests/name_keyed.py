@@ -22,12 +22,44 @@ and `PLACEMENT` the [i,j;k] at which its product places each;
 `chainalg.graded` docstring as row maps, the reference the cone product's
 parts are shifted back by.  `identity` is the identity row map of a module
 and `structurally_equal` compares two bialgebras table by table.
+`dual_pair` is the dual-basis pairing by names, `positions` the positions
+of basis names, and `cone_window` a cone package's safe window on its
+cone, "+x" then "-x^" for each safe x, as positions.
 """
 
 from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
-                             Vector, _op_shift_signs, _signed_row, dual_pair,
+                             Vector, _op_shift_signs, _signed_row,
                              format_vector, shift, tensor)
 from chainalg.scenario import _combo_to_json
+
+
+def dual_pair(f: Vector, a: Vector):
+    """<f, a> for f in a dual-basis module (names "x^") and a in the base.
+
+    Symmetric in usage: the pairing reads matching names, no degree signs.
+    """
+    R = a.module.ring
+    acc = R.zero()
+    for name, c in f.coeffs.items():
+        base = name[:-1] if name.endswith("^") else name
+        ca = a.coeffs.get(base)
+        if ca is not None:
+            acc = R.add(acc, R.mul(c, ca))
+    return acc
+
+
+def positions(module: GradedModule, names) -> list:
+    """The positions of the basis names `names` of an atomic module."""
+    pos = module.index().pos
+    return [pos[n] for n in names]
+
+
+def cone_window(data) -> list:
+    """The cone package's safe window on its cone: the position of each
+    "+x", then of each "-x^", for x in the package's safe window."""
+    return positions(data.cone.complex.module,
+                     [f"+{n}" for n in data.safe_names]
+                     + [f"-{n}^" for n in data.safe_names])
 
 
 class NameMap:

@@ -117,7 +117,7 @@ def test_criterion_4_cone_components_and_associativity():
         assert cc.status == "pass", f"{name}: {cc.detail}"
         assoc = check_cone_associativity(data)
         assert assoc.status == "pass", f"{name}: {assoc.detail}"
-        n_safe = len(data.safe_cone_names())
+        n_safe = 2 * len(data.safe)
         details.append(f"{name} ({n_safe} safe cone generators)")
     _report(4, "closed-form components equal the assembled blocks and the "
                "cone product is associative for " + ", ".join(details))

@@ -12,7 +12,6 @@ from chainalg.graded import (
     Vector,
     shift,
     tensor,
-    dual_pair,
     TENSOR_SEP,
 )
 from chainalg.complexes import ChainComplex
@@ -24,10 +23,12 @@ from chainalg.cone_product import (
     check_assoc_implies_infinitesimal,
     cone_data_from_bialgebra,
 )
+from chainalg.bialgebra import BialgebraData
 from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
-from name_keyed import (PLACEMENT, NameMap, apply_op_shift, identity,
-                        named, secondary_operations, tensor_map, twist)
+from name_keyed import (PLACEMENT, NameMap, apply_op_shift, cone_window,
+                        dual_pair, identity, named, secondary_operations,
+                        tensor_map, twist)
 from random_instances import make_random_instance
 
 W = TruncationWindow(12)
@@ -119,9 +120,33 @@ def test_safe_window_names_basis_elements_once():
         with pytest.raises(ValueError, match=message):
             ConeProductData(*parts, n=3, safe_names=bad)
     data = ConeProductData(*parts, n=3, safe_names=safe)
-    names = data.safe_cone_names()
-    assert len(names) == 2 * len(safe)
-    assert all(data.cone.complex.module.has(n) for n in names)
+    assert data.safe_names == tuple(safe)
+    assert data.safe == tuple(A.index().pos[n] for n in safe)
+    assert len(set(cone_window(data))) == 2 * len(safe)
+
+
+def _three_cells(d_of_x: int) -> BialgebraData:
+    """e (degree 0, the unit), x (1) and y (0), d(x) = d_of_x * y, every
+    product not involving e zero and lam = 0 of degree -1 (n = 1): mu and
+    lam are chain maps whatever d_of_x is."""
+    A = GradedModule(ZZ, [BasisElement("e", 0), BasisElement("x", 1),
+                          BasisElement("y", 0)], name="t")
+    mu = GradedMap.from_table(tensor(A, A), A, 0, {
+        **{f"e{TENSOR_SEP}{n}": A.el(n) for n in "exy"},
+        **{f"{n}{TENSOR_SEP}e": A.el(n) for n in "xy"}})
+    d = GradedMap.from_table(A, A, -1, {"x": A.el("y", d_of_x)})
+    return BialgebraData(A, mu, GradedMap.zero(A, tensor(A, A), -1),
+                         A.el("e"), differential=d)
+
+
+def test_a_bialgebra_with_a_differential_is_not_packaged():
+    # the package's complex has d = 0, so an instance whose differential
+    # has a nonzero row is refused instead of packaged without it
+    with pytest.raises(ValueError, match="needs d = 0"):
+        cone_data_from_bialgebra(_three_cells(1), n=1)
+    data = cone_data_from_bialgebra(_three_cells(0), n=1)
+    assert [data.complex.d.row(i) for i in range(3)] == [()] * 3
+    assert check_cone_associativity(data).status == "pass"
 
 
 def test_cyclic_symmetric_cubic_accepted():
@@ -362,7 +387,7 @@ def test_cone_associativity(s3_data, s1_data):
     for data in (s3_data, s1_data):   # every safe cone triple
         assert check_cone_associativity(data) == Outcome(
             "pass", "associative on the safe window",
-            len(data.safe_cone_names()) ** 3)
+            (2 * len(data.safe)) ** 3)
 
 
 def test_commutativity_relations(s1_data):
@@ -806,7 +831,7 @@ def test_cone_checks_count_their_inputs():
     plus = make_fixture("lambda-s1-plus", TruncationWindow(8))
     data = cone_data_from_bialgebra(plus, n=1)
     s = len(data.safe_names)
-    assert (s, len(data.safe_cone_names())) == (10, 20)
+    assert (s, len(cone_window(data))) == (10, 20)
     assert [cross_check_components(data).inputs_checked,
             data.associativity.inputs_checked,
             check_assoc_implies_infinitesimal(data).inputs_checked] == \

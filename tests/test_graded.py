@@ -19,14 +19,13 @@ from chainalg.graded import (
     shift_map,
     dual_module,
     dual_map,
-    dual_pair,
     TENSOR_SEP,
     format_vector,
     basis_keys,
     vector_terms,
 )
-from name_keyed import (apply_op_shift, identity, is_zero_map, named, scaled,
-                        tensor_map, twist, unapply_op_shift)
+from name_keyed import (apply_op_shift, dual_pair, identity, is_zero_map,
+                        named, scaled, tensor_map, twist, unapply_op_shift)
 
 
 def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):

@@ -45,7 +45,6 @@ from chainalg.cone_product import (
 )
 from chainalg.graded import (
     Outcome,
-    dual_pair,
     format_vector,
     row_vector,
     slot_table,
@@ -54,8 +53,10 @@ from chainalg.graded import (
 from name_keyed import (
     NameMap,
     apply_op_shift,
+    dual_pair,
     identity,
     named,
+    positions,
     quantify_reference,
     scaled,
     tensor_map,
@@ -314,10 +315,12 @@ def test_associativity_kernel_matches_the_composites(ring, data):
     mu = draw_product(data, A)
     order = data.draw(st.permutations(A.basis_names()))
     names = order[:data.draw(st.integers(1, len(order)))]
-    assert associativity_witness(mu, names) == composite_reference(mu, names)
+    assert (associativity_witness(mu, positions(A, names))
+            == composite_reference(mu, names))
     cancelling = with_cancelling_block(mu)
     names = [*names, "c0"]
-    assert (associativity_witness(cancelling, names)
+    assert (associativity_witness(cancelling,
+                                  positions(cancelling.target, names))
             == composite_reference(cancelling, names))
 
 
@@ -328,10 +331,11 @@ def test_associativity_kernel_drops_cancelled_terms(monkeypatch):
     table = {"x0⊗x0": Vector(A, {"x1": 1, "x2": 1}),
              "x1⊗x0": A.el("x3"), "x2⊗x0": A.el("x3", -1)}
     mu = GradedMap.from_table(A2, A, 0, table)
-    assert associativity_witness(mu, ["x0"]) == (1, None, None, None)
+    x0 = positions(A, ["x0"])
+    assert associativity_witness(mu, x0) == (1, None, None, None)
     table["x0⊗x2"] = A.el("x0")
     mu = GradedMap.from_table(A2, A, 0, table)
-    got = associativity_witness(mu, ["x0"])
+    got = associativity_witness(mu, x0)
     assert got == (1, ("x0",) * 3, A.zero(), A.el("x0"))
     assert got == composite_reference(mu, ["x0"])
     assert got[2].coeffs == {}
@@ -339,13 +343,13 @@ def test_associativity_kernel_drops_cancelled_terms(monkeypatch):
     # the sides compare as dicts, and Vectors only format a witness
     del table["x0⊗x2"]
     mu = GradedMap.from_table(A2, A, 0, table)
-    assert associativity_witness(mu, ["x0"]) == (1, None, None, None)
+    assert associativity_witness(mu, x0) == (1, None, None, None)
     built = []
     trusted = Vector._trusted
     monkeypatch.setattr(Vector, "_trusted",
                         lambda module, coeffs: built.append(coeffs)
                         or trusted(module, coeffs))
-    assert associativity_witness(mu, ["x0"]) == (1, None, None, None)
+    assert associativity_witness(mu, x0) == (1, None, None, None)
     assert built == []
 
 
@@ -356,7 +360,7 @@ def test_associativity_kernel_checks_targets():
     other = small(prefix="y")
     mu = NameMap(tensor(A, A), A, 0, lambda n: other.el("y0"), name="mu")
     with pytest.raises(ValueError, match="does not live in the target"):
-        associativity_witness(mu.row_map(), A.basis_names())
+        associativity_witness(mu.row_map(), range(len(A.basis_names())))
 
 
 def test_table_reads_each_row_once_through_the_row_function():

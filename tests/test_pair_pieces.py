@@ -195,7 +195,7 @@ def reference_result(inst, axiom):
     sides = (kernel.infinitesimal if axiom == "unital infinitesimal"
              else kernel.antisymmetry)
     names = kernel.idx.names
-    safe = inst.safe_positions()
+    safe = inst.safe
     count = 0
     for i in safe:
         for j in safe:
@@ -318,7 +318,7 @@ def test_first_failure_over_other_pairs_is_computed_anew():
                 if any(a == "unital infinitesimal" and r.status != "pass"
                        and r.inputs_checked > 1
                        for a, r in zip(AXIOM_ORDER, check_axioms(m).results)))
-    kernel, safe = inst.kernel, inst.safe_positions()
+    kernel, safe = inst.kernel, inst.safe
     pairs = [(i, j) for i in safe for j in safe]
     count, p, _, _ = kernel.first_failure("unital infinitesimal", pairs)
     assert p is not None and count > 1
@@ -336,7 +336,7 @@ def test_a_row_reads_its_sums_mod_p():
     # the pieces add raw ints; over GF(5) a passing fixture's rows hold
     # nonzero multiples of 5, which the row's test reads as 0
     inst = fx.make_fixture("lambda-s1-plus", fx.TruncationWindow(8), GF(5))
-    kernel, safe = inst.kernel, inst.safe_positions()
+    kernel, safe = inst.kernel, inst.safe
     pairs = [(i, j) for i in safe for j in safe]
     for axiom in PAIR_AXIOMS:
         raw = [c for i in safe
@@ -351,7 +351,7 @@ def test_the_witness_is_the_first_failing_b_of_its_row():
     later = 0
     for name in BIALGEBRA_FIXTURES:
         for inst in mutants(name, ZZ)[1:]:
-            kernel, safe = inst.kernel, inst.safe_positions()
+            kernel, safe = inst.kernel, inst.safe
             pairs = [(i, j) for i in safe for j in safe]
             for axiom in PAIR_AXIOMS:
                 fails = [k for k, p in enumerate(pairs)

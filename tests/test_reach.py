@@ -101,7 +101,6 @@ ALLOWED = {
     "graded.GradedMap.__repr__": REPR,
     "graded.shift_map.rows":
         "an odd map shifted by an odd k; every shipped shift is even",
-    "graded.dual_pair": API,
     "matrices.ExactMatrix.from_rows": DENSE,
     "matrices.ExactMatrix.to_rows": DENSE,
     "matrices.ExactMatrix.__hash__": HASH,

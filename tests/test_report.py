@@ -314,7 +314,7 @@ def test_demo_forms_each_pair_defect_once(monkeypatch, tmp_path):
         formed.clear()
         code, records = _demo(tmp_path, name, window)
         assert code == 0, [r for r in records if r["status"] != "pass"]
-        safe = make_fixture(name, TruncationWindow(window)).safe_positions()
+        safe = make_fixture(name, TruncationWindow(window)).safe
         assert set(formed) == {(i, j) for i in safe for j in safe}, name
         assert set(formed.values()) == {1}, name
 

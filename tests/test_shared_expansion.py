@@ -53,6 +53,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import GF, QQ, ZZ
+from name_keyed import cone_window, positions
 from random_instances import make_random_instance
 from replay import Replay
 
@@ -364,7 +365,8 @@ def test_associativity_kernel_matches_the_loop(ring, data):
     mu = draw_product(data, A)
     order = data.draw(st.permutations(A.basis_names()))
     names = order[:data.draw(st.integers(1, len(order)))]
-    assert associativity_witness(mu, names) == associativity_loop(mu, names)
+    assert (associativity_witness(mu, positions(A, names))
+            == associativity_loop(mu, names))
 
 
 @ring_param
@@ -398,7 +400,8 @@ def test_associativity_kernel_reads_rows_in_any_order():
 
     mu = GradedMap(tensor(A, A), A, 0, rows)
     names = A.basis_names()
-    assert associativity_witness(mu, names) == associativity_loop(mu, names)
+    assert (associativity_witness(mu, positions(A, names))
+            == associativity_loop(mu, names))
 
 
 def test_associativity_kernel_negates_a_product_row_of_minus_one():
@@ -415,7 +418,7 @@ def test_associativity_kernel_negates_a_product_row_of_minus_one():
                  ("i", "1"): A.el("i", i_times_1), ("i", "i"): A.el("1", -1)}
         mu = GradedMap.from_table(tensor(A, A), A, 0, {
             TENSOR_SEP.join(ab): v for ab, v in table.items()})
-        got = associativity_witness(mu, names)
+        got = associativity_witness(mu, positions(A, names))
         assert got == associativity_loop(mu, names)
         assert got[:2] == verdict
 
@@ -457,7 +460,8 @@ PACKAGES = list(packages())
 @pytest.mark.parametrize("label,data", PACKAGES, ids=[p[0] for p in PACKAGES])
 def test_cone_associativity_matches_the_loop(label, data):
     rng = random.Random(label)
-    names = data.safe_cone_names()
+    window = cone_window(data)
+    names = [data.cone.complex.module.index().names[u] for u in window]
     products = [data.product] + [derive_secondary_ops(bad)
                                  for bad in flipped_Q0(data, rng)]
     pairs = [f"{u}{TENSOR_SEP}{v}" for u in names for v in names]
@@ -466,7 +470,7 @@ def test_cone_associativity_matches_the_loop(label, data):
     failures = []
     try:
         for mu in products:
-            got = associativity_witness(mu, names)
+            got = associativity_witness(mu, window)
             assert got == associativity_loop(mu, names)
             failures.append(got[1] is not None)
             data.product = mu
