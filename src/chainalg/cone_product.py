@@ -34,7 +34,9 @@ The product and each component are row maps on basis positions
 and B.  The dual parts (m_L, m_R, sigma here; mp_m, pm_m, mm_m in the
 closed form) read sparse transposes of those rows and of the corrected
 coproducts (output position -> [(input x, coefficient)]), built once per
-package, mu's per fixed factor and degree of the free one.  The
+package, mu's per fixed factor and degree of the free one: the product's
+straight from mu's row dict (`GradedMap.rows`), already in cone
+positions, and the closed form's through `_Layout.columns`.  The
 contractions (tau_L, tau_R, beta; mp_p, pm_p, mm_p) read position-keyed
 tables.  The product has one row function per block, each [i,j;k]
 shift's sign folded into its part's.  M, Mbar and the layout of A and M
@@ -69,6 +71,7 @@ from .graded import (
     koszul_sign,
     apply_rows,
     _first_difference,
+    _gather,
     _op_shift_signs,
     _signed_row,
     _sum_rows,
@@ -143,10 +146,11 @@ class ConeProductData:
     map c: M -> A read off c0 is a chain map (`continuation`).  It holds
     M = `dual_side(A, n)`, Mbar = M[-1], their `layout` and `safe`, the
     positions in A of `safe_names` in their order, which the checks walk.
-    Each of `cone` (the mapping cone of c), `product` (the cone product on
-    it), `components`, `associativity` and `kernel` is built on first use
-    and kept, none raises on a constructed package, and none refers back
-    to the package, so reference counting frees it.
+    Each of `cone` (the mapping cone of c), `cone_window` (the safe window
+    on the cone), `product` (the cone product on it), `components`,
+    `associativity` and `kernel` is built on first use and kept, none
+    raises on a constructed package, and none refers back to the package,
+    so reference counting frees it.
     """
 
     def __init__(self, complex_: ChainComplex, mu: GradedMap, lam: GradedMap,
@@ -211,6 +215,15 @@ class ConeProductData:
         return mapping_cone(self.continuation)
 
     @functools.cached_property
+    def cone_window(self) -> tuple:
+        """The safe window on the cone: the position of each +x, then of
+        each -x^, for x in `safe`, in its order."""
+        plus, minus, _ = self.cone.layout
+        dual = self.layout.dual
+        return (tuple([plus[x] for x in self.safe])
+                + tuple([minus[dual[x]] for x in self.safe]))
+
+    @functools.cached_property
     def product(self) -> GradedMap:
         """The cone product, `derive_secondary_ops(self)`."""
         return derive_secondary_ops(self)
@@ -264,12 +277,14 @@ def dual_side(A: GradedModule, n: int) -> GradedModule:
 def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     """The cone product on `data.cone`, its parts the secondary operations
     of the module docstring, each read from its tables by exact
-    dualization and [i,j;k]-shifted into its block."""
+    dualization and [i,j;k]-shifted into its block.  mu's rows are read
+    from its row dict (`GradedMap.rows`), and each block returns its row
+    as a tuple, which `GradedMap.row` keeps without copying."""
     A, M, at = data.A, data.M, data.layout
     neg = A.ring.neg
     odd, odd_M = A.index().odd, M.index().odd
     deg, dual, base = at.deg, at.dual, at.base
-    mu = data.mu.row
+    mu_rows, stride = data.mu.rows, data.mu.stride
     A2 = tensor(A, A)
     # the changes of coproduct by Q0 on the right, on the left and on both
     # sides; lam_rev changes lam_fwd, so that no row takes the reverse-data
@@ -279,10 +294,8 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     lam_rev_left = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)
     lam_rev = secondary_relation_apply(data.mu, lam_fwd, zero, minus_Q0).row
 
-    # built on first request: sparse transposes of mu (per fixed factor and
-    # degree of the other) and of lam_rev, slot tables of lam_fwd, lam_rev_left
-    mu_right_rows = at.columns(lambda b, x: mu(x, b))  # y -> [(x, <y^, x b>)]
-    mu_left_rows = at.columns(mu)                      # y -> [(x, <y^, a x>)]
+    # built on first request: the sparse transpose of lam_rev, slot tables
+    # of lam_fwd and lam_rev_left
     lam_rev_table = functools.cache(lambda: transpose_rows(
         range(len(deg)), lam_rev))
     tau_R_table = functools.cache(lambda x: slot_table(
@@ -300,32 +313,49 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     plus, minus, where = data.cone.layout
     minus_dual = [minus[f] for f in dual]   # A's x -> the cone's -x^
     shift_A, shift_M = _op_shift_signs(odd, 1), _op_shift_signs(odd_M, 1)
+    of_degree, transposes = at.of_degree, {}
 
-    def plus_minus(b, f):   # tau_R[0,1;0] and m_L[0,1;1]: m_L's signs cancel
+    def mu_columns(fixed, d, left):
+        # y -> [(-x^, <y^, fixed x>)] when left, else [(-x^, <y^, x fixed>)],
+        # over the positions x of degree d: m_R's and m_L's parts, whose
+        # signs cancel, read from mu's row dict once per (fixed, d, left)
+        out = transposes.get((fixed, d, left))
+        if out is None:
+            out = transposes[fixed, d, left] = {}
+            first, step = (fixed * stride, 1) if left else (fixed, stride)
+            for x in of_degree.get(d, ()):
+                for y, c in mu_rows[first + x * step]:
+                    if (col := out.get(y)) is None:
+                        out[y] = [(minus_dual[x], c)]
+                    else:
+                        col.append((minus_dual[x], c))
+        return out
+
+    def plus_plus(a, b):   # mu
+        return tuple([(plus[k], c) for k, c in mu_rows[a * stride + b]])
+
+    def plus_minus(b, f):   # tau_R[0,1;0] and m_L[0,1;1]
         y, s = base[f], shift_A[b]
-        return ([(plus[w], neg(c) if s else c)
-                 for w, c in tau_R_table(b).get(f, {}).items()]
-                + [(minus_dual[x], c) for x, c in
-                   mu_right_rows(b, deg[y] - deg[b]).get(y, ())])
+        return tuple([(plus[w], neg(c) if s else c)
+                      for w, c in tau_R_table(b).get(f, {}).items()]
+                     + mu_columns(b, deg[y] - deg[b], False).get(y, []))
 
     def minus_plus(f, a):   # tau_L[1,0;0] and m_R[1,0;1]: j = 0, no shift sign
         y = base[f]
-        return ([(plus[w], c if odd_M[f] else neg(c))
-                 for w, c in tau_L_table(a).get(f, {}).items()]
-                + [(minus_dual[x], c) for x, c in
-                   mu_left_rows(a, deg[y] - deg[a]).get(y, ())])
+        return tuple([(plus[w], c if odd_M[f] else neg(c))
+                      for w, c in tau_L_table(a).get(f, {}).items()]
+                     + mu_columns(a, deg[y] - deg[a], True).get(y, []))
 
     def minus_minus(f, g):   # beta[1,1;0] and sigma[1,1;1]
         s = shift_M[f]
         s_p = s != (odd_M[g] and odd_M[f])
         s_m = s != (odd_M[f] == odd_M[g])
-        return ([(plus[x], neg(c) if s_p else c)
-                 for x, c in B_rows.get(f, {}).get(g, {}).items()]
-                + [(minus_dual[x], neg(c) if s_m else c) for x, c in
-                   lam_rev_table().get((base[g], base[f]), ())])
+        return tuple([(plus[x], neg(c) if s_p else c)
+                      for x, c in B_rows.get(f, {}).get(g, {}).items()]
+                     + [(minus_dual[x], neg(c) if s_m else c) for x, c in
+                        lam_rev_table().get((base[g], base[f]), ())])
 
-    blocks = ((lambda a, b: [(plus[k], c) for k, c in mu(a, b)], plus_minus),
-              (minus_plus, minus_minus))
+    blocks = ((plus_plus, plus_minus), (minus_plus, minus_minus))
 
     def row(u, v):
         (tu, i), (tv, j) = where[u], where[v]
@@ -449,9 +479,8 @@ def cross_check_components(data: ConeProductData) -> Outcome:
     plus, minus, where = data.cone.layout
     assembled = data.product.row
     names = data.cone.complex.module.index().names
-    dual = data.layout.dual
-    safe = {"p": [plus[x] for x in data.safe],
-            "m": [minus[dual[x]] for x in data.safe]}
+    window, n = data.cone_window, len(data.safe)
+    safe = {"p": window[:n], "m": window[n:]}
 
     def show(d_p, d_m):
         return f"({_format_row(A, d_p)} | {_format_row(data.Mbar, d_m)})"
@@ -491,11 +520,8 @@ def cross_check_components(data: ConeProductData) -> Outcome:
 def check_cone_associativity(data: ConeProductData) -> Outcome:
     """mu_cone(mu_cone (x) 1) = mu_cone(1 (x) mu_cone) on safe cone triples,
     for the package's product (`data.product`)."""
-    plus, minus, _ = data.cone.layout
-    dual = data.layout.dual
-    count, triple, lhs, rhs = associativity_witness(
-        data.product, [plus[x] for x in data.safe]
-        + [minus[dual[x]] for x in data.safe])
+    count, triple, lhs, rhs = associativity_witness(data.product,
+                                                    data.cone_window)
     if triple is None:
         return Outcome("pass", "associative on the safe window", count)
     u, v, w = triple
@@ -528,24 +554,28 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     infinitesimal quantifier has already expanded the defect of each pair
     it checked when |mu| is even.
 
-    The triples (a, b, f) run over the safe names in lexicographic order,
+    The triples (a, b, f) run over the safe window in lexicographic order,
     and the verdict and the failing triple's text are those of comparing
     both sides of every triple in turn.  The sides are regrouped so that
     each is expanded once per distinct row, not once per triple:
 
         mu(a, P) + m_pm_p(a, Q)  =  m_pm_p(mu(a, b), f) + expected
 
-    with P = m_pm_p(b, f) and Q = m_pm_m(b, f).  The left side depends on
-    (b, f) only through the rows P and Q, so each a keeps one memo of it
-    keyed by their ids; the right side is the list over f of m_pm_p(x, f)
-    summed over the row mu(a, b), kept per distinct row mu(a, b), with the
-    contracted defect added at the f where it is nonzero.  Sides are
-    interned by `SideIds`, whose ids are equal exactly when the sides are;
-    the ids of the rows of mu, m_pm_p and m_pm_m are read by position
-    (`SideIds.row_ids`), and a right side that is one row of m_pm_p times 1
-    or -1 is that row's id or its negation, not summed.
-    `_first_difference` compares the two lists of ids over f of each pair
-    (a, b), then the entries of a failing pair's lists; the failing
+    with P = m_pm_p(b, f) and Q = m_pm_m(b, f).  Sides are interned by
+    `SideIds`, whose ids are equal exactly when the sides are, and the ids
+    of the rows of mu, m_pm_p and m_pm_m are read by position
+    (`SideIds.row_ids`).  The left side depends on (b, f) only through the
+    rows P and Q: each b keeps the slots of its (P, Q) id pairs over f,
+    the distinct pairs being numbered once, before the first a, and each
+    a fills one list over those slots with the id of its left side, in
+    one loop before its first pair.  The left sides of a pair (a, b) over
+    f are then a's list read at b's slots in one `operator.itemgetter`
+    call.  The right side is the tuple over f of m_pm_p(x, f) summed over
+    the row mu(a, b), kept per distinct row mu(a, b), with the contracted
+    defect added at the f where it is nonzero; a right side that is one
+    row of m_pm_p times 1 or -1 is that row's id or its negation, not
+    summed.  The two tuples of a pair are compared at once, and only a
+    failing pair's entries one by one (`_first_difference`); the failing
     triple's left side is its interned left side less m_pm_p(mu(a, b), f).
     """
     if (assoc := data.associativity).status != "pass":
@@ -562,25 +592,17 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 
     # Mbar has M's positions, so the position of f^ keys both
     duals = [data.layout.dual[i] for i in data.safe]
+    n = len(duals)
     at_f = {k: kf for kf, k in enumerate(duals)}   # Mbar position -> f
     ids = SideIds(R)
     sides, mu_id = ids.sides, ids.row_ids(data.mu)
     pm_p_id, pm_m_id = ids.row_ids(comps["pm_p"]), ids.row_ids(comps["pm_m"])
 
     @functools.cache
-    def rows_at(j):   # per b: the ids of (P, Q) for each f
-        return [(pm_p_id(j, k), pm_m_id(j, k)) for k in duals]
-
-    @functools.cache
     def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
         terms = sides[ab]
-        return [ids.expand(terms, lambda x: pm_p(x, k), lambda x: pm_p_id(x, k))
-                for k in duals]
-
-    def lhs_ids(i):   # per a: the id of mu(a, P) + m_pm_p(a, Q), per ids
-        return functools.cache(lambda pq: ids(itertools.chain(
-            ((n, mul(c, v)) for y, c in sides[pq[0]] for n, v in mu(i, y)),
-            ((n, mul(c, v)) for g, c in sides[pq[1]] for n, v in pm_p(i, g)))))
+        return tuple([ids.expand(terms, lambda x: pm_p(x, k),
+                                 lambda x: pm_p_id(x, k)) for k in duals])
 
     def expected(i, j):   # the signed contracted defect, per safe f
         negate = not (idx.odd[i] + idx.odd[j]) % 2
@@ -590,24 +612,38 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 
     def rhs_ids(i, j):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
         rhs, contracted = pm_p_of(mu_id(i, j)), expected(i, j)
-        rhs = list(rhs) if contracted else rhs
-        for kf, terms in contracted.items():
-            rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
+        if contracted:
+            rhs = list(rhs)
+            for kf, terms in contracted.items():
+                rhs[kf] = ids(itertools.chain(sides[rhs[kf]], terms.items()))
+            rhs = tuple(rhs)
         return rhs
 
-    def pairs():   # (position of a, position of b, a's lhs ids)
-        for i in data.safe:
-            lhs_id = lhs_ids(i)
-            for j in data.safe:
-                yield i, j, lhs_id
+    # per b, the slots of its (P, Q) id pairs over f; the pairs' sides by slot
+    slot = {}
+    gathers = [_gather([slot.setdefault((pm_p_id(j, k), pm_m_id(j, k)),
+                                        len(slot)) for k in duals])
+               for j in data.safe]
+    pqs = [(sides[p], sides[q]) for p, q in slot]
 
-    count, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
-        list(map(p[2], rows_at(p[1]))), rhs_ids(p[0], p[1])))
-    if ab is None:
-        return Outcome("pass", "", count * len(duals))
-    i, j, _ = ab
-    kf = _first_difference(range(len(lhs)), lambda f: (lhs[f], rhs[f]))[1]
-    count = (count - 1) * len(duals) + kf + 1   # triples up to (a, b, f)
+    def first_failing_pair():   # (a, b, lhs ids, rhs ids), a and b places
+        for a, i in enumerate(data.safe):
+            # the ids of mu(a, P) + m_pm_p(a, Q), by slot
+            table = [ids([(t, mul(c, v)) for y, c in P for t, v in mu(i, y)]
+                         + [(t, mul(c, v))
+                            for g, c in Q for t, v in pm_p(i, g)])
+                     for P, Q in pqs]
+            for b, j in enumerate(data.safe):
+                lhs, rhs = gathers[b](table), rhs_ids(i, j)
+                if lhs != rhs:
+                    return a, b, lhs, rhs
+        return None
+
+    if (found := first_failing_pair()) is None:
+        return Outcome("pass", "", n * n * n)
+    a, b, lhs, rhs = found
+    i, j = data.safe[a], data.safe[b]
+    kf = _first_difference(range(n), lambda f: (lhs[f], rhs[f]))[1]
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
     total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
@@ -616,7 +652,8 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
         "fail", f"fails at a={idx.names[i]}, b={idx.names[j]}, "
         f"f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "
-        f"{_format_row(A, expected(i, j).get(kf, {}))}", count)
+        f"{_format_row(A, expected(i, j).get(kf, {}))}",
+        (a * n + b) * n + kf + 1)
 
 
 # ---------------------------------------------------------------------------

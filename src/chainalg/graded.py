@@ -75,8 +75,14 @@ set of terms.  A row's id
 is kept by the row tuple and, in one table per map, by its position
 i * stride + j (`SideIds.row_ids`), so a side of one term with
 coefficient 1 or -1 is a lookup, or two with its negation (`SideIds.neg`),
-and only longer sides are summed; they stop at the first failing input
-through `_first_difference`.  The pair identities (`bialgebra.PairKernel`)
+and only longer sides are summed.  Each input a fills one list of side
+ids, indexed by what its side depends on (the id of a row, or a slot of
+a pair of row ids), before its first pair; each b keeps the indices of
+its entries over the third input, so the sides of a pair (a, b) over all
+of that input are one `operator.itemgetter` read of a's list (`_gather`)
+and one tuple comparison.  Only a failing pair's entries are compared
+one by one, by `_first_difference`, which names the first failing
+triple.  The pair identities (`bialgebra.PairKernel`)
 add hoisted signed pieces, lhs minus rhs, into one accumulator per row
 (one a with all its b), which passes when no sum in it is nonzero, stop
 at the first failing b, and expand the two sides again only for that
@@ -89,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -837,6 +844,19 @@ def tensor_differential(d: GradedMap) -> GradedMap:
     return GradedMap(M2, M2, d.degree, rows, name=f"({d.name}2)")
 
 
+def _gather(keys):
+    """table -> the tuple of table[k] over the keys, read in one C call
+    (`operator.itemgetter`); one key is read into a 1-tuple, since
+    itemgetter gives a single key's entry itself."""
+    if len(keys) == 1:
+        return functools.partial(_one_entry, keys[0])
+    return operator.itemgetter(*keys)
+
+
+def _one_entry(key, table) -> tuple:
+    return (table[key],)
+
+
 def associativity_witness(mu: GradedMap, inputs):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
     mu(mu (x) 1) = mu(1 (x) mu) over inputs^3 in lexicographic order, the
@@ -854,64 +874,78 @@ def associativity_witness(mu: GradedMap, inputs):
     triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
     the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
     is interned by `SideIds` (a row as its set of terms, `SideIds.row`, its
-    id kept by position, `SideIds.row_ids`), so the lhs over all c is one
-    list of ids per distinct row mu(a (x) b), filled on first use, the rhs
-    one id per a and distinct row mu(b (x) c), and `_first_difference`
-    compares the two lists of ids of each pair (a, b), then the entries of
-    a failing pair's lists.  A side of one term with coefficient 1 or -1 is
-    a row's id or its negation (`SideIds.neg`), and only other sides are
-    summed.  Equal ids hold exactly when the sides are equal (see
-    `SideIds`), so the verdict, the count and the first failing triple are
-    those of comparing the two sides of every triple in turn.
+    id kept by position, `SideIds.row_ids`).  The rows mu(b (x) c) are
+    interned first, as one tuple T_b of ids over the inputs c per input b,
+    so that their ids are 0 .. m - 1.  The lhs over all c is one tuple of
+    ids per distinct row mu(a (x) b), filled on first use.  The rhs of a
+    is one list over those m ids, filled in one loop before a's first
+    pair: a row of one term with coefficient 1 or -1, times a's sign, is
+    a row's id or its negation (`SideIds.neg`), and only other rows are
+    summed (`SideIds.combine`).  The rhs of a pair (a, b) over all c is
+    then a's list read at T_b in one `operator.itemgetter` call, and the
+    pair passes when that tuple equals the lhs tuple; only a failing pair's
+    entries are compared one by one (`_first_difference`).  Equal ids
+    hold exactly when the sides are equal (see `SideIds`), so the verdict,
+    the count and the first failing triple are those of comparing the two
+    sides of every triple in turn.
     """
     A = mu.target
     if any(f != A for f in mu.source.factors):
         raise ValueError("associativity needs a product A (x) A -> A")
+    n = len(inputs)
     neg, one = A.ring.neg, A.ring.one()
     minus_one = neg(one)
     idx = A.index()
-    row = mu.row
+    row, odd_mu = mu.row, mu.degree % 2
     ids = SideIds(A.ring)
-    sides, row_id = ids.sides, ids.row_ids(mu)
+    sides, row_id, neg_id = ids.sides, ids.row_ids(mu), ids.neg
+    combine = ids.combine
 
     @functools.cache
-    def times_inputs(x):   # ids of mu(x (x) c) for the inputs c
-        return [row_id(x, k) for k in inputs]
+    def times_inputs(x):   # the ids of mu(x (x) c) over the inputs c
+        return tuple([row_id(x, k) for k in inputs])
 
     @functools.cache
-    def lhs_ids(ab):   # ids of the lhs for the inputs c, per row id of ab
+    def lhs_ids(ab):   # the ids of the lhs over the inputs c, per row id ab
         terms = sides[ab]
         if len(terms) == 1:
             [(x, c)] = terms
             if c == one:
                 return times_inputs(x)
             if c == minus_one:
-                return list(map(ids.neg, times_inputs(x)))
-        return [ids.combine(terms, lambda x: row(x, k)) for k in inputs]
+                return tuple(map(neg_id, times_inputs(x)))
+        return tuple([combine(terms, lambda x: row(x, k)) for k in inputs])
 
-    def rhs_ids(i):   # the id of the rhs per row id of bc, for a at i
-        negate = mu.degree % 2 and idx.odd[i]
-        at, id_at = functools.partial(row, i), functools.partial(row_id, i)
-        return functools.cache(lambda bc: ids.expand(
-            _signed_row(sides[bc], True, neg) if negate else sides[bc],
-            at, id_at))
-
-    def pairs():   # (a, b, row id of ab, a's rhs ids), a and b positions
-        for i in inputs:
-            rhs_id = rhs_ids(i)
-            for ab, j in zip(times_inputs(i), inputs):
-                yield i, j, ab, rhs_id
-
-    n, ab, lhs, rhs = _first_difference(pairs(), lambda p: (
-        lhs_ids(p[2]), list(map(p[3], times_inputs(p[1])))))
-    if ab is None:
-        return n * len(inputs), None, None, None
-    k, _, lhs, rhs = _first_difference(range(len(lhs)),
-                                       lambda c: (lhs[c], rhs[c]))
-    names = idx.names
-    return ((n - 1) * len(inputs) + k,
-            (names[ab[0]], names[ab[1]], names[inputs[k - 1]]),
-            row_vector(A, sides[lhs]), row_vector(A, sides[rhs]))
+    # the rows mu(b (x) c), interned first, so that `sides` holds them alone;
+    # per row id: (y, whether its coefficient is -1) for one term y with
+    # coefficient 1 or -1, else (None, (its terms, negated))
+    T = [times_inputs(j) for j in inputs]
+    shapes = []
+    for terms in sides:
+        if len(terms) == 1:
+            [(y, c)] = terms
+            if c == one or c == minus_one:
+                shapes.append((y, c != one))
+                continue
+        shapes.append((None, (terms, _signed_row(terms, True, neg))))
+    gathers = [_gather(t) for t in T]
+    for a, i in enumerate(inputs):
+        negate = bool(odd_mu and idx.odd[i])
+        at = functools.partial(row, i)
+        table = [combine(rest[negate], at) if y is None
+                 else neg_id(row_id(i, y)) if rest != negate else row_id(i, y)
+                 for y, rest in shapes]
+        for b, ab in enumerate(T[a]):
+            lhs, rhs = lhs_ids(ab), gathers[b](table)
+            if lhs != rhs:
+                k, _, left, right = _first_difference(
+                    range(n), lambda c: (lhs[c], rhs[c]))
+                names = idx.names
+                return ((a * n + b) * n + k,
+                        (names[i], names[inputs[b]], names[inputs[k - 1]]),
+                        row_vector(A, sides[left]),
+                        row_vector(A, sides[right]))
+    return n * n * n, None, None, None
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:

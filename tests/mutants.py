@@ -7,8 +7,9 @@ structural checks of the row maps, the status and detail of each check's
 Outcome, the closed forms of the loop fixtures, the sign normalisation of
 the extended gcd, the extreme degree at which the induced quotient
 homotopy vanishes, the cone's changed coproducts, the order in which a
-safe window is kept, and the refusal to package a bialgebra with a
-differential as a cone with d = 0.
+safe window is kept, the refusal to package a bialgebra with a
+differential as a cone with d = 0, and the per-input tables and gathers
+of the associativity-type checks.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -45,6 +46,10 @@ QUANTIFIER = ("tests/test_pair_pieces.py::"
 ROW_IDS = "tests/test_shared_expansion.py::test_side_ids_intern_a_row_as_its_terms"
 NEG_IDS = "tests/test_shared_expansion.py::test_negated_side_ids_negate_every_coefficient"
 ASSOC = "tests/test_shared_expansion.py::test_associativity_kernel_matches_the_loop"
+GATHER = ("tests/test_shared_expansion.py::"
+          "test_associativity_gather_matches_the_loop")
+LAST_F = ("tests/test_shared_expansion.py::"
+          "test_assoc_infinitesimal_fails_at_its_last_f")
 MINUS_ONE_ROW = (
     "tests/test_shared_expansion.py::"
     "test_associativity_kernel_negates_a_product_row_of_minus_one")
@@ -322,31 +327,30 @@ MUTANTS = [
     ("cone_product.py", "    A, M, at = data.A, data.M, data.layout\n",
      "    A, at = data.A, data.layout\n    M = dual_side(A, data.n)\n",
      DUAL_ONCE),
-    ("cone_product.py", '"m": [minus[dual[x]] for x in data.safe]}',
-     '"m": [minus[data.layout.base[x]] for x in data.safe]}', CLOSED_FORM),
+    ("cone_product.py", "+ tuple([minus[dual[x]] for x in self.safe]))",
+     "+ tuple([minus[self.layout.base[x]] for x in self.safe]))",
+     CLOSED_FORM),
     ("cone_product.py", "duals = [data.layout.dual[i] for i in data.safe]",
      "duals = [data.layout.base[i] for i in data.safe]", OPTIMIZED),
     # the cone product's rows: each part's folded sign, its operation's
-    # sign times its [i,j;k] unshift's, and the placement of the blocks
+    # sign times its [i,j;k] unshift's, the side of mu's fixed factor in
+    # m_L's and m_R's transposes, and the placement of the blocks
     ("cone_product.py", "[(plus[w], neg(c) if s else c)",
      "[(plus[w], c)", PRODUCT),
-    ("cone_product.py",
-     "(minus_dual[x], c) for x, c in\n                   mu_right",
-     "(minus_dual[x], neg(c) if s else c) for x, c in\n"
-     "                   mu_right", PRODUCT),
+    ("cone_product.py", "mu_columns(b, deg[y] - deg[b], False)",
+     "mu_columns(b, deg[y] - deg[b], True)", PRODUCT),
     ("cone_product.py", "(plus[w], c if odd_M[f] else neg(c))",
      "(plus[w], neg(c) if odd_M[f] else c)", PRODUCT),
-    ("cone_product.py",
-     "(minus_dual[x], c) for x, c in\n                   mu_left",
-     "(minus_dual[x], neg(c) if odd_M[f] else c) for x, c in\n"
-     "                   mu_left", PRODUCT),
+    ("cone_product.py", "mu_columns(a, deg[y] - deg[a], True)",
+     "mu_columns(a, deg[y] - deg[a], False)", PRODUCT),
     ("cone_product.py", "s_p = s != (odd_M[g] and odd_M[f])",
      "s_p = odd_M[g] and odd_M[f]", PRODUCT),
     ("cone_product.py", "s_m = s != (odd_M[f] == odd_M[g])",
      "s_m = odd_M[f] == odd_M[g]", PRODUCT),
     ("cone_product.py",
-     "plus_minus),\n              (minus_plus, minus_minus))",
-     "minus_plus),\n              (plus_minus, minus_minus))", PRODUCT),
+     "blocks = ((plus_plus, plus_minus), (minus_plus, minus_minus))",
+     "blocks = ((plus_plus, minus_plus), (plus_minus, minus_minus))",
+     PRODUCT),
     # the closed form's cubic component: its sign, and B's terms dropped
     ("cone_product.py", "neg(c) if odd[b1] and not odd[b2] else c)",
      "c if odd[b1] and not odd[b2] else neg(c))", CUBIC),
@@ -359,15 +363,20 @@ MUTANTS = [
     ("graded.py", "frozenset((k, neg(c)) for k, c in self.sides[i]))",
      "self.sides[i])", NEG_IDS),
     ("graded.py", "                return self.neg(id_at(k))",
-     "                return id_at(k)", ASSOC),
+     "                return id_at(k)",
+     "tests/test_shared_expansion.py::"
+     "test_assoc_infinitesimal_kernel_matches_the_loop"),
     ("graded.py", "key = i * stride + j\n            r = table.get(key)",
      "key = i + j\n            r = table.get(key)", ASSOC),
-    ("graded.py", "return list(map(ids.neg, times_inputs(x)))",
+    ("graded.py", "return tuple(map(neg_id, times_inputs(x)))",
      "return times_inputs(x)", MINUS_ONE_ROW),
-    # the product's transpose of mu read with the fixed factor on the wrong
-    # side
-    ("cone_product.py", "mu_right_rows = at.columns(lambda b, x: mu(x, b))",
-     "mu_right_rows = at.columns(mu)", PRODUCT),
+    # the product's transposes of mu kept without the side of the fixed
+    # factor, so that m_L and m_R read one table
+    ("cone_product.py", "out = transposes.get((fixed, d, left))\n"
+     "        if out is None:\n            out = transposes[fixed, d, left]",
+     "out = transposes.get((fixed, d))\n"
+     "        if out is None:\n            out = transposes[fixed, d]",
+     PRODUCT),
     # the components' term-by-term comparison passing rows of equal length
     ("cone_product.py", "if got == tuple([(plus[k], c)",
      "if len(got) == len([(plus[k], c)",
@@ -444,6 +453,30 @@ MUTANTS = [
      "if False:",
      "tests/test_cone_product.py::"
      "test_a_bialgebra_with_a_differential_is_not_packaged"),
+    # the gather of associativity_witness: a's table without its
+    # (-1)^{|mu||a|} sign, its 1 and -1 reads swapped, a summed row's
+    # negation dropped, the pair (a, b) read through the next b's tuple,
+    # and a window of one position read as an entry, not a 1-tuple
+    ("graded.py", "negate = bool(odd_mu and idx.odd[i])",
+     "negate = not (odd_mu and idx.odd[i])", GATHER),
+    ("graded.py",
+     "else neg_id(row_id(i, y)) if rest != negate else row_id(i, y)",
+     "else row_id(i, y) if rest != negate else neg_id(row_id(i, y))", GATHER),
+    ("graded.py", "(terms, _signed_row(terms, True, neg))", "(terms, terms)",
+     GATHER),
+    ("graded.py", "gathers = [_gather(t) for t in T]",
+     "gathers = [_gather(t) for t in T[1:] + T[:1]]", GATHER),
+    ("graded.py", "    if len(keys) == 1:\n", "    if False:\n", GATHER),
+    # assoc-infinitesimal's table of a's left sides without m_pm_p(a, Q),
+    # and a pair read through a's slots instead of b's
+    ("cone_product.py",
+     "\n                         + [(t, mul(c, v))\n"
+     "                            for g, c in Q for t, v in pm_p(i, g)])", ")",
+     LAST_F),
+    ("cone_product.py", "lhs, rhs = gathers[b](table), rhs_ids(i, j)",
+     "lhs, rhs = gathers[a](table), rhs_ids(i, j)",
+     "tests/test_shared_expansion.py::"
+     "test_assoc_infinitesimal_matches_the_loop"),
 ]
 
 

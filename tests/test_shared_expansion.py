@@ -372,6 +372,10 @@ def test_associativity_kernel_matches_the_loop(ring, data):
 @ring_param
 @SETTINGS
 @given(data=st.data())
+# a fixed draw, run before the random ones, in which a row mu(a (x) b) is
+# one term with coefficient -1, read as a negated id (`SideIds.expand`)
+@example(data=Replay([0, 1, -1], 0, True, 0, 0, 0, 0, 0, 0, -1, False, 0, 0,
+                     0, 0, 0, 0, 1, 0, ["a2", "a0", "a1"], 3))
 def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
     A = draw_module(data, ring)
     n = data.draw(st.integers(0, 1))          # |lam| = 1 - 2n is odd
@@ -421,6 +425,104 @@ def test_associativity_kernel_negates_a_product_row_of_minus_one():
         got = associativity_witness(mu, positions(A, names))
         assert got == associativity_loop(mu, names)
         assert got[:2] == verdict
+
+
+# -- the gather of a pair's rhs: windows of 0, 1 and 2 positions -------------
+
+def gather_case(ring, degrees, degree, coefficients, order, size):
+    """(mu, window) for `associativity_witness` and its loop: mu of degree
+    `degree` on basis elements a0, a1, ... of `degrees`, its structure
+    constants `coefficients` (raw ints, canonicalized per ring) over the
+    triples (x, y, z) of basis names in canonical order with |z| = |x| +
+    |y| + |mu|, and the window the first `size` names of `order`."""
+    A = GradedModule(ring, [BasisElement(f"a{i}", d)
+                            for i, d in enumerate(degrees)], name="a")
+    names = A.basis_names()
+    slots = [(x, y, z) for x in names for y in names for z in names
+             if A.degree_of(z) == A.degree_of(x) + A.degree_of(y) + degree]
+    table = {}
+    for (x, y, z), c in zip(slots, coefficients, strict=True):
+        table.setdefault(x + TENSOR_SEP + y, {})[z] = c
+    mu = GradedMap.from_table(tensor(A, A), A, degree, {
+        xy: Vector(A, values) for xy, values in table.items()})
+    return mu, list(order[:size])
+
+
+# (degrees, |mu|, coefficients, order, window size) of each fixed case, and
+# its verdict over Z: (inputs checked, first failing triple)
+WINDOW_0 = ([0], 0, [1], ["a0"], 0)
+WINDOW_1_ODD = ([-1], 1, [1], ["a0"], 1)          # (aa)a = a, a(aa) = -a
+WINDOW_1_SUMMED = ([0], 0, [2], ["a0"], 1)        # a row of coefficient 2
+WINDOW_2_GROUP = ([0, 0], 0, [1, 0, 0, 1, 0, 1, 1, 0], ["a1", "a0"], 2)  # Z/2
+LAST_TRIPLE = ([0, 0], 0, [0, 0, 0, 0, 1, 0, 1, 1], ["a0", "a1"], 2)
+ODD_SUM = ([-1, -1], 1, [0, 0, 0, 0, 0, 0, 1, 1], ["a0", "a1"], 2)  # a1 a1 =
+GATHER_CASES = [                                      # a0 + a1, |mu| odd
+    ("window-0", WINDOW_0, (0, None)),
+    ("window-1-odd", WINDOW_1_ODD, (1, ("a0", "a0", "a0"))),
+    ("window-1-summed", WINDOW_1_SUMMED, (1, None)),
+    ("window-2-group", WINDOW_2_GROUP, (8, None)),
+    ("last-triple", LAST_TRIPLE, (8, ("a1", "a1", "a1"))),
+    ("odd-sum", ODD_SUM, (8, ("a1", "a1", "a1"))),
+]
+
+
+@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+# fixed draws, run before the random ones, that kill this test's mutants
+# in tests/mutants.py
+@example(data=Replay(*WINDOW_0))
+@example(data=Replay(*WINDOW_1_ODD))
+@example(data=Replay(*WINDOW_1_SUMMED))
+@example(data=Replay(*WINDOW_2_GROUP))
+@example(data=Replay(*LAST_TRIPLE))
+@example(data=Replay(*ODD_SUM))
+def test_associativity_gather_matches_the_loop(ring, data):
+    degrees = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    degree = data.draw(st.integers(-1, 1))
+    names = sorted((d, f"a{i}") for i, d in enumerate(degrees))
+    slots = sum(d_z == d_x + d_y + degree
+                for d_x, _ in names for d_y, _ in names for d_z, _ in names)
+    coefficients = data.draw(st.lists(st.integers(-2, 2), min_size=slots,
+                                      max_size=slots))
+    order = data.draw(st.permutations([n for _, n in names]))
+    size = data.draw(st.integers(0, len(order)))
+    mu, window = gather_case(ring, degrees, degree, coefficients, order, size)
+    assert (associativity_witness(mu, positions(mu.target, window))
+            == associativity_loop(mu, window))
+
+
+@pytest.mark.parametrize("case,verdict", [c[1:] for c in GATHER_CASES],
+                         ids=[c[0] for c in GATHER_CASES])
+def test_gather_cases_reach_their_verdicts(case, verdict):
+    """Each fixed case of the gather test gives its verdict over Z, so the
+    examples above cover what they are named for: the count N^3 at a
+    failure in the last triple, and a failing row mu(b (x) c) of two
+    terms with |mu| odd."""
+    mu, window = gather_case(ZZ, *case)
+    got = associativity_witness(mu, positions(mu.target, window))
+    assert got[:2] == verdict
+    if case is ODD_SUM:
+        b, c = got[1][1:]
+        assert len(mu.eval_basis(b + TENSOR_SEP + c).coeffs) == 2
+
+
+@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
+def test_assoc_infinitesimal_fails_at_its_last_f(ring):
+    """lambda-s1-plus at N = 8 with the m_pm_m entry at 1 (x) f, f the last
+    safe dual, negated: over Z the check fails at that f, the last place
+    of the pair's gather; over every ring it matches the loop (over GF(2)
+    the negation changes nothing, and the check passes)."""
+    data = cone_data_from_bialgebra(
+        make_fixture("lambda-s1-plus", TruncationWindow(8), ring), n=1)
+    comps = closed_form_components(data)
+    last = f"{data.safe_names[-1]}^"
+    flipped = flip_structure_constant(comps["pm_m"], f"1{TENSOR_SEP}{last}",
+                                      last)
+    got = assoc_infinitesimal(data, {**comps, "pm_m": flipped})
+    assert got == assoc_infinitesimal_loop(data, {**comps, "pm_m": flipped})
+    if ring == ZZ:
+        assert got == (False, f"fails at a=U^2, b=1, f={last}: -2*A vs 0")
 
 
 # -- cone packages with one entry negated --------------------------------------

@@ -20,6 +20,7 @@ from chainalg.cone_product import (check_assoc_implies_infinitesimal,
 from chainalg.fixtures import (TruncationWindow, flip_structure_constant,
                                make_fixture, mutate_lambda, mutate_mu)
 from chainalg.graded import TENSOR_SEP as X, GradedMap, Outcome
+from name_keyed import cone_window
 
 W = TruncationWindow(8)
 
@@ -127,3 +128,15 @@ def test_a_window_out_of_canonical_order_is_walked_in_its_order():
     [rec] = rp.records(scn, ("reverse-coproduct",), "", False)
     got["reverse-coproduct"] = rec.status, None, rec.detail
     assert got == PINNED
+
+
+def test_the_cone_window_is_kept_once_in_the_window_order():
+    """`ConeProductData.cone_window`, which components and cone
+    associativity both read, is the name-keyed window on the cone (each
+    "+x", then each "-x^", in the package's order), built once."""
+    data = cone_data_from_bialgebra(
+        reversed_window(make_fixture("lambda-s1-plus", W)), n=1)
+    window = data.cone_window
+    assert window == tuple(cone_window(data))
+    assert list(window) != sorted(window)
+    assert data.cone_window is window
