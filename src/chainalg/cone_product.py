@@ -70,8 +70,9 @@ from .graded import (
     TENSOR_SEP,
     koszul_sign,
     apply_rows,
-    _first_difference,
+    _first_failing_triple,
     _gather,
+    _row_expansion,
     _op_shift_signs,
     _signed_row,
     _sum_rows,
@@ -88,25 +89,23 @@ def _format_row(module: GradedModule, row: dict) -> str:
 
 
 class _Layout:
-    """Positions of A and of M, a shift of A's dual: the degree at each
-    position of A, the positions of each degree, the position in M of x^
-    for each position x of A (dual), and its inverse (base)."""
+    """Positions of A and of M, a shift of A's dual: the position in M of
+    x^ for each position x of A (dual), and its inverse (base)."""
 
     def __init__(self, A: GradedModule, M: GradedModule):
         pos = M.index().pos
-        self.deg = A.index().degree
-        self.of_degree = A.layout().keys
         self.dual = [pos[x + "^"] for x in A.index().names]
         self.base = [0] * len(self.dual)
         for x, f in enumerate(self.dual):
             self.base[f] = x
 
-    def columns(self, image):
+    @staticmethod
+    def columns(A: GradedModule, image):
         """(fixed, d) -> the transpose of x -> image(fixed, x) over the
-        positions x of degree d, built on first request and kept in a dict,
-        so that an operation of degree 0 is read only where its values can
-        meet a given output."""
-        tables, of_degree = {}, self.of_degree
+        positions x of A of degree d, built on first request and kept in a
+        dict, so that an operation of degree 0 is read only where its
+        values can meet a given output."""
+        tables, of_degree = {}, A.layout().keys
 
         def columns(fixed, d):
             out = tables.get((fixed, d))
@@ -283,7 +282,7 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     A, M, at = data.A, data.M, data.layout
     neg = A.ring.neg
     odd, odd_M = A.index().odd, M.index().odd
-    deg, dual, base = at.deg, at.dual, at.base
+    deg, dual, base = A.index().degree, at.dual, at.base
     mu_rows, stride = data.mu.rows, data.mu.stride
     A2 = tensor(A, A)
     # the changes of coproduct by Q0 on the right, on the left and on both
@@ -313,7 +312,7 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     plus, minus, where = data.cone.layout
     minus_dual = [minus[f] for f in dual]   # A's x -> the cone's -x^
     shift_A, shift_M = _op_shift_signs(odd, 1), _op_shift_signs(odd_M, 1)
-    of_degree, transposes = at.of_degree, {}
+    of_degree, transposes = A.layout().keys, {}
 
     def mu_columns(fixed, d, left):
         # y -> [(-x^, <y^, fixed x>)] when left, else [(-x^, <y^, x fixed>)],
@@ -396,7 +395,7 @@ def closed_form_components(data: ConeProductData) -> dict:
     cbiv = vector_terms(data.Q0)
     M, Mbar, at = data.M, data.Mbar, data.layout
     odd, odd_M = A.index().odd, M.index().odd
-    deg, dual, base = at.deg, at.dual, at.base
+    deg, dual, base = A.index().degree, at.dual, at.base
     mu, lam = data.mu.row, data.lam.row
 
     def mu1_right(a):
@@ -425,8 +424,8 @@ def closed_form_components(data: ConeProductData) -> dict:
 
     # the closed form's own sparse transposes of mu's rows and of W
     W_table = functools.cache(lambda: transpose_rows(range(len(deg)), W))
-    mu_el_left_rows = at.columns(mu)
-    mu_el_right_rows = at.columns(lambda b, x: mu(x, b))
+    mu_el_left_rows = at.columns(A, mu)
+    mu_el_right_rows = at.columns(A, lambda b, x: mu(x, b))
     # (fbar, gbar) -> [(B3, signed coefficient)], one entry per term of B
     B_at = {}
     for (b1, b2, b3), c in vector_terms(data.B):
@@ -561,48 +560,32 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 
         mu(a, P) + m_pm_p(a, Q)  =  m_pm_p(mu(a, b), f) + expected
 
-    with P = m_pm_p(b, f) and Q = m_pm_m(b, f).  Sides are interned by
-    `SideIds`, whose ids are equal exactly when the sides are, and the ids
-    of the rows of mu, m_pm_p and m_pm_m are read by position
-    (`SideIds.row_ids`).  The left side depends on (b, f) only through the
-    rows P and Q: each b keeps the slots of its (P, Q) id pairs over f,
-    the distinct pairs being numbered once, before the first a, and each
-    a fills one list over those slots with the id of its left side, in
-    one loop before its first pair.  The left sides of a pair (a, b) over
-    f are then a's list read at b's slots in one `operator.itemgetter`
-    call.  The right side is the tuple over f of m_pm_p(x, f) summed over
-    the row mu(a, b), kept per distinct row mu(a, b), with the contracted
-    defect added at the f where it is nonzero; a right side that is one
-    row of m_pm_p times 1 or -1 is that row's id or its negation, not
-    summed.  The two tuples of a pair are compared at once, and only a
-    failing pair's entries one by one (`_first_difference`); the failing
-    triple's left side is its interned left side less m_pm_p(mu(a, b), f).
+    with P = m_pm_p(b, f) and Q = m_pm_m(b, f).  The left side depends on
+    (b, f) only through the pair of rows (P, Q): the distinct pairs are
+    numbered once, before the first a, and a's table holds its left side
+    per pair.  The right side depends on (a, b) only through the row
+    mu(a, b), one tuple over f per such row (`graded._row_expansion`),
+    with the contracted defect added at the f where it is nonzero.  Both
+    run on the one quantifier of `graded._first_failing_triple`; the
+    failing triple's left side is printed less m_pm_p(mu(a, b), f).
     """
     if (assoc := data.associativity).status != "pass":
         return Outcome("fail", "precondition: cone product is not "
                        f"associative: {assoc.detail}", 0)
     comps, kernel = data.components, data.kernel
-    A, M = data.A, data.M
+    A, M, safe = data.A, data.M, data.safe
     A2 = tensor(A, A)
     idx = A.index()
     R = A.ring
     mul, neg = R.mul, R.neg
-    mu = data.mu.row
-    pm_p = comps["pm_p"].row
+    mu, pm_p, pm_m = data.mu.row, comps["pm_p"].row, comps["pm_m"].row
 
     # Mbar has M's positions, so the position of f^ keys both
-    duals = [data.layout.dual[i] for i in data.safe]
-    n = len(duals)
+    duals = [data.layout.dual[i] for i in safe]
     at_f = {k: kf for kf, k in enumerate(duals)}   # Mbar position -> f
     ids = SideIds(R)
-    sides, mu_id = ids.sides, ids.row_ids(data.mu)
-    pm_p_id, pm_m_id = ids.row_ids(comps["pm_p"]), ids.row_ids(comps["pm_m"])
-
-    @functools.cache
-    def pm_p_of(ab):   # per row id of mu(a, b): the ids of m_pm_p(ab, f)
-        terms = sides[ab]
-        return tuple([ids.expand(terms, lambda x: pm_p(x, k),
-                                 lambda x: pm_p_id(x, k)) for k in duals])
+    sides, intern = ids.sides, ids.row
+    pm_p_rows, pm_p_sides = _row_expansion(ids, comps["pm_p"], duals)
 
     def expected(i, j):   # the signed contracted defect, per safe f
         negate = not (idx.odd[i] + idx.odd[j]) % 2
@@ -610,8 +593,9 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
                 for k, terms in slot_table(kernel.defect(i, j).items(), A2, M,
                                            last=True).items() if k in at_f}
 
-    def rhs_ids(i, j):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
-        rhs, contracted = pm_p_of(mu_id(i, j)), expected(i, j)
+    def rhs_ids(a, b):   # the ids of m_pm_p(mu(a, b), f) + expected, over f
+        i, j = safe[a], safe[b]
+        rhs, contracted = pm_p_sides(intern(mu(i, j))), expected(i, j)
         if contracted:
             rhs = list(rhs)
             for kf, terms in contracted.items():
@@ -621,39 +605,32 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
 
     # per b, the slots of its (P, Q) id pairs over f; the pairs' sides by slot
     slot = {}
-    gathers = [_gather([slot.setdefault((pm_p_id(j, k), pm_m_id(j, k)),
-                                        len(slot)) for k in duals])
-               for j in data.safe]
+    gathers = [_gather([slot.setdefault((p, intern(pm_m(j, k))), len(slot))
+                        for p, k in zip(pm_p_rows(j), duals)])
+               for j in safe]
     pqs = [(sides[p], sides[q]) for p, q in slot]
 
-    def first_failing_pair():   # (a, b, lhs ids, rhs ids), a and b places
-        for a, i in enumerate(data.safe):
-            # the ids of mu(a, P) + m_pm_p(a, Q), by slot
-            table = [ids([(t, mul(c, v)) for y, c in P for t, v in mu(i, y)]
-                         + [(t, mul(c, v))
-                            for g, c in Q for t, v in pm_p(i, g)])
-                     for P, Q in pqs]
-            for b, j in enumerate(data.safe):
-                lhs, rhs = gathers[b](table), rhs_ids(i, j)
-                if lhs != rhs:
-                    return a, b, lhs, rhs
-        return None
+    def fill(a):   # the ids of mu(a, P) + m_pm_p(a, Q), by slot
+        i = safe[a]
+        return [ids([(t, mul(c, v)) for y, c in P for t, v in mu(i, y)]
+                    + [(t, mul(c, v)) for g, c in Q for t, v in pm_p(i, g)])
+                for P, Q in pqs]
 
-    if (found := first_failing_pair()) is None:
-        return Outcome("pass", "", n * n * n)
-    a, b, lhs, rhs = found
-    i, j = data.safe[a], data.safe[b]
-    kf = _first_difference(range(n), lambda f: (lhs[f], rhs[f]))[1]
+    count, failed, lhs, _ = _first_failing_triple(fill, gathers, rhs_ids,
+                                                  len(safe))
+    if failed is None:
+        return Outcome("pass", "", count)
+    a, b, kf = failed
+    i, j = safe[a], safe[b]
     # m_pp_p(1 (x) m_pm_p) + m_pm_p(1 (x) m_pm_m)
     # - m_pm_p(m_pp_p (x) 1); m_mm_p(m_pp_m (x) 1) = 0
-    total = sides[ids(itertools.chain(sides[lhs[kf]], _signed_row(
-        sides[pm_p_of(mu_id(i, j))[kf]], True, neg)))]
+    total = sides[ids(itertools.chain(sides[lhs], _signed_row(
+        sides[pm_p_sides(intern(mu(i, j)))[kf]], True, neg)))]
     return Outcome(
         "fail", f"fails at a={idx.names[i]}, b={idx.names[j]}, "
         f"f={M.index().names[duals[kf]]}: "
         f"{_format_row(A, dict(total))} vs "
-        f"{_format_row(A, expected(i, j).get(kf, {}))}",
-        (a * n + b) * n + kf + 1)
+        f"{_format_row(A, expected(i, j).get(kf, {}))}", count)
 
 
 # ---------------------------------------------------------------------------

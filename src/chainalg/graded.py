@@ -69,26 +69,21 @@ answer a name-keyed caller (`eval_basis`).
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
 `cone_product`) quantify over positions, a package's safe window as the
-positions it fixed at construction, expand each side once per distinct
-row and compare sides as ids interned by `SideIds`, a map's row as its
-set of terms.  A row's id
-is kept by the row tuple and, in one table per map, by its position
-i * stride + j (`SideIds.row_ids`), so a side of one term with
-coefficient 1 or -1 is a lookup, or two with its negation (`SideIds.neg`),
-and only longer sides are summed.  Each input a fills one list of side
-ids, indexed by what its side depends on (the id of a row, or a slot of
-a pair of row ids), before its first pair; each b keeps the indices of
-its entries over the third input, so the sides of a pair (a, b) over all
-of that input are one `operator.itemgetter` read of a's list (`_gather`)
-and one tuple comparison.  Only a failing pair's entries are compared
-one by one, by `_first_difference`, which names the first failing
-triple.  The pair identities (`bialgebra.PairKernel`)
-add hoisted signed pieces, lhs minus rhs, into one accumulator per row
-(one a with all its b), which passes when no sum in it is nonzero, stop
-at the first failing b, and expand the two sides again only for that
-pair; one kernel per package serves the axioms, cc-antisymmetry and the
-cone's assoc-infinitesimal check.  Every check returns an `Outcome`, and
-every report record is made from one.
+positions it fixed at construction, and share one quantifier
+(`_first_failing_triple`): each input a fills one table of side ids
+before its first pair, each b reads its entries over the third input in
+one gather, and only a failing pair's entries are compared one by one.
+Sides are ids interned by `SideIds`, a map's row as its set of terms, and
+`_row_expansion` expands each side once per distinct row, reading a side
+of one term with coefficient 1 or -1 off the row ids it keeps, negated
+if need be (`SideIds.neg`), and summing only the others.  The pair
+identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
+rhs, into one accumulator per row (one a with all its b), which passes
+when no sum in it is nonzero, stop at the first failing b, and expand
+the two sides again only for that pair; one kernel per package serves
+the axioms, cc-antisymmetry and the cone's assoc-infinitesimal check.
+Every check returns an `Outcome`, and every report record is made from
+one.
 """
 
 from __future__ import annotations
@@ -734,8 +729,6 @@ class SideIds:
     map, costs one tuple lookup: tuples are equal only when their pairs
     are, in order, so a hit is the id the frozenset would give, and a row
     in another order misses and takes the frozenset's path.
-    `ids.row_ids(m)` keeps the ids of a map's rows by position, so each
-    position of m is read once.
 
     `ids.neg(i)` is the id of side i with every coefficient negated, kept
     per id both ways: negating canonical nonzero coefficients on distinct
@@ -746,8 +739,6 @@ class SideIds:
 
     def __init__(self, ring: Ring):
         self._add, self._mul, self._neg = ring.add, ring.mul, ring.neg
-        self._one = ring.one()
-        self._minus_one = ring.neg(self._one)
         self._ids = {}
         self._by_row = {}   # row tuple -> id
         self._negs = {}     # id -> id of the negated side
@@ -788,38 +779,11 @@ class SideIds:
             self.sides.append(key)
         return i
 
-    def row_ids(self, m: GradedMap):
-        """(i, j) -> the id of m's row at (i, j), kept in one table keyed by
-        the position i * m.stride + j, so each row is interned once."""
-        table, stride, row, intern = {}, m.stride, m.row, self.row
-
-        def row_id(i, j):
-            key = i * stride + j
-            r = table.get(key)
-            if r is None:
-                r = table[key] = intern(row(i, j))
-            return r
-
-        return row_id
-
     def combine(self, terms, at) -> int:
         """The id of the sum of c * at(k) over the (k, c) pairs `terms`,
         at(k) being a map's row."""
         mul = self._mul
         return self((t, mul(c, v)) for k, c in terms for t, v in at(k))
-
-    def expand(self, terms, at, id_at) -> int:
-        """`combine(terms, at)` for a sized collection `terms`, given also
-        id_at(k), the id of at(k): a single term with coefficient 1 is
-        id_at(k), one with coefficient -1 its negation, and only other
-        sides are summed."""
-        if len(terms) == 1:
-            [(k, c)] = terms
-            if c == self._one:
-                return id_at(k)
-            if c == self._minus_one:
-                return self.neg(id_at(k))
-        return self.combine(terms, at)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +821,70 @@ def _one_entry(key, table) -> tuple:
     return (table[key],)
 
 
+def _row_expansion(ids: SideIds, m: GradedMap, keys):
+    """(rows, sides) for a map m on a binary source and the positions
+    `keys` of its second input, each a tuple over the keys in order, kept
+    per argument:
+
+        rows(x)  = the ids of the rows m(x (x) k) (`SideIds.row`),
+        sides(r) = the ids of sum_x c * m(x (x) k) over the terms (x, c)
+                   of the side r of `ids`.
+
+    A side of one term with coefficient 1 is rows(x), one with coefficient
+    -1 is rows(x) negated (`SideIds.neg`), and any other side is summed
+    (`SideIds.combine`)."""
+    R = m.target.ring
+    one = R.one()
+    minus_one = R.neg(one)
+    row, intern, neg_id, combine = m.row, ids.row, ids.neg, ids.combine
+
+    @functools.cache
+    def rows(x):
+        return tuple([intern(row(x, k)) for k in keys])
+
+    @functools.cache
+    def sides(r):
+        terms = ids.sides[r]
+        if len(terms) == 1:
+            [(x, c)] = terms
+            if c == one:
+                return rows(x)
+            if c == minus_one:
+                return tuple(map(neg_id, rows(x)))
+        return tuple([combine(terms, lambda x: row(x, k)) for k in keys])
+
+    return rows, sides
+
+
+def _first_failing_triple(fill, gathers, other, m):
+    """(inputs checked, the first failing places (a, b, c) or None, its
+    gathered side id, its other side id) of an identity over the places
+    a, b < n = len(gathers) and c < m in lexicographic order, whose sides
+    of a pair (a, b) over all c are the tuples gathers[b](fill(a)) and
+    other(a, b) of side ids.
+
+    The one quantifier of the associativity-type checks.  Each a fills its
+    table once, before its first pair, with the ids of every side it can
+    meet, indexed by what that side depends on besides a; each b keeps the
+    indices of its entries over c in a gather (`_gather`), so that a pair
+    is one `operator.itemgetter` call and one tuple comparison.  Only a
+    failing pair's entries are compared one by one (`_first_difference`).
+    Equal ids hold exactly when the sides are equal (`SideIds`), so the
+    verdict, the count, (a n + b) m + c + 1 at a failure and n n m
+    otherwise, and the first failing triple are those of comparing the two
+    sides of every triple in turn."""
+    n = len(gathers)
+    for a in range(n):
+        table = fill(a)
+        for b, gather in enumerate(gathers):
+            got, want = gather(table), other(a, b)
+            if got != want:
+                _, c, left, right = _first_difference(
+                    range(m), lambda c: (got[c], want[c]))
+                return (a * n + b) * m + c + 1, (a, b, c), left, right
+    return n * n * m, None, None, None
+
+
 def associativity_witness(mu: GradedMap, inputs):
     """(inputs checked, first failing (a, b, c) or None, lhs, rhs) of
     mu(mu (x) 1) = mu(1 (x) mu) over inputs^3 in lexicographic order, the
@@ -870,51 +898,26 @@ def associativity_witness(mu: GradedMap, inputs):
     named, and the sides are Vectors of mu's target, on a failure; else
     both are None.
 
-    Each side is expanded once per distinct product row, not once per
-    triple: the lhs depends on (a, b) only through the row mu(a (x) b), and
-    the rhs on (b, c) only through the row mu(b (x) c).  Every row and side
-    is interned by `SideIds` (a row as its set of terms, `SideIds.row`, its
-    id kept by position, `SideIds.row_ids`).  The rows mu(b (x) c) are
-    interned first, as one tuple T_b of ids over the inputs c per input b,
-    so that their ids are 0 .. m - 1.  The lhs over all c is one tuple of
-    ids per distinct row mu(a (x) b), filled on first use.  The rhs of a
-    is one list over those m ids, filled in one loop before a's first
-    pair: a row of one term with coefficient 1 or -1, times a's sign, is
-    a row's id or its negation (`SideIds.neg`), and only other rows are
-    summed (`SideIds.combine`).  The rhs of a pair (a, b) over all c is
-    then a's list read at T_b in one `operator.itemgetter` call, and the
-    pair passes when that tuple equals the lhs tuple; only a failing pair's
-    entries are compared one by one (`_first_difference`).  Equal ids
-    hold exactly when the sides are equal (see `SideIds`), so the verdict,
-    the count and the first failing triple are those of comparing the two
-    sides of every triple in turn.
+    The sides are regrouped so that each is expanded once per distinct
+    product row, not once per triple: the lhs depends on (a, b) only
+    through the row mu(a (x) b), and is one tuple over c per such row
+    (`_row_expansion`); the rhs depends on (b, c) only through the row
+    mu(b (x) c).  Those rows are interned first, as one tuple T_b of ids
+    over c per b, so that their ids are 0 .. m - 1, and the shape of each
+    is precomputed: one term y with coefficient 1 or -1, or its terms and
+    their negation.  a's table holds its rhs per such id, and the rhs of a
+    pair (a, b) over c is that table read at T_b (`_first_failing_triple`).
     """
     A = mu.target
     if any(f != A for f in mu.source.factors):
         raise ValueError("associativity needs a product A (x) A -> A")
-    n = len(inputs)
     neg, one = A.ring.neg, A.ring.one()
     minus_one = neg(one)
     idx = A.index()
     row, odd_mu = mu.row, mu.degree % 2
     ids = SideIds(A.ring)
-    sides, row_id, neg_id = ids.sides, ids.row_ids(mu), ids.neg
-    combine = ids.combine
-
-    @functools.cache
-    def times_inputs(x):   # the ids of mu(x (x) c) over the inputs c
-        return tuple([row_id(x, k) for k in inputs])
-
-    @functools.cache
-    def lhs_ids(ab):   # the ids of the lhs over the inputs c, per row id ab
-        terms = sides[ab]
-        if len(terms) == 1:
-            [(x, c)] = terms
-            if c == one:
-                return times_inputs(x)
-            if c == minus_one:
-                return tuple(map(neg_id, times_inputs(x)))
-        return tuple([combine(terms, lambda x: row(x, k)) for k in inputs])
+    sides, intern, neg_id, combine = ids.sides, ids.row, ids.neg, ids.combine
+    times_inputs, lhs_of = _row_expansion(ids, mu, inputs)
 
     # the rows mu(b (x) c), interned first, so that `sides` holds them alone;
     # per row id: (y, whether its coefficient is -1) for one term y with
@@ -928,24 +931,23 @@ def associativity_witness(mu: GradedMap, inputs):
                 shapes.append((y, c != one))
                 continue
         shapes.append((None, (terms, _signed_row(terms, True, neg))))
-    gathers = [_gather(t) for t in T]
-    for a, i in enumerate(inputs):
+
+    def fill(a):   # a's rhs per row id of mu(b (x) c)
+        i = inputs[a]
         negate = bool(odd_mu and idx.odd[i])
         at = functools.partial(row, i)
-        table = [combine(rest[negate], at) if y is None
-                 else neg_id(row_id(i, y)) if rest != negate else row_id(i, y)
-                 for y, rest in shapes]
-        for b, ab in enumerate(T[a]):
-            lhs, rhs = lhs_ids(ab), gathers[b](table)
-            if lhs != rhs:
-                k, _, left, right = _first_difference(
-                    range(n), lambda c: (lhs[c], rhs[c]))
-                names = idx.names
-                return ((a * n + b) * n + k,
-                        (names[i], names[inputs[b]], names[inputs[k - 1]]),
-                        row_vector(A, sides[left]),
-                        row_vector(A, sides[right]))
-    return n * n * n, None, None, None
+        return [combine(rest[negate], at) if y is None
+                else neg_id(intern(at(y))) if rest != negate else intern(at(y))
+                for y, rest in shapes]
+
+    count, failed, rhs, lhs = _first_failing_triple(
+        fill, [_gather(t) for t in T], lambda a, b: lhs_of(T[a][b]),
+        len(inputs))
+    if failed is None:
+        return count, None, None, None
+    names = idx.names
+    return (count, tuple([names[inputs[p]] for p in failed]),
+            row_vector(A, sides[lhs]), row_vector(A, sides[rhs]))
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:

@@ -8,8 +8,8 @@ Outcome, the closed forms of the loop fixtures, the sign normalisation of
 the extended gcd, the extreme degree at which the induced quotient
 homotopy vanishes, the cone's changed coproducts, the order in which a
 safe window is kept, the refusal to package a bialgebra with a
-differential as a cone with d = 0, and the per-input tables and gathers
-of the associativity-type checks.
+differential as a cone with d = 0, and the per-input tables, gathers,
+count and witness of the associativity-type checks' shared quantifier.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -50,6 +50,8 @@ GATHER = ("tests/test_shared_expansion.py::"
           "test_associativity_gather_matches_the_loop")
 LAST_F = ("tests/test_shared_expansion.py::"
           "test_assoc_infinitesimal_fails_at_its_last_f")
+INF_CASES = ("tests/test_shared_expansion.py::"
+             "test_assoc_infinitesimal_cases_reach_their_verdicts")
 MINUS_ONE_ROW = (
     "tests/test_shared_expansion.py::"
     "test_associativity_kernel_negates_a_product_row_of_minus_one")
@@ -330,8 +332,8 @@ MUTANTS = [
     ("cone_product.py", "+ tuple([minus[dual[x]] for x in self.safe]))",
      "+ tuple([minus[self.layout.base[x]] for x in self.safe]))",
      CLOSED_FORM),
-    ("cone_product.py", "duals = [data.layout.dual[i] for i in data.safe]",
-     "duals = [data.layout.base[i] for i in data.safe]", OPTIMIZED),
+    ("cone_product.py", "duals = [data.layout.dual[i] for i in safe]",
+     "duals = [data.layout.base[i] for i in safe]", OPTIMIZED),
     # the cone product's rows: each part's folded sign, its operation's
     # sign times its [i,j;k] unshift's, the side of mu's fixed factor in
     # m_L's and m_R's transposes, and the placement of the blocks
@@ -356,20 +358,16 @@ MUTANTS = [
      "c if odd[b1] and not odd[b2] else neg(c))", CUBIC),
     ("cone_product.py", "for (b1, b2, b3), c in vector_terms(data.B):",
      "for (b1, b2, b3), c in ():", CUBIC),
-    # SideIds' negation and its single-term fast paths: neg(i) is i, the
-    # -1 path of expand does not negate, the position table's key drops
-    # the stride, so rows at different positions share an id, and a lhs
-    # of one row times -1 is not negated
+    # SideIds' negation, and the -1 branch of the row expansion not
+    # negating, seen by assoc-infinitesimal's rhs and by associativity's
+    # lhs, each of one row times -1
     ("graded.py", "frozenset((k, neg(c)) for k, c in self.sides[i]))",
      "self.sides[i])", NEG_IDS),
-    ("graded.py", "                return self.neg(id_at(k))",
-     "                return id_at(k)",
+    ("graded.py", "return tuple(map(neg_id, rows(x)))", "return rows(x)",
      "tests/test_shared_expansion.py::"
      "test_assoc_infinitesimal_kernel_matches_the_loop"),
-    ("graded.py", "key = i * stride + j\n            r = table.get(key)",
-     "key = i + j\n            r = table.get(key)", ASSOC),
-    ("graded.py", "return tuple(map(neg_id, times_inputs(x)))",
-     "return times_inputs(x)", MINUS_ONE_ROW),
+    ("graded.py", "return tuple(map(neg_id, rows(x)))", "return rows(x)",
+     MINUS_ONE_ROW),
     # the product's transposes of mu kept without the side of the fixed
     # factor, so that m_L and m_R read one table
     ("cone_product.py", "out = transposes.get((fixed, d, left))\n"
@@ -460,23 +458,34 @@ MUTANTS = [
     ("graded.py", "negate = bool(odd_mu and idx.odd[i])",
      "negate = not (odd_mu and idx.odd[i])", GATHER),
     ("graded.py",
-     "else neg_id(row_id(i, y)) if rest != negate else row_id(i, y)",
-     "else row_id(i, y) if rest != negate else neg_id(row_id(i, y))", GATHER),
+     "else neg_id(intern(at(y))) if rest != negate else intern(at(y))",
+     "else intern(at(y)) if rest != negate else neg_id(intern(at(y)))",
+     GATHER),
     ("graded.py", "(terms, _signed_row(terms, True, neg))", "(terms, terms)",
      GATHER),
-    ("graded.py", "gathers = [_gather(t) for t in T]",
-     "gathers = [_gather(t) for t in T[1:] + T[:1]]", GATHER),
+    ("graded.py", "[_gather(t) for t in T]",
+     "[_gather(t) for t in T[1:] + T[:1]]", GATHER),
     ("graded.py", "    if len(keys) == 1:\n", "    if False:\n", GATHER),
     # assoc-infinitesimal's table of a's left sides without m_pm_p(a, Q),
     # and a pair read through a's slots instead of b's
     ("cone_product.py",
-     "\n                         + [(t, mul(c, v))\n"
-     "                            for g, c in Q for t, v in pm_p(i, g)])", ")",
-     LAST_F),
-    ("cone_product.py", "lhs, rhs = gathers[b](table), rhs_ids(i, j)",
-     "lhs, rhs = gathers[a](table), rhs_ids(i, j)",
+     "\n                    + [(t, mul(c, v))"
+     " for g, c in Q for t, v in pm_p(i, g)])", ")", LAST_F),
+    ("graded.py", "got, want = gather(table), other(a, b)",
+     "got, want = gathers[a](table), other(a, b)",
      "tests/test_shared_expansion.py::"
      "test_assoc_infinitesimal_matches_the_loop"),
+    # the shared quantifier's count without its + 1 and its failing
+    # triple's sides swapped; the row expansion's -1 branch not negating,
+    # and assoc-infinitesimal's pairs read through the next b's slots, on
+    # its fixed cases
+    ("graded.py", "(a * n + b) * m + c + 1,", "(a * n + b) * m + c,",
+     "tests/test_shared_expansion.py::test_gather_cases_reach_their_verdicts"),
+    ("graded.py", "(a, b, c), left, right", "(a, b, c), right, left", LAST_F),
+    ("graded.py", "return tuple(map(neg_id, rows(x)))", "return rows(x)",
+     INF_CASES),
+    ("cone_product.py", "               for j in safe]",
+     "               for j in safe[1:] + safe[:1]]", INF_CASES),
 ]
 
 

@@ -67,7 +67,6 @@ ALLOWED = {
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
-    "cone_product.check_assoc_implies_infinitesimal.<lambda 1>": FAILURE,
     "fixtures.flip_structure_constant": TEST_ONLY,
     "fixtures.flip_structure_constant.rows": TEST_ONLY,
     "fixtures.mutate_lambda": TEST_ONLY,
@@ -99,8 +98,6 @@ ALLOWED = {
         "fixtures, which perfbench calls, read by names through it",
     "graded.GradedMap.block": PERFBENCH,
     "graded.GradedMap.__repr__": REPR,
-    "graded._one_entry": "reads a window of one position; every window a "
-        "command checks has more",
     "graded.shift_map.rows":
         "an odd map shifted by an odd k; every shipped shift is even",
     "matrices.ExactMatrix.from_rows": DENSE,

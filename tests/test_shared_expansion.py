@@ -168,8 +168,8 @@ def assoc_infinitesimal_loop(data, comps):
     return True, ""
 
 
-def assoc_infinitesimal(data, comps):
-    """(passed, detail) of the identity read through the components `comps`,
+def infinitesimal_outcome(data, comps):
+    """The Outcome of the identity read through the components `comps`,
     set on a copy of the package, so that `data` keeps its own.  The copy
     also gets a passing associativity verdict, which stands in for the
     precondition the check reads from the package: the identity is
@@ -180,6 +180,12 @@ def assoc_infinitesimal(data, comps):
     out = check_assoc_implies_infinitesimal(package)
     assert out.status in ("pass", "fail")
     assert not out.detail.startswith("precondition: "), out.detail
+    return out
+
+
+def assoc_infinitesimal(data, comps):
+    """(passed, detail) of `infinitesimal_outcome`, as the loop gives."""
+    out = infinitesimal_outcome(data, comps)
     return out.status == "pass", out.detail
 
 
@@ -300,28 +306,6 @@ def test_row_ids_by_tuple_match_the_frozenset_path(ring, data):
         assert ids.row(tuple(reversed(r))) == ids.row(r)
 
 
-@pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
-@SETTINGS
-@given(data=st.data())
-def test_row_ids_by_position_match_the_frozenset_path(ring, data):
-    """`SideIds.row_ids` on a map whose rows are drawn rows and their
-    permutations: each position's id, read twice, is the frozenset path's,
-    and a row shares its id with its permutation at another position."""
-    A = GradedModule(ring, [BasisElement(f"a{k}", 0) for k in range(4)],
-                     name="a")
-    drawn = [data.draw(rows(ring)) for _ in range(3)]
-    at = {(0, k): r for k, r in enumerate(drawn)}   # a row at (0, k), and
-    at.update({(k + 1, 0): tuple(data.draw(st.permutations(r)))   # its
-               for k, r in enumerate(drawn)})      # permutation at (k + 1, 0)
-    m = GradedMap(tensor(A, A), A, 0, lambda i, j: at.get((i, j), ()))
-    ids = SideIds(ring)
-    row_id = ids.row_ids(m)
-    for i, j in list(at) + list(at):   # each position filled, then kept
-        assert row_id(i, j) == frozenset_path(ids, at[i, j])
-    for k, r in enumerate(drawn):
-        assert row_id(0, k) == row_id(k + 1, 0) == ids.row(r[::-1])
-
-
 # -- associativity on random products ------------------------------------------
 
 def draw_module(data, ring):
@@ -373,7 +357,8 @@ def test_associativity_kernel_matches_the_loop(ring, data):
 @SETTINGS
 @given(data=st.data())
 # a fixed draw, run before the random ones, in which a row mu(a (x) b) is
-# one term with coefficient -1, read as a negated id (`SideIds.expand`)
+# one term with coefficient -1, read off negated row ids
+# (`graded._row_expansion`)
 @example(data=Replay([0, 1, -1], 0, True, 0, 0, 0, 0, 0, 0, -1, False, 0, 0,
                      0, 0, 0, 0, 1, 0, ["a2", "a0", "a1"], 3))
 def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
@@ -505,6 +490,64 @@ def test_gather_cases_reach_their_verdicts(case, verdict):
     if case is ODD_SUM:
         b, c = got[1][1:]
         assert len(mu.eval_basis(b + TENSOR_SEP + c).coeffs) == 2
+
+
+def cone_case(ring, degrees, n, mu, lam, Q0, safe):
+    """A cone package with d = 0, c0 = 0 and B = 0 on basis elements a0,
+    a1, ... of `degrees`, |lam| being 1 - 2n: mu and lam given by their
+    nonzero values, {input: {output: coefficient}}, Q0 by its terms,
+    {term: coefficient}, each input, output and term a tuple of names,
+    and the safe window `safe`."""
+    A = GradedModule(ring, [BasisElement(f"a{i}", d)
+                            for i, d in enumerate(degrees)], name="a")
+    A2 = tensor(A, A)
+
+    def vector(module, terms):
+        return Vector(module, {TENSOR_SEP.join(k): c
+                               for k, c in terms.items()})
+
+    def operation(source, target, degree, values):
+        return GradedMap.from_table(source, target, degree, {
+            TENSOR_SEP.join(x): vector(target, v) for x, v in values.items()})
+
+    return ConeProductData(ChainComplex(A), operation(A2, A, 0, mu),
+                           operation(A, A2, 1 - 2 * n, lam), A2.zero(),
+                           vector(A2, Q0), tensor(A, A, A).zero(), n,
+                           safe_names=safe)
+
+
+# (degrees, n, mu, lam, Q0, safe) of each fixed case of assoc-infinitesimal,
+# and its (status, inputs checked, detail) over Z
+INF_WINDOW_1 = ([1, 0], 0, {("a0", "a1"): {("a0",): -1},
+                            ("a1", "a0"): {("a0",): 2}},
+                {("a0",): {("a0", "a0"): -1}}, {("a0", "a1"): 1}, ["a1"])
+INF_MINUS_ONE = ([0, 1, -1], 0, {("a1", "a0"): {("a1",): -1}}, {},
+                 {("a0", "a1"): 1}, ["a1", "a0"])     # mu(a1 (x) a0) = -a1
+INF_SUMMED = ([0, 1, -1], 0, {("a1", "a0"): {("a1",): 2}}, {},
+              {("a0", "a1"): 1}, ["a1", "a0"])        # mu(a1 (x) a0) = 2 a1
+INFINITESIMAL_CASES = [
+    ("window-1", INF_WINDOW_1,
+     ("fail", 1, "fails at a=a1, b=a1, f=a1^: 4*a0 vs 0")),
+    ("window-2-minus-one", INF_MINUS_ONE,
+     ("fail", 3, "fails at a=a1, b=a0, f=a1^: 0 vs -a1")),
+    ("window-2-summed", INF_SUMMED,
+     ("fail", 3, "fails at a=a1, b=a0, f=a1^: 0 vs -4*a1")),
+]
+
+
+@pytest.mark.parametrize("case,verdict", [c[1:] for c in INFINITESIMAL_CASES],
+                         ids=[c[0] for c in INFINITESIMAL_CASES])
+def test_assoc_infinitesimal_cases_reach_their_verdicts(case, verdict):
+    """Each fixed case of assoc-infinitesimal gives its verdict over Z and
+    matches the loop: safe windows of one and of two positions, where the
+    right side's row mu(a1 (x) a0) is one term with coefficient -1, read
+    off negated row ids, or with coefficient 2, summed."""
+    data = cone_case(ZZ, *case)
+    comps = closed_form_components(data)
+    out = infinitesimal_outcome(data, comps)
+    assert (out.status, out.inputs_checked, out.detail) == verdict
+    assert ((out.status == "pass", out.detail)
+            == assoc_infinitesimal_loop(data, comps))
 
 
 @pytest.mark.parametrize("ring", NEG_RINGS, ids=repr)
