@@ -300,8 +300,6 @@ def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
 @dataclass
 class Cone:
     complex: ChainComplex
-    source: ChainComplex
-    target: ChainComplex
     chain_map: ChainMap
     # positions in the cone of the positions of A ("+" part) and of M ("-"
     # part), and for each cone position (in the "-" part, position in A or M)
@@ -346,7 +344,7 @@ def mapping_cone(c: ChainMap) -> Cone:
 
     cone = ChainComplex(cone_mod, GradedMap(cone_mod, cone_mod, -1, d_row,
                                             name="d_cone"))
-    return Cone(cone, c.source, c.target, c, (plus, minus, where))
+    return Cone(cone, c, (plus, minus, where))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +535,7 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
     differentials up to the degree's sign); Phi is then a chain automorphism
     with (Phi - id)^2 = 0, and its action on cone homology is returned.
     """
-    M, A = cone.source, cone.target
+    M, A = cone.chain_map.source, cone.chain_map.target
     if csec.source != M.module or csec.target != A.module or csec.degree != 1:
         raise ValueError("csec must map the cone source to its target with degree +1")
     _require_chain_map(csec, M.d, A.d,

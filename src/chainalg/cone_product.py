@@ -286,12 +286,12 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     mu_rows, stride = data.mu.rows, data.mu.stride
     A2 = tensor(A, A)
     # the changes of coproduct by Q0 on the right, on the left and on both
-    # sides; lam_rev changes lam_fwd, so that no row takes the reverse-data
-    # cross-check's second route
+    # sides
     zero, minus_Q0 = A2.zero(), -data.Q0
     lam_fwd = secondary_relation_apply(data.mu, data.lam, data.Q0, zero)
     lam_rev_left = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)
-    lam_rev = secondary_relation_apply(data.mu, lam_fwd, zero, minus_Q0).row
+    lam_rev = secondary_relation_apply(data.mu, data.lam, data.Q0,
+                                       minus_Q0).row
 
     # built on first request: the sparse transpose of lam_rev, slot tables
     # of lam_fwd and lam_rev_left

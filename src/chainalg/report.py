@@ -152,15 +152,15 @@ def _reverse_coproduct(t):
     rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).row
     direct = target.lam.row
     A, B = inst.module, target.module
-    _, x, got, want = _first_difference(inst.safe, lambda x: (
+    count, x, got, want = _first_difference(inst.safe, lambda x: (
         dict(rebuilt(x)), dict(direct(x))))
     if x is None:
         return Outcome("pass", f"{other} reconstructed from {name} with c = "
-                       f"{format_vector(c)} on {len(inst.safe)} inputs")
+                       f"{format_vector(c)} on {count} inputs", count)
     return Outcome("fail", (
         f"mismatch at {A.index().names[x]}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
-        f"{format_vector(row_vector(tensor(B, B), want.items()))}"))
+        f"{format_vector(row_vector(tensor(B, B), want.items()))}"), count)
 
 
 def _continuation_status(t):

@@ -6,7 +6,8 @@ structural checks of the row maps, the status and detail of each check's
 `Outcome`, an axiom's input count and the time a record reads from its
 Outcome, the closed forms of the loop fixtures, the sign normalisation of
 the extended gcd, the extreme degree at which the induced quotient
-homotopy vanishes, the cone's changed coproducts, the order in which a
+homotopy vanishes, the signs and the subtraction of the change of
+coproduct, the cone's changed coproducts, the order in which a
 safe window is kept, the refusal to package a bialgebra with a
 differential as a cone with d = 0, and the per-input tables, gathers,
 count and witness of the associativity-type checks' shared quantifier.
@@ -111,6 +112,8 @@ PRODUCT = ("tests/test_cone_product.py::"
            "test_compiled_product_matches_the_string_keyed_assembly")
 CUBIC = ("tests/test_cone_product.py::"
          "test_the_closed_form_covers_the_cubic_vector")
+SECONDARY = ("tests/test_row_checks.py::"
+             "test_secondary_relation_matches_the_composites")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -434,13 +437,13 @@ MUTANTS = [
      "t = max(t for t, part in enumerate(parts) if part)", LAST_B),
     ("bialgebra.py", "out[t][divmod(k, n)] = c", "out[t][divmod(k, n)[::-1]] = c",
      PIECES),
-    # the cone's lam_rev built on lam instead of lam_fwd, which drops Q0's
-    # right correction from sigma; the safe window's positions sorted
-    # instead of kept in the given order; and a bialgebra with a nonzero
-    # differential packaged as a cone with d = 0
+    # the cone's lam_rev without Q0's forward term, which drops Q0's right
+    # correction from sigma; the safe window's positions sorted instead of
+    # kept in the given order; and a bialgebra with a nonzero differential
+    # packaged as a cone with d = 0
     ("cone_product.py",
-     "lam_rev = secondary_relation_apply(data.mu, lam_fwd, zero, minus_Q0)",
-     "lam_rev = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)",
+     "lam_rev = secondary_relation_apply(data.mu, data.lam, data.Q0,",
+     "lam_rev = secondary_relation_apply(data.mu, data.lam, zero,",
      PRODUCT),
     ("bialgebra.py", "return names, tuple(positions.values())",
      "return names, tuple(sorted(positions.values()))",
@@ -486,6 +489,17 @@ MUTANTS = [
      INF_CASES),
     ("cone_product.py", "               for j in safe]",
      "               for j in safe[1:] + safe[:1]]", INF_CASES),
+    # the change of coproduct: 1 (x) mu's (-1)^{|mu||c1|} dropped, moving c
+    # past x without its (-1)^{|c||x|}, and c_op's term added instead of
+    # subtracted, each killed by one of the property's fixed draws
+    ("bialgebra.py",
+     "            v = neg(v) if mu.degree % 2 and odd[c1] else v\n", "",
+     SECONDARY),
+    ("bialgebra.py",
+     "            v = neg(v) if odd[x] and odd[c1] != odd[c2] else v\n", "",
+     SECONDARY),
+    ("bialgebra.py", "_signed_row(term2(x), True, neg)", "term2(x)",
+     SECONDARY),
 ]
 
 

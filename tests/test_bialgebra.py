@@ -288,51 +288,6 @@ def test_secondary_relation_involutive():
         assert twice.eval_basis(n) == inst.lam.eval_basis(n)
 
 
-def test_secondary_relation_cross_check_is_built_once(monkeypatch):
-    # the reverse-data special case builds its cross-check row function
-    # once, beside the two terms, and not once per row
-    import chainalg.bialgebra as bialgebra
-
-    calls = []
-    real = bialgebra._times_left
-
-    def counting(mu, c):
-        calls.append(c)
-        return real(mu, c)
-
-    monkeypatch.setattr(bialgebra, "_times_left", counting)
-    plus = make_fixture("lambda-s1-plus", W)
-    minus = make_fixture("lambda-s1-minus", W)
-    c = reverse_data_bivector(plus)
-    rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
-    for n in plus.safe_names:
-        assert rebuilt.eval_basis(n) == minus.lam.eval_basis(n), n
-    assert calls == [-c, c]  # c_op's term and the cross-check's
-
-
-def test_secondary_relation_cross_check_runs_on_every_row(monkeypatch):
-    # a cross-check route that disagrees on one row fails on that row
-    import chainalg.bialgebra as bialgebra
-
-    plus = make_fixture("lambda-s1-plus", W)
-    c = reverse_data_bivector(plus)
-    real = bialgebra._times_left
-    bad = plus.module.index().pos["U^-1"]
-
-    def skewed(mu, v):
-        rows = real(mu, v)
-        if v != c:
-            return rows
-        return lambda x: () if x == bad else rows(x)
-
-    monkeypatch.setattr(bialgebra, "_times_left", skewed)
-    rebuilt = secondary_relation_apply(plus.mu, plus.lam, c, -c)
-    minus = make_fixture("lambda-s1-minus", W)
-    assert rebuilt.eval_basis("U") == minus.lam.eval_basis("U")
-    with pytest.raises(RuntimeError, match="cross-check failed on U\\^-1"):
-        rebuilt.eval_basis("U^-1")
-
-
 def test_secondary_relation_degree_mismatch():
     inst = make_fixture("lambda-s1-plus", W)
     A2 = tensor(inst.module, inst.module)

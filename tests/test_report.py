@@ -190,20 +190,22 @@ def test_axiom_records_carry_the_time_check_axioms_measured(monkeypatch):
 
 def test_reverse_coproduct_names_the_first_mismatching_row():
     # the plus fixture with one lam constant negated rebuilds a minus
-    # coproduct that differs from the direct one at that input
+    # coproduct that differs from the direct one at that input; the
+    # Outcome counts the safe inputs compared, up to that one
     window = TruncationWindow(8)
     plus = make_fixture("lambda-s1-plus", window)
 
     def reverse_coproduct(inst):
         scn = sc.Scenario("bialgebra", "lambda-s1-plus", inst.module.ring,
                           inst, (), window)
-        [rec] = rp.records(scn, ("reverse-coproduct",), "", False)
-        return rec.status, rec.detail
+        return rp._reverse_coproduct(rp._Target(scn))
 
-    assert reverse_coproduct(plus)[0] == "pass"
-    status, detail = reverse_coproduct(
-        mutate_lambda(plus, "U", f"A{TENSOR_SEP}U"))
+    passed = reverse_coproduct(plus)
+    assert (passed.status, passed.inputs_checked) == ("pass", len(plus.safe))
+    status, detail, count = reverse_coproduct(
+        mutate_lambda(plus, "U", f"A{TENSOR_SEP}U"))[:3]
     assert status == "fail"
+    assert count == plus.safe.index(plus.module.index().pos["U"]) + 1
     assert detail.startswith("mismatch at U: rebuilt ")
     direct = make_fixture("lambda-s1-minus", window).lam.eval_basis("U")
     assert detail.endswith(f", direct {direct}")
