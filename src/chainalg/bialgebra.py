@@ -288,9 +288,9 @@ class PairKernel:
 
     Positions index A (`GradedModule.index`); a side is a dict
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the rows of
-    mu, lam, mu tau and tau lam, the last two read off mu's and lam's rows
-    with the twist sign.  `v` is the bivector put in the middle (lam eta
-    for the axioms), given by its terms ((k1, k2), coefficient).
+    mu and lam alone: mu tau and tau lam swap their factors, the twist sign
+    folded into each piece's signs.  `v` is the bivector put in the middle
+    (lam eta for the axioms), given by its terms ((k1, k2), coefficient).
 
     A row is one a with the tuple js of its b's.  A piece is one of the
     composites lam mu (`_lam_mu`), left, right, middle and point, with a
@@ -304,10 +304,10 @@ class PairKernel:
     inserting v and of tau) once per row, for the rows of L(a) and the
     products P(a (x) v1) * e, or once per b, for the rows of L(b), for each
     parity of the other factor that a sign depends on; the per-b tables of
-    a row are a list aligned with js, built once per js.  It reads a map's
-    rows by one dict lookup (`GradedMap.rows`).  Pieces add and multiply
-    canonical ring values with Python's + and *, which are exact on ints
-    and Fractions; a sum is brought back to canonical form (`Ring.canon`:
+    a row are a list aligned with js, built once per js.  It reads mu's
+    and lam's rows by one dict lookup (`GradedMap.rows`).  Pieces add and
+    multiply canonical ring values with Python's + and *, exact on ints and
+    Fractions; a sum is brought back to canonical form (`Ring.canon`:
     a residue mod p, an int for an integral rational) when it is read, and
     a row's nonzero test reads its sums mod p over GF(p).
 
@@ -332,20 +332,7 @@ class PairKernel:
         self.idx = A.index()
         self.n = len(self.idx.names)
         self.nn = self.n * self.n
-        self.mu, self.lam = mu, lam
-        R = A.ring
-        self._ring = R
-        odd, neg = self.idx.odd, R.neg
-        mu_rows, stride, lam_row = mu.rows, mu.stride, self.lam.row
-
-        def mu_tau(i, j):   # mu(tau(a (x) b)) = (-1)^{|a||b|} mu(b (x) a)
-            return _signed_row(mu_rows[j * stride + i], odd[i] and odd[j],
-                               neg)
-
-        self.mu_tau = GradedMap(self.A2, A, mu.degree, mu_tau)
-        self.tau_lam = GradedMap(
-            A, self.A2, lam.degree,
-            lambda x: tuple(_twisted(lam_row(x), odd, neg).items()))
+        self.mu, self.lam, self._ring = mu, lam, A.ring
         self.v = tuple(v)
         deg = self.idx.degree
         degrees = sorted({deg[k1] + deg[k2] for (k1, k2), _ in self.v})
@@ -380,8 +367,8 @@ class PairKernel:
             lam mu = (1 (x) mu)(lam (x) 1) + (mu (x) 1)(1 (x) lam)
                      -/+ a (x) b.
         """
-        mu, lam, mu_tau, tau_lam = self.mu, self.lam, self.mu_tau, self.tau_lam
-        dl, dm = lam.degree, mu.degree
+        mu, lam, mu_tau, tau_lam = False, False, True, True   # read twisted
+        dl, dm = self.lam.degree, self.mu.degree
         s = koszul_sign(dl * dm)
         anti_lhs = (("left", koszul_sign(dm * (dl + 1)), mu, tau_lam),
                     ("right", koszul_sign(dl * (dm + 1)), mu_tau, lam),
@@ -493,13 +480,14 @@ class PairKernel:
 
     # -- pieces: piece(acc, i, js) adds sign * the composite on a row ---------
 
-    def _lam_mu(self, sign, L):
-        """sign * L mu (a (x) b), L being lam or tau lam, with L's rows read
-        with their keys packed."""
-        mu_rows, stride, L_rows = self.mu.rows, self.mu.stride, L.rows
-        n, nn, negate = self.n, self.nn, sign < 0
-        packed = _Rows(lambda x: tuple((k1 * n + k2, c)
-                                       for (k1, k2), c in L_rows[x]), 1, False)
+    def _lam_mu(self, sign, twist):
+        """sign * L mu (a (x) b), L being lam, or tau lam if `twist`, with
+        L's rows read off lam's with their keys packed."""
+        mu_rows, stride, lam_rows = self.mu.rows, self.mu.stride, self.lam.rows
+        n, nn, negate, odd = self.n, self.nn, sign < 0, self.idx.odd
+        packed = _Rows(lambda x: tuple(
+            (k2 * n + k1, -c if odd[k1] and odd[k2] else c) if twist
+            else (k1 * n + k2, c) for (k1, k2), c in lam_rows[x]), 1, False)
 
         def piece(acc, i, js):
             key, get, base = i * stride, acc.get, 0
@@ -513,101 +501,113 @@ class PairKernel:
                 base += nn
         return piece
 
-    def _left(self, sign, P, L, tau=False):
-        """sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it:
-        (1 (x) P)(L (x) 1) = sum (-1)^{|P||a1|} a1 (x) P(a2 (x) b).
-        Per row and parity of b: (row key of a2, a1's part of the output
-        key, signed c) over L(a)."""
-        odd, p, n = self.idx.odd, P.degree % 2, self.n
-        L_rows, P_rows, stride, nn = L.rows, P.rows, P.stride, self.nn
+    def _left(self, sign, tm, tl, tau=False):
+        """sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it, P mu or (`tm`)
+        mu tau, L lam or (`tl`) tau lam: (1 (x) P)(L (x) 1) = sum
+        (-1)^{|P||a1|} a1 (x) P(a2 (x) b).  Per row and parity of b: (a2's
+        part of P's row key, a1's part of the output key, signed c) over
+        L(a)."""
+        odd, p, n, nn = self.idx.odd, self.mu.degree % 2, self.n, self.nn
+        lam_rows, mu_rows, stride = self.lam.rows, self.mu.rows, self.mu.stride
         a1_scale, z_scale = (1, n) if tau else (n, 1)
+        a2_scale, b_scale = (1, stride) if tm else (stride, 1)
 
         def piece(acc, i, js):
-            hoisted = [[] for b in range(1 + tau)]   # b's parity: tau only
+            hoisted = [[] for b in range(1 + (tau or tm))]   # b's parity
             for b, terms in enumerate(hoisted):
-                for (a1, a2), c in L_rows[i]:
-                    # tau(a1 (x) z) costs (-1)^{|a1||z|}, |z| = |a2| + |b| + |P|
-                    if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:
+                for (a1, a2), c in lam_rows[i]:
+                    a1, a2 = (a2, a1) if tl else (a1, a2)
+                    # tau(a1 (x) z) costs |a1||z|, |z| = |a2| + |b| + |P|;
+                    # tau lam costs |a1||a2|, mu tau(a2 (x) b) |a2||b|
+                    if ((sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p))
+                            + odd[a2] * (tl * odd[a1] + tm * b)) & 1:
                         c = -c
-                    terms.append((a2 * stride, a1 * a1_scale, c))
-            hoisted *= 2 - tau
+                    terms.append((a2 * a2_scale, a1 * a1_scale, c))
+            hoisted *= 2 - (tau or tm)
             get, base = acc.get, 0
             for j in js:
+                jk = j * b_scale
                 for key, a1, c in hoisted[odd[j]]:
                     a1 += base
-                    for z, m in P_rows[key + j]:
+                    for z, m in mu_rows[key + jk]:
                         k = a1 + z * z_scale
                         acc[k] = get(k, 0) + c * m
                 base += nn
         return piece
 
-    def _right(self, sign, P, L, tau=False):
-        """sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it:
-        (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2.
-        Per b and parity of a: (b1, b2's part of the output key, signed c)
-        over L(b), in a list aligned with the js of a row."""
-        odd, p, dl, n = self.idx.odd, P.degree % 2, L.degree, self.n
-        L_rows, P_rows, stride, nn = L.rows, P.rows, P.stride, self.nn
+    def _right(self, sign, tm, tl, tau=False):
+        """sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it, P and L as in
+        `_left`: (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2.
+        Per b and parity of a: (b1's part of P's row key, b2's part of the
+        output key, signed c) over L(b), in a list aligned with a row's js."""
+        odd, p, dl = self.idx.odd, self.mu.degree % 2, self.lam.degree
+        lam_rows, mu_rows, stride = self.lam.rows, self.mu.rows, self.mu.stride
+        n, nn = self.n, self.nn
         b2_scale, z_scale = (n, 1) if tau else (1, n)
+        b1_scale, a_scale = (stride, 1) if tm else (1, stride)
 
-        def hoisted(j):   # the parity of a matters only to |L| odd or tau
-            out = [[] for a in range(1 + (dl % 2 or tau))]
+        def hoisted(j):   # the parity of a matters only to |L| odd, tau or tm
+            out = [[] for a in range(1 + (dl % 2 or tau or tm))]
             for a, terms in enumerate(out):
-                for (b1, b2), c in L_rows[j]:
-                    # tau(z (x) b2) costs (-1)^{|z||b2|}, |z| = |a| + |b1| + |P|
-                    if ((sign < 0) + dl * a
-                            + tau * odd[b2] * (a + odd[b1] + p)) & 1:
+                for (b1, b2), c in lam_rows[j]:
+                    b1, b2 = (b2, b1) if tl else (b1, b2)
+                    # tau(z (x) b2) costs |z||b2|, |z| = |a| + |b1| + |P|;
+                    # tau lam costs |b1||b2|, mu tau(a (x) b1) |a||b1|
+                    if ((sign < 0) + dl * a + tau * odd[b2] * (a + odd[b1] + p)
+                            + odd[b1] * (tl * odd[b2] + tm * a)) & 1:
                         c = -c
-                    terms.append((b1, b2 * b2_scale, c))
+                    terms.append((b1 * b1_scale, b2 * b2_scale, c))
             return out * (3 - len(out))
 
         tables = _Rows(lambda js: tuple(zip(*map(hoisted, js))), 1, False)
 
         def piece(acc, i, js):
-            key, get, base = i * stride, acc.get, 0
+            key, get, base = i * a_scale, acc.get, 0
             for terms in tables[js][odd[i]]:
                 for b1, b2, c in terms:
                     b2 += base
-                    for z, m in P_rows[key + b1]:
+                    for z, m in mu_rows[key + b1]:
                         k = b2 + z * z_scale
                         acc[k] = get(k, 0) + c * m
                 base += nn
         return piece
 
-    def _middle(self, sign, P, Q, tau=False):
-        """sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it:
-        (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2 of
-        (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b).
-        Per row and parity of b: (row key of v2, the signed sum over the v1
-        of v2 of e * P(a (x) v1), by z1's part of the output key)."""
-        odd, p, q, dv, v = (self.idx.odd, P.degree % 2, Q.degree % 2, self.dv,
-                            self.v)
-        P_rows, P_stride, Q_rows, Q_stride = P.rows, P.stride, Q.rows, Q.stride
-        n, nn = self.n, self.nn
+    def _middle(self, sign, tp, tq, tau=False):
+        """sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it, P and Q mu
+        or (`tp`, `tq`) mu tau: (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2
+        of (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b).  Per
+        row and parity of b: (v2's part of Q's row key, the signed sum over
+        the v1 of v2 of e * P(a (x) v1), by z1's part of the output key)."""
+        odd, p, dv, v = self.idx.odd, self.mu.degree % 2, self.dv, self.v
+        mu_rows, stride, n, nn = self.mu.rows, self.mu.stride, self.n, self.nn
         z1_scale, z2_scale = (1, n) if tau else (n, 1)
+        a_scale, v1_scale = (1, stride) if tp else (stride, 1)
+        v2_scale, b_scale = (1, stride) if tq else (stride, 1)
 
         def piece(acc, i, js):
-            a, hoisted = odd[i], [[] for b in range(1 + tau)]
-            for b, terms in enumerate(hoisted):   # b's parity: tau only
+            a, hoisted = odd[i], [[] for b in range(1 + (tau or tq))]
+            for b, terms in enumerate(hoisted):   # b's parity: tau or tq only
                 by_v2 = {}
                 for (v1, v2), e in v:
-                    # tau(z1 (x) z2) costs (-1)^{|z1||z2|},
-                    # |z1| = |a| + |v1| + |P|, |z2| = |v2| + |b| + |Q|
-                    if ((sign < 0) + dv * a + q * (a + odd[v1])
-                            + tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:
+                    # tau(z1 (x) z2) costs |z1||z2|, |z1| = |a| + |v1| + p,
+                    # |z2| = |v2| + |b| + p; mu tau costs |a||v1|, |v2||b|
+                    if ((sign < 0) + dv * a + p * (a + odd[v1])
+                            + tau * (a + odd[v1] + p) * (odd[v2] + b + p)
+                            + tp * a * odd[v1] + tq * odd[v2] * b) & 1:
                         e = -e
                     z1s = by_v2.setdefault(v2, {})
-                    for z1, m in P_rows[i * P_stride + v1]:
+                    for z1, m in mu_rows[i * a_scale + v1 * v1_scale]:
                         z1 *= z1_scale
                         z1s[z1] = z1s.get(z1, 0) + e * m
-                terms.extend((v2 * Q_stride, tuple(
+                terms.extend((v2 * v2_scale, tuple(
                     (z1, c) for z1, c in z1s.items() if c))
                     for v2, z1s in by_v2.items())
-            hoisted *= 2 - tau
+            hoisted *= 2 - (tau or tq)
             get, base = acc.get, 0
             for j in js:
+                jk = j * b_scale
                 for key, z1s in hoisted[odd[j]]:
-                    for z2, m in Q_rows[key + j]:
+                    for z2, m in mu_rows[key + jk]:
                         z2 = base + z2 * z2_scale
                         for z1, c in z1s:
                             k = z1 + z2

@@ -385,6 +385,9 @@ def closed_form_components(data: ConeProductData) -> dict:
     vector.  The last is (-1)^{|f|} <f (x) g (x) 1, B>: the shift of the
     second factor moves past f ([i,j;k] rule, j = 1), and g moves past B1
     in the evaluation, with |B1| = |f| where <f,B1> != 0: (-1)^{|f||g|}.
+    In (pm->m) the pairings sign mu(x,b)'s term at y = base of f by
+    (-1)^{|b|(|x|+|f|+1)} = +1: |mu| = 0 and f sits in degree -|y|-2n, so
+    |x|+|f| = |b| mod 2.  An odd shift of M (open strings) re-derives it.
     Keys: "pp_p", "mm_m", "mp_p", "pm_p", "mp_m", "pm_m", "mm_p", plus the
     vanishing block "pp_m".  Each is a row map, built from the rows of mu,
     lam and B and not from the cone product.
@@ -446,11 +449,9 @@ def closed_form_components(data: ConeProductData) -> dict:
                      mu_el_left_rows(a, deg[y] - deg[a]).get(y, ()))
 
     def pm_m(b, fb):
-        # (-1)^{|b|} <mu(a,b), f> read through the element-first pairing
-        # and the functional of degree |b|+|f|
-        y, db, df = base[fb], odd[b], odd_M[fb]
-        return tuple((dual[x], neg(c) if db and (odd[x] + df + 1) % 2 else c)
-                     for x, c in mu_el_right_rows(b, deg[y] - deg[b]).get(y, ()))
+        y = base[fb]
+        return tuple((dual[x], c) for x, c in
+                     mu_el_right_rows(b, deg[y] - deg[b]).get(y, ()))
 
     A2 = tensor(A, A)
     AMb, MbA, MbMb = tensor(A, Mbar), tensor(Mbar, A), tensor(Mbar, Mbar)

@@ -60,9 +60,9 @@ the other maps compute theirs from the rows of the maps they are built
 from: `tensor_differential`, `shift_map` (a shift keeps names and
 order, so positions), `dual_map` (one sparse transpose of the map's
 rows), the cone's d_cone and transition automorphism, commutators
-[d, h], the fixtures' mu and lam, and mu tau and tau lam read off the
-rows of mu and lam with the one signed twist `_twisted`.  `apply_rows`
-applies a map's rows to a row's terms.
+[d, h], and the fixtures' mu and lam; the pair identities read mu tau
+and tau lam as mu and lam, the twist sign folded into their own signs.
+`apply_rows` applies a map's rows to a row's terms.
 Names come back, through `row_vector`, only to build a witness or to
 answer a name-keyed caller (`eval_basis`).
 

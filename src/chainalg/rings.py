@@ -202,10 +202,9 @@ def GF(p: int) -> Ring:
 def ring_from_name(name: str) -> Ring:
     """Ring named as in scenario files: "Z", "Q", or "GF(p)"."""
     name = name.strip()
-    if name == "Z":
-        return ZZ
-    if name == "Q":
-        return QQ
-    if name.startswith("GF(") and name.endswith(")"):
+    if name in ("Z", "Q"):
+        return ZZ if name == "Z" else QQ
+    if name.startswith("GF(") and name.endswith(")") and \
+            name[3:-1].strip().isdecimal():
         return GF(int(name[3:-1]))
     raise ValueError(f"unknown ring {name!r} (expected Z, Q, or GF(p))")

@@ -95,7 +95,7 @@ BOUND = ("tests/test_matrices.py::"
 UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
 XGCD = "tests/test_matrices.py::test_xgcd_is_positive_on_mixed_signs_and_zeros"
 CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
-TWIST = "tests/test_row_checks.py::test_twisted_tables_match_the_composites"
+TWIST = "tests/test_bialgebra.py::test_lambda_eta_twist_symmetry_all_fixtures"
 DUAL_SHIFT = ("tests/test_row_checks.py::"
               "test_dual_and_shift_rows_match_the_name_formulas")
 CHAIN_MAPS = ("tests/test_row_checks.py::"
@@ -118,21 +118,20 @@ SECONDARY = ("tests/test_row_checks.py::"
 # (file, snippet, replacement, killing test)
 MUTANTS = [
     # every sign decision of the pieces
-    ("bialgebra.py",
-     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:",
-     "if (sign < 0) + odd[a1] * (tau * (odd[a2] + b + p)) & 1:", PIECES),
-    ("bialgebra.py",
-     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p)) & 1:",
-     "if (sign < 0) + odd[a1] * (p + tau * (odd[a2] + p)) & 1:", PIECES),
-    ("bialgebra.py", "if ((sign < 0) + dl * a\n", "if ((sign < 0)\n", PIECES),
-    ("bialgebra.py", "+ tau * odd[b2] * (a + odd[b1] + p)) & 1:",
-     "+ tau * odd[b2] * (odd[b1] + p)) & 1:", PIECES),
-    ("bialgebra.py", "if ((sign < 0) + dv * a + q * (a + odd[v1])",
-     "if ((sign < 0) + q * (a + odd[v1])", PIECES),
-    ("bialgebra.py", "if ((sign < 0) + dv * a + q * (a + odd[v1])",
-     "if ((sign < 0) + dv * a + q * a", PIECES),
-    ("bialgebra.py", "+ tau * (a + odd[v1] + p) * (odd[v2] + b + q)) & 1:",
-     "+ tau * (a + odd[v1] + p) * (odd[v2] + q)) & 1:", PIECES),
+    ("bialgebra.py", "+ odd[a1] * (p + tau * (odd[a2] + b + p))\n",
+     "+ odd[a1] * (tau * (odd[a2] + b + p))\n", PIECES),
+    ("bialgebra.py", "+ odd[a1] * (p + tau * (odd[a2] + b + p))\n",
+     "+ odd[a1] * (p + tau * (odd[a2] + p))\n", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dl * a + tau",
+     "if ((sign < 0) + tau", PIECES),
+    ("bialgebra.py", "+ tau * odd[b2] * (a + odd[b1] + p)\n",
+     "+ tau * odd[b2] * (odd[b1] + p)\n", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dv * a + p * (a + odd[v1])",
+     "if ((sign < 0) + p * (a + odd[v1])", PIECES),
+    ("bialgebra.py", "if ((sign < 0) + dv * a + p * (a + odd[v1])",
+     "if ((sign < 0) + dv * a + p * a", PIECES),
+    ("bialgebra.py", "+ tau * (a + odd[v1] + p) * (odd[v2] + b + p)\n",
+     "+ tau * (a + odd[v1] + p) * (odd[v2] + p)\n", PIECES),
     ("bialgebra.py", "                    if negate:\n",
      "                    if not negate:\n", PIECES),
     # the a/b parity choice of a hoisted coefficient
@@ -424,8 +423,8 @@ MUTANTS = [
     # swapped, the row's nonzero test skipped or read without reducing mod
     # p, the witness taken as the last failing b of its row, and a kept
     # defect unpacked with its factors swapped
-    ("bialgebra.py", "packed = _Rows(lambda x: tuple((k1 * n + k2, c)",
-     "packed = _Rows(lambda x: tuple((k2 * n + k1, c)", PIECES),
+    ("bialgebra.py", "else (k1 * n + k2, c) for (k1, k2), c in lam_rows[x]",
+     "else (k2 * n + k1, c) for (k1, k2), c in lam_rows[x]", PIECES),
     ("bialgebra.py",
      "if not any(values if not p else (c % p for c in values)):",
      "if True:", QUANTIFIER),
@@ -500,6 +499,23 @@ MUTANTS = [
      SECONDARY),
     ("bialgebra.py", "_signed_row(term2(x), True, neg)", "term2(x)",
      SECONDARY),
+    # the twist folded into the pieces: tau lam's sign dropped in each piece
+    # that reads it, mu tau's added parity dropped in each piece that reads
+    # it, and mu tau read at mu's key
+    ("bialgebra.py", "+ odd[a2] * (tl * odd[a1] + tm * b)) & 1:",
+     "+ odd[a2] * tm * b) & 1:", PIECES),
+    ("bialgebra.py", "+ odd[b1] * (tl * odd[b2] + tm * a)) & 1:",
+     "+ odd[b1] * tm * a) & 1:", PIECES),
+    ("bialgebra.py", "(k2 * n + k1, -c if odd[k1] and odd[k2] else c)",
+     "(k2 * n + k1, c)", PIECES),
+    ("bialgebra.py", "+ odd[a2] * (tl * odd[a1] + tm * b)) & 1:",
+     "+ odd[a2] * tl * odd[a1]) & 1:", PIECES),
+    ("bialgebra.py", "+ odd[b1] * (tl * odd[b2] + tm * a)) & 1:",
+     "+ odd[b1] * tl * odd[b2]) & 1:", PIECES),
+    ("bialgebra.py", "+ tp * a * odd[v1] + tq", "+ tq", PIECES),
+    ("bialgebra.py", "+ tq * odd[v2] * b) & 1:", ") & 1:", PIECES),
+    ("bialgebra.py", "a2_scale, b_scale = (1, stride) if tm else (stride, 1)",
+     "a2_scale, b_scale = (stride, 1) if tm else (stride, 1)", PIECES),
 ]
 
 

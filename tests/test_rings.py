@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainalg
 from chainalg.graded import BasisElement, GradedModule, Vector
-from chainalg.rings import ZZ, QQ, GF, Ring
+from chainalg.rings import ZZ, QQ, GF, Ring, ring_from_name
 
 GF5 = GF(5)
 
@@ -190,6 +190,16 @@ def test_bound_operations_match_integer_reference(p, start, steps):
                              _INT_OPS[op](ref, x))
         assert type(c) is int and c == again
         assert c == ref if p is None else 0 <= c < p and c == ref % p
+
+
+# -- ring names ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["GF(x)", "GF(two)", "GF()", "GF(2.5)"])
+def test_a_modulus_that_is_not_an_integer_is_an_unknown_ring(name):
+    with pytest.raises(ValueError) as ei:
+        ring_from_name(name)
+    assert str(ei.value) == \
+        f"unknown ring {name!r} (expected Z, Q, or GF(p))"
 
 
 # -- no true division on ring values -------------------------------------------

@@ -1,12 +1,11 @@
 """The check paths read position rows; the name-keyed maps are their reference.
 
-Every structure map a check reads is a row map on basis positions: mu tau
-and tau lam in `PairKernel`, both sides of coassociativity, the units,
-`tensor_differential`, `dual_map`, `shift_map`, the cone's d_cone, and the
-inclusion and projection read through the cone's layout.  Each is compared
-here, over
-Z, Q and GF(5), with a name-keyed reference built from `twist`, `then` and
-`tensor_map` of `name_keyed`, or from the defining formula on names.  A guard
+Every structure map a check reads is a row map on basis positions: both
+sides of coassociativity, the units, `tensor_differential`, `dual_map`,
+`shift_map`, the cone's d_cone, and the inclusion and projection read
+through the cone's layout.  Each is compared here, over Z, Q and GF(5),
+with a name-keyed reference built from `then` and `tensor_map` of
+`name_keyed`, or from the defining formula on names.  A guard
 counts the name-path calls (`GradedMap.eval_basis`, `TensorModule._validate`,
 the checked `Vector` constructor, `GradedMap.from_table` and
 `GradedModule.basis_in_degree`) that `check_axioms` and `cone_records` make
@@ -25,7 +24,6 @@ from chainalg import fixtures as fx
 from chainalg.bialgebra import (
     AXIOM_ORDER,
     BialgebraData,
-    PairKernel,
     _coassociativity,
     check_axioms,
     secondary_relation_apply,
@@ -65,7 +63,6 @@ from name_keyed import (
     quantify_reference,
     scaled,
     tensor_map,
-    twist,
     verdict,
 )
 from test_complexes import _cubical_torus, _lemma_homotopy
@@ -111,32 +108,6 @@ def identity_by_names(M):
 
 def sign(exp):
     return -1 if exp % 2 else 1
-
-
-# -- mu tau and tau lam ---------------------------------------------------------
-
-@ring_param
-@SETTINGS
-@given(data=st.data())
-# fixed draws, run before the random ones, that kill this test's mutants
-# in tests/mutants.py
-@example(data=Replay([-1, -1, 0], -1, False, 0, 0, 0, False, 0, 0, 0, 0, 0, 1,
-                     0, 0, 0))
-def test_twisted_tables_match_the_composites(ring, data):
-    A = draw_module(data, ring, "a")
-    A2 = tensor(A, A)
-    mu = draw_map(data, A2, A)
-    lam = draw_map(data, A, A2)
-    kernel = PairKernel(mu, lam, ())
-    mu_tau, tau_lam = twist(A, A).then(mu), named(lam).then(twist(A, A))
-    pos = A.index().pos
-    for e in A2.basis():
-        a, b = e.name.split("⊗")
-        assert row_vector(A, kernel.mu_tau.row(pos[a], pos[b])) \
-            == mu_tau.eval_basis(e.name), e.name
-    for e in A.basis():
-        assert row_vector(A2, kernel.tau_lam.row(pos[e.name])) \
-            == tau_lam.eval_basis(e.name), e.name
 
 
 # -- coassociativity ------------------------------------------------------------
@@ -507,9 +478,7 @@ def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
 
     inst = fx.make_fixture(name, fx.TruncationWindow(8), ring)
     data = cone_data_from_bialgebra(inst, 3 if name == "lambda-s3" else 1)
-    kernel = inst.kernel
-    maps = {"mu tau": kernel.mu_tau, "tau lam": kernel.tau_lam,
-            "mu": inst.mu, "lam": inst.lam, "product": data.product,
+    maps = {"mu": inst.mu, "lam": inst.lam, "product": data.product,
             **{f"part {k}": op for k, op in block_parts(data).items()},
             **{f"component {k}": op
                for k, op in closed_form_components(data).items()}}

@@ -538,6 +538,14 @@ def test_gf_modulus_is_bounded():
     assert "2^31" in err.message
 
 
+def test_a_modulus_that_is_not_an_integer_fails_at_the_ring():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["ring"] = "GF(two)"
+    err = _schema_error(doc)
+    assert (err.path, err.message) == (
+        "$.ring", "unknown ring 'GF(two)' (expected Z, Q, or GF(p))")
+
+
 # ---------------------------------------------------------------------------
 # Operation tables: error paths, row maps and equivalence with the source
 # ---------------------------------------------------------------------------
