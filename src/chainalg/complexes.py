@@ -11,14 +11,11 @@ target part and "-" for the shifted source part.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .matrices import (   # smith_normal_form: not called, a name tracers patch
-    ExactMatrix,
     ImageSolver,
     _combine,
-    columns_matrix,
     smith_normal_form,
 )
 from .graded import (
@@ -184,113 +181,32 @@ def homology(C: ChainComplex) -> HomologySummary:
     out = []
     for k, d_k in solvers.items():
         up = solvers.get(k + 1)
-        torsion = () if up is None else tuple(o for o in up.orders if o != 0)
+        torsion = () if up is None else up.torsion
         free = d_k.cols - d_k.rank - (0 if up is None else up.rank)
         if free or torsion:
             out.append((k, free, torsion))
     return HomologySummary(tuple(out))
 
 
-@dataclass(frozen=True)
-class HomologyClassMap:
-    """A chain map's action on homology, one matrix per degree.
-
-    Generators follow each degree's presentation, in the order of its
-    cokernel `orders` (entries for torsion targets are reduced modulo the
-    invariant factor).  They are one basis among many: another pivot order
-    or factorization may change them by a change of basis, over Z as over
-    a field, so only basis-independent facts, such as whether an
-    endomorphism acts as the identity, belong in reports.
-    """
-
-    blocks: dict
-
-    def is_identity(self) -> bool:
-        return all(M == ExactMatrix.identity(M.ring, M.rows)
-                   for M in self.blocks.values())
-
-
-class _HomologyPresentation:
-    """(cycle lattice) / (relations), presented as the cokernel of the
-    relation matrix in cycle coordinates (Kaczynski-Mischaikow-Mrozek,
-    *Computational Homology*, 2004, ch. 3), by one path for every ring.
-
-    Vectors are sparse columns, as `ImageSolver` takes and returns them.
-    `cycles` are an independent generating set of the cycles in R^n (a
-    kernel basis, as `ImageSolver.kernel()` gives it), and one
-    `ImageSolver` of them gives a cycle its coordinates.  `rel_cols` are
-    columns in R^n that must lie in the lattice the cycles generate (one
-    outside raises ValueError); a second `ImageSolver`, of their
-    coordinates, presents the quotient.  `invariants` reads its `orders`,
-    `gen_columns` combines the cycles by its `cokernel_generators()`, and
-    `classify(ambient cycle)` is the `cokernel` class of the cycle's
-    coordinates, a tuple with torsion entries reduced modulo their orders.
-    """
-
-    def __init__(self, R, n, cycles, rel_cols):
-        self._basis = cycles
-        self._cycles = ImageSolver(R, n, cycles)
-        coords = [self._cycles.solve(col) for col in rel_cols]
-        if None in coords:
-            raise ValueError("relation outside the cycle lattice")
-        self._relations = ImageSolver(R, len(cycles), coords)
-
-    @property
-    def ngens(self) -> int:
-        free, torsion = self.invariants()
-        return free + len(torsion)
-
-    def invariants(self):
-        """(free rank, torsion invariant factors) of the presented group."""
-        orders = self._relations.orders
-        return orders.count(0), tuple(o for o in orders if o != 0)
-
-    def gen_columns(self):
-        """Ambient representative cycles, one per generator."""
-        return [_combine(self._cycles.ring,
-                         ((c, self._basis[i]) for i, c in g.items()))
-                for g in self._relations.cokernel_generators()]
-
-    def classify(self, ambient_col):
-        w = self._cycles.solve(ambient_col)
-        if w is None:
-            raise ValueError("vector is not a cycle")
-        return self._relations.cokernel(w)
-
-
-def _presentations(C: ChainComplex, degrees):
-    """{k: H_k(C)} as cycles ker d_k modulo the boundary lattice im d_{k+1}.
-
-    Each block of d is built and factored once: one `ImageSolver` of
-    d_{k+1} gives the cycles at k+1 and the boundaries at k.
-    """
-    R, block = C.ring, sparse_blocks(C.d)
-    solver = functools.cache(lambda k: ImageSolver(R, *block(k)))
-    out = {}
-    for k in degrees:
-        ker = solver(k).kernel()
-        rels = solver(k + 1).image() if ker else []
-        out[k] = _HomologyPresentation(R, solver(k).cols, ker, rels)
-    return out
-
-
-def induced_map_on_homology(f: ChainMap) -> HomologyClassMap:
-    """Matrices of H_k(f) in the presented generators of source and target."""
+def induces_zero(f: ChainMap) -> bool:
+    """Is f_* = 0 on homology?  In each degree k of f's source, f must map
+    every vector of the kernel of d_k into the image lattice of the
+    target's d_{k+1}.  The kernel is a saturated lattice basis of the
+    cycles, and `ImageSolver.coordinates` decides membership in the image
+    lattice, so the verdict is exact over Z, Q and GF(p) alike."""
     R = f.source.ring
-    # a degree where a complex has no cells presents the zero group
-    all_degrees = sorted(set(f.source.degrees()) | set(f.target.degrees()))
-    ps = _presentations(f.source, all_degrees)
-    pt = ps if f.target is f.source else _presentations(f.target, all_degrees)
-    degrees = [k for k in all_degrees if ps[k].ngens or pt[k].ngens]
-    block = sparse_blocks(f.f)
-    blocks = {}
-    for k in degrees:
-        cols = block(k)[1]
-        cols_out = [pt[k].classify(_combine(R, ((c, cols[i])
-                                                for i, c in g.items())))
-                    for g in ps[k].gen_columns()]
-        blocks[k] = columns_matrix(R, pt[k].ngens, cols_out)
-    return HomologyClassMap(blocks)
+    cycles, boundaries, block = (sparse_blocks(m)
+                                 for m in (f.source.d, f.target.d, f.f))
+    for k in f.source.degrees():
+        kernel = ImageSolver(R, *cycles(k)).kernel()
+        if kernel:
+            cols = block(k)[1]
+            up = ImageSolver(R, *boundaries(k + 1))
+            for z in kernel:
+                fz = _combine(R, ((c, cols[i]) for i, c in z.items()))
+                if up.coordinates(fz) is None:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +438,19 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
 
 @dataclass
 class TransitionResult:
-    phi: GradedMap
-    unipotent: bool            # (phi - id)^2 = 0
-    homology_action: HomologyClassMap
-    nontrivial_on_homology: bool
+    delta: GradedMap               # Phi - id
+    unipotent: bool                # delta^2 = 0
+    nontrivial_on_homology: bool   # delta_* != 0, that is Phi_* != id
 
 
 def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
-    """Phi(a, m) = (a + csec(m), m) on Cone(c), for a degree +1 chain map csec.
+    """Phi(a, m) = (a + csec(m), m) on Cone(c), for a degree +1 chain map
+    csec, given by delta = Phi - id: the csec block at the "+" positions.
 
     csec: M -> A must be a chain map (degree +1, commuting with the
-    differentials up to the degree's sign); Phi is then a chain automorphism
-    with (Phi - id)^2 = 0, and its action on cone homology is returned.
+    differentials up to the degree's sign); delta is then a chain map, so
+    Phi is a chain automorphism, with delta^2 = 0.  Phi acts nontrivially
+    on cone homology exactly when delta does not induce zero there.
     """
     M, A = cone.chain_map.source, cone.chain_map.target
     if csec.source != M.module or csec.target != A.module or csec.degree != 1:
@@ -542,21 +459,15 @@ def transition_automorphism(cone: Cone, csec: GradedMap) -> TransitionResult:
                        "csec is not a chain map: [d, csec] != 0 on {}")
 
     cone_mod = cone.complex.module
-    R = cone_mod.ring
-    one, plus, where = R.one(), cone.layout[0], cone.layout[2]
+    R, plus, where = cone_mod.ring, cone.layout[0], cone.layout[2]
     csec_row = csec.row
 
-    def delta_row(u):   # Phi - id: the csec block, moved to the "+" positions
+    def delta_row(u):   # the csec block, moved to the "+" positions
         block, p = where[u]
         return tuple((plus[k], c) for k, c in csec_row(p)) if block else ()
 
-    phi = GradedMap(cone_mod, cone_mod, 0,
-                    lambda u: ((u, one),) + delta_row(u), name="Phi")
-    phi_chain = ChainMap(cone.complex, cone.complex, phi)
-
     delta = GradedMap(cone_mod, cone_mod, 0, delta_row, name="Phi-id")
+    delta_chain = ChainMap(cone.complex, cone.complex, delta)
     unipotent = not any(apply_rows(delta.row, delta.row(u), R)
                         for u in range(len(where)))
-
-    action = induced_map_on_homology(phi_chain)
-    return TransitionResult(phi, unipotent, action, not action.is_identity())
+    return TransitionResult(delta, unipotent, not induces_zero(delta_chain))

@@ -8,8 +8,8 @@ certificates, by alternating row and column Hermite passes with size
 reduction (Kannan-Bachem 1979), so coefficients stay polynomial in size.
 `ImageSolver` factors a matrix given by its sparse columns once as
 P*M*Q = D, by unit-pivot elimination with Smith normal form only on the
-residual that has no unit entry, and answers its rank, kernel, image,
-coordinate, solvability and cokernel queries on sparse columns, the same
+residual that has no unit entry, and answers its rank, torsion, kernel,
+image, coordinate and solvability queries on sparse columns, the same
 way over every ring.  Matrices are immutable after construction;
 zero-dimensional matrices are legal everywhere.
 """
@@ -306,10 +306,9 @@ class ImageSolver:
     columns.  P and Q are never formed: P*b replays the row operations in
     pivot order, scales pivot row i by 1/a, applies U to the residual rows
     and places the rows that no column reaches, a placement built on the
-    first `_p_times` or `cokernel_generators`; Q*z places z on the pivot,
-    residual (through V) and zero columns, a placement built on the first
-    `kernel` or `solve`, and undoes the column operations in reverse pivot
-    order.
+    first `_p_times`; Q*z places z on the pivot, residual (through V) and
+    zero columns, a placement built on the first `kernel` or `solve`, and
+    undoes the column operations in reverse pivot order.
 
     `kernel()` is Q's columns beyond the rank (a saturated lattice basis of
     ker M over Z, where Q is unimodular); `image()` is M*Q's columns below
@@ -318,15 +317,11 @@ class ImageSolver:
     `coordinates(b)` is z with b = sum z_j image()[j], or None when b is
     not in the image: y = P*b must vanish past the rank and d_i must divide
     y_i below it, and then z_i = y_i / d_i; `solve(b)` is x = Q*z, with
-    M*x = b.  `cokernel(b)` is the class of b in coker M, a tuple with one
-    entry per row of D with d_i != 1: (P*b)_i reduced modulo d_i.  `orders`
-    lists those d_i (0 for a free generator) and `cokernel_generators()`
-    the columns of P^-1 at those rows.  None of them is a pivot row, and
-    the row operations only add multiples of pivot rows, so each generator
-    is a unit vector or a column of U^-1, read by an `ImageSolver` of U.
+    M*x = b.  `torsion` lists the invariant factors d_i > 1, the torsion
+    of coker M.
     """
 
-    __slots__ = ("ring", "rows", "cols", "rank", "orders", "_pivots",
+    __slots__ = ("ring", "rows", "cols", "rank", "torsion", "_pivots",
                  "_residual", "_left", "_U", "_V", "_free", "_Q0", "_d",
                  "_ones")
 
@@ -421,7 +416,7 @@ class ImageSolver:
         self._Q0 = None   # built by the first `_q_times`
         # d_1 | d_2 | ...: the d_i = 1 come first, the rows past the rank last
         self._d, self.rank, self._ones = d, len(d), d.count(1)
-        self.orders = tuple(d[self._ones:]) + (0,) * (rows - self.rank)
+        self.torsion = tuple(d[self._ones:])
 
     def _free_rows(self):
         """The rows that no column reaches, each with its row of D."""
@@ -505,23 +500,6 @@ class ImageSolver:
         z = self.coordinates(b)
         return None if z is None else self._q_times(z.items())
 
-    def cokernel(self, b):
-        y = self._p_times(b)
-        return tuple(x % d if d else x for x, d in zip(
-            (y.get(k, 0) for k in range(self._ones, self.rows)), self.orders))
-
-    def cokernel_generators(self):
-        R, left, out = self.ring, self._left, []
-        if self._U:
-            columns = [{} for _ in left]
-            for r, row in enumerate(self._U):
-                for s, u in row:
-                    columns[s][r] = u
-            U_inverse = ImageSolver(R, len(left), columns)
-            out = [{left[s]: x for s, x in U_inverse.solve({r: 1}).items()}
-                   for r in range(self._ones - len(self._pivots), len(left))]
-        return out + [{i: R.one()} for i in self._free_rows()]
-
 
 def _check_rows(col, rows):
     """DimensionError unless every key of the sparse column is in [0, rows)."""
@@ -590,10 +568,3 @@ def image_rank(M: ExactMatrix) -> int:
         return sum(1 for d in diagonal_of(smith_normal_form(M)[1]) if d)
     return ImageSolver(M.ring, M.rows,
                        [dict(enumerate(M.col(j))) for j in range(M.cols)]).rank
-
-
-def columns_matrix(ring: Ring, nrows: int, cols) -> ExactMatrix:
-    """Assemble column vectors into a matrix (cols may be empty)."""
-    cols = list(cols)
-    return ExactMatrix(ring, nrows, len(cols),
-                       [c[i] for i in range(nrows) for c in cols])

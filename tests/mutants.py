@@ -9,14 +9,16 @@ the extended gcd, the extreme degree at which the induced quotient
 homotopy vanishes, the signs and the subtraction of the change of
 coproduct, the cone's changed coproducts, the order in which a
 safe window is kept, the refusal to package a bialgebra with a
-differential as a cone with d = 0, and the per-input tables, gathers,
-count and witness of the associativity-type checks' shared quantifier.
+differential as a cone with d = 0, the per-input tables, gathers,
+count and witness of the associativity-type checks' shared quantifier,
+the lattice test of `induces_zero` and the torsion of `ImageSolver`.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
 tests/).  `python tests/mutants.py` applies each mutant in turn to a
 temporary copy of src/, runs its test there in a subprocess with that copy
-first on PYTHONPATH, and prints one line per mutant.  The subprocess
+first on PYTHONPATH, and prints one line per mutant: its outcome, its
+snippet, its replacement and its test.  The subprocess
 runs without pytest's hypothesis plugin, whose import is most of a short
 run's start-up (a killing test that uses hypothesis imports it itself), and
 without the pytest-benchmark plugin, whose fixture no test uses.  It exits
@@ -95,6 +97,10 @@ BOUND = ("tests/test_matrices.py::"
 UNIT = "tests/test_matrices.py::test_unit_pivots_over_a_field_skip_the_inverse"
 XGCD = "tests/test_matrices.py::test_xgcd_is_positive_on_mixed_signs_and_zeros"
 CANON = "tests/test_matrices.py::test_image_solver_canonicalises_its_entries"
+TORSION_ONES = "tests/test_matrices.py::test_image_solver_places_q_on_first_use"
+INDUCES_ZERO = "tests/test_complexes.py::test_induces_zero_with_torsion"
+F_DEGREE = ("tests/test_complexes.py::"
+            "test_induces_zero_reads_f_in_the_degree_of_each_cycle")
 TWIST = "tests/test_bialgebra.py::test_lambda_eta_twist_symmetry_all_fixtures"
 DUAL_SHIFT = ("tests/test_row_checks.py::"
               "test_dual_and_shift_rows_match_the_name_formulas")
@@ -516,6 +522,17 @@ MUTANTS = [
     ("bialgebra.py", "+ tq * odd[v2] * b) & 1:", ") & 1:", PIECES),
     ("bialgebra.py", "a2_scale, b_scale = (1, stride) if tm else (stride, 1)",
      "a2_scale, b_scale = (stride, 1) if tm else (stride, 1)", PIECES),
+    # induces_zero: boundaries read from d_k instead of d_{k+1}, membership
+    # in the image lattice negated, the first cycle skipped, and f's block
+    # read one degree up; and the torsion keeping the invariant factors 1
+    ("complexes.py", "up = ImageSolver(R, *boundaries(k + 1))",
+     "up = ImageSolver(R, *boundaries(k))", INDUCES_ZERO),
+    ("complexes.py", "if up.coordinates(fz) is None:",
+     "if up.coordinates(fz) is not None:", INDUCES_ZERO),
+    ("complexes.py", "for z in kernel:", "for z in kernel[1:]:", INDUCES_ZERO),
+    ("complexes.py", "cols = block(k)[1]", "cols = block(k + 1)[1]", F_DEGREE),
+    ("matrices.py", "self.torsion = tuple(d[self._ones:])",
+     "self.torsion = tuple(d)", TORSION_ONES),
 ]
 
 
@@ -556,9 +573,10 @@ def main(argv) -> int:
     for k in indices:
         outcome = run(MUTANTS[k])
         outcomes.append(outcome)
-        name, snippet, _, test = MUTANTS[k]
-        print(f"{k:2d} {outcome:9s} {name}: {snippet.strip()[:60]!r} "
-              f"({test.split('::')[-1]})", flush=True)
+        name, snippet, replacement, test = MUTANTS[k]
+        print(f"{k:2d} {outcome:9s} {name}: {snippet.strip()[:60]!r} -> "
+              f"{replacement.strip()[:60]!r} ({test.split('::')[-1]})",
+              flush=True)
     killed = outcomes.count("killed")
     print(f"{killed} of {len(outcomes)} mutants killed")
     return 0 if killed == len(outcomes) else 1

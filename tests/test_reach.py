@@ -100,8 +100,11 @@ ALLOWED = {
     "graded.GradedMap.__repr__": REPR,
     "graded.shift_map.rows":
         "an odd map shifted by an odd k; every shipped shift is even",
+    "matrices.ExactMatrix.__init__": PERFBENCH,
     "matrices.ExactMatrix.from_rows": DENSE,
+    "matrices.ExactMatrix.identity": DENSE,
     "matrices.ExactMatrix.to_rows": DENSE,
+    "matrices.ExactMatrix.__eq__": DENSE,
     "matrices.ExactMatrix.__hash__": HASH,
     "matrices.ExactMatrix.__repr__": REPR,
     "matrices.ExactMatrix.__mul__": PERFBENCH,
@@ -112,6 +115,8 @@ ALLOWED = {
     "matrices.ExactMatrix.row": DENSE,
     "matrices.ExactMatrix.col": DENSE,
     "matrices.smith_normal_form": DENSE,
+    "matrices.ImageSolver.image": REDUCED,
+    "matrices.ImageSolver.solve": API,
     "matrices.diagonal_of": DENSE,
     "matrices._combine_rows":
         "an integer block that needs a non-unit gcd step; no shipped "
@@ -123,6 +128,7 @@ ALLOWED = {
         "pinned by perfbench/test_perfbench.py's image_rank span "
         "(ROADMAP item 1)",
     "rings.Ring.__hash__": HASH,
+    "rings.Ring.zero": API,
     "rings.Ring.div": API,
     "rings.Ring.__init__.<lambda 2>":
         "subtraction over GF(p), as in elimination; no command here "
