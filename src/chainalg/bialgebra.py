@@ -782,12 +782,17 @@ def _times_left(mu: GradedMap, terms):
 
 def check_lemma_c_lambda_eta(c_op_fwd: Vector, inst: BialgebraData) -> Outcome:
     """Consistency gate: a supplied reverse-data continuation bivector must
-    equal lam(eta)."""
-    expected = inst.lambda_eta()
-    if c_op_fwd == expected:
+    equal lam(eta), compared term by term on positions."""
+    A2 = tensor(inst.module, inst.module)
+    if c_op_fwd.module != A2:
+        raise ValueError("vectors live in different modules")
+    got, want = dict(vector_terms(c_op_fwd)), inst.lambda_eta_terms()
+    if got == want:
         return Outcome("pass", "supplied bivector equals lam(eta)")
+    diff = _sum_rows(A2.ring, got.items(),
+                     _signed_row(want.items(), True, A2.ring.neg))
     return Outcome("fail", "bivector differs from lam(eta) by "
-                   + format_vector(c_op_fwd - expected))
+                   + format_vector(row_vector(A2, diff)))
 
 
 def check_loday_ronco(inst: BialgebraData) -> Outcome:

@@ -11,6 +11,7 @@ target part and "-" for the shifted source part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .matrices import (   # smith_normal_form: not called, a name tracers patch
@@ -35,7 +36,9 @@ from .graded import (
 
 class ChainComplex:
     """Graded module with a degree -1 differential; d*d = 0 is checked on
-    the differential's rows."""
+    the differential's rows.  `solver(k)` is the one `ImageSolver` of d_k,
+    built on first request and kept with the complex, which `homology` and
+    `induces_zero` share."""
 
     def __init__(self, module: GradedModule, differential: GradedMap = None):
         if differential is None:
@@ -61,10 +64,22 @@ class ChainComplex:
                                  f"{row_vector(module, dd)}")
         self.module = module
         self.d = differential
+        self._solvers = {}
 
     @property
     def ring(self):
         return self.module.ring
+
+    @functools.cached_property
+    def _blocks(self):
+        return sparse_blocks(self.d)
+
+    def solver(self, k) -> ImageSolver:
+        """The `ImageSolver` of d_k's sparse columns, factored once."""
+        s = self._solvers.get(k)
+        if s is None:
+            s = self._solvers[k] = ImageSolver(self.ring, *self._blocks(k))
+        return s
 
     def degrees(self):
         return self.module.degrees()
@@ -172,15 +187,15 @@ def homology(C: ChainComplex) -> HomologySummary:
     torsion of H_k is the invariant factors > 1 of d_{k+1} (C_k / ker d_k
     is free, so H_k has the torsion of C_k / im d_{k+1}).
 
-    Each block is one `ImageSolver` of its sparse columns: unit-pivot
-    elimination, and over Z only the residual without unit entries meets
-    Smith normal form.
+    Each block is the complex's one `ImageSolver` of its sparse columns
+    (`ChainComplex.solver`): unit-pivot elimination, and over Z only the
+    residual without unit entries meets Smith normal form.
     """
-    block = sparse_blocks(C.d)
-    solvers = {k: ImageSolver(C.ring, *block(k)) for k in C.degrees()}
+    degrees = C.degrees()
     out = []
-    for k, d_k in solvers.items():
-        up = solvers.get(k + 1)
+    for k in degrees:
+        d_k = C.solver(k)
+        up = C.solver(k + 1) if k + 1 in degrees else None
         torsion = () if up is None else up.torsion
         free = d_k.cols - d_k.rank - (0 if up is None else up.rank)
         if free or torsion:
@@ -193,15 +208,15 @@ def induces_zero(f: ChainMap) -> bool:
     every vector of the kernel of d_k into the image lattice of the
     target's d_{k+1}.  The kernel is a saturated lattice basis of the
     cycles, and `ImageSolver.coordinates` decides membership in the image
-    lattice, so the verdict is exact over Z, Q and GF(p) alike."""
-    R = f.source.ring
-    cycles, boundaries, block = (sparse_blocks(m)
-                                 for m in (f.source.d, f.target.d, f.f))
+    lattice, so the verdict is exact over Z, Q and GF(p) alike.  Both
+    complexes' solvers (`ChainComplex.solver`) are the ones `homology`
+    reads."""
+    R, block = f.source.ring, sparse_blocks(f.f)
     for k in f.source.degrees():
-        kernel = ImageSolver(R, *cycles(k)).kernel()
+        kernel = f.source.solver(k).kernel()
         if kernel:
             cols = block(k)[1]
-            up = ImageSolver(R, *boundaries(k + 1))
+            up = f.target.solver(k + 1)
             for z in kernel:
                 fz = _combine(R, ((c, cols[i]) for i, c in z.items()))
                 if up.coordinates(fz) is None:

@@ -67,7 +67,6 @@ from .graded import (
     SideIds,
     format_vector,
     Outcome,
-    TENSOR_SEP,
     koszul_sign,
     apply_rows,
     _first_failing_triple,
@@ -183,8 +182,8 @@ class ConeProductData:
                 "secondary bivector does not trivialize the twist defect: "
                 f"tau c0 - c0 - dQ0 = {format_vector(row_vector(A2, defect))}")
         if not B.is_zero():
-            rotated = _cyclic_rotate(B)
-            if rotated != B:
+            B_terms = vector_terms(B)
+            if _cyclic_rotate(B_terms, A.index().odd, R.neg) != dict(B_terms):
                 raise ValueError("cubic vector is not cyclically symmetric")
         # the continuation map c(f) = <f (x) 1, c0> on M, the dual side
         M = dual_side(A, n)
@@ -245,27 +244,13 @@ class ConeProductData:
             vector_terms(self.Q0), True, self.A.ring.neg))
 
 
-def cyclic_symmetrize(t: Vector) -> Vector:
-    """t + rot(t) + rot^2(t); the graded rotation has order 3, so the
-    result is cyclically symmetric."""
-    r1 = _cyclic_rotate(t)
-    return t + r1 + _cyclic_rotate(r1)
-
-
-def _cyclic_rotate(B: Vector) -> Vector:
-    """x(x)y(x)z -> (-1)^{|z|(|x|+|y|)} z(x)x(x)y."""
-    mod = B.module
-    out = {}
-    R = mod.ring
-    for name, c in B.coeffs.items():
-        x, y, z = mod.parts_of(name)
-        dz = mod.factors[2].degree_of(z)
-        dxy = mod.factors[0].degree_of(x) + mod.factors[1].degree_of(y)
-        s = koszul_sign(dz * dxy)
-        key = f"{z}{TENSOR_SEP}{x}{TENSOR_SEP}{y}"
-        new = R.mul(R.canon(s), c)
-        out[key] = R.add(out.get(key, R.zero()), new)
-    return Vector(mod, out)
+def _cyclic_rotate(terms, odd, neg) -> dict:
+    """The graded rotation x(x)y(x)z -> (-1)^{|z|(|x|+|y|)} z(x)x(x)y of the
+    terms ((x, y, z), c) of a cubic element, `odd` the parity of each
+    position: {(z, x, y): coefficient}.  The rotation permutes the keys, so
+    no two terms meet."""
+    return {(z, x, y): neg(c) if odd[z] and odd[x] != odd[y] else c
+            for (x, y, z), c in terms}
 
 
 def dual_side(A: GradedModule, n: int) -> GradedModule:

@@ -41,9 +41,9 @@ module and degree of every value), and by the scenario loader, which checks
 each operation-table entry and combination once (names by lookup in
 `GradedModule.index`, coefficients, homogeneity of table values and
 combinations) while parsing tables straight into row maps.  Internal
-arithmetic (vector sums, differences, negation, scaling, tensors, map
-application and the row maps) only combines values that are valid
-already, so it builds its results through the trusted constructor
+arithmetic works on rows, and the few Vectors it builds (a negation, a
+tensor of values, a row read back by names in `row_vector`) combine values
+that are valid already, so they go through the trusted constructor
 `Vector._trusted`, which drops zero coefficients and checks nothing else.
 The structural checks (d*d = 0 in `ChainComplex`, and the one test of
 [d, f] = 0 in `complexes` for `ChainMap`, a pair's secondary map and mu
@@ -170,11 +170,8 @@ class GradedModule:
     def basis_names(self):
         return tuple(e.name for e in self.basis())
 
-    def basis_in_degree(self, k):
-        return tuple(e for e in self.basis() if e.degree == k)
-
     def degrees(self):
-        return sorted({e.degree for e in self._basis})
+        return sorted({e.degree for e in self.basis()})
 
     def has(self, name: str) -> bool:
         return name in self._by_name
@@ -266,13 +263,6 @@ class TensorModule(GradedModule):
             ))
         out.sort(key=lambda e: (e.degree, e.name))
         return tuple(out)
-
-    def degrees(self):
-        degs = {0}
-        for f in self.factors:
-            fd = f.degrees()
-            degs = {a + b for a in degs for b in fd}
-        return sorted(degs)
 
     def _validate(self, name: str):
         """(parts, degree) of a basis name, or None if it is not one."""
@@ -389,34 +379,10 @@ class Vector:
             raise ValueError(f"inhomogeneous vector with degrees {sorted(degs)}")
         return degs.pop()
 
-    def __add__(self, other):
-        self._compatible(other)
-        R = self.module.ring
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            old = out.get(n)
-            out[n] = c if old is None else R.add(old, c)
-        return Vector._trusted(self.module, out)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        R = self.module.ring
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            old = out.get(n)
-            out[n] = R.neg(c) if old is None else R.sub(old, c)
-        return Vector._trusted(self.module, out)
-
     def __neg__(self):
         R = self.module.ring
         return Vector._trusted(self.module,
                                {n: R.neg(c) for n, c in self.coeffs.items()})
-
-    def scale(self, c):
-        R = self.module.ring
-        c = R.canon(c)
-        return Vector._trusted(self.module,
-                               {n: R.mul(c, v) for n, v in self.coeffs.items()})
 
     def tensor(self, other: "Vector") -> "Vector":
         """Bilinear tensor of values; no signs (signs belong to maps)."""
@@ -440,10 +406,6 @@ class Vector:
 
     def __repr__(self):
         return format_vector(self)
-
-    def _compatible(self, other):
-        if self.module is not other.module and self.module != other.module:
-            raise ValueError("vectors live in different modules")
 
 
 def format_vector(v: Vector) -> str:
@@ -584,8 +546,8 @@ class GradedMap:
 
     def block(self, k) -> ExactMatrix:
         """Dense matrix of the degree-k component (small modules only)."""
-        src = self.source.basis_in_degree(k)
-        tgt = self.target.basis_in_degree(k + self.degree)
+        src = [e for e in self.source.basis() if e.degree == k]
+        tgt = [e for e in self.target.basis() if e.degree == k + self.degree]
         R = self.source.ring
         entries = []
         images = [self.eval_basis(e.name) for e in src]

@@ -287,7 +287,10 @@ def _parse_rows(entries, ins, target, degree, path, combo=False) -> dict:
 def _parse_combo(raw, module, path, arity=1, degree=None) -> Vector:
     """[[coeff, name-or-names], ...] into a vector of module (tensor power),
     whose nonzero terms must all have `degree` when it is given: the one
-    row of a table with no inputs."""
+    row of a table with no inputs.  At most MAX_ENTRIES terms are read; a
+    value that is not a list is refused by `_parse_rows`."""
+    if isinstance(raw, list):
+        _cap(raw, MAX_ENTRIES, path, "terms")
     target = tensor(*([module] * arity))
     (row,) = _parse_rows([{"in": [], "out": raw}], (), target, degree, path,
                          combo=True).values()

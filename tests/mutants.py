@@ -11,7 +11,9 @@ coproduct, the cone's changed coproducts, the order in which a
 safe window is kept, the refusal to package a bialgebra with a
 differential as a cone with d = 0, the per-input tables, gathers,
 count and witness of the associativity-type checks' shared quantifier,
-the lattice test of `induces_zero` and the torsion of `ImageSolver`.
+the lattice test of `induces_zero`, the torsion of `ImageSolver`, the one
+solver per block of a complex, the graded rotation of the cone package's
+cubic vector and the comparison of the lam(eta) gate.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -101,7 +103,12 @@ TORSION_ONES = "tests/test_matrices.py::test_image_solver_places_q_on_first_use"
 INDUCES_ZERO = "tests/test_complexes.py::test_induces_zero_with_torsion"
 F_DEGREE = ("tests/test_complexes.py::"
             "test_induces_zero_reads_f_in_the_degree_of_each_cycle")
+ONE_SOLVER = ("tests/test_complexes.py::"
+              "test_a_complex_factors_each_block_once")
 TWIST = "tests/test_bialgebra.py::test_lambda_eta_twist_symmetry_all_fixtures"
+CYCLIC = ("tests/test_cone_product.py::"
+          "test_the_cubic_vector_is_symmetric_with_the_koszul_sign")
+LAMBDA_ETA_GATE = "tests/test_bialgebra.py::test_continuation_bivector_gate"
 DUAL_SHIFT = ("tests/test_row_checks.py::"
               "test_dual_and_shift_rows_match_the_name_formulas")
 CHAIN_MAPS = ("tests/test_row_checks.py::"
@@ -522,17 +529,27 @@ MUTANTS = [
     ("bialgebra.py", "+ tq * odd[v2] * b) & 1:", ") & 1:", PIECES),
     ("bialgebra.py", "a2_scale, b_scale = (1, stride) if tm else (stride, 1)",
      "a2_scale, b_scale = (stride, 1) if tm else (stride, 1)", PIECES),
-    # induces_zero: boundaries read from d_k instead of d_{k+1}, membership
-    # in the image lattice negated, the first cycle skipped, and f's block
-    # read one degree up; and the torsion keeping the invariant factors 1
-    ("complexes.py", "up = ImageSolver(R, *boundaries(k + 1))",
-     "up = ImageSolver(R, *boundaries(k))", INDUCES_ZERO),
+    # induces_zero: the target's solver read at k instead of k + 1,
+    # membership in the image lattice negated, the first cycle skipped, and
+    # f's block read one degree up; and the torsion keeping the invariant
+    # factors 1
+    ("complexes.py", "up = f.target.solver(k + 1)",
+     "up = f.target.solver(k)", INDUCES_ZERO),
     ("complexes.py", "if up.coordinates(fz) is None:",
      "if up.coordinates(fz) is not None:", INDUCES_ZERO),
     ("complexes.py", "for z in kernel:", "for z in kernel[1:]:", INDUCES_ZERO),
     ("complexes.py", "cols = block(k)[1]", "cols = block(k + 1)[1]", F_DEGREE),
     ("matrices.py", "self.torsion = tuple(d[self._ones:])",
      "self.torsion = tuple(d)", TORSION_ONES),
+    # a complex's solver not kept, so homology and induces_zero factor its
+    # blocks again; the B invariant's rotation without its Koszul sign and
+    # with z in the middle slot; and the lam(eta) gate's comparison negated
+    ("complexes.py", "s = self._solvers[k] = ImageSolver(",
+     "s = ImageSolver(", ONE_SOLVER),
+    ("cone_product.py", "neg(c) if odd[z] and odd[x] != odd[y] else c", "c",
+     CYCLIC),
+    ("cone_product.py", "return {(z, x, y):", "return {(x, z, y):", CYCLIC),
+    ("bialgebra.py", "if got == want:", "if got != want:", LAMBDA_ETA_GATE),
 ]
 
 

@@ -24,13 +24,47 @@ parts are shifted back by.  `identity` is the identity row map of a module
 and `structurally_equal` compares two bialgebras table by table.
 `dual_pair` is the dual-basis pairing by names, `positions` the positions
 of basis names, and `cone_window` a cone package's safe window on its
-cone, "+x" then "-x^" for each safe x, as positions.
+cone, "+x" then "-x^" for each safe x, as positions.  `add`, `sub` and
+`scale` are the name-keyed Vector algebra that the references sum with
+(the library itself sums rows), and `basis_in_degree` lists a module's
+basis in one degree.
 """
 
 from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
                              Vector, _op_shift_signs, _signed_row,
                              format_vector, shift, tensor)
 from chainalg.scenario import _combo_to_json
+
+
+def _same_module(u: Vector, v: Vector):
+    if u.module != v.module:
+        raise ValueError("vectors live in different modules")
+
+
+def add(u: Vector, v: Vector) -> Vector:
+    """u + v, by names."""
+    _same_module(u, v)
+    R, out = u.module.ring, dict(u.coeffs)
+    for n, c in v.coeffs.items():
+        out[n] = R.add(out[n], c) if n in out else c
+    return Vector(u.module, out)
+
+
+def sub(u: Vector, v: Vector) -> Vector:
+    """u - v, by names."""
+    return add(u, -v)
+
+
+def scale(v: Vector, c) -> Vector:
+    """c * v, by names; c goes through the ring's `canon`."""
+    R = v.module.ring
+    c = R.canon(c)
+    return Vector(v.module, {n: R.mul(c, x) for n, x in v.coeffs.items()})
+
+
+def basis_in_degree(module: GradedModule, k) -> tuple:
+    """The basis elements of `module` of degree k, in canonical order."""
+    return tuple(e for e in module.basis() if e.degree == k)
 
 
 def dual_pair(f: Vector, a: Vector):
@@ -82,7 +116,7 @@ class NameMap:
     def __call__(self, x: Vector) -> Vector:
         out = self.target.zero()
         for name, c in x.coeffs.items():
-            out = out + self.eval_basis(name).scale(c)
+            out = add(out, scale(self.eval_basis(name), c))
         return out
 
     def then(self, g) -> "NameMap":
@@ -97,12 +131,12 @@ class NameMap:
     def __add__(self, other) -> "NameMap":
         _same_signature(self, other)
         return NameMap(self.source, self.target, self.degree,
-                       lambda n: self.eval_basis(n) + other.eval_basis(n))
+                       lambda n: add(self.eval_basis(n), other.eval_basis(n)))
 
     def __sub__(self, other) -> "NameMap":
         _same_signature(self, other)
         return NameMap(self.source, self.target, self.degree,
-                       lambda n: self.eval_basis(n) - other.eval_basis(n))
+                       lambda n: sub(self.eval_basis(n), other.eval_basis(n)))
 
     def row_map(self) -> GradedMap:
         """This map as a library row map, checked by `from_table`."""
@@ -137,7 +171,7 @@ def is_zero_map(f) -> bool:
 def scaled(f, c) -> NameMap:
     """c * f."""
     return NameMap(f.source, f.target, f.degree,
-                   lambda n: f.eval_basis(n).scale(c))
+                   lambda n: scale(f.eval_basis(n), c))
 
 
 def negated(f) -> NameMap:
@@ -391,15 +425,15 @@ def secondary_operations(data) -> dict:
         out = A.zero()
         for w1, w2, c in coproduct(b, True, False):
             s = sign(deg(w2) * deg_M(f))
-            out = out + A.el(w1, R.mul(R.mul(c, s), pair_with(f, w2)))
+            out = add(out, A.el(w1, R.mul(R.mul(c, s), pair_with(f, w2))))
         return out
 
     def tau_L(nm):   # (-1)^{|f|+1} <f (x) 1, lam_rev_left(a)>
         f, a = MA.parts_of(nm)
         out = A.zero()
         for w1, w2, c in coproduct(a, False, True):
-            out = out + A.el(w2, R.mul(c, pair_with(f, w1)))
-        return out.scale(sign(deg_M(f) + 1))
+            out = add(out, A.el(w2, R.mul(c, pair_with(f, w1))))
+        return scale(out, sign(deg_M(f) + 1))
 
     def beta(nm):   # <f (x) g (x) 1, B>: g moves past B1
         f, g = MM.parts_of(nm)
@@ -408,7 +442,7 @@ def secondary_operations(data) -> dict:
             b1, b2, b3 = B.module.parts_of(term)
             s = R.mul(sign(deg_M(g) * deg(b1)),
                       R.mul(pair_with(f, b1), pair_with(g, b2)))
-            out = out + A.el(b3, R.mul(c, s))
+            out = add(out, A.el(b3, R.mul(c, s)))
         return out
 
     return {"m_L": NameMap(AM, M, 0, m_L, "m_L"),

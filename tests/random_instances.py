@@ -4,7 +4,7 @@ import random
 
 from chainalg.bialgebra import BialgebraData
 from chainalg.complexes import ChainComplex
-from chainalg.cone_product import ConeProductData, cyclic_symmetrize
+from chainalg.cone_product import ConeProductData
 from chainalg.graded import (
     TENSOR_SEP,
     BasisElement,
@@ -18,6 +18,26 @@ from chainalg.graded import (
     vector_terms,
 )
 from chainalg.rings import ZZ, Ring
+from name_keyed import add
+
+
+def cyclic_symmetrize(t: Vector) -> Vector:
+    """t + rot(t) + rot^2(t), rot the graded rotation
+    x(x)y(x)z -> (-1)^{|z|(|x|+|y|)} z(x)x(x)y, by names; rot has order 3,
+    so the sum is cyclically symmetric."""
+    mod = t.module
+    deg = mod.factors[0].degree_of
+
+    def rotate(v):
+        out = {}
+        for name, c in v.coeffs.items():
+            x, y, z = mod.parts_of(name)
+            odd = deg(z) * (deg(x) + deg(y)) % 2
+            out[TENSOR_SEP.join((z, x, y))] = -c if odd else c
+        return Vector(mod, out)
+
+    r1 = rotate(t)
+    return add(add(t, r1), rotate(r1))
 
 
 def make_random_instance(seed: int, size: int, degrees=(0, -1),

@@ -30,7 +30,7 @@ from chainalg.fixtures import (
     mutate_mu,
     mutation_targets,
 )
-from name_keyed import negated
+from name_keyed import negated, sub
 
 W = TruncationWindow(12)
 
@@ -303,7 +303,7 @@ def test_continuation_bivector_gate():
     equal = Outcome("pass", "supplied bivector equals lam(eta)")
     assert check_lemma_c_lambda_eta(c, minus) == equal
     plus = make_fixture("lambda-s1-plus", W)
-    difference = c - plus.lambda_eta()
+    difference = sub(c, plus.lambda_eta())
     assert not difference.is_zero()
     assert check_lemma_c_lambda_eta(c, plus) == Outcome(
         "fail", f"bivector differs from lam(eta) by {format_vector(difference)}")
@@ -313,6 +313,9 @@ def test_continuation_bivector_gate():
     assert check_lemma_c_lambda_eta(A2.zero(), s3) == equal
     nonzero = Vector(A2, {f"A{TENSOR_SEP}1": 1})
     assert check_lemma_c_lambda_eta(nonzero, s3).status == "fail"
+    # a bivector of another module is refused, not read by its positions
+    with pytest.raises(ValueError, match="different modules"):
+        check_lemma_c_lambda_eta(tensor(A2, s3.module).zero(), s3)
 
 
 def test_loday_ronco_on_based_circle():

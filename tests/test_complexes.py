@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -21,7 +22,8 @@ from chainalg.complexes import (
 )
 from chainalg.fixtures import make_tstar_s1, make_fixture, TruncationWindow
 from replay import Replay
-from name_keyed import NameMap, identity, is_zero_map, named, scaled
+from name_keyed import (NameMap, add, basis_in_degree, identity, is_zero_map,
+                        named, scaled, sub)
 
 
 def complex_from_spec(ring, gens, diff):
@@ -44,7 +46,7 @@ def test_homology_of_a_complex_on_a_tensor_module():
     M = GradedModule(ZZ, [BasisElement("a", 0), BasisElement("b", 1)])
     T = tensor(M, M)
     ab, ba, bb = (TENSOR_SEP.join(p) for p in ("ab", "ba", "bb"))
-    d = GradedMap.from_table(T, T, -1, {bb: T.el(ab, 2) - T.el(ba, 2)})
+    d = GradedMap.from_table(T, T, -1, {bb: sub(T.el(ab, 2), T.el(ba, 2))})
     assert str(homology(ChainComplex(T))) == "H_0 = R, H_1 = R^2, H_2 = R"
     assert str(homology(ChainComplex(T, d))) == "H_0 = R, H_1 = R + R/2"
 
@@ -73,7 +75,7 @@ def test_d_squared_enforced_on_a_tensor_module(ring):
     # c(x)b fails in degree 3, c(x)a and b(x)b in degree 2: b(x)b is first
     d = GradedMap.from_table(T, T, -1, {
         j("cb"): T.el(j("bb")), j("ca"): T.el(j("ba"), 2),
-        j("bb"): T.el(j("ab"), 3) + T.el(j("ba")), j("ba"): T.el(j("aa"), -1)})
+        j("bb"): add(T.el(j("ab"), 3), T.el(j("ba"))), j("ba"): T.el(j("aa"), -1)})
     with pytest.raises(ValueError) as ei:
         ChainComplex(T, d)
     minus = "4*" if ring == GF(5) else "-"
@@ -92,7 +94,7 @@ def test_d_squared_accepts_cancelling_terms(ring):
     T = tensor(M, M)
     j = TENSOR_SEP.join
     d = GradedMap.from_table(T, T, -1, {
-        j("bb"): T.el(j("ab")) + T.el(j("ba")), j("ab"): T.el(j("aa")),
+        j("bb"): add(T.el(j("ab")), T.el(j("ba"))), j("ab"): T.el(j("aa")),
         j("ba"): T.el(j("aa"), -1)})
     assert ChainComplex(T, d).d is d
 
@@ -124,7 +126,7 @@ def test_euler_characteristic_matches_homology():
     rng = random.Random(2)
     for _ in range(15):
         C = _random_complex(rng, QQ)
-        chi_chain = sum((-1) ** (k % 2) * len(C.module.basis_in_degree(k))
+        chi_chain = sum((-1) ** (k % 2) * len(basis_in_degree(C.module, k))
                         for k in C.degrees())
         h = homology(C)
         chi_hom = sum((-1) ** (k % 2) * free for k, free, _ in h.by_degree)
@@ -141,7 +143,7 @@ def _random_complex(rng, ring, max_gens=5):
     table = {}
     chosen = {}
     for e in module.basis():
-        below = [t for t in module.basis_in_degree(e.degree - 1)]
+        below = [t for t in basis_in_degree(module, e.degree - 1)]
         if below and e.name not in chosen.values():
             t = rng.choice(below)
             if t.name not in table or table[t.name].is_zero():
@@ -268,7 +270,7 @@ def test_graded_commutator_shapes():
         table = {}
         for e in C.module.basis():
             out = {t.name: rng.randint(-2, 2)
-                   for t in C.module.basis_in_degree(e.degree + 1)}
+                   for t in basis_in_degree(C.module, e.degree + 1)}
             table[e.name] = Vector(C.module, {k: v for k, v in out.items() if v})
         h = GradedMap.from_table(C.module, C.module, 1, table)
         inner = graded_commutator(h, C, C)
@@ -459,7 +461,7 @@ def test_homology_over_all_rings_of_fixture_modules():
         h = homology(C)
         # zero differential: homology equals the chain module, rank per degree
         assert h.by_degree == tuple(
-            (k, len(inst.module.basis_in_degree(k)), ()) for k in C.degrees())
+            (k, len(basis_in_degree(inst.module, k)), ()) for k in C.degrees())
 
 
 def _cubical_torus(ring, n, klein=False):
@@ -498,7 +500,7 @@ def _seeded_homotopy(C, seed):
     return GradedMap.from_table(C.module, C.module, 1, {
         e.name: Vector(C.module, {
             t.name: rng.choice((0, 1, -1))
-            for t in C.module.basis_in_degree(e.degree + 1)})
+            for t in basis_in_degree(C.module, e.degree + 1)})
         for e in C.module.basis()})
 
 
@@ -530,6 +532,62 @@ def test_homology_factors_each_matrix_once(monkeypatch):
     shapes = [f[:2] for f in factored]
     assert len(factored) <= len(C.degrees()), shapes
     assert len(set(factored)) == len(factored), shapes
+
+
+def _factorings(monkeypatch):
+    """List that records, for every `ImageSolver` built, the object whose
+    method built it (a `ChainComplex` through `solver`) and its k."""
+    import chainalg.matrices as mx
+
+    built = []
+    real = mx.ImageSolver.__init__
+
+    def recording(self, R, rows, columns):
+        caller = sys._getframe(1).f_locals
+        built.append((caller.get("self"), caller.get("k")))
+        real(self, R, rows, columns)
+
+    monkeypatch.setattr(mx.ImageSolver, "__init__", recording)
+    return built
+
+
+def _each_once(built):
+    """Every solver was a complex's, and no complex built one twice."""
+    assert all(isinstance(owner, ChainComplex) for owner, _ in built), built
+    keys = [(id(owner), k) for owner, k in built]
+    assert len(set(keys)) == len(keys), keys
+
+
+def test_a_complex_factors_each_block_once(monkeypatch):
+    # homology and induces_zero share the complex's solvers: on the Klein
+    # bottle over Z the zero map visits the cycles of degrees 0 and 1, so
+    # d_1 serves as degree 0's boundaries and degree 1's cycles, and no
+    # block is factored twice
+    built = _factorings(monkeypatch)
+    C = _cubical_torus(ZZ, 4, klein=True)
+    assert str(homology(C)) == "H_0 = R, H_1 = R + R/2"
+    assert induces_zero(_scalar(C, 0))
+    assert not induces_zero(_scalar(C, 1))
+    _each_once(built)
+    assert sorted(k for _, k in built) == [0, 1, 2]
+
+
+def test_homology_of_a_cone_and_its_transition_share_the_cone_solvers(
+        monkeypatch):
+    # `homology tstar-s1 --cone`: the complex, the pair's source and the
+    # cone each factor their two blocks once, the cone's read by its
+    # homology and by the transition's induces_zero alike
+    import contextlib
+    import io
+
+    from chainalg import cli
+
+    built = _factorings(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["homology", "tstar-s1", "--cone"]) == 0
+    assert "nontrivial on cone homology" in out.getvalue()
+    _each_once(built)
+    assert len(built) == 6
 
 
 def test_quotient_homology_factors_each_matrix_once(monkeypatch):
@@ -799,7 +857,7 @@ def draw_map(data, C, D, degree):
     return GradedMap.from_table(C.module, D.module, degree, {
         e.name: Vector(D.module, {
             t.name: data.draw(coeff)
-            for t in D.module.basis_in_degree(e.degree + degree)})
+            for t in basis_in_degree(D.module, e.degree + degree)})
         for e in C.module.basis()})
 
 
@@ -814,7 +872,7 @@ def homotopy_reference(f, g, h):
     first basis element where it fails, with both sides."""
     comm = commutator_reference(h, f.source, f.target)
     for n in f.source.module.basis_names():
-        lhs = f.f.eval_basis(n) - g.f.eval_basis(n)
+        lhs = sub(f.f.eval_basis(n), g.f.eval_basis(n))
         if lhs != comm.eval_basis(n):
             return f"fails on {n}: {lhs} vs {comm.eval_basis(n)}"
     return ""
@@ -864,8 +922,8 @@ def phi_reference(cone_mod, csec):
     def fn(name):
         out = cone_mod.el(name)
         if name.startswith("-"):
-            out = out + Vector(cone_mod, {
-                "+" + n: c for n, c in csec.eval_basis(name[1:]).coeffs.items()})
+            out = add(out, Vector(cone_mod, {
+                "+" + n: c for n, c in csec.eval_basis(name[1:]).coeffs.items()}))
         return out
 
     return NameMap(cone_mod, cone_mod, 0, fn, name="Phi reference")

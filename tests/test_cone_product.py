@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -14,6 +15,7 @@ from chainalg.graded import (
     tensor,
     TENSOR_SEP,
 )
+from chainalg import scenario as sc
 from chainalg.complexes import ChainComplex
 from chainalg import cone_product as cp
 from chainalg.cone_product import (
@@ -26,10 +28,10 @@ from chainalg.cone_product import (
 from chainalg.bialgebra import BialgebraData
 from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
-from name_keyed import (PLACEMENT, NameMap, apply_op_shift, cone_window,
-                        dual_pair, identity, named, secondary_operations,
-                        tensor_map, twist)
-from random_instances import make_random_instance
+from name_keyed import (PLACEMENT, NameMap, add, apply_op_shift, cone_window,
+                        dual_pair, identity, named, scale,
+                        secondary_operations, sub, tensor_map, twist)
+from random_instances import cyclic_symmetrize, make_random_instance
 
 W = TruncationWindow(12)
 
@@ -106,7 +108,7 @@ def test_data_invariants_enforced():
     bad_B = Vector(A3, {f"A{TENSOR_SEP}A{TENSOR_SEP}1": 1})
     with pytest.raises(ValueError, match="cyclic"):
         ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
-                        named(inst.lam)(inst.eta).scale(-1), bad_B, n=1)
+                        scale(named(inst.lam)(inst.eta), -1), bad_B, n=1)
 
 
 def test_safe_window_names_basis_elements_once():
@@ -160,11 +162,44 @@ def test_cyclic_symmetric_cubic_accepted():
             f"A{TENSOR_SEP}1{TENSOR_SEP}A": -1}
     B = Vector(A3, base)
     data = ConeProductData(ChainComplex(A), inst.mu, inst.lam, A2.zero(),
-                           named(inst.lam)(inst.eta).scale(-1), B, n=1,
+                           scale(named(inst.lam)(inst.eta), -1), B, n=1,
                            safe_names=inst.safe_names)
     # with B != 0 the (-,-) -> + block is the dualized cubic term
     got = data.product.eval_basis(f"-A^{TENSOR_SEP}-A^")
     assert any(k.startswith("+") for k in got.coeffs)
+
+
+# the graded cyclic orbit of A(x)A(x)1 on lambda-s1-plus, |A| odd and
+# |1| = 0: the rotation moves A past 1(x)A, of odd total degree, into
+# A(x)1(x)A, so that term is negative; with +1 there B is cyclically
+# symmetric only up to the rotation's Koszul sign
+ORBIT = (("A", "A", "1"), ("1", "A", "A"), ("A", "1", "A"))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=repr)
+def test_the_cubic_vector_is_symmetric_with_the_koszul_sign(ring):
+    inst = make_fixture("lambda-s1-plus", TruncationWindow(4), ring)
+    A = inst.module
+    A3 = tensor(A, A, A)
+    parts = (ChainComplex(A), inst.mu, inst.lam, tensor(A, A).zero(),
+             -inst.lambda_eta())
+    doc = sc.export_bialgebra(inst)
+    doc.update(kind="cone", n=1, Q0=sc._combo_to_json(-inst.lambda_eta()))
+    signed = Vector(A3, {TENSOR_SEP.join(t): s
+                         for t, s in zip(ORBIT, (1, 1, -1))})
+    assert cyclic_symmetrize(A3.el(TENSOR_SEP.join(ORBIT[0]))) == signed
+    unsigned = Vector(A3, {TENSOR_SEP.join(t): 1 for t in ORBIT})
+    with pytest.raises(ValueError) as err:
+        ConeProductData(*parts, unsigned, n=1)
+    assert str(err.value) == "cubic vector is not cyclically symmetric"
+    doc["B"] = sc._combo_to_json(unsigned)
+    with pytest.raises(sc.SchemaError) as err:
+        sc.ingest(json.dumps(doc))
+    assert (err.value.path, err.value.message) == (
+        "$", "cubic vector is not cyclically symmetric")
+    assert ConeProductData(*parts, signed, n=1).B == signed
+    doc["B"] = sc._combo_to_json(signed)
+    assert sc.ingest(json.dumps(doc)).payload.B == signed
 
 
 def cubic_packages():
@@ -177,7 +212,7 @@ def cubic_packages():
                                  f"A{TENSOR_SEP}1{TENSOR_SEP}A": -1})
     yield ConeProductData(ChainComplex(A), inst.mu, inst.lam,
                           tensor(A, A).zero(),
-                          named(inst.lam)(inst.eta).scale(-1),
+                          scale(named(inst.lam)(inst.eta), -1),
                           B, n=1, safe_names=inst.safe_names)
     for which, arg in REFERENCE_PACKAGES:
         if isinstance(which, int):
@@ -216,7 +251,7 @@ def test_beta_contracts_the_cubic_vector(ring):
                     s = dual_pair(M.el(f), A.el(b1)) * dual_pair(M.el(g), A.el(b2))
                     if M.degree_of(g) % 2 and A.degree_of(b1) % 2:
                         s = -s
-                    want = want + A.el(b3, c * s)
+                    want = add(want, A.el(b3, c * s))
                 got = beta.eval_basis(f"{f}{TENSOR_SEP}{g}")
                 assert got == want, (seed, f, g)
                 nonzero += not got.is_zero()
@@ -311,7 +346,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data):
             s = -1 if data.Q0.degree() % 2 and A.degree_of(a) % 2 else 1
             right = named(mu)(A.el(a).tensor(A.el(q1))).tensor(A.el(q2))
             left = A.el(q1).tensor(named(mu)(A.el(q2).tensor(A.el(a))))
-            out = out + right.scale(s * c) + left.scale(c)
+            out = add(add(out, scale(right, s * c)), scale(left, c))
         return out
 
     nonzero = 0
@@ -342,13 +377,13 @@ def test_shift_sign_table(s3_data):
             sx = -1 if dx % 2 else 1
             # <a, m-bar_L(b, fbar)> = (-1)^{|b|} <a, m_L(b,f)>
             assert b["m_L"].eval_basis(key).coeffs == \
-                ops["m_L"].eval_basis(key).scale(sx).coeffs
+                scale(ops["m_L"].eval_basis(key), sx).coeffs
             # m-bar_R carries no sign
             assert b["m_R"].eval_basis(key_rev).coeffs == \
                 ops["m_R"].eval_basis(key_rev).coeffs
             # tau-bar_R: (-1)^{|b|}; tau-bar_L: no sign
             assert b["tau_R"].eval_basis(key).coeffs == \
-                ops["tau_R"].eval_basis(key).scale(sx).coeffs
+                scale(ops["tau_R"].eval_basis(key), sx).coeffs
             assert b["tau_L"].eval_basis(key_rev).coeffs == \
                 ops["tau_L"].eval_basis(key_rev).coeffs
         for g in data.safe_names:
@@ -356,7 +391,7 @@ def test_shift_sign_table(s3_data):
             sf = -1 if M.degree_of(x + "^") % 2 else 1
             # <m-bar(fbar, gbar), a> = (-1)^{|f|} <sigma(f,g), a>
             assert b["sigma"].eval_basis(key).coeffs == \
-                ops["sigma"].eval_basis(key).scale(sf).coeffs
+                scale(ops["sigma"].eval_basis(key), sf).coeffs
 
 
 def test_components_cross_check(s3_data, s1_data):
@@ -478,21 +513,21 @@ def test_twist_defect_check_with_a_differential(ring):
     d2 = tensor_map(d, one) + tensor_map(one, d)
     tau = twist(A, A)
     P = Vector(A2, {"x0⊗x2": 1, "x3⊗x1": -2, "x1⊗x3": 1})
-    c0, Q0 = d2(P), tau(P) - P
-    assert not (tau(c0) - c0).is_zero()
+    c0, Q0 = d2(P), sub(tau(P), P)
+    assert not sub(tau(c0), c0).is_zero()
     zero_mu, zero_lam = GradedMap.zero(A2, A, 0), GradedMap.zero(A, A2, -1)
     # the twist defect is trivialized, but c(f) = <f (x) 1, c0> of the
     # d2-cycle c0 anticommutes with the differentials, so no cone exists
     with pytest.raises(ValueError, match=r"^not a chain map: fails on x2\^$"):
         ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, Q0,
                         A3.zero(), n=1)
-    bad = Q0 + A2.el("x0⊗x2")
+    bad = add(Q0, A2.el("x0⊗x2"))
     with pytest.raises(ValueError) as err:
         ConeProductData(ChainComplex(A, d), zero_mu, zero_lam, c0, bad,
                         A3.zero(), n=1)
     assert str(err.value) == (
         "secondary bivector does not trivialize the twist defect: "
-        f"tau c0 - c0 - dQ0 = {tau(c0) - c0 - d2(bad)}")
+        f"tau c0 - c0 - dQ0 = {sub(sub(tau(c0), c0), d2(bad))}")
 
 
 def test_assoc_precondition_failure_reported():
@@ -506,7 +541,7 @@ def test_assoc_precondition_failure_reported():
         v = inst.mu.eval_basis(name)
         x, y = A2.parts_of(name)
         if x == "U" and y == "U":
-            return v.scale(2)
+            return scale(v, 2)
         return v
 
     broken_mu = NameMap(A2, A, 0, broken_mu_fn).row_map()

@@ -24,8 +24,9 @@ from chainalg.graded import (
     basis_keys,
     vector_terms,
 )
-from name_keyed import (apply_op_shift, dual_pair, identity, is_zero_map,
-                        named, scaled, tensor_map, twist, unapply_op_shift)
+from name_keyed import (add, apply_op_shift, basis_in_degree, dual_pair,
+                        identity, is_zero_map, named, scale, scaled, sub,
+                        tensor_map, twist, unapply_op_shift)
 
 
 def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):
@@ -136,7 +137,7 @@ def test_shift_map_sign():
             for e in M.basis():
                 shifted = fk.eval_basis(e.name)
                 plain = f.eval_basis(e.name)
-                assert shifted.coeffs == (plain.scale(sign)).coeffs
+                assert shifted.coeffs == scale(plain, sign).coeffs
 
 
 def test_dual_basis_pairing():
@@ -228,12 +229,12 @@ def test_degree_bookkeeping_everywhere():
 
 def test_vector_algebra():
     M = small_module(QQ)
-    v = M.el("x0").scale(QQ.parse("1")) + M.el("x1")
+    v = add(scale(M.el("x0"), QQ.parse("1")), M.el("x1"))
     with pytest.raises(TypeError):
-        M.el("x0").scale("1")  # text goes through Ring.parse only
-    w = v - M.el("x1")
+        scale(M.el("x0"), "1")  # text goes through Ring.parse only
+    w = sub(v, M.el("x1"))
     assert w == M.el("x0")
-    assert (-w + w).is_zero()
+    assert add(-w, w).is_zero()
     with pytest.raises(ValueError):
         v.degree()  # mixed degrees
 
@@ -272,7 +273,7 @@ def test_from_table_rows_are_the_terms_of_the_values(ring):
             table = {e.name: Vector(target, {
                          t.name: Fraction(rng.randint(-3, 3),
                                           1 if ring == ZZ else rng.randint(1, 3))
-                         for t in target.basis_in_degree(e.degree + degree)})
+                         for t in basis_in_degree(target, e.degree + degree)})
                      for e in source.basis() if rng.random() < 0.8}
             f = GradedMap.from_table(source, target, degree, table)
             for name, key in basis_keys(source):

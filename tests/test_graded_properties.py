@@ -52,13 +52,17 @@ from chainalg.graded import (
 )
 from name_keyed import (
     NameMap,
+    add,
     apply_op_shift,
+    basis_in_degree,
     dual_pair,
     identity,
     named,
     positions,
     quantify_reference,
+    scale,
     scaled,
+    sub,
     tensor_map,
     twist,
     unapply_op_shift,
@@ -101,7 +105,7 @@ def draw_map(data, source, target, degree=None):
     table = {}
     for e in source.basis():
         combo = {t.name: data.draw(coeff)
-                 for t in target.basis_in_degree(e.degree + degree)}
+                 for t in basis_in_degree(target, e.degree + degree)}
         table[e.name] = Vector(target, combo)
     return GradedMap.from_table(source, target, degree, table)
 
@@ -144,14 +148,14 @@ def test_vector_arithmetic_revalidates(ring, data):
     u, v = draw_vector(data, M), draw_vector(data, M)
     w = draw_vector(data, N)
     c = data.draw(coefficients(ring))
-    for out in (u + v, u - v, -u, u.scale(c), u.tensor(w), w.tensor(u),
-                u.tensor(w).tensor(u)):
+    for out in (add(u, v), sub(u, v), -u, scale(u, c), u.tensor(w),
+                w.tensor(u), u.tensor(w).tensor(u)):
         assert_revalidates(out)
-    assert (u - u).is_zero()
-    assert (u + -u).is_zero()
-    assert (u - v) + v == u
-    assert u - v == u + (-v)
-    assert u.scale(0).is_zero()
+    assert sub(u, u).is_zero()
+    assert add(u, -u).is_zero()
+    assert add(sub(u, v), v) == u
+    assert sub(u, v) == add(u, -v)
+    assert scale(u, 0).is_zero()
 
 
 @ring_param
@@ -263,7 +267,7 @@ def draw_product(data, A, degree=None, source=None, target=None):
              if data.draw(st.booleans()) else coefficients(R))
     table = {e.name: Vector(target, {
                  t.name: data.draw(coeff)
-                 for t in target.basis_in_degree(e.degree + degree)})
+                 for t in basis_in_degree(target, e.degree + degree)})
              for e in source.basis()}
     return GradedMap.from_table(source, target, degree, table)
 
@@ -476,7 +480,7 @@ def quadratic_sides(inst):
         def fn(n):
             out = tensor(A, A).zero()
             for sgn, op in terms:
-                out = out + op.eval_basis(n).scale(sgn)
+                out = add(out, scale(op.eval_basis(n), sgn))
             return out
         return fn
 
@@ -533,21 +537,21 @@ def assoc_infinitesimal_reference(data, comps):
     for a in data.safe_names:
         for b in data.safe_names:
             ab = f"{a}{TENSOR_SEP}{b}"
-            defect = (lam_mu.eval_basis(ab) - t1.eval_basis(ab)
-                      - t2.eval_basis(ab))
+            defect = sub(sub(lam_mu.eval_basis(ab), t1.eval_basis(ab)),
+                         t2.eval_basis(ab))
             if mid is not None:
-                defect = defect + mid.eval_basis(ab)
+                defect = add(defect, mid.eval_basis(ab))
             s = sign(A.degree_of(a) + A.degree_of(b) + 1)
             for f in data.safe_names:
                 fb = f"{f}^"
                 bf = f"{b}{TENSOR_SEP}{fb}"
-                total = (named(mu)(A.el(a).tensor(
-                             comps["pm_p"].eval_basis(bf)))
-                         + named(comps["pm_p"])(A.el(a).tensor(
-                             comps["pm_m"].eval_basis(bf)))
-                         - named(comps["pm_p"])(mu.eval_basis(ab).tensor(
-                             Mbar.el(fb))))
-                expected = contract_reference(defect, M.el(fb), True).scale(s)
+                total = sub(add(
+                    named(mu)(A.el(a).tensor(comps["pm_p"].eval_basis(bf))),
+                    named(comps["pm_p"])(A.el(a).tensor(
+                        comps["pm_m"].eval_basis(bf)))),
+                    named(comps["pm_p"])(mu.eval_basis(ab).tensor(
+                        Mbar.el(fb))))
+                expected = scale(contract_reference(defect, M.el(fb), True), s)
                 if total != expected:
                     return False, (f"fails at a={a}, b={b}, f={fb}: "
                                    f"{format_vector(total)} vs "
@@ -565,7 +569,7 @@ def test_assoc_infinitesimal_matches_the_composites(ring, data):
     mu = draw_product(data, A, degree=0)
     lam = draw_product(data, A, degree=1 - 2 * n, source=A, target=A2)
     Q0 = Vector(A2, {e.name: data.draw(coefficients(ring))
-                     for e in A2.basis_in_degree(1 - 2 * n)})
+                     for e in basis_in_degree(A2, 1 - 2 * n)})
     order = data.draw(st.permutations(A.basis_names()))
     safe = order[:data.draw(st.integers(1, len(order)))]
     cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,

@@ -29,10 +29,6 @@ DENSE = "the dense reference of perfbench/ and the tests (ROADMAP item 1)"
 REDUCED = "reduced homology, ROADMAP item 3"
 TEST_ONLY = "test-only helper"
 API = "public API that only the tests call"
-VECTOR_ALGEBRA = ("the Vector algebra, scaling with it, whose sum "
-                  "cone_product.cyclic_symmetrize takes and whose difference "
-                  "the failure detail of check_lemma_c_lambda_eta prints; no "
-                  "shipped input reaches either")
 FAILURE = "formats a failure; no shipped fixture or scenario fails"
 REPR = "debugging aid; no report prints it"
 HASH = "no command hashes it"
@@ -62,8 +58,6 @@ ALLOWED = {
     "complexes.is_essential.<lambda 2>":
         "a cochain-oriented complex, only in " + REDUCED,
     "cone_product._format_row": FAILURE,
-    "cone_product.cyclic_symmetrize":
-        "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
@@ -73,7 +67,6 @@ ALLOWED = {
     "fixtures.mutate_mu": TEST_ONLY,
     "fixtures.mutation_targets": TEST_ONLY,
     "graded.BasisElement.__repr__": REPR,
-    "graded.GradedModule.basis_in_degree": API,
     "graded.GradedModule.__hash__": HASH,
     "graded.GradedModule.__repr__": REPR,
     "graded.TensorModule.basis":
@@ -81,18 +74,13 @@ ALLOWED = {
         "instances",
     "graded.TensorModule.basis.<lambda 1>": "sorts a tensor basis, as "
         "graded.TensorModule.basis",
-    "graded.TensorModule.degrees": API,
     "graded.TensorModule._struct":
         "compares equal but distinct tensor modules; commands build "
         "each product once",
     "graded.TensorModule.__hash__": HASH,
     "graded.TensorModule.__repr__": REPR,
-    "graded.Vector.__add__": VECTOR_ALGEBRA,
-    "graded.Vector.__sub__": VECTOR_ALGEBRA,
-    "graded.Vector.scale": VECTOR_ALGEBRA,
     "graded.Vector.__hash__": HASH,
     "graded.Vector.__repr__": REPR,
-    "graded.Vector._compatible": VECTOR_ALGEBRA,
     "graded.GradedMap.eval_basis":
         "pinned by perfbench/layertrace.py METHODS; the mutant helpers of "
         "fixtures, which perfbench calls, read by names through it",

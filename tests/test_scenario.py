@@ -9,7 +9,7 @@ from chainalg.fixtures import TruncationWindow, make_fixture, make_tstar_s1
 from chainalg.bialgebra import check_axioms
 from chainalg.graded import basis_keys
 from chainalg.report import CheckRecord, records
-from name_keyed import structurally_equal
+from name_keyed import basis_in_degree, structurally_equal
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -307,7 +307,7 @@ def test_basis_size_cap():
     assert _rejected_at(doc) == "$.module.basis"
     doc["module"]["basis"].pop()
     module = sc.ingest(json.dumps(doc)).payload.complex.module
-    assert len(module.basis_in_degree(0)) == sc.MAX_BASIS
+    assert len(basis_in_degree(module, 0)) == sc.MAX_BASIS
 
 
 def test_safe_length_cap():
@@ -346,6 +346,23 @@ def test_entry_count_cap():
     cx = _complex_doc()
     cx["differential"]["entries"] *= sc.MAX_ENTRIES + 1
     assert _rejected_at(cx) == "$.differential.entries"
+
+
+@pytest.mark.parametrize("field, term", [
+    ("eta", ["0", "e"]), ("reverse_bivector", ["0", ["e", "e"]]),
+    ("c0", ["0", ["e", "e"]]), ("Q0", ["0", ["e", "e"]]),
+    ("B", ["0", ["e", "e", "e"]])])
+def test_combination_term_cap(field, term):
+    # a combination of more than MAX_ENTRIES terms is refused at its own
+    # path before any term is read; at the cap its zero terms are read
+    err = _schema_error(_combination_doc(field, [term] * (sc.MAX_ENTRIES + 1)))
+    assert (err.path, err.message) == (
+        f"$.{field}", f"{sc.MAX_ENTRIES + 1} terms; at most "
+        f"{sc.MAX_ENTRIES} are accepted")
+    doc = _combination_doc(field, [term] * sc.MAX_ENTRIES)
+    if field == "eta":   # the unit stays e
+        doc[field][-1] = ["1", "e"]
+    sc.ingest(json.dumps(doc))
 
 
 def _pair_doc():

@@ -53,7 +53,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import GF, QQ, ZZ
-from name_keyed import cone_window, positions
+from name_keyed import basis_in_degree, cone_window, positions
 from random_instances import make_random_instance
 from replay import Replay
 
@@ -329,7 +329,7 @@ def draw_product(data, A, degree=None, source=None, target=None):
              if data.draw(st.booleans()) else coefficients(R))
     table = {e.name: Vector(target, {
                  t.name: data.draw(coeff)
-                 for t in target.basis_in_degree(e.degree + degree)})
+                 for t in basis_in_degree(target, e.degree + degree)})
              for e in source.basis()}
     return GradedMap.from_table(source, target, degree, table)
 
@@ -368,7 +368,7 @@ def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
     mu = draw_product(data, A, degree=0)
     lam = draw_product(data, A, degree=1 - 2 * n, source=A, target=A2)
     Q0 = Vector(A2, {e.name: data.draw(coefficients(ring))
-                     for e in A2.basis_in_degree(1 - 2 * n)})
+                     for e in basis_in_degree(A2, 1 - 2 * n)})
     order = data.draw(st.permutations(A.basis_names()))
     safe = order[:data.draw(st.integers(1, len(order)))]
     cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
