@@ -1,8 +1,9 @@
 """Axiom engine for graded bialgebra-type structures.
 
 A `BialgebraData` carries a graded module A with a product mu: A(x)A -> A,
-a coproduct lam: A -> A(x)A, and a unit element eta.  The axioms checked
-are, with tau the twist and |mu|, |lam| the operation degrees:
+a coproduct lam: A -> A(x)A, and a unit element eta, held as a row.  The
+axioms checked are, with tau the twist and |mu|, |lam| the operation
+degrees:
 
   (unit)            mu(eta (x) x) = x  and  (-1)^{|mu||x|} mu(x (x) eta) = x
   (associativity)   mu(mu (x) 1) = mu(1 (x) mu)
@@ -28,7 +29,6 @@ from operator import itemgetter
 from .graded import (
     GradedModule,
     GradedMap,
-    Vector,
     tensor,
     tensor_differential,
     associativity_witness,
@@ -38,7 +38,7 @@ from .graded import (
     koszul_sign,
     apply_rows,
     row_vector,
-    vector_terms,
+    terms_degree,
     _Rows,
     _first_difference,
     _signed_row,
@@ -58,23 +58,24 @@ class AxiomReport:
 class BialgebraData:
     """Module + product + coproduct + unit, with recorded degrees.
 
-    `safe_names` (default: the basis) restricts every quantifier to those
-    basis elements, kept as `safe`, their positions in the given order, so
-    that a truncated fixture's dropped constants never look like
-    counterexamples.  With a differential, mu and lam must be chain maps.
+    The unit `eta` is a row of degree 0 (`terms_degree`): its (position in
+    A, coefficient) pairs.  `safe_names` (default: the basis) restricts
+    every quantifier to those basis elements, kept as `safe`, their
+    positions in the given order, so that a truncated fixture's dropped
+    constants never look like counterexamples.  With a differential, mu and
+    lam must be chain maps.
     """
 
     def __init__(self, module: GradedModule, mu: GradedMap, lam: GradedMap,
-                 eta: Vector, safe_names=None, differential: GradedMap = None,
+                 eta, safe_names=None, differential: GradedMap = None,
                  name: str = ""):
         A2 = tensor(module, module)
         if mu.source != A2 or mu.target != module:
             raise ValueError("mu must map A(x)A to A")
         if lam.source != module or lam.target != A2:
             raise ValueError("lam must map A to A(x)A")
-        if eta.module != module:
-            raise ValueError("eta must live in A")
-        d_eta = eta.degree()
+        eta = tuple(eta)
+        d_eta = terms_degree(module, eta)
         if d_eta not in (None, 0):
             raise ValueError(f"eta must have degree 0, got {d_eta}")
         self.module = module
@@ -94,19 +95,9 @@ class BialgebraData:
 
     # -- derived data ----------------------------------------------------------
 
-    def eta_terms(self) -> tuple:
-        """eta as (position in A, coefficient) pairs."""
-        pos = self.module.index().pos
-        return tuple((pos[n], c) for n, c in self.eta.coeffs.items())
-
     def lambda_eta_terms(self) -> dict:
         """lam eta on A (x) A, {(k1, k2): coefficient}, from lam's rows."""
-        return apply_rows(self.lam.row, self.eta_terms(),
-                          self.module.ring)
-
-    def lambda_eta(self) -> Vector:
-        return row_vector(tensor(self.module, self.module),
-                          self.lambda_eta_terms().items())
+        return apply_rows(self.lam.row, self.eta, self.module.ring)
 
     @functools.cached_property
     def safe_pairs(self) -> tuple:
@@ -185,21 +176,13 @@ AXIOM_ORDER = ("unit (left)", "unit (right)", "associativity",
                "coassociativity", "unital infinitesimal",
                "unital anti-symmetry")
 
-# cheap and mutation-sensitive axioms first; used by fail_fast sweeps
-_FAIL_FAST_ORDER = ("unit (left)", "unit (right)", "unital infinitesimal",
-                    "coassociativity", "unital anti-symmetry", "associativity")
-_NOT_RUN = Outcome("skip", "not run: an earlier axiom failed", 0)
 
-
-def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
+def check_axioms(inst: BialgebraData) -> AxiomReport:
     """Exact verification of all five axioms over the safe window.
 
     The report holds one Outcome per axiom, in AXIOM_ORDER, each with the
-    time its axiom took.  With fail_fast the axioms run in a cheap-first
-    order and stop at the first failure (used by mutation sweeps), and an
-    axiom that did not run is a skip; the default runs everything.  The
-    pair axioms are read from `inst.kernel`, which keeps each verdict for
-    the other checks of the instance.
+    time its axiom took.  The pair axioms are read from `inst.kernel`,
+    which keeps each verdict for the other checks of the instance.
 
     Every side is expanded from the rows of mu and lam on basis
     positions; names are read once, here, and come back for a witness.
@@ -210,7 +193,7 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
     R = A.ring
     neg, one = R.neg, R.one()
     mu, lam = inst.mu.row, inst.lam.row
-    eta = inst.eta_terms()
+    eta = inst.eta
     at = inst.safe
 
     def run_unit_left():
@@ -247,14 +230,12 @@ def check_axioms(inst: BialgebraData, fail_fast: bool = False) -> AxiomReport:
         "unital infinitesimal": lambda: run_pairs("unital infinitesimal"),
         "unital anti-symmetry": lambda: run_pairs("unital anti-symmetry"),
     }
-    results = {}
-    for axiom in _FAIL_FAST_ORDER if fail_fast else AXIOM_ORDER:
+    results = []
+    for axiom in AXIOM_ORDER:
         start = time.monotonic()
-        r = results[axiom] = runners[axiom]()._replace(
-            elapsed_ms=round((time.monotonic() - start) * 1000, 3))
-        if fail_fast and r.status != "pass":
-            break
-    return AxiomReport([results.get(a, _NOT_RUN) for a in AXIOM_ORDER])
+        results.append(runners[axiom]()._replace(
+            elapsed_ms=round((time.monotonic() - start) * 1000, 3)))
+    return AxiomReport(results)
 
 
 def _coassociativity(lam, lam_odd, odd, R, x):
@@ -290,7 +271,8 @@ class PairKernel:
     {(k1, k2): nonzero coefficient} on A (x) A, expanded from the rows of
     mu and lam alone: mu tau and tau lam swap their factors, the twist sign
     folded into each piece's signs.  `v` is the bivector put in the middle
-    (lam eta for the axioms), given by its terms ((k1, k2), coefficient).
+    (lam eta for the axioms), a row: its terms ((k1, k2), coefficient),
+    homogeneous (`terms_degree`).
 
     A row is one a with the tuple js of its b's.  A piece is one of the
     composites lam mu (`_lam_mu`), left, right, middle and point, with a
@@ -334,11 +316,7 @@ class PairKernel:
         self.nn = self.n * self.n
         self.mu, self.lam, self._ring = mu, lam, A.ring
         self.v = tuple(v)
-        deg = self.idx.degree
-        degrees = sorted({deg[k1] + deg[k2] for (k1, k2), _ in self.v})
-        if len(degrees) > 1:
-            raise ValueError(f"inhomogeneous vector with degrees {degrees}")
-        self.dv = degrees[0] if degrees else 0
+        self.dv = terms_degree(self.A2, self.v) or 0
         self.identities = self._identities()
         self._pieces = {}        # (kind, sign, *arguments) -> piece
         self._differences = {}   # identity -> its lhs and negated rhs pieces
@@ -719,28 +697,26 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
 
 
 def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
-                             c_fwd: Vector, c_op: Vector) -> GradedMap:
+                             c_fwd, c_op) -> GradedMap:
     """Change of coproduct along secondary continuation bivectors:
 
         lam' = lam + (mu (x) 1)(1 (x) c_fwd) - (1 (x) mu)(c_op (x) 1),
 
     as a row map: the row at x is lam's row plus the two terms on x,
     expanded from mu's rows over each bivector's terms, read once
-    (`_times_right`, `_times_left`).  The independent reference, built on
-    names from the insertions and `tensor_map`, is the tests'
-    `test_secondary_relation_matches_the_composites`; the ground truth is
-    the `reverse-coproduct` record, which rebuilds one circle fixture's
-    coproduct from the other's and compares it with the directly built one.
+    (`_times_right`, `_times_left`).  Each bivector is a row on A (x) A
+    of degree |lam| (`terms_degree`), else ValueError.  The independent
+    reference, built on names from the insertions and `tensor_map`, is the
+    tests' `test_secondary_relation_matches_the_composites`; the ground
+    truth is the `reverse-coproduct` record, which rebuilds one circle
+    fixture's coproduct from the other's and compares it with the directly
+    built one.
     """
-    A = lam.source
-    expected, deg = lam.degree, A.index().degree
-    fwd, op = vector_terms(c_fwd), vector_terms(c_op)
-    for terms in (fwd, op):   # degrees read off positions, not names
-        d = {deg[k1] + deg[k2] for (k1, k2), _ in terms}
-        if d - {expected}:
-            raise ValueError(f"bivector degrees {sorted(d)} do not match "
-                             f"|lam| = {expected}")
-    R = A.ring
+    A, R, fwd, op = lam.source, lam.source.ring, tuple(c_fwd), tuple(c_op)
+    for terms in (fwd, op):
+        if (d := terms_degree(lam.target, terms)) not in (None, lam.degree):
+            raise ValueError(f"bivector degree {d} does not match "
+                             f"|lam| = {lam.degree}")
     lam_row, neg = lam.row, R.neg
     term1, term2 = _times_right(mu, fwd), _times_left(mu, op)
     return GradedMap(A, lam.target, lam.degree, lambda x: _sum_rows(
@@ -780,13 +756,13 @@ def _times_left(mu: GradedMap, terms):
     return rows
 
 
-def check_lemma_c_lambda_eta(c_op_fwd: Vector, inst: BialgebraData) -> Outcome:
-    """Consistency gate: a supplied reverse-data continuation bivector must
-    equal lam(eta), compared term by term on positions."""
-    A2 = tensor(inst.module, inst.module)
-    if c_op_fwd.module != A2:
-        raise ValueError("vectors live in different modules")
-    got, want = dict(vector_terms(c_op_fwd)), inst.lambda_eta_terms()
+def check_lemma_c_lambda_eta(c_op_fwd, inst: BialgebraData) -> Outcome:
+    """Consistency gate: a supplied reverse-data continuation bivector, a
+    row on A (x) A (`terms_degree` checks its keys), must equal lam(eta),
+    compared term by term on positions."""
+    A2, c_op_fwd = tensor(inst.module, inst.module), tuple(c_op_fwd)
+    terms_degree(A2, c_op_fwd)
+    got, want = dict(c_op_fwd), inst.lambda_eta_terms()
     if got == want:
         return Outcome("pass", "supplied bivector equals lam(eta)")
     diff = _sum_rows(A2.ring, got.items(),
@@ -800,15 +776,18 @@ def check_loday_ronco(inst: BialgebraData) -> Outcome:
     -/+ identity, for instances with lam(eta) = +/- eta (x) eta."""
     if inst.lam.degree % 2:
         raise ValueError("the identity-coproduct form needs |lam| even")
-    lam_eta = inst.lambda_eta()
-    ee = inst.eta.tensor(inst.eta)
+    R = inst.module.ring
+    lam_eta = inst.lambda_eta_terms()
+    ee = {(k1, k2): R.mul(c1, c2) for k1, c1 in inst.eta
+          for k2, c2 in inst.eta}
     if lam_eta == ee:
         sign = 1
-    elif lam_eta == -ee:
+    elif lam_eta == dict(_signed_row(ee.items(), True, R.neg)):
         sign = -1
     else:
-        raise ValueError(
-            f"lam(eta) = {format_vector(lam_eta)} is not +/- eta(x)eta")
+        raise ValueError("lam(eta) = " + format_vector(row_vector(
+            tensor(inst.module, inst.module), lam_eta.items()))
+            + " is not +/- eta(x)eta")
     kernel = inst.kernel
     return _result(kernel.first_failure(f"identity-coproduct form {sign:+d}",
                                         inst.safe_pairs),

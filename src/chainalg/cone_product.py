@@ -52,14 +52,13 @@ import itertools
 from .graded import (
     GradedModule,
     GradedMap,
-    Vector,
     tensor,
     shift,
     shift_map,
     dual_module,
     dual_map,
     slot_table,
-    vector_terms,
+    terms_degree,
     row_vector,
     transpose_rows,
     tensor_differential,
@@ -136,7 +135,8 @@ def _contraction(source, M, W, last, degree, sign, name) -> GradedMap:
 class ConeProductData:
     """Product/coproduct/bivector package over a single complex.
 
-    Invariants enforced at construction: operation degrees match the
+    c0, Q0 (on A (x) A) and B (on A (x) A (x) A) are rows.  Invariants
+    enforced at construction: operation degrees match the
     half-dimension parameter n (|mu| = 0, |lam| = 1-2n, |c0| = -2n,
     |Q0| = 1-2n, |B| = 2-4n when the values are nonzero), the secondary
     bivector trivializes the twist defect of c0 (tau c0 - c0 = d Q0), B
@@ -152,42 +152,36 @@ class ConeProductData:
     """
 
     def __init__(self, complex_: ChainComplex, mu: GradedMap, lam: GradedMap,
-                 c0: Vector, Q0: Vector, B: Vector, n: int, safe_names=None,
-                 name: str = ""):
+                 c0, Q0, B, n: int, safe_names=None, name: str = ""):
         A = complex_.module
         A2 = tensor(A, A)
-        A3 = tensor(A, A, A)
         if mu.source != A2 or mu.target != A or mu.degree != 0:
             raise ValueError("mu must be a degree-0 map A(x)A -> A")
         if lam.source != A or lam.target != A2 or lam.degree != 1 - 2 * n:
             raise ValueError(f"lam must be a degree-{1 - 2 * n} map A -> A(x)A")
+        c0, Q0, B = tuple(c0), tuple(Q0), tuple(B)
         for label, v, mod, want in (("c0", c0, A2, -2 * n),
                                     ("Q0", Q0, A2, 1 - 2 * n),
-                                    ("B", B, A3, 2 - 4 * n)):
-            if v.module != mod:
-                raise ValueError(f"{label} lives in the wrong module")
-            d = v.degree()
+                                    ("B", B, tensor(A, A, A), 2 - 4 * n)):
+            d = terms_degree(mod, v)
             if d is not None and d != want:
                 raise ValueError(f"{label} has degree {d}, expected {want}")
 
-        R, c0_terms = A.ring, vector_terms(c0)
+        R = A.ring
         d2 = tensor_differential(complex_.d).at
         defect = _sum_rows(
-            R, _twisted(c0_terms, A.index().odd, R.neg).items(),
-            _signed_row(c0_terms, True, R.neg),
-            _signed_row(apply_rows(d2, vector_terms(Q0), R).items(), True,
-                        R.neg))
+            R, _twisted(c0, A.index().odd, R.neg).items(),
+            _signed_row(c0, True, R.neg),
+            _signed_row(apply_rows(d2, Q0, R).items(), True, R.neg))
         if defect:
             raise ValueError(
                 "secondary bivector does not trivialize the twist defect: "
                 f"tau c0 - c0 - dQ0 = {format_vector(row_vector(A2, defect))}")
-        if not B.is_zero():
-            B_terms = vector_terms(B)
-            if _cyclic_rotate(B_terms, A.index().odd, R.neg) != dict(B_terms):
-                raise ValueError("cubic vector is not cyclically symmetric")
+        if B and _cyclic_rotate(B, A.index().odd, R.neg) != dict(B):
+            raise ValueError("cubic vector is not cyclically symmetric")
         # the continuation map c(f) = <f (x) 1, c0> on M, the dual side
         M = dual_side(A, n)
-        c0_rows = slot_table(c0_terms, A2, M)
+        c0_rows = slot_table(c0, A2, M)
         c = GradedMap(M, A, 0, lambda f: tuple(c0_rows.get(f, {}).items()),
                       name="c")
         self.continuation = ChainMap(
@@ -240,8 +234,8 @@ class ConeProductData:
     def kernel(self) -> PairKernel:
         """The `PairKernel` of the defect, v = -Q0, built on first use; a
         package from `cone_data_from_bialgebra` holds its instance's."""
-        return PairKernel(self.mu, self.lam, _signed_row(
-            vector_terms(self.Q0), True, self.A.ring.neg))
+        return PairKernel(self.mu, self.lam,
+                          _signed_row(self.Q0, True, self.A.ring.neg))
 
 
 def _cyclic_rotate(terms, odd, neg) -> dict:
@@ -272,7 +266,7 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
     A2 = tensor(A, A)
     # the changes of coproduct by Q0 on the right, on the left and on both
     # sides
-    zero, minus_Q0 = A2.zero(), -data.Q0
+    zero, minus_Q0 = (), _signed_row(data.Q0, True, neg)
     lam_fwd = secondary_relation_apply(data.mu, data.lam, data.Q0, zero)
     lam_rev_left = secondary_relation_apply(data.mu, data.lam, zero, minus_Q0)
     lam_rev = secondary_relation_apply(data.mu, data.lam, data.Q0,
@@ -288,7 +282,7 @@ def derive_secondary_ops(data: ConeProductData) -> GradedMap:
         lam_rev_left.row(x), A2, M))
     # <f (x) g (x) 1, B> = sum (-1)^{|g||B1|} <f,B1> <g,B2> B3
     B_rows = {f: slot_table(T.items(), A2, M) for f, T in
-              slot_table(vector_terms(data.B), data.B.module, M).items()}
+              slot_table(data.B, tensor(A, A, A), M).items()}
 
     # one row function per block, a part's sign being its operation's times
     # (-1)^{j |u|} per row: x and x^ have one parity and a row's x one
@@ -380,7 +374,7 @@ def closed_form_components(data: ConeProductData) -> dict:
     A = data.A
     R = A.ring
     mul, neg = R.mul, R.neg
-    cbiv = vector_terms(data.Q0)
+    cbiv = data.Q0
     M, Mbar, at = data.M, data.Mbar, data.layout
     odd, odd_M = A.index().odd, M.index().odd
     deg, dual, base = A.index().degree, at.dual, at.base
@@ -416,7 +410,7 @@ def closed_form_components(data: ConeProductData) -> dict:
     mu_el_right_rows = at.columns(A, lambda b, x: mu(x, b))
     # (fbar, gbar) -> [(B3, signed coefficient)], one entry per term of B
     B_at = {}
-    for (b1, b2, b3), c in vector_terms(data.B):
+    for (b1, b2, b3), c in data.B:
         B_at.setdefault((dual[b1], dual[b2]), []).append(
             (b3, neg(c) if odd[b1] and not odd[b2] else c))
 
@@ -632,12 +626,9 @@ def cone_data_from_bialgebra(inst: BialgebraData, n: int,
     d = inst.differential
     if d is not None and any(map(d.row, range(len(A.index().names)))):
         raise ValueError("a cone needs d = 0; the differential is nonzero")
-    complex_ = ChainComplex(A)
-    A2 = tensor(A, A)
-    A3 = tensor(A, A, A)
-    data = ConeProductData(complex_, inst.mu, inst.lam,
-                           c0=A2.zero(), Q0=-inst.lambda_eta(), B=A3.zero(),
-                           n=n, safe_names=inst.safe_names,
+    Q0 = _signed_row(inst.lambda_eta_terms().items(), True, A.ring.neg)
+    data = ConeProductData(ChainComplex(A), inst.mu, inst.lam, c0=(), Q0=Q0,
+                           B=(), n=n, safe_names=inst.safe_names,
                            name=name or inst.name)
     data.kernel = inst.kernel
     return data

@@ -36,7 +36,6 @@ from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
-    Vector,
     tensor,
     TENSOR_SEP,
     _positions,
@@ -214,18 +213,19 @@ def _loop_fixture(name: str, n: int, kind: str, variant,
     r = window.safe_radius
     safe = tuple(nm for nm, (_, k) in zip(module.index().names, loops[0])
                  if abs(k) <= r)
-    return BialgebraData(module, mu, lam, module.el("1"), safe_names=safe,
-                         name=name)
+    eta = ((loops[1][0, 0], ring.one()),)   # the unit 1 = U^0
+    return BialgebraData(module, mu, lam, eta, safe_names=safe, name=name)
 
 
-def reverse_data_bivector(inst: BialgebraData) -> Vector:
-    """The bivector of the reverse-coproduct relation for a plus fixture:
-    1(x)A - A(x)1 on the free-loop circle, -(1(x)1) on the based circle."""
-    module = inst.module
-    A2 = tensor(module, module)
-    if module.has("A"):
-        return Vector(A2, {f"1{TENSOR_SEP}A": 1, f"A{TENSOR_SEP}1": -1})
-    return Vector(A2, {f"1{TENSOR_SEP}1": -1})
+def reverse_data_bivector(inst: BialgebraData) -> tuple:
+    """The bivector of the reverse-coproduct relation for a plus fixture,
+    as a row on A (x) A: 1(x)A - A(x)1 on the free-loop circle, -(1(x)1)
+    on the based circle."""
+    pos, R = inst.module.index().pos, inst.module.ring
+    one, minus_one = R.one(), R.neg(R.one())
+    if "A" in pos:
+        return (((pos["1"], pos["A"]), one), ((pos["A"], pos["1"]), minus_one))
+    return (((pos["1"], pos["1"]), minus_one),)
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ checked constructor for a map given by values on names (names, target
 module and degree of every value), and by the scenario loader, which checks
 each operation-table entry and combination once (names by lookup in
 `GradedModule.index`, coefficients, homogeneity of table values and
-combinations) while parsing tables straight into row maps.  Internal
-arithmetic works on rows, and the few Vectors it builds (a negation, a
-tensor of values, a row read back by names in `row_vector`) combine values
-that are valid already, so they go through the trusted constructor
-`Vector._trusted`, which drops zero coefficients and checks nothing else.
+combinations) while parsing tables straight into row maps.  A combination
+(a unit, a bivector, a cubic vector) is held as a row, like a map's, and
+`terms_degree` is the one check of its keys and homogeneity.  Internal
+arithmetic works on rows; the only Vectors it builds are rows read back by
+names (`row_vector`) from values that are valid already, so they go
+through the trusted constructor `Vector._trusted`, which drops zero
+coefficients and checks nothing else.
 The structural checks (d*d = 0 in `ChainComplex`, and the one test of
 [d, f] = 0 in `complexes` for `ChainMap`, a pair's secondary map and mu
 and lam of a `BialgebraData` with a differential) read map rows and
@@ -228,9 +230,6 @@ class GradedModule:
 
     # -- elements ------------------------------------------------------------
 
-    def zero(self) -> "Vector":
-        return Vector._trusted(self, {})
-
     def el(self, name: str, coeff=1) -> "Vector":
         if not self.has(name):
             raise KeyError(f"no basis element {name!r}")
@@ -240,9 +239,7 @@ class GradedModule:
 class TensorModule(GradedModule):
     """Flattened tensor product of atomic graded modules; basis is lazy.
 
-    Build it with `tensor`, which flattens and interns it.  Each name that
-    `has` or `degree_of` has validated is remembered with its parts and
-    degree.
+    Build it with `tensor`, which flattens and interns it.
     """
 
     def __init__(self, factors):
@@ -252,7 +249,6 @@ class TensorModule(GradedModule):
         self.ring = ring
         self.name = TENSOR_SEP.join(f.name or "?" for f in factors)
         self.factors = tuple(factors)
-        self._known = {}  # validated name -> (parts, degree)
 
     def basis(self):
         out = []
@@ -264,32 +260,20 @@ class TensorModule(GradedModule):
         out.sort(key=lambda e: (e.degree, e.name))
         return tuple(out)
 
-    def _validate(self, name: str):
-        """(parts, degree) of a basis name, or None if it is not one."""
-        known = self._known.get(name)
-        if known is None:
-            parts = tuple(name.split(TENSOR_SEP))
-            if len(parts) != len(self.factors) or not all(
-                    f.has(p) for f, p in zip(self.factors, parts)):
-                return None
-            known = (parts, sum(f.degree_of(p)
-                                for f, p in zip(self.factors, parts)))
-            self._known[name] = known
-        return known
-
     def has(self, name: str) -> bool:
-        return self._validate(name) is not None
+        parts = self.parts_of(name)
+        return len(parts) == len(self.factors) and all(
+            f.has(p) for f, p in zip(self.factors, parts))
 
     def degree_of(self, name: str) -> int:
-        known = self._validate(name)
-        if known is None:
+        if not self.has(name):
             raise KeyError(f"{name!r} is not a basis name of {self!r}")
-        return known[1]
+        return sum(f.degree_of(p)
+                   for f, p in zip(self.factors, self.parts_of(name)))
 
     def parts_of(self, name: str):
         """Split a name into its factor names; no validation."""
-        known = self._known.get(name)
-        return known[0] if known is not None else tuple(name.split(TENSOR_SEP))
+        return tuple(name.split(TENSOR_SEP))
 
     def _struct(self):
         s = getattr(self, "_struct_cache", None)
@@ -366,33 +350,6 @@ class Vector:
         v.module = module
         v.coeffs = {n: c for n, c in coeffs.items() if c != 0}
         return v
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """Degree if homogeneous, None for 0, error if mixed."""
-        degs = {self.module.degree_of(n) for n in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous vector with degrees {sorted(degs)}")
-        return degs.pop()
-
-    def __neg__(self):
-        R = self.module.ring
-        return Vector._trusted(self.module,
-                               {n: R.neg(c) for n, c in self.coeffs.items()})
-
-    def tensor(self, other: "Vector") -> "Vector":
-        """Bilinear tensor of values; no signs (signs belong to maps)."""
-        target = tensor(self.module, other.module)
-        R = target.ring
-        out = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                out[n1 + TENSOR_SEP + n2] = R.mul(c1, c2)
-        return Vector._trusted(target, out)
 
     def __eq__(self, other):
         return (
@@ -489,20 +446,18 @@ class GradedMap:
         (ValueError).  The rows are built here, once."""
         rows = {}
         m = cls(source, target, degree, lambda *k: rows.get(k, ()), name)
-        atomic = target.arity == 1
         for n, v in table.items():
             if not source.has(n):
                 raise KeyError(f"{n!r} is not a basis name of the source")
             if not isinstance(v, Vector) or v.module != target:
                 raise ValueError(f"value for {n!r} does not live in the target")
-            d = v.degree()
+            terms = vector_terms(v)
+            d = terms_degree(target, terms)
             if d is not None and d != source.degree_of(n) + degree:
                 raise ValueError(
                     f"value for {n!r} has degree {d}, expected "
                     f"{source.degree_of(n) + degree}")
-            terms = vector_terms(v)
-            rows[_positions(source, n)] = (
-                tuple((k[0], c) for k, c in terms) if atomic else terms)
+            rows[_positions(source, n)] = terms
         return m
 
     @classmethod
@@ -990,9 +945,31 @@ def _positions(module: GradedModule, name: str) -> tuple:
 
 
 def vector_terms(v: Vector) -> tuple:
-    """v's terms as (positions, coefficient), one position per factor of
-    v's tensor module (`GradedModule.index`): the entries of a map's row."""
+    """v's terms in the form of a map's row: (key, coefficient), the key
+    being a position of v's atomic module, or a tuple of positions, one per
+    factor of its tensor module (`GradedModule.index`)."""
+    if v.module.arity == 1:
+        pos = v.module.index().pos
+        return tuple((pos[n], c) for n, c in v.coeffs.items())
     return tuple((_positions(v.module, n), c) for n, c in v.coeffs.items())
+
+
+def terms_degree(module: GradedModule, terms):
+    """The degree of the element of `module` with the (key, coefficient)
+    pairs `terms` of a map's row, read off the positions, or None for no
+    terms; ValueError at a key that is not a position of `module` (one per
+    factor of a tensor module) and for terms of more than one degree."""
+    degrees, found = [f.index().degree for f in module.factors], set()
+    for k, _ in terms:
+        ks = (k,) if len(degrees) == 1 else k
+        if not (type(ks) is tuple and len(ks) == len(degrees)
+                and all(type(x) is int and 0 <= x < len(d)
+                        for x, d in zip(ks, degrees))):
+            raise ValueError(f"{k!r} is not a basis key of {module!r}")
+        found.add(sum(d[x] for x, d in zip(ks, degrees)))
+    if len(found) > 1:
+        raise ValueError(f"inhomogeneous vector with degrees {sorted(found)}")
+    return found.pop() if found else None
 
 
 def row_vector(module: GradedModule, terms) -> Vector:
@@ -1011,9 +988,9 @@ def row_vector(module: GradedModule, terms) -> Vector:
 def slot_table(terms, module: GradedModule, functionals: GradedModule,
                last: bool = False) -> dict:
     """An element T of `module`, a tensor of arity >= 2 given by its terms
-    (positions, coefficient) as in `vector_terms`, contracted against every
-    dual basis functional x^ of `functionals` at once, by T's first slot or
-    by its last, in one pass over the terms:
+    in the form of a map's row (a tuple of positions and a coefficient),
+    contracted against every dual basis functional x^ of `functionals` at
+    once, by T's first slot or by its last, in one pass over the terms:
     {position of x^: {positions of the other slots: coefficient}}, without
     the functionals whose contraction vanishes.  The other slots' positions
     are one position when one slot is left, else a tuple.

@@ -19,8 +19,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .graded import (Outcome, _first_difference, basis_keys, format_vector,
-                     row_vector, tensor)
+from .graded import (Outcome, _first_difference, _signed_row, basis_keys,
+                     format_vector, row_vector, tensor)
 from .complexes import (
     ChainComplex,
     ComplexBundle,
@@ -146,17 +146,19 @@ def _reverse_coproduct(t):
     inst, name = t.data, t.scn.name
     other, sign = OPPOSITE[name]
     target = fx.make_fixture(other, t.scn.window, t.scn.ring)
-    c = fx.reverse_data_bivector(inst)
-    if sign < 0:
-        c = -c
-    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, -c).row
-    direct = target.lam.row
     A, B = inst.module, target.module
+    c = fx.reverse_data_bivector(inst)
+    minus_c = _signed_row(c, True, A.ring.neg)
+    if sign < 0:
+        c, minus_c = minus_c, c
+    rebuilt = secondary_relation_apply(inst.mu, inst.lam, c, minus_c).row
+    direct = target.lam.row
     count, x, got, want = _first_difference(inst.safe, lambda x: (
         dict(rebuilt(x)), dict(direct(x))))
     if x is None:
         return Outcome("pass", f"{other} reconstructed from {name} with c = "
-                       f"{format_vector(c)} on {count} inputs", count)
+                       f"{format_vector(row_vector(tensor(A, A), c))} on "
+                       f"{count} inputs", count)
     return Outcome("fail", (
         f"mismatch at {A.index().names[x]}: rebuilt "
         f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "

@@ -37,7 +37,7 @@ from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
-    Vector,
+    row_vector,
     tensor,
     TENSOR_SEP,
 )
@@ -74,7 +74,7 @@ class Scenario:
     checks: tuple
     window: object             # a shipped fixture's TruncationWindow, or None
     raw: dict = field(repr=False, default=None)
-    reverse_bivector: object = None   # optional claimed value of lam(eta)
+    reverse_bivector: tuple = None   # optional claimed lam(eta), as a row
 
 
 def _expect(cond, path, message):
@@ -284,21 +284,17 @@ def _parse_rows(entries, ins, target, degree, path, combo=False) -> dict:
     return rows
 
 
-def _parse_combo(raw, module, path, arity=1, degree=None) -> Vector:
-    """[[coeff, name-or-names], ...] into a vector of module (tensor power),
-    whose nonzero terms must all have `degree` when it is given: the one
-    row of a table with no inputs.  At most MAX_ENTRIES terms are read; a
-    value that is not a list is refused by `_parse_rows`."""
+def _parse_combo(raw, module, path, arity=1, degree=None) -> tuple:
+    """[[coeff, name-or-names], ...] into the row of an element of module
+    (tensor power), whose nonzero terms must all have `degree` when it is
+    given: the one row of a table with no inputs.  At most MAX_ENTRIES
+    terms are read; a value that is not a list is refused by `_parse_rows`."""
     if isinstance(raw, list):
         _cap(raw, MAX_ENTRIES, path, "terms")
     target = tensor(*([module] * arity))
     (row,) = _parse_rows([{"in": [], "out": raw}], (), target, degree, path,
                          combo=True).values()
-    names = module.index().names
-    if arity == 1:
-        return Vector._trusted(module, {names[k]: c for k, c in row})
-    return Vector._trusted(target, {TENSOR_SEP.join(names[x] for x in k): c
-                                    for k, c in row})
+    return row
 
 
 def _parse_operation(obj, source, target, path) -> GradedMap:
@@ -416,13 +412,12 @@ def _ingest_operations(data, kind, module, safe, name):
         return inst, reverse_bivector
 
     n = _get(data, "n", "$", typ=int)
-    A3 = tensor(module, module, module)
     c0 = (_parse_combo(data["c0"], module, "$.c0", arity=2, degree=-2 * n)
-          if "c0" in data else A2.zero())
+          if "c0" in data else ())
     Q0 = (_parse_combo(data["Q0"], module, "$.Q0", arity=2, degree=1 - 2 * n)
-          if "Q0" in data else A2.zero())
+          if "Q0" in data else ())
     B = (_parse_combo(data["B"], module, "$.B", arity=3, degree=2 - 4 * n)
-         if "B" in data else A3.zero())
+         if "B" in data else ())
     try:
         return ConeProductData(
             ChainComplex(module, differential), mu, lam, c0, Q0, B, n,
@@ -490,10 +485,12 @@ def load(path: str) -> Scenario:
 # Export (fixtures and instances back to scenario JSON)
 # ---------------------------------------------------------------------------
 
-def _combo_to_json(v: Vector):
-    fmt, split = v.module.ring.format, v.module.arity > 1
+def _combo_to_json(module: GradedModule, terms):
+    """The row `terms` of an element of `module` as `_parse_combo` reads it
+    back, its terms sorted by name (the joined name in a tensor power)."""
+    fmt, split = module.ring.format, module.arity > 1
     return [[fmt(c), name.split(TENSOR_SEP) if split else name]
-            for name, c in sorted(v.coeffs.items())]
+            for name, c in sorted(row_vector(module, terms).coeffs.items())]
 
 
 def _operation_to_json(m: GradedMap):
@@ -538,7 +535,7 @@ def export_bialgebra(inst: BialgebraData, ring_name: str = None) -> dict:
            "module": _module_to_json(module),
            "mu": _operation_to_json(inst.mu),
            "lambda": _operation_to_json(inst.lam),
-           "eta": _combo_to_json(inst.eta)}
+           "eta": _combo_to_json(module, inst.eta)}
     if inst.safe_names != module.basis_names():
         doc["safe"] = list(inst.safe_names)
     if inst.differential is not None:

@@ -13,7 +13,9 @@ differential as a cone with d = 0, the per-input tables, gathers,
 count and witness of the associativity-type checks' shared quantifier,
 the lattice test of `induces_zero`, the torsion of `ImageSolver`, the one
 solver per block of a complex, the graded rotation of the cone package's
-cubic vector and the comparison of the lam(eta) gate.
+cubic vector, the comparison of the lam(eta) gate, the one check of a
+combination's keys and homogeneity, the loop fixtures' unit and the order
+of an exported combination.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -127,6 +129,10 @@ CUBIC = ("tests/test_cone_product.py::"
          "test_the_closed_form_covers_the_cubic_vector")
 SECONDARY = ("tests/test_row_checks.py::"
              "test_secondary_relation_matches_the_composites")
+TERMS_DEGREE = ("tests/test_graded.py::"
+                "test_terms_degree_reads_each_key_off_its_positions")
+COMBINATIONS = ("tests/test_cone_product.py::"
+                "test_each_combination_is_checked_on_its_positions")
 
 # (file, snippet, replacement, killing test)
 MUTANTS = [
@@ -371,7 +377,7 @@ MUTANTS = [
     # the closed form's cubic component: its sign, and B's terms dropped
     ("cone_product.py", "neg(c) if odd[b1] and not odd[b2] else c)",
      "c if odd[b1] and not odd[b2] else neg(c))", CUBIC),
-    ("cone_product.py", "for (b1, b2, b3), c in vector_terms(data.B):",
+    ("cone_product.py", "for (b1, b2, b3), c in data.B:",
      "for (b1, b2, b3), c in ():", CUBIC),
     # SideIds' negation, and the -1 branch of the row expansion not
     # negating, seen by assoc-infinitesimal's rhs and by associativity's
@@ -550,6 +556,19 @@ MUTANTS = [
      CYCLIC),
     ("cone_product.py", "return {(z, x, y):", "return {(x, z, y):", CYCLIC),
     ("bialgebra.py", "if got == want:", "if got != want:", LAMBDA_ETA_GATE),
+    # the one check of a combination's terms without its homogeneity test,
+    # and reading a tensor key's degree off its first factor only; the loop
+    # fixtures' unit at the position of U instead of 1; and an exported
+    # combination left in the order of its row
+    ("graded.py", "    if len(found) > 1:\n", "    if False:\n", COMBINATIONS),
+    ("graded.py", "found.add(sum(d[x] for x, d in zip(ks, degrees)))",
+     "found.add(degrees[0][ks[0]])", TERMS_DEGREE),
+    ("fixtures.py", "eta = ((loops[1][0, 0], ring.one()),)",
+     "eta = ((loops[1][0, 1], ring.one()),)",
+     "tests/test_fixtures.py::test_loop_unit_is_the_row_of_one"),
+    ("scenario.py", "sorted(row_vector(module, terms).coeffs.items())",
+     "row_vector(module, terms).coeffs.items()",
+     "tests/test_export.py::test_export_sorts_a_combination_by_name"),
 ]
 
 

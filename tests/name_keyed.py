@@ -24,15 +24,17 @@ parts are shifted back by.  `identity` is the identity row map of a module
 and `structurally_equal` compares two bialgebras table by table.
 `dual_pair` is the dual-basis pairing by names, `positions` the positions
 of basis names, and `cone_window` a cone package's safe window on its
-cone, "+x" then "-x^" for each safe x, as positions.  `add`, `sub` and
-`scale` are the name-keyed Vector algebra that the references sum with
-(the library itself sums rows), and `basis_in_degree` lists a module's
-basis in one degree.
+cone, "+x" then "-x^" for each safe x, as positions.  `add`, `sub`,
+`scale`, `neg` and `tensor_values` are the name-keyed Vector algebra that
+the references sum with, `zero`, `is_zero` and `degree` read a Vector by
+names (the library itself sums rows and reads degrees off positions), and
+`basis_in_degree` lists a module's basis in one degree.
 """
 
 from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
                              Vector, _op_shift_signs, _signed_row,
-                             format_vector, shift, tensor)
+                             format_vector, row_vector, shift, tensor,
+                             vector_terms)
 from chainalg.scenario import _combo_to_json
 
 
@@ -52,7 +54,7 @@ def add(u: Vector, v: Vector) -> Vector:
 
 def sub(u: Vector, v: Vector) -> Vector:
     """u - v, by names."""
-    return add(u, -v)
+    return add(u, neg(v))
 
 
 def scale(v: Vector, c) -> Vector:
@@ -60,6 +62,38 @@ def scale(v: Vector, c) -> Vector:
     R = v.module.ring
     c = R.canon(c)
     return Vector(v.module, {n: R.mul(c, x) for n, x in v.coeffs.items()})
+
+
+def neg(v: Vector) -> Vector:
+    """-v, by names."""
+    return scale(v, -1)
+
+
+def tensor_values(u: Vector, v: Vector) -> Vector:
+    """The bilinear tensor u (x) v of values, by names; no signs (signs
+    belong to maps)."""
+    R, out = u.module.ring, {}
+    for n1, c1 in u.coeffs.items():
+        for n2, c2 in v.coeffs.items():
+            out[n1 + TENSOR_SEP + n2] = R.mul(c1, c2)
+    return Vector(tensor(u.module, v.module), out)
+
+
+def zero(module: GradedModule) -> Vector:
+    """The zero Vector of `module`."""
+    return Vector(module, {})
+
+
+def is_zero(v: Vector) -> bool:
+    return not v.coeffs
+
+
+def degree(v: Vector):
+    """v's degree read by names: None for 0, ValueError if mixed."""
+    degs = {v.module.degree_of(n) for n in v.coeffs}
+    if len(degs) > 1:
+        raise ValueError(f"inhomogeneous vector with degrees {sorted(degs)}")
+    return degs.pop() if degs else None
 
 
 def basis_in_degree(module: GradedModule, k) -> tuple:
@@ -114,7 +148,7 @@ class NameMap:
         return v
 
     def __call__(self, x: Vector) -> Vector:
-        out = self.target.zero()
+        out = zero(self.target)
         for name, c in x.coeffs.items():
             out = add(out, scale(self.eval_basis(name), c))
         return out
@@ -165,7 +199,7 @@ def identity(module, name: str = "id") -> GradedMap:
 
 
 def is_zero_map(f) -> bool:
-    return all(f.eval_basis(n).is_zero() for n in f.source.basis_names())
+    return all(is_zero(f.eval_basis(n)) for n in f.source.basis_names())
 
 
 def scaled(f, c) -> NameMap:
@@ -176,7 +210,8 @@ def scaled(f, c) -> NameMap:
 
 def negated(f) -> NameMap:
     """-f."""
-    return NameMap(f.source, f.target, f.degree, lambda n: -f.eval_basis(n))
+    return NameMap(f.source, f.target, f.degree,
+                   lambda n: neg(f.eval_basis(n)))
 
 
 def tensor_map(f, g) -> NameMap:
@@ -224,17 +259,17 @@ def twist(M: GradedModule, N: GradedModule) -> NameMap:
 
 def insert_left(v: Vector, M: GradedModule) -> NameMap:
     """x -> v (x) x (no sign: nothing moves past anything)."""
-    return NameMap(M, tensor(v.module, M), v.degree(),
-                   lambda n: v.tensor(M.el(n)), name="insL")
+    return NameMap(M, tensor(v.module, M), degree(v),
+                   lambda n: tensor_values(v, M.el(n)), name="insL")
 
 
 def insert_right(v: Vector, M: GradedModule) -> NameMap:
     """x -> (-1)^{|v| |x|} x (x) v (v moves past x)."""
     def fn(n):
-        out = M.el(n).tensor(v)
-        return -out if v.degree() % 2 and M.degree_of(n) % 2 else out
+        out = tensor_values(M.el(n), v)
+        return neg(out) if degree(v) % 2 and M.degree_of(n) % 2 else out
 
-    return NameMap(M, tensor(M, v.module), v.degree(), fn, name="insR")
+    return NameMap(M, tensor(M, v.module), degree(v), fn, name="insR")
 
 
 def quantify_reference(inputs, sides):
@@ -273,8 +308,9 @@ def operation_to_json(m):
     The reference of `chainalg.scenario._operation_to_json`."""
     values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
     return {"degree": m.degree, "entries": [
-        {"in": list(m.source.parts_of(n)), "out": _combo_to_json(v)}
-        for n, v in values if not v.is_zero()]}
+        {"in": list(m.source.parts_of(n)),
+         "out": _combo_to_json(v.module, vector_terms(v))}
+        for n, v in values if not is_zero(v)]}
 
 
 def structurally_equal(a, b) -> bool:
@@ -349,7 +385,9 @@ def secondary_operations(data) -> dict:
     first, <a, f> = (-1)^{|a||f|} <f, a>; a tensor of functionals meets a
     tensor of elements slot by slot, with the Koszul sign of the elements
     it moves past."""
-    A, M, mu, Q0, B = data.A, data.M, data.mu, data.Q0, data.B
+    A, M, mu = data.A, data.M, data.mu
+    Q0 = row_vector(tensor(A, A), data.Q0)
+    B = row_vector(tensor(A, A, A), data.B)
     R, deg, deg_M = A.ring, A.degree_of, M.degree_of
     AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
 
@@ -422,7 +460,7 @@ def secondary_operations(data) -> dict:
 
     def tau_R(nm):   # <lam_fwd(b), 1 (x) f> = sum w1 <w2, f>, element first
         b, f = AM.parts_of(nm)
-        out = A.zero()
+        out = zero(A)
         for w1, w2, c in coproduct(b, True, False):
             s = sign(deg(w2) * deg_M(f))
             out = add(out, A.el(w1, R.mul(R.mul(c, s), pair_with(f, w2))))
@@ -430,14 +468,14 @@ def secondary_operations(data) -> dict:
 
     def tau_L(nm):   # (-1)^{|f|+1} <f (x) 1, lam_rev_left(a)>
         f, a = MA.parts_of(nm)
-        out = A.zero()
+        out = zero(A)
         for w1, w2, c in coproduct(a, False, True):
             out = add(out, A.el(w2, R.mul(c, pair_with(f, w1))))
         return scale(out, sign(deg_M(f) + 1))
 
     def beta(nm):   # <f (x) g (x) 1, B>: g moves past B1
         f, g = MM.parts_of(nm)
-        out = A.zero()
+        out = zero(A)
         for term, c in B.coeffs.items():
             b1, b2, b3 = B.module.parts_of(term)
             s = R.mul(sign(deg_M(g) * deg(b1)),

@@ -13,7 +13,6 @@ from chainalg.graded import (
     Vector,
     _sum_rows,
     _twisted,
-    row_vector,
     tensor,
     vector_terms,
 )
@@ -48,8 +47,8 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
     Always contains the degree-0 generator "e", used as the unit candidate.
     kind "bialgebra" returns BialgebraData; kind "cone" returns
     ConeProductData over the same module (operation degrees forced to the
-    cone conventions for the given n, bivectors random but satisfying the
-    construction invariants for d = 0).
+    cone conventions for the given n, bivectors random rows but satisfying
+    the construction invariants for d = 0).
     """
     if size > 64:
         raise ValueError("random instances are capped at 64 generators")
@@ -93,14 +92,13 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
     mu = GradedMap.from_table(A2, module, mu_degree, mu_table, name="mu")
     lam = GradedMap.from_table(module, A2, lam_degree, lam_table, name="lam")
     if kind == "bialgebra":
-        return BialgebraData(module, mu, lam, module.el("e"),
+        return BialgebraData(module, mu, lam, vector_terms(module.el("e")),
                              name=f"random-{seed}")
 
     w = vector_terms(random_tensor_value(-2 * n, density=0.4))
     # c0 = w + tau w, so tau c0 = c0 and d Q0 = 0 suffices
-    c0 = row_vector(A2, _sum_rows(ring, w, _twisted(
-        w, module.index().odd, ring.neg).items()))
-    Q0 = random_tensor_value(1 - 2 * n, density=0.4)
+    c0 = _sum_rows(ring, w, _twisted(w, module.index().odd, ring.neg).items())
+    Q0 = vector_terms(random_tensor_value(1 - 2 * n, density=0.4))
     A3 = tensor(module, module, module)
     t = {}
     for e1 in module.basis():
@@ -112,6 +110,6 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
                     if c:
                         key = TENSOR_SEP.join((e1.name, e2.name, e3.name))
                         t[key] = c
-    B = cyclic_symmetrize(Vector(A3, t))
+    B = vector_terms(cyclic_symmetrize(Vector(A3, t)))
     return ConeProductData(ChainComplex(module), mu, lam, c0, Q0, B, n,
                            name=f"random-cone-{seed}")

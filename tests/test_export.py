@@ -16,6 +16,7 @@ import name_keyed
 from chainalg import scenario as sc
 from chainalg.fixtures import (TruncationWindow, fixture_names, make_fixture,
                                mutate_lambda, mutate_mu, mutation_targets)
+from chainalg.graded import tensor
 from chainalg.rings import GF, QQ, ZZ
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -84,6 +85,22 @@ def test_complex_scenario_export_matches_the_name_keyed_reference(
                                                  scn.checks), monkeypatch)
     assert got == want
     assert json.loads(got)["differential"]["entries"]
+
+
+def test_export_sorts_a_combination_by_name():
+    # a combination is held as a row in the order it was read, and written
+    # in name order (by the joined name in a tensor power)
+    doc = {"schema_version": 1, "kind": "bialgebra", "ring": "Z",
+           "module": {"basis": [{"name": n, "degree": 0} for n in "ab"]},
+           "mu": {"degree": 0, "entries": []},
+           "lambda": {"degree": 0, "entries": []},
+           "eta": [["2", "b"], ["-1", "a"]], "safe": ["a"]}
+    inst = sc.ingest(json.dumps(doc)).payload
+    assert inst.eta == ((1, 2), (0, -1))
+    assert sc.export_bialgebra(inst, "Z")["eta"] == [["-1", "a"], ["2", "b"]]
+    A2 = tensor(inst.module, inst.module)
+    assert sc._combo_to_json(A2, (((1, 0), 3), ((0, 1), 4))) == [
+        ["4", ["a", "b"]], ["3", ["b", "a"]]]
 
 
 def test_export_sorts_tensor_inputs_and_terms_by_joined_name():

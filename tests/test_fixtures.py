@@ -18,6 +18,7 @@ from chainalg.fixtures import (
 )
 from chainalg import scenario as sc
 from random_instances import make_random_instance
+from name_keyed import degree, is_zero, zero
 
 W = TruncationWindow(12)
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -54,12 +55,12 @@ def test_a_window_at_the_basis_cap_builds_and_one_more_is_refused(name, N):
 def test_sphere_product_and_coproduct_values():
     inst = make_fixture("lambda-s3", W)
     # A*A = 0
-    assert inst.mu.eval_basis(f"A{TENSOR_SEP}A").is_zero()
+    assert is_zero(inst.mu.eval_basis(f"A{TENSOR_SEP}A"))
     # lam(U^2) = A(x)U + A*U(x)1 - 1(x)A*U - U(x)A
     assert inst.lam.eval_basis("U^2") == T(
         inst, (1, "A", "U"), (1, "A*U", "1"), (-1, "1", "A*U"), (-1, "U", "A"))
     # lam(1) = 0 (empty sum)
-    assert inst.lam.eval_basis("1").is_zero()
+    assert is_zero(inst.lam.eval_basis("1"))
     # degrees: |U| = n-1, |A| = -n
     assert inst.module.degree_of("U") == 2
     assert inst.module.degree_of("A") == -3
@@ -75,8 +76,8 @@ def test_circle_coproduct_branch_values():
     assert minus.lam.eval_basis("1") == T(minus, (-1, "A", "1"),
                                           (1, "1", "A"))
     # empty-sum branches
-    assert plus.lam.eval_basis("A*U^-1").is_zero()
-    assert minus.lam.eval_basis("U").is_zero()
+    assert is_zero(plus.lam.eval_basis("A*U^-1"))
+    assert is_zero(minus.lam.eval_basis("U"))
     # a negative-branch value: lam_plus(U^-2) = -sum_{i=-1}^{-1}(...)
     assert plus.lam.eval_basis("U^-2") == T(plus, (-1, "A*U^-1", "U^-1"),
                                             (1, "U^-1", "A*U^-1"))
@@ -91,7 +92,7 @@ def test_based_loop_values():
     plus = make_fixture("omega-s1-plus", W)
     assert plus.lam.eval_basis("1") == T(plus, (1, "1", "1"))
     minus = make_fixture("omega-s1-minus", W)
-    assert minus.lam.eval_basis("U").is_zero()
+    assert is_zero(minus.lam.eval_basis("U"))
     assert minus.lam.eval_basis("1") == T(minus, (-1, "1", "1"))
 
 
@@ -136,7 +137,7 @@ def test_loop_mu_rows_match_the_name_formula(name, ring):
             want = () if p is None else ((p, ring.one()),)
             assert inst.mu.row(px, py) == want, (x, y)
             assert inst.mu.eval_basis(f"{x}{TENSOR_SEP}{y}") == (
-                inst.module.zero() if p is None else inst.module.el(names[p]))
+                zero(inst.module) if p is None else inst.module.el(names[p]))
 
     strict = make_fixture(name, TruncationWindow(8), ring, on_overflow="raise")
     top = "A*U^8" if "A*U^8" in names else "U^8"
@@ -144,6 +145,14 @@ def test_loop_mu_rows_match_the_name_formula(name, ring):
         strict.mu.eval_basis(f"U^8{TENSOR_SEP}{top}")
     with pytest.raises(TruncationOverflow):  # not cached as a zero row
         strict.mu.eval_basis(f"U^8{TENSOR_SEP}{top}")
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=repr)
+@pytest.mark.parametrize("name", ["lambda-s3", "lambda-s1-plus", "omega-s3",
+                                  "omega-s1-minus"])
+def test_loop_unit_is_the_row_of_one(name, ring):
+    inst = make_fixture(name, TruncationWindow(8), ring)
+    assert inst.eta == ((inst.module.index().pos["1"], ring.one()),)
 
 
 def test_safe_names_are_within_radius():
@@ -226,10 +235,10 @@ def test_degree_bookkeeping_on_fixture_operations(name):
     A2 = tensor(inst.module, inst.module)
     for a in inst.safe_names:
         v = inst.lam.eval_basis(a)
-        if not v.is_zero():
-            assert v.degree() == inst.module.degree_of(a) + inst.lam.degree
+        if not is_zero(v):
+            assert degree(v) == inst.module.degree_of(a) + inst.lam.degree
         for b in inst.safe_names:
             key = f"{a}{TENSOR_SEP}{b}"
             w = inst.mu.eval_basis(key)
-            if not w.is_zero():
-                assert w.degree() == A2.degree_of(key) + inst.mu.degree
+            if not is_zero(w):
+                assert degree(w) == A2.degree_of(key) + inst.mu.degree

@@ -55,18 +55,23 @@ from name_keyed import (
     add,
     apply_op_shift,
     basis_in_degree,
+    degree,
     dual_pair,
     identity,
+    is_zero,
     named,
+    neg,
     positions,
     quantify_reference,
     scale,
     scaled,
     sub,
     tensor_map,
+    tensor_values,
     twist,
     unapply_op_shift,
     verdict,
+    zero,
 )
 
 RINGS = [ZZ, QQ, GF(5)]
@@ -148,14 +153,15 @@ def test_vector_arithmetic_revalidates(ring, data):
     u, v = draw_vector(data, M), draw_vector(data, M)
     w = draw_vector(data, N)
     c = data.draw(coefficients(ring))
-    for out in (add(u, v), sub(u, v), -u, scale(u, c), u.tensor(w),
-                w.tensor(u), u.tensor(w).tensor(u)):
+    for out in (add(u, v), sub(u, v), neg(u), scale(u, c),
+                tensor_values(u, w), tensor_values(w, u),
+                tensor_values(tensor_values(u, w), u)):
         assert_revalidates(out)
-    assert sub(u, u).is_zero()
-    assert add(u, -u).is_zero()
+    assert is_zero(sub(u, u))
+    assert is_zero(add(u, neg(u)))
     assert add(sub(u, v), v) == u
-    assert sub(u, v) == add(u, -v)
-    assert scale(u, 0).is_zero()
+    assert sub(u, v) == add(u, neg(v))
+    assert is_zero(scale(u, 0))
 
 
 @ring_param
@@ -172,7 +178,7 @@ def test_map_results_revalidate(ring, data):
     d2 = tensor_differential(draw_map(data, M, M))
     for e in d2.source.basis():
         assert_revalidates(d2.eval_basis(e.name))
-    assert_revalidates(named(d2)(u.tensor(draw_vector(data, M))))
+    assert_revalidates(named(d2)(tensor_values(u, draw_vector(data, M))))
     k = data.draw(st.integers(-2, 2))
     for e in M.basis():
         assert_revalidates(shift_map(f, k).eval_basis(e.name))
@@ -340,7 +346,7 @@ def test_associativity_kernel_drops_cancelled_terms(monkeypatch):
     table["x0⊗x2"] = A.el("x0")
     mu = GradedMap.from_table(A2, A, 0, table)
     got = associativity_witness(mu, x0)
-    assert got == (1, ("x0",) * 3, A.zero(), A.el("x0"))
+    assert got == (1, ("x0",) * 3, zero(A), A.el("x0"))
     assert got == composite_reference(mu, ["x0"])
     assert got[2].coeffs == {}
     # with the tables filled, a passing check that cancels builds no Vector:
@@ -394,7 +400,7 @@ def contract_reference(T, f, last):
     slot = mod.factors[-1] if last else mod.factors[0]
     rest = (tensor(*mod.factors[:-1]) if last else tensor(*mod.factors[1:]))
     R = mod.ring
-    df = f.degree()
+    df = degree(f)
     out = {}
     for name, c in T.coeffs.items():
         parts = mod.parts_of(name)
@@ -434,7 +440,7 @@ def insert_middle(v: Vector, M: GradedModule, N: GradedModule) -> NameMap:
     """x (x) y -> (-1)^{|v| |x|} x (x) v (x) y  (1 (x) v (x) 1)."""
     source = tensor(M, N)
     target = tensor(M, v.module, N)
-    dv = v.degree()
+    dv = degree(v)
     split = M.arity
 
     def fn(name):
@@ -442,8 +448,8 @@ def insert_middle(v: Vector, M: GradedModule, N: GradedModule) -> NameMap:
         left = TENSOR_SEP.join(parts[:split])
         right = TENSOR_SEP.join(parts[split:])
         sign = -1 if (dv % 2) and (M.degree_of(left) % 2) else 1
-        out = M.el(left).tensor(v).tensor(N.el(right))
-        return out if sign == 1 else -out
+        out = tensor_values(tensor_values(M.el(left), v), N.el(right))
+        return out if sign == 1 else neg(out)
 
     return NameMap(source, target, dv, fn, name="insM")
 
@@ -456,7 +462,7 @@ def quadratic_sides(inst):
     one = identity(A)
     tau = twist(A, A)
     dl, dm = lam.degree, mu.degree
-    lam_eta = inst.lambda_eta()
+    lam_eta = named(lam)(row_vector(A, inst.eta))
 
     t1 = tensor_map(lam, one).then(tensor_map(one, mu))
     t2 = tensor_map(one, lam).then(tensor_map(mu, one))
@@ -470,7 +476,7 @@ def quadratic_sides(inst):
             tensor_map(lam, one).then(tensor_map(one, mu_tau)).then(tau)),
            (-sign((dl + 1) * (dm + 1)),
             tensor_map(one, tau_lam).then(tensor_map(mu, one)).then(tau))]
-    if not lam_eta.is_zero():
+    if not is_zero(lam_eta):
         mid = insert_middle(lam_eta, A, A)
         uir_rhs.append((-sign(dm), mid.then(tensor_map(mu, mu))))
         lhs.append((-sign(dl + dm), mid.then(tensor_map(mu_tau, mu))))
@@ -478,7 +484,7 @@ def quadratic_sides(inst):
 
     def side(terms):
         def fn(n):
-            out = tensor(A, A).zero()
+            out = zero(tensor(A, A))
             for sgn, op in terms:
                 out = add(out, scale(op.eval_basis(n), sgn))
             return out
@@ -497,14 +503,15 @@ def test_quadratic_axioms_match_the_composites(ring, data):
     mu = draw_product(data, A)
     lam = draw_product(data, A, source=A, target=tensor(A, A))
     units = [n for n in A.basis_names() if A.degree_of(n) == 0]
-    eta = Vector(A, {n: data.draw(coefficients(ring)) for n in units})
+    eta = vector_terms(Vector(A, {n: data.draw(coefficients(ring))
+                                  for n in units}))
     inst = BialgebraData(A, mu, lam, eta)
     order = data.draw(st.permutations(A.basis_names()))
     names = order[:data.draw(st.integers(1, len(order)))]
     pairs = [f"{a}{TENSOR_SEP}{b}" for a in names for b in names]
     got = dict(zip(AXIOM_ORDER, check_axioms(BialgebraData(
         A, mu, lam, eta, safe_names=names)).results))
-    kernel = PairKernel(mu, lam, vector_terms(inst.lambda_eta()))
+    kernel = PairKernel(mu, lam, inst.lambda_eta_terms().items())
     pos = A.index().pos
     for axiom, (lhs, rhs) in quadratic_sides(inst).items():
         want = quantify_reference(pairs, lambda n: (lhs(n), rhs(n)))
@@ -532,8 +539,9 @@ def assoc_infinitesimal_reference(data, comps):
     t1 = tensor_map(lam, one).then(tensor_map(one, mu))
     t2 = tensor_map(one, lam).then(tensor_map(mu, one))
     mid = None
-    if not data.Q0.is_zero():
-        mid = insert_middle(-data.Q0, A, A).then(tensor_map(mu, mu))
+    if data.Q0:
+        minus_Q0 = neg(row_vector(tensor(A, A), data.Q0))
+        mid = insert_middle(minus_Q0, A, A).then(tensor_map(mu, mu))
     for a in data.safe_names:
         for b in data.safe_names:
             ab = f"{a}{TENSOR_SEP}{b}"
@@ -546,11 +554,12 @@ def assoc_infinitesimal_reference(data, comps):
                 fb = f"{f}^"
                 bf = f"{b}{TENSOR_SEP}{fb}"
                 total = sub(add(
-                    named(mu)(A.el(a).tensor(comps["pm_p"].eval_basis(bf))),
-                    named(comps["pm_p"])(A.el(a).tensor(
-                        comps["pm_m"].eval_basis(bf)))),
-                    named(comps["pm_p"])(mu.eval_basis(ab).tensor(
-                        Mbar.el(fb))))
+                    named(mu)(tensor_values(A.el(a),
+                                            comps["pm_p"].eval_basis(bf))),
+                    named(comps["pm_p"])(tensor_values(
+                        A.el(a), comps["pm_m"].eval_basis(bf)))),
+                    named(comps["pm_p"])(tensor_values(mu.eval_basis(ab),
+                                                       Mbar.el(fb))))
                 expected = scale(contract_reference(defect, M.el(fb), True), s)
                 if total != expected:
                     return False, (f"fails at a={a}, b={b}, f={fb}: "
@@ -572,8 +581,8 @@ def test_assoc_infinitesimal_matches_the_composites(ring, data):
                      for e in basis_in_degree(A2, 1 - 2 * n)})
     order = data.draw(st.permutations(A.basis_names()))
     safe = order[:data.draw(st.integers(1, len(order)))]
-    cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
-                           tensor(A, A, A).zero(), n, safe_names=safe)
+    cone = ConeProductData(ChainComplex(A), mu, lam, (), vector_terms(Q0),
+                           (), n, safe_names=safe)
     # a passing associativity verdict stands in for the precondition, which
     # the check reads from the package: the identity is compared whether
     # or not the drawn cone product is associative
@@ -598,7 +607,7 @@ def test_tensor_is_interned_per_factor_objects():
     assert tensor(M, N).factors == (M, N)
     assert tensor(M, M).factors == (M, M)
     assert tensor(M, N, M).factors == (M, N, M)
-    assert M.el("x0").tensor(N.el("y1")).module is tensor(M, N)
+    assert tensor_values(M.el("x0"), N.el("y1")).module is tensor(M, N)
     M_copy = small()
     assert M_copy is not M and M_copy == M
     assert tensor(M_copy, N) == tensor(M, N)
@@ -661,5 +670,5 @@ def test_public_constructors_still_check_names():
     with pytest.raises(KeyError):
         GradedMap.from_table(M, M, 0, {"nope": M.el("x0")})
     # a zero coefficient drops the key before its name is looked at
-    assert Vector(M, {"nope": 0}).is_zero()
+    assert is_zero(Vector(M, {"nope": 0}))
 

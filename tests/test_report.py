@@ -10,7 +10,8 @@ from chainalg.bialgebra import BialgebraData
 from chainalg.fixtures import (TruncationWindow, fixture_names,
                                flip_structure_constant, make_fixture,
                                mutate_lambda, mutate_mu, reverse_data_bivector)
-from chainalg.graded import TENSOR_SEP, GradedMap
+from chainalg.graded import TENSOR_SEP, GradedMap, row_vector
+from name_keyed import named, neg
 
 CONE_CHECKS = ("components", "associativity", "assoc-infinitesimal")
 
@@ -56,8 +57,9 @@ def test_assoc_infinitesimal_alone_reports_failed_precondition():
     assert doubled == 1
     doc["kind"] = "cone"
     doc["n"] = 1
+    minus_lam_eta = neg(named(inst.lam)(row_vector(inst.module, inst.eta)))
     doc["Q0"] = [[str(c), name.split(TENSOR_SEP)]
-                 for name, c in (-inst.lambda_eta()).coeffs.items()]
+                 for name, c in minus_lam_eta.coeffs.items()]
     doc["checks"] = ["assoc-infinitesimal"]
     scn = sc.ingest(json.dumps(doc))
     records = rp.records(scn, scn.checks, "", False)

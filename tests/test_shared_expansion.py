@@ -53,7 +53,7 @@ from chainalg.graded import (
     TENSOR_SEP,
 )
 from chainalg.rings import GF, QQ, ZZ
-from name_keyed import basis_in_degree, cone_window, positions
+from name_keyed import basis_in_degree, cone_window, is_zero, positions
 from random_instances import make_random_instance
 from replay import Replay
 
@@ -139,7 +139,7 @@ def assoc_infinitesimal_loop(data, comps):
     pm_p = comps["pm_p"].row
     pm_m = comps["pm_m"].row
     kernel = PairKernel(data.mu, data.lam,
-                        ((k, neg(c)) for k, c in vector_terms(data.Q0)))
+                        ((k, neg(c)) for k, c in data.Q0))
     f_pos = comps["pm_p"].source.factors[1].index().pos
 
     safe = [(n, idx.pos[n]) for n in data.safe_names]
@@ -371,8 +371,8 @@ def test_assoc_infinitesimal_kernel_matches_the_loop(ring, data):
                      for e in basis_in_degree(A2, 1 - 2 * n)})
     order = data.draw(st.permutations(A.basis_names()))
     safe = order[:data.draw(st.integers(1, len(order)))]
-    cone = ConeProductData(ChainComplex(A), mu, lam, A2.zero(), Q0,
-                           tensor(A, A, A).zero(), n, safe_names=safe)
+    cone = ConeProductData(ChainComplex(A), mu, lam, (), vector_terms(Q0),
+                           (), n, safe_names=safe)
     comps = closed_form_components(cone)
     assert assoc_infinitesimal(cone, comps) == \
         assoc_infinitesimal_loop(cone, comps)
@@ -511,8 +511,8 @@ def cone_case(ring, degrees, n, mu, lam, Q0, safe):
             TENSOR_SEP.join(x): vector(target, v) for x, v in values.items()})
 
     return ConeProductData(ChainComplex(A), operation(A2, A, 0, mu),
-                           operation(A, A2, 1 - 2 * n, lam), A2.zero(),
-                           vector(A2, Q0), tensor(A, A, A).zero(), n,
+                           operation(A, A2, 1 - 2 * n, lam), (),
+                           vector_terms(vector(A2, Q0)), (), n,
                            safe_names=safe)
 
 
@@ -572,13 +572,14 @@ def test_assoc_infinitesimal_fails_at_its_last_f(ring):
 
 def flipped_Q0(data, rng):
     """[data with one Q0 entry negated], or [] when Q0 = 0."""
-    Q0 = data.Q0
-    if Q0.is_zero():
+    Q0 = row_vector(tensor(data.A, data.A), data.Q0)
+    if is_zero(Q0):
         return []
     name = rng.choice(sorted(Q0.coeffs))
     Q0 = Vector(Q0.module, {**Q0.coeffs, name: -Q0.coeffs[name]})
-    return [ConeProductData(data.complex, data.mu, data.lam, data.c0, Q0,
-                            data.B, data.n, safe_names=data.safe_names)]
+    return [ConeProductData(data.complex, data.mu, data.lam, data.c0,
+                            vector_terms(Q0), data.B, data.n,
+                            safe_names=data.safe_names)]
 
 
 def flip_entry(op, inputs, rng):
