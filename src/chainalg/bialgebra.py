@@ -278,24 +278,27 @@ class PairKernel:
     composites lam mu (`_lam_mu`), left, right, middle and point, with a
     sign and, for left, right and middle, optionally the twist tau of its
     terms, tau(x (x) y) = (-1)^{|x||y|} y (x) x, written into the keys.
-    piece(acc, i, js) adds sign * its terms at (a, b), for every b of the
-    row, into one accumulator: the term at (k1, k2) of the b at place t of
-    js is keyed by the int (t * n + k1) * n + k2, n the rank of A.  Maps
-    are homogeneous, so the degrees of a row's inputs fix the degrees of
-    its outputs, and a piece decides its Koszul signs (of `tensor_map`, of
-    inserting v and of tau) once per row, for the rows of L(a) and the
-    products P(a (x) v1) * e, or once per b, for the rows of L(b), for each
-    parity of the other factor that a sign depends on; the per-b tables of
-    a row are a list aligned with js, built once per js.  It reads mu's
-    and lam's rows by one dict lookup (`GradedMap.rows`).  Pieces add and
-    multiply canonical ring values with Python's + and *, exact on ints and
-    Fractions; a sum is brought back to canonical form (`Ring.canon`:
-    a residue mod p, an int for an integral rational) when it is read, and
-    a row's nonzero test reads its sums mod p over GF(p).
+    The term at (k1, k2) of the b at place t of js is keyed by the int
+    (t * n + k1) * n + k2, n the rank of A.  piece(i, js) lists the row's
+    terms as weighted key blocks (w, offset, keys): the coefficient w at
+    offset + k for each k of keys, a column of ints kept per kernel and
+    split by the coefficient of the map it reads: for left and middle the
+    products of x with every b of js (`_product_columns`), for right lam
+    over js by its first factor, for lam mu L's packed rows.  Maps are
+    homogeneous, so the degrees of a row's inputs fix the degrees of its
+    outputs, and a piece decides its Koszul signs (of `tensor_map`, of
+    inserting v and of tau) once per term of L(a) or of v, for each parity
+    of b that a sign depends on, or once per table of L over js, for each
+    parity of a.  It reads mu's and lam's rows by one dict lookup
+    (`GradedMap.rows`).  A weight is a product of canonical ring values by
+    Python's * and unary -, exact on ints and Fractions.
 
     `identities` lists each identity's pieces, lhs and rhs; it is fixed
-    at construction.  `first_failure` adds the lhs pieces and the rhs
-    pieces negated into one accumulator per row; a row passes when no
+    at construction.  `first_failure` sums the blocks of the lhs pieces and
+    of the rhs pieces negated into one accumulator per row (`_row`); a sum
+    is brought back to canonical form (`Ring.canon`: a residue mod p, an
+    int for an integral rational) when it is read, and the row's nonzero
+    test reads its sums mod p over GF(p).  A row passes when no
     coefficient in it is nonzero, and otherwise its first b with a nonzero
     coefficient is the failing pair, whose two sides `sides` sums each on
     its own, for the witness.  `difference` is the same sum on the one-pair
@@ -319,6 +322,7 @@ class PairKernel:
         self.dv = terms_degree(self.A2, self.v) or 0
         self.identities = self._identities()
         self._pieces = {}        # (kind, sign, *arguments) -> piece
+        self._columns = {}       # (tm, tau) -> `_product_columns`
         self._differences = {}   # identity -> its lhs and negated rhs pieces
         self._failures = {}      # (identity, pairs) -> `first_failure`
         self._defects = {} if mu.degree % 2 == 0 else None
@@ -456,162 +460,197 @@ class PairKernel:
                                                                    *args)
         return piece
 
-    # -- pieces: piece(acc, i, js) adds sign * the composite on a row ---------
+    def _product_columns(self, tm, tau):
+        """js -> x -> (((b's parity, m), keys), ...): the terms of
+        P(x (x) b), P mu or (`tm`) mu tau read at mu's row (b, x), for the
+        b at each place t of js, the term z with coefficient m keyed
+        t * nn + z * (n under tau, else 1), grouped by m and, under tau or
+        `tm`, by the parity of b (else 0).  Kept per kernel for (tm, tau),
+        filled per js and x on first read."""
+        columns = self._columns.get((tm, tau))
+        if columns is not None:
+            return columns
+        odd, mu_rows, stride = self.idx.odd, self.mu.rows, self.mu.stride
+        nn, z_scale, by_b = self.nn, self.n if tau else 1, tau or tm
+        x_scale, b_scale = (1, stride) if tm else (stride, 1)
+
+        def column(places, x):
+            x *= x_scale
+            return _grouped([((b, m), base + z * z_scale)
+                             for base, j, b in places
+                             for z, m in mu_rows[x + j]])
+
+        by_js = {}
+
+        def columns(js):
+            found = by_js.get(js)
+            if found is None:
+                places = tuple((t * nn, j * b_scale, odd[j] if by_b else 0)
+                               for t, j in enumerate(js))
+                found = by_js[js] = _Rows(functools.partial(column, places),
+                                          1, False)
+            return found
+
+        self._columns[tm, tau] = columns
+        return columns
+
+    # -- pieces: piece(i, js) lists the blocks of sign * the composite -------
 
     def _lam_mu(self, sign, twist):
         """sign * L mu (a (x) b), L being lam, or tau lam if `twist`, with
-        L's rows read off lam's with their keys packed."""
+        L's rows read off lam's, their keys packed, grouped by sign * c."""
         mu_rows, stride, lam_rows = self.mu.rows, self.mu.stride, self.lam.rows
         n, nn, negate, odd = self.n, self.nn, sign < 0, self.idx.odd
-        packed = _Rows(lambda x: tuple(
-            (k2 * n + k1, -c if odd[k1] and odd[k2] else c) if twist
-            else (k1 * n + k2, c) for (k1, k2), c in lam_rows[x]), 1, False)
+        packed = _Rows(lambda x: _grouped([
+            (-c if (negate + twist * odd[k1] * odd[k2]) & 1 else c,
+             k2 * n + k1 if twist else k1 * n + k2)
+            for (k1, k2), c in lam_rows[x]]), 1, False)
 
-        def piece(acc, i, js):
-            key, get, base = i * stride, acc.get, 0
-            for j in js:
-                for x, m in mu_rows[key + j]:
-                    if negate:
-                        m = -m
-                    for k, c in packed[x]:
-                        k += base
-                        acc[k] = get(k, 0) + m * c
-                base += nn
+        def piece(i, js):
+            key = i * stride
+            return [(m * c, base, keys)
+                    for base, j in zip(range(0, len(js) * nn, nn), js)
+                    for x, m in mu_rows[key + j] for c, keys in packed[x]]
         return piece
 
     def _left(self, sign, tm, tl, tau=False):
         """sign * (1 (x) P)(L (x) 1)(a (x) b), or tau of it, P mu or (`tm`)
         mu tau, L lam or (`tl`) tau lam: (1 (x) P)(L (x) 1) = sum
-        (-1)^{|P||a1|} a1 (x) P(a2 (x) b).  Per row and parity of b: (a2's
-        part of P's row key, a1's part of the output key, signed c) over
-        L(a)."""
-        odd, p, n, nn = self.idx.odd, self.mu.degree % 2, self.n, self.nn
-        lam_rows, mu_rows, stride = self.lam.rows, self.mu.rows, self.mu.stride
-        a1_scale, z_scale = (1, n) if tau else (n, 1)
-        a2_scale, b_scale = (1, stride) if tm else (stride, 1)
+        (-1)^{|P||a1|} a1 (x) P(a2 (x) b).  Per term of L(a), kept per a:
+        c signed for each parity of b, a1's part of the output key, and
+        a2, whose column over js (`_product_columns`) holds P(a2 (x) b)."""
+        odd, p, n, lam_rows = (self.idx.odd, self.mu.degree % 2, self.n,
+                               self.lam.rows)
+        columns = self._product_columns(tm, tau)
+        a1_scale = 1 if tau else n
+        # flips[|a1|][|a2|][|b|]: tau(a1 (x) z) costs |a1||z|, |z| = |a2|
+        # + |b| + |P|; tau lam costs |a1||a2|, mu tau(a2 (x) b) |a2||b|
+        flips = [[[((sign < 0) + x1 * (p + tau * (x2 + b + p))
+                    + x2 * (tl * x1 + tm * b)) & 1 for b in (0, 1)]
+                  for x2 in (0, 1)] for x1 in (0, 1)]
 
-        def piece(acc, i, js):
-            hoisted = [[] for b in range(1 + (tau or tm))]   # b's parity
-            for b, terms in enumerate(hoisted):
-                for (a1, a2), c in lam_rows[i]:
-                    a1, a2 = (a2, a1) if tl else (a1, a2)
-                    # tau(a1 (x) z) costs |a1||z|, |z| = |a2| + |b| + |P|;
-                    # tau lam costs |a1||a2|, mu tau(a2 (x) b) |a2||b|
-                    if ((sign < 0) + odd[a1] * (p + tau * (odd[a2] + b + p))
-                            + odd[a2] * (tl * odd[a1] + tm * b)) & 1:
-                        c = -c
-                    terms.append((a2 * a2_scale, a1 * a1_scale, c))
-            hoisted *= 2 - (tau or tm)
-            get, base = acc.get, 0
-            for j in js:
-                jk = j * b_scale
-                for key, a1, c in hoisted[odd[j]]:
-                    a1 += base
-                    for z, m in mu_rows[key + jk]:
-                        k = a1 + z * z_scale
-                        acc[k] = get(k, 0) + c * m
-                base += nn
+        def hoisted(i):
+            for (a1, a2), c in lam_rows[i]:
+                a1, a2 = (a2, a1) if tl else (a1, a2)
+                even_b, odd_b = flips[odd[a1]][odd[a2]]
+                yield ((-c if even_b else c, -c if odd_b else c),
+                       a1 * a1_scale, a2)
+
+        terms = _Rows(hoisted, 1, False)
+
+        def piece(i, js):
+            column = columns(js)
+            return [(cs[b] * m, a1, keys) for cs, a1, a2 in terms[i]
+                    for (b, m), keys in column[a2]]
         return piece
 
     def _right(self, sign, tm, tl, tau=False):
         """sign * (P (x) 1)(1 (x) L)(a (x) b), or tau of it, P and L as in
         `_left`: (P (x) 1)(1 (x) L) = sum (-1)^{|L||a|} P(a (x) b1) (x) b2.
-        Per b and parity of a: (b1's part of P's row key, b2's part of the
-        output key, signed c) over L(b), in a list aligned with a row's js."""
+        Per js and parity of a, L over js by its first factor: (b1's part
+        of P's row key, ((signed c, b2's parts of the output keys at the
+        places of the b's), ...)), read against the terms z of
+        P(a (x) b1)."""
         odd, p, dl = self.idx.odd, self.mu.degree % 2, self.lam.degree
         lam_rows, mu_rows, stride = self.lam.rows, self.mu.rows, self.mu.stride
         n, nn = self.n, self.nn
         b2_scale, z_scale = (n, 1) if tau else (1, n)
         b1_scale, a_scale = (stride, 1) if tm else (1, stride)
 
-        def hoisted(j):   # the parity of a matters only to |L| odd, tau or tm
-            out = [[] for a in range(1 + (dl % 2 or tau or tm))]
-            for a, terms in enumerate(out):
-                for (b1, b2), c in lam_rows[j]:
-                    b1, b2 = (b2, b1) if tl else (b1, b2)
-                    # tau(z (x) b2) costs |z||b2|, |z| = |a| + |b1| + |P|;
-                    # tau lam costs |b1||b2|, mu tau(a (x) b1) |a||b1|
-                    if ((sign < 0) + dl * a + tau * odd[b2] * (a + odd[b1] + p)
-                            + odd[b1] * (tl * odd[b2] + tm * a)) & 1:
-                        c = -c
-                    terms.append((b1 * b1_scale, b2 * b2_scale, c))
-            return out * (3 - len(out))
+        by_a = dl % 2 or tau or tm   # whether the parity of a matters
 
-        tables = _Rows(lambda js: tuple(zip(*map(hoisted, js))), 1, False)
+        def by_b1(js, a):
+            # flips[|b1|][|b2|]: tau(z (x) b2) costs |z||b2|, |z| = |a|
+            # + |b1| + |P|; tau lam costs |b1||b2|, mu tau(a (x) b1) |a||b1|
+            flips = [[((sign < 0) + dl * a + tau * x2 * (a + x1 + p)
+                       + x1 * (tl * x2 + tm * a)) & 1 for x2 in (0, 1)]
+                     for x1 in (0, 1)]
+            by_c = _grouped([
+                ((b1, -c if flips[odd[b1]][odd[b2]] else c),
+                 base + b2 * b2_scale)
+                for base, j in zip(range(0, len(js) * nn, nn), js)
+                for (k1, k2), c in lam_rows[j]
+                for b1, b2 in (((k2, k1) if tl else (k1, k2)),)])
+            return _grouped((b1 * b1_scale, (c, keys))
+                            for (b1, c), keys in by_c)
 
-        def piece(acc, i, js):
-            key, get, base = i * a_scale, acc.get, 0
-            for terms in tables[js][odd[i]]:
-                for b1, b2, c in terms:
-                    b2 += base
-                    for z, m in mu_rows[key + b1]:
-                        k = b2 + z * z_scale
-                        acc[k] = get(k, 0) + c * m
-                base += nn
+        # (js, parity of a, or 0 when it does not matter) -> `by_b1`
+        tables = _Rows(lambda key: by_b1(*key), 1, False)
+
+        def piece(i, js):
+            key = i * a_scale
+            return [(c * m, z * z_scale, keys)
+                    for b1, groups in tables[js, odd[i] if by_a else 0]
+                    for z, m in mu_rows[key + b1] for c, keys in groups]
         return piece
 
     def _middle(self, sign, tp, tq, tau=False):
         """sign * (P (x) Q)(1 (x) v (x) 1)(a (x) b), or tau of it, P and Q mu
         or (`tp`, `tq`) mu tau: (P (x) Q)(1 (x) v (x) 1) = sum over v1 (x) v2
         of (-1)^{|v||a| + |Q|(|a| + |v1|)} P(a (x) v1) (x) Q(v2 (x) b).  Per
-        row and parity of b: (v2's part of Q's row key, the signed sum over
-        the v1 of v2 of e * P(a (x) v1), by z1's part of the output key)."""
+        parity of a and term of v: e signed for each parity of b, v1's part
+        of P's row key, and v2, whose column over js (`_product_columns`)
+        holds Q(v2 (x) b), read against the terms z1 of P(a (x) v1)."""
         odd, p, dv, v = self.idx.odd, self.mu.degree % 2, self.dv, self.v
-        mu_rows, stride, n, nn = self.mu.rows, self.mu.stride, self.n, self.nn
-        z1_scale, z2_scale = (1, n) if tau else (n, 1)
+        mu_rows, stride, n = self.mu.rows, self.mu.stride, self.n
+        columns = self._product_columns(tq, tau)
+        z1_scale, parities = (1 if tau else n), range(1 + (tau or tq))
         a_scale, v1_scale = (1, stride) if tp else (stride, 1)
-        v2_scale, b_scale = (1, stride) if tq else (stride, 1)
 
-        def piece(acc, i, js):
-            a, hoisted = odd[i], [[] for b in range(1 + (tau or tq))]
-            for b, terms in enumerate(hoisted):   # b's parity: tau or tq only
-                by_v2 = {}
-                for (v1, v2), e in v:
-                    # tau(z1 (x) z2) costs |z1||z2|, |z1| = |a| + |v1| + p,
-                    # |z2| = |v2| + |b| + p; mu tau costs |a||v1|, |v2||b|
-                    if ((sign < 0) + dv * a + p * (a + odd[v1])
-                            + tau * (a + odd[v1] + p) * (odd[v2] + b + p)
-                            + tp * a * odd[v1] + tq * odd[v2] * b) & 1:
-                        e = -e
-                    z1s = by_v2.setdefault(v2, {})
-                    for z1, m in mu_rows[i * a_scale + v1 * v1_scale]:
-                        z1 *= z1_scale
-                        z1s[z1] = z1s.get(z1, 0) + e * m
-                terms.extend((v2 * v2_scale, tuple(
-                    (z1, c) for z1, c in z1s.items() if c))
-                    for v2, z1s in by_v2.items())
-            hoisted *= 2 - (tau or tq)
-            get, base = acc.get, 0
-            for j in js:
-                jk = j * b_scale
-                for key, z1s in hoisted[odd[j]]:
-                    for z2, m in mu_rows[key + jk]:
-                        z2 = base + z2 * z2_scale
-                        for z1, c in z1s:
-                            k = z1 + z2
-                            acc[k] = get(k, 0) + c * m
-                base += nn
+        def hoisted(a):
+            for (v1, v2), e in v:
+                # tau(z1 (x) z2) costs |z1||z2|, |z1| = |a| + |v1| + p,
+                # |z2| = |v2| + |b| + p; mu tau costs |a||v1|, |v2||b|
+                yield [-e if ((sign < 0) + dv * a + p * (a + odd[v1])
+                              + tau * (a + odd[v1] + p) * (odd[v2] + b + p)
+                              + tp * a * odd[v1] + tq * odd[v2] * b) & 1
+                       else e for b in parities], v1 * v1_scale, v2
+
+        terms = tuple(tuple(hoisted(a)) for a in (0, 1))
+
+        def piece(i, js):
+            column, key = columns(js), i * a_scale
+            return [(es[b] * m * q, z1 * z1_scale, keys)
+                    for es, v1, v2 in terms[odd[i]]
+                    for z1, m in mu_rows[key + v1]
+                    for (b, q), keys in column[v2]]
         return piece
 
     def _point(self, sign):
         """sign * a (x) b."""
         n, nn = self.n, self.nn
+        places = _Rows(lambda js: (t * nn + j for t, j in enumerate(js)), 1,
+                       False)
 
-        def piece(acc, i, js):
-            k = i * n
-            for j in js:
-                acc[k + j] = acc.get(k + j, 0) + sign
-                k += nn
+        def piece(i, js):
+            return [(sign, i * n, places[js])]
         return piece
 
 
+def _grouped(items) -> tuple:
+    """The (g, key) pairs `items` as ((g, [key, ...]), ...), one entry per
+    distinct g, in the order of each g's first key."""
+    out = {}
+    for g, k in items:
+        keys = out.get(g)
+        if keys is None:
+            out[g] = [k]
+        else:
+            keys.append(k)
+    return tuple(out.items())
+
+
 def _sum_row(pieces, i, js) -> dict:
-    """The pieces' terms on the row (a, js) in one accumulator (see
-    `PairKernel`), zero coefficients included.  Canonical ring values are
-    ints and Fractions, false exactly at 0."""
+    """The pieces' blocks on the row (a, js) in one accumulator {offset +
+    k: raw sum} (see `PairKernel`), zero sums included.  Canonical ring
+    values are ints and Fractions, false exactly at 0."""
     acc = {}
+    get = acc.get
     for piece in pieces:
-        piece(acc, i, js)
+        for w, offset, keys in piece(i, js):
+            for k in keys:
+                k += offset
+                acc[k] = get(k, 0) + w
     return acc
 
 

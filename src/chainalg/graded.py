@@ -79,13 +79,13 @@ Sides are ids interned by `SideIds`, a map's row as its set of terms, and
 `_row_expansion` expands each side once per distinct row, reading a side
 of one term with coefficient 1 or -1 off the row ids it keeps, negated
 if need be (`SideIds.neg`), and summing only the others.  The pair
-identities (`bialgebra.PairKernel`) add hoisted signed pieces, lhs minus
-rhs, into one accumulator per row (one a with all its b), which passes
-when no sum in it is nonzero, stop at the first failing b, and expand
-the two sides again only for that pair; one kernel per package serves
-the axioms, cc-antisymmetry and the cone's assoc-infinitesimal check.
-Every check returns an `Outcome`, and every report record is made from
-one.
+identities (`bialgebra.PairKernel`) sum hoisted signed pieces, lhs minus
+rhs, listed as weighted key blocks, into one accumulator per row (one a
+with all its b), which passes when no sum in it is nonzero, stop at the
+first failing b, and expand the two sides again only for that pair; one
+kernel per package serves the axioms, cc-antisymmetry and the cone's
+assoc-infinitesimal check.  Every check returns an `Outcome`, and every
+report record is made from one.
 """
 
 from __future__ import annotations

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .rings import Ring, ring_from_name
 from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
-    row_vector,
     tensor,
     TENSOR_SEP,
 )
@@ -485,21 +485,32 @@ def load(path: str) -> Scenario:
 # Export (fixtures and instances back to scenario JSON)
 # ---------------------------------------------------------------------------
 
-def _combo_to_json(module: GradedModule, terms):
-    """The row `terms` of an element of `module` as `_parse_combo` reads it
-    back, its terms sorted by name (the joined name in a tensor power)."""
-    fmt, split = module.ring.format, module.arity > 1
-    return [[fmt(c), name.split(TENSOR_SEP) if split else name]
-            for name, c in sorted(row_vector(module, terms).coeffs.items())]
+def _combo_writer(module: GradedModule):
+    """The function that writes a row of an element of `module`, (key,
+    coefficient) pairs as a map's row holds them, as `_parse_combo` and an
+    operation entry's "out" read it back: [coefficient, name] per term, or
+    [coefficient, [name, ...]] in a tensor power, sorted by name (the
+    joined name in a tensor power).  Names are read once per module."""
+    fmt, names = module.ring.format, [f.index().names for f in module.factors]
+    atomic = names[0] if len(names) == 1 else None
+
+    def write(terms):
+        if atomic is not None:
+            keyed = [(atomic[k], atomic[k], c) for k, c in terms]
+        else:
+            keyed = [(TENSOR_SEP.join(parts), parts, c) for k, c in terms
+                     for parts in ([nm[x] for nm, x in zip(names, k)],)]
+        keyed.sort(key=itemgetter(0))
+        return [[fmt(c), name] for _, name, c in keyed]
+    return write
 
 
 def _operation_to_json(m: GradedMap):
     """An operation table of `m`, as `_parse_operation` reads it back: one
     entry per source basis element with a nonzero row, in the source's
-    canonical order (degree, name), each value's terms sorted by name (the
-    joined name in a tensor target).  Rows are read by position from `m`;
-    names are joined only to sort a tensor's."""
-    fmt = m.target.ring.format
+    canonical order (degree, name), each value written by
+    `_combo_writer`.  Rows are read by position from `m`; names are
+    joined only to sort a tensor's."""
     ins = [f.index() for f in m.source.factors]
     if len(ins) == 1:
         rows = [([n], m.row(i)) for i, n in enumerate(ins[0].names)]
@@ -510,16 +521,9 @@ def _operation_to_json(m: GradedMap):
             for i, a in enumerate(a_names) for j, b in enumerate(b_names)
             if (row := m.row(i, j)))
         rows = [(parts, row) for _, _, parts, row in keyed]
-    names, split = m.target.factors[0].index().names, m.target.arity > 1
-
-    def out(row):
-        terms = [([names[x] for x in k] if split else names[k], c)
-                 for k, c in row]
-        terms.sort(key=lambda t: TENSOR_SEP.join(t[0]) if split else t[0])
-        return [[fmt(c), name] for name, c in terms]
-
+    write = _combo_writer(m.target)
     return {"degree": m.degree, "entries": [
-        {"in": parts, "out": out(row)} for parts, row in rows if row]}
+        {"in": parts, "out": write(row)} for parts, row in rows if row]}
 
 
 def _module_to_json(module: GradedModule):
@@ -535,7 +539,7 @@ def export_bialgebra(inst: BialgebraData, ring_name: str = None) -> dict:
            "module": _module_to_json(module),
            "mu": _operation_to_json(inst.mu),
            "lambda": _operation_to_json(inst.lam),
-           "eta": _combo_to_json(module, inst.eta)}
+           "eta": _combo_writer(module)(inst.eta)}
     if inst.safe_names != module.basis_names():
         doc["safe"] = list(inst.safe_names)
     if inst.differential is not None:

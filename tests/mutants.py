@@ -137,29 +137,28 @@ COMBINATIONS = ("tests/test_cone_product.py::"
 # (file, snippet, replacement, killing test)
 MUTANTS = [
     # every sign decision of the pieces
-    ("bialgebra.py", "+ odd[a1] * (p + tau * (odd[a2] + b + p))\n",
-     "+ odd[a1] * (tau * (odd[a2] + b + p))\n", PIECES),
-    ("bialgebra.py", "+ odd[a1] * (p + tau * (odd[a2] + b + p))\n",
-     "+ odd[a1] * (p + tau * (odd[a2] + p))\n", PIECES),
-    ("bialgebra.py", "if ((sign < 0) + dl * a + tau",
-     "if ((sign < 0) + tau", PIECES),
-    ("bialgebra.py", "+ tau * odd[b2] * (a + odd[b1] + p)\n",
-     "+ tau * odd[b2] * (odd[b1] + p)\n", PIECES),
+    ("bialgebra.py", "+ x1 * (p + tau * (x2 + b + p))\n",
+     "+ x1 * (tau * (x2 + b + p))\n", PIECES),
+    ("bialgebra.py", "+ x1 * (p + tau * (x2 + b + p))\n",
+     "+ x1 * (p + tau * (x2 + p))\n", PIECES),
+    ("bialgebra.py", "((sign < 0) + dl * a + tau",
+     "((sign < 0) + tau", PIECES),
+    ("bialgebra.py", "+ tau * x2 * (a + x1 + p)\n",
+     "+ tau * x2 * (x1 + p)\n", PIECES),
     ("bialgebra.py", "if ((sign < 0) + dv * a + p * (a + odd[v1])",
      "if ((sign < 0) + p * (a + odd[v1])", PIECES),
     ("bialgebra.py", "if ((sign < 0) + dv * a + p * (a + odd[v1])",
      "if ((sign < 0) + dv * a + p * a", PIECES),
     ("bialgebra.py", "+ tau * (a + odd[v1] + p) * (odd[v2] + b + p)\n",
      "+ tau * (a + odd[v1] + p) * (odd[v2] + p)\n", PIECES),
-    ("bialgebra.py", "                    if negate:\n",
-     "                    if not negate:\n", PIECES),
+    ("bialgebra.py", "-c if (negate + twist", "-c if (1 - negate + twist",
+     PIECES),
     # the a/b parity choice of a hoisted coefficient
-    ("bialgebra.py", "for key, a1, c in hoisted[odd[j]]:",
-     "for key, a1, c in hoisted[odd[i]]:", PIECES),
-    ("bialgebra.py", "for terms in tables[js][odd[i]]:",
-     "for terms in tables[js][odd[js[0]]]:", PIECES),
-    ("bialgebra.py", "for key, z1s in hoisted[odd[j]]:",
-     "for key, z1s in hoisted[odd[i]]:", PIECES),
+    ("bialgebra.py", "(cs[b] * m, a1, keys)", "(cs[0] * m, a1, keys)", PIECES),
+    ("bialgebra.py", "tables[js, odd[i] if by_a else 0]",
+     "tables[js, odd[js[0]] if by_a else 0]", PIECES),
+    ("bialgebra.py", "(es[b] * m * q, z1 * z1_scale, keys)",
+     "(es[0] * m * q, z1 * z1_scale, keys)", PIECES),
     # the rhs subtraction
     ("bialgebra.py", "self._piece((kind, -sign, *args)) for kind, sign",
      "self._piece((kind, sign, *args)) for kind, sign", PIECES),
@@ -235,7 +234,7 @@ MUTANTS = [
      "        _get(b, \"degree\", path, typ=int)\n"
      "        _get(b, \"name\", path, typ=str)\n", BASIS_ERRORS),
     # the exporter: inputs and terms of a tensor in joined-name order
-    ("scenario.py", "        terms.sort(key=", "        terms.sort or (",
+    ("scenario.py", "(TENSOR_SEP.join(parts), parts, c)", "(parts, parts, c)",
      EXPORT_ORDER),
     ("scenario.py", "b_deg[j], a + TENSOR_SEP + b, [a, b]",
      "b_deg[j], (a, b), [a, b]", EXPORT_ORDER),
@@ -442,8 +441,8 @@ MUTANTS = [
     # swapped, the row's nonzero test skipped or read without reducing mod
     # p, the witness taken as the last failing b of its row, and a kept
     # defect unpacked with its factors swapped
-    ("bialgebra.py", "else (k1 * n + k2, c) for (k1, k2), c in lam_rows[x]",
-     "else (k2 * n + k1, c) for (k1, k2), c in lam_rows[x]", PIECES),
+    ("bialgebra.py", "k2 * n + k1 if twist else k1 * n + k2",
+     "k2 * n + k1 if twist else k2 * n + k1", PIECES),
     ("bialgebra.py",
      "if not any(values if not p else (c % p for c in values)):",
      "if True:", QUANTIFIER),
@@ -521,20 +520,19 @@ MUTANTS = [
     # the twist folded into the pieces: tau lam's sign dropped in each piece
     # that reads it, mu tau's added parity dropped in each piece that reads
     # it, and mu tau read at mu's key
-    ("bialgebra.py", "+ odd[a2] * (tl * odd[a1] + tm * b)) & 1:",
-     "+ odd[a2] * tm * b) & 1:", PIECES),
-    ("bialgebra.py", "+ odd[b1] * (tl * odd[b2] + tm * a)) & 1:",
-     "+ odd[b1] * tm * a) & 1:", PIECES),
-    ("bialgebra.py", "(k2 * n + k1, -c if odd[k1] and odd[k2] else c)",
-     "(k2 * n + k1, c)", PIECES),
-    ("bialgebra.py", "+ odd[a2] * (tl * odd[a1] + tm * b)) & 1:",
-     "+ odd[a2] * tl * odd[a1]) & 1:", PIECES),
-    ("bialgebra.py", "+ odd[b1] * (tl * odd[b2] + tm * a)) & 1:",
-     "+ odd[b1] * tl * odd[b2]) & 1:", PIECES),
+    ("bialgebra.py", "+ x2 * (tl * x1 + tm * b)) & 1",
+     "+ x2 * tm * b) & 1", PIECES),
+    ("bialgebra.py", "+ x1 * (tl * x2 + tm * a)) & 1",
+     "+ x1 * tm * a) & 1", PIECES),
+    ("bialgebra.py", " + twist * odd[k1] * odd[k2]) & 1", ") & 1", PIECES),
+    ("bialgebra.py", "+ x2 * (tl * x1 + tm * b)) & 1",
+     "+ x2 * tl * x1) & 1", PIECES),
+    ("bialgebra.py", "+ x1 * (tl * x2 + tm * a)) & 1",
+     "+ x1 * tl * x2) & 1", PIECES),
     ("bialgebra.py", "+ tp * a * odd[v1] + tq", "+ tq", PIECES),
-    ("bialgebra.py", "+ tq * odd[v2] * b) & 1:", ") & 1:", PIECES),
-    ("bialgebra.py", "a2_scale, b_scale = (1, stride) if tm else (stride, 1)",
-     "a2_scale, b_scale = (stride, 1) if tm else (stride, 1)", PIECES),
+    ("bialgebra.py", "+ tq * odd[v2] * b) & 1", ") & 1", PIECES),
+    ("bialgebra.py", "x_scale, b_scale = (1, stride) if tm else (stride, 1)",
+     "x_scale, b_scale = (stride, 1) if tm else (stride, 1)", PIECES),
     # induces_zero: the target's solver read at k instead of k + 1,
     # membership in the image lattice negated, the first cycle skipped, and
     # f's block read one degree up; and the torsion keeping the invariant
@@ -566,9 +564,14 @@ MUTANTS = [
     ("fixtures.py", "eta = ((loops[1][0, 0], ring.one()),)",
      "eta = ((loops[1][0, 1], ring.one()),)",
      "tests/test_fixtures.py::test_loop_unit_is_the_row_of_one"),
-    ("scenario.py", "sorted(row_vector(module, terms).coeffs.items())",
-     "row_vector(module, terms).coeffs.items()",
+    ("scenario.py", "    keyed.sort(key=itemgetter(0))\n", "",
      "tests/test_export.py::test_export_sorts_a_combination_by_name"),
+    # the pair rows' blocks: one piece left out of the row's sum, and the
+    # place offset t * nn left out of the product columns
+    ("bialgebra.py", "    for piece in pieces:\n",
+     "    for piece in pieces[1:]:\n", QUANTIFIER),
+    ("bialgebra.py", "tuple((t * nn, j * b_scale", "tuple((0, j * b_scale",
+     QUANTIFIER),
 ]
 
 

@@ -35,7 +35,7 @@ from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
                              Vector, _op_shift_signs, _signed_row,
                              format_vector, row_vector, shift, tensor,
                              vector_terms)
-from chainalg.scenario import _combo_to_json
+from chainalg.scenario import _combo_writer
 
 
 def _same_module(u: Vector, v: Vector):
@@ -309,7 +309,7 @@ def operation_to_json(m):
     values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
     return {"degree": m.degree, "entries": [
         {"in": list(m.source.parts_of(n)),
-         "out": _combo_to_json(v.module, vector_terms(v))}
+         "out": _combo_writer(v.module)(vector_terms(v))}
         for n, v in values if not is_zero(v)]}
 
 

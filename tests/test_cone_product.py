@@ -230,7 +230,7 @@ def test_the_cubic_vector_is_symmetric_with_the_koszul_sign(ring):
     parts = (ChainComplex(A), inst.mu, inst.lam, (), minus_lam_eta(inst))
     doc = sc.export_bialgebra(inst)
     doc.update(kind="cone", n=1,
-               Q0=sc._combo_to_json(tensor(A, A), minus_lam_eta(inst)))
+               Q0=sc._combo_writer(tensor(A, A))(minus_lam_eta(inst)))
     signed = Vector(A3, {TENSOR_SEP.join(t): s
                          for t, s in zip(ORBIT, (1, 1, -1))})
     assert cyclic_symmetrize(A3.el(TENSOR_SEP.join(ORBIT[0]))) == signed
@@ -238,14 +238,14 @@ def test_the_cubic_vector_is_symmetric_with_the_koszul_sign(ring):
     with pytest.raises(ValueError) as err:
         ConeProductData(*parts, vector_terms(unsigned), n=1)
     assert str(err.value) == "cubic vector is not cyclically symmetric"
-    doc["B"] = sc._combo_to_json(A3, vector_terms(unsigned))
+    doc["B"] = sc._combo_writer(A3)(vector_terms(unsigned))
     with pytest.raises(sc.SchemaError) as err:
         sc.ingest(json.dumps(doc))
     assert (err.value.path, err.value.message) == (
         "$", "cubic vector is not cyclically symmetric")
     B = ConeProductData(*parts, vector_terms(signed), n=1).B
     assert row_vector(A3, B) == signed
-    doc["B"] = sc._combo_to_json(A3, vector_terms(signed))
+    doc["B"] = sc._combo_writer(A3)(vector_terms(signed))
     assert row_vector(A3, sc.ingest(json.dumps(doc)).payload.B) == signed
 
 

@@ -99,7 +99,7 @@ def test_export_sorts_a_combination_by_name():
     assert inst.eta == ((1, 2), (0, -1))
     assert sc.export_bialgebra(inst, "Z")["eta"] == [["-1", "a"], ["2", "b"]]
     A2 = tensor(inst.module, inst.module)
-    assert sc._combo_to_json(A2, (((1, 0), 3), ((0, 1), 4))) == [
+    assert sc._combo_writer(A2)((((1, 0), 3), ((0, 1), 4))) == [
         ["4", ["a", "b"]], ["3", ["b", "a"]]]
 
 

@@ -1,24 +1,28 @@
 """The one-pass pair kernel against its per-piece reference.
 
-`bialgebra.PairKernel` sums each pair identity's lhs pieces and negated rhs
-pieces into one dict, with each piece's Koszul signs decided once per a or
-once per b, and expands the two sides again only for the first failing
-pair.  `ReferencePairKernel` below is the former kernel, which sums each
-side of every pair on its own; it is the reference.  On random instances
-over Z, Q and GF(5) with |mu| in {-1, 0, 1, 2} and |lam| in {-2, -1, 0, 1}
-(the shipped fixtures only have |mu| = 0), the one-pass difference must
-equal the reference's lhs - rhs on every pair, and `check_axioms` must give
-the reference quantifier's count, first failing pair and witness text, on
-those instances and on seeded one-constant mutants of the six fixtures.
+`bialgebra.PairKernel` lists each pair identity's lhs pieces and negated
+rhs pieces as weighted key blocks, with each piece's Koszul signs decided
+once per a or once per b, sums them into one dict per row, and expands the
+two sides again only for the first failing pair.  `ReferencePairKernel`
+below is the former kernel, which sums each side of every pair on its own;
+it is the reference.  On random instances over Z, Q, GF(5) and GF(2) with
+|mu| in {-1, 0, 1, 2} and |lam| in {-2, -1, 0, 1} (the shipped fixtures
+only have |mu| = 0), the one-pass difference must equal the reference's
+lhs - rhs on every pair, and `check_axioms` must give the reference
+quantifier's count, first failing pair and witness text, on those
+instances, on seeded one-constant mutants of the six fixtures, and on the
+fixtures with lam scaled by a weight that is not +1 or -1.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from chainalg import fixtures as fx
 from chainalg.bialgebra import (
     AXIOM_ORDER,
+    BialgebraData,
     PairKernel,
     check_axioms,
 )
@@ -37,6 +41,7 @@ from name_keyed import failing, passing, verdict
 from random_instances import make_random_instance
 
 RINGS = [ZZ, QQ, GF(5)]
+RANDOM_RINGS = RINGS + [GF(2)]   # the fixtures' mutants are no mutants mod 2
 MU_DEGREES = (-1, 0, 1, 2)
 LAM_DEGREES = (-2, -1, 0, 1)
 PAIR_AXIOMS = ("unital infinitesimal", "unital anti-symmetry")
@@ -230,7 +235,7 @@ def random_instance(ring, dm, dl, k):
     raise AssertionError("no random instance with lam eta != 0")
 
 
-INSTANCES = [(ring, dm, dl, k) for ring in RINGS for dm in MU_DEGREES
+INSTANCES = [(ring, dm, dl, k) for ring in RANDOM_RINGS for dm in MU_DEGREES
              for dl in LAM_DEGREES for k in range(2)]
 
 
@@ -364,3 +369,29 @@ def test_the_witness_is_the_first_failing_b_of_its_row():
                 assert (lhs, rhs) == kernel.sides(axiom, *p) and lhs != rhs
                 later += sum(pairs[k][0] == p[0] for k in fails[1:])
     assert later > 0
+
+
+# -- weights that are not +1 or -1 -------------------------------------------
+
+def _lam_scaled(inst, s):
+    """`inst` with lam, and so lam eta, scaled by s: each side of either
+    pair identity has one lam in each term, so the verdicts stay."""
+    R, lam = inst.module.ring, inst.lam
+    scaled = GradedMap(lam.source, lam.target, lam.degree, lambda x: tuple(
+        (k, R.mul(s, c)) for k, c in lam.row(x)), name="lam")
+    return BialgebraData(inst.module, inst.mu, scaled, inst.eta,
+                         inst.safe_names, name=inst.name)
+
+
+SCALES = [(ZZ, 2), (QQ, Fraction(1, 2)), (GF(5), 2)]
+
+
+@pytest.mark.parametrize("ring,s", SCALES, ids=[repr(r) for r, _ in SCALES])
+def test_weights_that_are_not_units_keep_the_reference_verdicts(ring, s):
+    fixture = fx.make_fixture("lambda-s1-plus", fx.TruncationWindow(8), ring)
+    for inst in [fixture] + mutants("lambda-s1-plus", ring, count=3)[1:]:
+        scaled = _lam_scaled(inst, s)
+        want = [verdict(reference_result(scaled, a)) for a in PAIR_AXIOMS]
+        assert pair_verdicts(check_axioms(scaled)) == want, inst.name
+    assert [r.status for r in pair_verdicts(check_axioms(
+        _lam_scaled(fixture, s)))] == ["pass", "pass"]
