@@ -32,12 +32,11 @@ from .graded import (
     tensor,
     tensor_differential,
     associativity_witness,
-    format_vector,
+    format_row,
+    names_of,
     Outcome,
-    TENSOR_SEP,
     koszul_sign,
     apply_rows,
-    row_vector,
     terms_degree,
     _Rows,
     _first_difference,
@@ -140,7 +139,7 @@ def _safe_window(module: GradedModule, names) -> tuple:
     names = module.basis_names() if names is None else tuple(names)
     pos, positions = module.index().pos, {}
     for n in names:
-        if not module.has(n):
+        if n not in pos:
             raise ValueError(f"safe name {n!r} is not a basis element")
         if n in positions:
             raise ValueError(f"safe name {n!r} repeats a basis element")
@@ -152,24 +151,18 @@ def _safe_window(module: GradedModule, names) -> tuple:
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def _result(found, describe, module=None) -> Outcome:
+def _result(found, inputs, module) -> Outcome:
     """The Outcome of `_first_difference`'s (count, input, lhs, rhs), with
-    its detail: the input count, or the witness.  describe(input) and the
-    sides as Vectors (of `module`, when they are {key: coefficient} dicts)
-    come back only for a witness."""
+    its detail: the input count, or the witness.  The input, a key of the
+    module `inputs`, and the sides, {key: coefficient} dicts on `module`,
+    come back by names (`names_of`, `format_row`) only for a witness."""
     count, x, lhs, rhs = found
     if x is None:
         return Outcome("pass", f"{count} inputs", count)
-    if module is not None:
-        lhs, rhs = (row_vector(module, side.items()) for side in (lhs, rhs))
-    witness = describe(x), format_vector(lhs), format_vector(rhs)
+    witness = (names_of(inputs)(x), format_row(module, lhs.items()),
+               format_row(module, rhs.items()))
     return Outcome("fail", "witness {}: lhs = {}, rhs = {}".format(*witness),
                    count, witness)
-
-
-def _pair_name(names):
-    """describe for pair inputs (i, j): "a (x) b" by the names."""
-    return lambda k: names[k[0]] + TENSOR_SEP + names[k[1]]
 
 
 AXIOM_ORDER = ("unit (left)", "unit (right)", "associativity",
@@ -185,11 +178,10 @@ def check_axioms(inst: BialgebraData) -> AxiomReport:
     which keeps each verdict for the other checks of the instance.
 
     Every side is expanded from the rows of mu and lam on basis
-    positions; names are read once, here, and come back for a witness.
+    positions; names come back only for a witness (`_result`).
     """
     A = inst.module
-    idx = A.index()
-    names, odd = idx.names, idx.odd
+    odd = A.index().odd
     R = A.ring
     neg, one = R.neg, R.one()
     mu, lam = inst.mu.row, inst.lam.row
@@ -198,29 +190,27 @@ def check_axioms(inst: BialgebraData) -> AxiomReport:
 
     def run_unit_left():
         return _result(_first_difference(at, lambda i: (
-            apply_rows(lambda e: mu(e, i), eta, R), {i: one})),
-            names.__getitem__, A)
+            apply_rows(lambda e: mu(e, i), eta, R), {i: one})), A, A)
 
     def run_unit_right():
         # (-1)^{|mu||x|} mu(x (x) eta) = x
         return _result(_first_difference(at, lambda i: (
             dict(_signed_row(apply_rows(lambda e: mu(i, e), eta, R).items(),
                              inst.mu.degree % 2 and odd[i], neg)),
-            {i: one})), names.__getitem__, A)
+            {i: one})), A, A)
 
     def run_associativity():
-        return _result(associativity_witness(inst.mu, at),
-                       TENSOR_SEP.join)
+        return _result(associativity_witness(inst.mu, at), tensor(A, A, A),
+                       A)
 
     def run_coassociativity():
         return _result(_first_difference(
             at, functools.partial(_coassociativity, lam, inst.lam.degree % 2,
-                                  odd, R)), names.__getitem__, tensor(A, A, A))
+                                  odd, R)), A, tensor(A, A, A))
 
     def run_pairs(axiom):
         k = inst.kernel
-        return _result(k.first_failure(axiom, inst.safe_pairs),
-                       _pair_name(names), k.A2)
+        return _result(k.first_failure(axiom, inst.safe_pairs), k.A2, k.A2)
 
     runners = {
         "unit (left)": run_unit_left,
@@ -662,8 +652,8 @@ def lambda_eta(inst: BialgebraData) -> Outcome:
     """lam(eta), passing when tau(lam eta) = (-1)^{|lam|} lam eta."""
     terms = inst.lambda_eta_terms().items()
     neg, odd = inst.module.ring.neg, inst.module.index().odd
-    detail = "lam(eta) = " + format_vector(
-        row_vector(tensor(inst.module, inst.module), terms))
+    detail = "lam(eta) = " + format_row(tensor(inst.module, inst.module),
+                                        terms)
     if _twisted(terms, odd, neg) == dict(
             _signed_row(terms, inst.lam.degree % 2, neg)):
         return Outcome("pass", detail)
@@ -685,17 +675,17 @@ def check_involutivity(inst: BialgebraData) -> Outcome:
     if not inst.is_cocommutative():
         problems.append("lam is not cocommutative")
     A = inst.module
-    mu, lam, names = inst.mu.row, inst.lam.row, A.index().names
+    mu, lam, name = inst.mu.row, inst.lam.row, names_of(A)
 
     def mu_lam(x):   # {position: coefficient}
         return apply_rows(lambda k: mu(*k), lam(x), A.ring)
 
     def show(v):
-        return format_vector(row_vector(A, v.items()))
+        return format_row(A, v.items())
 
     if problems:
         values = "; ".join(
-            f"mu lam({names[x]}) = {show(mu_lam(x))}"
+            f"mu lam({name(x)}) = {show(mu_lam(x))}"
             for x in inst.safe[:4]
         )
         return Outcome("skip", "hypotheses not met: " + ", ".join(problems)
@@ -703,7 +693,7 @@ def check_involutivity(inst: BialgebraData) -> Outcome:
     _, x, v, _ = _first_difference(inst.safe, lambda x: (mu_lam(x), {}))
     if x is None:
         return Outcome("pass", "")
-    return Outcome("fail", f"mu lam({names[x]}) = {show(v)} != 0")
+    return Outcome("fail", f"mu lam({name(x)}) = {show(v)} != 0")
 
 
 def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
@@ -718,9 +708,8 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
     if not inst.is_cocommutative():
         return Outcome("skip", "lam is not cocommutative")
     kernel, pairs = inst.kernel, inst.safe_pairs
-    name = _pair_name(kernel.idx.names)
-    uir = _result(kernel.first_failure("unital infinitesimal", pairs), name,
-                  kernel.A2)
+    uir = _result(kernel.first_failure("unital infinitesimal", pairs),
+                  kernel.A2, kernel.A2)
     if uir.status != "pass":
         x, lhs, rhs = uir.witness
         return Outcome("skip", "unital infinitesimal relation fails: unital "
@@ -732,7 +721,8 @@ def check_cc_implies_antisymmetry(inst: BialgebraData) -> Outcome:
     if not failed:
         return Outcome("pass", "")
     _, side, p = min(failed, key=itemgetter(0))
-    return Outcome("fail", f"{side} side does not reduce on {name(p)}")
+    return Outcome("fail", f"{side} side does not reduce on "
+                   f"{names_of(kernel.A2)(p)}")
 
 
 def secondary_relation_apply(mu: GradedMap, lam: GradedMap,
@@ -807,7 +797,7 @@ def check_lemma_c_lambda_eta(c_op_fwd, inst: BialgebraData) -> Outcome:
     diff = _sum_rows(A2.ring, got.items(),
                      _signed_row(want.items(), True, A2.ring.neg))
     return Outcome("fail", "bivector differs from lam(eta) by "
-                   + format_vector(row_vector(A2, diff)))
+                   + format_row(A2, diff))
 
 
 def check_loday_ronco(inst: BialgebraData) -> Outcome:
@@ -824,10 +814,9 @@ def check_loday_ronco(inst: BialgebraData) -> Outcome:
     elif lam_eta == dict(_signed_row(ee.items(), True, R.neg)):
         sign = -1
     else:
-        raise ValueError("lam(eta) = " + format_vector(row_vector(
-            tensor(inst.module, inst.module), lam_eta.items()))
+        raise ValueError("lam(eta) = " + format_row(
+            tensor(inst.module, inst.module), lam_eta.items())
             + " is not +/- eta(x)eta")
     kernel = inst.kernel
     return _result(kernel.first_failure(f"identity-coproduct form {sign:+d}",
-                                        inst.safe_pairs),
-                   _pair_name(kernel.idx.names), kernel.A2)
+                                        inst.safe_pairs), kernel.A2, kernel.A2)

@@ -29,7 +29,8 @@ from .graded import (
     _sum_rows,
     apply_rows,
     basis_keys,
-    row_vector,
+    format_row,
+    names_of,
     sparse_blocks,
 )
 
@@ -52,16 +53,16 @@ class ChainComplex:
         rows, stride = differential.rows, differential.stride
         binary = module.arity == 2
         mul, add = module.ring.mul, module.ring.add
-        for name, key in basis_keys(module):
+        for key in basis_keys(module):
             dd = {}
             for k, c in rows[key[0] * stride + key[1] if binary else key]:
                 for t, v in rows[k[0] * stride + k[1] if binary else k]:
                     v = mul(c, v)
                     dd[t] = v if (old := dd.get(t)) is None else add(old, v)
             if any(dd.values()):
-                dd = [(t, v) for t, v in dd.items() if v != 0]
+                name = names_of(module)(key)
                 raise ValueError(f"d*d != 0 on {name}: d(d({name})) = "
-                                 f"{row_vector(module, dd)}")
+                                 f"{format_row(module, dd.items())}")
         self.module = module
         self.d = differential
         self._solvers = {}
@@ -137,9 +138,9 @@ def _require_chain_map(h: GradedMap, d_source: GradedMap,
     rows = _commutator_rows(h, d_source, d_target)
     at = (lambda k: rows(*k)) if h.source.arity == 2 else rows
     _, x, _, _ = _first_difference(basis_keys(h.source),
-                                   lambda x: (at(x[1]), ()))
+                                   lambda x: (at(x), ()))
     if x is not None:
-        raise ValueError(message.format(x[0]))
+        raise ValueError(message.format(names_of(h.source)(x)))
 
 
 def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> Outcome:
@@ -148,13 +149,13 @@ def is_chain_homotopic(f: ChainMap, g: ChainMap, h: GradedMap) -> Outcome:
     f_t, g_t = f.f.at, g.f.at
     comm = graded_commutator(h, f.source, f.target).at
     _, x, lhs, rhs = _first_difference(basis_keys(f.source.module), lambda x: (
-        dict(_sum_rows(R, f_t(x[1]), _signed_row(g_t(x[1]), True, R.neg))),
-        dict(comm(x[1]))))
+        dict(_sum_rows(R, f_t(x), _signed_row(g_t(x), True, R.neg))),
+        dict(comm(x))))
     if x is None:
         return Outcome("pass", "")
-    return Outcome("fail", f"fails on {x[0]}: "
-                          f"{row_vector(module, lhs.items())} vs "
-                          f"{row_vector(module, rhs.items())}")
+    return Outcome("fail", f"fails on {names_of(f.source.module)(x)}: "
+                          f"{format_row(module, lhs.items())} vs "
+                          f"{format_row(module, rhs.items())}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +437,15 @@ def induced_quotient_homotopy(c: ChainMap, c_prime: ChainMap, h: GradedMap,
     comm = graded_commutator(h_bar, K1, K2).at
 
     def sides(x):   # (the defect, ()) where it leaves the image lattice
-        defect = _sum_rows(R, cp_t(x[1]), _signed_row(c_t(x[1]), True, R.neg),
-                           _signed_row(comm(x[1]), True, R.neg))
+        defect = _sum_rows(R, cp_t(x), _signed_row(c_t(x), True, R.neg),
+                           _signed_row(comm(x), True, R.neg))
         return (() if q2.reduces_to_zero(defect) else defect), ()
 
     _, x, defect, _ = _first_difference(basis_keys(mod1), sides)
     if x is None:
         return h_bar, Outcome("pass", "")
-    return h_bar, Outcome("fail",
-                          f"defect on {x[0]}: {row_vector(mod2, defect)}")
+    return h_bar, Outcome("fail", f"defect on {names_of(mod1)(x)}: "
+                          f"{format_row(mod2, defect)}")
 
 
 # ---------------------------------------------------------------------------

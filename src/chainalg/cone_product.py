@@ -59,12 +59,12 @@ from .graded import (
     dual_map,
     slot_table,
     terms_degree,
-    row_vector,
     transpose_rows,
     tensor_differential,
     associativity_witness,
     SideIds,
-    format_vector,
+    format_row,
+    names_of,
     Outcome,
     koszul_sign,
     apply_rows,
@@ -79,11 +79,6 @@ from .graded import (
 from .complexes import ChainComplex, ChainMap, mapping_cone, Cone
 from .bialgebra import (BialgebraData, PairKernel, _safe_window,
                         secondary_relation_apply)
-
-
-def _format_row(module: GradedModule, row: dict) -> str:
-    """A row on the positions of an atomic module, formatted by names."""
-    return format_vector(row_vector(module, row.items()))
 
 
 class _Layout:
@@ -176,7 +171,7 @@ class ConeProductData:
         if defect:
             raise ValueError(
                 "secondary bivector does not trivialize the twist defect: "
-                f"tau c0 - c0 - dQ0 = {format_vector(row_vector(A2, defect))}")
+                f"tau c0 - c0 - dQ0 = {format_row(A2, defect)}")
         if B and _cyclic_rotate(B, A.index().odd, R.neg) != dict(B):
             raise ValueError("cubic vector is not cyclically symmetric")
         # the continuation map c(f) = <f (x) 1, c0> on M, the dual side
@@ -462,7 +457,8 @@ def cross_check_components(data: ConeProductData) -> Outcome:
     safe = {"p": window[:n], "m": window[n:]}
 
     def show(d_p, d_m):
-        return f"({_format_row(A, d_p)} | {_format_row(data.Mbar, d_m)})"
+        return (f"({format_row(A, d_p.items())} | "
+                f"{format_row(data.Mbar, d_m.items())})")
 
     failures, count = [], 0
     for label in ("pp", "pm", "mp", "mm"):
@@ -503,10 +499,10 @@ def check_cone_associativity(data: ConeProductData) -> Outcome:
                                                     data.cone_window)
     if triple is None:
         return Outcome("pass", "associative on the safe window", count)
-    u, v, w = triple
-    return Outcome(
-        "fail", f"{u}(x){v}(x){w}: {format_vector(lhs)} vs {format_vector(rhs)}",
-        count)
+    C = data.product.target
+    u, v, w = map(names_of(C), triple)
+    return Outcome("fail", f"{u}(x){v}(x){w}: {format_row(C, lhs.items())} "
+                   f"vs {format_row(C, rhs.items())}", count)
 
 
 def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
@@ -609,8 +605,8 @@ def check_assoc_implies_infinitesimal(data: ConeProductData) -> Outcome:
     return Outcome(
         "fail", f"fails at a={idx.names[i]}, b={idx.names[j]}, "
         f"f={M.index().names[duals[kf]]}: "
-        f"{_format_row(A, dict(total))} vs "
-        f"{_format_row(A, expected(i, j).get(kf, {}))}", count)
+        f"{format_row(A, total)} vs "
+        f"{format_row(A, expected(i, j).get(kf, {}).items())}", count)
 
 
 # ---------------------------------------------------------------------------

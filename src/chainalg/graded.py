@@ -40,11 +40,12 @@ checked constructor for a map given by values on names (names, target
 module and degree of every value), and by the scenario loader, which checks
 each operation-table entry and combination once (names by lookup in
 `GradedModule.index`, coefficients, homogeneity of table values and
-combinations) while parsing tables straight into row maps.  A combination
-(a unit, a bivector, a cubic vector) is held as a row, like a map's, and
+combinations) while parsing tables straight into row maps; every other
+name is read by `_positions`, the one strict reader.  A combination (a
+unit, a bivector, a cubic vector) is held as a row, like a map's, and
 `terms_degree` is the one check of its keys and homogeneity.  Internal
 arithmetic works on rows; the only Vectors it builds are rows read back by
-names (`row_vector`) from values that are valid already, so they go
+names (`eval_basis`) from values that are valid already, so they go
 through the trusted constructor `Vector._trusted`, which drops zero
 coefficients and checks nothing else.
 The structural checks (d*d = 0 in `ChainComplex`, and the one test of
@@ -65,8 +66,8 @@ rows), the cone's d_cone and transition automorphism, commutators
 [d, h], and the fixtures' mu and lam; the pair identities read mu tau
 and tau lam as mu and lam, the twist sign folded into their own signs.
 `apply_rows` applies a map's rows to a row's terms.
-Names come back, through `row_vector`, only to build a witness or to
-answer a name-keyed caller (`eval_basis`).
+Names come back only through `names_of`, for a witness (`format_row`),
+the exporter or a name-keyed caller (`eval_basis`), and for key order.
 
 Two kinds of identity check share this layer.  The associativity-type
 checks (`associativity_witness`, and the assoc-infinitesimal check of
@@ -140,8 +141,7 @@ class GradedModule:
 
     Canonical order is (degree, name), uniformly for atomic and tensor
     modules, so every report and matrix block is deterministic.  Atomic
-    modules store the basis explicitly; tensor modules enumerate it only
-    on demand so that large tensor powers are never materialized.
+    modules store the basis explicitly; a tensor module holds none.
     """
 
     def __init__(self, ring: Ring, basis, name: str = ""):
@@ -156,7 +156,6 @@ class GradedModule:
                 raise ValueError(f"duplicate basis name {e.name!r}")
             seen.add(e.name)
         self._basis = tuple(elems)
-        self._by_name = {e.name: e for e in elems}
         self.factors = (self,)
         self._tensors = {}  # see `tensor`
 
@@ -173,16 +172,7 @@ class GradedModule:
         return tuple(e.name for e in self.basis())
 
     def degrees(self):
-        return sorted({e.degree for e in self.basis()})
-
-    def has(self, name: str) -> bool:
-        return name in self._by_name
-
-    def degree_of(self, name: str) -> int:
-        return self._by_name[name].degree
-
-    def parts_of(self, name: str):
-        return (name,)
+        return sorted(self.layout().keys)
 
     def index(self) -> "BasisIndex":
         """Positions of the basis names in canonical order, built once."""
@@ -201,9 +191,12 @@ class GradedModule:
         lay = getattr(self, "_layout", None)
         if lay is None:
             lay = self._layout = DegreeLayout({}, {})
-            for (_, key), e in zip(basis_keys(self), self.basis()):
-                keys = lay.keys.setdefault(e.degree, [])
-                lay.at[key] = (e.degree, len(keys))
+            degrees = [f.index().degree for f in self.factors]
+            for key in basis_keys(self):
+                d = (sum(map(operator.getitem, degrees, key))
+                     if self.arity > 1 else degrees[0][key])
+                keys = lay.keys.setdefault(d, [])
+                lay.at[key] = (d, len(keys))
                 keys.append(key)
         return lay
 
@@ -231,13 +224,13 @@ class GradedModule:
     # -- elements ------------------------------------------------------------
 
     def el(self, name: str, coeff=1) -> "Vector":
-        if not self.has(name):
-            raise KeyError(f"no basis element {name!r}")
+        _positions(self, name, "no basis element {!r}")
         return Vector._trusted(self, {name: self.ring.canon(coeff)})
 
 
 class TensorModule(GradedModule):
-    """Flattened tensor product of atomic graded modules; basis is lazy.
+    """Flattened tensor product of atomic graded modules; its keys, tuples
+    of positions, are listed by `basis_keys` and named by `names_of`.
 
     Build it with `tensor`, which flattens and interns it.
     """
@@ -249,31 +242,6 @@ class TensorModule(GradedModule):
         self.ring = ring
         self.name = TENSOR_SEP.join(f.name or "?" for f in factors)
         self.factors = tuple(factors)
-
-    def basis(self):
-        out = []
-        for combo in itertools.product(*(f.basis() for f in self.factors)):
-            out.append(BasisElement(
-                TENSOR_SEP.join(e.name for e in combo),
-                sum(e.degree for e in combo),
-            ))
-        out.sort(key=lambda e: (e.degree, e.name))
-        return tuple(out)
-
-    def has(self, name: str) -> bool:
-        parts = self.parts_of(name)
-        return len(parts) == len(self.factors) and all(
-            f.has(p) for f, p in zip(self.factors, parts))
-
-    def degree_of(self, name: str) -> int:
-        if not self.has(name):
-            raise KeyError(f"{name!r} is not a basis name of {self!r}")
-        return sum(f.degree_of(p)
-                   for f, p in zip(self.factors, self.parts_of(name)))
-
-    def parts_of(self, name: str):
-        """Split a name into its factor names; no validation."""
-        return tuple(name.split(TENSOR_SEP))
 
     def _struct(self):
         s = getattr(self, "_struct_cache", None)
@@ -337,8 +305,7 @@ class Vector:
         for name, c in coeffs.items():
             c = R.canon(c)
             if c != 0:
-                if not module.has(name):
-                    raise KeyError(f"{name!r} is not a basis name of {module!r}")
+                _positions(module, name)
                 clean[name] = c
         self.module = module
         self.coeffs = clean
@@ -362,31 +329,7 @@ class Vector:
         return hash((self.module, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
-        return format_vector(self)
-
-
-def format_vector(v: Vector) -> str:
-    """Terms in name order, joined by " + " and " - ".  A name that begins
-    with "-" (the shifted source part of a cone) is parenthesised, so that
-    its own sign is never read as the term's."""
-    if not v.coeffs:
-        return "0"
-    R = v.module.ring
-    parts = []
-    for name, c in sorted(v.coeffs.items()):
-        if name.startswith("-"):
-            name = f"({name})"
-        cs = R.format(c)
-        if cs == "1":
-            parts.append(name)
-        elif cs == "-1":
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{cs}*{name}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+        return format_row(self.module, vector_terms(self))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +358,9 @@ class GradedMap:
     the key back into (i, j).  No row function refers to its own map, so a
     map forms no reference cycle and is freed with its last user.
 
-    Names come back only through `eval_basis`, which reads the rows, for
-    a witness or a name-keyed caller.  `from_table` is the checked
-    constructor for a map given by values on basis names.
+    `eval_basis` reads a row back by name, for a name-keyed caller, and
+    `from_table` is the checked constructor for a map given by values on
+    basis names.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
@@ -447,17 +390,17 @@ class GradedMap:
         rows = {}
         m = cls(source, target, degree, lambda *k: rows.get(k, ()), name)
         for n, v in table.items():
-            if not source.has(n):
-                raise KeyError(f"{n!r} is not a basis name of the source")
+            key = _positions(source, n,
+                             "{!r} is not a basis name of the source")
             if not isinstance(v, Vector) or v.module != target:
                 raise ValueError(f"value for {n!r} does not live in the target")
             terms = vector_terms(v)
-            d = terms_degree(target, terms)
-            if d is not None and d != source.degree_of(n) + degree:
+            d, want = terms_degree(target, terms), degree + sum(
+                f.index().degree[x] for f, x in zip(source.factors, key))
+            if d is not None and d != want:
                 raise ValueError(
-                    f"value for {n!r} has degree {d}, expected "
-                    f"{source.degree_of(n) + degree}")
-            rows[_positions(source, n)] = terms
+                    f"value for {n!r} has degree {d}, expected {want}")
+            rows[key] = terms
         return m
 
     @classmethod
@@ -470,11 +413,10 @@ class GradedMap:
         """The image of the basis element `name`: its row, by name."""
         v = self._memo.get(name)
         if v is None:
-            src = self.source
-            if len(src.parts_of(name)) != src.arity:
-                raise KeyError(f"{name!r} is not a basis name of {src!r}")
-            v = self._memo[name] = row_vector(
-                self.target, self.row(*_positions(src, name)))
+            name_of = names_of(self.target)
+            v = self._memo[name] = Vector._trusted(self.target, {
+                name_of(k): c
+                for k, c in self.row(*_positions(self.source, name))})
         return v
 
     def row(self, i: int, j: int = 0) -> tuple:
@@ -501,15 +443,12 @@ class GradedMap:
 
     def block(self, k) -> ExactMatrix:
         """Dense matrix of the degree-k component (small modules only)."""
-        src = [e for e in self.source.basis() if e.degree == k]
-        tgt = [e for e in self.target.basis() if e.degree == k + self.degree]
+        src = self.source.layout().keys.get(k, [])
+        tgt = self.target.layout().keys.get(k + self.degree, [])
         R = self.source.ring
-        entries = []
-        images = [self.eval_basis(e.name) for e in src]
-        for t in tgt:
-            for img in images:
-                entries.append(img.coeffs.get(t.name, R.zero()))
-        return ExactMatrix(R, len(tgt), len(src), entries)
+        columns = [dict(self.at(key)) for key in src]
+        return ExactMatrix(R, len(tgt), len(src), [
+            col.get(t, R.zero()) for t in tgt for col in columns])
 
     def __repr__(self):
         return (f"GradedMap({self.name or '?'}: {self.source.name or '?'} -> "
@@ -548,13 +487,26 @@ class _Rows(dict):
         return r
 
 
-def basis_keys(module: GradedModule):
-    """(name, key) for each basis element of `module` in canonical order,
-    the key being its position, or its tuple of positions in a tensor
-    module, as map rows key it."""
+def basis_keys(module: GradedModule, keys=None):
+    """The basis keys of `module`, or the keys `keys`, in canonical order
+    (degree, name): positions, or in a tensor module tuples of positions,
+    one per factor, as map rows key them, sorted by degree and `names_of`
+    (an atomic module's positions are in that order already)."""
     if module.arity == 1:
-        return [(n, i) for i, n in enumerate(module.index().names)]
-    return [(e.name, _positions(module, e.name)) for e in module.basis()]
+        n = len(module.index().names)
+        return range(n) if keys is None else sorted(keys)
+    degrees = [f.index().degree for f in module.factors]
+    name = names_of(module)
+    if keys is None:
+        keys = itertools.product(*[range(len(d)) for d in degrees])
+    if len(degrees) == 2:   # the exporter's case: two lookups are faster
+        a, b = degrees
+        keyed = [(a[k[0]] + b[k[1]], name(k), k) for k in keys]
+    else:
+        keyed = [(sum(map(operator.getitem, degrees, k)), name(k), k)
+                 for k in keys]
+    keyed.sort()
+    return [k for _, _, k in keyed]
 
 
 def apply_rows(at, terms, ring) -> dict:
@@ -811,9 +763,9 @@ def associativity_witness(mu: GradedMap, inputs):
         lhs = sum_x <mu(a (x) b), x> mu(x (x) c),
         rhs = (-1)^{|mu||a|} sum_y <mu(b (x) c), y> mu(a (x) y),
 
-    the sign being the one 1 (x) mu picks up on a.  The failing triple is
-    named, and the sides are Vectors of mu's target, on a failure; else
-    both are None.
+    the sign being the one 1 (x) mu picks up on a.  On a failure the
+    triple is given by its positions and the sides as {position:
+    coefficient} dicts of mu's target; else all three are None.
 
     The sides are regrouped so that each is expanded once per distinct
     product row, not once per triple: the lhs depends on (a, b) only
@@ -862,9 +814,8 @@ def associativity_witness(mu: GradedMap, inputs):
         len(inputs))
     if failed is None:
         return count, None, None, None
-    names = idx.names
-    return (count, tuple([names[inputs[p]] for p in failed]),
-            row_vector(A, sides[lhs]), row_vector(A, sides[rhs]))
+    return (count, tuple([inputs[p] for p in failed]), dict(sides[lhs]),
+            dict(sides[rhs]))
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:
@@ -937,11 +888,18 @@ def _op_shift_signs(odd, j) -> list:
     return [bool(j % 2 and o) for o in odd]
 
 
-def _positions(module: GradedModule, name: str) -> tuple:
-    """The positions of a basis name's parts, one per factor of `module`
-    (`GradedModule.index`)."""
-    return tuple(f.index().pos[x]
-                 for f, x in zip(module.factors, module.parts_of(name)))
+def _positions(module: GradedModule, name,
+               message="{!r} is not a basis name of {!r}") -> tuple:
+    """The positions of a basis name's parts, one per factor of `module`;
+    KeyError(message.format(name, module)) for a value that is not a
+    string, a wrong number of parts, or an unknown part."""
+    if isinstance(name, str):
+        parts = name.split(TENSOR_SEP)
+        if len(parts) == len(module.factors):
+            pos = [f.index().pos.get(x) for f, x in zip(module.factors, parts)]
+            if None not in pos:
+                return tuple(pos)
+    raise KeyError(message.format(name, module))
 
 
 def vector_terms(v: Vector) -> tuple:
@@ -972,17 +930,41 @@ def terms_degree(module: GradedModule, terms):
     return found.pop() if found else None
 
 
-def row_vector(module: GradedModule, terms) -> Vector:
-    """The Vector of `module` with the (key, nonzero coefficient) pairs
-    `terms` in the form of `GradedMap.row`: names come back here, for a
-    witness or a name-keyed caller."""
+def names_of(module: GradedModule):
+    """key -> the basis name at `key`, a position of `module` or a tuple of
+    positions, one per factor, whose names TENSOR_SEP joins: the one way
+    a key becomes a name."""
     names = [f.index().names for f in module.factors]
     if len(names) == 1:
-        nm = names[0]
-        return Vector._trusted(module, {nm[k]: c for k, c in terms})
-    return Vector._trusted(module, {
-        TENSOR_SEP.join(nm[x] for nm, x in zip(names, k)): c
-        for k, c in terms})
+        return names[0].__getitem__
+    if len(names) == 2:   # the exporter's case: one concatenation is faster
+        a, b = names
+        return lambda key: a[key[0]] + TENSOR_SEP + b[key[1]]
+    return lambda key: TENSOR_SEP.join(map(operator.getitem, names, key))
+
+
+def format_row(module: GradedModule, terms) -> str:
+    """The (key, coefficient) pairs `terms` of an element of `module`, in
+    the form of a map's row, as text: the nonzero terms in name order
+    (`names_of`), joined by " + " and " - ", "0" for none.  A name that
+    begins with "-" (the shifted source part of a cone) is parenthesised,
+    so that its own sign is never read as the term's."""
+    name, fmt = names_of(module), module.ring.format
+    parts = []
+    for n, c in sorted((name(k), c) for k, c in terms if c != 0):
+        if n.startswith("-"):
+            n = f"({n})"
+        cs = fmt(c)
+        if cs == "1":
+            parts.append(n)
+        elif cs == "-1":
+            parts.append(f"-{n}")
+        else:
+            parts.append(f"{cs}*{n}")
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def slot_table(terms, module: GradedModule, functionals: GradedModule,

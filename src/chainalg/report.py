@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graded import (Outcome, _first_difference, _signed_row, basis_keys,
-                     format_vector, row_vector, tensor)
+                     format_row, names_of, tensor)
 from .complexes import (
     ChainComplex,
     ComplexBundle,
@@ -157,12 +157,12 @@ def _reverse_coproduct(t):
         dict(rebuilt(x)), dict(direct(x))))
     if x is None:
         return Outcome("pass", f"{other} reconstructed from {name} with c = "
-                       f"{format_vector(row_vector(tensor(A, A), c))} on "
+                       f"{format_row(tensor(A, A), c)} on "
                        f"{count} inputs", count)
     return Outcome("fail", (
         f"mismatch at {A.index().names[x]}: rebuilt "
-        f"{format_vector(row_vector(tensor(A, A), got.items()))}, direct "
-        f"{format_vector(row_vector(tensor(B, B), want.items()))}"), count)
+        f"{format_row(tensor(A, A), got.items())}, direct "
+        f"{format_row(tensor(B, B), want.items())}"), count)
 
 
 def _continuation_status(t):
@@ -171,11 +171,11 @@ def _continuation_status(t):
     c = t.data.pair_map
     row = c.f.row
     _, x, image, _ = _first_difference(basis_keys(c.source.module),
-                                       lambda x: (row(x[1]), ()))
+                                       lambda x: (row(x), ()))
     if x is None:
         return Outcome("pass", "c = 0")
-    return Outcome("fail", f"c({x[0]}) = " + format_vector(
-        row_vector(c.target.module, image)))
+    return Outcome("fail", f"c({names_of(c.source.module)(x)}) = "
+                   + format_row(c.target.module, image))
 
 
 def _homology_records(t, _):

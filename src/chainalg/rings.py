@@ -179,9 +179,8 @@ class Ring:
 
     # -- text form (used by the scenario files and reports) -----------------
 
-    def format(self, a) -> str:
-        # str of a Fraction is "n/d", or "n" when it is integral
-        return str(a)
+    # str of a Fraction is "n/d", or "n" when it is integral
+    format = staticmethod(str)
 
     def parse(self, s: str):
         s = s.strip()

@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .rings import Ring, ring_from_name
 from .graded import (
     BasisElement,
     GradedModule,
     GradedMap,
+    basis_keys,
+    names_of,
     tensor,
     TENSOR_SEP,
 )
@@ -358,7 +360,8 @@ def ingest(data) -> Scenario:
         _cap(safe, MAX_SAFE, "$.safe", "safe names")
         seen = set()
         for i, nm in enumerate(safe):
-            _expect(isinstance(nm, str) and module.has(nm), f"$.safe[{i}]",
+            _expect(isinstance(nm, str) and nm in module.index().pos,
+                    f"$.safe[{i}]",
                     f"unknown basis name {nm!r}")
             _expect(nm not in seen, f"$.safe[{i}]", f"duplicate basis name {nm!r}")
             seen.add(nm)
@@ -489,41 +492,37 @@ def _combo_writer(module: GradedModule):
     """The function that writes a row of an element of `module`, (key,
     coefficient) pairs as a map's row holds them, as `_parse_combo` and an
     operation entry's "out" read it back: [coefficient, name] per term, or
-    [coefficient, [name, ...]] in a tensor power, sorted by name (the
-    joined name in a tensor power).  Names are read once per module."""
-    fmt, names = module.ring.format, [f.index().names for f in module.factors]
-    atomic = names[0] if len(names) == 1 else None
-
-    def write(terms):
-        if atomic is not None:
-            keyed = [(atomic[k], atomic[k], c) for k, c in terms]
-        else:
-            keyed = [(TENSOR_SEP.join(parts), parts, c) for k, c in terms
-                     for parts in ([nm[x] for nm, x in zip(names, k)],)]
-        keyed.sort(key=itemgetter(0))
-        return [[fmt(c), name] for _, name, c in keyed]
-    return write
+    [coefficient, [name, ...]] in a tensor power, the factors' names at the
+    key's positions, sorted by the name (`names_of`, joined in a tensor
+    power)."""
+    fmt, name = module.ring.format, names_of(module)
+    if module.arity == 1:
+        return lambda terms: sorted([[fmt(c), name(k)] for k, c in terms],
+                                    key=itemgetter(1))
+    parts = [f.index().names for f in module.factors]
+    return lambda terms: [term for _, term in sorted([
+        (name(k), [fmt(c), list(map(getitem, parts, k))]) for k, c in terms])]
 
 
 def _operation_to_json(m: GradedMap):
     """An operation table of `m`, as `_parse_operation` reads it back: one
     entry per source basis element with a nonzero row, in the source's
-    canonical order (degree, name), each value written by
-    `_combo_writer`.  Rows are read by position from `m`; names are
-    joined only to sort a tensor's."""
-    ins = [f.index() for f in m.source.factors]
-    if len(ins) == 1:
-        rows = [([n], m.row(i)) for i, n in enumerate(ins[0].names)]
+    canonical order (`basis_keys`), each value written by
+    `_combo_writer`.  Rows are read by position from `m`; only the
+    nonzero ones are named and sorted."""
+    src, write = m.source, _combo_writer(m.target)
+    a, *b = [f.index().names for f in src.factors]
+    if b:
+        b, = b
+        rows = {(i, j): row for i in range(len(a)) for j in range(len(b))
+                if (row := m.row(i, j))}
+        entries = [{"in": [a[i], b[j]], "out": write(rows[i, j])}
+                   for i, j in basis_keys(src, rows)]
     else:
-        (a_names, _, _, a_deg), (b_names, _, _, b_deg) = ins
-        keyed = sorted(   # by degree, then by the joined name
-            (a_deg[i] + b_deg[j], a + TENSOR_SEP + b, [a, b], row)
-            for i, a in enumerate(a_names) for j, b in enumerate(b_names)
-            if (row := m.row(i, j)))
-        rows = [(parts, row) for _, _, parts, row in keyed]
-    write = _combo_writer(m.target)
-    return {"degree": m.degree, "entries": [
-        {"in": parts, "out": write(row)} for parts, row in rows if row]}
+        rows = {i: row for i in range(len(a)) if (row := m.row(i))}
+        entries = [{"in": [a[i]], "out": write(rows[i])}
+                   for i in basis_keys(src, rows)]
+    return {"degree": m.degree, "entries": entries}
 
 
 def _module_to_json(module: GradedModule):

@@ -14,8 +14,9 @@ count and witness of the associativity-type checks' shared quantifier,
 the lattice test of `induces_zero`, the torsion of `ImageSolver`, the one
 solver per block of a complex, the graded rotation of the cone package's
 cubic vector, the comparison of the lam(eta) gate, the one check of a
-combination's keys and homogeneity, the loop fixtures' unit and the order
-of an exported combination.
+combination's keys and homogeneity, the loop fixtures' unit, the order
+of an exported combination, and at the name boundary the row writer's name
+order and parentheses and the one name reader's count of parts.
 
 Each mutant is (file under src/chainalg, a snippet that occurs exactly once
 in it, its replacement, the test that must kill it: a pytest node id under
@@ -108,6 +109,8 @@ F_DEGREE = ("tests/test_complexes.py::"
 ONE_SOLVER = ("tests/test_complexes.py::"
               "test_a_complex_factors_each_block_once")
 TWIST = "tests/test_bialgebra.py::test_lambda_eta_twist_symmetry_all_fixtures"
+FORMAT_ROW = ("tests/test_graded.py::"
+              "test_format_row_writes_a_row_as_the_named_vector_text")
 CYCLIC = ("tests/test_cone_product.py::"
           "test_the_cubic_vector_is_symmetric_with_the_koszul_sign")
 LAMBDA_ETA_GATE = "tests/test_bialgebra.py::test_continuation_bivector_gate"
@@ -234,10 +237,11 @@ MUTANTS = [
      "        _get(b, \"degree\", path, typ=int)\n"
      "        _get(b, \"name\", path, typ=str)\n", BASIS_ERRORS),
     # the exporter: inputs and terms of a tensor in joined-name order
-    ("scenario.py", "(TENSOR_SEP.join(parts), parts, c)", "(parts, parts, c)",
+    ("scenario.py", "(name(k), [fmt(c), list(map(getitem, parts, k))])",
+     "(list(map(getitem, parts, k)), [fmt(c), list(map(getitem, parts, k))])",
      EXPORT_ORDER),
-    ("scenario.py", "b_deg[j], a + TENSOR_SEP + b, [a, b]",
-     "b_deg[j], (a, b), [a, b]", EXPORT_ORDER),
+    ("graded.py", "keyed = [(a[k[0]] + b[k[1]], name(k), k) for k in keys]",
+     "keyed = [(a[k[0]] + b[k[1]], k, k) for k in keys]", EXPORT_ORDER),
     # the pivot search's floor, read from the length counts: each factor
     # too low (never attained, so the search only slows down) and too high
     # (not a lower bound), and the comparison that stops the search
@@ -283,7 +287,8 @@ MUTANTS = [
     ("bialgebra.py", "right = neg(c) if lam_odd else c", "right = c",
      COASSOC),
     # the one test of [d, h] = 0, and of d*d = 0, skipped
-    ("complexes.py", "        raise ValueError(message.format(x[0]))\n",
+    ("complexes.py",
+     "        raise ValueError(message.format(names_of(h.source)(x)))\n",
      "        pass\n",
      "tests/test_complexes.py::test_cone_rejects_non_chain_map"),
     ("complexes.py", "if any(dd.values()):", "if False:",
@@ -318,14 +323,15 @@ MUTANTS = [
      'return Outcome("pass", "; ".join(failures[:5])', PINNED),
     ("cone_product.py", 'return Outcome("fail", "; ".join(failures[:5])',
      'return Outcome("fail", "; ".join(failures[:6])', PINNED),
-    ("cone_product.py", '    return Outcome(\n        "fail", f"{u}(x){v}(x){w}: ',
-     '    return Outcome(\n        "pass", f"{u}(x){v}(x){w}: ', PINNED),
+    ("cone_product.py", 'return Outcome("fail", f"{u}(x){v}(x){w}: ',
+     'return Outcome("pass", f"{u}(x){v}(x){w}: ', PINNED),
     ("cone_product.py", 'return Outcome("fail", "precondition: cone product',
      'return Outcome("fail", "cone product', PINNED),
     ("cone_product.py", 'if (assoc := data.associativity).status != "pass":',
      'if False:', PINNED),
-    ("complexes.py", 'return Outcome("fail", f"fails on {x[0]}: "',
-     'return Outcome("pass", f"fails on {x[0]}: "',
+    ("complexes.py",
+     'return Outcome("fail", f"fails on {names_of(f.source.module)(x)}: "',
+     'return Outcome("pass", f"fails on {names_of(f.source.module)(x)}: "',
      "tests/test_complexes.py::"
      "test_a_map_that_is_not_a_homotopy_names_the_failing_element"),
     # the one verdict type: an axiom's pass without its input count, a
@@ -564,8 +570,22 @@ MUTANTS = [
     ("fixtures.py", "eta = ((loops[1][0, 0], ring.one()),)",
      "eta = ((loops[1][0, 1], ring.one()),)",
      "tests/test_fixtures.py::test_loop_unit_is_the_row_of_one"),
-    ("scenario.py", "    keyed.sort(key=itemgetter(0))\n", "",
+    ("scenario.py", "return lambda terms: sorted([[fmt(c), name(k)] "
+     "for k, c in terms],\n                                    "
+     "key=itemgetter(1))",
+     "return lambda terms: [[fmt(c), name(k)] for k, c in terms]",
      "tests/test_export.py::test_export_sorts_a_combination_by_name"),
+    # the name boundary: the row writer's name order and its parentheses
+    # around a "-" name, and the strict reader's count of parts
+    ("graded.py",
+     "for n, c in sorted((name(k), c) for k, c in terms if c != 0):",
+     "for _, n, c in sorted((k, name(k), c) for k, c in terms if c != 0):",
+     FORMAT_ROW),
+    ("graded.py", '            n = f"({n})"', "            n = n", FORMAT_ROW),
+    ("graded.py", "if len(parts) == len(module.factors):",
+     "if len(parts) <= len(module.factors):",
+     "tests/test_graded_properties.py::"
+     "test_positions_is_the_one_strict_reader"),
     # the pair rows' blocks: one piece left out of the row's sum, and the
     # place offset t * nn left out of the product columns
     ("bialgebra.py", "    for piece in pieces:\n",

@@ -28,14 +28,79 @@ cone, "+x" then "-x^" for each safe x, as positions.  `add`, `sub`,
 `scale`, `neg` and `tensor_values` are the name-keyed Vector algebra that
 the references sum with, `zero`, `is_zero` and `degree` read a Vector by
 names (the library itself sums rows and reads degrees off positions), and
-`basis_in_degree` lists a module's basis in one degree.
+`basis_in_degree` lists a module's basis in one degree.  `by_names` reads
+a quantifier's witness on positions back by names.  `basis` lists any
+module's basis by names, a tensor module's joined from its factors' and
+sorted (the reference of `graded.basis_keys`), `basis_names` its names,
+`parts` splits a tensor name and `degree_of` reads a name's degree by
+names; `row_vector` reads a row back into a Vector by names and
+`format_vector` writes a Vector's text (the library writes rows,
+`graded.format_row`).
 """
 
-from chainalg.graded import (TENSOR_SEP, GradedMap, GradedModule, Outcome,
-                             Vector, _op_shift_signs, _signed_row,
-                             format_vector, row_vector, shift, tensor,
-                             vector_terms)
+import itertools
+
+from chainalg.graded import (TENSOR_SEP, BasisElement, GradedMap,
+                             GradedModule, Outcome, Vector, _op_shift_signs,
+                             _signed_row, format_row, names_of, shift,
+                             tensor, vector_terms)
 from chainalg.scenario import _combo_writer
+
+
+def basis(module: GradedModule) -> tuple:
+    """The basis of `module` by names in canonical order (degree, name):
+    each product of its factors' basis elements, names joined by
+    TENSOR_SEP and degrees summed."""
+    return tuple(sorted(
+        (BasisElement(TENSOR_SEP.join(e.name for e in combo),
+                      sum(e.degree for e in combo))
+         for combo in itertools.product(*(f.basis() for f in module.factors))),
+        key=lambda e: (e.degree, e.name)))
+
+
+def basis_names(module: GradedModule) -> tuple:
+    """The basis names of `module` in canonical order."""
+    return tuple(e.name for e in basis(module))
+
+
+def parts(name: str) -> tuple:
+    """The factor names of a tensor basis name; no validation."""
+    return tuple(name.split(TENSOR_SEP))
+
+
+def degree_of(module: GradedModule, name: str) -> int:
+    """The degree of the basis name `name` of `module`, read by names:
+    KeyError for a name that is not one."""
+    idx = [f.index() for f in module.factors]
+    ps = parts(name)
+    if len(ps) != len(idx):
+        raise KeyError(f"{name!r} is not a basis name of {module!r}")
+    return sum(x.degree[x.pos[p]] for x, p in zip(idx, ps))
+
+
+def row_vector(module: GradedModule, terms) -> Vector:
+    """The Vector of `module` with the (key, coefficient) pairs `terms` of
+    a map's row, named by `graded.names_of`."""
+    name = names_of(module)
+    return Vector(module, {name(k): c for k, c in terms})
+
+
+def format_vector(v: Vector) -> str:
+    """v's text, as `graded.format_row` writes its terms."""
+    return format_row(v.module, vector_terms(v))
+
+
+def by_names(module: GradedModule, found):
+    """A quantifier's (count, input or None, lhs, rhs), the input a tuple
+    of positions of `module` and the sides {position: coefficient} dicts,
+    read back by names: the input's names and the sides as Vectors, as the
+    name-keyed references give them."""
+    count, x, lhs, rhs = found
+    if x is None:
+        return found
+    name = names_of(module)
+    return (count, tuple(map(name, x)), row_vector(module, lhs.items()),
+            row_vector(module, rhs.items()))
 
 
 def _same_module(u: Vector, v: Vector):
@@ -90,7 +155,7 @@ def is_zero(v: Vector) -> bool:
 
 def degree(v: Vector):
     """v's degree read by names: None for 0, ValueError if mixed."""
-    degs = {v.module.degree_of(n) for n in v.coeffs}
+    degs = {degree_of(v.module, n) for n in v.coeffs}
     if len(degs) > 1:
         raise ValueError(f"inhomogeneous vector with degrees {sorted(degs)}")
     return degs.pop() if degs else None
@@ -98,7 +163,7 @@ def degree(v: Vector):
 
 def basis_in_degree(module: GradedModule, k) -> tuple:
     """The basis elements of `module` of degree k, in canonical order."""
-    return tuple(e for e in module.basis() if e.degree == k)
+    return tuple(e for e in basis(module) if e.degree == k)
 
 
 def dual_pair(f: Vector, a: Vector):
@@ -176,7 +241,7 @@ class NameMap:
         """This map as a library row map, checked by `from_table`."""
         return GradedMap.from_table(
             self.source, self.target, self.degree,
-            {n: self.eval_basis(n) for n in self.source.basis_names()},
+            {n: self.eval_basis(n) for n in basis_names(self.source)},
             self.name)
 
 
@@ -199,7 +264,7 @@ def identity(module, name: str = "id") -> GradedMap:
 
 
 def is_zero_map(f) -> bool:
-    return all(is_zero(f.eval_basis(n)) for n in f.source.basis_names())
+    return all(is_zero(f.eval_basis(n)) for n in basis_names(f.source))
 
 
 def scaled(f, c) -> NameMap:
@@ -225,10 +290,10 @@ def tensor_map(f, g) -> NameMap:
     g_odd = g.degree % 2
 
     def fn(name):
-        parts = source.parts_of(name)
-        left = TENSOR_SEP.join(parts[:split])
-        right = TENSOR_SEP.join(parts[split:])
-        negate = g_odd and f.source.degree_of(left) % 2
+        ps = parts(name)
+        left = TENSOR_SEP.join(ps[:split])
+        right = TENSOR_SEP.join(ps[split:])
+        negate = g_odd and degree_of(f.source, left) % 2
         out = {}
         for n1, c1 in f.eval_basis(left).coeffs.items():
             if negate:
@@ -248,10 +313,10 @@ def twist(M: GradedModule, N: GradedModule) -> NameMap:
     split = M.arity
 
     def fn(name):
-        parts = source.parts_of(name)
-        left = TENSOR_SEP.join(parts[:split])
-        right = TENSOR_SEP.join(parts[split:])
-        sign = -1 if M.degree_of(left) % 2 and N.degree_of(right) % 2 else 1
+        ps = parts(name)
+        left = TENSOR_SEP.join(ps[:split])
+        right = TENSOR_SEP.join(ps[split:])
+        sign = -1 if degree_of(M, left) % 2 and degree_of(N, right) % 2 else 1
         return target.el(f"{right}{TENSOR_SEP}{left}", sign)
 
     return NameMap(source, target, 0, fn, name="tau")
@@ -267,7 +332,7 @@ def insert_right(v: Vector, M: GradedModule) -> NameMap:
     """x -> (-1)^{|v| |x|} x (x) v (v moves past x)."""
     def fn(n):
         out = tensor_values(M.el(n), v)
-        return neg(out) if degree(v) % 2 and M.degree_of(n) % 2 else out
+        return neg(out) if degree(v) % 2 and degree_of(M, n) % 2 else out
 
     return NameMap(M, tensor(M, v.module), degree(v), fn, name="insR")
 
@@ -306,9 +371,9 @@ def operation_to_json(m):
     """An operation table of `m` read by names: `eval_basis` on every name
     of the source basis in canonical order, one entry per nonzero value.
     The reference of `chainalg.scenario._operation_to_json`."""
-    values = ((e.name, m.eval_basis(e.name)) for e in m.source.basis())
+    values = ((e.name, m.eval_basis(e.name)) for e in basis(m.source))
     return {"degree": m.degree, "entries": [
-        {"in": list(m.source.parts_of(n)),
+        {"in": list(parts(n)),
          "out": _combo_writer(v.module)(vector_terms(v))}
         for n, v in values if not is_zero(v)]}
 
@@ -324,7 +389,7 @@ def structurally_equal(a, b) -> bool:
         return False
     A2 = tensor(a.module, a.module)
     return (all(a.mu.eval_basis(e.name) == b.mu.eval_basis(e.name)
-                for e in A2.basis())
+                for e in basis(A2))
             and all(a.lam.eval_basis(e.name) == b.lam.eval_basis(e.name)
                     for e in a.module.basis()))
 
@@ -388,7 +453,14 @@ def secondary_operations(data) -> dict:
     A, M, mu = data.A, data.M, data.mu
     Q0 = row_vector(tensor(A, A), data.Q0)
     B = row_vector(tensor(A, A, A), data.B)
-    R, deg, deg_M = A.ring, A.degree_of, M.degree_of
+    R = A.ring
+
+    def deg(a):
+        return degree_of(A, a)
+
+    def deg_M(f):
+        return degree_of(M, f)
+
     AM, MA, MM = tensor(A, M), tensor(M, A), tensor(M, M)
 
     def sign(k):   # (-1)^k in the ring
@@ -434,19 +506,19 @@ def secondary_operations(data) -> dict:
         yield from corrections(x, right, left)
 
     def m_L(nm):   # <a, m_L(b,f)> = <mu(a,b), f>, both element first
-        b, f = AM.parts_of(nm)
+        b, f = parts(nm)
         return functional(lambda a: R.mul(
             sign((deg(a) + deg(b)) * deg_M(f)), pair(f, product(a, b))),
             deg(b) + deg_M(f), True)
 
     def m_R(nm):   # <m_R(f,a), b> = <f, mu(a,b)>
-        f, a = MA.parts_of(nm)
+        f, a = parts(nm)
         return functional(lambda b: pair(f, product(a, b)), 0, False)
 
     def sigma(nm):
         # <sigma(f,g), a> = (-1)^{(|f|+1)(|g|+1)} <g (x) f, lam_rev(a)>,
         # <g (x) f, w1 (x) w2> = (-1)^{|f||w1|} <g,w1> <f,w2>
-        f, g = MM.parts_of(nm)
+        f, g = parts(nm)
 
         def value(a):
             acc = R.zero()
@@ -459,7 +531,7 @@ def secondary_operations(data) -> dict:
         return functional(value, 0, False)
 
     def tau_R(nm):   # <lam_fwd(b), 1 (x) f> = sum w1 <w2, f>, element first
-        b, f = AM.parts_of(nm)
+        b, f = parts(nm)
         out = zero(A)
         for w1, w2, c in coproduct(b, True, False):
             s = sign(deg(w2) * deg_M(f))
@@ -467,17 +539,17 @@ def secondary_operations(data) -> dict:
         return out
 
     def tau_L(nm):   # (-1)^{|f|+1} <f (x) 1, lam_rev_left(a)>
-        f, a = MA.parts_of(nm)
+        f, a = parts(nm)
         out = zero(A)
         for w1, w2, c in coproduct(a, False, True):
             out = add(out, A.el(w2, R.mul(c, pair_with(f, w1))))
         return scale(out, sign(deg_M(f) + 1))
 
     def beta(nm):   # <f (x) g (x) 1, B>: g moves past B1
-        f, g = MM.parts_of(nm)
+        f, g = parts(nm)
         out = zero(A)
         for term, c in B.coeffs.items():
-            b1, b2, b3 = B.module.parts_of(term)
+            b1, b2, b3 = parts(term)
             s = R.mul(sign(deg_M(g) * deg(b1)),
                       R.mul(pair_with(f, b1), pair_with(g, b2)))
             out = add(out, A.el(b3, R.mul(c, s)))

@@ -17,7 +17,7 @@ from chainalg.graded import (
     vector_terms,
 )
 from chainalg.rings import ZZ, Ring
-from name_keyed import add
+from name_keyed import add, basis, degree_of, parts
 
 
 def cyclic_symmetrize(t: Vector) -> Vector:
@@ -25,12 +25,15 @@ def cyclic_symmetrize(t: Vector) -> Vector:
     x(x)y(x)z -> (-1)^{|z|(|x|+|y|)} z(x)x(x)y, by names; rot has order 3,
     so the sum is cyclically symmetric."""
     mod = t.module
-    deg = mod.factors[0].degree_of
+    factor = mod.factors[0]
+
+    def deg(n):
+        return degree_of(factor, n)
 
     def rotate(v):
         out = {}
         for name, c in v.coeffs.items():
-            x, y, z = mod.parts_of(name)
+            x, y, z = parts(name)
             odd = deg(z) * (deg(x) + deg(y)) % 2
             out[TENSOR_SEP.join((z, x, y))] = -c if odd else c
         return Vector(mod, out)
@@ -57,10 +60,10 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
     if kind == "cone":
         mu_degree, lam_degree = 0, 1 - 2 * n
     rng = random.Random(seed)
-    basis = [BasisElement("e", 0)]
+    elements = [BasisElement("e", 0)]
     for i in range(size):
-        basis.append(BasisElement(f"g{i}", rng.choice(list(degrees))))
-    module = GradedModule(ring, basis, name=f"random({seed})")
+        elements.append(BasisElement(f"g{i}", rng.choice(list(degrees))))
+    module = GradedModule(ring, elements, name=f"random({seed})")
     A2 = tensor(module, module)
 
     def random_value(target_degree):
@@ -83,7 +86,7 @@ def make_random_instance(seed: int, size: int, degrees=(0, -1),
         return Vector(A2, out)
 
     mu_table = {}
-    for e in sorted(A2.basis(), key=lambda b: b.name):
+    for e in sorted(basis(A2), key=lambda b: b.name):
         mu_table[e.name] = random_value(e.degree + mu_degree)
     lam_table = {}
     for e in module.basis():

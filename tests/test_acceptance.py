@@ -4,21 +4,24 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chainalg
 from chainalg.rings import ZZ, QQ, GF
 from chainalg.matrices import (
     ExactMatrix,
     smith_normal_form,
     diagonal_of,
 )
-from chainalg.graded import (Outcome, Vector, _signed_row, format_vector,
-                             tensor, TENSOR_SEP)
+from chainalg.graded import (Outcome, Vector, _signed_row, tensor,
+                             TENSOR_SEP)
 from chainalg.complexes import mapping_cone, transition_automorphism
 from chainalg.bialgebra import (AXIOM_ORDER, check_axioms, lambda_eta,
                                  secondary_relation_apply)
@@ -29,7 +32,7 @@ from chainalg.cone_product import (
     cone_data_from_bialgebra,
 )
 from chainalg import fixtures as fx
-from name_keyed import is_zero, neg
+from name_keyed import format_vector, is_zero, neg
 
 WINDOW = fx.TruncationWindow(12)
 RINGS = (ZZ, QQ, GF(5))
@@ -270,9 +273,14 @@ def test_criterion_8_cone_mutation_robustness():
 
 def test_criterion_9_report_determinism():
     cli = [sys.executable, "-m", "chainalg.cli"]
+    env = dict(os.environ)   # the package the tests import, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(chainalg.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
 
     def run(*args):
-        r = subprocess.run(cli + list(args), capture_output=True, text=True)
+        r = subprocess.run(cli + list(args), capture_output=True, text=True,
+                           env=env)
         assert r.returncode == 0, r.stderr
         return r.stdout
 

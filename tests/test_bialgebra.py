@@ -8,8 +8,6 @@ from chainalg.graded import (
     Outcome,
     Vector,
     _signed_row,
-    format_vector,
-    row_vector,
     tensor,
     vector_terms,
     TENSOR_SEP,
@@ -33,7 +31,16 @@ from chainalg.fixtures import (
     mutate_mu,
     mutation_targets,
 )
-from name_keyed import is_zero, named, neg, negated, sub, zero
+from name_keyed import (
+    format_vector,
+    is_zero,
+    named,
+    neg,
+    negated,
+    row_vector,
+    sub,
+    zero,
+)
 
 W = TruncationWindow(12)
 

@@ -11,7 +11,6 @@ from chainalg.graded import (
     GradedModule,
     Outcome,
     Vector,
-    row_vector,
     shift,
     tensor,
     vector_terms,
@@ -32,10 +31,29 @@ from chainalg.bialgebra import (BialgebraData, PairKernel,
                                  secondary_relation_apply)
 from chainalg.fixtures import TruncationWindow, make_fixture
 from chainalg.rings import ZZ, QQ, GF
-from name_keyed import (NameMap, PLACEMENT, add, apply_op_shift, cone_window,
-                        degree, dual_pair, identity, is_zero, named, neg,
-                        scale, secondary_operations, sub, tensor_map,
-                        tensor_values, twist, zero)
+from name_keyed import (
+    add,
+    apply_op_shift,
+    cone_window,
+    degree,
+    degree_of,
+    dual_pair,
+    identity,
+    is_zero,
+    named,
+    NameMap,
+    neg,
+    parts,
+    PLACEMENT,
+    row_vector,
+    scale,
+    secondary_operations,
+    sub,
+    tensor_map,
+    tensor_values,
+    twist,
+    zero,
+)
 from random_instances import cyclic_symmetrize, make_random_instance
 
 W = TruncationWindow(12)
@@ -81,11 +99,11 @@ def pair_two(T: Vector, g: Vector, f: Vector):
     acc = R.zero()
     m1, m2 = mod.factors
     for name, c in T.coeffs.items():
-        p1, p2 = mod.parts_of(name)
+        p1, p2 = parts(name)
         s1 = dual_pair(g, m1.el(p1))
         s2 = dual_pair(f, m2.el(p2))
         term = R.mul(c, R.mul(s1, s2))
-        if df is not None and (df % 2) and (m1.degree_of(p1) % 2):
+        if df is not None and (df % 2) and (degree_of(m1, p1) % 2):
             term = R.neg(term)
         acc = R.add(acc, term)
     return acc
@@ -294,9 +312,9 @@ def test_beta_contracts_the_cubic_vector(ring):
             for g in M.basis_names():
                 want = zero(A)
                 for name, c in B.coeffs.items():
-                    b1, b2, b3 = B.module.parts_of(name)
+                    b1, b2, b3 = parts(name)
                     s = dual_pair(M.el(f), A.el(b1)) * dual_pair(M.el(g), A.el(b2))
-                    if M.degree_of(g) % 2 and A.degree_of(b1) % 2:
+                    if degree_of(M, g) % 2 and degree_of(A, b1) % 2:
                         s = -s
                     want = add(want, A.el(b3, c * s))
                 got = beta.eval_basis(f"{f}{TENSOR_SEP}{g}")
@@ -323,15 +341,15 @@ def _check_m_L_pairing(data):
             # functional-first pairing dictionary
             got = m_L.eval_basis(f"{b}{TENSOR_SEP}{f}^")
             for a in data.safe_names:
-                da = A.degree_of(a)
-                dphi = M.degree_of(f + "^") + A.degree_of(b)
+                da = degree_of(A, a)
+                dphi = degree_of(M, f + "^") + degree_of(A, b)
                 lhs = dual_pair(got, A.el(a))
                 if (da % 2) and (dphi % 2):
                     lhs = -lhs
                 prod = named(mu)(tensor_values(A.el(a), A.el(b)))
                 rhs = dual_pair(fv, prod)
-                dprod = da + A.degree_of(b)
-                if (dprod % 2) and (M.degree_of(f + "^") % 2):
+                dprod = da + degree_of(A, b)
+                if (dprod % 2) and (degree_of(M, f + "^") % 2):
                     rhs = -rhs
                 assert lhs == rhs, (a, b, f)
 
@@ -367,7 +385,7 @@ def test_sigma_without_corrections_uses_plain_coproduct():
     for f in data.safe_names:
         for g in data.safe_names:
             got = sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
-            df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
+            df, dg = degree_of(M, f + "^"), degree_of(M, g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
                 want = pair_two(inst.lam.eval_basis(a), M.el(g + "^"),
@@ -389,7 +407,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data):
         out = data.lam.eval_basis(a)
         for name, c in Q0.coeffs.items():
             q1, q2 = name.split(TENSOR_SEP)
-            s = -1 if degree(Q0) % 2 and A.degree_of(a) % 2 else 1
+            s = -1 if degree(Q0) % 2 and degree_of(A, a) % 2 else 1
             right = tensor_values(
                 named(mu)(tensor_values(A.el(a), A.el(q1))), A.el(q2))
             left = tensor_values(
@@ -401,7 +419,7 @@ def test_sigma_pairs_against_corrected_coproduct(s1_data):
     for f in data.safe_names:
         for g in data.safe_names:
             got = sigma.eval_basis(f"{f}^{TENSOR_SEP}{g}^")
-            df, dg = M.degree_of(f + "^"), M.degree_of(g + "^")
+            df, dg = degree_of(M, f + "^"), degree_of(M, g + "^")
             sign = -1 if ((df + 1) * (dg + 1)) % 2 else 1
             for a in data.safe_names:
                 want = pair_two(lam_rev(a), M.el(g + "^"),
@@ -418,7 +436,7 @@ def test_shift_sign_table(s3_data):
     A, M = data.A, data.M
     b, ops = block_parts(data), unbarred(data)
     for x in data.safe_names:
-        dx = A.degree_of(x)
+        dx = degree_of(A, x)
         for f in data.safe_names:
             key = f"{x}{TENSOR_SEP}{f}^"
             key_rev = f"{f}^{TENSOR_SEP}{x}"
@@ -436,7 +454,7 @@ def test_shift_sign_table(s3_data):
                 ops["tau_L"].eval_basis(key_rev).coeffs
         for g in data.safe_names:
             key = f"{x}^{TENSOR_SEP}{g}^"
-            sf = -1 if M.degree_of(x + "^") % 2 else 1
+            sf = -1 if degree_of(M, x + "^") % 2 else 1
             # <m-bar(fbar, gbar), a> = (-1)^{|f|} <sigma(f,g), a>
             assert b["sigma"].eval_basis(key).coeffs == \
                 scale(ops["sigma"].eval_basis(key), sf).coeffs
@@ -511,7 +529,7 @@ def test_assoc_implies_infinitesimal_nonvacuous():
         if name == "1":
             return fixed_unit_value
         out = {}
-        target_degree = A.degree_of(name) - 1
+        target_degree = degree_of(A, name) - 1
         for e1 in A.basis():
             for e2 in A.basis():
                 if e1.degree + e2.degree != target_degree:
@@ -586,7 +604,7 @@ def test_assoc_precondition_failure_reported():
 
     def broken_mu_fn(name):
         v = inst.mu.eval_basis(name)
-        x, y = A2.parts_of(name)
+        x, y = parts(name)
         if x == "U" and y == "U":
             return scale(v, 2)
         return v
@@ -646,7 +664,7 @@ def unshift_reference(op, i, j, k):
     R = op.target.ring
 
     def fn(nm):
-        negate = j % 2 and X.degree_of(source.parts_of(nm)[0]) % 2
+        negate = j % 2 and degree_of(X, parts(nm)[0]) % 2
         return Vector(target, {n: R.neg(c) if negate else c
                                for n, c in op.eval_basis(nm).coeffs.items()})
 
@@ -665,7 +683,7 @@ def product_reference(data):
               ("-", "-"): ("beta", "sigma")}
 
     def fn(nm):
-        u, v = src.parts_of(nm)
+        u, v = parts(nm)
         key = f"{u[1:]}{TENSOR_SEP}{v[1:]}"
         if u[0] == v[0] == "+":
             return Vector(cone_mod, {f"+{n}": c for n, c in
@@ -868,8 +886,8 @@ def test_closed_form_components_preserve_degree(s3_data, s1_data):
     # barred elements sit one degree above their unbarred ones (Mbar =
     # M[-1]), and each closed-form component is of degree 0 on A and Mbar
     for data in (s3_data, s1_data):
-        assert [data.Mbar.degree_of(f) for f in data.M.basis_names()] == \
-            [data.M.degree_of(f) + 1 for f in data.M.basis_names()]
+        assert [degree_of(data.Mbar, f) for f in data.M.basis_names()] == \
+            [degree_of(data.M, f) + 1 for f in data.M.basis_names()]
         nonzero = 0
         for key, comp in data.components.items():
             X, Y = (f.index().degree for f in comp.source.factors)

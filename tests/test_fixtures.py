@@ -18,7 +18,7 @@ from chainalg.fixtures import (
 )
 from chainalg import scenario as sc
 from random_instances import make_random_instance
-from name_keyed import degree, is_zero, zero
+from name_keyed import degree, degree_of, is_zero, zero
 
 W = TruncationWindow(12)
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -62,8 +62,8 @@ def test_sphere_product_and_coproduct_values():
     # lam(1) = 0 (empty sum)
     assert is_zero(inst.lam.eval_basis("1"))
     # degrees: |U| = n-1, |A| = -n
-    assert inst.module.degree_of("U") == 2
-    assert inst.module.degree_of("A") == -3
+    assert degree_of(inst.module, "U") == 2
+    assert degree_of(inst.module, "A") == -3
     assert inst.lam.degree == -5
 
 
@@ -86,7 +86,7 @@ def test_circle_coproduct_branch_values():
 def test_based_loop_values():
     s3 = make_fixture("omega-s3", W)
     assert s3.lam.eval_basis("U") == T(s3, (1, "1", "1"))
-    assert s3.module.degree_of("U") == 2
+    assert degree_of(s3.module, "U") == 2
     assert s3.lam.degree == -2
 
     plus = make_fixture("omega-s1-plus", W)
@@ -236,9 +236,9 @@ def test_degree_bookkeeping_on_fixture_operations(name):
     for a in inst.safe_names:
         v = inst.lam.eval_basis(a)
         if not is_zero(v):
-            assert degree(v) == inst.module.degree_of(a) + inst.lam.degree
+            assert degree(v) == degree_of(inst.module, a) + inst.lam.degree
         for b in inst.safe_names:
             key = f"{a}{TENSOR_SEP}{b}"
             w = inst.mu.eval_basis(key)
             if not is_zero(w):
-                assert degree(w) == A2.degree_of(key) + inst.mu.degree
+                assert degree(w) == degree_of(A2, key) + inst.mu.degree

@@ -20,15 +20,36 @@ from chainalg.graded import (
     dual_module,
     dual_map,
     TENSOR_SEP,
-    format_vector,
     basis_keys,
+    format_row,
     terms_degree,
     vector_terms,
 )
-from name_keyed import (add, apply_op_shift, basis_in_degree, degree,
-                        dual_pair, identity, is_zero, is_zero_map, named, neg,
-                        scale, scaled, sub, tensor_map, tensor_values, twist,
-                        unapply_op_shift, zero)
+from name_keyed import (
+    add,
+    apply_op_shift,
+    basis,
+    basis_in_degree,
+    basis_names,
+    degree,
+    degree_of,
+    dual_pair,
+    format_vector,
+    identity,
+    is_zero,
+    is_zero_map,
+    named,
+    neg,
+    parts,
+    scale,
+    scaled,
+    sub,
+    tensor_map,
+    tensor_values,
+    twist,
+    unapply_op_shift,
+    zero,
+)
 
 
 def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):
@@ -38,7 +59,7 @@ def small_module(ring=ZZ, degrees=(0, 1, 2, -1)):
 
 def random_map(rng, source, target, degree, ring=ZZ):
     table = {}
-    for e in source.basis():
+    for e in basis(source):
         out = {}
         for t in target.basis():
             if t.degree == e.degree + degree:
@@ -54,7 +75,7 @@ def test_identity_tensor_identity():
     one = identity(M)
     both = tensor_map(one, one)
     M2 = tensor(M, M)
-    for e in M2.basis():
+    for e in basis(M2):
         assert both.eval_basis(e.name) == M2.el(e.name)
 
 
@@ -83,7 +104,7 @@ def test_tensor_interchange_law():
         sign = -1 if (dg % 2) and (dfp % 2) else 1
         rhs = scaled(tensor_map(named(fp).then(f), named(gp).then(g)), sign)
         M2 = tensor(M, M)
-        for e in M2.basis():
+        for e in basis(M2):
             assert lhs.eval_basis(e.name) == rhs.eval_basis(e.name), e.name
 
 
@@ -91,15 +112,15 @@ def test_twist_signs_and_involution():
     M = small_module()
     N = small_module()
     t = twist(M, N)
-    for e in tensor(M, N).basis():
-        a, b = tensor(M, N).parts_of(e.name)
-        da, db = M.degree_of(a), N.degree_of(b)
+    for e in basis(tensor(M, N)):
+        a, b = parts(e.name)
+        da, db = degree_of(M, a), degree_of(N, b)
         v = t.eval_basis(e.name)
         sign = -1 if (da % 2) and (db % 2) else 1
         assert v == tensor(N, M).el(f"{b}{TENSOR_SEP}{a}", sign)
     # tau . tau = id
     back = t.then(twist(N, M))
-    for e in tensor(M, N).basis():
+    for e in basis(tensor(M, N)):
         assert back.eval_basis(e.name) == tensor(M, N).el(e.name)
 
 
@@ -114,7 +135,7 @@ def test_twist_is_chain_map_for_tensor_differential():
     t = twist(M, M)
     lhs = t.then(dM2)
     rhs = dM2.then(t)
-    for e in tensor(M, M).basis():
+    for e in basis(tensor(M, M)):
         assert lhs.eval_basis(e.name) == rhs.eval_basis(e.name)
 
 
@@ -123,7 +144,7 @@ def test_shift_conventions():
     assert shift(M, 0) is M
     S = shift(M, 3)
     for e in M.basis():
-        assert S.degree_of(e.name) == e.degree - 3
+        assert degree_of(S, e.name) == e.degree - 3
     back = shift(S, -3)
     assert back == M
 
@@ -190,7 +211,7 @@ def test_double_dual_is_identity():
     M = small_module()
     DD = dual_module(dual_module(M))
     for e in M.basis():
-        assert DD.degree_of(e.name + "^^") == e.degree
+        assert degree_of(DD, e.name + "^^") == e.degree
 
 
 def test_op_shift_round_trip():
@@ -205,7 +226,7 @@ def test_op_shift_round_trip():
                 back = apply_op_shift(barred, i, j, k)
                 assert back.source == op.source
                 assert back.target == op.target
-                for e in M2.basis():
+                for e in basis(M2):
                     assert back.eval_basis(e.name) == op.eval_basis(e.name)
 
 
@@ -214,7 +235,7 @@ def test_op_shift_identity_transformation():
     M = small_module()
     op = random_map(rng, tensor(M, M), M, 0)
     same = apply_op_shift(op, 0, 0, 0)
-    for e in tensor(M, M).basis():
+    for e in basis(tensor(M, M)):
         assert same.eval_basis(e.name) == op.eval_basis(e.name)
 
 
@@ -300,9 +321,9 @@ def test_from_table_rows_are_the_terms_of_the_values(ring):
                          t.name: Fraction(rng.randint(-3, 3),
                                           1 if ring == ZZ else rng.randint(1, 3))
                          for t in basis_in_degree(target, e.degree + degree)})
-                     for e in source.basis() if rng.random() < 0.8}
+                     for e in basis(source) if rng.random() < 0.8}
             f = GradedMap.from_table(source, target, degree, table)
-            for name, key in basis_keys(source):
+            for name, key in zip(basis_names(source), basis_keys(source)):
                 want = vector_terms(table.get(name, zero(target)))
                 assert f.at(key) == want, (name, degree)
                 assert f.eval_basis(name) == table.get(name, zero(target))
@@ -474,3 +495,43 @@ def test_format_vector_parenthesises_names_that_begin_with_a_minus():
     assert format_vector(Vector(C, {"+A": -1, "x": -1})) == "-+A - x"
     assert format_vector(Vector(C, {"x": 3})) == "3*x"
     assert format_vector(zero(C)) == "0"
+
+
+def test_format_row_writes_a_row_as_the_named_vector_text():
+    # the text `format_vector` gave a row read back by names: terms in name
+    # order, not key order, "-" names parenthesised, zero terms dropped
+    for ring, texts in (
+            (QQ, ["-+1 + (-U^2^)", "2*+1 + 4*+A - 3/2*x", "0", "0",
+                  "3*(-1^) - (-U^2^)",
+                  "-+1⊗-U^2^ + 2*(-U^2^⊗+1) + 1/3*x⊗+A"]),
+            (GF(5), ["4*+1 + (-U^2^)", "2*+1 + 4*+A + x", "0", "0",
+                     "3*(-1^) + 4*(-U^2^)",
+                     "4*+1⊗-U^2^ + 2*(-U^2^⊗+1) + 2*x⊗+A"])):
+        C = GradedModule(ring, [BasisElement(n, d) for n, d in (
+            ("+A", 0), ("-1^", 1), ("x", 0), ("-U^2^", -1), ("+1", 0))],
+            name="C")
+        assert C.index().names == ("-U^2^", "+1", "+A", "x", "-1^")
+        rows = [((0, 1), (1, -1)), ((1, 2), (3, Fraction(-3, 2)), (2, 4)),
+                (), ((4, 0),), ((0, -1), (4, 3))]
+        tensor_row = (((0, 1), 2), ((1, 0), -1), ((3, 2), Fraction(1, 3)),
+                      ((2, 2), 0))
+        got = [format_row(C, [(k, ring.canon(c)) for k, c in row])
+               for row in rows]
+        got.append(format_row(tensor(C, C), [(k, ring.canon(c))
+                                             for k, c in tensor_row]))
+        assert got == texts
+
+
+def test_basis_keys_of_tensor_powers_follow_the_name_order():
+    # each factor's positions are in (degree, name) order, but joined names
+    # sort otherwise: "U^2⊗x" comes before "U⊗x", as "^" < "⊗"
+    A = GradedModule(ZZ, [BasisElement(n, d) for n, d in (
+        ("U", 0), ("U^2", 0), ("x", 1), ("a", 1), ("b", 2))], name="a")
+    pos, deg = A.index().pos, A.index().degree
+    for T in (tensor(A, A), tensor(A, A, A)):
+        keys = basis_keys(T)
+        assert keys == [tuple(pos[p] for p in parts(e.name))
+                        for e in basis(T)]
+        assert keys != sorted(keys, key=lambda k: (sum(deg[x] for x in k), k))
+        # given keys come back in the same order
+        assert basis_keys(T, keys[::-2]) == keys[::-2][::-1]

@@ -31,13 +31,11 @@ from chainalg.graded import (
     TENSOR_SEP,
     _signed_row,
     _twisted,
-    format_vector,
     koszul_sign,
-    row_vector,
     tensor,
 )
 from chainalg.rings import GF, QQ, ZZ
-from name_keyed import failing, passing, verdict
+from name_keyed import (failing, format_vector, passing, row_vector, verdict)
 from random_instances import make_random_instance
 
 RINGS = [ZZ, QQ, GF(5)]

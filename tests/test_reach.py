@@ -33,8 +33,6 @@ FAILURE = "formats a failure; no shipped fixture or scenario fails"
 REPR = "debugging aid; no report prints it"
 HASH = "no command hashes it"
 MALFORMED = "raises on a malformed scenario; the shipped ones are valid"
-TENSOR_NAME = ("reads a tensor basis name; only the tests and the pinned "
-               "graded.Vector.__init__ and graded.GradedMap.eval_basis do")
 CHAIN_MU = ("mu as a chain map on a bialgebra with a differential, which no "
             "shipped scenario has")
 
@@ -59,7 +57,6 @@ ALLOWED = {
     "complexes.induced_quotient_homotopy.sides": REDUCED,
     "complexes.is_essential.<lambda 2>":
         "a cochain-oriented complex, only in " + REDUCED,
-    "cone_product._format_row": FAILURE,
     "cone_product._cyclic_rotate":
         "cone packages with B != 0; none ships (ROADMAP item 6)",
     "cone_product.cross_check_components.show": FAILURE,
@@ -71,14 +68,6 @@ ALLOWED = {
     "graded.BasisElement.__repr__": REPR,
     "graded.GradedModule.__hash__": HASH,
     "graded.GradedModule.__repr__": REPR,
-    "graded.TensorModule.has": TENSOR_NAME,
-    "graded.TensorModule.degree_of": TENSOR_NAME,
-    "graded.TensorModule.parts_of": TENSOR_NAME,
-    "graded.TensorModule.basis":
-        "lists a tensor basis: " + CHAIN_MU + ", and the tests' random "
-        "instances",
-    "graded.TensorModule.basis.<lambda 1>": "sorts a tensor basis, as "
-        "graded.TensorModule.basis",
     "graded.TensorModule._struct":
         "compares equal but distinct tensor modules; commands build "
         "each product once",

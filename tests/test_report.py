@@ -10,8 +10,8 @@ from chainalg.bialgebra import BialgebraData
 from chainalg.fixtures import (TruncationWindow, fixture_names,
                                flip_structure_constant, make_fixture,
                                mutate_lambda, mutate_mu, reverse_data_bivector)
-from chainalg.graded import TENSOR_SEP, GradedMap, row_vector
-from name_keyed import named, neg
+from chainalg.graded import TENSOR_SEP, GradedMap
+from name_keyed import named, neg, row_vector
 
 CONE_CHECKS = ("components", "associativity", "assoc-infinitesimal")
 

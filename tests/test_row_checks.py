@@ -6,15 +6,17 @@ sides of coassociativity, the units, `tensor_differential`, `dual_map`,
 through the cone's layout.  Each is compared here, over Z, Q and GF(5),
 with a name-keyed reference built from `then` and `tensor_map` of
 `name_keyed`, or from the defining formula on names.  A guard
-counts the name-path calls (`GradedMap.eval_basis`, the tensor name
-readers `TensorModule.has`, `.degree_of` and `.parts_of`, the checked
-`Vector` constructor, `GradedMap.from_table` and `GradedMap.block`) that
+counts the name-path calls (`GradedMap.eval_basis`, the name
+reader `graded._positions`, the key-to-name writer `graded.names_of` and
+`graded.format_row`, the checked `Vector` constructor,
+`GradedMap.from_table` and `GradedMap.block`) that
 `check_axioms` and `cone_records` make
 on built fixtures, and that a quotient complex's homology and an induced
 quotient homotopy make: none.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -36,16 +38,15 @@ from chainalg.complexes import (
     mapping_cone,
     quotient_by_image,
 )
+from chainalg import graded
 from chainalg.cone_product import cone_data_from_bialgebra
 from chainalg.graded import (
     BasisElement,
     GradedMap,
     GradedModule,
-    TensorModule,
     Vector,
     dual_map,
     dual_module,
-    row_vector,
     shift,
     shift_map,
     tensor,
@@ -57,16 +58,19 @@ from chainalg.scenario import Scenario
 from chainalg.rings import GF, QQ, ZZ
 from replay import Replay
 from name_keyed import (
-    NameMap,
     add,
+    basis,
     basis_in_degree,
+    degree_of,
     identity,
     insert_left,
     insert_right,
     is_zero,
     named,
+    NameMap,
     neg,
     quantify_reference,
+    row_vector,
     scale,
     scaled,
     tensor_map,
@@ -107,7 +111,7 @@ def draw_map(data, source, target, degree=None):
     table = {e.name: Vector(target, {
                  t.name: data.draw(coeff)
                  for t in basis_in_degree(target, e.degree + degree)})
-             for e in source.basis()}
+             for e in basis(source)}
     return GradedMap.from_table(source, target, degree, table)
 
 
@@ -196,7 +200,7 @@ def unit_reference(inst, names):
         mu_named(tensor_values(eta, A.el(n))), A.el(n)))
     right = quantify_reference(names, lambda n: (
         scale(mu_named(tensor_values(A.el(n), eta)),
-              sign(mu.degree * A.degree_of(n))),
+              sign(mu.degree * degree_of(A, n))),
         A.el(n)))
     return left, right
 
@@ -226,7 +230,7 @@ def chain_map_reference(A, mu, lam, d):
     one = identity_by_names(A)
     d2 = tensor_map(d, one) + tensor_map(one, d)
     for label, op, dom_d, cod_d in (("mu", mu, d2, d), ("lam", lam, d, d2)):
-        for e in op.source.basis():
+        for e in basis(op.source):
             lhs = named(cod_d)(op.eval_basis(e.name))
             rhs = scale(named(op)(dom_d.eval_basis(e.name)), sign(op.degree))
             if lhs != rhs:
@@ -261,7 +265,7 @@ def test_chain_map_conditions_match_the_name_formulas(ring, data):
     d2 = tensor_map(d, one) + tensor_map(one, d)
     rows = tensor_differential(d)
     assert rows.row_fn is not None
-    for e in A2.basis():
+    for e in basis(A2):
         assert rows.eval_basis(e.name) == d2.eval_basis(e.name), e.name
     g = draw_map(data, A2, A, data.draw(st.integers(0, 1)))
     h = draw_map(data, A, A2, data.draw(st.integers(1, 2)))
@@ -280,7 +284,7 @@ def dual_reference(f):
     src, tgt = dual_module(f.target), dual_module(f.source)
 
     def fn(phi):
-        s = sign(src.degree_of(phi) * f.degree)
+        s = sign(degree_of(src, phi) * f.degree)
         return Vector(tgt, {
             x.name + "^": s * f.eval_basis(x.name).coeffs.get(phi[:-1], 0)
             for x in f.source.basis()})
@@ -413,17 +417,20 @@ def test_secondary_relation_matches_the_composites(ring, data):
 
 # -- the guard: no name path on the check paths ---------------------------------
 
-NAME_PATH = ((TensorModule, "has"), (TensorModule, "degree_of"),
-             (TensorModule, "parts_of"), (GradedMap, "eval_basis"),
-             (Vector, "__init__"), (GradedMap, "from_table"),
-             (GradedMap, "block"))
+# the methods, and the functions of `graded`, that read a name
+# (`_positions`), turn a key into one (`names_of`) or write a row by names
+# (`format_row`), and the dense `block`
+NAME_PATH = ((GradedMap, "eval_basis"), (Vector, "__init__"),
+             (GradedMap, "from_table"), (GradedMap, "block"),
+             (graded, "_positions"), (graded, "names_of"),
+             (graded, "format_row"))
 
 
 @pytest.fixture
 def name_path_calls(monkeypatch):
     counts = Counter()
-    for cls, attr in NAME_PATH:
-        original = cls.__dict__[attr]
+    for owner, attr in NAME_PATH:
+        original = vars(owner)[attr]
         bound = isinstance(original, classmethod)
 
         def counted(*args, _original=original.__func__ if bound else original,
@@ -431,7 +438,14 @@ def name_path_calls(monkeypatch):
             counts[_attr] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, attr, classmethod(counted) if bound else counted)
+        if owner is graded:   # and every module that imported the function
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("chainalg")
+                        and vars(module).get(attr) is original):
+                    monkeypatch.setattr(module, attr, counted)
+        else:
+            monkeypatch.setattr(owner, attr,
+                                classmethod(counted) if bound else counted)
     return counts
 
 
@@ -497,7 +511,7 @@ def test_every_row_the_demo_reads_keeps_the_row_contract(name, ring):
                for k, op in closed_form_components(data).items()}}
     rows = 0
     for label, m in maps.items():
-        keys = [key for _, key in basis_keys(m.source)]
+        keys = basis_keys(m.source)
         assert _breaks_the_row_contract(m, keys) is None, label
         rows += len(keys)
     assert rows > 5_000

@@ -335,7 +335,7 @@ def test_differential_basis_cap(kind):
     assert _rejected_at(doc) == "$.differential"
     assert str(sc.MAX_SAFE) in _schema_error(doc).message
     doc["module"]["basis"].pop()
-    assert len(sc.ingest(json.dumps(doc)).payload.mu.source.basis()) == \
+    assert len(basis_keys(sc.ingest(json.dumps(doc)).payload.mu.source)) == \
         sc.MAX_SAFE ** 2
 
 
@@ -506,8 +506,8 @@ def test_exported_complexes_ingest_to_the_same_rows():
         for want, have in maps:
             assert (have.source, have.target, have.degree) == (
                 want.source, want.target, want.degree)
-            for name, k in basis_keys(want.source):
-                assert dict(have.at(k)) == dict(want.at(k)), name
+            for k in basis_keys(want.source):
+                assert dict(have.at(k)) == dict(want.at(k)), k
         count += len(maps)
     assert count == 6 * 3 + 1 + 3
 

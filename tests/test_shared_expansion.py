@@ -30,7 +30,6 @@ from chainalg.cone_product import (
     cone_data_from_bialgebra,
     derive_secondary_ops,
     dual_side,
-    _format_row,
 )
 from chainalg.fixtures import (
     TruncationWindow,
@@ -45,15 +44,24 @@ from chainalg.graded import (
     SideIds,
     Vector,
     associativity_witness,
-    format_vector,
-    row_vector,
+    format_row,
     slot_table,
     tensor,
     vector_terms,
     TENSOR_SEP,
 )
 from chainalg.rings import GF, QQ, ZZ
-from name_keyed import basis_in_degree, cone_window, is_zero, positions
+from name_keyed import (
+    basis,
+    basis_in_degree,
+    by_names,
+    cone_window,
+    degree_of,
+    format_vector,
+    is_zero,
+    positions,
+    row_vector,
+)
 from random_instances import make_random_instance
 from replay import Replay
 
@@ -163,8 +171,8 @@ def assoc_infinitesimal_loop(data, comps):
                             for w, c in contracted.get(k, {}).items()}
                 if total != expected:
                     return False, (f"fails at a={a}, b={b}, f={fb}: "
-                                   f"{_format_row(A, total)} vs "
-                                   f"{_format_row(A, expected)}")
+                                   f"{format_row(A, total.items())} vs "
+                                   f"{format_row(A, expected.items())}")
     return True, ""
 
 
@@ -330,7 +338,7 @@ def draw_product(data, A, degree=None, source=None, target=None):
     table = {e.name: Vector(target, {
                  t.name: data.draw(coeff)
                  for t in basis_in_degree(target, e.degree + degree)})
-             for e in source.basis()}
+             for e in basis(source)}
     return GradedMap.from_table(source, target, degree, table)
 
 
@@ -349,7 +357,7 @@ def test_associativity_kernel_matches_the_loop(ring, data):
     mu = draw_product(data, A)
     order = data.draw(st.permutations(A.basis_names()))
     names = order[:data.draw(st.integers(1, len(order)))]
-    assert (associativity_witness(mu, positions(A, names))
+    assert (by_names(A, associativity_witness(mu, positions(A, names)))
             == associativity_loop(mu, names))
 
 
@@ -389,7 +397,7 @@ def test_associativity_kernel_reads_rows_in_any_order():
 
     mu = GradedMap(tensor(A, A), A, 0, rows)
     names = A.basis_names()
-    assert (associativity_witness(mu, positions(A, names))
+    assert (by_names(A, associativity_witness(mu, positions(A, names)))
             == associativity_loop(mu, names))
 
 
@@ -407,7 +415,7 @@ def test_associativity_kernel_negates_a_product_row_of_minus_one():
                  ("i", "1"): A.el("i", i_times_1), ("i", "i"): A.el("1", -1)}
         mu = GradedMap.from_table(tensor(A, A), A, 0, {
             TENSOR_SEP.join(ab): v for ab, v in table.items()})
-        got = associativity_witness(mu, positions(A, names))
+        got = by_names(A, associativity_witness(mu, positions(A, names)))
         assert got == associativity_loop(mu, names)
         assert got[:2] == verdict
 
@@ -424,7 +432,7 @@ def gather_case(ring, degrees, degree, coefficients, order, size):
                             for i, d in enumerate(degrees)], name="a")
     names = A.basis_names()
     slots = [(x, y, z) for x in names for y in names for z in names
-             if A.degree_of(z) == A.degree_of(x) + A.degree_of(y) + degree]
+             if degree_of(A, z) == degree_of(A, x) + degree_of(A, y) + degree]
     table = {}
     for (x, y, z), c in zip(slots, coefficients, strict=True):
         table.setdefault(x + TENSOR_SEP + y, {})[z] = c
@@ -473,8 +481,8 @@ def test_associativity_gather_matches_the_loop(ring, data):
     order = data.draw(st.permutations([n for _, n in names]))
     size = data.draw(st.integers(0, len(order)))
     mu, window = gather_case(ring, degrees, degree, coefficients, order, size)
-    assert (associativity_witness(mu, positions(mu.target, window))
-            == associativity_loop(mu, window))
+    assert (by_names(mu.target, associativity_witness(
+        mu, positions(mu.target, window))) == associativity_loop(mu, window))
 
 
 @pytest.mark.parametrize("case,verdict", [c[1:] for c in GATHER_CASES],
@@ -485,7 +493,8 @@ def test_gather_cases_reach_their_verdicts(case, verdict):
     failure in the last triple, and a failing row mu(b (x) c) of two
     terms with |mu| odd."""
     mu, window = gather_case(ZZ, *case)
-    got = associativity_witness(mu, positions(mu.target, window))
+    got = by_names(mu.target,
+                   associativity_witness(mu, positions(mu.target, window)))
     assert got[:2] == verdict
     if case is ODD_SUM:
         b, c = got[1][1:]
@@ -616,7 +625,7 @@ def test_cone_associativity_matches_the_loop(label, data):
     failures = []
     try:
         for mu in products:
-            got = associativity_witness(mu, window)
+            got = by_names(mu.target, associativity_witness(mu, window))
             assert got == associativity_loop(mu, names)
             failures.append(got[1] is not None)
             data.product = mu
